@@ -1,10 +1,13 @@
 //! Criterion micro-benchmarks for the hot data-path primitives:
-//! cache shard ops, LSM point ops, compressors, hashing, histograms.
+//! cache shard ops, LSM point ops, compressors, the SSTable block
+//! codecs, hashing, histograms.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use tb_cache::{CacheConfig, ShardedCache};
-use tb_common::{fx_hash, Histogram, Key, Value};
-use tb_compress::{train_dictionary, Compressor, Pbc, PbcConfig, Tzstd, TzstdLevel};
+use tb_common::{crc32, fx_hash, Histogram, Key, Value};
+use tb_compress::{
+    train_dictionary, BlockCodec, BlockCodecState, Compressor, Pbc, PbcConfig, Tzstd, TzstdLevel,
+};
 use tb_lsm::{LsmConfig, LsmDb};
 use tb_workload::DatasetKind;
 
@@ -98,6 +101,78 @@ fn bench_compressors(c: &mut Criterion) {
     group.finish();
 }
 
+/// The SSTable block path per codec, on 64 blocks of 4 KiB shaped like
+/// the writer's (flag, key length, value length, `user…` key, Cities
+/// value) and trained the way the writer trains (first 512 values, the
+/// table's own blocks): throughput is uncompressed bytes per second
+/// through `encode_frame` / `decode_frame`, CRC included. `crc32` is
+/// the checksum alone over one block.
+fn bench_block_codec(c: &mut Criterion) {
+    const BLOCK_BYTES: usize = 4096;
+    let dataset = DatasetKind::Cities.build(5);
+    let mut samples = Vec::new();
+    let mut blocks = vec![Vec::new()];
+    for i in 0u64.. {
+        let (key, value) = (format!("user{:012}", i * 7), dataset.record(i));
+        let block = blocks.last_mut().unwrap();
+        block.extend_from_slice(&[0, key.len() as u8, value.len() as u8]);
+        block.extend_from_slice(key.as_bytes());
+        block.extend_from_slice(&value);
+        if samples.len() < 512 {
+            samples.push(value);
+        }
+        if block.len() >= BLOCK_BYTES {
+            if blocks.len() == 64 {
+                break;
+            }
+            blocks.push(Vec::new());
+        }
+    }
+    let bytes: usize = blocks.iter().map(Vec::len).sum();
+
+    let mut group = c.benchmark_group("block_codec");
+    group.throughput(Throughput::Bytes(bytes as u64));
+    for codec in BlockCodec::ALL {
+        let state = BlockCodecState::train_on_blocks(codec, &samples, &blocks);
+        let mut frame = Vec::new();
+        group.bench_function(format!("{}/encode", codec.name()), |b| {
+            b.iter(|| {
+                for block in &blocks {
+                    frame.clear();
+                    std::hint::black_box(state.encode_frame(block, &mut frame));
+                }
+            })
+        });
+        let frames: Vec<Vec<u8>> = blocks
+            .iter()
+            .map(|block| {
+                let mut frame = Vec::new();
+                state.encode_frame(block, &mut frame);
+                frame
+            })
+            .collect();
+        let on_disk: usize = frames.iter().map(Vec::len).sum();
+        println!(
+            "block_codec/{}: ratio {:.3} ({bytes} -> {on_disk} B + {} B table payload)",
+            codec.name(),
+            bytes as f64 / on_disk as f64,
+            state.dict_payload().len()
+        );
+        group.bench_function(format!("{}/decode", codec.name()), |b| {
+            b.iter(|| {
+                for frame in &frames {
+                    std::hint::black_box(state.decode_frame(frame).unwrap());
+                }
+            })
+        });
+    }
+    group.throughput(Throughput::Bytes(blocks[0].len() as u64));
+    group.bench_function("crc32", |b| {
+        b.iter(|| std::hint::black_box(crc32(&blocks[0])))
+    });
+    group.finish();
+}
+
 fn bench_primitives(c: &mut Criterion) {
     let mut group = c.benchmark_group("primitives");
     let key = b"user:123456789:profile";
@@ -149,6 +224,7 @@ criterion_group!(
     bench_cache,
     bench_lsm,
     bench_compressors,
+    bench_block_codec,
     bench_primitives,
     bench_obs
 );

@@ -1,8 +1,15 @@
 //! CRC-32 (IEEE 802.3) for persistent-record integrity checks.
+//!
+//! Slice-by-8: eight const-built tables let the hot loop fold eight
+//! input bytes per step instead of one (it runs over every WAL frame,
+//! block frame and manifest). Results are bit-identical to the
+//! byte-at-a-time definition, which the tests keep as the reference.
 
-/// Lookup table for the reflected IEEE polynomial 0xEDB88320.
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte-wise table for the reflected IEEE
+/// polynomial 0xEDB88320; `TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -15,21 +22,48 @@ const fn build_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+/// Folds `data` into the running (pre-inverted) CRC state.
+fn update(mut c: u32, data: &[u8]) -> u32 {
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = TABLES[7][(lo & 0xff) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xff) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xff) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xff) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xff) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xff) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    }
+    c
+}
 
 /// CRC-32 of a byte slice.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
+    update(0xffff_ffff, data) ^ 0xffff_ffff
 }
 
 /// Incremental CRC-32 builder for multi-part records.
@@ -50,9 +84,7 @@ impl Crc32 {
     }
 
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
-        for &b in data {
-            self.state = TABLE[((self.state ^ b as u32) & 0xff) as usize] ^ (self.state >> 8);
-        }
+        self.state = update(self.state, data);
         self
     }
 
@@ -64,6 +96,16 @@ impl Crc32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time definition the sliced kernel must match.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in data {
+            c = TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
 
     #[test]
     fn known_vectors() {
@@ -84,5 +126,31 @@ mod tests {
         let a = crc32(b"payload-data-here");
         let b = crc32(b"payload-dAta-here");
         assert_ne!(a, b);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_sliced_matches_bytewise(data in proptest::collection::vec(any::<u8>(), 0..600)) {
+            prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+        }
+
+        /// Feeding the same bytes in arbitrary pieces (so the 8-byte
+        /// fold restarts at every offset) equals the one-shot value.
+        #[test]
+        fn prop_update_over_any_split_matches_oneshot(
+            data in proptest::collection::vec(any::<u8>(), 0..600),
+            cuts in proptest::collection::vec(any::<u16>(), 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut c = Crc32::new();
+            let mut from = 0;
+            for cut in cuts {
+                c.update(&data[from..cut]);
+                from = cut;
+            }
+            c.update(&data[from..]);
+            prop_assert_eq!(c.finalize(), crc32(&data));
+        }
     }
 }

@@ -7,10 +7,30 @@
 //! ```
 //!
 //! The codec is chosen per table ([`BlockCodec`]) and its trained state
-//! (tzstd dictionary, PBC pattern table) is serialized into a
-//! table-level *dictionary payload* stored next to the data blocks, so
-//! a table is self-describing: reopening it needs only the footer's
-//! codec byte and the dictionary payload, never the training samples.
+//! is serialized into a table-level *dictionary payload* stored next to
+//! the data blocks, so a table is self-describing: reopening it needs
+//! only the footer's codec byte and the dictionary payload, never the
+//! training input.
+//!
+//! `lz` and `dict` frames carry the block's LZ77 token stream, split
+//! by kind and entropy-coded under two static Huffman tables that were
+//! trained once on the table's own blocks and live in the dictionary
+//! payload — no block carries a model or a table header:
+//!
+//! ```text
+//! lz/dict payload := varint(ctrl_len) | varint(lit_len) | bits
+//! bits            := ctrl_len codes under the control table, then
+//!                    lit_len codes under the literal table, LSB-first,
+//!                    zero-padded to a byte
+//! control bytes   := every varint of the token stream, in order
+//!                    (literal-run length, match length, distance, end)
+//! literals        := every literal byte of the token stream, in order
+//! dict payload    := control table (128 B) | literal table (128 B)
+//!                    | tzstd dictionary bytes (`dict` only)
+//! ```
+//!
+//! `pbc` frames carry [`Pbc`]'s own record format and the serialized
+//! [`PbcModel`] as dictionary payload.
 //!
 //! Per-block stored fallback: when compression does not shrink a block
 //! (or the codec is [`BlockCodec::None`]) the frame carries the raw
@@ -18,9 +38,13 @@
 //! read is checksummed regardless of codec.
 
 use crate::dict::train_dictionary;
-use crate::lz::TrainedDict;
+use crate::huffman::{BitReader, BitWriter, HuffTable, TABLE_BYTES};
+use crate::lz::{
+    lz_decode, lz_parse, read_varint, write_varint, SplitSource, SplitTokens, TrainedDict,
+    TzstdLevel,
+};
 use crate::pbc::{Pbc, PbcConfig, PbcModel};
-use crate::{Compressor, Tzstd, TzstdLevel};
+use crate::Compressor;
 use std::sync::Arc;
 use tb_common::{crc32, Error, Result};
 
@@ -39,18 +63,38 @@ pub const MAX_TRAIN_SAMPLES: usize = 512;
 /// Byte budget for a trained tzstd dictionary stored per table.
 pub const MAX_DICT_BYTES: usize = 4096;
 
+/// Longest block a compressed frame may hold; longer blocks are stored.
+/// A compressed frame's `uncompressed_len` sizes the decode buffer, so
+/// the reader refuses anything above this before allocating.
+pub const MAX_COMPRESSED_BLOCK_LEN: usize = 64 << 20;
+
+/// The entropy tables are trained on one block in
+/// [`TRAIN_BLOCK_STRIDE`] (evenly spaced), at most this many: the
+/// tables stop improving measurably after a handful of blocks, and
+/// each training block is LZ-parsed a second time.
+const MAX_TRAIN_BLOCKS: usize = 16;
+const TRAIN_BLOCK_STRIDE: usize = 8;
+
+/// Size of the pseudo-blocks [`BlockCodecState::train`] cuts its value
+/// samples into when it has no real blocks to train on.
+const SAMPLE_BLOCK_LEN: usize = 4096;
+
+/// LZ effort of the block path.
+const BLOCK_LEVEL: TzstdLevel = TzstdLevel(1);
+
 /// Per-table block codec, chosen from `LsmConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockCodec {
     /// Stored frames only (still CRC-checked).
     #[default]
     None,
-    /// tzstd without a dictionary.
+    /// LZ77 + table-trained Huffman, no dictionary.
     Lz,
     /// Pattern-based compression; the trained model is the table's
     /// dictionary payload.
     Pbc,
-    /// tzstd with a dictionary trained on the table's input values.
+    /// LZ77 + table-trained Huffman, with a dictionary trained on the
+    /// table's input values as shared match history.
     Dict,
 }
 
@@ -105,13 +149,127 @@ impl BlockCodec {
     }
 }
 
-/// A table's codec plus its trained state: built by the writer from
-/// sampled input values ([`BlockCodecState::train`]) or rebuilt by a
-/// reader from the stored dictionary payload
-/// ([`BlockCodecState::from_dict_payload`]).
+/// The `lz`/`dict` payload coder: LZ77 parse (optionally against a
+/// trained dictionary) with the control and literal streams each under
+/// their own static Huffman table.
+struct LzCoder {
+    dict: Option<Arc<TrainedDict>>,
+    ctrl: HuffTable,
+    lit: HuffTable,
+}
+
+impl LzCoder {
+    /// Trains both tables on the LZ output of `blocks`.
+    fn train<'a>(dict: Option<Arc<TrainedDict>>, blocks: impl Iterator<Item = &'a [u8]>) -> Self {
+        let (mut ctrl, mut lit) = ([0u32; 256], [0u32; 256]);
+        let mut tokens = SplitTokens::default();
+        for block in blocks {
+            tokens.ctrl.clear();
+            tokens.lit.clear();
+            lz_parse(block, dict.as_deref(), BLOCK_LEVEL, &mut tokens);
+            for &b in &tokens.ctrl {
+                ctrl[b as usize] += 1;
+            }
+            for &b in &tokens.lit {
+                lit[b as usize] += 1;
+            }
+        }
+        Self {
+            dict,
+            ctrl: HuffTable::from_counts(&ctrl),
+            lit: HuffTable::from_counts(&lit),
+        }
+    }
+
+    fn from_payload(payload: &[u8], with_dict: bool) -> Result<Self> {
+        let (tables, dict) = payload
+            .split_at_checked(2 * TABLE_BYTES)
+            .ok_or_else(|| Error::Corruption("block codec payload truncated".into()))?;
+        if !with_dict && !dict.is_empty() {
+            return Err(Error::Corruption(
+                "lz codec payload carries a dictionary".into(),
+            ));
+        }
+        if dict.len() > MAX_DICT_BYTES {
+            return Err(Error::Corruption(format!(
+                "block dictionary of {} bytes exceeds {MAX_DICT_BYTES}",
+                dict.len()
+            )));
+        }
+        Ok(Self {
+            dict: (!dict.is_empty()).then(|| Arc::new(TrainedDict::new(dict.to_vec()))),
+            ctrl: HuffTable::from_bytes(&tables[..TABLE_BYTES])?,
+            lit: HuffTable::from_bytes(&tables[TABLE_BYTES..])?,
+        })
+    }
+
+    fn payload(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.ctrl.write_bytes(&mut out);
+        self.lit.write_bytes(&mut out);
+        if let Some(dict) = &self.dict {
+            out.extend_from_slice(dict.as_bytes());
+        }
+        out
+    }
+
+    /// Appends the compressed payload of `block` to `out`.
+    fn encode(&self, block: &[u8], out: &mut Vec<u8>) {
+        let mut tokens = SplitTokens {
+            ctrl: Vec::with_capacity(block.len() / 2),
+            lit: Vec::with_capacity(block.len()),
+        };
+        lz_parse(block, self.dict.as_deref(), BLOCK_LEVEL, &mut tokens);
+        write_varint(out, tokens.ctrl.len() as u64);
+        write_varint(out, tokens.lit.len() as u64);
+        let mut bits = BitWriter::new(out);
+        self.ctrl.encode(&tokens.ctrl, &mut bits);
+        self.lit.encode(&tokens.lit, &mut bits);
+        bits.finish();
+    }
+
+    /// Decodes a payload that must yield exactly `ulen` bytes. Every
+    /// length in the payload is checked against the bytes present (a
+    /// code is at least one bit) and against `ulen` before it sizes
+    /// anything.
+    fn decode(&self, payload: &[u8], ulen: usize) -> Result<Vec<u8>> {
+        let mut pos = 0usize;
+        let ctrl_len = read_varint(payload, &mut pos)?;
+        let lit_len = read_varint(payload, &mut pos)?;
+        let coded = &payload[pos..];
+        if ctrl_len.saturating_add(lit_len) > coded.len() as u64 * 8 || lit_len > ulen as u64 {
+            return Err(Error::Corruption(format!(
+                "block payload claims {ctrl_len} control + {lit_len} literal bytes \
+                 in {} coded bytes for a {ulen}-byte block",
+                coded.len()
+            )));
+        }
+        let (ctrl_len, lit_len) = (ctrl_len as usize, lit_len as usize);
+        let mut tokens = Vec::with_capacity(ctrl_len + lit_len);
+        let mut bits = BitReader::new(coded);
+        self.ctrl.decode(&mut bits, ctrl_len, &mut tokens);
+        self.lit.decode(&mut bits, lit_len, &mut tokens);
+        bits.finish()?;
+        let (ctrl, lit) = tokens.split_at(ctrl_len);
+        let dict = self.dict.as_ref().map_or(&[][..], |d| d.as_bytes());
+        lz_decode(SplitSource::new(ctrl, lit), dict, ulen, ulen)
+    }
+}
+
+enum Coder {
+    /// Stored frames only.
+    None,
+    Lz(Box<LzCoder>),
+    Pbc(Pbc),
+}
+
+/// A table's codec plus its trained state: built by the writer
+/// ([`BlockCodecState::train_on_blocks`], or [`BlockCodecState::train`]
+/// from value samples alone) or rebuilt by a reader from the stored
+/// dictionary payload ([`BlockCodecState::from_dict_payload`]).
 pub struct BlockCodecState {
     codec: BlockCodec,
-    compressor: Option<Box<dyn Compressor>>,
+    coder: Coder,
     dict_payload: Vec<u8>,
 }
 
@@ -119,84 +277,72 @@ impl Default for BlockCodecState {
     fn default() -> Self {
         Self {
             codec: BlockCodec::None,
-            compressor: None,
+            coder: Coder::None,
             dict_payload: Vec::new(),
         }
     }
 }
 
 impl BlockCodecState {
-    /// Trains the codec from sampled input values (flush/compaction
-    /// collects the first [`MAX_TRAIN_SAMPLES`] put values, so training
-    /// is deterministic for a fixed input stream).
+    /// Trains the codec from sampled input values alone: the
+    /// dictionary / PBC model as in [`Self::train_on_blocks`], the
+    /// entropy tables on the samples packed into block-sized buffers.
+    /// Tables give every byte value a code, so the state round-trips
+    /// any block, however unlike the samples.
     pub fn train(codec: BlockCodec, samples: &[Vec<u8>]) -> Self {
-        match codec {
-            BlockCodec::None => Self::default(),
-            BlockCodec::Lz => Self {
-                codec,
-                compressor: Some(Box::new(Tzstd::new(TzstdLevel(1)))),
-                dict_payload: Vec::new(),
-            },
-            BlockCodec::Dict => {
-                let dict = train_dictionary(samples, MAX_DICT_BYTES);
-                let (compressor, dict_payload): (Box<dyn Compressor>, Vec<u8>) = if dict.is_empty()
-                {
-                    (Box::new(Tzstd::new(TzstdLevel(1))), Vec::new())
-                } else {
-                    let payload = dict.as_bytes().to_vec();
-                    (Box::new(Tzstd::with_dict(TzstdLevel(1), dict)), payload)
-                };
-                Self {
-                    codec,
-                    compressor: Some(compressor),
-                    dict_payload,
-                }
-            }
+        let blocks: Vec<Vec<u8>> = samples
+            .concat()
+            .chunks(SAMPLE_BLOCK_LEN)
+            .map(<[u8]>::to_vec)
+            .collect();
+        Self::train_on_blocks(codec, samples, &blocks)
+    }
+
+    /// Trains the codec for one table: the tzstd dictionary (`dict`) or
+    /// pattern model (`pbc`) from sampled input values (flush/compaction
+    /// collects the first [`MAX_TRAIN_SAMPLES`] put values), and the
+    /// `lz`/`dict` entropy tables from the LZ output of evenly spaced
+    /// `blocks` of the table itself (every [`TRAIN_BLOCK_STRIDE`]th, at
+    /// most [`MAX_TRAIN_BLOCKS`]). Deterministic for fixed input.
+    pub fn train_on_blocks(codec: BlockCodec, samples: &[Vec<u8>], blocks: &[Vec<u8>]) -> Self {
+        let dict = match codec {
+            BlockCodec::None => return Self::default(),
             BlockCodec::Pbc => {
                 let model = PbcModel::train(samples, &PbcConfig::default());
-                let dict_payload = model.to_bytes();
-                Self {
+                return Self {
                     codec,
-                    compressor: Some(Box::new(Pbc::new(Arc::new(model)))),
-                    dict_payload,
-                }
+                    dict_payload: model.to_bytes(),
+                    coder: Coder::Pbc(Pbc::new(Arc::new(model))),
+                };
             }
+            BlockCodec::Lz => None,
+            BlockCodec::Dict => {
+                Some(train_dictionary(samples, MAX_DICT_BYTES)).filter(|d| !d.is_empty())
+            }
+        };
+        let step = TRAIN_BLOCK_STRIDE.max(blocks.len().div_ceil(MAX_TRAIN_BLOCKS));
+        let coder = LzCoder::train(dict, blocks.iter().step_by(step).map(Vec::as_slice));
+        Self {
+            codec,
+            dict_payload: coder.payload(),
+            coder: Coder::Lz(Box::new(coder)),
         }
     }
 
     /// Rebuilds the state from a table's stored dictionary payload.
+    /// Arbitrary bytes are [`Error::Corruption`], never a panic.
     pub fn from_dict_payload(codec: BlockCodec, payload: &[u8]) -> Result<Self> {
-        match codec {
-            BlockCodec::None => Ok(Self::default()),
-            BlockCodec::Lz => Ok(Self {
-                codec,
-                compressor: Some(Box::new(Tzstd::new(TzstdLevel(1)))),
-                dict_payload: Vec::new(),
-            }),
-            BlockCodec::Dict => {
-                let compressor: Box<dyn Compressor> = if payload.is_empty() {
-                    Box::new(Tzstd::new(TzstdLevel(1)))
-                } else {
-                    Box::new(Tzstd::with_dict(
-                        TzstdLevel(1),
-                        Arc::new(TrainedDict::new(payload.to_vec())),
-                    ))
-                };
-                Ok(Self {
-                    codec,
-                    compressor: Some(compressor),
-                    dict_payload: payload.to_vec(),
-                })
-            }
-            BlockCodec::Pbc => {
-                let model = PbcModel::from_bytes(payload)?;
-                Ok(Self {
-                    codec,
-                    compressor: Some(Box::new(Pbc::new(Arc::new(model)))),
-                    dict_payload: payload.to_vec(),
-                })
-            }
-        }
+        let coder = match codec {
+            BlockCodec::None => return Ok(Self::default()),
+            BlockCodec::Lz => Coder::Lz(Box::new(LzCoder::from_payload(payload, false)?)),
+            BlockCodec::Dict => Coder::Lz(Box::new(LzCoder::from_payload(payload, true)?)),
+            BlockCodec::Pbc => Coder::Pbc(Pbc::new(Arc::new(PbcModel::from_bytes(payload)?))),
+        };
+        Ok(Self {
+            codec,
+            coder,
+            dict_payload: payload.to_vec(),
+        })
     }
 
     pub fn codec(&self) -> BlockCodec {
@@ -210,26 +356,42 @@ impl BlockCodecState {
 
     /// Appends one frame for `block` to `out`. Compresses when the
     /// codec wins; falls back to a stored frame otherwise (so output
-    /// frames never exceed `block.len() + FRAME_HEADER_LEN`, modulo the
-    /// codec's own stored mode). Returns `true` when the frame carries
-    /// a compressed payload.
+    /// frames never exceed `block.len() + FRAME_HEADER_LEN`). Returns
+    /// `true` when the frame carries a compressed payload.
     pub fn encode_frame(&self, block: &[u8], out: &mut Vec<u8>) -> bool {
-        if let Some(c) = &self.compressor {
-            let z = c.compress(block);
-            if z.len() < block.len() {
-                push_frame(out, self.codec.tag(), block.len(), &z);
-                return true;
-            }
+        let frame_start = out.len();
+        out.push(self.codec.tag());
+        out.extend_from_slice(&(block.len() as u32).to_le_bytes());
+        out.extend_from_slice(&[0; 4]);
+        let payload_start = out.len();
+        let encoded = block.len() <= MAX_COMPRESSED_BLOCK_LEN
+            && match &self.coder {
+                Coder::None => false,
+                Coder::Lz(c) => {
+                    c.encode(block, out);
+                    true
+                }
+                Coder::Pbc(c) => {
+                    out.extend_from_slice(&c.compress(block));
+                    true
+                }
+            };
+        let compressed = encoded && out.len() - payload_start < block.len();
+        if !compressed {
+            out.truncate(payload_start);
+            out[frame_start] = FRAME_TAG_STORED;
+            out.extend_from_slice(block);
         }
-        push_frame(out, FRAME_TAG_STORED, block.len(), block);
-        false
+        let crc = crc32(&out[payload_start..]);
+        out[payload_start - 4..payload_start].copy_from_slice(&crc.to_le_bytes());
+        compressed
     }
 
     /// Decodes and verifies one frame, returning the uncompressed block
     /// bytes. Every failure — truncated header, CRC mismatch, foreign
-    /// codec tag, garbage payload, length mismatch — is
-    /// [`Error::Corruption`], so a bad block surfaces as a per-slot
-    /// corruption error and never a torn batch.
+    /// codec tag, implausible length, garbage payload, length mismatch
+    /// — is [`Error::Corruption`], so a bad block surfaces as a
+    /// per-slot corruption error and never a torn batch.
     pub fn decode_frame(&self, frame: &[u8]) -> Result<Vec<u8>> {
         if frame.len() < FRAME_HEADER_LEN {
             return Err(Error::Corruption("sstable block frame truncated".into()));
@@ -249,32 +411,30 @@ impl BlockCodecState {
             }
             return Ok(payload.to_vec());
         }
-        match &self.compressor {
-            Some(c) if tag == self.codec.tag() => {
-                let raw = c
-                    .decompress(payload)
-                    .map_err(|e| Error::Corruption(format!("block frame payload: {e}")))?;
-                if raw.len() != ulen {
-                    return Err(Error::Corruption(format!(
-                        "block frame decompressed to {} bytes, header says {ulen}",
-                        raw.len()
-                    )));
-                }
-                Ok(raw)
-            }
-            _ => Err(Error::Corruption(format!(
-                "block frame codec tag {tag} does not match table codec {}",
-                self.codec.name()
-            ))),
+        if ulen > MAX_COMPRESSED_BLOCK_LEN {
+            return Err(Error::Corruption(format!(
+                "compressed block frame claims {ulen} bytes"
+            )));
         }
+        let raw = match &self.coder {
+            Coder::Lz(c) if tag == self.codec.tag() => c.decode(payload, ulen),
+            Coder::Pbc(c) if tag == self.codec.tag() => c.decompress(payload),
+            _ => {
+                return Err(Error::Corruption(format!(
+                    "block frame codec tag {tag} does not match table codec {}",
+                    self.codec.name()
+                )))
+            }
+        }
+        .map_err(|e| Error::Corruption(format!("block frame payload: {e}")))?;
+        if raw.len() != ulen {
+            return Err(Error::Corruption(format!(
+                "block frame decompressed to {} bytes, header says {ulen}",
+                raw.len()
+            )));
+        }
+        Ok(raw)
     }
-}
-
-fn push_frame(out: &mut Vec<u8>, tag: u8, uncompressed_len: usize, payload: &[u8]) {
-    out.push(tag);
-    out.extend_from_slice(&(uncompressed_len as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
 }
 
 #[cfg(test)]
@@ -339,14 +499,60 @@ mod tests {
     }
 
     #[test]
-    fn empty_block_roundtrips_every_codec() {
+    fn empty_and_one_byte_blocks_roundtrip_every_codec() {
         for state in all_states() {
             roundtrip(&state, b"");
+            for byte in [0u8, b'a', 0xff] {
+                roundtrip(&state, &[byte]);
+            }
+        }
+    }
+
+    #[test]
+    fn entropy_tables_cost_256_bytes_per_table() {
+        let samples = value_samples(512);
+        let blocks: Vec<Vec<u8>> = (0..100).map(|i| templated_block(60, i)).collect();
+        let lz = BlockCodecState::train_on_blocks(BlockCodec::Lz, &samples, &blocks);
+        assert_eq!(lz.dict_payload().len(), 2 * TABLE_BYTES);
+        let dict = BlockCodecState::train_on_blocks(BlockCodec::Dict, &samples, &blocks);
+        assert!(dict.dict_payload().len() > 2 * TABLE_BYTES);
+        assert!(dict.dict_payload().len() <= 2 * TABLE_BYTES + MAX_DICT_BYTES);
+    }
+
+    #[test]
+    fn tables_trained_on_the_blocks_beat_tables_trained_on_values() {
+        // Real blocks carry entry headers and keys the value samples
+        // never show; training on them must pay off on them.
+        let samples = value_samples(512);
+        let blocks: Vec<Vec<u8>> = (0..40).map(|i| templated_block(60, i * 1000)).collect();
+        let frames_len = |state: &BlockCodecState| {
+            let mut out = Vec::new();
+            for block in &blocks {
+                state.encode_frame(block, &mut out);
+            }
+            out.len()
+        };
+        for codec in [BlockCodec::Lz, BlockCodec::Dict] {
+            let on_blocks = BlockCodecState::train_on_blocks(codec, &samples, &blocks);
+            let on_values = BlockCodecState::train(codec, &samples);
+            assert!(
+                frames_len(&on_blocks) < frames_len(&on_values),
+                "{}: {} !< {}",
+                codec.name(),
+                frames_len(&on_blocks),
+                frames_len(&on_values)
+            );
+            for block in &blocks {
+                roundtrip(&on_blocks, block);
+                roundtrip(&on_values, block);
+            }
         }
     }
 
     #[test]
     fn compressible_block_shrinks_under_lz() {
+        // Trained on nothing at all: every code is 8 bits and the LZ
+        // stage alone has to win.
         let state = BlockCodecState::train(BlockCodec::Lz, &[]);
         let block = templated_block(40, 7);
         let mut out = Vec::new();
@@ -446,6 +652,113 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_is_a_corruption_error() {
+        // CRC-32 catches any one-bit payload error; a header flip lands
+        // on a foreign tag, a wrong length or a wrong checksum.
+        let block = templated_block(40, 5);
+        for state in all_states() {
+            let mut frame = Vec::new();
+            state.encode_frame(&block, &mut frame);
+            for bit in 0..frame.len() * 8 {
+                let mut bad = frame.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    matches!(state.decode_frame(&bad), Err(Error::Corruption(_))),
+                    "bit {bit} ({})",
+                    state.codec().name()
+                );
+            }
+        }
+    }
+
+    /// A frame with `tag`, a header length of `ulen` and a correct CRC
+    /// over `payload`: what a writer bug or a collision-lucky bit rot
+    /// could leave on disk, and the CRC check alone would wave through.
+    fn forged_frame(tag: u8, ulen: u32, payload: &[u8]) -> Vec<u8> {
+        let mut frame = vec![tag];
+        frame.extend_from_slice(&ulen.to_le_bytes());
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn lengths_from_disk_are_checked_before_they_size_anything() {
+        let block = templated_block(40, 3);
+        for codec in [BlockCodec::Lz, BlockCodec::Dict, BlockCodec::Pbc] {
+            let state = BlockCodecState::train(codec, &value_samples(64));
+            let mut frame = Vec::new();
+            assert!(state.encode_frame(&block, &mut frame));
+            let payload = &frame[FRAME_HEADER_LEN..];
+            let corrupt = |frame: Vec<u8>, what: &str| {
+                assert!(
+                    matches!(state.decode_frame(&frame), Err(Error::Corruption(_))),
+                    "{what} ({})",
+                    codec.name()
+                );
+            };
+            // Header length over the fixed maximum, and off by one
+            // either way from what the payload really holds.
+            corrupt(forged_frame(codec.tag(), u32::MAX, payload), "ulen 4 GiB");
+            corrupt(
+                forged_frame(codec.tag(), MAX_COMPRESSED_BLOCK_LEN as u32 + 1, payload),
+                "ulen over max",
+            );
+            corrupt(
+                forged_frame(codec.tag(), block.len() as u32 + 1, payload),
+                "ulen one over",
+            );
+            corrupt(
+                forged_frame(codec.tag(), block.len() as u32 - 1, payload),
+                "ulen one under",
+            );
+            corrupt(forged_frame(codec.tag(), 0, payload), "ulen zero");
+        }
+        // Stream lengths inside an lz payload: more symbols than the
+        // coded bytes could hold, and more literals than the block.
+        let state = BlockCodecState::train(BlockCodec::Lz, &value_samples(64));
+        for (ctrl_len, lit_len, ulen) in [
+            (u64::MAX, 0, 4096),
+            (1 << 40, 1 << 40, 4096),
+            (0, 65, 4096),
+            (2, 30, 20),
+        ] {
+            let mut payload = Vec::new();
+            write_varint(&mut payload, ctrl_len);
+            write_varint(&mut payload, lit_len);
+            payload.extend_from_slice(&[0u8; 8]);
+            assert!(matches!(
+                state.decode_frame(&forged_frame(BlockCodec::Lz.tag(), ulen, &payload)),
+                Err(Error::Corruption(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn malformed_dict_payloads_are_corruption() {
+        let lz = BlockCodecState::train(BlockCodec::Lz, &value_samples(64));
+        let good = lz.dict_payload().to_vec();
+        let corrupt = |codec, payload: &[u8]| {
+            matches!(
+                BlockCodecState::from_dict_payload(codec, payload),
+                Err(Error::Corruption(_))
+            )
+        };
+        assert!(corrupt(BlockCodec::Lz, &[]));
+        assert!(corrupt(BlockCodec::Lz, &good[..good.len() - 1]));
+        // An lz table has no dictionary; a dict table's is bounded.
+        assert!(corrupt(BlockCodec::Lz, &[&good[..], b"extra"].concat()));
+        assert!(!corrupt(BlockCodec::Dict, &[&good[..], b"extra"].concat()));
+        let oversized = [&good[..], &vec![b'x'; MAX_DICT_BYTES + 1]].concat();
+        assert!(corrupt(BlockCodec::Dict, &oversized));
+        // Not a prefix code.
+        let mut bad = good.clone();
+        bad[0] = 0;
+        assert!(corrupt(BlockCodec::Lz, &bad));
+        assert!(corrupt(BlockCodec::Pbc, &[0xff; 40]));
+    }
+
+    #[test]
     fn foreign_codec_tag_rejected() {
         let lz = BlockCodecState::train(BlockCodec::Lz, &[]);
         let none = BlockCodecState::default();
@@ -497,6 +810,48 @@ mod tests {
         ) {
             for state in all_states() {
                 roundtrip(&state, &block);
+            }
+        }
+
+        /// Blocks drawn from byte values the (ASCII) training samples
+        /// never contain.
+        #[test]
+        fn prop_roundtrip_bytes_absent_from_training(
+            block in proptest::collection::vec(128u8..=255, 0..2048),
+            run in 1usize..64,
+        ) {
+            // Repeat each byte so the block compresses and the trained
+            // tables, not the stored fallback, carry it.
+            let block: Vec<u8> = block.iter().flat_map(|&b| std::iter::repeat_n(b, run)).collect();
+            for state in all_states() {
+                roundtrip(&state, &block);
+            }
+        }
+
+        /// `decode_frame` on arbitrary bytes: an error or some bytes,
+        /// never a panic — with and without a plausible header.
+        #[test]
+        fn prop_decode_frame_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..600),
+            ulen in 0u32..10_000,
+        ) {
+            for state in all_states() {
+                let _ = state.decode_frame(&bytes);
+                // Past the CRC gate, into the codec.
+                let _ = state.decode_frame(&forged_frame(state.codec().tag(), ulen, &bytes));
+            }
+        }
+
+        #[test]
+        fn prop_from_dict_payload_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..700),
+        ) {
+            // Raw noise, and noise behind two well-formed (all codes
+            // 8 bits) tables.
+            let tables = [0x88u8; 2 * TABLE_BYTES];
+            for codec in BlockCodec::ALL {
+                let _ = BlockCodecState::from_dict_payload(codec, &bytes);
+                let _ = BlockCodecState::from_dict_payload(codec, &[&tables[..], &bytes[..]].concat());
             }
         }
 

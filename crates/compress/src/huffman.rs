@@ -1,0 +1,352 @@
+//! Static canonical Huffman coding with a single-lookup decode table —
+//! the pre-trained entropy stage of the `lz`/`dict` block codecs.
+//!
+//! A table is trained once (from symbol counts over a table's own LZ
+//! output), stored as 256 four-bit code lengths, and shared by every
+//! block of the table, so no block carries a model. Every byte value
+//! gets a code (absent symbols are counted once), so a table trained
+//! on one sample still encodes any input. Codes are at most
+//! [`MAX_CODE_LEN`] bits and written LSB-first; the decoder indexes one
+//! `2^MAX_CODE_LEN`-entry table with the next stream bits and gets the
+//! symbol and its length back in a single load.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use tb_common::{Error, Result};
+
+/// Longest code, and the index width of the decode table.
+const MAX_CODE_LEN: u32 = 11;
+const LUT_SIZE: usize = 1 << MAX_CODE_LEN;
+const LUT_MASK: u64 = LUT_SIZE as u64 - 1;
+/// Serialized size of one table: 256 code lengths, 4 bits each.
+pub(crate) const TABLE_BYTES: usize = 128;
+
+pub(crate) struct HuffTable {
+    lens: [u8; 256],
+    /// Per symbol: `bit_reversed_code << 4 | len`.
+    enc: [u16; 256],
+    /// Indexed by the next `MAX_CODE_LEN` stream bits: `symbol << 4 | len`.
+    lut: Box<[u16; LUT_SIZE]>,
+}
+
+impl HuffTable {
+    /// Builds the table for a symbol histogram. Deterministic for fixed
+    /// counts (ties break on symbol value).
+    pub fn from_counts(counts: &[u32; 256]) -> Self {
+        let mut weights: [u64; 256] = std::array::from_fn(|s| counts[s] as u64 + 1);
+        loop {
+            let lens = huffman_lens(&weights);
+            if lens.iter().all(|&l| l as u32 <= MAX_CODE_LEN) {
+                return Self::from_lens(lens).expect("huffman lengths form a complete code");
+            }
+            // Too deep: flatten the histogram and rebuild. Converges —
+            // all-equal weights give the depth-8 balanced tree.
+            for w in &mut weights {
+                *w = w.div_ceil(2);
+            }
+        }
+    }
+
+    /// Rebuilds a table from its stored form, rejecting anything that
+    /// is not a complete prefix code over all 256 symbols (so every
+    /// decode-table slot is filled and decoding needs no validity
+    /// check per symbol).
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        if bytes.len() != TABLE_BYTES {
+            return Err(Error::Corruption("entropy table truncated".into()));
+        }
+        let lens = std::array::from_fn(|s| (bytes[s / 2] >> (4 * (s % 2))) & 0x0f);
+        Self::from_lens(lens)
+    }
+
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+        out.extend(self.lens.chunks_exact(2).map(|p| p[0] | p[1] << 4));
+    }
+
+    fn from_lens(lens: [u8; 256]) -> Result<Self> {
+        let mut per_len = [0u32; MAX_CODE_LEN as usize + 1];
+        for &l in &lens {
+            if l == 0 || l as u32 > MAX_CODE_LEN {
+                return Err(Error::Corruption(format!("bad entropy code length {l}")));
+            }
+            per_len[l as usize] += 1;
+        }
+        let kraft: u32 = (1..=MAX_CODE_LEN)
+            .map(|l| per_len[l as usize] << (MAX_CODE_LEN - l))
+            .sum();
+        if kraft != LUT_SIZE as u32 {
+            return Err(Error::Corruption(
+                "entropy table is not a complete prefix code".into(),
+            ));
+        }
+        // Canonical assignment: codes ascend by (length, symbol).
+        let mut next = [0u32; MAX_CODE_LEN as usize + 2];
+        for l in 1..=MAX_CODE_LEN as usize {
+            next[l + 1] = (next[l] + per_len[l]) << 1;
+        }
+        let mut enc = [0u16; 256];
+        let mut lut = Box::new([0u16; LUT_SIZE]);
+        for (sym, &l) in lens.iter().enumerate() {
+            let code = next[l as usize] as u16;
+            next[l as usize] += 1;
+            let reversed = code.reverse_bits() >> (16 - l as u32);
+            enc[sym] = reversed << 4 | l as u16;
+            let entry = (sym as u16) << 4 | l as u16;
+            for slot in (reversed as usize..LUT_SIZE).step_by(1 << l) {
+                lut[slot] = entry;
+            }
+        }
+        Ok(Self { lens, enc, lut })
+    }
+
+    /// Appends the codes of `syms` to the bit stream.
+    pub fn encode(&self, syms: &[u8], w: &mut BitWriter<'_>) {
+        for &s in syms {
+            let e = self.enc[s as usize];
+            w.acc |= ((e >> 4) as u64) << w.nbits;
+            w.nbits += (e & 0x0f) as u32;
+            if w.nbits >= 32 {
+                w.out.extend_from_slice(&(w.acc as u32).to_le_bytes());
+                w.acc >>= 32;
+                w.nbits -= 32;
+            }
+        }
+    }
+
+    /// Decodes `n` symbols onto the end of `out`. Reading past the end
+    /// of the stream yields zero bits; the caller checks
+    /// [`BitReader::finish`] once every stream is decoded.
+    pub fn decode(&self, r: &mut BitReader<'_>, n: usize, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + n, 0);
+        // A refill leaves >= 56 bits: enough for 5 codes of <= 11 bits.
+        let mut chunks = out[start..].chunks_exact_mut(5);
+        for chunk in &mut chunks {
+            r.refill();
+            for d in chunk {
+                *d = self.decode_one(r);
+            }
+        }
+        r.refill();
+        for d in chunks.into_remainder() {
+            *d = self.decode_one(r);
+        }
+    }
+
+    #[inline(always)]
+    fn decode_one(&self, r: &mut BitReader<'_>) -> u8 {
+        let e = self.lut[(r.acc & LUT_MASK) as usize];
+        r.acc >>= e & 0x0f;
+        r.nbits -= (e & 0x0f) as u32;
+        (e >> 4) as u8
+    }
+}
+
+/// Optimal (unbounded) prefix-code lengths for positive weights.
+fn huffman_lens(weights: &[u64; 256]) -> [u8; 256] {
+    // Nodes 0..256 are leaves, 256.. internal in creation order, so a
+    // parent's id is always greater than its children's.
+    let mut parent = [0u16; 511];
+    let mut heap: BinaryHeap<Reverse<(u64, u16)>> = weights
+        .iter()
+        .enumerate()
+        .map(|(s, &w)| Reverse((w, s as u16)))
+        .collect();
+    let mut next_id = 256u16;
+    while heap.len() > 1 {
+        let Reverse((wa, a)) = heap.pop().expect("len > 1");
+        let Reverse((wb, b)) = heap.pop().expect("len > 1");
+        parent[a as usize] = next_id;
+        parent[b as usize] = next_id;
+        heap.push(Reverse((wa + wb, next_id)));
+        next_id += 1;
+    }
+    let root = 510usize;
+    let mut depth = [0u8; 511];
+    for id in (0..root).rev() {
+        depth[id] = depth[parent[id] as usize] + 1;
+    }
+    std::array::from_fn(|s| depth[s])
+}
+
+/// LSB-first bit sink over a byte vector.
+pub(crate) struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
+    acc: u64,
+    nbits: u32,
+}
+
+impl<'a> BitWriter<'a> {
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Self {
+            out,
+            acc: 0,
+            nbits: 0,
+        }
+    }
+
+    /// Flushes the last partial word, zero-padded to a byte boundary.
+    pub fn finish(self) {
+        let bytes = self.nbits.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
+    }
+}
+
+/// LSB-first bit source. Bits past the end of the buffer read as zero
+/// and are accounted for, so an over-read is reported by [`Self::finish`]
+/// instead of being checked per symbol.
+pub(crate) struct BitReader<'a> {
+    buf: &'a [u8],
+    /// Next byte to load; counts virtual zero bytes past the end too.
+    pos: usize,
+    /// Valid in the low `nbits`; bits above them are either zero or a
+    /// copy of the stream bytes at `pos..`, so re-loading is idempotent.
+    acc: u64,
+    nbits: u32,
+}
+
+impl<'a> BitReader<'a> {
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self {
+            buf,
+            pos: 0,
+            acc: 0,
+            nbits: 0,
+        }
+    }
+
+    /// Tops the accumulator up to at least 56 valid bits.
+    #[inline(always)]
+    fn refill(&mut self) {
+        if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+            self.acc |= word << self.nbits;
+            self.pos += ((63 - self.nbits) >> 3) as usize;
+            self.nbits |= 56;
+        } else {
+            while self.nbits <= 56 {
+                let b = self.buf.get(self.pos).copied().unwrap_or(0);
+                self.acc |= (b as u64) << self.nbits;
+                self.pos += 1;
+                self.nbits += 8;
+            }
+        }
+    }
+
+    /// Succeeds iff exactly the buffer was consumed: no symbol was read
+    /// from past its end and only padding (< 8 bits) is left over.
+    pub fn finish(self) -> Result<()> {
+        let consumed_bits = self.pos * 8 - self.nbits as usize;
+        if consumed_bits.div_ceil(8) == self.buf.len() {
+            Ok(())
+        } else {
+            Err(Error::Corruption(
+                "entropy-coded stream length mismatch".into(),
+            ))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn counts_of(data: &[u8]) -> [u32; 256] {
+        let mut counts = [0u32; 256];
+        for &b in data {
+            counts[b as usize] += 1;
+        }
+        counts
+    }
+
+    fn roundtrip(table: &HuffTable, data: &[u8]) -> usize {
+        let mut coded = Vec::new();
+        let mut w = BitWriter::new(&mut coded);
+        table.encode(data, &mut w);
+        w.finish();
+        let mut r = BitReader::new(&coded);
+        let mut back = Vec::new();
+        table.decode(&mut r, data.len(), &mut back);
+        r.finish().expect("exact stream length");
+        assert_eq!(back, data);
+        coded.len()
+    }
+
+    #[test]
+    fn skewed_counts_stay_within_the_length_limit() {
+        // Fibonacci-like counts drive an unbounded Huffman tree far
+        // past 11 levels; the limit must hold and the code stay complete.
+        let mut counts = [0u32; 256];
+        let (mut a, mut b) = (1u32, 1u32);
+        for c in counts.iter_mut().take(40) {
+            *c = a;
+            (a, b) = (b, a.saturating_add(b));
+        }
+        let table = HuffTable::from_counts(&counts);
+        assert!(table.lens.iter().all(|&l| (1..=11).contains(&l)));
+        let data: Vec<u8> = (0..=255u8).chain(std::iter::repeat_n(39, 500)).collect();
+        roundtrip(&table, &data);
+    }
+
+    #[test]
+    fn trained_table_compresses_its_distribution() {
+        let data: Vec<u8> = b"aaaaaaaabbbbccd ".repeat(200);
+        let table = HuffTable::from_counts(&counts_of(&data));
+        let coded = roundtrip(&table, &data);
+        assert!(coded * 3 < data.len(), "{coded} vs {}", data.len());
+    }
+
+    #[test]
+    fn stored_form_roundtrips_and_rejects_garbage() {
+        let table = HuffTable::from_counts(&counts_of(b"hello huffman"));
+        let mut bytes = Vec::new();
+        table.write_bytes(&mut bytes);
+        assert_eq!(bytes.len(), TABLE_BYTES);
+        let back = HuffTable::from_bytes(&bytes).unwrap();
+        assert_eq!(back.lens, table.lens);
+        assert_eq!(back.enc, table.enc);
+        // Wrong size, a zero length, an over-long length, an
+        // incomplete code: all Corruption.
+        assert!(HuffTable::from_bytes(&bytes[..100]).is_err());
+        assert!(HuffTable::from_bytes(&[0u8; TABLE_BYTES]).is_err());
+        assert!(HuffTable::from_bytes(&[0xffu8; TABLE_BYTES]).is_err());
+        assert!(HuffTable::from_bytes(&[0x99u8; TABLE_BYTES]).is_err());
+        assert!(HuffTable::from_bytes(&[0x88u8; TABLE_BYTES]).is_ok());
+    }
+
+    #[test]
+    fn over_read_and_trailing_bytes_are_reported() {
+        let table = HuffTable::from_counts(&[0; 256]);
+        let data = [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+        let mut coded = Vec::new();
+        let mut w = BitWriter::new(&mut coded);
+        table.encode(&data, &mut w);
+        w.finish();
+        for bad in [
+            &coded[..coded.len() - 1],
+            &[&coded[..], &[0u8]].concat()[..],
+        ] {
+            let mut r = BitReader::new(bad);
+            let mut out = Vec::new();
+            table.decode(&mut r, data.len(), &mut out);
+            assert!(r.finish().is_err());
+        }
+    }
+
+    proptest! {
+        /// Symbols absent from the training sample still round-trip.
+        #[test]
+        fn prop_roundtrip_any_bytes_under_any_table(
+            train in proptest::collection::vec(any::<u8>(), 0..400),
+            data in proptest::collection::vec(any::<u8>(), 0..1200),
+        ) {
+            roundtrip(&HuffTable::from_counts(&counts_of(&train)), &data);
+        }
+
+        #[test]
+        fn prop_from_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+            let _ = HuffTable::from_bytes(&bytes);
+        }
+    }
+}

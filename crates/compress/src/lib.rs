@@ -6,10 +6,12 @@
 //!   compression levels and offline-trained dictionaries. It stands in for
 //!   Zstandard: same role (general string compression, dictionary mode for
 //!   small records), same knobs (level trades ratio against speed), same
-//!   training flow (`train_dictionary` ≈ `zstd --train`). Entropy coding is
-//!   omitted; ratios are therefore uniformly a little worse than real zstd
-//!   but the *orderings* the paper measures (dict > no-dict on small
-//!   records, higher level → better ratio/slower SET) are preserved.
+//!   training flow (`train_dictionary` ≈ `zstd --train`). Its entropy
+//!   stage is order-0 only — an adaptive range coder for single records
+//!   ([`rangecoder`]), table-trained static Huffman for SSTable blocks
+//!   ([`block`]) — so ratios are a little worse than real zstd, but the
+//!   *orderings* the paper measures (dict > no-dict on small records,
+//!   higher level → better ratio/slower SET) are preserved.
 //! * **PBC** ([`pbc`]) — Pattern-Based Compression per the paper and ref
 //!   [59]: offline hierarchical clustering of sampled records extracts
 //!   *patterns* (templates of literal anchors with wildcard gaps); a record
@@ -23,6 +25,7 @@
 pub mod block;
 pub mod dict;
 pub mod framework;
+mod huffman;
 pub mod lz;
 pub mod pbc;
 pub mod rangecoder;

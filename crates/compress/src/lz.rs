@@ -17,7 +17,7 @@
 //! compression does no dictionary-sized work.
 
 use crate::Compressor;
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::sync::Arc;
 use tb_common::{Error, Result};
 
@@ -99,23 +99,55 @@ impl TzstdLevel {
 /// Pre-indexed dictionary shared across compressor instances.
 pub struct TrainedDict {
     bytes: Vec<u8>,
-    /// 4-gram hash → positions in `bytes` (most recent first, capped).
-    index: HashMap<u32, Vec<u32>>,
+    /// Open-addressed map (linear probing, load <= 1/2) from a 4-gram's
+    /// hash to its run in `postings`. `gram_hash` is a bijection on the
+    /// four bytes, so equal hashes mean equal 4-grams.
+    slots: Vec<DictSlot>,
+    /// `hash >> shift` is a 4-gram's home slot.
+    shift: u32,
+    /// Positions in `bytes`, ascending within each 4-gram's run and
+    /// capped at [`DICT_POSTINGS_CAP`] per 4-gram.
+    postings: Vec<u32>,
+}
+
+/// `len == 0` marks an empty slot.
+#[derive(Clone, Copy, Default)]
+struct DictSlot {
+    hash: u32,
+    start: u32,
+    len: u32,
 }
 
 impl TrainedDict {
     pub fn new(bytes: Vec<u8>) -> Self {
-        let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
-        if bytes.len() >= MIN_MATCH {
-            for i in 0..=(bytes.len() - MIN_MATCH) {
-                let h = gram_hash(&bytes[i..i + 4]);
-                let posts = index.entry(h).or_default();
-                if posts.len() < DICT_POSTINGS_CAP {
-                    posts.push(i as u32);
-                }
+        let grams = bytes.len().saturating_sub(MIN_MATCH - 1);
+        let mut pairs: Vec<(u32, u32)> = (0..grams)
+            .map(|i| (gram_hash(&bytes[i..]), i as u32))
+            .collect();
+        pairs.sort_unstable();
+        let bits = (2 * grams).next_power_of_two().trailing_zeros().max(4);
+        let mut slots = vec![DictSlot::default(); 1 << bits];
+        let shift = 32 - bits;
+        let mut postings = Vec::with_capacity(grams);
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let start = postings.len() as u32;
+            postings.extend(run.iter().take(DICT_POSTINGS_CAP).map(|&(_, pos)| pos));
+            let mut idx = (run[0].0 >> shift) as usize;
+            while slots[idx].len != 0 {
+                idx = (idx + 1) & (slots.len() - 1);
             }
+            slots[idx] = DictSlot {
+                hash: run[0].0,
+                start,
+                len: postings.len() as u32 - start,
+            };
         }
-        Self { bytes, index }
+        Self {
+            bytes,
+            slots,
+            shift,
+            postings,
+        }
     }
 
     pub fn as_bytes(&self) -> &[u8] {
@@ -129,12 +161,420 @@ impl TrainedDict {
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
     }
+
+    /// Dictionary positions of the 4-gram hashing to `hash`, oldest first.
+    fn candidates(&self, hash: u32) -> &[u32] {
+        let mut idx = (hash >> self.shift) as usize;
+        loop {
+            let slot = self.slots[idx];
+            if slot.len == 0 {
+                return &[];
+            }
+            if slot.hash == hash {
+                return &self.postings[slot.start as usize..(slot.start + slot.len) as usize];
+            }
+            idx = (idx + 1) & (self.slots.len() - 1);
+        }
+    }
+
+    /// Longest match for `input[i..]` among the first `probe`
+    /// dictionary candidates. Returns `(length, distance)` in
+    /// combined-history coordinates (history is `dict ++ input`).
+    fn best_match(&self, input: &[u8], i: usize, probe: usize) -> Option<(usize, usize)> {
+        let max = (input.len() - i).min(MAX_MATCH);
+        if max < MIN_MATCH {
+            return None;
+        }
+        let dlen = self.bytes.len();
+        let mut best: Option<(usize, usize)> = None;
+        for &dj in self.candidates(gram_hash(&input[i..])).iter().take(probe) {
+            let dj = dj as usize;
+            let in_dict = (dlen - dj).min(max);
+            let mut l = common_prefix(&self.bytes[dj..dj + in_dict], &input[i..i + in_dict]);
+            if l == in_dict {
+                // Ran off the end of the dictionary: the match continues
+                // at the start of the input, up to (not into) position i.
+                let more = (max - l).min(i);
+                l += common_prefix(&input[..more], &input[i + l..i + l + more]);
+            }
+            if l >= MIN_MATCH && best.is_none_or(|(bl, _)| l > bl) {
+                best = Some((l, i + dlen - dj));
+            }
+        }
+        best
+    }
 }
 
+/// Hash of the 4-gram at the start of `b`.
 #[inline]
 fn gram_hash(b: &[u8]) -> u32 {
     let w = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     w.wrapping_mul(0x9e37_79b1)
+}
+
+/// Length of the common prefix of two equal-length slices, compared a
+/// word at a time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
+    let mut l = 0usize;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("8-byte chunk"))
+            ^ u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < a.len() && a[l] == b[l] {
+        l += 1;
+    }
+    l
+}
+
+/// Where the parser writes its token stream: interleaved into one
+/// buffer (the record format), or split into control bytes and literal
+/// bytes (the block format, one entropy table per stream).
+pub(crate) trait TokenSink {
+    fn varint(&mut self, v: u64);
+    fn literals(&mut self, bytes: &[u8]);
+}
+
+impl TokenSink for Vec<u8> {
+    fn varint(&mut self, v: u64) {
+        write_varint(self, v);
+    }
+
+    fn literals(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The token stream split by kind: every varint in `ctrl`, every
+/// literal byte in `lit`, each in stream order.
+#[derive(Default)]
+pub(crate) struct SplitTokens {
+    pub ctrl: Vec<u8>,
+    pub lit: Vec<u8>,
+}
+
+impl TokenSink for SplitTokens {
+    fn varint(&mut self, v: u64) {
+        write_varint(&mut self.ctrl, v);
+    }
+
+    fn literals(&mut self, bytes: &[u8]) {
+        self.lit.extend_from_slice(bytes);
+    }
+}
+
+/// Hash-chain working memory, kept per thread so a 4 KiB block does
+/// not pay for allocating and clearing a fresh table.
+///
+/// `head`/`prev` hold `base + position`; anything below the current
+/// call's `base` (zero, or left over from an earlier input) reads as
+/// "no candidate", so nothing is cleared between inputs.
+struct Scratch {
+    head: Vec<u32>,
+    prev: Vec<u32>,
+    next_base: u32,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch { head: Vec::new(), prev: Vec::new(), next_base: 1 })
+    };
+}
+
+/// Inputs this long are emitted as one literal run: positions are kept
+/// in `u32`s offset by the scratch base.
+const MAX_LZ_INPUT: usize = 1 << 30;
+
+/// Longest per-position chain array (in entries) a thread keeps between
+/// calls; the bucket array is at most 2^16 entries by construction.
+const MAX_KEPT_SCRATCH: usize = 1 << 20;
+
+/// LZ77-parses `input` into `sink` (no framing, no entropy stage).
+pub(crate) fn lz_parse(
+    input: &[u8],
+    dict: Option<&TrainedDict>,
+    level: TzstdLevel,
+    sink: &mut impl TokenSink,
+) {
+    if input.len() > MAX_LZ_INPUT {
+        sink.varint(input.len() as u64);
+        sink.literals(input);
+        sink.varint(0);
+        return;
+    }
+    SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        parse(scratch, input, dict, level.params(), sink);
+        // One huge input must not pin its working memory to the thread.
+        if scratch.prev.len() > MAX_KEPT_SCRATCH {
+            scratch.prev = Vec::new();
+        }
+    });
+}
+
+fn parse(
+    scratch: &mut Scratch,
+    input: &[u8],
+    dict: Option<&TrainedDict>,
+    p: LevelParams,
+    sink: &mut impl TokenSink,
+) {
+    let n = input.len();
+
+    // Local hash chains over the input itself. The bucket is the *top*
+    // bits of the multiplicative hash: its low bits depend only on the
+    // low bits of the 4-gram, i.e. on its first byte or two.
+    let table_bits = (usize::BITS - n.next_power_of_two().leading_zeros()).clamp(8, 16);
+    let table_size = 1usize << table_bits;
+    let bucket = |pos: usize| (gram_hash(&input[pos..]) >> (32 - table_bits)) as usize;
+    if scratch.head.len() < table_size {
+        scratch.head.resize(table_size, 0);
+    }
+    if scratch.prev.len() < n {
+        scratch.prev.resize(n, 0);
+    }
+    if scratch.next_base as u64 + n as u64 > u32::MAX as u64 {
+        scratch.head.fill(0);
+        scratch.next_base = 1;
+    }
+    let base = scratch.next_base;
+    scratch.next_base += n as u32;
+    let head = &mut scratch.head[..table_size];
+    let prev = &mut scratch.prev[..n];
+
+    // Positions from here on have fewer than MIN_MATCH bytes left: they
+    // can neither start a match nor be indexed.
+    let hash_end = n.saturating_sub(MIN_MATCH - 1);
+
+    let mut lit_start = 0usize;
+    let mut i = 0usize;
+    let mut misses = 0u32;
+
+    // Best match for position `i < hash_end`, whose bucket is `h`.
+    let find_best = |head: &[u32], prev: &[u32], i: usize, h: usize| -> Option<(usize, usize)> {
+        let max = (n - i).min(MAX_MATCH);
+        let mut cand = head[h];
+        let mut best: Option<(usize, usize)> = None;
+        let mut steps = 0usize;
+        while cand >= base && steps < p.chain_len {
+            let j = (cand - base) as usize;
+            debug_assert!(j < i);
+            // Only a candidate that matches through one byte past the
+            // best so far can replace it, so test the four bytes ending
+            // there first (the first four when there is no best yet,
+            // which any match needs) and skip the rest uncompared.
+            let bl = best.map_or(MIN_MATCH - 1, |(bl, _)| bl);
+            if bl < max && input[j + bl - 3..j + bl + 1] == input[i + bl - 3..i + bl + 1] {
+                let l = common_prefix(&input[j..j + max], &input[i..i + max]);
+                if l > bl {
+                    best = Some((l, i - j));
+                }
+            }
+            cand = prev[j];
+            steps += 1;
+        }
+        // Dictionary candidates compete with in-record candidates.
+        if let Some((dl, dd)) = dict.and_then(|d| d.best_match(input, i, p.dict_probe)) {
+            if best.is_none_or(|(bl, _)| dl > bl) {
+                best = Some((dl, dd));
+            }
+        }
+        best
+    };
+
+    let insert = |head: &mut [u32], prev: &mut [u32], pos: usize, h: usize| {
+        prev[pos] = head[h];
+        head[h] = base + pos as u32;
+    };
+
+    while i < hash_end {
+        let h = bucket(i);
+        let found = find_best(head, prev, i, h);
+        insert(head, prev, i, h);
+        let Some((mut len, mut dist)) = found else {
+            misses += 1;
+            // Acceleration for fast levels: skip ahead on repeated misses.
+            i += 1 + (misses.saturating_sub(p.skip_trigger) / 4) as usize;
+            continue;
+        };
+        if p.lazy && i + 1 < hash_end {
+            // Peek one position ahead; prefer a strictly longer match
+            // (one literal byte is the price).
+            let h1 = bucket(i + 1);
+            if let Some((l1, d1)) = find_best(head, prev, i + 1, h1) {
+                if l1 > len + 1 {
+                    i += 1;
+                    insert(head, prev, i, h1);
+                    (len, dist) = (l1, d1);
+                }
+            }
+        }
+        // Flush pending literals, then the match.
+        sink.varint((i - lit_start) as u64);
+        sink.literals(&input[lit_start..i]);
+        sink.varint((len - MIN_MATCH + 1) as u64);
+        sink.varint(dist as u64);
+        // Index the covered positions (sparsely for speed).
+        let stride = if len > 64 { 8 } else { 1 };
+        for pos in (i + stride..(i + len).min(hash_end)).step_by(stride) {
+            insert(head, prev, pos, bucket(pos));
+        }
+        i += len;
+        lit_start = i;
+        misses = 0;
+    }
+    // Trailing literals + end marker.
+    sink.varint((n - lit_start) as u64);
+    sink.literals(&input[lit_start..n]);
+    sink.varint(0);
+}
+
+/// Where the decoder reads its token stream from; the mirror of
+/// [`TokenSink`].
+pub(crate) trait TokenSource<'a> {
+    fn varint(&mut self) -> Result<u64>;
+    fn literals(&mut self, n: usize) -> Result<&'a [u8]>;
+    /// Every byte of the stream has been read.
+    fn is_drained(&self) -> bool;
+}
+
+fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
+    let run = pos
+        .checked_add(n)
+        .and_then(|end| buf.get(*pos..end))
+        .ok_or_else(|| Error::Corruption("literal run overflows buffer".into()))?;
+    *pos += n;
+    Ok(run)
+}
+
+/// One interleaved buffer (the record format).
+pub(crate) struct InterleavedTokens<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> TokenSource<'a> for InterleavedTokens<'a> {
+    fn varint(&mut self) -> Result<u64> {
+        read_varint(self.buf, &mut self.pos)
+    }
+
+    fn literals(&mut self, n: usize) -> Result<&'a [u8]> {
+        take(self.buf, &mut self.pos, n)
+    }
+
+    fn is_drained(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+}
+
+/// Control bytes and literal bytes in separate buffers (the block
+/// format).
+pub(crate) struct SplitSource<'a> {
+    ctrl: &'a [u8],
+    ctrl_pos: usize,
+    lit: &'a [u8],
+    lit_pos: usize,
+}
+
+impl<'a> SplitSource<'a> {
+    pub fn new(ctrl: &'a [u8], lit: &'a [u8]) -> Self {
+        Self {
+            ctrl,
+            ctrl_pos: 0,
+            lit,
+            lit_pos: 0,
+        }
+    }
+}
+
+impl<'a> TokenSource<'a> for SplitSource<'a> {
+    fn varint(&mut self) -> Result<u64> {
+        read_varint(self.ctrl, &mut self.ctrl_pos)
+    }
+
+    fn literals(&mut self, n: usize) -> Result<&'a [u8]> {
+        take(self.lit, &mut self.lit_pos, n)
+    }
+
+    fn is_drained(&self) -> bool {
+        self.ctrl_pos == self.ctrl.len() && self.lit_pos == self.lit.len()
+    }
+}
+
+/// Decodes a token stream (match distances count back through
+/// `dict ++ output`). Reserves `reserve` bytes up front and fails with
+/// [`Error::Corruption`] rather than produce more than `max_out`, so
+/// the caller's already-validated lengths bound the memory and the
+/// work, whatever the stream says.
+pub(crate) fn lz_decode<'a>(
+    mut src: impl TokenSource<'a>,
+    dict: &[u8],
+    reserve: usize,
+    max_out: usize,
+) -> Result<Vec<u8>> {
+    let too_long = || Error::Corruption(format!("LZ stream decodes past {max_out} bytes"));
+    let mut out = Vec::with_capacity(reserve.min(max_out));
+    loop {
+        let lit_len = usize::try_from(src.varint()?).map_err(|_| too_long())?;
+        let lits = src.literals(lit_len)?;
+        if lit_len > max_out - out.len() {
+            return Err(too_long());
+        }
+        out.extend_from_slice(lits);
+        let len_code = src.varint()?;
+        if len_code == 0 {
+            if !src.is_drained() {
+                return Err(Error::Corruption(
+                    "trailing garbage after end marker".into(),
+                ));
+            }
+            return Ok(out);
+        }
+        let mlen = usize::try_from(len_code)
+            .ok()
+            .and_then(|c| c.checked_add(MIN_MATCH - 1))
+            .filter(|&mlen| mlen <= max_out - out.len())
+            .ok_or_else(too_long)?;
+        let dist = src.varint()?;
+        if dist == 0 || dist > (out.len() + dict.len()) as u64 {
+            return Err(Error::Corruption(format!(
+                "bad match distance {dist} at output {}",
+                out.len()
+            )));
+        }
+        let dist = dist as usize;
+        if dist <= out.len() {
+            let start = out.len() - dist;
+            copy_match(&mut out, start, mlen);
+        } else {
+            // Starts in the dictionary; may cross into produced output,
+            // which the match then reads from its first byte on.
+            let from = dict.len() - (dist - out.len());
+            let in_dict = (dict.len() - from).min(mlen);
+            out.extend_from_slice(&dict[from..from + in_dict]);
+            if in_dict < mlen {
+                copy_match(&mut out, 0, mlen - in_dict);
+            }
+        }
+    }
+}
+
+/// Appends `len` bytes read from `out[start..]`, where the source may
+/// run into the bytes being appended (an LZ match longer than its
+/// distance repeats its own output).
+fn copy_match(out: &mut Vec<u8>, start: usize, mut len: usize) {
+    // Each pass copies everything between `start` and the end, so the
+    // copied region stays a whole number of periods until the last pass.
+    while len > 0 {
+        let n = len.min(out.len() - start);
+        out.extend_from_within(start..start + n);
+        len -= n;
+    }
 }
 
 /// The tzstd compressor: a level plus an optional trained dictionary.
@@ -165,230 +605,32 @@ impl Tzstd {
         self.dict.as_ref()
     }
 
-    /// Longest match for `input[i..]` among dictionary candidates.
-    /// Returns `(length, distance)` in combined-history coordinates.
-    fn best_dict_match(&self, input: &[u8], i: usize, probe: usize) -> Option<(usize, usize)> {
-        let dict = self.dict.as_ref()?;
-        if input.len() - i < MIN_MATCH {
-            return None;
-        }
-        let h = gram_hash(&input[i..i + 4]);
-        let posts = dict.index.get(&h)?;
-        let dbytes = &dict.bytes;
-        let dlen = dbytes.len();
-        let mut best: Option<(usize, usize)> = None;
-        for &dj in posts.iter().take(probe) {
-            let dj = dj as usize;
-            // Match may run off the end of the dictionary and continue at
-            // the start of the input (history is dict ++ input).
-            let mut l = 0usize;
-            while i + l < input.len() && l < MAX_MATCH {
-                let src = dj + l;
-                let b = if src < dlen {
-                    dbytes[src]
-                } else {
-                    let k = src - dlen;
-                    if k >= i {
-                        break; // would read unproduced output
-                    }
-                    input[k]
-                };
-                if b != input[i + l] {
-                    break;
-                }
-                l += 1;
-            }
-            if l >= MIN_MATCH && best.map(|(bl, _)| l > bl).unwrap_or(true) {
-                let dist = (i + dlen) - dj;
-                best = Some((l, dist));
-            }
-        }
-        best
-    }
-}
-
-impl Tzstd {
-    /// Raw LZ token stream (no framing, no entropy stage).
+    /// Raw interleaved LZ token stream (no framing, no entropy stage).
     fn lz_compress(&self, input: &[u8]) -> Vec<u8> {
-        let p = self.level.params();
-        let n = input.len();
-        let mut out = Vec::with_capacity(n / 2 + 16);
-
-        // Local hash chains over the input itself.
-        let table_bits = usize::BITS - n.next_power_of_two().leading_zeros();
-        let table_size = (1usize << table_bits.clamp(8, 16)).max(256);
-        let mask = (table_size - 1) as u32;
-        let mut head = vec![u32::MAX; table_size];
-        let mut prev = vec![u32::MAX; n];
-
-        let mut lit_start = 0usize;
-        let mut i = 0usize;
-        let mut misses = 0u32;
-
-        let find_best = |head: &[u32], prev: &[u32], i: usize| -> Option<(usize, usize)> {
-            if n - i < MIN_MATCH {
-                return None;
-            }
-            let h = (gram_hash(&input[i..i + 4]) & mask) as usize;
-            let mut cand = head[h];
-            let mut best: Option<(usize, usize)> = None;
-            let mut steps = 0usize;
-            while cand != u32::MAX && steps < p.chain_len {
-                let j = cand as usize;
-                debug_assert!(j < i);
-                let mut l = 0usize;
-                while i + l < n && l < MAX_MATCH && input[j + l] == input[i + l] {
-                    l += 1;
-                }
-                if l >= MIN_MATCH && best.map(|(bl, _)| l > bl).unwrap_or(true) {
-                    best = Some((l, i - j));
-                }
-                cand = prev[j];
-                steps += 1;
-            }
-            // Dictionary candidates compete with in-record candidates.
-            if let Some((dl, dd)) = self.best_dict_match(input, i, p.dict_probe) {
-                if best.map(|(bl, _)| dl > bl).unwrap_or(true) {
-                    best = Some((dl, dd));
-                }
-            }
-            best
-        };
-
-        let insert = |head: &mut [u32], prev: &mut [u32], pos: usize| {
-            if n - pos >= MIN_MATCH {
-                let h = (gram_hash(&input[pos..pos + 4]) & mask) as usize;
-                prev[pos] = head[h];
-                head[h] = pos as u32;
-            }
-        };
-
-        while i < n {
-            let m = find_best(&head, &prev, i);
-            match m {
-                Some((len0, dist0)) => {
-                    insert(&mut head, &mut prev, i);
-                    let (mut len, mut dist) = (len0, dist0);
-                    if p.lazy && i + 1 < n {
-                        // Peek one position ahead; prefer a strictly
-                        // longer match (one literal byte is the price).
-                        if let Some((l1, d1)) = find_best(&head, &prev, i + 1) {
-                            if l1 > len + 1 {
-                                i += 1;
-                                insert(&mut head, &mut prev, i);
-                                len = l1;
-                                dist = d1;
-                            }
-                        }
-                    }
-                    // Flush pending literals, then the match.
-                    write_varint(&mut out, (i - lit_start) as u64);
-                    out.extend_from_slice(&input[lit_start..i]);
-                    write_varint(&mut out, (len - MIN_MATCH + 1) as u64);
-                    write_varint(&mut out, dist as u64);
-                    // Index the covered positions (sparsely for speed).
-                    let stride = if len > 64 { 8 } else { 1 };
-                    let mut pos = i + 1;
-                    while pos < i + len && pos < n {
-                        if (pos - i).is_multiple_of(stride) {
-                            insert(&mut head, &mut prev, pos);
-                        }
-                        pos += 1;
-                    }
-                    i += len;
-                    lit_start = i;
-                    misses = 0;
-                }
-                None => {
-                    insert(&mut head, &mut prev, i);
-                    misses += 1;
-                    // Acceleration for fast levels: skip ahead on repeated misses.
-                    let step = if misses > p.skip_trigger {
-                        1 + ((misses - p.skip_trigger) / 4) as usize
-                    } else {
-                        1
-                    };
-                    i += step;
-                }
-            }
-        }
-        // Trailing literals + end marker.
-        write_varint(&mut out, (n - lit_start) as u64);
-        out.extend_from_slice(&input[lit_start..n]);
-        write_varint(&mut out, 0);
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        lz_parse(input, self.dict.as_deref(), self.level, &mut out);
         out
     }
 
-    /// Decodes a raw LZ token stream.
+    /// Decodes a raw interleaved LZ token stream.
     fn lz_decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
-        let dict_bytes: &[u8] = self
-            .dict
-            .as_ref()
-            .map(|d| d.bytes.as_slice())
-            .unwrap_or(&[]);
-        let dlen = dict_bytes.len();
-        let mut out: Vec<u8> = Vec::with_capacity(input.len() * 3);
-        let mut pos = 0usize;
-        loop {
-            let lit_len = read_varint(input, &mut pos)? as usize;
-            if pos + lit_len > input.len() {
-                return Err(Error::Corruption("literal run overflows buffer".into()));
-            }
-            out.extend_from_slice(&input[pos..pos + lit_len]);
-            pos += lit_len;
-            if pos >= input.len() {
-                // Stream must end with the 0 end-marker; tolerate exactly-consumed
-                // buffers only when the marker was the last byte read.
-                return Err(Error::Corruption("missing end marker".into()));
-            }
-            let len_code = read_varint(input, &mut pos)? as usize;
-            if len_code == 0 {
-                if pos != input.len() {
-                    return Err(Error::Corruption(
-                        "trailing garbage after end marker".into(),
-                    ));
-                }
-                return Ok(out);
-            }
-            let mlen = len_code + MIN_MATCH - 1;
-            let dist = read_varint(input, &mut pos)? as usize;
-            if dist == 0 || dist > out.len() + dlen {
-                return Err(Error::Corruption(format!(
-                    "bad match distance {dist} at output {}",
-                    out.len()
-                )));
-            }
-            if dist <= out.len() {
-                // Entirely within produced output (may overlap itself).
-                let start = out.len() - dist;
-                for k in 0..mlen {
-                    let b = out[start + k];
-                    out.push(b);
-                }
-            } else {
-                // Starts in the dictionary; may cross into produced output.
-                // Copy from the combined history (dict ++ out), whose window
-                // grows as bytes are appended — overlap is fine.
-                let start = dlen + out.len() - dist;
-                for k in 0..mlen {
-                    let src = start + k;
-                    let b = if src < dlen {
-                        dict_bytes[src]
-                    } else {
-                        out[src - dlen]
-                    };
-                    out.push(b);
-                }
-            }
-        }
+        let dict = self.dict.as_ref().map_or(&[][..], |d| d.as_bytes());
+        let src = InterleavedTokens { buf: input, pos: 0 };
+        lz_decode(src, dict, input.len().saturating_mul(3), MAX_RECORD_LEN)
     }
 }
+
+/// Records carry no decoded length, so decoding one is capped here.
+const MAX_RECORD_LEN: usize = 1 << 30;
 
 /// Frame modes: how the payload after the mode byte is encoded.
 const MODE_STORED: u8 = 0;
 const MODE_LZ: u8 = 1;
 const MODE_LZ_RC: u8 = 2;
 
+/// The per-record pipeline. Records have no table to keep a trained
+/// model in, so their entropy stage is the adaptive range coder; block
+/// frames use the table-trained coder in [`crate::block`] instead.
 impl Compressor for Tzstd {
     /// Framed pipeline: LZ parse, then the adaptive range coder when it
     /// pays, with a stored fallback so output never exceeds input + 1.
@@ -613,6 +855,215 @@ mod tests {
         assert!(c.decompress(&[0x80]).is_err());
     }
 
+    /// Deterministic corpus for [`kernels_leave_the_parse_unchanged`]: a block-shaped
+    /// buffer, incompressible bytes, long runs (self-overlap, sparse
+    /// indexing, the `MAX_MATCH` split), a dictionary-crossing match and
+    /// degenerate sizes.
+    fn parse_pin_corpus() -> Vec<Vec<u8>> {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut block = Vec::new();
+        for i in 0..60u64 {
+            let key = format!("user{:012}", 1000 + i * 7);
+            let val = format!(
+                "city\t{:06}\tSpringfield-{}\tpop={}\tcountry=XX\tzone=UTC+{}",
+                next() % 1_000_000,
+                next() % 50,
+                next() % 9_000_000,
+                next() % 12
+            );
+            block.push(0u8);
+            block.push(key.len() as u8);
+            block.push(val.len() as u8);
+            block.extend_from_slice(key.as_bytes());
+            block.extend_from_slice(val.as_bytes());
+        }
+        let mut periodic = b"abcdefgh12345678".repeat(40);
+        periodic.extend_from_slice(b"tail");
+        vec![
+            block,
+            (0..3000).map(|_| next() as u8).collect(),
+            vec![b'a'; 5000],
+            periodic,
+            vec![7u8; 70_000],
+            // Continues the test dictionary's tail: matches that start
+            // in the dictionary and cross into the input.
+            b"city\t".repeat(20),
+            b"abc".to_vec(),
+            Vec::new(),
+        ]
+    }
+
+    /// The parser as first written: fresh tables per call, a `HashMap`
+    /// dictionary index, byte-at-a-time match extension, every
+    /// candidate compared in full. Slow and obviously right; the
+    /// kernels in this module must make exactly its decisions.
+    fn reference_parse(input: &[u8], dict: &[u8], level: TzstdLevel) -> Vec<u8> {
+        use std::collections::HashMap;
+        let p = level.params();
+        let n = input.len();
+        let mut dict_index: HashMap<&[u8], Vec<usize>> = HashMap::new();
+        for (pos, gram) in dict.windows(MIN_MATCH).enumerate() {
+            let posts = dict_index.entry(gram).or_default();
+            if posts.len() < DICT_POSTINGS_CAP {
+                posts.push(pos);
+            }
+        }
+        let history = |k: usize| {
+            if k < dict.len() {
+                dict[k]
+            } else {
+                input[k - dict.len()]
+            }
+        };
+        let table_bits = (usize::BITS - n.next_power_of_two().leading_zeros()).clamp(8, 16);
+        let bucket = |pos: usize| (gram_hash(&input[pos..]) >> (32 - table_bits)) as usize;
+        let mut head = vec![usize::MAX; 1 << table_bits];
+        let mut prev = vec![usize::MAX; n];
+
+        let find_best = |head: &[usize], prev: &[usize], i: usize| -> Option<(usize, usize)> {
+            if n - i < MIN_MATCH {
+                return None;
+            }
+            // Candidates as start offsets into `dict ++ input`.
+            let mut starts = Vec::new();
+            let mut cand = head[bucket(i)];
+            while cand != usize::MAX && starts.len() < p.chain_len {
+                starts.push(dict.len() + cand);
+                cand = prev[cand];
+            }
+            if let Some(posts) = dict_index.get(&input[i..i + MIN_MATCH]) {
+                starts.extend(posts.iter().take(p.dict_probe));
+            }
+            let mut best: Option<(usize, usize)> = None;
+            for start in starts {
+                let mut l = 0;
+                // A match that starts in the dictionary may run on into
+                // the input, but only through bytes before position i.
+                while i + l < n
+                    && l < MAX_MATCH
+                    && (start >= dict.len() || start + l < dict.len() + i)
+                    && history(start + l) == input[i + l]
+                {
+                    l += 1;
+                }
+                if l >= MIN_MATCH && best.is_none_or(|(bl, _)| l > bl) {
+                    best = Some((l, dict.len() + i - start));
+                }
+            }
+            best
+        };
+        let insert = |head: &mut [usize], prev: &mut [usize], pos: usize| {
+            if n - pos >= MIN_MATCH {
+                prev[pos] = head[bucket(pos)];
+                head[bucket(pos)] = pos;
+            }
+        };
+
+        let mut out = Vec::new();
+        let (mut i, mut lit_start, mut misses) = (0usize, 0usize, 0u32);
+        while i < n {
+            let Some((mut len, mut dist)) = find_best(&head, &prev, i) else {
+                insert(&mut head, &mut prev, i);
+                misses += 1;
+                i += 1 + (misses.saturating_sub(p.skip_trigger) / 4) as usize;
+                continue;
+            };
+            insert(&mut head, &mut prev, i);
+            if p.lazy && i + 1 < n {
+                if let Some((l1, d1)) = find_best(&head, &prev, i + 1) {
+                    if l1 > len + 1 {
+                        i += 1;
+                        insert(&mut head, &mut prev, i);
+                        (len, dist) = (l1, d1);
+                    }
+                }
+            }
+            write_varint(&mut out, (i - lit_start) as u64);
+            out.extend_from_slice(&input[lit_start..i]);
+            write_varint(&mut out, (len - MIN_MATCH + 1) as u64);
+            write_varint(&mut out, dist as u64);
+            let stride = if len > 64 { 8 } else { 1 };
+            for pos in i + 1..i + len {
+                if (pos - i) % stride == 0 {
+                    insert(&mut head, &mut prev, pos);
+                }
+            }
+            i += len;
+            lit_start = i;
+            misses = 0;
+        }
+        write_varint(&mut out, (n - lit_start) as u64);
+        out.extend_from_slice(&input[lit_start..]);
+        write_varint(&mut out, 0);
+        out
+    }
+
+    /// The parse itself — which literals, which matches — is part of
+    /// the measured compression ratio, so the scratch-reusing,
+    /// word-comparing, candidate-skipping kernels and the flat
+    /// dictionary index must leave it byte-identical to
+    /// [`reference_parse`], in both output forms.
+    #[test]
+    fn kernels_leave_the_parse_unchanged() {
+        let dict = Arc::new(TrainedDict::new(
+            b"country=XX\tzone=UTC+\tSpringfield-\tpop=user0000000city\t".to_vec(),
+        ));
+        for (level, with_dict) in [(1, false), (1, true), (-10, false), (15, true)] {
+            let c = if with_dict {
+                Tzstd::with_dict(TzstdLevel(level), dict.clone())
+            } else {
+                Tzstd::new(TzstdLevel(level))
+            };
+            let dict_bytes = c.dict.as_ref().map_or(&[][..], |d| d.as_bytes());
+            // Twice over, so every input also meets a used scratch.
+            for input in parse_pin_corpus().iter().chain(&parse_pin_corpus()) {
+                let tokens = c.lz_compress(input);
+                assert_eq!(
+                    tokens,
+                    reference_parse(input, dict_bytes, c.level),
+                    "level {level}, dict {with_dict}, {} bytes",
+                    input.len()
+                );
+                assert_eq!(&c.lz_decompress(&tokens).unwrap(), input);
+                // The split form is the same tokens, sorted by kind.
+                let mut split = SplitTokens::default();
+                lz_parse(input, c.dict.as_deref(), c.level, &mut split);
+                assert_eq!(split.ctrl.len() + split.lit.len(), tokens.len());
+                let src = SplitSource::new(&split.ctrl, &split.lit);
+                assert_eq!(
+                    &lz_decode(src, dict_bytes, input.len(), input.len()).unwrap(),
+                    input
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_refuses_to_outgrow_its_bound() {
+        // A 3-byte stream claiming a 60 000-byte run of one literal.
+        let c = Tzstd::new(TzstdLevel(1));
+        let tokens = c.lz_compress(&vec![9u8; 60_000]);
+        let src = InterleavedTokens {
+            buf: &tokens,
+            pos: 0,
+        };
+        assert!(matches!(
+            lz_decode(src, &[], 0, 59_999),
+            Err(Error::Corruption(_))
+        ));
+        // A match length near u64::MAX must not wrap or allocate.
+        let mut huge = vec![1, b'x'];
+        write_varint(&mut huge, u64::MAX - 1);
+        huge.extend_from_slice(&[1, 0, 0]);
+        assert!(matches!(c.lz_decompress(&huge), Err(Error::Corruption(_))));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -633,6 +1084,18 @@ mod tests {
         ) {
             let d = Arc::new(TrainedDict::new(dict));
             roundtrip(&Tzstd::with_dict(TzstdLevel(15), d), &data);
+        }
+
+        /// Few distinct byte values, so matches, overlaps and hash
+        /// collisions are everywhere; any dictionary; any level class.
+        #[test]
+        fn prop_kernels_match_reference_parse(
+            data in proptest::collection::vec(0u8..4, 0..600),
+            dict in proptest::collection::vec(0u8..4, 0..200),
+            level in prop_oneof![Just(-50), Just(-10), Just(1), Just(15)],
+        ) {
+            let c = Tzstd::with_dict(TzstdLevel(level), Arc::new(TrainedDict::new(dict.clone())));
+            prop_assert_eq!(c.lz_compress(&data), reference_parse(&data, &dict, c.level));
         }
 
         #[test]

@@ -1,4 +1,6 @@
-//! Adaptive order-0 range coder — tzstd's entropy stage.
+//! Adaptive order-0 range coder — the entropy stage of tzstd's
+//! *per-record* path (SSTable blocks use the table-trained coder in
+//! [`crate::huffman`], which has a table to keep its model in).
 //!
 //! Real Zstandard entropy-codes its LZ token streams with FSE/Huffman.
 //! A table-based header is too expensive for 100-byte records, so tzstd
@@ -122,7 +124,9 @@ pub fn rc_decode(input: &[u8], count: usize) -> Result<Vec<u8>> {
         code = (code << 8) | pull(&mut pos) as u32;
     }
 
-    let mut out = Vec::with_capacity(count);
+    // `count` comes from the stream: let it size the first allocation
+    // only up to a record-sized cap, and grow from there.
+    let mut out = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
         let total = model.total;
         range /= total;

@@ -1,7 +1,7 @@
 //! Block-based sorted string tables with compressed, checksummed
 //! block frames.
 //!
-//! File layout (v2, the only format written):
+//! File layout:
 //!
 //! ```text
 //! [block frame]* [dict payload] [filter block] [index block] [footer]
@@ -10,21 +10,21 @@
 //! index entry := varint(klen) | first_key | off u64 | len u32   (on-disk frame extents)
 //! footer      := dict_off u64 | dict_len u32 | codec u8 |
 //!                index_off u64 | index_len u32 | filter_off u64 |
-//!                filter_len u32 | entry_count u32 | crc u32 | MAGIC2 u32
+//!                filter_len u32 | entry_count u32 | crc u32 | MAGIC u32
 //! ```
 //!
 //! Blocks are sized pre-compression (`SstConfig::block_size` bounds the
 //! *uncompressed* payload) and framed through the table's
 //! [`BlockCodec`]; index entries point at the variable-length on-disk
-//! frames. The codec's trained state (tzstd dictionary / PBC model) is
-//! sampled from the input values and stored as the table-level dict
-//! payload, so a table is self-describing. Every block read verifies
-//! the frame CRC before any key search; a bad block is a per-slot
+//! frames. The codec's trained state is stored once as the table-level
+//! dict payload, so a table is self-describing and no block carries a
+//! model: the tzstd dictionary / PBC model is trained on sampled input
+//! values, the `lz`/`dict` entropy tables on the LZ output of the
+//! table's own blocks (every flush and compaction holds them all in
+//! memory before the first frame is written, and a compaction
+//! re-trains on its merged output). Every block read verifies the
+//! frame CRC before any key search; a bad block is a per-slot
 //! [`Error::Corruption`], never a torn batch.
-//!
-//! Compatibility gate: tables written before the framed format (legacy
-//! `MAGIC`, raw blocks, 36-byte footer) still open and read — the
-//! footer magic selects the read path.
 //!
 //! Readers keep the sparse index and bloom filter in memory and read
 //! one frame per point lookup.
@@ -51,12 +51,8 @@ pub(crate) fn sync_parent_dir(path: &Path, site: &'static str) -> Result<()> {
     Ok(())
 }
 
-/// Legacy raw-block format (pre-compression).
-const MAGIC: u32 = 0x7b5d_57a1;
-const FOOTER_LEN: usize = 8 + 4 + 8 + 4 + 4 + 4 + 4;
-/// Framed format: compressed, checksummed blocks + dict payload.
-const MAGIC2: u32 = 0x7b5d_57a2;
-const FOOTER2_LEN: usize = 8 + 4 + 1 + FOOTER_LEN;
+const MAGIC: u32 = 0x7b5d_57a2;
+const FOOTER_LEN: usize = 8 + 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4 + 4;
 const FLAG_PUT: u8 = 0;
 const FLAG_TOMBSTONE: u8 = 1;
 
@@ -115,7 +111,7 @@ pub struct SstDecodeStats {
     /// Frames decoded (CRC-verified) on any read path.
     pub blocks_decoded: AtomicU64,
     /// Frames whose payload was actually decompressed (stored frames
-    /// and legacy raw blocks don't count).
+    /// don't count).
     pub blocks_decompressed: AtomicU64,
     /// Frames that failed CRC/decode — surfaced as per-slot
     /// [`Error::Corruption`].
@@ -142,7 +138,8 @@ pub fn write_sstable_with_stats(
     // Pass 1 (streaming): encode entries into uncompressed blocks cut
     // at `block_size`, collecting the codec's training samples (first
     // MAX_TRAIN_SAMPLES put values — deterministic for a fixed input).
-    let mut blocks: Vec<(Key, Vec<u8>)> = Vec::new();
+    let mut blocks: Vec<Vec<u8>> = Vec::new();
+    let mut first_keys: Vec<Key> = Vec::new();
     let mut block = Vec::new();
     let mut block_first_key: Option<Key> = None;
     let mut samples: Vec<Vec<u8>> = Vec::new();
@@ -188,12 +185,13 @@ pub fn write_sstable_with_stats(
         entry_count += 1;
 
         if block.len() >= config.block_size {
-            let first = block_first_key.take().expect("block has a first key");
-            blocks.push((first, std::mem::take(&mut block)));
+            first_keys.push(block_first_key.take().expect("block has a first key"));
+            blocks.push(std::mem::take(&mut block));
         }
     }
     if let Some(first) = block_first_key.take() {
-        blocks.push((first, std::mem::take(&mut block)));
+        first_keys.push(first);
+        blocks.push(block);
     }
     if entry_count == 0 {
         return Err(Error::InvalidArgument(
@@ -201,13 +199,14 @@ pub fn write_sstable_with_stats(
         ));
     }
 
-    // Pass 2: train the codec on the sampled values, then frame-encode
-    // every block. Index entries point at the on-disk frame extents.
-    let codec_state = BlockCodecState::train(config.codec, &samples);
+    // Pass 2: train the codec on the sampled values and on the blocks
+    // themselves, then frame-encode every block. Index entries point
+    // at the on-disk frame extents.
+    let codec_state = BlockCodecState::train_on_blocks(config.codec, &samples, &blocks);
     let mut stats = SstBuildStats::default();
     let mut data = Vec::new();
     let mut index = Vec::new();
-    for (first, raw) in &blocks {
+    for (first, raw) in first_keys.iter().zip(&blocks) {
         let frame_start = data.len();
         stats.blocks += 1;
         stats.uncompressed_bytes += raw.len() as u64;
@@ -235,7 +234,7 @@ pub fn write_sstable_with_stats(
     let filter_off = data.len() as u64;
     let index_off = filter_off + filter.len() as u64;
 
-    let mut footer = Vec::with_capacity(FOOTER2_LEN);
+    let mut footer = Vec::with_capacity(FOOTER_LEN);
     footer.extend_from_slice(&dict_off.to_le_bytes());
     footer.extend_from_slice(&(dict_payload.len() as u32).to_le_bytes());
     footer.push(config.codec.tag());
@@ -246,7 +245,7 @@ pub fn write_sstable_with_stats(
     footer.extend_from_slice(&entry_count.to_le_bytes());
     let crc = crc32(&footer);
     footer.extend_from_slice(&crc.to_le_bytes());
-    footer.extend_from_slice(&MAGIC2.to_le_bytes());
+    footer.extend_from_slice(&MAGIC.to_le_bytes());
 
     let tmp = path.with_extension("tmp");
     let written = (|| -> Result<()> {
@@ -267,7 +266,7 @@ pub fn write_sstable_with_stats(
         return Err(e);
     }
 
-    let file_size = (data.len() + filter.len() + index.len() + FOOTER2_LEN) as u64;
+    let file_size = (data.len() + filter.len() + index.len() + FOOTER_LEN) as u64;
     let meta = SstMeta {
         id,
         path: path.to_path_buf(),
@@ -285,30 +284,19 @@ struct IndexEntry {
     len: u32,
 }
 
-/// One fetched data block, possibly a window into a larger coalesced
-/// span read shared (refcounted, copy-free) with its neighbor blocks.
-/// For framed tables the buffer owns the *decompressed* bytes.
-#[derive(Debug, Clone)]
-pub struct BlockBuf {
-    span: std::sync::Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
-}
+/// One fetched data block: the decoded (CRC-verified, decompressed)
+/// bytes of its frame.
+#[derive(Debug)]
+pub struct BlockBuf(Vec<u8>);
 
 impl BlockBuf {
-    /// Wraps a single-block buffer (the inline read path).
     pub fn from_vec(buf: Vec<u8>) -> Self {
-        let end = buf.len();
-        Self {
-            span: std::sync::Arc::new(buf),
-            start: 0,
-            end,
-        }
+        Self(buf)
     }
 
     /// The block's bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.span[self.start..self.end]
+        &self.0
     }
 }
 
@@ -329,9 +317,6 @@ pub struct SstReader {
     index: Vec<IndexEntry>,
     bloom: BloomFilter,
     pub meta: SstMeta,
-    /// Format gate: `true` for framed (v2) tables, `false` for legacy
-    /// raw-block (v1) tables that predate compression.
-    framed: bool,
     codec_state: BlockCodecState,
     decode_stats: Arc<SstDecodeStats>,
 }
@@ -342,99 +327,52 @@ impl SstReader {
         Self::open_shared(meta, Arc::new(SstDecodeStats::default()))
     }
 
-    /// Opens and validates a table written by [`write_sstable`] (either
-    /// format), recording decode activity into `decode_stats` (one
-    /// engine shares a single stats instance across all its tables).
+    /// Opens and validates a table written by [`write_sstable`],
+    /// recording decode activity into `decode_stats` (one engine shares
+    /// a single stats instance across all its tables).
     pub fn open_shared(meta: SstMeta, decode_stats: Arc<SstDecodeStats>) -> Result<Self> {
         let mut file = File::open(&meta.path)?;
         let file_len = file.metadata()?.len();
         if file_len < FOOTER_LEN as u64 {
             return Err(Error::Corruption("sstable shorter than footer".into()));
         }
-        let mut magic_bytes = [0u8; 4];
-        file.seek(SeekFrom::End(-4))?;
-        file.read_exact(&mut magic_bytes)?;
-        let magic = u32::from_le_bytes(magic_bytes);
-
-        let (framed, dict_off, dict_len, index_off, index_len, filter_off, filter_len) = match magic
+        let mut footer = [0u8; FOOTER_LEN];
+        file.seek(SeekFrom::End(-(FOOTER_LEN as i64)))?;
+        file.read_exact(&mut footer)?;
+        if footer[FOOTER_LEN - 4..] != MAGIC.to_le_bytes() {
+            return Err(Error::Corruption("bad sstable magic".into()));
+        }
+        let stored_crc =
+            u32::from_le_bytes(footer[FOOTER_LEN - 8..FOOTER_LEN - 4].try_into().unwrap());
+        if crc32(&footer[..FOOTER_LEN - 8]) != stored_crc {
+            return Err(Error::Corruption("sstable footer crc mismatch".into()));
+        }
+        let dict_off = u64::from_le_bytes(footer[0..8].try_into().unwrap());
+        let dict_len = u32::from_le_bytes(footer[8..12].try_into().unwrap()) as usize;
+        let codec_tag = footer[12];
+        let index_off = u64::from_le_bytes(footer[13..21].try_into().unwrap());
+        let index_len = u32::from_le_bytes(footer[21..25].try_into().unwrap()) as usize;
+        let filter_off = u64::from_le_bytes(footer[25..33].try_into().unwrap());
+        let filter_len = u32::from_le_bytes(footer[33..37].try_into().unwrap()) as usize;
+        let codec = BlockCodec::from_tag(codec_tag)
+            .ok_or_else(|| Error::Corruption(format!("unknown sstable codec tag {codec_tag}")))?;
+        // The three sections tile the file up to the footer, so each
+        // length below is bounded by the bytes actually present before
+        // it sizes a buffer.
+        let tiles = |off: u64, len: usize, next: u64| off.checked_add(len as u64) == Some(next);
+        if !tiles(dict_off, dict_len, filter_off)
+            || !tiles(filter_off, filter_len, index_off)
+            || !tiles(index_off, index_len, file_len - FOOTER_LEN as u64)
         {
-            MAGIC2 => {
-                if file_len < FOOTER2_LEN as u64 {
-                    return Err(Error::Corruption("sstable shorter than footer".into()));
-                }
-                let mut footer = vec![0u8; FOOTER2_LEN];
-                file.seek(SeekFrom::End(-(FOOTER2_LEN as i64)))?;
-                file.read_exact(&mut footer)?;
-                let stored_crc = u32::from_le_bytes(
-                    footer[FOOTER2_LEN - 8..FOOTER2_LEN - 4].try_into().unwrap(),
-                );
-                if crc32(&footer[..FOOTER2_LEN - 8]) != stored_crc {
-                    return Err(Error::Corruption("sstable footer crc mismatch".into()));
-                }
-                let dict_off = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-                let dict_len = u32::from_le_bytes(footer[8..12].try_into().unwrap()) as usize;
-                let codec_tag = footer[12];
-                let index_off = u64::from_le_bytes(footer[13..21].try_into().unwrap());
-                let index_len = u32::from_le_bytes(footer[21..25].try_into().unwrap()) as usize;
-                let filter_off = u64::from_le_bytes(footer[25..33].try_into().unwrap());
-                let filter_len = u32::from_le_bytes(footer[33..37].try_into().unwrap()) as usize;
-                if BlockCodec::from_tag(codec_tag).is_none() {
-                    return Err(Error::Corruption(format!(
-                        "unknown sstable codec tag {codec_tag}"
-                    )));
-                }
-                if index_off + index_len as u64 + FOOTER2_LEN as u64 != file_len
-                    || dict_off + dict_len as u64 != filter_off
-                    || filter_off + filter_len as u64 != index_off
-                {
-                    return Err(Error::Corruption(
-                        "sstable section offsets inconsistent".into(),
-                    ));
-                }
-                (
-                    true, dict_off, dict_len, index_off, index_len, filter_off, filter_len,
-                )
-            }
-            MAGIC => {
-                // Legacy pre-compression table: raw blocks, no dict.
-                let mut footer = vec![0u8; FOOTER_LEN];
-                file.seek(SeekFrom::End(-(FOOTER_LEN as i64)))?;
-                file.read_exact(&mut footer)?;
-                let stored_crc =
-                    u32::from_le_bytes(footer[FOOTER_LEN - 8..FOOTER_LEN - 4].try_into().unwrap());
-                if crc32(&footer[..FOOTER_LEN - 8]) != stored_crc {
-                    return Err(Error::Corruption("sstable footer crc mismatch".into()));
-                }
-                let index_off = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-                let index_len = u32::from_le_bytes(footer[8..12].try_into().unwrap()) as usize;
-                let filter_off = u64::from_le_bytes(footer[12..20].try_into().unwrap());
-                let filter_len = u32::from_le_bytes(footer[20..24].try_into().unwrap()) as usize;
-                if index_off + index_len as u64 + FOOTER_LEN as u64 != file_len {
-                    return Err(Error::Corruption(
-                        "sstable section offsets inconsistent".into(),
-                    ));
-                }
-                (false, 0, 0, index_off, index_len, filter_off, filter_len)
-            }
-            _ => return Err(Error::Corruption("bad sstable magic".into())),
-        };
+            return Err(Error::Corruption(
+                "sstable section offsets inconsistent".into(),
+            ));
+        }
 
-        let codec_state = if framed {
-            let codec_tag = {
-                // Re-read the codec byte via the validated footer copy.
-                let mut footer = vec![0u8; FOOTER2_LEN];
-                file.seek(SeekFrom::End(-(FOOTER2_LEN as i64)))?;
-                file.read_exact(&mut footer)?;
-                footer[12]
-            };
-            let codec = BlockCodec::from_tag(codec_tag).expect("validated above");
-            let mut dict_payload = vec![0u8; dict_len];
-            file.seek(SeekFrom::Start(dict_off))?;
-            file.read_exact(&mut dict_payload)?;
-            BlockCodecState::from_dict_payload(codec, &dict_payload)?
-        } else {
-            BlockCodecState::default()
-        };
+        let mut dict_payload = vec![0u8; dict_len];
+        file.seek(SeekFrom::Start(dict_off))?;
+        file.read_exact(&mut dict_payload)?;
+        let codec_state = BlockCodecState::from_dict_payload(codec, &dict_payload)?;
 
         let mut filter_bytes = vec![0u8; filter_len];
         file.seek(SeekFrom::Start(filter_off))?;
@@ -449,7 +387,7 @@ impl SstReader {
         let mut pos = 0usize;
         while pos < index_bytes.len() {
             let klen = read_varint(&index_bytes, &mut pos)? as usize;
-            if pos + klen + 12 > index_bytes.len() {
+            if klen.saturating_add(12) > index_bytes.len() - pos {
                 return Err(Error::Corruption("index entry truncated".into()));
             }
             let first_key = Key::copy_from(&index_bytes[pos..pos + klen]);
@@ -458,6 +396,17 @@ impl SstReader {
             pos += 8;
             let len = u32::from_le_bytes(index_bytes[pos..pos + 4].try_into().unwrap());
             pos += 4;
+            // Frames live in the data region, before the dict payload:
+            // an extent from disk sizes a read buffer only once it is
+            // known to lie inside the file.
+            if offset
+                .checked_add(len as u64)
+                .is_none_or(|end| end > dict_off)
+            {
+                return Err(Error::Corruption(
+                    "index entry points outside the data region".into(),
+                ));
+            }
             index.push(IndexEntry {
                 first_key,
                 offset,
@@ -472,13 +421,12 @@ impl SstReader {
             index,
             bloom,
             meta,
-            framed,
             codec_state,
             decode_stats,
         })
     }
 
-    /// The table's block codec (`None` for legacy tables).
+    /// The table's block codec.
     pub fn codec(&self) -> BlockCodec {
         self.codec_state.codec()
     }
@@ -575,10 +523,10 @@ impl SstReader {
     /// torn or rotted block would — on either completion pass.
     pub fn read_block_marked(&self, idx: usize, corrupt: bool) -> Result<Vec<u8>> {
         let raw = self.read_raw_block(idx)?;
-        self.decode(raw, corrupt)
+        self.decode(&raw, corrupt)
     }
 
-    /// The on-disk bytes of block `idx` (frame or legacy raw block).
+    /// The on-disk frame of block `idx`.
     fn read_raw_block(&self, idx: usize) -> Result<Vec<u8>> {
         let e = &self.index[idx];
         let mut buf = vec![0u8; e.len as usize];
@@ -588,22 +536,20 @@ impl SstReader {
 
     /// Decodes one fetched frame, tracking decode/decompression/error
     /// counters and the decompression latency histogram.
-    fn decode(&self, raw: Vec<u8>, corrupt: bool) -> Result<Vec<u8>> {
-        if !self.framed {
-            // Legacy table: no frame to verify. A corruption mark still
-            // must fail the slot deterministically.
-            if corrupt {
-                return Err(Error::Corruption("sstable block marked corrupt".into()));
-            }
-            return Ok(raw);
-        }
-        let frame = if corrupt { mangle_frame(&raw) } else { raw };
+    fn decode(&self, raw: &[u8], corrupt: bool) -> Result<Vec<u8>> {
+        let mangled;
+        let frame = if corrupt {
+            mangled = mangle_frame(raw);
+            &mangled
+        } else {
+            raw
+        };
         self.decode_stats
             .blocks_decoded
             .fetch_add(1, Ordering::Relaxed);
         let compressed = frame.first().is_some_and(|&tag| tag != FRAME_TAG_STORED);
         let t0 = tb_obs::start();
-        let out = self.codec_state.decode_frame(&frame);
+        let out = self.codec_state.decode_frame(frame);
         match &out {
             Ok(_) if compressed => {
                 tb_obs::histo!("lsm_block_decompress_ns").record_since(t0);
@@ -631,9 +577,8 @@ impl SstReader {
     /// whole run is fetched with one positional read of the span (the
     /// buffered stand-in for one io_uring SQE chain); each frame is
     /// then decoded by the claiming thread. Returns one [`BlockBuf`]
-    /// per block, aligned with `first..first + count`. Legacy tables
-    /// share the single span allocation copy-free; framed tables own
-    /// their decompressed bytes.
+    /// per block, aligned with `first..first + count`, each owning its
+    /// decompressed bytes.
     pub fn read_blocks(&self, first: usize, count: usize) -> Result<Vec<BlockBuf>> {
         self.read_blocks_marked(first, count, &[])
             .into_iter()
@@ -676,25 +621,10 @@ impl SstReader {
         if let Err(e) = self.read_at(&mut buf, run[0].offset) {
             return (0..count).map(|_| Err(e.clone())).collect();
         }
-        if !self.framed && corrupt.iter().all(|&c| !c) {
-            // Legacy fast path: raw blocks window into the shared span.
-            let span = std::sync::Arc::new(buf);
-            let mut out = Vec::with_capacity(count);
-            let mut pos = 0usize;
-            for e in run {
-                out.push(Ok(BlockBuf {
-                    span: span.clone(),
-                    start: pos,
-                    end: pos + e.len as usize,
-                }));
-                pos += e.len as usize;
-            }
-            return out;
-        }
         let mut out = Vec::with_capacity(count);
         let mut pos = 0usize;
         for (i, e) in run.iter().enumerate() {
-            let frame = buf[pos..pos + e.len as usize].to_vec();
+            let frame = &buf[pos..pos + e.len as usize];
             pos += e.len as usize;
             out.push(self.decode(frame, marked(i)).map(BlockBuf::from_vec));
         }
@@ -764,99 +694,6 @@ fn mangle_frame(frame: &[u8]) -> Vec<u8> {
         }
     }
     bad
-}
-
-/// Writes the legacy (pre-compression, raw-block) v1 format — kept so
-/// the compatibility gate stays exercised: a table written before the
-/// framed format must open and read correctly through today's reader.
-#[cfg(test)]
-pub(crate) fn write_sstable_v1_for_tests(
-    id: u64,
-    path: &Path,
-    entries: impl Iterator<Item = (Key, Entry)>,
-    config: &SstConfig,
-) -> Result<SstMeta> {
-    let mut data = Vec::new();
-    let mut index = Vec::new();
-    let mut filter_items: Vec<Key> = Vec::new();
-    let mut block_start = 0usize;
-    let mut block_first_key: Option<Key> = None;
-    let mut min_key: Option<Key> = None;
-    let mut max_key: Option<Key> = None;
-    let mut entry_count = 0u32;
-
-    let finish_block = |index: &mut Vec<u8>, first: &Key, start: usize, end: usize| {
-        write_varint(index, first.len() as u64);
-        index.extend_from_slice(first.as_slice());
-        index.extend_from_slice(&(start as u64).to_le_bytes());
-        index.extend_from_slice(&((end - start) as u32).to_le_bytes());
-    };
-
-    for (key, entry) in entries {
-        if block_first_key.is_none() {
-            block_first_key = Some(key.clone());
-        }
-        match &entry {
-            Entry::Put(v) => {
-                data.push(FLAG_PUT);
-                write_varint(&mut data, key.len() as u64);
-                write_varint(&mut data, v.len() as u64);
-                data.extend_from_slice(key.as_slice());
-                data.extend_from_slice(v.as_slice());
-            }
-            Entry::Tombstone => {
-                data.push(FLAG_TOMBSTONE);
-                write_varint(&mut data, key.len() as u64);
-                write_varint(&mut data, 0);
-                data.extend_from_slice(key.as_slice());
-            }
-        }
-        filter_items.push(key.clone());
-        min_key.get_or_insert_with(|| key.clone());
-        max_key = Some(key.clone());
-        entry_count += 1;
-        if data.len() - block_start >= config.block_size {
-            let first = block_first_key.take().expect("block has a first key");
-            finish_block(&mut index, &first, block_start, data.len());
-            block_start = data.len();
-        }
-    }
-    if let Some(first) = block_first_key.take() {
-        finish_block(&mut index, &first, block_start, data.len());
-    }
-
-    let mut bloom = BloomFilter::new(filter_items.len(), config.bloom_bits_per_key);
-    for k in &filter_items {
-        bloom.insert(k.as_slice());
-    }
-    let filter = bloom.to_bytes();
-    let filter_off = data.len() as u64;
-    let index_off = filter_off + filter.len() as u64;
-
-    let mut footer = Vec::with_capacity(FOOTER_LEN);
-    footer.extend_from_slice(&index_off.to_le_bytes());
-    footer.extend_from_slice(&(index.len() as u32).to_le_bytes());
-    footer.extend_from_slice(&filter_off.to_le_bytes());
-    footer.extend_from_slice(&(filter.len() as u32).to_le_bytes());
-    footer.extend_from_slice(&entry_count.to_le_bytes());
-    let crc = crc32(&footer);
-    footer.extend_from_slice(&crc.to_le_bytes());
-    footer.extend_from_slice(&MAGIC.to_le_bytes());
-
-    let mut bytes = data;
-    bytes.extend_from_slice(&filter);
-    bytes.extend_from_slice(&index);
-    bytes.extend_from_slice(&footer);
-    let file_size = bytes.len() as u64;
-    std::fs::write(path, &bytes)?;
-    Ok(SstMeta {
-        id,
-        path: path.to_path_buf(),
-        min_key: min_key.expect("non-empty"),
-        max_key: max_key.expect("non-empty"),
-        entry_count,
-        file_size,
-    })
 }
 
 /// Decodes every entry of a data block in key order (a range scan's
@@ -1292,40 +1129,6 @@ mod tests {
                 assert_eq!(res.is_err(), i == 1, "slot {i} (codec {})", codec.name());
             }
         }
-    }
-
-    #[test]
-    fn legacy_v1_table_opens_and_reads() {
-        // The compatibility gate: a pre-refactor (raw-block, MAGIC v1)
-        // table opens and serves every read path post-refactor.
-        let dir = tmpdir();
-        let path = dir.create().join("legacy.sst");
-        let entries = sample_entries(300);
-        let meta = write_sstable_v1_for_tests(
-            7,
-            &path,
-            entries.clone().into_iter(),
-            &cfg(128, BlockCodec::None),
-        )
-        .unwrap();
-        let r = SstReader::open(meta).unwrap();
-        assert!(!r.framed, "v1 table must take the legacy read path");
-        assert_eq!(r.codec(), BlockCodec::None);
-        assert_eq!(r.scan().unwrap(), entries);
-        for (k, e) in &entries {
-            assert_eq!(r.get(k).unwrap().as_ref(), Some(e), "key {k:?}");
-        }
-        // Span reads (the pooled path) work and match block reads.
-        let blocks = r.block_count();
-        assert!(blocks > 5);
-        let spans = r.read_blocks(0, blocks).unwrap();
-        for (i, span) in spans.iter().enumerate() {
-            assert_eq!(span.as_slice(), r.read_block(i).unwrap().as_slice());
-        }
-        // No frame decode happened — legacy blocks are raw.
-        assert_eq!(r.decode_stats.blocks_decoded.load(Ordering::Relaxed), 0);
-        // Marked corruption still fails per-slot on legacy tables.
-        assert!(r.read_block_marked(0, true).is_err());
     }
 
     #[test]
