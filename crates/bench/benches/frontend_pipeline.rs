@@ -7,13 +7,70 @@
 //! (TierBase §4.1.2's batched remote-tier round-trips), multiplying
 //! write throughput and cutting p99. The boosted row adds the §4.4
 //! elastic drain workers on top.
+//!
+//! The `burst-16` rows drive the same trace the way `tb-server` does:
+//! closed-loop clients hand the front-end 16-op bursts through
+//! `Frontend::apply_batch` (one sub-batch per shard, one `sync()` per
+//! burst), with and without boosting.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use tb_bench::{bench_dir, budget, drive_pipelined, print_table, BenchReport};
-use tb_common::KvEngine;
+use std::time::Instant;
+use tb_bench::{bench_dir, budget, drive_pipelined, print_table, BenchReport, PipelineResult};
+use tb_common::{EngineOp, Histogram, KvEngine};
 use tb_frontend::{ElasticConfig, Frontend, FrontendConfig};
 use tb_lsm::{LsmConfig, LsmDb};
-use tb_workload::{Trace, Workload, WorkloadSpec};
+use tb_workload::{Op, Trace, Workload, WorkloadSpec};
+
+/// Ops per burst: the pipeline depth `tb-benchmark`'s client uses.
+const BURST: usize = 16;
+
+/// Replays `run` as closed-loop bursts of [`BURST`] ops from `clients`
+/// threads; an op's latency is its burst's.
+fn drive_bursts(frontend: &Frontend, run: &Trace, clients: usize) -> PipelineResult {
+    let hist = Histogram::new();
+    let errors = AtomicUsize::new(0);
+    let next = AtomicUsize::new(0);
+    let ops = run.ops();
+    let started = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 0..clients {
+            s.spawn(|| loop {
+                let from = next.fetch_add(BURST, Ordering::Relaxed);
+                if from >= ops.len() {
+                    return;
+                }
+                let burst: Vec<EngineOp> = ops[from..ops.len().min(from + BURST)]
+                    .iter()
+                    .map(|op| match op {
+                        Op::Read { key } => EngineOp::Get(key.clone()),
+                        Op::Insert { key, value }
+                        | Op::Update { key, value }
+                        | Op::ReadModifyWrite { key, value } => {
+                            EngineOp::Put(key.clone(), value.clone())
+                        }
+                        Op::Delete { key } => EngineOp::Delete(key.clone()),
+                        Op::Scan { start, end, limit } => EngineOp::Scan {
+                            start: start.clone(),
+                            end: Some(end.clone()),
+                            limit: *limit as usize,
+                        },
+                    })
+                    .collect();
+                let t0 = Instant::now();
+                let outcomes = frontend.apply_batch(burst);
+                let took = t0.elapsed().as_nanos() as u64;
+                for outcome in outcomes {
+                    hist.record(took);
+                    if outcome.is_err() {
+                        errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    PipelineResult::measured(&hist, ops.len(), started, errors.load(Ordering::Relaxed))
+}
 
 fn main() {
     let records = budget(5_000);
@@ -21,10 +78,12 @@ fn main() {
 
     let mut report = BenchReport::new("frontend_pipeline");
     let mut rows = Vec::new();
-    for (label, group_commit, boost) in [
-        ("per-op-sync", false, 1usize),
-        ("group-commit", true, 1),
-        ("group-commit+boost", true, 4),
+    for (label, group_commit, boost, bursts) in [
+        ("per-op-sync", false, 1usize, false),
+        ("group-commit", true, 1, false),
+        ("group-commit+boost", true, 4, false),
+        ("burst-16", true, 1, true),
+        ("burst-16+boost", true, 4, true),
     ] {
         let dir = bench_dir(&format!("fe-pipe-{label}"));
         let db: Arc<dyn KvEngine> = Arc::new(LsmDb::open(LsmConfig::new(&dir)).expect("open lsm"));
@@ -46,7 +105,11 @@ fn main() {
         // Load phase through the pipeline too, untimed.
         let _ = drive_pipelined(&fe, &load, 4);
 
-        let r = drive_pipelined(&fe, &run, 8);
+        let r = if bursts {
+            drive_bursts(&fe, &run, 8)
+        } else {
+            drive_pipelined(&fe, &run, 8)
+        };
         report.add_pipeline(label, &r);
         let snap = fe.stats().snapshot();
         rows.push(vec![
@@ -64,7 +127,7 @@ fn main() {
     }
 
     print_table(
-        "Frontend pipeline: per-op sync vs group commit (LSM engine, YCSB-A, open-loop)",
+        "Frontend pipeline: per-op sync vs group commit vs 16-op bursts (LSM engine, YCSB-A)",
         &[
             "mode",
             "kqps",

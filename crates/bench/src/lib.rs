@@ -140,6 +140,24 @@ pub struct PipelineResult {
     pub errors: usize,
 }
 
+impl PipelineResult {
+    /// Result of replaying `ops` operations since `started`, with the
+    /// per-op latencies (ns) recorded in `hist`.
+    pub fn measured(hist: &Histogram, ops: usize, started: Instant, errors: usize) -> Self {
+        let elapsed = started.elapsed().as_secs_f64().max(1e-9);
+        Self {
+            qps: ops as f64 / elapsed,
+            p50_us: hist.percentile(0.50) as f64 / 1000.0,
+            p95_us: hist.percentile(0.95) as f64 / 1000.0,
+            p99_us: hist.p99() as f64 / 1000.0,
+            p999_us: hist.percentile(0.999) as f64 / 1000.0,
+            mean_us: hist.mean() / 1000.0,
+            ops,
+            errors,
+        }
+    }
+}
+
 /// How many requests one submit thread keeps in flight before it
 /// settles the older half — bounds ticket memory without closing the
 /// loop per-op.
@@ -212,18 +230,7 @@ pub fn drive_pipelined(
             });
         }
     });
-    let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-
-    PipelineResult {
-        qps: ops.len() as f64 / elapsed,
-        p50_us: hist.percentile(0.50) as f64 / 1000.0,
-        p95_us: hist.percentile(0.95) as f64 / 1000.0,
-        p99_us: hist.p99() as f64 / 1000.0,
-        p999_us: hist.percentile(0.999) as f64 / 1000.0,
-        mean_us: hist.mean() / 1000.0,
-        ops: ops.len(),
-        errors: errors.load(Ordering::Relaxed),
-    }
+    PipelineResult::measured(&hist, ops.len(), started, errors.load(Ordering::Relaxed))
 }
 
 /// A measured configuration's position on the cost plane.

@@ -302,9 +302,12 @@ impl ShardedCache {
         self.shard(key).lock().remove(key).map(|e| e.value)
     }
 
-    /// Marks an entry clean after its storage write completed.
-    pub fn mark_clean(&self, key: &Key) {
-        self.shard(key).lock().mark_clean(key);
+    /// Marks an entry clean after a storage write of `flushed`
+    /// completed — only if the entry still holds exactly those bytes,
+    /// so an overwrite racing the flush stays dirty (and pinned) for the
+    /// next one. Returns whether the entry is clean now.
+    pub fn mark_clean(&self, key: &Key, flushed: &Value) -> bool {
+        self.shard(key).lock().mark_clean_if(key, flushed)
     }
 
     /// Collects all dirty entries across shards (write-back flush).
@@ -426,7 +429,7 @@ mod tests {
         assert_eq!(c.dirty_entries().len(), 20);
         assert!(c.dirty_bytes() > 0);
         for i in 0..20 {
-            c.mark_clean(&k(i));
+            assert!(c.mark_clean(&k(i), &Value::from("dirty")));
         }
         assert_eq!(c.dirty_bytes(), 0);
         assert!(c.dirty_entries().is_empty());

@@ -49,7 +49,7 @@ enum RepOp {
         expires_at: Option<u64>,
     },
     Remove(Key),
-    MarkClean(Key),
+    MarkClean(Key, Value),
 }
 
 /// A replication group: one primary cache plus N replicas.
@@ -127,8 +127,8 @@ impl ReplicatedCache {
                     RepOp::Remove(key) => {
                         r.cache.remove(key);
                     }
-                    RepOp::MarkClean(key) => {
-                        r.cache.mark_clean(key);
+                    RepOp::MarkClean(key, flushed) => {
+                        r.cache.mark_clean(key, flushed);
                     }
                 }
             }
@@ -262,17 +262,21 @@ impl ReplicatedCache {
         }
     }
 
-    /// Marks an entry clean everywhere after a storage flush (queued
-    /// under `Async` to preserve write ordering).
-    pub fn mark_clean(&self, key: &Key) {
-        self.primary.mark_clean(key);
+    /// Marks an entry clean everywhere after a storage flush wrote
+    /// `flushed` for it (queued under `Async` to preserve write
+    /// ordering). Every copy cleans only if it still holds those bytes
+    /// — see [`ShardedCache::mark_clean`].
+    pub fn mark_clean(&self, key: &Key, flushed: &Value) {
+        self.primary.mark_clean(key, flushed);
         if self.mode == ReplicationMode::Async {
-            self.pending.lock().push_back(RepOp::MarkClean(key.clone()));
+            self.pending
+                .lock()
+                .push_back(RepOp::MarkClean(key.clone(), flushed.clone()));
             return;
         }
         for r in &self.replicas {
             if r.alive.load(Ordering::Relaxed) {
-                r.cache.mark_clean(key);
+                r.cache.mark_clean(key, flushed);
             }
         }
     }
@@ -390,7 +394,7 @@ mod tests {
     fn mark_clean_propagates() {
         let g = group(1);
         g.insert(k("a"), v("1"), true).unwrap();
-        g.mark_clean(&k("a"));
+        g.mark_clean(&k("a"), &v("1"));
         assert_eq!(g.primary().dirty_bytes(), 0);
         // Promote and confirm the replica also saw the clean.
         let mut g = g;

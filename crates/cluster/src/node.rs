@@ -467,9 +467,9 @@ mod tests {
         // primary, and the error tells the caller the ack is
         // indeterminate (covered by no watermark).
         let n = NodeStore::new(NodeId(1), MapEngine::shared()).with_replica(MapEngine::shared());
-        fault::arm_scoped("repl.ship", 1, FaultMode::Error);
+        let guard = fault::arm_scoped("repl.ship", 1, FaultMode::Error);
         let err = n.put(Key::from("a"), Value::from("1"));
-        fault::reset();
+        drop(guard);
         assert!(err.is_err(), "a failed ship must not ack");
         assert_eq!(
             n.get(&Key::from("a")).unwrap(),

@@ -374,9 +374,9 @@ mod tests {
         ch.ship(Lsn(1), &ReplRecord::Put(k(1), v(1))).unwrap();
         // Eager apply fails for LSN 2: acked but not applied — the
         // exact window promotion replay exists for.
-        fault::arm_scoped("repl.apply", 1, FaultMode::Error);
+        let guard = fault::arm_scoped("repl.apply", 1, FaultMode::Error);
         ch.ship(Lsn(2), &ReplRecord::Put(k(2), v(2))).unwrap();
-        fault::reset();
+        drop(guard);
         assert_eq!(ch.watermark(), Lsn(2));
         assert_eq!(ch.applied_lsn(), Lsn(1));
         assert_eq!(replica.get(&k(2)).unwrap(), None, "eager apply failed");
@@ -394,9 +394,9 @@ mod tests {
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
         ch.ship(Lsn(1), &ReplRecord::Delete(k(8))).unwrap();
-        fault::arm_scoped("repl.apply", 1, FaultMode::Error);
+        let guard = fault::arm_scoped("repl.apply", 1, FaultMode::Error);
         ch.ship(Lsn(2), &ReplRecord::Put(k(8), v(8))).unwrap();
-        fault::reset();
+        drop(guard);
         ch.ship(Lsn(3), &ReplRecord::Put(k(9), v(9))).unwrap();
         assert_eq!(ch.watermark(), Lsn(3));
         assert_eq!(ch.applied_lsn(), Lsn(1), "cursor stalls at the gap");
@@ -411,9 +411,9 @@ mod tests {
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
         ch.ship(Lsn(1), &ReplRecord::Put(k(1), v(1))).unwrap();
-        fault::arm_scoped("repl.ship", 1, FaultMode::Error);
+        let guard = fault::arm_scoped("repl.ship", 1, FaultMode::Error);
         assert!(ch.ship(Lsn(2), &ReplRecord::Put(k(2), v(2))).is_err());
-        fault::reset();
+        drop(guard);
         // The failed frame left no garbage: the next ship lands cleanly
         // and promotion replays a consistent log.
         ch.ship(Lsn(2), &ReplRecord::Put(k(2), v(2))).unwrap();
@@ -429,12 +429,12 @@ mod tests {
         ch.ship(Lsn(1), &ReplRecord::Put(k(1), v(1))).unwrap();
         // Tear the second frame mid-ship: header lands, payload does
         // not, the "primary" crashes.
-        fault::arm_scoped("repl.ship", 1, FaultMode::Torn { keep: 10 });
+        let guard = fault::arm_scoped("repl.ship", 1, FaultMode::Torn { keep: 10 });
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ch.ship(Lsn(2), &ReplRecord::Put(k(2), v(2)))
         }));
         assert!(crashed.is_err(), "torn ship must crash");
-        fault::reset();
+        drop(guard);
         assert_eq!(ch.watermark(), Lsn(1), "torn frame never acked");
         let promoted = ch.promote().unwrap();
         assert_eq!(promoted.get(&k(1)).unwrap(), Some(v(1)));
@@ -445,12 +445,12 @@ mod tests {
     fn failed_promotion_is_resumable() {
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
-        fault::arm_scoped("repl.apply", 1, FaultMode::Error);
+        let guard = fault::arm_scoped("repl.apply", 1, FaultMode::Error);
         ch.ship(Lsn(1), &ReplRecord::Put(k(1), v(1))).unwrap();
-        fault::reset();
-        fault::arm_scoped("repl.promote", 1, FaultMode::Error);
+        drop(guard);
+        let guard = fault::arm_scoped("repl.promote", 1, FaultMode::Error);
         assert!(ch.promote().is_err(), "armed promotion must fail");
-        fault::reset();
+        drop(guard);
         // Retry succeeds and finishes the replay.
         let promoted = ch.promote().unwrap();
         assert_eq!(promoted.get(&k(1)).unwrap(), Some(v(1)));

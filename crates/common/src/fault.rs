@@ -21,6 +21,12 @@
 //!   `keep` bytes of the buffer are written (and flushed) before the
 //!   panic — a torn write, the hardest case for recovery code.
 //!
+//! Arming returns a [`FaultGuard`]; the injection — and the freeze a
+//! crash leaves behind — lasts until the guard drops, also when the
+//! arming test unwinds, so a plan cannot leak into whatever runs next
+//! in the same process. Guards are independent: several may be armed at
+//! once (parallel tests, each on its own thread via [`arm_scoped`]).
+//!
 //! Cost when disabled: a single relaxed atomic load per site. Nothing
 //! else runs until [`arm`] or [`set_counting`] activates the registry,
 //! so production paths pay one predictable-branch load — unmeasurable
@@ -58,27 +64,40 @@ pub struct CrashPoint {
 }
 
 struct Injection {
+    /// Identity of the owning [`FaultGuard`].
+    id: u64,
     site: &'static str,
     /// 1-based hit number that fires.
     hit: u64,
     mode: FaultMode,
     /// Hits of `site` observed since arming.
     seen: u64,
-    /// `Some`: only hits from this thread count (lets a unit test in a
-    /// parallel test binary inject without tripping its neighbors).
+    /// `Some`: only hits from this thread count — and, after a crash,
+    /// only this thread's sites freeze (lets a unit test in a parallel
+    /// test binary inject without tripping its neighbors).
     thread: Option<std::thread::ThreadId>,
+    /// True once this injection fired (any mode); a fired injection
+    /// never fires again.
+    fired: bool,
+    /// Set once this injection crashed: every later hit it can see
+    /// errors out until its guard drops.
+    crashed: bool,
+}
+
+impl Injection {
+    fn sees(&self, thread: std::thread::ThreadId) -> bool {
+        self.thread.is_none_or(|t| t == thread)
+    }
 }
 
 #[derive(Default)]
 struct Registry {
-    injection: Option<Injection>,
+    /// One entry per live [`FaultGuard`].
+    injections: Vec<Injection>,
+    next_id: u64,
     /// Per-site hit counters (kept while counting or armed).
     hits: HashMap<&'static str, u64>,
     counting: bool,
-    /// Set once a crash fired; every later hit errors out.
-    crashed: Option<&'static str>,
-    /// True once the armed injection fired (any mode).
-    fired: bool,
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -89,10 +108,7 @@ fn registry() -> &'static Mutex<Registry> {
 }
 
 fn recompute_active(r: &Registry) {
-    ACTIVE.store(
-        r.counting || r.injection.is_some() || r.crashed.is_some(),
-        Ordering::Relaxed,
-    );
+    ACTIVE.store(r.counting || !r.injections.is_empty(), Ordering::Relaxed);
 }
 
 enum Checked {
@@ -101,43 +117,39 @@ enum Checked {
 }
 
 fn check(site: &'static str) -> Result<Checked> {
+    let me = std::thread::current().id();
     let mut r = registry().lock();
-    if r.counting || r.injection.is_some() {
+    if r.counting || !r.injections.is_empty() {
         *r.hits.entry(site).or_insert(0) += 1;
     }
-    if let Some(at) = r.crashed {
+    if let Some(at) = r.injections.iter().find(|i| i.crashed && i.sees(me)) {
         return Err(Error::FaultInjected(format!(
-            "{site}: process already crashed at {at}"
+            "{site}: process already crashed at {}",
+            at.site
         )));
     }
-    let fire = match r.injection.as_mut() {
-        Some(inj)
-            if inj.site == site && inj.thread.is_none_or(|t| t == std::thread::current().id()) =>
-        {
-            inj.seen += 1;
-            (inj.seen == inj.hit).then_some(inj.mode)
+    let mut fire = None;
+    for inj in r
+        .injections
+        .iter_mut()
+        .filter(|i| !i.fired && i.site == site && i.sees(me))
+    {
+        inj.seen += 1;
+        if inj.seen == inj.hit {
+            inj.fired = true;
+            inj.crashed = inj.mode != FaultMode::Error;
+            fire = Some(inj.mode);
+            break;
         }
-        _ => None,
-    };
+    }
     match fire {
         None => Ok(Checked::Run),
-        Some(FaultMode::Error) => {
-            r.fired = true;
-            r.injection = None;
-            recompute_active(&r);
-            Err(Error::FaultInjected(format!("{site}: injected IO error")))
-        }
+        Some(FaultMode::Error) => Err(Error::FaultInjected(format!("{site}: injected IO error"))),
         Some(FaultMode::Crash) => {
-            r.fired = true;
-            r.crashed = Some(site);
             drop(r);
             crash(site)
         }
-        Some(FaultMode::Torn { keep }) => {
-            r.fired = true;
-            r.crashed = Some(site);
-            Ok(Checked::Torn { keep })
-        }
+        Some(FaultMode::Torn { keep }) => Ok(Checked::Torn { keep }),
     }
 }
 
@@ -177,48 +189,90 @@ pub fn write_all<W: Write>(site: &'static str, w: &mut W, buf: &[u8]) -> Result<
     }
 }
 
+/// One armed injection. Dropping it — at scope end or while a failing
+/// test unwinds — disarms the injection and lifts the crash freeze it
+/// caused, so a plan can never outlive the test that armed it.
+#[must_use = "the injection disarms when the guard drops"]
+pub struct FaultGuard {
+    id: u64,
+}
+
+impl FaultGuard {
+    /// True once this injection has fired (any mode).
+    pub fn fired(&self) -> bool {
+        self.with(|i| i.fired)
+    }
+
+    /// Hits of the armed site this injection has observed.
+    pub fn seen(&self) -> u64 {
+        self.with(|i| i.seen)
+    }
+
+    fn with<T>(&self, f: impl FnOnce(&Injection) -> T) -> T {
+        let r = registry().lock();
+        f(r.injections
+            .iter()
+            .find(|i| i.id == self.id)
+            .expect("a live guard owns its injection"))
+    }
+}
+
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
+        let mut r = registry().lock();
+        r.injections.retain(|i| i.id != self.id);
+        if r.injections.is_empty() && !r.counting {
+            r.hits.clear();
+        }
+        recompute_active(&r);
+    }
+}
+
 /// Arms one injection: the `hit`-th (1-based) hit of `site` fires `mode`,
-/// from any thread. Replaces any previous injection and clears
-/// crash/fired state.
-pub fn arm(site: &'static str, hit: u64, mode: FaultMode) {
+/// from any thread, until the returned guard drops. Injections armed
+/// by other guards stay in force.
+pub fn arm(site: &'static str, hit: u64, mode: FaultMode) -> FaultGuard {
     arm_inner(site, hit, mode, None)
 }
 
 /// Like [`arm`], but the fault only fires on the calling thread — other
-/// threads' hits neither fire nor advance the counter. For injections
-/// inside parallel test binaries.
-pub fn arm_scoped(site: &'static str, hit: u64, mode: FaultMode) {
+/// threads' hits neither fire nor advance the counter, and a crash
+/// freezes only the calling thread's sites. For injections inside
+/// parallel test binaries; code that hands the faulted call to another
+/// thread (a front-end worker, a read pool) needs [`arm`].
+pub fn arm_scoped(site: &'static str, hit: u64, mode: FaultMode) -> FaultGuard {
     arm_inner(site, hit, mode, Some(std::thread::current().id()))
 }
 
-fn arm_inner(site: &'static str, hit: u64, mode: FaultMode, thread: Option<std::thread::ThreadId>) {
+fn arm_inner(
+    site: &'static str,
+    hit: u64,
+    mode: FaultMode,
+    thread: Option<std::thread::ThreadId>,
+) -> FaultGuard {
     let mut r = registry().lock();
-    r.injection = Some(Injection {
+    r.next_id += 1;
+    let id = r.next_id;
+    r.injections.push(Injection {
+        id,
         site,
         hit: hit.max(1),
         mode,
         seen: 0,
         thread,
+        fired: false,
+        crashed: false,
     });
-    r.crashed = None;
-    r.fired = false;
     recompute_active(&r);
+    FaultGuard { id }
 }
 
-/// Clears the injection, crash state, and hit counters.
-pub fn reset() {
-    let mut r = registry().lock();
-    *r = Registry::default();
-    recompute_active(&r);
-}
-
-/// Enables per-site hit counting without any injection (coverage probes).
+/// Enables per-site hit counting without any injection (coverage
+/// probes); turning it on or off clears the counters.
 pub fn set_counting(on: bool) {
     let mut r = registry().lock();
     r.counting = on;
-    if on {
-        r.hits.clear();
-    }
+    r.hits.clear();
     recompute_active(&r);
 }
 
@@ -235,58 +289,50 @@ pub fn hit_counts() -> Vec<(&'static str, u64)> {
     out
 }
 
-/// Site of the simulated crash, if one fired.
+/// Site of a simulated crash whose freeze covers the calling thread,
+/// if one fired.
 pub fn crash_fired() -> Option<&'static str> {
-    registry().lock().crashed
-}
-
-/// True once the armed injection has fired (any mode).
-pub fn fault_fired() -> bool {
-    registry().lock().fired
+    let me = std::thread::current().id();
+    registry()
+        .lock()
+        .injections
+        .iter()
+        .find(|i| i.crashed && i.sees(me))
+        .map(|i| i.site)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The registry is process-global; tests in this module serialize on
-    // their own mutex so they cannot interleave armed state.
-    fn serial() -> parking_lot::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock()
-    }
+    // No gate: every injection is scoped to its guard, and each test
+    // uses site names of its own.
 
     #[test]
-    fn disabled_sites_are_transparent() {
-        let _g = serial();
-        reset();
+    fn unarmed_sites_are_transparent() {
         hit("t.plain").unwrap();
         let mut sink = Vec::new();
-        write_all("t.write", &mut sink, b"payload").unwrap();
+        write_all("t.plain.write", &mut sink, b"payload").unwrap();
         assert_eq!(sink, b"payload");
-        assert_eq!(hit_count("t.plain"), 0, "no counting unless enabled");
     }
 
     #[test]
     fn error_mode_fires_once_on_nth_hit() {
-        let _g = serial();
-        reset();
-        arm("t.err", 3, FaultMode::Error);
+        let guard = arm("t.err", 3, FaultMode::Error);
         hit("t.err").unwrap();
         hit("t.err").unwrap();
+        assert!(!guard.fired());
         let e = hit("t.err").unwrap_err();
         assert!(matches!(e, Error::FaultInjected(_)), "{e}");
-        assert!(fault_fired());
+        assert!(guard.fired());
+        assert_eq!(guard.seen(), 3);
         // One-shot: later hits run clean.
         hit("t.err").unwrap();
-        reset();
     }
 
     #[test]
-    fn crash_mode_panics_then_freezes_every_site() {
-        let _g = serial();
-        reset();
-        arm("t.crash", 1, FaultMode::Crash);
+    fn crash_mode_panics_then_freezes_every_site_until_the_guard_drops() {
+        let guard = arm_scoped("t.crash", 1, FaultMode::Crash);
         let r = std::panic::catch_unwind(|| hit("t.crash"));
         let payload = r.expect_err("must panic");
         let point = payload
@@ -299,28 +345,24 @@ mod tests {
         let mut sink = Vec::new();
         assert!(write_all("t.write", &mut sink, b"x").is_err());
         assert!(sink.is_empty());
-        reset();
+        drop(guard);
+        assert_eq!(crash_fired(), None);
         hit("t.other").unwrap();
     }
 
     #[test]
     fn torn_mode_writes_prefix_then_crashes() {
-        let _g = serial();
-        reset();
-        arm("t.torn", 1, FaultMode::Torn { keep: 4 });
+        let _guard = arm_scoped("t.torn", 1, FaultMode::Torn { keep: 4 });
         let mut sink = Vec::new();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             write_all("t.torn", &mut sink, b"abcdefgh")
         }));
         assert!(r.is_err(), "torn write must crash");
         assert_eq!(sink, b"abcd", "prefix flushed before the crash");
-        reset();
     }
 
     #[test]
     fn counting_tracks_sites_without_injection() {
-        let _g = serial();
-        reset();
         set_counting(true);
         hit("t.a").unwrap();
         hit("t.a").unwrap();
@@ -330,15 +372,13 @@ mod tests {
         assert_eq!(hit_count("t.absent"), 0);
         let counts = hit_counts();
         assert!(counts.contains(&("t.a", 2)));
-        reset();
+        set_counting(false);
         assert_eq!(hit_count("t.a"), 0);
     }
 
     #[test]
     fn scoped_injection_ignores_other_threads() {
-        let _g = serial();
-        reset();
-        arm_scoped("t.scoped", 1, FaultMode::Error);
+        let guard = arm_scoped("t.scoped", 1, FaultMode::Error);
         std::thread::spawn(|| {
             for _ in 0..5 {
                 hit("t.scoped").unwrap();
@@ -346,20 +386,54 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert!(!fault_fired(), "other threads must not trip a scoped fault");
+        assert!(!guard.fired(), "other threads must not trip a scoped fault");
         assert!(hit("t.scoped").is_err(), "the arming thread still fires");
-        reset();
     }
 
     #[test]
     fn wrong_site_never_fires() {
-        let _g = serial();
-        reset();
-        arm("t.target", 1, FaultMode::Error);
+        let guard = arm("t.target", 1, FaultMode::Error);
         for _ in 0..10 {
             hit("t.bystander").unwrap();
         }
-        assert!(!fault_fired());
-        reset();
+        assert!(!guard.fired());
+    }
+
+    #[test]
+    fn a_plan_cannot_outlive_its_test() {
+        // The leak this guard exists to stop: a test that crashed a
+        // site (or failed before its cleanup line) used to leave the
+        // process-global plan armed for whichever test ran next.
+        let r = std::panic::catch_unwind(|| {
+            let _guard = arm_scoped("t.leak", 1, FaultMode::Crash);
+            let _ = hit("t.leak");
+        });
+        assert!(r.is_err(), "the crash unwinds through the guard");
+        assert_eq!(crash_fired(), None, "unwinding disarmed the plan");
+        hit("t.leak").unwrap();
+    }
+
+    #[test]
+    fn guards_do_not_disturb_each_other() {
+        // Two tests arming at once: one guard's crash and drop leave a
+        // sibling thread's injection armed, unfired and unfrozen.
+        let (armed_tx, armed_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let sibling = std::thread::spawn(move || {
+            let guard = arm_scoped("t.sibling", 1, FaultMode::Error);
+            armed_tx.send(()).unwrap();
+            done_rx.recv().unwrap();
+            hit("t.elsewhere").unwrap();
+            assert!(hit("t.sibling").is_err());
+            assert!(guard.fired());
+        });
+        armed_rx.recv().unwrap();
+        {
+            let _guard = arm_scoped("t.mine", 1, FaultMode::Crash);
+            assert!(std::panic::catch_unwind(|| hit("t.mine")).is_err());
+            assert!(hit("t.elsewhere").is_err(), "my thread is frozen");
+        }
+        done_tx.send(()).unwrap();
+        sibling.join().unwrap();
     }
 }

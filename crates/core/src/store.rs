@@ -974,10 +974,18 @@ impl Inner {
     }
 
     fn flush_dirty(&self) -> Result<usize> {
+        self.write_back(self.cache.primary().dirty_entries())
+    }
+
+    /// Writes a snapshot of dirty entries down to the storage tier and
+    /// cleans what it wrote. Writers are not excluded while this runs
+    /// (`ThreadMode::Multi`/`Elastic`), so an entry is cleaned only if
+    /// it still holds the snapshot's bytes: a put that landed in
+    /// between stays dirty, pinned against eviction, for the next flush.
+    fn write_back(&self, dirty: Vec<(Key, Value)>) -> Result<usize> {
         let Some(storage) = &self.storage else {
             return Ok(0);
         };
-        let dirty = self.cache.primary().dirty_entries();
         if dirty.is_empty() {
             self.ops_since_flush.store(0, Ordering::Relaxed);
             return Ok(0);
@@ -990,8 +998,8 @@ impl Inner {
                 ));
             }
             storage.batch_put(chunk.to_vec())?;
-            for (k, _) in chunk {
-                self.cache.mark_clean(k);
+            for (k, flushed) in chunk {
+                self.cache.mark_clean(k, flushed);
             }
         }
         self.stats.dirty_flushes.fetch_add(1, Ordering::Relaxed);
@@ -1231,6 +1239,59 @@ mod tests {
         let flushed = tb.flush_dirty().unwrap();
         assert_eq!(flushed, 1, "same-key updates must merge");
         assert_eq!(tb.get(&k(7)).unwrap(), Some(v(49)));
+    }
+
+    #[test]
+    fn put_racing_a_flush_stays_dirty_until_it_is_flushed_itself() {
+        // The interleaving `ThreadMode::Multi`/`Elastic` allows, made
+        // deterministic by running the flush's two halves by hand:
+        // snapshot, *then* a put of the same key, then the storage
+        // write + clean of the (now stale) snapshot.
+        let dir = tmpdir("wbrace");
+        let tb = TierBase::open(
+            TierBaseConfig::builder(&dir)
+                .policy(SyncPolicy::WriteBack)
+                .cache_capacity(64 << 10)
+                .cache_shards(1)
+                .threading(tb_elastic::ThreadMode::Multi(2))
+                .write_back(WriteBackTuning {
+                    max_dirty_bytes: u64::MAX,
+                    flush_every_ops: u64::MAX,
+                    batch_size: 64,
+                })
+                .build(),
+        )
+        .unwrap();
+        tb.put(k(1), Value::from("old")).unwrap();
+        let snapshot = tb.inner.cache.primary().dirty_entries();
+        tb.put(k(1), Value::from("new")).unwrap();
+        assert_eq!(tb.inner.write_back(snapshot).unwrap(), 1);
+        // Storage holds "old"; the entry holding "new" was never
+        // flushed, so it must still be dirty — and therefore pinned.
+        assert!(
+            tb.dirty_bytes() > 0,
+            "the racing put was marked clean without ever reaching storage"
+        );
+        // Push enough clean data through the cache to evict every
+        // evictable entry, then read: a lost update serves "old".
+        let filler = Value::from(vec![b'f'; 512]);
+        for i in 100..400 {
+            tb.inner
+                .cache
+                .insert_full(
+                    k(i),
+                    Inner::seal_envelope(filler.as_slice(), false, None),
+                    false,
+                    None,
+                )
+                .unwrap();
+        }
+        assert_eq!(tb.get(&k(1)).unwrap(), Some(Value::from("new")));
+        // The next flush writes the survivor down and only then cleans it.
+        assert_eq!(tb.flush_dirty().unwrap(), 1);
+        assert_eq!(tb.dirty_bytes(), 0);
+        tb.inner.cache.remove(&k(1));
+        assert_eq!(tb.get(&k(1)).unwrap(), Some(Value::from("new")));
     }
 
     #[test]

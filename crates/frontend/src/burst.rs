@@ -1,0 +1,194 @@
+//! One run of a burst: its plan, and its completion.
+//!
+//! `Frontend::apply_batch` cuts a burst into runs (the ops between two
+//! scan barriers) and a run into one sub-batch per shard: [`RunPlan`]
+//! collects the requests per shard and remembers, per request, which
+//! burst op it serves ([`Part`]). Whoever executes a sub-batch — the
+//! shard's worker, or the submitting thread itself — fills the result
+//! slots of the [`Run`]; the submitter parks on **one** latch per run
+//! instead of one ticket per op. Like a dropped `Completer`, a
+//! sub-batch that is dropped unexecuted (engine panic, queue closed at
+//! shutdown) still opens the latch, and its empty slots read as failed
+//! requests: a caller can never hang on a burst the front-end lost.
+
+use crate::frontend::Request;
+use crate::ticket::Response;
+use parking_lot::{Condvar, Mutex};
+use std::sync::Arc;
+use tb_common::{OpOutcome, Result};
+
+/// One request of a burst's run, and where its response lands.
+pub(crate) struct Part {
+    /// The burst op this request serves.
+    pub op: usize,
+    /// Set for one shard's slice of a `MultiGet` that spans shards:
+    /// the response positions its values fill, and the full key count.
+    slice: Option<(Vec<usize>, usize)>,
+}
+
+impl Part {
+    /// Folds this part's response into what earlier parts of the same
+    /// op produced. A lone part *is* the outcome; the slices of a
+    /// spanning `MultiGet` fill their key positions; the slices of a
+    /// spanning `MultiPut` ack the max LSN; the first error wins.
+    pub fn merge(
+        self,
+        earlier: Option<Result<OpOutcome>>,
+        result: Result<Response>,
+    ) -> Result<OpOutcome> {
+        match (earlier, result) {
+            (Some(Err(e)), _) | (_, Err(e)) => Err(e),
+            (earlier, Ok(response)) => Ok(match (response, self.slice) {
+                (Response::Values(values), Some((positions, len))) => {
+                    let mut all = match earlier {
+                        Some(Ok(OpOutcome::Values(all))) => all,
+                        _ => vec![None; len],
+                    };
+                    for (position, value) in positions.into_iter().zip(values) {
+                        all[position] = value;
+                    }
+                    OpOutcome::Values(all)
+                }
+                (Response::Done(lsn), _) => match earlier {
+                    Some(Ok(OpOutcome::Done(acked))) => OpOutcome::Done(acked.max(lsn)),
+                    _ => OpOutcome::Done(lsn),
+                },
+                (Response::Value(value), _) => OpOutcome::Value(value),
+                (Response::Values(values), None) => OpOutcome::Values(values),
+                (Response::Range(rows), _) => OpOutcome::Range(rows),
+            }),
+        }
+    }
+}
+
+/// The run a burst is collecting: each shard's requests in submission
+/// order, tagged with their index into `parts`.
+pub(crate) struct RunPlan {
+    pub per_shard: Vec<Vec<(Request, usize)>>,
+    pub parts: Vec<Part>,
+}
+
+impl RunPlan {
+    pub fn new(shards: usize) -> Self {
+        Self {
+            per_shard: (0..shards).map(|_| Vec::new()).collect(),
+            parts: Vec::new(),
+        }
+    }
+
+    pub fn add(
+        &mut self,
+        shard: usize,
+        request: Request,
+        op: usize,
+        slice: Option<(Vec<usize>, usize)>,
+    ) {
+        self.per_shard[shard].push((request, self.parts.len()));
+        self.parts.push(Part { op, slice });
+    }
+}
+
+struct State {
+    /// `results[part]`: `None` until the part's request resolved.
+    results: Vec<Option<Result<Response>>>,
+    /// Sub-batches not yet finished (or dropped).
+    open: usize,
+}
+
+/// Result slots and completion latch of one run.
+pub(crate) struct Run {
+    state: Mutex<State>,
+    done: Condvar,
+}
+
+impl Run {
+    pub fn new(parts: usize) -> Arc<Self> {
+        Arc::new(Self {
+            state: Mutex::new(State {
+                results: (0..parts).map(|_| None).collect(),
+                open: 0,
+            }),
+            done: Condvar::new(),
+        })
+    }
+
+    /// Registers one more sub-batch the latch waits for; the run stays
+    /// open until the returned guard drops.
+    pub fn sub_batch(self: &Arc<Self>) -> SubBatchDone {
+        self.state.lock().open += 1;
+        SubBatchDone(self.clone())
+    }
+
+    /// Resolves one part.
+    pub fn fill(&self, part: usize, result: Result<Response>) {
+        self.state.lock().results[part] = Some(result);
+    }
+
+    /// Blocks until every registered sub-batch finished, then takes the
+    /// results (`None` = the part's request was dropped unresolved).
+    pub fn wait(&self) -> Vec<Option<Result<Response>>> {
+        let mut state = self.state.lock();
+        while state.open > 0 {
+            self.done.wait(&mut state);
+        }
+        std::mem::take(&mut state.results)
+    }
+}
+
+/// Travels with a sub-batch; dropping it — after the sub-batch ran, or
+/// because nobody will run it — counts the sub-batch finished.
+pub(crate) struct SubBatchDone(Arc<Run>);
+
+impl Drop for SubBatchDone {
+    fn drop(&mut self) {
+        let mut state = self.0.state.lock();
+        state.open -= 1;
+        if state.open == 0 {
+            drop(state);
+            self.0.done.notify_all();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tb_common::Lsn;
+
+    #[test]
+    fn wait_returns_once_every_sub_batch_is_done() {
+        let run = Run::new(3);
+        let (a, b) = (run.sub_batch(), run.sub_batch());
+        let worker = {
+            let run = run.clone();
+            std::thread::spawn(move || {
+                run.fill(0, Ok(Response::Done(Lsn(4))));
+                run.fill(2, Ok(Response::Value(None)));
+                drop(a);
+            })
+        };
+        worker.join().unwrap();
+        // One sub-batch is still out: the latch must hold. (Checked on
+        // the state, since `wait` itself would park.)
+        assert_eq!(run.state.lock().open, 1);
+        run.fill(1, Ok(Response::Done(Lsn(5))));
+        drop(b);
+        assert_eq!(
+            run.wait(),
+            vec![
+                Some(Ok(Response::Done(Lsn(4)))),
+                Some(Ok(Response::Done(Lsn(5)))),
+                Some(Ok(Response::Value(None))),
+            ]
+        );
+    }
+
+    #[test]
+    fn dropped_sub_batch_opens_the_latch_with_empty_slots() {
+        let run = Run::new(2);
+        let done = run.sub_batch();
+        run.fill(0, Ok(Response::Value(None)));
+        drop(done); // the unwind of a panicked batch, or a closed queue
+        assert_eq!(run.wait(), vec![Some(Ok(Response::Value(None))), None]);
+    }
+}

@@ -2,8 +2,13 @@
 //!
 //! One [`Frontend`] sits between many client threads and a single
 //! [`KvEngine`]. Requests hash to a shard (the cluster routing hash,
-//! [`slot_for_key`]), enter that shard's bounded submission queue, and
-//! are drained in batches by the shard's worker, which:
+//! [`slot_for_key`]) and enter that shard's bounded submission queue —
+//! one at a time behind a [`Ticket`] ([`Frontend::submit`]), or as a
+//! burst ([`KvEngine::apply_batch`] on the front-end: one sub-batch per
+//! shard, one completion latch per run, one `sync()` for the whole
+//! burst). The queues are drained in batches by the shard's worker
+//! (a burst's sub-batch may instead run on the submitting thread when
+//! its shard is idle), which:
 //!
 //! * lowers the whole drained batch into **one**
 //!   [`KvEngine::apply_batch`] submission (coalescing consecutive
@@ -18,7 +23,8 @@
 //!   shares it rather than spawning fetch threads of its own; the pool
 //!   counters surface through [`Frontend::stats_snapshot`]. And
 //! * group-commits: one `sync()` per dirty batch instead of one per
-//!   write, acknowledging the writes only after the batch is durable.
+//!   write, acknowledging ticket writes only after the batch is durable
+//!   (a burst's writes wait for the burst's own single `sync()`).
 //!
 //! Backpressure is the queue bound: blocking `submit` stalls producers
 //! when a shard saturates, `try_submit` sheds load with
@@ -27,9 +33,10 @@
 //! [`ElasticConfig`]) boosts extra drain workers for the hot shard and
 //! retires them when the burst subsides.
 
+use crate::burst::{Run, RunPlan, SubBatchDone};
 use crate::queue::{PushRefused, SubmitQueue};
 use crate::stats::{FrontendStats, FrontendStatsSnapshot};
-use crate::ticket::{gather, gather_all, ticket, Completer, Response, Ticket};
+use crate::ticket::{gather, ticket, Completer, Response, Ticket};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -94,9 +101,12 @@ impl Request {
 pub struct FrontendConfig {
     /// Submission queues / event loops.
     pub shards: usize,
-    /// Bound of each shard queue (the backpressure watermark).
+    /// Bound of each shard queue in operations (the backpressure
+    /// watermark). A burst's sub-batch is admitted whole: one larger
+    /// than the bound waits for an empty queue.
     pub queue_capacity: usize,
-    /// Most requests a worker takes per drain.
+    /// Most operations a worker takes per drain (a burst's sub-batch is
+    /// never split, so one larger than this is a drain of its own).
     pub max_batch: usize,
     /// `true`: one `sync()` per dirty batch, writes acknowledged after
     /// it; `false`: every write is applied and synced individually (the
@@ -140,14 +150,43 @@ enum Route {
     Scatter,
 }
 
-/// One queued request: the op, its ticket's completer, and the
+/// Where one request's response goes.
+enum Sink {
+    /// A `submit`/`try_submit` ticket. Its write ack waits for the
+    /// group sync of the batch that applied it.
+    Ticket(Completer),
+    /// Part `.1` of a burst's run. Its write ack reports *applied*:
+    /// the burst issues one `sync()` of its own after every sub-batch
+    /// has, before any write outcome is returned.
+    Part(Arc<Run>, usize),
+}
+
+impl Sink {
+    fn resolve(self, result: Result<Response>) {
+        match self {
+            Sink::Ticket(completer) => completer.complete(result),
+            Sink::Part(run, part) => run.fill(part, result),
+        }
+    }
+}
+
+/// One submitted request: the op, where its response goes, and the
 /// telemetry submit stamp (`None` when telemetry is disabled) — the
 /// stamp yields the queue-wait histogram at drain and the end-to-end
 /// latency histogram at completion.
-type Queued = (Request, Completer, Option<Instant>);
+type Queued = (Request, Sink, Option<Instant>);
+
+/// What a shard queue holds.
+enum Item {
+    /// A single request (weight 1).
+    One(Queued),
+    /// One shard's share of a burst's run (weight = its requests):
+    /// enqueued with one lock and one wake-up, never split by a drain.
+    SubBatch(Vec<Queued>, SubBatchDone),
+}
 
 struct ShardState {
-    queue: SubmitQueue<Queued>,
+    queue: SubmitQueue<Item>,
     /// Workers this shard should run (elastic boost lever).
     target_workers: AtomicUsize,
     /// Workers currently draining this shard.
@@ -341,35 +380,29 @@ impl Frontend {
 
     fn try_submit_to(&self, shard: usize, request: Request) -> Result<Ticket> {
         let (t, c) = ticket();
-        match self.inner.shards[shard]
-            .queue
-            .try_push((request, c, tb_obs::start()))
-        {
+        let item = Item::One((request, Sink::Ticket(c), tb_obs::start()));
+        match self.inner.shards[shard].queue.try_push(item, 1) {
             Ok(()) => {
                 FrontendStats::bump(&self.inner.stats.submitted, 1);
                 Ok(t)
             }
-            Err((PushRefused::Full, (_, c, _))) => {
+            Err((PushRefused::Full, _)) => {
                 FrontendStats::bump(&self.inner.stats.backpressure_rejections, 1);
                 // The queue was at capacity when it refused us; report that
                 // depth as the retry-after hint so callers (and the wire
                 // protocol's RETRY reply) can scale their backoff.
                 let depth = self.inner.shards[shard].queue.len() as u32;
-                let err = Error::backpressure_at_depth(
+                // (The refused item dropped its completer: the orphan
+                // ticket is resolved, nothing can wait on it.)
+                Err(Error::backpressure_at_depth(
                     format!(
-                        "shard {shard} queue full ({} requests)",
+                        "shard {shard} queue full ({} operations)",
                         self.inner.config.queue_capacity
                     ),
                     depth.max(self.inner.config.queue_capacity as u32),
-                );
-                // Resolve the orphan ticket so nothing can wait on it.
-                c.complete(Err(err.clone()));
-                Err(err)
+                ))
             }
-            Err((PushRefused::Closed, (_, c, _))) => {
-                c.complete(Err(Error::Unavailable("front-end shut down".into())));
-                Err(Error::Unavailable("front-end shut down".into()))
-            }
+            Err((PushRefused::Closed, _)) => Err(Error::Unavailable("front-end shut down".into())),
         }
     }
 
@@ -428,12 +461,11 @@ impl Frontend {
             c.complete(Err(Error::Unavailable("front-end shut down".into())));
             return t;
         }
-        match self.inner.shards[shard]
-            .queue
-            .push((request, c, tb_obs::start()))
-        {
-            Ok(()) => FrontendStats::bump(&self.inner.stats.submitted, 1),
-            Err((_, c, _)) => c.complete(Err(Error::Unavailable("front-end shut down".into()))),
+        let item = Item::One((request, Sink::Ticket(c), tb_obs::start()));
+        // A closed queue hands the item back; dropping it resolves the
+        // ticket `Unavailable`.
+        if self.inner.shards[shard].queue.push(item, 1).is_ok() {
+            FrontendStats::bump(&self.inner.stats.submitted, 1);
         }
         t
     }
@@ -494,18 +526,18 @@ impl Frontend {
         .map(|_| ())
     }
 
-    /// Batched lookup, awaited: single-shard batches pipeline directly,
-    /// spanning batches scatter per shard and gather in request order
-    /// (the same path as a raw `submit(Request::MultiGet(..))`).
+    /// Batched lookup, awaited: a one-op burst — the keys split by
+    /// shard into one sub-batch each and gather in request order.
     pub fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        match self.submit(Request::MultiGet(keys.to_vec())).wait()? {
-            Response::Values(values) => Ok(values),
+        match self.burst(vec![EngineOp::MultiGet(keys.to_vec())]).pop() {
+            Some(Ok(OpOutcome::Values(values))) => Ok(values),
+            Some(Err(e)) => Err(e),
             other => Err(Error::Internal(format!("multi_get resolved to {other:?}"))),
         }
     }
 
-    /// Batched write: splits the pairs by shard, pipelines one
-    /// `MultiPut` per shard, awaits all.
+    /// Batched write, awaited: a one-op burst — the pairs split by
+    /// shard into one `MultiPut` per shard, made durable by one sync.
     ///
     /// # Cross-shard semantics: independent commit, not a transaction
     ///
@@ -513,8 +545,9 @@ impl Frontend {
     /// atomicity and no rollback. When one shard fails mid-batch the
     /// documented (and regression-tested) partial state is:
     ///
-    /// * every pair routed to a *healthy* shard is applied and durable
-    ///   per that shard's sync policy;
+    /// * every pair routed to a *healthy* shard is applied (and durable
+    ///   once the burst's sync succeeded — the call then still reports
+    ///   the failing shard's error);
     /// * the pairs of the *failing* shard follow the engine's error
     ///   contract for that slice (indeterminate on error — see the
     ///   LSN/ack contract in `tb_common::engine`);
@@ -526,7 +559,11 @@ impl Frontend {
     /// an all-or-nothing ack: each op in a pipelined burst gets its own
     /// positional outcome reply.
     pub fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        self.scatter_put(pairs).wait().map(|_| ())
+        match self.burst(vec![EngineOp::MultiPut(pairs)]).pop() {
+            Some(Ok(_)) => Ok(()),
+            Some(Err(e)) => Err(e),
+            None => Err(Error::Internal("multi_put left unresolved".into())),
+        }
     }
 
     /// Pipelined range scan, awaited. One op in its shard's drained
@@ -545,29 +582,173 @@ impl Frontend {
         }
     }
 
-    /// Splits a multi-key write by shard and pipelines one `MultiPut`
-    /// per shard; the ticket resolves `Done` once every slice acked
-    /// (first error wins). Slices commit independently — cross-shard
-    /// write atomicity stays out of scope.
-    fn scatter_put(&self, pairs: Vec<(Key, Value)>) -> Ticket {
-        let mut per: Vec<Vec<(Key, Value)>> = vec![Vec::new(); self.inner.shards.len()];
-        for (k, v) in pairs {
-            let s = self.shard_of(&k);
-            per[s].push((k, v));
+    /// Submits a burst with the [`KvEngine::apply_batch`] contract
+    /// (submission-order results) and awaits it.
+    ///
+    /// The burst is cut into **runs** at its scans. A scan is a
+    /// cross-shard read: every shard owns part of any range, so it
+    /// cannot ride per-shard FIFO order — every earlier op completes
+    /// before the scan is submitted, and the scan completes before any
+    /// later op is. Within a run, ops bucket by shard into **one
+    /// sub-batch per shard** (same-key ops share a shard, so their
+    /// order is the sub-batch's order; a multi-key op splits into one
+    /// part per shard). Each sub-batch is enqueued whole — one lock,
+    /// one wake-up, never split by a drain — except that one of them
+    /// runs right here, through the same `process_batch`, when its
+    /// shard is idle: this thread would otherwise only park. Idle means
+    /// nothing queued and no drained batch in flight, decided under the
+    /// queue lock, so an inline sub-batch never overtakes a request
+    /// submitted before it. The submitter waits on one latch per run.
+    ///
+    /// Writes share **one durability point**: after every sub-batch has
+    /// applied, one `engine.sync()` covers the whole burst, and only
+    /// then is any write outcome returned. If it fails, every write
+    /// that had applied fails with its error (reads keep their
+    /// answers). With `group_commit` off, whoever executes a write
+    /// syncs it on the spot, as for tickets.
+    fn burst(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        if self.down.load(Ordering::SeqCst) {
+            let down = || Err(Error::Unavailable("front-end shut down".into()));
+            return ops.iter().map(|_| down()).collect();
         }
-        let parts: Vec<Ticket> = per
+        let mut outcomes: Vec<Option<Result<OpOutcome>>> = ops.iter().map(|_| None).collect();
+        // Whether any write request applied — even one slice of a
+        // spanning `MultiPut` whose other slice failed: it is in the
+        // engine, so the burst owes it the durability point.
+        let mut dirty = false;
+        let mut run = RunPlan::new(self.inner.shards.len());
+        for (op, request) in ops.into_iter().enumerate() {
+            match request {
+                EngineOp::Scan { start, end, limit } => {
+                    dirty |= self.complete_run(&mut run, &mut outcomes);
+                    let shard = self.shard_of(&start);
+                    run.add(shard, Request::Scan { start, end, limit }, op, None);
+                    self.complete_run(&mut run, &mut outcomes);
+                }
+                EngineOp::MultiGet(keys) => match self.single_shard_of(keys.iter()) {
+                    Ok(shard) => run.add(shard, Request::MultiGet(keys), op, None),
+                    Err(_) => {
+                        let len = keys.len();
+                        for (shard, (positions, keys)) in
+                            self.scatter_get(keys).into_iter().enumerate()
+                        {
+                            if !keys.is_empty() {
+                                let slice = Some((positions, len));
+                                run.add(shard, Request::MultiGet(keys), op, slice);
+                            }
+                        }
+                    }
+                },
+                // An empty write resolves on the spot, covering nothing.
+                EngineOp::MultiPut(pairs) if pairs.is_empty() => {
+                    outcomes[op] = Some(Ok(OpOutcome::Done(Lsn::NONE)));
+                }
+                // Each shard's slice is a part; the op acks the max
+                // LSN across them.
+                EngineOp::MultiPut(pairs) => {
+                    let mut per: Vec<Vec<(Key, Value)>> = vec![Vec::new(); self.inner.shards.len()];
+                    for (key, value) in pairs {
+                        per[self.shard_of(&key)].push((key, value));
+                    }
+                    for (shard, pairs) in per.into_iter().enumerate() {
+                        if !pairs.is_empty() {
+                            run.add(shard, Request::MultiPut(pairs), op, None);
+                        }
+                    }
+                }
+                EngineOp::Get(key) => run.add(self.shard_of(&key), Request::Get(key), op, None),
+                EngineOp::Put(key, value) => {
+                    run.add(self.shard_of(&key), Request::Put(key, value), op, None);
+                }
+                EngineOp::Delete(key) => {
+                    run.add(self.shard_of(&key), Request::Delete(key), op, None);
+                }
+                EngineOp::Cas { key, expected, new } => {
+                    let shard = self.shard_of(&key);
+                    run.add(shard, Request::Cas { key, expected, new }, op, None);
+                }
+            }
+        }
+        dirty |= self.complete_run(&mut run, &mut outcomes);
+
+        if self.inner.config.group_commit && dirty {
+            // The burst's one durability point. A panicking engine is
+            // contained like in a worker: the writes fail, the caller
+            // (a server connection thread) lives on.
+            let t0 = tb_obs::start();
+            let engine = &self.inner.engine;
+            let synced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.sync()))
+                .unwrap_or_else(|_| {
+                    FrontendStats::bump(&self.inner.stats.worker_panics, 1);
+                    Err(Error::Unavailable(
+                        "engine panicked in the burst's sync".into(),
+                    ))
+                });
+            tb_obs::histo!("frontend_group_sync_ns").record_since(t0);
+            FrontendStats::bump(&self.inner.stats.group_syncs, 1);
+            if let Err(e) = synced {
+                // Only writes resolve `Done`: they fail together.
+                for outcome in &mut outcomes {
+                    if matches!(outcome, Some(Ok(OpOutcome::Done(_)))) {
+                        *outcome = Some(Err(e.clone()));
+                    }
+                }
+            }
+        }
+        outcomes
             .into_iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .map(|(s, p)| self.submit_to(s, Request::MultiPut(p)))
-            .collect();
-        if parts.is_empty() {
-            // Empty write: resolved on the spot, covering nothing.
-            let (t, c) = ticket();
-            c.complete(Ok(Response::Done(Lsn::NONE)));
-            return t;
+            .map(|outcome| outcome.expect("every op has a part in some run"))
+            .collect()
+    }
+
+    /// Submits the run collected in `run` — one sub-batch per shard, at
+    /// most one of them inline — waits for it, and merges each part's
+    /// response into its op's outcome. Leaves `run` empty; returns
+    /// whether a write request of the run applied.
+    fn complete_run(&self, run: &mut RunPlan, outcomes: &mut [Option<Result<OpOutcome>>]) -> bool {
+        if run.parts.is_empty() {
+            return false;
         }
-        gather_all(parts)
+        let parts = std::mem::take(&mut run.parts);
+        let latch = Run::new(parts.len());
+        let stamp = tb_obs::start();
+        let mut inline = None;
+        for (shard, requests) in self.inner.shards.iter().zip(&mut run.per_shard) {
+            if requests.is_empty() {
+                continue;
+            }
+            let ops = requests.len();
+            let batch: Vec<Queued> = requests
+                .drain(..)
+                .map(|(request, part)| (request, Sink::Part(latch.clone(), part), stamp))
+                .collect();
+            let done = latch.sub_batch();
+            let accepted = if inline.is_none() && shard.queue.claim_idle() {
+                inline = Some((shard, batch, done));
+                true
+            } else {
+                // Refused only when a concurrent shutdown closed the
+                // queue: the dropped item opens the latch and its parts
+                // read `Unavailable`.
+                shard.queue.push(Item::SubBatch(batch, done), ops).is_ok()
+            };
+            if accepted {
+                FrontendStats::bump(&self.inner.stats.submitted, ops as u64);
+            }
+        }
+        if let Some((shard, batch, done)) = inline {
+            run_batch(&self.inner, shard, batch);
+            drop(done);
+        }
+        let mut dirty = false;
+        for (part, result) in parts.into_iter().zip(latch.wait()) {
+            let result = result
+                .unwrap_or_else(|| Err(Error::Unavailable("request dropped by front-end".into())));
+            dirty |= matches!(result, Ok(Response::Done(_)));
+            let outcome = &mut outcomes[part.op];
+            *outcome = Some(part.merge(outcome.take(), result));
+        }
+        dirty
     }
 
     /// Drains the queues, stops workers and controller, joins threads.
@@ -627,66 +808,87 @@ fn worker_loop(inner: Arc<Inner>, shard_idx: usize) {
         {
             return;
         }
-        let batch = shard.queue.drain(inner.config.max_batch, DRAIN_WAIT);
-        if batch.is_empty() {
+        let drained = shard.queue.drain(inner.config.max_batch, DRAIN_WAIT);
+        if drained.is_empty() {
             if inner.shutdown.load(Ordering::SeqCst) && shard.queue.len() == 0 {
                 break;
             }
             continue;
         }
-        // Queue wait: submit stamp → drain. The stamp stays with the
-        // request so completion can record the full end-to-end latency.
-        if tb_obs::enabled() {
-            let waits = tb_obs::histo!("frontend_queue_wait_ns");
-            for (_, _, stamp) in &batch {
-                waits.record_since(*stamp);
+        // One batch from everything drained; a sub-batch's latch guard
+        // is held until the batch has run (or unwound).
+        let mut batch = Vec::with_capacity(drained.len());
+        let mut sub_batches = Vec::new();
+        for item in drained {
+            match item {
+                Item::One(queued) => batch.push(queued),
+                Item::SubBatch(requests, done) => {
+                    batch.extend(requests);
+                    sub_batches.push(done);
+                }
             }
         }
-        // Contain engine panics: the batch's unresolved completers are
-        // dropped by the unwind (their tickets resolve Unavailable, no
-        // caller hangs) and the worker lives on to serve the shard —
-        // a poisoned engine call must not wedge the whole front-end.
-        let batch_len = batch.len() as u64;
-        let settled = AtomicU64::new(0);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_batch(&inner, batch, &settled);
-        }));
-        shard.queue.drain_done();
-        if outcome.is_err() {
-            // The unwind resolved the rest of the batch by dropping its
-            // completers; count them so `submitted == completed` holds
-            // once every ticket has resolved. Reconciled before the
-            // panic counter so observers that saw the panic also see
-            // consistent accounting.
-            let abandoned = batch_len.saturating_sub(settled.load(Ordering::SeqCst));
-            FrontendStats::bump(&inner.stats.completed, abandoned);
-            FrontendStats::bump(&inner.stats.worker_panics, 1);
-        }
+        run_batch(&inner, shard, batch);
+        drop(sub_batches);
     }
     shard.live_workers.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// A completer still awaiting its result, paired with the request's
+/// Runs one batch the caller took from `shard` — drained by a worker,
+/// or claimed idle by a burst's submitting thread — and reports it done.
+fn run_batch(inner: &Inner, shard: &ShardState, batch: Vec<Queued>) {
+    // Queue wait: submit stamp → drain. The stamp stays with the
+    // request so completion can record the full end-to-end latency.
+    if tb_obs::enabled() {
+        let waits = tb_obs::histo!("frontend_queue_wait_ns");
+        for (_, _, stamp) in &batch {
+            waits.record_since(*stamp);
+        }
+    }
+    // Contain engine panics: the batch's unresolved sinks are dropped
+    // by the unwind (tickets resolve Unavailable, burst parts read as
+    // dropped — no caller hangs) and the thread lives on: a poisoned
+    // engine call must not wedge the shard, nor kill a submitter.
+    let batch_len = batch.len() as u64;
+    let settled = AtomicU64::new(0);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        process_batch(inner, batch, &settled);
+    }));
+    shard.queue.drain_done();
+    if outcome.is_err() {
+        // The unwind resolved the rest of the batch by dropping its
+        // sinks; count them so `submitted == completed` holds once
+        // every request has resolved. Reconciled before the panic
+        // counter so observers that saw the panic also see consistent
+        // accounting.
+        let abandoned = batch_len.saturating_sub(settled.load(Ordering::SeqCst));
+        FrontendStats::bump(&inner.stats.completed, abandoned);
+        FrontendStats::bump(&inner.stats.worker_panics, 1);
+    }
+}
+
+/// A sink still awaiting its result, paired with the request's
 /// telemetry submit stamp (for the end-to-end latency histogram).
-type Pending = (Completer, Option<Instant>);
+type Pending = (Sink, Option<Instant>);
 
 /// Resolves one request: the completed-counter bump happens *before*
-/// the waiter wakes, so a caller that has awaited all of its tickets
+/// the waiter wakes, so a caller that has awaited all of its requests
 /// observes `submitted == completed`. `settled` is the per-batch count
-/// the worker uses to reconcile a panic-abandoned batch.
+/// `run_batch` uses to reconcile a panic-abandoned batch.
 fn finish(stats: &FrontendStats, settled: &AtomicU64, pending: Pending, result: Result<Response>) {
-    let (completer, stamp) = pending;
+    let (sink, stamp) = pending;
     settled.fetch_add(1, Ordering::SeqCst);
     FrontendStats::bump(&stats.completed, 1);
     tb_obs::histo!("frontend_e2e_ns").record_since(stamp);
-    completer.complete(result);
+    sink.resolve(result);
 }
 
 /// How the completion of one lowered [`EngineOp`] settles back into
 /// request tickets.
 enum OpAcks {
     /// A write op (one request, or a coalesced put-like run): every
-    /// completer acks together — deferred to the group sync on success.
+    /// writer acks together — tickets deferred to the group sync on
+    /// success, burst parts at once (their burst syncs for them).
     Write(Vec<Pending>),
     /// A `Get` awaiting [`OpOutcome::Value`].
     Get(Pending),
@@ -767,20 +969,27 @@ fn process_batch(inner: &Inner, batch: Vec<Queued>, settled: &AtomicU64) {
 
     // --- completion: settle each op's tickets in submission order -----
     let mut unsynced: Vec<(Pending, Lsn)> = Vec::new();
-    let mut dirty = false;
     for (ack, outcome) in acks.into_iter().zip(outcomes) {
         match ack {
             OpAcks::Write(writers) => match outcome {
-                // Write acks defer to the batch's single sync below,
-                // each carrying the LSN the engine assigned to its op
-                // (coalesced writers share the covering MultiPut LSN).
+                // Ticket acks defer to the batch's single sync below;
+                // a burst's parts report *applied* and leave the sync
+                // to their burst. Each carries the LSN the engine
+                // assigned to its op (coalesced writers share the
+                // covering MultiPut LSN).
                 Ok(o) => {
                     let lsn = match o {
                         OpOutcome::Done(l) => l,
                         _ => Lsn::NONE,
                     };
-                    dirty = true;
-                    unsynced.extend(writers.into_iter().map(|w| (w, lsn)));
+                    for writer in writers {
+                        match writer.0 {
+                            Sink::Ticket(_) => unsynced.push((writer, lsn)),
+                            Sink::Part(..) => {
+                                finish(stats, settled, writer, Ok(Response::Done(lsn)))
+                            }
+                        }
+                    }
                 }
                 Err(e) => {
                     for w in writers {
@@ -812,13 +1021,13 @@ fn process_batch(inner: &Inner, batch: Vec<Queued>, settled: &AtomicU64) {
         }
     }
 
-    if dirty {
+    if !unsynced.is_empty() {
         // The group commit: one durability point for the whole batch.
         let t0 = tb_obs::start();
         let sync_result = inner.engine.sync();
         tb_obs::histo!("frontend_group_sync_ns").record_since(t0);
         FrontendStats::bump(&stats.group_syncs, 1);
-        for (ack, lsn) in unsynced.drain(..) {
+        for (ack, lsn) in unsynced {
             finish(
                 stats,
                 settled,
@@ -939,74 +1148,12 @@ impl KvEngine for Frontend {
         Frontend::scan(self, start, end, limit)
     }
 
-    /// Batch submission with the trait's submission-order semantics.
-    ///
-    /// With one worker per shard (boosting disabled), every op is
-    /// submitted before any is awaited: ops on different shards
-    /// overlap, ops sharing a worker batch share its single storage
-    /// pass and group commit, and per-shard FIFO *execution* preserves
-    /// order for same-key ops (which route to one shard). With elastic
-    /// boosting enabled, sibling workers can execute one shard's
-    /// batches concurrently — FIFO dequeue no longer implies FIFO
-    /// execution — so each op is awaited before the next is submitted:
-    /// correctness over overlap. Scans barrier the batch either way
-    /// (see below).
+    /// Batch submission with the trait's submission-order semantics:
+    /// one sub-batch per shard between scan barriers, one `sync()` for
+    /// the burst — see [`Frontend::multi_put`] for what a multi-key
+    /// write spanning shards guarantees.
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        let submit_op = |op: EngineOp| -> Ticket {
-            match op {
-                // A multi-key write splits by shard (like
-                // `Frontend::multi_put`) — the engine batch contract
-                // accepts arbitrary key sets.
-                EngineOp::MultiPut(pairs) => self.scatter_put(pairs),
-                op => self.submit(match op {
-                    EngineOp::Get(key) => Request::Get(key),
-                    EngineOp::Put(key, value) => Request::Put(key, value),
-                    EngineOp::Delete(key) => Request::Delete(key),
-                    EngineOp::Cas { key, expected, new } => Request::Cas { key, expected, new },
-                    EngineOp::MultiGet(keys) => Request::MultiGet(keys),
-                    EngineOp::Scan { start, end, limit } => Request::Scan { start, end, limit },
-                    EngineOp::MultiPut(_) => unreachable!("handled above"),
-                }),
-            }
-        };
-        let complete = |t: Ticket| -> Result<OpOutcome> {
-            t.wait().map(|response| match response {
-                Response::Value(v) => OpOutcome::Value(v),
-                Response::Values(v) => OpOutcome::Values(v),
-                Response::Range(rows) => OpOutcome::Range(rows),
-                Response::Done(l) => OpOutcome::Done(l),
-            })
-        };
-        if self.inner.config.max_workers_per_shard > 1 {
-            return ops.into_iter().map(|op| complete(submit_op(op))).collect();
-        }
-        // A scan is a cross-shard read: unlike MultiGet/MultiPut it
-        // cannot scatter along per-shard FIFO order (every shard owns
-        // part of any range), so submission-order semantics make it a
-        // batch barrier — every earlier op completes before the scan
-        // is submitted, and the scan completes before later ops are.
-        // Scan-free batches keep the fully pipelined path.
-        let mut results: Vec<Option<Result<OpOutcome>>> = Vec::new();
-        let mut pending: Vec<(usize, Ticket)> = Vec::new();
-        for op in ops {
-            let i = results.len();
-            results.push(None);
-            if matches!(op, EngineOp::Scan { .. }) {
-                for (j, t) in pending.drain(..) {
-                    results[j] = Some(complete(t));
-                }
-                results[i] = Some(complete(submit_op(op)));
-            } else {
-                pending.push((i, submit_op(op)));
-            }
-        }
-        for (j, t) in pending {
-            results[j] = Some(complete(t));
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every op completed"))
-            .collect()
+        self.burst(ops)
     }
 
     fn batch_read_stats(&self) -> BatchReadStats {

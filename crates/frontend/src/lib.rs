@@ -9,9 +9,14 @@
 //! adjacent writes into `multi_put`, and group-commit one `sync()` per
 //! dirty batch. Completion flows back through per-request [`Ticket`]s;
 //! a full shard queue is backpressure (blocking `submit`, or
-//! `Error::Backpressure` from `try_submit`). The elastic watermark
-//! policy from `tb-elastic` boosts extra drain workers onto hot shards
-//! and retires them when bursts subside.
+//! `Error::Backpressure` from `try_submit`). A whole burst —
+//! `KvEngine::apply_batch` on the [`Frontend`], which is what a decoded
+//! `tb-server` pipeline burst becomes — is submitted natively: one
+//! sub-batch per shard (one of them run by the submitting thread when
+//! its shard is idle), one completion latch, one `sync()` for all of
+//! its writes. The elastic watermark policy from `tb-elastic` boosts
+//! extra drain workers onto hot shards and retires them when bursts
+//! subside.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -41,6 +46,7 @@
 //! fe.shutdown();
 //! ```
 
+mod burst;
 mod frontend;
 mod queue;
 mod stats;
@@ -59,14 +65,17 @@ mod tests {
     use super::*;
     use parking_lot::Mutex;
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
     use tb_common::{Error, Key, KvEngine, Result, Value};
 
     /// Map engine that counts engine-level calls, can inject
     /// per-operation latency (to saturate queues deterministically),
-    /// and can panic on a chosen key (to test panic containment).
+    /// can panic on a chosen key (to test panic containment), parks
+    /// `get("block:gate")` until released (to pin whoever executes it),
+    /// can fail `sync()`, and logs every write in apply order together
+    /// with the thread each `apply_batch` ran on.
     #[derive(Default)]
     struct ProbeEngine {
         map: Mutex<BTreeMap<Key, Value>>,
@@ -76,6 +85,13 @@ mod tests {
         syncs: AtomicU64,
         op_delay: Option<Duration>,
         panic_on: Option<Key>,
+        fail_sync: AtomicBool,
+        gate_open: Mutex<bool>,
+        gate_cv: parking_lot::Condvar,
+        /// `Some`: write ops ack increasing LSNs instead of `Lsn::NONE`.
+        lsn: Option<AtomicU64>,
+        write_log: Mutex<Vec<(Key, Value)>>,
+        batch_threads: Mutex<Vec<std::thread::ThreadId>>,
     }
 
     impl ProbeEngine {
@@ -95,18 +111,37 @@ mod tests {
                 std::thread::sleep(d);
             }
         }
+
+        fn release_gate(&self) {
+            *self.gate_open.lock() = true;
+            self.gate_cv.notify_all();
+        }
+
+        fn done(&self) -> tb_common::OpOutcome {
+            tb_common::OpOutcome::Done(match &self.lsn {
+                Some(next) => tb_common::Lsn(next.fetch_add(1, Ordering::Relaxed) + 1),
+                None => tb_common::Lsn::NONE,
+            })
+        }
+    }
+
+    fn gate_key() -> Key {
+        Key::from("block:gate")
     }
 
     impl KvEngine for ProbeEngine {
         fn get(&self, key: &Key) -> Result<Option<Value>> {
             self.stall();
+            if *key == gate_key() {
+                let mut open = self.gate_open.lock();
+                while !*open {
+                    self.gate_cv.wait(&mut open);
+                }
+            }
             Ok(self.map.lock().get(key).cloned())
         }
         fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.stall();
-            self.puts.fetch_add(1, Ordering::Relaxed);
-            self.map.lock().insert(key, value);
-            Ok(())
+            self.multi_put(vec![(key, value)])
         }
         fn delete(&self, key: &Key) -> Result<()> {
             self.map.lock().remove(key);
@@ -138,25 +173,25 @@ mod tests {
             let mut m = self.map.lock();
             for (k, v) in pairs {
                 self.puts.fetch_add(1, Ordering::Relaxed);
+                self.write_log.lock().push((k.clone(), v.clone()));
                 m.insert(k, v);
             }
             Ok(())
         }
         fn apply_batch(&self, ops: Vec<tb_common::EngineOp>) -> Vec<Result<tb_common::OpOutcome>> {
-            use tb_common::{EngineOp, Lsn, OpOutcome};
+            use tb_common::{EngineOp, OpOutcome};
             self.apply_batches.fetch_add(1, Ordering::Relaxed);
+            self.batch_threads.lock().push(std::thread::current().id());
             // Same lowering as the trait default; counted so tests can
             // assert one engine submission per drained batch.
             ops.into_iter()
                 .map(|op| match op {
                     EngineOp::Get(key) => self.get(&key).map(OpOutcome::Value),
-                    EngineOp::Put(key, value) => {
-                        self.put(key, value).map(|_| OpOutcome::Done(Lsn::NONE))
+                    EngineOp::Put(key, value) => self.put(key, value).map(|_| self.done()),
+                    EngineOp::Delete(key) => self.delete(&key).map(|_| self.done()),
+                    EngineOp::Cas { key, expected, new } => {
+                        self.cas(key, expected.as_ref(), new).map(|_| self.done())
                     }
-                    EngineOp::Delete(key) => self.delete(&key).map(|_| OpOutcome::Done(Lsn::NONE)),
-                    EngineOp::Cas { key, expected, new } => self
-                        .cas(key, expected.as_ref(), new)
-                        .map(|_| OpOutcome::Done(Lsn::NONE)),
                     // Inline get loop, not `self.multi_get`: the trait
                     // default of the un-overridden `multi_get` routes
                     // back through `apply_batch` and would recurse.
@@ -165,9 +200,7 @@ mod tests {
                         .map(|k| self.get(k))
                         .collect::<Result<Vec<_>>>()
                         .map(OpOutcome::Values),
-                    EngineOp::MultiPut(pairs) => {
-                        self.multi_put(pairs).map(|_| OpOutcome::Done(Lsn::NONE))
-                    }
+                    EngineOp::MultiPut(pairs) => self.multi_put(pairs).map(|_| self.done()),
                     EngineOp::Scan { start, end, limit } => {
                         self.scan(&start, end.as_ref(), limit).map(OpOutcome::Range)
                     }
@@ -176,6 +209,9 @@ mod tests {
         }
         fn sync(&self) -> Result<()> {
             self.syncs.fetch_add(1, Ordering::Relaxed);
+            if self.fail_sync.load(Ordering::SeqCst) {
+                return Err(Error::Io("scripted sync failure".into()));
+            }
             Ok(())
         }
         fn resident_bytes(&self) -> u64 {
@@ -601,6 +637,450 @@ mod tests {
         );
         assert_eq!(outcomes[6], Ok(OpOutcome::Done(Lsn::NONE)));
         assert_eq!(outcomes[7], Ok(OpOutcome::Value(None)));
+        fe.shutdown();
+    }
+
+    /// `n` distinct keys that all route to `shard`.
+    fn keys_on(fe: &Frontend, shard: usize, n: usize) -> Vec<Key> {
+        (0..)
+            .map(k)
+            .filter(|key| fe.shard_of(key) == shard)
+            .take(n)
+            .collect()
+    }
+
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    #[test]
+    fn scan_free_burst_is_one_batch_per_shard_and_one_sync() {
+        use tb_common::{EngineOp, OpOutcome};
+        let engine = ProbeEngine::shared();
+        let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
+        let (a, b) = (keys_on(&fe, 0, 8), keys_on(&fe, 1, 8));
+        // 16 ops interleaving both shards, writes and reads mixed.
+        let ops: Vec<EngineOp> = a
+            .iter()
+            .zip(&b)
+            .enumerate()
+            .flat_map(|(i, (ka, kb))| {
+                if i % 2 == 0 {
+                    [
+                        EngineOp::Put(ka.clone(), v(i)),
+                        EngineOp::Put(kb.clone(), v(i)),
+                    ]
+                } else {
+                    [EngineOp::Get(ka.clone()), EngineOp::Get(kb.clone())]
+                }
+            })
+            .collect();
+        let outcomes = KvEngine::apply_batch(&fe, ops);
+        assert_eq!(outcomes.len(), 16);
+        assert!(outcomes.iter().all(|o| o.is_ok()), "{outcomes:?}");
+        assert_eq!(
+            engine.apply_batches.load(Ordering::Relaxed),
+            2,
+            "one sub-batch per shard, none split"
+        );
+        assert_eq!(
+            engine.syncs.load(Ordering::Relaxed),
+            1,
+            "one sync per burst"
+        );
+        let snap = fe.stats().snapshot();
+        assert_eq!((snap.batches, snap.group_syncs), (2, 1));
+        assert_eq!((snap.submitted, snap.completed), (16, 16));
+        // The idle front-end ran one of the two on the calling thread.
+        let me = std::thread::current().id();
+        let inline = engine
+            .batch_threads
+            .lock()
+            .iter()
+            .filter(|t| **t == me)
+            .count();
+        assert_eq!(inline, 1, "exactly one sub-batch runs inline");
+
+        // A read-only burst syncs nothing.
+        let reads = a.iter().chain(&b).cloned().map(EngineOp::Get).collect();
+        let outcomes = KvEngine::apply_batch(&fe, reads);
+        assert!(outcomes
+            .iter()
+            .all(|o| matches!(o, Ok(OpOutcome::Value(_)))));
+        assert_eq!(engine.syncs.load(Ordering::Relaxed), 1);
+        assert_eq!(engine.apply_batches.load(Ordering::Relaxed), 4);
+        fe.shutdown();
+    }
+
+    #[test]
+    fn scan_splits_the_burst_into_runs_and_sees_every_earlier_write() {
+        use tb_common::{EngineOp, OpOutcome};
+        let engine = ProbeEngine::shared();
+        let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
+        let everything = || EngineOp::Scan {
+            start: k(0),
+            end: None,
+            limit: usize::MAX,
+        };
+        let (a, b) = (keys_on(&fe, 0, 3), keys_on(&fe, 1, 3));
+        let outcomes = KvEngine::apply_batch(
+            &fe,
+            vec![
+                EngineOp::Put(a[0].clone(), v(0)),
+                EngineOp::Put(b[0].clone(), v(0)),
+                everything(), // sees both shards' writes: 2 rows
+                EngineOp::Put(a[1].clone(), v(1)),
+                EngineOp::Delete(b[0].clone()),
+                EngineOp::Put(b[1].clone(), v(1)),
+                everything(), // 3 rows: later ops ran after the first scan
+                everything(), // consecutive scans are runs of their own
+                EngineOp::Put(b[2].clone(), v(2)),
+            ],
+        );
+        let rows = |o: &Result<OpOutcome>| match o {
+            Ok(OpOutcome::Range(rows)) => rows.len(),
+            other => panic!("scan resolved to {other:?}"),
+        };
+        assert_eq!(
+            (rows(&outcomes[2]), rows(&outcomes[6]), rows(&outcomes[7])),
+            (2, 3, 3)
+        );
+        assert!(outcomes.iter().all(|o| o.is_ok()), "{outcomes:?}");
+        // Runs: [2 shards] [scan] [2 shards] [scan] [scan] [1 shard],
+        // yet still a single durability point.
+        assert_eq!(engine.apply_batches.load(Ordering::Relaxed), 8);
+        assert_eq!(engine.syncs.load(Ordering::Relaxed), 1);
+        fe.shutdown();
+    }
+
+    #[test]
+    fn burst_keeps_same_key_order_and_splits_multi_key_ops_by_shard() {
+        use tb_common::{EngineOp, Lsn, OpOutcome};
+        let engine = Arc::new(ProbeEngine {
+            lsn: Some(AtomicU64::new(0)),
+            ..ProbeEngine::default()
+        });
+        let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
+        let key = Key::from("same-key");
+        let (a, b) = (keys_on(&fe, 0, 2), keys_on(&fe, 1, 2));
+        let outcomes = KvEngine::apply_batch(
+            &fe,
+            vec![
+                EngineOp::Put(key.clone(), Value::from("1")),
+                EngineOp::Get(key.clone()),
+                EngineOp::Put(key.clone(), Value::from("2")),
+                EngineOp::Get(key.clone()),
+                // Spanning multi-key ops: one part per shard.
+                EngineOp::MultiPut(vec![
+                    (a[0].clone(), v(0)),
+                    (b[0].clone(), v(1)),
+                    (a[1].clone(), v(2)),
+                ]),
+                EngineOp::MultiGet(vec![
+                    b[0].clone(),
+                    a[1].clone(),
+                    b[1].clone(), // never written
+                    a[0].clone(),
+                ]),
+                EngineOp::MultiPut(Vec::new()),
+            ],
+        );
+        assert_eq!(outcomes[1], Ok(OpOutcome::Value(Some(Value::from("1")))));
+        assert_eq!(outcomes[3], Ok(OpOutcome::Value(Some(Value::from("2")))));
+        assert_eq!(
+            outcomes[5],
+            Ok(OpOutcome::Values(vec![
+                Some(v(1)),
+                Some(v(2)),
+                None,
+                Some(v(0))
+            ])),
+            "a spanning MultiGet gathers in key order"
+        );
+        assert_eq!(outcomes[6], Ok(OpOutcome::Done(Lsn::NONE)), "empty write");
+        // Per-op LSNs are the engine's: the two puts in order, and the
+        // spanning MultiPut acks the larger of its two slices' LSNs —
+        // the engine handed out exactly four.
+        let lsn = |o: &Result<OpOutcome>| match o {
+            Ok(OpOutcome::Done(lsn)) => lsn.0,
+            other => panic!("write resolved to {other:?}"),
+        };
+        assert!(lsn(&outcomes[0]) < lsn(&outcomes[2]));
+        let mut acked = vec![lsn(&outcomes[0]), lsn(&outcomes[2]), lsn(&outcomes[4])];
+        acked.sort_unstable();
+        assert!(acked.windows(2).all(|w| w[0] < w[1]), "{acked:?}");
+        assert_eq!(engine.lsn.as_ref().unwrap().load(Ordering::Relaxed), 4);
+        assert!(lsn(&outcomes[4]) >= 3, "covering LSN is the max slice LSN");
+        assert_eq!(engine.apply_batches.load(Ordering::Relaxed), 2);
+        fe.shutdown();
+    }
+
+    #[test]
+    fn failing_burst_sync_fails_every_write_and_no_read() {
+        use tb_common::{EngineOp, OpOutcome};
+        let engine = ProbeEngine::shared();
+        let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
+        let seed = Key::from("seed");
+        fe.put(seed.clone(), v(0)).unwrap();
+        engine.fail_sync.store(true, Ordering::SeqCst);
+        let (a, b) = (keys_on(&fe, 0, 2), keys_on(&fe, 1, 2));
+        let outcomes = KvEngine::apply_batch(
+            &fe,
+            vec![
+                EngineOp::Put(a[0].clone(), v(1)),
+                EngineOp::Get(seed),
+                EngineOp::Delete(b[0].clone()),
+                EngineOp::MultiGet(vec![a[1].clone(), b[1].clone()]),
+                EngineOp::Cas {
+                    key: b[1].clone(),
+                    expected: Some(v(9)), // mismatch: fails on its own
+                    new: v(2),
+                },
+                EngineOp::MultiPut(vec![(a[1].clone(), v(3)), (b[1].clone(), v(3))]),
+            ],
+        );
+        for i in [0, 2, 5] {
+            match &outcomes[i] {
+                Err(Error::Io(m)) => assert!(m.contains("sync"), "op {i}: {m}"),
+                other => panic!("write {i} acked without a durability point: {other:?}"),
+            }
+        }
+        assert_eq!(outcomes[1], Ok(OpOutcome::Value(Some(v(0)))));
+        assert_eq!(outcomes[3], Ok(OpOutcome::Values(vec![None, None])));
+        assert_eq!(
+            outcomes[4],
+            Err(Error::CasMismatch),
+            "its own error, not the sync's"
+        );
+        // The next burst gets a durability point of its own.
+        engine.fail_sync.store(false, Ordering::SeqCst);
+        let retry = KvEngine::apply_batch(&fe, vec![EngineOp::Put(a[0].clone(), v(4))]);
+        assert!(matches!(retry[0], Ok(OpOutcome::Done(_))));
+        fe.shutdown();
+    }
+
+    #[test]
+    fn inline_never_overtakes_queued_or_in_flight_work() {
+        use tb_common::EngineOp;
+        let engine = ProbeEngine::shared();
+        let fe = Arc::new(Frontend::start(
+            engine.clone(),
+            FrontendConfig::with_shards(1),
+        ));
+        let key = Key::from("contended");
+        // Pin the worker inside a drained batch; the queue is empty.
+        let gate = fe.submit(Request::Get(gate_key()));
+        wait_until("worker picks the gate up", || fe.queue_depth(0) == 0);
+
+        // Queue empty but a batch in flight: a burst must not jump it.
+        let in_flight = {
+            let (fe, key) = (fe.clone(), key.clone());
+            std::thread::spawn(move || {
+                KvEngine::apply_batch(&*fe, vec![EngineOp::Put(key, Value::from("burst-1"))])
+            })
+        };
+        wait_until("burst-1 is enqueued", || fe.queue_depth(0) == 1);
+        assert_eq!(engine.puts.load(Ordering::Relaxed), 0, "burst-1 ran inline");
+
+        // A ticket queued before a burst is executed before it.
+        let ticket = fe.submit(Request::Put(key.clone(), Value::from("ticket")));
+        let queued = {
+            let (fe, key) = (fe.clone(), key.clone());
+            std::thread::spawn(move || {
+                KvEngine::apply_batch(
+                    &*fe,
+                    vec![
+                        EngineOp::Put(key.clone(), Value::from("burst-2")),
+                        EngineOp::Get(key),
+                    ],
+                )
+            })
+        };
+        wait_until("burst-2 is enqueued", || fe.queue_depth(0) == 4);
+        assert_eq!(engine.puts.load(Ordering::Relaxed), 0, "burst-2 ran inline");
+
+        engine.release_gate();
+        gate.wait().unwrap();
+        ticket.wait().unwrap();
+        assert!(in_flight.join().unwrap()[0].is_ok());
+        let outcomes = queued.join().unwrap();
+        assert_eq!(
+            outcomes[1],
+            Ok(tb_common::OpOutcome::Value(Some(Value::from("burst-2"))))
+        );
+        let order: Vec<Value> = engine
+            .write_log
+            .lock()
+            .iter()
+            .map(|(_, v)| v.clone())
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                Value::from("burst-1"),
+                Value::from("ticket"),
+                Value::from("burst-2")
+            ],
+            "execution order is submission order"
+        );
+        fe.shutdown();
+    }
+
+    #[test]
+    fn engine_panic_on_the_inline_path_fails_the_burst_not_the_caller() {
+        use tb_common::{EngineOp, OpOutcome};
+        let poison = Key::from("poison-pill");
+        let engine = Arc::new(ProbeEngine {
+            panic_on: Some(poison.clone()),
+            ..ProbeEngine::default()
+        });
+        let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(1));
+        // Idle single shard: the whole burst runs on this thread.
+        let outcomes = KvEngine::apply_batch(
+            &fe,
+            vec![
+                EngineOp::Get(k(1)),
+                EngineOp::Put(poison, v(0)),
+                EngineOp::Get(k(2)),
+            ],
+        );
+        assert_eq!(
+            engine.batch_threads.lock().as_slice(),
+            [std::thread::current().id()],
+            "the burst ran inline"
+        );
+        for (i, outcome) in outcomes.iter().enumerate() {
+            assert!(
+                matches!(outcome, Err(Error::Unavailable(_))),
+                "op {i} of the panicked batch resolved {outcome:?}"
+            );
+        }
+        let snap = fe.stats().snapshot();
+        assert_eq!(snap.worker_panics, 1);
+        assert_eq!(snap.submitted, snap.completed);
+        assert_eq!(engine.syncs.load(Ordering::Relaxed), 0, "nothing applied");
+        // The shard is not left claimed: caller and worker keep serving.
+        let again = KvEngine::apply_batch(&fe, vec![EngineOp::Put(k(1), v(1))]);
+        assert!(matches!(again[0], Ok(OpOutcome::Done(_))));
+        assert_eq!(fe.get(&k(1)).unwrap(), Some(v(1)));
+        assert_eq!(fe.live_workers(0), 1);
+        fe.shutdown();
+    }
+
+    #[test]
+    fn queue_capacity_counts_ops_and_admits_an_oversized_sub_batch_when_empty() {
+        use tb_common::EngineOp;
+        let engine = ProbeEngine::shared();
+        let fe = Arc::new(Frontend::start(
+            engine.clone(),
+            FrontendConfig {
+                shards: 1,
+                queue_capacity: 4,
+                ..FrontendConfig::default()
+            },
+        ));
+        let gate = fe.submit(Request::Get(gate_key()));
+        wait_until("worker picks the gate up", || fe.queue_depth(0) == 0);
+        let burst = |from: usize, n: usize| {
+            let fe = fe.clone();
+            std::thread::spawn(move || {
+                let ops = (from..from + n)
+                    .map(|i| EngineOp::Put(k(i), v(i)))
+                    .collect();
+                KvEngine::apply_batch(&*fe, ops)
+            })
+        };
+        // 10 ops > capacity 4, but the queue is empty: admitted whole.
+        let oversized = burst(0, 10);
+        wait_until("oversized sub-batch is admitted", || {
+            fe.queue_depth(0) == 10
+        });
+        // Depth counts operations: the queue is full for everyone else.
+        match fe.try_submit(Request::Put(k(100), v(100))) {
+            Err(e @ Error::Backpressure { .. }) => assert!(e.queue_depth() >= Some(10), "{e:?}"),
+            other => panic!("expected backpressure, got {:?}", other.map(|_| ())),
+        }
+        // A small burst blocks (10 + 3 > 4) instead of being shed...
+        let small = burst(20, 3);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(fe.queue_depth(0), 10, "the small burst must wait");
+        // ...and nothing deadlocks once the worker drains.
+        engine.release_gate();
+        gate.wait().unwrap();
+        assert!(oversized.join().unwrap().iter().all(|o| o.is_ok()));
+        assert!(small.join().unwrap().iter().all(|o| o.is_ok()));
+        assert_eq!(engine.puts.load(Ordering::Relaxed), 13);
+        let snap = fe.stats().snapshot();
+        assert_eq!(snap.submitted, snap.completed);
+        assert_eq!(snap.backpressure_rejections, 1);
+        fe.shutdown();
+    }
+
+    #[test]
+    fn bursts_and_tickets_from_many_threads_agree_on_the_last_writer() {
+        use tb_common::EngineOp;
+        let engine = ProbeEngine::shared();
+        let fe = Arc::new(Frontend::start(
+            engine.clone(),
+            FrontendConfig::with_shards(2),
+        ));
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 60;
+        const KEYS: usize = 6;
+        let key = |t: usize, i: usize| Key::from(format!("t{t}-key-{i}"));
+        let val = |t: usize, round: usize, how: &str| Value::from(format!("{t}:{round}:{how}"));
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let fe = fe.clone();
+                s.spawn(move || {
+                    let mut tickets = Vec::new();
+                    for round in 0..ROUNDS {
+                        // Un-awaited tickets, then a burst over the same
+                        // keys: the burst must land after them.
+                        for i in 0..KEYS {
+                            tickets
+                                .push(fe.submit(Request::Put(key(t, i), val(t, round, "ticket"))));
+                        }
+                        let ops = (0..KEYS)
+                            .flat_map(|i| {
+                                [
+                                    EngineOp::Put(key(t, i), val(t, round, "burst")),
+                                    EngineOp::Get(key(t, i)),
+                                ]
+                            })
+                            .collect();
+                        let outcomes = KvEngine::apply_batch(&*fe, ops);
+                        for (i, pair) in outcomes.chunks(2).enumerate() {
+                            assert!(pair[0].is_ok(), "{:?}", pair[0]);
+                            assert_eq!(
+                                pair[1],
+                                Ok(tb_common::OpOutcome::Value(Some(val(t, round, "burst")))),
+                                "thread {t} round {round} key {i}"
+                            );
+                        }
+                    }
+                    for ticket in tickets {
+                        ticket.wait().unwrap();
+                    }
+                });
+            }
+        });
+        for t in 0..THREADS {
+            for i in 0..KEYS {
+                assert_eq!(
+                    fe.get(&key(t, i)).unwrap(),
+                    Some(val(t, ROUNDS - 1, "burst")),
+                    "last writer of thread {t} key {i}"
+                );
+            }
+        }
+        let snap = fe.stats().snapshot();
+        assert_eq!(snap.submitted, snap.completed);
+        assert_eq!(snap.worker_panics, 0);
         fe.shutdown();
     }
 

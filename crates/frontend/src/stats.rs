@@ -7,15 +7,18 @@ use tb_common::BatchReadStats;
 /// diagnostics, not synchronization.
 #[derive(Debug, Default)]
 pub struct FrontendStats {
-    /// Requests accepted into a shard queue.
+    /// Requests accepted by a shard: queued, or claimed inline as part
+    /// of a burst's sub-batch.
     pub submitted: AtomicU64,
     /// Requests resolved (successfully or not) — including requests a
     /// panicked batch abandoned, which resolve `Unavailable` and are
     /// reconciled by the worker so this converges to `submitted`.
     pub completed: AtomicU64,
-    /// Batches drained by shard workers.
+    /// Batches executed: drained by a shard worker, or run inline by a
+    /// burst's submitting thread.
     pub batches: AtomicU64,
-    /// `sync()` calls issued once per dirty batch (group commit).
+    /// Group-commit `sync()` calls: one per batch holding ticket
+    /// writes, one per burst holding writes.
     pub group_syncs: AtomicU64,
     /// `sync()` calls issued per write op (group commit disabled).
     pub per_op_syncs: AtomicU64,
@@ -27,8 +30,9 @@ pub struct FrontendStats {
     pub boosts: AtomicU64,
     /// Shrink decisions by the elastic controller.
     pub shrinks: AtomicU64,
-    /// Batches abandoned because an engine call panicked (their
-    /// requests resolved `Unavailable`; the worker survived).
+    /// Batches (or burst syncs) abandoned because an engine call
+    /// panicked: their requests resolved `Unavailable`; the executing
+    /// thread — worker or burst submitter — survived.
     pub worker_panics: AtomicU64,
 }
 

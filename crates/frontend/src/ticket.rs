@@ -24,8 +24,7 @@ pub enum Response {
     /// Write acknowledged — and durable, when the front-end runs in
     /// group-commit mode (the ack is delivered after the batch `sync`).
     /// Carries the covering [`Lsn`] per the `tb_common::engine` LSN/ack
-    /// contract ([`Lsn::NONE`] for LSN-less engines); a gathered
-    /// multi-part write acks the max across its parts.
+    /// contract ([`Lsn::NONE`] for LSN-less engines).
     Done(Lsn),
 }
 
@@ -51,11 +50,6 @@ enum TicketInner {
         parts: Vec<(Vec<usize>, Ticket)>,
         len: usize,
     },
-    /// A scattered cross-shard write (`MultiPut` split by shard):
-    /// resolves [`Response::Done`] once every part has; the first part
-    /// error fails the whole ticket. Parts commit independently —
-    /// cross-shard write atomicity is out of scope.
-    GatherAll { parts: Vec<Ticket> },
 }
 
 /// Worker-side handle; resolves the ticket exactly once.
@@ -84,13 +78,6 @@ pub(crate) fn ticket() -> (Ticket, Completer) {
 pub(crate) fn gather(parts: Vec<(Vec<usize>, Ticket)>, len: usize) -> Ticket {
     Ticket {
         inner: TicketInner::Gather { parts, len },
-    }
-}
-
-/// Builds a write gather: resolves `Done` after every part acked.
-pub(crate) fn gather_all(parts: Vec<Ticket>) -> Ticket {
-    Ticket {
-        inner: TicketInner::GatherAll { parts },
     }
 }
 
@@ -132,15 +119,6 @@ impl Ticket {
                 outcome.as_ref().expect("resolved").0.clone()
             }
             TicketInner::Gather { parts, len } => assemble(parts, *len, |t| t.wait()),
-            TicketInner::GatherAll { parts } => {
-                let mut lsn = Lsn::NONE;
-                for part in parts {
-                    if let Response::Done(l) = part.wait()? {
-                        lsn = lsn.max(l);
-                    }
-                }
-                Ok(Response::Done(lsn))
-            }
         }
     }
 
@@ -168,18 +146,6 @@ impl Ticket {
                 }
                 Some(assemble(parts, *len, |t| t.wait()))
             }
-            TicketInner::GatherAll { parts } => {
-                let mut lsn = Lsn::NONE;
-                for part in parts {
-                    let remaining = deadline.checked_duration_since(Instant::now())?;
-                    match part.wait_timeout(remaining)? {
-                        Err(e) => return Some(Err(e)),
-                        Ok(Response::Done(l)) => lsn = lsn.max(l),
-                        Ok(_) => {}
-                    }
-                }
-                Some(Ok(Response::Done(lsn)))
-            }
         }
     }
 
@@ -194,13 +160,6 @@ impl Ticket {
                     None
                 }
             }
-            TicketInner::GatherAll { parts } => {
-                if parts.iter().all(|t| t.is_done()) {
-                    Some(self.wait())
-                } else {
-                    None
-                }
-            }
         }
     }
 
@@ -209,7 +168,6 @@ impl Ticket {
         match &self.inner {
             TicketInner::Single(shared) => shared.outcome.lock().is_some(),
             TicketInner::Gather { parts, .. } => parts.iter().all(|(_, t)| t.is_done()),
-            TicketInner::GatherAll { parts } => parts.iter().all(|t| t.is_done()),
         }
     }
 
@@ -219,19 +177,14 @@ impl Ticket {
         match &self.inner {
             TicketInner::Single(shared) => shared.outcome.lock().as_ref().map(|(_, t)| *t),
             TicketInner::Gather { parts, .. } => {
-                Self::latest_completion(parts.iter().map(|(_, t)| t))
+                let mut latest = None;
+                for (_, part) in parts {
+                    let at = part.completed_at()?;
+                    latest = Some(latest.map_or(at, |l: Instant| l.max(at)));
+                }
+                latest
             }
-            TicketInner::GatherAll { parts } => Self::latest_completion(parts.iter()),
         }
-    }
-
-    fn latest_completion<'a>(parts: impl Iterator<Item = &'a Ticket>) -> Option<Instant> {
-        let mut latest = None;
-        for part in parts {
-            let at = part.completed_at()?;
-            latest = Some(latest.map_or(at, |l: Instant| l.max(at)));
-        }
-        latest
     }
 }
 
@@ -332,21 +285,6 @@ mod tests {
         c1.complete(Ok(Response::Values(vec![None])));
         c2.complete(Err(Error::backpressure("shard full")));
         assert!(matches!(g.wait(), Err(Error::Backpressure { .. })));
-    }
-
-    #[test]
-    fn gather_all_acks_the_max_part_lsn() {
-        let (t1, c1) = ticket();
-        let (t2, c2) = ticket();
-        let g = gather_all(vec![t1, t2]);
-        c1.complete(Ok(Response::Done(Lsn(9))));
-        c2.complete(Ok(Response::Done(Lsn(3))));
-        // The covering LSN of a multi-part write is the max part LSN.
-        assert_eq!(g.wait().unwrap(), Response::Done(Lsn(9)));
-        assert_eq!(
-            g.wait_timeout(Duration::from_millis(1)).unwrap().unwrap(),
-            Response::Done(Lsn(9))
-        );
     }
 
     #[test]

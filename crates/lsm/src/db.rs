@@ -176,6 +176,11 @@ struct Inner {
     /// `levels[0]` newest-first and overlapping; deeper levels are each
     /// one sorted run (possibly several non-overlapping tables).
     levels: Vec<Vec<Arc<SstReader>>>,
+    /// Highest LSN known durable: covered by a successful WAL sync, or
+    /// flushed into an SSTable (which is what lets the WAL reset).
+    /// While it equals `last_lsn`, [`KvEngine::sync`] has nothing to
+    /// make durable and skips the `fdatasync`.
+    synced_lsn: u64,
 }
 
 /// The LSM storage engine.
@@ -315,6 +320,9 @@ impl LsmDb {
                 memtable,
                 wal,
                 levels,
+                // Only the manifest's share is known durable: replayed
+                // WAL frames may have reached the OS but not the disk.
+                synced_lsn: manifest_lsn,
             }),
             next_file_id: AtomicU64::new(max_id + 1),
             last_lsn: AtomicU64::new(manifest_lsn.max(wal_lsn)),
@@ -937,7 +945,11 @@ impl LsmDb {
         // write failed above, memtable and L0 briefly hold duplicates;
         // reads stay correct and the next flush retries the manifest.)
         inner.memtable = Memtable::new();
-        inner.wal.reset()
+        inner.wal.reset()?;
+        // Every write sequenced so far is in a synced, manifest-listed
+        // table: durable without the (now empty) WAL.
+        inner.synced_lsn = self.last_lsn.load(Ordering::Relaxed);
+        Ok(())
     }
 
     fn maybe_compact(&self, inner: &mut Inner) -> Result<()> {
@@ -1187,9 +1199,18 @@ impl KvEngine for LsmDb {
     }
 
     fn sync(&self) -> Result<()> {
+        let mut inner = self.inner.write();
+        let last = self.last_lsn.load(Ordering::Relaxed);
+        if inner.synced_lsn == last {
+            // Nothing appended since the last durability point.
+            return Ok(());
+        }
         let t0 = tb_obs::start();
-        let synced = self.inner.write().wal.sync();
+        let synced = inner.wal.sync();
         tb_obs::histo!("lsm_wal_sync_ns").record_since(t0);
+        if synced.is_ok() {
+            inner.synced_lsn = last;
+        }
         synced
     }
 }
@@ -1567,9 +1588,9 @@ mod tests {
         for i in 0..40 {
             db.put(k(i), v(i, "pre")).unwrap();
         }
-        fault::arm_scoped("sst.sync", 1, FaultMode::Error);
+        let guard = fault::arm_scoped("sst.sync", 1, FaultMode::Error);
         let err = db.flush().unwrap_err();
-        fault::reset();
+        drop(guard);
         assert!(matches!(err, Error::FaultInjected(_)), "{err}");
         // The entries must still be served from memory — a failed flush
         // that empties the memtable silently loses acknowledged writes.
@@ -1601,9 +1622,9 @@ mod tests {
         for i in 0..30 {
             db.put(k(i), v(i, "r2")).unwrap();
         }
-        fault::arm_scoped("sst.write.data", 2, FaultMode::Error);
+        let guard = fault::arm_scoped("sst.write.data", 2, FaultMode::Error);
         let result = db.flush();
-        fault::reset();
+        drop(guard);
         assert!(
             matches!(result, Err(Error::FaultInjected(_))),
             "compaction table write was injected to fail: {result:?}"
@@ -1754,12 +1775,12 @@ mod tests {
             db.put(k(i), v(i, "f")).unwrap();
         }
         db.flush().unwrap();
-        fault::arm_scoped("batch.block_read", 1, FaultMode::Error);
+        let guard = fault::arm_scoped("batch.block_read", 1, FaultMode::Error);
         let outcomes = db.apply_batch(vec![
             EngineOp::Put(k(200), v(200, "w")), // write is unaffected
             EngineOp::Get(k(1)),                // staged read hits the fault
         ]);
-        fault::reset();
+        drop(guard);
         assert!(matches!(outcomes[0], Ok(OpOutcome::Done(_))));
         assert!(
             matches!(outcomes[1], Err(Error::FaultInjected(_))),
@@ -1856,10 +1877,10 @@ mod tests {
             for (which, db) in [(0, &inline), (1, &pooled)] {
                 // One Get per key (instead of one MultiGet) so per-slot
                 // error scoping is visible in the completions.
-                fault::arm_scoped("batch.block_read", hit, FaultMode::Error);
+                let guard = fault::arm_scoped("batch.block_read", hit, FaultMode::Error);
                 let per_key =
                     db.apply_batch(keys.iter().map(|key| EngineOp::Get(key.clone())).collect());
-                fault::reset();
+                drop(guard);
                 let errs: Vec<usize> = per_key
                     .iter()
                     .enumerate()
@@ -1974,7 +1995,7 @@ mod tests {
         db.flush().unwrap();
         // One table, 4 KiB blocks: the scan's range and the distant get
         // live in different blocks, and the scan's block sorts first.
-        fault::arm_scoped("batch.block_read", 1, FaultMode::Error);
+        let guard = fault::arm_scoped("batch.block_read", 1, FaultMode::Error);
         let outcomes = db.apply_batch(vec![
             EngineOp::Put(k(300), v(300, "w")),
             EngineOp::Scan {
@@ -1984,7 +2005,7 @@ mod tests {
             },
             EngineOp::Get(k(250)),
         ]);
-        fault::reset();
+        drop(guard);
         assert!(
             matches!(outcomes[0], Ok(OpOutcome::Done(_))),
             "write unaffected"
@@ -2157,10 +2178,10 @@ mod tests {
         for hit in 1..=total_fetches {
             let mut failed = Vec::new();
             for db in [&inline, &pooled] {
-                fault::arm_scoped("sst.block_decode", hit, FaultMode::Error);
+                let guard = fault::arm_scoped("sst.block_decode", hit, FaultMode::Error);
                 let per_key =
                     db.apply_batch(keys.iter().map(|key| EngineOp::Get(key.clone())).collect());
-                fault::reset();
+                drop(guard);
                 let errs: Vec<usize> = per_key
                     .iter()
                     .enumerate()
@@ -2215,9 +2236,9 @@ mod tests {
             let clean = db.apply_batch(probe.clone());
             assert_eq!(clean[0], Ok(OpOutcome::Value(Some(v(2, "p")))));
             assert_eq!(clean[1], Ok(OpOutcome::Value(Some(v(n - 2, "p")))));
-            fault::arm_scoped("batch.block_read", 1, FaultMode::Error);
+            let guard = fault::arm_scoped("batch.block_read", 1, FaultMode::Error);
             let outcomes = db.apply_batch(probe.clone());
-            fault::reset();
+            drop(guard);
             assert!(
                 matches!(outcomes[0], Err(Error::FaultInjected(_))),
                 "first staged fetch must carry the injected error: {:?}",

@@ -388,9 +388,9 @@ mod tests {
         wal.append(1, b"before-the-fault").unwrap();
         // The payload write fails after the header entered the buffer.
         // (Scoped: parallel tests in this binary must not trip it.)
-        fault::arm_scoped("wal.append.payload", 1, FaultMode::Error);
+        let guard = fault::arm_scoped("wal.append.payload", 1, FaultMode::Error);
         let err = wal.append(2, b"never-lands").unwrap_err();
-        fault::reset();
+        drop(guard);
         assert!(matches!(err, Error::FaultInjected(_)), "{err}");
         // The log stays usable and the next append lands right after
         // the last complete frame — no garbage in between.

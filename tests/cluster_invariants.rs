@@ -162,13 +162,12 @@ fn failed_ship_keeps_inventory_and_ack_aligned_through_rebalance() {
     for i in 0..64 {
         // Every single ship fails: each write errs (indeterminate ack)
         // but lands on the primary.
-        fault::arm_scoped("repl.ship", 1, FaultMode::Error);
+        let _guard = fault::arm_scoped("repl.ship", 1, FaultMode::Error);
         let err = handle
             .read()
             .put(Key::from(format!("s-{i}")), Value::from(format!("v{i}")));
         assert!(err.is_err(), "failed ship must not ack");
     }
-    fault::reset();
     assert_eq!(
         group.total_keys(),
         64,

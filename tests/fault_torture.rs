@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use tierbase::common::fault::{self, CrashPoint, FaultMode};
+use tierbase::common::fault::{self, CrashPoint, FaultGuard, FaultMode};
 use tierbase::common::{EngineOp, Error, Key, KvEngine, TestDir, Value};
 use tierbase::elastic::ElasticConfig;
 use tierbase::frontend::{Frontend, FrontendConfig};
@@ -41,8 +41,9 @@ use tierbase::lsm::{LsmConfig, LsmDb, FAULT_SITES, FAULT_WRITE_SITES};
 /// Hits per site when `TB_FAULT_SMOKE=1`.
 const SMOKE_HITS: u64 = 2;
 
-/// The fault registry is process-global: every test that arms it (or
-/// counts hits) serializes on this gate.
+/// Hit counters and process-wide injections ([`fault::arm`]) are seen
+/// by every thread: every test that arms or counts serializes on this
+/// gate.
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(PoisonError::into_inner)
@@ -357,17 +358,20 @@ fn run_once(
         if pipelined { "pipelined" } else { "raw" },
         if pool_threads > 0 { "+pool" } else { "" }
     );
-    fault::reset();
     let dir = fresh_dir(if pipelined { "pipe" } else { "raw" });
     let mut model = Model::default();
     let ops = script();
 
+    // Armed after the store opens, disarmed after it is dropped: the
+    // freeze a crash leaves behind covers everything the dying
+    // "process" could still write.
+    let plan;
     if pipelined {
         let db = Arc::new(LsmDb::open(torture_config(dir.path(), pool_threads)).unwrap());
         let fe = Frontend::start(db, frontend_config());
-        fault::arm(site, hit, mode);
+        plan = fault::arm(site, hit, mode);
         let crashed = run_workload(&fe, &ops, &mut model);
-        if !crashed && fault::fault_fired() {
+        if !crashed && plan.fired() {
             // Transient error: earlier acks must still be readable
             // through the live front-end before any reopen.
             model.verify(&fe, &format!("{ctx}:live"));
@@ -375,15 +379,15 @@ fn run_once(
         fe.shutdown();
     } else {
         let db = LsmDb::open(torture_config(dir.path(), pool_threads)).unwrap();
-        fault::arm(site, hit, mode);
+        plan = fault::arm(site, hit, mode);
         let crashed = run_workload(&db, &ops, &mut model);
-        if !crashed && fault::fault_fired() {
+        if !crashed && plan.fired() {
             model.verify(&db, &format!("{ctx}:live"));
         }
     }
 
-    let fired = fault::fault_fired();
-    fault::reset();
+    let fired = plan.fired();
+    drop(plan);
 
     // "Reboot": recover from the frozen disk image alone (with the
     // same pool setting, proving recovery works under it too).
@@ -443,7 +447,6 @@ fn cap_or(full: u64) -> u64 {
 #[test]
 fn fault_sites_all_reachable() {
     let _g = gate();
-    fault::reset();
     let dir = fresh_dir("probe");
     let db = LsmDb::open(torture_config(dir.path(), 0)).unwrap();
     fault::set_counting(true);
@@ -473,8 +476,66 @@ fn fault_sites_all_reachable() {
             "{site} missing from FAULT_SITES"
         );
     }
-    fault::reset();
+    fault::set_counting(false);
     model.verify(&db, "probe");
+}
+
+/// `LsmDb::sync` costs an `fdatasync` only when something was appended
+/// since the last durability point: worker-side and burst-side syncs
+/// overlap in mixed front-end traffic, and `TierBase::do_sync` syncs the
+/// storage tier even when its flush found nothing dirty. Pinned by the
+/// `wal.sync` site's hit count; a memtable flush (which resets the WAL)
+/// and a reopen must both leave the watermark valid.
+#[test]
+fn redundant_sync_costs_no_fdatasync() {
+    let _g = gate();
+    let dir = fresh_dir("syncfree");
+    let mut config = torture_config(dir.path(), 0);
+    config.memtable_bytes = 1 << 20; // flush only when the test says so
+    let db = LsmDb::open(config.clone()).unwrap();
+    fault::set_counting(true);
+    let syncs = || fault::hit_count("wal.sync");
+
+    db.sync().unwrap();
+    assert_eq!(syncs(), 0, "nothing was ever appended");
+    db.put(key(1), val(1)).unwrap();
+    db.sync().unwrap();
+    db.sync().unwrap();
+    assert_eq!(syncs(), 1, "the second sync had nothing to cover");
+    db.put(key(2), val(2)).unwrap();
+    db.put(key(3), val(3)).unwrap();
+    db.sync().unwrap();
+    assert_eq!(syncs(), 2, "one fdatasync covers both appends");
+
+    // A failed sync advances nothing: the retry pays again.
+    let plan = fault::arm("wal.sync", 1, FaultMode::Error);
+    db.put(key(4), val(4)).unwrap();
+    assert!(db.sync().is_err());
+    drop(plan);
+    db.sync().unwrap();
+    db.sync().unwrap();
+    assert_eq!(syncs(), 4, "failed attempt + one successful retry");
+
+    // The flush made every write durable in a table and emptied the
+    // WAL: nothing is left for a sync to do until the next append.
+    db.put(key(5), val(5)).unwrap();
+    db.flush().unwrap();
+    db.sync().unwrap();
+    assert_eq!(syncs(), 4, "flushed writes need no WAL sync");
+    db.put(key(6), val(6)).unwrap();
+    db.sync().unwrap();
+    assert_eq!(syncs(), 5);
+
+    // Reopen: replayed WAL frames count as unsynced exactly once.
+    drop(db);
+    let db = LsmDb::open(config).unwrap();
+    db.sync().unwrap();
+    db.sync().unwrap();
+    assert_eq!(syncs(), 6);
+    fault::set_counting(false);
+    for i in 1..=6 {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(val(i)));
+    }
 }
 
 /// The telemetry layer must be invisible to the fault schedule: whether
@@ -487,7 +548,6 @@ fn telemetry_does_not_perturb_fault_enumeration() {
     let _g = gate();
     let counts_with = |obs_on: bool, pool: usize| {
         tierbase::obs::set_enabled(obs_on);
-        fault::reset();
         let dir = fresh_dir("obs-invariance");
         let db = LsmDb::open(torture_config(dir.path(), pool)).unwrap();
         fault::set_counting(true);
@@ -495,7 +555,7 @@ fn telemetry_does_not_perturb_fault_enumeration() {
         let crashed = run_workload(&db, &script(), &mut model);
         assert!(!crashed, "no injection armed, nothing may crash");
         let counts = fault::hit_counts();
-        fault::reset();
+        fault::set_counting(false);
         counts
     };
     for pool in [0usize, 2] {
@@ -647,7 +707,6 @@ fn torn_write_torture_pipelined() {
 #[test]
 fn scan_batch_block_read_fault_fails_only_its_slots() {
     let _g = gate();
-    fault::reset();
     let dir = fresh_dir("scanfault");
     let config = torture_config(dir.path(), 0);
     {
@@ -697,9 +756,9 @@ fn scan_batch_block_read_fault_fails_only_its_slots() {
         for hit in 1..=cap_or(total_fetches) {
             let mut failed = Vec::new();
             for (which, db) in [("inline", &inline), ("pooled", &pooled)] {
-                fault::arm_scoped(site, hit, FaultMode::Error);
+                let plan = fault::arm_scoped(site, hit, FaultMode::Error);
                 let outcomes = db.apply_batch(ops());
-                fault::reset();
+                drop(plan);
                 let errs: Vec<usize> = outcomes
                     .iter()
                     .enumerate()
@@ -922,24 +981,28 @@ mod replication {
     /// faults: an armed `repl.promote`/`repl.apply` error or crash fires
     /// inside `run_failover`, after which the retry must *resume* the
     /// promotion without losing acked state.
-    fn failover_with_retries(group: &CoordinatorGroup, ctx: &str) -> bool {
+    fn failover_with_retries(
+        group: &CoordinatorGroup,
+        ctx: &str,
+        plan: &mut Option<FaultGuard>,
+    ) -> bool {
         let mut fired = false;
         for _ in 0..4 {
             let result = catch_unwind(AssertUnwindSafe(|| group.run_failover()));
-            fired |= fault::fault_fired();
+            fired |= plan.as_ref().is_some_and(FaultGuard::fired);
             match result {
                 Ok(Ok(ids)) => {
                     assert!(ids.contains(&NodeId(0)), "[{ctx}] node 0 not failed over");
                     return fired;
                 }
-                Ok(Err(_)) => fault::reset(),
+                Ok(Err(_)) => *plan = None,
                 Err(payload) => {
                     if payload.downcast_ref::<CrashPoint>().is_none() {
                         std::panic::resume_unwind(payload);
                     }
                     // Coordinator died mid-promotion; the next sweep
-                    // (fresh process: faults reset) resumes it.
-                    fault::reset();
+                    // (fresh process: plan disarmed) resumes it.
+                    *plan = None;
                 }
             }
         }
@@ -950,25 +1013,24 @@ mod replication {
     /// then a crash + failover, then byte-exact verification.
     fn run_repl_once(site: &'static str, hit: u64, mode: FaultMode) -> bool {
         let ctx = format!("repl:{site}#{hit}:{mode:?}");
-        fault::reset();
         let node = NodeStore::new(NodeId(0), map_engine()).with_replica_factory(map_engine);
         let group = CoordinatorGroup::bootstrap(1, vec![node]).unwrap();
         let handle = group.node(NodeId(0)).unwrap();
         let mut model = ReplModel::default();
-        fault::arm(site, hit, mode);
+        let mut plan = Some(fault::arm(site, hit, mode));
         run_repl_workload(&handle, &repl_script(), &mut model);
-        let mut fired = fault::fault_fired();
+        let mut fired = plan.as_ref().is_some_and(FaultGuard::fired);
 
         // The primary dies; a crash injection already froze the fault
-        // registry at the kill instant, so model the reboot by clearing
-        // it. An armed-but-unreached fault (`repl.promote`) stays armed
-        // and fires inside the failover below.
+        // registry at the kill instant, so model the reboot by dropping
+        // the plan. An armed-but-unreached fault (`repl.promote`) stays
+        // armed and fires inside the failover below.
         handle.read().crash();
         if fault::crash_fired().is_some() {
-            fault::reset();
+            plan = None;
         }
-        fired |= failover_with_retries(&group, &ctx);
-        fault::reset();
+        fired |= failover_with_retries(&group, &ctx, &mut plan);
+        drop(plan);
 
         let node = handle.read();
         let watermark = node.session_lsn();
@@ -1008,7 +1070,6 @@ mod replication {
     #[test]
     fn repl_sites_all_reachable() {
         let _g = gate();
-        fault::reset();
         let node = NodeStore::new(NodeId(0), map_engine()).with_replica_factory(map_engine);
         let group = CoordinatorGroup::bootstrap(1, vec![node]).unwrap();
         let handle = group.node(NodeId(0)).unwrap();
@@ -1026,7 +1087,7 @@ mod replication {
                 fault::hit_counts()
             );
         }
-        fault::reset();
+        fault::set_counting(false);
         model.verify(&handle.read(), handle.read().session_lsn(), "repl-probe");
     }
 
@@ -1072,13 +1133,12 @@ mod replication {
     fn client_acked_writes_survive_primary_crash_mid_ship() {
         let _g = gate();
         quiet_crash_panics();
-        fault::reset();
         let node = NodeStore::new(NodeId(0), map_engine()).with_replica_factory(map_engine);
         let group = Arc::new(CoordinatorGroup::bootstrap(1, vec![node]).unwrap());
         let client = ClusterClient::connect(group.clone());
         let handle = group.node(NodeId(0)).unwrap();
         let kill_at = 23;
-        fault::arm("repl.ship", kill_at, FaultMode::Crash);
+        let plan = fault::arm("repl.ship", kill_at, FaultMode::Crash);
         let mut acked: Vec<u32> = Vec::new();
         for i in 0..64u32 {
             let result = catch_unwind(AssertUnwindSafe(|| client.put(key(i), val(i))));
@@ -1103,7 +1163,7 @@ mod replication {
             "acked writes must have minted a session token"
         );
         handle.read().crash();
-        fault::reset();
+        drop(plan);
         // The first read triggers the client's transparent failover;
         // every acked write must satisfy the session token afterwards.
         for &i in &acked {
@@ -1151,15 +1211,15 @@ mod schedules {
     fn run_schedule(ops: &[Op], site: &'static str, hit: u64, mode: FaultMode, pool: usize) {
         let _g = gate();
         quiet_crash_panics();
-        fault::reset();
         let dir = fresh_dir("sched");
         let mut model = Model::default();
+        let plan;
         {
             let db = LsmDb::open(torture_config(dir.path(), pool)).unwrap();
-            fault::arm(site, hit, mode);
+            plan = fault::arm(site, hit, mode);
             run_workload(&db, ops, &mut model);
         }
-        fault::reset();
+        drop(plan);
         let db = LsmDb::open(torture_config(dir.path(), pool))
             .unwrap_or_else(|e| panic!("[{site}#{hit}:{mode:?}:pool{pool}] reopen failed: {e}"));
         model.verify(&db, &format!("sched:{site}#{hit}:{mode:?}:pool{pool}"));

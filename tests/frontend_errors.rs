@@ -14,7 +14,7 @@
 //! LSM engine runs in `tests/fault_torture.rs` (`error_torture_*`).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use tierbase::frontend::{Frontend, FrontendConfig, Request, Response};
@@ -28,11 +28,12 @@ use tierbase::prelude::*;
 /// * writing a key that starts with `boom:` panics;
 /// * `get("block:gate")` parks until [`FlakyEngine::release`] — lets a
 ///   test pin the shard worker while it queues a multi-request batch;
-/// * `sync()` fails while `fail_sync` is set.
+/// * `sync()` fails while `fail_sync` is set (and is counted either way).
 #[derive(Default)]
 struct FlakyEngine {
     map: Mutex<BTreeMap<Key, Value>>,
     fail_sync: AtomicBool,
+    syncs: AtomicU64,
     gate: Mutex<bool>,
     gate_cv: Condvar,
 }
@@ -96,6 +97,7 @@ impl KvEngine for FlakyEngine {
     }
 
     fn sync(&self) -> Result<()> {
+        self.syncs.fetch_add(1, Ordering::SeqCst);
         if self.fail_sync.load(Ordering::SeqCst) {
             return Err(Error::Io("scripted sync failure".into()));
         }
@@ -290,5 +292,44 @@ fn mixed_batch_reads_still_answer_when_writes_fail() {
     });
     assert!(matches!(w.wait(), Err(Error::FaultInjected(_))));
     assert_eq!(r.wait().unwrap(), Response::Value(Some(Value::from("s"))));
+    fe.shutdown();
+}
+
+#[test]
+fn burst_syncs_what_applied_even_when_a_sibling_slice_failed() {
+    let engine = Arc::new(FlakyEngine::default());
+    let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
+    // A healthy key on the other shard than the failing one.
+    let bad = Key::from("bad:slice");
+    let good = (0..)
+        .map(|i| Key::from(format!("good:{i}")))
+        .find(|key| fe.shard_of(key) != fe.shard_of(&bad))
+        .expect("some key lands on the other shard");
+
+    // One spanning MultiPut: its healthy slice applies, its other slice
+    // fails. The op reports the failure — and the burst still owes the
+    // applied slice its durability point (independent per-shard commit).
+    let outcomes = fe.apply_batch(vec![
+        EngineOp::MultiPut(vec![
+            (good.clone(), Value::from("kept")),
+            (bad.clone(), Value::from("lost")),
+        ]),
+        EngineOp::Get(good.clone()),
+    ]);
+    assert!(matches!(outcomes[0], Err(Error::FaultInjected(_))));
+    assert_eq!(outcomes[1], Ok(OpOutcome::Value(Some(Value::from("kept")))));
+    assert_eq!(engine.syncs.load(Ordering::SeqCst), 1);
+
+    // Nothing applied, nothing to sync; the failure stays in its slot.
+    let outcomes = fe.apply_batch(vec![
+        EngineOp::Put(bad, Value::from("x")),
+        EngineOp::Get(good),
+    ]);
+    assert!(matches!(outcomes[0], Err(Error::FaultInjected(_))));
+    assert!(outcomes[1].is_ok());
+    assert_eq!(engine.syncs.load(Ordering::SeqCst), 1);
+    assert_eq!(fe.stats().worker_panics.load(Ordering::Relaxed), 0);
+    let s = fe.stats().snapshot();
+    assert_eq!(s.submitted, s.completed);
     fe.shutdown();
 }
