@@ -10,18 +10,13 @@
 //! almost every block) and survives the pipelined front-end, whose
 //! workers lower each drained batch onto the same call.
 //!
-//! Two further tables extend the story past a single completion pass:
+//! Both paths run the same staged lookup and completion pass; a get is
+//! a one-lookup pass, so the get-loop rows count its blocks too.
 //!
-//! * **inline vs pooled** — the same clustered `apply_batch` schedule
-//!   with `read_pool_threads ∈ {0, N}`: identical `blocks_read` (same
-//!   dedup), but the pooled pass submits the fetch list to the shard
-//!   read pool as one chain, coalescing adjacent blocks into span
-//!   reads and overlapping the block IO;
-//! * **multi-node** — the same clustered batches through
-//!   `ClusterClient::multi_get` against pipelined cluster nodes over
-//!   pooled engines (group-by-owner, one batched engine call per
-//!   node), so the Fig-7/9-style scaling story crosses node
-//!   boundaries.
+//! A second table takes the story across node boundaries: the same
+//! clustered batches through `ClusterClient::multi_get` against
+//! pipelined cluster nodes (group-by-owner, one batched engine call per
+//! node), so the Fig-7/9-style scaling story crosses node boundaries.
 
 use std::sync::Arc;
 use tb_bench::{bench_dir, budget, print_table, BenchReport};
@@ -206,117 +201,23 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 
-    pooled_completion_pass(&mut report);
     cluster_multi_get(&mut report);
     report.write().expect("write bench report");
 }
 
-/// Inline vs pooled completion pass over one disk image. Large values
-/// (~2 KiB: two entries per 4 KiB block) make the clustered fetch list
-/// block-IO-heavy — the part the pool coalesces into span reads and
-/// overlaps across its workers. Same staging, same dedup: `blocks_read`
-/// must match exactly; only the wall clock moves.
-fn pooled_completion_pass(report: &mut BenchReport) {
-    let records = budget(12_000);
-    let lookups = budget(48_000);
-    let dir = bench_dir("batch-api-pool");
-    {
-        let db = LsmDb::open(LsmConfig::new(&dir)).expect("open lsm");
-        for i in 0..records {
-            db.put(key(i), big_value(i)).unwrap();
-        }
-        db.flush().unwrap();
-    }
-
-    let batches = schedule(records, lookups, true);
-    let mut rows = Vec::new();
-    let mut inline_kqps = 0.0;
-    let mut inline_blocks = 0;
-    for pool_threads in [0usize, 3] {
-        let mut config = LsmConfig::new(&dir);
-        config.read_pool_threads = pool_threads;
-        let db = LsmDb::open(config).expect("reopen lsm");
-        let before = KvEngine::batch_read_stats(&db);
-        let t0 = std::time::Instant::now();
-        let mut hits = 0u64;
-        for batch in &batches {
-            match db
-                .apply_batch(vec![EngineOp::MultiGet(batch.clone())])
-                .pop()
-                .expect("one op submitted")
-            {
-                Ok(OpOutcome::Values(values)) => hits += values.iter().flatten().count() as u64,
-                other => panic!("unexpected outcome {other:?}"),
-            }
-        }
-        let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-        assert_eq!(hits, lookups, "every scheduled key was loaded");
-        let after = KvEngine::batch_read_stats(&db);
-        let blocks = after.blocks_read - before.blocks_read;
-        let kqps = lookups as f64 / elapsed / 1000.0;
-        if pool_threads == 0 {
-            inline_kqps = kqps;
-            inline_blocks = blocks;
-        } else {
-            // Same dedup either way: the pool overlaps IO, it must not
-            // change what is read.
-            assert_eq!(
-                blocks, inline_blocks,
-                "pooled pass read a different block set than inline"
-            );
-        }
-        report.add_values(
-            format!("completion-pool{pool_threads}"),
-            &[
-                ("kqps", kqps),
-                ("blocks_read", blocks as f64),
-                (
-                    "pool_fetches",
-                    (after.parallel_fetches - before.parallel_fetches) as f64,
-                ),
-            ],
-        );
-        rows.push(vec![
-            if pool_threads == 0 {
-                "inline completion".into()
-            } else {
-                format!("read pool ({pool_threads} threads)")
-            },
-            format!("{kqps:.1}"),
-            format!("{:.2}x", kqps / inline_kqps),
-            format!("{blocks}"),
-            format!("{}", after.parallel_fetches - before.parallel_fetches),
-            format!("{}", after.read_pool_queue_depth),
-        ]);
-    }
-    print_table(
-        "Completion pass: inline vs shard read pool (clustered apply_batch)",
-        &[
-            "completion",
-            "kqps",
-            "vs-inline",
-            "blocks_read",
-            "pool_fetches",
-            "pool_depth_hwm",
-        ],
-        &rows,
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The same clustered batches through a 3-node in-process cluster:
 /// `ClusterClient::multi_get` groups keys per owner, each pipelined
-/// node lowers its group onto one pooled `apply_batch` — the batch
-/// story across node boundaries, vs a per-key client get loop.
+/// node lowers its group onto one `apply_batch` — the batch story
+/// across node boundaries, vs a per-key client get loop. Large values
+/// (~2 KiB: two entries per 4 KiB block) make the fetch list
+/// block-IO-heavy.
 fn cluster_multi_get(report: &mut BenchReport) {
     let records = budget(12_000);
     let lookups = budget(24_000);
     let dir = bench_dir("batch-api-cluster");
     let dbs: Vec<Arc<LsmDb>> = (0..3)
         .map(|i| {
-            let mut config = LsmConfig::new(dir.join(format!("n{i}")));
-            config.read_pool_threads = 2;
-            Arc::new(LsmDb::open(config).expect("open node lsm"))
+            Arc::new(LsmDb::open(LsmConfig::new(dir.join(format!("n{i}")))).expect("open node lsm"))
         })
         .collect();
     let nodes = dbs
@@ -342,13 +243,13 @@ fn cluster_multi_get(report: &mut BenchReport) {
     let batches = schedule(records, lookups, true);
     let mut rows = Vec::new();
     let mut loop_kqps = 0.0;
-    let pooled_fetches = |dbs: &[Arc<LsmDb>]| -> u64 {
+    let blocks_read = |dbs: &[Arc<LsmDb>]| -> u64 {
         dbs.iter()
-            .map(|db| KvEngine::batch_read_stats(db.as_ref()).parallel_fetches)
+            .map(|db| KvEngine::batch_read_stats(db.as_ref()).blocks_read)
             .sum()
     };
     for batched in [false, true] {
-        let before = pooled_fetches(&dbs);
+        let before = blocks_read(&dbs);
         let t0 = std::time::Instant::now();
         let mut hits = 0u64;
         for batch in &batches {
@@ -369,14 +270,14 @@ fn cluster_multi_get(report: &mut BenchReport) {
         if !batched {
             loop_kqps = kqps;
         }
-        let pooled = pooled_fetches(&dbs) - before;
+        let blocks = blocks_read(&dbs) - before;
         report.add_values(
             if batched {
                 "cluster-multi_get"
             } else {
                 "cluster-get-loop"
             },
-            &[("kqps", kqps), ("pool_fetches", pooled as f64)],
+            &[("kqps", kqps), ("blocks_read", blocks as f64)],
         );
         rows.push(vec![
             if batched {
@@ -387,18 +288,18 @@ fn cluster_multi_get(report: &mut BenchReport) {
             "3 nodes".into(),
             format!("{kqps:.1}"),
             format!("{:.2}x", kqps / loop_kqps),
-            format!("{pooled}"),
+            format!("{blocks}"),
         ]);
     }
     print_table(
-        "Cluster: per-key gets vs grouped multi_get (pipelined pooled nodes)",
-        &["path", "topology", "kqps", "vs-loop", "pool_fetches"],
+        "Cluster: per-key gets vs grouped multi_get (pipelined nodes)",
+        &["path", "topology", "kqps", "vs-loop", "blocks_read"],
         &rows,
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// ~2 KiB values for the pooled/cluster tables: block IO dominates.
+/// ~2 KiB values for the cluster table: block IO dominates.
 fn big_value(i: u64) -> Value {
     Value::from(format!("value-{i}-{}", "z".repeat(2000)))
 }

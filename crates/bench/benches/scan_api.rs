@@ -9,18 +9,15 @@
 //! blocks the loop does, and dedups them against any point lookups in
 //! the same batch.
 //!
-//! Three tables:
+//! Two tables:
 //!
 //! * **scan path** — get loop vs batched scans (several `Scan` ops per
-//!   `apply_batch`), printing the engine's `scan_blocks_read` share;
-//! * **inline vs pooled** — the same scan schedule with
-//!   `read_pool_threads ∈ {0, N}`: identical `blocks_read` (staging
-//!   and dedup decide *what* is read, the pool only overlaps it), plus
-//!   an each-block-once check: a batch that scans a range *and* point-
-//!   reads keys inside it must not re-fetch the scanned blocks;
+//!   `apply_batch`), printing the engine's `scan_blocks_read` share,
+//!   plus an each-block-once check: a batch that scans a range *and*
+//!   point-reads keys inside it must not re-fetch the scanned blocks;
 //! * **fan-out** — the same scans against one pipelined front-end
-//!   shard vs `ClusterClient::scan` across 3 pipelined pooled nodes
-//!   (fan-out to every owner, k-way merge, global re-limit).
+//!   shard vs `ClusterClient::scan` across 3 pipelined nodes (fan-out
+//!   to every owner, k-way merge, global re-limit).
 
 use std::sync::Arc;
 use tb_bench::{bench_dir, budget, print_table, BenchReport};
@@ -192,146 +189,49 @@ fn main() {
         ],
         &rows,
     );
+    points_ride_the_scanned_blocks(&db);
     let _ = std::fs::remove_dir_all(&dir);
 
-    pooled_scan_pass(&mut report);
     fanout_scan(&mut report);
     report.write().expect("write bench report");
 }
 
-/// Inline vs pooled completion pass over the same scan schedule. Same
-/// staging, same dedup: `blocks_read` must match exactly; only the
-/// wall clock moves. Also proves each needed block is fetched at most
-/// once per batch: a batch that scans a range and then point-reads
-/// every fifth key inside it stages no extra block fetches — the point
-/// slots resolve from the blocks the scan already staged.
-fn pooled_scan_pass(report: &mut BenchReport) {
-    let records = budget(10_000);
-    let scans = budget(2_000);
-    let dir = bench_dir("scan-api-pool");
-    {
-        let db = LsmDb::open(LsmConfig::new(&dir)).expect("open lsm");
-        for i in 0..records {
-            db.put(key(i), value(i)).unwrap();
-        }
-        db.flush().unwrap();
-    }
-
-    let batches = schedule(records, scans);
-    let mut rows = Vec::new();
-    let mut inline_krps = 0.0;
-    let mut inline_blocks = 0;
-    for pool_threads in [0usize, 3] {
-        let mut config = LsmConfig::new(&dir);
-        config.read_pool_threads = pool_threads;
-        let db = LsmDb::open(config).expect("reopen lsm");
-        let before = KvEngine::batch_read_stats(&db);
-        let t0 = std::time::Instant::now();
-        let mut fetched = 0u64;
-        for batch in &batches {
-            for outcome in db.apply_batch(scan_ops(batch)) {
-                match outcome {
-                    Ok(OpOutcome::Range(pairs)) => fetched += pairs.len() as u64,
-                    other => panic!("unexpected outcome {other:?}"),
-                }
-            }
-        }
-        let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-        assert_eq!(fetched, scans * SCAN_LEN as u64, "every scheduled row");
-        let after = KvEngine::batch_read_stats(&db);
-        let blocks = after.blocks_read - before.blocks_read;
-        let krps = fetched as f64 / elapsed / 1000.0;
-        if pool_threads == 0 {
-            inline_krps = krps;
-            inline_blocks = blocks;
-        } else {
-            // Staging decides what is read; the pool only overlaps it.
-            assert_eq!(
-                blocks, inline_blocks,
-                "pooled scan pass read a different block set than inline"
-            );
-        }
-
-        // Each-block-once check: scan a range, then point-read keys
-        // inside it *in the same batch* — the point lookups must ride
-        // the blocks the scan staged instead of re-fetching them.
-        let mixed_start = 0u64;
-        let mut ops = vec![EngineOp::Scan {
-            start: key(mixed_start),
-            end: Some(key(mixed_start + SCAN_LEN as u64)),
-            limit: SCAN_LEN,
-        }];
-        ops.extend(
-            (0..SCAN_LEN as u64)
-                .step_by(5)
-                .map(|j| EngineOp::Get(key(mixed_start + j))),
-        );
-        let solo_blocks = {
-            let b = KvEngine::batch_read_stats(&db);
-            db.apply_batch(scan_ops(&[(
-                key(mixed_start),
-                key(mixed_start + SCAN_LEN as u64),
-            )]))
-            .pop()
-            .unwrap()
-            .unwrap();
-            KvEngine::batch_read_stats(&db).blocks_read - b.blocks_read
-        };
-        let b = KvEngine::batch_read_stats(&db);
-        for outcome in db.apply_batch(ops) {
-            outcome.unwrap();
-        }
-        let mixed = KvEngine::batch_read_stats(&db);
-        let mixed_blocks = mixed.blocks_read - b.blocks_read;
-        assert!(
-            mixed_blocks <= solo_blocks,
-            "point reads inside a scanned range re-fetched blocks: \
-             scan-only {solo_blocks}, scan+points {mixed_blocks}"
-        );
-        assert!(
-            mixed.block_dedup_hits > b.block_dedup_hits,
-            "point reads inside a scanned range did not dedup"
-        );
-
-        report.add_values(
-            format!("completion-pool{pool_threads}"),
-            &[
-                ("krows_per_s", krps),
-                ("blocks_read", blocks as f64),
-                (
-                    "pool_fetches",
-                    (after.parallel_fetches - before.parallel_fetches) as f64,
-                ),
-            ],
-        );
-        rows.push(vec![
-            if pool_threads == 0 {
-                "inline completion".into()
-            } else {
-                format!("read pool ({pool_threads} threads)")
-            },
-            format!("{krps:.1}"),
-            format!("{:.2}x", krps / inline_krps),
-            format!("{blocks}"),
-            format!("{}", after.parallel_fetches - before.parallel_fetches),
-        ]);
-    }
-    print_table(
-        "Scan completion: inline vs shard read pool (each block once per batch)",
-        &[
-            "completion",
-            "krows/s",
-            "vs-inline",
-            "blocks_read",
-            "pool_fetches",
-        ],
-        &rows,
+/// Each needed block is fetched at most once per batch: a batch that
+/// scans a range and then point-reads every fifth key inside it stages
+/// no extra block fetches — the point slots resolve from the blocks the
+/// scan already staged.
+fn points_ride_the_scanned_blocks(db: &LsmDb) {
+    let range = (key(0), key(SCAN_LEN as u64));
+    let mut ops = scan_ops(std::slice::from_ref(&range));
+    ops.extend(
+        (0..SCAN_LEN as u64)
+            .step_by(5)
+            .map(|j| EngineOp::Get(key(j))),
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    let before = KvEngine::batch_read_stats(db);
+    db.apply_batch(scan_ops(&[range])).pop().unwrap().unwrap();
+    let solo = KvEngine::batch_read_stats(db);
+    for outcome in db.apply_batch(ops) {
+        outcome.unwrap();
+    }
+    let mixed = KvEngine::batch_read_stats(db);
+    let (solo_blocks, mixed_blocks) = (
+        solo.blocks_read - before.blocks_read,
+        mixed.blocks_read - solo.blocks_read,
+    );
+    assert!(
+        mixed_blocks <= solo_blocks,
+        "point reads inside a scanned range re-fetched blocks: \
+         scan-only {solo_blocks}, scan+points {mixed_blocks}"
+    );
+    assert!(
+        mixed.block_dedup_hits > solo.block_dedup_hits,
+        "point reads inside a scanned range did not dedup"
+    );
 }
 
 /// The same scans against one pipelined front-end shard vs
-/// `ClusterClient::scan` across 3 pipelined pooled nodes: hash
+/// `ClusterClient::scan` across 3 pipelined nodes: hash
 /// placement scatters every range over all owners, so the client fans
 /// out, k-way-merges the per-node rows, and re-applies the limit.
 fn fanout_scan(report: &mut BenchReport) {
@@ -341,11 +241,7 @@ fn fanout_scan(report: &mut BenchReport) {
 
     // Per-shard baseline: one node's worth of data behind one
     // pipelined front-end.
-    let solo = {
-        let mut config = LsmConfig::new(dir.join("solo"));
-        config.read_pool_threads = 2;
-        Arc::new(LsmDb::open(config).expect("open solo lsm"))
-    };
+    let solo = Arc::new(LsmDb::open(LsmConfig::new(dir.join("solo"))).expect("open solo lsm"));
     for i in 0..records {
         solo.put(key(i), value(i)).unwrap();
     }
@@ -357,9 +253,7 @@ fn fanout_scan(report: &mut BenchReport) {
 
     let dbs: Vec<Arc<LsmDb>> = (0..3)
         .map(|i| {
-            let mut config = LsmConfig::new(dir.join(format!("n{i}")));
-            config.read_pool_threads = 2;
-            Arc::new(LsmDb::open(config).expect("open node lsm"))
+            Arc::new(LsmDb::open(LsmConfig::new(dir.join(format!("n{i}")))).expect("open node lsm"))
         })
         .collect();
     let nodes = dbs

@@ -255,18 +255,6 @@ impl ShardedCache {
         }
     }
 
-    /// Live entries whose key starts with `prefix`, sorted by key.
-    /// Read-only: no recency updates, no stats, no reclamation.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Key, CacheEntry)> {
-        let now = self.clock.now_nanos();
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.lock().scan_prefix(prefix, now));
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
     /// Live entries with `start <= key < end` (`end = None` =
     /// unbounded above), sorted by key. Read-only: no recency updates,
     /// no stats, no reclamation.

@@ -377,28 +377,9 @@ impl LruShard {
         out
     }
 
-    /// Entries whose key starts with `prefix` and are live at
-    /// `now_nanos` (expired entries are skipped, not reclaimed — scans
-    /// stay read-only). Does not touch recency.
-    pub fn scan_prefix(&self, prefix: &[u8], now_nanos: u64) -> Vec<(Key, CacheEntry)> {
-        self.map
-            .iter()
-            .filter(|(k, _)| k.as_slice().starts_with(prefix))
-            .filter_map(|(k, &idx)| {
-                let e = &self.slab[idx].entry;
-                if tb_common::is_expired(e.expires_at, now_nanos) {
-                    None
-                } else {
-                    Some((k.clone(), e.clone()))
-                }
-            })
-            .collect()
-    }
-
     /// Entries with `start <= key < end` (`end = None` = unbounded
-    /// above) that are live at `now_nanos`. Same read-only contract as
-    /// [`LruShard::scan_prefix`]: expired entries are skipped, not
-    /// reclaimed, and recency is untouched.
+    /// above) that are live at `now_nanos`: expired entries are skipped,
+    /// not reclaimed — scans stay read-only — and recency is untouched.
     pub fn scan_range(
         &self,
         start: &[u8],

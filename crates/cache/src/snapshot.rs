@@ -30,7 +30,7 @@ const FLAG_HAS_EXPIRY: u8 = 0b10;
 /// entries written. Expired entries are omitted; dirty flags and expiry
 /// deadlines are preserved.
 pub fn write_snapshot(cache: &ShardedCache, path: &Path) -> Result<usize> {
-    let entries = cache.scan_prefix(b"");
+    let entries = cache.scan_range(b"", None);
     let mut body = Vec::with_capacity(entries.len() * 64 + 16);
     body.push(SNAPSHOT_VERSION);
     write_varint(&mut body, entries.len() as u64);

@@ -629,11 +629,7 @@ mod tests {
         let dir = tb_common::test_dir("tb-cluster-batch");
         let dbs: Vec<Arc<tb_lsm::LsmDb>> = (0..2)
             .map(|i| {
-                // One engine per node with a small parallel read pool:
-                // the client's grouped batches land on the pooled
-                // completion pass end to end.
-                let mut config = tb_lsm::LsmConfig::small_for_tests(dir.join(format!("n{i}")));
-                config.read_pool_threads = 2;
+                let config = tb_lsm::LsmConfig::small_for_tests(dir.join(format!("n{i}")));
                 Arc::new(tb_lsm::LsmDb::open(config).unwrap())
             })
             .collect();

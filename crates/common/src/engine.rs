@@ -119,15 +119,6 @@ pub struct BatchReadStats {
     /// Batched lookups resolved from the in-memory write buffer without
     /// staging any storage read.
     pub memtable_hits: u64,
-    /// Blocks fetched through the engine's parallel read pool (subset
-    /// of `blocks_read`; zero when the pool is disabled or absent).
-    pub parallel_fetches: u64,
-    /// High-water mark of block fetches outstanding in the read pool at
-    /// once — how deep the overlapped completion pass actually got.
-    pub read_pool_queue_depth: u64,
-    /// Block fetches outstanding in the read pool *right now*. The hwm
-    /// above can never fall; this can, so a drained pool is visible.
-    pub read_pool_depth: u64,
     /// Storage blocks staged on behalf of range scans (pre-dedup: a
     /// block shared with a point lookup in the same batch counts here
     /// *and* toward `block_dedup_hits`). Zero for engines without a

@@ -25,5 +25,5 @@ pub use hash::{fx_hash, slot_for_key, FxBuildHasher, SLOT_COUNT};
 pub use histogram::Histogram;
 pub use testutil::{test_dir, TestDir};
 pub use ttl::{deadline_after, is_expired, TtlState};
-pub use types::{Key, Value};
+pub use types::{prefix_successor, Key, Value};
 pub use varint::{read_varint, write_varint};

@@ -91,6 +91,21 @@ macro_rules! bytes_newtype_impls {
 bytes_newtype_impls!(Key);
 bytes_newtype_impls!(Value);
 
+/// Smallest key strictly greater than every key starting with `prefix`
+/// — the exclusive end of the range scan `[prefix, end)` that serves a
+/// prefix scan — or `None` when no such bound exists (empty prefix or
+/// all `0xff` bytes: the range is unbounded above).
+pub fn prefix_successor(prefix: &[u8]) -> Option<Key> {
+    let mut up = prefix.to_vec();
+    while let Some(last) = up.pop() {
+        if last != 0xff {
+            up.push(last + 1);
+            return Some(Key::from(up));
+        }
+    }
+    None
+}
+
 fn hex(b: &[u8]) -> String {
     const TABLE: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(b.len() * 2);
@@ -130,6 +145,14 @@ mod tests {
         assert_eq!(format!("{k:?}"), "Key(\"abc\")");
         let b = Key::from(vec![0u8, 255]);
         assert_eq!(format!("{b:?}"), "Key(0x00ff)");
+    }
+
+    #[test]
+    fn prefix_successor_edge_cases() {
+        assert_eq!(prefix_successor(b"abc"), Some(Key::from("abd")));
+        assert_eq!(prefix_successor(b"a\xff"), Some(Key::from("b")));
+        assert_eq!(prefix_successor(b"\xff\xff"), None);
+        assert_eq!(prefix_successor(b""), None);
     }
 
     #[test]

@@ -64,9 +64,15 @@ pub const MAX_TRAIN_SAMPLES: usize = 512;
 pub const MAX_DICT_BYTES: usize = 4096;
 
 /// Longest block a compressed frame may hold; longer blocks are stored.
-/// A compressed frame's `uncompressed_len` sizes the decode buffer, so
-/// the reader refuses anything above this before allocating.
+/// A compressed frame's `uncompressed_len` bounds the decode, so the
+/// reader refuses anything above this before decoding.
 pub const MAX_COMPRESSED_BLOCK_LEN: usize = 64 << 20;
+
+/// Up-front output reservation per decoded LZ token (`tb-benchmark`'s
+/// `lz` blocks decode to ~1.5 bytes per token); a block that expands
+/// further grows its buffer as it decodes instead of trusting the
+/// frame header.
+const LZ_RESERVE_PER_TOKEN: usize = 4;
 
 /// The entropy tables are trained on one block in
 /// [`TRAIN_BLOCK_STRIDE`] (evenly spaced), at most this many: the
@@ -231,7 +237,9 @@ impl LzCoder {
     /// Decodes a payload that must yield exactly `ulen` bytes. Every
     /// length in the payload is checked against the bytes present (a
     /// code is at least one bit) and against `ulen` before it sizes
-    /// anything.
+    /// anything; `ulen` itself sits in the frame header, outside the
+    /// CRC, so the output is reserved at most [`LZ_RESERVE_PER_TOKEN`]
+    /// bytes per decoded token and grows past that only as it decodes.
     fn decode(&self, payload: &[u8], ulen: usize) -> Result<Vec<u8>> {
         let mut pos = 0usize;
         let ctrl_len = read_varint(payload, &mut pos)?;
@@ -252,7 +260,8 @@ impl LzCoder {
         bits.finish()?;
         let (ctrl, lit) = tokens.split_at(ctrl_len);
         let dict = self.dict.as_ref().map_or(&[][..], |d| d.as_bytes());
-        lz_decode(SplitSource::new(ctrl, lit), dict, ulen, ulen)
+        let reserve = ulen.min(tokens.len().saturating_mul(LZ_RESERVE_PER_TOKEN));
+        lz_decode(SplitSource::new(ctrl, lit), dict, reserve, ulen)
     }
 }
 

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use tb_cache::{CacheConfig, Lookup, ReplicatedCache};
 use tb_common::{
-    deadline_after, is_expired, read_varint, write_varint, Error, Key, KvEngine, Result, TtlState,
-    Value,
+    deadline_after, is_expired, prefix_successor, read_varint, write_varint, Error, Key, KvEngine,
+    Result, TtlState, Value,
 };
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
 use tb_elastic::ElasticGate;
@@ -794,26 +794,10 @@ impl Inner {
         }
     }
 
+    /// A prefix scan is the range scan `[prefix, prefix_successor)`.
     fn do_scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Key, Value)>> {
-        let now = self.config.clock.now_nanos();
-        let mut merged: std::collections::BTreeMap<Key, Value> = std::collections::BTreeMap::new();
-        if let Some(storage) = &self.storage {
-            for (key, stored) in storage.scan_prefix(prefix)? {
-                let (value, expires_at) = self.decode_envelope(&stored)?;
-                if !is_expired(expires_at, now) {
-                    merged.insert(key, value);
-                }
-            }
-        }
-        // Cache entries are at least as fresh as storage (strictly
-        // fresher under write-back), so they win the merge.
-        for (key, entry) in self.cache.primary().scan_prefix(prefix) {
-            let (value, expires_at) = self.decode_envelope(&entry.value)?;
-            if !is_expired(expires_at, now) {
-                merged.insert(key, value);
-            }
-        }
-        Ok(merged.into_iter().collect())
+        let end = prefix_successor(prefix);
+        self.do_scan_range(&Key::copy_from(prefix), end.as_ref(), usize::MAX)
     }
 
     fn do_scan_range(

@@ -16,12 +16,8 @@
 //!   submission/completion path — `tb-lsm` — resolves the batch's
 //!   reads in one overlapped storage pass instead of serializing them
 //!   behind per-op block IO (TierBase §4.1.2 batches the remote tier
-//!   the same way). With `LsmConfig::read_pool_threads > 0` that pass
-//!   additionally fans the batch's deduped block fetches out over the
-//!   engine's shard-local read pool — one pool per engine, so every
-//!   worker draining a shard (elastically boosted siblings included)
-//!   shares it rather than spawning fetch threads of its own; the pool
-//!   counters surface through [`Frontend::stats_snapshot`]. And
+//!   the same way); the engine's read counters surface through
+//!   [`Frontend::stats_snapshot`]. And
 //! * group-commits: one `sync()` per dirty batch instead of one per
 //!   write, acknowledging ticket writes only after the batch is durable
 //!   (a burst's writes wait for the burst's own single `sync()`).

@@ -7,6 +7,10 @@
 use std::hash::Hasher;
 use tb_common::hash::FxHasher;
 
+/// Most probes per key a filter may use (`new` clamps to this; a
+/// decoded filter claiming more is corrupt).
+const MAX_PROBES: u32 = 12;
+
 /// A fixed-size bloom filter.
 #[derive(Clone)]
 pub struct BloomFilter {
@@ -40,7 +44,7 @@ impl BloomFilter {
         }
         let n_bits = (expected_items.max(1) * bits_per_key.max(1)).next_power_of_two() as u64;
         // Optimal k = ln2 * bits/key, clamped to a sane range.
-        let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 12);
+        let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, MAX_PROBES);
         Self {
             bits: vec![0u64; (n_bits / 64).max(1) as usize],
             n_bits,
@@ -88,8 +92,13 @@ impl BloomFilter {
         let n_bits = u64::from_le_bytes(data[0..8].try_into().ok()?);
         let k = u32::from_le_bytes(data[8..12].try_into().ok()?);
         let words = &data[12..];
-        // k == 0 is the valid pass-through (bloom-disabled) encoding.
-        if !words.len().is_multiple_of(8) || (words.len() as u64 * 8) < n_bits {
+        // k == 0 is the valid pass-through (bloom-disabled) encoding;
+        // probing needs at least one bit to reduce into.
+        if !words.len().is_multiple_of(8)
+            || (words.len() as u64 * 8) < n_bits
+            || k > MAX_PROBES
+            || (k > 0 && n_bits == 0)
+        {
             return None;
         }
         let bits = words
@@ -152,6 +161,16 @@ mod tests {
         bytes.extend_from_slice(&4u32.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 8]);
         assert!(BloomFilter::from_bytes(&bytes).is_none());
+        // Probing zero bits would divide by zero; too many probes spin.
+        let forged = |n_bits: u64, k: u32| {
+            let mut bytes = n_bits.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&k.to_le_bytes());
+            bytes.extend_from_slice(&[0xffu8; 8]);
+            BloomFilter::from_bytes(&bytes)
+        };
+        assert!(forged(0, 1).is_none());
+        assert!(forged(64, MAX_PROBES + 1).is_none());
+        assert!(forged(0, 0).is_some_and(|f| f.may_contain(b"k")));
     }
 
     #[test]

@@ -5,17 +5,24 @@
 //! SSTable named by a durably-written manifest. Recovery = load
 //! manifest, open tables, replay WAL.
 //!
-//! Concurrency: one `RwLock` around the whole tree. Reads share the
-//! lock (including their block I/O); writes serialize. This favors
-//! simplicity — the engine's role in TierBase is the *storage tier*,
-//! whose throughput the paper models as RPC-bounded anyway.
+//! Read path: every SSTable lookup — point get, CAS read, batched get,
+//! range scan — is staged (memtable probe, then the candidate
+//! `(table, block)` pairs each table's range/bloom/index admits) and
+//! completed by one function, `LsmDb::fetch`, which dedups the staged
+//! blocks, reads each once and hands them to the find/merge step.
+//!
+//! Concurrency: one `RwLock` around the whole tree. Staging shares the
+//! lock; block I/O runs after it drops, against `Arc`-pinned tables
+//! (only a CAS keeps the write lock across its read). Writes serialize.
+//! This favors simplicity — the engine's role in TierBase is the
+//! *storage tier*, whose throughput the paper models as RPC-bounded
+//! anyway.
 
 use crate::compaction::{level_bytes, level_limit, merge_runs};
 use crate::memtable::{Entry, Memtable};
-use crate::read_pool::{FetchJob, ReadPool};
 use crate::sstable::{
-    decode_block, find_in_block, sync_parent_dir, write_sstable_with_stats, BlockBuf,
-    SstBuildStats, SstConfig, SstDecodeStats, SstMeta, SstReader,
+    decode_block, find_in_block, sync_parent_dir, write_sstable_with_stats, SstBuildStats,
+    SstConfig, SstDecodeStats, SstMeta, SstReader,
 };
 use crate::wal::{SyncPolicy, Wal};
 use parking_lot::RwLock;
@@ -46,14 +53,6 @@ pub struct LsmConfig {
     pub sst: SstConfig,
     /// WAL sync policy.
     pub wal_sync: SyncPolicy,
-    /// Worker threads of the shard-local block-fetch pool used by the
-    /// batched read path ([`LsmDb::apply_batch`]'s completion pass).
-    /// `0` (the default) keeps the inline path: staged reads fetched
-    /// sequentially on the submitting thread. With a pool, the deduped
-    /// fetch list is submitted as one chain — adjacent blocks coalesce
-    /// into span reads, fetches overlap across workers, results still
-    /// fill in submission order.
-    pub read_pool_threads: usize,
 }
 
 impl LsmConfig {
@@ -66,7 +65,6 @@ impl LsmConfig {
             max_level: 4,
             sst: SstConfig::default(),
             wal_sync: SyncPolicy::OsBuffer,
-            read_pool_threads: 0,
         }
     }
 
@@ -91,18 +89,14 @@ pub struct LsmStats {
     pub puts: AtomicU64,
     /// [`LsmDb::apply_batch`] invocations.
     pub batches: AtomicU64,
-    /// Unique SSTable blocks fetched by batched reads.
+    /// Unique SSTable blocks fetched by staged reads (point gets, CAS
+    /// reads, batches and scans — every completion pass).
     pub batch_blocks_read: AtomicU64,
     /// Staged block references satisfied by a block another key in the
-    /// same batch already fetched.
+    /// same pass already fetched.
     pub batch_block_dedup_hits: AtomicU64,
-    /// Batched lookups resolved from the memtable without staging IO.
+    /// Lookups resolved from the memtable without staging IO.
     pub batch_memtable_hits: AtomicU64,
-    /// Blocks fetched through the read pool (subset of
-    /// `batch_blocks_read`; zero with `read_pool_threads = 0`).
-    pub batch_parallel_fetches: AtomicU64,
-    /// High-water mark of block fetches outstanding in the pool at once.
-    pub read_pool_queue_depth: AtomicU64,
     /// Block references staged by scans, pre-dedup (the scan share of
     /// the batch fetch lists — lets scan traffic be told apart from
     /// point reads).
@@ -135,17 +129,35 @@ impl LsmStats {
     }
 }
 
-/// One batched lookup after the submission pass.
+/// A staged block reference: block `.1` of table `.0`, pinned so the
+/// completion pass reads a consistent snapshot after the lock drops.
+type Cand = (Arc<SstReader>, usize);
+
+/// One lookup after staging.
 enum Lookup {
     /// Resolved without block IO: memtable hit, or every table ruled
     /// the key out (range/bloom).
     Ready(Option<Value>),
-    /// Staged: `candidates[start..end]` of the batch's shared arena
-    /// holds this key's `(table, block)` pairs in table-priority order;
-    /// the completion pass searches them against the batch's deduped
-    /// block fetches. (One arena per batch, not one Vec per key — a
-    /// point lookup must not pay an allocation for being batched.)
+    /// Staged: `cands[start..end]` of the pass's shared arena holds
+    /// this key's `(table, block)` pairs in table-priority order; the
+    /// completion pass searches them against its deduped block fetches.
+    /// (One arena per pass, not one Vec per key — a lookup must not pay
+    /// an allocation for being batched.)
     Staged { key: Key, start: usize, end: usize },
+}
+
+/// A staged range scan: `cands[cands.start..cands.end]` holds every
+/// block of every overlapping table, pushed in table-priority order
+/// (memtable entries, the highest priority, are snapshotted into
+/// `base` at staging). The completion pass decodes the staged blocks —
+/// deduped and fetched alongside the pass's point lookups — and merges
+/// newest-wins.
+struct StagedScan {
+    start: Key,
+    end: Option<Key>,
+    limit: usize,
+    base: Vec<(Key, Entry)>,
+    cands: std::ops::Range<usize>,
 }
 
 /// One submitted op after the submission pass: writes and memtable-only
@@ -154,20 +166,77 @@ enum Slot {
     Done(Result<OpOutcome>),
     Get(Lookup),
     MultiGet(Vec<Lookup>),
-    /// A staged range scan: `candidates[cand_start..cand_end]` holds
-    /// every block of every overlapping table, pushed in table-priority
-    /// order (memtable entries, the highest priority, are snapshotted
-    /// into `base` at submission). The completion pass decodes the
-    /// staged blocks — deduped and fetched alongside the batch's point
-    /// lookups — and merges newest-wins.
-    Scan {
-        start: Key,
-        end: Option<Key>,
-        limit: usize,
-        base: Vec<(Key, Entry)>,
-        cand_start: usize,
-        cand_end: usize,
-    },
+    Scan(StagedScan),
+}
+
+/// The blocks one completion pass fetched, shared by every staged
+/// lookup and scan of the pass.
+struct Fetched {
+    /// `batch.complete` gate: an aborted pass fetched nothing and fails
+    /// every staged slot.
+    pass: Result<()>,
+    /// `slot_of[c]` = index into `blocks` serving candidate `c`.
+    slot_of: Vec<u32>,
+    blocks: Vec<Result<Vec<u8>>>,
+}
+
+impl Fetched {
+    /// The fetched blocks behind `cands[range]`, in staging order.
+    fn blocks(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = Result<&[u8]>> {
+        self.slot_of[range]
+            .iter()
+            .map(|&slot| self.blocks[slot as usize].as_deref().map_err(Clone::clone))
+    }
+
+    /// Completes a lookup: the first staged block (in table-priority
+    /// order) holding the key answers it; a failed fetch fails this
+    /// lookup alone.
+    fn lookup(&self, lookup: Lookup) -> Result<Option<Value>> {
+        let (key, start, end) = match lookup {
+            Lookup::Ready(v) => return Ok(v),
+            Lookup::Staged { key, start, end } => (key, start, end),
+        };
+        self.pass.clone()?;
+        for block in self.blocks(start..end) {
+            if let Some(entry) = find_in_block(block?, &key)? {
+                return Ok(entry.as_option().cloned());
+            }
+        }
+        Ok(None)
+    }
+
+    /// Completes a staged scan: decode its blocks (any failed fetch
+    /// fails this scan alone), merge newest-wins — memtable snapshot
+    /// first, then tables in priority order (`or_insert` keeps the
+    /// freshest version) — drop tombstones, truncate.
+    fn scan(&self, scan: StagedScan) -> Result<Vec<(Key, Value)>> {
+        let StagedScan {
+            start,
+            end,
+            limit,
+            base,
+            cands,
+        } = scan;
+        if !cands.is_empty() {
+            self.pass.clone()?;
+        }
+        let mut merged: std::collections::BTreeMap<Key, Entry> = base.into_iter().collect();
+        for block in self.blocks(cands) {
+            for (key, entry) in decode_block(block?)? {
+                if key >= start && end.as_ref().is_none_or(|e| &key < e) {
+                    merged.entry(key).or_insert(entry);
+                }
+            }
+        }
+        Ok(merged
+            .into_iter()
+            .filter_map(|(k, e)| match e {
+                Entry::Put(v) => Some((k, v)),
+                Entry::Tombstone => None,
+            })
+            .take(limit)
+            .collect())
+    }
 }
 
 struct Inner {
@@ -194,10 +263,6 @@ pub struct LsmDb {
     /// resets on flush, so frames alone cannot carry the high-water
     /// mark across a flush boundary).
     last_lsn: AtomicU64,
-    /// Shard-local block-fetch pool (`config.read_pool_threads > 0`).
-    /// One pool per engine: every front-end worker draining batches
-    /// onto this shard — boosted siblings included — shares it.
-    read_pool: Option<ReadPool>,
     pub stats: Arc<LsmStats>,
     /// Keeps this engine's counters contributing to
     /// [`tb_obs::global`] snapshots; deregisters on drop.
@@ -265,11 +330,8 @@ impl LsmDb {
             }
         }
 
-        let read_pool =
-            (config.read_pool_threads > 0).then(|| ReadPool::new(config.read_pool_threads));
         let obs = {
             let stats = stats.clone();
-            let pool_depth = read_pool.as_ref().map(ReadPool::depth_handle);
             tb_obs::global().register_source(move |b| {
                 let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
                 b.counter("lsm_flushes", c(&stats.flushes));
@@ -283,10 +345,6 @@ impl LsmDb {
                     c(&stats.batch_block_dedup_hits),
                 );
                 b.counter("lsm_batch_memtable_hits", c(&stats.batch_memtable_hits));
-                b.counter(
-                    "lsm_batch_parallel_fetches",
-                    c(&stats.batch_parallel_fetches),
-                );
                 b.counter(
                     "lsm_batch_scan_blocks_read",
                     c(&stats.batch_scan_blocks_read),
@@ -309,10 +367,6 @@ impl LsmDb {
                     "lsm_block_decode_errors",
                     c(&stats.decode.block_decode_errors),
                 );
-                if let Some(depth) = &pool_depth {
-                    b.gauge("lsm_read_pool_queue_depth", depth.current() as i64);
-                    b.gauge("lsm_read_pool_queue_depth_hwm", depth.high_water() as i64);
-                }
             })
         };
         Ok(Self {
@@ -327,15 +381,9 @@ impl LsmDb {
             next_file_id: AtomicU64::new(max_id + 1),
             last_lsn: AtomicU64::new(manifest_lsn.max(wal_lsn)),
             config,
-            read_pool,
             stats,
             _obs: obs,
         })
-    }
-
-    /// Threads in the shard-local read pool (0 = inline completion).
-    pub fn read_pool_threads(&self) -> usize {
-        self.read_pool.as_ref().map_or(0, ReadPool::threads)
     }
 
     /// Inserts or overwrites a key.
@@ -373,27 +421,21 @@ impl LsmDb {
         Ok(lsn)
     }
 
-    /// Point lookup through memtable and levels.
+    /// Point lookup: staged under the read lock, its candidate blocks
+    /// fetched by the completion pass after the lock drops.
     pub fn get(&self, key: &Key) -> Result<Option<Value>> {
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        Self::get_locked(&self.inner.read(), key)
+        let mut cands = Vec::new();
+        let lookup = self.stage_lookup(&self.inner.read(), key.clone(), &mut cands);
+        self.complete_one(lookup, &cands)
     }
 
-    fn get_locked(inner: &Inner, key: &Key) -> Result<Option<Value>> {
-        if let Some(entry) = inner.memtable.get(key) {
-            return Ok(entry.as_option().cloned());
+    /// Completes one staged lookup on its own completion pass (none
+    /// when staging already resolved it).
+    fn complete_one(&self, lookup: Lookup, cands: &[Cand]) -> Result<Option<Value>> {
+        match lookup {
+            Lookup::Ready(v) => Ok(v),
+            staged => self.fetch(cands).lookup(staged),
         }
-        for level in &inner.levels {
-            for table in level {
-                if let Some(entry) = table.get(key)? {
-                    return Ok(match entry {
-                        Entry::Put(v) => Some(v),
-                        Entry::Tombstone => None,
-                    });
-                }
-            }
-        }
-        Ok(None)
     }
 
     /// Atomic compare-and-set: the read, the comparison, and the write
@@ -405,6 +447,9 @@ impl LsmDb {
         self.cas_locked(&mut inner, key, expected, new).map(|_| ())
     }
 
+    /// The CAS read stages and completes like any lookup, but under the
+    /// caller's write lock, so later ops observe its effect — the one
+    /// read that holds the tree lock across block IO.
     fn cas_locked(
         &self,
         inner: &mut Inner,
@@ -412,7 +457,9 @@ impl LsmDb {
         expected: Option<&Value>,
         new: Value,
     ) -> Result<u64> {
-        let current = Self::get_locked(inner, &key)?;
+        let mut cands = Vec::new();
+        let lookup = self.stage_lookup(inner, key.clone(), &mut cands);
+        let current = self.complete_one(lookup, &cands)?;
         let matches = match (current.as_ref(), expected) {
             (Some(c), Some(e)) => c == e,
             (None, None) => true,
@@ -435,22 +482,12 @@ impl LsmDb {
     /// submission order; lookups resolve immediately from the memtable
     /// or from a range/bloom rule-out, and otherwise *stage* their
     /// candidate `(table, block)` pairs against the level state they
-    /// observed. Completion pass, after the lock drops: the staged
-    /// block reads are deduped and fetched in `(table, block)` order —
-    /// each block is read once per batch and shared across every key
-    /// that needs it — then results fill in submission order. The
-    /// staged tables are `Arc`-pinned, so the pass reads a consistent
-    /// snapshot even if a concurrent flush or compaction rewrites the
-    /// levels in between.
-    ///
-    /// With `read_pool_threads > 0` the completion pass submits the
-    /// deduped fetch list to the shard's [`ReadPool`] as one chain:
-    /// adjacent blocks coalesce into span reads, fetches overlap across
-    /// pool workers, blocks complete out of order into the shared
-    /// arena, and results still fill in submission order. Semantics are
-    /// identical to the inline path — same blocks, same dedup counters,
-    /// same per-slot error scoping, positionally identical
-    /// `batch.block_read` fault behavior.
+    /// observed. Completion pass (`fetch`, shared with point gets and
+    /// CAS reads), after the lock drops: each staged block is read once
+    /// per batch and shared across every key that needs it, then
+    /// results fill in submission order. The staged tables are
+    /// `Arc`-pinned, so the pass reads a consistent snapshot even if a
+    /// concurrent flush or compaction rewrites the levels in between.
     pub fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         let has_write = ops.iter().any(|op| {
@@ -467,7 +504,7 @@ impl LsmDb {
         // One shared candidate arena for the whole batch; each staged
         // lookup owns a range of it.
         let submit_t0 = tb_obs::start();
-        let mut cands: Vec<(Arc<SstReader>, usize)> = Vec::new();
+        let mut cands: Vec<Cand> = Vec::new();
         let slots: Vec<Slot> = if has_write {
             let mut inner = self.inner.write();
             ops.into_iter()
@@ -476,127 +513,82 @@ impl LsmDb {
         } else {
             let inner = self.inner.read();
             ops.into_iter()
-                .map(|op| match op {
-                    EngineOp::Get(key) => Slot::Get(self.stage_lookup(&inner, key, &mut cands)),
-                    EngineOp::MultiGet(keys) => Slot::MultiGet(
-                        keys.into_iter()
-                            .map(|k| self.stage_lookup(&inner, k, &mut cands))
-                            .collect(),
-                    ),
-                    EngineOp::Scan { start, end, limit } => {
-                        self.stage_scan(&inner, start, end, limit, &mut cands)
-                    }
-                    _ => unreachable!("write ops take the write-lock path"),
-                })
+                .map(|op| self.stage_read(&inner, op, &mut cands))
                 .collect()
         };
-
         tb_obs::histo!("lsm_batch_submit_ns").record_since(submit_t0);
 
         // --- completion pass (no tree lock held) ---------------------
-        // Dedup the staged reads: sort the candidate references by
-        // `(table, block)` — each table's fetches issue sequentially —
-        // then fetch each distinct block once, shared by every
-        // candidate that references it.
-        let staged_refs = cands.len() as u64;
-        let mut order: Vec<u32> = (0..cands.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| {
+        let fetched = self.fetch(&cands);
+        let merge_t0 = tb_obs::start();
+        let outcomes = slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Done(r) => r,
+                Slot::Get(l) => fetched.lookup(l).map(OpOutcome::Value),
+                Slot::MultiGet(ls) => ls
+                    .into_iter()
+                    .map(|l| fetched.lookup(l))
+                    .collect::<Result<Vec<_>>>()
+                    .map(OpOutcome::Values),
+                Slot::Scan(scan) => fetched.scan(scan).map(OpOutcome::Range),
+            })
+            .collect();
+        tb_obs::histo!("lsm_batch_merge_ns").record_since(merge_t0);
+        outcomes
+    }
+
+    /// The completion pass — the one place SSTable blocks are read
+    /// outside compaction input. Dedups the staged references (sorted
+    /// by `(table, block)`, so each table's fetches issue in order),
+    /// fetches each distinct block once, and counts the pass.
+    ///
+    /// Fault gates run in that sorted fetch order (positional
+    /// determinism): `batch.complete` aborts a pass that has blocks to
+    /// fetch; per fetch, `batch.block_read` fails it outright, and a
+    /// surviving fetch then draws its `sst.block_decode` decision — a
+    /// hit mangles the frame so the slots reading it fail with the same
+    /// `Error::Corruption` a rotted disk would cause.
+    fn fetch(&self, cands: &[Cand]) -> Fetched {
+        let block_of = |i: u32| {
             let (table, idx) = &cands[i as usize];
             (table.meta.id, *idx)
-        });
-        // `slot_of[c]` = index into `fetches` serving candidate `c`.
+        };
+        // Sorted candidate indices, deduped in place down to one per
+        // distinct block: `fetches[..distinct]`.
+        let mut fetches: Vec<u32> = (0..cands.len() as u32).collect();
+        fetches.sort_unstable_by_key(|&i| block_of(i));
         let mut slot_of = vec![0u32; cands.len()];
-        let mut fetches: Vec<u32> = Vec::new();
-        for &i in &order {
-            let (table, idx) = &cands[i as usize];
-            let duplicate = fetches.last().is_some_and(|&j| {
-                let (t, b) = &cands[j as usize];
-                t.meta.id == table.meta.id && b == idx
-            });
-            if !duplicate {
-                fetches.push(i);
+        let mut distinct = 0;
+        for r in 0..fetches.len() {
+            let i = fetches[r];
+            if distinct == 0 || block_of(fetches[distinct - 1]) != block_of(i) {
+                fetches[distinct] = i;
+                distinct += 1;
             }
-            slot_of[i as usize] = fetches.len() as u32 - 1;
+            slot_of[i as usize] = distinct as u32 - 1;
         }
+        fetches.truncate(distinct);
         let pass = if fetches.is_empty() {
             Ok(())
         } else {
             fault::hit("batch.complete")
         };
         let fetch_t0 = tb_obs::start();
-        // Both fault passes run here, on the submitting thread, in the
-        // same sorted fetch order whether or not a pool is configured
-        // (positional determinism): `batch.block_read` fails the fetch
-        // outright; a surviving fetch then draws its `sst.block_decode`
-        // decision — a hit marks the block corrupt, and its frame is
-        // deterministically mangled at decode time so the slot fails
-        // with the same `Error::Corruption` a rotted disk would cause.
-        let decide = || -> Result<bool> {
-            fault::hit("batch.block_read")?;
-            Ok(fault::hit("sst.block_decode").is_err())
-        };
-        let blocks: Vec<Result<BlockBuf>> = if pass.is_err() {
+        let blocks: Vec<Result<Vec<u8>>> = if pass.is_err() || fetches.is_empty() {
             Vec::new()
-        } else if let Some(pool) = &self.read_pool {
-            // Pooled fetch: the whole deduped list goes to the shard's
-            // read pool as one chain — adjacent blocks coalesce into
-            // span reads, fetches overlap across pool workers (plus
-            // this thread), and results return in submission order.
-            //
-            // Fault decisions are drawn *here*, pre-dispatch (see
-            // `decide` above): a `batch.block_read`-faulted fetch is
-            // never dispatched — its error scopes to the slots
-            // referencing that block alone, exactly like an inline read
-            // error — while a corrupt-marked fetch is dispatched and
-            // fails at decode on whichever thread claims it.
-            let gates: Vec<Result<bool>> = fetches.iter().map(|_| decide()).collect();
-            let jobs: Vec<FetchJob> = fetches
-                .iter()
-                .zip(&gates)
-                .filter_map(|(&i, gate)| {
-                    let corrupt = *gate.as_ref().ok()?;
-                    let (table, idx) = &cands[i as usize];
-                    Some(FetchJob {
-                        table: table.clone(),
-                        block: *idx,
-                        corrupt,
-                    })
-                })
-                .collect();
-            self.stats
-                .batch_parallel_fetches
-                .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-            // Dispatch-to-completion span over the pooled chain: slow
-            // batches show up in the tracer with the fetch count as
-            // detail, and the same window feeds the pool histogram.
-            let mut span = tb_obs::tracer().span("lsm.read_pool.fetch");
-            if let Some(s) = span.as_mut() {
-                s.set_detail(jobs.len() as u64);
-            }
-            let pool_t0 = tb_obs::start();
-            let mut pooled = pool.fetch_chain(&jobs).into_iter();
-            tb_obs::histo!("lsm_read_pool_fetch_ns").record_since(pool_t0);
-            drop(span);
-            self.stats
-                .read_pool_queue_depth
-                .fetch_max(pool.queue_depth_high_water(), Ordering::Relaxed);
-            gates
-                .into_iter()
-                .map(|gate| match gate {
-                    Ok(_) => pooled.next().expect("one pooled result per clean fetch"),
-                    Err(e) => Err(e),
-                })
-                .collect()
         } else {
+            let mut span = tb_obs::tracer().span("lsm.batch.fetch");
+            if let Some(s) = span.as_mut() {
+                s.set_detail(fetches.len() as u64);
+            }
             fetches
                 .iter()
                 .map(|&i| {
                     let (table, idx) = &cands[i as usize];
-                    decide().and_then(|corrupt| {
-                        table
-                            .read_block_marked(*idx, corrupt)
-                            .map(BlockBuf::from_vec)
-                    })
+                    fault::hit("batch.block_read")?;
+                    let corrupt = fault::hit("sst.block_decode").is_err();
+                    table.read_block_marked(*idx, corrupt)
                 })
                 .collect()
         };
@@ -609,108 +601,19 @@ impl LsmDb {
                 .fetch_add(fetches.len() as u64, Ordering::Relaxed);
             self.stats
                 .batch_block_dedup_hits
-                .fetch_add(staged_refs - fetches.len() as u64, Ordering::Relaxed);
+                .fetch_add((cands.len() - fetches.len()) as u64, Ordering::Relaxed);
         }
-
-        let complete = |lookup: Lookup| -> Result<Option<Value>> {
-            match lookup {
-                Lookup::Ready(v) => Ok(v),
-                Lookup::Staged { key, start, end } => {
-                    pass.clone()?;
-                    for slot in &slot_of[start..end] {
-                        match &blocks[*slot as usize] {
-                            Err(e) => return Err(e.clone()),
-                            Ok(bytes) => {
-                                if let Some(entry) = find_in_block(bytes.as_slice(), &key)? {
-                                    return Ok(entry.as_option().cloned());
-                                }
-                            }
-                        }
-                    }
-                    Ok(None)
-                }
-            }
-        };
-        // Completes a staged scan: decode its staged blocks (any failed
-        // fetch fails this slot alone), merge newest-wins — memtable
-        // snapshot first, then tables in priority order (`or_insert`
-        // keeps the freshest version) — drop tombstones, truncate.
-        let complete_scan = |start: Key,
-                             end: Option<Key>,
-                             limit: usize,
-                             base: Vec<(Key, Entry)>,
-                             cand_start: usize,
-                             cand_end: usize|
-         -> Result<Vec<(Key, Value)>> {
-            if cand_start < cand_end {
-                pass.clone()?;
-            }
-            let mut merged: std::collections::BTreeMap<Key, Entry> = base.into_iter().collect();
-            for slot in &slot_of[cand_start..cand_end] {
-                match &blocks[*slot as usize] {
-                    Err(e) => return Err(e.clone()),
-                    Ok(bytes) => {
-                        for (key, entry) in decode_block(bytes.as_slice())? {
-                            if key >= start && end.as_ref().is_none_or(|e| &key < e) {
-                                merged.entry(key).or_insert(entry);
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(merged
-                .into_iter()
-                .filter_map(|(k, e)| match e {
-                    Entry::Put(v) => Some((k, v)),
-                    Entry::Tombstone => None,
-                })
-                .take(limit)
-                .collect())
-        };
-        let merge_t0 = tb_obs::start();
-        let outcomes = slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Done(r) => r,
-                Slot::Get(l) => complete(l).map(OpOutcome::Value),
-                Slot::MultiGet(ls) => ls
-                    .into_iter()
-                    .map(&complete)
-                    .collect::<Result<Vec<_>>>()
-                    .map(OpOutcome::Values),
-                Slot::Scan {
-                    start,
-                    end,
-                    limit,
-                    base,
-                    cand_start,
-                    cand_end,
-                } => complete_scan(start, end, limit, base, cand_start, cand_end)
-                    .map(OpOutcome::Range),
-            })
-            .collect();
-        tb_obs::histo!("lsm_batch_merge_ns").record_since(merge_t0);
-        outcomes
+        Fetched {
+            pass,
+            slot_of,
+            blocks,
+        }
     }
 
     /// Applies one submitted op under the tree's write lock (writes run
     /// now, in submission order; lookups resolve or stage).
-    fn submit_op(
-        &self,
-        inner: &mut Inner,
-        op: EngineOp,
-        cands: &mut Vec<(Arc<SstReader>, usize)>,
-    ) -> Slot {
+    fn submit_op(&self, inner: &mut Inner, op: EngineOp, cands: &mut Vec<Cand>) -> Slot {
         match op {
-            EngineOp::Get(key) => Slot::Get(self.stage_lookup(inner, key, cands)),
-            EngineOp::MultiGet(keys) => Slot::MultiGet(
-                keys.into_iter()
-                    .map(|k| self.stage_lookup(inner, k, cands))
-                    .collect(),
-            ),
-            EngineOp::Scan { start, end, limit } => {
-                self.stage_scan(inner, start, end, limit, cands)
-            }
             EngineOp::Put(key, value) => {
                 self.stats.puts.fetch_add(1, Ordering::Relaxed);
                 Slot::Done(
@@ -722,9 +625,9 @@ impl LsmDb {
                 self.write_locked(inner, key, Entry::Tombstone)
                     .map(|l| OpOutcome::Done(Lsn(l))),
             ),
-            // CAS reads its expectation synchronously (possibly block
-            // IO) so later ops in the batch observe its effect — the
-            // rare op pays; pure lookups stay overlapped.
+            // CAS completes its read now (possibly block IO) so later
+            // ops in the batch observe its effect — the rare op pays;
+            // pure lookups stay staged.
             EngineOp::Cas { key, expected, new } => Slot::Done(
                 self.cas_locked(inner, key, expected.as_ref(), new)
                     .map(|l| OpOutcome::Done(Lsn(l))),
@@ -742,18 +645,31 @@ impl LsmDb {
                 }
                 Slot::Done(result.map(|l| OpOutcome::Done(Lsn(l))))
             }
+            read => self.stage_read(inner, read, cands),
         }
     }
 
-    /// Resolves a batched lookup from the memtable, or stages its
-    /// candidate blocks (into the batch's shared arena) against the
-    /// current level state.
-    fn stage_lookup(
-        &self,
-        inner: &Inner,
-        key: Key,
-        cands: &mut Vec<(Arc<SstReader>, usize)>,
-    ) -> Lookup {
+    /// Stages one read op (`Get`, `MultiGet`, `Scan`) against the level
+    /// state under the caller's lock.
+    fn stage_read(&self, inner: &Inner, op: EngineOp, cands: &mut Vec<Cand>) -> Slot {
+        match op {
+            EngineOp::Get(key) => Slot::Get(self.stage_lookup(inner, key, cands)),
+            EngineOp::MultiGet(keys) => Slot::MultiGet(
+                keys.into_iter()
+                    .map(|k| self.stage_lookup(inner, k, cands))
+                    .collect(),
+            ),
+            EngineOp::Scan { start, end, limit } => {
+                self.stage_scan(inner, start, end, limit, cands)
+            }
+            write => unreachable!("write op {write:?} staged as a read"),
+        }
+    }
+
+    /// Resolves a lookup from the memtable, or stages its candidate
+    /// blocks (into the pass's shared arena) against the current level
+    /// state.
+    fn stage_lookup(&self, inner: &Inner, key: Key, cands: &mut Vec<Cand>) -> Lookup {
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         if let Some(entry) = inner.memtable.get(&key) {
             self.stats
@@ -783,19 +699,18 @@ impl LsmDb {
     /// Stages a range scan against the level state it observed: the
     /// memtable's contribution is snapshotted immediately (cheap —
     /// refcounted key/value handles), and every block of every
-    /// overlapping table joins the batch's shared candidate arena in
+    /// overlapping table joins the pass's shared candidate arena in
     /// table-priority order, so scan fetches dedup against the batch's
-    /// point lookups and ride the same (possibly pooled) fetch list.
-    /// Unbounded scans (`end = None`) stage the full overlapping block
-    /// range regardless of `limit` — O(range), not O(limit); callers
-    /// wanting cheap bounded scans should bound `end`.
+    /// point lookups. Unbounded scans (`end = None`) stage the full
+    /// overlapping block range regardless of `limit` — O(range), not
+    /// O(limit); callers wanting cheap bounded scans should bound `end`.
     fn stage_scan(
         &self,
         inner: &Inner,
         start: Key,
         end: Option<Key>,
         limit: usize,
-        cands: &mut Vec<(Arc<SstReader>, usize)>,
+        cands: &mut Vec<Cand>,
     ) -> Slot {
         self.stats.scans.fetch_add(1, Ordering::Relaxed);
         let empty_range = end.as_ref().is_some_and(|e| e <= &start);
@@ -820,59 +735,19 @@ impl LsmDb {
         self.stats
             .batch_scan_blocks_read
             .fetch_add((cands.len() - cand_start) as u64, Ordering::Relaxed);
-        Slot::Scan {
+        Slot::Scan(StagedScan {
             start,
             end,
             limit,
             base,
-            cand_start,
-            cand_end: cands.len(),
-        }
-    }
-
-    /// Ordered scan of all live keys starting with `prefix`, merging
-    /// the memtable and every level with newest-wins semantics.
-    /// Tombstones shadow older versions and are dropped from the
-    /// result. SSTables whose `[min_key, max_key]` range cannot contain
-    /// the prefix are skipped without touching disk.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Key, Value)>> {
-        let inner = self.inner.read();
-        // Highest priority first: memtable, then L0 newest-first, then
-        // deeper levels. `or_insert` keeps the freshest version.
-        let mut merged: std::collections::BTreeMap<Key, Entry> = std::collections::BTreeMap::new();
-        for (k, e) in inner.memtable.scan_prefix(prefix) {
-            merged.entry(k.clone()).or_insert_with(|| e.clone());
-        }
-        for level in &inner.levels {
-            for table in level {
-                let overlaps = table.meta.max_key.as_slice() >= prefix
-                    && match prefix_successor(prefix) {
-                        Some(ref up) => table.meta.min_key.as_slice() < up.as_slice(),
-                        None => true,
-                    };
-                if !overlaps {
-                    continue;
-                }
-                for (k, e) in table.scan()? {
-                    if k.as_slice().starts_with(prefix) {
-                        merged.entry(k).or_insert(e);
-                    }
-                }
-            }
-        }
-        Ok(merged
-            .into_iter()
-            .filter_map(|(k, e)| match e {
-                Entry::Put(v) => Some((k, v)),
-                Entry::Tombstone => None,
-            })
-            .collect())
+            cands: cand_start..cands.len(),
+        })
     }
 
     /// Ordered scan of live keys in `start <= key < end` (`end = None`
     /// = unbounded), at most `limit` entries — one `EngineOp::Scan`
-    /// through the batched submission/completion path, so the staged
-    /// blocks ride the (possibly pooled) deduped fetch list.
+    /// through the batched submission/completion path. (A prefix scan
+    /// is the range `[prefix, tb_common::prefix_successor(prefix))`.)
     pub fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
         match LsmDb::apply_batch(
             self,
@@ -1162,9 +1037,6 @@ impl KvEngine for LsmDb {
             blocks_read: self.stats.batch_blocks_read.load(Ordering::Relaxed),
             block_dedup_hits: self.stats.batch_block_dedup_hits.load(Ordering::Relaxed),
             memtable_hits: self.stats.batch_memtable_hits.load(Ordering::Relaxed),
-            parallel_fetches: self.stats.batch_parallel_fetches.load(Ordering::Relaxed),
-            read_pool_queue_depth: self.stats.read_pool_queue_depth.load(Ordering::Relaxed),
-            read_pool_depth: self.read_pool.as_ref().map_or(0, ReadPool::queue_depth),
             scan_blocks_read: self.stats.batch_scan_blocks_read.load(Ordering::Relaxed),
             scans: self.stats.scans.load(Ordering::Relaxed),
             blocks_compressed: self.stats.blocks_compressed.load(Ordering::Relaxed),
@@ -1288,22 +1160,6 @@ fn encode_wal_record(key: &Key, entry: &Entry) -> Vec<u8> {
         }
     }
     out
-}
-
-/// Smallest byte string strictly greater than every key starting with
-/// `prefix`, or `None` when no such bound exists (empty prefix or all
-/// `0xff` bytes).
-fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
-    let mut up = prefix.to_vec();
-    while let Some(&last) = up.last() {
-        if last == 0xff {
-            up.pop();
-        } else {
-            *up.last_mut().expect("non-empty") = last + 1;
-            return Some(up);
-        }
-    }
-    None
 }
 
 fn decode_wal_record(rec: &[u8]) -> Result<(Key, Entry)> {
@@ -1520,6 +1376,13 @@ mod tests {
         assert_eq!(db.get(&k(399)).unwrap(), Some(v(399, "c")));
     }
 
+    /// A prefix scan is the range scan `[prefix, prefix_successor)`.
+    fn scan_prefix(db: &LsmDb, prefix: &[u8]) -> Vec<(Key, Value)> {
+        let end = tb_common::prefix_successor(prefix);
+        db.scan(&Key::copy_from(prefix), end.as_ref(), usize::MAX)
+            .unwrap()
+    }
+
     #[test]
     fn scan_prefix_merges_all_tiers() {
         let dir = tmpdir("scan");
@@ -1541,7 +1404,7 @@ mod tests {
         }
         db.delete(Key::from("user:020")).unwrap();
 
-        let got = db.scan_prefix(b"user:").unwrap();
+        let got = scan_prefix(&db, b"user:");
         assert_eq!(got.len(), 49, "50 users minus one tombstone");
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
         assert_eq!(got[0].1, v(0, "new"), "memtable version wins");
@@ -1549,10 +1412,10 @@ mod tests {
         assert!(!got.iter().any(|(k, _)| k == &Key::from("user:020")));
 
         // Prefix isolation.
-        assert_eq!(db.scan_prefix(b"item:").unwrap().len(), 50);
-        assert_eq!(db.scan_prefix(b"nope:").unwrap().len(), 0);
+        assert_eq!(scan_prefix(&db, b"item:").len(), 50);
+        assert_eq!(scan_prefix(&db, b"nope:").len(), 0);
         // Empty prefix = full scan.
-        assert_eq!(db.scan_prefix(b"").unwrap().len(), 99);
+        assert_eq!(scan_prefix(&db, b"").len(), 99);
     }
 
     #[test]
@@ -1567,16 +1430,8 @@ mod tests {
             KvEngine::sync(&db).unwrap();
         }
         let db = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
-        let got = db.scan_prefix(b"p:").unwrap();
+        let got = scan_prefix(&db, b"p:");
         assert_eq!(got.len(), 299);
-    }
-
-    #[test]
-    fn prefix_successor_edge_cases() {
-        assert_eq!(prefix_successor(b"abc"), Some(b"abd".to_vec()));
-        assert_eq!(prefix_successor(b"a\xff"), Some(b"b".to_vec()));
-        assert_eq!(prefix_successor(b"\xff\xff"), None);
-        assert_eq!(prefix_successor(b""), None);
     }
 
     #[test]
@@ -1804,110 +1659,150 @@ mod tests {
         assert!(db.disk_bytes() > before);
     }
 
-    /// Opens two stores over the same on-disk image — one inline, one
-    /// pooled — so tests can assert the pooled completion pass is
-    /// observationally identical to the inline one.
-    fn inline_and_pooled(name: &str, n: usize) -> (tb_common::TestDir, LsmDb, LsmDb) {
-        inline_and_pooled_codec(name, n, crate::sstable::BlockCodec::None)
+    /// A store whose `n` keys were all flushed into SSTables, so every
+    /// lookup stages block reads.
+    fn flushed(name: &str, n: usize) -> (tb_common::TestDir, LsmDb) {
+        flushed_codec(name, n, crate::sstable::BlockCodec::None)
     }
 
-    fn inline_and_pooled_codec(
+    fn flushed_codec(
         name: &str,
         n: usize,
         codec: crate::sstable::BlockCodec,
-    ) -> (tb_common::TestDir, LsmDb, LsmDb) {
+    ) -> (tb_common::TestDir, LsmDb) {
         let dir = tmpdir(name);
         let mut config = LsmConfig::small_for_tests(dir.path());
         config.sst.codec = codec;
-        {
-            let db = LsmDb::open(config.clone()).unwrap();
-            for i in 0..n {
-                db.put(k(i), v(i, "p")).unwrap();
-            }
-            db.flush().unwrap();
+        let db = LsmDb::open(config).unwrap();
+        for i in 0..n {
+            db.put(k(i), v(i, "p")).unwrap();
         }
-        let inline = LsmDb::open(config.clone()).unwrap();
-        config.read_pool_threads = 2;
-        // Second handle over the same dir: reads only (no writes below),
-        // so the duplicate WAL handle never comes into play.
-        let pooled = LsmDb::open(config).unwrap();
-        assert_eq!(inline.read_pool_threads(), 0);
-        assert_eq!(pooled.read_pool_threads(), 2);
-        (dir, inline, pooled)
+        db.flush().unwrap();
+        (dir, db)
+    }
+
+    /// Per-key `Get`s in one batch, with the indices of the failed slots.
+    fn per_key_batch(db: &LsmDb, keys: &[Key]) -> (Vec<Result<OpOutcome>>, Vec<usize>) {
+        let outcomes = db.apply_batch(keys.iter().map(|key| EngineOp::Get(key.clone())).collect());
+        let errs = outcomes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.is_err().then_some(i))
+            .collect();
+        (outcomes, errs)
     }
 
     #[test]
-    fn pooled_completion_matches_inline_results_and_dedup() {
+    fn point_reads_are_counted_and_fault_injected() {
+        use tb_common::fault::{self, FaultMode};
+        let _g = crate::fault_test_gate();
+        let dir = tmpdir("pointread");
+        let db = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
+        for i in 0..20 {
+            db.put(k(i), v(i, "t")).unwrap();
+        }
+        db.flush().unwrap();
+        let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let (gets, blocks, mem) = (
+            c(&db.stats.gets),
+            c(&db.stats.batch_blocks_read),
+            c(&db.stats.batch_memtable_hits),
+        );
+        // One get against the flushed table: one lookup, one block.
+        assert_eq!(db.get(&k(3)).unwrap(), Some(v(3, "t")));
+        assert_eq!(c(&db.stats.gets), gets + 1, "get counted exactly once");
+        assert_eq!(c(&db.stats.batch_blocks_read), blocks + 1);
+        assert_eq!(c(&db.stats.batch_memtable_hits), mem);
+        // A memtable hit stages nothing.
+        db.put(k(100), v(100, "t")).unwrap();
+        assert_eq!(db.get(&k(100)).unwrap(), Some(v(100, "t")));
+        assert_eq!(c(&db.stats.gets), gets + 2);
+        assert_eq!(c(&db.stats.batch_memtable_hits), mem + 1);
+        assert_eq!(c(&db.stats.batch_blocks_read), blocks + 1);
+
+        // The point get and the CAS read reach the completion pass's
+        // fault gates.
+        let guard = fault::arm_scoped("batch.block_read", 1, FaultMode::Error);
+        let err = db.get(&k(3)).unwrap_err();
+        drop(guard);
+        assert!(matches!(err, Error::FaultInjected(_)), "{err}");
+        let guard = fault::arm_scoped("batch.block_read", 1, FaultMode::Error);
+        let err = db.cas(k(4), Some(&v(4, "t")), v(4, "cas")).unwrap_err();
+        drop(guard);
+        assert!(matches!(err, Error::FaultInjected(_)), "{err}");
+        let guard = fault::arm_scoped("sst.block_decode", 1, FaultMode::Error);
+        let err = db.get(&k(5)).unwrap_err();
+        drop(guard);
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
+        // The store answers afterwards, and the failed CAS wrote nothing.
+        assert_eq!(db.get(&k(3)).unwrap(), Some(v(3, "t")));
+        assert_eq!(db.get(&k(4)).unwrap(), Some(v(4, "t")));
+        db.cas(k(4), Some(&v(4, "t")), v(4, "cas")).unwrap();
+        assert_eq!(db.get(&k(4)).unwrap(), Some(v(4, "cas")));
+    }
+
+    #[test]
+    fn batched_and_point_reads_agree() {
         let n = 600;
-        let (_dir, inline, pooled) = inline_and_pooled("poolparity", n);
+        let (_dir, db) = flushed("readparity", n);
         let keys: Vec<Key> = (0..n).map(k).collect();
-        let a = inline.apply_batch(vec![EngineOp::MultiGet(keys.clone())]);
-        let b = pooled.apply_batch(vec![EngineOp::MultiGet(keys)]);
-        assert_eq!(a, b, "pooled results diverged from inline");
-        let sa = KvEngine::batch_read_stats(&inline);
-        let sb = KvEngine::batch_read_stats(&pooled);
-        // Same dedup: identical block fetch counts, overlapped IO only.
-        assert_eq!(sa.blocks_read, sb.blocks_read);
-        assert_eq!(sa.block_dedup_hits, sb.block_dedup_hits);
-        assert_eq!(sa.parallel_fetches, 0, "inline path never uses the pool");
-        assert_eq!(
-            sb.parallel_fetches, sb.blocks_read,
-            "every pooled fetch is counted"
-        );
+        let before = KvEngine::batch_read_stats(&db);
+        let batched = db.apply_batch(vec![EngineOp::MultiGet(keys.clone())]);
+        let mid = KvEngine::batch_read_stats(&db);
+        let point: Vec<Option<Value>> = keys.iter().map(|key| db.get(key).unwrap()).collect();
+        let after = KvEngine::batch_read_stats(&db);
+        assert_eq!(batched, vec![Ok(OpOutcome::Values(point))]);
+        // Same staging either way; only the batch shares blocks.
+        let batch_read = mid.blocks_read - before.blocks_read;
+        let point_read = after.blocks_read - mid.blocks_read;
         assert!(
-            sb.read_pool_queue_depth >= sb.blocks_read.min(2),
-            "queue-depth high-water never observed: {sb:?}"
+            batch_read < point_read,
+            "batch read {batch_read} blocks, the get loop {point_read}"
+        );
+        assert_eq!(
+            batch_read + (mid.block_dedup_hits - before.block_dedup_hits),
+            point_read,
+            "every staged reference is fetched or deduped"
         );
     }
 
     #[test]
-    fn pooled_block_read_fault_is_positionally_deterministic() {
+    fn block_read_fault_is_positionally_deterministic() {
         use tb_common::fault::{self, FaultMode};
         let _g = crate::fault_test_gate();
         let n = 400;
-        let (_dir, inline, pooled) = inline_and_pooled("poolfault", n);
+        let (_dir, db) = flushed("readfault", n);
         let keys: Vec<Key> = (0..n).map(k).collect();
-        // For every hit position the fault can land on, the inline and
-        // pooled passes must fail the exact same completion slots.
-        let clean = inline.apply_batch(vec![EngineOp::MultiGet(keys.clone())]);
-        let total_fetches = KvEngine::batch_read_stats(&inline).blocks_read;
+        let clean = db.apply_batch(vec![EngineOp::MultiGet(keys.clone())]);
+        let clean_value = |i: usize| match &clean[0] {
+            Ok(OpOutcome::Values(vs)) => OpOutcome::Value(vs[i].clone()),
+            other => panic!("clean run failed: {other:?}"),
+        };
+        let total_fetches = KvEngine::batch_read_stats(&db).blocks_read;
         assert!(total_fetches >= 2, "working set too small to be staged");
+        // For every hit position the fault can land on, the same
+        // completion slots fail every time, and only those.
         for hit in 1..=total_fetches {
             let mut failed = Vec::new();
-            for (which, db) in [(0, &inline), (1, &pooled)] {
+            for _ in 0..2 {
                 // One Get per key (instead of one MultiGet) so per-slot
                 // error scoping is visible in the completions.
                 let guard = fault::arm_scoped("batch.block_read", hit, FaultMode::Error);
-                let per_key =
-                    db.apply_batch(keys.iter().map(|key| EngineOp::Get(key.clone())).collect());
+                let (per_key, errs) = per_key_batch(&db, &keys);
                 drop(guard);
-                let errs: Vec<usize> = per_key
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| r.is_err().then_some(i))
-                    .collect();
-                assert!(
-                    !errs.is_empty(),
-                    "hit {hit} never fired ({which}: fetches={total_fetches})"
-                );
+                assert!(!errs.is_empty(), "hit {hit} never fired");
                 for (i, r) in per_key.iter().enumerate() {
                     if let Ok(outcome) = r {
                         assert_eq!(
                             outcome,
-                            &OpOutcome::Value(match &clean[0] {
-                                Ok(OpOutcome::Values(vs)) => vs[i].clone(),
-                                other => panic!("clean run failed: {other:?}"),
-                            }),
+                            &clean_value(i),
                             "slot {i} answered differently under an unrelated fault"
                         );
                     }
                 }
                 failed.push(errs);
             }
-            assert_eq!(
-                failed[0], failed[1],
-                "hit {hit}: pooled fault landed on different slots than inline"
-            );
+            assert_eq!(failed[0], failed[1], "hit {hit}: fault moved between runs");
         }
     }
 
@@ -2025,32 +1920,25 @@ mod tests {
     }
 
     #[test]
-    fn pooled_scan_matches_inline_and_reads_each_block_once() {
+    fn scan_reads_each_block_once_and_shares_it_with_gets() {
         let n = 600;
-        let (_dir, inline, pooled) = inline_and_pooled("poolscan", n);
+        let (_dir, db) = flushed("scanonce", n);
         let (start, end) = (k(0), k(n));
-        for db in [&inline, &pooled] {
-            let before = KvEngine::batch_read_stats(db);
-            let rows = db.scan(&start, Some(&end), n + 10).unwrap();
-            let after = KvEngine::batch_read_stats(db);
-            assert_eq!(rows.len(), n);
-            assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
-            let read = after.blocks_read - before.blocks_read;
-            let staged = after.scan_blocks_read - before.scan_blocks_read;
-            assert_eq!(read, staged, "each staged scan block fetched exactly once");
-            assert_eq!(after.scans - before.scans, 1);
-        }
-        assert_eq!(
-            inline.scan(&start, Some(&end), n).unwrap(),
-            pooled.scan(&start, Some(&end), n).unwrap(),
-            "pooled scan diverged from inline"
-        );
+        let before = KvEngine::batch_read_stats(&db);
+        let rows = db.scan(&start, Some(&end), n + 10).unwrap();
+        let after = KvEngine::batch_read_stats(&db);
+        assert_eq!(rows.len(), n);
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
+        let read = after.blocks_read - before.blocks_read;
+        let staged = after.scan_blocks_read - before.scan_blocks_read;
+        assert_eq!(read, staged, "each staged scan block fetched exactly once");
+        assert_eq!(after.scans - before.scans, 1);
 
         // A point get batched with a scan over the same range stages
         // duplicate block refs — the dedup pass makes the get ride the
         // scan's fetches for free.
-        let before = KvEngine::batch_read_stats(&inline);
-        let outcomes = inline.apply_batch(vec![
+        let before = KvEngine::batch_read_stats(&db);
+        let outcomes = db.apply_batch(vec![
             EngineOp::Scan {
                 start: start.clone(),
                 end: Some(end.clone()),
@@ -2058,8 +1946,8 @@ mod tests {
             },
             EngineOp::Get(k(5)),
         ]);
-        let after = KvEngine::batch_read_stats(&inline);
-        assert!(matches!(&outcomes[0], Ok(OpOutcome::Range(rows)) if rows.len() == n));
+        let after = KvEngine::batch_read_stats(&db);
+        assert_eq!(outcomes[0], Ok(OpOutcome::Range(rows[..n].to_vec())));
         assert_eq!(outcomes[1], Ok(OpOutcome::Value(Some(v(5, "p")))));
         assert_eq!(
             after.blocks_read - before.blocks_read,
@@ -2125,38 +2013,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_reads_decompress_each_block_once_inline_and_pooled() {
+    fn batch_reads_decompress_each_block_once() {
         use crate::sstable::BlockCodec;
         let n = 600;
-        let (_dir, inline, pooled) = inline_and_pooled_codec("codecdedup", n, BlockCodec::Dict);
+        let (_dir, db) = flushed_codec("codecdedup", n, BlockCodec::Dict);
         let keys: Vec<Key> = (0..n).map(k).collect();
-        for db in [&inline, &pooled] {
-            let decoded_before = db.stats.decode.blocks_decoded.load(Ordering::Relaxed);
-            let before = KvEngine::batch_read_stats(db);
-            let outcomes = db.apply_batch(vec![EngineOp::MultiGet(keys.clone())]);
-            assert!(matches!(outcomes[0], Ok(OpOutcome::Values(_))));
-            let decoded = db.stats.decode.blocks_decoded.load(Ordering::Relaxed) - decoded_before;
-            let after = KvEngine::batch_read_stats(db);
-            let read = after.blocks_read - before.blocks_read;
-            // The acceptance contract: each needed block is fetched —
-            // and therefore CRC-verified and decompressed — exactly
-            // once per batch, inline and pooled alike.
-            assert_eq!(
-                decoded,
-                read,
-                "pool={}: {read} fetches decoded {decoded} frames",
-                db.read_pool_threads()
-            );
-            assert!(read < n as u64 / 4, "block reads did not dedup");
-            assert!(
-                after.blocks_decompressed > before.blocks_decompressed,
-                "dict tables should actually decompress"
-            );
-        }
-        assert_eq!(
-            inline.apply_batch(vec![EngineOp::MultiGet(keys.clone())]),
-            pooled.apply_batch(vec![EngineOp::MultiGet(keys)]),
-            "pooled results diverged from inline on a compressed store"
+        let decoded_before = db.stats.decode.blocks_decoded.load(Ordering::Relaxed);
+        let before = KvEngine::batch_read_stats(&db);
+        let outcomes = db.apply_batch(vec![EngineOp::MultiGet(keys)]);
+        assert!(matches!(outcomes[0], Ok(OpOutcome::Values(_))));
+        let decoded = db.stats.decode.blocks_decoded.load(Ordering::Relaxed) - decoded_before;
+        let after = KvEngine::batch_read_stats(&db);
+        let read = after.blocks_read - before.blocks_read;
+        // The acceptance contract: each needed block is fetched — and
+        // therefore CRC-verified and decompressed — exactly once per
+        // batch.
+        assert_eq!(decoded, read, "{read} fetches decoded {decoded} frames");
+        assert!(read < n as u64 / 4, "block reads did not dedup");
+        assert!(
+            after.blocks_decompressed > before.blocks_decompressed,
+            "dict tables should actually decompress"
         );
     }
 
@@ -2165,33 +2041,25 @@ mod tests {
         use tb_common::fault::{self, FaultMode};
         let _g = crate::fault_test_gate();
         let n = 400;
-        let (_dir, inline, pooled) =
-            inline_and_pooled_codec("decodefault", n, crate::sstable::BlockCodec::Lz);
+        let (_dir, db) = flushed_codec("decodefault", n, crate::sstable::BlockCodec::Lz);
         let keys: Vec<Key> = (0..n).map(k).collect();
-        let clean = inline.apply_batch(vec![EngineOp::MultiGet(keys.clone())]);
-        let total_fetches = KvEngine::batch_read_stats(&inline).blocks_read;
+        let clean = db.apply_batch(vec![EngineOp::MultiGet(keys.clone())]);
+        let clean_value = |i: usize| match &clean[0] {
+            Ok(OpOutcome::Values(vs)) => OpOutcome::Value(vs[i].clone()),
+            other => panic!("clean run failed: {other:?}"),
+        };
+        let total_fetches = KvEngine::batch_read_stats(&db).blocks_read;
         assert!(total_fetches >= 2, "working set too small to be staged");
-        // For every block the decode fault can land on, inline and
-        // pooled passes must fail the identical slot set with
-        // Corruption, unrelated slots answer clean, and the store
-        // stays usable afterward.
+        // For every block the decode fault can land on, the same slots
+        // fail with Corruption every time, unrelated slots answer
+        // clean, and the store stays usable afterward.
         for hit in 1..=total_fetches {
             let mut failed = Vec::new();
-            for db in [&inline, &pooled] {
+            for _ in 0..2 {
                 let guard = fault::arm_scoped("sst.block_decode", hit, FaultMode::Error);
-                let per_key =
-                    db.apply_batch(keys.iter().map(|key| EngineOp::Get(key.clone())).collect());
+                let (per_key, errs) = per_key_batch(&db, &keys);
                 drop(guard);
-                let errs: Vec<usize> = per_key
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| r.is_err().then_some(i))
-                    .collect();
-                assert!(
-                    !errs.is_empty(),
-                    "hit {hit} never fired (pool={}, fetches={total_fetches})",
-                    db.read_pool_threads()
-                );
+                assert!(!errs.is_empty(), "hit {hit} never fired");
                 for (i, r) in per_key.iter().enumerate() {
                     match r {
                         Err(e) => assert!(
@@ -2200,56 +2068,47 @@ mod tests {
                         ),
                         Ok(outcome) => assert_eq!(
                             outcome,
-                            &OpOutcome::Value(match &clean[0] {
-                                Ok(OpOutcome::Values(vs)) => vs[i].clone(),
-                                other => panic!("clean run failed: {other:?}"),
-                            }),
+                            &clean_value(i),
                             "slot {i} answered differently under an unrelated decode fault"
                         ),
                     }
                 }
                 failed.push(errs);
             }
-            assert_eq!(
-                failed[0], failed[1],
-                "hit {hit}: pooled decode fault landed on different slots than inline"
-            );
+            assert_eq!(failed[0], failed[1], "hit {hit}: fault moved between runs");
         }
         // Store stays usable: the corruption was injected, not real.
         assert_eq!(
-            inline.apply_batch(vec![EngineOp::MultiGet(keys)]),
+            db.apply_batch(vec![EngineOp::MultiGet(keys)]),
             clean,
             "store must serve cleanly after decode faults"
         );
     }
 
     #[test]
-    fn pooled_fetch_failure_scopes_to_slots_sharing_the_block() {
+    fn fetch_failure_scopes_to_slots_sharing_the_block() {
         use tb_common::fault::{self, FaultMode};
         let _g = crate::fault_test_gate();
         let n = 400;
-        let (_dir, inline, pooled) = inline_and_pooled("poolscope", n);
+        let (_dir, db) = flushed("fetchscope", n);
         // Two keys far apart: distinct blocks, so a fault on the first
         // key's block must leave the second key's slot untouched.
         let probe = vec![EngineOp::Get(k(2)), EngineOp::Get(k(n - 2))];
-        for db in [&inline, &pooled] {
-            let clean = db.apply_batch(probe.clone());
-            assert_eq!(clean[0], Ok(OpOutcome::Value(Some(v(2, "p")))));
-            assert_eq!(clean[1], Ok(OpOutcome::Value(Some(v(n - 2, "p")))));
-            let guard = fault::arm_scoped("batch.block_read", 1, FaultMode::Error);
-            let outcomes = db.apply_batch(probe.clone());
-            drop(guard);
-            assert!(
-                matches!(outcomes[0], Err(Error::FaultInjected(_))),
-                "first staged fetch must carry the injected error: {:?}",
-                outcomes[0]
-            );
-            assert_eq!(
-                outcomes[1],
-                Ok(OpOutcome::Value(Some(v(n - 2, "p")))),
-                "a failed fetch poisoned an unrelated slot ({})",
-                db.read_pool_threads()
-            );
-        }
+        let clean = db.apply_batch(probe.clone());
+        assert_eq!(clean[0], Ok(OpOutcome::Value(Some(v(2, "p")))));
+        assert_eq!(clean[1], Ok(OpOutcome::Value(Some(v(n - 2, "p")))));
+        let guard = fault::arm_scoped("batch.block_read", 1, FaultMode::Error);
+        let outcomes = db.apply_batch(probe);
+        drop(guard);
+        assert!(
+            matches!(outcomes[0], Err(Error::FaultInjected(_))),
+            "first staged fetch must carry the injected error: {:?}",
+            outcomes[0]
+        );
+        assert_eq!(
+            outcomes[1],
+            Ok(OpOutcome::Value(Some(v(n - 2, "p")))),
+            "a failed fetch poisoned an unrelated slot"
+        );
     }
 }

@@ -10,11 +10,11 @@
 //!
 //! Write path: WAL append → memtable insert → (on threshold) flush to an
 //! L0 SSTable → leveled compaction toward L_max.
-//! Read path: memtable → immutable memtables → L0 (newest first) → L1+
-//! (one table per level can contain the key).
-//! Batch path ([`db::LsmDb::apply_batch`]): one submission pass stages
-//! every SSTable lookup, the staged block reads are deduped per batch,
-//! one completion pass fills results in submission order.
+//! Read path: memtable → L0 (newest first) → L1+ (one table per level
+//! can contain the key). Every lookup — point get, CAS read, batched
+//! get, range scan — is staged under the tree lock and completed by one
+//! pass ([`db::LsmDb::apply_batch`] for a batch) that reads each staged
+//! block once and fills results in submission order.
 
 pub mod bloom;
 pub mod compaction;
@@ -28,13 +28,11 @@ pub(crate) fn fault_test_gate() -> parking_lot::MutexGuard<'static, ()> {
 }
 pub mod db;
 pub mod memtable;
-pub mod read_pool;
 pub mod remote;
 pub mod sstable;
 pub mod wal;
 
 pub use db::{LsmConfig, LsmDb};
-pub use read_pool::ReadPool;
 pub use remote::{DisaggregatedStore, NetworkModel};
 
 /// Every named fault point threaded through this crate's IO surface

@@ -89,17 +89,6 @@ impl Memtable {
         self.map.iter()
     }
 
-    /// Ordered iteration over keys starting with `prefix`, including
-    /// tombstones (they shadow older SSTable versions during scans).
-    pub fn scan_prefix<'a>(
-        &'a self,
-        prefix: &'a [u8],
-    ) -> impl Iterator<Item = (&'a Key, &'a Entry)> + 'a {
-        self.map
-            .range(Key::copy_from(prefix)..)
-            .take_while(move |(k, _)| k.as_slice().starts_with(prefix))
-    }
-
     /// Ordered iteration over `start <= key < end` (`end = None` =
     /// unbounded above), including tombstones — the memtable's
     /// contribution to a range scan's merge.

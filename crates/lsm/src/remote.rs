@@ -168,23 +168,11 @@ impl DisaggregatedStore {
     }
 
     /// Remote range scan: one round-trip running the engine's batched
-    /// scan server-side (payload cost charged on the result size).
+    /// scan server-side (payload cost charged on the result size). A
+    /// prefix scan is the range `[prefix, prefix_successor(prefix))`.
     pub fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
         self.stats.calls.fetch_add(1, Ordering::Relaxed);
         let rows = self.db.scan(start, end, limit)?;
-        let payload: usize = rows.iter().map(|(k, v)| k.len() + v.len()).sum();
-        self.network.stall(payload);
-        self.stats
-            .batched_ops
-            .fetch_add(rows.len() as u64, Ordering::Relaxed);
-        Ok(rows)
-    }
-
-    /// Remote prefix scan: one round-trip returning every live key
-    /// under `prefix` (payload cost charged on the result size).
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Key, Value)>> {
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        let rows = self.db.scan_prefix(prefix)?;
         let payload: usize = rows.iter().map(|(k, v)| k.len() + v.len()).sum();
         self.network.stall(payload);
         self.stats

@@ -26,8 +26,11 @@
 //! frame CRC before any key search; a bad block is a per-slot
 //! [`Error::Corruption`], never a torn batch.
 //!
-//! Readers keep the sparse index and bloom filter in memory and read
-//! one frame per point lookup.
+//! Readers keep the sparse index and bloom filter in memory. Lookups
+//! split into an in-memory half ([`SstReader::locate`],
+//! [`SstReader::locate_range`]) and one frame read per block
+//! ([`SstReader::read_block`]), so the engine's completion pass can
+//! dedup block reads across every lookup it stages.
 
 use crate::bloom::BloomFilter;
 use crate::memtable::Entry;
@@ -284,30 +287,11 @@ struct IndexEntry {
     len: u32,
 }
 
-/// One fetched data block: the decoded (CRC-verified, decompressed)
-/// bytes of its frame.
-#[derive(Debug)]
-pub struct BlockBuf(Vec<u8>);
-
-impl BlockBuf {
-    pub fn from_vec(buf: Vec<u8>) -> Self {
-        Self(buf)
-    }
-
-    /// The block's bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.0
-    }
-}
-
 /// An open SSTable: sparse index + bloom filter in memory, data on disk.
 ///
 /// Block reads are positional (`pread`-style), so any number of
-/// threads — the tree-lock-free completion pass, the parallel
-/// [`crate::read_pool::ReadPool`] workers — can fetch blocks from one
-/// reader concurrently without serializing on a seek cursor. Frame
-/// decode (CRC verify + decompression) happens on whichever thread
-/// claimed the read, so pooled and inline paths stay byte-identical.
+/// tree-lock-free completion passes can fetch blocks from one reader
+/// concurrently without serializing on a seek cursor.
 pub struct SstReader {
     file: File,
     /// Platforms without a positional read serialize their shared
@@ -431,16 +415,6 @@ impl SstReader {
         self.codec_state.codec()
     }
 
-    /// Point lookup. `None` means "not in this table"; a tombstone is
-    /// reported as `Some(Entry::Tombstone)` so callers stop searching
-    /// older tables.
-    pub fn get(&self, key: &Key) -> Result<Option<Entry>> {
-        match self.locate(key) {
-            Some(block_idx) => find_in_block(&self.read_block(block_idx)?, key),
-            None => Ok(None),
-        }
-    }
-
     /// Index of the one data block that could hold `key`, or `None`
     /// when the key-range or bloom filter rules the table out — the
     /// in-memory half of a point lookup, split from the block IO so a
@@ -464,8 +438,7 @@ impl SstReader {
     /// `start <= key < end` (`end = None` = unbounded above), as
     /// `(first_block, count)` — the in-memory half of a range scan,
     /// split from the block IO exactly like [`Self::locate`] so the
-    /// batched read path can stage the run into its deduped,
-    /// span-coalesced fetch list. `None` when the table's key range
+    /// batched read path can stage the run into its deduped fetch list. `None` when the table's key range
     /// cannot intersect the scan.
     pub fn locate_range(&self, start: &Key, end: Option<&Key>) -> Option<(usize, usize)> {
         if &self.meta.max_key < start {
@@ -499,19 +472,13 @@ impl SstReader {
     pub fn scan(&self) -> Result<Vec<(Key, Entry)>> {
         let mut out = Vec::with_capacity(self.meta.entry_count as usize);
         for i in 0..self.index.len() {
-            let block = self.read_block(i)?;
-            let mut pos = 0usize;
-            while pos < block.len() {
-                let (k, entry, next) = decode_entry(&block, pos)?;
-                out.push((k, entry));
-                pos = next;
-            }
+            decode_block_into(&self.read_block(i)?, &mut out)?;
         }
         Ok(out)
     }
 
-    /// Reads and decodes data block `idx` (the IO half of a point
-    /// lookup): fetch the on-disk frame, verify its CRC, decompress.
+    /// Reads and decodes data block `idx` (the IO half of a lookup):
+    /// fetch the on-disk frame, verify its CRC, decompress.
     pub fn read_block(&self, idx: usize) -> Result<Vec<u8>> {
         self.read_block_marked(idx, false)
     }
@@ -520,36 +487,21 @@ impl SstReader {
     /// marked block's frame is deterministically mangled before decode
     /// (bad CRC / truncated frame / garbage payload, chosen by frame
     /// length), so it surfaces as the same [`Error::Corruption`] a real
-    /// torn or rotted block would — on either completion pass.
+    /// torn or rotted block would. Tracks the decode, decompression and
+    /// error counters and the decompression latency histogram.
     pub fn read_block_marked(&self, idx: usize, corrupt: bool) -> Result<Vec<u8>> {
-        let raw = self.read_raw_block(idx)?;
-        self.decode(&raw, corrupt)
-    }
-
-    /// The on-disk frame of block `idx`.
-    fn read_raw_block(&self, idx: usize) -> Result<Vec<u8>> {
         let e = &self.index[idx];
-        let mut buf = vec![0u8; e.len as usize];
-        self.read_at(&mut buf, e.offset)?;
-        Ok(buf)
-    }
-
-    /// Decodes one fetched frame, tracking decode/decompression/error
-    /// counters and the decompression latency histogram.
-    fn decode(&self, raw: &[u8], corrupt: bool) -> Result<Vec<u8>> {
-        let mangled;
-        let frame = if corrupt {
-            mangled = mangle_frame(raw);
-            &mangled
-        } else {
-            raw
-        };
+        let mut raw = vec![0u8; e.len as usize];
+        self.read_at(&mut raw, e.offset)?;
+        if corrupt {
+            raw = mangle_frame(&raw);
+        }
         self.decode_stats
             .blocks_decoded
             .fetch_add(1, Ordering::Relaxed);
-        let compressed = frame.first().is_some_and(|&tag| tag != FRAME_TAG_STORED);
+        let compressed = raw.first().is_some_and(|&tag| tag != FRAME_TAG_STORED);
         let t0 = tb_obs::start();
-        let out = self.codec_state.decode_frame(frame);
+        let out = self.codec_state.decode_frame(&raw);
         match &out {
             Ok(_) if compressed => {
                 tb_obs::histo!("lsm_block_decompress_ns").record_since(t0);
@@ -563,70 +515,6 @@ impl SstReader {
                     .block_decode_errors
                     .fetch_add(1, Ordering::Relaxed);
             }
-        }
-        out
-    }
-
-    /// Number of data blocks in this table.
-    pub fn block_count(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Reads and decodes `count` consecutive data blocks starting at
-    /// `first`. The on-disk frames are laid out back-to-back, so the
-    /// whole run is fetched with one positional read of the span (the
-    /// buffered stand-in for one io_uring SQE chain); each frame is
-    /// then decoded by the claiming thread. Returns one [`BlockBuf`]
-    /// per block, aligned with `first..first + count`, each owning its
-    /// decompressed bytes.
-    pub fn read_blocks(&self, first: usize, count: usize) -> Result<Vec<BlockBuf>> {
-        self.read_blocks_marked(first, count, &[])
-            .into_iter()
-            .collect()
-    }
-
-    /// [`Self::read_blocks`] with per-block corruption marks (empty =
-    /// none marked) and per-block results: one bad frame fails only its
-    /// own slot, the rest of the run still answers. An IO error on the
-    /// span read fails every block in the run.
-    pub fn read_blocks_marked(
-        &self,
-        first: usize,
-        count: usize,
-        corrupt: &[bool],
-    ) -> Vec<Result<BlockBuf>> {
-        debug_assert!(count > 0 && first + count <= self.index.len());
-        debug_assert!(corrupt.is_empty() || corrupt.len() == count);
-        let marked = |i: usize| corrupt.get(i).copied().unwrap_or(false);
-        if count == 1 {
-            return vec![self
-                .read_block_marked(first, marked(0))
-                .map(BlockBuf::from_vec)];
-        }
-        let run = &self.index[first..first + count];
-        let span: u64 = run.iter().map(|e| e.len as u64).sum();
-        let contiguous = run
-            .windows(2)
-            .all(|w| w[0].offset + w[0].len as u64 == w[1].offset);
-        if !contiguous {
-            // Defensive: a gap in the layout falls back to block reads.
-            return (0..count)
-                .map(|i| {
-                    self.read_block_marked(first + i, marked(i))
-                        .map(BlockBuf::from_vec)
-                })
-                .collect();
-        }
-        let mut buf = vec![0u8; span as usize];
-        if let Err(e) = self.read_at(&mut buf, run[0].offset) {
-            return (0..count).map(|_| Err(e.clone())).collect();
-        }
-        let mut out = Vec::with_capacity(count);
-        let mut pos = 0usize;
-        for (i, e) in run.iter().enumerate() {
-            let frame = &buf[pos..pos + e.len as usize];
-            pos += e.len as usize;
-            out.push(self.decode(frame, marked(i)).map(BlockBuf::from_vec));
         }
         out
     }
@@ -700,54 +588,69 @@ fn mangle_frame(frame: &[u8]) -> Vec<u8> {
 /// per-block input).
 pub fn decode_block(block: &[u8]) -> Result<Vec<(Key, Entry)>> {
     let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < block.len() {
-        let (k, entry, next) = decode_entry(block, pos)?;
-        out.push((k, entry));
-        pos = next;
-    }
+    decode_block_into(block, &mut out)?;
     Ok(out)
 }
 
+fn decode_block_into(block: &[u8], out: &mut Vec<(Key, Entry)>) -> Result<()> {
+    let mut pos = 0usize;
+    while pos < block.len() {
+        let (raw, next) = decode_entry(block, pos)?;
+        out.push((Key::copy_from(raw.key), raw.entry()));
+        pos = next;
+    }
+    Ok(())
+}
+
 /// Searches a decoded data block for `key` (entries are sorted, so the
-/// scan stops at the first greater key).
+/// scan stops at the first greater key). Only the match is copied out.
 pub fn find_in_block(block: &[u8], key: &Key) -> Result<Option<Entry>> {
     let mut pos = 0usize;
     while pos < block.len() {
-        let (k, entry, next) = decode_entry(block, pos)?;
-        if &k == key {
-            return Ok(Some(entry));
+        let (raw, next) = decode_entry(block, pos)?;
+        match raw.key.cmp(key.as_slice()) {
+            std::cmp::Ordering::Less => pos = next,
+            std::cmp::Ordering::Equal => return Ok(Some(raw.entry())),
+            std::cmp::Ordering::Greater => return Ok(None),
         }
-        if k > *key {
-            return Ok(None);
-        }
-        pos = next;
     }
     Ok(None)
 }
 
-fn decode_entry(block: &[u8], mut pos: usize) -> Result<(Key, Entry, usize)> {
+/// One data-block entry, borrowed from the block.
+struct RawEntry<'a> {
+    key: &'a [u8],
+    /// `None` = tombstone.
+    value: Option<&'a [u8]>,
+}
+
+impl RawEntry<'_> {
+    fn entry(&self) -> Entry {
+        self.value
+            .map_or(Entry::Tombstone, |v| Entry::Put(Value::copy_from(v)))
+    }
+}
+
+/// The entry at `pos` and the position after it.
+fn decode_entry(block: &[u8], mut pos: usize) -> Result<(RawEntry<'_>, usize)> {
     let flag = *block
         .get(pos)
         .ok_or_else(|| Error::Corruption("entry flag missing".into()))?;
     pos += 1;
     let klen = read_varint(block, &mut pos)? as usize;
     let vlen = read_varint(block, &mut pos)? as usize;
-    if pos + klen + vlen > block.len() {
-        return Err(Error::Corruption("entry overflows block".into()));
-    }
-    let key = Key::copy_from(&block[pos..pos + klen]);
-    pos += klen;
-    let entry = match flag {
-        FLAG_PUT => {
-            let v = Value::copy_from(&block[pos..pos + vlen]);
-            pos += vlen;
-            Entry::Put(v)
-        }
-        FLAG_TOMBSTONE => Entry::Tombstone,
+    let end = pos
+        .checked_add(klen)
+        .and_then(|k| k.checked_add(vlen))
+        .filter(|&end| end <= block.len())
+        .ok_or_else(|| Error::Corruption("entry overflows block".into()))?;
+    let key = &block[pos..pos + klen];
+    let value = match flag {
+        FLAG_PUT => Some(&block[pos + klen..end]),
+        FLAG_TOMBSTONE => None,
         other => return Err(Error::Corruption(format!("bad entry flag {other}"))),
     };
-    Ok((key, entry, pos))
+    Ok((RawEntry { key, value }, end))
 }
 
 #[cfg(test)]
@@ -774,6 +677,15 @@ mod tests {
             .collect()
     }
 
+    /// Point lookup the way the engine's completion pass does it:
+    /// locate, read the one candidate block, search it.
+    fn get(r: &SstReader, key: &Key) -> Result<Option<Entry>> {
+        match r.locate(key) {
+            Some(idx) => find_in_block(&r.read_block(idx)?, key),
+            None => Ok(None),
+        }
+    }
+
     fn build(name: &str, entries: Vec<(Key, Entry)>) -> (tb_common::TestDir, SstReader) {
         let dir = tmpdir();
         let path = dir.create().join(name);
@@ -795,7 +707,7 @@ mod tests {
         let (_dir, r) = build("basic.sst", entries.clone());
         assert_eq!(r.meta.entry_count, 500);
         for (k, e) in &entries {
-            let got = r.get(k).unwrap();
+            let got = get(&r, k).unwrap();
             assert_eq!(got.as_ref(), Some(e), "key {k:?}");
         }
     }
@@ -803,10 +715,10 @@ mod tests {
     #[test]
     fn absent_keys_return_none() {
         let (_dir, r) = build("absent.sst", sample_entries(100));
-        assert_eq!(r.get(&Key::from("nope")).unwrap(), None);
-        assert_eq!(r.get(&Key::from("key-000000a")).unwrap(), None);
-        assert_eq!(r.get(&Key::from("zzz")).unwrap(), None);
-        assert_eq!(r.get(&Key::from("")).unwrap(), None);
+        assert_eq!(get(&r, &Key::from("nope")).unwrap(), None);
+        assert_eq!(get(&r, &Key::from("key-000000a")).unwrap(), None);
+        assert_eq!(get(&r, &Key::from("zzz")).unwrap(), None);
+        assert_eq!(get(&r, &Key::from("")).unwrap(), None);
     }
 
     #[test]
@@ -900,7 +812,7 @@ mod tests {
             r.index.len()
         );
         for (k, e) in &entries {
-            assert_eq!(r.get(k).unwrap().as_ref(), Some(e));
+            assert_eq!(get(&r, k).unwrap().as_ref(), Some(e));
         }
     }
 
@@ -911,7 +823,7 @@ mod tests {
             vec![(Key::from("only"), Entry::Put(Value::from("one")))],
         );
         assert_eq!(
-            r.get(&Key::from("only")).unwrap(),
+            get(&r, &Key::from("only")).unwrap(),
             Some(Entry::Put(Value::from("one")))
         );
         assert_eq!(r.meta.min_key, r.meta.max_key);
@@ -930,7 +842,7 @@ mod tests {
         )
         .unwrap();
         let r = SstReader::open(meta).unwrap();
-        assert!(r.block_count() > 5);
+        assert!(r.index.len() > 5);
 
         // Any sub-range: decoding exactly the located blocks yields
         // every in-range entry (reference: filter the full entry list).
@@ -967,35 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn span_read_matches_per_block_reads() {
-        // Both paths must return identical (decompressed) bytes, for
-        // every codec — the pooled/inline byte-identity contract.
-        for codec in BlockCodec::ALL {
-            let dir = tmpdir();
-            let path = dir.create().join("span.sst");
-            let meta =
-                write_sstable(1, &path, sample_entries(300).into_iter(), &cfg(128, codec)).unwrap();
-            let r = SstReader::open(meta).unwrap();
-            let blocks = r.block_count();
-            assert!(blocks > 8, "span test needs many blocks, got {blocks}");
-            // Every run shape: full table, interior runs, single block, tail.
-            for (first, count) in [(0, blocks), (1, blocks - 2), (3, 1), (blocks - 2, 2)] {
-                let spans = r.read_blocks(first, count).unwrap();
-                assert_eq!(spans.len(), count);
-                for (i, span) in spans.iter().enumerate() {
-                    assert_eq!(
-                        span.as_slice(),
-                        r.read_block(first + i).unwrap().as_slice(),
-                        "span read of block {} diverged (codec {})",
-                        first + i,
-                        codec.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn concurrent_positional_reads_share_one_reader() {
         let dir = tmpdir();
         let path = dir.create().join("pread.sst");
@@ -1015,7 +898,7 @@ mod tests {
                 s.spawn(move || {
                     for (i, (k, e)) in entries.iter().enumerate() {
                         if i % 4 == t {
-                            assert_eq!(r.get(k).unwrap().as_ref(), Some(e), "key {k:?}");
+                            assert_eq!(get(&r, k).unwrap().as_ref(), Some(e), "key {k:?}");
                         }
                     }
                 });
@@ -1034,14 +917,14 @@ mod tests {
                     .unwrap();
             assert_eq!(stats.blocks as usize, {
                 let r = SstReader::open(meta.clone()).unwrap();
-                r.block_count()
+                r.index.len()
             });
             let r = SstReader::open(meta).unwrap();
             assert_eq!(r.codec(), codec);
             assert_eq!(r.scan().unwrap(), entries, "codec {}", codec.name());
             for (k, e) in &entries {
                 assert_eq!(
-                    r.get(k).unwrap().as_ref(),
+                    get(&r, k).unwrap().as_ref(),
                     Some(e),
                     "codec {}",
                     codec.name()
@@ -1074,7 +957,7 @@ mod tests {
         )
         .unwrap();
         let r = SstReader::open(meta.clone()).unwrap();
-        assert!(r.block_count() > 3);
+        assert!(r.index.len() > 3);
         let victim = &r.index[1];
         let mut bytes = std::fs::read(&path).unwrap();
         // Hit the middle of block 1's frame payload.
@@ -1093,11 +976,6 @@ mod tests {
         // Unrelated blocks are unaffected.
         assert!(r.read_block(0).is_ok());
         assert!(r.read_block(2).is_ok());
-        // Marked span reads fail only the bad slot.
-        let results = r.read_blocks_marked(0, 3, &[]);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
     }
 
     #[test]
@@ -1108,7 +986,7 @@ mod tests {
             let meta =
                 write_sstable(1, &path, sample_entries(300).into_iter(), &cfg(256, codec)).unwrap();
             let r = SstReader::open(meta).unwrap();
-            let blocks = r.block_count();
+            let blocks = r.index.len();
             assert!(blocks >= 3);
             for idx in 0..blocks {
                 match r.read_block_marked(idx, true) {
@@ -1120,13 +998,6 @@ mod tests {
                 }
                 // Unmarked read of the same block still answers.
                 assert!(r.read_block(idx).is_ok());
-            }
-            // Span path: only marked slots fail.
-            let mut marks = vec![false; blocks];
-            marks[1] = true;
-            let results = r.read_blocks_marked(0, blocks, &marks);
-            for (i, res) in results.iter().enumerate() {
-                assert_eq!(res.is_err(), i == 1, "slot {i} (codec {})", codec.name());
             }
         }
     }
@@ -1176,14 +1047,242 @@ mod tests {
         .unwrap();
         let stats = Arc::new(SstDecodeStats::default());
         let r = SstReader::open_shared(meta, stats.clone()).unwrap();
-        let blocks = r.block_count();
-        let _ = r.read_blocks(0, blocks).unwrap();
+        let blocks = r.index.len();
+        for idx in 0..blocks {
+            r.read_block(idx).unwrap();
+        }
         assert_eq!(
             stats.blocks_decoded.load(Ordering::Relaxed),
             blocks as u64,
-            "span read must decode each frame exactly once"
+            "each block read decodes its frame exactly once"
         );
         assert!(stats.blocks_decompressed.load(Ordering::Relaxed) > 0);
         assert_eq!(stats.block_decode_errors.load(Ordering::Relaxed), 0);
+    }
+
+    /// Largest single heap allocation a closure makes on this thread —
+    /// how the never-panic proptest shows that no length read from disk
+    /// sizes a buffer beyond the file it came from.
+    mod alloc_probe {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ARMED: Cell<bool> = const { Cell::new(false) };
+            static LARGEST: Cell<usize> = const { Cell::new(0) };
+        }
+
+        fn note(size: usize) {
+            if ARMED.try_with(Cell::get).unwrap_or(false) {
+                let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+            }
+        }
+
+        struct Probe;
+
+        // SAFETY: every call is forwarded unchanged to the system
+        // allocator; the probe only records sizes.
+        unsafe impl GlobalAlloc for Probe {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                System.alloc(layout)
+            }
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                System.alloc_zeroed(layout)
+            }
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                System.realloc(ptr, layout, new_size)
+            }
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+        }
+
+        #[global_allocator]
+        static PROBE: Probe = Probe;
+
+        /// Runs `f`, returning its result and the largest allocation it
+        /// made on this thread.
+        pub fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+            LARGEST.with(|l| l.set(0));
+            ARMED.with(|a| a.set(true));
+            let out = f();
+            ARMED.with(|a| a.set(false));
+            (out, LARGEST.with(Cell::get))
+        }
+    }
+
+    /// One way to damage a table file.
+    #[derive(Debug, Clone)]
+    enum Damage {
+        /// Flip bit `bit` of the byte at `at % len`.
+        Flip { at: usize, bit: u8 },
+        /// Keep only the first `at % len` bytes.
+        Truncate { at: usize },
+        /// Overwrite a length or offset with `value`: `field` 0..7 is a
+        /// footer field (CRC re-stamped, so the forgery gets past it),
+        /// 7 a spot in the index, 8/9 the bloom filter's bit count /
+        /// probe count, 10 a spot in the dict payload.
+        Forge { field: usize, at: usize, value: u64 },
+    }
+
+    fn damage_strategy() -> impl proptest::strategy::Strategy<Value = Damage> {
+        use proptest::prelude::*;
+        let value = prop_oneof![
+            Just(0u64),
+            Just(1u64),
+            Just(u32::MAX as u64),
+            Just(u64::MAX),
+            0u64..1 << 20,
+            any::<u64>(),
+        ];
+        prop_oneof![
+            3 => (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Damage::Flip { at, bit }),
+            1 => any::<usize>().prop_map(|at| Damage::Truncate { at }),
+            4 => (0usize..11, any::<usize>(), value)
+                .prop_map(|(field, at, value)| Damage::Forge { field, at, value }),
+        ]
+    }
+
+    /// Writes the low `width` bytes of `value` at `pos`, clipped to the
+    /// buffer.
+    fn put_le(bytes: &mut [u8], pos: usize, value: u64, width: usize) {
+        let end = pos.saturating_add(width).min(bytes.len());
+        if pos < end {
+            bytes[pos..end].copy_from_slice(&value.to_le_bytes()[..end - pos]);
+        }
+    }
+
+    fn apply(bytes: &mut Vec<u8>, damage: &Damage) {
+        if bytes.is_empty() {
+            return;
+        }
+        let len = bytes.len();
+        let footer = len.saturating_sub(FOOTER_LEN);
+        let field_u64 = |b: &[u8], at: usize| {
+            b.get(footer + at..footer + at + 8)
+                .map_or(0, |f| u64::from_le_bytes(f.try_into().unwrap()) as usize)
+        };
+        let field_u32 = |b: &[u8], at: usize| {
+            b.get(footer + at..footer + at + 4)
+                .map_or(0, |f| u32::from_le_bytes(f.try_into().unwrap()) as usize)
+        };
+        // A spot inside the section whose (offset, length) the footer
+        // names at (off_at, len_at).
+        let spot = |b: &[u8], off_at: usize, len_at: usize, at: usize| {
+            field_u64(b, off_at).saturating_add(at % field_u32(b, len_at).max(1))
+        };
+        match *damage {
+            Damage::Flip { at, bit } => bytes[at % len] ^= 1 << bit,
+            Damage::Truncate { at } => bytes.truncate(at % len),
+            Damage::Forge { field, value, .. } if field < 7 => {
+                const FIELDS: [(usize, usize); 7] =
+                    [(0, 8), (8, 4), (13, 8), (21, 4), (25, 8), (33, 4), (37, 4)];
+                if len >= FOOTER_LEN {
+                    let (off, width) = FIELDS[field];
+                    put_le(bytes, footer + off, value, width);
+                    let crc = crc32(&bytes[footer..len - 8]);
+                    put_le(bytes, len - 8, crc as u64, 4);
+                }
+            }
+            Damage::Forge {
+                field: 7,
+                at,
+                value,
+            } => {
+                let pos = spot(bytes, 13, 21, at);
+                put_le(bytes, pos, value, 4);
+            }
+            Damage::Forge {
+                field: 8, value, ..
+            } => {
+                let pos = field_u64(bytes, 25);
+                put_le(bytes, pos, value, 8);
+            }
+            Damage::Forge {
+                field: 9, value, ..
+            } => {
+                let pos = field_u64(bytes, 25).saturating_add(8);
+                put_le(bytes, pos, value, 4);
+            }
+            Damage::Forge { at, value, .. } => {
+                let pos = spot(bytes, 0, 8, at);
+                put_le(bytes, pos, value, 4);
+            }
+        }
+    }
+
+    fn pristine_lz_table() -> &'static (Vec<u8>, SstMeta) {
+        static TABLE: std::sync::OnceLock<(Vec<u8>, SstMeta)> = std::sync::OnceLock::new();
+        TABLE.get_or_init(|| {
+            let dir = tmpdir();
+            let path = dir.create().join("pristine.sst");
+            // Big enough (~30 KiB) that the codec's fixed decode tables
+            // fit under the file-length bound, small enough to stay fast.
+            let meta = write_sstable(
+                1,
+                &path,
+                sample_entries(2000).into_iter(),
+                &cfg(512, BlockCodec::Lz),
+            )
+            .unwrap();
+            (std::fs::read(&path).unwrap(), meta)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Whatever a table file holds — flipped bits, a truncation,
+        /// forged footer/index/bloom/dict lengths — opening it, locating
+        /// keys and ranges, reading every block and decoding it each
+        /// return `Ok` or `Err(Corruption | Io)`: never a panic, and no
+        /// allocation larger than the file (ROADMAP 9c).
+        #[test]
+        fn damaged_tables_never_panic_or_overallocate(
+            damages in proptest::collection::vec(damage_strategy(), 1..4),
+        ) {
+            let (pristine, meta) = pristine_lz_table();
+            let mut bytes = pristine.clone();
+            for damage in &damages {
+                apply(&mut bytes, damage);
+            }
+            let dir = tmpdir();
+            let path = dir.create().join("damaged.sst");
+            std::fs::write(&path, &bytes).unwrap();
+            let meta = SstMeta { path, ..meta.clone() };
+            let clean_error = |e: &Error| matches!(e, Error::Corruption(_) | Error::Io(_));
+            let (outcome, largest) = alloc_probe::largest_allocation(|| -> Result<()> {
+                let r = SstReader::open(meta)?;
+                for i in (0..2100).step_by(21) {
+                    let key = Key::from(format!("key-{i:06}"));
+                    r.locate(&key);
+                    r.locate_range(&key, Some(&Key::from(format!("key-{:06}", i + 40))));
+                }
+                r.locate_range(&Key::from(""), None);
+                for idx in 0..r.index.len() {
+                    match r.read_block(idx) {
+                        Ok(block) => {
+                            if let Err(e) = decode_block(&block) {
+                                assert!(clean_error(&e), "block {idx} decode: {e:?}");
+                            }
+                        }
+                        Err(e) => assert!(clean_error(&e), "block {idx} read: {e:?}"),
+                    }
+                }
+                Ok(())
+            });
+            if let Err(e) = &outcome {
+                proptest::prop_assert!(clean_error(e), "open: {e:?}");
+            }
+            // The floor covers a truncated file's path and error text.
+            proptest::prop_assert!(
+                largest <= bytes.len().max(1024),
+                "{damages:?}: a {largest}-byte allocation for a {}-byte file",
+                bytes.len()
+            );
+        }
     }
 }

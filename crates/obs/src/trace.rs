@@ -49,7 +49,7 @@ pub struct TraceEvent {
     pub seq: u64,
     /// Op id tying this event to the span(s) of one logical operation.
     pub op: u64,
-    /// Where it happened, e.g. `"lsm.read_pool.fetch"`.
+    /// Where it happened, e.g. `"lsm.batch.fetch"`.
     pub site: &'static str,
     pub kind: EventKind,
     /// Microseconds since the tracer's epoch.

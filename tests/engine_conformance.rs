@@ -490,8 +490,8 @@ fn lsm_db_dict_conforms() {
 #[test]
 fn frontend_over_lz_lsm_conforms() {
     // 18th configuration: the pipelined front-end over the LZ-compressed
-    // LSM engine — compressed frames flow through the pooled batch read
-    // path (span coalescing + claiming-worker decompression).
+    // LSM engine — compressed frames flow through the batched read path
+    // (staged fetch, dedup, one decode per block per batch).
     let dir = tmpdir("fe-lsm-lz");
     let config = compressed_lsm_config(dir.path(), tierbase::compress::BlockCodec::Lz);
     let db = Arc::new(LsmDb::open(config).unwrap());

@@ -68,11 +68,10 @@ fn fresh_dir(tag: &str) -> TestDir {
 }
 
 /// Small thresholds so the scripted workload crosses several flushes
-/// and at least one compaction — every fault site gets hit.
-/// `read_pool_threads` selects the completion pass: 0 = inline fetch,
-/// 2 = the parallel shard read pool. Tables are written compressed so
-/// the `sst.block_decode` enumeration corrupts real frames.
-fn torture_config(dir: &std::path::Path, read_pool_threads: usize) -> LsmConfig {
+/// and at least one compaction — every fault site gets hit. Tables are
+/// written compressed so the `sst.block_decode` enumeration corrupts
+/// real frames.
+fn torture_config(dir: &std::path::Path) -> LsmConfig {
     LsmConfig {
         dir: dir.to_path_buf(),
         memtable_bytes: 1200,
@@ -85,7 +84,6 @@ fn torture_config(dir: &std::path::Path, read_pool_threads: usize) -> LsmConfig 
             codec: tierbase::compress::BlockCodec::Lz,
         },
         wal_sync: SyncPolicy::OsBuffer,
-        read_pool_threads,
     }
 }
 
@@ -118,9 +116,15 @@ enum Op {
     Put(u32, u32),
     Delete(u32),
     /// CAS from the current certain value to `val(seed)`; issued as a
-    /// plain put when the key's state is indeterminate.
+    /// plain put when the key's state is indeterminate. Its read stages
+    /// and completes like any lookup, so once the key is flushed it
+    /// reaches the `batch.*`/`sst.block_decode` sites too.
     Cas(u32, u32),
     MultiPut(Vec<(u32, u32)>),
+    /// A point read: no durability state, but it stages and completes
+    /// through the same `batch.*`/`sst.block_decode` sites as a batch,
+    /// and whatever it answers must be a legal state of the key.
+    Get(u32),
     /// One `apply_batch` submission mixing puts and gets — drives the
     /// overlapped read path (staged block reads, completion pass) so
     /// its fault sites land in the torture matrix. Completions are
@@ -151,6 +155,9 @@ fn script() -> Vec<Op> {
         writes: vec![(2, 250), (7, 257)],
         gets: (0..16).collect(),
     });
+    for i in [2, 3, 7, 11] {
+        ops.push(Op::Get(i));
+    }
     for i in 4..12 {
         ops.push(Op::Put(i, 300 + i));
     }
@@ -168,6 +175,9 @@ fn script() -> Vec<Op> {
         gets: vec![0, 3, 6, 9, 12, 15],
     });
     ops.push(Op::Sync);
+    for i in [1, 10, 14] {
+        ops.push(Op::Get(i));
+    }
     ops
 }
 
@@ -203,6 +213,14 @@ impl Model {
             if !cands.contains(s) {
                 cands.push(*s);
             }
+        }
+    }
+
+    /// Whether `got` is a state key `k` may legally hold right now.
+    fn legal(&self, k: u32, got: &Option<Value>) -> bool {
+        match self.uncertain.get(&k) {
+            Some(cands) => cands.iter().any(|c| &c.map(val) == got),
+            None => &self.committed.get(&k).copied().flatten().map(val) == got,
         }
     }
 
@@ -293,6 +311,23 @@ fn run_workload(engine: &dyn KvEngine, ops: &[Op], model: &mut Model) -> bool {
             }
             continue;
         }
+        if let Op::Get(k) = op {
+            match catch_unwind(AssertUnwindSafe(|| engine.get(&key(*k)))) {
+                Ok(Ok(got)) => assert!(
+                    model.legal(*k, &got),
+                    "live get({k}) answered {got:?}, not a legal state of the key"
+                ),
+                // A failed read changes no state.
+                Ok(Err(_)) => {}
+                Err(payload) => {
+                    if payload.downcast_ref::<CrashPoint>().is_none() {
+                        std::panic::resume_unwind(payload);
+                    }
+                    return true;
+                }
+            }
+            continue;
+        }
         // A CAS against an indeterminate key degrades to a put — the
         // driver cannot know which expected value the engine holds.
         let op = match op {
@@ -303,7 +338,7 @@ fn run_workload(engine: &dyn KvEngine, ops: &[Op], model: &mut Model) -> bool {
             Op::Put(k, s) | Op::Cas(k, s) => vec![(*k, Some(*s))],
             Op::Delete(k) => vec![(*k, None)],
             Op::MultiPut(pairs) => pairs.iter().map(|(k, s)| (*k, Some(*s))).collect(),
-            Op::Batch { .. } => unreachable!("handled above"),
+            Op::Get(_) | Op::Batch { .. } => unreachable!("handled above"),
             Op::Sync => vec![],
         };
         let result = catch_unwind(AssertUnwindSafe(|| match &op {
@@ -319,7 +354,7 @@ fn run_workload(engine: &dyn KvEngine, ops: &[Op], model: &mut Model) -> bool {
             Op::MultiPut(pairs) => {
                 engine.multi_put(pairs.iter().map(|(k, s)| (key(*k), val(*s))).collect())
             }
-            Op::Batch { .. } => unreachable!("handled above"),
+            Op::Get(_) | Op::Batch { .. } => unreachable!("handled above"),
             Op::Sync => engine.sync(),
         }));
         match result {
@@ -346,17 +381,10 @@ fn run_workload(engine: &dyn KvEngine, ops: &[Op], model: &mut Model) -> bool {
 /// One torture run: workload killed at `(site, hit, mode)`, then reopen
 /// and verify. Returns whether the injection actually fired (exhaustion
 /// signal for the enumeration).
-fn run_once(
-    site: &'static str,
-    hit: u64,
-    mode: FaultMode,
-    pipelined: bool,
-    pool_threads: usize,
-) -> bool {
+fn run_once(site: &'static str, hit: u64, mode: FaultMode, pipelined: bool) -> bool {
     let ctx = format!(
-        "{}{}:{site}#{hit}:{mode:?}",
-        if pipelined { "pipelined" } else { "raw" },
-        if pool_threads > 0 { "+pool" } else { "" }
+        "{}:{site}#{hit}:{mode:?}",
+        if pipelined { "pipelined" } else { "raw" }
     );
     let dir = fresh_dir(if pipelined { "pipe" } else { "raw" });
     let mut model = Model::default();
@@ -367,7 +395,7 @@ fn run_once(
     // "process" could still write.
     let plan;
     if pipelined {
-        let db = Arc::new(LsmDb::open(torture_config(dir.path(), pool_threads)).unwrap());
+        let db = Arc::new(LsmDb::open(torture_config(dir.path())).unwrap());
         let fe = Frontend::start(db, frontend_config());
         plan = fault::arm(site, hit, mode);
         let crashed = run_workload(&fe, &ops, &mut model);
@@ -378,7 +406,7 @@ fn run_once(
         }
         fe.shutdown();
     } else {
-        let db = LsmDb::open(torture_config(dir.path(), pool_threads)).unwrap();
+        let db = LsmDb::open(torture_config(dir.path())).unwrap();
         plan = fault::arm(site, hit, mode);
         let crashed = run_workload(&db, &ops, &mut model);
         if !crashed && plan.fired() {
@@ -389,9 +417,8 @@ fn run_once(
     let fired = plan.fired();
     drop(plan);
 
-    // "Reboot": recover from the frozen disk image alone (with the
-    // same pool setting, proving recovery works under it too).
-    let db = LsmDb::open(torture_config(dir.path(), pool_threads))
+    // "Reboot": recover from the frozen disk image alone.
+    let db = LsmDb::open(torture_config(dir.path()))
         .unwrap_or_else(|e| panic!("[{ctx}] reopen after kill failed: {e}"));
     model.verify(&db, &ctx);
     // The recovered store must accept and serve new writes.
@@ -403,19 +430,13 @@ fn run_once(
 /// Enumerates `(site, 1..)` until the workload stops reaching the site
 /// (or `cap` hits in smoke mode), asserting every listed site fires at
 /// least once.
-fn enumerate(
-    sites: &[&'static str],
-    mode_of: fn(u64) -> FaultMode,
-    pipelined: bool,
-    cap: u64,
-    pool_threads: usize,
-) {
+fn enumerate(sites: &[&'static str], mode_of: fn(u64) -> FaultMode, pipelined: bool, cap: u64) {
     quiet_crash_panics();
     for &site in sites {
         let mut fired_once = false;
         let mut hit = 1u64;
         loop {
-            let fired = run_once(site, hit, mode_of(hit), pipelined, pool_threads);
+            let fired = run_once(site, hit, mode_of(hit), pipelined);
             fired_once |= fired;
             if !fired || hit >= cap {
                 break;
@@ -448,7 +469,7 @@ fn cap_or(full: u64) -> u64 {
 fn fault_sites_all_reachable() {
     let _g = gate();
     let dir = fresh_dir("probe");
-    let db = LsmDb::open(torture_config(dir.path(), 0)).unwrap();
+    let db = LsmDb::open(torture_config(dir.path())).unwrap();
     fault::set_counting(true);
     let mut model = Model::default();
     let crashed = run_workload(&db, &script(), &mut model);
@@ -490,7 +511,7 @@ fn fault_sites_all_reachable() {
 fn redundant_sync_costs_no_fdatasync() {
     let _g = gate();
     let dir = fresh_dir("syncfree");
-    let mut config = torture_config(dir.path(), 0);
+    let mut config = torture_config(dir.path());
     config.memtable_bytes = 1 << 20; // flush only when the test says so
     let db = LsmDb::open(config.clone()).unwrap();
     fault::set_counting(true);
@@ -541,15 +562,15 @@ fn redundant_sync_costs_no_fdatasync() {
 /// The telemetry layer must be invisible to the fault schedule: whether
 /// tracer/metrics recording is on cannot shift the `(site, hit)`
 /// enumeration the whole torture matrix is keyed by. Runs the scripted
-/// workload with counting on under both observability settings (and
-/// both completion passes) and compares the per-site hit counts.
+/// workload with counting on under both observability settings and
+/// compares the per-site hit counts.
 #[test]
 fn telemetry_does_not_perturb_fault_enumeration() {
     let _g = gate();
-    let counts_with = |obs_on: bool, pool: usize| {
+    let counts_with = |obs_on: bool| {
         tierbase::obs::set_enabled(obs_on);
         let dir = fresh_dir("obs-invariance");
-        let db = LsmDb::open(torture_config(dir.path(), pool)).unwrap();
+        let db = LsmDb::open(torture_config(dir.path())).unwrap();
         fault::set_counting(true);
         let mut model = Model::default();
         let crashed = run_workload(&db, &script(), &mut model);
@@ -558,36 +579,27 @@ fn telemetry_does_not_perturb_fault_enumeration() {
         fault::set_counting(false);
         counts
     };
-    for pool in [0usize, 2] {
-        let with_obs = counts_with(true, pool);
-        let without_obs = counts_with(false, pool);
-        tierbase::obs::set_enabled(true);
-        assert_eq!(
-            with_obs, without_obs,
-            "telemetry recording changed the fault (site, hit) \
-             enumeration (pool={pool})"
-        );
-    }
+    let with_obs = counts_with(true);
+    let without_obs = counts_with(false);
+    tierbase::obs::set_enabled(true);
+    assert_eq!(
+        with_obs, without_obs,
+        "telemetry recording changed the fault (site, hit) enumeration"
+    );
 }
 
 /// Simulated `kill -9` at every `(site, hit)` on the raw engine.
 #[test]
 fn crash_torture_raw() {
     let _g = gate();
-    enumerate(
-        FAULT_SITES,
-        |_| FaultMode::Crash,
-        false,
-        cap_or(u64::MAX),
-        0,
-    );
+    enumerate(FAULT_SITES, |_| FaultMode::Crash, false, cap_or(u64::MAX));
 }
 
 /// The same kill schedule through the pipelined group-commit front-end.
 #[test]
 fn crash_torture_pipelined() {
     let _g = gate();
-    enumerate(FAULT_SITES, |_| FaultMode::Crash, true, cap_or(u64::MAX), 0);
+    enumerate(FAULT_SITES, |_| FaultMode::Crash, true, cap_or(u64::MAX));
 }
 
 /// Transient IO error at every `(site, hit)`: the op fails, the store
@@ -595,13 +607,7 @@ fn crash_torture_pipelined() {
 #[test]
 fn error_torture_raw() {
     let _g = gate();
-    enumerate(
-        FAULT_SITES,
-        |_| FaultMode::Error,
-        false,
-        cap_or(u64::MAX),
-        0,
-    );
+    enumerate(FAULT_SITES, |_| FaultMode::Error, false, cap_or(u64::MAX));
 }
 
 /// Transient IO errors through the front-end: failing tickets resolve,
@@ -610,7 +616,7 @@ fn error_torture_raw() {
 #[test]
 fn error_torture_pipelined() {
     let _g = gate();
-    enumerate(FAULT_SITES, |_| FaultMode::Error, true, cap_or(u64::MAX), 0);
+    enumerate(FAULT_SITES, |_| FaultMode::Error, true, cap_or(u64::MAX));
 }
 
 /// Torn writes (partial buffer + crash) at every buffer-write site,
@@ -625,61 +631,7 @@ fn torn_write_torture_raw() {
         },
         false,
         cap_or(u64::MAX),
-        0,
     );
-}
-
-/// The `(site, hit)` crash matrix again, with the completion pass
-/// running on the parallel shard read pool — durability and positional
-/// fault determinism must not depend on who fetches the blocks.
-#[test]
-fn crash_torture_raw_read_pool() {
-    let _g = gate();
-    enumerate(
-        FAULT_SITES,
-        |_| FaultMode::Crash,
-        false,
-        cap_or(u64::MAX),
-        2,
-    );
-}
-
-/// Transient IO errors with the pooled completion pass: same per-slot
-/// error scoping and recovery as inline.
-#[test]
-fn error_torture_raw_read_pool() {
-    let _g = gate();
-    enumerate(
-        FAULT_SITES,
-        |_| FaultMode::Error,
-        false,
-        cap_or(u64::MAX),
-        2,
-    );
-}
-
-/// Torn writes with the pooled completion pass.
-#[test]
-fn torn_write_torture_raw_read_pool() {
-    let _g = gate();
-    enumerate(
-        FAULT_WRITE_SITES,
-        |hit| FaultMode::Torn {
-            keep: (hit as usize * 17) % 89,
-        },
-        false,
-        cap_or(u64::MAX),
-        2,
-    );
-}
-
-/// Crash matrix through the pipelined front-end over a pooled engine:
-/// shard workers share the engine's read pool, kills surface as failed
-/// tickets, recovery stays clean.
-#[test]
-fn crash_torture_pipelined_read_pool() {
-    let _g = gate();
-    enumerate(FAULT_SITES, |_| FaultMode::Crash, true, cap_or(u64::MAX), 2);
 }
 
 /// Torn writes through the pipelined path.
@@ -693,7 +645,6 @@ fn torn_write_torture_pipelined() {
         },
         true,
         cap_or(u64::MAX),
-        0,
     );
 }
 
@@ -701,32 +652,23 @@ fn torn_write_torture_pipelined() {
 /// enumerations: for every hit position either fault can land on, a
 /// batch mixing range scans and point gets must fail *only* the
 /// completion slots whose staged reads reference the faulted block —
-/// identically on the inline and pooled completion passes — while every
-/// other slot answers the same as a clean run (a block-read fault never
-/// fetches; a decode fault fetches a frame that fails CRC/decode).
+/// the same slots on every run of the schedule — while every other slot
+/// answers the same as a clean run (a block-read fault never fetches; a
+/// decode fault fetches a frame that fails CRC/decode).
 #[test]
 fn scan_batch_block_read_fault_fails_only_its_slots() {
     let _g = gate();
     let dir = fresh_dir("scanfault");
-    let config = torture_config(dir.path(), 0);
-    {
-        // Two flushed generations so scans stage ranges across tables.
-        let db = LsmDb::open(config.clone()).unwrap();
-        for i in 0..120 {
-            db.put(key(i), val(i)).unwrap();
-        }
-        db.flush().unwrap();
-        for i in 60..180 {
-            db.put(key(i), val(i + 1000)).unwrap();
-        }
-        db.flush().unwrap();
+    let db = LsmDb::open(torture_config(dir.path())).unwrap();
+    // Two flushed generations so scans stage ranges across tables.
+    for i in 0..120 {
+        db.put(key(i), val(i)).unwrap();
     }
-    let inline = LsmDb::open(config.clone()).unwrap();
-    let mut pooled_config = config;
-    pooled_config.read_pool_threads = 2;
-    // Second handle over the same dir: reads only, so the duplicate
-    // WAL handle never comes into play.
-    let pooled = LsmDb::open(pooled_config).unwrap();
+    db.flush().unwrap();
+    for i in 60..180 {
+        db.put(key(i), val(i + 1000)).unwrap();
+    }
+    db.flush().unwrap();
 
     let ops = || {
         vec![
@@ -744,18 +686,19 @@ fn scan_batch_block_read_fault_fails_only_its_slots() {
             EngineOp::Get(key(5)),
         ]
     };
-    let clean = inline.apply_batch(ops());
+    let before = KvEngine::batch_read_stats(&db).blocks_read;
+    let clean = db.apply_batch(ops());
     assert!(
         clean.iter().all(|r| r.is_ok()),
         "clean run failed: {clean:?}"
     );
-    let total_fetches = KvEngine::batch_read_stats(&inline).blocks_read;
+    let total_fetches = KvEngine::batch_read_stats(&db).blocks_read - before;
     assert!(total_fetches >= 4, "scan batch staged too few blocks");
 
     for site in ["batch.block_read", "sst.block_decode"] {
         for hit in 1..=cap_or(total_fetches) {
             let mut failed = Vec::new();
-            for (which, db) in [("inline", &inline), ("pooled", &pooled)] {
+            for run in ["first", "repeat"] {
                 let plan = fault::arm_scoped(site, hit, FaultMode::Error);
                 let outcomes = db.apply_batch(ops());
                 drop(plan);
@@ -766,13 +709,13 @@ fn scan_batch_block_read_fault_fails_only_its_slots() {
                     .collect();
                 assert!(
                     !errs.is_empty(),
-                    "{site} hit {hit} never fired ({which}: fetches={total_fetches})"
+                    "{site} hit {hit} never fired ({run}: fetches={total_fetches})"
                 );
                 if site == "sst.block_decode" {
                     for i in &errs {
                         assert!(
                             matches!(outcomes[*i], Err(Error::Corruption(_))),
-                            "{which} {site} hit {hit}: slot {i} must fail with \
+                            "{run} {site} hit {hit}: slot {i} must fail with \
                              Corruption, got {:?}",
                             outcomes[*i]
                         );
@@ -782,7 +725,7 @@ fn scan_batch_block_read_fault_fails_only_its_slots() {
                     if r.is_ok() {
                         assert_eq!(
                             r, &clean[i],
-                            "{which} {site} hit {hit}: slot {i} answered differently \
+                            "{run} {site} hit {hit}: slot {i} answered differently \
                              under an unrelated block fault"
                         );
                     }
@@ -791,11 +734,11 @@ fn scan_batch_block_read_fault_fails_only_its_slots() {
             }
             assert_eq!(
                 failed[0], failed[1],
-                "{site} hit {hit}: pooled fault landed on different slots than inline"
+                "{site} hit {hit}: the fault landed on different slots when repeated"
             );
         }
         // The store stays usable between and after fault rounds.
-        let again = inline.apply_batch(ops());
+        let again = db.apply_batch(ops());
         assert_eq!(again, clean, "store must serve cleanly after {site} faults");
     }
 }
@@ -1196,6 +1139,7 @@ mod schedules {
         prop_oneof![
             6 => (0u32..20, any::<u32>()).prop_map(|(k, s)| Op::Put(k, s % 1000)),
             2 => (0u32..20).prop_map(Op::Delete),
+            2 => (0u32..20).prop_map(Op::Get),
             2 => (0u32..20, any::<u32>()).prop_map(|(k, s)| Op::Cas(k, s % 1000)),
             1 => proptest::collection::vec((0u32..20, 0u32..1000), 1..6)
                 .prop_map(Op::MultiPut),
@@ -1208,21 +1152,21 @@ mod schedules {
         ]
     }
 
-    fn run_schedule(ops: &[Op], site: &'static str, hit: u64, mode: FaultMode, pool: usize) {
+    fn run_schedule(ops: &[Op], site: &'static str, hit: u64, mode: FaultMode) {
         let _g = gate();
         quiet_crash_panics();
         let dir = fresh_dir("sched");
         let mut model = Model::default();
         let plan;
         {
-            let db = LsmDb::open(torture_config(dir.path(), pool)).unwrap();
+            let db = LsmDb::open(torture_config(dir.path())).unwrap();
             plan = fault::arm(site, hit, mode);
             run_workload(&db, ops, &mut model);
         }
         drop(plan);
-        let db = LsmDb::open(torture_config(dir.path(), pool))
-            .unwrap_or_else(|e| panic!("[{site}#{hit}:{mode:?}:pool{pool}] reopen failed: {e}"));
-        model.verify(&db, &format!("sched:{site}#{hit}:{mode:?}:pool{pool}"));
+        let db = LsmDb::open(torture_config(dir.path()))
+            .unwrap_or_else(|e| panic!("[{site}#{hit}:{mode:?}] reopen failed: {e}"));
+        model.verify(&db, &format!("sched:{site}#{hit}:{mode:?}"));
     }
 
     proptest! {
@@ -1243,14 +1187,13 @@ mod schedules {
             hit in 1u64..12,
             mode_sel in 0u8..3,
             keep in 0usize..80,
-            pool_sel in 0usize..2,
         ) {
             let mode = match mode_sel {
                 0 => FaultMode::Error,
                 1 => FaultMode::Crash,
                 _ => FaultMode::Torn { keep },
             };
-            run_schedule(&ops, FAULT_SITES[site_idx], hit, mode, pool_sel * 2);
+            run_schedule(&ops, FAULT_SITES[site_idx], hit, mode);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end range-scan acceptance: YCSB-E through the cluster.
 //!
 //! A generated YCSB-E trace (95% scans, 5% inserts, zipfian starts)
-//! runs against a 3-node cluster of pipelined, read-pooled LSM nodes
+//! runs against a 3-node cluster of pipelined LSM nodes
 //! via `ClusterClient::scan` — hash placement scatters every range
 //! over all owners, so each scan exercises the fan-out, k-way merge,
 //! and global re-limit — and every scan's rows must be identical to a
@@ -21,8 +21,7 @@ fn ycsb_e_cluster_scans_match_oracle() {
     let dir = test_dir("tb-scan-e2e");
     let dbs: Vec<Arc<LsmDb>> = (0..3)
         .map(|i| {
-            let mut config = LsmConfig::small_for_tests(dir.path().join(format!("n{i}")));
-            config.read_pool_threads = 2;
+            let config = LsmConfig::small_for_tests(dir.path().join(format!("n{i}")));
             Arc::new(LsmDb::open(config).expect("open node lsm"))
         })
         .collect();
