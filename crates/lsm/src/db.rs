@@ -18,23 +18,18 @@
 //! *storage tier*, whose throughput the paper models as RPC-bounded
 //! anyway.
 
-use crate::compaction::{level_bytes, level_limit, merge_runs};
 use crate::memtable::{Entry, Memtable};
-use crate::sstable::{
-    decode_block, find_in_block, sync_parent_dir, write_sstable_with_stats, SstBuildStats,
-    SstConfig, SstDecodeStats, SstMeta, SstReader,
-};
+use crate::sstable::{SstBuildStats, SstConfig, SstDecodeStats, SstReader};
+use crate::version::read_manifest;
 use crate::wal::{SyncPolicy, Wal};
 use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tb_common::{
-    crc32, fault, read_varint, write_varint, BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn,
-    OpOutcome, Result, Value,
+    read_varint, write_varint, BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome,
+    Result, Value,
 };
-
-const MANIFEST_MAGIC: u32 = 0x7b4d_414e;
 
 /// Tuning knobs.
 #[derive(Debug, Clone)]
@@ -119,7 +114,7 @@ pub struct LsmStats {
 }
 
 impl LsmStats {
-    fn add_build(&self, build: &SstBuildStats) {
+    pub(crate) fn add_build(&self, build: &SstBuildStats) {
         self.blocks_compressed
             .fetch_add(build.blocks_compressed, Ordering::Relaxed);
         self.compressed_bytes_written
@@ -129,140 +124,30 @@ impl LsmStats {
     }
 }
 
-/// A staged block reference: block `.1` of table `.0`, pinned so the
-/// completion pass reads a consistent snapshot after the lock drops.
-type Cand = (Arc<SstReader>, usize);
-
-/// One lookup after staging.
-enum Lookup {
-    /// Resolved without block IO: memtable hit, or every table ruled
-    /// the key out (range/bloom).
-    Ready(Option<Value>),
-    /// Staged: `cands[start..end]` of the pass's shared arena holds
-    /// this key's `(table, block)` pairs in table-priority order; the
-    /// completion pass searches them against its deduped block fetches.
-    /// (One arena per pass, not one Vec per key — a lookup must not pay
-    /// an allocation for being batched.)
-    Staged { key: Key, start: usize, end: usize },
-}
-
-/// A staged range scan: `cands[cands.start..cands.end]` holds every
-/// block of every overlapping table, pushed in table-priority order
-/// (memtable entries, the highest priority, are snapshotted into
-/// `base` at staging). The completion pass decodes the staged blocks —
-/// deduped and fetched alongside the pass's point lookups — and merges
-/// newest-wins.
-struct StagedScan {
-    start: Key,
-    end: Option<Key>,
-    limit: usize,
-    base: Vec<(Key, Entry)>,
-    cands: std::ops::Range<usize>,
-}
-
-/// One submitted op after the submission pass: writes and memtable-only
-/// lookups are done; staged lookups await the completion pass.
-enum Slot {
-    Done(Result<OpOutcome>),
-    Get(Lookup),
-    MultiGet(Vec<Lookup>),
-    Scan(StagedScan),
-}
-
-/// The blocks one completion pass fetched, shared by every staged
-/// lookup and scan of the pass.
-struct Fetched {
-    /// `batch.complete` gate: an aborted pass fetched nothing and fails
-    /// every staged slot.
-    pass: Result<()>,
-    /// `slot_of[c]` = index into `blocks` serving candidate `c`.
-    slot_of: Vec<u32>,
-    blocks: Vec<Result<Vec<u8>>>,
-}
-
-impl Fetched {
-    /// The fetched blocks behind `cands[range]`, in staging order.
-    fn blocks(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = Result<&[u8]>> {
-        self.slot_of[range]
-            .iter()
-            .map(|&slot| self.blocks[slot as usize].as_deref().map_err(Clone::clone))
-    }
-
-    /// Completes a lookup: the first staged block (in table-priority
-    /// order) holding the key answers it; a failed fetch fails this
-    /// lookup alone.
-    fn lookup(&self, lookup: Lookup) -> Result<Option<Value>> {
-        let (key, start, end) = match lookup {
-            Lookup::Ready(v) => return Ok(v),
-            Lookup::Staged { key, start, end } => (key, start, end),
-        };
-        self.pass.clone()?;
-        for block in self.blocks(start..end) {
-            if let Some(entry) = find_in_block(block?, &key)? {
-                return Ok(entry.as_option().cloned());
-            }
-        }
-        Ok(None)
-    }
-
-    /// Completes a staged scan: decode its blocks (any failed fetch
-    /// fails this scan alone), merge newest-wins — memtable snapshot
-    /// first, then tables in priority order (`or_insert` keeps the
-    /// freshest version) — drop tombstones, truncate.
-    fn scan(&self, scan: StagedScan) -> Result<Vec<(Key, Value)>> {
-        let StagedScan {
-            start,
-            end,
-            limit,
-            base,
-            cands,
-        } = scan;
-        if !cands.is_empty() {
-            self.pass.clone()?;
-        }
-        let mut merged: std::collections::BTreeMap<Key, Entry> = base.into_iter().collect();
-        for block in self.blocks(cands) {
-            for (key, entry) in decode_block(block?)? {
-                if key >= start && end.as_ref().is_none_or(|e| &key < e) {
-                    merged.entry(key).or_insert(entry);
-                }
-            }
-        }
-        Ok(merged
-            .into_iter()
-            .filter_map(|(k, e)| match e {
-                Entry::Put(v) => Some((k, v)),
-                Entry::Tombstone => None,
-            })
-            .take(limit)
-            .collect())
-    }
-}
-
-struct Inner {
-    memtable: Memtable,
-    wal: Wal,
+pub(crate) struct Inner {
+    pub(crate) memtable: Memtable,
+    pub(crate) wal: Wal,
     /// `levels[0]` newest-first and overlapping; deeper levels are each
     /// one sorted run (possibly several non-overlapping tables).
-    levels: Vec<Vec<Arc<SstReader>>>,
+    pub(crate) levels: Vec<Vec<Arc<SstReader>>>,
     /// Highest LSN known durable: covered by a successful WAL sync, or
     /// flushed into an SSTable (which is what lets the WAL reset).
     /// While it equals `last_lsn`, [`KvEngine::sync`] has nothing to
     /// make durable and skips the `fdatasync`.
-    synced_lsn: u64,
+    pub(crate) synced_lsn: u64,
 }
 
 /// The LSM storage engine.
 pub struct LsmDb {
-    inner: RwLock<Inner>,
-    config: LsmConfig,
-    next_file_id: AtomicU64,
+    pub(crate) inner: RwLock<Inner>,
+    pub(crate) config: LsmConfig,
+    pub(crate) next_file_id: AtomicU64,
     /// LSN of the newest applied write (see `tb_common::engine` for the
     /// contract). Advanced under the tree's write lock; read lock-free
     /// by [`KvEngine::applied_lsn`]. Persisted in the manifest (the WAL
     /// resets on flush, so frames alone cannot carry the high-water
     /// mark across a flush boundary).
-    last_lsn: AtomicU64,
+    pub(crate) last_lsn: AtomicU64,
     pub stats: Arc<LsmStats>,
     /// Keeps this engine's counters contributing to
     /// [`tb_obs::global`] snapshots; deregisters on drop.
@@ -407,7 +292,7 @@ impl LsmDb {
     /// applied); a post-apply failure (flush) surfaces as an error with
     /// the LSN already advanced — the write is durable in the WAL and
     /// indeterminate to the caller, exactly the ack contract.
-    fn write_locked(&self, inner: &mut Inner, key: Key, entry: Entry) -> Result<u64> {
+    pub(crate) fn write_locked(&self, inner: &mut Inner, key: Key, entry: Entry) -> Result<u64> {
         let lsn = self.last_lsn.load(Ordering::Relaxed) + 1;
         inner.wal.append(lsn, &encode_wal_record(&key, &entry))?;
         self.last_lsn.store(lsn, Ordering::Release);
@@ -429,15 +314,6 @@ impl LsmDb {
         self.complete_one(lookup, &cands)
     }
 
-    /// Completes one staged lookup on its own completion pass (none
-    /// when staging already resolved it).
-    fn complete_one(&self, lookup: Lookup, cands: &[Cand]) -> Result<Option<Value>> {
-        match lookup {
-            Lookup::Ready(v) => Ok(v),
-            staged => self.fetch(cands).lookup(staged),
-        }
-    }
-
     /// Atomic compare-and-set: the read, the comparison, and the write
     /// all happen under one acquisition of the tree's write lock, so
     /// concurrent writers cannot slip between them (unlike the default
@@ -450,7 +326,7 @@ impl LsmDb {
     /// The CAS read stages and completes like any lookup, but under the
     /// caller's write lock, so later ops observe its effect — the one
     /// read that holds the tree lock across block IO.
-    fn cas_locked(
+    pub(crate) fn cas_locked(
         &self,
         inner: &mut Inner,
         key: Key,
@@ -472,278 +348,6 @@ impl LsmDb {
         self.write_locked(inner, key, Entry::Put(new))
     }
 
-    /// Submission/completion op batch — the engine-side half of the
-    /// front-end's pipelined batches (io_uring shape: submit N
-    /// heterogeneous ops, collect N completions after one storage
-    /// pass).
-    ///
-    /// Submission pass, under one acquisition of the tree lock (write
-    /// lock only when the batch contains writes): writes apply in
-    /// submission order; lookups resolve immediately from the memtable
-    /// or from a range/bloom rule-out, and otherwise *stage* their
-    /// candidate `(table, block)` pairs against the level state they
-    /// observed. Completion pass (`fetch`, shared with point gets and
-    /// CAS reads), after the lock drops: each staged block is read once
-    /// per batch and shared across every key that needs it, then
-    /// results fill in submission order. The staged tables are
-    /// `Arc`-pinned, so the pass reads a consistent snapshot even if a
-    /// concurrent flush or compaction rewrites the levels in between.
-    pub fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        let has_write = ops.iter().any(|op| {
-            matches!(
-                op,
-                EngineOp::Put(..)
-                    | EngineOp::Delete(_)
-                    | EngineOp::Cas { .. }
-                    | EngineOp::MultiPut(_)
-            )
-        });
-
-        // --- submission pass -----------------------------------------
-        // One shared candidate arena for the whole batch; each staged
-        // lookup owns a range of it.
-        let submit_t0 = tb_obs::start();
-        let mut cands: Vec<Cand> = Vec::new();
-        let slots: Vec<Slot> = if has_write {
-            let mut inner = self.inner.write();
-            ops.into_iter()
-                .map(|op| self.submit_op(&mut inner, op, &mut cands))
-                .collect()
-        } else {
-            let inner = self.inner.read();
-            ops.into_iter()
-                .map(|op| self.stage_read(&inner, op, &mut cands))
-                .collect()
-        };
-        tb_obs::histo!("lsm_batch_submit_ns").record_since(submit_t0);
-
-        // --- completion pass (no tree lock held) ---------------------
-        let fetched = self.fetch(&cands);
-        let merge_t0 = tb_obs::start();
-        let outcomes = slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Done(r) => r,
-                Slot::Get(l) => fetched.lookup(l).map(OpOutcome::Value),
-                Slot::MultiGet(ls) => ls
-                    .into_iter()
-                    .map(|l| fetched.lookup(l))
-                    .collect::<Result<Vec<_>>>()
-                    .map(OpOutcome::Values),
-                Slot::Scan(scan) => fetched.scan(scan).map(OpOutcome::Range),
-            })
-            .collect();
-        tb_obs::histo!("lsm_batch_merge_ns").record_since(merge_t0);
-        outcomes
-    }
-
-    /// The completion pass — the one place SSTable blocks are read
-    /// outside compaction input. Dedups the staged references (sorted
-    /// by `(table, block)`, so each table's fetches issue in order),
-    /// fetches each distinct block once, and counts the pass.
-    ///
-    /// Fault gates run in that sorted fetch order (positional
-    /// determinism): `batch.complete` aborts a pass that has blocks to
-    /// fetch; per fetch, `batch.block_read` fails it outright, and a
-    /// surviving fetch then draws its `sst.block_decode` decision — a
-    /// hit mangles the frame so the slots reading it fail with the same
-    /// `Error::Corruption` a rotted disk would cause.
-    fn fetch(&self, cands: &[Cand]) -> Fetched {
-        let block_of = |i: u32| {
-            let (table, idx) = &cands[i as usize];
-            (table.meta.id, *idx)
-        };
-        // Sorted candidate indices, deduped in place down to one per
-        // distinct block: `fetches[..distinct]`.
-        let mut fetches: Vec<u32> = (0..cands.len() as u32).collect();
-        fetches.sort_unstable_by_key(|&i| block_of(i));
-        let mut slot_of = vec![0u32; cands.len()];
-        let mut distinct = 0;
-        for r in 0..fetches.len() {
-            let i = fetches[r];
-            if distinct == 0 || block_of(fetches[distinct - 1]) != block_of(i) {
-                fetches[distinct] = i;
-                distinct += 1;
-            }
-            slot_of[i as usize] = distinct as u32 - 1;
-        }
-        fetches.truncate(distinct);
-        let pass = if fetches.is_empty() {
-            Ok(())
-        } else {
-            fault::hit("batch.complete")
-        };
-        let fetch_t0 = tb_obs::start();
-        let blocks: Vec<Result<Vec<u8>>> = if pass.is_err() || fetches.is_empty() {
-            Vec::new()
-        } else {
-            let mut span = tb_obs::tracer().span("lsm.batch.fetch");
-            if let Some(s) = span.as_mut() {
-                s.set_detail(fetches.len() as u64);
-            }
-            fetches
-                .iter()
-                .map(|&i| {
-                    let (table, idx) = &cands[i as usize];
-                    fault::hit("batch.block_read")?;
-                    let corrupt = fault::hit("sst.block_decode").is_err();
-                    table.read_block_marked(*idx, corrupt)
-                })
-                .collect()
-        };
-        tb_obs::histo!("lsm_batch_fetch_ns").record_since(fetch_t0);
-        // Counted only when the pass ran: an aborted completion pass
-        // fetched nothing, and the counters must say so.
-        if pass.is_ok() {
-            self.stats
-                .batch_blocks_read
-                .fetch_add(fetches.len() as u64, Ordering::Relaxed);
-            self.stats
-                .batch_block_dedup_hits
-                .fetch_add((cands.len() - fetches.len()) as u64, Ordering::Relaxed);
-        }
-        Fetched {
-            pass,
-            slot_of,
-            blocks,
-        }
-    }
-
-    /// Applies one submitted op under the tree's write lock (writes run
-    /// now, in submission order; lookups resolve or stage).
-    fn submit_op(&self, inner: &mut Inner, op: EngineOp, cands: &mut Vec<Cand>) -> Slot {
-        match op {
-            EngineOp::Put(key, value) => {
-                self.stats.puts.fetch_add(1, Ordering::Relaxed);
-                Slot::Done(
-                    self.write_locked(inner, key, Entry::Put(value))
-                        .map(|l| OpOutcome::Done(Lsn(l))),
-                )
-            }
-            EngineOp::Delete(key) => Slot::Done(
-                self.write_locked(inner, key, Entry::Tombstone)
-                    .map(|l| OpOutcome::Done(Lsn(l))),
-            ),
-            // CAS completes its read now (possibly block IO) so later
-            // ops in the batch observe its effect — the rare op pays;
-            // pure lookups stay staged.
-            EngineOp::Cas { key, expected, new } => Slot::Done(
-                self.cas_locked(inner, key, expected.as_ref(), new)
-                    .map(|l| OpOutcome::Done(Lsn(l))),
-            ),
-            EngineOp::MultiPut(pairs) => {
-                // The op acks with its *last* pair's LSN — the sequence
-                // number that covers every pair before it.
-                let mut result = Ok(0u64);
-                for (k, v) in pairs {
-                    self.stats.puts.fetch_add(1, Ordering::Relaxed);
-                    result = self.write_locked(inner, k, Entry::Put(v));
-                    if result.is_err() {
-                        break;
-                    }
-                }
-                Slot::Done(result.map(|l| OpOutcome::Done(Lsn(l))))
-            }
-            read => self.stage_read(inner, read, cands),
-        }
-    }
-
-    /// Stages one read op (`Get`, `MultiGet`, `Scan`) against the level
-    /// state under the caller's lock.
-    fn stage_read(&self, inner: &Inner, op: EngineOp, cands: &mut Vec<Cand>) -> Slot {
-        match op {
-            EngineOp::Get(key) => Slot::Get(self.stage_lookup(inner, key, cands)),
-            EngineOp::MultiGet(keys) => Slot::MultiGet(
-                keys.into_iter()
-                    .map(|k| self.stage_lookup(inner, k, cands))
-                    .collect(),
-            ),
-            EngineOp::Scan { start, end, limit } => {
-                self.stage_scan(inner, start, end, limit, cands)
-            }
-            write => unreachable!("write op {write:?} staged as a read"),
-        }
-    }
-
-    /// Resolves a lookup from the memtable, or stages its candidate
-    /// blocks (into the pass's shared arena) against the current level
-    /// state.
-    fn stage_lookup(&self, inner: &Inner, key: Key, cands: &mut Vec<Cand>) -> Lookup {
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = inner.memtable.get(&key) {
-            self.stats
-                .batch_memtable_hits
-                .fetch_add(1, Ordering::Relaxed);
-            return Lookup::Ready(entry.as_option().cloned());
-        }
-        let start = cands.len();
-        for level in &inner.levels {
-            for table in level {
-                if let Some(idx) = table.locate(&key) {
-                    cands.push((table.clone(), idx));
-                }
-            }
-        }
-        if cands.len() == start {
-            Lookup::Ready(None)
-        } else {
-            Lookup::Staged {
-                key,
-                start,
-                end: cands.len(),
-            }
-        }
-    }
-
-    /// Stages a range scan against the level state it observed: the
-    /// memtable's contribution is snapshotted immediately (cheap —
-    /// refcounted key/value handles), and every block of every
-    /// overlapping table joins the pass's shared candidate arena in
-    /// table-priority order, so scan fetches dedup against the batch's
-    /// point lookups. Unbounded scans (`end = None`) stage the full
-    /// overlapping block range regardless of `limit` — O(range), not
-    /// O(limit); callers wanting cheap bounded scans should bound `end`.
-    fn stage_scan(
-        &self,
-        inner: &Inner,
-        start: Key,
-        end: Option<Key>,
-        limit: usize,
-        cands: &mut Vec<Cand>,
-    ) -> Slot {
-        self.stats.scans.fetch_add(1, Ordering::Relaxed);
-        let empty_range = end.as_ref().is_some_and(|e| e <= &start);
-        if limit == 0 || empty_range {
-            return Slot::Done(Ok(OpOutcome::Range(Vec::new())));
-        }
-        let base: Vec<(Key, Entry)> = inner
-            .memtable
-            .scan_range(&start, end.as_ref())
-            .map(|(k, e)| (k.clone(), e.clone()))
-            .collect();
-        let cand_start = cands.len();
-        for level in &inner.levels {
-            for table in level {
-                if let Some((first, count)) = table.locate_range(&start, end.as_ref()) {
-                    for j in 0..count {
-                        cands.push((table.clone(), first + j));
-                    }
-                }
-            }
-        }
-        self.stats
-            .batch_scan_blocks_read
-            .fetch_add((cands.len() - cand_start) as u64, Ordering::Relaxed);
-        Slot::Scan(StagedScan {
-            start,
-            end,
-            limit,
-            base,
-            cands: cand_start..cands.len(),
-        })
-    }
-
     /// Ordered scan of live keys in `start <= key < end` (`end = None`
     /// = unbounded), at most `limit` entries — one `EngineOp::Scan`
     /// through the batched submission/completion path. (A prefix scan
@@ -763,200 +367,6 @@ impl LsmDb {
             Some(Err(e)) => Err(e),
             other => Err(Error::Internal(format!("scan batch resolved to {other:?}"))),
         }
-    }
-
-    /// Forces the memtable to disk (no-op when empty).
-    pub fn flush(&self) -> Result<()> {
-        let mut inner = self.inner.write();
-        if inner.memtable.is_empty() {
-            return Ok(());
-        }
-        self.flush_locked(&mut inner)
-    }
-
-    fn flush_locked(&self, inner: &mut Inner) -> Result<()> {
-        if inner.memtable.is_empty() {
-            return Ok(());
-        }
-        // Timed apart from the compaction it may trigger: the histogram
-        // answers "how long is a memtable flush", `lsm_compaction_ns`
-        // answers the rest.
-        let t0 = tb_obs::start();
-        let flushed = self.flush_locked_inner(inner);
-        tb_obs::histo!("lsm_flush_ns").record_since(t0);
-        flushed?;
-        self.maybe_compact(inner)
-    }
-
-    fn flush_locked_inner(&self, inner: &mut Inner) -> Result<()> {
-        let id = self.next_file_id.fetch_add(1, Ordering::SeqCst);
-        let path = self.config.dir.join(format!("{id:010}.sst"));
-        // The memtable is copied, not taken: if the SSTable write fails
-        // partway, the entries must stay readable from memory (the WAL
-        // still holds them, but reads never consult the WAL). Cheap:
-        // keys and values are refcounted buffers, so this clones
-        // handles, not bytes.
-        let entries: Vec<(Key, Entry)> = inner
-            .memtable
-            .iter()
-            .map(|(k, e)| (k.clone(), e.clone()))
-            .collect();
-        let (meta, build) =
-            write_sstable_with_stats(id, &path, entries.into_iter(), &self.config.sst)?;
-        let reader = match SstReader::open_shared(meta, self.stats.decode.clone()) {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = std::fs::remove_file(&path);
-                return Err(e);
-            }
-        };
-        self.stats.add_build(&build);
-        // Newest L0 table goes first.
-        inner.levels[0].insert(0, Arc::new(reader));
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        self.write_manifest(inner)?;
-        // Only now — table durable and installed in the manifest — can
-        // the memtable and WAL drop their copies. (If the manifest
-        // write failed above, memtable and L0 briefly hold duplicates;
-        // reads stay correct and the next flush retries the manifest.)
-        inner.memtable = Memtable::new();
-        inner.wal.reset()?;
-        // Every write sequenced so far is in a synced, manifest-listed
-        // table: durable without the (now empty) WAL.
-        inner.synced_lsn = self.last_lsn.load(Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn maybe_compact(&self, inner: &mut Inner) -> Result<()> {
-        // L0 → L1 when too many overlapping tables accumulate.
-        if inner.levels[0].len() > self.config.l0_compaction_trigger {
-            self.compact_into(inner, 0)?;
-        }
-        // Size-triggered push-downs.
-        for level in 1..self.config.max_level {
-            let sizes: Vec<u64> = inner.levels[level]
-                .iter()
-                .map(|t| t.meta.file_size)
-                .collect();
-            if level_bytes(&sizes) > level_limit(level, self.config.level_base_bytes) {
-                self.compact_into(inner, level)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Merges level `src` and `src + 1` into `src + 1`.
-    fn compact_into(&self, inner: &mut Inner, src: usize) -> Result<()> {
-        let t0 = tb_obs::start();
-        let result = self.compact_into_inner(inner, src);
-        tb_obs::histo!("lsm_compaction_ns").record_since(t0);
-        result
-    }
-
-    fn compact_into_inner(&self, inner: &mut Inner, src: usize) -> Result<()> {
-        let dst = src + 1;
-        let mut runs: Vec<Vec<(Key, Entry)>> = Vec::new();
-        // L0 tables are newest-first already; deeper levels hold one run.
-        for table in &inner.levels[src] {
-            runs.push(table.scan()?);
-        }
-        for table in &inner.levels[dst] {
-            runs.push(table.scan()?);
-        }
-        // Tombstones can drop only when nothing lives below dst.
-        let nothing_below = inner.levels[dst + 1..].iter().all(|l| l.is_empty());
-        let merged = merge_runs(runs, nothing_below);
-
-        let obsolete: Vec<PathBuf> = inner.levels[src]
-            .iter()
-            .chain(inner.levels[dst].iter())
-            .map(|t| t.meta.path.clone())
-            .collect();
-
-        // Write the merged table *before* dropping the inputs from the
-        // in-memory tree: a failed write must leave the levels serving
-        // exactly what they served before.
-        let new_table = if merged.is_empty() {
-            None
-        } else {
-            let id = self.next_file_id.fetch_add(1, Ordering::SeqCst);
-            let path = self.config.dir.join(format!("{id:010}.sst"));
-            // Compaction re-samples the merged input and re-encodes:
-            // the output table trains its own dictionary.
-            let (meta, build) =
-                write_sstable_with_stats(id, &path, merged.into_iter(), &self.config.sst)?;
-            match SstReader::open_shared(meta, self.stats.decode.clone()) {
-                Ok(r) => {
-                    self.stats.add_build(&build);
-                    Some(Arc::new(r))
-                }
-                Err(e) => {
-                    let _ = std::fs::remove_file(&path);
-                    return Err(e);
-                }
-            }
-        };
-        inner.levels[src].clear();
-        inner.levels[dst].clear();
-        if let Some(table) = new_table {
-            inner.levels[dst].push(table);
-        }
-        self.stats.compactions.fetch_add(1, Ordering::Relaxed);
-        self.write_manifest(inner)?;
-        // Input tables leave the disk only after the manifest stopped
-        // referencing them; a crash in between just leaks files, which
-        // the orphan sweep in `open` reclaims.
-        fault::hit("compact.remove_obsolete")?;
-        for path in obsolete {
-            let _ = std::fs::remove_file(path);
-        }
-        Ok(())
-    }
-
-    fn write_manifest(&self, inner: &Inner) -> Result<()> {
-        let manifest_path = self.config.dir.join("MANIFEST");
-        let mut body = Vec::new();
-        // LSN high-water mark first: the WAL resets after a flush, so
-        // the manifest must carry the sequence across that boundary for
-        // recovery to resume numbering (and for replication watermarks
-        // to stay comparable across restarts).
-        write_varint(&mut body, self.last_lsn.load(Ordering::Acquire));
-        let tables: Vec<(usize, &SstMeta)> = inner
-            .levels
-            .iter()
-            .enumerate()
-            .flat_map(|(lvl, tables)| tables.iter().map(move |t| (lvl, &t.meta)))
-            .collect();
-        write_varint(&mut body, tables.len() as u64);
-        for (lvl, meta) in tables {
-            write_varint(&mut body, lvl as u64);
-            write_varint(&mut body, meta.id);
-            write_varint(&mut body, meta.entry_count as u64);
-            write_varint(&mut body, meta.file_size);
-            write_varint(&mut body, meta.min_key.len() as u64);
-            body.extend_from_slice(meta.min_key.as_slice());
-            write_varint(&mut body, meta.max_key.len() as u64);
-            body.extend_from_slice(meta.max_key.as_slice());
-        }
-        let mut out = Vec::with_capacity(body.len() + 8);
-        out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        let tmp = manifest_path.with_extension("tmp");
-        let written = (|| -> Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            fault::write_all("manifest.write", &mut f, &out)?;
-            fault::hit("manifest.sync")?;
-            f.sync_all()?;
-            Ok(())
-        })();
-        if let Err(e) = written {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        fault::hit("manifest.rename")?;
-        std::fs::rename(&tmp, &manifest_path)?;
-        sync_parent_dir(&manifest_path, "manifest.dir_sync")
     }
 
     /// Total bytes in SSTables plus the live memtable.
@@ -1085,63 +495,6 @@ impl KvEngine for LsmDb {
         }
         synced
     }
-}
-
-/// Reads `(level, meta)` rows plus the persisted LSN high-water mark
-/// from a manifest file; absent file = empty DB at LSN 0.
-fn read_manifest(path: &Path) -> Result<(Vec<(usize, SstMeta)>, u64)> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((vec![], 0)),
-        Err(e) => return Err(e.into()),
-    };
-    if bytes.len() < 8 {
-        return Err(Error::Corruption("manifest truncated".into()));
-    }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    if magic != MANIFEST_MAGIC {
-        return Err(Error::Corruption("bad manifest magic".into()));
-    }
-    let stored_crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    let body = &bytes[8..];
-    if crc32(body) != stored_crc {
-        return Err(Error::Corruption("manifest crc mismatch".into()));
-    }
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let mut pos = 0usize;
-    let max_lsn = read_varint(body, &mut pos)?;
-    let count = read_varint(body, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let level = read_varint(body, &mut pos)? as usize;
-        let id = read_varint(body, &mut pos)?;
-        let entry_count = read_varint(body, &mut pos)? as u32;
-        let file_size = read_varint(body, &mut pos)?;
-        let min_len = read_varint(body, &mut pos)? as usize;
-        if pos + min_len > body.len() {
-            return Err(Error::Corruption("manifest key truncated".into()));
-        }
-        let min_key = Key::copy_from(&body[pos..pos + min_len]);
-        pos += min_len;
-        let max_len = read_varint(body, &mut pos)? as usize;
-        if pos + max_len > body.len() {
-            return Err(Error::Corruption("manifest key truncated".into()));
-        }
-        let max_key = Key::copy_from(&body[pos..pos + max_len]);
-        pos += max_len;
-        out.push((
-            level,
-            SstMeta {
-                id,
-                path: dir.join(format!("{id:010}.sst")),
-                min_key,
-                max_key,
-                entry_count,
-                file_size,
-            },
-        ));
-    }
-    Ok((out, max_lsn))
 }
 
 fn encode_wal_record(key: &Key, entry: &Entry) -> Vec<u8> {

@@ -16,6 +16,7 @@
 //! pass ([`db::LsmDb::apply_batch`] for a batch) that reads each staged
 //! block once and fills results in submission order.
 
+mod batch;
 pub mod bloom;
 pub mod compaction;
 
@@ -27,9 +28,11 @@ pub(crate) fn fault_test_gate() -> parking_lot::MutexGuard<'static, ()> {
     GATE.lock()
 }
 pub mod db;
+mod flush;
 pub mod memtable;
 pub mod remote;
 pub mod sstable;
+mod version;
 pub mod wal;
 
 pub use db::{LsmConfig, LsmDb};
