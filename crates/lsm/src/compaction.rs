@@ -6,21 +6,70 @@
 //! dropped for good.
 
 use crate::memtable::Entry;
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use tb_common::Key;
 
-/// Merges entry runs (newest first) into one sorted, deduplicated run.
+/// The next unmerged entry of one run. Ordered by `(key, run)` alone,
+/// so among equal keys the newest run's entry pops first.
+struct Head {
+    key: Key,
+    run: usize,
+    entry: Entry,
+}
+
+impl PartialEq for Head {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Head {}
+
+impl PartialOrd for Head {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Head {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (&self.key, self.run).cmp(&(&other.key, other.run))
+    }
+}
+
+/// Merges entry runs (newest first; each sorted with unique keys) into
+/// one sorted, deduplicated run: a k-way merge over a min-heap of run
+/// heads, O(n log k), moving entries instead of re-sorting them.
 pub fn merge_runs(inputs: Vec<Vec<(Key, Entry)>>, drop_tombstones: bool) -> Vec<(Key, Entry)> {
-    let mut merged: BTreeMap<Key, Entry> = BTreeMap::new();
-    for run in inputs {
-        for (k, e) in run {
-            merged.entry(k).or_insert(e); // first (newest) wins
+    let total = inputs.iter().map(Vec::len).sum();
+    let mut runs: Vec<_> = inputs.into_iter().map(Vec::into_iter).collect();
+    let mut heap = BinaryHeap::with_capacity(runs.len());
+    for (run, entries) in runs.iter_mut().enumerate() {
+        if let Some((key, entry)) = entries.next() {
+            heap.push(Reverse(Head { key, run, entry }));
         }
     }
-    merged
-        .into_iter()
-        .filter(|(_, e)| !(drop_tombstones && *e == Entry::Tombstone))
-        .collect()
+    let mut out: Vec<(Key, Entry)> = Vec::with_capacity(total);
+    let mut last: Option<Key> = None;
+    while let Some(Reverse(Head { key, run, entry })) = heap.pop() {
+        if let Some((next_key, next_entry)) = runs[run].next() {
+            heap.push(Reverse(Head {
+                key: next_key,
+                run,
+                entry: next_entry,
+            }));
+        }
+        // First (newest) wins; later pops of the same key are older.
+        if last.as_ref() == Some(&key) {
+            continue;
+        }
+        last = Some(key.clone());
+        if !(drop_tombstones && entry == Entry::Tombstone) {
+            out.push((key, entry));
+        }
+    }
+    out
 }
 
 /// Size of one level in bytes given per-table file sizes.
@@ -37,7 +86,26 @@ pub fn level_limit(level: usize, base_bytes: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use tb_common::Value;
+
+    /// The merge as it was before the heap: every entry into a map,
+    /// first (newest) insert wins. The reference the heap is pinned to.
+    fn merge_runs_btree(
+        inputs: Vec<Vec<(Key, Entry)>>,
+        drop_tombstones: bool,
+    ) -> Vec<(Key, Entry)> {
+        let mut merged: BTreeMap<Key, Entry> = BTreeMap::new();
+        for run in inputs {
+            for (k, e) in run {
+                merged.entry(k).or_insert(e);
+            }
+        }
+        merged
+            .into_iter()
+            .filter(|(_, e)| !(drop_tombstones && *e == Entry::Tombstone))
+            .collect()
+    }
 
     fn put(k: &str, v: &str) -> (Key, Entry) {
         (Key::from(k), Entry::Put(Value::from(v)))
@@ -99,5 +167,43 @@ mod tests {
         assert_eq!(level_limit(1, 1000), 1000);
         assert_eq!(level_limit(2, 1000), 10_000);
         assert_eq!(level_limit(3, 1000), 100_000);
+    }
+
+    proptest::proptest! {
+        /// Any runs of any sizes, overlapping or not, with tombstones:
+        /// the heap merge returns exactly what the map merge does.
+        #[test]
+        fn heap_merge_matches_btree_merge(
+            runs in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u16..300, proptest::option::of(0u8..4)),
+                    0..60,
+                ),
+                0..6,
+            ),
+            drop_tombstones in proptest::prelude::any::<bool>(),
+        ) {
+            // Each run sorted with unique keys, as a table scan yields.
+            let runs: Vec<Vec<(Key, Entry)>> = runs
+                .into_iter()
+                .map(|run| {
+                    run.into_iter()
+                        .map(|(k, v)| {
+                            let entry = match v {
+                                Some(v) => Entry::Put(Value::from(format!("v{v}"))),
+                                None => Entry::Tombstone,
+                            };
+                            (Key::from(format!("k{k:05}")), entry)
+                        })
+                        .collect::<BTreeMap<_, _>>()
+                        .into_iter()
+                        .collect()
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                merge_runs(runs.clone(), drop_tombstones),
+                merge_runs_btree(runs, drop_tombstones)
+            );
+        }
     }
 }
