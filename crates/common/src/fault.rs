@@ -26,6 +26,9 @@
 //! arming test unwinds, so a plan cannot leak into whatever runs next
 //! in the same process. Guards are independent: several may be armed at
 //! once (parallel tests, each on its own thread via [`arm_scoped`]).
+//! A background thread that does IO on behalf of another (an engine's
+//! flush worker) [`adopt`]s that thread's [`scope`], so its hits count
+//! — and freeze — as the owner's.
 //!
 //! Cost when disabled: a single relaxed atomic load per site. Nothing
 //! else runs until [`arm`] or [`set_counting`] activates the registry,
@@ -72,10 +75,10 @@ struct Injection {
     mode: FaultMode,
     /// Hits of `site` observed since arming.
     seen: u64,
-    /// `Some`: only hits from this thread count — and, after a crash,
-    /// only this thread's sites freeze (lets a unit test in a parallel
-    /// test binary inject without tripping its neighbors).
-    thread: Option<std::thread::ThreadId>,
+    /// `Some`: only hits made under this scope count — and, after a
+    /// crash, only its sites freeze (lets a unit test in a parallel test
+    /// binary inject without tripping its neighbors).
+    scope: Option<Scope>,
     /// True once this injection fired (any mode); a fired injection
     /// never fires again.
     fired: bool,
@@ -85,8 +88,8 @@ struct Injection {
 }
 
 impl Injection {
-    fn sees(&self, thread: std::thread::ThreadId) -> bool {
-        self.thread.is_none_or(|t| t == thread)
+    fn sees(&self, scope: Scope) -> bool {
+        self.scope.is_none_or(|s| s == scope)
     }
 }
 
@@ -116,8 +119,32 @@ enum Checked {
     Torn { keep: usize },
 }
 
+/// The fault-arming scope of a thread: a [`arm_scoped`] injection fires
+/// only on hits made under its arming thread's scope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scope(std::thread::ThreadId);
+
+thread_local! {
+    static ADOPTED: std::cell::Cell<Option<Scope>> = const { std::cell::Cell::new(None) };
+}
+
+/// The calling thread's scope: the one it [`adopt`]ed, else its own.
+pub fn scope() -> Scope {
+    ADOPTED
+        .get()
+        .unwrap_or_else(|| Scope(std::thread::current().id()))
+}
+
+/// Makes every later hit on the calling thread count as `owner`'s: a
+/// scoped injection armed by the owner sees it, and a crash freezes
+/// this thread together with the owner. For threads spawned to do IO on
+/// another thread's behalf.
+pub fn adopt(owner: Scope) {
+    ADOPTED.set(Some(owner));
+}
+
 fn check(site: &'static str) -> Result<Checked> {
-    let me = std::thread::current().id();
+    let me = scope();
     let mut r = registry().lock();
     if r.counting || !r.injections.is_empty() {
         *r.hits.entry(site).or_insert(0) += 1;
@@ -237,19 +264,15 @@ pub fn arm(site: &'static str, hit: u64, mode: FaultMode) -> FaultGuard {
 
 /// Like [`arm`], but the fault only fires on the calling thread — other
 /// threads' hits neither fire nor advance the counter, and a crash
-/// freezes only the calling thread's sites. For injections inside
+/// freezes only the calling thread's sites (threads that [`adopt`]ed
+/// its scope count as the calling thread). For injections inside
 /// parallel test binaries; code that hands the faulted call to another
-/// thread (a front-end worker, a read pool) needs [`arm`].
+/// thread (a front-end worker) needs [`arm`].
 pub fn arm_scoped(site: &'static str, hit: u64, mode: FaultMode) -> FaultGuard {
-    arm_inner(site, hit, mode, Some(std::thread::current().id()))
+    arm_inner(site, hit, mode, Some(scope()))
 }
 
-fn arm_inner(
-    site: &'static str,
-    hit: u64,
-    mode: FaultMode,
-    thread: Option<std::thread::ThreadId>,
-) -> FaultGuard {
+fn arm_inner(site: &'static str, hit: u64, mode: FaultMode, scope: Option<Scope>) -> FaultGuard {
     let mut r = registry().lock();
     r.next_id += 1;
     let id = r.next_id;
@@ -259,7 +282,7 @@ fn arm_inner(
         hit: hit.max(1),
         mode,
         seen: 0,
-        thread,
+        scope,
         fired: false,
         crashed: false,
     });
@@ -292,7 +315,7 @@ pub fn hit_counts() -> Vec<(&'static str, u64)> {
 /// Site of a simulated crash whose freeze covers the calling thread,
 /// if one fired.
 pub fn crash_fired() -> Option<&'static str> {
-    let me = std::thread::current().id();
+    let me = scope();
     registry()
         .lock()
         .injections
@@ -388,6 +411,38 @@ mod tests {
         .unwrap();
         assert!(!guard.fired(), "other threads must not trip a scoped fault");
         assert!(hit("t.scoped").is_err(), "the arming thread still fires");
+    }
+
+    #[test]
+    fn adopted_scope_fires_and_freezes_with_its_owner() {
+        let owner = scope();
+        let guard = arm_scoped("t.adopted", 2, FaultMode::Crash);
+        hit("t.adopted").unwrap();
+        // A helper thread doing IO for this one: its hit is the owner's
+        // second, so the scoped crash fires there and is caught there.
+        let crashed = std::thread::spawn(move || {
+            adopt(owner);
+            let r = std::panic::catch_unwind(|| hit("t.adopted"));
+            r.expect_err("must crash")
+                .downcast_ref::<CrashPoint>()
+                .map(|p| p.site)
+        })
+        .join()
+        .unwrap();
+        assert_eq!(crashed, Some("t.adopted"));
+        assert!(guard.fired());
+        // The crash froze the owner, and any thread in its scope.
+        assert_eq!(crash_fired(), Some("t.adopted"));
+        assert!(hit("t.adopted.after").is_err());
+        let helper = std::thread::spawn(move || {
+            adopt(owner);
+            hit("t.adopted.after").is_err()
+        });
+        assert!(helper.join().unwrap(), "adopted thread frozen too");
+        // A thread outside the scope is untouched.
+        std::thread::spawn(|| hit("t.adopted.after").unwrap())
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! staged under the tree lock, then one completion pass fetches every
 //! staged block once.
 
-use crate::db::{Inner, LsmDb};
+use crate::db::{Inner, Tree};
 use crate::memtable::Entry;
 use crate::sstable::{decode_block, find_in_block, SstReader};
 use std::sync::atomic::Ordering;
@@ -29,7 +29,7 @@ pub(crate) enum Lookup {
 /// A staged range scan: `cands[cands.start..cands.end]` holds every
 /// block of every overlapping table, pushed in table-priority order
 /// (memtable entries, the highest priority, are snapshotted into
-/// `base` at staging). The completion pass decodes the staged blocks —
+/// `base` at staging, oldest memtable first). The completion pass decodes the staged blocks —
 /// deduped and fetched alongside the pass's point lookups — and merges
 /// newest-wins.
 struct StagedScan {
@@ -87,7 +87,8 @@ impl Fetched {
 
     /// Completes a staged scan: decode its blocks (any failed fetch
     /// fails this scan alone), merge newest-wins — memtable snapshot
-    /// first, then tables in priority order (`or_insert` keeps the
+    /// first (collected oldest first, so a key keeps its newest
+    /// version), then tables in priority order (`or_insert` keeps the
     /// freshest version) — drop tombstones, truncate.
     fn scan(&self, scan: StagedScan) -> Result<Vec<(Key, Value)>> {
         let StagedScan {
@@ -119,7 +120,7 @@ impl Fetched {
     }
 }
 
-impl LsmDb {
+impl Tree {
     /// Completes one staged lookup on its own completion pass (none
     /// when staging already resolved it).
     pub(crate) fn complete_one(&self, lookup: Lookup, cands: &[Cand]) -> Result<Option<Value>> {
@@ -145,33 +146,36 @@ impl LsmDb {
     /// results fill in submission order. The staged tables are
     /// `Arc`-pinned, so the pass reads a consistent snapshot even if a
     /// concurrent flush or compaction rewrites the levels in between.
-    pub fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+    ///
+    /// A batch with writes passes write admission first: it may stall
+    /// on the frozen-memtable bound, and a parked worker error fails
+    /// the batch's writes (its reads still answer).
+    pub(crate) fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        let has_write = ops.iter().any(|op| {
-            matches!(
-                op,
-                EngineOp::Put(..)
-                    | EngineOp::Delete(_)
-                    | EngineOp::Cas { .. }
-                    | EngineOp::MultiPut(_)
-            )
-        });
+        let has_write = ops.iter().any(is_write);
+        let admitted = if has_write { self.bg.admit() } else { Ok(()) };
 
         // --- submission pass -----------------------------------------
         // One shared candidate arena for the whole batch; each staged
         // lookup owns a range of it.
         let submit_t0 = tb_obs::start();
         let mut cands: Vec<Cand> = Vec::new();
-        let slots: Vec<Slot> = if has_write {
-            let mut inner = self.inner.write();
-            ops.into_iter()
-                .map(|op| self.submit_op(&mut inner, op, &mut cands))
-                .collect()
-        } else {
-            let inner = self.inner.read();
-            ops.into_iter()
-                .map(|op| self.stage_read(&inner, op, &mut cands))
-                .collect()
+        let slots: Vec<Slot> = match admitted {
+            Ok(()) if has_write => {
+                let mut inner = self.inner.write();
+                ops.into_iter()
+                    .map(|op| self.submit_op(&mut inner, op, &mut cands))
+                    .collect()
+            }
+            admitted => {
+                let inner = self.inner.read();
+                ops.into_iter()
+                    .map(|op| match &admitted {
+                        Err(e) if is_write(&op) => Slot::Done(Err(e.clone())),
+                        _ => self.stage_read(&inner, op, &mut cands),
+                    })
+                    .collect()
+            }
         };
         tb_obs::histo!("lsm_batch_submit_ns").record_since(submit_t0);
 
@@ -323,19 +327,23 @@ impl LsmDb {
         }
     }
 
-    /// Resolves a lookup from the memtable, or stages its candidate
-    /// blocks (into the pass's shared arena) against the current level
-    /// state.
+    /// Resolves a lookup from the memtables (active, then frozen newest
+    /// first), or stages its candidate blocks (into the pass's shared
+    /// arena) against the current level state.
     pub(crate) fn stage_lookup(&self, inner: &Inner, key: Key, cands: &mut Vec<Cand>) -> Lookup {
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = inner.memtable.get(&key) {
+        let in_memory = inner
+            .memtable
+            .get(&key)
+            .or_else(|| inner.frozen.iter().rev().find_map(|f| f.memtable.get(&key)));
+        if let Some(entry) = in_memory {
             self.stats
                 .batch_memtable_hits
                 .fetch_add(1, Ordering::Relaxed);
             return Lookup::Ready(entry.as_option().cloned());
         }
         let start = cands.len();
-        for level in &inner.levels {
+        for level in &inner.version.levels {
             for table in level {
                 if let Some(idx) = table.locate(&key) {
                     cands.push((table.clone(), idx));
@@ -354,7 +362,7 @@ impl LsmDb {
     }
 
     /// Stages a range scan against the level state it observed: the
-    /// memtable's contribution is snapshotted immediately (cheap —
+    /// memtables' contribution is snapshotted immediately (cheap —
     /// refcounted key/value handles), and every block of every
     /// overlapping table joins the pass's shared candidate arena in
     /// table-priority order, so scan fetches dedup against the batch's
@@ -375,12 +383,15 @@ impl LsmDb {
             return Slot::Done(Ok(OpOutcome::Range(Vec::new())));
         }
         let base: Vec<(Key, Entry)> = inner
-            .memtable
-            .scan_range(&start, end.as_ref())
+            .frozen
+            .iter()
+            .map(|f| &f.memtable)
+            .chain([&inner.memtable])
+            .flat_map(|m| m.scan_range(&start, end.as_ref()))
             .map(|(k, e)| (k.clone(), e.clone()))
             .collect();
         let cand_start = cands.len();
-        for level in &inner.levels {
+        for level in &inner.version.levels {
             for table in level {
                 if let Some((first, count)) = table.locate_range(&start, end.as_ref()) {
                     for j in 0..count {
@@ -400,4 +411,11 @@ impl LsmDb {
             cands: cand_start..cands.len(),
         })
     }
+}
+
+fn is_write(op: &EngineOp) -> bool {
+    matches!(
+        op,
+        EngineOp::Put(..) | EngineOp::Delete(_) | EngineOp::Cas { .. } | EngineOp::MultiPut(_)
+    )
 }

@@ -1,34 +1,49 @@
-//! The LSM database: WAL + memtable + leveled SSTables + manifest.
+//! The LSM database: WAL segments + memtables + leveled SSTables +
+//! manifest, and the one background worker that flushes and compacts.
 //!
 //! Durability contract: every mutation is WAL-appended before it is
-//! visible; the WAL resets only after its contents are safely inside an
-//! SSTable named by a durably-written manifest. Recovery = load
-//! manifest, open tables, replay WAL.
+//! visible. Each memtable owns one WAL segment (`{seq:010}.wal`). When
+//! the active memtable fills, the writer fsyncs its segment, opens the
+//! next one and *freezes* the memtable: read-only, still served, queued
+//! for the worker. A segment is deleted only after its memtable is
+//! inside an SSTable named by a durably written manifest (see
+//! `flush.rs` for the publication order). Recovery = load manifest,
+//! open tables, replay the remaining segments oldest first — skipping
+//! records the manifest's flushed LSN covers — into the active memtable
+//! (newest segment) and the frozen queue (the rest).
 //!
 //! Read path: every SSTable lookup — point get, CAS read, batched get,
-//! range scan — is staged (memtable probe, then the candidate
-//! `(table, block)` pairs each table's range/bloom/index admits) and
-//! completed by one function, `LsmDb::fetch`, which dedups the staged
-//! blocks, reads each once and hands them to the find/merge step.
+//! range scan — is staged (memtable probes: active, then frozen newest
+//! first; then the candidate `(table, block)` pairs each table's
+//! range/bloom/index admits) and completed by one function,
+//! `Tree::fetch`, which dedups the staged blocks, reads each once and
+//! hands them to the find/merge step.
 //!
-//! Concurrency: one `RwLock` around the whole tree. Staging shares the
+//! Concurrency: one `RwLock` around the tree — active memtable, active
+//! segment, frozen queue, installed [`Version`]. Staging shares the
 //! lock; block I/O runs after it drops, against `Arc`-pinned tables
-//! (only a CAS keeps the write lock across its read). Writes serialize.
-//! This favors simplicity — the engine's role in TierBase is the
-//! *storage tier*, whose throughput the paper models as RPC-bounded
-//! anyway.
+//! (only a CAS keeps the write lock across its read). Writes serialize
+//! on the write lock. The worker builds tables, merges runs and writes
+//! manifests holding no tree lock, and takes the write lock only to
+//! install the result; it is the only code that changes the levels. A
+//! writer stalls — before it takes the lock — only while
+//! [`MAX_FROZEN`](crate::flush::MAX_FROZEN) memtables wait for the
+//! worker. [`KvEngine::sync`] takes the lock to flush the segment's
+//! buffer and runs its `fdatasync` after dropping it.
 
+use crate::flush::Background;
 use crate::memtable::{Entry, Memtable};
-use crate::sstable::{SstBuildStats, SstConfig, SstDecodeStats, SstReader};
-use crate::version::read_manifest;
+use crate::sstable::{SstBuildStats, SstConfig, SstDecodeStats};
+use crate::version::Version;
 use crate::wal::{SyncPolicy, Wal};
 use parking_lot::RwLock;
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tb_common::{
-    read_varint, write_varint, BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome,
-    Result, Value,
+    fault, read_varint, write_varint, BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn,
+    OpOutcome, Result, Value,
 };
 
 /// Tuning knobs.
@@ -111,6 +126,10 @@ pub struct LsmStats {
     /// Decode-side counters (CRC-verified frames, decompressions,
     /// corruption errors), shared by every table this engine opens.
     pub decode: Arc<SstDecodeStats>,
+    /// Frozen memtables waiting for the worker (a gauge).
+    pub frozen_memtables: AtomicU64,
+    /// Tables in L0 (a gauge).
+    pub l0_tables: AtomicU64,
 }
 
 impl LsmStats {
@@ -124,80 +143,139 @@ impl LsmStats {
     }
 }
 
-pub(crate) struct Inner {
+/// One full memtable, read-only, waiting for the worker to flush it.
+pub(crate) struct Frozen {
     pub(crate) memtable: Memtable,
-    pub(crate) wal: Wal,
-    /// `levels[0]` newest-first and overlapping; deeper levels are each
-    /// one sorted run (possibly several non-overlapping tables).
-    pub(crate) levels: Vec<Vec<Arc<SstReader>>>,
-    /// Highest LSN known durable: covered by a successful WAL sync, or
-    /// flushed into an SSTable (which is what lets the WAL reset).
-    /// While it equals `last_lsn`, [`KvEngine::sync`] has nothing to
-    /// make durable and skips the `fdatasync`.
-    pub(crate) synced_lsn: u64,
+    /// The WAL segment holding exactly this memtable's writes.
+    pub(crate) segment: u64,
+    /// LSN of its newest write: the manifest's flushed LSN once it is
+    /// inside a table.
+    pub(crate) last_lsn: u64,
 }
 
-/// The LSM storage engine.
-pub struct LsmDb {
+pub(crate) struct Inner {
+    /// The memtable writes go to.
+    pub(crate) memtable: Memtable,
+    /// Its WAL segment, number `wal_seq`.
+    pub(crate) wal: Wal,
+    pub(crate) wal_seq: u64,
+    /// Full memtables, oldest first. Reads probe them newest first,
+    /// after `memtable` and before the levels.
+    pub(crate) frozen: VecDeque<Arc<Frozen>>,
+    pub(crate) version: Version,
+}
+
+/// Engine state shared by the [`LsmDb`] handle and its worker thread.
+pub(crate) struct Tree {
     pub(crate) inner: RwLock<Inner>,
     pub(crate) config: LsmConfig,
     pub(crate) next_file_id: AtomicU64,
     /// LSN of the newest applied write (see `tb_common::engine` for the
     /// contract). Advanced under the tree's write lock; read lock-free
-    /// by [`KvEngine::applied_lsn`]. Persisted in the manifest (the WAL
-    /// resets on flush, so frames alone cannot carry the high-water
-    /// mark across a flush boundary).
+    /// by [`KvEngine::applied_lsn`].
     pub(crate) last_lsn: AtomicU64,
+    /// Highest LSN known durable: covered by a successful sync, by a
+    /// segment fsynced when its memtable froze, or by a table. Only ever
+    /// raised. While it is at `last_lsn`, [`KvEngine::sync`] has nothing
+    /// to make durable and skips the `fdatasync`.
+    pub(crate) synced_lsn: AtomicU64,
+    pub(crate) stats: Arc<LsmStats>,
+    pub(crate) bg: Background,
+}
+
+/// The LSM storage engine.
+pub struct LsmDb {
+    tree: Arc<Tree>,
     pub stats: Arc<LsmStats>,
+    /// The flush/compaction worker; joined on drop.
+    worker: Option<std::thread::JoinHandle<()>>,
     /// Keeps this engine's counters contributing to
     /// [`tb_obs::global`] snapshots; deregisters on drop.
     _obs: tb_obs::SourceGuard,
 }
 
+/// Path of WAL segment `seq` in `dir`.
+pub(crate) fn segment_path(dir: &Path, seq: u64) -> PathBuf {
+    dir.join(format!("{seq:010}.wal"))
+}
+
+/// Numbers of the WAL segments in `dir`, oldest first.
+fn wal_segments(dir: &Path) -> Result<Vec<u64>> {
+    let mut seqs = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.extension().and_then(|e| e.to_str()) == Some("wal") {
+            if let Some(seq) = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .and_then(|s| s.parse().ok())
+            {
+                seqs.push(seq);
+            }
+        }
+    }
+    seqs.sort_unstable();
+    Ok(seqs)
+}
+
 impl LsmDb {
-    /// Opens (or creates) a database in `config.dir`, running recovery.
+    /// Opens (or creates) a database in `config.dir`, running recovery,
+    /// and starts its worker (which flushes any recovered frozen
+    /// memtables first).
     pub fn open(config: LsmConfig) -> Result<Self> {
         std::fs::create_dir_all(&config.dir)?;
-        let manifest_path = config.dir.join("MANIFEST");
-        let (metas, manifest_lsn) = read_manifest(&manifest_path)?;
         // Stats exist before any table opens: every reader shares the
         // engine's decode counters from its first block read.
         let stats = Arc::new(LsmStats::default());
-        let mut max_id = 0u64;
-        let mut levels: Vec<Vec<Arc<SstReader>>> = vec![Vec::new(); config.max_level + 1];
-        for (level, meta) in metas {
-            max_id = max_id.max(meta.id);
-            if level >= levels.len() {
-                return Err(Error::Corruption(format!(
-                    "manifest level {level} out of range"
-                )));
-            }
-            levels[level].push(Arc::new(SstReader::open_shared(
-                meta,
-                stats.decode.clone(),
-            )?));
-        }
+        let (version, max_id) = Version::load(&config.dir, config.max_level, &stats.decode)?;
 
-        // Replay the WAL into a fresh memtable, tracking the highest
-        // LSN seen: the recovered sequence resumes after the larger of
-        // the manifest's flushed high-water mark and the WAL tail.
-        let wal_path = config.dir.join("WAL");
+        // Replay the segments oldest first, tracking the highest LSN
+        // seen: the recovered sequence resumes after the larger of the
+        // manifest's flushed LSN and the WAL tail. Records at or below
+        // the flushed LSN are already in a table; a segment holding
+        // nothing else is deleted.
+        let segments = wal_segments(&config.dir)?;
+        let active_seq = segments.last().copied().unwrap_or(1);
         let mut memtable = Memtable::new();
+        let mut frozen = VecDeque::new();
         let mut wal_lsn = 0u64;
-        for (lsn, rec) in Wal::replay(&wal_path)? {
-            let (key, entry) = decode_wal_record(&rec)?;
-            wal_lsn = wal_lsn.max(lsn);
-            match entry {
-                Entry::Put(v) => memtable.put(key, v),
-                Entry::Tombstone => memtable.delete(key),
-            };
+        for seq in segments {
+            let path = segment_path(&config.dir, seq);
+            let mut replayed = Memtable::new();
+            let mut last_lsn = 0;
+            for (lsn, rec) in Wal::replay(&path)? {
+                let (key, entry) = decode_wal_record(&rec)?;
+                wal_lsn = wal_lsn.max(lsn);
+                if lsn <= version.flushed_lsn {
+                    continue;
+                }
+                last_lsn = lsn;
+                match entry {
+                    Entry::Put(v) => replayed.put(key, v),
+                    Entry::Tombstone => replayed.delete(key),
+                };
+            }
+            if seq == active_seq {
+                memtable = replayed;
+            } else if replayed.is_empty() {
+                // Best effort, like the sweep below: a segment that
+                // stays is skipped again next time.
+                let _ = std::fs::remove_file(&path);
+            } else {
+                frozen.push_back(Arc::new(Frozen {
+                    memtable: replayed,
+                    segment: seq,
+                    last_lsn,
+                }));
+            }
         }
-        let wal = Wal::open(&wal_path, config.wal_sync)?;
+        let wal = Wal::open(&segment_path(&config.dir, active_seq), config.wal_sync)?;
 
         // Sweep crash leftovers: .tmp files from interrupted writes and
         // .sst files no manifest references (a flush or compaction that
         // died between writing the table and installing it).
-        let referenced: std::collections::HashSet<PathBuf> = levels
+        let referenced: std::collections::HashSet<PathBuf> = version
+            .levels
             .iter()
             .flatten()
             .map(|t| t.meta.path.clone())
@@ -252,21 +330,54 @@ impl LsmDb {
                     "lsm_block_decode_errors",
                     c(&stats.decode.block_decode_errors),
                 );
+                b.gauge("lsm_frozen_memtables", c(&stats.frozen_memtables) as i64);
+                b.gauge("lsm_l0_tables", c(&stats.l0_tables) as i64);
             })
         };
-        Ok(Self {
+        // Present (at zero) before the first stall records into it.
+        tb_obs::global().histogram("lsm_write_stall_ns");
+
+        stats
+            .frozen_memtables
+            .store(frozen.len() as u64, Ordering::Relaxed);
+        stats
+            .l0_tables
+            .store(version.levels[0].len() as u64, Ordering::Relaxed);
+        let queued = frozen.len();
+        let flushed_lsn = version.flushed_lsn;
+        let tree = Arc::new(Tree {
             inner: RwLock::new(Inner {
                 memtable,
                 wal,
-                levels,
-                // Only the manifest's share is known durable: replayed
-                // WAL frames may have reached the OS but not the disk.
-                synced_lsn: manifest_lsn,
+                wal_seq: active_seq,
+                frozen,
+                version,
             }),
             next_file_id: AtomicU64::new(max_id + 1),
-            last_lsn: AtomicU64::new(manifest_lsn.max(wal_lsn)),
+            last_lsn: AtomicU64::new(flushed_lsn.max(wal_lsn)),
+            // Only the tables are known durable: replayed WAL frames may
+            // have reached the OS but not the disk.
+            synced_lsn: AtomicU64::new(flushed_lsn),
             config,
+            stats: stats.clone(),
+            bg: Background::new(queued),
+        });
+        let worker = {
+            let tree = tree.clone();
+            // The worker's IO is this engine's IO: a test's scoped fault
+            // injection sees it, and a crash there freezes this thread.
+            let scope = fault::scope();
+            std::thread::Builder::new()
+                .name("tb-lsm-worker".into())
+                .spawn(move || {
+                    fault::adopt(scope);
+                    tree.run_worker();
+                })?
+        };
+        Ok(Self {
+            tree,
             stats,
+            worker: Some(worker),
             _obs: obs,
         })
     }
@@ -274,24 +385,128 @@ impl LsmDb {
     /// Inserts or overwrites a key.
     pub fn put(&self, key: Key, value: Value) -> Result<()> {
         self.stats.puts.fetch_add(1, Ordering::Relaxed);
-        self.write(key, Entry::Put(value))
+        self.tree.write(key, Entry::Put(value))
     }
 
     /// Deletes a key (tombstone).
     pub fn delete(&self, key: Key) -> Result<()> {
-        self.write(key, Entry::Tombstone)
+        self.tree.write(key, Entry::Tombstone)
     }
 
+    /// Point lookup: staged under the read lock, its candidate blocks
+    /// fetched by the completion pass after the lock drops.
+    pub fn get(&self, key: &Key) -> Result<Option<Value>> {
+        let mut cands = Vec::new();
+        let lookup = self
+            .tree
+            .stage_lookup(&self.tree.inner.read(), key.clone(), &mut cands);
+        self.tree.complete_one(lookup, &cands)
+    }
+
+    /// Atomic compare-and-set: the read, the comparison, and the write
+    /// all happen under one acquisition of the tree's write lock, so
+    /// concurrent writers cannot slip between them (unlike the default
+    /// [`KvEngine::cas`], which is unsynchronized read-then-write).
+    pub fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
+        self.tree.bg.admit()?;
+        let mut inner = self.tree.inner.write();
+        self.tree
+            .cas_locked(&mut inner, key, expected, new)
+            .map(|_| ())
+    }
+
+    /// Submission/completion op batch; see [`Tree::apply_batch`].
+    pub fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        self.tree.apply_batch(ops)
+    }
+
+    /// Ordered scan of live keys in `start <= key < end` (`end = None`
+    /// = unbounded), at most `limit` entries — one `EngineOp::Scan`
+    /// through the batched submission/completion path. (A prefix scan
+    /// is the range `[prefix, tb_common::prefix_successor(prefix))`.)
+    pub fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
+        match LsmDb::apply_batch(
+            self,
+            vec![EngineOp::Scan {
+                start: start.clone(),
+                end: end.cloned(),
+                limit,
+            }],
+        )
+        .pop()
+        {
+            Some(Ok(OpOutcome::Range(rows))) => Ok(rows),
+            Some(Err(e)) => Err(e),
+            other => Err(Error::Internal(format!("scan batch resolved to {other:?}"))),
+        }
+    }
+
+    /// Freezes the active memtable (no-op when empty) and waits until
+    /// the worker has flushed every frozen memtable and run the
+    /// compactions that follow; returns the first job error.
+    pub fn flush(&self) -> Result<()> {
+        {
+            let mut inner = self.tree.inner.write();
+            if !inner.memtable.is_empty() {
+                self.tree.freeze(&mut inner)?;
+            }
+        }
+        self.tree.bg.wait_idle(true)
+    }
+
+    /// Total bytes in SSTables plus memtables, read from the settled
+    /// tree: waits for queued flushes and compactions first (a worker
+    /// stopped by an error or crash reports the tree as it left it).
+    pub fn disk_bytes(&self) -> u64 {
+        let _ = self.tree.bg.wait_idle(false);
+        let inner = self.tree.inner.read();
+        let memtables: usize = inner
+            .frozen
+            .iter()
+            .map(|f| f.memtable.approx_bytes())
+            .sum::<usize>()
+            + inner.memtable.approx_bytes();
+        inner.version.sst_bytes() + memtables as u64
+    }
+
+    /// Tables per level (diagnostics).
+    pub fn level_table_counts(&self) -> Vec<usize> {
+        let inner = self.tree.inner.read();
+        inner.version.levels.iter().map(|l| l.len()).collect()
+    }
+
+    /// Directory this database lives in.
+    pub fn dir(&self) -> &Path {
+        &self.tree.config.dir
+    }
+}
+
+impl Drop for LsmDb {
+    /// Lets the worker flush what is queued (it stops at the first
+    /// error), then joins it.
+    fn drop(&mut self) {
+        self.tree.bg.shut_down();
+        if let Some(worker) = self.worker.take() {
+            // The worker catches its own panics; a join error carries no
+            // news.
+            let _ = worker.join();
+        }
+    }
+}
+
+impl Tree {
     fn write(&self, key: Key, entry: Entry) -> Result<()> {
+        self.bg.admit()?;
         let mut inner = self.inner.write();
         self.write_locked(&mut inner, key, entry).map(|_| ())
     }
 
     /// Appends, applies, and sequences one write; returns its assigned
     /// LSN. A failed WAL append consumes no LSN (the write never
-    /// applied); a post-apply failure (flush) surfaces as an error with
-    /// the LSN already advanced — the write is durable in the WAL and
-    /// indeterminate to the caller, exactly the ack contract.
+    /// applied); a post-apply failure (freezing the full memtable)
+    /// surfaces as an error with the LSN already advanced — the write is
+    /// durable in the WAL and indeterminate to the caller, exactly the
+    /// ack contract.
     pub(crate) fn write_locked(&self, inner: &mut Inner, key: Key, entry: Entry) -> Result<u64> {
         let lsn = self.last_lsn.load(Ordering::Relaxed) + 1;
         inner.wal.append(lsn, &encode_wal_record(&key, &entry))?;
@@ -301,26 +516,9 @@ impl LsmDb {
             Entry::Tombstone => inner.memtable.delete(key),
         };
         if size >= self.config.memtable_bytes {
-            self.flush_locked(inner)?;
+            self.freeze(inner)?;
         }
         Ok(lsn)
-    }
-
-    /// Point lookup: staged under the read lock, its candidate blocks
-    /// fetched by the completion pass after the lock drops.
-    pub fn get(&self, key: &Key) -> Result<Option<Value>> {
-        let mut cands = Vec::new();
-        let lookup = self.stage_lookup(&self.inner.read(), key.clone(), &mut cands);
-        self.complete_one(lookup, &cands)
-    }
-
-    /// Atomic compare-and-set: the read, the comparison, and the write
-    /// all happen under one acquisition of the tree's write lock, so
-    /// concurrent writers cannot slip between them (unlike the default
-    /// [`KvEngine::cas`], which is unsynchronized read-then-write).
-    pub fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        let mut inner = self.inner.write();
-        self.cas_locked(&mut inner, key, expected, new).map(|_| ())
     }
 
     /// The CAS read stages and completes like any lookup, but under the
@@ -348,47 +546,28 @@ impl LsmDb {
         self.write_locked(inner, key, Entry::Put(new))
     }
 
-    /// Ordered scan of live keys in `start <= key < end` (`end = None`
-    /// = unbounded), at most `limit` entries — one `EngineOp::Scan`
-    /// through the batched submission/completion path. (A prefix scan
-    /// is the range `[prefix, tb_common::prefix_successor(prefix))`.)
-    pub fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        match LsmDb::apply_batch(
-            self,
-            vec![EngineOp::Scan {
-                start: start.clone(),
-                end: end.cloned(),
-                limit,
-            }],
-        )
-        .pop()
-        {
-            Some(Ok(OpOutcome::Range(rows))) => Ok(rows),
-            Some(Err(e)) => Err(e),
-            other => Err(Error::Internal(format!("scan batch resolved to {other:?}"))),
+    /// Makes every applied write durable. The write lock covers only
+    /// handing the active segment's buffer to the OS and cloning its
+    /// file handle; the `fdatasync` runs after the lock drops, so
+    /// writers and readers proceed meanwhile.
+    fn sync(&self) -> Result<()> {
+        if self.synced_lsn.load(Ordering::Acquire) >= self.last_lsn.load(Ordering::Acquire) {
+            // Nothing appended since the last durability point.
+            return Ok(());
         }
-    }
-
-    /// Total bytes in SSTables plus the live memtable.
-    pub fn disk_bytes(&self) -> u64 {
-        let inner = self.inner.read();
-        let sst: u64 = inner
-            .levels
-            .iter()
-            .flatten()
-            .map(|t| t.meta.file_size)
-            .sum();
-        sst + inner.memtable.approx_bytes() as u64
-    }
-
-    /// Tables per level (diagnostics).
-    pub fn level_table_counts(&self) -> Vec<usize> {
-        self.inner.read().levels.iter().map(|l| l.len()).collect()
-    }
-
-    /// Directory this database lives in.
-    pub fn dir(&self) -> &Path {
-        &self.config.dir
+        let (file, covered) = {
+            let mut inner = self.inner.write();
+            // Every write up to here is in this segment's file or in an
+            // earlier segment, fsynced when it froze.
+            let covered = self.last_lsn.load(Ordering::Relaxed);
+            (inner.wal.sync_handle()?, covered)
+        };
+        let t0 = tb_obs::start();
+        let synced = fault::hit("wal.sync").and_then(|()| Ok(file.sync_data()?));
+        tb_obs::histo!("lsm_wal_sync_ns").record_since(t0);
+        synced?;
+        self.synced_lsn.fetch_max(covered, Ordering::AcqRel);
+        Ok(())
     }
 }
 
@@ -468,12 +647,13 @@ impl KvEngine for LsmDb {
         }
     }
 
+    /// The settled footprint: see [`LsmDb::disk_bytes`].
     fn resident_bytes(&self) -> u64 {
         self.disk_bytes()
     }
 
     fn applied_lsn(&self) -> Lsn {
-        Lsn(self.last_lsn.load(Ordering::Acquire))
+        Lsn(self.tree.last_lsn.load(Ordering::Acquire))
     }
 
     fn label(&self) -> String {
@@ -481,19 +661,7 @@ impl KvEngine for LsmDb {
     }
 
     fn sync(&self) -> Result<()> {
-        let mut inner = self.inner.write();
-        let last = self.last_lsn.load(Ordering::Relaxed);
-        if inner.synced_lsn == last {
-            // Nothing appended since the last durability point.
-            return Ok(());
-        }
-        let t0 = tb_obs::start();
-        let synced = inner.wal.sync();
-        tb_obs::histo!("lsm_wal_sync_ns").record_since(t0);
-        if synced.is_ok() {
-            inner.synced_lsn = last;
-        }
-        synced
+        self.tree.sync()
     }
 }
 
@@ -652,7 +820,7 @@ mod tests {
             }
             db.delete(k(3)).unwrap();
             assert_eq!(KvEngine::applied_lsn(&db), Lsn(11));
-            // Flush resets the WAL; the manifest must carry the mark.
+            // The flush deletes the WAL segment; the manifest carries the mark.
             db.flush().unwrap();
             assert_eq!(KvEngine::applied_lsn(&db), Lsn(11));
             // Post-flush writes live only in the WAL.
@@ -850,6 +1018,124 @@ mod tests {
         }
     }
 
+    /// Writes until the active memtable freezes; returns how many keys
+    /// (`k(0)..k(n)`, tag `tag`) the frozen memtable holds.
+    fn put_until_frozen(db: &LsmDb, tag: &str) -> usize {
+        let mut n = 0;
+        while db.stats.frozen_memtables.load(Ordering::Relaxed) == 0 {
+            db.put(k(n), v(n, tag)).unwrap();
+            n += 1;
+        }
+        n
+    }
+
+    #[test]
+    fn frozen_memtable_serves_reads_until_its_table_is_installed() {
+        use tb_common::fault::{self, FaultMode};
+        let _g = crate::fault_test_gate();
+        let dir = tmpdir("frozen");
+        let db = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
+        // The worker's first table write fails: the memtable stays
+        // frozen and queued, and the error is parked.
+        let guard = fault::arm_scoped("sst.write.data", 1, FaultMode::Error);
+        let n = put_until_frozen(&db, "f");
+        db.disk_bytes(); // returns once the worker stopped on the error
+        assert!(guard.fired());
+        drop(guard);
+        assert_eq!(db.level_table_counts()[0], 0, "nothing was installed");
+        assert_eq!(db.stats.frozen_memtables.load(Ordering::Relaxed), 1);
+        // Point gets, batched gets and scans all see the frozen entries.
+        for i in 0..n {
+            assert_eq!(db.get(&k(i)).unwrap(), Some(v(i, "f")), "key {i}");
+        }
+        let keys: Vec<Key> = (0..n).map(k).collect();
+        let expect: Vec<Option<Value>> = (0..n).map(|i| Some(v(i, "f"))).collect();
+        assert_eq!(KvEngine::multi_get(&db, &keys).unwrap(), expect);
+        assert_eq!(db.scan(&k(0), None, usize::MAX).unwrap().len(), n);
+        // The next write takes the parked error and applies nothing...
+        let err = db.cas(k(0), Some(&v(0, "f")), v(0, "cas")).unwrap_err();
+        assert!(matches!(err, Error::FaultInjected(_)), "{err}");
+        assert_eq!(db.get(&k(0)).unwrap(), Some(v(0, "f")));
+        // ...and the worker retries: the same entries now come from L0.
+        db.flush().unwrap();
+        assert_eq!(db.stats.frozen_memtables.load(Ordering::Relaxed), 0);
+        assert_eq!(db.level_table_counts()[0], 1);
+        for i in 0..n {
+            assert_eq!(db.get(&k(i)).unwrap(), Some(v(i, "f")), "key {i}");
+        }
+        db.cas(k(0), Some(&v(0, "f")), v(0, "cas")).unwrap();
+    }
+
+    #[test]
+    fn reopen_requeues_unflushed_segments_oldest_first() {
+        use tb_common::fault::{self, FaultMode};
+        let _g = crate::fault_test_gate();
+        let dir = tmpdir("requeue");
+        let config = LsmConfig::small_for_tests(dir.path());
+        let wal_files = || {
+            std::fs::read_dir(dir.path())
+                .unwrap()
+                .filter(|e| e.as_ref().unwrap().path().extension() == Some("wal".as_ref()))
+                .count()
+        };
+        // One batch overwriting 150 keys across several memtables, all
+        // frozen inside one lock hold; the worker's first flush fails
+        // and the engine drops with every segment still on disk.
+        let pairs: Vec<(Key, Value)> = (0..400).map(|i| (k(i % 150), v(i, "r"))).collect();
+        let frozen = {
+            let db = LsmDb::open(config.clone()).unwrap();
+            let guard = fault::arm_scoped("sst.write.data", 1, FaultMode::Error);
+            KvEngine::multi_put(&db, pairs).unwrap();
+            db.disk_bytes();
+            assert!(guard.fired());
+            db.stats.frozen_memtables.load(Ordering::Relaxed)
+        };
+        assert!(frozen >= 3, "the batch froze only {frozen} memtables");
+        assert_eq!(wal_files() as u64, frozen + 1, "active + frozen segments");
+        // Recovery queues them again in log order, so each key ends at
+        // its newest version (an out-of-order flush would resurrect an
+        // older one), and the worker flushes them first.
+        let db = LsmDb::open(config).unwrap();
+        db.flush().unwrap();
+        assert!(db.stats.flushes.load(Ordering::Relaxed) >= frozen);
+        for key in 0..150 {
+            let newest = (0..400).filter(|i| i % 150 == key).max().unwrap();
+            assert_eq!(db.get(&k(key)).unwrap(), Some(v(newest, "r")), "key {key}");
+        }
+        assert_eq!(wal_files(), 1, "flushed segments deleted");
+    }
+
+    #[test]
+    fn worker_crash_fails_writes_and_drop_returns() {
+        use tb_common::fault::{self, FaultMode};
+        let _g = crate::fault_test_gate();
+        let dir = tmpdir("workercrash");
+        let config = LsmConfig::small_for_tests(dir.path());
+        let db = LsmDb::open(config.clone()).unwrap();
+        // Armed on this thread, fired on the worker: the worker works in
+        // the scope of the thread that opened the engine.
+        let guard = fault::arm_scoped("sst.sync", 1, FaultMode::Crash);
+        let n = put_until_frozen(&db, "c");
+        let err = db.flush().unwrap_err();
+        assert!(matches!(err, Error::FaultInjected(_)), "{err}");
+        assert_eq!(fault::crash_fired(), Some("sst.sync"), "the kill froze us");
+        assert!(
+            db.put(k(n), v(n, "c")).is_err(),
+            "a dead worker fails writes"
+        );
+        assert_eq!(
+            db.get(&k(0)).unwrap(),
+            Some(v(0, "c")),
+            "reads still answer"
+        );
+        drop(db); // joins the dead worker: must not hang
+        drop(guard);
+        let db = LsmDb::open(config).unwrap();
+        for i in 0..n {
+            assert_eq!(db.get(&k(i)).unwrap(), Some(v(i, "c")), "key {i}");
+        }
+    }
+
     #[test]
     fn open_sweeps_orphan_tables_and_tmp_files() {
         let dir = tmpdir("orphans");
@@ -883,7 +1169,7 @@ mod tests {
             db.put(k(i), v(i, "d")).unwrap();
         }
         db.flush().unwrap();
-        let blocks_in_l0: u64 = db.inner.read().levels[0][0].meta.file_size / 4096 + 2;
+        let blocks_in_l0: u64 = db.tree.inner.read().version.levels[0][0].meta.file_size / 4096 + 2;
 
         let keys: Vec<Key> = (0..n).map(k).collect();
         let before = KvEngine::batch_read_stats(&db);

@@ -1,169 +1,397 @@
-//! Memtable flush and leveled compaction.
+//! Freezing full memtables, and the one background worker per engine
+//! that flushes them and compacts the levels.
+//!
+//! Step sequence: the worker takes frozen memtables oldest first and,
+//! for each, writes one L0 table and then runs `maybe_compact` — the
+//! sequence a caller-side flush used to run, so the tree goes through
+//! the same states (same tables, same file ids), only later and off the
+//! write path.
+//!
+//! Publication order, for a flush and for a compaction: the new table
+//! is durable (written, fsynced, renamed, directory fsynced) → the
+//! manifest naming it is durable → the new [`Version`] is installed
+//! under the tree's write lock (the only moment the worker takes it) →
+//! the memtable's WAL segment, or the compaction's inputs, are deleted.
+//! A crash between any two steps leaves an image recovery reads
+//! correctly: unreferenced tables are swept, segment records the
+//! manifest covers are skipped. A failed step installs nothing; its
+//! error is parked until a caller takes it (the next write, `flush`),
+//! and the worker then retries.
 
 use crate::compaction::{level_bytes, level_limit, merge_runs};
-use crate::db::{Inner, LsmDb};
-use crate::memtable::{Entry, Memtable};
+use crate::db::{segment_path, Frozen, Inner, Tree};
+use crate::memtable::Entry;
 use crate::sstable::{write_sstable_with_stats, SstReader};
-use crate::version::write_manifest;
-use std::path::PathBuf;
+use crate::version::Version;
+use crate::wal::Wal;
+use parking_lot::{Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use tb_common::{fault, Key, Result};
+use tb_common::fault::{self, CrashPoint};
+use tb_common::{Error, Key, Result};
 
-impl LsmDb {
-    /// Forces the memtable to disk (no-op when empty).
-    pub fn flush(&self) -> Result<()> {
-        let mut inner = self.inner.write();
-        if inner.memtable.is_empty() {
-            return Ok(());
+/// Frozen memtables a writer may leave queued before it stalls. Bounds
+/// the memory behind the worker (one memtable each) and how far the
+/// levels may lag the log.
+pub(crate) const MAX_FROZEN: usize = 4;
+
+/// Why the worker stopped for good.
+enum Death {
+    /// An injected crash fired on it (the fault site).
+    Crash(&'static str),
+    /// A bug: the panic message, re-raised on the next caller.
+    Panic(String),
+}
+
+#[derive(Default)]
+struct State {
+    /// Frozen memtables not yet flushed: `Inner::frozen.len()`.
+    queued: usize,
+    /// A job is running.
+    busy: bool,
+    /// A failed job's error, parked until a caller takes it; the worker
+    /// idles meanwhile and retries once it is taken.
+    error: Option<Error>,
+    dead: Option<Death>,
+    /// The engine is dropping: flush what is queued, then exit.
+    shutdown: bool,
+}
+
+impl State {
+    fn alive(&self) -> Result<()> {
+        match &self.dead {
+            None => Ok(()),
+            Some(Death::Crash(site)) => Err(Error::FaultInjected(format!(
+                "LSM worker crashed at {site}; reopen to recover"
+            ))),
+            Some(Death::Panic(msg)) => panic!("LSM background worker panicked: {msg}"),
         }
-        self.flush_locked(&mut inner)
+    }
+}
+
+/// The worker's queue and status, shared by writers (admission), the
+/// worker, and callers waiting for it to settle.
+#[derive(Default)]
+pub(crate) struct Background {
+    state: Mutex<State>,
+    changed: Condvar,
+}
+
+impl Background {
+    pub(crate) fn new(queued: usize) -> Self {
+        let bg = Self::default();
+        bg.state.lock().queued = queued;
+        bg
     }
 
-    pub(crate) fn flush_locked(&self, inner: &mut Inner) -> Result<()> {
-        if inner.memtable.is_empty() {
-            return Ok(());
+    /// Write admission, before the tree lock: takes a parked worker
+    /// error (the write fails with it), and stalls while
+    /// [`MAX_FROZEN`] memtables wait for the worker.
+    pub(crate) fn admit(&self) -> Result<()> {
+        let mut s = self.state.lock();
+        let mut stalled = None;
+        let admitted = loop {
+            s.alive()?;
+            if let Some(e) = s.error.take() {
+                self.changed.notify_all();
+                break Err(e);
+            }
+            if s.queued < MAX_FROZEN {
+                break Ok(());
+            }
+            stalled.get_or_insert_with(tb_obs::start);
+            self.changed.wait(&mut s);
+        };
+        if let Some(t0) = stalled {
+            tb_obs::histo!("lsm_write_stall_ns").record_since(t0);
         }
+        admitted
+    }
+
+    /// Waits until no frozen memtable is queued and no job runs, or
+    /// until the worker stopped on an error (returned, and taken when
+    /// `take_error`, which lets the worker retry) or a crash.
+    pub(crate) fn wait_idle(&self, take_error: bool) -> Result<()> {
+        let mut s = self.state.lock();
+        loop {
+            s.alive()?;
+            if take_error {
+                if let Some(e) = s.error.take() {
+                    self.changed.notify_all();
+                    return Err(e);
+                }
+            } else if let Some(e) = &s.error {
+                return Err(e.clone());
+            }
+            if s.queued == 0 && !s.busy {
+                return Ok(());
+            }
+            self.changed.wait(&mut s);
+        }
+    }
+
+    pub(crate) fn shut_down(&self) {
+        self.state.lock().shutdown = true;
+        self.changed.notify_all();
+    }
+
+    fn add_queued(&self, n: isize) {
+        let mut s = self.state.lock();
+        s.queued = s.queued.checked_add_signed(n).expect("queue count");
+        self.changed.notify_all();
+    }
+
+    /// Blocks until there is a frozen memtable to flush and no parked
+    /// error; false when the worker should exit instead.
+    fn next_job(&self) -> bool {
+        let mut s = self.state.lock();
+        loop {
+            if s.queued > 0 && s.error.is_none() {
+                s.busy = true;
+                return true;
+            }
+            if s.shutdown {
+                return false;
+            }
+            self.changed.wait(&mut s);
+        }
+    }
+
+    /// Records a job's outcome; false once the worker is dead.
+    fn job_done(&self, outcome: std::thread::Result<Result<()>>) -> bool {
+        let mut s = self.state.lock();
+        s.busy = false;
+        match outcome {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => s.error = Some(e),
+            Err(payload) => {
+                s.dead = Some(match payload.downcast_ref::<CrashPoint>() {
+                    Some(crash) => Death::Crash(crash.site),
+                    None => Death::Panic(
+                        payload
+                            .downcast_ref::<&str>()
+                            .map(|m| m.to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_default(),
+                    ),
+                })
+            }
+        }
+        self.changed.notify_all();
+        s.dead.is_none()
+    }
+}
+
+impl Tree {
+    /// Writer side, under the write lock: fsyncs the active segment,
+    /// opens the next one, and queues the full memtable — still served
+    /// by reads — for the worker.
+    pub(crate) fn freeze(&self, inner: &mut Inner) -> Result<()> {
+        fault::hit("wal.rotate")?;
+        inner.wal.sync_handle()?.sync_data()?;
+        let seq = inner.wal_seq + 1;
+        let path = segment_path(&self.config.dir, seq);
+        let wal = Wal::open(&path, self.config.wal_sync)?;
+        // The new segment's directory entry must survive a crash as
+        // surely as the frames a later sync makes durable in it.
+        std::fs::File::open(&self.config.dir)?.sync_all()?;
+        let last_lsn = self.last_lsn.load(Ordering::Relaxed);
+        inner.frozen.push_back(Arc::new(Frozen {
+            memtable: std::mem::take(&mut inner.memtable),
+            segment: std::mem::replace(&mut inner.wal_seq, seq),
+            last_lsn,
+        }));
+        inner.wal = wal;
+        // Every write so far is in a segment fsynced above.
+        self.synced_lsn.fetch_max(last_lsn, Ordering::AcqRel);
+        self.stats
+            .frozen_memtables
+            .store(inner.frozen.len() as u64, Ordering::Relaxed);
+        self.bg.add_queued(1);
+        Ok(())
+    }
+
+    /// The worker thread's body: one job per frozen memtable. Panics are
+    /// caught: an injected crash (or a bug) ends the worker, and the
+    /// engine fails writes from then on instead of taking the process
+    /// down.
+    pub(crate) fn run_worker(&self) {
+        while self.bg.next_job() {
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.flush_oldest()));
+            if !self.bg.job_done(outcome) {
+                return;
+            }
+        }
+    }
+
+    /// One job: flush the oldest frozen memtable, then compact as the
+    /// new level shape requires.
+    fn flush_oldest(&self) -> Result<()> {
         // Timed apart from the compaction it may trigger: the histogram
         // answers "how long is a memtable flush", `lsm_compaction_ns`
         // answers the rest.
         let t0 = tb_obs::start();
-        let flushed = self.flush_locked_inner(inner);
+        let flushed = self.flush_frozen();
         tb_obs::histo!("lsm_flush_ns").record_since(t0);
         flushed?;
-        self.maybe_compact(inner)
+        self.maybe_compact()
     }
 
-    fn flush_locked_inner(&self, inner: &mut Inner) -> Result<()> {
-        let id = self.next_file_id.fetch_add(1, Ordering::SeqCst);
-        let path = self.config.dir.join(format!("{id:010}.sst"));
-        // The memtable is copied, not taken: if the SSTable write fails
-        // partway, the entries must stay readable from memory (the WAL
-        // still holds them, but reads never consult the WAL). Cheap:
-        // keys and values are refcounted buffers, so this clones
-        // handles, not bytes.
-        let entries: Vec<(Key, Entry)> = inner
-            .memtable
-            .iter()
-            .map(|(k, e)| (k.clone(), e.clone()))
-            .collect();
-        let (meta, build) =
-            write_sstable_with_stats(id, &path, entries.into_iter(), &self.config.sst)?;
-        let reader = match SstReader::open_shared(meta, self.stats.decode.clone()) {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = std::fs::remove_file(&path);
-                return Err(e);
-            }
+    fn flush_frozen(&self) -> Result<()> {
+        let (frozen, mut version) = {
+            let inner = self.inner.read();
+            let oldest = inner.frozen.front().cloned();
+            (
+                oldest.expect("a queued job has a frozen memtable"),
+                inner.version.clone(),
+            )
         };
-        self.stats.add_build(&build);
-        // Newest L0 table goes first.
-        inner.levels[0].insert(0, Arc::new(reader));
+        // Keys and values are refcounted buffers: this clones handles,
+        // not bytes. The frozen memtable keeps serving reads until the
+        // table that replaces it is installed.
+        let table =
+            self.build_table(frozen.memtable.iter().map(|(k, e)| (k.clone(), e.clone())))?;
+        version.levels[0].insert(0, table);
+        version.flushed_lsn = frozen.last_lsn;
+        version.write_manifest(&self.config.dir)?;
+        self.install(version, |inner| {
+            inner.frozen.pop_front();
+            self.stats
+                .frozen_memtables
+                .store(inner.frozen.len() as u64, Ordering::Relaxed);
+        });
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        write_manifest(
-            &self.config.dir,
-            self.last_lsn.load(Ordering::Acquire),
-            &inner.levels,
-        )?;
-        // Only now — table durable and installed in the manifest — can
-        // the memtable and WAL drop their copies. (If the manifest
-        // write failed above, memtable and L0 briefly hold duplicates;
-        // reads stay correct and the next flush retries the manifest.)
-        inner.memtable = Memtable::new();
-        inner.wal.reset()?;
-        // Every write sequenced so far is in a synced, manifest-listed
-        // table: durable without the (now empty) WAL.
-        inner.synced_lsn = self.last_lsn.load(Ordering::Relaxed);
+        self.bg.add_queued(-1);
+        // Only now — table durable, manifest durable, installed — can
+        // the segment go.
+        fault::hit("wal.remove")?;
+        std::fs::remove_file(segment_path(&self.config.dir, frozen.segment))?;
         Ok(())
     }
 
-    fn maybe_compact(&self, inner: &mut Inner) -> Result<()> {
-        // L0 → L1 when too many overlapping tables accumulate.
-        if inner.levels[0].len() > self.config.l0_compaction_trigger {
-            self.compact_into(inner, 0)?;
+    /// Swaps `version` in (with any matching memtable change) under the
+    /// write lock.
+    fn install(&self, version: Version, also: impl FnOnce(&mut Inner)) {
+        let mut inner = self.inner.write();
+        self.stats
+            .l0_tables
+            .store(version.levels[0].len() as u64, Ordering::Relaxed);
+        inner.version = version;
+        also(&mut inner);
+    }
+
+    /// Writes `entries` (sorted, unique) as a new table and opens it.
+    fn build_table(&self, entries: impl Iterator<Item = (Key, Entry)>) -> Result<Arc<SstReader>> {
+        let id = self.next_file_id.fetch_add(1, Ordering::SeqCst);
+        let path = self.config.dir.join(format!("{id:010}.sst"));
+        let (meta, build) = write_sstable_with_stats(id, &path, entries, &self.config.sst)?;
+        match SstReader::open_shared(meta, self.stats.decode.clone()) {
+            Ok(r) => {
+                self.stats.add_build(&build);
+                Ok(Arc::new(r))
+            }
+            Err(e) => {
+                let _ = std::fs::remove_file(&path);
+                Err(e)
+            }
+        }
+    }
+
+    fn maybe_compact(&self) -> Result<()> {
+        // L0 → L1 when too many overlapping tables accumulate. (Only
+        // the worker changes levels: what it reads stays true until it
+        // installs.)
+        if self.inner.read().version.levels[0].len() > self.config.l0_compaction_trigger {
+            self.compact_into(0)?;
         }
         // Size-triggered push-downs.
         for level in 1..self.config.max_level {
-            let sizes: Vec<u64> = inner.levels[level]
+            let sizes: Vec<u64> = self.inner.read().version.levels[level]
                 .iter()
                 .map(|t| t.meta.file_size)
                 .collect();
             if level_bytes(&sizes) > level_limit(level, self.config.level_base_bytes) {
-                self.compact_into(inner, level)?;
+                self.compact_into(level)?;
             }
         }
         Ok(())
     }
 
     /// Merges level `src` and `src + 1` into `src + 1`.
-    fn compact_into(&self, inner: &mut Inner, src: usize) -> Result<()> {
+    fn compact_into(&self, src: usize) -> Result<()> {
         let t0 = tb_obs::start();
-        let result = self.compact_into_inner(inner, src);
+        let result = self.compact_into_inner(src);
         tb_obs::histo!("lsm_compaction_ns").record_since(t0);
         result
     }
 
-    fn compact_into_inner(&self, inner: &mut Inner, src: usize) -> Result<()> {
+    fn compact_into_inner(&self, src: usize) -> Result<()> {
         let dst = src + 1;
-        let mut runs: Vec<Vec<(Key, Entry)>> = Vec::new();
+        let mut version = self.inner.read().version.clone();
         // L0 tables are newest-first already; deeper levels hold one run.
-        for table in &inner.levels[src] {
-            runs.push(table.scan()?);
-        }
-        for table in &inner.levels[dst] {
-            runs.push(table.scan()?);
-        }
-        // Tombstones can drop only when nothing lives below dst.
-        let nothing_below = inner.levels[dst + 1..].iter().all(|l| l.is_empty());
-        let merged = merge_runs(runs, nothing_below);
-
-        let obsolete: Vec<PathBuf> = inner.levels[src]
+        let inputs: Vec<Arc<SstReader>> = version.levels[src]
             .iter()
-            .chain(inner.levels[dst].iter())
-            .map(|t| t.meta.path.clone())
+            .chain(&version.levels[dst])
+            .cloned()
             .collect();
-
-        // Write the merged table *before* dropping the inputs from the
-        // in-memory tree: a failed write must leave the levels serving
-        // exactly what they served before.
+        let runs = inputs
+            .iter()
+            .map(|table| table.scan())
+            .collect::<Result<Vec<_>>>()?;
+        // Tombstones can drop only when nothing lives below dst.
+        let nothing_below = version.levels[dst + 1..].iter().all(|l| l.is_empty());
+        let merged = merge_runs(runs, nothing_below);
+        // Compaction re-samples the merged input and re-encodes: the
+        // output table trains its own dictionary.
         let new_table = if merged.is_empty() {
             None
         } else {
-            let id = self.next_file_id.fetch_add(1, Ordering::SeqCst);
-            let path = self.config.dir.join(format!("{id:010}.sst"));
-            // Compaction re-samples the merged input and re-encodes:
-            // the output table trains its own dictionary.
-            let (meta, build) =
-                write_sstable_with_stats(id, &path, merged.into_iter(), &self.config.sst)?;
-            match SstReader::open_shared(meta, self.stats.decode.clone()) {
-                Ok(r) => {
-                    self.stats.add_build(&build);
-                    Some(Arc::new(r))
-                }
-                Err(e) => {
-                    let _ = std::fs::remove_file(&path);
-                    return Err(e);
-                }
-            }
+            Some(self.build_table(merged.into_iter())?)
         };
-        inner.levels[src].clear();
-        inner.levels[dst].clear();
-        if let Some(table) = new_table {
-            inner.levels[dst].push(table);
-        }
+        version.levels[src].clear();
+        version.levels[dst] = new_table.into_iter().collect();
+        version.write_manifest(&self.config.dir)?;
+        self.install(version, |_| {});
         self.stats.compactions.fetch_add(1, Ordering::Relaxed);
-        write_manifest(
-            &self.config.dir,
-            self.last_lsn.load(Ordering::Acquire),
-            &inner.levels,
-        )?;
         // Input tables leave the disk only after the manifest stopped
         // referencing them; a crash in between just leaks files, which
         // the orphan sweep in `open` reclaims.
         fault::hit("compact.remove_obsolete")?;
-        for path in obsolete {
-            let _ = std::fs::remove_file(path);
+        for table in inputs {
+            let _ = std::fs::remove_file(&table.meta.path);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn admission_stalls_at_the_bound_and_takes_parked_errors() {
+        let bg = Arc::new(Background::new(MAX_FROZEN));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let writer = {
+            let bg = bg.clone();
+            std::thread::spawn(move || tx.send(bg.admit()).unwrap())
+        };
+        // (Only a lower bound on the stall: the writer has not passed
+        // while the queue sits at the bound.)
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "admitted with {MAX_FROZEN} memtables queued"
+        );
+        bg.add_queued(-1);
+        assert_eq!(rx.recv().unwrap(), Ok(()), "admitted once one flushed");
+        writer.join().unwrap();
+        // A parked worker error goes to the next writer, which fails
+        // instead of stalling, and is gone after that.
+        bg.add_queued(1);
+        bg.state.lock().error = Some(Error::Io("disk full".into()));
+        assert_eq!(bg.admit(), Err(Error::Io("disk full".into())));
+        assert!(bg.state.lock().error.is_none());
     }
 }

@@ -8,10 +8,13 @@
 //! remote-storage façade the cache tier talks to (simulated network
 //! round-trips, batch read/write APIs).
 //!
-//! Write path: WAL append → memtable insert → (on threshold) flush to an
-//! L0 SSTable → leveled compaction toward L_max.
-//! Read path: memtable → L0 (newest first) → L1+ (one table per level
-//! can contain the key). Every lookup — point get, CAS read, batched
+//! Write path: WAL append → memtable insert → (on threshold) freeze: the
+//! WAL segment is fsynced, the next one opened, and the memtable queued,
+//! still readable. One background worker per engine then flushes each
+//! frozen memtable to an L0 SSTable and compacts toward L_max, off the
+//! caller's thread.
+//! Read path: memtable → frozen memtables (newest first) → L0 (newest
+//! first) → L1+ (one table per level can contain the key). Every lookup — point get, CAS read, batched
 //! get, range scan — is staged under the tree lock and completed by one
 //! pass ([`db::LsmDb::apply_batch`] for a batch) that reads each staged
 //! block once and fills results in submission order.
@@ -46,7 +49,8 @@ pub const FAULT_SITES: &[&str] = &[
     "wal.append.header",
     "wal.append.payload",
     "wal.sync",
-    "wal.reset",
+    "wal.rotate",
+    "wal.remove",
     "sst.write.data",
     "sst.write.filter",
     "sst.write.index",

@@ -1,66 +1,112 @@
-//! The level state's durable form: the manifest codec.
+//! The level state — which SSTables serve reads, level by level — and
+//! its durable form, the manifest.
+//!
+//! A [`Version`] is never edited in place: the background worker (the
+//! only writer of levels) clones the installed one, edits the clone,
+//! makes it durable with [`Version::write_manifest`], and only then
+//! swaps it into the tree.
 
-use crate::sstable::{sync_parent_dir, SstMeta, SstReader};
+use crate::sstable::{sync_parent_dir, SstDecodeStats, SstMeta, SstReader};
 use std::path::Path;
 use std::sync::Arc;
 use tb_common::{crc32, fault, read_varint, write_varint, Error, Key, Result};
 
 const MANIFEST_MAGIC: u32 = 0x7b4d_414e;
 
-/// Durably replaces `dir`'s manifest with one listing `levels` and the
-/// LSN high-water mark `last_lsn`.
-pub(crate) fn write_manifest(
-    dir: &Path,
-    last_lsn: u64,
-    levels: &[Vec<Arc<SstReader>>],
-) -> Result<()> {
-    let manifest_path = dir.join("MANIFEST");
-    let mut body = Vec::new();
-    // LSN high-water mark first: the WAL resets after a flush, so
-    // the manifest must carry the sequence across that boundary for
-    // recovery to resume numbering (and for replication watermarks
-    // to stay comparable across restarts).
-    write_varint(&mut body, last_lsn);
-    let tables: Vec<(usize, &SstMeta)> = levels
-        .iter()
-        .enumerate()
-        .flat_map(|(lvl, tables)| tables.iter().map(move |t| (lvl, &t.meta)))
-        .collect();
-    write_varint(&mut body, tables.len() as u64);
-    for (lvl, meta) in tables {
-        write_varint(&mut body, lvl as u64);
-        write_varint(&mut body, meta.id);
-        write_varint(&mut body, meta.entry_count as u64);
-        write_varint(&mut body, meta.file_size);
-        write_varint(&mut body, meta.min_key.len() as u64);
-        body.extend_from_slice(meta.min_key.as_slice());
-        write_varint(&mut body, meta.max_key.len() as u64);
-        body.extend_from_slice(meta.max_key.as_slice());
+/// One level state of the tree.
+#[derive(Clone)]
+pub(crate) struct Version {
+    /// `levels[0]` newest-first and overlapping; deeper levels are each
+    /// one sorted run (possibly several non-overlapping tables).
+    pub(crate) levels: Vec<Vec<Arc<SstReader>>>,
+    /// Highest LSN whose write is inside a table listed here. Recovery
+    /// skips WAL records at or below it.
+    pub(crate) flushed_lsn: u64,
+}
+
+impl Version {
+    /// Loads the manifest in `dir` (none = empty tree at LSN 0) and
+    /// opens every table it lists. Also returns the highest table id.
+    pub(crate) fn load(
+        dir: &Path,
+        max_level: usize,
+        decode: &Arc<SstDecodeStats>,
+    ) -> Result<(Self, u64)> {
+        let (metas, flushed_lsn) = read_manifest(&dir.join("MANIFEST"))?;
+        let mut max_id = 0u64;
+        let mut levels: Vec<Vec<Arc<SstReader>>> = vec![Vec::new(); max_level + 1];
+        for (level, meta) in metas {
+            max_id = max_id.max(meta.id);
+            if level >= levels.len() {
+                return Err(Error::Corruption(format!(
+                    "manifest level {level} out of range"
+                )));
+            }
+            levels[level].push(Arc::new(SstReader::open_shared(meta, decode.clone())?));
+        }
+        let version = Self {
+            levels,
+            flushed_lsn,
+        };
+        Ok((version, max_id))
     }
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    let tmp = manifest_path.with_extension("tmp");
-    let written = (|| -> Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        fault::write_all("manifest.write", &mut f, &out)?;
-        fault::hit("manifest.sync")?;
-        f.sync_all()?;
-        Ok(())
-    })();
-    if let Err(e) = written {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
+
+    /// Bytes of every table listed.
+    pub(crate) fn sst_bytes(&self) -> u64 {
+        self.levels.iter().flatten().map(|t| t.meta.file_size).sum()
     }
-    fault::hit("manifest.rename")?;
-    std::fs::rename(&tmp, &manifest_path)?;
-    sync_parent_dir(&manifest_path, "manifest.dir_sync")
+
+    /// Durably replaces `dir`'s manifest with this version: tmp file,
+    /// fsync, atomic rename, directory fsync.
+    pub(crate) fn write_manifest(&self, dir: &Path) -> Result<()> {
+        let manifest_path = dir.join("MANIFEST");
+        let mut body = Vec::new();
+        // The flushed LSN first: recovery resumes numbering after it
+        // even once every WAL segment is gone (and replication
+        // watermarks stay comparable across restarts).
+        write_varint(&mut body, self.flushed_lsn);
+        let tables: Vec<(usize, &SstMeta)> = self
+            .levels
+            .iter()
+            .enumerate()
+            .flat_map(|(lvl, tables)| tables.iter().map(move |t| (lvl, &t.meta)))
+            .collect();
+        write_varint(&mut body, tables.len() as u64);
+        for (lvl, meta) in tables {
+            write_varint(&mut body, lvl as u64);
+            write_varint(&mut body, meta.id);
+            write_varint(&mut body, meta.entry_count as u64);
+            write_varint(&mut body, meta.file_size);
+            write_varint(&mut body, meta.min_key.len() as u64);
+            body.extend_from_slice(meta.min_key.as_slice());
+            write_varint(&mut body, meta.max_key.len() as u64);
+            body.extend_from_slice(meta.max_key.as_slice());
+        }
+        let mut out = Vec::with_capacity(body.len() + 8);
+        out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out.extend_from_slice(&body);
+        let tmp = manifest_path.with_extension("tmp");
+        let written = (|| -> Result<()> {
+            let mut f = std::fs::File::create(&tmp)?;
+            fault::write_all("manifest.write", &mut f, &out)?;
+            fault::hit("manifest.sync")?;
+            f.sync_all()?;
+            Ok(())
+        })();
+        if let Err(e) = written {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+        fault::hit("manifest.rename")?;
+        std::fs::rename(&tmp, &manifest_path)?;
+        sync_parent_dir(&manifest_path, "manifest.dir_sync")
+    }
 }
 
 /// Reads `(level, meta)` rows plus the persisted LSN high-water mark
 /// from a manifest file; absent file = empty DB at LSN 0.
-pub(crate) fn read_manifest(path: &Path) -> Result<(Vec<(usize, SstMeta)>, u64)> {
+fn read_manifest(path: &Path) -> Result<(Vec<(usize, SstMeta)>, u64)> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((vec![], 0)),

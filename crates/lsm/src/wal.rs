@@ -141,13 +141,21 @@ impl Wal {
 
     /// Forces everything to durable storage.
     pub fn sync(&mut self) -> Result<()> {
+        let file = self.sync_handle()?;
+        fault::hit("wal.sync")?;
+        file.sync_data()?;
+        Ok(())
+    }
+
+    /// Hands every appended frame to the OS and returns a handle to the
+    /// log file, so the caller can `fdatasync` it without holding the
+    /// log (or whatever lock guards it).
+    pub fn sync_handle(&mut self) -> Result<File> {
         if self.poisoned {
             return Err(Self::poisoned_err());
         }
         self.writer.flush()?;
-        fault::hit("wal.sync")?;
-        self.writer.get_ref().sync_data()?;
-        Ok(())
+        Ok(self.writer.get_ref().try_clone()?)
     }
 
     /// Current log size in bytes.
@@ -158,21 +166,6 @@ impl Wal {
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Truncates the log to empty (after a successful memtable flush).
-    pub fn reset(&mut self) -> Result<()> {
-        if self.poisoned {
-            return Err(Self::poisoned_err());
-        }
-        fault::hit("wal.reset")?;
-        self.writer.flush()?;
-        let file = self.writer.get_mut();
-        file.set_len(0)?;
-        file.seek(SeekFrom::Start(0))?;
-        file.sync_data()?;
-        self.len = 0;
-        Ok(())
     }
 
     /// Replays all intact records as `(lsn, payload)` in log order. A
@@ -406,15 +399,23 @@ mod tests {
     }
 
     #[test]
-    fn reset_empties_log() {
-        let (_dir, p) = tmp("reset");
+    fn sync_handle_covers_every_append() {
+        let (_dir, p) = tmp("sync-handle");
         let mut wal = Wal::open(&p, SyncPolicy::OsBuffer).unwrap();
-        wal.append(1, b"flushed-to-sstable").unwrap();
-        assert!(!wal.is_empty());
-        wal.reset().unwrap();
-        assert!(wal.is_empty());
+        wal.append(1, b"before-the-handle").unwrap();
+        let file = wal.sync_handle().unwrap();
+        // The handle outlives the borrow: the fsync runs with the log
+        // free for the next append.
+        wal.append(2, b"racing-the-fsync").unwrap();
+        file.sync_data().unwrap();
         drop(wal);
-        assert!(Wal::replay(&p).unwrap().is_empty());
+        assert_eq!(
+            Wal::replay(&p).unwrap(),
+            vec![
+                (1, b"before-the-handle".to_vec()),
+                (2, b"racing-the-fsync".to_vec())
+            ]
+        );
     }
 
     #[test]

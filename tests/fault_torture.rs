@@ -267,12 +267,24 @@ impl Model {
 
 // --- the driver --------------------------------------------------------
 
+/// Waits for the LSM's background worker to flush and compact what is
+/// queued: `resident_bytes` reads the settled tree. Ops that read settle
+/// first, so whether a key is served from a memtable or staged from a
+/// table — and with it every read-side `(site, hit)` — repeats exactly
+/// run to run, while writes still race the worker.
+fn settle(engine: &dyn KvEngine) {
+    engine.resident_bytes();
+}
+
 /// Runs `ops` against `engine`, tracking the model. Returns `true` when
 /// a simulated crash ended the run.
 fn run_workload(engine: &dyn KvEngine, ops: &[Op], model: &mut Model) -> bool {
     for op in ops {
         if fault::crash_fired().is_some() {
             return true;
+        }
+        if matches!(op, Op::Get(_) | Op::Cas(..) | Op::Batch { .. }) {
+            settle(engine);
         }
         // Batched submissions settle per completion slot: each write
         // commits or goes indeterminate on its own result (a batch is
@@ -375,6 +387,7 @@ fn run_workload(engine: &dyn KvEngine, ops: &[Op], model: &mut Model) -> bool {
             }
         }
     }
+    settle(engine);
     fault::crash_fired().is_some()
 }
 
@@ -505,8 +518,9 @@ fn fault_sites_all_reachable() {
 /// since the last durability point: worker-side and burst-side syncs
 /// overlap in mixed front-end traffic, and `TierBase::do_sync` syncs the
 /// storage tier even when its flush found nothing dirty. Pinned by the
-/// `wal.sync` site's hit count; a memtable flush (which resets the WAL)
-/// and a reopen must both leave the watermark valid.
+/// `wal.sync` site's hit count; a memtable flush (whose freeze fsyncs
+/// the memtable's WAL segment) and a reopen must both leave the
+/// watermark valid.
 #[test]
 fn redundant_sync_costs_no_fdatasync() {
     let _g = gate();
@@ -537,8 +551,8 @@ fn redundant_sync_costs_no_fdatasync() {
     db.sync().unwrap();
     assert_eq!(syncs(), 4, "failed attempt + one successful retry");
 
-    // The flush made every write durable in a table and emptied the
-    // WAL: nothing is left for a sync to do until the next append.
+    // The flush made every write durable (its segment fsynced, then in
+    // a table): nothing is left for a sync to do until the next append.
     db.put(key(5), val(5)).unwrap();
     db.flush().unwrap();
     db.sync().unwrap();
@@ -556,6 +570,107 @@ fn redundant_sync_costs_no_fdatasync() {
     fault::set_counting(false);
     for i in 1..=6 {
         assert_eq!(db.get(&key(i)).unwrap(), Some(val(i)));
+    }
+}
+
+/// Two writers and a reader race the background worker on a
+/// `small_for_tests` engine — a freeze every few dozen writes, a
+/// compaction every few flushes, writers stalling at the frozen-queue
+/// bound. Each key has one writer, which moves it through versions
+/// 1, 2, 3, … by put, batched multi-put and CAS (whose read must see the
+/// previous version wherever it lives). Reads — point, batched and
+/// scans — must never return an older version of a key than an earlier
+/// read did, and a reopen must lose no acknowledged write.
+/// `torture.yml` loops this test in release.
+#[test]
+fn concurrent_writers_and_reader_never_go_back_in_time() {
+    const KEYS: u32 = 100;
+    const ROUNDS: u32 = 30;
+    let _g = gate();
+    let dir = fresh_dir("concurrent");
+    let config = LsmConfig::small_for_tests(dir.path());
+    let db = LsmDb::open(config.clone()).unwrap();
+    let version = |v: &Value| -> u32 {
+        std::str::from_utf8(&v.as_slice()[1..6])
+            .unwrap()
+            .parse()
+            .unwrap()
+    };
+    let writing = std::sync::atomic::AtomicU32::new(2);
+    let start = std::sync::Barrier::new(3);
+    std::thread::scope(|s| {
+        for writer in 0..2 {
+            let (db, start, writing) = (&db, &start, &writing);
+            s.spawn(move || {
+                let mine: Vec<u32> = (writer..KEYS).step_by(2).collect();
+                start.wait();
+                for round in 1..=ROUNDS {
+                    match round % 3 {
+                        0 => db
+                            .multi_put(mine.iter().map(|&k| (key(k), val(round))).collect())
+                            .unwrap(),
+                        1 => {
+                            for &k in &mine {
+                                db.put(key(k), val(round)).unwrap();
+                            }
+                        }
+                        _ => {
+                            for &k in &mine {
+                                db.cas(key(k), Some(&val(round - 1)), val(round)).unwrap();
+                            }
+                        }
+                    }
+                }
+                writing.fetch_sub(1, Ordering::Release);
+            });
+        }
+        let (db, start, writing) = (&db, &start, &writing);
+        s.spawn(move || {
+            let mut seen = vec![0u32; KEYS as usize];
+            let mut observe = |k: u32, got: Option<&Value>, how: &str| {
+                let now = got.map_or(0, version);
+                assert!(
+                    now >= seen[k as usize],
+                    "{how} read key {k} at version {now} after seeing {}",
+                    seen[k as usize]
+                );
+                seen[k as usize] = now;
+            };
+            start.wait();
+            let mut pass = 0u32;
+            while writing.load(Ordering::Acquire) > 0 {
+                pass += 1;
+                let k = pass % KEYS;
+                observe(k, db.get(&key(k)).unwrap().as_ref(), "point");
+                let keys: Vec<Key> = (0..KEYS).map(key).collect();
+                for (k, got) in db.multi_get(&keys).unwrap().iter().enumerate() {
+                    observe(k as u32, got.as_ref(), "batched");
+                }
+                let rows = db.scan(&key(0), Some(&key(KEYS)), usize::MAX).unwrap();
+                let mut present = vec![None; KEYS as usize];
+                for (row_key, value) in &rows {
+                    let k: u32 = std::str::from_utf8(&row_key.as_slice()[2..])
+                        .unwrap()
+                        .parse()
+                        .unwrap();
+                    present[k as usize] = Some(value);
+                }
+                for (k, got) in present.into_iter().enumerate() {
+                    observe(k as u32, got, "scan");
+                }
+            }
+        });
+    });
+    assert!(
+        db.stats.flushes.load(Ordering::Relaxed) >= 10,
+        "the writers barely froze a memtable"
+    );
+    assert!(db.stats.compactions.load(Ordering::Relaxed) >= 1);
+    db.sync().unwrap();
+    drop(db);
+    let db = LsmDb::open(config).unwrap();
+    for k in 0..KEYS {
+        assert_eq!(db.get(&key(k)).unwrap(), Some(val(ROUNDS)), "key {k}");
     }
 }
 

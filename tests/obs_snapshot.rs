@@ -139,6 +139,15 @@ fn one_snapshot_spans_every_layer() {
             .any(|k| k.starts_with("cluster_node")),
         "per-node fan-out histograms missing"
     );
+    // The LSM's background worker: a stall histogram registered at open
+    // (present even before any writer stalled) and the queue/level
+    // gauges — the flush above left one L0 table and nothing frozen.
+    assert!(
+        snap.histograms.contains_key("lsm_write_stall_ns"),
+        "write-stall histogram missing"
+    );
+    assert_eq!(snap.gauge("lsm_frozen_memtables"), 0, "{:?}", snap.gauges);
+    assert!(snap.gauge("lsm_l0_tables") >= 1, "{:?}", snap.gauges);
     // Replication health: the live channels report their watermark
     // position and lag through per-channel snapshot sources.
     assert!(
