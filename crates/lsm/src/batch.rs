@@ -29,9 +29,9 @@ pub(crate) enum Lookup {
 /// A staged range scan: `cands[cands.start..cands.end]` holds every
 /// block of every overlapping table, pushed in table-priority order
 /// (memtable entries, the highest priority, are snapshotted into
-/// `base` at staging, oldest memtable first). The completion pass decodes the staged blocks —
-/// deduped and fetched alongside the pass's point lookups — and merges
-/// newest-wins.
+/// `base` at staging, oldest memtable first). The completion pass
+/// decodes the staged blocks — deduped and fetched alongside the pass's
+/// point lookups — and merges newest-wins.
 struct StagedScan {
     start: Key,
     end: Option<Key>,
@@ -130,26 +130,7 @@ impl Tree {
         }
     }
 
-    /// Submission/completion op batch — the engine-side half of the
-    /// front-end's pipelined batches (io_uring shape: submit N
-    /// heterogeneous ops, collect N completions after one storage
-    /// pass).
-    ///
-    /// Submission pass, under one acquisition of the tree lock (write
-    /// lock only when the batch contains writes): writes apply in
-    /// submission order; lookups resolve immediately from the memtable
-    /// or from a range/bloom rule-out, and otherwise *stage* their
-    /// candidate `(table, block)` pairs against the level state they
-    /// observed. Completion pass (`fetch`, shared with point gets and
-    /// CAS reads), after the lock drops: each staged block is read once
-    /// per batch and shared across every key that needs it, then
-    /// results fill in submission order. The staged tables are
-    /// `Arc`-pinned, so the pass reads a consistent snapshot even if a
-    /// concurrent flush or compaction rewrites the levels in between.
-    ///
-    /// A batch with writes passes write admission first: it may stall
-    /// on the frozen-memtable bound, and a parked worker error fails
-    /// the batch's writes (its reads still answer).
+    /// The body of [`LsmDb::apply_batch`](crate::LsmDb::apply_batch).
     pub(crate) fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         let has_write = ops.iter().any(is_write);

@@ -20,16 +20,16 @@
 //! hands them to the find/merge step.
 //!
 //! Concurrency: one `RwLock` around the tree — active memtable, active
-//! segment, frozen queue, installed [`Version`]. Staging shares the
+//! segment, frozen queue, installed `Version`. Staging shares the
 //! lock; block I/O runs after it drops, against `Arc`-pinned tables
 //! (only a CAS keeps the write lock across its read). Writes serialize
 //! on the write lock. The worker builds tables, merges runs and writes
 //! manifests holding no tree lock, and takes the write lock only to
 //! install the result; it is the only code that changes the levels. A
-//! writer stalls — before it takes the lock — only while
-//! [`MAX_FROZEN`](crate::flush::MAX_FROZEN) memtables wait for the
-//! worker. [`KvEngine::sync`] takes the lock to flush the segment's
-//! buffer and runs its `fdatasync` after dropping it.
+//! writer stalls — before it takes the lock — only while `MAX_FROZEN`
+//! (4) memtables wait for the worker. [`KvEngine::sync`] takes the
+//! lock to flush the segment's buffer and runs its `fdatasync` after
+//! dropping it.
 
 use crate::flush::Background;
 use crate::memtable::{Entry, Memtable};
@@ -415,7 +415,26 @@ impl LsmDb {
             .map(|_| ())
     }
 
-    /// Submission/completion op batch; see [`Tree::apply_batch`].
+    /// Submission/completion op batch — the engine-side half of the
+    /// front-end's pipelined batches (io_uring shape: submit N
+    /// heterogeneous ops, collect N completions after one storage
+    /// pass).
+    ///
+    /// Submission pass, under one acquisition of the tree lock (write
+    /// lock only when the batch contains writes): writes apply in
+    /// submission order; lookups resolve immediately from a memtable
+    /// or from a range/bloom rule-out, and otherwise *stage* their
+    /// candidate `(table, block)` pairs against the level state they
+    /// observed. Completion pass (`fetch`, shared with point gets and
+    /// CAS reads), after the lock drops: each staged block is read once
+    /// per batch and shared across every key that needs it, then
+    /// results fill in submission order. The staged tables are
+    /// `Arc`-pinned, so the pass reads a consistent snapshot even if a
+    /// concurrent flush or compaction rewrites the levels in between.
+    ///
+    /// A batch with writes passes write admission first: it may stall
+    /// on the frozen-memtable bound, and a parked worker error fails
+    /// the batch's writes (its reads still answer).
     pub fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         self.tree.apply_batch(ops)
     }

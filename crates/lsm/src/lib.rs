@@ -14,9 +14,10 @@
 //! frozen memtable to an L0 SSTable and compacts toward L_max, off the
 //! caller's thread.
 //! Read path: memtable → frozen memtables (newest first) → L0 (newest
-//! first) → L1+ (one table per level can contain the key). Every lookup — point get, CAS read, batched
-//! get, range scan — is staged under the tree lock and completed by one
-//! pass ([`db::LsmDb::apply_batch`] for a batch) that reads each staged
+//! first) → L1+ (one table per level can contain the key). Every
+//! lookup — point get, CAS read, batched get, range scan — is staged
+//! under the tree lock and completed by one pass
+//! ([`db::LsmDb::apply_batch`] for a batch) that reads each staged
 //! block once and fills results in submission order.
 
 mod batch;

@@ -661,12 +661,12 @@ fn concurrent_writers_and_reader_never_go_back_in_time() {
             }
         });
     });
+    db.flush().unwrap();
     assert!(
         db.stats.flushes.load(Ordering::Relaxed) >= 10,
         "the writers barely froze a memtable"
     );
     assert!(db.stats.compactions.load(Ordering::Relaxed) >= 1);
-    db.sync().unwrap();
     drop(db);
     let db = LsmDb::open(config).unwrap();
     for k in 0..KEYS {
