@@ -24,7 +24,7 @@ use crate::memtable::Entry;
 use crate::sstable::{write_sstable_with_stats, SstReader};
 use crate::version::Version;
 use crate::wal::Wal;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLockWriteGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -255,12 +255,12 @@ impl Tree {
         version.levels[0].insert(0, table);
         version.flushed_lsn = frozen.last_lsn;
         version.write_manifest(&self.config.dir)?;
-        self.install(version, |inner| {
-            inner.frozen.pop_front();
-            self.stats
-                .frozen_memtables
-                .store(inner.frozen.len() as u64, Ordering::Relaxed);
-        });
+        let mut inner = self.install(version);
+        inner.frozen.pop_front();
+        self.stats
+            .frozen_memtables
+            .store(inner.frozen.len() as u64, Ordering::Relaxed);
+        drop(inner);
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         self.bg.add_queued(-1);
         // Only now — table durable, manifest durable, installed — can
@@ -270,15 +270,15 @@ impl Tree {
         Ok(())
     }
 
-    /// Swaps `version` in (with any matching memtable change) under the
-    /// write lock.
-    fn install(&self, version: Version, also: impl FnOnce(&mut Inner)) {
+    /// Swaps `version` in under the write lock, returned so a flush can
+    /// drop its memtable in the same critical section.
+    fn install(&self, version: Version) -> RwLockWriteGuard<'_, Inner> {
         let mut inner = self.inner.write();
         self.stats
             .l0_tables
             .store(version.levels[0].len() as u64, Ordering::Relaxed);
         inner.version = version;
-        also(&mut inner);
+        inner
     }
 
     /// Writes `entries` (sorted, unique) as a new table and opens it.
@@ -352,7 +352,7 @@ impl Tree {
         version.levels[src].clear();
         version.levels[dst] = new_table.into_iter().collect();
         version.write_manifest(&self.config.dir)?;
-        self.install(version, |_| {});
+        drop(self.install(version));
         self.stats.compactions.fetch_add(1, Ordering::Relaxed);
         // Input tables leave the disk only after the manifest stopped
         // referencing them; a crash in between just leaks files, which
