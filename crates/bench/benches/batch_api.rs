@@ -148,14 +148,14 @@ fn main() {
         }
     }
 
-    // The same batches through the pipelined front-end: shard workers
-    // lower each drained batch onto one apply_batch call; the engine
-    // counters surface through the front-end's stats snapshot.
+    // The same batches through the pipelined front-end: each shard
+    // batch is lowered onto one apply_batch call on the engine, whose
+    // counters are read directly.
     let fe = Frontend::start(
         db.clone() as Arc<dyn KvEngine>,
         FrontendConfig::with_shards(4),
     );
-    let fe_before = fe.stats_snapshot().engine_batch;
+    let fe_before = KvEngine::batch_read_stats(db.as_ref());
     let batches = schedule(records, lookups, true);
     let t0 = std::time::Instant::now();
     for batch in &batches {
@@ -163,7 +163,7 @@ fn main() {
         assert_eq!(got.len(), batch.len());
     }
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-    let fe_after = fe.stats_snapshot().engine_batch;
+    let fe_after = KvEngine::batch_read_stats(db.as_ref());
     let kqps = lookups as f64 / elapsed / 1000.0;
     report.add_values(
         "frontend-multi_get/clustered",

@@ -5,20 +5,19 @@
 //! eats an fsync, capping throughput near the storage sync rate; the
 //! front-end's group commit amortizes one fsync across a drained batch
 //! (TierBase §4.1.2's batched remote-tier round-trips), multiplying
-//! write throughput and cutting p99. The boosted row adds the §4.4
-//! elastic drain workers on top.
+//! write throughput and cutting p99.
 //!
-//! The `burst-16` rows drive the same trace the way `tb-server` does:
+//! The `burst-16` row drives the same trace the way `tb-server` does:
 //! closed-loop clients hand the front-end 16-op bursts through
 //! `Frontend::apply_batch` (one sub-batch per shard, one `sync()` per
-//! burst), with and without boosting.
+//! burst).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use tb_bench::{bench_dir, budget, drive_pipelined, print_table, BenchReport, PipelineResult};
 use tb_common::{EngineOp, Histogram, KvEngine};
-use tb_frontend::{ElasticConfig, Frontend, FrontendConfig};
+use tb_frontend::{Frontend, FrontendConfig};
 use tb_lsm::{LsmConfig, LsmDb};
 use tb_workload::{Op, Trace, Workload, WorkloadSpec};
 
@@ -78,12 +77,10 @@ fn main() {
 
     let mut report = BenchReport::new("frontend_pipeline");
     let mut rows = Vec::new();
-    for (label, group_commit, boost, bursts) in [
-        ("per-op-sync", false, 1usize, false),
-        ("group-commit", true, 1, false),
-        ("group-commit+boost", true, 4, false),
-        ("burst-16", true, 1, true),
-        ("burst-16+boost", true, 4, true),
+    for (label, group_commit, bursts) in [
+        ("per-op-sync", false, false),
+        ("group-commit", true, false),
+        ("burst-16", true, true),
     ] {
         let dir = bench_dir(&format!("fe-pipe-{label}"));
         let db: Arc<dyn KvEngine> = Arc::new(LsmDb::open(LsmConfig::new(&dir)).expect("open lsm"));
@@ -94,8 +91,6 @@ fn main() {
                 queue_capacity: 4096,
                 max_batch: 128,
                 group_commit,
-                max_workers_per_shard: boost,
-                elastic: ElasticConfig::default(),
             },
         );
 
@@ -119,7 +114,6 @@ fn main() {
             format!("{:.1}", r.p99_us),
             format!("{}", snap.group_syncs + snap.per_op_syncs),
             format!("{:.1}", snap.mean_batch()),
-            format!("{}", snap.boosts),
             format!("{}", r.errors),
         ]);
         fe.shutdown();
@@ -135,7 +129,6 @@ fn main() {
             "p99_us",
             "syncs",
             "ops/batch",
-            "boosts",
             "errors",
         ],
         &rows,

@@ -214,7 +214,7 @@ impl TierBase {
         // but must hold one of the gate's permits — 1 permit is the
         // single-threaded event loop, N permits the multi-thread mode,
         // and elastic mode moves the permit count with load.
-        let gate = ElasticGate::for_mode(config.threading, Default::default());
+        let gate = ElasticGate::for_mode(config.threading);
         let intervals = AccessIntervalTracker::new(config.clock.clone());
 
         let stats = Arc::new(TierBaseStats::default());

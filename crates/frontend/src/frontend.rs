@@ -6,7 +6,7 @@
 //! one at a time behind a [`Ticket`] ([`Frontend::submit`]), or as a
 //! burst ([`KvEngine::apply_batch`] on the front-end: one sub-batch per
 //! shard, one completion latch per run, one `sync()` for the whole
-//! burst). The queues are drained in batches by the shard's worker
+//! burst). Each queue is drained in batches by its shard's one worker
 //! (a burst's sub-batch may instead run on the submitting thread when
 //! its shard is idle), which:
 //!
@@ -16,32 +16,27 @@
 //!   submission/completion path — `tb-lsm` — resolves the batch's
 //!   reads in one overlapped storage pass instead of serializing them
 //!   behind per-op block IO (TierBase §4.1.2 batches the remote tier
-//!   the same way); the engine's read counters surface through
-//!   [`Frontend::stats_snapshot`]. And
+//!   the same way). And
 //! * group-commits: one `sync()` per dirty batch instead of one per
 //!   write, acknowledging ticket writes only after the batch is durable
 //!   (a burst's writes wait for the burst's own single `sync()`).
 //!
 //! Backpressure is the queue bound: blocking `submit` stalls producers
 //! when a shard saturates, `try_submit` sheds load with
-//! [`Error::Backpressure`]. Under sustained depth the elastic
-//! controller (§4.4 watermark policy, configured by
-//! [`ElasticConfig`]) boosts extra drain workers for the hot shard and
-//! retires them when the burst subsides.
+//! [`Error::Backpressure`].
 
 use crate::burst::{Run, RunPlan, SubBatchDone};
 use crate::queue::{PushRefused, SubmitQueue};
 use crate::stats::{FrontendStats, FrontendStatsSnapshot};
 use crate::ticket::{gather, ticket, Completer, Response, Ticket};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tb_common::{
     slot_for_key, BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value,
 };
-use tb_elastic::ElasticConfig;
 
 /// How long an idle worker parks between queue polls.
 const DRAIN_WAIT: Duration = Duration::from_millis(5);
@@ -108,10 +103,6 @@ pub struct FrontendConfig {
     /// it; `false`: every write is applied and synced individually (the
     /// per-op-durability baseline the bench compares against).
     pub group_commit: bool,
-    /// Workers a hot shard may boost to (1 = boosting disabled).
-    pub max_workers_per_shard: usize,
-    /// Boost/shrink watermarks for the elastic controller.
-    pub elastic: ElasticConfig,
 }
 
 impl Default for FrontendConfig {
@@ -121,8 +112,6 @@ impl Default for FrontendConfig {
             queue_capacity: 1024,
             max_batch: 64,
             group_commit: true,
-            max_workers_per_shard: 1,
-            elastic: ElasticConfig::default(),
         }
     }
 }
@@ -181,27 +170,20 @@ enum Item {
     SubBatch(Vec<Queued>, SubBatchDone),
 }
 
-struct ShardState {
-    queue: SubmitQueue<Item>,
-    /// Workers this shard should run (elastic boost lever).
-    target_workers: AtomicUsize,
-    /// Workers currently draining this shard.
-    live_workers: AtomicUsize,
-}
-
 struct Inner {
     engine: Arc<dyn KvEngine>,
-    shards: Vec<ShardState>,
+    /// One submission queue per shard, drained by that shard's worker.
+    shards: Vec<SubmitQueue<Item>>,
     config: FrontendConfig,
     shutdown: AtomicBool,
-    handles: Mutex<Vec<JoinHandle<()>>>,
     stats: FrontendStats,
 }
 
 /// Pipelined, sharded serving layer over one [`KvEngine`].
 pub struct Frontend {
     inner: Arc<Inner>,
-    controller: Mutex<Option<JoinHandle<()>>>,
+    /// One drain worker per shard; joined by [`Frontend::shutdown`].
+    workers: Mutex<Vec<JoinHandle<()>>>,
     down: AtomicBool,
     /// Keeps this front-end's counters and per-shard depth gauges
     /// contributing to [`tb_obs::global`] snapshots; drops with it.
@@ -209,32 +191,24 @@ pub struct Frontend {
 }
 
 impl Frontend {
-    /// Starts the shard workers (and, when boosting is enabled, the
-    /// elastic controller) over `engine`.
+    /// Starts one drain worker per shard over `engine`.
     pub fn start(engine: Arc<dyn KvEngine>, mut config: FrontendConfig) -> Self {
         config.shards = config.shards.max(1);
-        config.max_workers_per_shard = config.max_workers_per_shard.max(1);
         let inner = Arc::new(Inner {
             engine,
             shards: (0..config.shards)
-                .map(|_| ShardState {
-                    queue: SubmitQueue::new(config.queue_capacity),
-                    target_workers: AtomicUsize::new(1),
-                    live_workers: AtomicUsize::new(0),
-                })
+                .map(|_| SubmitQueue::new(config.queue_capacity))
                 .collect(),
-            config: config.clone(),
+            config,
             shutdown: AtomicBool::new(false),
-            handles: Mutex::new(Vec::new()),
             stats: FrontendStats::default(),
         });
-        for shard in 0..config.shards {
-            spawn_worker(&inner, shard);
-        }
-        let controller = (config.max_workers_per_shard > 1).then(|| {
-            let inner = inner.clone();
-            std::thread::spawn(move || controller_loop(inner))
-        });
+        let workers = (0..inner.shards.len())
+            .map(|shard| {
+                let inner = inner.clone();
+                std::thread::spawn(move || worker_loop(inner, shard))
+            })
+            .collect();
         let obs = {
             let inner = inner.clone();
             tb_obs::global().register_source(move |b| {
@@ -250,24 +224,18 @@ impl Frontend {
                     "frontend_backpressure_rejections",
                     c(&s.backpressure_rejections),
                 );
-                b.counter("frontend_boosts", c(&s.boosts));
-                b.counter("frontend_shrinks", c(&s.shrinks));
                 b.counter("frontend_worker_panics", c(&s.worker_panics));
-                for (i, shard) in inner.shards.iter().enumerate() {
+                for (i, queue) in inner.shards.iter().enumerate() {
                     b.gauge(
                         &format!("frontend_shard{i}_queue_depth"),
-                        shard.queue.len() as i64,
-                    );
-                    b.gauge(
-                        &format!("frontend_shard{i}_live_workers"),
-                        shard.live_workers.load(Ordering::SeqCst) as i64,
+                        queue.len() as i64,
                     );
                 }
             })
         };
         Self {
             inner,
-            controller: Mutex::new(controller),
+            workers: Mutex::new(workers),
             down: AtomicBool::new(false),
             _obs: obs,
         }
@@ -278,19 +246,10 @@ impl Frontend {
         &self.inner.stats
     }
 
-    /// Snapshot of the front-end counters *plus* the wrapped engine's
-    /// batched-read counters (block fetches, dedup hits, memtable hits
-    /// — zeros for engines without a native batch path).
+    /// Snapshot of the front-end counters plus each shard's queue depth.
     pub fn stats_snapshot(&self) -> FrontendStatsSnapshot {
         let mut snapshot = self.inner.stats.snapshot();
-        snapshot.engine_batch = self.inner.engine.batch_read_stats();
-        snapshot.shard_queue_depths = self.inner.shards.iter().map(|s| s.queue.len()).collect();
-        snapshot.shard_live_workers = self
-            .inner
-            .shards
-            .iter()
-            .map(|s| s.live_workers.load(Ordering::SeqCst))
-            .collect();
+        snapshot.shard_queue_depths = self.inner.shards.iter().map(|q| q.len()).collect();
         snapshot
     }
 
@@ -301,17 +260,12 @@ impl Frontend {
 
     /// Queue depth of one shard.
     pub fn queue_depth(&self, shard: usize) -> usize {
-        self.inner.shards[shard].queue.len()
+        self.inner.shards[shard].len()
     }
 
     /// Requests queued across all shards.
     pub fn total_queue_depth(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.queue.len()).sum()
-    }
-
-    /// Workers currently draining one shard.
-    pub fn live_workers(&self, shard: usize) -> usize {
-        self.inner.shards[shard].live_workers.load(Ordering::SeqCst)
+        self.inner.shards.iter().map(|q| q.len()).sum()
     }
 
     /// Submits a request, blocking while the target shard queue is
@@ -377,7 +331,7 @@ impl Frontend {
     fn try_submit_to(&self, shard: usize, request: Request) -> Result<Ticket> {
         let (t, c) = ticket();
         let item = Item::One((request, Sink::Ticket(c), tb_obs::start()));
-        match self.inner.shards[shard].queue.try_push(item, 1) {
+        match self.inner.shards[shard].try_push(item, 1) {
             Ok(()) => {
                 FrontendStats::bump(&self.inner.stats.submitted, 1);
                 Ok(t)
@@ -387,7 +341,7 @@ impl Frontend {
                 // The queue was at capacity when it refused us; report that
                 // depth as the retry-after hint so callers (and the wire
                 // protocol's RETRY reply) can scale their backoff.
-                let depth = self.inner.shards[shard].queue.len() as u32;
+                let depth = self.inner.shards[shard].len() as u32;
                 // (The refused item dropped its completer: the orphan
                 // ticket is resolved, nothing can wait on it.)
                 Err(Error::backpressure_at_depth(
@@ -460,7 +414,7 @@ impl Frontend {
         let item = Item::One((request, Sink::Ticket(c), tb_obs::start()));
         // A closed queue hands the item back; dropping it resolves the
         // ticket `Unavailable`.
-        if self.inner.shards[shard].queue.push(item, 1).is_ok() {
+        if self.inner.shards[shard].push(item, 1).is_ok() {
             FrontendStats::bump(&self.inner.stats.submitted, 1);
         }
         t
@@ -479,13 +433,13 @@ impl Frontend {
             let _ = t.wait();
             // The queue is FIFO, so everything enqueued before this
             // marker was drained in a batch numbered no later than the
-            // count observed at marker resolution. With boosted
-            // workers some of those batches may still be mid-flight in
-            // a sibling; wait for exactly them.
-            targets.push((s, self.inner.shards[s].queue.drains_started()));
+            // count observed at marker resolution. A burst's sub-batch
+            // claimed inline before the marker may still be running
+            // beside the worker; wait for exactly those batches.
+            targets.push((s, self.inner.shards[s].drains_started()));
         }
         for (s, target) in targets {
-            while self.inner.shards[s].queue.drains_finished() < target {
+            while self.inner.shards[s].drains_finished() < target {
                 std::thread::sleep(Duration::from_micros(100));
             }
         }
@@ -709,7 +663,7 @@ impl Frontend {
         let latch = Run::new(parts.len());
         let stamp = tb_obs::start();
         let mut inline = None;
-        for (shard, requests) in self.inner.shards.iter().zip(&mut run.per_shard) {
+        for (queue, requests) in self.inner.shards.iter().zip(&mut run.per_shard) {
             if requests.is_empty() {
                 continue;
             }
@@ -719,21 +673,21 @@ impl Frontend {
                 .map(|(request, part)| (request, Sink::Part(latch.clone(), part), stamp))
                 .collect();
             let done = latch.sub_batch();
-            let accepted = if inline.is_none() && shard.queue.claim_idle() {
-                inline = Some((shard, batch, done));
+            let accepted = if inline.is_none() && queue.claim_idle() {
+                inline = Some((queue, batch, done));
                 true
             } else {
                 // Refused only when a concurrent shutdown closed the
                 // queue: the dropped item opens the latch and its parts
                 // read `Unavailable`.
-                shard.queue.push(Item::SubBatch(batch, done), ops).is_ok()
+                queue.push(Item::SubBatch(batch, done), ops).is_ok()
             };
             if accepted {
                 FrontendStats::bump(&self.inner.stats.submitted, ops as u64);
             }
         }
-        if let Some((shard, batch, done)) = inline {
-            run_batch(&self.inner, shard, batch);
+        if let Some((queue, batch, done)) = inline {
+            run_batch(&self.inner, queue, batch);
             drop(done);
         }
         let mut dirty = false;
@@ -747,8 +701,8 @@ impl Frontend {
         dirty
     }
 
-    /// Drains the queues, stops workers and controller, joins threads.
-    /// Idempotent; also runs on drop.
+    /// Drains the queues, stops the workers, joins them. Idempotent;
+    /// also runs on drop.
     pub fn shutdown(&self) {
         if self.down.swap(true, Ordering::SeqCst) {
             return;
@@ -758,15 +712,11 @@ impl Frontend {
             std::thread::sleep(Duration::from_millis(1));
         }
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        for shard in &self.inner.shards {
-            shard.queue.close();
+        for queue in &self.inner.shards {
+            queue.close();
         }
-        if let Some(c) = self.controller.lock().take() {
-            let _ = c.join();
-        }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut self.inner.handles.lock());
-        for h in handles {
-            let _ = h.join();
+        for worker in std::mem::take(&mut *self.workers.lock()) {
+            let _ = worker.join();
         }
     }
 }
@@ -777,37 +727,13 @@ impl Drop for Frontend {
     }
 }
 
-fn spawn_worker(inner: &Arc<Inner>, shard: usize) {
-    inner.shards[shard]
-        .live_workers
-        .fetch_add(1, Ordering::SeqCst);
-    let inner2 = inner.clone();
-    let handle = std::thread::spawn(move || worker_loop(inner2, shard));
-    let mut handles = inner.handles.lock();
-    // Reap retired boost workers so a long-running front-end under
-    // oscillating load doesn't accumulate handles without bound.
-    handles.retain(|h| !h.is_finished());
-    handles.push(handle);
-}
-
-fn worker_loop(inner: Arc<Inner>, shard_idx: usize) {
-    let shard = &inner.shards[shard_idx];
+fn worker_loop(inner: Arc<Inner>, shard: usize) {
+    let queue = &inner.shards[shard];
     loop {
-        // Boosted workers retire once the controller lowers the target;
-        // the CAS keeps at least `target >= 1` workers alive.
-        let live = shard.live_workers.load(Ordering::SeqCst);
-        if live > shard.target_workers.load(Ordering::SeqCst)
-            && shard
-                .live_workers
-                .compare_exchange(live, live - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            return;
-        }
-        let drained = shard.queue.drain(inner.config.max_batch, DRAIN_WAIT);
+        let drained = queue.drain(inner.config.max_batch, DRAIN_WAIT);
         if drained.is_empty() {
-            if inner.shutdown.load(Ordering::SeqCst) && shard.queue.len() == 0 {
-                break;
+            if inner.shutdown.load(Ordering::SeqCst) && queue.len() == 0 {
+                return;
             }
             continue;
         }
@@ -824,15 +750,14 @@ fn worker_loop(inner: Arc<Inner>, shard_idx: usize) {
                 }
             }
         }
-        run_batch(&inner, shard, batch);
+        run_batch(&inner, queue, batch);
         drop(sub_batches);
     }
-    shard.live_workers.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Runs one batch the caller took from `shard` — drained by a worker,
+/// Runs one batch the caller took from `queue` — drained by its worker,
 /// or claimed idle by a burst's submitting thread — and reports it done.
-fn run_batch(inner: &Inner, shard: &ShardState, batch: Vec<Queued>) {
+fn run_batch(inner: &Inner, queue: &SubmitQueue<Item>, batch: Vec<Queued>) {
     // Queue wait: submit stamp → drain. The stamp stays with the
     // request so completion can record the full end-to-end latency.
     if tb_obs::enabled() {
@@ -850,7 +775,7 @@ fn run_batch(inner: &Inner, shard: &ShardState, batch: Vec<Queued>) {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         process_batch(inner, batch, &settled);
     }));
-    shard.queue.drain_done();
+    queue.drain_done();
     if outcome.is_err() {
         // The unwind resolved the rest of the batch by dropping its
         // sinks; count them so `submitted == completed` holds once
@@ -1079,34 +1004,6 @@ fn process_batch_per_op(inner: &Inner, batch: Vec<Queued>, settled: &AtomicU64) 
                         .scan(&start, end.as_ref(), limit)
                         .map(Response::Range),
                 );
-            }
-        }
-    }
-}
-
-fn controller_loop(inner: Arc<Inner>) {
-    let config = &inner.config.elastic;
-    let max = inner.config.max_workers_per_shard;
-    let mut calm = vec![0u32; inner.shards.len()];
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(config.sample_interval);
-        for (i, shard) in inner.shards.iter().enumerate() {
-            let depth = shard.queue.len();
-            let target = shard.target_workers.load(Ordering::SeqCst);
-            if depth >= config.boost_depth && target < max {
-                shard.target_workers.store(target + 1, Ordering::SeqCst);
-                spawn_worker(&inner, i);
-                FrontendStats::bump(&inner.stats.boosts, 1);
-                calm[i] = 0;
-            } else if depth <= config.shrink_depth && target > 1 {
-                calm[i] += 1;
-                if calm[i] >= config.shrink_patience {
-                    shard.target_workers.store(target - 1, Ordering::SeqCst);
-                    FrontendStats::bump(&inner.stats.shrinks, 1);
-                    calm[i] = 0;
-                }
-            } else {
-                calm[i] = 0;
             }
         }
     }

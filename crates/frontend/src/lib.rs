@@ -5,18 +5,17 @@
 //! serving model of one event loop per shard (§4.4) with batched
 //! storage round-trips (§4.1.2). Client threads submit
 //! [`Request`]s to per-shard bounded queues (routed by the cluster
-//! hash, `slot_for_key`), shard workers drain batches, coalesce
-//! adjacent writes into `multi_put`, and group-commit one `sync()` per
-//! dirty batch. Completion flows back through per-request [`Ticket`]s;
-//! a full shard queue is backpressure (blocking `submit`, or
-//! `Error::Backpressure` from `try_submit`). A whole burst —
+//! hash, `slot_for_key`); each shard's one worker drains batches,
+//! coalesces adjacent writes into `multi_put`, and group-commits one
+//! `sync()` per dirty batch. Completion flows back through per-request
+//! [`Ticket`]s; a full shard queue is backpressure (blocking `submit`,
+//! or `Error::Backpressure` from `try_submit`). A whole burst —
 //! `KvEngine::apply_batch` on the [`Frontend`], which is what a decoded
 //! `tb-server` pipeline burst becomes — is submitted natively: one
 //! sub-batch per shard (one of them run by the submitting thread when
 //! its shard is idle), one completion latch, one `sync()` for all of
-//! its writes. The elastic watermark policy from `tb-elastic` boosts
-//! extra drain workers onto hot shards and retires them when bursts
-//! subside.
+//! its writes. So engine code runs concurrently on at most one worker
+//! per shard plus the burst submitters running inline.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -55,10 +54,6 @@ mod ticket;
 pub use frontend::{Frontend, FrontendConfig, Request};
 pub use stats::{FrontendStats, FrontendStatsSnapshot};
 pub use ticket::{Response, Ticket};
-
-// Re-exported so front-end users can tune boosting without a direct
-// tb-elastic dependency.
-pub use tb_elastic::ElasticConfig;
 
 #[cfg(test)]
 mod tests {
@@ -464,46 +459,6 @@ mod tests {
         for t in accepted {
             t.wait().unwrap();
         }
-        fe.shutdown();
-    }
-
-    #[test]
-    fn elastic_controller_boosts_hot_shard_and_shrinks_after() {
-        let engine = ProbeEngine::slow(Duration::from_micros(300));
-        let fe = Frontend::start(
-            engine,
-            FrontendConfig {
-                shards: 1,
-                queue_capacity: 4096,
-                max_batch: 1, // force per-request drains so depth persists
-                max_workers_per_shard: 4,
-                elastic: ElasticConfig {
-                    boost_depth: 16,
-                    shrink_depth: 2,
-                    sample_interval: Duration::from_millis(1),
-                    shrink_patience: 3,
-                },
-                ..FrontendConfig::default()
-            },
-        );
-        let tickets: Vec<Ticket> = (0..2000).map(|i| fe.submit(Request::Get(k(i)))).collect();
-        let mut peak = 1;
-        while fe.total_queue_depth() > 0 {
-            peak = peak.max(fe.live_workers(0));
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        assert!(peak > 1, "hot shard never boosted (peak {peak})");
-        assert!(fe.stats().snapshot().boosts > 0);
-        // Calm period: boosted workers retire.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while fe.live_workers(0) > 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(fe.live_workers(0), 1, "boosted workers never retired");
-        assert!(fe.stats().snapshot().shrinks > 0);
         fe.shutdown();
     }
 
@@ -967,7 +922,6 @@ mod tests {
         let again = KvEngine::apply_batch(&fe, vec![EngineOp::Put(k(1), v(1))]);
         assert!(matches!(again[0], Ok(OpOutcome::Done(_))));
         assert_eq!(fe.get(&k(1)).unwrap(), Some(v(1)));
-        assert_eq!(fe.live_workers(0), 1);
         fe.shutdown();
     }
 
@@ -1085,33 +1039,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_snapshot_surfaces_lsm_batch_counters() {
-        let dir = tb_common::test_dir("tb-fe-bstats");
-        let db = Arc::new(
-            tb_lsm::LsmDb::open(tb_lsm::LsmConfig::small_for_tests(dir.path())).expect("open lsm"),
-        );
-        let fe = Frontend::start(db, FrontendConfig::with_shards(2));
-        for i in 0..300 {
-            fe.put(k(i), v(i)).unwrap();
-        }
-        KvEngine::sync(&fe).unwrap(); // flushes nothing, but barriers
-        let keys: Vec<Key> = (0..300).map(k).collect();
-        let _ = fe.multi_get(&keys).unwrap();
-        let snap = fe.stats_snapshot();
-        let batch = snap.engine_batch;
-        assert!(
-            batch.blocks_read + batch.memtable_hits > 0,
-            "batched lookups left no trace in the engine counters: {batch:?}"
-        );
-        // The plain FrontendStats snapshot cannot reach the engine.
-        assert_eq!(
-            fe.stats().snapshot().engine_batch,
-            tb_common::BatchReadStats::default()
-        );
-        fe.shutdown();
-    }
-
-    #[test]
     fn engine_panic_fails_batch_but_frontend_survives() {
         let poison = Key::from("poison-pill");
         let engine = Arc::new(ProbeEngine {
@@ -1163,38 +1090,65 @@ mod tests {
     }
 
     #[test]
-    fn sync_barrier_holds_under_boosted_workers() {
-        let engine = ProbeEngine::slow(Duration::from_micros(200));
-        let fe = Frontend::start(
+    fn sync_barrier_waits_for_an_inline_burst_beside_queued_tickets() {
+        use tb_common::{EngineOp, OpOutcome};
+        let engine = ProbeEngine::shared();
+        let fe = Arc::new(Frontend::start(
             engine.clone(),
             FrontendConfig {
                 shards: 1,
                 max_batch: 8,
-                max_workers_per_shard: 4,
-                elastic: ElasticConfig {
-                    boost_depth: 8,
-                    shrink_depth: 1,
-                    sample_interval: Duration::from_millis(1),
-                    shrink_patience: 3,
-                },
                 ..FrontendConfig::default()
             },
+        ));
+        // The shard is idle, so the burst runs inline on its own thread
+        // and parks on the gate before its write applies.
+        let burst = {
+            let fe = fe.clone();
+            std::thread::spawn(move || {
+                KvEngine::apply_batch(
+                    &*fe,
+                    vec![
+                        EngineOp::Get(gate_key()),
+                        EngineOp::Put(Key::from("burst"), v(0)),
+                    ],
+                )
+            })
+        };
+        wait_until("the burst reaches the engine", || {
+            !engine.batch_threads.lock().is_empty()
+        });
+        assert_eq!(
+            engine.batch_threads.lock()[0],
+            burst.thread().id(),
+            "the burst ran inline"
         );
-        // Deep pipelined burst, then sync: with several workers
-        // draining the one shard, the barrier must not return while a
-        // sibling still holds an earlier-drained batch.
-        let tickets: Vec<Ticket> = (0..500)
+        // Tickets on the same shard drain on the worker beside it.
+        let tickets: Vec<Ticket> = (0..200)
             .map(|i| fe.submit(Request::Put(k(i), v(i))))
             .collect();
-        KvEngine::sync(&fe).unwrap();
-        assert_eq!(
-            engine.puts.load(Ordering::Relaxed),
-            500,
-            "sync returned before previously submitted writes were applied"
-        );
         for t in tickets {
             t.wait().unwrap();
         }
+        assert_eq!(engine.puts.load(Ordering::Relaxed), 200);
+        // The burst's write was submitted before the sync: the sync must
+        // not return until it has applied.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let syncer = {
+            let fe = fe.clone();
+            std::thread::spawn(move || {
+                let _ = tx.send(KvEngine::sync(&*fe));
+            })
+        };
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "sync returned before the inline burst's write applied"
+        );
+        engine.release_gate();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(Ok(())));
+        assert_eq!(engine.puts.load(Ordering::Relaxed), 201);
+        syncer.join().unwrap();
+        assert!(matches!(burst.join().unwrap()[1], Ok(OpOutcome::Done(_))));
         fe.shutdown();
     }
 
@@ -1285,37 +1239,28 @@ mod tests {
     }
 
     #[test]
-    fn boosted_workers_batch_reads_over_one_engine() {
-        // One LSM engine behind a boosting front-end: every worker
-        // draining this shard — boosted siblings included — lowers its
-        // batches onto the engine's one `apply_batch` path, concurrently;
-        // the engine counters surface through the front-end's stats
-        // snapshot.
-        let dir = tb_common::test_dir("tb-fe-boost-reads");
+    fn concurrent_bursts_batch_reads_over_one_engine() {
+        // One LSM engine behind two shards: bursts from four threads run
+        // inline or on the shard workers, concurrently, and every batch
+        // — whoever executes it — is one call on the engine's
+        // `apply_batch` path.
+        let dir = tb_common::test_dir("tb-fe-burst-reads");
         let config = tb_lsm::LsmConfig::small_for_tests(dir.path());
         let db = Arc::new(tb_lsm::LsmDb::open(config).expect("open lsm"));
         for i in 0..400 {
             db.put(k(i), v(i)).unwrap();
         }
         db.flush().unwrap();
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let (batches0, blocks0) = (count(&db.stats.batches), count(&db.stats.batch_blocks_read));
         let fe = Arc::new(Frontend::start(
-            db,
+            db.clone(),
             FrontendConfig {
                 shards: 2,
                 max_batch: 32,
-                max_workers_per_shard: 3,
-                elastic: ElasticConfig {
-                    boost_depth: 8,
-                    shrink_depth: 1,
-                    sample_interval: Duration::from_millis(1),
-                    shrink_patience: 3,
-                },
                 ..FrontendConfig::default()
             },
         ));
-        // Concurrent batched readers pile depth onto the shards so the
-        // controller boosts, while every drained batch's staged reads
-        // flow through the engine's completion pass.
         std::thread::scope(|s| {
             for t in 0..4 {
                 let fe = fe.clone();
@@ -1331,10 +1276,14 @@ mod tests {
                 });
             }
         });
-        let batch = fe.stats_snapshot().engine_batch;
         assert!(
-            batch.blocks_read > 0,
-            "no staged read ever reached the engine's block fetch: {batch:?}"
+            count(&db.stats.batch_blocks_read) > blocks0,
+            "no staged read ever reached the engine's block fetch"
+        );
+        assert_eq!(
+            count(&db.stats.batches) - batches0,
+            fe.stats().snapshot().batches,
+            "each front-end batch is exactly one engine apply_batch"
         );
         fe.shutdown();
     }

@@ -136,8 +136,7 @@ impl<T> SubmitQueue<T> {
         s.ops -= taken;
         s.drains_started += 1;
         drop(s);
-        // A whole batch left: there may be both blocked producers and
-        // (boosted) sibling consumers to wake.
+        // A whole batch left: several blocked producers may fit now.
         self.not_full.notify_all();
         batch
     }
@@ -180,8 +179,7 @@ impl<T> SubmitQueue<T> {
         self.state.lock().drains_finished
     }
 
-    /// Operations currently queued (the elastic controller's load
-    /// signal).
+    /// Operations currently queued.
     pub fn len(&self) -> usize {
         self.state.lock().ops
     }

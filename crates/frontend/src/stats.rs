@@ -1,7 +1,6 @@
 //! Front-end operational counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use tb_common::BatchReadStats;
 
 /// Counters exposed by a running front-end. All relaxed: these are
 /// diagnostics, not synchronization.
@@ -26,10 +25,6 @@ pub struct FrontendStats {
     pub coalesced_puts: AtomicU64,
     /// `try_submit` rejections due to a full shard queue.
     pub backpressure_rejections: AtomicU64,
-    /// Boost decisions by the elastic controller.
-    pub boosts: AtomicU64,
-    /// Shrink decisions by the elastic controller.
-    pub shrinks: AtomicU64,
     /// Batches (or burst syncs) abandoned because an engine call
     /// panicked: their requests resolved `Unavailable`; the executing
     /// thread — worker or burst submitter — survived.
@@ -51,12 +46,8 @@ impl FrontendStats {
             per_op_syncs: self.per_op_syncs.load(Ordering::Relaxed),
             coalesced_puts: self.coalesced_puts.load(Ordering::Relaxed),
             backpressure_rejections: self.backpressure_rejections.load(Ordering::Relaxed),
-            boosts: self.boosts.load(Ordering::Relaxed),
-            shrinks: self.shrinks.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             shard_queue_depths: Vec::new(),
-            shard_live_workers: Vec::new(),
-            engine_batch: BatchReadStats::default(),
         }
     }
 }
@@ -71,21 +62,11 @@ pub struct FrontendStatsSnapshot {
     pub per_op_syncs: u64,
     pub coalesced_puts: u64,
     pub backpressure_rejections: u64,
-    pub boosts: u64,
-    pub shrinks: u64,
     pub worker_panics: u64,
     /// Submission-queue depth of each shard at snapshot time. Empty
     /// through [`FrontendStats::snapshot`]; filled by
     /// `Frontend::stats_snapshot`, which can reach the shards.
     pub shard_queue_depths: Vec<usize>,
-    /// Workers draining each shard at snapshot time (> 1 = elastically
-    /// boosted). Filled like `shard_queue_depths`.
-    pub shard_live_workers: Vec<usize>,
-    /// The wrapped engine's batched-read counters (block fetches,
-    /// dedup hits, memtable hits). Zero through
-    /// [`FrontendStats::snapshot`]; filled by `Frontend::stats_snapshot`,
-    /// which can reach the engine.
-    pub engine_batch: BatchReadStats,
 }
 
 impl FrontendStatsSnapshot {

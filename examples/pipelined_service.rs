@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tierbase::frontend::{ElasticConfig, Request};
+use tierbase::frontend::Request;
 use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::prelude::*;
 
@@ -24,9 +24,9 @@ fn main() -> Result<()> {
 
     // A durable engine: every acknowledged write has been fsync'd by
     // the batch's group commit.
-    let db: Arc<dyn KvEngine> = Arc::new(LsmDb::open(LsmConfig::new(&dir))?);
+    let db = Arc::new(LsmDb::open(LsmConfig::new(&dir))?);
     let fe = Arc::new(Frontend::start(
-        db,
+        db.clone(),
         FrontendConfig {
             shards: 4,
             // Small queues so the telemetry thread actually sees
@@ -34,8 +34,6 @@ fn main() -> Result<()> {
             queue_capacity: 256,
             max_batch: 64,
             group_commit: true,
-            max_workers_per_shard: 4,
-            elastic: ElasticConfig::default(),
         },
     ));
 
@@ -126,13 +124,14 @@ fn main() -> Result<()> {
     );
 
     let snap = fe.stats_snapshot();
+    let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
     println!("pipelined service over {}:", fe.label());
     println!("  feed batch          : {feed_hits}/64 hits in one apply_batch submission");
     println!(
         "  engine batch reads  : {} blocks ({} deduped, {} memtable hits)",
-        snap.engine_batch.blocks_read,
-        snap.engine_batch.block_dedup_hits,
-        snap.engine_batch.memtable_hits
+        count(&db.stats.batch_blocks_read),
+        count(&db.stats.batch_block_dedup_hits),
+        count(&db.stats.batch_memtable_hits)
     );
     println!("  acknowledged writes : {}", writes.load(Ordering::Relaxed));
     println!("  reads served        : {}", reads.load(Ordering::Relaxed));
@@ -149,10 +148,6 @@ fn main() -> Result<()> {
     println!(
         "  group commits       : {} fsyncs for {} submitted ops",
         snap.group_syncs, snap.submitted
-    );
-    println!(
-        "  elastic boosts      : {} (shrinks: {})",
-        snap.boosts, snap.shrinks
     );
 
     // One unified telemetry snapshot covers the front-end and the LSM

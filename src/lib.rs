@@ -14,7 +14,7 @@
 //! | [`lsm`] | `tb-lsm` | the storage tier: WAL, SSTables, bloom filters, leveled compaction, disaggregated façade |
 //! | [`pmem`] | `tb-pmem` | simulated persistent memory: latency-modeled device, persistent ring buffer, DRAM/PMem placement |
 //! | [`compress`] | `tb-compress` | pre-trained compression: tzstd (dictionary LZ) and PBC (pattern-based) |
-//! | [`elastic`] | `tb-elastic` | elastic threading runtime |
+//! | [`elastic`] | `tb-elastic` | elastic threading: the permit gate behind single/multi/elastic modes |
 //! | [`workload`] | `tb-workload` | YCSB-style generators, datasets, trace record/replay |
 //! | [`frontend`] | `tb-frontend` | pipelined request front-end: sharded submission queues, group-commit workers, backpressure |
 //! | [`cluster`] | `tb-cluster` | hash-slot sharding, coordinators, failover, smart client, proxy |

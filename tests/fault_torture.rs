@@ -32,7 +32,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tierbase::common::fault::{self, CrashPoint, FaultGuard, FaultMode};
 use tierbase::common::{EngineOp, Error, Key, KvEngine, TestDir, Value};
-use tierbase::elastic::ElasticConfig;
 use tierbase::frontend::{Frontend, FrontendConfig};
 use tierbase::lsm::sstable::SstConfig;
 use tierbase::lsm::wal::SyncPolicy;
@@ -93,8 +92,6 @@ fn frontend_config() -> FrontendConfig {
         queue_capacity: 64,
         max_batch: 16,
         group_commit: true,
-        max_workers_per_shard: 1,
-        elastic: ElasticConfig::default(),
     }
 }
 

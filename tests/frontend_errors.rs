@@ -115,8 +115,6 @@ fn single_shard_frontend(engine: Arc<FlakyEngine>) -> Frontend {
             queue_capacity: 64,
             max_batch: 16,
             group_commit: true,
-            max_workers_per_shard: 1,
-            ..FrontendConfig::default()
         },
     )
 }
@@ -167,7 +165,6 @@ fn failing_batch_resolves_every_ticket_with_the_error() {
         fe.get(&Key::from("after")).unwrap(),
         Some(Value::from("ok"))
     );
-    assert_eq!(fe.live_workers(0), 1, "worker must survive an engine error");
     assert_eq!(fe.stats().worker_panics.load(Ordering::Relaxed), 0);
     let s = fe.stats().snapshot();
     assert_eq!(s.submitted, s.completed, "no ticket may be left pending");
@@ -196,7 +193,6 @@ fn sync_failure_fails_the_whole_group_commit_then_recovers() {
 
     engine.fail_sync.store(false, Ordering::SeqCst);
     fe.put(Key::from("durable"), Value::from("yes")).unwrap();
-    assert_eq!(fe.live_workers(0), 1);
     assert_eq!(fe.stats().worker_panics.load(Ordering::Relaxed), 0);
     fe.shutdown();
 }
@@ -230,8 +226,8 @@ fn engine_panic_is_contained_and_the_worker_survives() {
     }
     assert_eq!(fe.stats().worker_panics.load(Ordering::Relaxed), 1);
 
-    // The shard keeps serving: same worker, next batches fine.
-    assert_eq!(fe.live_workers(0), 1, "worker must survive an engine panic");
+    // The shard keeps serving: tickets never run inline, so these puts
+    // prove its one worker survived.
     for i in 0..5 {
         fe.put(Key::from(format!("later{i}")), Value::from("v"))
             .unwrap();
@@ -270,7 +266,6 @@ fn repeated_failures_never_wedge_the_shard() {
         )
         .unwrap();
     assert!(got.iter().all(|v| v == &Some(Value::from("y"))));
-    assert_eq!(fe.live_workers(0), 1);
     assert_eq!(fe.stats().worker_panics.load(Ordering::Relaxed), 0);
     fe.shutdown();
 }

@@ -4,6 +4,7 @@
 //! `tb_obs::global().snapshot()` covers them all, in both the
 //! Prometheus text exposition and the JSON rendering.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tierbase::cluster::{ClusterClient, CoordinatorGroup, NodeId, NodeStore};
 use tierbase::frontend::Request;
@@ -53,22 +54,23 @@ fn one_snapshot_spans_every_layer() {
     db.flush().unwrap();
     let keys: Vec<Key> = (0..64).map(|i| Key::from(format!("fk{i}"))).collect();
     assert!(fe.multi_get(&keys).unwrap().iter().all(Option::is_some));
-    // The engine's compression counters flow through BatchReadStats
-    // into the front-end stats snapshot.
-    let batch = fe.stats_snapshot().engine_batch;
+    // The engine's own compression counters.
+    let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let lsm = &db.stats;
+    assert!(count(&lsm.blocks_compressed) > 0, "no compressed blocks");
     assert!(
-        batch.blocks_compressed > 0,
-        "no compressed blocks: {batch:?}"
+        count(&lsm.compressed_bytes_written) < count(&lsm.uncompressed_bytes_written),
+        "compression did not shrink the data region"
     );
     assert!(
-        batch.compressed_bytes_written < batch.uncompressed_bytes_written,
-        "compression did not shrink the data region: {batch:?}"
+        count(&lsm.decode.blocks_decompressed) > 0,
+        "no decompressions"
     );
-    assert!(
-        batch.blocks_decompressed > 0,
-        "no decompressions: {batch:?}"
+    assert_eq!(
+        count(&lsm.decode.block_decode_errors),
+        0,
+        "clean run decoded dirty"
     );
-    assert_eq!(batch.block_decode_errors, 0, "clean run decoded dirty");
     fe.shutdown();
 
     // --- cluster: replicated routed ops, a client-observed failover --
