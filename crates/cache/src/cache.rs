@@ -340,7 +340,7 @@ impl ShardedCache {
             let s = shard.lock();
             for key in s.keys_mru_first() {
                 let e = s.peek(&key).expect("key just listed");
-                let cost = (key.len() + e.value.len() + 64) as u64;
+                let cost = LruShard::entry_cost(&key, &e.value) as u64;
                 match e.medium {
                     Medium::Dram => dram += cost,
                     Medium::Pmem => pmem += cost,

@@ -66,8 +66,9 @@ struct Node {
 /// A bounded LRU map of `Key → CacheEntry`.
 pub struct LruShard {
     map: HashMap<Key, usize, FxBuildHasher>,
+    /// Exactly the live nodes: removal moves a node out and the last
+    /// one fills its slot, so no slot keeps a removed entry's bytes.
     slab: Vec<Node>,
-    free: Vec<usize>,
     ends: [Ends; 2],
     used_bytes: usize,
     budget_bytes: usize,
@@ -82,7 +83,6 @@ impl LruShard {
         Self {
             map: HashMap::default(),
             slab: Vec::new(),
-            free: Vec::new(),
             ends: [Ends {
                 head: NIL,
                 tail: NIL,
@@ -93,7 +93,7 @@ impl LruShard {
         }
     }
 
-    fn entry_cost(key: &Key, value: &Value) -> usize {
+    pub(crate) fn entry_cost(key: &Key, value: &Value) -> usize {
         // Key + value + fixed index overhead per entry.
         key.len() + value.len() + 64
     }
@@ -127,8 +127,8 @@ impl LruShard {
         let idx = *self.map.get(key)?;
         if tb_common::is_expired(self.slab[idx].entry.expires_at, now_nanos) {
             if !self.slab[idx].entry.dirty {
-                let key = self.slab[idx].key.clone();
-                self.remove(&key);
+                self.map.remove(key);
+                self.take(idx);
             }
             return None;
         }
@@ -232,21 +232,13 @@ impl LruShard {
             },
             links: [UNLINKED; 2],
         };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slab[i] = node;
-                i
-            }
-            None => {
-                assert!(
-                    self.slab.len() < NIL as usize,
-                    "shard outgrew its {}-bit slab indices",
-                    Idx::BITS
-                );
-                self.slab.push(node);
-                self.slab.len() - 1
-            }
-        };
+        assert!(
+            self.slab.len() < NIL as usize,
+            "shard outgrew its {}-bit slab indices",
+            Idx::BITS
+        );
+        let idx = self.slab.len();
+        self.slab.push(node);
         self.map.insert(key, idx);
         self.push_front::<LRU>(idx);
         self.used_bytes += cost;
@@ -263,8 +255,9 @@ impl LruShard {
         while idx != NIL {
             let node = &self.slab[idx as usize];
             if !node.entry.dirty {
-                let key = node.key.clone();
-                return self.remove(&key).map(|e| (key, e));
+                self.map.remove(&node.key);
+                let node = self.take(idx as usize);
+                return Some((node.key, node.entry));
             }
             idx = node.links[LRU].prev;
         }
@@ -274,6 +267,13 @@ impl LruShard {
     /// Removes an entry outright.
     pub fn remove(&mut self, key: &Key) -> Option<CacheEntry> {
         let idx = self.map.remove(key)?;
+        Some(self.take(idx).entry)
+    }
+
+    /// Moves the node at `idx` (already out of the map) out of the
+    /// shard: unlinks it, releases its cost, and fills its slot with
+    /// the last node.
+    fn take(&mut self, idx: usize) -> Node {
         self.unlink::<LRU>(idx);
         let cost = Self::entry_cost(&self.slab[idx].key, &self.slab[idx].entry.value);
         self.used_bytes -= cost;
@@ -281,8 +281,31 @@ impl LruShard {
             self.unlink::<DIRTY>(idx);
             self.dirty_bytes -= cost;
         }
-        self.free.push(idx);
-        Some(self.slab[idx].entry.clone())
+        let node = self.slab.swap_remove(idx);
+        if idx < self.slab.len() {
+            self.moved(self.slab.len(), idx);
+        }
+        node
+    }
+
+    /// Repoints the node's map entry, its list neighbours and the list
+    /// ends from slot `from` to slot `to`, where it now sits.
+    fn moved(&mut self, from: usize, to: usize) {
+        *self.map.get_mut(&self.slab[to].key).expect("live node") = to;
+        let (from, to) = (from as Idx, to as Idx);
+        for list in [LRU, DIRTY] {
+            let Link { prev, next } = self.slab[to as usize].links[list];
+            if prev != NIL {
+                self.slab[prev as usize].links[list].next = to;
+            } else if self.ends[list].head == from {
+                self.ends[list].head = to;
+            }
+            if next != NIL {
+                self.slab[next as usize].links[list].prev = to;
+            } else if self.ends[list].tail == from {
+                self.ends[list].tail = to;
+            }
+        }
     }
 
     /// Clears the dirty flag unconditionally.
@@ -590,6 +613,44 @@ mod tests {
         assert_eq!(swept[0].0, k(1));
     }
 
+    /// Every way an entry leaves the shard — delete, eviction, lazy
+    /// and swept expiry, overwrite — moves its key and value out: no
+    /// slab slot keeps a removed entry's bytes allocated.
+    #[test]
+    fn removed_entries_leave_no_bytes_in_the_slab() {
+        let mut s = LruShard::new(330);
+        for i in 1..=4 {
+            let ttl = (i == 3).then_some(100);
+            s.insert_full(k(i), v(20 + i), false, Medium::Dram, ttl)
+                .unwrap();
+        }
+        s.remove(&k(2));
+        assert!(s.get(&k(3), 100).is_none(), "expired on read");
+        s.insert(k(5), v(30), true, Medium::Dram).unwrap();
+        s.insert(k(6), v(30), false, Medium::Dram).unwrap();
+        assert_eq!(s.insert(k(7), v(30), false, Medium::Dram).unwrap().len(), 1);
+        s.insert(k(6), v(5), false, Medium::Dram).unwrap();
+        s.set_expiry(&k(7), Some(200));
+        assert_eq!(s.sweep_expired(200).len(), 1);
+
+        let live: Vec<Key> = s.keys_mru_first();
+        assert_eq!(s.slab.len(), live.len(), "a slot outlived its entry");
+        let held: usize = s
+            .slab
+            .iter()
+            .map(|n| n.key.len() + n.entry.value.len())
+            .sum();
+        let owed: usize = live
+            .iter()
+            .map(|key| key.len() + s.peek(key).unwrap().value.len())
+            .sum();
+        assert_eq!(held, owed);
+        assert_eq!(s.dirty_entries().len(), 1);
+        for key in &live {
+            assert!(s.get(key, 0).is_some());
+        }
+    }
+
     #[test]
     fn set_expiry_roundtrip() {
         let mut s = LruShard::new(10_000);
@@ -696,6 +757,8 @@ mod tests {
                     .collect();
                 let listed: Vec<Key> = s.dirty_entries().into_iter().map(|(key, _)| key).collect();
                 prop_assert_eq!(&listed, &walk);
+                prop_assert_eq!(s.keys_mru_first().len(), s.len());
+                prop_assert_eq!(s.slab.len(), s.len());
                 let cost: usize = walk
                     .iter()
                     .map(|key| LruShard::entry_cost(key, &s.peek(key).unwrap().value))
@@ -717,8 +780,7 @@ mod tests {
             // Sum of entry costs equals used_bytes.
             let keys = s.keys_mru_first();
             let sum: usize = keys.iter().map(|key| {
-                let e = s.peek(key).unwrap();
-                key.len() + e.value.len() + 64
+                LruShard::entry_cost(key, &s.peek(key).unwrap().value)
             }).sum();
             prop_assert_eq!(sum, s.used_bytes());
         }

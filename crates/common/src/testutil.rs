@@ -1,4 +1,5 @@
-//! Shared test-directory helper.
+//! Shared test helpers: temp directories ([`test_dir`]) and a heap
+//! allocation probe ([`AllocProbe`]).
 //!
 //! Every crate in the workspace used to roll its own pid-keyed temp-dir
 //! scheme (`tb-foo-{pid}`), which collides when two tests in one binary
@@ -8,6 +9,8 @@
 //! [`TestDir`] guard removes the directory on drop — including the
 //! unwind of a failing assertion.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -65,6 +68,55 @@ pub fn test_dir(tag: &str) -> TestDir {
     // the path behind; tests expect a fresh tree.
     let _ = std::fs::remove_dir_all(&path);
     TestDir { path }
+}
+
+/// A global allocator that forwards to [`System`] and records, while
+/// [`largest_allocation`] runs a closure, the largest single allocation
+/// the calling thread makes — how decoder tests show that no length
+/// read from disk sizes a buffer beyond what the bytes justify. A test
+/// binary installs it with
+/// `#[global_allocator] static PROBE: AllocProbe = AllocProbe;`.
+pub struct AllocProbe;
+
+thread_local! {
+    static PROBE_ARMED: Cell<bool> = const { Cell::new(false) };
+    static PROBE_LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_allocation(size: usize) {
+    if PROBE_ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = PROBE_LARGEST.try_with(|l| l.set(l.get().max(size)));
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator;
+// the probe only records sizes.
+unsafe impl GlobalAlloc for AllocProbe {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+/// Runs `f`, returning its result and the largest allocation it made on
+/// this thread. Reads 0 unless [`AllocProbe`] is the global allocator.
+pub fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PROBE_LARGEST.with(|l| l.set(0));
+    PROBE_ARMED.with(|a| a.set(true));
+    let out = f();
+    PROBE_ARMED.with(|a| a.set(false));
+    (out, PROBE_LARGEST.with(Cell::get))
 }
 
 #[cfg(test)]

@@ -13,21 +13,35 @@
 //! training input.
 //!
 //! `lz` and `dict` frames carry the block's LZ77 token stream, split
-//! by kind and entropy-coded under two static Huffman tables that were
+//! by kind and entropy-coded under ten static Huffman tables that were
 //! trained once on the table's own blocks and live in the dictionary
 //! payload — no block carries a model or a table header:
 //!
 //! ```text
 //! lz/dict payload := varint(ctrl_len) | varint(lit_len) | bits
-//! bits            := ctrl_len codes under the control table, then
-//!                    lit_len codes under the literal table, LSB-first,
-//!                    zero-padded to a byte
+//! bits            := ctrl_len control codes, then lit_len literal
+//!                    codes, LSB-first, zero-padded to a byte
 //! control bytes   := every varint of the token stream, in order
 //!                    (literal-run length, match length, distance, end)
 //! literals        := every literal byte of the token stream, in order
-//! dict payload    := control table (128 B) | literal table (128 B)
+//! dict payload    := 6 control tables | 4 literal tables (128 B each)
 //!                    | tzstd dictionary bytes (`dict` only)
 //! ```
+//!
+//! Each symbol's table is chosen by its context, which the decoder
+//! knows before it decodes the symbol:
+//!
+//! * a control byte by its token field — literal-run length, match
+//!   length (or end marker), distance, cycling in that order — and by
+//!   whether it is the first or a continuation byte of its varint
+//!   (2 × 3 tables);
+//! * a literal by the class of the previous literal in the same run —
+//!   digit, lowercase, uppercase, other; a run's first literal counts
+//!   as after "other" (4 tables).
+//!
+//! So decoding is two passes over the one bitstream: the control codes,
+//! under the field/byte state machine, whose literal-run-length fields
+//! then give the run boundaries for the literal codes.
 //!
 //! `pbc` frames carry [`Pbc`]'s own record format and the serialized
 //! [`PbcModel`] as dictionary payload.
@@ -38,7 +52,7 @@
 //! read is checksummed regardless of codec.
 
 use crate::dict::train_dictionary;
-use crate::huffman::{BitReader, BitWriter, HuffTable, TABLE_BYTES};
+use crate::huffman::{BitReader, BitWriter, Decoder, HuffTable, TABLE_BYTES};
 use crate::lz::{
     lz_decode, lz_parse, read_varint, write_varint, SplitSource, SplitTokens, TrainedDict,
     TzstdLevel,
@@ -153,43 +167,144 @@ impl BlockCodec {
             _ => None,
         }
     }
+
+    /// Whether [`BlockCodecState::train_on_blocks`] reads its value
+    /// samples (the `dict` dictionary, the `pbc` model); the other
+    /// codecs ignore them, so a writer need not collect any.
+    pub fn trains_on_samples(self) -> bool {
+        matches!(self, BlockCodec::Dict | BlockCodec::Pbc)
+    }
+}
+
+/// Control-byte tables, indexed `2 × field + continuation`: fields 0
+/// (literal-run length), 1 (match length or end marker), 2 (distance).
+const CTRL_TABLES: usize = 6;
+/// Literal tables, `CTRL_TABLES + class of the previous literal`.
+const LIT_TABLES: usize = 4;
+const TABLES: usize = CTRL_TABLES + LIT_TABLES;
+/// The table of a literal run's first literal: after "other".
+const RUN_START: usize = CTRL_TABLES + OTHER as usize;
+
+/// `NEXT_CTRL[table][b >> 7]`: the table of the control byte after `b`.
+/// A set continuation bit keeps the field and moves to its
+/// continuation table; a clear one starts the next field.
+const NEXT_CTRL: [[u8; 2]; CTRL_TABLES] = [[2, 1], [2, 1], [4, 3], [4, 3], [0, 5], [0, 5]];
+
+/// The class of every byte that is not an ASCII digit or letter.
+const OTHER: u8 = 3;
+
+/// `LIT_CLASS[b]`: digit 0, lowercase 1, uppercase 2, anything else 3.
+const LIT_CLASS: [u8; 256] = {
+    let mut class = [OTHER; 256];
+    let mut b = 0;
+    while b < 256 {
+        class[b] = match b as u8 {
+            b'0'..=b'9' => 0,
+            b'a'..=b'z' => 1,
+            b'A'..=b'Z' => 2,
+            _ => OTHER,
+        };
+        b += 1;
+    }
+    class
+};
+
+/// The table of the symbol after `sym`, which was coded under `table`
+/// (within the control stream, or within one literal run).
+fn next_table(table: usize, sym: u8) -> usize {
+    if table < CTRL_TABLES {
+        NEXT_CTRL[table][(sym >> 7) as usize] as usize
+    } else {
+        CTRL_TABLES + LIT_CLASS[sym as usize] as usize
+    }
+}
+
+/// Where the literal runs of a control stream end, read off its
+/// literal-run-length varints as its bytes decode with their tables —
+/// the decoder's view of [`SplitTokens::run_start`]. A damaged stream
+/// yields some offsets, never a panic.
+#[derive(Default)]
+struct LitRuns {
+    end: u64,
+    run: u64,
+    shift: u32,
+}
+
+impl LitRuns {
+    /// Takes the next control byte `b`, coded under `table`. When `b`
+    /// completes a literal-run length, returns the literal offset where
+    /// that run ends and the next one starts.
+    #[inline(always)]
+    fn run_end(&mut self, table: usize, b: u8) -> Option<usize> {
+        if table >= 2 {
+            return None;
+        }
+        // Bits past the 64th drop, as in `read_varint`.
+        self.run |= u64::from(b & 0x7f).checked_shl(self.shift).unwrap_or(0);
+        self.shift = self.shift.saturating_add(7);
+        if b & 0x80 != 0 {
+            return None;
+        }
+        self.end = self.end.saturating_add(std::mem::take(&mut self.run));
+        self.shift = 0;
+        Some(usize::try_from(self.end).unwrap_or(usize::MAX))
+    }
+}
+
+/// Calls `f(table, symbol)` for every symbol of a parsed block in
+/// coding order: the control bytes, then the literals.
+fn for_each_coded(tokens: &SplitTokens, mut f: impl FnMut(usize, u8)) {
+    let mut table = 0;
+    for &b in &tokens.ctrl {
+        f(table, b);
+        table = next_table(table, b);
+    }
+    for (&b, &start) in tokens.lit.iter().zip(&tokens.run_start) {
+        if start {
+            table = RUN_START;
+        }
+        f(table, b);
+        table = next_table(table, b);
+    }
 }
 
 /// The `lz`/`dict` payload coder: LZ77 parse (optionally against a
-/// trained dictionary) with the control and literal streams each under
-/// their own static Huffman table.
+/// trained dictionary), its control and literal bytes coded under ten
+/// context-selected static Huffman tables.
 struct LzCoder {
     dict: Option<Arc<TrainedDict>>,
-    ctrl: HuffTable,
-    lit: HuffTable,
+    /// [`CTRL_TABLES`] control tables, then [`LIT_TABLES`] literal ones.
+    tables: Vec<HuffTable>,
+    /// The same tables, chained by [`next_table`].
+    decoder: Decoder,
 }
 
 impl LzCoder {
-    /// Trains both tables on the LZ output of `blocks`.
+    fn new(dict: Option<Arc<TrainedDict>>, tables: Vec<HuffTable>) -> Self {
+        Self {
+            dict,
+            decoder: Decoder::new(&tables, next_table),
+            tables,
+        }
+    }
+
+    /// Trains every table on the LZ output of `blocks`.
     fn train<'a>(dict: Option<Arc<TrainedDict>>, blocks: impl Iterator<Item = &'a [u8]>) -> Self {
-        let (mut ctrl, mut lit) = ([0u32; 256], [0u32; 256]);
+        let mut counts = [[0u32; 256]; TABLES];
         let mut tokens = SplitTokens::default();
         for block in blocks {
             tokens.ctrl.clear();
             tokens.lit.clear();
+            tokens.run_start.clear();
             lz_parse(block, dict.as_deref(), BLOCK_LEVEL, &mut tokens);
-            for &b in &tokens.ctrl {
-                ctrl[b as usize] += 1;
-            }
-            for &b in &tokens.lit {
-                lit[b as usize] += 1;
-            }
+            for_each_coded(&tokens, |table, b| counts[table][b as usize] += 1);
         }
-        Self {
-            dict,
-            ctrl: HuffTable::from_counts(&ctrl),
-            lit: HuffTable::from_counts(&lit),
-        }
+        Self::new(dict, counts.iter().map(HuffTable::from_counts).collect())
     }
 
     fn from_payload(payload: &[u8], with_dict: bool) -> Result<Self> {
         let (tables, dict) = payload
-            .split_at_checked(2 * TABLE_BYTES)
+            .split_at_checked(TABLES * TABLE_BYTES)
             .ok_or_else(|| Error::Corruption("block codec payload truncated".into()))?;
         if !with_dict && !dict.is_empty() {
             return Err(Error::Corruption(
@@ -202,17 +317,19 @@ impl LzCoder {
                 dict.len()
             )));
         }
-        Ok(Self {
-            dict: (!dict.is_empty()).then(|| Arc::new(TrainedDict::new(dict.to_vec()))),
-            ctrl: HuffTable::from_bytes(&tables[..TABLE_BYTES])?,
-            lit: HuffTable::from_bytes(&tables[TABLE_BYTES..])?,
-        })
+        let tables = tables
+            .chunks_exact(TABLE_BYTES)
+            .map(HuffTable::from_bytes)
+            .collect::<Result<_>>()?;
+        let dict = (!dict.is_empty()).then(|| Arc::new(TrainedDict::new(dict.to_vec())));
+        Ok(Self::new(dict, tables))
     }
 
     fn payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.ctrl.write_bytes(&mut out);
-        self.lit.write_bytes(&mut out);
+        for table in &self.tables {
+            table.write_bytes(&mut out);
+        }
         if let Some(dict) = &self.dict {
             out.extend_from_slice(dict.as_bytes());
         }
@@ -224,13 +341,13 @@ impl LzCoder {
         let mut tokens = SplitTokens {
             ctrl: Vec::with_capacity(block.len() / 2),
             lit: Vec::with_capacity(block.len()),
+            run_start: Vec::with_capacity(block.len()),
         };
         lz_parse(block, self.dict.as_deref(), BLOCK_LEVEL, &mut tokens);
         write_varint(out, tokens.ctrl.len() as u64);
         write_varint(out, tokens.lit.len() as u64);
         let mut bits = BitWriter::new(out);
-        self.ctrl.encode(&tokens.ctrl, &mut bits);
-        self.lit.encode(&tokens.lit, &mut bits);
+        for_each_coded(&tokens, |table, b| self.tables[table].put(b, &mut bits));
         bits.finish();
     }
 
@@ -240,6 +357,8 @@ impl LzCoder {
     /// anything; `ulen` itself sits in the frame header, outside the
     /// CRC, so the output is reserved at most [`LZ_RESERVE_PER_TOKEN`]
     /// bytes per decoded token and grows past that only as it decodes.
+    /// Literal runs that disagree with `lit_len` decode to a token
+    /// stream `lz_decode` refuses.
     fn decode(&self, payload: &[u8], ulen: usize) -> Result<Vec<u8>> {
         let mut pos = 0usize;
         let ctrl_len = read_varint(payload, &mut pos)?;
@@ -252,13 +371,33 @@ impl LzCoder {
                 coded.len()
             )));
         }
-        let (ctrl_len, lit_len) = (ctrl_len as usize, lit_len as usize);
-        let mut tokens = Vec::with_capacity(ctrl_len + lit_len);
+        let mut tokens = vec![0u8; ctrl_len as usize + lit_len as usize];
+        let (ctrl, lit) = tokens.split_at_mut(ctrl_len as usize);
+        // While the control bytes decode, the run lengths they spell
+        // mark where each literal run starts with a nonzero byte, which
+        // the literal decoded there overwrites: the run-start context
+        // then costs no branch per literal.
+        if let Some(first) = lit.first_mut() {
+            *first = 1;
+        }
+        let mut runs = LitRuns::default();
         let mut bits = BitReader::new(coded);
-        self.ctrl.decode(&mut bits, ctrl_len, &mut tokens);
-        self.lit.decode(&mut bits, lit_len, &mut tokens);
+        let mut table = 0;
+        bits.decode_each(ctrl, |bits, d| {
+            let (b, next) = self.decoder.get(table, bits);
+            if let Some(end) = runs.run_end(table, b) {
+                if let Some(mark) = lit.get_mut(end) {
+                    *mark = 1;
+                }
+            }
+            (*d, table) = (b, next);
+        });
+        bits.decode_each(lit, |bits, d| {
+            let code = if *d != 0 { RUN_START } else { table };
+            (*d, table) = self.decoder.get(code, bits);
+        });
         bits.finish()?;
-        let (ctrl, lit) = tokens.split_at(ctrl_len);
+        let (ctrl, lit) = tokens.split_at(ctrl_len as usize);
         let dict = self.dict.as_ref().map_or(&[][..], |d| d.as_bytes());
         let reserve = ulen.min(tokens.len().saturating_mul(LZ_RESERVE_PER_TOKEN));
         lz_decode(SplitSource::new(ctrl, lit), dict, reserve, ulen)
@@ -309,7 +448,8 @@ impl BlockCodecState {
 
     /// Trains the codec for one table: the tzstd dictionary (`dict`) or
     /// pattern model (`pbc`) from sampled input values (flush/compaction
-    /// collects the first [`MAX_TRAIN_SAMPLES`] put values), and the
+    /// collects the first [`MAX_TRAIN_SAMPLES`] put values when the codec
+    /// [`trains_on_samples`](BlockCodec::trains_on_samples)), and the
     /// `lz`/`dict` entropy tables from the LZ output of evenly spaced
     /// `blocks` of the table itself (every [`TRAIN_BLOCK_STRIDE`]th, at
     /// most [`MAX_TRAIN_BLOCKS`]). Deterministic for fixed input.
@@ -451,6 +591,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    #[global_allocator]
+    static PROBE: tb_common::testutil::AllocProbe = tb_common::testutil::AllocProbe;
+
     fn roundtrip(state: &BlockCodecState, block: &[u8]) {
         let mut out = Vec::new();
         state.encode_frame(block, &mut out);
@@ -518,14 +661,54 @@ mod tests {
     }
 
     #[test]
-    fn entropy_tables_cost_256_bytes_per_table() {
+    fn entropy_tables_cost_1280_bytes_per_table() {
         let samples = value_samples(512);
         let blocks: Vec<Vec<u8>> = (0..100).map(|i| templated_block(60, i)).collect();
         let lz = BlockCodecState::train_on_blocks(BlockCodec::Lz, &samples, &blocks);
-        assert_eq!(lz.dict_payload().len(), 2 * TABLE_BYTES);
+        assert_eq!(lz.dict_payload().len(), 10 * TABLE_BYTES);
         let dict = BlockCodecState::train_on_blocks(BlockCodec::Dict, &samples, &blocks);
-        assert!(dict.dict_payload().len() > 2 * TABLE_BYTES);
-        assert!(dict.dict_payload().len() <= 2 * TABLE_BYTES + MAX_DICT_BYTES);
+        assert!(dict.dict_payload().len() > 10 * TABLE_BYTES);
+        assert!(dict.dict_payload().len() <= 10 * TABLE_BYTES + MAX_DICT_BYTES);
+    }
+
+    #[test]
+    fn contexts_follow_the_token_fields_and_literal_classes() {
+        // Literal run of 200 (two varint bytes), match length code 1,
+        // distance 300 (two bytes), an empty literal run, end marker.
+        let mut lit = b"ab1C-".repeat(40);
+        lit.truncate(200);
+        let mut run_start = vec![false; 200];
+        run_start[0] = true;
+        let tokens = SplitTokens {
+            ctrl: vec![0xc8, 0x01, 0x01, 0xac, 0x02, 0x00, 0x00],
+            lit,
+            run_start,
+        };
+        let mut seen = Vec::new();
+        for_each_coded(&tokens, |table, b| seen.push((table, b)));
+        let ctrl: Vec<usize> = seen[..7].iter().map(|&(t, _)| t).collect();
+        assert_eq!(ctrl, [0, 1, 2, 4, 5, 0, 2]);
+        let mut runs = LitRuns::default();
+        let ends: Vec<usize> = seen[..7]
+            .iter()
+            .filter_map(|&(t, b)| runs.run_end(t, b))
+            .collect();
+        assert_eq!(ends, [200, 200], "runs of 200 and 0 literals");
+        // 'a' opens the run (after "other"); 'b' and '1' follow a
+        // lowercase, 'C' a digit, '-' an uppercase, 'a' an other.
+        let lits: Vec<(usize, u8)> = seen[7..13].to_vec();
+        assert_eq!(
+            lits,
+            [
+                (RUN_START, b'a'),
+                (CTRL_TABLES + 1, b'b'),
+                (CTRL_TABLES + 1, b'1'),
+                (CTRL_TABLES, b'C'),
+                (CTRL_TABLES + 2, b'-'),
+                (RUN_START, b'a'),
+            ]
+        );
+        assert_eq!(seen.len(), 7 + 200);
     }
 
     #[test]
@@ -768,6 +951,19 @@ mod tests {
     }
 
     #[test]
+    fn two_table_payload_of_the_previous_layout_is_corruption() {
+        // One control and one literal table, 256 B: what tables written
+        // before the context split carry.
+        let previous = [0x88u8; 2 * TABLE_BYTES];
+        for codec in [BlockCodec::Lz, BlockCodec::Dict] {
+            assert!(matches!(
+                BlockCodecState::from_dict_payload(codec, &previous),
+                Err(Error::Corruption(_))
+            ));
+        }
+    }
+
+    #[test]
     fn foreign_codec_tag_rejected() {
         let lz = BlockCodecState::train(BlockCodec::Lz, &[]);
         let none = BlockCodecState::default();
@@ -851,17 +1047,96 @@ mod tests {
             }
         }
 
+        /// Arbitrary bytes, and noise behind ten well-formed (all codes
+        /// 8 bits) tables, at lengths around the ten tables' 1 280 B and
+        /// past them into a dictionary: `Ok` or `Corruption`.
         #[test]
-        fn prop_from_dict_payload_never_panics(
+        fn prop_from_dict_payload_is_ok_or_corruption(
             bytes in proptest::collection::vec(any::<u8>(), 0..700),
+            cut in 0usize..700,
         ) {
-            // Raw noise, and noise behind two well-formed (all codes
-            // 8 bits) tables.
-            let tables = [0x88u8; 2 * TABLE_BYTES];
+            let tables = [0x88u8; TABLES * TABLE_BYTES];
+            let near = [&tables[..TABLES * TABLE_BYTES - cut.min(300)], &bytes[..]].concat();
+            let behind = [&tables[..], &bytes[..]].concat();
             for codec in BlockCodec::ALL {
-                let _ = BlockCodecState::from_dict_payload(codec, &bytes);
-                let _ = BlockCodecState::from_dict_payload(codec, &[&tables[..], &bytes[..]].concat());
+                for payload in [&bytes, &near, &behind] {
+                    let outcome = BlockCodecState::from_dict_payload(codec, payload);
+                    prop_assert!(matches!(outcome, Ok(_) | Err(Error::Corruption(_))));
+                }
             }
+        }
+
+        /// A payload with its CRC re-stamped reaches the codec: one bit
+        /// flipped anywhere in it, or the two stream lengths forged a
+        /// little off, so the control state machine and the literal
+        /// runs it yields run on damaged symbols. Each frame is refused
+        /// (or, where a flip turns one code into another, decodes to
+        /// `ulen` bytes), never panics, and reserves no more than the
+        /// lengths allow: 8 symbols per coded byte and at most twice
+        /// `ulen` of output.
+        #[test]
+        fn prop_damaged_lz_payloads_are_refused_within_bounds(
+            seed in 0u64..1000,
+            bit in any::<usize>(),
+            ctrl_delta in -16i64..16,
+            lit_delta in -16i64..16,
+            forge in any::<bool>(),
+        ) {
+            let block = templated_block(40, seed);
+            for codec in [BlockCodec::Lz, BlockCodec::Dict] {
+                let state = BlockCodecState::train(codec, &value_samples(64));
+                let mut frame = Vec::new();
+                prop_assert!(state.encode_frame(&block, &mut frame));
+                let mut payload = frame[FRAME_HEADER_LEN..].to_vec();
+                if forge {
+                    let mut pos = 0;
+                    let ctrl_len = read_varint(&payload, &mut pos).unwrap();
+                    let lit_len = read_varint(&payload, &mut pos).unwrap();
+                    let mut forged = Vec::new();
+                    write_varint(&mut forged, ctrl_len.saturating_add_signed(ctrl_delta));
+                    write_varint(&mut forged, lit_len.saturating_add_signed(lit_delta));
+                    forged.extend_from_slice(&payload[pos..]);
+                    payload = forged;
+                } else {
+                    let bit = bit % (payload.len() * 8);
+                    payload[bit / 8] ^= 1 << (bit % 8);
+                }
+                let ulen = block.len();
+                let (outcome, largest) = tb_common::testutil::largest_allocation(|| {
+                    state.decode_frame(&forged_frame(codec.tag(), ulen as u32, &payload))
+                });
+                match outcome {
+                    Ok(raw) => prop_assert_eq!(raw.len(), ulen),
+                    Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
+                }
+                let bound = (8 * payload.len()).max(2 * ulen).max(1024);
+                prop_assert!(largest <= bound, "{largest} B reserved, bound {bound}");
+            }
+        }
+
+        /// The parser's run starts (what the encoder codes literals by)
+        /// are where the control stream's literal runs end (what the
+        /// decoder decodes them by).
+        #[test]
+        fn prop_parse_run_starts_match_the_control_stream(
+            block in proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'7'), any::<u8>()], 0..3000),
+        ) {
+            let mut tokens = SplitTokens::default();
+            lz_parse(&block, None, BLOCK_LEVEL, &mut tokens);
+            let mut decoded = vec![false; tokens.lit.len()];
+            if let Some(first) = decoded.first_mut() {
+                *first = true;
+            }
+            let (mut runs, mut table) = (LitRuns::default(), 0);
+            for &b in &tokens.ctrl {
+                if let Some(end) = runs.run_end(table, b) {
+                    if let Some(start) = decoded.get_mut(end) {
+                        *start = true;
+                    }
+                }
+                table = next_table(table, b);
+            }
+            prop_assert_eq!(decoded, tokens.run_start);
         }
 
         /// Max-size blocks (a full block_size worth of mixed content).

@@ -1,14 +1,20 @@
 //! Static canonical Huffman coding with a single-lookup decode table —
 //! the pre-trained entropy stage of the `lz`/`dict` block codecs.
 //!
-//! A table is trained once (from symbol counts over a table's own LZ
-//! output), stored as 256 four-bit code lengths, and shared by every
-//! block of the table, so no block carries a model. Every byte value
-//! gets a code (absent symbols are counted once), so a table trained
-//! on one sample still encodes any input. Codes are at most
-//! [`MAX_CODE_LEN`] bits and written LSB-first; the decoder indexes one
-//! `2^MAX_CODE_LEN`-entry table with the next stream bits and gets the
-//! symbol and its length back in a single load.
+//! A table ([`HuffTable`]) is trained once, from the symbol counts of
+//! one coding context over an SSTable's own LZ output (the block codec
+//! keeps ten contexts), stored as 256 four-bit code lengths, and shared
+//! by every block of the SSTable, so no block carries a model. Every
+//! byte value gets a code (absent symbols are counted once), so a table
+//! trained on one sample still encodes any input. Codes are at most
+//! [`MAX_CODE_LEN`] bits and written LSB-first.
+//!
+//! A [`Decoder`] holds the decode tables of a whole family of codes in
+//! one array: indexed by a code and the next `MAX_CODE_LEN` stream bits,
+//! one load returns the symbol, its length, and the code of the *next*
+//! symbol, which the caller fixed per (code, symbol) when building it —
+//! so a stream whose context follows from the symbols already decoded
+//! costs one dependent load per symbol, as a single code would.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -21,12 +27,14 @@ const LUT_MASK: u64 = LUT_SIZE as u64 - 1;
 /// Serialized size of one table: 256 code lengths, 4 bits each.
 pub(crate) const TABLE_BYTES: usize = 128;
 
+/// Symbols decoded per [`BitReader::refill`]: a refill leaves >= 56
+/// bits, enough for 5 codes of <= 11 bits.
+const CODES_PER_REFILL: usize = 5;
+
 pub(crate) struct HuffTable {
     lens: [u8; 256],
     /// Per symbol: `bit_reversed_code << 4 | len`.
     enc: [u16; 256],
-    /// Indexed by the next `MAX_CODE_LEN` stream bits: `symbol << 4 | len`.
-    lut: Box<[u16; LUT_SIZE]>,
 }
 
 impl HuffTable {
@@ -49,8 +57,8 @@ impl HuffTable {
 
     /// Rebuilds a table from its stored form, rejecting anything that
     /// is not a complete prefix code over all 256 symbols (so every
-    /// decode-table slot is filled and decoding needs no validity
-    /// check per symbol).
+    /// [`Decoder`] slot is filled and decoding needs no validity check
+    /// per symbol).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         if bytes.len() != TABLE_BYTES {
             return Err(Error::Corruption("entropy table truncated".into()));
@@ -85,60 +93,66 @@ impl HuffTable {
             next[l + 1] = (next[l] + per_len[l]) << 1;
         }
         let mut enc = [0u16; 256];
-        let mut lut = Box::new([0u16; LUT_SIZE]);
         for (sym, &l) in lens.iter().enumerate() {
             let code = next[l as usize] as u16;
             next[l as usize] += 1;
             let reversed = code.reverse_bits() >> (16 - l as u32);
             enc[sym] = reversed << 4 | l as u16;
-            let entry = (sym as u16) << 4 | l as u16;
-            for slot in (reversed as usize..LUT_SIZE).step_by(1 << l) {
-                lut[slot] = entry;
-            }
         }
-        Ok(Self { lens, enc, lut })
+        Ok(Self { lens, enc })
     }
 
-    /// Appends the codes of `syms` to the bit stream.
-    pub fn encode(&self, syms: &[u8], w: &mut BitWriter<'_>) {
-        for &s in syms {
-            let e = self.enc[s as usize];
-            w.acc |= ((e >> 4) as u64) << w.nbits;
-            w.nbits += (e & 0x0f) as u32;
-            if w.nbits >= 32 {
-                w.out.extend_from_slice(&(w.acc as u32).to_le_bytes());
-                w.acc >>= 32;
-                w.nbits -= 32;
-            }
-        }
-    }
-
-    /// Decodes `n` symbols onto the end of `out`. Reading past the end
-    /// of the stream yields zero bits; the caller checks
-    /// [`BitReader::finish`] once every stream is decoded.
-    pub fn decode(&self, r: &mut BitReader<'_>, n: usize, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.resize(start + n, 0);
-        // A refill leaves >= 56 bits: enough for 5 codes of <= 11 bits.
-        let mut chunks = out[start..].chunks_exact_mut(5);
-        for chunk in &mut chunks {
-            r.refill();
-            for d in chunk {
-                *d = self.decode_one(r);
-            }
-        }
-        r.refill();
-        for d in chunks.into_remainder() {
-            *d = self.decode_one(r);
-        }
-    }
-
+    /// Appends the code of `sym` to the bit stream.
     #[inline(always)]
-    fn decode_one(&self, r: &mut BitReader<'_>) -> u8 {
-        let e = self.lut[(r.acc & LUT_MASK) as usize];
-        r.acc >>= e & 0x0f;
-        r.nbits -= (e & 0x0f) as u32;
-        (e >> 4) as u8
+    pub fn put(&self, sym: u8, w: &mut BitWriter<'_>) {
+        let e = self.enc[sym as usize];
+        w.acc |= ((e >> 4) as u64) << w.nbits;
+        w.nbits += (e & 0x0f) as u32;
+        if w.nbits >= 32 {
+            w.out.extend_from_slice(&(w.acc as u32).to_le_bytes());
+            w.acc >>= 32;
+            w.nbits -= 32;
+        }
+    }
+}
+
+/// The decode tables of up to 16 codes, `2^MAX_CODE_LEN` entries each,
+/// in one array. Entry: `next_code << 12 | symbol << 4 | len`.
+pub(crate) struct Decoder {
+    lut: Box<[u16]>,
+}
+
+impl Decoder {
+    /// Decode tables for `codes`; `next(code, symbol)` is the code the
+    /// symbol after `symbol` (decoded under `code`) is decoded under,
+    /// and must be below `codes.len()`.
+    pub fn new(codes: &[HuffTable], next: impl Fn(usize, u8) -> usize) -> Self {
+        assert!(codes.len() <= 16, "the next code is a 4-bit field");
+        let mut lut = vec![0u16; codes.len() * LUT_SIZE].into_boxed_slice();
+        for (c, (code, block)) in codes.iter().zip(lut.chunks_exact_mut(LUT_SIZE)).enumerate() {
+            for (sym, &e) in code.enc.iter().enumerate() {
+                let (reversed, len) = ((e >> 4) as usize, e & 0x0f);
+                let then = next(c, sym as u8);
+                debug_assert!(then < codes.len());
+                let entry = (then as u16) << 12 | (sym as u16) << 4 | len;
+                for slot in (reversed..LUT_SIZE).step_by(1 << len) {
+                    block[slot] = entry;
+                }
+            }
+        }
+        Self { lut }
+    }
+
+    /// Decodes the next symbol under `code`, returning it and the code
+    /// of the symbol after it. Only valid inside
+    /// [`BitReader::decode_each`], which keeps enough bits buffered.
+    #[inline(always)]
+    pub fn get(&self, code: usize, r: &mut BitReader<'_>) -> (u8, usize) {
+        let e = self.lut[code << MAX_CODE_LEN | (r.acc & LUT_MASK) as usize];
+        let len = (e & 0x0f) as u32;
+        r.acc >>= len;
+        r.nbits -= len;
+        ((e >> 4) as u8, (e >> 12) as usize)
     }
 }
 
@@ -215,6 +229,25 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Calls `step` once per byte of `out` to decode it, topping the
+    /// buffer up before every [`CODES_PER_REFILL`] steps — each step may
+    /// [`Decoder::get`] one symbol. Reading past the end of the stream
+    /// yields zero bits; [`Self::finish`] reports it.
+    #[inline(always)]
+    pub fn decode_each(&mut self, out: &mut [u8], mut step: impl FnMut(&mut Self, &mut u8)) {
+        let mut chunks = out.chunks_exact_mut(CODES_PER_REFILL);
+        for chunk in &mut chunks {
+            self.refill();
+            for d in chunk {
+                step(self, d);
+            }
+        }
+        self.refill();
+        for d in chunks.into_remainder() {
+            step(self, d);
+        }
+    }
+
     /// Tops the accumulator up to at least 56 valid bits.
     #[inline(always)]
     fn refill(&mut self) {
@@ -260,14 +293,27 @@ mod tests {
         counts
     }
 
-    fn roundtrip(table: &HuffTable, data: &[u8]) -> usize {
+    fn encode(table: &HuffTable, data: &[u8]) -> Vec<u8> {
         let mut coded = Vec::new();
         let mut w = BitWriter::new(&mut coded);
-        table.encode(data, &mut w);
+        for &s in data {
+            table.put(s, &mut w);
+        }
         w.finish();
+        coded
+    }
+
+    fn decode(table: &HuffTable, r: &mut BitReader<'_>, n: usize) -> Vec<u8> {
+        let decoder = Decoder::new(std::slice::from_ref(table), |_, _| 0);
+        let mut out = vec![0; n];
+        r.decode_each(&mut out, |r, d| *d = decoder.get(0, r).0);
+        out
+    }
+
+    fn roundtrip(table: &HuffTable, data: &[u8]) -> usize {
+        let coded = encode(table, data);
         let mut r = BitReader::new(&coded);
-        let mut back = Vec::new();
-        table.decode(&mut r, data.len(), &mut back);
+        let back = decode(table, &mut r, data.len());
         r.finish().expect("exact stream length");
         assert_eq!(back, data);
         coded.len()
@@ -319,17 +365,13 @@ mod tests {
     fn over_read_and_trailing_bytes_are_reported() {
         let table = HuffTable::from_counts(&[0; 256]);
         let data = [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        let mut coded = Vec::new();
-        let mut w = BitWriter::new(&mut coded);
-        table.encode(&data, &mut w);
-        w.finish();
+        let coded = encode(&table, &data);
         for bad in [
             &coded[..coded.len() - 1],
             &[&coded[..], &[0u8]].concat()[..],
         ] {
             let mut r = BitReader::new(bad);
-            let mut out = Vec::new();
-            table.decode(&mut r, data.len(), &mut out);
+            decode(&table, &mut r, data.len());
             assert!(r.finish().is_err());
         }
     }

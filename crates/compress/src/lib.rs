@@ -7,8 +7,9 @@
 //!   Zstandard: same role (general string compression, dictionary mode for
 //!   small records), same knobs (level trades ratio against speed), same
 //!   training flow (`train_dictionary` ≈ `zstd --train`). Its entropy
-//!   stage is order-0 only — an adaptive range coder for single records
-//!   ([`rangecoder`]), table-trained static Huffman for SSTable blocks
+//!   stage is simpler than zstd's — an adaptive order-0 range coder for
+//!   single records ([`rangecoder`]), table-trained static Huffman under
+//!   ten token-field and literal-class contexts for SSTable blocks
 //!   ([`block`]) — so ratios are a little worse than real zstd, but the
 //!   *orderings* the paper measures (dict > no-dict on small records,
 //!   higher level → better ratio/slower SET) are preserved.

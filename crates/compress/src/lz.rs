@@ -251,11 +251,13 @@ impl TokenSink for Vec<u8> {
 }
 
 /// The token stream split by kind: every varint in `ctrl`, every
-/// literal byte in `lit`, each in stream order.
+/// literal byte in `lit`, each in stream order; `run_start[i]` is
+/// whether `lit[i]` is the first literal of its run.
 #[derive(Default)]
 pub(crate) struct SplitTokens {
     pub ctrl: Vec<u8>,
     pub lit: Vec<u8>,
+    pub run_start: Vec<bool>,
 }
 
 impl TokenSink for SplitTokens {
@@ -264,7 +266,12 @@ impl TokenSink for SplitTokens {
     }
 
     fn literals(&mut self, bytes: &[u8]) {
+        let start = self.lit.len();
         self.lit.extend_from_slice(bytes);
+        self.run_start.resize(self.lit.len(), false);
+        if let Some(first) = self.run_start.get_mut(start) {
+            *first = true;
+        }
     }
 }
 

@@ -140,12 +140,18 @@ pub fn write_sstable_with_stats(
 ) -> Result<(SstMeta, SstBuildStats)> {
     // Pass 1 (streaming): encode entries into uncompressed blocks cut
     // at `block_size`, collecting the codec's training samples (first
-    // MAX_TRAIN_SAMPLES put values — deterministic for a fixed input).
+    // MAX_TRAIN_SAMPLES put values — deterministic for a fixed input)
+    // when the codec trains on them.
     let mut blocks: Vec<Vec<u8>> = Vec::new();
     let mut first_keys: Vec<Key> = Vec::new();
     let mut block = Vec::new();
     let mut block_first_key: Option<Key> = None;
     let mut samples: Vec<Vec<u8>> = Vec::new();
+    let max_samples = if config.codec.trains_on_samples() {
+        MAX_TRAIN_SAMPLES
+    } else {
+        0
+    };
     let mut filter_items: Vec<Key> = Vec::new();
     let mut min_key: Option<Key> = None;
     let mut max_key: Option<Key> = None;
@@ -171,7 +177,7 @@ pub fn write_sstable_with_stats(
                 write_varint(&mut block, v.len() as u64);
                 block.extend_from_slice(key.as_slice());
                 block.extend_from_slice(v.as_slice());
-                if samples.len() < MAX_TRAIN_SAMPLES {
+                if samples.len() < max_samples {
                     samples.push(v.as_slice().to_vec());
                 }
             }
@@ -1060,65 +1066,19 @@ mod tests {
         assert_eq!(stats.block_decode_errors.load(Ordering::Relaxed), 0);
     }
 
-    /// Largest single heap allocation a closure makes on this thread —
-    /// how the never-panic proptest shows that no length read from disk
-    /// sizes a buffer beyond the file it came from.
-    mod alloc_probe {
-        use std::alloc::{GlobalAlloc, Layout, System};
-        use std::cell::Cell;
-
-        thread_local! {
-            static ARMED: Cell<bool> = const { Cell::new(false) };
-            static LARGEST: Cell<usize> = const { Cell::new(0) };
-        }
-
-        fn note(size: usize) {
-            if ARMED.try_with(Cell::get).unwrap_or(false) {
-                let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
-            }
-        }
-
-        struct Probe;
-
-        // SAFETY: every call is forwarded unchanged to the system
-        // allocator; the probe only records sizes.
-        unsafe impl GlobalAlloc for Probe {
-            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-                note(layout.size());
-                System.alloc(layout)
-            }
-            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-                note(layout.size());
-                System.alloc_zeroed(layout)
-            }
-            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-                note(new_size);
-                System.realloc(ptr, layout, new_size)
-            }
-            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-                System.dealloc(ptr, layout)
-            }
-        }
-
-        #[global_allocator]
-        static PROBE: Probe = Probe;
-
-        /// Runs `f`, returning its result and the largest allocation it
-        /// made on this thread.
-        pub fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
-            LARGEST.with(|l| l.set(0));
-            ARMED.with(|a| a.set(true));
-            let out = f();
-            ARMED.with(|a| a.set(false));
-            (out, LARGEST.with(Cell::get))
-        }
-    }
+    /// Shows that no length read from disk sizes a buffer beyond the
+    /// file it came from.
+    #[global_allocator]
+    static PROBE: tb_common::testutil::AllocProbe = tb_common::testutil::AllocProbe;
 
     /// One way to damage a table file.
     #[derive(Debug, Clone)]
     enum Damage {
         /// Flip bit `bit` of the byte at `at % len`.
         Flip { at: usize, bit: u8 },
+        /// Flip bit `bit` of a byte of the dict payload — for an `lz`
+        /// table, its ten entropy tables.
+        FlipTable { at: usize, bit: u8 },
         /// Keep only the first `at % len` bytes.
         Truncate { at: usize },
         /// Overwrite a length or offset with `value`: `field` 0..7 is a
@@ -1140,6 +1100,7 @@ mod tests {
         ];
         prop_oneof![
             3 => (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Damage::Flip { at, bit }),
+            1 => (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Damage::FlipTable { at, bit }),
             1 => any::<usize>().prop_map(|at| Damage::Truncate { at }),
             4 => (0usize..11, any::<usize>(), value)
                 .prop_map(|(field, at, value)| Damage::Forge { field, at, value }),
@@ -1176,6 +1137,12 @@ mod tests {
         };
         match *damage {
             Damage::Flip { at, bit } => bytes[at % len] ^= 1 << bit,
+            Damage::FlipTable { at, bit } => {
+                let pos = spot(bytes, 0, 8, at);
+                if let Some(b) = bytes.get_mut(pos) {
+                    *b ^= 1 << bit;
+                }
+            }
             Damage::Truncate { at } => bytes.truncate(at % len),
             Damage::Forge { field, value, .. } if field < 7 => {
                 const FIELDS: [(usize, usize); 7] =
@@ -1219,12 +1186,13 @@ mod tests {
         TABLE.get_or_init(|| {
             let dir = tmpdir();
             let path = dir.create().join("pristine.sst");
-            // Big enough (~30 KiB) that the codec's fixed decode tables
-            // fit under the file-length bound, small enough to stay fast.
+            // Big enough (~57 KiB) that the codec's fixed 40 KiB of
+            // decode tables fit under the file-length bound, small
+            // enough to stay fast.
             let meta = write_sstable(
                 1,
                 &path,
-                sample_entries(2000).into_iter(),
+                sample_entries(4000).into_iter(),
                 &cfg(512, BlockCodec::Lz),
             )
             .unwrap();
@@ -1254,9 +1222,9 @@ mod tests {
             std::fs::write(&path, &bytes).unwrap();
             let meta = SstMeta { path, ..meta.clone() };
             let clean_error = |e: &Error| matches!(e, Error::Corruption(_) | Error::Io(_));
-            let (outcome, largest) = alloc_probe::largest_allocation(|| -> Result<()> {
+            let (outcome, largest) = tb_common::testutil::largest_allocation(|| -> Result<()> {
                 let r = SstReader::open(meta)?;
-                for i in (0..2100).step_by(21) {
+                for i in (0..4100).step_by(21) {
                     let key = Key::from(format!("key-{i:06}"));
                     r.locate(&key);
                     r.locate_range(&key, Some(&Key::from(format!("key-{:06}", i + 40))));

@@ -32,7 +32,9 @@ fn one_snapshot_spans_every_layer() {
     // --- lsm + frontend: pipelined serving over a durable engine ----
     // The engine writes LZ-compressed SSTable blocks so the snapshot
     // also covers the compression telemetry: build counters at flush,
-    // decode counters + the decompress histogram on the read back.
+    // decode counters + the decompress histogram on the read back. The
+    // values are long enough that the table's fixed 1.25 KiB of entropy
+    // tables is repaid.
     let lsm_dir = tierbase::common::test_dir("obs-snap-lsm");
     let mut lsm_config = LsmConfig::new(lsm_dir.path());
     lsm_config.sst.codec = tierbase::compress::BlockCodec::Lz;
@@ -42,7 +44,7 @@ fn one_snapshot_spans_every_layer() {
         .map(|i| {
             fe.submit(Request::Put(
                 Key::from(format!("fk{i}")),
-                Value::from(format!("fv{i}")),
+                Value::from(format!("fv{i} {}", "templated value ".repeat(4))),
             ))
         })
         .collect();
