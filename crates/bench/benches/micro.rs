@@ -1,13 +1,17 @@
 //! Criterion micro-benchmarks for the hot data-path primitives:
 //! cache shard ops, LSM point ops, compressors, the SSTable block
-//! codecs, hashing, histograms.
+//! codecs and block format, hashing, histograms.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use std::path::Path;
+use tb_bench::bench_dir;
 use tb_cache::{CacheConfig, ShardedCache};
 use tb_common::{crc32, fx_hash, Histogram, Key, Value};
 use tb_compress::{
     train_dictionary, BlockCodec, BlockCodecState, Compressor, Pbc, PbcConfig, Tzstd, TzstdLevel,
 };
+use tb_lsm::memtable::Entry;
+use tb_lsm::sstable::{decode_block, find_in_block, write_sstable, SstConfig, SstReader};
 use tb_lsm::{LsmConfig, LsmDb};
 use tb_workload::DatasetKind;
 
@@ -101,33 +105,47 @@ fn bench_compressors(c: &mut Criterion) {
     group.finish();
 }
 
-/// The SSTable block path per codec, on 64 blocks of 4 KiB shaped like
-/// the writer's (flag, key length, value length, `user…` key, Cities
-/// value) and trained the way the writer trains (first 512 values, the
-/// table's own blocks): throughput is uncompressed bytes per second
-/// through `encode_frame` / `decode_frame`, CRC included. `crc32` is
-/// the checksum alone over one block.
-fn bench_block_codec(c: &mut Criterion) {
-    const BLOCK_BYTES: usize = 4096;
+/// The benchmark's data shape: `n` Cities records under
+/// `user{i:012}` keys, in key order.
+fn cities_entries(n: u64) -> Vec<(Key, Entry)> {
     let dataset = DatasetKind::Cities.build(5);
-    let mut samples = Vec::new();
-    let mut blocks = vec![Vec::new()];
-    for i in 0u64.. {
-        let (key, value) = (format!("user{:012}", i * 7), dataset.record(i));
-        let block = blocks.last_mut().unwrap();
-        block.extend_from_slice(&[0, key.len() as u8, value.len() as u8]);
-        block.extend_from_slice(key.as_bytes());
-        block.extend_from_slice(&value);
-        if samples.len() < 512 {
-            samples.push(value);
-        }
-        if block.len() >= BLOCK_BYTES {
-            if blocks.len() == 64 {
-                break;
-            }
-            blocks.push(Vec::new());
-        }
-    }
+    (0..n)
+        .map(|i| {
+            let value = Value::from(dataset.record(i));
+            (Key::from(format!("user{i:012}")), Entry::Put(value))
+        })
+        .collect()
+}
+
+/// `entries` written as one SSTable under `codec` at `path`.
+fn table(path: &Path, entries: &[(Key, Entry)], codec: BlockCodec) -> SstReader {
+    let config = SstConfig {
+        codec,
+        ..SstConfig::default()
+    };
+    SstReader::open(write_sstable(1, path, entries.iter().cloned(), &config).unwrap()).unwrap()
+}
+
+/// The SSTable block path per codec, on the first 64 data blocks of a
+/// `none` table of Cities records (exactly the writer's blocks) and
+/// trained the way the writer trains (first 512 values, the table's
+/// own blocks): throughput is uncompressed bytes per second through
+/// `encode_frame` / `decode_frame`, CRC included. `crc32` is the
+/// checksum alone over one block.
+fn bench_block_codec(c: &mut Criterion) {
+    let entries = cities_entries(8000);
+    let dir = bench_dir("block-codec");
+    let raw = table(&dir.join("none.sst"), &entries, BlockCodec::None);
+    let blocks: Vec<Vec<u8>> = (0..64).map(|i| raw.read_block(i).unwrap()).collect();
+    let samples: Vec<Vec<u8>> = entries
+        .iter()
+        .take(512)
+        .filter_map(|(_, e)| match e {
+            Entry::Put(v) => Some(v.as_slice().to_vec()),
+            Entry::Tombstone => None,
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
     let bytes: usize = blocks.iter().map(Vec::len).sum();
 
     let mut group = c.benchmark_group("block_codec");
@@ -171,6 +189,62 @@ fn bench_block_codec(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(crc32(&blocks[0])))
     });
     group.finish();
+}
+
+/// The SSTable block format on the benchmark's data shape, 8 000
+/// Cities records in one `lz` table: `find_in_block` per lookup on its
+/// decoded middle block — that block's first, middle and last entry,
+/// and a miss just after the middle one — `decode_block` over the same
+/// block, and `write_sstable` for the whole table (bytes = keys +
+/// values; encode, fsync and rename included).
+fn bench_sst_block(c: &mut Criterion) {
+    let entries = cities_entries(8000);
+    let user_bytes: usize = entries
+        .iter()
+        .map(|(k, e)| match e {
+            Entry::Put(v) => k.len() + v.len(),
+            Entry::Tombstone => k.len(),
+        })
+        .sum();
+    let dir = bench_dir("sst-block");
+    let r = table(&dir.join("cities.sst"), &entries, BlockCodec::Lz);
+    let (_, blocks) = r.locate_range(&Key::from(""), None).unwrap();
+    let block = r.read_block(blocks / 2).unwrap();
+    let keys: Vec<Key> = decode_block(&block)
+        .unwrap()
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect();
+    let middle = &keys[keys.len() / 2];
+    let miss = Key::from([middle.as_slice(), b"x"].concat());
+
+    let mut group = c.benchmark_group("sst_block");
+    group.throughput(Throughput::Elements(1));
+    for (name, key) in [
+        ("first", &keys[0]),
+        ("middle", middle),
+        ("last", &keys[keys.len() - 1]),
+        ("miss", &miss),
+    ] {
+        group.bench_function(format!("find_in_block/{name}"), |b| {
+            b.iter(|| std::hint::black_box(find_in_block(&block, key).unwrap()))
+        });
+    }
+    group.throughput(Throughput::Bytes(block.len() as u64));
+    group.bench_function("decode_block", |b| {
+        b.iter(|| std::hint::black_box(decode_block(&block).unwrap()))
+    });
+    group.throughput(Throughput::Bytes(user_bytes as u64));
+    let path = dir.join("write.sst");
+    let config = SstConfig {
+        codec: BlockCodec::Lz,
+        ..SstConfig::default()
+    };
+    group.bench_function("write_sstable/lz", |b| {
+        b.iter(|| write_sstable(2, &path, entries.iter().cloned(), &config).unwrap())
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn bench_primitives(c: &mut Criterion) {
@@ -225,6 +299,7 @@ criterion_group!(
     bench_lsm,
     bench_compressors,
     bench_block_codec,
+    bench_sst_block,
     bench_primitives,
     bench_obs
 );

@@ -6,25 +6,38 @@
 //! ```text
 //! [block frame]* [dict payload] [filter block] [index block] [footer]
 //! block frame := codec_tag u8 | uncompressed_len u32 | crc32(payload) u32 | payload
-//! data entry  := flag u8 | varint(klen) | varint(vlen) | key | value
-//! index entry := varint(klen) | first_key | off u64 | len u32   (on-disk frame extents)
+//! data block  := data entry*                      (a frame's decoded payload)
+//! data entry  := varint(shared) | varint(unshared) | varint(tag) | key[shared..] | value
+//! index block := index entry*                     (one per data block, in order)
+//! index entry := varint(shared) | varint(unshared) | first_key[shared..] | varint(frame_len)
 //! footer      := dict_off u64 | dict_len u32 | codec u8 |
 //!                index_off u64 | index_len u32 | filter_off u64 |
 //!                filter_len u32 | entry_count u32 | crc u32 | MAGIC u32
 //! ```
 //!
-//! Blocks are sized pre-compression (`SstConfig::block_size` bounds the
-//! *uncompressed* payload) and framed through the table's
-//! [`BlockCodec`]; index entries point at the variable-length on-disk
-//! frames. The codec's trained state is stored once as the table-level
-//! dict payload, so a table is self-describing and no block carries a
-//! model: the tzstd dictionary / PBC model is trained on sampled input
-//! values, the `lz`/`dict` entropy tables on the LZ output of the
-//! table's own blocks (every flush and compaction holds them all in
-//! memory before the first frame is written, and a compaction
-//! re-trains on its merged output). Every block read verifies the
-//! frame CRC before any key search; a bad block is a per-slot
-//! [`Error::Corruption`], never a torn batch.
+//! A data entry's `shared` counts the key bytes it shares with the
+//! entry before it *in the same block*, so a block's first entry has
+//! `shared = 0` and every block decodes alone; `unshared` bytes of key
+//! follow. `tag` is 0 for a tombstone and `n + 1` for an `n`-byte
+//! value. An index entry shares its first key's prefix with the
+//! previous block's first key; frame offsets are the running sum of
+//! `frame_len`, and the frames tile the data region up to `dict_off`.
+//! `MAGIC` names this layout: a table in any earlier one fails to open
+//! with [`Error::Corruption`].
+//!
+//! Blocks are cut before compression, by the bytes their entries would
+//! take unshared: `SstConfig::block_size` counts each entry as
+//! `1 + varint(klen) + varint(vlen) + klen + vlen`, so prefix sharing
+//! shrinks a block without changing where blocks end. Each block is
+//! framed through the table's [`BlockCodec`]. The codec's trained
+//! state is stored once as the table-level dict payload, so a table is
+//! self-describing and no block carries a model: the tzstd dictionary /
+//! PBC model is trained on sampled input values, the `lz`/`dict`
+//! entropy tables on the LZ output of the table's own blocks (every
+//! flush and compaction holds them all in memory before the first
+//! frame is written, and a compaction re-trains on its merged output).
+//! Every block read verifies the frame CRC before any key search; a bad
+//! block is a per-slot [`Error::Corruption`], never a torn batch.
 //!
 //! Readers keep the sparse index and bloom filter in memory. Lookups
 //! split into an in-memory half ([`SstReader::locate`],
@@ -54,15 +67,15 @@ pub(crate) fn sync_parent_dir(path: &Path, site: &'static str) -> Result<()> {
     Ok(())
 }
 
-const MAGIC: u32 = 0x7b5d_57a2;
+const MAGIC: u32 = 0x7b5d_57b3;
 const FOOTER_LEN: usize = 8 + 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4 + 4;
-const FLAG_PUT: u8 = 0;
-const FLAG_TOMBSTONE: u8 = 1;
 
 /// Build-time options.
 #[derive(Debug, Clone, Copy)]
 pub struct SstConfig {
-    /// Target uncompressed data-block size.
+    /// Target data-block size, counting every entry at its unshared,
+    /// uncompressed size (`1 + varint(klen) + varint(vlen) + klen +
+    /// vlen`); a block ends with the entry that reaches it.
     pub block_size: usize,
     /// Bloom filter bits per key.
     pub bloom_bits_per_key: usize,
@@ -145,6 +158,8 @@ pub fn write_sstable_with_stats(
     let mut blocks: Vec<Vec<u8>> = Vec::new();
     let mut first_keys: Vec<Key> = Vec::new();
     let mut block = Vec::new();
+    // The block's size as `block_size` counts it: entries unshared.
+    let mut block_cost = 0usize;
     let mut block_first_key: Option<Key> = None;
     let mut samples: Vec<Vec<u8>> = Vec::new();
     let max_samples = if config.codec.trains_on_samples() {
@@ -153,68 +168,59 @@ pub fn write_sstable_with_stats(
         0
     };
     let mut filter_items: Vec<Key> = Vec::new();
-    let mut min_key: Option<Key> = None;
-    let mut max_key: Option<Key> = None;
     let mut entry_count = 0u32;
     let mut prev_key: Option<Key> = None;
 
     for (key, entry) in entries {
-        if let Some(prev) = &prev_key {
-            if *prev >= key {
+        let prev_in_block = match &prev_key {
+            Some(prev) if *prev >= key => {
                 return Err(Error::InvalidArgument(format!(
                     "entries must be strictly sorted: {prev:?} >= {key:?}"
                 )));
             }
-        }
-        prev_key = Some(key.clone());
-        if block_first_key.is_none() {
-            block_first_key = Some(key.clone());
-        }
-        match &entry {
-            Entry::Put(v) => {
-                block.push(FLAG_PUT);
-                write_varint(&mut block, key.len() as u64);
-                write_varint(&mut block, v.len() as u64);
-                block.extend_from_slice(key.as_slice());
-                block.extend_from_slice(v.as_slice());
-                if samples.len() < max_samples {
-                    samples.push(v.as_slice().to_vec());
-                }
-            }
-            Entry::Tombstone => {
-                block.push(FLAG_TOMBSTONE);
-                write_varint(&mut block, key.len() as u64);
-                write_varint(&mut block, 0);
-                block.extend_from_slice(key.as_slice());
+            Some(prev) if block_first_key.is_some() => prev.as_slice(),
+            _ => &[],
+        };
+        let value = match &entry {
+            Entry::Put(v) => Some(v.as_slice()),
+            Entry::Tombstone => None,
+        };
+        block_cost += encode_entry(&mut block, prev_in_block, key.as_slice(), value);
+        if let Some(v) = value {
+            if samples.len() < max_samples {
+                samples.push(v.to_vec());
             }
         }
+        block_first_key.get_or_insert_with(|| key.clone());
         filter_items.push(key.clone());
-        min_key.get_or_insert_with(|| key.clone());
-        max_key = Some(key.clone());
+        prev_key = Some(key);
         entry_count += 1;
 
-        if block.len() >= config.block_size {
+        if block_cost >= config.block_size {
             first_keys.push(block_first_key.take().expect("block has a first key"));
             blocks.push(std::mem::take(&mut block));
+            block_cost = 0;
         }
     }
     if let Some(first) = block_first_key.take() {
         first_keys.push(first);
         blocks.push(block);
     }
-    if entry_count == 0 {
+    let Some(max_key) = prev_key else {
         return Err(Error::InvalidArgument(
             "refusing to write empty sstable".into(),
         ));
-    }
+    };
+    let min_key = first_keys[0].clone();
 
     // Pass 2: train the codec on the sampled values and on the blocks
-    // themselves, then frame-encode every block. Index entries point
-    // at the on-disk frame extents.
+    // themselves, then frame-encode every block. Index entries give
+    // each frame's on-disk length; its offset is the sum before it.
     let codec_state = BlockCodecState::train_on_blocks(config.codec, &samples, &blocks);
     let mut stats = SstBuildStats::default();
     let mut data = Vec::new();
     let mut index = Vec::new();
+    let mut prev_first: &[u8] = &[];
     for (first, raw) in first_keys.iter().zip(&blocks) {
         let frame_start = data.len();
         stats.blocks += 1;
@@ -222,10 +228,12 @@ pub fn write_sstable_with_stats(
         if codec_state.encode_frame(raw, &mut data) {
             stats.blocks_compressed += 1;
         }
-        write_varint(&mut index, first.len() as u64);
-        index.extend_from_slice(first.as_slice());
-        index.extend_from_slice(&(frame_start as u64).to_le_bytes());
-        index.extend_from_slice(&((data.len() - frame_start) as u32).to_le_bytes());
+        let shared = shared_prefix_len(prev_first, first.as_slice());
+        write_varint(&mut index, shared as u64);
+        write_varint(&mut index, (first.len() - shared) as u64);
+        index.extend_from_slice(&first.as_slice()[shared..]);
+        write_varint(&mut index, (data.len() - frame_start) as u64);
+        prev_first = first.as_slice();
     }
     // The dict payload rides in the data region, after the frames, so
     // the existing `sst.write.data` fault site covers it.
@@ -279,18 +287,113 @@ pub fn write_sstable_with_stats(
     let meta = SstMeta {
         id,
         path: path.to_path_buf(),
-        min_key: min_key.expect("non-empty"),
-        max_key: max_key.expect("non-empty"),
+        min_key,
+        max_key,
         entry_count,
         file_size,
     };
     Ok((meta, stats))
 }
 
+/// Appends one data entry (`value` `None` = tombstone) whose key shares
+/// a prefix with `prev`, the entry before it in the block (empty for a
+/// block's first entry). Returns the entry's size as `block_size`
+/// counts it: unshared, `1 + varint(klen) + varint(vlen) + klen + vlen`.
+fn encode_entry(block: &mut Vec<u8>, prev: &[u8], key: &[u8], value: Option<&[u8]>) -> usize {
+    let shared = shared_prefix_len(prev, key);
+    write_varint(block, shared as u64);
+    write_varint(block, (key.len() - shared) as u64);
+    write_varint(block, value.map_or(0, |v| v.len() as u64 + 1));
+    block.extend_from_slice(&key[shared..]);
+    let vlen = value.map_or(0, |v| {
+        block.extend_from_slice(v);
+        v.len()
+    });
+    1 + varint_len(key.len()) + varint_len(vlen) + key.len() + vlen
+}
+
+/// Bytes `a` and `b` share from their start.
+fn shared_prefix_len(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// Bytes [`write_varint`] spends on `v`.
+fn varint_len(v: usize) -> usize {
+    (usize::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
 struct IndexEntry {
     first_key: Key,
     offset: u64,
     len: u32,
+}
+
+/// Parses the index block. Every frame lies in the data region, before
+/// the dict payload at `dict_off`, and together they tile it: an extent
+/// from disk sizes a read buffer only once it is known to lie inside
+/// the file.
+fn decode_index(bytes: &[u8], dict_off: u64) -> Result<Vec<IndexEntry>> {
+    let mut index = Vec::new();
+    let mut pos = 0usize;
+    let mut offset = 0u64;
+    let mut key = Vec::new();
+    while pos < bytes.len() {
+        let shared = check_shared(read_varint(bytes, &mut pos)?, key.len())?;
+        let unshared = read_varint(bytes, &mut pos)?;
+        let suffix = take(bytes, &mut pos, unshared)
+            .ok_or_else(|| Error::Corruption("index entry truncated".into()))?;
+        rebuild_key(&mut key, shared, suffix);
+        let len = u32::try_from(read_varint(bytes, &mut pos)?)
+            .map_err(|_| Error::Corruption("index frame length above u32::MAX".into()))?;
+        if offset + len as u64 > dict_off {
+            return Err(Error::Corruption(
+                "index entry points outside the data region".into(),
+            ));
+        }
+        index.push(IndexEntry {
+            first_key: Key::copy_from(&key),
+            offset,
+            len,
+        });
+        offset += len as u64;
+    }
+    if index.is_empty() {
+        return Err(Error::Corruption("sstable index holds no blocks".into()));
+    }
+    if offset != dict_off {
+        return Err(Error::Corruption(
+            "index frames do not tile the data region".into(),
+        ));
+    }
+    Ok(index)
+}
+
+/// The next `len` bytes at `*pos`, advancing it, or `None` when fewer
+/// remain.
+fn take<'a>(bytes: &'a [u8], pos: &mut usize, len: u64) -> Option<&'a [u8]> {
+    let len = usize::try_from(len).ok()?;
+    let out = bytes.get(*pos..pos.checked_add(len)?)?;
+    *pos += len;
+    Some(out)
+}
+
+/// `shared` as a length, when the previous key is at least that long.
+fn check_shared(shared: u64, prev_len: usize) -> Result<usize> {
+    match usize::try_from(shared) {
+        Ok(shared) if shared <= prev_len => Ok(shared),
+        _ => Err(Error::Corruption(format!(
+            "entry shares {shared} bytes with a {prev_len}-byte previous key"
+        ))),
+    }
+}
+
+/// Turns `key`, the previous key, into the next one: its first `shared`
+/// bytes, then `suffix`. Grows the buffer to exactly the key it holds,
+/// so its capacity never exceeds the longest key the bytes spell.
+fn rebuild_key(key: &mut Vec<u8>, shared: usize, suffix: &[u8]) {
+    key.truncate(shared);
+    key.reserve_exact(suffix.len());
+    key.extend_from_slice(suffix);
 }
 
 /// An open SSTable: sparse index + bloom filter in memory, data on disk.
@@ -373,36 +476,7 @@ impl SstReader {
         let mut index_bytes = vec![0u8; index_len];
         file.seek(SeekFrom::Start(index_off))?;
         file.read_exact(&mut index_bytes)?;
-        let mut index = Vec::new();
-        let mut pos = 0usize;
-        while pos < index_bytes.len() {
-            let klen = read_varint(&index_bytes, &mut pos)? as usize;
-            if klen.saturating_add(12) > index_bytes.len() - pos {
-                return Err(Error::Corruption("index entry truncated".into()));
-            }
-            let first_key = Key::copy_from(&index_bytes[pos..pos + klen]);
-            pos += klen;
-            let offset = u64::from_le_bytes(index_bytes[pos..pos + 8].try_into().unwrap());
-            pos += 8;
-            let len = u32::from_le_bytes(index_bytes[pos..pos + 4].try_into().unwrap());
-            pos += 4;
-            // Frames live in the data region, before the dict payload:
-            // an extent from disk sizes a read buffer only once it is
-            // known to lie inside the file.
-            if offset
-                .checked_add(len as u64)
-                .is_none_or(|end| end > dict_off)
-            {
-                return Err(Error::Corruption(
-                    "index entry points outside the data region".into(),
-                ));
-            }
-            index.push(IndexEntry {
-                first_key,
-                offset,
-                len,
-            });
-        }
+        let index = decode_index(&index_bytes, dict_off)?;
 
         Ok(Self {
             file,
@@ -599,23 +673,33 @@ pub fn decode_block(block: &[u8]) -> Result<Vec<(Key, Entry)>> {
 }
 
 fn decode_block_into(block: &[u8], out: &mut Vec<(Key, Entry)>) -> Result<()> {
-    let mut pos = 0usize;
-    while pos < block.len() {
-        let (raw, next) = decode_entry(block, pos)?;
-        out.push((Key::copy_from(raw.key), raw.entry()));
-        pos = next;
+    let mut entries = BlockEntries::new(block);
+    let mut key = Vec::new();
+    while let Some(raw) = entries.next_entry()? {
+        rebuild_key(&mut key, raw.shared, raw.suffix);
+        out.push((Key::copy_from(&key), raw.entry()));
     }
     Ok(())
 }
 
 /// Searches a decoded data block for `key` (entries are sorted, so the
-/// scan stops at the first greater key). Only the match is copied out.
+/// walk stops at the first greater key). Keys are compared, not
+/// rebuilt: the walk tracks how many leading bytes the last key before
+/// `key` shares with it. An entry that keeps more of that key than
+/// those bytes keeps the byte where it sorted below `key`, so it sorts
+/// below `key` too; any other entry compares only its suffix. Only the
+/// match is copied out.
 pub fn find_in_block(block: &[u8], key: &Key) -> Result<Option<Entry>> {
-    let mut pos = 0usize;
-    while pos < block.len() {
-        let (raw, next) = decode_entry(block, pos)?;
-        match raw.key.cmp(key.as_slice()) {
-            std::cmp::Ordering::Less => pos = next,
+    let key = key.as_slice();
+    let mut entries = BlockEntries::new(block);
+    let mut matched = 0;
+    while let Some(raw) = entries.next_entry()? {
+        if raw.shared > matched {
+            continue;
+        }
+        let rest = &key[raw.shared..];
+        match raw.suffix.cmp(rest) {
+            std::cmp::Ordering::Less => matched = raw.shared + shared_prefix_len(raw.suffix, rest),
             std::cmp::Ordering::Equal => return Ok(Some(raw.entry())),
             std::cmp::Ordering::Greater => return Ok(None),
         }
@@ -623,9 +707,11 @@ pub fn find_in_block(block: &[u8], key: &Key) -> Result<Option<Entry>> {
     Ok(None)
 }
 
-/// One data-block entry, borrowed from the block.
+/// One data-block entry, borrowed from the block: its key is the
+/// previous entry's first `shared` bytes, then `suffix`.
 struct RawEntry<'a> {
-    key: &'a [u8],
+    shared: usize,
+    suffix: &'a [u8],
     /// `None` = tombstone.
     value: Option<&'a [u8]>,
 }
@@ -637,26 +723,59 @@ impl RawEntry<'_> {
     }
 }
 
-/// The entry at `pos` and the position after it.
-fn decode_entry(block: &[u8], mut pos: usize) -> Result<(RawEntry<'_>, usize)> {
-    let flag = *block
-        .get(pos)
-        .ok_or_else(|| Error::Corruption("entry flag missing".into()))?;
-    pos += 1;
-    let klen = read_varint(block, &mut pos)? as usize;
-    let vlen = read_varint(block, &mut pos)? as usize;
-    let end = pos
-        .checked_add(klen)
-        .and_then(|k| k.checked_add(vlen))
-        .filter(|&end| end <= block.len())
-        .ok_or_else(|| Error::Corruption("entry overflows block".into()))?;
-    let key = &block[pos..pos + klen];
-    let value = match flag {
-        FLAG_PUT => Some(&block[pos + klen..end]),
-        FLAG_TOMBSTONE => None,
-        other => return Err(Error::Corruption(format!("bad entry flag {other}"))),
-    };
-    Ok((RawEntry { key, value }, end))
+/// A forward walk over a data block's entries, checking each against
+/// the block's bounds and the length of the key before it.
+struct BlockEntries<'a> {
+    block: &'a [u8],
+    pos: usize,
+    prev_len: usize,
+}
+
+impl<'a> BlockEntries<'a> {
+    fn new(block: &'a [u8]) -> Self {
+        Self {
+            block,
+            pos: 0,
+            prev_len: 0,
+        }
+    }
+
+    /// The next entry, or `None` at the end of the block.
+    fn next_entry(&mut self) -> Result<Option<RawEntry<'a>>> {
+        if self.pos == self.block.len() {
+            return Ok(None);
+        }
+        let (block, pos) = (self.block, &mut self.pos);
+        let shared = entry_varint(block, pos)?;
+        let unshared = entry_varint(block, pos)?;
+        let tag = entry_varint(block, pos)?;
+        let overflow = || Error::Corruption("entry overflows block".into());
+        let suffix = take(block, pos, unshared).ok_or_else(overflow)?;
+        let value = match tag.checked_sub(1) {
+            None => None,
+            Some(vlen) => Some(take(block, pos, vlen).ok_or_else(overflow)?),
+        };
+        let shared = check_shared(shared, self.prev_len)?;
+        self.prev_len = shared + suffix.len();
+        Ok(Some(RawEntry {
+            shared,
+            suffix,
+            value,
+        }))
+    }
+}
+
+/// [`read_varint`] with the one-byte case — nearly every `shared`,
+/// `unshared` and `tag` of a data entry — inlined into the block walk.
+#[inline]
+fn entry_varint(block: &[u8], pos: &mut usize) -> Result<u64> {
+    match block.get(*pos) {
+        Some(&b) if b < 0x80 => {
+            *pos += 1;
+            Ok(b as u64)
+        }
+        _ => read_varint(block, pos),
+    }
 }
 
 #[cfg(test)]
@@ -1066,6 +1185,219 @@ mod tests {
         assert_eq!(stats.block_decode_errors.load(Ordering::Relaxed), 0);
     }
 
+    #[test]
+    fn blocks_end_where_unshared_entries_reach_block_size() {
+        // Reference cut: every entry at the size a layout storing whole
+        // keys gives it, `1 + varint(klen) + varint(vlen) + klen + vlen`.
+        let varint = |v: usize| {
+            let mut b = Vec::new();
+            write_varint(&mut b, v as u64);
+            b.len()
+        };
+        let entries = sample_entries(2000);
+        for block_size in [1, 64, 512, 4096] {
+            let mut expect = Vec::new();
+            let mut cost = 0;
+            for (k, e) in &entries {
+                if cost == 0 {
+                    expect.push(k.clone());
+                }
+                let vlen = match e {
+                    Entry::Put(v) => v.len(),
+                    Entry::Tombstone => 0,
+                };
+                cost += 1 + varint(k.len()) + varint(vlen) + k.len() + vlen;
+                if cost >= block_size {
+                    cost = 0;
+                }
+            }
+            let dir = tmpdir();
+            let path = dir.create().join("cut.sst");
+            let meta = write_sstable(
+                1,
+                &path,
+                entries.clone().into_iter(),
+                &cfg(block_size, BlockCodec::Lz),
+            )
+            .unwrap();
+            let r = SstReader::open(meta).unwrap();
+            let got: Vec<Key> = r.index.iter().map(|e| e.first_key.clone()).collect();
+            assert_eq!(got, expect, "block_size {block_size}");
+        }
+    }
+
+    /// Writes footer field `(at, width)` of a table image and re-stamps
+    /// the footer CRC, so the forgery gets past it.
+    fn forge_footer(bytes: &mut [u8], at: usize, width: usize, value: u64) {
+        let footer = bytes.len() - FOOTER_LEN;
+        put_le(bytes, footer + at, value, width);
+        let crc = crc32(&bytes[footer..bytes.len() - 8]);
+        put_le(bytes, bytes.len() - 8, crc as u64, 4);
+    }
+
+    fn footer_field(bytes: &[u8], at: usize, width: usize) -> u64 {
+        let at = bytes.len() - FOOTER_LEN + at;
+        let mut le = [0u8; 8];
+        le[..width].copy_from_slice(&bytes[at..at + width]);
+        u64::from_le_bytes(le)
+    }
+
+    fn assert_open_refused(meta: SstMeta, what: &str) {
+        match SstReader::open(meta) {
+            Err(Error::Corruption(_)) => {}
+            Err(e) => panic!("{what}: want Corruption, got {e:?}"),
+            Ok(r) => {
+                r.locate_range(&Key::from(""), None);
+                panic!("{what}: the table opened");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_index_is_corruption() {
+        // A 3-byte key and a 16 KiB value make the one index entry a
+        // whole number of bloom words, so with the index folded into
+        // the filter section the filter still parses and the footer
+        // names an empty index.
+        let dir = tmpdir();
+        let path = dir.create().join("noindex.sst");
+        let entry = (
+            Key::from("abc"),
+            Entry::Put(Value::from(vec![b'v'; 16 << 10])),
+        );
+        let meta = write_sstable(1, &path, std::iter::once(entry), &SstConfig::default()).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let (index_off, index_len) = (footer_field(&bytes, 13, 8), footer_field(&bytes, 21, 4));
+        let filter_len = footer_field(&bytes, 33, 4);
+        assert_eq!(index_len % 8, 0, "index must fold into whole bloom words");
+        forge_footer(&mut bytes, 33, 4, filter_len + index_len);
+        forge_footer(&mut bytes, 13, 8, index_off + index_len);
+        forge_footer(&mut bytes, 21, 4, 0);
+        std::fs::write(&path, &bytes).unwrap();
+        assert_open_refused(meta, "empty index");
+    }
+
+    /// Replaces the index block of the table at `path` with `index`,
+    /// footer re-stamped, so only the index is wrong.
+    fn with_index(path: &Path, index: &[u8]) {
+        let bytes = std::fs::read(path).unwrap();
+        let index_off = footer_field(&bytes, 13, 8) as usize;
+        let mut out = bytes[..index_off].to_vec();
+        out.extend_from_slice(index);
+        out.extend_from_slice(&bytes[bytes.len() - FOOTER_LEN..]);
+        forge_footer(&mut out, 21, 4, index.len() as u64);
+        std::fs::write(path, out).unwrap();
+    }
+
+    #[test]
+    fn index_frame_lengths_beyond_the_data_region_are_corruption() {
+        for (what, frame_len) in [
+            ("frame past dict_off", None),
+            ("frame_len above u32::MAX", Some(u32::MAX as u64 + 1)),
+        ] {
+            let dir = tmpdir();
+            let path = dir.create().join("extent.sst");
+            let meta = write_sstable(
+                1,
+                &path,
+                sample_entries(50).into_iter(),
+                &SstConfig::default(),
+            )
+            .unwrap();
+            let dict_off = footer_field(&std::fs::read(&path).unwrap(), 0, 8);
+            let mut index = vec![0, 1, b'k'];
+            write_varint(&mut index, frame_len.unwrap_or(dict_off + 1));
+            with_index(&path, &index);
+            assert_open_refused(meta, what);
+        }
+    }
+
+    /// A three-entry `none` table (`apple` → `red`, `apricot` deleted,
+    /// `banana` → `yellow`) as the layout before prefix sharing wrote
+    /// it: a flag byte and the whole key in every entry, `u64` offset
+    /// and `u32` length in every index entry, footer magic `0x7b5d57a2`.
+    const PREVIOUS_LAYOUT_TABLE: [u8; 132] = [
+        0x00, 0x24, 0x00, 0x00, 0x00, 0x33, 0x2b, 0xea, 0x06, 0x00, 0x05, 0x03, //
+        0x61, 0x70, 0x70, 0x6c, 0x65, 0x72, 0x65, 0x64, 0x01, 0x07, 0x00, 0x61, //
+        0x70, 0x72, 0x69, 0x63, 0x6f, 0x74, 0x00, 0x06, 0x06, 0x62, 0x61, 0x6e, //
+        0x61, 0x6e, 0x61, 0x79, 0x65, 0x6c, 0x6c, 0x6f, 0x77, 0x20, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x8c, 0xf1, 0x8f, //
+        0x61, 0x00, 0x00, 0x00, 0x00, 0x05, 0x61, 0x70, 0x70, 0x6c, 0x65, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2d, 0x00, 0x00, 0x00, 0x2d, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x41, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0x00, //
+        0x2d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, //
+        0x03, 0x00, 0x00, 0x00, 0xde, 0x7c, 0x4f, 0xba, 0xa2, 0x57, 0x5d, 0x7b, //
+    ];
+
+    #[test]
+    fn previous_layout_table_is_corruption() {
+        let dir = tmpdir();
+        let path = dir.create().join("previous.sst");
+        std::fs::write(&path, PREVIOUS_LAYOUT_TABLE).unwrap();
+        let meta = SstMeta {
+            id: 1,
+            path,
+            min_key: Key::from("apple"),
+            max_key: Key::from("banana"),
+            entry_count: 3,
+            file_size: PREVIOUS_LAYOUT_TABLE.len() as u64,
+        };
+        assert_open_refused(meta, "previous layout");
+    }
+
+    /// Block bytes from `(shared, unshared, tag, rest)` entries: three
+    /// varints, then `rest` (key suffix and value) verbatim.
+    fn block_of(entries: &[(u64, u64, u64, &[u8])]) -> Vec<u8> {
+        let mut block = Vec::new();
+        for &(shared, unshared, tag, rest) in entries {
+            write_varint(&mut block, shared);
+            write_varint(&mut block, unshared);
+            write_varint(&mut block, tag);
+            block.extend_from_slice(rest);
+        }
+        block
+    }
+
+    fn assert_block_refused(block: &[u8], what: &str) {
+        assert!(
+            matches!(decode_block(block), Err(Error::Corruption(_))),
+            "{what}: decode_block"
+        );
+        // A key after every entry walks the whole block.
+        let last = Key::from(vec![0xff; 8]);
+        assert!(
+            matches!(find_in_block(block, &last), Err(Error::Corruption(_))),
+            "{what}: find_in_block"
+        );
+    }
+
+    #[test]
+    fn malformed_entries_are_corruption() {
+        // The well-formed baseline: `ab` → `x`, then `ac` deleted.
+        let good = block_of(&[(0, 2, 2, b"abx"), (1, 1, 0, b"c")]);
+        assert_eq!(
+            decode_block(&good).unwrap(),
+            vec![
+                (Key::from("ab"), Entry::Put(Value::from("x"))),
+                (Key::from("ac"), Entry::Tombstone),
+            ]
+        );
+        assert_block_refused(
+            &block_of(&[(0, 2, 2, b"abx"), (3, 1, 0, b"c")]),
+            "shared longer than the previous key",
+        );
+        assert_block_refused(
+            &block_of(&[(1, 1, 2, b"ax")]),
+            "a block's first entry shares a prefix",
+        );
+        assert_block_refused(
+            &block_of(&[(0, 2, 2, b"abx"), (1, 1, 9, b"cvalue")]),
+            "value runs past the block",
+        );
+        assert_block_refused(&block_of(&[(0, 9, 0, b"ab")]), "key runs past the block");
+    }
+
     /// Shows that no length read from disk sizes a buffer beyond the
     /// file it came from.
     #[global_allocator]
@@ -1083,8 +1415,9 @@ mod tests {
         Truncate { at: usize },
         /// Overwrite a length or offset with `value`: `field` 0..7 is a
         /// footer field (CRC re-stamped, so the forgery gets past it),
-        /// 7 a spot in the index, 8/9 the bloom filter's bit count /
-        /// probe count, 10 a spot in the dict payload.
+        /// 7 one of the index's varints (an entry's `shared`, `unshared`
+        /// or `frame_len`, rewritten in place), 8/9 the bloom filter's
+        /// bit count / probe count, 10 a spot in the dict payload.
         Forge { field: usize, at: usize, value: u64 },
     }
 
@@ -1149,9 +1482,7 @@ mod tests {
                     [(0, 8), (8, 4), (13, 8), (21, 4), (25, 8), (33, 4), (37, 4)];
                 if len >= FOOTER_LEN {
                     let (off, width) = FIELDS[field];
-                    put_le(bytes, footer + off, value, width);
-                    let crc = crc32(&bytes[footer..len - 8]);
-                    put_le(bytes, len - 8, crc as u64, 4);
+                    forge_footer(bytes, off, width, value);
                 }
             }
             Damage::Forge {
@@ -1159,8 +1490,14 @@ mod tests {
                 at,
                 value,
             } => {
-                let pos = spot(bytes, 13, 21, at);
-                put_le(bytes, pos, value, 4);
+                let spots = index_varints(bytes);
+                if !spots.is_empty() {
+                    let mut varint = Vec::new();
+                    write_varint(&mut varint, value);
+                    let pos = spots[at % spots.len()];
+                    let end = (pos + varint.len()).min(len);
+                    bytes[pos..end].copy_from_slice(&varint[..end - pos]);
+                }
             }
             Damage::Forge {
                 field: 8, value, ..
@@ -1181,12 +1518,48 @@ mod tests {
         }
     }
 
+    /// Where the index's varints start — each entry's `shared`,
+    /// `unshared` and `frame_len` — as far as the index still parses.
+    fn index_varints(bytes: &[u8]) -> Vec<usize> {
+        if bytes.len() < FOOTER_LEN {
+            return Vec::new();
+        }
+        let off = footer_field(bytes, 13, 8) as usize;
+        let end = off
+            .saturating_add(footer_field(bytes, 21, 4) as usize)
+            .min(bytes.len() - FOOTER_LEN);
+        let Some(index) = bytes.get(off..end) else {
+            return Vec::new();
+        };
+        let mut spots = Vec::new();
+        let mut pos = 0;
+        while pos < index.len() {
+            spots.push(off + pos);
+            if read_varint(index, &mut pos).is_err() || pos == index.len() {
+                break;
+            }
+            spots.push(off + pos);
+            let Ok(unshared) = read_varint(index, &mut pos) else {
+                break;
+            };
+            pos = pos.saturating_add(unshared as usize);
+            if pos >= index.len() {
+                break;
+            }
+            spots.push(off + pos);
+            if read_varint(index, &mut pos).is_err() {
+                break;
+            }
+        }
+        spots
+    }
+
     fn pristine_lz_table() -> &'static (Vec<u8>, SstMeta) {
         static TABLE: std::sync::OnceLock<(Vec<u8>, SstMeta)> = std::sync::OnceLock::new();
         TABLE.get_or_init(|| {
             let dir = tmpdir();
             let path = dir.create().join("pristine.sst");
-            // Big enough (~57 KiB) that the codec's fixed 40 KiB of
+            // Big enough (~46 KiB) that the codec's fixed 40 KiB of
             // decode tables fit under the file-length bound, small
             // enough to stay fast.
             let meta = write_sstable(
@@ -1205,9 +1578,10 @@ mod tests {
 
         /// Whatever a table file holds — flipped bits, a truncation,
         /// forged footer/index/bloom/dict lengths — opening it, locating
-        /// keys and ranges, reading every block and decoding it each
-        /// return `Ok` or `Err(Corruption | Io)`: never a panic, and no
-        /// allocation larger than the file (ROADMAP 9c).
+        /// keys and ranges, reading every block, decoding it and
+        /// searching it each return `Ok` or `Err(Corruption | Io)`:
+        /// never a panic, and no allocation larger than the file
+        /// (ROADMAP 9c).
         #[test]
         fn damaged_tables_never_panic_or_overallocate(
             damages in proptest::collection::vec(damage_strategy(), 1..4),
@@ -1224,17 +1598,28 @@ mod tests {
             let clean_error = |e: &Error| matches!(e, Error::Corruption(_) | Error::Io(_));
             let (outcome, largest) = tb_common::testutil::largest_allocation(|| -> Result<()> {
                 let r = SstReader::open(meta)?;
-                for i in (0..4100).step_by(21) {
-                    let key = Key::from(format!("key-{i:06}"));
-                    r.locate(&key);
-                    r.locate_range(&key, Some(&Key::from(format!("key-{:06}", i + 40))));
+                let probes: Vec<Key> = (0..4100)
+                    .step_by(21)
+                    .map(|i| Key::from(format!("key-{i:06}")))
+                    .collect();
+                let located: Vec<Option<usize>> = probes.iter().map(|k| r.locate(k)).collect();
+                for (i, key) in (0..4100).step_by(21).zip(&probes) {
+                    r.locate_range(key, Some(&Key::from(format!("key-{:06}", i + 40))));
                 }
                 r.locate_range(&Key::from(""), None);
+                // Past every key: a search that walks a whole block.
+                let past_all = Key::from("zzz");
                 for idx in 0..r.index.len() {
                     match r.read_block(idx) {
                         Ok(block) => {
                             if let Err(e) = decode_block(&block) {
                                 assert!(clean_error(&e), "block {idx} decode: {e:?}");
+                            }
+                            let here = probes.iter().zip(&located).filter(|(_, at)| **at == Some(idx));
+                            for key in here.map(|(k, _)| k).chain([&past_all]) {
+                                if let Err(e) = find_in_block(&block, key) {
+                                    assert!(clean_error(&e), "block {idx} find {key:?}: {e:?}");
+                                }
                             }
                         }
                         Err(e) => assert!(clean_error(&e), "block {idx} read: {e:?}"),
@@ -1251,6 +1636,198 @@ mod tests {
                 "{damages:?}: a {largest}-byte allocation for a {}-byte file",
                 bytes.len()
             );
+        }
+    }
+
+    /// A key that stresses prefix sharing: short keys over a 3-letter
+    /// alphabet (many are a prefix of the next), a 130–300-byte common
+    /// run with a short tail (two-byte `shared` varints), or 120–200
+    /// arbitrary bytes (two-byte `unshared` varints).
+    fn awkward_key() -> impl proptest::strategy::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        let letters = |n| {
+            proptest::collection::vec(0u8..3, n)
+                .prop_map(|k: Vec<u8>| k.into_iter().map(|c| b'a' + c).collect::<Vec<u8>>())
+        };
+        prop_oneof![
+            3 => letters(0..5),
+            2 => (130usize..300, letters(0..3)).prop_map(|(run, tail)| [vec![b'p'; run], tail].concat()),
+            1 => proptest::collection::vec(any::<u8>(), 120..200),
+        ]
+    }
+
+    /// A tombstone, an empty value, a short value, or one long enough
+    /// for a two-byte `tag`.
+    fn awkward_value() -> impl proptest::strategy::Strategy<Value = Option<Vec<u8>>> {
+        use proptest::prelude::*;
+        prop_oneof![
+            1 => Just(None),
+            1 => Just(Some(Vec::new())),
+            3 => proptest::collection::vec(any::<u8>(), 0..40).prop_map(Some),
+            1 => proptest::collection::vec(any::<u8>(), 127..300).prop_map(Some),
+        ]
+    }
+
+    /// Strictly sorted entries over awkward keys and values.
+    fn awkward_entries() -> impl proptest::strategy::Strategy<Value = Vec<(Key, Entry)>> {
+        use proptest::prelude::*;
+        proptest::collection::vec((awkward_key(), awkward_value()), 1..80).prop_map(|pairs| {
+            let sorted: std::collections::BTreeMap<_, _> = pairs.into_iter().collect();
+            sorted
+                .into_iter()
+                .map(|(k, v)| {
+                    let entry = v.map_or(Entry::Tombstone, |v| Entry::Put(Value::from(v)));
+                    (Key::from(k), entry)
+                })
+                .collect()
+        })
+    }
+
+    /// `entries` laid out as one data block, the way the writer does.
+    fn encode_block(entries: &[(Key, Entry)]) -> Vec<u8> {
+        let mut block = Vec::new();
+        let mut prev: &[u8] = &[];
+        for (k, e) in entries {
+            let value = match e {
+                Entry::Put(v) => Some(v.as_slice()),
+                Entry::Tombstone => None,
+            };
+            encode_entry(&mut block, prev, k.as_slice(), value);
+            prev = k.as_slice();
+        }
+        block
+    }
+
+    /// Block bytes for the decoder proptest: arbitrary bytes, or a
+    /// well-formed block with bits flipped, a varint forged in place or
+    /// a truncation.
+    fn block_bytes() -> impl proptest::strategy::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        let damage = (0u8..3, any::<usize>(), any::<u64>());
+        prop_oneof![
+            1 => proptest::collection::vec(any::<u8>(), 0..600),
+            3 => (awkward_entries(), proptest::collection::vec(damage, 0..3)).prop_map(
+                |(entries, damages)| {
+                    let mut block = encode_block(&entries);
+                    for (kind, at, value) in damages {
+                        if block.is_empty() {
+                            break;
+                        }
+                        let at = at % block.len();
+                        match kind {
+                            0 => block[at] ^= 1 << (value % 8),
+                            1 => {
+                                let mut varint = Vec::new();
+                                write_varint(&mut varint, value >> (value % 64));
+                                let end = (at + varint.len()).min(block.len());
+                                block[at..end].copy_from_slice(&varint[..end - at]);
+                            }
+                            _ => block.truncate(at),
+                        }
+                    }
+                    block
+                }
+            ),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Prefix sharing changes bytes, not answers: under every codec
+        /// and block size (1 = below one entry), every key answers
+        /// through `locate` + `find_in_block`, keys next to them that
+        /// are absent answer `None`, and `scan()` returns the input.
+        #[test]
+        fn prop_same_blocks_same_answers(
+            entries in awkward_entries(),
+            block_size in proptest::prop_oneof![
+                proptest::prelude::Just(1usize),
+                1usize..400,
+                proptest::prelude::Just(4096usize),
+            ],
+        ) {
+            let present: std::collections::BTreeSet<&Key> = entries.iter().map(|(k, _)| k).collect();
+            let mut absent = vec![Key::from(""), Key::from(vec![0xff; 301])];
+            for (k, _) in &entries {
+                absent.push(Key::from([k.as_slice(), &[0]].concat()));
+                if let Some((_, shorter)) = k.as_slice().split_last() {
+                    absent.push(Key::from(shorter));
+                }
+            }
+            absent.retain(|k| !present.contains(k));
+            for codec in BlockCodec::ALL {
+                let dir = tmpdir();
+                let path = dir.create().join("awkward.sst");
+                let meta = write_sstable(1, &path, entries.clone().into_iter(), &cfg(block_size, codec))
+                    .unwrap();
+                let r = SstReader::open(meta).unwrap();
+                for (k, e) in &entries {
+                    proptest::prop_assert_eq!(get(&r, k).unwrap(), Some(e.clone()), "{}", codec.name());
+                }
+                for k in &absent {
+                    proptest::prop_assert_eq!(get(&r, k).unwrap(), None, "{}: {:?}", codec.name(), k);
+                }
+                proptest::prop_assert_eq!(r.scan().unwrap(), entries.clone(), "{}", codec.name());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Whatever bytes a block holds, `find_in_block` and
+        /// `decode_block` return `Ok` or `Corruption`, and neither
+        /// makes an allocation past the block length + 1 KiB — except
+        /// `decode_block`'s output vector, one `(Key, Entry)` per entry
+        /// it decoded. Where the block decodes, sorted or not,
+        /// `find_in_block` answers what a walk over the decoded keys to
+        /// the first one at or past the probe answers.
+        #[test]
+        fn prop_block_decoders_refuse_garbage_within_bounds(block in block_bytes()) {
+            let bound = block.len() + 1024;
+            let corruption = |e: &Error| matches!(e, Error::Corruption(_));
+            let (decoded, largest) = tb_common::testutil::largest_allocation(|| decode_block(&block));
+            // Probe with every key up to the first bad entry, and with
+            // the keys just before and after each.
+            let mut probes = vec![Key::from(""), Key::from(vec![0xff; 8])];
+            let mut walk = BlockEntries::new(&block);
+            let mut key = Vec::new();
+            let mut entries = 0usize;
+            while let Ok(Some(raw)) = walk.next_entry() {
+                entries += 1;
+                rebuild_key(&mut key, raw.shared, raw.suffix);
+                probes.push(Key::copy_from(&key));
+                probes.push(Key::from([key.as_slice(), &[0]].concat()));
+                if let Some((_, shorter)) = key.split_last() {
+                    probes.push(Key::from(shorter));
+                }
+            }
+            let out_vec = entries.next_power_of_two().max(4) * std::mem::size_of::<(Key, Entry)>();
+            proptest::prop_assert!(
+                largest <= bound.max(out_vec),
+                "decode: {largest} B for a {}-byte block of {entries} entries",
+                block.len()
+            );
+            if let Err(e) = &decoded {
+                proptest::prop_assert!(corruption(e), "decode: {e:?}");
+            }
+            for probe in &probes {
+                let (found, largest) = tb_common::testutil::largest_allocation(|| find_in_block(&block, probe));
+                proptest::prop_assert!(largest <= bound, "find: {largest} B for a {}-byte block", block.len());
+                match (found, &decoded) {
+                    (found, Ok(decoded)) => {
+                        let want = decoded
+                            .iter()
+                            .find(|(k, _)| k >= probe)
+                            .filter(|(k, _)| k == probe)
+                            .map(|(_, e)| e.clone());
+                        proptest::prop_assert_eq!(found.ok(), Some(want), "find {:?}", probe);
+                    }
+                    (Err(e), Err(_)) => proptest::prop_assert!(corruption(&e), "find {probe:?}: {e:?}"),
+                    (Ok(_), Err(_)) => {}
+                }
+            }
         }
     }
 }
