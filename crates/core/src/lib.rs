@@ -34,6 +34,10 @@ pub mod config;
 pub mod insight;
 pub mod interval;
 pub mod store;
+mod store_read;
+mod store_stats;
+mod store_sync;
+mod store_write;
 pub mod types;
 pub mod vector;
 pub mod wide;

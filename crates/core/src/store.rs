@@ -1,16 +1,22 @@
 //! The tiered store: cache tier + storage tier + synchronization
 //! policies + persistence + compression + elastic threading.
+//!
+//! This file holds the store's state, its public API and the value
+//! envelope. The read path is in `store_read.rs`, the write path and
+//! the persistence log in `store_write.rs`, storage-tier
+//! synchronization (`sync`, the write-back flush) in `store_sync.rs`,
+//! and the counters in `store_stats.rs`.
 
 use crate::config::{CompressionChoice, PersistenceMode, SyncPolicy, TierBaseConfig};
 use crate::interval::AccessIntervalTracker;
+use crate::store_write::apply_log_record;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tb_cache::{CacheConfig, Lookup, ReplicatedCache};
+use tb_cache::{CacheConfig, ReplicatedCache};
 use tb_common::{
-    deadline_after, is_expired, prefix_successor, read_varint, write_varint, Error, Key, KvEngine,
-    Result, TtlState, Value,
+    deadline_after, read_varint, write_varint, Error, Key, KvEngine, Result, TtlState, Value,
 };
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
 use tb_elastic::ElasticGate;
@@ -21,6 +27,8 @@ use tb_pmem::{
 
 use tb_pmem::placement::PlacementPolicy;
 
+pub use crate::store_stats::TierBaseStats;
+
 /// Envelope flag bit: payload compressed by the trained compressor.
 /// (A zero flags byte — the legacy `ENV_RAW` tag — still decodes.)
 const ENV_COMPRESSED: u8 = 0b01;
@@ -29,7 +37,7 @@ const ENV_COMPRESSED: u8 = 0b01;
 const ENV_HAS_EXPIRY: u8 = 0b10;
 
 /// Parses an envelope header: `(compressed, expires_at, payload offset)`.
-fn parse_envelope(stored: &[u8]) -> Result<(bool, Option<u64>, usize)> {
+pub(crate) fn parse_envelope(stored: &[u8]) -> Result<(bool, Option<u64>, usize)> {
     let (&flags, rest) = stored
         .split_first()
         .ok_or_else(|| Error::Corruption("empty stored value".into()))?;
@@ -48,7 +56,7 @@ fn parse_envelope(stored: &[u8]) -> Result<(bool, Option<u64>, usize)> {
 
 /// Reads just the expiry deadline from an envelope (cache re-population
 /// and WAL replay need it without decompressing the payload).
-fn envelope_expiry(stored: &Value) -> Option<u64> {
+pub(crate) fn envelope_expiry(stored: &Value) -> Option<u64> {
     parse_envelope(stored.as_slice())
         .map(|(_, exp, _)| exp)
         .unwrap_or(None)
@@ -57,58 +65,29 @@ fn envelope_expiry(stored: &Value) -> Option<u64> {
 /// Number of values sampled before compression auto-trains.
 const AUTO_TRAIN_SAMPLES: usize = 256;
 
-/// Operational counters.
-#[derive(Debug, Default)]
-pub struct TierBaseStats {
-    pub puts: AtomicU64,
-    pub gets: AtomicU64,
-    pub deletes: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    pub storage_fetches: AtomicU64,
-    pub dirty_flushes: AtomicU64,
-    pub flushed_entries: AtomicU64,
-    pub write_through_failures: AtomicU64,
-    /// Keys lazily or actively reclaimed because their TTL passed.
-    pub expired: AtomicU64,
-}
-
-impl TierBaseStats {
-    /// Observed cache miss ratio (the `MR` of Eq. 3).
-    pub fn miss_ratio(&self) -> f64 {
-        let h = self.cache_hits.load(Ordering::Relaxed);
-        let m = self.cache_misses.load(Ordering::Relaxed);
-        if h + m == 0 {
-            0.0
-        } else {
-            m as f64 / (h + m) as f64
-        }
-    }
-}
-
 struct Compression {
     unit: PretrainedCompression,
 }
 
-struct Inner {
-    config: TierBaseConfig,
-    cache: ReplicatedCache,
-    storage: Option<DisaggregatedStore>,
-    wal: Option<Mutex<tb_lsm::wal::Wal>>,
+pub(crate) struct Inner {
+    pub(crate) config: TierBaseConfig,
+    pub(crate) cache: ReplicatedCache,
+    pub(crate) storage: Option<DisaggregatedStore>,
+    pub(crate) wal: Option<Mutex<tb_lsm::wal::Wal>>,
     /// Frame sequence for the cache WAL: the cache log is positional,
     /// so records carry a local counter to satisfy the LSN framing.
-    wal_seq: AtomicU64,
-    ring: Option<PersistentRingBuffer>,
+    pub(crate) wal_seq: AtomicU64,
+    pub(crate) ring: Option<PersistentRingBuffer>,
     compression: Mutex<Option<Compression>>,
     train_samples: Mutex<Vec<Vec<u8>>>,
-    ops_since_flush: AtomicU64,
+    pub(crate) ops_since_flush: AtomicU64,
     cas_lock: Mutex<()>,
     /// Fail the next N storage writes (failure-injection hook).
-    inject_storage_failures: AtomicU64,
+    pub(crate) inject_storage_failures: AtomicU64,
     /// §6.5.3 statistic: sampled mean key re-access interval, compared
     /// against Table 3 break-even intervals to pick a configuration.
-    intervals: AccessIntervalTracker,
-    pub stats: Arc<TierBaseStats>,
+    pub(crate) intervals: AccessIntervalTracker,
+    pub(crate) stats: Arc<TierBaseStats>,
     _obs: tb_obs::SourceGuard,
 }
 
@@ -218,25 +197,7 @@ impl TierBase {
         let intervals = AccessIntervalTracker::new(config.clock.clone());
 
         let stats = Arc::new(TierBaseStats::default());
-        let obs = {
-            let stats = stats.clone();
-            tb_obs::global().register_source(move |b| {
-                let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
-                b.counter("core_puts", c(&stats.puts));
-                b.counter("core_gets", c(&stats.gets));
-                b.counter("core_deletes", c(&stats.deletes));
-                b.counter("core_cache_hits", c(&stats.cache_hits));
-                b.counter("core_cache_misses", c(&stats.cache_misses));
-                b.counter("core_storage_fetches", c(&stats.storage_fetches));
-                b.counter("core_dirty_flushes", c(&stats.dirty_flushes));
-                b.counter("core_flushed_entries", c(&stats.flushed_entries));
-                b.counter(
-                    "core_write_through_failures",
-                    c(&stats.write_through_failures),
-                );
-                b.counter("core_expired", c(&stats.expired));
-            })
-        };
+        let obs = TierBaseStats::register(&stats);
         Ok(Self {
             inner: Arc::new(Inner {
                 config,
@@ -528,7 +489,7 @@ impl Inner {
         Value::from(out)
     }
 
-    fn encode_value(&self, value: &Value, expires_at: Option<u64>) -> Value {
+    pub(crate) fn encode_value(&self, value: &Value, expires_at: Option<u64>) -> Value {
         if self.config.compression == CompressionChoice::None {
             return Self::seal_envelope(value.as_slice(), false, expires_at);
         }
@@ -559,7 +520,7 @@ impl Inner {
     }
 
     /// Decodes an envelope into `(value, expires_at)`.
-    fn decode_envelope(&self, stored: &Value) -> Result<(Value, Option<u64>)> {
+    pub(crate) fn decode_envelope(&self, stored: &Value) -> Result<(Value, Option<u64>)> {
         let (compressed, expires_at, off) = parse_envelope(stored.as_slice())?;
         if compressed {
             let guard = self.compression.lock();
@@ -577,7 +538,7 @@ impl Inner {
         }
     }
 
-    fn decode_value(&self, stored: &Value) -> Result<Value> {
+    pub(crate) fn decode_value(&self, stored: &Value) -> Result<Value> {
         self.decode_envelope(stored).map(|(v, _)| v)
     }
 
@@ -590,500 +551,6 @@ impl Inner {
         };
         let unit = PretrainedCompression::train(choice, samples, TzstdLevel(1));
         *self.compression.lock() = Some(Compression { unit });
-    }
-
-    // ----- core operations ------------------------------------------------
-
-    fn do_get(&self, key: &Key) -> Result<Option<Value>> {
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        self.intervals.record(key);
-        match self.cache.primary().lookup(key) {
-            Lookup::Live(stored) => {
-                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(self.decode_value(&stored)?))
-            }
-            Lookup::Expired => {
-                // The freshest version of the key has expired; the
-                // storage copy is stale by definition, so remove both
-                // and report the key gone.
-                self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                self.reclaim_expired(key)?;
-                Ok(None)
-            }
-            Lookup::Absent => {
-                self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let Some(storage) = &self.storage else {
-                    return Ok(None);
-                };
-                self.stats.storage_fetches.fetch_add(1, Ordering::Relaxed);
-                match storage.get(key)? {
-                    Some(stored) => {
-                        let (value, expires_at) = self.decode_envelope(&stored)?;
-                        if is_expired(expires_at, self.config.clock.now_nanos()) {
-                            self.reclaim_expired(key)?;
-                            return Ok(None);
-                        }
-                        // Populate the cache (clean — storage already
-                        // has it), carrying the expiry deadline.
-                        let _ = self
-                            .cache
-                            .insert_full(key.clone(), stored, false, expires_at);
-                        Ok(Some(value))
-                    }
-                    None => Ok(None),
-                }
-            }
-        }
-    }
-
-    /// Lazy TTL reclamation: drops the key from both tiers and the
-    /// persistence log.
-    fn reclaim_expired(&self, key: &Key) -> Result<()> {
-        self.stats.expired.fetch_add(1, Ordering::Relaxed);
-        self.log_persistence(key, None)?;
-        if let Some(storage) = &self.storage {
-            storage.delete(key)?;
-        }
-        self.cache.remove(key);
-        Ok(())
-    }
-
-    /// Rewrites a live key with a new expiry deadline (`EXPIRE` /
-    /// `PERSIST`). Returns `false` when the key does not exist.
-    fn do_set_ttl(&self, key: &Key, ttl: Option<Duration>) -> Result<bool> {
-        let Some(value) = self.do_get(key)? else {
-            return Ok(false);
-        };
-        let deadline = ttl.map(|t| deadline_after(self.config.clock.now_nanos(), t));
-        self.do_put_with_expiry(key.clone(), value, deadline)?;
-        Ok(true)
-    }
-
-    fn do_ttl(&self, key: &Key) -> Result<TtlState> {
-        let now = self.config.clock.now_nanos();
-        match self.cache.primary().lookup(key) {
-            Lookup::Live(stored) => {
-                let (_, _, _) = parse_envelope(stored.as_slice())?;
-                Ok(TtlState::from_deadline(envelope_expiry(&stored), now))
-            }
-            Lookup::Expired => {
-                self.reclaim_expired(key)?;
-                Ok(TtlState::Missing)
-            }
-            Lookup::Absent => {
-                let Some(storage) = &self.storage else {
-                    return Ok(TtlState::Missing);
-                };
-                match storage.get(key)? {
-                    Some(stored) => {
-                        let deadline = envelope_expiry(&stored);
-                        if is_expired(deadline, now) {
-                            self.reclaim_expired(key)?;
-                            Ok(TtlState::Missing)
-                        } else {
-                            Ok(TtlState::from_deadline(deadline, now))
-                        }
-                    }
-                    None => Ok(TtlState::Missing),
-                }
-            }
-        }
-    }
-
-    /// Batched read with deferred cache-fetching (§4.1.2): cache hits
-    /// answer immediately; all misses are accumulated into a single
-    /// storage-tier `batch_get`, paying one round-trip instead of one
-    /// per missing key.
-    fn do_multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        self.stats
-            .gets
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let mut out: Vec<Option<Value>> = vec![None; keys.len()];
-        let mut missing: Vec<(usize, Key)> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match self.cache.primary().lookup(key) {
-                Lookup::Live(stored) => {
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    out[i] = Some(self.decode_value(&stored)?);
-                }
-                Lookup::Expired => {
-                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    self.reclaim_expired(key)?;
-                }
-                Lookup::Absent => {
-                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    missing.push((i, key.clone()));
-                }
-            }
-        }
-        let Some(storage) = &self.storage else {
-            return Ok(out);
-        };
-        if missing.is_empty() {
-            return Ok(out);
-        }
-        self.stats
-            .storage_fetches
-            .fetch_add(missing.len() as u64, Ordering::Relaxed);
-        let fetch_keys: Vec<Key> = missing.iter().map(|(_, k)| k.clone()).collect();
-        let fetched = storage.batch_get(&fetch_keys)?;
-        let now = self.config.clock.now_nanos();
-        for ((i, key), stored) in missing.into_iter().zip(fetched) {
-            let Some(stored) = stored else { continue };
-            let (value, expires_at) = self.decode_envelope(&stored)?;
-            if is_expired(expires_at, now) {
-                self.reclaim_expired(&key)?;
-                continue;
-            }
-            let _ = self.cache.insert_full(key, stored, false, expires_at);
-            out[i] = Some(value);
-        }
-        Ok(out)
-    }
-
-    /// Batched write. Under write-through the whole batch becomes one
-    /// storage round-trip (then populates the cache); the other
-    /// policies take the ordinary per-key path, which write-back
-    /// already batches at flush time.
-    fn do_multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        if self.config.policy != SyncPolicy::WriteThrough {
-            for (k, v) in pairs {
-                self.do_put(k, v)?;
-            }
-            return Ok(());
-        }
-        self.stats
-            .puts
-            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
-        let encoded: Vec<(Key, Value)> = pairs
-            .into_iter()
-            .map(|(k, v)| (k, self.encode_value(&v, None)))
-            .collect();
-        let storage = self
-            .storage
-            .as_ref()
-            .ok_or_else(|| Error::Internal("no storage tier".into()))?;
-        if self.take_injected_failure() {
-            // Mirror the single-key write-through contract: invalidate
-            // every key in the failed batch so reads refetch from
-            // storage.
-            for (k, _) in &encoded {
-                self.cache.remove(k);
-            }
-            self.stats
-                .write_through_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(Error::StorageWriteFailed("injected batch failure".into()));
-        }
-        match storage.batch_put(encoded.clone()) {
-            Ok(()) => {
-                for (k, stored) in encoded {
-                    self.cache.insert(k, stored, false)?;
-                }
-                Ok(())
-            }
-            Err(e) => {
-                for (k, _) in &encoded {
-                    self.cache.remove(k);
-                }
-                self.stats
-                    .write_through_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(Error::StorageWriteFailed(e.to_string()))
-            }
-        }
-    }
-
-    /// A prefix scan is the range scan `[prefix, prefix_successor)`.
-    fn do_scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Key, Value)>> {
-        let end = prefix_successor(prefix);
-        self.do_scan_range(&Key::copy_from(prefix), end.as_ref(), usize::MAX)
-    }
-
-    fn do_scan_range(
-        &self,
-        start: &Key,
-        end: Option<&Key>,
-        limit: usize,
-    ) -> Result<Vec<(Key, Value)>> {
-        let now = self.config.clock.now_nanos();
-        let mut merged: std::collections::BTreeMap<Key, Value> = std::collections::BTreeMap::new();
-        if let Some(storage) = &self.storage {
-            // Unbounded fetch: cache shadowing and TTL masking can both
-            // shrink the storage rows, so a storage-side `limit` could
-            // starve the merge of rows the caller is owed.
-            for (key, stored) in storage.scan(start, end, usize::MAX)? {
-                let (value, expires_at) = self.decode_envelope(&stored)?;
-                if !is_expired(expires_at, now) {
-                    merged.insert(key, value);
-                }
-            }
-        }
-        // Cache entries are at least as fresh as storage (strictly
-        // fresher under write-back), so they win the merge.
-        for (key, entry) in self
-            .cache
-            .primary()
-            .scan_range(start.as_slice(), end.map(Key::as_slice))
-        {
-            let (value, expires_at) = self.decode_envelope(&entry.value)?;
-            if !is_expired(expires_at, now) {
-                merged.insert(key, value);
-            }
-        }
-        Ok(merged.into_iter().take(limit).collect())
-    }
-
-    fn do_sweep_expired(&self) -> Result<usize> {
-        let keys = self.cache.sweep_expired();
-        for key in &keys {
-            self.log_persistence(key, None)?;
-            if let Some(storage) = &self.storage {
-                storage.delete(key)?;
-            }
-        }
-        self.stats
-            .expired
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        Ok(keys.len())
-    }
-
-    fn do_put(&self, key: Key, value: Value) -> Result<()> {
-        self.do_put_with_expiry(key, value, None)
-    }
-
-    fn do_put_with_expiry(&self, key: Key, value: Value, expires_at: Option<u64>) -> Result<()> {
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-        self.intervals.record(&key);
-        let stored = self.encode_value(&value, expires_at);
-        match self.config.policy {
-            SyncPolicy::InMemory => {
-                self.log_persistence(&key, Some(&stored))?;
-                self.cache.insert_full(key, stored, false, expires_at)?;
-                Ok(())
-            }
-            SyncPolicy::WriteThrough => {
-                // Synchronous storage write first; only then the cache.
-                match self.storage_put(key.clone(), stored.clone()) {
-                    Ok(()) => {
-                        self.cache.insert_full(key, stored, false, expires_at)?;
-                        Ok(())
-                    }
-                    Err(e) => {
-                        // Invalidate so reads refetch the authoritative
-                        // value from storage (§4.1.1).
-                        self.cache.remove(&key);
-                        self.stats
-                            .write_through_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                        Err(Error::StorageWriteFailed(e.to_string()))
-                    }
-                }
-            }
-            SyncPolicy::WriteBack => {
-                match self
-                    .cache
-                    .insert_full(key.clone(), stored.clone(), true, expires_at)
-                {
-                    Ok(()) => {}
-                    Err(Error::Backpressure { .. }) => {
-                        // Reclaim by flushing dirty data, then retry once.
-                        self.flush_dirty()?;
-                        self.cache.insert_full(key, stored, true, expires_at)?;
-                    }
-                    Err(e) => return Err(e),
-                }
-                let ops = self.ops_since_flush.fetch_add(1, Ordering::Relaxed) + 1;
-                let wb = &self.config.write_back;
-                if ops >= wb.flush_every_ops
-                    || self.cache.primary().dirty_bytes() > wb.max_dirty_bytes
-                {
-                    self.flush_dirty()?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn do_delete(&self, key: &Key) -> Result<()> {
-        self.stats.deletes.fetch_add(1, Ordering::Relaxed);
-        self.log_persistence(key, None)?;
-        if let Some(storage) = &self.storage {
-            // Deletes synchronize eagerly under both tiered policies
-            // (the evaluated workloads are read/update-dominated).
-            storage.delete(key)?;
-        }
-        self.cache.remove(key);
-        Ok(())
-    }
-
-    fn do_sync(&self) -> Result<()> {
-        if self.storage.is_some() {
-            self.flush_dirty()?;
-        }
-        if let Some(wal) = &self.wal {
-            wal.lock().sync()?;
-        }
-        if let Some(storage) = &self.storage {
-            KvEngine::sync(storage)?;
-        }
-        Ok(())
-    }
-
-    fn storage_put(&self, key: Key, stored: Value) -> Result<()> {
-        let storage = self
-            .storage
-            .as_ref()
-            .ok_or_else(|| Error::Internal("no storage tier".into()))?;
-        if self.take_injected_failure() {
-            return Err(Error::FaultInjected("storage write failed".into()));
-        }
-        storage.put(key, stored)
-    }
-
-    fn take_injected_failure(&self) -> bool {
-        loop {
-            let n = self.inject_storage_failures.load(Ordering::SeqCst);
-            if n == 0 {
-                return false;
-            }
-            if self
-                .inject_storage_failures
-                .compare_exchange(n, n - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return true;
-            }
-        }
-    }
-
-    fn flush_dirty(&self) -> Result<usize> {
-        self.write_back(self.cache.primary().dirty_entries())
-    }
-
-    /// Writes a snapshot of dirty entries down to the storage tier and
-    /// cleans what it wrote. Writers are not excluded while this runs
-    /// (`ThreadMode::Multi`/`Elastic`), so an entry is cleaned only if
-    /// it still holds the snapshot's bytes: a put that landed in
-    /// between stays dirty, pinned against eviction, for the next flush.
-    fn write_back(&self, dirty: Vec<(Key, Value)>) -> Result<usize> {
-        let Some(storage) = &self.storage else {
-            return Ok(0);
-        };
-        if dirty.is_empty() {
-            self.ops_since_flush.store(0, Ordering::Relaxed);
-            return Ok(0);
-        }
-        let total = dirty.len();
-        for chunk in dirty.chunks(self.config.write_back.batch_size) {
-            if self.take_injected_failure() {
-                return Err(Error::StorageWriteFailed(
-                    "injected failure during dirty flush".into(),
-                ));
-            }
-            storage.batch_put(chunk.to_vec())?;
-            for (k, flushed) in chunk {
-                self.cache.mark_clean(k, flushed);
-            }
-        }
-        self.stats.dirty_flushes.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .flushed_entries
-            .fetch_add(total as u64, Ordering::Relaxed);
-        self.ops_since_flush.store(0, Ordering::Relaxed);
-        Ok(total)
-    }
-
-    fn log_persistence(&self, key: &Key, stored: Option<&Value>) -> Result<()> {
-        if self.wal.is_none() && self.ring.is_none() {
-            return Ok(());
-        }
-        let rec = encode_log_record(key, stored);
-        if let Some(wal) = &self.wal {
-            let lsn = self.wal_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            wal.lock().append(lsn, &rec)?;
-        }
-        if let Some(ring) = &self.ring {
-            match ring.append(&rec) {
-                Ok(()) => {}
-                Err(Error::Backpressure { .. }) => {
-                    // Ring full: batch-drain to the "cloud" WAL file and retry
-                    // (the PMem ring is a staging buffer, §4.3).
-                    self.drain_ring_to_file()?;
-                    ring.append(&rec)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    fn drain_ring_to_file(&self) -> Result<()> {
-        let Some(ring) = &self.ring else {
-            return Ok(());
-        };
-        let drained = ring.drain_batch(usize::MAX)?;
-        let path = self.config.dir.join("cache.cold.wal");
-        let mut wal = tb_lsm::wal::Wal::open(&path, tb_lsm::wal::SyncPolicy::OsBuffer)?;
-        for rec in drained {
-            let lsn = self.wal_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            wal.append(lsn, &rec)?;
-        }
-        wal.sync()?;
-        Ok(())
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        // The cache tier is the expensive resource. PMem bytes count at
-        // their discounted factor; replication multiplies the footprint.
-        let primary = self.cache.primary();
-        let (dram, pmem) = primary.bytes_by_medium();
-        let factor = self.config.pmem.map(|t| t.cost_factor).unwrap_or(1.0);
-        let per_copy = dram + (pmem as f64 * factor) as u64;
-        per_copy * (1 + self.cache.live_replicas() as u64)
-    }
-}
-
-fn encode_log_record(key: &Key, stored: Option<&Value>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.len() + 16);
-    match stored {
-        Some(v) => {
-            out.push(0);
-            write_varint(&mut out, key.len() as u64);
-            out.extend_from_slice(key.as_slice());
-            out.extend_from_slice(v.as_slice());
-        }
-        None => {
-            out.push(1);
-            write_varint(&mut out, key.len() as u64);
-            out.extend_from_slice(key.as_slice());
-        }
-    }
-    out
-}
-
-fn apply_log_record(cache: &ReplicatedCache, rec: &[u8]) -> Result<()> {
-    let (&flag, rest) = rec
-        .split_first()
-        .ok_or_else(|| Error::Corruption("empty cache log record".into()))?;
-    let mut pos = 0usize;
-    let klen = read_varint(rest, &mut pos)? as usize;
-    if pos + klen > rest.len() {
-        return Err(Error::Corruption("cache log key overflow".into()));
-    }
-    let key = Key::copy_from(&rest[pos..pos + klen]);
-    match flag {
-        0 => {
-            let value = Value::copy_from(&rest[pos + klen..]);
-            let expires_at = envelope_expiry(&value);
-            cache.insert_full(key, value, false, expires_at)?;
-            Ok(())
-        }
-        1 => {
-            cache.remove(&key);
-            Ok(())
-        }
-        other => Err(Error::Corruption(format!("bad cache log flag {other}"))),
     }
 }
 
