@@ -232,6 +232,32 @@ impl ShardedCache {
         Ok(evicted)
     }
 
+    /// Inserts a clean copy fetched from the storage tier, only if the
+    /// key is absent. Any entry present now — even an expired one — was
+    /// written after the fetch was issued and is newer than it, so the
+    /// fill must not replace it. Returns whether the copy went in.
+    pub fn fill(&self, key: Key, value: Value, expires_at: Option<u64>) -> Result<bool> {
+        let medium = self.placement.place_value(value.len());
+        let len = value.len();
+        let evicted = {
+            let mut shard = self.shard(&key).lock();
+            if shard.peek(&key).is_some() {
+                return Ok(false);
+            }
+            shard.insert_full(key, value, false, medium, expires_at)?
+        };
+        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+        if medium == Medium::Pmem {
+            if let Some(model) = &self.pmem_latency {
+                model.stall_write(len);
+            }
+        }
+        Ok(true)
+    }
+
     /// Sets a key's TTL. Returns `false` when the key is absent
     /// (Redis `EXPIRE`).
     pub fn expire(&self, key: &Key, ttl: Duration) -> bool {
@@ -506,6 +532,26 @@ mod tests {
         clock.advance(Duration::from_secs(2));
         assert_eq!(c.lookup(&k(1)), Lookup::Expired);
         assert_eq!(c.lookup(&k(2)), Lookup::Absent);
+    }
+
+    #[test]
+    fn fill_never_replaces_a_present_entry() {
+        let clock = tb_common::ManualClock::new();
+        let c = cache_with_clock(1 << 20, clock.clone());
+        assert!(c.fill(k(1), Value::from("fetched"), None).unwrap());
+        assert_eq!(c.get(&k(1)), Some(Value::from("fetched")));
+        assert!(!c.peek_entry(&k(1)).unwrap().dirty, "a fill is clean");
+        // A newer dirty write wins over a later-arriving fill.
+        c.insert(k(2), Value::from("new"), true).unwrap();
+        assert!(!c.fill(k(2), Value::from("old"), None).unwrap());
+        assert_eq!(c.get(&k(2)), Some(Value::from("new")));
+        assert!(c.peek_entry(&k(2)).unwrap().dirty);
+        // So does an expired one: it is still the key's latest write.
+        c.insert_with_ttl(k(3), Value::from("new"), true, Duration::from_secs(1))
+            .unwrap();
+        clock.advance(Duration::from_secs(2));
+        assert!(!c.fill(k(3), Value::from("old"), None).unwrap());
+        assert_eq!(c.get(&k(3)), None);
     }
 
     #[test]

@@ -48,6 +48,11 @@ enum RepOp {
         dirty: bool,
         expires_at: Option<u64>,
     },
+    Fill {
+        key: Key,
+        value: Value,
+        expires_at: Option<u64>,
+    },
     Remove(Key),
     MarkClean(Key, Value),
 }
@@ -123,6 +128,15 @@ impl ReplicatedCache {
                         r.cache
                             .insert_full(key.clone(), value.clone(), *dirty, *expires_at)?;
                         self.replicated_writes.fetch_add(1, Ordering::Relaxed);
+                    }
+                    RepOp::Fill {
+                        key,
+                        value,
+                        expires_at,
+                    } => {
+                        if r.cache.fill(key.clone(), value.clone(), *expires_at)? {
+                            self.replicated_writes.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                     RepOp::Remove(key) => {
                         r.cache.remove(key);
@@ -209,6 +223,32 @@ impl ReplicatedCache {
                 Ok(())
             }
         }
+    }
+
+    /// [`ShardedCache::fill`] on the primary and, when it went in there,
+    /// on every live replica (queued under `Async`). Each copy applies
+    /// the same insert-if-absent rule, so a write that reached a
+    /// replica first is never replaced by an older fetched copy.
+    pub fn fill(&self, key: Key, value: Value, expires_at: Option<u64>) -> Result<bool> {
+        if !self.primary.fill(key.clone(), value.clone(), expires_at)? {
+            return Ok(false);
+        }
+        if self.mode == ReplicationMode::Async {
+            self.pending.lock().push_back(RepOp::Fill {
+                key,
+                value,
+                expires_at,
+            });
+            return Ok(true);
+        }
+        for r in &self.replicas {
+            if r.alive.load(Ordering::Relaxed)
+                && r.cache.fill(key.clone(), value.clone(), expires_at)?
+            {
+                self.replicated_writes.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Ok(true)
     }
 
     /// Sets a TTL on the primary and all live replicas. Returns the
@@ -403,6 +443,22 @@ mod tests {
     }
 
     #[test]
+    fn fill_reaches_replicas_without_replacing_their_writes() {
+        let mut g = group(1);
+        assert!(g.fill(k("a"), v("fetched"), None).unwrap());
+        // A write that reached only the replica (the primary's copy was
+        // since dropped) is newer than any fetch: the fill lands on the
+        // primary, not over it.
+        g.replicas[0].cache.insert(k("b"), v("new"), true).unwrap();
+        assert!(g.fill(k("b"), v("old"), None).unwrap());
+        assert!(!g.fill(k("b"), v("older"), None).unwrap());
+        g.promote_replica(0).unwrap();
+        assert_eq!(g.get(&k("a")), Some(v("fetched")));
+        assert_eq!(g.get(&k("b")), Some(v("new")));
+        assert!(g.primary().peek_entry(&k("b")).unwrap().dirty);
+    }
+
+    #[test]
     fn remove_propagates() {
         let mut g = group(1);
         g.insert(k("a"), v("1"), false).unwrap();
@@ -466,6 +522,20 @@ mod tests {
         // Full drain: 10 ops × 2 replicas.
         assert_eq!(g.drain_replication(usize::MAX).unwrap(), 6);
         assert_eq!(g.replicated_writes.load(Ordering::Relaxed), 20);
+    }
+
+    #[test]
+    fn async_fill_is_queued_like_a_write() {
+        let mut g = ReplicatedCache::with_mode(
+            CacheConfig::with_capacity(1 << 20),
+            1,
+            ReplicationMode::Async,
+        );
+        assert!(g.fill(k("a"), v("fetched"), None).unwrap());
+        assert_eq!(g.replication_lag(), 1);
+        assert_eq!(g.drain_replication(usize::MAX).unwrap(), 1);
+        g.promote_replica(0).unwrap();
+        assert_eq!(g.get(&k("a")), Some(v("fetched")));
     }
 
     #[test]

@@ -1640,4 +1640,44 @@ mod tests {
             h.join().unwrap();
         }
     }
+
+    #[test]
+    fn miss_fill_never_replaces_a_newer_write() {
+        // A reader misses on a cold key and fetches it over a 50 ms
+        // storage round trip; a writer overwrites the key during that
+        // trip. The fetched copy is older than the write, so filling the
+        // cache with it would lose an acknowledged write for good.
+        let tb = Arc::new(
+            TierBase::open(
+                TierBaseConfig::builder(tmpdir("missfill"))
+                    .policy(SyncPolicy::WriteBack)
+                    .threading(tb_elastic::ThreadMode::Multi(2))
+                    .storage_rtt_us(50_000)
+                    .build(),
+            )
+            .unwrap(),
+        );
+        tb.put(k(1), Value::from("old")).unwrap();
+        tb.flush_dirty().unwrap();
+        tb.inner.cache.remove(&k(1));
+        let reader = {
+            let tb = tb.clone();
+            std::thread::spawn(move || tb.get(&k(1)).unwrap())
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        tb.put(k(1), Value::from("new")).unwrap();
+        let read = reader.join().unwrap();
+        assert!(
+            read == Some(Value::from("old")) || read == Some(Value::from("new")),
+            "{read:?}"
+        );
+        assert_eq!(tb.get(&k(1)).unwrap(), Some(Value::from("new")));
+        tb.flush_dirty().unwrap();
+        tb.inner.cache.remove(&k(1));
+        assert_eq!(
+            tb.get(&k(1)).unwrap(),
+            Some(Value::from("new")),
+            "the acknowledged write never reached storage"
+        );
+    }
 }

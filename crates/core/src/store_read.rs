@@ -37,10 +37,9 @@ impl Inner {
                             return Ok(None);
                         }
                         // Populate the cache (clean — storage already
-                        // has it), carrying the expiry deadline.
-                        let _ = self
-                            .cache
-                            .insert_full(key.clone(), stored, false, expires_at);
+                        // has it), carrying the expiry deadline, unless a
+                        // write landed during the fetch.
+                        let _ = self.cache.fill(key.clone(), stored, expires_at);
                         Ok(Some(value))
                     }
                     None => Ok(None),
@@ -137,7 +136,7 @@ impl Inner {
                 self.reclaim_expired(&key)?;
                 continue;
             }
-            let _ = self.cache.insert_full(key, stored, false, expires_at);
+            let _ = self.cache.fill(key, stored, expires_at);
             out[i] = Some(value);
         }
         Ok(out)
