@@ -4,7 +4,7 @@
 use crate::store::{envelope_expiry, parse_envelope, Inner};
 use std::sync::atomic::Ordering;
 use tb_cache::Lookup;
-use tb_common::{is_expired, prefix_successor, Key, Result, TtlState, Value};
+use tb_common::{is_expired, prefix_successor, Key, KvEngine, Result, TtlState, Value};
 
 impl Inner {
     pub(crate) fn do_get(&self, key: &Key) -> Result<Option<Value>> {
@@ -127,7 +127,7 @@ impl Inner {
             .storage_fetches
             .fetch_add(missing.len() as u64, Ordering::Relaxed);
         let fetch_keys: Vec<Key> = missing.iter().map(|(_, k)| k.clone()).collect();
-        let fetched = storage.batch_get(&fetch_keys)?;
+        let fetched = storage.multi_get(&fetch_keys)?;
         let now = self.config.clock.now_nanos();
         for ((i, key), stored) in missing.into_iter().zip(fetched) {
             let Some(stored) = stored else { continue };

@@ -70,7 +70,7 @@ impl Inner {
                     "injected failure during dirty flush".into(),
                 ));
             }
-            storage.batch_put(chunk.to_vec())?;
+            storage.multi_put(chunk.to_vec())?;
             for (k, flushed) in chunk {
                 self.cache.mark_clean(k, flushed);
             }

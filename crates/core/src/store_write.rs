@@ -6,7 +6,7 @@ use crate::store::{envelope_expiry, Inner};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 use tb_cache::ReplicatedCache;
-use tb_common::{deadline_after, read_varint, write_varint, Error, Key, Result, Value};
+use tb_common::{deadline_after, read_varint, write_varint, Error, Key, KvEngine, Result, Value};
 
 impl Inner {
     /// Rewrites a live key with a new expiry deadline (`EXPIRE` /
@@ -54,7 +54,7 @@ impl Inner {
                 .fetch_add(1, Ordering::Relaxed);
             return Err(Error::StorageWriteFailed("injected batch failure".into()));
         }
-        match storage.batch_put(encoded.clone()) {
+        match storage.multi_put(encoded.clone()) {
             Ok(()) => {
                 for (k, stored) in encoded {
                     self.cache.insert(k, stored, false)?;

@@ -104,37 +104,34 @@ impl DisaggregatedStore {
         f()
     }
 
+    /// The wrapped engine (test access).
+    pub fn db(&self) -> &Arc<LsmDb> {
+        &self.db
+    }
+}
+
+impl KvEngine for DisaggregatedStore {
     /// Remote point read (one round-trip).
-    pub fn get(&self, key: &Key) -> Result<Option<Value>> {
+    fn get(&self, key: &Key) -> Result<Option<Value>> {
         self.call(key.len(), || self.db.get(key))
     }
 
     /// Remote single put (one round-trip).
-    pub fn put(&self, key: Key, value: Value) -> Result<()> {
+    fn put(&self, key: Key, value: Value) -> Result<()> {
         let payload = key.len() + value.len();
         self.call(payload, || self.db.put(key, value))
     }
 
     /// Remote delete (one round-trip).
-    pub fn delete(&self, key: &Key) -> Result<()> {
+    fn delete(&self, key: &Key) -> Result<()> {
         self.call(key.len(), || self.db.delete(key.clone()))
-    }
-
-    /// Batched write: one round-trip for the whole batch — the
-    /// write-back flush path.
-    pub fn batch_put(&self, items: Vec<(Key, Value)>) -> Result<()> {
-        let payload: usize = items.iter().map(|(k, v)| k.len() + v.len()).sum();
-        self.stats
-            .batched_ops
-            .fetch_add(items.len() as u64, Ordering::Relaxed);
-        self.call(payload, || self.db.multi_put(items))
     }
 
     /// Batched read: one round-trip fetching many keys — the deferred
     /// cache-fetching path (§4.1.2). Server-side the keys resolve
     /// through the engine's overlapped batch path, so the SSTable
     /// blocks behind them are read once per call.
-    pub fn batch_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
+    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
         let payload: usize = keys.iter().map(|k| k.len()).sum();
         self.stats
             .batched_ops
@@ -142,9 +139,19 @@ impl DisaggregatedStore {
         self.call(payload, || self.db.multi_get(keys))
     }
 
+    /// Batched write: one round-trip for the whole batch — the
+    /// write-back flush path.
+    fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
+        let payload: usize = pairs.iter().map(|(k, v)| k.len() + v.len()).sum();
+        self.stats
+            .batched_ops
+            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
+        self.call(payload, || self.db.multi_put(pairs))
+    }
+
     /// Submits a heterogeneous op batch over one round-trip; the
     /// engine's native submission/completion pass runs server-side.
-    pub fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         let payload: usize = ops
             .iter()
             .map(|op| match op {
@@ -170,7 +177,7 @@ impl DisaggregatedStore {
     /// Remote range scan: one round-trip running the engine's batched
     /// scan server-side (payload cost charged on the result size). A
     /// prefix scan is the range `[prefix, prefix_successor(prefix))`.
-    pub fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
+    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
         self.stats.calls.fetch_add(1, Ordering::Relaxed);
         let rows = self.db.scan(start, end, limit)?;
         let payload: usize = rows.iter().map(|(k, v)| k.len() + v.len()).sum();
@@ -179,41 +186,6 @@ impl DisaggregatedStore {
             .batched_ops
             .fetch_add(rows.len() as u64, Ordering::Relaxed);
         Ok(rows)
-    }
-
-    /// The wrapped engine (test access).
-    pub fn db(&self) -> &Arc<LsmDb> {
-        &self.db
-    }
-}
-
-impl KvEngine for DisaggregatedStore {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        DisaggregatedStore::get(self, key)
-    }
-
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        DisaggregatedStore::put(self, key, value)
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        DisaggregatedStore::delete(self, key)
-    }
-
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        DisaggregatedStore::batch_get(self, keys)
-    }
-
-    fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        DisaggregatedStore::batch_put(self, pairs)
-    }
-
-    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        DisaggregatedStore::apply_batch(self, ops)
-    }
-
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        DisaggregatedStore::scan(self, start, end, limit)
     }
 
     fn batch_read_stats(&self) -> BatchReadStats {
@@ -260,12 +232,12 @@ mod tests {
         let items: Vec<(Key, Value)> = (0..50)
             .map(|i| (Key::from(format!("k{i}")), Value::from(format!("v{i}"))))
             .collect();
-        s.batch_put(items).unwrap();
+        s.multi_put(items).unwrap();
         assert_eq!(s.stats.calls.load(Ordering::Relaxed), 1);
         assert_eq!(s.stats.batched_ops.load(Ordering::Relaxed), 50);
 
         let keys: Vec<Key> = (0..50).map(|i| Key::from(format!("k{i}"))).collect();
-        let got = s.batch_get(&keys).unwrap();
+        let got = s.multi_get(&keys).unwrap();
         assert_eq!(s.stats.calls.load(Ordering::Relaxed), 2);
         assert!(got.iter().all(|v| v.is_some()));
     }
@@ -309,7 +281,7 @@ mod tests {
         let individual = t0.elapsed();
 
         let t1 = Instant::now();
-        s2.batch_put(items).unwrap();
+        s2.multi_put(items).unwrap();
         let batched = t1.elapsed();
 
         assert!(
