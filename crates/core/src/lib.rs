@@ -34,6 +34,7 @@ pub mod config;
 pub mod insight;
 pub mod interval;
 pub mod store;
+mod store_batch;
 mod store_read;
 mod store_stats;
 mod store_sync;

@@ -2,10 +2,11 @@
 //! policies + persistence + compression + elastic threading.
 //!
 //! This file holds the store's state, its public API and the value
-//! envelope. The read path is in `store_read.rs`, the write path and
-//! the persistence log in `store_write.rs`, storage-tier
-//! synchronization (`sync`, the write-back flush) in `store_sync.rs`,
-//! and the counters in `store_stats.rs`.
+//! envelope. Gets and puts, point or batched, take the one data path in
+//! `store_batch.rs`. TTL reads and scans are in `store_read.rs`; deletes,
+//! CAS and the persistence log in `store_write.rs`; storage-tier
+//! synchronization (`sync`, the write-back flush) in `store_sync.rs`;
+//! the counters in `store_stats.rs`.
 
 use crate::config::{CompressionChoice, PersistenceMode, SyncPolicy, TierBaseConfig};
 use crate::interval::AccessIntervalTracker;
@@ -16,7 +17,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use tb_cache::{CacheConfig, ReplicatedCache};
 use tb_common::{
-    deadline_after, read_varint, write_varint, Error, Key, KvEngine, Result, TtlState, Value,
+    deadline_after, read_varint, write_varint, EngineOp, Error, Key, KvEngine, OpOutcome, Result,
+    TtlState, Value,
 };
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
 use tb_elastic::ElasticGate;
@@ -81,7 +83,7 @@ pub(crate) struct Inner {
     compression: Mutex<Option<Compression>>,
     train_samples: Mutex<Vec<Vec<u8>>>,
     pub(crate) ops_since_flush: AtomicU64,
-    cas_lock: Mutex<()>,
+    pub(crate) cas_lock: Mutex<()>,
     /// Fail the next N storage writes (failure-injection hook).
     pub(crate) inject_storage_failures: AtomicU64,
     /// §6.5.3 statistic: sampled mean key re-access interval, compared
@@ -291,7 +293,7 @@ impl TierBase {
     pub fn put_with_ttl(&self, key: Key, value: Value, ttl: Duration) -> Result<()> {
         self.dispatch(move |inner| {
             let deadline = deadline_after(inner.config.clock.now_nanos(), ttl);
-            inner.do_put_with_expiry(key, value, Some(deadline))
+            inner.put(key, value, Some(deadline))
         })
     }
 
@@ -383,21 +385,39 @@ impl TierBase {
     fn dispatch<T: Send + 'static>(&self, f: impl FnOnce(&Inner) -> T + Send + 'static) -> T {
         self.gate.run(|| f(&self.inner))
     }
+
+    /// A write-like op as a batch of one.
+    fn one(&self, op: EngineOp) -> Result<()> {
+        let mut out = self.apply_batch(vec![op]);
+        out.pop().expect("one outcome per op").map(|_| ())
+    }
 }
 
 impl KvEngine for TierBase {
     fn get(&self, key: &Key) -> Result<Option<Value>> {
         let key = key.clone();
-        self.dispatch(move |inner| inner.do_get(&key))
+        self.dispatch(move |inner| inner.get(key))
     }
 
     fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.dispatch(move |inner| inner.do_put(key, value))
+        self.dispatch(move |inner| inner.put(key, value, None))
     }
 
     fn delete(&self, key: &Key) -> Result<()> {
-        let key = key.clone();
-        self.dispatch(move |inner| inner.do_delete(&key))
+        self.one(EngineOp::Delete(key.clone()))
+    }
+
+    fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
+        let expected = expected.cloned();
+        self.one(EngineOp::Cas { key, expected, new })
+    }
+
+    /// The one data path (`store_batch.rs`): a single gate permit, one
+    /// storage round trip for the batch's misses and write-through
+    /// writes. `multi_get`, `multi_put` and `scan` reach it through the
+    /// trait defaults.
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        self.dispatch(move |inner| inner.apply_batch(ops))
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -435,37 +455,6 @@ impl KvEngine for TierBase {
     fn sync(&self) -> Result<()> {
         let inner = self.inner.clone();
         self.dispatch(move |_| inner.do_sync())
-    }
-
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        let keys = keys.to_vec();
-        self.dispatch(move |inner| inner.do_multi_get(&keys))
-    }
-
-    fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        self.dispatch(move |inner| inner.do_multi_put(pairs))
-    }
-
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        TierBase::scan_range(self, start, end, limit)
-    }
-
-    fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        let expected = expected.cloned();
-        self.dispatch(move |inner| {
-            let _guard = inner.cas_lock.lock();
-            let current = inner.do_get(&key)?;
-            let matches = match (&current, &expected) {
-                (Some(c), Some(e)) => c == e,
-                (None, None) => true,
-                _ => false,
-            };
-            if matches {
-                inner.do_put(key, new)
-            } else {
-                Err(Error::CasMismatch)
-            }
-        })
     }
 }
 
@@ -569,6 +558,12 @@ mod tests {
         Key::from(format!("key-{i:05}"))
     }
 
+    /// Round trips the store has made to its storage tier.
+    fn storage_calls(tb: &TierBase) -> u64 {
+        let storage = tb.inner.storage.as_ref().expect("a tiered store");
+        storage.stats.calls.load(Ordering::Relaxed)
+    }
+
     fn v(i: usize) -> Value {
         Value::from(format!("value-{i}-{}", "d".repeat(i % 90)))
     }
@@ -658,14 +653,7 @@ mod tests {
         assert_eq!(flushed, 100);
         assert_eq!(tb.dirty_bytes(), 0);
         // Storage saw batched calls, far fewer than 100.
-        let calls = tb
-            .inner
-            .storage
-            .as_ref()
-            .unwrap()
-            .stats
-            .calls
-            .load(Ordering::Relaxed);
+        let calls = storage_calls(&tb);
         assert!(calls <= 3, "expected batched flush, got {calls} calls");
     }
 
@@ -1291,27 +1279,13 @@ mod tests {
                 .build(),
         )
         .unwrap();
-        let calls_before = tb
-            .inner
-            .storage
-            .as_ref()
-            .unwrap()
-            .stats
-            .calls
-            .load(Ordering::Relaxed);
+        let calls_before = storage_calls(&tb);
         let keys: Vec<Key> = (0..100).map(k).collect();
         let got = tb.multi_get(&keys).unwrap();
         for (i, val) in got.iter().enumerate() {
             assert_eq!(val.as_ref(), Some(&v(i)), "key {i}");
         }
-        let calls_after = tb
-            .inner
-            .storage
-            .as_ref()
-            .unwrap()
-            .stats
-            .calls
-            .load(Ordering::Relaxed);
+        let calls_after = storage_calls(&tb);
         assert_eq!(
             calls_after - calls_before,
             1,
@@ -1320,16 +1294,7 @@ mod tests {
         // Second multi_get is all cache hits: zero further calls.
         let got = tb.multi_get(&keys).unwrap();
         assert!(got.iter().all(|v| v.is_some()));
-        assert_eq!(
-            tb.inner
-                .storage
-                .as_ref()
-                .unwrap()
-                .stats
-                .calls
-                .load(Ordering::Relaxed),
-            calls_after
-        );
+        assert_eq!(storage_calls(&tb), calls_after);
     }
 
     #[test]
@@ -1363,23 +1328,9 @@ mod tests {
         )
         .unwrap();
         let pairs: Vec<(Key, Value)> = (0..100).map(|i| (k(i), v(i))).collect();
-        let calls_before = tb
-            .inner
-            .storage
-            .as_ref()
-            .unwrap()
-            .stats
-            .calls
-            .load(Ordering::Relaxed);
+        let calls_before = storage_calls(&tb);
         tb.multi_put(pairs).unwrap();
-        let calls_after = tb
-            .inner
-            .storage
-            .as_ref()
-            .unwrap()
-            .stats
-            .calls
-            .load(Ordering::Relaxed);
+        let calls_after = storage_calls(&tb);
         assert_eq!(calls_after - calls_before, 1, "one batched storage write");
         for i in 0..100 {
             assert_eq!(tb.get(&k(i)).unwrap(), Some(v(i)));
@@ -1679,5 +1630,187 @@ mod tests {
             Some(Value::from("new")),
             "the acknowledged write never reached storage"
         );
+    }
+
+    /// Applies a batch the way the trait's default `apply_batch` does:
+    /// one point call per op.
+    struct PerOp<'a>(&'a TierBase);
+
+    impl KvEngine for PerOp<'_> {
+        fn get(&self, key: &Key) -> Result<Option<Value>> {
+            self.0.get(key)
+        }
+        fn put(&self, key: Key, value: Value) -> Result<()> {
+            self.0.put(key, value)
+        }
+        fn delete(&self, key: &Key) -> Result<()> {
+            self.0.delete(key)
+        }
+        fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
+            self.0.cas(key, expected, new)
+        }
+        fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
+            self.0.scan(start, end, limit)
+        }
+        fn resident_bytes(&self) -> u64 {
+            self.0.resident_bytes()
+        }
+        fn label(&self) -> String {
+            "per-op".into()
+        }
+    }
+
+    fn open_policy(name: &str, policy: SyncPolicy) -> TierBase {
+        TierBase::open(
+            TierBaseConfig::builder(tmpdir(name))
+                .policy(policy)
+                .write_back(WriteBackTuning {
+                    max_dirty_bytes: u64::MAX,
+                    flush_every_ops: u64::MAX,
+                    batch_size: 64,
+                })
+                .build(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn write_through_batch_is_one_storage_call_and_matches_per_op() {
+        // Keys 0..8 are written; 0..4 then leave the cache (cold).
+        let setup = |name: &str| {
+            let tb = open_policy(name, SyncPolicy::WriteThrough);
+            tb.multi_put((0..8).map(|i| (k(i), v(i))).collect())
+                .unwrap();
+            for i in 0..4 {
+                tb.inner.cache.remove(&k(i));
+            }
+            tb
+        };
+        let ops = vec![
+            EngineOp::Get(k(0)),
+            EngineOp::Get(k(4)),
+            EngineOp::Put(k(20), v(20)),
+            EngineOp::Get(k(1)),
+            EngineOp::Get(k(5)),
+            EngineOp::Put(k(6), v(60)),
+            EngineOp::Get(k(6)),
+            EngineOp::MultiGet(vec![k(2), k(7)]),
+            EngineOp::Put(k(21), v(21)),
+            EngineOp::Get(k(4)),
+            EngineOp::MultiPut(vec![(k(22), v(22))]),
+            EngineOp::Get(k(3)),
+            EngineOp::Get(k(20)),
+            EngineOp::Get(k(5)),
+            EngineOp::MultiGet(vec![k(7), k(21)]),
+            EngineOp::Get(k(22)),
+        ];
+        assert_eq!(ops.len(), 16);
+
+        let batched = setup("wtbatch");
+        let before = storage_calls(&batched);
+        let got = batched.apply_batch(ops.clone());
+        assert_eq!(
+            storage_calls(&batched) - before,
+            1,
+            "4 cold misses, 4 puts and the gets behind them share one round trip"
+        );
+        let per_op = setup("wtbatch-perop");
+        assert_eq!(got, PerOp(&per_op).apply_batch(ops));
+        assert_eq!(
+            got[6],
+            Ok(OpOutcome::Value(Some(v(60)))),
+            "get behind its put"
+        );
+        // The staged writes reached the cache clean once storage had them.
+        for key in [k(6), k(20), k(21), k(22)] {
+            assert!(
+                !batched
+                    .inner
+                    .cache
+                    .primary()
+                    .peek_entry(&key)
+                    .unwrap()
+                    .dirty
+            );
+        }
+    }
+
+    #[test]
+    fn write_back_miss_then_put_in_one_batch_keeps_the_put() {
+        let tb = open_policy("wbmissput", SyncPolicy::WriteBack);
+        tb.put(k(1), v(1)).unwrap();
+        tb.flush_dirty().unwrap();
+        tb.inner.cache.remove(&k(1));
+        let got = tb.apply_batch(vec![EngineOp::Get(k(1)), EngineOp::Put(k(1), v(2))]);
+        assert_eq!(got[0], Ok(OpOutcome::Value(Some(v(1)))));
+        assert!(matches!(got[1], Ok(OpOutcome::Done(_))));
+        // The miss completed after the put: its fill must not replace it.
+        let entry = tb.inner.cache.primary().peek_entry(&k(1)).unwrap();
+        assert!(entry.dirty);
+        assert_eq!(tb.get(&k(1)).unwrap(), Some(v(2)));
+        assert_eq!(tb.flush_dirty().unwrap(), 1);
+        tb.inner.cache.remove(&k(1));
+        assert_eq!(tb.get(&k(1)).unwrap(), Some(v(2)), "storage holds v2");
+    }
+
+    #[test]
+    fn write_back_flush_waits_for_staged_fetches() {
+        // Every put flushes. A fetch staged before the put must read
+        // what storage held then, not the put the flush wrote down.
+        let tb = TierBase::open(
+            TierBaseConfig::builder(tmpdir("wbflushbarrier"))
+                .policy(SyncPolicy::WriteBack)
+                .write_back(WriteBackTuning {
+                    max_dirty_bytes: u64::MAX,
+                    flush_every_ops: 1,
+                    batch_size: 64,
+                })
+                .build(),
+        )
+        .unwrap();
+        tb.put(k(1), v(1)).unwrap();
+        tb.inner.cache.remove(&k(1));
+        let got = tb.apply_batch(vec![EngineOp::Get(k(1)), EngineOp::Put(k(1), v(2))]);
+        assert_eq!(got[0], Ok(OpOutcome::Value(Some(v(1)))));
+        assert_eq!(tb.get(&k(1)).unwrap(), Some(v(2)));
+    }
+
+    #[test]
+    fn failed_write_through_put_is_never_read_back() {
+        let tb = open_policy("wtrefused", SyncPolicy::WriteThrough);
+        tb.put(k(1), v(1)).unwrap();
+        tb.inject_storage_write_failures(1);
+        let got = tb.apply_batch(vec![EngineOp::Put(k(1), v(2)), EngineOp::Get(k(1))]);
+        assert!(
+            matches!(got[0], Err(Error::StorageWriteFailed(_))),
+            "{:?}",
+            got[0]
+        );
+        assert_eq!(got[1], Ok(OpOutcome::Value(Some(v(1)))), "the old value");
+        // No trace of v2: the cache holds storage's v1, clean.
+        let entry = tb.inner.cache.primary().peek_entry(&k(1)).unwrap();
+        assert!(!entry.dirty);
+        assert_eq!(tb.inner.decode_value(&entry.value).unwrap(), v(1));
+        assert_eq!(tb.get(&k(1)).unwrap(), Some(v(1)));
+    }
+
+    #[test]
+    fn delete_is_a_barrier_between_gets() {
+        let tb = open_policy("delbarrier", SyncPolicy::WriteThrough);
+        tb.put(k(1), v(1)).unwrap();
+        tb.inner.cache.remove(&k(1));
+        let before = storage_calls(&tb);
+        let got = tb.apply_batch(vec![
+            EngineOp::Get(k(1)),
+            EngineOp::Delete(k(1)),
+            EngineOp::Get(k(1)),
+        ]);
+        assert_eq!(got[0], Ok(OpOutcome::Value(Some(v(1)))));
+        assert!(matches!(got[1], Ok(OpOutcome::Done(_))));
+        assert_eq!(got[2], Ok(OpOutcome::Value(None)));
+        // The first get's fetch went down before the delete, the delete
+        // alone, and the second get's fetch after it.
+        assert_eq!(storage_calls(&tb) - before, 3);
+        assert_eq!(tb.get(&k(1)).unwrap(), None);
     }
 }

@@ -1,5 +1,5 @@
-//! The tiered store's read path: cache lookups, storage-tier fetches on
-//! a miss, TTL reclamation, and scans merged across both tiers.
+//! The tiered store's reads outside the batch pass: TTL lookups and
+//! reclamation, and scans merged across both tiers.
 
 use crate::store::{envelope_expiry, parse_envelope, Inner};
 use std::sync::atomic::Ordering;
@@ -7,47 +7,6 @@ use tb_cache::Lookup;
 use tb_common::{is_expired, prefix_successor, Key, KvEngine, Result, TtlState, Value};
 
 impl Inner {
-    pub(crate) fn do_get(&self, key: &Key) -> Result<Option<Value>> {
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        self.intervals.record(key);
-        match self.cache.primary().lookup(key) {
-            Lookup::Live(stored) => {
-                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(self.decode_value(&stored)?))
-            }
-            Lookup::Expired => {
-                // The freshest version of the key has expired; the
-                // storage copy is stale by definition, so remove both
-                // and report the key gone.
-                self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                self.reclaim_expired(key)?;
-                Ok(None)
-            }
-            Lookup::Absent => {
-                self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let Some(storage) = &self.storage else {
-                    return Ok(None);
-                };
-                self.stats.storage_fetches.fetch_add(1, Ordering::Relaxed);
-                match storage.get(key)? {
-                    Some(stored) => {
-                        let (value, expires_at) = self.decode_envelope(&stored)?;
-                        if is_expired(expires_at, self.config.clock.now_nanos()) {
-                            self.reclaim_expired(key)?;
-                            return Ok(None);
-                        }
-                        // Populate the cache (clean — storage already
-                        // has it), carrying the expiry deadline, unless a
-                        // write landed during the fetch.
-                        let _ = self.cache.fill(key.clone(), stored, expires_at);
-                        Ok(Some(value))
-                    }
-                    None => Ok(None),
-                }
-            }
-        }
-    }
-
     /// Lazy TTL reclamation: drops the key from both tiers and the
     /// persistence log.
     pub(crate) fn reclaim_expired(&self, key: &Key) -> Result<()> {
@@ -89,57 +48,6 @@ impl Inner {
                 }
             }
         }
-    }
-
-    /// Batched read with deferred cache-fetching (§4.1.2): cache hits
-    /// answer immediately; all misses are accumulated into a single
-    /// storage-tier `batch_get`, paying one round-trip instead of one
-    /// per missing key.
-    pub(crate) fn do_multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        self.stats
-            .gets
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let mut out: Vec<Option<Value>> = vec![None; keys.len()];
-        let mut missing: Vec<(usize, Key)> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match self.cache.primary().lookup(key) {
-                Lookup::Live(stored) => {
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    out[i] = Some(self.decode_value(&stored)?);
-                }
-                Lookup::Expired => {
-                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    self.reclaim_expired(key)?;
-                }
-                Lookup::Absent => {
-                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    missing.push((i, key.clone()));
-                }
-            }
-        }
-        let Some(storage) = &self.storage else {
-            return Ok(out);
-        };
-        if missing.is_empty() {
-            return Ok(out);
-        }
-        self.stats
-            .storage_fetches
-            .fetch_add(missing.len() as u64, Ordering::Relaxed);
-        let fetch_keys: Vec<Key> = missing.iter().map(|(_, k)| k.clone()).collect();
-        let fetched = storage.multi_get(&fetch_keys)?;
-        let now = self.config.clock.now_nanos();
-        for ((i, key), stored) in missing.into_iter().zip(fetched) {
-            let Some(stored) = stored else { continue };
-            let (value, expires_at) = self.decode_envelope(&stored)?;
-            if is_expired(expires_at, now) {
-                self.reclaim_expired(&key)?;
-                continue;
-            }
-            let _ = self.cache.fill(key, stored, expires_at);
-            out[i] = Some(value);
-        }
-        Ok(out)
     }
 
     /// A prefix scan is the range scan `[prefix, prefix_successor)`.

@@ -19,17 +19,6 @@ impl Inner {
         Ok(())
     }
 
-    pub(crate) fn storage_put(&self, key: Key, stored: Value) -> Result<()> {
-        let storage = self
-            .storage
-            .as_ref()
-            .ok_or_else(|| Error::Internal("no storage tier".into()))?;
-        if self.take_injected_failure() {
-            return Err(Error::FaultInjected("storage write failed".into()));
-        }
-        storage.put(key, stored)
-    }
-
     pub(crate) fn take_injected_failure(&self) -> bool {
         loop {
             let n = self.inject_storage_failures.load(Ordering::SeqCst);

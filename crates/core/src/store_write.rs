@@ -1,7 +1,7 @@
-//! The tiered store's write path and the cache tier's persistence log
-//! (disk WAL or PMem ring, §4.3).
+//! The tiered store's writes outside the batch pass (deletes, CAS,
+//! TTL rewrites) and the cache tier's persistence log (disk WAL or PMem
+//! ring, §4.3).
 
-use crate::config::SyncPolicy;
 use crate::store::{envelope_expiry, Inner};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -12,126 +12,21 @@ impl Inner {
     /// Rewrites a live key with a new expiry deadline (`EXPIRE` /
     /// `PERSIST`). Returns `false` when the key does not exist.
     pub(crate) fn do_set_ttl(&self, key: &Key, ttl: Option<Duration>) -> Result<bool> {
-        let Some(value) = self.do_get(key)? else {
+        let Some(value) = self.get(key.clone())? else {
             return Ok(false);
         };
         let deadline = ttl.map(|t| deadline_after(self.config.clock.now_nanos(), t));
-        self.do_put_with_expiry(key.clone(), value, deadline)?;
+        self.put(key.clone(), value, deadline)?;
         Ok(true)
     }
 
-    /// Batched write. Under write-through the whole batch becomes one
-    /// storage round-trip (then populates the cache); the other
-    /// policies take the ordinary per-key path, which write-back
-    /// already batches at flush time.
-    pub(crate) fn do_multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        if self.config.policy != SyncPolicy::WriteThrough {
-            for (k, v) in pairs {
-                self.do_put(k, v)?;
-            }
-            return Ok(());
-        }
-        self.stats
-            .puts
-            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
-        let encoded: Vec<(Key, Value)> = pairs
-            .into_iter()
-            .map(|(k, v)| (k, self.encode_value(&v, None)))
-            .collect();
-        let storage = self
-            .storage
-            .as_ref()
-            .ok_or_else(|| Error::Internal("no storage tier".into()))?;
-        if self.take_injected_failure() {
-            // Mirror the single-key write-through contract: invalidate
-            // every key in the failed batch so reads refetch from
-            // storage.
-            for (k, _) in &encoded {
-                self.cache.remove(k);
-            }
-            self.stats
-                .write_through_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(Error::StorageWriteFailed("injected batch failure".into()));
-        }
-        match storage.multi_put(encoded.clone()) {
-            Ok(()) => {
-                for (k, stored) in encoded {
-                    self.cache.insert(k, stored, false)?;
-                }
-                Ok(())
-            }
-            Err(e) => {
-                for (k, _) in &encoded {
-                    self.cache.remove(k);
-                }
-                self.stats
-                    .write_through_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(Error::StorageWriteFailed(e.to_string()))
-            }
-        }
-    }
-
-    pub(crate) fn do_put(&self, key: Key, value: Value) -> Result<()> {
-        self.do_put_with_expiry(key, value, None)
-    }
-
-    pub(crate) fn do_put_with_expiry(
-        &self,
-        key: Key,
-        value: Value,
-        expires_at: Option<u64>,
-    ) -> Result<()> {
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-        self.intervals.record(&key);
-        let stored = self.encode_value(&value, expires_at);
-        match self.config.policy {
-            SyncPolicy::InMemory => {
-                self.log_persistence(&key, Some(&stored))?;
-                self.cache.insert_full(key, stored, false, expires_at)?;
-                Ok(())
-            }
-            SyncPolicy::WriteThrough => {
-                // Synchronous storage write first; only then the cache.
-                match self.storage_put(key.clone(), stored.clone()) {
-                    Ok(()) => {
-                        self.cache.insert_full(key, stored, false, expires_at)?;
-                        Ok(())
-                    }
-                    Err(e) => {
-                        // Invalidate so reads refetch the authoritative
-                        // value from storage (§4.1.1).
-                        self.cache.remove(&key);
-                        self.stats
-                            .write_through_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                        Err(Error::StorageWriteFailed(e.to_string()))
-                    }
-                }
-            }
-            SyncPolicy::WriteBack => {
-                match self
-                    .cache
-                    .insert_full(key.clone(), stored.clone(), true, expires_at)
-                {
-                    Ok(()) => {}
-                    Err(Error::Backpressure { .. }) => {
-                        // Reclaim by flushing dirty data, then retry once.
-                        self.flush_dirty()?;
-                        self.cache.insert_full(key, stored, true, expires_at)?;
-                    }
-                    Err(e) => return Err(e),
-                }
-                let ops = self.ops_since_flush.fetch_add(1, Ordering::Relaxed) + 1;
-                let wb = &self.config.write_back;
-                if ops >= wb.flush_every_ops
-                    || self.cache.primary().dirty_bytes() > wb.max_dirty_bytes
-                {
-                    self.flush_dirty()?;
-                }
-                Ok(())
-            }
+    /// Compare-and-set: a get and a put, atomic against other CAS calls.
+    pub(crate) fn do_cas(&self, key: Key, expected: Option<Value>, new: Value) -> Result<()> {
+        let _guard = self.cas_lock.lock();
+        if self.get(key.clone())? == expected {
+            self.put(key, new, None)
+        } else {
+            Err(Error::CasMismatch)
         }
     }
 
