@@ -1,31 +1,27 @@
 //! Ablations of the design choices DESIGN.md calls out.
 //!
-//! 1. Write coalescing — storage RPCs with and without same-key merge.
-//! 2. Write-back flush batch size — RPC amortization.
-//! 3. Bloom filters — LSM point-read cost for absent keys.
-//! 4. DRAM/PMem split threshold — space cost vs latency.
-//! 5. SHARDS sampling rate — MRC build cost vs accuracy vs the CR* it
+//! 1. Write-back flush batch size — RPC amortization.
+//! 2. Bloom filters — LSM point-read cost for absent keys.
+//! 3. DRAM/PMem split threshold — space cost vs latency.
+//! 4. SHARDS sampling rate — MRC build cost vs accuracy vs the CR* it
 //!    feeds into Theorem 5.1.
-//! 6. Replication protocol — sync / quorum / async write cost.
-//! 7. Deferred cache-fetching — per-key gets vs one batched fetch over
+//! 5. Replication protocol — sync / quorum / async write cost.
+//! 6. Deferred cache-fetching — per-key gets vs one batched fetch over
 //!    a simulated network (§4.1.2).
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 use tb_bench::{bench_dir, print_table, scale};
-use tb_cache::{CacheConfig, ReplicatedCache, ReplicationMode, WriteCoalescer};
+use tb_cache::{CacheConfig, ReplicatedCache, ReplicationMode};
 use tb_common::{Key, KvEngine, Value};
 use tb_costmodel::{
     lru_miss_ratio_curve, shards_miss_ratio_curve, MissRatioCurve, ShardsConfig, TieredCostModel,
     TieredCostParams,
 };
-use tb_lsm::{sstable::SstConfig, DisaggregatedStore, LsmConfig, LsmDb, NetworkModel};
-use tb_workload::{DatasetKind, KeyChooser, Op, ScrambledZipfian, Trace};
+use tb_lsm::{sstable::SstConfig, LsmConfig, LsmDb};
+use tb_workload::{KeyChooser, Op, ScrambledZipfian, Trace};
 use tierbase_core::{PmemTuning, SyncPolicy, TierBase, TierBaseConfig, WriteBackTuning};
 
 fn main() {
-    ablation_coalescing();
     ablation_writeback_batch();
     ablation_bloom();
     ablation_pmem_split();
@@ -34,88 +30,7 @@ fn main() {
     ablation_deferred_fetch();
 }
 
-/// 1. Write coalescing: a hot-key-heavy update stream flushed to the
-///    storage tier with and without coalescing.
-fn ablation_coalescing() {
-    let n = 20_000 * scale();
-    let dataset = DatasetKind::Kv1.build(3);
-    // 90% of updates hit 100 hot keys — coalescing's natural prey.
-    let updates: Vec<(Key, Value)> = (0..n)
-        .map(|i| {
-            let key = if i % 10 != 0 {
-                Key::from(format!("hot{}", i % 100))
-            } else {
-                Key::from(format!("cold{i}"))
-            };
-            (key, Value::from(dataset.record(i as u64)))
-        })
-        .collect();
-
-    let store = |name: &str| {
-        let db = Arc::new(LsmDb::open(LsmConfig::new(bench_dir(name))).unwrap());
-        DisaggregatedStore::new(
-            db,
-            NetworkModel {
-                rtt_us: 100,
-                per_kib_us: 0,
-            },
-        )
-    };
-
-    // Without coalescing: every update is a storage write.
-    let s1 = store("abl-coal-off");
-    let t0 = Instant::now();
-    for (k, v) in updates.clone() {
-        s1.put(k, v).unwrap();
-    }
-    let without = t0.elapsed();
-    let calls_without = s1.stats.calls.load(Ordering::Relaxed);
-
-    // With coalescing: merge within event-loop turns of 1024 updates
-    // (the hot-key working set re-hits within a turn at this window).
-    let s2 = store("abl-coal-on");
-    let coalescer = WriteCoalescer::new();
-    let t1 = Instant::now();
-    for (i, (k, v)) in updates.into_iter().enumerate() {
-        coalescer.offer_put(k, v);
-        if (i + 1) % 1024 == 0 {
-            for (k, w) in coalescer.drain(usize::MAX) {
-                match w {
-                    tb_cache::coalesce::PendingWrite::Put(v) => s2.put(k, v).unwrap(),
-                    tb_cache::coalesce::PendingWrite::Delete => s2.delete(&k).unwrap(),
-                }
-            }
-        }
-    }
-    for (k, w) in coalescer.drain(usize::MAX) {
-        if let tb_cache::coalesce::PendingWrite::Put(v) = w {
-            s2.put(k, v).unwrap();
-        }
-    }
-    let with = t1.elapsed();
-    let calls_with = s2.stats.calls.load(Ordering::Relaxed);
-
-    print_table(
-        "Ablation 1: write coalescing (write-through group commit)",
-        &["variant", "storage RPCs", "wall ms", "coalesce rate"],
-        &[
-            vec![
-                "no-coalescing".into(),
-                calls_without.to_string(),
-                format!("{:.0}", without.as_millis()),
-                "-".into(),
-            ],
-            vec![
-                "coalescing(1024)".into(),
-                calls_with.to_string(),
-                format!("{:.0}", with.as_millis()),
-                format!("{:.2}", coalescer.coalesce_rate()),
-            ],
-        ],
-    );
-}
-
-/// 2. Write-back batch size: same dirty set, different flush batches.
+/// 1. Write-back batch size: same dirty set, different flush batches.
 fn ablation_writeback_batch() {
     let mut rows = Vec::new();
     for batch in [1usize, 16, 256] {
@@ -148,13 +63,13 @@ fn ablation_writeback_batch() {
         ]);
     }
     print_table(
-        "Ablation 2: write-back flush batch size (200us RTT)",
+        "Ablation 1: write-back flush batch size (200us RTT)",
         &["variant", "entries", "flush ms", "entries/s"],
         &rows,
     );
 }
 
-/// 3. Bloom filters: random absent-key reads against a multi-table LSM.
+/// 2. Bloom filters: random absent-key reads against a multi-table LSM.
 fn ablation_bloom() {
     let mut rows = Vec::new();
     for (label, bits) in [("bloom(10b/key)", 10usize), ("no-bloom", 0)] {
@@ -197,13 +112,13 @@ fn ablation_bloom() {
         ]);
     }
     print_table(
-        "Ablation 3: bloom filters on absent-key reads",
+        "Ablation 2: bloom filters on absent-key reads",
         &["variant", "sstables", "kQPS (absent gets)"],
         &rows,
     );
 }
 
-/// 4. DRAM/PMem split threshold: space cost of the same data set.
+/// 3. DRAM/PMem split threshold: space cost of the same data set.
 fn ablation_pmem_split() {
     let mut rows = Vec::new();
     for (label, threshold) in [
@@ -236,13 +151,13 @@ fn ablation_pmem_split() {
         ]);
     }
     print_table(
-        "Ablation 4: DRAM/PMem value placement (cost-equivalent bytes)",
+        "Ablation 3: DRAM/PMem value placement (cost-equivalent bytes)",
         &["variant", "SC bytes (DRAM-equiv)", "kQPS (puts)"],
         &rows,
     );
 }
 
-/// 5. SHARDS sampling rate: MRC construction cost vs accuracy, and the
+/// 4. SHARDS sampling rate: MRC construction cost vs accuracy, and the
 ///    CR* each curve feeds into Theorem 5.1.
 fn ablation_shards_sampling() {
     // A zipfian read trace large enough that sampling matters.
@@ -305,13 +220,13 @@ fn ablation_shards_sampling() {
         ]);
     }
     print_table(
-        "Ablation 5: SHARDS sampling rate (MRC accuracy vs cost)",
+        "Ablation 4: SHARDS sampling rate (MRC accuracy vs cost)",
         &["variant", "build ms", "MAE vs exact", "CR* (Thm 5.1)"],
         &rows,
     );
 }
 
-/// 6. Replication protocol: write cost and failover exposure of sync /
+/// 5. Replication protocol: write cost and failover exposure of sync /
 ///    quorum / async replication with 2 replicas.
 fn ablation_replication_mode() {
     let n = 20_000 * scale();
@@ -347,13 +262,13 @@ fn ablation_replication_mode() {
         ]);
     }
     print_table(
-        "Ablation 6: replication protocol (2 replicas)",
+        "Ablation 5: replication protocol (2 replicas)",
         &["variant", "write kQPS", "lag at ack", "drain ms"],
         &rows,
     );
 }
 
-/// 7. Deferred cache-fetching (§4.1.2): reading 1000 cold keys with
+/// 6. Deferred cache-fetching (§4.1.2): reading 1000 cold keys with
 ///    per-key gets vs one batched multi_get over a 200us-RTT network.
 fn ablation_deferred_fetch() {
     let n_cold = 1_000 * scale();
@@ -398,7 +313,7 @@ fn ablation_deferred_fetch() {
     assert!(got.iter().all(|v| v.is_some()));
 
     print_table(
-        "Ablation 7: deferred cache-fetching (1000 cold keys, 200us RTT)",
+        "Ablation 6: deferred cache-fetching (1000 cold keys, 200us RTT)",
         &["variant", "wall ms", "kQPS"],
         &[
             vec![

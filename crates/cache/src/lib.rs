@@ -7,25 +7,23 @@
 //! * [`lru`] / [`cache`] — the sharded LRU store with DRAM/PMem value
 //!   placement and dirty-entry pinning (a dirty entry must never be
 //!   evicted before it reaches the storage tier).
-//! * [`coalesce`] — per-key write queues with write coalescing: multiple
-//!   in-flight writes to one key collapse into the final value (the
-//!   group-commit analog used by write-through, §4.1.1).
-//! * [`tempbuf`] — the temporary update buffer: updates stage per
-//!   connection and only reach the main cache when the storage write
-//!   succeeds (write-through failure atomicity).
+//! * [`ShardedCache::fill`] — the insert-if-absent a storage-tier fetch
+//!   fills the cache with, so an older fetched copy never replaces a
+//!   write that landed during the fetch.
 //! * [`replica`] — master→replica replication of cache contents and
 //!   dirty data (write-back reliability, §4.1.2).
+//!
+//! §4.1.1's write-through queue and temporary update buffer are not
+//! here: they are the writes a `TierBase` batch pass stages for its one
+//! storage round trip, which reach this cache only once storage has
+//! acknowledged them.
 
 pub mod cache;
-pub mod coalesce;
 pub mod lru;
 pub mod replica;
 pub mod snapshot;
-pub mod tempbuf;
 
 pub use cache::{CacheConfig, CacheStats, Lookup, ShardedCache};
-pub use coalesce::WriteCoalescer;
 pub use lru::{CacheEntry, LruShard};
 pub use replica::{ReplicatedCache, ReplicationMode};
 pub use snapshot::{load_snapshot, write_snapshot};
-pub use tempbuf::TempUpdateBuffer;
