@@ -375,6 +375,32 @@ fn tierbase_conforms() {
 }
 
 #[test]
+fn tierbase_write_through_conforms() {
+    // Misses, write-through writes and the gets behind them share one
+    // storage round trip per batch (TierBase's native apply_batch).
+    let dir = tmpdir("tierbase-wt");
+    let tb = TierBase::open(
+        TierBaseConfig::builder(dir.path())
+            .policy(SyncPolicy::WriteThrough)
+            .build(),
+    )
+    .unwrap();
+    conformance(&tb);
+}
+
+#[test]
+fn tierbase_write_back_conforms() {
+    let dir = tmpdir("tierbase-wb");
+    let tb = TierBase::open(
+        TierBaseConfig::builder(dir.path())
+            .policy(SyncPolicy::WriteBack)
+            .build(),
+    )
+    .unwrap();
+    conformance(&tb);
+}
+
+#[test]
 fn cluster_proxy_conforms() {
     let nodes = (0..3)
         .map(|i| NodeStore::new(NodeId(i), Arc::new(RedisLike::new())))

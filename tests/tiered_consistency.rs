@@ -1,10 +1,12 @@
 //! Cross-crate integration: the tiered store must behave exactly like a
 //! model map under randomized operation sequences, for every sync
-//! policy, including across flushes and reopen.
+//! policy, including across flushes and reopen — one op at a time, and
+//! cut into `apply_batch` submissions.
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use tierbase::prelude::*;
 
 fn tmpdir(name: &str) -> tierbase::common::TestDir {
@@ -183,5 +185,202 @@ fn compressed_store_matches_model() {
     }
     for (key, value) in &model {
         assert_eq!(store.get(key).unwrap().as_ref(), Some(value));
+    }
+}
+
+/// The schedules of [`random_ops`] as `apply_batch` submissions of 1–32
+/// ops. Kinds 0..=3 put, 4..=5 a `MultiPut` of this entry and the next
+/// three, 6..=7 delete, 8 get. Kind 9 is a `MultiGet` of this key and
+/// the next three when the value length is even; otherwise a `Cas`
+/// expecting the key's last scheduled value (length 1 mod 4) or the new
+/// value itself, which the key never holds before (3 mod 4).
+fn random_batches(seed: u64) -> Vec<Vec<EngineOp>> {
+    let schedule = random_ops(seed, 3000, 200);
+    let mut rng = StdRng::seed_from_u64(!seed);
+    let mut last: HashMap<Key, Value> = HashMap::new();
+    let (mut batches, mut batch) = (Vec::new(), Vec::new());
+    let mut size = rng.gen_range(1..=32usize);
+    let mut i = 0;
+    while i < schedule.len() {
+        let (kind, key, value) = schedule[i].clone();
+        let group = &schedule[i..(i + 4).min(schedule.len())];
+        let op = match kind {
+            0..=3 => EngineOp::Put(key, value),
+            4..=5 => EngineOp::MultiPut(
+                group
+                    .iter()
+                    .map(|(_, k, v)| (k.clone(), v.clone()))
+                    .collect(),
+            ),
+            6..=7 => EngineOp::Delete(key),
+            8 => EngineOp::Get(key),
+            _ => match value.len() % 4 {
+                1 => EngineOp::Cas {
+                    expected: last.get(&key).cloned(),
+                    key,
+                    new: value,
+                },
+                3 => EngineOp::Cas {
+                    key,
+                    expected: Some(value.clone()),
+                    new: value,
+                },
+                _ => EngineOp::MultiGet(group.iter().map(|(_, k, _)| k.clone()).collect()),
+            },
+        };
+        match &op {
+            EngineOp::Put(k, v) => {
+                last.insert(k.clone(), v.clone());
+            }
+            EngineOp::MultiPut(pairs) => last.extend(pairs.iter().cloned()),
+            EngineOp::Delete(k) => {
+                last.remove(k);
+            }
+            _ => {}
+        }
+        i += match &op {
+            EngineOp::MultiPut(pairs) => pairs.len(),
+            EngineOp::MultiGet(keys) => keys.len(),
+            _ => 1,
+        };
+        batch.push(op);
+        if batch.len() == size {
+            batches.push(std::mem::take(&mut batch));
+            size = rng.gen_range(1..=32);
+        }
+    }
+    if !batch.is_empty() {
+        batches.push(batch);
+    }
+    batches
+}
+
+/// Checks one completion against the model, then applies it. A write
+/// may answer `StorageWriteFailed` only when `may_fail`, and the model
+/// then keeps the old value. Returns whether the write failed.
+fn apply_to_model(
+    model: &mut BTreeMap<Key, Value>,
+    op: EngineOp,
+    got: Result<OpOutcome>,
+    may_fail: bool,
+) -> bool {
+    let failed = matches!(got, Err(Error::StorageWriteFailed(_)));
+    assert!(!failed || may_fail, "{got:?} with no failure injected");
+    let done = matches!(got, Ok(OpOutcome::Done(_)));
+    match op {
+        EngineOp::Get(key) => {
+            let want = Ok(OpOutcome::Value(model.get(&key).cloned()));
+            assert_eq!(got, want, "get {key:?}");
+        }
+        EngineOp::MultiGet(keys) => {
+            let want = keys.iter().map(|k| model.get(k).cloned()).collect();
+            assert_eq!(got, Ok(OpOutcome::Values(want)), "multi_get {keys:?}");
+        }
+        EngineOp::Delete(key) => {
+            assert!(done, "delete {key:?}: {got:?}");
+            model.remove(&key);
+        }
+        EngineOp::Cas { key, expected, new } => {
+            if model.get(&key) != expected.as_ref() {
+                assert_eq!(got, Err(Error::CasMismatch), "cas {key:?}");
+            } else if !failed {
+                assert!(done, "cas {key:?}: {got:?}");
+                model.insert(key, new);
+            }
+        }
+        _ if failed => {}
+        EngineOp::Put(key, value) => {
+            assert!(done, "put {key:?}: {got:?}");
+            model.insert(key, value);
+        }
+        EngineOp::MultiPut(pairs) => {
+            assert!(done, "multi_put: {got:?}");
+            model.extend(pairs);
+        }
+        EngineOp::Scan { .. } => unreachable!("schedules hold no scans"),
+    }
+    failed
+}
+
+/// [`check_against_model`] with the schedule cut into batches. Under
+/// write-through, about one batch in eight first arms one storage-write
+/// failure, which refuses the writes of the next storage call.
+fn check_batches_against_model(policy: SyncPolicy, cache_bytes: usize, seed: u64) {
+    let dir = tmpdir(&format!("batched-{policy:?}-{cache_bytes}-{seed:x}"));
+    let open = || {
+        TierBase::open(
+            TierBaseConfig::builder(dir.path())
+                .cache_capacity(cache_bytes)
+                .cache_shards(4)
+                .policy(policy)
+                .build(),
+        )
+        .unwrap()
+    };
+    let store = open();
+    let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
+    let mut model: BTreeMap<Key, Value> = BTreeMap::new();
+    let (mut injected, mut failed_batches) = (0, 0);
+    for ops in random_batches(seed) {
+        if policy == SyncPolicy::WriteThrough && rng.gen_range(0..8) == 0 {
+            store.inject_storage_write_failures(1);
+            injected += 1;
+        }
+        let got = store.apply_batch(ops.clone());
+        assert_eq!(got.len(), ops.len(), "one completion per op");
+        let mut failed = false;
+        for (op, got) in ops.into_iter().zip(got) {
+            failed |= apply_to_model(&mut model, op, got, injected > 0);
+        }
+        failed_batches += usize::from(failed);
+    }
+    // Each injection refuses one storage call, which one batch made.
+    assert!(failed_batches <= injected, "{failed_batches} > {injected}");
+    if policy == SyncPolicy::WriteThrough {
+        assert!(failed_batches > 0, "no injected failure landed");
+    }
+
+    let keys: Vec<Key> = (0..200).map(|i| Key::from(format!("key-{i:04}"))).collect();
+    let want: Vec<Option<Value>> = keys.iter().map(|k| model.get(k).cloned()).collect();
+    assert_eq!(
+        store.multi_get(&keys).unwrap(),
+        want,
+        "final state under {policy:?}"
+    );
+    store.sync().unwrap();
+    if policy != SyncPolicy::InMemory {
+        drop(store);
+        let reopened = open();
+        assert_eq!(
+            reopened.multi_get(&keys).unwrap(),
+            want,
+            "post-restart state under {policy:?}"
+        );
+    }
+}
+
+// 200 keys of at most ~200 B fit the 64 KiB cache, so it evicts
+// nothing: the tiered policies also run at 16 KiB, where misses, fills,
+// evictions and (under write-back) backpressure flushes happen mid-batch.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn write_through_batches_match_model(seed in any::<u64>()) {
+        for cache_bytes in [64 << 10, 16 << 10] {
+            check_batches_against_model(SyncPolicy::WriteThrough, cache_bytes, seed);
+        }
+    }
+
+    #[test]
+    fn write_back_batches_match_model(seed in any::<u64>()) {
+        for cache_bytes in [64 << 10, 16 << 10] {
+            check_batches_against_model(SyncPolicy::WriteBack, cache_bytes, seed);
+        }
+    }
+
+    #[test]
+    fn in_memory_batches_match_model(seed in any::<u64>()) {
+        check_batches_against_model(SyncPolicy::InMemory, 64 << 10, seed);
     }
 }
