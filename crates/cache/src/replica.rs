@@ -39,8 +39,8 @@ struct Replica {
     alive: AtomicBool,
 }
 
-/// A queued asynchronous replication record.
-#[derive(Clone)]
+/// One replicated cache write, applied to each copy in turn (and
+/// queued as is under `Async`).
 enum RepOp {
     Insert {
         key: Key,
@@ -48,6 +48,7 @@ enum RepOp {
         dirty: bool,
         expires_at: Option<u64>,
     },
+    /// [`ShardedCache::fill`]: insert-if-absent on every copy.
     Fill {
         key: Key,
         value: Value,
@@ -55,6 +56,41 @@ enum RepOp {
     },
     Remove(Key),
     MarkClean(Key, Value),
+}
+
+impl RepOp {
+    /// Applies the write to one copy. `Ok(false)` when a fill found the
+    /// key present and left the copy alone.
+    fn apply(&self, cache: &ShardedCache) -> Result<bool> {
+        match self {
+            RepOp::Insert {
+                key,
+                value,
+                dirty,
+                expires_at,
+            } => cache
+                .insert_full(key.clone(), value.clone(), *dirty, *expires_at)
+                .map(|_| true),
+            RepOp::Fill {
+                key,
+                value,
+                expires_at,
+            } => cache.fill(key.clone(), value.clone(), *expires_at),
+            RepOp::Remove(key) => {
+                cache.remove(key);
+                Ok(true)
+            }
+            RepOp::MarkClean(key, flushed) => {
+                cache.mark_clean(key, flushed);
+                Ok(true)
+            }
+        }
+    }
+
+    /// Whether the write stores an entry (what `replicated_writes` counts).
+    fn stores(&self) -> bool {
+        matches!(self, RepOp::Insert { .. } | RepOp::Fill { .. })
+    }
 }
 
 /// A replication group: one primary cache plus N replicas.
@@ -91,11 +127,6 @@ impl ReplicatedCache {
         }
     }
 
-    /// The group's replication protocol.
-    pub fn mode(&self) -> ReplicationMode {
-        self.mode
-    }
-
     /// Copies a majority needs, counting the primary (`Quorum` mode).
     fn quorum_size(&self) -> usize {
         self.replicas.len().div_ceil(2) + 1
@@ -114,36 +145,9 @@ impl ReplicatedCache {
             let Some(op) = self.pending.lock().pop_front() else {
                 break;
             };
-            for r in &self.replicas {
-                if !r.alive.load(Ordering::Relaxed) {
-                    continue;
-                }
-                match &op {
-                    RepOp::Insert {
-                        key,
-                        value,
-                        dirty,
-                        expires_at,
-                    } => {
-                        r.cache
-                            .insert_full(key.clone(), value.clone(), *dirty, *expires_at)?;
-                        self.replicated_writes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    RepOp::Fill {
-                        key,
-                        value,
-                        expires_at,
-                    } => {
-                        if r.cache.fill(key.clone(), value.clone(), *expires_at)? {
-                            self.replicated_writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    RepOp::Remove(key) => {
-                        r.cache.remove(key);
-                    }
-                    RepOp::MarkClean(key, flushed) => {
-                        r.cache.mark_clean(key, flushed);
-                    }
+            for r in self.live() {
+                if op.apply(&r.cache)? && op.stores() {
+                    self.replicated_writes.fetch_add(1, Ordering::Relaxed);
                 }
             }
             applied += 1;
@@ -156,12 +160,43 @@ impl ReplicatedCache {
         &self.primary
     }
 
-    /// Number of replicas still marked alive.
-    pub fn live_replicas(&self) -> usize {
+    fn live(&self) -> impl Iterator<Item = &Replica> {
         self.replicas
             .iter()
             .filter(|r| r.alive.load(Ordering::Relaxed))
-            .count()
+    }
+
+    /// Number of replicas still marked alive.
+    pub fn live_replicas(&self) -> usize {
+        self.live().count()
+    }
+
+    /// Applies `op` to the primary, then propagates it: queued under
+    /// `Async`, applied to every live replica otherwise (a replica error
+    /// fails the call under `Sync` only). Returns how many copies took
+    /// it, the primary included; 0 when the primary's fill was skipped.
+    fn replicate(&self, op: RepOp) -> Result<usize> {
+        if !op.apply(&self.primary)? {
+            return Ok(0);
+        }
+        if self.mode == ReplicationMode::Async {
+            self.pending.lock().push_back(op);
+            return Ok(1);
+        }
+        let mut copies = 1;
+        for r in self.live() {
+            match op.apply(&r.cache) {
+                Ok(took) => {
+                    copies += usize::from(took);
+                    if took && op.stores() {
+                        self.replicated_writes.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                Err(e) if self.mode == ReplicationMode::Sync => return Err(e),
+                Err(_) => {}
+            }
+        }
+        Ok(copies)
     }
 
     /// Writes to the primary and synchronously replicates.
@@ -179,109 +214,41 @@ impl ReplicatedCache {
         dirty: bool,
         expires_at: Option<u64>,
     ) -> Result<()> {
-        self.primary
-            .insert_full(key.clone(), value.clone(), dirty, expires_at)?;
-        match self.mode {
-            ReplicationMode::Sync => {
-                for r in &self.replicas {
-                    if r.alive.load(Ordering::Relaxed) {
-                        r.cache
-                            .insert_full(key.clone(), value.clone(), dirty, expires_at)?;
-                        self.replicated_writes.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Ok(())
-            }
-            ReplicationMode::Quorum => {
-                let mut copies = 1; // the primary
-                for r in &self.replicas {
-                    if r.alive.load(Ordering::Relaxed)
-                        && r.cache
-                            .insert_full(key.clone(), value.clone(), dirty, expires_at)
-                            .is_ok()
-                    {
-                        copies += 1;
-                        self.replicated_writes.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                if copies < self.quorum_size() {
-                    return Err(Error::Unavailable(format!(
-                        "quorum lost: {copies}/{} copies (need {})",
-                        self.replicas.len() + 1,
-                        self.quorum_size()
-                    )));
-                }
-                Ok(())
-            }
-            ReplicationMode::Async => {
-                self.pending.lock().push_back(RepOp::Insert {
-                    key,
-                    value,
-                    dirty,
-                    expires_at,
-                });
-                Ok(())
-            }
+        let copies = self.replicate(RepOp::Insert {
+            key,
+            value,
+            dirty,
+            expires_at,
+        })?;
+        if self.mode == ReplicationMode::Quorum && copies < self.quorum_size() {
+            return Err(Error::Unavailable(format!(
+                "quorum lost: {copies}/{} copies (need {})",
+                self.replicas.len() + 1,
+                self.quorum_size()
+            )));
         }
+        Ok(())
     }
 
     /// [`ShardedCache::fill`] on the primary and, when it went in there,
-    /// on every live replica (queued under `Async`). Each copy applies
-    /// the same insert-if-absent rule, so a write that reached a
-    /// replica first is never replaced by an older fetched copy.
+    /// on every live replica. Each copy applies the same
+    /// insert-if-absent rule, so a write that reached a replica first is
+    /// never replaced by an older fetched copy.
     pub fn fill(&self, key: Key, value: Value, expires_at: Option<u64>) -> Result<bool> {
-        if !self.primary.fill(key.clone(), value.clone(), expires_at)? {
-            return Ok(false);
-        }
-        if self.mode == ReplicationMode::Async {
-            self.pending.lock().push_back(RepOp::Fill {
-                key,
-                value,
-                expires_at,
-            });
-            return Ok(true);
-        }
-        for r in &self.replicas {
-            if r.alive.load(Ordering::Relaxed)
-                && r.cache.fill(key.clone(), value.clone(), expires_at)?
-            {
-                self.replicated_writes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Sets a TTL on the primary and all live replicas. Returns the
-    /// primary's answer (`false` = key absent).
-    pub fn expire(&self, key: &Key, ttl: std::time::Duration) -> bool {
-        let hit = self.primary.expire(key, ttl);
-        for r in &self.replicas {
-            if r.alive.load(Ordering::Relaxed) {
-                r.cache.expire(key, ttl);
-            }
-        }
-        hit
-    }
-
-    /// Clears a TTL on the primary and all live replicas.
-    pub fn persist(&self, key: &Key) -> bool {
-        let hit = self.primary.persist(key);
-        for r in &self.replicas {
-            if r.alive.load(Ordering::Relaxed) {
-                r.cache.persist(key);
-            }
-        }
-        hit
+        let op = RepOp::Fill {
+            key,
+            value,
+            expires_at,
+        };
+        Ok(self.replicate(op)? > 0)
     }
 
     /// Active expiration on the primary (replicas sweep the same keys).
     /// Returns the expired keys for storage-tier propagation.
     pub fn sweep_expired(&self) -> Vec<Key> {
         let keys = self.primary.sweep_expired();
-        for r in &self.replicas {
-            if r.alive.load(Ordering::Relaxed) {
-                r.cache.sweep_expired();
-            }
+        for r in self.live() {
+            r.cache.sweep_expired();
         }
         keys
     }
@@ -290,16 +257,7 @@ impl ReplicatedCache {
     /// the replica-side remove is queued so it stays ordered with
     /// queued inserts of the same key.
     pub fn remove(&self, key: &Key) {
-        self.primary.remove(key);
-        if self.mode == ReplicationMode::Async {
-            self.pending.lock().push_back(RepOp::Remove(key.clone()));
-            return;
-        }
-        for r in &self.replicas {
-            if r.alive.load(Ordering::Relaxed) {
-                r.cache.remove(key);
-            }
-        }
+        let _ = self.replicate(RepOp::Remove(key.clone()));
     }
 
     /// Marks an entry clean everywhere after a storage flush wrote
@@ -307,18 +265,7 @@ impl ReplicatedCache {
     /// ordering). Every copy cleans only if it still holds those bytes
     /// — see [`ShardedCache::mark_clean`].
     pub fn mark_clean(&self, key: &Key, flushed: &Value) {
-        self.primary.mark_clean(key, flushed);
-        if self.mode == ReplicationMode::Async {
-            self.pending
-                .lock()
-                .push_back(RepOp::MarkClean(key.clone(), flushed.clone()));
-            return;
-        }
-        for r in &self.replicas {
-            if r.alive.load(Ordering::Relaxed) {
-                r.cache.mark_clean(key, flushed);
-            }
-        }
+        let _ = self.replicate(RepOp::MarkClean(key.clone(), flushed.clone()));
     }
 
     /// Reads from the primary.
@@ -362,10 +309,8 @@ impl ReplicatedCache {
     /// space cost the paper's model charges.
     pub fn total_resident_bytes(&self) -> u64 {
         let mut total = self.primary.used_bytes();
-        for r in &self.replicas {
-            if r.alive.load(Ordering::Relaxed) {
-                total += r.cache.used_bytes();
-            }
+        for r in self.live() {
+            total += r.cache.used_bytes();
         }
         total
     }
@@ -486,22 +431,6 @@ mod tests {
             None,
             "TTL must be honored on the promoted replica"
         );
-    }
-
-    #[test]
-    fn expire_persist_propagate() {
-        let clock = tb_common::ManualClock::new();
-        let mk = || CacheConfig {
-            clock: clock.clone(),
-            ..CacheConfig::with_capacity(1 << 20)
-        };
-        let mut g = ReplicatedCache::new(mk(), 1);
-        g.insert(k("a"), v("1"), false).unwrap();
-        assert!(g.expire(&k("a"), std::time::Duration::from_secs(3)));
-        assert!(g.persist(&k("a")));
-        g.promote_replica(0).unwrap();
-        clock.advance(std::time::Duration::from_secs(10));
-        assert_eq!(g.get(&k("a")), Some(v("1")), "persist replicated");
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use tb_cache::{CacheConfig, ReplicatedCache};
 use tb_common::{
-    deadline_after, read_varint, write_varint, EngineOp, Error, Key, KvEngine, OpOutcome, Result,
-    TtlState, Value,
+    deadline_after, prefix_successor, read_varint, write_varint, EngineOp, Error, Key, KvEngine,
+    OpOutcome, Result, TtlState, Value,
 };
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
 use tb_elastic::ElasticGate;
@@ -67,10 +67,6 @@ pub(crate) fn envelope_expiry(stored: &Value) -> Option<u64> {
 /// Number of values sampled before compression auto-trains.
 const AUTO_TRAIN_SAMPLES: usize = 256;
 
-struct Compression {
-    unit: PretrainedCompression,
-}
-
 pub(crate) struct Inner {
     pub(crate) config: TierBaseConfig,
     pub(crate) cache: ReplicatedCache,
@@ -80,7 +76,7 @@ pub(crate) struct Inner {
     /// so records carry a local counter to satisfy the LSN framing.
     pub(crate) wal_seq: AtomicU64,
     pub(crate) ring: Option<PersistentRingBuffer>,
-    compression: Mutex<Option<Compression>>,
+    compression: Mutex<Option<PretrainedCompression>>,
     train_samples: Mutex<Vec<Vec<u8>>>,
     pub(crate) ops_since_flush: AtomicU64,
     pub(crate) cas_lock: Mutex<()>,
@@ -162,27 +158,21 @@ impl TierBase {
             }
             PersistenceMode::WalPmem => {
                 let path = config.dir.join("cache.pmem");
-                let device = if path.exists() {
-                    Arc::new(PmemDevice::open(&path, LatencyModel::optane())?)
-                } else {
-                    Arc::new(PmemDevice::create(
-                        &path,
-                        config.pmem_ring_bytes,
-                        LatencyModel::optane(),
-                    )?)
-                };
-                let rb = if path.exists() {
-                    PersistentRingBuffer::recover(device, RingConfig::default()).or_else(|_| {
-                        // Fresh device: format it.
-                        let d = Arc::new(PmemDevice::create(
-                            &config.dir.join("cache.pmem"),
-                            config.pmem_ring_bytes,
-                            LatencyModel::optane(),
-                        )?);
-                        PersistentRingBuffer::create(d, RingConfig::default())
-                    })?
-                } else {
-                    PersistentRingBuffer::create(device, RingConfig::default())?
+                // Recover the ring the device holds, else format a fresh one.
+                let recovered = path
+                    .exists()
+                    .then(|| PmemDevice::open(&path, LatencyModel::optane()))
+                    .transpose()?
+                    .and_then(|d| {
+                        PersistentRingBuffer::recover(Arc::new(d), RingConfig::default()).ok()
+                    });
+                let rb = match recovered {
+                    Some(rb) => rb,
+                    None => {
+                        let size = config.pmem_ring_bytes;
+                        let d = PmemDevice::create(&path, size, LatencyModel::optane())?;
+                        PersistentRingBuffer::create(Arc::new(d), RingConfig::default())?
+                    }
                 };
                 for rec in rb.peek_all()? {
                     apply_log_record(&cache, &rec)?;
@@ -239,9 +229,8 @@ impl TierBase {
 
     /// Retrains compression on fresh samples (monitor-triggered).
     pub fn retrain_compression(&self, samples: &[Vec<u8>]) {
-        let guard = self.inner.compression.lock();
-        if let Some(c) = guard.as_ref() {
-            c.unit.retrain(samples);
+        if let Some(unit) = self.inner.compression.lock().as_ref() {
+            unit.retrain(samples);
         }
     }
 
@@ -251,8 +240,7 @@ impl TierBase {
             .compression
             .lock()
             .as_ref()
-            .map(|c| c.unit.should_retrain())
-            .unwrap_or(false)
+            .is_some_and(PretrainedCompression::should_retrain)
     }
 
     /// Fails the next `n` storage-tier writes (failure injection).
@@ -327,8 +315,8 @@ impl TierBase {
     /// reappear from its older storage copy until a read or sweep
     /// reclaims it.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Key, Value)>> {
-        let prefix = prefix.to_vec();
-        self.dispatch(move |inner| inner.do_scan_prefix(&prefix))
+        let end = prefix_successor(prefix);
+        self.scan_range(&Key::copy_from(prefix), end.as_ref(), usize::MAX)
     }
 
     /// Ordered range scan of live keys (`start <= key < end`,
@@ -453,8 +441,7 @@ impl KvEngine for TierBase {
     }
 
     fn sync(&self) -> Result<()> {
-        let inner = self.inner.clone();
-        self.dispatch(move |_| inner.do_sync())
+        self.dispatch(|inner| inner.do_sync())
     }
 }
 
@@ -499,7 +486,7 @@ impl Inner {
             }
         }
         let guard = self.compression.lock();
-        let unit = &guard.as_ref().expect("trained above").unit;
+        let unit = guard.as_ref().expect("trained above");
         let compressed = unit.compress(value.as_slice());
         if compressed.len() + 1 < value.len() {
             Self::seal_envelope(&compressed, true, expires_at)
@@ -513,10 +500,9 @@ impl Inner {
         let (compressed, expires_at, off) = parse_envelope(stored.as_slice())?;
         if compressed {
             let guard = self.compression.lock();
-            let unit = &guard
+            let unit = guard
                 .as_ref()
-                .ok_or_else(|| Error::Corruption("compressed value but no trained model".into()))?
-                .unit;
+                .ok_or_else(|| Error::Corruption("compressed value but no trained model".into()))?;
             Ok((
                 Value::from(unit.decompress(&stored.as_slice()[off..])?),
                 expires_at,
@@ -538,8 +524,8 @@ impl Inner {
             CompressionChoice::TzstdDict => CompressorChoice::TzstdDict,
             CompressionChoice::Pbc => CompressorChoice::Pbc,
         };
-        let unit = PretrainedCompression::train(choice, samples, TzstdLevel(1));
-        *self.compression.lock() = Some(Compression { unit });
+        *self.compression.lock() =
+            Some(PretrainedCompression::train(choice, samples, TzstdLevel(1)));
     }
 }
 

@@ -1,24 +1,20 @@
-//! The tiered store's one data path: every point op, batch op and
-//! `apply_batch` submission is a pass of [`Inner::apply_batch`], run
-//! under one gate permit.
-//!
-//! A pass walks its ops in submission order:
-//! * a cache hit is answered where it is found; a miss is staged as a
-//!   storage fetch (§4.1.2's deferred cache-fetching);
+//! The tiered store's one data path. Point ops, batch ops and
+//! `apply_batch` submissions are all passes of [`Inner::apply_batch`],
+//! run under one gate permit. A pass walks its ops in order:
+//! * a cache hit is answered at once; a miss is staged as a storage
+//!   fetch (§4.1.2's deferred cache-fetching);
 //! * an `InMemory` or `WriteBack` put applies to the cache at once;
 //! * a `WriteThrough` put is staged as a storage write, and a later get
 //!   of its key is staged behind it, so storage's submission order
 //!   answers that get and a refused write is never read back;
-//! * `Delete`, `Cas` and `Scan` are barriers: the staged accesses go
-//!   down first, then they run alone.
+//! * `Delete`, `Cas`, `Scan` and write-back flushes are barriers: what
+//!   is staged goes down first.
 //!
-//! Every staged access goes down in **one** `storage.apply_batch`, in op
-//! order, with no same-key merging. That staged set is §4.1.1's write
-//! queue and temporary update buffer: a write-through value reaches the
-//! cache only once storage has acknowledged it. Completions fill the
-//! result slots in op order. A fetched value fills the cache only if the
-//! key is still absent; a written one goes in clean; a failed write
-//! invalidates its key and answers `StorageWriteFailed`.
+//! What is staged goes down in **one** `storage.apply_batch`, in op
+//! order, with no same-key merging: it is §4.1.1's write queue and
+//! temporary update buffer. A fetched value fills the cache only if the
+//! key is still absent; a written one goes in clean once storage has it;
+//! a failed write invalidates its key and answers `StorageWriteFailed`.
 
 use crate::config::SyncPolicy;
 use crate::store::Inner;
@@ -28,42 +24,24 @@ use tb_cache::Lookup;
 use tb_common::hash::FxBuildHasher;
 use tb_common::{is_expired, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value};
 
-/// A storage-tier access a pass has staged.
-enum Staged {
-    /// A cache miss, or a get behind a staged write: answers key `at` of
-    /// op `op`.
-    Fetch { op: usize, at: usize, key: Key },
-    /// A write-through put of op `op`; `stored` is its sealed envelope.
-    Write {
-        op: usize,
-        key: Key,
-        stored: Value,
-        expires_at: Option<u64>,
-    },
-}
+const DONE: Result<OpOutcome> = Ok(OpOutcome::Done(Lsn::NONE));
 
-impl Staged {
-    fn writes(&self, key: &Key) -> bool {
-        matches!(self, Staged::Write { key: k, .. } if k == key)
-    }
-}
-
-/// One pass over an op batch: the result slots and what is staged for
-/// the storage tier.
+/// One pass over an op batch.
 struct Pass<'a> {
     inner: &'a Inner,
     out: Vec<Result<OpOutcome>>,
-    staged: Vec<Staged>,
-    /// Keys with a staged write; a get of one rides behind it.
+    /// Storage `Get`s and `Put`s for the next round trip, and for each
+    /// the slot it completes: `(op, key index in the op, put expiry)`.
+    staged: Vec<EngineOp>,
+    slots: Vec<(usize, usize, Option<u64>)>,
+    /// Keys with a staged write; a get of one is staged behind it.
     written: HashSet<Key, FxBuildHasher>,
 }
-
-const DONE: Result<OpOutcome> = Ok(OpOutcome::Done(Lsn::NONE));
 
 impl Inner {
     /// Applies `ops` in submission order; `results[i]` answers `ops[i]`.
     pub(crate) fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        let mut pass = Pass::new(self, ops.len());
+        let mut pass = Pass::new(self, Vec::with_capacity(ops.len()));
         for (op, entry) in ops.into_iter().enumerate() {
             match entry {
                 EngineOp::Get(key) => {
@@ -86,18 +64,18 @@ impl Inner {
                         pass.put(op, key, value, None);
                     }
                 }
-                EngineOp::Delete(key) => {
+                barrier => {
                     pass.submit();
-                    pass.out.push(self.do_delete(&key).and(DONE));
-                }
-                EngineOp::Cas { key, expected, new } => {
-                    pass.submit();
-                    pass.out.push(self.do_cas(key, expected, new).and(DONE));
-                }
-                EngineOp::Scan { start, end, limit } => {
-                    pass.submit();
-                    let rows = self.do_scan_range(&start, end.as_ref(), limit);
-                    pass.out.push(rows.map(OpOutcome::Range));
+                    pass.out.push(match barrier {
+                        EngineOp::Delete(key) => self.do_delete(&key).and(DONE),
+                        EngineOp::Cas { key, expected, new } => {
+                            self.do_cas(key, expected, new).and(DONE)
+                        }
+                        EngineOp::Scan { start, end, limit } => self
+                            .do_scan_range(&start, end.as_ref(), limit)
+                            .map(OpOutcome::Range),
+                        _ => unreachable!("gets and puts are matched above"),
+                    });
                 }
             }
         }
@@ -105,7 +83,7 @@ impl Inner {
         pass.out
     }
 
-    /// A point get as a pass of one op.
+    /// A point get, as a batch of one.
     pub(crate) fn get(&self, key: Key) -> Result<Option<Value>> {
         match self.apply_batch(vec![EngineOp::Get(key)]).pop() {
             Some(Ok(OpOutcome::Value(value))) => Ok(value),
@@ -114,11 +92,10 @@ impl Inner {
         }
     }
 
-    /// A put carrying an expiry deadline (`None` = never expires), as a
-    /// pass of one op.
+    /// A put with an expiry deadline (`None` = never expires), as a
+    /// batch of one.
     pub(crate) fn put(&self, key: Key, value: Value, expires_at: Option<u64>) -> Result<()> {
-        let mut pass = Pass::new(self, 1);
-        pass.out.push(DONE);
+        let mut pass = Pass::new(self, vec![DONE]);
         pass.put(0, key, value, expires_at);
         pass.submit();
         pass.out.pop().expect("one slot").map(|_| ())
@@ -126,11 +103,12 @@ impl Inner {
 }
 
 impl<'a> Pass<'a> {
-    fn new(inner: &'a Inner, ops: usize) -> Self {
+    fn new(inner: &'a Inner, out: Vec<Result<OpOutcome>>) -> Self {
         Self {
             inner,
-            out: Vec::with_capacity(ops),
+            out,
             staged: Vec::new(),
+            slots: Vec::new(),
             written: HashSet::default(),
         }
     }
@@ -144,48 +122,49 @@ impl<'a> Pass<'a> {
 
     /// Answers key `at` of get-like op `op`.
     fn answer(&mut self, op: usize, at: usize, value: Result<Option<Value>>) {
-        let value = match value {
-            Ok(value) => value,
-            Err(e) => return self.fail(op, e),
-        };
-        match &mut self.out[op] {
-            Ok(OpOutcome::Value(slot)) => *slot = value,
-            Ok(OpOutcome::Values(slots)) => slots[at] = value,
-            _ => {}
+        match (value, &mut self.out[op]) {
+            (Ok(v), Ok(OpOutcome::Value(slot))) => *slot = v,
+            (Ok(v), Ok(OpOutcome::Values(slots))) => slots[at] = v,
+            (Ok(_), _) => {}
+            (Err(e), slot) => {
+                if slot.is_ok() {
+                    *slot = Err(e);
+                }
+            }
         }
+    }
+
+    fn stage(&mut self, op: EngineOp, slot: (usize, usize, Option<u64>)) {
+        self.staged.push(op);
+        self.slots.push(slot);
     }
 
     fn get(&mut self, op: usize, at: usize, key: Key) {
         let inner = self.inner;
         inner.stats.gets.fetch_add(1, Ordering::Relaxed);
         inner.intervals.record(&key);
-        if self.written.contains(&key) {
-            // The cache does not have the staged write yet; storage will.
-            inner.stats.storage_fetches.fetch_add(1, Ordering::Relaxed);
-            self.staged.push(Staged::Fetch { op, at, key });
-            return;
-        }
-        match inner.cache.primary().lookup(&key) {
-            Lookup::Live(stored) => {
-                inner.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                let value = inner.decode_value(&stored).map(Some);
-                self.answer(op, at, value);
+        // Behind a staged write of its key, a get skips the cache: storage
+        // answers it after the write.
+        let lookup = (!self.written.contains(&key)).then(|| inner.cache.primary().lookup(&key));
+        let counter = match &lookup {
+            Some(Lookup::Live(_)) => &inner.stats.cache_hits,
+            _ => &inner.stats.cache_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        match lookup {
+            Some(Lookup::Live(stored)) => {
+                self.answer(op, at, inner.decode_value(&stored).map(Some))
             }
-            Lookup::Expired => {
-                // The freshest version of the key has expired; the
-                // storage copy is stale by definition, so remove both
-                // and report the key gone.
-                inner.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                let gone = inner.reclaim_expired(&key).map(|()| None);
-                self.answer(op, at, gone);
+            // The freshest version has expired; the storage copy is stale
+            // by definition, so both go and the key reads as gone.
+            Some(Lookup::Expired) => {
+                self.answer(op, at, inner.reclaim_expired(&key).map(|()| None))
             }
-            Lookup::Absent => {
-                inner.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                if inner.storage.is_some() {
-                    inner.stats.storage_fetches.fetch_add(1, Ordering::Relaxed);
-                    self.staged.push(Staged::Fetch { op, at, key });
-                }
+            _ if inner.storage.is_some() => {
+                inner.stats.storage_fetches.fetch_add(1, Ordering::Relaxed);
+                self.stage(EngineOp::Get(key), (op, at, None));
             }
+            _ => {}
         }
     }
 
@@ -201,13 +180,8 @@ impl<'a> Pass<'a> {
         let applied = match inner.config.policy {
             SyncPolicy::WriteThrough => {
                 self.written.insert(key.clone());
-                self.staged.push(Staged::Write {
-                    op,
-                    key,
-                    stored,
-                    expires_at,
-                });
-                return;
+                self.stage(EngineOp::Put(key, stored), (op, 0, expires_at));
+                Ok(())
             }
             SyncPolicy::InMemory => inner
                 .log_persistence(&key, Some(&stored))
@@ -219,109 +193,78 @@ impl<'a> Pass<'a> {
         }
     }
 
-    /// A write-back put: the cache takes it dirty at once. A flush it
-    /// triggers writes storage, so the staged fetches go down first: a
-    /// fetch must not read a write submitted after its get.
+    /// A write-back put: the cache takes it dirty at once. A flush writes
+    /// storage, so the staged fetches go down before it: a fetch must not
+    /// read a write submitted after its get.
     fn put_dirty(&mut self, key: Key, stored: Value, expires_at: Option<u64>) -> Result<()> {
         let inner = self.inner;
-        match inner
-            .cache
-            .insert_full(key.clone(), stored.clone(), true, expires_at)
-        {
-            Ok(()) => {}
+        let cache = &inner.cache;
+        match cache.insert_full(key.clone(), stored.clone(), true, expires_at) {
             Err(Error::Backpressure { .. }) => {
                 // Reclaim by flushing dirty data, then retry once.
                 self.submit();
                 inner.flush_dirty()?;
-                inner.cache.insert_full(key, stored, true, expires_at)?;
+                cache.insert_full(key, stored, true, expires_at)?;
             }
-            Err(e) => return Err(e),
+            other => other?,
         }
         let ops = inner.ops_since_flush.fetch_add(1, Ordering::Relaxed) + 1;
         let wb = &inner.config.write_back;
-        if ops >= wb.flush_every_ops || inner.cache.primary().dirty_bytes() > wb.max_dirty_bytes {
+        if ops >= wb.flush_every_ops || cache.primary().dirty_bytes() > wb.max_dirty_bytes {
             self.submit();
             inner.flush_dirty()?;
         }
         Ok(())
     }
 
-    /// Sends every staged access down in one `storage.apply_batch` and
-    /// completes them in op order. One injected failure refuses every
-    /// write of the call; its fetches still go down.
+    /// Sends what is staged down in one `storage.apply_batch` and
+    /// completes it in op order. One injected failure refuses every
+    /// write of the round trip; its fetches still go down.
     fn submit(&mut self) {
         if self.staged.is_empty() {
             return;
         }
         let inner = self.inner;
         let staged = std::mem::take(&mut self.staged);
+        let slots = std::mem::take(&mut self.slots);
         self.written.clear();
-        let refused = staged.iter().any(|s| matches!(s, Staged::Write { .. }))
-            && inner.take_injected_failure();
-        let ops = staged
-            .iter()
-            .filter_map(|s| match s {
-                Staged::Fetch { key, .. } => Some(EngineOp::Get(key.clone())),
-                Staged::Write { key, stored, .. } if !refused => {
-                    Some(EngineOp::Put(key.clone(), stored.clone()))
+        let is_put = |op: &EngineOp| matches!(op, EngineOp::Put(..));
+        let refused = staged.iter().any(is_put) && inner.take_injected_failure();
+        let sent = staged.iter().filter(|op| !(refused && is_put(op)));
+        let storage = inner.storage.as_ref().expect("only a tiered store stages");
+        let mut done = storage.apply_batch(sent.cloned().collect()).into_iter();
+        for (i, (access, (op, at, expires_at))) in staged.iter().zip(slots).enumerate() {
+            let result = if refused && is_put(access) {
+                Err(Error::FaultInjected("storage write refused".into()))
+            } else {
+                let short = || Err(Error::Internal("storage answered fewer ops".into()));
+                done.next().unwrap_or_else(short)
+            };
+            match (access, result) {
+                (EngineOp::Get(key), Ok(OpOutcome::Value(stored))) => {
+                    let value = self.fetched(key, stored, &staged[i + 1..]);
+                    self.answer(op, at, value);
                 }
-                Staged::Write { .. } => None,
-            })
-            .collect();
-        let storage = inner
-            .storage
-            .as_ref()
-            .expect("only a store with a storage tier stages accesses");
-        let mut results = storage.apply_batch(ops).into_iter();
-        let now = inner.config.clock.now_nanos();
-        for (i, access) in staged.iter().enumerate() {
-            match access {
-                Staged::Fetch { op, at, key } => {
-                    let value = match results.next() {
-                        Some(Ok(OpOutcome::Value(stored))) => {
-                            self.fetched(key, stored, now, &staged[i + 1..])
-                        }
-                        Some(Err(e)) => Err(e),
-                        other => Err(Error::Internal(format!(
-                            "storage fetch resolved to {other:?}"
-                        ))),
-                    };
-                    self.answer(*op, *at, value);
-                }
-                Staged::Write {
-                    op,
-                    key,
-                    stored,
-                    expires_at,
-                } => {
-                    let written = if refused {
-                        Err(Error::FaultInjected("storage write refused".into()))
-                    } else {
-                        results.next().unwrap_or_else(|| {
-                            Err(Error::Internal("storage write lost its completion".into()))
-                        })
-                    };
-                    let cached = match written {
-                        Ok(_) => {
-                            inner
-                                .cache
-                                .insert_full(key.clone(), stored.clone(), false, *expires_at)
-                        }
-                        Err(e) => {
-                            inner
-                                .stats
-                                .write_through_failures
-                                .fetch_add(1, Ordering::Relaxed);
-                            Err(Error::StorageWriteFailed(e.to_string()))
-                        }
-                    };
+                (EngineOp::Put(key, stored), Ok(_)) => {
+                    let cached =
+                        inner
+                            .cache
+                            .insert_full(key.clone(), stored.clone(), false, expires_at);
                     if let Err(e) = cached {
-                        // Invalidate so reads refetch the authoritative
-                        // value from storage (§4.1.1).
                         inner.cache.remove(key);
-                        self.fail(*op, e);
+                        self.fail(op, e);
                     }
                 }
+                (EngineOp::Put(key, _), Err(e)) => {
+                    // Invalidate so reads refetch the authoritative value
+                    // from storage (§4.1.1).
+                    inner.cache.remove(key);
+                    let failures = &inner.stats.write_through_failures;
+                    failures.fetch_add(1, Ordering::Relaxed);
+                    self.fail(op, Error::StorageWriteFailed(e.to_string()));
+                }
+                (_, Err(e)) => self.fail(op, e),
+                (_, other) => self.fail(op, Error::Internal(format!("storage answered {other:?}"))),
             }
         }
     }
@@ -332,19 +275,19 @@ impl<'a> Pass<'a> {
     fn fetched(
         &self,
         key: &Key,
-        stored: Option<Value>,
-        now: u64,
-        later: &[Staged],
+        found: Option<Value>,
+        later: &[EngineOp],
     ) -> Result<Option<Value>> {
         let inner = self.inner;
-        let Some(stored) = stored else {
+        let Some(stored) = found else {
             return Ok(None);
         };
         let (value, expires_at) = inner.decode_envelope(&stored)?;
-        if is_expired(expires_at, now) {
-            // A write later in this pass already replaced the storage
-            // copy; reclaiming it would delete that write.
-            if !later.iter().any(|s| s.writes(key)) {
+        if is_expired(expires_at, inner.config.clock.now_nanos()) {
+            // A write later in this pass replaces the storage copy;
+            // reclaiming it would delete that write.
+            let rewritten = |op: &EngineOp| matches!(op, EngineOp::Put(k, _) if k == key);
+            if !later.iter().any(rewritten) {
                 inner.reclaim_expired(key)?;
             }
             return Ok(None);

@@ -127,48 +127,32 @@ impl KvEngine for DisaggregatedStore {
         self.call(key.len(), || self.db.delete(key.clone()))
     }
 
-    /// Batched read: one round-trip fetching many keys — the deferred
-    /// cache-fetching path (§4.1.2). Server-side the keys resolve
-    /// through the engine's overlapped batch path, so the SSTable
-    /// blocks behind them are read once per call.
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        let payload: usize = keys.iter().map(|k| k.len()).sum();
-        self.stats
-            .batched_ops
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        self.call(payload, || self.db.multi_get(keys))
-    }
-
-    /// Batched write: one round-trip for the whole batch — the
-    /// write-back flush path.
-    fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        let payload: usize = pairs.iter().map(|(k, v)| k.len() + v.len()).sum();
-        self.stats
-            .batched_ops
-            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
-        self.call(payload, || self.db.multi_put(pairs))
-    }
-
     /// Submits a heterogeneous op batch over one round-trip; the
     /// engine's native submission/completion pass runs server-side.
+    /// `multi_get` (§4.1.2's deferred cache-fetching) and `multi_put`
+    /// (the write-back flush) are one-op batches through here.
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        let payload: usize = ops
-            .iter()
-            .map(|op| match op {
-                EngineOp::Get(k) | EngineOp::Delete(k) => k.len(),
-                EngineOp::Put(k, v) => k.len() + v.len(),
-                EngineOp::Cas { key, new, .. } => key.len() + new.len(),
-                EngineOp::MultiGet(keys) => keys.iter().map(|k| k.len()).sum(),
-                EngineOp::MultiPut(pairs) => pairs.iter().map(|(k, v)| k.len() + v.len()).sum(),
-                // Request-side cost only; the (potentially large)
-                // response payload is charged by callers that use the
-                // dedicated scan entry points.
-                EngineOp::Scan { start, end, .. } => start.len() + end.as_ref().map_or(0, Key::len),
-            })
-            .sum();
+        // Request bytes and keys per op. A scan is charged its request
+        // only; `scan` charges the (potentially large) response.
+        let (payload, keys) = ops.iter().fold((0, 0), |(bytes, keys), op| {
+            let (b, k) = match op {
+                EngineOp::Get(k) | EngineOp::Delete(k) => (k.len(), 1),
+                EngineOp::Put(k, v) => (k.len() + v.len(), 1),
+                EngineOp::Cas { key, new, .. } => (key.len() + new.len(), 1),
+                EngineOp::MultiGet(ks) => (ks.iter().map(Key::len).sum(), ks.len()),
+                EngineOp::MultiPut(pairs) => {
+                    let bytes = pairs.iter().map(|(k, v)| k.len() + v.len()).sum();
+                    (bytes, pairs.len())
+                }
+                EngineOp::Scan { start, end, .. } => {
+                    (start.len() + end.as_ref().map_or(0, Key::len), 1)
+                }
+            };
+            (bytes + b, keys + k)
+        });
         self.stats
             .batched_ops
-            .fetch_add(ops.len() as u64, Ordering::Relaxed);
+            .fetch_add(keys as u64, Ordering::Relaxed);
         self.stats.calls.fetch_add(1, Ordering::Relaxed);
         self.network.stall(payload);
         self.db.apply_batch(ops)
