@@ -1583,7 +1583,10 @@ mod tests {
         // A reader misses on a cold key and fetches it over a 50 ms
         // storage round trip; a writer overwrites the key during that
         // trip. The fetched copy is older than the write, so filling the
-        // cache with it would lose an acknowledged write for good.
+        // cache with it would lose an acknowledged write for good. The
+        // round trip has no hook to park on, so a sleep places the put
+        // inside it; a put that lands outside it makes the test pass
+        // without exercising the race, never fail.
         let tb = Arc::new(
             TierBase::open(
                 TierBaseConfig::builder(tmpdir("missfill"))

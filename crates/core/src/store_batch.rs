@@ -64,18 +64,18 @@ impl Inner {
                         pass.put(op, key, value, None);
                     }
                 }
-                barrier => {
+                EngineOp::Delete(key) => {
                     pass.submit();
-                    pass.out.push(match barrier {
-                        EngineOp::Delete(key) => self.do_delete(&key).and(DONE),
-                        EngineOp::Cas { key, expected, new } => {
-                            self.do_cas(key, expected, new).and(DONE)
-                        }
-                        EngineOp::Scan { start, end, limit } => self
-                            .do_scan_range(&start, end.as_ref(), limit)
-                            .map(OpOutcome::Range),
-                        _ => unreachable!("gets and puts are matched above"),
-                    });
+                    pass.out.push(self.do_delete(&key).and(DONE));
+                }
+                EngineOp::Cas { key, expected, new } => {
+                    pass.submit();
+                    pass.out.push(self.do_cas(key, expected, new).and(DONE));
+                }
+                EngineOp::Scan { start, end, limit } => {
+                    pass.submit();
+                    let rows = self.do_scan_range(&start, end.as_ref(), limit);
+                    pass.out.push(rows.map(OpOutcome::Range));
                 }
             }
         }
@@ -126,11 +126,7 @@ impl<'a> Pass<'a> {
             (Ok(v), Ok(OpOutcome::Value(slot))) => *slot = v,
             (Ok(v), Ok(OpOutcome::Values(slots))) => slots[at] = v,
             (Ok(_), _) => {}
-            (Err(e), slot) => {
-                if slot.is_ok() {
-                    *slot = Err(e);
-                }
-            }
+            (Err(e), _) => self.fail(op, e),
         }
     }
 
