@@ -6,7 +6,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tb_common::{deadline_after, fx_hash, Clock, Key, Result, SystemClock, Value};
+use tb_common::{deadline_after, fx_hash, Clock, Key, Result, SystemClock, TtlState, Value};
 use tb_pmem::{LatencyModel, Medium, PlacementPolicy, SplitPlacement};
 
 /// Cache construction options.
@@ -203,8 +203,33 @@ impl ShardedCache {
         dirty: bool,
         expires_at: Option<u64>,
     ) -> Result<Evicted> {
-        let evicted = self.insert_unless_present(false, key, value, dirty, expires_at)?;
-        Ok(evicted.unwrap_or_default())
+        let medium = self.placement.place_value(value.len());
+        self.insert_placed(key, value, dirty, medium, expires_at)
+    }
+
+    /// Inserts with an explicit medium (tests, replication replay).
+    pub fn insert_placed(
+        &self,
+        key: Key,
+        value: Value,
+        dirty: bool,
+        medium: Medium,
+        expires_at: Option<u64>,
+    ) -> Result<Evicted> {
+        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
+        if medium == Medium::Pmem {
+            if let Some(model) = &self.pmem_latency {
+                model.stall_write(value.len());
+            }
+        }
+        let evicted = self
+            .shard(&key)
+            .lock()
+            .insert_full(key, value, dirty, medium, expires_at)?;
+        self.stats
+            .evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+        Ok(evicted)
     }
 
     /// Inserts a clean copy fetched from the storage tier, only if the
@@ -212,29 +237,16 @@ impl ShardedCache {
     /// written after the fetch was issued and is newer than it, so the
     /// fill must not replace it. Returns whether the copy went in.
     pub fn fill(&self, key: Key, value: Value, expires_at: Option<u64>) -> Result<bool> {
-        let evicted = self.insert_unless_present(true, key, value, false, expires_at)?;
-        Ok(evicted.is_some())
-    }
-
-    /// The one insert: `None` when `if_absent` and the key is present.
-    /// PMem-resident values pay the configured write-latency premium.
-    fn insert_unless_present(
-        &self,
-        if_absent: bool,
-        key: Key,
-        value: Value,
-        dirty: bool,
-        expires_at: Option<u64>,
-    ) -> Result<Option<Evicted>> {
-        let (medium, len) = (self.placement.place_value(value.len()), value.len());
+        let medium = self.placement.place_value(value.len());
+        let len = value.len();
         let evicted = {
             let mut shard = self.shard(&key).lock();
-            if if_absent && shard.peek(&key).is_some() {
-                return Ok(None);
+            if shard.peek(&key).is_some() {
+                return Ok(false);
             }
-            self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-            shard.insert_full(key, value, dirty, medium, expires_at)?
+            shard.insert_full(key, value, false, medium, expires_at)?
         };
+        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         self.stats
             .evictions
             .fetch_add(evicted.len() as u64, Ordering::Relaxed);
@@ -243,7 +255,30 @@ impl ShardedCache {
                 model.stall_write(len);
             }
         }
-        Ok(Some(evicted))
+        Ok(true)
+    }
+
+    /// Sets a key's TTL. Returns `false` when the key is absent
+    /// (Redis `EXPIRE`).
+    pub fn expire(&self, key: &Key, ttl: Duration) -> bool {
+        let deadline = deadline_after(self.clock.now_nanos(), ttl);
+        self.shard(key).lock().set_expiry(key, Some(deadline))
+    }
+
+    /// Clears a key's TTL so it never expires. Returns `false` when the
+    /// key is absent (Redis `PERSIST`).
+    pub fn persist(&self, key: &Key) -> bool {
+        self.shard(key).lock().set_expiry(key, None)
+    }
+
+    /// The key's TTL state (Redis `TTL`). Expired-but-unswept entries
+    /// report [`TtlState::Missing`].
+    pub fn ttl_state(&self, key: &Key) -> TtlState {
+        let now = self.clock.now_nanos();
+        match self.shard(key).lock().expiry_of(key) {
+            None => TtlState::Missing,
+            Some(deadline) => TtlState::from_deadline(deadline, now),
+        }
     }
 
     /// Live entries with `start <= key < end` (`end = None` =
@@ -431,17 +466,27 @@ mod tests {
             .unwrap();
         c.insert(k(2), Value::from("forever"), false).unwrap();
         assert_eq!(c.get(&k(1)), Some(Value::from("v")));
-        assert!(c.peek_entry(&k(1)).unwrap().expires_at.is_some());
-        assert_eq!(c.peek_entry(&k(2)).unwrap().expires_at, None);
+        assert!(matches!(c.ttl_state(&k(1)), TtlState::Remaining(_)));
+        assert_eq!(c.ttl_state(&k(2)), TtlState::NoExpiry);
+        assert_eq!(c.ttl_state(&k(3)), TtlState::Missing);
 
         clock.advance(Duration::from_secs(10));
         assert_eq!(c.get(&k(1)), None, "entry expired");
-        assert!(
-            c.peek_entry(&k(1)).is_none(),
-            "a clean expired read reclaims"
-        );
+        assert_eq!(c.ttl_state(&k(1)), TtlState::Missing);
         assert_eq!(c.get(&k(2)), Some(Value::from("forever")));
         assert_eq!(c.stats.expired.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn expire_and_persist() {
+        let clock = tb_common::ManualClock::new();
+        let c = cache_with_clock(1 << 20, clock.clone());
+        c.insert(k(1), Value::from("v"), false).unwrap();
+        assert!(c.expire(&k(1), Duration::from_secs(5)));
+        assert!(!c.expire(&k(9), Duration::from_secs(5)), "absent key");
+        assert!(c.persist(&k(1)));
+        clock.advance(Duration::from_secs(6));
+        assert_eq!(c.get(&k(1)), Some(Value::from("v")), "persist cleared TTL");
     }
 
     #[test]

@@ -340,6 +340,27 @@ impl LruShard {
         }
     }
 
+    /// Sets or clears an entry's expiry deadline. Returns `false` when
+    /// the key is absent.
+    pub fn set_expiry(&mut self, key: &Key, expires_at: Option<u64>) -> bool {
+        match self.map.get(key) {
+            Some(&idx) => {
+                self.slab[idx].entry.expires_at = expires_at;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The entry's expiry deadline: `None` = key absent,
+    /// `Some(None)` = present without expiry, `Some(Some(at))` = expires
+    /// at `at`. Does not touch recency.
+    pub fn expiry_of(&self, key: &Key) -> Option<Option<u64>> {
+        self.map
+            .get(key)
+            .map(|&idx| self.slab[idx].entry.expires_at)
+    }
+
     /// Active expiration pass: removes every *clean* entry whose
     /// deadline has passed and returns them (callers propagate deletes
     /// to the storage tier). Dirty expired entries stay pinned until
@@ -607,9 +628,9 @@ mod tests {
         assert!(s.get(&k(3), 100).is_none(), "expired on read");
         s.insert(k(5), v(30), true, Medium::Dram).unwrap();
         s.insert(k(6), v(30), false, Medium::Dram).unwrap();
-        let evicted = s.insert_full(k(7), v(30), false, Medium::Dram, Some(200));
-        assert_eq!(evicted.unwrap().len(), 1);
+        assert_eq!(s.insert(k(7), v(30), false, Medium::Dram).unwrap().len(), 1);
         s.insert(k(6), v(5), false, Medium::Dram).unwrap();
+        s.set_expiry(&k(7), Some(200));
         assert_eq!(s.sweep_expired(200).len(), 1);
 
         let live: Vec<Key> = s.keys_mru_first();
@@ -628,6 +649,19 @@ mod tests {
         for key in &live {
             assert!(s.get(key, 0).is_some());
         }
+    }
+
+    #[test]
+    fn set_expiry_roundtrip() {
+        let mut s = LruShard::new(10_000);
+        s.insert(k(1), v(5), false, Medium::Dram).unwrap();
+        assert_eq!(s.expiry_of(&k(1)), Some(None));
+        assert!(s.set_expiry(&k(1), Some(42)));
+        assert_eq!(s.expiry_of(&k(1)), Some(Some(42)));
+        assert!(s.set_expiry(&k(1), None));
+        assert_eq!(s.expiry_of(&k(1)), Some(None));
+        assert!(!s.set_expiry(&k(2), Some(1)), "absent key");
+        assert_eq!(s.expiry_of(&k(2)), None);
     }
 
     proptest! {

@@ -127,6 +127,11 @@ impl ReplicatedCache {
         }
     }
 
+    /// The group's replication protocol.
+    pub fn mode(&self) -> ReplicationMode {
+        self.mode
+    }
+
     /// Copies a majority needs, counting the primary (`Quorum` mode).
     fn quorum_size(&self) -> usize {
         self.replicas.len().div_ceil(2) + 1
@@ -241,6 +246,25 @@ impl ReplicatedCache {
             expires_at,
         };
         Ok(self.replicate(op)? > 0)
+    }
+
+    /// Sets a TTL on the primary and all live replicas. Returns the
+    /// primary's answer (`false` = key absent).
+    pub fn expire(&self, key: &Key, ttl: std::time::Duration) -> bool {
+        let hit = self.primary.expire(key, ttl);
+        for r in self.live() {
+            r.cache.expire(key, ttl);
+        }
+        hit
+    }
+
+    /// Clears a TTL on the primary and all live replicas.
+    pub fn persist(&self, key: &Key) -> bool {
+        let hit = self.primary.persist(key);
+        for r in self.live() {
+            r.cache.persist(key);
+        }
+        hit
     }
 
     /// Active expiration on the primary (replicas sweep the same keys).
@@ -431,6 +455,22 @@ mod tests {
             None,
             "TTL must be honored on the promoted replica"
         );
+    }
+
+    #[test]
+    fn expire_persist_propagate() {
+        let clock = tb_common::ManualClock::new();
+        let mk = || CacheConfig {
+            clock: clock.clone(),
+            ..CacheConfig::with_capacity(1 << 20)
+        };
+        let mut g = ReplicatedCache::new(mk(), 1);
+        g.insert(k("a"), v("1"), false).unwrap();
+        assert!(g.expire(&k("a"), std::time::Duration::from_secs(3)));
+        assert!(g.persist(&k("a")));
+        g.promote_replica(0).unwrap();
+        clock.advance(std::time::Duration::from_secs(10));
+        assert_eq!(g.get(&k("a")), Some(v("1")), "persist replicated");
     }
 
     #[test]

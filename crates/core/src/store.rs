@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use tb_cache::{CacheConfig, ReplicatedCache};
 use tb_common::{
-    deadline_after, prefix_successor, read_varint, write_varint, EngineOp, Error, Key, KvEngine,
-    OpOutcome, Result, TtlState, Value,
+    deadline_after, read_varint, write_varint, EngineOp, Error, Key, KvEngine, OpOutcome, Result,
+    TtlState, Value,
 };
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
 use tb_elastic::ElasticGate;
@@ -67,6 +67,10 @@ pub(crate) fn envelope_expiry(stored: &Value) -> Option<u64> {
 /// Number of values sampled before compression auto-trains.
 const AUTO_TRAIN_SAMPLES: usize = 256;
 
+struct Compression {
+    unit: PretrainedCompression,
+}
+
 pub(crate) struct Inner {
     pub(crate) config: TierBaseConfig,
     pub(crate) cache: ReplicatedCache,
@@ -76,11 +80,11 @@ pub(crate) struct Inner {
     /// so records carry a local counter to satisfy the LSN framing.
     pub(crate) wal_seq: AtomicU64,
     pub(crate) ring: Option<PersistentRingBuffer>,
-    compression: Mutex<Option<PretrainedCompression>>,
+    compression: Mutex<Option<Compression>>,
     train_samples: Mutex<Vec<Vec<u8>>>,
     pub(crate) ops_since_flush: AtomicU64,
     pub(crate) cas_lock: Mutex<()>,
-    /// Fail the next N storage writes (failure-injection hook).
+    /// Fail the next N storage write calls (failure-injection hook).
     pub(crate) inject_storage_failures: AtomicU64,
     /// §6.5.3 statistic: sampled mean key re-access interval, compared
     /// against Table 3 break-even intervals to pick a configuration.
@@ -158,21 +162,27 @@ impl TierBase {
             }
             PersistenceMode::WalPmem => {
                 let path = config.dir.join("cache.pmem");
-                // Recover the ring the device holds, else format a fresh one.
-                let recovered = path
-                    .exists()
-                    .then(|| PmemDevice::open(&path, LatencyModel::optane()))
-                    .transpose()?
-                    .and_then(|d| {
-                        PersistentRingBuffer::recover(Arc::new(d), RingConfig::default()).ok()
-                    });
-                let rb = match recovered {
-                    Some(rb) => rb,
-                    None => {
-                        let size = config.pmem_ring_bytes;
-                        let d = PmemDevice::create(&path, size, LatencyModel::optane())?;
-                        PersistentRingBuffer::create(Arc::new(d), RingConfig::default())?
-                    }
+                let device = if path.exists() {
+                    Arc::new(PmemDevice::open(&path, LatencyModel::optane())?)
+                } else {
+                    Arc::new(PmemDevice::create(
+                        &path,
+                        config.pmem_ring_bytes,
+                        LatencyModel::optane(),
+                    )?)
+                };
+                let rb = if path.exists() {
+                    PersistentRingBuffer::recover(device, RingConfig::default()).or_else(|_| {
+                        // Fresh device: format it.
+                        let d = Arc::new(PmemDevice::create(
+                            &config.dir.join("cache.pmem"),
+                            config.pmem_ring_bytes,
+                            LatencyModel::optane(),
+                        )?);
+                        PersistentRingBuffer::create(d, RingConfig::default())
+                    })?
+                } else {
+                    PersistentRingBuffer::create(device, RingConfig::default())?
                 };
                 for rec in rb.peek_all()? {
                     apply_log_record(&cache, &rec)?;
@@ -229,8 +239,9 @@ impl TierBase {
 
     /// Retrains compression on fresh samples (monitor-triggered).
     pub fn retrain_compression(&self, samples: &[Vec<u8>]) {
-        if let Some(unit) = self.inner.compression.lock().as_ref() {
-            unit.retrain(samples);
+        let guard = self.inner.compression.lock();
+        if let Some(c) = guard.as_ref() {
+            c.unit.retrain(samples);
         }
     }
 
@@ -240,10 +251,14 @@ impl TierBase {
             .compression
             .lock()
             .as_ref()
-            .is_some_and(PretrainedCompression::should_retrain)
+            .map(|c| c.unit.should_retrain())
+            .unwrap_or(false)
     }
 
-    /// Fails the next `n` storage-tier writes (failure injection).
+    /// Fails the next `n` storage-tier write calls (failure injection).
+    /// Under write-through one armed failure refuses every write of the
+    /// next storage round trip that carries writes: all the puts a batch
+    /// pass staged together. A write-back flush consumes one per chunk.
     pub fn inject_storage_write_failures(&self, n: u64) {
         self.inner
             .inject_storage_failures
@@ -315,8 +330,8 @@ impl TierBase {
     /// reappear from its older storage copy until a read or sweep
     /// reclaims it.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Key, Value)>> {
-        let end = prefix_successor(prefix);
-        self.scan_range(&Key::copy_from(prefix), end.as_ref(), usize::MAX)
+        let prefix = prefix.to_vec();
+        self.dispatch(move |inner| inner.do_scan_prefix(&prefix))
     }
 
     /// Ordered range scan of live keys (`start <= key < end`,
@@ -441,7 +456,8 @@ impl KvEngine for TierBase {
     }
 
     fn sync(&self) -> Result<()> {
-        self.dispatch(|inner| inner.do_sync())
+        let inner = self.inner.clone();
+        self.dispatch(move |_| inner.do_sync())
     }
 }
 
@@ -486,7 +502,7 @@ impl Inner {
             }
         }
         let guard = self.compression.lock();
-        let unit = guard.as_ref().expect("trained above");
+        let unit = &guard.as_ref().expect("trained above").unit;
         let compressed = unit.compress(value.as_slice());
         if compressed.len() + 1 < value.len() {
             Self::seal_envelope(&compressed, true, expires_at)
@@ -500,9 +516,10 @@ impl Inner {
         let (compressed, expires_at, off) = parse_envelope(stored.as_slice())?;
         if compressed {
             let guard = self.compression.lock();
-            let unit = guard
+            let unit = &guard
                 .as_ref()
-                .ok_or_else(|| Error::Corruption("compressed value but no trained model".into()))?;
+                .ok_or_else(|| Error::Corruption("compressed value but no trained model".into()))?
+                .unit;
             Ok((
                 Value::from(unit.decompress(&stored.as_slice()[off..])?),
                 expires_at,
@@ -524,8 +541,8 @@ impl Inner {
             CompressionChoice::TzstdDict => CompressorChoice::TzstdDict,
             CompressionChoice::Pbc => CompressorChoice::Pbc,
         };
-        *self.compression.lock() =
-            Some(PretrainedCompression::train(choice, samples, TzstdLevel(1)));
+        let unit = PretrainedCompression::train(choice, samples, TzstdLevel(1));
+        *self.compression.lock() = Some(Compression { unit });
     }
 }
 
@@ -1329,6 +1346,8 @@ mod tests {
             tb.multi_put(pairs),
             Err(Error::StorageWriteFailed(_))
         ));
+        let failures = tb.stats().write_through_failures.load(Ordering::Relaxed);
+        assert_eq!(failures, 1, "one failed op, however many keys");
         for i in 0..10 {
             assert_eq!(tb.get(&k(i)).unwrap(), Some(v(i)), "old value survives");
         }
@@ -1736,6 +1755,43 @@ mod tests {
         // The miss completed after the put: its fill must not replace it.
         let entry = tb.inner.cache.primary().peek_entry(&k(1)).unwrap();
         assert!(entry.dirty);
+        assert_eq!(tb.get(&k(1)).unwrap(), Some(v(2)));
+        assert_eq!(tb.flush_dirty().unwrap(), 1);
+        tb.inner.cache.remove(&k(1));
+        assert_eq!(tb.get(&k(1)).unwrap(), Some(v(2)), "storage holds v2");
+    }
+
+    #[test]
+    fn write_back_put_behind_an_expired_fetch_is_not_reclaimed() {
+        let clock = tb_common::ManualClock::new();
+        let tb = TierBase::open(
+            TierBaseConfig::builder(tmpdir("wbexpiredput"))
+                .policy(SyncPolicy::WriteBack)
+                .clock(clock.clone())
+                .write_back(WriteBackTuning {
+                    max_dirty_bytes: u64::MAX,
+                    flush_every_ops: u64::MAX,
+                    batch_size: 64,
+                })
+                .build(),
+        )
+        .unwrap();
+        tb.put_with_ttl(k(1), v(1), std::time::Duration::from_secs(1))
+            .unwrap();
+        tb.flush_dirty().unwrap();
+        tb.inner.cache.remove(&k(1));
+        clock.advance(std::time::Duration::from_secs(2));
+        // The get's fetch finds the expired storage copy after the put
+        // went into the cache: reclaiming the key must not drop the put.
+        let got = tb.apply_batch(vec![EngineOp::Get(k(1)), EngineOp::Put(k(1), v(2))]);
+        assert_eq!(
+            got[0],
+            Ok(OpOutcome::Value(None)),
+            "the storage copy expired"
+        );
+        assert!(matches!(got[1], Ok(OpOutcome::Done(_))));
+        let entry = tb.inner.cache.primary().peek_entry(&k(1)).unwrap();
+        assert!(entry.dirty, "the put is still owed to storage");
         assert_eq!(tb.get(&k(1)).unwrap(), Some(v(2)));
         assert_eq!(tb.flush_dirty().unwrap(), 1);
         tb.inner.cache.remove(&k(1));

@@ -255,8 +255,11 @@ impl<'a> Pass<'a> {
                     // Invalidate so reads refetch the authoritative value
                     // from storage (§4.1.1).
                     inner.cache.remove(key);
-                    let failures = &inner.stats.write_through_failures;
-                    failures.fetch_add(1, Ordering::Relaxed);
+                    if self.out[op].is_ok() {
+                        // One per failed op, as when each op was one call.
+                        let failures = &inner.stats.write_through_failures;
+                        failures.fetch_add(1, Ordering::Relaxed);
+                    }
                     self.fail(op, Error::StorageWriteFailed(e.to_string()));
                 }
                 (_, Err(e)) => self.fail(op, e),
@@ -280,10 +283,13 @@ impl<'a> Pass<'a> {
         };
         let (value, expires_at) = inner.decode_envelope(&stored)?;
         if is_expired(expires_at, inner.config.clock.now_nanos()) {
-            // A write later in this pass replaces the storage copy;
-            // reclaiming it would delete that write.
+            // A write since the fetch replaces the storage copy, and
+            // reclaiming would delete it: one staged later in this pass
+            // (write-through), or one the cache took meanwhile, as
+            // `fill` below assumes (write-back, other threads).
             let rewritten = |op: &EngineOp| matches!(op, EngineOp::Put(k, _) if k == key);
-            if !later.iter().any(rewritten) {
+            let cached = || inner.cache.primary().peek_entry(key).is_some();
+            if !later.iter().any(rewritten) && !cached() {
                 inner.reclaim_expired(key)?;
             }
             return Ok(None);

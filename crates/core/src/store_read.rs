@@ -1,10 +1,10 @@
 //! The tiered store's reads outside the batch pass: TTL lookups and
 //! reclamation, and scans merged across both tiers.
 
-use crate::store::{parse_envelope, Inner};
+use crate::store::{envelope_expiry, parse_envelope, Inner};
 use std::sync::atomic::Ordering;
 use tb_cache::Lookup;
-use tb_common::{is_expired, Key, KvEngine, Result, TtlState, Value};
+use tb_common::{is_expired, prefix_successor, Key, KvEngine, Result, TtlState, Value};
 
 impl Inner {
     /// Lazy TTL reclamation: drops the key from both tiers and the
@@ -19,25 +19,41 @@ impl Inner {
         Ok(())
     }
 
-    /// The key's TTL (Redis `TTL`), read without filling the cache.
     pub(crate) fn do_ttl(&self, key: &Key) -> Result<TtlState> {
-        let stored = match self.cache.primary().lookup(key) {
-            Lookup::Live(stored) => Some(stored),
-            Lookup::Expired => return self.reclaim_expired(key).map(|()| TtlState::Missing),
-            Lookup::Absent => match &self.storage {
-                Some(storage) => storage.get(key)?,
-                None => None,
-            },
-        };
-        let Some(stored) = stored else {
-            return Ok(TtlState::Missing);
-        };
         let now = self.config.clock.now_nanos();
-        let deadline = parse_envelope(stored.as_slice())?.1;
-        if is_expired(deadline, now) {
-            return self.reclaim_expired(key).map(|()| TtlState::Missing);
+        match self.cache.primary().lookup(key) {
+            Lookup::Live(stored) => {
+                let (_, _, _) = parse_envelope(stored.as_slice())?;
+                Ok(TtlState::from_deadline(envelope_expiry(&stored), now))
+            }
+            Lookup::Expired => {
+                self.reclaim_expired(key)?;
+                Ok(TtlState::Missing)
+            }
+            Lookup::Absent => {
+                let Some(storage) = &self.storage else {
+                    return Ok(TtlState::Missing);
+                };
+                match storage.get(key)? {
+                    Some(stored) => {
+                        let deadline = envelope_expiry(&stored);
+                        if is_expired(deadline, now) {
+                            self.reclaim_expired(key)?;
+                            Ok(TtlState::Missing)
+                        } else {
+                            Ok(TtlState::from_deadline(deadline, now))
+                        }
+                    }
+                    None => Ok(TtlState::Missing),
+                }
+            }
         }
-        Ok(TtlState::from_deadline(deadline, now))
+    }
+
+    /// A prefix scan is the range scan `[prefix, prefix_successor)`.
+    pub(crate) fn do_scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Key, Value)>> {
+        let end = prefix_successor(prefix);
+        self.do_scan_range(&Key::copy_from(prefix), end.as_ref(), usize::MAX)
     }
 
     pub(crate) fn do_scan_range(

@@ -19,11 +19,20 @@ impl Inner {
         Ok(())
     }
 
-    /// Consumes one armed storage-write failure, if any is left.
     pub(crate) fn take_injected_failure(&self) -> bool {
-        self.inject_storage_failures
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
+        loop {
+            let n = self.inject_storage_failures.load(Ordering::SeqCst);
+            if n == 0 {
+                return false;
+            }
+            if self
+                .inject_storage_failures
+                .compare_exchange(n, n - 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                return true;
+            }
+        }
     }
 
     pub(crate) fn flush_dirty(&self) -> Result<usize> {

@@ -82,14 +82,21 @@ impl Inner {
     }
 }
 
-/// A persistence-log record: flag (0 = put, 1 = delete), varint key
-/// length, key, and for a put the stored envelope.
 fn encode_log_record(key: &Key, stored: Option<&Value>) -> Vec<u8> {
     let mut out = Vec::with_capacity(key.len() + 16);
-    out.push(u8::from(stored.is_none()));
-    write_varint(&mut out, key.len() as u64);
-    out.extend_from_slice(key.as_slice());
-    out.extend_from_slice(stored.map_or(&[][..], Value::as_slice));
+    match stored {
+        Some(v) => {
+            out.push(0);
+            write_varint(&mut out, key.len() as u64);
+            out.extend_from_slice(key.as_slice());
+            out.extend_from_slice(v.as_slice());
+        }
+        None => {
+            out.push(1);
+            write_varint(&mut out, key.len() as u64);
+            out.extend_from_slice(key.as_slice());
+        }
+    }
     out
 }
 
