@@ -31,8 +31,10 @@ fn hash_pair(data: &[u8]) -> (u64, u64) {
 
 impl BloomFilter {
     /// Sizes the filter for `expected_items` at `bits_per_key` (10 bits
-    /// ≈ 1% false positives). `bits_per_key == 0` builds a pass-through
-    /// filter (bloom disabled — the `ablation_bloom` baseline).
+    /// ≈ 1% false positives), rounded up to a whole `u64` word: probes
+    /// reduce `% n_bits`, so any size works. `bits_per_key == 0` builds
+    /// a pass-through filter (bloom disabled — the `ablation_bloom`
+    /// baseline).
     pub fn new(expected_items: usize, bits_per_key: usize) -> Self {
         if bits_per_key == 0 {
             // One word, k=0 probes: `may_contain` is vacuously true.
@@ -42,11 +44,11 @@ impl BloomFilter {
                 k: 0,
             };
         }
-        let n_bits = (expected_items.max(1) * bits_per_key.max(1)).next_power_of_two() as u64;
+        let n_bits = (expected_items.max(1) * bits_per_key).next_multiple_of(64) as u64;
         // Optimal k = ln2 * bits/key, clamped to a sane range.
         let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, MAX_PROBES);
         Self {
-            bits: vec![0u64; (n_bits / 64).max(1) as usize],
+            bits: vec![0u64; (n_bits / 64) as usize],
             n_bits,
             k,
         }
@@ -135,6 +137,16 @@ mod tests {
             .count();
         // 10 bits/key targets ~1%; allow generous slack.
         assert!(fp < 500, "false positive rate too high: {fp}/10000");
+    }
+
+    #[test]
+    fn filter_takes_its_configured_bits_per_key() {
+        for items in [1, 10, 1000, 90_000] {
+            let f = BloomFilter::new(items, 10);
+            let want = (items * 10) as u64;
+            assert!((want..want + 64).contains(&f.n_bits), "{items}: {}", f.n_bits);
+            assert_eq!(f.to_bytes().len() as u64, 12 + f.n_bits / 8);
+        }
     }
 
     #[test]
