@@ -25,8 +25,18 @@
 //!                    (literal-run length, match length, distance, end)
 //! literals        := every literal byte of the token stream, in order
 //! dict payload    := 6 control tables | 4 literal tables (128 B each)
-//!                    | tzstd dictionary bytes (`dict` only)
+//!                    | dictionary (0..=4096 bytes)
 //! ```
+//!
+//! Every block is parsed as if the table's dictionary came right
+//! before it, so a match may start in the dictionary, and its
+//! distances count back through `dictionary ++ block`. A `dict`
+//! table's dictionary is trained on its input values; an `lz` table's
+//! is 16 slices of 256 bytes cut from its own blocks, one a third of
+//! the way into each of 16 evenly spaced blocks. 4 KiB keeps every
+//! distance from a 4 KiB block under 16 KiB, two varint bytes; the
+//! dictionary is stored raw in every table, so an `lz` table of fewer
+//! than 32 blocks stores none (and parses each block alone).
 //!
 //! Each symbol's table is chosen by its context, which the decoder
 //! knows before it decodes the symbol:
@@ -51,11 +61,11 @@
 //! bytes under [`FRAME_TAG_STORED`] — still CRC-checked, so every block
 //! read is checksummed regardless of codec.
 
-use crate::dict::train_dictionary;
+use crate::dict::dictionary_bytes;
 use crate::huffman::{BitReader, BitWriter, Decoder, HuffTable, TABLE_BYTES};
 use crate::lz::{
-    lz_decode, lz_parse, read_varint, write_varint, SplitSource, SplitTokens, TrainedDict,
-    TzstdLevel,
+    lz_decode, lz_parse, lz_parse_after, read_varint, write_varint, Prefix, SplitSource,
+    SplitTokens, TzstdLevel,
 };
 use crate::pbc::{Pbc, PbcConfig, PbcModel};
 use crate::Compressor;
@@ -74,7 +84,7 @@ pub const FRAME_TAG_STORED: u8 = 0;
 /// flush/compaction input stream (first N put values, deterministic).
 pub const MAX_TRAIN_SAMPLES: usize = 512;
 
-/// Byte budget for a trained tzstd dictionary stored per table.
+/// Byte budget for the dictionary an `lz`/`dict` table stores.
 pub const MAX_DICT_BYTES: usize = 4096;
 
 /// Longest block a compressed frame may hold; longer blocks are stored.
@@ -99,8 +109,37 @@ const TRAIN_BLOCK_STRIDE: usize = 8;
 /// samples into when it has no real blocks to train on.
 const SAMPLE_BLOCK_LEN: usize = 4096;
 
+/// An `lz` table's dictionary is [`DICT_SLICES`] slices of
+/// [`DICT_SLICE_LEN`] bytes, `MAX_DICT_BYTES` in all.
+const DICT_SLICES: usize = 16;
+const DICT_SLICE_LEN: usize = MAX_DICT_BYTES / DICT_SLICES;
+
+/// Fewest blocks an `lz` table needs to store a dictionary, which is
+/// stored raw, once per table. On Cities records (`user{i:012}` or
+/// hashed keys) a 24-block table breaks even with it and a 32-block
+/// one is ~3 % smaller; large tables save ~7 %.
+const MIN_DICT_BLOCKS: usize = 32;
+
+/// The dictionary of an `lz` table: one slice from the middle block
+/// of each of [`DICT_SLICES`] equal runs of blocks, taken a third of
+/// the way into the block, past its first entry, whose key shares no
+/// prefix. Empty when the table has fewer than [`MIN_DICT_BLOCKS`]
+/// blocks.
+fn cut_dictionary(blocks: &[Vec<u8>]) -> Vec<u8> {
+    if blocks.len() < MIN_DICT_BLOCKS {
+        return Vec::new();
+    }
+    let mut dict = Vec::with_capacity(MAX_DICT_BYTES);
+    for slice in 0..DICT_SLICES {
+        let block = &blocks[(2 * slice + 1) * blocks.len() / (2 * DICT_SLICES)];
+        let start = block.len() / 3;
+        dict.extend_from_slice(&block[start..block.len().min(start + DICT_SLICE_LEN)]);
+    }
+    dict
+}
+
 /// LZ effort of the block path.
-const BLOCK_LEVEL: TzstdLevel = TzstdLevel(1);
+pub(crate) const BLOCK_LEVEL: TzstdLevel = TzstdLevel(1);
 
 /// Per-table block codec, chosen from `LsmConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,7 +147,8 @@ pub enum BlockCodec {
     /// Stored frames only (still CRC-checked).
     #[default]
     None,
-    /// LZ77 + table-trained Huffman, no dictionary.
+    /// LZ77 + table-trained Huffman, with a dictionary cut from the
+    /// table's own blocks as shared match history.
     Lz,
     /// Pattern-based compression; the trained model is the table's
     /// dictionary payload.
@@ -268,19 +308,27 @@ fn for_each_coded(tokens: &SplitTokens, mut f: impl FnMut(usize, u8)) {
     }
 }
 
-/// The `lz`/`dict` payload coder: LZ77 parse (optionally against a
-/// trained dictionary), its control and literal bytes coded under ten
+/// The `lz`/`dict` payload coder: LZ77 parse of the block after the
+/// table's dictionary, its control and literal bytes coded under ten
 /// context-selected static Huffman tables.
 struct LzCoder {
-    dict: Option<Arc<TrainedDict>>,
+    dict: Option<Prefix>,
     /// [`CTRL_TABLES`] control tables, then [`LIT_TABLES`] literal ones.
     tables: Vec<HuffTable>,
     /// The same tables, chained by [`next_table`].
     decoder: Decoder,
 }
 
+/// LZ77-parses `block` into `tokens`, after `dict` when there is one.
+fn parse_block(dict: Option<&Prefix>, block: &[u8], tokens: &mut SplitTokens) {
+    match dict {
+        Some(dict) => lz_parse_after(dict, block, BLOCK_LEVEL, tokens),
+        None => lz_parse(block, None, BLOCK_LEVEL, tokens),
+    }
+}
+
 impl LzCoder {
-    fn new(dict: Option<Arc<TrainedDict>>, tables: Vec<HuffTable>) -> Self {
+    fn new(dict: Option<Prefix>, tables: Vec<HuffTable>) -> Self {
         Self {
             dict,
             decoder: Decoder::new(&tables, next_table),
@@ -289,28 +337,23 @@ impl LzCoder {
     }
 
     /// Trains every table on the LZ output of `blocks`.
-    fn train<'a>(dict: Option<Arc<TrainedDict>>, blocks: impl Iterator<Item = &'a [u8]>) -> Self {
+    fn train<'a>(dict: Option<Prefix>, blocks: impl Iterator<Item = &'a [u8]>) -> Self {
         let mut counts = [[0u32; 256]; TABLES];
         let mut tokens = SplitTokens::default();
         for block in blocks {
             tokens.ctrl.clear();
             tokens.lit.clear();
             tokens.run_start.clear();
-            lz_parse(block, dict.as_deref(), BLOCK_LEVEL, &mut tokens);
+            parse_block(dict.as_ref(), block, &mut tokens);
             for_each_coded(&tokens, |table, b| counts[table][b as usize] += 1);
         }
         Self::new(dict, counts.iter().map(HuffTable::from_counts).collect())
     }
 
-    fn from_payload(payload: &[u8], with_dict: bool) -> Result<Self> {
+    fn from_payload(payload: &[u8]) -> Result<Self> {
         let (tables, dict) = payload
             .split_at_checked(TABLES * TABLE_BYTES)
             .ok_or_else(|| Error::Corruption("block codec payload truncated".into()))?;
-        if !with_dict && !dict.is_empty() {
-            return Err(Error::Corruption(
-                "lz codec payload carries a dictionary".into(),
-            ));
-        }
         if dict.len() > MAX_DICT_BYTES {
             return Err(Error::Corruption(format!(
                 "block dictionary of {} bytes exceeds {MAX_DICT_BYTES}",
@@ -321,7 +364,7 @@ impl LzCoder {
             .chunks_exact(TABLE_BYTES)
             .map(HuffTable::from_bytes)
             .collect::<Result<_>>()?;
-        let dict = (!dict.is_empty()).then(|| Arc::new(TrainedDict::new(dict.to_vec())));
+        let dict = (!dict.is_empty()).then(|| Prefix::new(dict.to_vec()));
         Ok(Self::new(dict, tables))
     }
 
@@ -343,7 +386,7 @@ impl LzCoder {
             lit: Vec::with_capacity(block.len()),
             run_start: Vec::with_capacity(block.len()),
         };
-        lz_parse(block, self.dict.as_deref(), BLOCK_LEVEL, &mut tokens);
+        parse_block(self.dict.as_ref(), block, &mut tokens);
         write_varint(out, tokens.ctrl.len() as u64);
         write_varint(out, tokens.lit.len() as u64);
         let mut bits = BitWriter::new(out);
@@ -449,8 +492,9 @@ impl BlockCodecState {
     /// Trains the codec for one table: the tzstd dictionary (`dict`) or
     /// pattern model (`pbc`) from sampled input values (flush/compaction
     /// collects the first [`MAX_TRAIN_SAMPLES`] put values when the codec
-    /// [`trains_on_samples`](BlockCodec::trains_on_samples)), and the
-    /// `lz`/`dict` entropy tables from the LZ output of evenly spaced
+    /// [`trains_on_samples`](BlockCodec::trains_on_samples)), the `lz`
+    /// dictionary cut from `blocks`, and the `lz`/`dict` entropy tables
+    /// from the LZ output, after the dictionary, of evenly spaced
     /// `blocks` of the table itself (every [`TRAIN_BLOCK_STRIDE`]th, at
     /// most [`MAX_TRAIN_BLOCKS`]). Deterministic for fixed input.
     pub fn train_on_blocks(codec: BlockCodec, samples: &[Vec<u8>], blocks: &[Vec<u8>]) -> Self {
@@ -464,11 +508,10 @@ impl BlockCodecState {
                     coder: Coder::Pbc(Pbc::new(Arc::new(model))),
                 };
             }
-            BlockCodec::Lz => None,
-            BlockCodec::Dict => {
-                Some(train_dictionary(samples, MAX_DICT_BYTES)).filter(|d| !d.is_empty())
-            }
+            BlockCodec::Lz => cut_dictionary(blocks),
+            BlockCodec::Dict => dictionary_bytes(samples, MAX_DICT_BYTES),
         };
+        let dict = (!dict.is_empty()).then(|| Prefix::new(dict));
         let step = TRAIN_BLOCK_STRIDE.max(blocks.len().div_ceil(MAX_TRAIN_BLOCKS));
         let coder = LzCoder::train(dict, blocks.iter().step_by(step).map(Vec::as_slice));
         Self {
@@ -483,8 +526,9 @@ impl BlockCodecState {
     pub fn from_dict_payload(codec: BlockCodec, payload: &[u8]) -> Result<Self> {
         let coder = match codec {
             BlockCodec::None => return Ok(Self::default()),
-            BlockCodec::Lz => Coder::Lz(Box::new(LzCoder::from_payload(payload, false)?)),
-            BlockCodec::Dict => Coder::Lz(Box::new(LzCoder::from_payload(payload, true)?)),
+            BlockCodec::Lz | BlockCodec::Dict => {
+                Coder::Lz(Box::new(LzCoder::from_payload(payload)?))
+            }
             BlockCodec::Pbc => Coder::Pbc(Pbc::new(Arc::new(PbcModel::from_bytes(payload)?))),
         };
         Ok(Self {
@@ -632,11 +676,27 @@ mod tests {
         block
     }
 
+    /// An `lz` state trained on a table large enough to cut a
+    /// dictionary from its blocks.
+    fn primed_lz_state() -> BlockCodecState {
+        let blocks: Vec<Vec<u8>> = (0..MIN_DICT_BLOCKS as u64)
+            .map(|i| templated_block(60, i * 100))
+            .collect();
+        let state = BlockCodecState::train_on_blocks(BlockCodec::Lz, &[], &blocks);
+        assert_eq!(
+            state.dict_payload().len(),
+            TABLES * TABLE_BYTES + MAX_DICT_BYTES
+        );
+        state
+    }
+
+    /// Every codec trained on value samples, plus [`primed_lz_state`].
     fn all_states() -> Vec<BlockCodecState> {
         let samples = value_samples(64);
         BlockCodec::ALL
             .iter()
             .map(|&c| BlockCodecState::train(c, &samples))
+            .chain([primed_lz_state()])
             .collect()
     }
 
@@ -664,11 +724,61 @@ mod tests {
     fn entropy_tables_cost_1280_bytes_per_table() {
         let samples = value_samples(512);
         let blocks: Vec<Vec<u8>> = (0..100).map(|i| templated_block(60, i)).collect();
+        let small = &blocks[..MIN_DICT_BLOCKS - 1];
+        let lz = BlockCodecState::train_on_blocks(BlockCodec::Lz, &samples, small);
+        assert_eq!(
+            lz.dict_payload().len(),
+            10 * TABLE_BYTES,
+            "too small for a dictionary"
+        );
         let lz = BlockCodecState::train_on_blocks(BlockCodec::Lz, &samples, &blocks);
-        assert_eq!(lz.dict_payload().len(), 10 * TABLE_BYTES);
+        assert_eq!(lz.dict_payload().len(), 10 * TABLE_BYTES + MAX_DICT_BYTES);
         let dict = BlockCodecState::train_on_blocks(BlockCodec::Dict, &samples, &blocks);
         assert!(dict.dict_payload().len() > 10 * TABLE_BYTES);
         assert!(dict.dict_payload().len() <= 10 * TABLE_BYTES + MAX_DICT_BYTES);
+    }
+
+    #[test]
+    fn lz_dictionary_is_cut_from_evenly_spaced_blocks() {
+        // Blocks of distinct lengths, so each slice names its block.
+        let blocks: Vec<Vec<u8>> = (0..80).map(|i| templated_block(10 + i, i as u64)).collect();
+        let state = BlockCodecState::train_on_blocks(BlockCodec::Lz, &[], &blocks);
+        let dict = &state.dict_payload()[TABLES * TABLE_BYTES..];
+        let mut want = Vec::new();
+        for block in [2, 7, 12, 17, 22, 27, 32, 37, 42, 47, 52, 57, 62, 67, 72, 77] {
+            let b = &blocks[block];
+            want.extend_from_slice(&b[b.len() / 3..b.len().min(b.len() / 3 + DICT_SLICE_LEN)]);
+        }
+        assert_eq!(dict, want);
+        let again = BlockCodecState::train_on_blocks(BlockCodec::Lz, &[], &blocks);
+        assert_eq!(again.dict_payload(), state.dict_payload());
+        // Every block parses after it and round-trips through a reader
+        // rebuilt from the payload.
+        let reader =
+            BlockCodecState::from_dict_payload(BlockCodec::Lz, state.dict_payload()).unwrap();
+        for block in &blocks {
+            let mut frame = Vec::new();
+            assert!(state.encode_frame(block, &mut frame));
+            assert_eq!(reader.decode_frame(&frame).unwrap(), *block);
+        }
+    }
+
+    #[test]
+    fn previous_lz_payload_without_a_dictionary_still_decodes() {
+        // Written by the codec before `lz` tables carried a dictionary:
+        // ten tables trained on nothing (every code 8 bits), and the
+        // frame of `block` under them.
+        let payload = [0x88u8; TABLES * TABLE_BYTES];
+        let block = b"user000000000017=Springfield;user000000000018=Springfield;user000000000019=Shelbyville;";
+        let frame = [
+            0x01, 0x57, 0x00, 0x00, 0x00, 0xc8, 0x40, 0xed, 0xe5, 0x0b, 0x23, 0xa0, 0x60, 0x80,
+            0xf0, 0x30, 0xb8, 0x80, 0x98, 0xb8, 0x70, 0x00, 0xae, 0xce, 0xa6, 0x4e, 0x0c, 0x8c,
+            0xec, 0xbc, 0xca, 0x0e, 0x4e, 0x96, 0x76, 0xe6, 0x66, 0x96, 0xa6, 0x36, 0x26, 0xdc,
+            0x1c, 0x9c, 0xbc, 0xca, 0x16, 0xa6, 0x36, 0x46, 0x9e, 0x6e, 0x96, 0x36, 0x36, 0xa6,
+            0xdc,
+        ];
+        let reader = BlockCodecState::from_dict_payload(BlockCodec::Lz, &payload).unwrap();
+        assert_eq!(reader.decode_frame(&frame).unwrap(), block);
     }
 
     #[test]
@@ -938,11 +1048,14 @@ mod tests {
         };
         assert!(corrupt(BlockCodec::Lz, &[]));
         assert!(corrupt(BlockCodec::Lz, &good[..good.len() - 1]));
-        // An lz table has no dictionary; a dict table's is bounded.
-        assert!(corrupt(BlockCodec::Lz, &[&good[..], b"extra"].concat()));
-        assert!(!corrupt(BlockCodec::Dict, &[&good[..], b"extra"].concat()));
-        let oversized = [&good[..], &vec![b'x'; MAX_DICT_BYTES + 1]].concat();
-        assert!(corrupt(BlockCodec::Dict, &oversized));
+        // Either codec's dictionary is bounded.
+        for codec in [BlockCodec::Lz, BlockCodec::Dict] {
+            assert!(!corrupt(codec, &[&good[..], b"extra"].concat()));
+            let full = [&good[..], &vec![b'x'; MAX_DICT_BYTES]].concat();
+            assert!(!corrupt(codec, &full));
+            let oversized = [&good[..], &vec![b'x'; MAX_DICT_BYTES + 1]].concat();
+            assert!(corrupt(codec, &oversized));
+        }
         // Not a prefix code.
         let mut bad = good.clone();
         bad[0] = 0;
@@ -1047,23 +1160,38 @@ mod tests {
             }
         }
 
-        /// Arbitrary bytes, and noise behind ten well-formed (all codes
-        /// 8 bits) tables, at lengths around the ten tables' 1 280 B and
-        /// past them into a dictionary: `Ok` or `Corruption`.
+        /// Arbitrary bytes, noise behind ten well-formed (all codes 8
+        /// bits) tables at lengths around the ten tables' 1 280 B and
+        /// past them into a dictionary, and a trained `lz` payload with
+        /// its dictionary cut short, flipped or grown past the bound:
+        /// `Ok` or `Corruption`. A state that opens encodes and decodes
+        /// a block after whatever dictionary it holds.
         #[test]
         fn prop_from_dict_payload_is_ok_or_corruption(
             bytes in proptest::collection::vec(any::<u8>(), 0..700),
             cut in 0usize..700,
+            flip in any::<usize>(),
         ) {
             let tables = [0x88u8; TABLES * TABLE_BYTES];
             let near = [&tables[..TABLES * TABLE_BYTES - cut.min(300)], &bytes[..]].concat();
             let behind = [&tables[..], &bytes[..]].concat();
+            let primed = primed_lz_state().dict_payload().to_vec();
+            let short = &primed[..primed.len() - cut];
+            let mut flipped = primed.clone();
+            let at = TABLES * TABLE_BYTES + flip % MAX_DICT_BYTES;
+            flipped[at] ^= 1 << (flip % 8);
+            let long = [&primed[..], &bytes[..]].concat();
+            let block = templated_block(50, cut as u64);
             for codec in BlockCodec::ALL {
-                for payload in [&bytes, &near, &behind] {
-                    let outcome = BlockCodecState::from_dict_payload(codec, payload);
-                    prop_assert!(matches!(outcome, Ok(_) | Err(Error::Corruption(_))));
+                for payload in [&bytes, &near, &behind, short, &flipped, &long] {
+                    match BlockCodecState::from_dict_payload(codec, payload) {
+                        Ok(state) => roundtrip(&state, &block),
+                        Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
+                    }
                 }
             }
+            let long_opens = BlockCodecState::from_dict_payload(BlockCodec::Lz, &long).is_ok();
+            prop_assert_eq!(long_opens, bytes.is_empty());
         }
 
         /// A payload with its CRC re-stamped reaches the codec: one bit
@@ -1083,8 +1211,13 @@ mod tests {
             forge in any::<bool>(),
         ) {
             let block = templated_block(40, seed);
-            for codec in [BlockCodec::Lz, BlockCodec::Dict] {
-                let state = BlockCodecState::train(codec, &value_samples(64));
+            let samples = value_samples(64);
+            for state in [
+                BlockCodecState::train(BlockCodec::Lz, &samples),
+                BlockCodecState::train(BlockCodec::Dict, &samples),
+                primed_lz_state(),
+            ] {
+                let codec = state.codec();
                 let mut frame = Vec::new();
                 prop_assert!(state.encode_frame(&block, &mut frame));
                 let mut payload = frame[FRAME_HEADER_LEN..].to_vec();
@@ -1121,22 +1254,25 @@ mod tests {
         fn prop_parse_run_starts_match_the_control_stream(
             block in proptest::collection::vec(prop_oneof![Just(b'a'), Just(b'7'), any::<u8>()], 0..3000),
         ) {
-            let mut tokens = SplitTokens::default();
-            lz_parse(&block, None, BLOCK_LEVEL, &mut tokens);
-            let mut decoded = vec![false; tokens.lit.len()];
-            if let Some(first) = decoded.first_mut() {
-                *first = true;
-            }
-            let (mut runs, mut table) = (LitRuns::default(), 0);
-            for &b in &tokens.ctrl {
-                if let Some(end) = runs.run_end(table, b) {
-                    if let Some(start) = decoded.get_mut(end) {
-                        *start = true;
-                    }
+            let prefix = Prefix::new(b"a7a7aaa777".repeat(20));
+            for dict in [None, Some(&prefix)] {
+                let mut tokens = SplitTokens::default();
+                parse_block(dict, &block, &mut tokens);
+                let mut decoded = vec![false; tokens.lit.len()];
+                if let Some(first) = decoded.first_mut() {
+                    *first = true;
                 }
-                table = next_table(table, b);
+                let (mut runs, mut table) = (LitRuns::default(), 0);
+                for &b in &tokens.ctrl {
+                    if let Some(end) = runs.run_end(table, b) {
+                        if let Some(start) = decoded.get_mut(end) {
+                            *start = true;
+                        }
+                    }
+                    table = next_table(table, b);
+                }
+                prop_assert_eq!(decoded, tokens.run_start);
             }
-            prop_assert_eq!(decoded, tokens.run_start);
         }
 
         /// Max-size blocks (a full block_size worth of mixed content).

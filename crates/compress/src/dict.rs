@@ -20,6 +20,11 @@ const MAX_TRAIN_SAMPLES: usize = 4096;
 /// Returns an indexed [`TrainedDict`] ready to hand to
 /// [`crate::Tzstd::with_dict`].
 pub fn train_dictionary(samples: &[Vec<u8>], max_size: usize) -> Arc<TrainedDict> {
+    Arc::new(TrainedDict::new(dictionary_bytes(samples, max_size)))
+}
+
+/// The bytes of [`train_dictionary`]'s dictionary, unindexed.
+pub(crate) fn dictionary_bytes(samples: &[Vec<u8>], max_size: usize) -> Vec<u8> {
     let mut freq: HashMap<&[u8], u32> = HashMap::new();
     for s in samples.iter().take(MAX_TRAIN_SAMPLES) {
         for &flen in &FRAGMENT_LENS {
@@ -67,7 +72,7 @@ pub fn train_dictionary(samples: &[Vec<u8>], max_size: usize) -> Arc<TrainedDict
     for frag in chosen.iter().rev() {
         bytes.extend_from_slice(frag);
     }
-    Arc::new(TrainedDict::new(bytes))
+    bytes
 }
 
 fn contains(haystack: &[u8], needle: &[u8]) -> bool {

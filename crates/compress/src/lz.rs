@@ -15,10 +15,17 @@
 //! dictionary, which is what makes small templated records compress well.
 //! The dictionary is indexed once at construction, so per-record
 //! compression does no dictionary-sized work.
+//!
+//! SSTable blocks use a [`Prefix`] instead: the block is parsed as if
+//! the prefix came right before it in one input, tokens being emitted
+//! for the block only. The prefix's hash chains are built once, and a
+//! block position's chain walk runs on from the block's own earlier
+//! positions into them, under the level's one `chain_len` budget. The
+//! decoder is the same: distances count back through `prefix ++ output`.
 
 use crate::Compressor;
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tb_common::{Error, Result};
 
 /// Minimum match length worth encoding.
@@ -205,6 +212,55 @@ impl TrainedDict {
     }
 }
 
+/// Bucket bits of a parse after a [`Prefix`]. Fixed, because the
+/// prefix's chains are built once for every input: a 4 KiB prefix
+/// ahead of a 4 KiB block is the ~8 K positions a plain parse of one
+/// 8 KiB input would spread over this many bits.
+const PREFIX_TABLE_BITS: u32 = 14;
+
+/// Match history that precedes every input of [`lz_parse_after`] (a
+/// table's block dictionary).
+pub(crate) struct Prefix {
+    bytes: Vec<u8>,
+    /// Built on the first parse: a reader only decodes.
+    chains: OnceLock<PrefixChains>,
+}
+
+/// Hash chains over a prefix's own 4-grams (none that would reach
+/// into the input), in [`PREFIX_TABLE_BITS`] buckets. Entries hold
+/// `1 + position`, 0 ends a chain.
+struct PrefixChains {
+    head: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl Prefix {
+    pub fn new(bytes: Vec<u8>) -> Self {
+        Self {
+            bytes,
+            chains: OnceLock::new(),
+        }
+    }
+
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    fn chains(&self) -> &PrefixChains {
+        self.chains.get_or_init(|| {
+            let mut head = vec![0u32; 1 << PREFIX_TABLE_BITS];
+            let mut prev = vec![0u32; self.bytes.len()];
+            let grams = self.bytes.windows(MIN_MATCH);
+            for (pos, (link, gram)) in prev.iter_mut().zip(grams).enumerate() {
+                let h = (gram_hash(gram) >> (32 - PREFIX_TABLE_BITS)) as usize;
+                *link = head[h];
+                head[h] = pos as u32 + 1;
+            }
+            PrefixChains { head, prev }
+        })
+    }
+}
+
 /// Hash of the 4-gram at the start of `b`.
 #[inline]
 fn gram_hash(b: &[u8]) -> u32 {
@@ -285,11 +341,13 @@ struct Scratch {
     head: Vec<u32>,
     prev: Vec<u32>,
     next_base: u32,
+    /// `prefix ++ input` for [`lz_parse_after`].
+    history: Vec<u8>,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = const {
-        RefCell::new(Scratch { head: Vec::new(), prev: Vec::new(), next_base: 1 })
+        RefCell::new(Scratch { head: Vec::new(), prev: Vec::new(), next_base: 1, history: Vec::new() })
     };
 }
 
@@ -308,6 +366,46 @@ pub(crate) fn lz_parse(
     level: TzstdLevel,
     sink: &mut impl TokenSink,
 ) {
+    with_scratch(input, sink, |scratch, sink| {
+        parse(scratch, input, 0, dict, None, level.params(), sink);
+    });
+}
+
+/// [`lz_parse`] of `prefix ++ input` that emits tokens for `input`
+/// only: matches may start anywhere in the prefix and run on into the
+/// input.
+pub(crate) fn lz_parse_after(
+    prefix: &Prefix,
+    input: &[u8],
+    level: TzstdLevel,
+    sink: &mut impl TokenSink,
+) {
+    with_scratch(input, sink, |scratch, sink| {
+        let mut history = std::mem::take(&mut scratch.history);
+        history.clear();
+        history.extend_from_slice(&prefix.bytes);
+        history.extend_from_slice(input);
+        let chains = prefix.chains();
+        parse(
+            scratch,
+            &history,
+            prefix.bytes.len(),
+            None,
+            Some(chains),
+            level.params(),
+            sink,
+        );
+        scratch.history = history;
+    });
+}
+
+/// Runs `parse` on this thread's scratch, or emits an over-long
+/// `input` as one literal run.
+fn with_scratch<S: TokenSink>(
+    input: &[u8],
+    sink: &mut S,
+    parse: impl FnOnce(&mut Scratch, &mut S),
+) {
     if input.len() > MAX_LZ_INPUT {
         sink.varint(input.len() as u64);
         sink.literals(input);
@@ -316,18 +414,30 @@ pub(crate) fn lz_parse(
     }
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
-        parse(scratch, input, dict, level.params(), sink);
+        parse(scratch, sink);
         // One huge input must not pin its working memory to the thread.
         if scratch.prev.len() > MAX_KEPT_SCRATCH {
             scratch.prev = Vec::new();
         }
+        if scratch.history.capacity() > MAX_KEPT_SCRATCH {
+            scratch.history = Vec::new();
+        }
     });
 }
 
+/// Bucket bits of a plain parse of an `n`-byte input.
+fn length_table_bits(n: usize) -> u32 {
+    (usize::BITS - n.next_power_of_two().leading_zeros()).clamp(8, 16)
+}
+
+/// Parses `input[start..]`. `input[..start]` is a prefix whose hash
+/// chains are `primed`; a plain parse has `start` 0 and no chains.
 fn parse(
     scratch: &mut Scratch,
     input: &[u8],
+    start: usize,
     dict: Option<&TrainedDict>,
+    primed: Option<&PrefixChains>,
     p: LevelParams,
     sink: &mut impl TokenSink,
 ) {
@@ -336,7 +446,10 @@ fn parse(
     // Local hash chains over the input itself. The bucket is the *top*
     // bits of the multiplicative hash: its low bits depend only on the
     // low bits of the 4-gram, i.e. on its first byte or two.
-    let table_bits = (usize::BITS - n.next_power_of_two().leading_zeros()).clamp(8, 16);
+    let table_bits = match primed {
+        Some(_) => PREFIX_TABLE_BITS,
+        None => length_table_bits(n),
+    };
     let table_size = 1usize << table_bits;
     let bucket = |pos: usize| (gram_hash(&input[pos..]) >> (32 - table_bits)) as usize;
     if scratch.head.len() < table_size {
@@ -358,23 +471,20 @@ fn parse(
     // can neither start a match nor be indexed.
     let hash_end = n.saturating_sub(MIN_MATCH - 1);
 
-    let mut lit_start = 0usize;
-    let mut i = 0usize;
+    let mut lit_start = start;
+    let mut i = start;
     let mut misses = 0u32;
 
     // Best match for position `i < hash_end`, whose bucket is `h`.
     let find_best = |head: &[u32], prev: &[u32], i: usize, h: usize| -> Option<(usize, usize)> {
         let max = (n - i).min(MAX_MATCH);
-        let mut cand = head[h];
         let mut best: Option<(usize, usize)> = None;
-        let mut steps = 0usize;
-        while cand >= base && steps < p.chain_len {
-            let j = (cand - base) as usize;
+        // Only a candidate that matches through one byte past the best
+        // so far can replace it, so test the four bytes ending there
+        // first (the first four when there is no best yet, which any
+        // match needs) and skip the rest uncompared.
+        let mut consider = |j: usize| {
             debug_assert!(j < i);
-            // Only a candidate that matches through one byte past the
-            // best so far can replace it, so test the four bytes ending
-            // there first (the first four when there is no best yet,
-            // which any match needs) and skip the rest uncompared.
             let bl = best.map_or(MIN_MATCH - 1, |(bl, _)| bl);
             if bl < max && input[j + bl - 3..j + bl + 1] == input[i + bl - 3..i + bl + 1] {
                 let l = common_prefix(&input[j..j + max], &input[i..i + max]);
@@ -382,8 +492,25 @@ fn parse(
                     best = Some((l, i - j));
                 }
             }
+        };
+        let mut steps = 0usize;
+        let mut cand = head[h];
+        while cand >= base && steps < p.chain_len {
+            let j = (cand - base) as usize;
+            consider(j);
             cand = prev[j];
             steps += 1;
+        }
+        // The chain runs on into the prefix's, older than any position
+        // of the input.
+        if let Some(primed) = primed {
+            let mut cand = primed.head[h];
+            while cand != 0 && steps < p.chain_len {
+                let j = cand as usize - 1;
+                consider(j);
+                cand = primed.prev[j];
+                steps += 1;
+            }
         }
         // Dictionary candidates compete with in-record candidates.
         if let Some((dl, dd)) = dict.and_then(|d| d.best_match(input, i, p.dict_probe)) {
@@ -911,6 +1038,18 @@ mod tests {
     /// candidate compared in full. Slow and obviously right; the
     /// kernels in this module must make exactly its decisions.
     fn reference_parse(input: &[u8], dict: &[u8], level: TzstdLevel) -> Vec<u8> {
+        reference_parse_from(input, 0, dict, level, length_table_bits(input.len()))
+    }
+
+    /// [`reference_parse`] of `input[start..]`, every 4-gram of
+    /// `input[..start]` indexed first, hashed into `table_bits`.
+    fn reference_parse_from(
+        input: &[u8],
+        start: usize,
+        dict: &[u8],
+        level: TzstdLevel,
+        table_bits: u32,
+    ) -> Vec<u8> {
         use std::collections::HashMap;
         let p = level.params();
         let n = input.len();
@@ -928,7 +1067,6 @@ mod tests {
                 input[k - dict.len()]
             }
         };
-        let table_bits = (usize::BITS - n.next_power_of_two().leading_zeros()).clamp(8, 16);
         let bucket = |pos: usize| (gram_hash(&input[pos..]) >> (32 - table_bits)) as usize;
         let mut head = vec![usize::MAX; 1 << table_bits];
         let mut prev = vec![usize::MAX; n];
@@ -972,8 +1110,11 @@ mod tests {
             }
         };
 
+        for pos in 0..start.saturating_sub(MIN_MATCH - 1) {
+            insert(&mut head, &mut prev, pos);
+        }
         let mut out = Vec::new();
-        let (mut i, mut lit_start, mut misses) = (0usize, 0usize, 0u32);
+        let (mut i, mut lit_start, mut misses) = (start, start, 0u32);
         while i < n {
             let Some((mut len, mut dist)) = find_best(&head, &prev, i) else {
                 insert(&mut head, &mut prev, i);
@@ -1051,6 +1192,61 @@ mod tests {
         }
     }
 
+    /// `(input position, length, distance)` of every match in an
+    /// interleaved token stream.
+    fn matches_of(tokens: &[u8]) -> Vec<(usize, usize, usize)> {
+        let (mut pos, mut at, mut out) = (0, 0, Vec::new());
+        loop {
+            let lits = read_varint(tokens, &mut pos).unwrap() as usize;
+            pos += lits;
+            at += lits;
+            let code = read_varint(tokens, &mut pos).unwrap() as usize;
+            if code == 0 {
+                return out;
+            }
+            let dist = read_varint(tokens, &mut pos).unwrap() as usize;
+            out.push((at, code + MIN_MATCH - 1, dist));
+            at += code + MIN_MATCH - 1;
+        }
+    }
+
+    /// [`kernels_leave_the_parse_unchanged`] for the block path: a
+    /// parse after a [`Prefix`] at `BLOCK_LEVEL` makes exactly the
+    /// decisions of [`reference_parse_from`] over `prefix ++ input`
+    /// emitting from the prefix's end, including matches that start
+    /// in the prefix and run on into the input.
+    #[test]
+    fn primed_parse_matches_the_reference_over_prefix_then_input() {
+        let level = crate::block::BLOCK_LEVEL;
+        let mut bytes = parse_pin_corpus()[0][..2000].to_vec();
+        bytes.extend_from_slice(b"country=XX\tzone=UTC+\tSpringfield-\tpop=user0000000city\t");
+        let prefix = Prefix::new(bytes);
+        let mut crossed = 0;
+        for input in parse_pin_corpus().iter().chain(&parse_pin_corpus()) {
+            let mut tokens = Vec::new();
+            lz_parse_after(&prefix, input, level, &mut tokens);
+            let history = [prefix.as_bytes(), input].concat();
+            let start = prefix.as_bytes().len();
+            assert_eq!(
+                tokens,
+                reference_parse_from(&history, start, &[], level, PREFIX_TABLE_BITS),
+                "{} bytes",
+                input.len()
+            );
+            let src = InterleavedTokens {
+                buf: &tokens,
+                pos: 0,
+            };
+            let decoded = lz_decode(src, prefix.as_bytes(), 0, input.len()).unwrap();
+            assert_eq!(&decoded, input);
+            crossed += matches_of(&tokens)
+                .iter()
+                .filter(|&&(at, len, dist)| dist > at && dist < at + len)
+                .count();
+        }
+        assert!(crossed > 0, "no match ran from the prefix into the input");
+    }
+
     #[test]
     fn decode_refuses_to_outgrow_its_bound() {
         // A 3-byte stream claiming a 60 000-byte run of one literal.
@@ -1103,6 +1299,12 @@ mod tests {
         ) {
             let c = Tzstd::with_dict(TzstdLevel(level), Arc::new(TrainedDict::new(dict.clone())));
             prop_assert_eq!(c.lz_compress(&data), reference_parse(&data, &dict, c.level));
+            // The same bytes as a prefix.
+            let mut primed = Vec::new();
+            lz_parse_after(&Prefix::new(dict.clone()), &data, c.level, &mut primed);
+            let history = [&dict[..], &data[..]].concat();
+            let reference = reference_parse_from(&history, dict.len(), &[], c.level, PREFIX_TABLE_BITS);
+            prop_assert_eq!(primed, reference);
         }
 
         #[test]

@@ -31,11 +31,14 @@
 //! shrinks a block without changing where blocks end. Each block is
 //! framed through the table's [`BlockCodec`]. The codec's trained
 //! state is stored once as the table-level dict payload, so a table is
-//! self-describing and no block carries a model: the tzstd dictionary /
-//! PBC model is trained on sampled input values, the `lz`/`dict`
-//! entropy tables on the LZ output of the table's own blocks (every
-//! flush and compaction holds them all in memory before the first
-//! frame is written, and a compaction re-trains on its merged output).
+//! self-describing and no block carries a model: the `dict` dictionary
+//! and the PBC model are trained on sampled input values, an `lz`
+//! table's 4 KiB dictionary is cut from its own blocks, and the
+//! `lz`/`dict` entropy tables are trained on the LZ output of the
+//! table's own blocks, each parsed after the dictionary (every flush
+//! and compaction holds them all in memory before the first frame is
+//! written, and a compaction re-trains on its merged output). Blocks,
+//! the index and `locate` do not depend on the codec.
 //! Every block read verifies the frame CRC before any key search; a bad
 //! block is a per-slot [`Error::Corruption`], never a torn batch.
 //!
