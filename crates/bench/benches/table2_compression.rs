@@ -9,10 +9,11 @@
 //! re-sample and re-encode, and every read decodes + CRC-verifies a
 //! frame before the key search.
 //!
-//! Shape to reproduce: the trained codecs (`dict`, `pbc`) shrink the
-//! on-disk data region hardest on the machine-templated values, `lz`
-//! sits between them and `none`, and read-heavy YCSB-B pays a modest
-//! decompression toll against raw.
+//! Shape to reproduce: the LZ codecs, whose blocks parse after a table
+//! dictionary (`lz` cuts it from the table's blocks, `dict` trains it
+//! on sampled values), shrink the on-disk data region hardest on the
+//! machine-templated values, `pbc` sits between them and `none`, and
+//! read-heavy YCSB-B pays a decompression toll against raw.
 
 use tb_bench::{bench_dir, budget, drive, print_table, BenchReport};
 use tb_common::KvEngine;

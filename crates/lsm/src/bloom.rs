@@ -144,7 +144,11 @@ mod tests {
         for items in [1, 10, 1000, 90_000] {
             let f = BloomFilter::new(items, 10);
             let want = (items * 10) as u64;
-            assert!((want..want + 64).contains(&f.n_bits), "{items}: {}", f.n_bits);
+            assert!(
+                (want..want + 64).contains(&f.n_bits),
+                "{items}: {}",
+                f.n_bits
+            );
             assert_eq!(f.to_bytes().len() as u64, 12 + f.n_bits / 8);
         }
     }
