@@ -1,16 +1,20 @@
-//! Frontend pipeline: group-commit vs per-op `sync()` over the LSM
-//! engine under open-loop concurrent replay.
+//! Frontend pipeline: group commit vs a WAL that fsyncs every write,
+//! over the LSM engine under open-loop concurrent replay.
 //!
-//! Shape to reproduce: with durability paid per operation every write
-//! eats an fsync, capping throughput near the storage sync rate; the
-//! front-end's group commit amortizes one fsync across a drained batch
-//! (TierBase §4.1.2's batched remote-tier round-trips), multiplying
-//! write throughput and cutting p99.
+//! Shape to reproduce: with durability paid per operation
+//! (`SyncPolicy::EveryWrite`: every WAL append is an fsync) throughput
+//! is capped near the storage sync rate; the front-end's group commit
+//! amortizes one fsync across a drained batch (TierBase §4.1.2's
+//! batched remote-tier round-trips), multiplying write throughput and
+//! cutting p99. Both ticket rows run the same open-loop driver.
 //!
 //! The `burst-16` row drives the same trace the way `tb-server` does:
 //! closed-loop clients hand the front-end 16-op bursts through
 //! `Frontend::apply_batch` (one sub-batch per shard, one `sync()` per
 //! burst).
+//!
+//! Every row must finish without a failed op, and the group-commit rows
+//! must issue fewer front-end syncs than the run has writes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -18,6 +22,7 @@ use std::time::Instant;
 use tb_bench::{bench_dir, budget, drive_pipelined, print_table, BenchReport, PipelineResult};
 use tb_common::{EngineOp, Histogram, KvEngine};
 use tb_frontend::{Frontend, FrontendConfig};
+use tb_lsm::wal::SyncPolicy;
 use tb_lsm::{LsmConfig, LsmDb};
 use tb_workload::{Op, Trace, Workload, WorkloadSpec};
 
@@ -77,28 +82,37 @@ fn main() {
 
     let mut report = BenchReport::new("frontend_pipeline");
     let mut rows = Vec::new();
-    for (label, group_commit, bursts) in [
-        ("per-op-sync", false, false),
-        ("group-commit", true, false),
-        ("burst-16", true, true),
+    for (label, wal_sync, bursts) in [
+        ("wal-every-write", SyncPolicy::EveryWrite, false),
+        ("group-commit", SyncPolicy::OsBuffer, false),
+        ("burst-16", SyncPolicy::OsBuffer, true),
     ] {
         let dir = bench_dir(&format!("fe-pipe-{label}"));
-        let db: Arc<dyn KvEngine> = Arc::new(LsmDb::open(LsmConfig::new(&dir)).expect("open lsm"));
+        let config = LsmConfig {
+            wal_sync,
+            ..LsmConfig::new(&dir)
+        };
+        let db: Arc<dyn KvEngine> = Arc::new(LsmDb::open(config).expect("open lsm"));
         let fe = Frontend::start(
             db,
             FrontendConfig {
                 shards: 4,
                 queue_capacity: 4096,
                 max_batch: 128,
-                group_commit,
             },
         );
 
         let mut w = Workload::new(WorkloadSpec::ycsb_a(records, ops));
         let load = Trace::new(w.load_ops());
         let run = w.run_trace();
+        let writes = run
+            .ops()
+            .iter()
+            .filter(|op| !matches!(op, Op::Read { .. } | Op::Scan { .. }))
+            .count() as u64;
         // Load phase through the pipeline too, untimed.
-        let _ = drive_pipelined(&fe, &load, 4);
+        let loaded = drive_pipelined(&fe, &load, 4);
+        let before = fe.stats().snapshot();
 
         let r = if bursts {
             drive_bursts(&fe, &run, 8)
@@ -106,14 +120,29 @@ fn main() {
             drive_pipelined(&fe, &run, 8)
         };
         report.add_pipeline(label, &r);
-        let snap = fe.stats().snapshot();
+        let after = fe.stats().snapshot();
+        let syncs = after.group_syncs - before.group_syncs;
+        let batches = after.batches - before.batches;
+        let completed = after.completed - before.completed;
+        assert_eq!(
+            (loaded.errors, r.errors),
+            (0, 0),
+            "{label}: failed ops (load, run)"
+        );
+        if wal_sync == SyncPolicy::OsBuffer {
+            assert!(
+                syncs < writes,
+                "{label}: group commit issued {syncs} syncs for {writes} writes"
+            );
+        }
         rows.push(vec![
             label.to_string(),
             format!("{:.1}", r.qps / 1000.0),
             format!("{:.1}", r.p50_us),
             format!("{:.1}", r.p99_us),
-            format!("{}", snap.group_syncs + snap.per_op_syncs),
-            format!("{:.1}", snap.mean_batch()),
+            format!("{writes}"),
+            format!("{syncs}"),
+            format!("{:.1}", completed as f64 / batches.max(1) as f64),
             format!("{}", r.errors),
         ]);
         fe.shutdown();
@@ -121,13 +150,14 @@ fn main() {
     }
 
     print_table(
-        "Frontend pipeline: per-op sync vs group commit vs 16-op bursts (LSM engine, YCSB-A)",
+        "Frontend pipeline: WAL fsync per write vs group commit vs 16-op bursts (LSM engine, YCSB-A)",
         &[
             "mode",
             "kqps",
             "p50_us",
             "p99_us",
-            "syncs",
+            "writes",
+            "fe_syncs",
             "ops/batch",
             "errors",
         ],

@@ -173,7 +173,8 @@ pub fn drive_pipelined(
     run: &Trace,
     submit_threads: usize,
 ) -> PipelineResult {
-    use tb_frontend::{Request, Ticket};
+    use tb_common::EngineOp;
+    use tb_frontend::Ticket;
 
     let hist = Histogram::new();
     let errors = AtomicUsize::new(0);
@@ -203,19 +204,19 @@ pub fn drive_pipelined(
                     }
                     let t0 = Instant::now();
                     let ticket = match &ops[i] {
-                        Op::Read { key } => frontend.submit(Request::Get(key.clone())),
+                        Op::Read { key } => frontend.submit(EngineOp::Get(key.clone())),
                         Op::Insert { key, value } | Op::Update { key, value } => {
-                            frontend.submit(Request::Put(key.clone(), value.clone()))
+                            frontend.submit(EngineOp::Put(key.clone(), value.clone()))
                         }
-                        Op::Delete { key } => frontend.submit(Request::Delete(key.clone())),
+                        Op::Delete { key } => frontend.submit(EngineOp::Delete(key.clone())),
                         Op::ReadModifyWrite { key, value } => {
                             // Both halves pipelined and awaited: the
                             // read's latency and errors count too, the
                             // trace op itself counts once toward qps.
-                            window.push((t0, frontend.submit(Request::Get(key.clone()))));
-                            frontend.submit(Request::Put(key.clone(), value.clone()))
+                            window.push((t0, frontend.submit(EngineOp::Get(key.clone()))));
+                            frontend.submit(EngineOp::Put(key.clone(), value.clone()))
                         }
-                        Op::Scan { start, end, limit } => frontend.submit(Request::Scan {
+                        Op::Scan { start, end, limit } => frontend.submit(EngineOp::Scan {
                             start: start.clone(),
                             end: Some(end.clone()),
                             limit: *limit as usize,

@@ -89,8 +89,8 @@ impl NodeStore {
 
     /// Builds a node whose engine serves in the given mode. Pipelined
     /// mode wraps the engine in a front-end, so every request a client
-    /// or the replay harness routes here flows through submission
-    /// queues and group-commit batching.
+    /// or the replay harness routes here is a front-end burst: one
+    /// sub-batch per shard it touches, and one sync for its writes.
     pub fn with_serving_mode(id: NodeId, engine: Arc<dyn KvEngine>, mode: ServingMode) -> Self {
         let primary = Self::wrap(engine, &mode);
         Self {
@@ -287,7 +287,7 @@ impl NodeStore {
     }
 
     /// Coalesced write: one engine submission (through a pipelined
-    /// serving mode this rides group commit as a single batch), then
+    /// serving mode, one burst made durable by one sync), then
     /// every pair ships through the one replication channel in LSN
     /// order. Returns the covering LSN — the max across the pairs.
     pub fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<Lsn> {

@@ -2,44 +2,42 @@
 //!
 //! `Frontend::apply_batch` cuts a burst into runs (the ops between two
 //! scan barriers) and a run into one sub-batch per shard: [`RunPlan`]
-//! collects the requests per shard and remembers, per request, which
-//! burst op it serves ([`Part`]). Whoever executes a sub-batch — the
-//! shard's worker, or the submitting thread itself — fills the result
-//! slots of the [`Run`]; the submitter parks on **one** latch per run
-//! instead of one ticket per op. Like a dropped `Completer`, a
-//! sub-batch that is dropped unexecuted (engine panic, queue closed at
-//! shutdown) still opens the latch, and its empty slots read as failed
-//! requests: a caller can never hang on a burst the front-end lost.
+//! collects the ops per shard and remembers, per queued op, which burst
+//! op it serves ([`Part`]). Whoever executes a sub-batch — the shard's
+//! worker, or the submitting thread itself — fills the result slots of
+//! the [`Run`]; the submitter parks on **one** latch per run instead of
+//! one ticket per op. Like a dropped `Completer`, a sub-batch that is
+//! dropped unexecuted (engine panic, queue closed at shutdown) still
+//! opens the latch, and its empty slots read as failed ops: a caller
+//! can never hang on a burst the front-end lost.
 
-use crate::frontend::Request;
-use crate::ticket::Response;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
-use tb_common::{OpOutcome, Result};
+use tb_common::{EngineOp, OpOutcome, Result};
 
-/// One request of a burst's run, and where its response lands.
+/// One queued op of a burst's run, and where its outcome lands.
 pub(crate) struct Part {
-    /// The burst op this request serves.
+    /// The burst op this part serves.
     pub op: usize,
     /// Set for one shard's slice of a `MultiGet` that spans shards:
-    /// the response positions its values fill, and the full key count.
+    /// the outcome positions its values fill, and the full key count.
     slice: Option<(Vec<usize>, usize)>,
 }
 
 impl Part {
-    /// Folds this part's response into what earlier parts of the same
-    /// op produced. A lone part *is* the outcome; the slices of a
-    /// spanning `MultiGet` fill their key positions; the slices of a
-    /// spanning `MultiPut` ack the max LSN; the first error wins.
+    /// Folds this part's outcome into what earlier parts of the same op
+    /// produced. A lone part *is* the outcome; the slices of a spanning
+    /// `MultiGet` fill their key positions; the slices of a spanning
+    /// `MultiPut` ack the max LSN; the first error wins.
     pub fn merge(
         self,
         earlier: Option<Result<OpOutcome>>,
-        result: Result<Response>,
+        result: Result<OpOutcome>,
     ) -> Result<OpOutcome> {
         match (earlier, result) {
             (Some(Err(e)), _) | (_, Err(e)) => Err(e),
-            (earlier, Ok(response)) => Ok(match (response, self.slice) {
-                (Response::Values(values), Some((positions, len))) => {
+            (earlier, Ok(outcome)) => Ok(match (outcome, self.slice) {
+                (OpOutcome::Values(values), Some((positions, len))) => {
                     let mut all = match earlier {
                         Some(Ok(OpOutcome::Values(all))) => all,
                         _ => vec![None; len],
@@ -49,22 +47,20 @@ impl Part {
                     }
                     OpOutcome::Values(all)
                 }
-                (Response::Done(lsn), _) => match earlier {
+                (OpOutcome::Done(lsn), _) => match earlier {
                     Some(Ok(OpOutcome::Done(acked))) => OpOutcome::Done(acked.max(lsn)),
                     _ => OpOutcome::Done(lsn),
                 },
-                (Response::Value(value), _) => OpOutcome::Value(value),
-                (Response::Values(values), None) => OpOutcome::Values(values),
-                (Response::Range(rows), _) => OpOutcome::Range(rows),
+                (outcome, _) => outcome,
             }),
         }
     }
 }
 
-/// The run a burst is collecting: each shard's requests in submission
-/// order, tagged with their index into `parts`.
+/// The run a burst is collecting: each shard's ops in submission order,
+/// tagged with their index into `parts`.
 pub(crate) struct RunPlan {
-    pub per_shard: Vec<Vec<(Request, usize)>>,
+    pub per_shard: Vec<Vec<(EngineOp, usize)>>,
     pub parts: Vec<Part>,
 }
 
@@ -79,18 +75,21 @@ impl RunPlan {
     pub fn add(
         &mut self,
         shard: usize,
-        request: Request,
-        op: usize,
+        op: EngineOp,
+        burst_op: usize,
         slice: Option<(Vec<usize>, usize)>,
     ) {
-        self.per_shard[shard].push((request, self.parts.len()));
-        self.parts.push(Part { op, slice });
+        self.per_shard[shard].push((op, self.parts.len()));
+        self.parts.push(Part {
+            op: burst_op,
+            slice,
+        });
     }
 }
 
 struct State {
-    /// `results[part]`: `None` until the part's request resolved.
-    results: Vec<Option<Result<Response>>>,
+    /// `results[part]`: `None` until the part's op resolved.
+    results: Vec<Option<Result<OpOutcome>>>,
     /// Sub-batches not yet finished (or dropped).
     open: usize,
 }
@@ -120,13 +119,13 @@ impl Run {
     }
 
     /// Resolves one part.
-    pub fn fill(&self, part: usize, result: Result<Response>) {
+    pub fn fill(&self, part: usize, result: Result<OpOutcome>) {
         self.state.lock().results[part] = Some(result);
     }
 
     /// Blocks until every registered sub-batch finished, then takes the
-    /// results (`None` = the part's request was dropped unresolved).
-    pub fn wait(&self) -> Vec<Option<Result<Response>>> {
+    /// results (`None` = the part's op was dropped unresolved).
+    pub fn wait(&self) -> Vec<Option<Result<OpOutcome>>> {
         let mut state = self.state.lock();
         while state.open > 0 {
             self.done.wait(&mut state);
@@ -162,8 +161,8 @@ mod tests {
         let worker = {
             let run = run.clone();
             std::thread::spawn(move || {
-                run.fill(0, Ok(Response::Done(Lsn(4))));
-                run.fill(2, Ok(Response::Value(None)));
+                run.fill(0, Ok(OpOutcome::Done(Lsn(4))));
+                run.fill(2, Ok(OpOutcome::Value(None)));
                 drop(a);
             })
         };
@@ -171,14 +170,14 @@ mod tests {
         // One sub-batch is still out: the latch must hold. (Checked on
         // the state, since `wait` itself would park.)
         assert_eq!(run.state.lock().open, 1);
-        run.fill(1, Ok(Response::Done(Lsn(5))));
+        run.fill(1, Ok(OpOutcome::Done(Lsn(5))));
         drop(b);
         assert_eq!(
             run.wait(),
             vec![
-                Some(Ok(Response::Done(Lsn(4)))),
-                Some(Ok(Response::Done(Lsn(5)))),
-                Some(Ok(Response::Value(None))),
+                Some(Ok(OpOutcome::Done(Lsn(4)))),
+                Some(Ok(OpOutcome::Done(Lsn(5)))),
+                Some(Ok(OpOutcome::Value(None))),
             ]
         );
     }
@@ -187,8 +186,8 @@ mod tests {
     fn dropped_sub_batch_opens_the_latch_with_empty_slots() {
         let run = Run::new(2);
         let done = run.sub_batch();
-        run.fill(0, Ok(Response::Value(None)));
+        run.fill(0, Ok(OpOutcome::Value(None)));
         drop(done); // the unwind of a panicked batch, or a closed queue
-        assert_eq!(run.wait(), vec![Some(Ok(Response::Value(None))), None]);
+        assert_eq!(run.wait(), vec![Some(Ok(OpOutcome::Value(None))), None]);
     }
 }

@@ -3,24 +3,31 @@
 //! Every engine in the workspace is a synchronous [`KvEngine`]; this
 //! crate turns one into a *servable system*: the paper's data-node
 //! serving model of one event loop per shard (§4.4) with batched
-//! storage round-trips (§4.1.2). Client threads submit
-//! [`Request`]s to per-shard bounded queues (routed by the cluster
-//! hash, `slot_for_key`); each shard's one worker drains batches,
-//! coalesces adjacent writes into `multi_put`, and group-commits one
-//! `sync()` per dirty batch. Completion flows back through per-request
-//! [`Ticket`]s; a full shard queue is backpressure (blocking `submit`,
-//! or `Error::Backpressure` from `try_submit`). A whole burst —
-//! `KvEngine::apply_batch` on the [`Frontend`], which is what a decoded
-//! `tb-server` pipeline burst becomes — is submitted natively: one
-//! sub-batch per shard (one of them run by the submitting thread when
-//! its shard is idle), one completion latch, one `sync()` for all of
-//! its writes. So engine code runs concurrently on at most one worker
-//! per shard plus the burst submitters running inline.
+//! storage round-trips (§4.1.2). There are two ways in, both speaking
+//! the engine's own [`EngineOp`]/[`OpOutcome`]:
+//!
+//! * **Tickets** — [`Frontend::submit`]/[`Frontend::try_submit`] queue
+//!   one single-shard op (routed by the cluster hash, `slot_for_key`)
+//!   and return a [`Ticket`]; a full shard queue is backpressure
+//!   (blocking `submit`, or `Error::Backpressure` from `try_submit`).
+//!   Each shard's one worker drains batches, coalesces adjacent writes
+//!   into one `MultiPut`, and group-commits one `sync()` per dirty
+//!   batch.
+//! * **Bursts** — every synchronous `KvEngine` call on the [`Frontend`]
+//!   is one: `apply_batch` (which is what a decoded `tb-server`
+//!   pipeline burst becomes), and `get`/`put`/… as one-op bursts. A
+//!   burst is split into one sub-batch per shard (one of them run by
+//!   the submitting thread when its shard is idle), awaited on one
+//!   completion latch, and made durable by one `sync()` for all of its
+//!   writes.
+//!
+//! So engine code runs concurrently on at most one worker per shard
+//! plus the burst submitters running inline.
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tb_common::{Key, KvEngine, Value};
-//! use tb_frontend::{Frontend, FrontendConfig, Request};
+//! use tb_common::{EngineOp, Key, KvEngine, Value};
+//! use tb_frontend::{Frontend, FrontendConfig};
 //! # use tb_common::Result;
 //! # use parking_lot::Mutex;
 //! # use std::collections::BTreeMap;
@@ -34,16 +41,21 @@
 //! # }
 //! # let engine: Arc<dyn KvEngine> = Arc::new(MapEngine(Mutex::new(BTreeMap::new())));
 //! let fe = Frontend::start(engine, FrontendConfig::default());
-//! // Pipelined: submit many requests, await their tickets later.
+//! // Pipelined: submit many ops, await their tickets later.
 //! let tickets: Vec<_> = (0..100)
-//!     .map(|i| fe.submit(Request::Put(Key::from(format!("k{i}")), Value::from("v"))))
+//!     .map(|i| fe.submit(EngineOp::Put(Key::from(format!("k{i}")), Value::from("v"))))
 //!     .collect();
 //! for t in tickets {
 //!     t.wait().unwrap();
 //! }
+//! // Synchronous: a one-op burst.
 //! assert_eq!(fe.get(&Key::from("k7")).unwrap(), Some(Value::from("v")));
 //! fe.shutdown();
 //! ```
+//!
+//! [`KvEngine`]: tb_common::KvEngine
+//! [`EngineOp`]: tb_common::EngineOp
+//! [`OpOutcome`]: tb_common::OpOutcome
 
 mod burst;
 mod frontend;
@@ -51,9 +63,9 @@ mod queue;
 mod stats;
 mod ticket;
 
-pub use frontend::{Frontend, FrontendConfig, Request};
+pub use frontend::{Frontend, FrontendConfig};
 pub use stats::{FrontendStats, FrontendStatsSnapshot};
-pub use ticket::{Response, Ticket};
+pub use ticket::Ticket;
 
 #[cfg(test)]
 mod tests {
@@ -63,7 +75,7 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
-    use tb_common::{Error, Key, KvEngine, Result, Value};
+    use tb_common::{EngineOp, Error, Key, KvEngine, OpOutcome, Result, Value};
 
     /// Map engine that counts engine-level calls, can inject
     /// per-operation latency (to saturate queues deterministically),
@@ -113,7 +125,7 @@ mod tests {
         }
 
         fn done(&self) -> tb_common::OpOutcome {
-            tb_common::OpOutcome::Done(match &self.lsn {
+            OpOutcome::Done(match &self.lsn {
                 Some(next) => tb_common::Lsn(next.fetch_add(1, Ordering::Relaxed) + 1),
                 None => tb_common::Lsn::NONE,
             })
@@ -173,8 +185,7 @@ mod tests {
             }
             Ok(())
         }
-        fn apply_batch(&self, ops: Vec<tb_common::EngineOp>) -> Vec<Result<tb_common::OpOutcome>> {
-            use tb_common::{EngineOp, OpOutcome};
+        fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<tb_common::OpOutcome>> {
             self.apply_batches.fetch_add(1, Ordering::Relaxed);
             self.batch_threads.lock().push(std::thread::current().id());
             // Same lowering as the trait default; counted so tests can
@@ -260,20 +271,20 @@ mod tests {
         // writes submitted before it.
         let mut tickets = Vec::new();
         for i in 0..50 {
-            tickets.push((None, fe.submit(Request::Put(k(i), v(i)))));
+            tickets.push((None, fe.submit(EngineOp::Put(k(i), v(i)))));
         }
         tickets.push((
             Some(50),
-            fe.submit(Request::Scan {
+            fe.submit(EngineOp::Scan {
                 start: k(0),
                 end: Some(k(50)),
                 limit: usize::MAX,
             }),
         ));
-        tickets.push((None, fe.submit(Request::Delete(k(10)))));
+        tickets.push((None, fe.submit(EngineOp::Delete(k(10)))));
         tickets.push((
             Some(49),
-            fe.submit(Request::Scan {
+            fe.submit(EngineOp::Scan {
                 start: k(0),
                 end: None,
                 limit: usize::MAX,
@@ -281,11 +292,11 @@ mod tests {
         ));
         for (expect, t) in tickets {
             match (expect, t.wait().unwrap()) {
-                (Some(n), Response::Range(rows)) => {
+                (Some(n), OpOutcome::Range(rows)) => {
                     assert_eq!(rows.len(), n, "scan saw the writes submitted before it");
                     assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "rows key-ordered");
                 }
-                (None, Response::Done(_)) => {}
+                (None, OpOutcome::Done(_)) => {}
                 (e, r) => panic!("unexpected outcome {e:?} {r:?}"),
             }
         }
@@ -334,7 +345,7 @@ mod tests {
         // Pipelined burst: tickets awaited only at the end, so the
         // single shard worker sees deep batches.
         let tickets: Vec<Ticket> = (0..1000)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
+            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
             .collect();
         for t in tickets {
             t.wait().unwrap();
@@ -352,28 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn per_op_mode_syncs_every_write() {
-        let engine = ProbeEngine::shared();
-        let fe = Frontend::start(
-            engine.clone(),
-            FrontendConfig {
-                shards: 1,
-                group_commit: false,
-                ..FrontendConfig::default()
-            },
-        );
-        let tickets: Vec<Ticket> = (0..100)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        assert_eq!(engine.syncs.load(Ordering::Relaxed), 100);
-        assert_eq!(fe.stats().snapshot().per_op_syncs, 100);
-        fe.shutdown();
-    }
-
-    #[test]
     fn adjacent_writes_coalesce_into_multi_put() {
         let engine = ProbeEngine::shared();
         let fe = Frontend::start(
@@ -384,7 +373,7 @@ mod tests {
             },
         );
         let tickets: Vec<Ticket> = (0..500)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
+            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
             .collect();
         for t in tickets {
             t.wait().unwrap();
@@ -408,16 +397,16 @@ mod tests {
         for round in 0..50 {
             tickets.push((
                 None,
-                fe.submit(Request::Put(key.clone(), Value::from(format!("{round}")))),
+                fe.submit(EngineOp::Put(key.clone(), Value::from(format!("{round}")))),
             ));
-            tickets.push((Some(round), fe.submit(Request::Get(key.clone()))));
+            tickets.push((Some(round), fe.submit(EngineOp::Get(key.clone()))));
         }
         for (expect, t) in tickets {
             match (expect, t.wait().unwrap()) {
-                (Some(round), Response::Value(got)) => {
+                (Some(round), OpOutcome::Value(got)) => {
                     assert_eq!(got, Some(Value::from(format!("{round}"))));
                 }
-                (None, Response::Done(_)) => {}
+                (None, OpOutcome::Done(_)) => {}
                 (e, r) => panic!("unexpected outcome {e:?} {r:?}"),
             }
         }
@@ -433,14 +422,13 @@ mod tests {
                 shards: 1,
                 queue_capacity: 8,
                 max_batch: 4,
-                ..FrontendConfig::default()
             },
         );
         // Fill the queue faster than the slow engine drains it.
         let mut accepted = Vec::new();
         let mut rejected = 0;
         for i in 0..64 {
-            match fe.try_submit(Request::Put(k(i), v(i))) {
+            match fe.try_submit(EngineOp::Put(k(i), v(i))) {
                 Ok(t) => accepted.push(t),
                 Err(e @ Error::Backpressure { .. }) => {
                     // The shed carries a retry-after hint: the refusing
@@ -472,54 +460,35 @@ mod tests {
             .map(k)
             .find(|key| fe.shard_of(key) != fe.shard_of(&a))
             .expect("some key lands on another shard");
-        let spanning = Request::MultiPut(vec![(a.clone(), v(0)), (b.clone(), v(1))]);
-        assert!(matches!(
-            fe.submit(spanning.clone()).wait(),
-            Err(Error::InvalidArgument(_))
-        ));
-        assert!(matches!(
-            fe.try_submit(spanning),
-            Err(Error::InvalidArgument(_))
-        ));
-        // Single-shard batches and the splitting helpers still work.
-        fe.submit(Request::MultiPut(vec![(a.clone(), v(0))]))
+        // A ticket is one shard's: a spanning write *or* read is refused
+        // by both submit paths.
+        for spanning in [
+            EngineOp::MultiPut(vec![(a.clone(), v(0)), (b.clone(), v(1))]),
+            EngineOp::MultiGet(vec![a.clone(), b.clone()]),
+        ] {
+            assert!(matches!(
+                fe.submit(spanning.clone()).wait(),
+                Err(Error::InvalidArgument(_))
+            ));
+            assert!(matches!(
+                fe.try_submit(spanning),
+                Err(Error::InvalidArgument(_))
+            ));
+        }
+        // Single-shard ones still work, and the burst path splits
+        // spanning ones by shard.
+        fe.submit(EngineOp::MultiPut(vec![(a.clone(), v(0))]))
             .wait()
             .unwrap();
+        assert_eq!(
+            fe.try_submit(EngineOp::MultiGet(vec![a.clone()]))
+                .unwrap()
+                .wait(),
+            Ok(OpOutcome::Values(vec![Some(v(0))]))
+        );
         fe.multi_put(vec![(a.clone(), v(2)), (b.clone(), v(3))])
             .unwrap();
-        assert_eq!(fe.get(&b).unwrap(), Some(v(3)));
-        fe.shutdown();
-    }
-
-    #[test]
-    fn cross_shard_multi_get_scatters_and_gathers_in_key_order() {
-        let engine = ProbeEngine::shared();
-        let fe = Frontend::start(engine, FrontendConfig::with_shards(4));
-        let pairs: Vec<(Key, Value)> = (0..64).map(|i| (k(i), v(i))).collect();
-        fe.multi_put(pairs).unwrap();
-        // A raw submit of a shard-spanning MultiGet: scattered per
-        // shard, gathered positionally (hits interleaved with misses).
-        let keys: Vec<Key> = (0..128).map(k).collect();
-        let shards: std::collections::HashSet<usize> =
-            keys.iter().map(|key| fe.shard_of(key)).collect();
-        assert!(shards.len() > 1, "test needs a spanning key set");
-        let ticket = fe.submit(Request::MultiGet(keys.clone()));
-        match ticket.wait().unwrap() {
-            Response::Values(values) => {
-                assert_eq!(values.len(), 128);
-                for (i, item) in values.iter().enumerate() {
-                    if i < 64 {
-                        assert_eq!(item.as_ref(), Some(&v(i)), "key {i} should hit");
-                    } else {
-                        assert!(item.is_none(), "key {i} should miss");
-                    }
-                }
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-        // try_submit scatters too.
-        let ticket = fe.try_submit(Request::MultiGet(keys)).unwrap();
-        assert!(matches!(ticket.wait().unwrap(), Response::Values(_)));
+        assert_eq!(fe.multi_get(&[a, b]).unwrap(), vec![Some(v(2)), Some(v(3))]);
         fe.shutdown();
     }
 
@@ -532,9 +501,9 @@ mod tests {
         let tickets: Vec<Ticket> = (0..600)
             .map(|i| {
                 if i % 3 == 0 {
-                    fe.submit(Request::Get(k(i)))
+                    fe.submit(EngineOp::Get(k(i)))
                 } else {
-                    fe.submit(Request::Put(k(i), v(i)))
+                    fe.submit(EngineOp::Put(k(i), v(i)))
                 }
             })
             .collect();
@@ -556,7 +525,7 @@ mod tests {
 
     #[test]
     fn frontend_apply_batch_pipelines_and_preserves_order() {
-        use tb_common::{EngineOp, Lsn, OpOutcome};
+        use tb_common::Lsn;
         let engine = ProbeEngine::shared();
         let fe = Frontend::start(engine, FrontendConfig::with_shards(2));
         let key = Key::from("batch-order");
@@ -614,7 +583,6 @@ mod tests {
 
     #[test]
     fn scan_free_burst_is_one_batch_per_shard_and_one_sync() {
-        use tb_common::{EngineOp, OpOutcome};
         let engine = ProbeEngine::shared();
         let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
         let (a, b) = (keys_on(&fe, 0, 8), keys_on(&fe, 1, 8));
@@ -673,7 +641,6 @@ mod tests {
 
     #[test]
     fn scan_splits_the_burst_into_runs_and_sees_every_earlier_write() {
-        use tb_common::{EngineOp, OpOutcome};
         let engine = ProbeEngine::shared();
         let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
         let everything = || EngineOp::Scan {
@@ -714,7 +681,7 @@ mod tests {
 
     #[test]
     fn burst_keeps_same_key_order_and_splits_multi_key_ops_by_shard() {
-        use tb_common::{EngineOp, Lsn, OpOutcome};
+        use tb_common::Lsn;
         let engine = Arc::new(ProbeEngine {
             lsn: Some(AtomicU64::new(0)),
             ..ProbeEngine::default()
@@ -776,7 +743,6 @@ mod tests {
 
     #[test]
     fn failing_burst_sync_fails_every_write_and_no_read() {
-        use tb_common::{EngineOp, OpOutcome};
         let engine = ProbeEngine::shared();
         let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
         let seed = Key::from("seed");
@@ -820,7 +786,6 @@ mod tests {
 
     #[test]
     fn inline_never_overtakes_queued_or_in_flight_work() {
-        use tb_common::EngineOp;
         let engine = ProbeEngine::shared();
         let fe = Arc::new(Frontend::start(
             engine.clone(),
@@ -828,7 +793,7 @@ mod tests {
         ));
         let key = Key::from("contended");
         // Pin the worker inside a drained batch; the queue is empty.
-        let gate = fe.submit(Request::Get(gate_key()));
+        let gate = fe.submit(EngineOp::Get(gate_key()));
         wait_until("worker picks the gate up", || fe.queue_depth(0) == 0);
 
         // Queue empty but a batch in flight: a burst must not jump it.
@@ -842,7 +807,7 @@ mod tests {
         assert_eq!(engine.puts.load(Ordering::Relaxed), 0, "burst-1 ran inline");
 
         // A ticket queued before a burst is executed before it.
-        let ticket = fe.submit(Request::Put(key.clone(), Value::from("ticket")));
+        let ticket = fe.submit(EngineOp::Put(key.clone(), Value::from("ticket")));
         let queued = {
             let (fe, key) = (fe.clone(), key.clone());
             std::thread::spawn(move || {
@@ -865,7 +830,7 @@ mod tests {
         let outcomes = queued.join().unwrap();
         assert_eq!(
             outcomes[1],
-            Ok(tb_common::OpOutcome::Value(Some(Value::from("burst-2"))))
+            Ok(OpOutcome::Value(Some(Value::from("burst-2"))))
         );
         let order: Vec<Value> = engine
             .write_log
@@ -887,7 +852,6 @@ mod tests {
 
     #[test]
     fn engine_panic_on_the_inline_path_fails_the_burst_not_the_caller() {
-        use tb_common::{EngineOp, OpOutcome};
         let poison = Key::from("poison-pill");
         let engine = Arc::new(ProbeEngine {
             panic_on: Some(poison.clone()),
@@ -927,7 +891,6 @@ mod tests {
 
     #[test]
     fn queue_capacity_counts_ops_and_admits_an_oversized_sub_batch_when_empty() {
-        use tb_common::EngineOp;
         let engine = ProbeEngine::shared();
         let fe = Arc::new(Frontend::start(
             engine.clone(),
@@ -937,7 +900,7 @@ mod tests {
                 ..FrontendConfig::default()
             },
         ));
-        let gate = fe.submit(Request::Get(gate_key()));
+        let gate = fe.submit(EngineOp::Get(gate_key()));
         wait_until("worker picks the gate up", || fe.queue_depth(0) == 0);
         let burst = |from: usize, n: usize| {
             let fe = fe.clone();
@@ -954,7 +917,7 @@ mod tests {
             fe.queue_depth(0) == 10
         });
         // Depth counts operations: the queue is full for everyone else.
-        match fe.try_submit(Request::Put(k(100), v(100))) {
+        match fe.try_submit(EngineOp::Put(k(100), v(100))) {
             Err(e @ Error::Backpressure { .. }) => assert!(e.queue_depth() >= Some(10), "{e:?}"),
             other => panic!("expected backpressure, got {:?}", other.map(|_| ())),
         }
@@ -976,7 +939,6 @@ mod tests {
 
     #[test]
     fn bursts_and_tickets_from_many_threads_agree_on_the_last_writer() {
-        use tb_common::EngineOp;
         let engine = ProbeEngine::shared();
         let fe = Arc::new(Frontend::start(
             engine.clone(),
@@ -997,7 +959,7 @@ mod tests {
                         // keys: the burst must land after them.
                         for i in 0..KEYS {
                             tickets
-                                .push(fe.submit(Request::Put(key(t, i), val(t, round, "ticket"))));
+                                .push(fe.submit(EngineOp::Put(key(t, i), val(t, round, "ticket"))));
                         }
                         let ops = (0..KEYS)
                             .flat_map(|i| {
@@ -1012,7 +974,7 @@ mod tests {
                             assert!(pair[0].is_ok(), "{:?}", pair[0]);
                             assert_eq!(
                                 pair[1],
-                                Ok(tb_common::OpOutcome::Value(Some(val(t, round, "burst")))),
+                                Ok(OpOutcome::Value(Some(val(t, round, "burst")))),
                                 "thread {t} round {round} key {i}"
                             );
                         }
@@ -1048,13 +1010,17 @@ mod tests {
         let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(1));
         // The poisoned batch fails (completers dropped by the unwind
         // resolve the tickets), the worker survives.
-        let t = fe.submit(Request::Put(poison, v(0)));
+        let t = fe.submit(EngineOp::Put(poison, v(0)));
         assert!(matches!(t.wait(), Err(Error::Unavailable(_))));
-        // Same shard keeps serving afterwards: no hang, no wedge.
+        // Same shard keeps serving afterwards: no hang, no wedge. Tickets
+        // never run inline, so these prove its one worker survived.
         for i in 0..100 {
-            fe.put(k(i), v(i)).unwrap();
+            fe.submit(EngineOp::Put(k(i), v(i))).wait().unwrap();
         }
-        assert_eq!(fe.get(&k(42)).unwrap(), Some(v(42)));
+        assert_eq!(
+            fe.submit(EngineOp::Get(k(42))).wait(),
+            Ok(OpOutcome::Value(Some(v(42))))
+        );
         assert_eq!(fe.stats().snapshot().worker_panics, 1);
         fe.shutdown();
     }
@@ -1070,7 +1036,7 @@ mod tests {
             s.spawn(move || {
                 let mut i = 0usize;
                 while !producer_stop.load(Ordering::Relaxed) {
-                    let _ = producer_fe.submit(Request::Put(k(i), v(i)));
+                    let _ = producer_fe.submit(EngineOp::Put(k(i), v(i)));
                     i += 1;
                 }
             });
@@ -1091,7 +1057,6 @@ mod tests {
 
     #[test]
     fn sync_barrier_waits_for_an_inline_burst_beside_queued_tickets() {
-        use tb_common::{EngineOp, OpOutcome};
         let engine = ProbeEngine::shared();
         let fe = Arc::new(Frontend::start(
             engine.clone(),
@@ -1125,7 +1090,7 @@ mod tests {
         );
         // Tickets on the same shard drain on the worker beside it.
         let tickets: Vec<Ticket> = (0..200)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
+            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
             .collect();
         for t in tickets {
             t.wait().unwrap();
@@ -1169,11 +1134,36 @@ mod tests {
     }
 
     #[test]
+    fn synchronous_calls_are_one_op_bursts_inline_on_an_idle_shard() {
+        let engine = ProbeEngine::shared();
+        let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
+        let me = std::thread::current().id();
+        let on_me = || engine.batch_threads.lock().iter().all(|t| *t == me);
+        // A write: applied on this thread, then the burst's one sync.
+        fe.put(k(1), v(1)).unwrap();
+        assert_eq!(engine.batch_threads.lock().len(), 1);
+        assert!(on_me(), "put ran on a worker");
+        assert_eq!(engine.syncs.load(Ordering::Relaxed), 1);
+        // Reads run inline too, and sync nothing.
+        assert_eq!(fe.get(&k(1)).unwrap(), Some(v(1)));
+        assert_eq!(
+            fe.scan(&k(0), None, usize::MAX).unwrap(),
+            vec![(k(1), v(1))]
+        );
+        assert_eq!(engine.batch_threads.lock().len(), 3);
+        assert!(on_me(), "a read ran on a worker");
+        assert_eq!(engine.syncs.load(Ordering::Relaxed), 1);
+        let snap = fe.stats().snapshot();
+        assert_eq!((snap.batches, snap.group_syncs), (3, 1));
+        fe.shutdown();
+    }
+
+    #[test]
     fn shutdown_completes_queued_work_and_is_idempotent() {
         let engine = ProbeEngine::shared();
         let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
         let tickets: Vec<Ticket> = (0..300)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
+            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
             .collect();
         fe.shutdown();
         fe.shutdown();
@@ -1183,11 +1173,11 @@ mod tests {
         assert_eq!(engine.puts.load(Ordering::Relaxed), 300);
         // Post-shutdown submissions fail fast instead of hanging.
         assert!(matches!(
-            fe.submit(Request::Get(k(0))).wait(),
+            fe.submit(EngineOp::Get(k(0))).wait(),
             Err(Error::Unavailable(_))
         ));
         assert!(matches!(
-            fe.try_submit(Request::Get(k(0))),
+            fe.try_submit(EngineOp::Get(k(0))),
             Err(Error::Unavailable(_))
         ));
     }
@@ -1224,7 +1214,7 @@ mod tests {
         );
         let fe = Frontend::start(db, FrontendConfig::with_shards(2));
         let tickets: Vec<Ticket> = (0..500)
-            .map(|i| fe.submit(Request::Put(k(i), v(i))))
+            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
             .collect();
         for t in tickets {
             t.wait().unwrap();

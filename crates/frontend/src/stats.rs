@@ -6,12 +6,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// diagnostics, not synchronization.
 #[derive(Debug, Default)]
 pub struct FrontendStats {
-    /// Requests accepted by a shard: queued, or claimed inline as part
-    /// of a burst's sub-batch.
+    /// Ops accepted by a shard: queued, or claimed inline as part of a
+    /// burst's sub-batch.
     pub submitted: AtomicU64,
-    /// Requests resolved (successfully or not) — including requests a
-    /// panicked batch abandoned, which resolve `Unavailable` and are
-    /// reconciled by the worker so this converges to `submitted`.
+    /// Ops resolved (successfully or not) — including ops a panicked
+    /// batch abandoned, which resolve `Unavailable` and are reconciled
+    /// by the worker so this converges to `submitted`.
     pub completed: AtomicU64,
     /// Batches executed: drained by a shard worker, or run inline by a
     /// burst's submitting thread.
@@ -19,14 +19,12 @@ pub struct FrontendStats {
     /// Group-commit `sync()` calls: one per batch holding ticket
     /// writes, one per burst holding writes.
     pub group_syncs: AtomicU64,
-    /// `sync()` calls issued per write op (group commit disabled).
-    pub per_op_syncs: AtomicU64,
     /// Put operations that rode a coalesced `multi_put` with company.
     pub coalesced_puts: AtomicU64,
     /// `try_submit` rejections due to a full shard queue.
     pub backpressure_rejections: AtomicU64,
     /// Batches (or burst syncs) abandoned because an engine call
-    /// panicked: their requests resolved `Unavailable`; the executing
+    /// panicked: their ops resolved `Unavailable`; the executing
     /// thread — worker or burst submitter — survived.
     pub worker_panics: AtomicU64,
 }
@@ -43,7 +41,6 @@ impl FrontendStats {
             completed: self.completed.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             group_syncs: self.group_syncs.load(Ordering::Relaxed),
-            per_op_syncs: self.per_op_syncs.load(Ordering::Relaxed),
             coalesced_puts: self.coalesced_puts.load(Ordering::Relaxed),
             backpressure_rejections: self.backpressure_rejections.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
@@ -59,7 +56,6 @@ pub struct FrontendStatsSnapshot {
     pub completed: u64,
     pub batches: u64,
     pub group_syncs: u64,
-    pub per_op_syncs: u64,
     pub coalesced_puts: u64,
     pub backpressure_rejections: u64,
     pub worker_panics: u64,

@@ -611,30 +611,6 @@ impl KvEngine for LsmDb {
         LsmDb::apply_batch(self, ops)
     }
 
-    /// Batched lookups ride the overlapped submission/completion path:
-    /// one tree-lock pass, block reads deduped across the keys.
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        match LsmDb::apply_batch(self, vec![EngineOp::MultiGet(keys.to_vec())]).pop() {
-            Some(Ok(OpOutcome::Values(values))) => Ok(values),
-            Some(Err(e)) => Err(e),
-            other => Err(Error::Internal(format!(
-                "multi_get batch resolved to {other:?}"
-            ))),
-        }
-    }
-
-    /// Batched writes apply under one tree-lock acquisition instead of
-    /// one per pair.
-    fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        match LsmDb::apply_batch(self, vec![EngineOp::MultiPut(pairs)]).pop() {
-            Some(Ok(OpOutcome::Done(_))) => Ok(()),
-            Some(Err(e)) => Err(e),
-            other => Err(Error::Internal(format!(
-                "multi_put batch resolved to {other:?}"
-            ))),
-        }
-    }
-
     /// Ordered range scan through the batched read path.
     fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
         LsmDb::scan(self, start, end, limit)

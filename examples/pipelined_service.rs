@@ -14,7 +14,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tierbase::frontend::Request;
 use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::prelude::*;
 
@@ -33,7 +32,6 @@ fn main() -> Result<()> {
             // backpressure in a few seconds of runtime.
             queue_capacity: 256,
             max_batch: 64,
-            group_commit: true,
         },
     ));
 
@@ -52,7 +50,7 @@ fn main() -> Result<()> {
                     let tickets: Vec<_> = (0..250)
                         .map(|i| {
                             let key = Key::from(format!("user:{w}:{}", chunk * 250 + i));
-                            fe.submit(Request::Put(key, Value::from(format!("profile-{i}"))))
+                            fe.submit(EngineOp::Put(key, Value::from(format!("profile-{i}"))))
                         })
                         .collect();
                     for t in tickets {
@@ -89,7 +87,7 @@ fn main() -> Result<()> {
             s.spawn(move || {
                 for i in 0..5000 {
                     let key = Key::from(format!("telemetry:{}", i % 64));
-                    match fe.try_submit(Request::Put(key, Value::from("tick"))) {
+                    match fe.try_submit(EngineOp::Put(key, Value::from("tick"))) {
                         Ok(_) => {}
                         Err(Error::Backpressure { .. }) => {
                             shed.fetch_add(1, Ordering::Relaxed);

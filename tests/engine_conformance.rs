@@ -419,15 +419,8 @@ fn frontend_over_lsm_conforms() {
 }
 
 #[test]
-fn frontend_per_op_sync_conforms() {
-    let fe = Frontend::start(
-        Arc::new(RedisLike::new()),
-        FrontendConfig {
-            shards: 2,
-            group_commit: false,
-            ..FrontendConfig::default()
-        },
-    );
+fn frontend_over_redis_like_conforms() {
+    let fe = Frontend::start(Arc::new(RedisLike::new()), FrontendConfig::with_shards(2));
     conformance(&fe);
     fe.shutdown();
 }
@@ -446,7 +439,6 @@ fn frontend_shallow_queues_over_lsm_conforms() {
             shards: 2,
             queue_capacity: 32,
             max_batch: 4,
-            group_commit: true,
         },
     );
     conformance(&fe);

@@ -91,7 +91,6 @@ fn frontend_config() -> FrontendConfig {
         shards: 2,
         queue_capacity: 64,
         max_batch: 16,
-        group_commit: true,
     }
 }
 

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-use tierbase::frontend::{Frontend, FrontendConfig, Request, Response};
+use tierbase::frontend::{Frontend, FrontendConfig};
 use tierbase::prelude::*;
 
 /// In-memory engine with scripted misbehavior:
@@ -114,7 +114,6 @@ fn single_shard_frontend(engine: Arc<FlakyEngine>) -> Frontend {
             shards: 1,
             queue_capacity: 64,
             max_batch: 16,
-            group_commit: true,
         },
     )
 }
@@ -127,7 +126,7 @@ fn with_pinned_worker<R>(
     engine: &FlakyEngine,
     queue_while_pinned: impl FnOnce() -> R,
 ) -> R {
-    let gate_ticket = fe.submit(Request::Get(Key::from("block:gate")));
+    let gate_ticket = fe.submit(EngineOp::Get(Key::from("block:gate")));
     // Wait for the worker to pick the gate request up (queue drains).
     while fe.queue_depth(0) > 0 {
         std::thread::sleep(Duration::from_micros(50));
@@ -147,9 +146,9 @@ fn failing_batch_resolves_every_ticket_with_the_error() {
     // multi_put; the middle key fails the engine call mid-batch.
     let tickets = with_pinned_worker(&fe, &engine, || {
         vec![
-            fe.submit(Request::Put(Key::from("a"), Value::from("1"))),
-            fe.submit(Request::Put(Key::from("bad:b"), Value::from("2"))),
-            fe.submit(Request::Put(Key::from("c"), Value::from("3"))),
+            fe.submit(EngineOp::Put(Key::from("a"), Value::from("1"))),
+            fe.submit(EngineOp::Put(Key::from("bad:b"), Value::from("2"))),
+            fe.submit(EngineOp::Put(Key::from("c"), Value::from("3"))),
         ]
     });
     for (i, t) in tickets.iter().enumerate() {
@@ -181,7 +180,7 @@ fn sync_failure_fails_the_whole_group_commit_then_recovers() {
     // acks must carry the sync error, not a false durability promise.
     let tickets = with_pinned_worker(&fe, &engine, || {
         (0..3)
-            .map(|i| fe.submit(Request::Put(Key::from(format!("k{i}")), Value::from("v"))))
+            .map(|i| fe.submit(EngineOp::Put(Key::from(format!("k{i}")), Value::from("v"))))
             .collect::<Vec<_>>()
     });
     for (i, t) in tickets.iter().enumerate() {
@@ -206,8 +205,8 @@ fn engine_panic_is_contained_and_the_worker_survives() {
     // Unavailable (dropped completers), never hang.
     let tickets = with_pinned_worker(&fe, &engine, || {
         vec![
-            fe.submit(Request::Put(Key::from("x"), Value::from("1"))),
-            fe.submit(Request::Put(Key::from("boom:y"), Value::from("2"))),
+            fe.submit(EngineOp::Put(Key::from("x"), Value::from("1"))),
+            fe.submit(EngineOp::Put(Key::from("boom:y"), Value::from("2"))),
         ]
     });
     for (i, t) in tickets.iter().enumerate() {
@@ -229,12 +228,16 @@ fn engine_panic_is_contained_and_the_worker_survives() {
     // The shard keeps serving: tickets never run inline, so these puts
     // prove its one worker survived.
     for i in 0..5 {
-        fe.put(Key::from(format!("later{i}")), Value::from("v"))
-            .unwrap();
+        fe.submit(EngineOp::Put(
+            Key::from(format!("later{i}")),
+            Value::from("v"),
+        ))
+        .wait()
+        .unwrap();
     }
     assert_eq!(
-        fe.get(&Key::from("later4")).unwrap(),
-        Some(Value::from("v"))
+        fe.submit(EngineOp::Get(Key::from("later4"))).wait(),
+        Ok(OpOutcome::Value(Some(Value::from("v"))))
     );
     let s = fe.stats().snapshot();
     assert_eq!(s.submitted, s.completed);
@@ -250,7 +253,7 @@ fn repeated_failures_never_wedge_the_shard() {
     // Alternate failing and healthy writes; every healthy write must
     // land and every failing one must resolve with its error.
     for round in 0..20 {
-        let bad = fe.submit(Request::Put(
+        let bad = fe.submit(EngineOp::Put(
             Key::from(format!("bad:{round}")),
             Value::from("x"),
         ));
@@ -281,12 +284,12 @@ fn mixed_batch_reads_still_answer_when_writes_fail() {
     // commit).
     let (w, r) = with_pinned_worker(&fe, &engine, || {
         (
-            fe.submit(Request::Put(Key::from("bad:w"), Value::from("1"))),
-            fe.submit(Request::Get(Key::from("seed"))),
+            fe.submit(EngineOp::Put(Key::from("bad:w"), Value::from("1"))),
+            fe.submit(EngineOp::Get(Key::from("seed"))),
         )
     });
     assert!(matches!(w.wait(), Err(Error::FaultInjected(_))));
-    assert_eq!(r.wait().unwrap(), Response::Value(Some(Value::from("s"))));
+    assert_eq!(r.wait().unwrap(), OpOutcome::Value(Some(Value::from("s"))));
     fe.shutdown();
 }
 

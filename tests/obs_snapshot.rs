@@ -7,7 +7,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tierbase::cluster::{ClusterClient, CoordinatorGroup, NodeId, NodeStore};
-use tierbase::frontend::Request;
 use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::obs;
 use tierbase::obs::json;
@@ -42,7 +41,7 @@ fn one_snapshot_spans_every_layer() {
     let fe = Frontend::start(db.clone(), FrontendConfig::with_shards(2));
     let tickets: Vec<_> = (0..64)
         .map(|i| {
-            fe.submit(Request::Put(
+            fe.submit(EngineOp::Put(
                 Key::from(format!("fk{i}")),
                 Value::from(format!("fv{i} {}", "templated value ".repeat(4))),
             ))
