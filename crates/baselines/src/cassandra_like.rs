@@ -12,7 +12,7 @@
 
 use crate::burn_cpu_us;
 use std::path::Path;
-use tb_common::{Key, KvEngine, Result, Value};
+use tb_common::{EngineOp, KvEngine, OpOutcome, Result};
 use tb_lsm::{LsmConfig, LsmDb};
 
 /// Disk $/GB relative to DRAM (cloud SSD vs memory, order 1:20).
@@ -45,33 +45,24 @@ impl JvmLsmEngine {
 }
 
 impl KvEngine for JvmLsmEngine {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        burn_cpu_us(self.op_cost_us);
-        self.db.get(key)
-    }
-
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        burn_cpu_us(self.op_cost_us);
-        self.db.put(key, value)
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        burn_cpu_us(self.op_cost_us);
-        self.db.delete(key.clone())
-    }
-
-    fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        burn_cpu_us(self.op_cost_us);
-        // Atomic: the LSM runs the read-compare-write under one write
-        // lock (lightweight transactions, Cassandra-style).
-        self.db.cas(key, expected, new)
-    }
-
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        // Native LSM range scan (token-range read / HBase Scan); the
-        // JVM toll is charged once per request, not per row.
-        burn_cpu_us(self.op_cost_us);
-        self.db.scan(start, end, limit)
+    /// Charges the JVM toll per key — once per scan, a token-range read
+    /// / HBase Scan being one request — then runs the batch on the LSM,
+    /// whose CAS is atomic under one write lock (lightweight
+    /// transactions, Cassandra-style).
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        for op in &ops {
+            let keys = match op {
+                EngineOp::MultiGet(keys) => keys.len(),
+                EngineOp::MultiPut(pairs) => pairs.len(),
+                EngineOp::Get(_)
+                | EngineOp::Put(..)
+                | EngineOp::Delete(_)
+                | EngineOp::Cas { .. }
+                | EngineOp::Scan { .. } => 1,
+            };
+            burn_cpu_us(self.op_cost_us * keys as u64);
+        }
+        self.db.apply_batch(ops)
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -115,6 +106,7 @@ impl HBaseLike {
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use tb_common::{Key, Value};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tb-jvm-{name}-{}", std::process::id()));

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use tb_common::hash::FxBuildHasher;
-use tb_common::{fx_hash, Error, Key, KvEngine, Result, Value};
+use tb_common::{fx_hash, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value};
 
 enum Request {
     Get(Key, Sender<Option<Value>>),
@@ -152,13 +152,11 @@ impl DragonflyLike {
 impl DragonflyLike {
     fn roundtrip(
         &self,
-        key_shard: &Key,
+        shard: &Sender<Request>,
         make: impl FnOnce(Sender<Option<Value>>) -> Request,
     ) -> Result<Option<Value>> {
         REPLY.with(|(tx, rx)| {
-            self.shard(key_shard)
-                .send(make(tx.clone()))
-                .map_err(|_| Error::Unavailable("shard worker gone".into()))?;
+            shard.send(make(tx.clone())).map_err(|_| gone())?;
             // Spin briefly before parking: shard owners answer in
             // sub-microsecond time, so parking the client thread would
             // dominate the round-trip (fibers spin in the real system).
@@ -168,62 +166,82 @@ impl DragonflyLike {
                     Err(_) => std::hint::spin_loop(),
                 }
             }
-            rx.recv()
-                .map_err(|_| Error::Unavailable("shard worker gone".into()))
+            rx.recv().map_err(|_| gone())
         })
+    }
+
+    fn fetch(&self, key: &Key) -> Result<Option<Value>> {
+        self.roundtrip(self.shard(key), |tx| Request::Get(key.clone(), tx))
+    }
+
+    fn store(&self, key: Key, value: Value) -> Result<()> {
+        self.roundtrip(self.shard(&key), |tx| Request::Put(key, value, tx))
+            .map(drop)
+    }
+
+    fn apply(&self, op: EngineOp) -> Result<OpOutcome> {
+        let done = Ok(OpOutcome::Done(Lsn::NONE));
+        match op {
+            EngineOp::Get(key) => self.fetch(&key).map(OpOutcome::Value),
+            EngineOp::MultiGet(keys) => keys
+                .iter()
+                .map(|k| self.fetch(k))
+                .collect::<Result<_>>()
+                .map(OpOutcome::Values),
+            EngineOp::Put(key, value) => self.store(key, value).and(done),
+            EngineOp::MultiPut(pairs) => {
+                for (key, value) in pairs {
+                    self.store(key, value)?;
+                }
+                done
+            }
+            EngineOp::Delete(key) => self
+                .roundtrip(self.shard(&key), |tx| Request::Delete(key.clone(), tx))
+                .and(done),
+            // CAS is rare enough that a fresh reply channel (instead of
+            // the thread-local value slot) is fine.
+            EngineOp::Cas { key, expected, new } => {
+                let (tx, rx) = bounded::<Result<()>>(1);
+                self.shard(&key)
+                    .send(Request::Cas(key, expected, new, tx))
+                    .map_err(|_| gone())?;
+                rx.recv().map_err(|_| gone())?.and(done)
+            }
+            // Hash sharding scatters every key range across all shards:
+            // fan the scan out to each owner thread, then merge the
+            // sorted replies and re-apply the limit. Fresh reply
+            // channels — scans are rare and the thread-local slot is
+            // sized for point ops.
+            EngineOp::Scan { start, end, limit } => {
+                let mut pending = Vec::with_capacity(self.senders.len());
+                for sender in &self.senders {
+                    let (tx, rx) = bounded::<Vec<(Key, Value)>>(1);
+                    sender
+                        .send(Request::Scan(start.clone(), end.clone(), limit, tx))
+                        .map_err(|_| gone())?;
+                    pending.push(rx);
+                }
+                let mut rows = Vec::new();
+                for rx in pending {
+                    rows.extend(rx.recv().map_err(|_| gone())?);
+                }
+                rows.sort_by(|a, b| a.0.cmp(&b.0));
+                rows.truncate(limit);
+                Ok(OpOutcome::Range(rows))
+            }
+        }
     }
 }
 
+fn gone() -> Error {
+    Error::Unavailable("shard worker gone".into())
+}
+
 impl KvEngine for DragonflyLike {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        self.roundtrip(key, |tx| Request::Get(key.clone(), tx))
-    }
-
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        let shard_key = key.clone();
-        self.roundtrip(&shard_key, |tx| Request::Put(key, value, tx))?;
-        Ok(())
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.roundtrip(key, |tx| Request::Delete(key.clone(), tx))?;
-        Ok(())
-    }
-
-    fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        // CAS is rare enough that a fresh reply channel (instead of the
-        // thread-local value slot) is fine.
-        let (tx, rx) = bounded::<Result<()>>(1);
-        self.shard(&key)
-            .send(Request::Cas(key.clone(), expected.cloned(), new, tx))
-            .map_err(|_| Error::Unavailable("shard worker gone".into()))?;
-        rx.recv()
-            .map_err(|_| Error::Unavailable("shard worker gone".into()))?
-    }
-
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        // Hash sharding scatters every key range across all shards:
-        // fan the scan out to each owner thread, then merge the sorted
-        // replies and re-apply the limit. Fresh reply channels — scans
-        // are rare and the thread-local slot is sized for point ops.
-        let mut pending = Vec::with_capacity(self.senders.len());
-        for sender in &self.senders {
-            let (tx, rx) = bounded::<Vec<(Key, Value)>>(1);
-            sender
-                .send(Request::Scan(start.clone(), end.cloned(), limit, tx))
-                .map_err(|_| Error::Unavailable("shard worker gone".into()))?;
-            pending.push(rx);
-        }
-        let mut rows = Vec::new();
-        for rx in pending {
-            rows.extend(
-                rx.recv()
-                    .map_err(|_| Error::Unavailable("shard worker gone".into()))?,
-            );
-        }
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows.truncate(limit);
-        Ok(rows)
+    /// Every op is its own message to the owning shard (a multi-key op
+    /// one per key; a scan fans out to all of them).
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        ops.into_iter().map(|op| self.apply(op)).collect()
     }
 
     fn resident_bytes(&self) -> u64 {

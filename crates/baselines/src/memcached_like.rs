@@ -9,7 +9,7 @@
 use crate::burn_cpu_us;
 use parking_lot::Mutex;
 use tb_cache::LruShard;
-use tb_common::{fx_hash, Error, Key, KvEngine, Result, Value};
+use tb_common::{fx_hash, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value};
 use tb_pmem::Medium;
 
 /// Modeled per-entry header (item header + hash chain pointer).
@@ -68,18 +68,17 @@ impl MemcachedLike {
 /// is the Figure 7(a) ordering the paper reports.
 const OP_COST_US: u64 = 6;
 
-impl KvEngine for MemcachedLike {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
+impl MemcachedLike {
+    fn lookup(&self, key: &Key) -> Option<Value> {
         burn_cpu_us(OP_COST_US);
         // Stored values carry slab padding; strip it on read.
-        Ok(self
-            .shard(key)
+        self.shard(key)
             .lock()
             .get(key, 0)
-            .map(|e| decode_slab(&e.value)))
+            .map(|e| decode_slab(&e.value))
     }
 
-    fn put(&self, key: Key, value: Value) -> Result<()> {
+    fn store(&self, key: Key, value: Value) {
         burn_cpu_us(OP_COST_US);
         // Represent slab rounding physically: pad the stored buffer to
         // its size class so `resident_bytes` reflects slab waste.
@@ -89,51 +88,67 @@ impl KvEngine for MemcachedLike {
             .shard(&key)
             .lock()
             .insert(key, stored, false, Medium::Dram);
-        Ok(())
     }
+}
 
-    fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        burn_cpu_us(OP_COST_US);
-        // Atomic within the key's shard: read-compare-write under one
-        // striped-lock acquisition (memcached's `cas` command).
-        let mut shard = self.shard(&key).lock();
-        let current = shard.get(&key, 0).map(|e| decode_slab(&e.value));
-        let matches = match (current.as_ref(), expected) {
-            (Some(c), Some(e)) => c == e,
-            (None, None) => true,
-            _ => false,
-        };
-        if !matches {
-            return Err(Error::CasMismatch);
-        }
-        let stored = encode_slab(&new);
-        let _ = shard.insert(key, stored, false, Medium::Dram);
-        Ok(())
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.shard(key).lock().remove(key);
-        Ok(())
-    }
-
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        // Memcached has no range primitive: a scan walks every shard's
-        // hash table (striped locks taken one at a time), merges, and
-        // sorts client-side. Stored values carry slab padding.
-        burn_cpu_us(OP_COST_US);
-        let mut rows = Vec::new();
-        for shard in &self.shards {
-            rows.extend(
-                shard
-                    .lock()
-                    .scan_range(start.as_slice(), end.map(Key::as_slice), 0)
-                    .into_iter()
-                    .map(|(k, e)| (k, decode_slab(&e.value))),
-            );
-        }
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows.truncate(limit);
-        Ok(rows)
+impl KvEngine for MemcachedLike {
+    /// Every command on its own, each key paying the per-command CPU
+    /// (a scan pays it once).
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        let done = || Ok(OpOutcome::Done(Lsn::NONE));
+        ops.into_iter()
+            .map(|op| match op {
+                EngineOp::Get(key) => Ok(OpOutcome::Value(self.lookup(&key))),
+                EngineOp::MultiGet(keys) => Ok(OpOutcome::Values(
+                    keys.iter().map(|k| self.lookup(k)).collect(),
+                )),
+                EngineOp::Put(key, value) => {
+                    self.store(key, value);
+                    done()
+                }
+                EngineOp::MultiPut(pairs) => {
+                    for (key, value) in pairs {
+                        self.store(key, value);
+                    }
+                    done()
+                }
+                EngineOp::Delete(key) => {
+                    self.shard(&key).lock().remove(&key);
+                    done()
+                }
+                // Atomic within the key's shard: read-compare-write under
+                // one striped-lock acquisition (memcached's `cas` command).
+                EngineOp::Cas { key, expected, new } => {
+                    burn_cpu_us(OP_COST_US);
+                    let mut shard = self.shard(&key).lock();
+                    let current = shard.get(&key, 0).map(|e| decode_slab(&e.value));
+                    if current != expected {
+                        return Err(Error::CasMismatch);
+                    }
+                    let _ = shard.insert(key, encode_slab(&new), false, Medium::Dram);
+                    done()
+                }
+                // Memcached has no range primitive: a scan walks every
+                // shard's hash table (striped locks taken one at a time),
+                // merges, and sorts client-side.
+                EngineOp::Scan { start, end, limit } => {
+                    burn_cpu_us(OP_COST_US);
+                    let mut rows = Vec::new();
+                    for shard in &self.shards {
+                        rows.extend(
+                            shard
+                                .lock()
+                                .scan_range(start.as_slice(), end.as_ref().map(Key::as_slice), 0)
+                                .into_iter()
+                                .map(|(k, e)| (k, decode_slab(&e.value))),
+                        );
+                    }
+                    rows.sort_by(|a, b| a.0.cmp(&b.0));
+                    rows.truncate(limit);
+                    Ok(OpOutcome::Range(rows))
+                }
+            })
+            .collect()
     }
 
     fn resident_bytes(&self) -> u64 {

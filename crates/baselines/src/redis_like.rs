@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
 use tb_common::hash::FxBuildHasher;
-use tb_common::{Key, KvEngine, Result, Value};
+use tb_common::{EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value};
 use tb_lsm::wal::{SyncPolicy, Wal};
 
 /// Modeled per-entry header overhead (dictEntry + robj + SDS headers).
@@ -41,6 +41,81 @@ impl State {
             aof.append(self.aof_seq, rec)?;
         }
         Ok(())
+    }
+
+    fn put(&mut self, key: Key, value: Value) -> Result<()> {
+        self.log_aof(&encode_aof(&key, Some(&value)))?;
+        let klen = key.len() as u64;
+        let new_vlen = value.len() as u64;
+        match self.map.insert(key, value) {
+            // Replacement: key and header were already counted.
+            Some(old) => self.bytes = self.bytes - old.len() as u64 + new_vlen,
+            None => self.bytes += klen + new_vlen + ENTRY_OVERHEAD,
+        }
+        Ok(())
+    }
+
+    /// Runs one command. The burn models command parsing and dispatch;
+    /// a multi-key command pays it per key.
+    fn apply(&mut self, op: EngineOp) -> Result<OpOutcome> {
+        let burn = || burn_cpu_us(OP_COST_US);
+        let done = Ok(OpOutcome::Done(Lsn::NONE));
+        match op {
+            EngineOp::Get(key) => {
+                burn();
+                Ok(OpOutcome::Value(self.map.get(&key).cloned()))
+            }
+            EngineOp::MultiGet(keys) => Ok(OpOutcome::Values(
+                keys.iter()
+                    .map(|k| {
+                        burn();
+                        self.map.get(k).cloned()
+                    })
+                    .collect(),
+            )),
+            EngineOp::Put(key, value) => {
+                burn();
+                self.put(key, value).and(done)
+            }
+            EngineOp::MultiPut(pairs) => {
+                for (key, value) in pairs {
+                    burn();
+                    self.put(key, value)?;
+                }
+                done
+            }
+            EngineOp::Delete(key) => {
+                self.log_aof(&encode_aof(&key, None))?;
+                if let Some(old) = self.map.remove(&key) {
+                    self.bytes -= key.len() as u64 + old.len() as u64 + ENTRY_OVERHEAD;
+                }
+                done
+            }
+            // Atomic by construction: the whole read-compare-write runs
+            // under the event-loop lock, like a real Redis command.
+            EngineOp::Cas { key, expected, new } => {
+                burn();
+                if self.map.get(&key) != expected.as_ref() {
+                    return Err(Error::CasMismatch);
+                }
+                self.put(key, new).and(done)
+            }
+            // Redis's keyspace is an unordered dict: a range scan is a
+            // full enumeration plus a sort, like SCAN + MATCH +
+            // client-side ordering.
+            EngineOp::Scan { start, end, limit } => {
+                burn();
+                let mut rows: Vec<(Key, Value)> = self
+                    .map
+                    .iter()
+                    .filter(|(k, _)| **k >= start && end.as_ref().is_none_or(|e| *k < e))
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                rows.sort_by(|a, b| a.0.cmp(&b.0));
+                rows.truncate(limit);
+                Ok(OpOutcome::Range(rows))
+            }
+        }
     }
 }
 
@@ -116,7 +191,6 @@ fn encode_aof(key: &Key, value: Option<&Value>) -> Vec<u8> {
 }
 
 fn apply_aof(map: &mut HashMap<Key, Value, FxBuildHasher>, rec: &[u8]) -> Result<()> {
-    use tb_common::Error;
     if rec.len() < 5 {
         return Err(Error::Corruption("short AOF record".into()));
     }
@@ -140,75 +214,11 @@ fn apply_aof(map: &mut HashMap<Key, Value, FxBuildHasher>, rec: &[u8]) -> Result
 }
 
 impl KvEngine for RedisLike {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        // One global lock = the event-loop serialization point; the
-        // burn models command parsing and dispatch.
-        let s = self.state.lock();
-        burn_cpu_us(OP_COST_US);
-        Ok(s.map.get(key).cloned())
-    }
-
-    fn put(&self, key: Key, value: Value) -> Result<()> {
+    /// One global lock per batch = the event-loop serialization point:
+    /// a pipelined batch's commands run back to back.
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         let mut s = self.state.lock();
-        burn_cpu_us(OP_COST_US);
-        s.log_aof(&encode_aof(&key, Some(&value)))?;
-        let klen = key.len() as u64;
-        let new_vlen = value.len() as u64;
-        match s.map.insert(key, value) {
-            // Replacement: key and header were already counted.
-            Some(old) => s.bytes = s.bytes - old.len() as u64 + new_vlen,
-            None => s.bytes += klen + new_vlen + ENTRY_OVERHEAD,
-        }
-        Ok(())
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        let mut s = self.state.lock();
-        s.log_aof(&encode_aof(key, None))?;
-        if let Some(old) = s.map.remove(key) {
-            s.bytes -= key.len() as u64 + old.len() as u64 + ENTRY_OVERHEAD;
-        }
-        Ok(())
-    }
-
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        // Redis's keyspace is an unordered dict: a range scan is a full
-        // enumeration plus a sort, like SCAN + MATCH + client-side
-        // ordering. Runs under the event-loop lock like every command.
-        let s = self.state.lock();
-        burn_cpu_us(OP_COST_US);
-        let mut rows: Vec<(Key, Value)> = s
-            .map
-            .iter()
-            .filter(|(k, _)| *k >= start && end.is_none_or(|e| *k < e))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows.truncate(limit);
-        Ok(rows)
-    }
-
-    fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        // Atomic by construction: the whole read-compare-write runs
-        // under the event-loop lock, like a real Redis command.
-        let mut s = self.state.lock();
-        burn_cpu_us(OP_COST_US);
-        let matches = match (s.map.get(&key), expected) {
-            (Some(c), Some(e)) => c == e,
-            (None, None) => true,
-            _ => false,
-        };
-        if !matches {
-            return Err(tb_common::Error::CasMismatch);
-        }
-        s.log_aof(&encode_aof(&key, Some(&new)))?;
-        let klen = key.len() as u64;
-        let new_vlen = new.len() as u64;
-        match s.map.insert(key, new) {
-            Some(old) => s.bytes = s.bytes - old.len() as u64 + new_vlen,
-            None => s.bytes += klen + new_vlen + ENTRY_OVERHEAD,
-        }
-        Ok(())
+        ops.into_iter().map(|op| s.apply(op)).collect()
     }
 
     fn resident_bytes(&self) -> u64 {

@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 use tb_baselines::RedisLike;
 use tb_bench::{bench_dir, print_table, BenchReport};
 use tb_cluster::{NodeId, NodeStore};
-use tb_common::{Key, KvEngine, Result, Value};
+use tb_common::testutil::MapEngine;
+use tb_common::{EngineOp, Key, KvEngine, OpOutcome, Result, Value};
 use tb_elastic::ThreadMode;
 use tb_frontend::{Frontend, FrontendConfig};
 use tb_lsm::{LsmConfig, LsmDb};
@@ -50,47 +51,30 @@ impl Phases {
 /// Throttled request rate during calm phases (ops/s across clients).
 const CALM_RATE: u64 = 20_000;
 
-/// In-memory replica sink: the ship-overhead rows charge the channel
-/// (framing, ack, eager apply), not a second disk.
-struct SinkEngine(parking_lot::Mutex<std::collections::BTreeMap<Key, Value>>);
-
-fn sink_engine() -> Arc<dyn KvEngine> {
-    Arc::new(SinkEngine(parking_lot::Mutex::new(Default::default())))
-}
-
-impl KvEngine for SinkEngine {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        Ok(self.0.lock().get(key).cloned())
-    }
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.0.lock().insert(key, value);
-        Ok(())
-    }
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.0.lock().remove(key);
-        Ok(())
-    }
-    fn resident_bytes(&self) -> u64 {
-        0
-    }
-    fn label(&self) -> String {
-        "sink".into()
-    }
-}
-
 /// A data node viewed as a plain engine, so the burst timeline can run
-/// over the replicated write path (every put shipped to the replica).
+/// over the replicated write path (every put shipped to the replica,
+/// an in-memory map: the ship-overhead rows charge the channel —
+/// framing, ack, eager apply — not a second disk).
 struct ReplicatedNode(NodeStore);
 
 impl KvEngine for ReplicatedNode {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        self.0.get(key)
-    }
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.0.put(key, value).map(|_| ())
-    }
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.0.delete(key).map(|_| ())
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        let node = &self.0;
+        ops.into_iter()
+            .map(|op| match op {
+                EngineOp::Get(key) => node.get(&key).map(OpOutcome::Value),
+                EngineOp::MultiGet(keys) => node.multi_get(&keys).map(OpOutcome::Values),
+                EngineOp::Scan { start, end, limit } => {
+                    node.scan(&start, end.as_ref(), limit).map(OpOutcome::Range)
+                }
+                EngineOp::Put(key, value) => node.put(key, value).map(OpOutcome::Done),
+                EngineOp::MultiPut(pairs) => node.multi_put(pairs).map(OpOutcome::Done),
+                EngineOp::Delete(key) => node.delete(&key).map(OpOutcome::Done),
+                EngineOp::Cas { key, expected, new } => {
+                    node.cas(key, expected.as_ref(), new).map(OpOutcome::Done)
+                }
+            })
+            .collect()
     }
     fn resident_bytes(&self) -> u64 {
         0
@@ -225,7 +209,7 @@ fn main() {
                         .unwrap(),
                     ),
                 )
-                .with_replica(sink_engine()),
+                .with_replica(MapEngine::shared()),
             )),
         ),
     ];
@@ -295,8 +279,9 @@ fn main() {
         Arc::new(LsmDb::open(LsmConfig::new(bench_dir("fig9-gc-repl"))).unwrap());
     let repl_fe: Arc<dyn KvEngine> =
         Arc::new(Frontend::start(repl_db, FrontendConfig::with_shards(2)));
-    let repl_node =
-        ReplicatedNode(NodeStore::new(NodeId(0), repl_fe.clone()).with_replica(sink_engine()));
+    let repl_node = ReplicatedNode(
+        NodeStore::new(NodeId(0), repl_fe.clone()).with_replica(MapEngine::shared()),
+    );
     put_rate(&repl_node, ops / 10); // warm-up
     let repl_kops = put_rate(&repl_node, ops);
 

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::path::Path;
 use tb_bench::bench_dir;
 use tb_cache::{CacheConfig, ShardedCache};
-use tb_common::{crc32, fx_hash, Histogram, Key, Value};
+use tb_common::{crc32, fx_hash, Histogram, Key, KvEngine, Value};
 use tb_compress::{
     train_dictionary, BlockCodec, BlockCodecState, Compressor, Pbc, PbcConfig, Tzstd, TzstdLevel,
 };

@@ -407,55 +407,14 @@ pub fn drive_arc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::collections::BTreeMap;
-    use tb_common::{Key, Result, Value};
+    use tb_common::testutil::MapEngine;
+    use tb_common::{Key, Value};
     use tb_workload::{Workload, WorkloadSpec};
-
-    struct MapEngine(Mutex<BTreeMap<Key, Value>>);
-
-    impl KvEngine for MapEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.0.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.lock().remove(key);
-            Ok(())
-        }
-        // Native scan: the trait's default lowers onto `apply_batch`,
-        // whose default lowers back — an engine must break the cycle.
-        fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-            Ok(self
-                .0
-                .lock()
-                .range::<Key, _>((
-                    std::ops::Bound::Included(start),
-                    end.map_or(std::ops::Bound::Unbounded, std::ops::Bound::Excluded),
-                ))
-                .take(limit)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect())
-        }
-        fn resident_bytes(&self) -> u64 {
-            self.0
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.len() + v.len()) as u64)
-                .sum()
-        }
-        fn label(&self) -> String {
-            "map".into()
-        }
-    }
 
     #[test]
     fn drive_handles_scan_workloads() {
         let (load, run) = Workload::new(WorkloadSpec::ycsb_e(200, 500)).generate();
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::default();
         let r = drive(&e, &load, &run, 2);
         assert_eq!(r.ops, 500);
         assert_eq!(r.errors, 0, "scans must apply cleanly");
@@ -464,7 +423,7 @@ mod tests {
     #[test]
     fn drive_measures_throughput() {
         let (load, run) = Workload::new(WorkloadSpec::ycsb_a(100, 2000)).generate();
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::default();
         let r = drive(&e, &load, &run, 2);
         assert_eq!(r.ops, 2000);
         assert_eq!(r.errors, 0);

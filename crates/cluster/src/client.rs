@@ -151,6 +151,19 @@ impl ClusterClient {
         Ok(())
     }
 
+    /// Compare-and-set on the key's owner ([`NodeStore::cas`]): atomic,
+    /// and shipped to the replica like any other acked write.
+    ///
+    /// [`NodeStore::cas`]: crate::node::NodeStore::cas
+    pub fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
+        let (node, lsn) = self.with_owner(&key, |n| {
+            n.cas(key.clone(), expected, new.clone())
+                .map(|lsn| (n.id, lsn))
+        })?;
+        self.note_write(node, lsn);
+        Ok(())
+    }
+
     /// Batched lookup across the cluster: keys group by owning node
     /// (one batched call each — the node's engine overlaps the batch's
     /// storage reads), results gather in request order. A down node
@@ -300,60 +313,27 @@ impl Proxy {
 }
 
 impl KvEngine for Proxy {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        self.client.get(key)
-    }
-
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.client.put(key, value)
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.client.delete(key)
-    }
-
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        self.client.multi_get(keys)
-    }
-
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        self.client.scan(start, end, limit)
-    }
-
-    /// Per-op lowering that preserves the proxy's amortized entry
-    /// points: the trait's default would unroll `MultiGet` into point
-    /// gets, losing the client's per-node grouping.
+    /// Lowers each op onto the client's routed entry points: a
+    /// `MultiGet` keeps the client's per-node grouping, a `Scan` fans
+    /// out, a `Cas` runs atomically on its owner. Those entry points
+    /// erase per-node LSNs (the client still folds them into its
+    /// session tokens), so write acks carry `Lsn::NONE`.
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        let c = &self.client;
+        let done = |written: Result<()>| written.map(|()| OpOutcome::Done(Lsn::NONE));
         ops.into_iter()
             .map(|op| match op {
-                EngineOp::Get(key) => self.get(&key).map(OpOutcome::Value),
-                // The proxy's `()`-acked entry points erase per-node
-                // LSNs (the client still folds them into its session
-                // tokens), so batch acks carry `Lsn::NONE`.
-                EngineOp::Put(key, value) => {
-                    self.put(key, value).map(|_| OpOutcome::Done(Lsn::NONE))
-                }
-                EngineOp::Delete(key) => self.delete(&key).map(|_| OpOutcome::Done(Lsn::NONE)),
-                EngineOp::Cas { key, expected, new } => self
-                    .cas(key, expected.as_ref(), new)
-                    .map(|_| OpOutcome::Done(Lsn::NONE)),
-                EngineOp::MultiGet(keys) => self.multi_get(&keys).map(OpOutcome::Values),
-                // Inline put loop, not `self.multi_put`: the proxy has
-                // no native multi_put, and the trait default routes back
-                // through `apply_batch` — per-key puts each reach their
-                // owning node anyway.
-                EngineOp::MultiPut(pairs) => {
-                    let mut result = Ok(());
-                    for (k, v) in pairs {
-                        result = self.put(k, v);
-                        if result.is_err() {
-                            break;
-                        }
-                    }
-                    result.map(|_| OpOutcome::Done(Lsn::NONE))
-                }
+                EngineOp::Get(key) => c.get(&key).map(OpOutcome::Value),
+                EngineOp::MultiGet(keys) => c.multi_get(&keys).map(OpOutcome::Values),
                 EngineOp::Scan { start, end, limit } => {
-                    self.scan(&start, end.as_ref(), limit).map(OpOutcome::Range)
+                    c.scan(&start, end.as_ref(), limit).map(OpOutcome::Range)
+                }
+                EngineOp::Put(key, value) => done(c.put(key, value)),
+                EngineOp::Delete(key) => done(c.delete(&key)),
+                EngineOp::Cas { key, expected, new } => done(c.cas(key, expected.as_ref(), new)),
+                // Per-key puts: each pair reaches its owning node.
+                EngineOp::MultiPut(pairs) => {
+                    done(pairs.into_iter().try_for_each(|(k, v)| c.put(k, v)))
                 }
             })
             .collect()
@@ -373,48 +353,7 @@ mod tests {
     use super::*;
     use crate::coordinator::CoordinatorGroup;
     use crate::node::{NodeId, NodeStore};
-    use parking_lot::Mutex;
-    use std::collections::BTreeMap;
-
-    struct MapEngine(Mutex<BTreeMap<Key, Value>>);
-
-    impl MapEngine {
-        fn shared() -> Arc<dyn KvEngine> {
-            Arc::new(Self(Mutex::new(BTreeMap::new())))
-        }
-    }
-
-    impl KvEngine for MapEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.0.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.lock().remove(key);
-            Ok(())
-        }
-        fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-            Ok(self
-                .0
-                .lock()
-                .range::<Key, _>((
-                    std::ops::Bound::Included(start),
-                    end.map_or(std::ops::Bound::Unbounded, std::ops::Bound::Excluded),
-                ))
-                .take(limit)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect())
-        }
-        fn resident_bytes(&self) -> u64 {
-            0
-        }
-        fn label(&self) -> String {
-            "map".into()
-        }
-    }
+    use tb_common::testutil::MapEngine;
 
     fn cluster(n: u32) -> Arc<CoordinatorGroup> {
         let nodes = (0..n)
@@ -541,35 +480,25 @@ mod tests {
         assert_eq!(got.iter().filter(|v| v.is_some()).count(), 64);
     }
 
-    /// Engine that counts `multi_get` calls, to pin down exactly which
+    /// Engine that counts `MultiGet` ops, to pin down exactly which
     /// groups a failover retry re-fetches.
     #[derive(Default)]
     struct CountingEngine {
-        map: Mutex<BTreeMap<Key, Value>>,
+        map: MapEngine,
         multi_gets: std::sync::atomic::AtomicU64,
     }
 
     impl KvEngine for CountingEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.map.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.map.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.map.lock().remove(key);
-            Ok(())
-        }
-        fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
+        fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
             // Empty batches are failover liveness probes
             // (`NodeStore::probe`), not data fetches — don't count them.
-            if !keys.is_empty() {
-                self.multi_gets
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            let m = self.map.lock();
-            Ok(keys.iter().map(|k| m.get(k).cloned()).collect())
+            let fetches = ops
+                .iter()
+                .filter(|op| matches!(op, EngineOp::MultiGet(keys) if !keys.is_empty()))
+                .count();
+            self.multi_gets
+                .fetch_add(fetches as u64, std::sync::atomic::Ordering::Relaxed);
+            self.map.apply_batch(ops)
         }
         fn resident_bytes(&self) -> u64 {
             0
@@ -711,7 +640,7 @@ mod tests {
         proxy.put(Key::from("a"), Value::from("1")).unwrap();
         assert_eq!(proxy.get(&Key::from("a")).unwrap(), Some(Value::from("1")));
         assert_eq!(proxy.label(), "tierbase-proxy");
-        // CAS works through the default trait implementation.
+        // CAS runs on the key's owner (`ClusterClient::cas`).
         proxy
             .cas(Key::from("a"), Some(&Value::from("1")), Value::from("2"))
             .unwrap();

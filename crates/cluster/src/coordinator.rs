@@ -194,37 +194,8 @@ impl CoordinatorGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::collections::BTreeMap;
-    use tb_common::{Key, KvEngine, Value};
-
-    struct MapEngine(Mutex<BTreeMap<Key, Value>>);
-
-    impl MapEngine {
-        fn shared() -> Arc<dyn KvEngine> {
-            Arc::new(Self(Mutex::new(BTreeMap::new())))
-        }
-    }
-
-    impl KvEngine for MapEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.0.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.lock().remove(key);
-            Ok(())
-        }
-        fn resident_bytes(&self) -> u64 {
-            0
-        }
-        fn label(&self) -> String {
-            "map".into()
-        }
-    }
+    use tb_common::testutil::MapEngine;
+    use tb_common::{EngineOp, Key, KvEngine, OpOutcome, Value};
 
     fn cluster(n: u32) -> CoordinatorGroup {
         let nodes = (0..n)
@@ -325,40 +296,18 @@ mod tests {
     #[derive(Default)]
     struct RemoteEngine {
         dead: std::sync::atomic::AtomicBool,
-        map: Mutex<BTreeMap<Key, Value>>,
-    }
-
-    impl RemoteEngine {
-        fn check(&self) -> Result<()> {
-            if self.dead.load(std::sync::atomic::Ordering::SeqCst) {
-                Err(tb_common::Error::Unavailable("connection refused".into()))
-            } else {
-                Ok(())
-            }
-        }
+        map: MapEngine,
     }
 
     impl KvEngine for RemoteEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            self.check()?;
-            Ok(self.map.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.check()?;
-            self.map.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.check()?;
-            self.map.lock().remove(key);
-            Ok(())
-        }
-        fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
+        fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
             // A socket client fails the whole exchange, even an empty
-            // probe batch; the default lowering would skip `get` for
-            // zero keys and hide the outage.
-            self.check()?;
-            keys.iter().map(|k| self.get(k)).collect()
+            // probe batch.
+            if self.dead.load(std::sync::atomic::Ordering::SeqCst) {
+                let refused = tb_common::Error::Unavailable("connection refused".into());
+                return ops.iter().map(|_| Err(refused.clone())).collect();
+            }
+            self.map.apply_batch(ops)
         }
         fn resident_bytes(&self) -> u64 {
             0

@@ -260,30 +260,48 @@ impl NodeStore {
         self.primary.scan(start, end, limit)
     }
 
-    /// Applies a write to the primary, then ships it. See the module
-    /// doc for the ack semantics the return value carries.
-    pub fn put(&self, key: Key, value: Value) -> Result<Lsn> {
-        self.check_alive()?;
+    /// Applies one write to the primary under `write_order`, records it
+    /// in the inventory, then ships `record` at the next LSN. See the
+    /// module doc for the ack semantics the return value carries.
+    fn write(
+        &self,
+        record: ReplRecord,
+        apply: impl FnOnce(&dyn KvEngine) -> Result<()>,
+    ) -> Result<Lsn> {
         let _order = self.write_order.lock();
-        self.primary.put(key.clone(), value.clone())?;
-        self.keys.write().insert(key.clone());
+        apply(self.primary.as_ref())?;
+        match &record {
+            ReplRecord::Put(key, _) => self.keys.write().insert(key.clone()),
+            ReplRecord::Delete(key) => self.keys.write().remove(key),
+        };
         let lsn = self.next_lsn(1);
         if let Some(channel) = &self.replication {
-            channel.ship(lsn, &ReplRecord::Put(key, value))?;
+            channel.ship(lsn, &record)?;
         }
         Ok(lsn)
     }
 
+    pub fn put(&self, key: Key, value: Value) -> Result<Lsn> {
+        self.check_alive()?;
+        self.write(ReplRecord::Put(key.clone(), value.clone()), |e| {
+            e.put(key, value)
+        })
+    }
+
     pub fn delete(&self, key: &Key) -> Result<Lsn> {
         self.check_alive()?;
-        let _order = self.write_order.lock();
-        self.primary.delete(key)?;
-        self.keys.write().remove(key);
-        let lsn = self.next_lsn(1);
-        if let Some(channel) = &self.replication {
-            channel.ship(lsn, &ReplRecord::Delete(key.clone()))?;
-        }
-        Ok(lsn)
+        self.write(ReplRecord::Delete(key.clone()), |e| e.delete(key))
+    }
+
+    /// Compare-and-set on the primary, atomic against every other write
+    /// to this node: the engine's one `Cas` op runs under `write_order`,
+    /// and a success ships as a `Put` in that order. A mismatch writes
+    /// and ships nothing.
+    pub fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<Lsn> {
+        self.check_alive()?;
+        self.write(ReplRecord::Put(key.clone(), new.clone()), |e| {
+            e.cas(key, expected, new)
+        })
     }
 
     /// Coalesced write: one engine submission (through a pipelined
@@ -329,14 +347,8 @@ impl NodeStore {
     /// like any delete, so a later promotion does not resurrect a
     /// migrated key on this node.
     pub fn evict_migrated(&self, key: &Key) -> Result<()> {
-        let _order = self.write_order.lock();
-        self.primary.delete(key)?;
-        self.keys.write().remove(key);
-        let lsn = self.next_lsn(1);
-        if let Some(channel) = &self.replication {
-            channel.ship(lsn, &ReplRecord::Delete(key.clone()))?;
-        }
-        Ok(())
+        self.write(ReplRecord::Delete(key.clone()), |e| e.delete(key))
+            .map(drop)
     }
 
     /// Number of keys resident.
@@ -357,55 +369,8 @@ impl NodeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::collections::BTreeMap;
     use tb_common::fault::{self, FaultMode};
-
-    pub(crate) struct MapEngine(Mutex<BTreeMap<Key, Value>>);
-
-    impl MapEngine {
-        pub(crate) fn shared() -> Arc<dyn KvEngine> {
-            Arc::new(Self(Mutex::new(BTreeMap::new())))
-        }
-    }
-
-    impl KvEngine for MapEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.0.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.lock().remove(key);
-            Ok(())
-        }
-        // Native scan: the trait's default lowers onto `apply_batch`,
-        // whose default lowers back — an engine must break the cycle.
-        fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-            Ok(self
-                .0
-                .lock()
-                .range::<Key, _>((
-                    std::ops::Bound::Included(start),
-                    end.map_or(std::ops::Bound::Unbounded, std::ops::Bound::Excluded),
-                ))
-                .take(limit)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect())
-        }
-        fn resident_bytes(&self) -> u64 {
-            self.0
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.len() + v.len()) as u64)
-                .sum()
-        }
-        fn label(&self) -> String {
-            "map".into()
-        }
-    }
+    use tb_common::testutil::MapEngine;
 
     #[test]
     fn crash_blocks_access() {
@@ -457,6 +422,30 @@ mod tests {
         assert_eq!(n.session_lsn(), covering);
         let del = n.delete(&Key::from("k0")).unwrap();
         assert!(del > covering);
+    }
+
+    #[test]
+    fn cas_ships_only_what_applied() {
+        let mut n =
+            NodeStore::new(NodeId(1), MapEngine::shared()).with_replica(MapEngine::shared());
+        let put = n.put(Key::from("a"), Value::from("1")).unwrap();
+        assert_eq!(
+            n.cas(Key::from("a"), Some(&Value::from("9")), Value::from("x")),
+            Err(Error::CasMismatch)
+        );
+        assert_eq!(
+            n.replication_watermark(),
+            Some(put),
+            "a mismatch ships nothing"
+        );
+        let lsn = n
+            .cas(Key::from("a"), Some(&Value::from("1")), Value::from("2"))
+            .unwrap();
+        assert!(lsn > put);
+        assert_eq!(n.replication_watermark(), Some(lsn));
+        n.crash();
+        n.promote_replica().unwrap();
+        assert_eq!(n.get(&Key::from("a")).unwrap(), Some(Value::from("2")));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!
 //! * Every applied write occupies exactly one LSN, assigned in apply
 //!   order — LSNs never reorder relative to the engine's write order.
-//! * An **acknowledged** write (`Ok` from `put`/`delete`/`cas`/
-//!   `multi_put`, or an `Ok(OpOutcome::Done(lsn))` completion slot from
-//!   [`KvEngine::apply_batch`]) has been applied at its LSN; once
+//! * An **acknowledged** write (an `Ok(OpOutcome::Done(lsn))`
+//!   completion slot from [`KvEngine::apply_batch`], or `Ok` from one of
+//!   the provided `put`/`delete`/`cas`/`multi_put` wrappers, each a
+//!   one-op batch) has been applied at its LSN; once
 //!   [`KvEngine::applied_lsn`] reports at least that LSN, the write and
 //!   every write sequenced before it are readable.
 //! * An **errored** write is *indeterminate*: it may or may not have
@@ -58,7 +59,7 @@ impl std::fmt::Display for Lsn {
 
 /// One operation in a submitted batch ([`KvEngine::apply_batch`]).
 ///
-/// The variants mirror the point/batch methods of the trait; a batch
+/// Each of the trait's provided methods submits one of these; a batch
 /// mixes them freely (an io_uring-style submission queue entry). Ops
 /// apply in submission order: a `Get` sees every write that precedes
 /// it in the same batch.
@@ -80,9 +81,11 @@ pub enum EngineOp {
     MultiGet(Vec<Key>),
     /// Batched writes → [`OpOutcome::Done`].
     MultiPut(Vec<(Key, Value)>),
-    /// Ordered range scan → [`OpOutcome::Range`]. See [`KvEngine::scan`]
-    /// for the contract (`end` exclusive, `None` = unbounded; at most
-    /// `limit` live entries).
+    /// Ordered range scan → [`OpOutcome::Range`]. Contract (enforced by
+    /// the conformance battery): live `(key, value)` pairs with
+    /// `start <= key < end` (`end = None` = unbounded above) in
+    /// ascending key order, at most `limit` of them. Deleted keys and
+    /// expired entries (engines with TTL support) are masked.
     Scan {
         start: Key,
         end: Option<Key>,
@@ -144,15 +147,25 @@ pub struct BatchReadStats {
 }
 
 /// A key-value engine under test.
+///
+/// [`KvEngine::apply_batch`] is the one data method an engine writes.
+/// `get`, `put`, `delete`, `cas`, `multi_get`, `multi_put` and `scan`
+/// are provided: each submits exactly one one-op batch and unwraps the
+/// matching [`OpOutcome`] (an outcome of another variant is
+/// [`Error::Internal`](crate::Error::Internal)).
 pub trait KvEngine: Send + Sync {
-    /// Point lookup.
-    fn get(&self, key: &Key) -> Result<Option<Value>>;
-
-    /// Insert or overwrite.
-    fn put(&self, key: Key, value: Value) -> Result<()>;
-
-    /// Delete (absent keys are not an error).
-    fn delete(&self, key: &Key) -> Result<()>;
+    /// Submits a heterogeneous op batch and returns one completion per
+    /// op, aligned with submission order (`results[i]` answers
+    /// `ops[i]`). Ops apply in submission order; per-op failures are
+    /// per-slot `Err`s and the rest of the batch still applies —
+    /// submission/completion semantics, not a transaction. A `Cas` is
+    /// atomic against every other write, and a `Scan` follows the
+    /// contract on [`EngineOp::Scan`].
+    ///
+    /// Engines with per-op storage latency make one overlapped storage
+    /// pass per batch (`tb-lsm` stages and dedups SSTable block reads;
+    /// remote tiers spend one round-trip); the rest apply op by op.
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>>;
 
     /// Bytes of the *expensive* resource this engine consumes for data at
     /// rest — memory for caching systems, memory + amortized disk for
@@ -166,116 +179,6 @@ pub trait KvEngine: Send + Sync {
     /// write-back dirty flush, ...). Default: nothing buffered.
     fn sync(&self) -> Result<()> {
         Ok(())
-    }
-
-    /// Batched point lookups; `result[i]` answers `keys[i]`. The default
-    /// routes through [`KvEngine::apply_batch`] — one canonical batch
-    /// path — so an engine with a native batch implementation (staged
-    /// block reads, one remote round-trip) serves `multi_get` through it
-    /// automatically.
-    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
-        match self
-            .apply_batch(vec![EngineOp::MultiGet(keys.to_vec())])
-            .pop()
-        {
-            Some(Ok(OpOutcome::Values(values))) => Ok(values),
-            Some(Err(e)) => Err(e),
-            other => Err(crate::Error::Internal(format!(
-                "multi_get batch resolved to {other:?}"
-            ))),
-        }
-    }
-
-    /// Batched writes. Default: one [`KvEngine::apply_batch`]
-    /// submission, same canonical path as `multi_get`.
-    fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        match self.apply_batch(vec![EngineOp::MultiPut(pairs)]).pop() {
-            Some(Ok(OpOutcome::Done(_))) => Ok(()),
-            Some(Err(e)) => Err(e),
-            other => Err(crate::Error::Internal(format!(
-                "multi_put batch resolved to {other:?}"
-            ))),
-        }
-    }
-
-    /// Ordered range scan. Contract (enforced by the conformance
-    /// battery): returns live `(key, value)` pairs with
-    /// `start <= key < end` (`end = None` = unbounded above) in
-    /// ascending key order, at most `limit` of them. Deleted keys
-    /// (tombstones) and expired entries (engines with TTL support) are
-    /// masked, never returned.
-    ///
-    /// The default routes through [`KvEngine::apply_batch`] with one
-    /// [`EngineOp::Scan`], so a scan is one op in the engine's canonical
-    /// batch path. NOTE: an engine must natively handle at least one of
-    /// the pair {`scan`, `apply_batch`'s `Scan` arm} — the two defaults
-    /// lower onto each other, so overriding neither recurses.
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        let op = EngineOp::Scan {
-            start: start.clone(),
-            end: end.cloned(),
-            limit,
-        };
-        match self.apply_batch(vec![op]).pop() {
-            Some(Ok(OpOutcome::Range(entries))) => Ok(entries),
-            Some(Err(e)) => Err(e),
-            other => Err(crate::Error::Internal(format!(
-                "scan batch resolved to {other:?}"
-            ))),
-        }
-    }
-
-    /// Submits a heterogeneous op batch and returns one completion per
-    /// op, aligned with submission order (`results[i]` answers
-    /// `ops[i]`). Per-op failures are per-slot `Err`s; the rest of the
-    /// batch still applies — submission/completion semantics, not a
-    /// transaction.
-    ///
-    /// The default lowers each op onto the point methods in order
-    /// (`MultiGet`/`MultiPut` become inline point loops rather than
-    /// `self.multi_get`/`self.multi_put` calls, because those methods
-    /// default to routing back through `apply_batch`; `Scan` lowers onto
-    /// `self.scan` — see that method's note on the override contract),
-    /// so every engine supports the interface; engines with per-op
-    /// storage latency override it to make one overlapped storage pass
-    /// per batch (`tb-lsm` stages and dedups SSTable block reads;
-    /// remote tiers spend one round-trip).
-    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        ops.into_iter()
-            .map(|op| match op {
-                EngineOp::Get(key) => self.get(&key).map(OpOutcome::Value),
-                // Per-op lowering acks with the engine's applied LSN
-                // *after* the write: exact for serialized writers, and
-                // always a covering LSN (LSN order = apply order).
-                EngineOp::Put(key, value) => self
-                    .put(key, value)
-                    .map(|_| OpOutcome::Done(self.applied_lsn())),
-                EngineOp::Delete(key) => self
-                    .delete(&key)
-                    .map(|_| OpOutcome::Done(self.applied_lsn())),
-                EngineOp::Cas { key, expected, new } => self
-                    .cas(key, expected.as_ref(), new)
-                    .map(|_| OpOutcome::Done(self.applied_lsn())),
-                EngineOp::MultiGet(keys) => keys
-                    .iter()
-                    .map(|k| self.get(k))
-                    .collect::<Result<Vec<_>>>()
-                    .map(OpOutcome::Values),
-                EngineOp::MultiPut(pairs) => {
-                    let mut result = Ok(());
-                    for (k, v) in pairs {
-                        result = self.put(k, v);
-                        if result.is_err() {
-                            break;
-                        }
-                    }
-                    result.map(|_| OpOutcome::Done(self.applied_lsn()))
-                }
-                EngineOp::Scan { start, end, limit } => {
-                    self.scan(&start, end.as_ref(), limit).map(OpOutcome::Range)
-                }
-            })
-            .collect()
     }
 
     /// Counters of the engine's batched read path (zeros when the
@@ -292,74 +195,173 @@ pub trait KvEngine: Send + Sync {
         Lsn::NONE
     }
 
+    /// Point lookup: one [`EngineOp::Get`].
+    fn get(&self, key: &Key) -> Result<Option<Value>> {
+        let op = EngineOp::Get(key.clone());
+        one(self, "get", op, |outcome| match outcome {
+            OpOutcome::Value(value) => Ok(value),
+            other => Err(other),
+        })
+    }
+
+    /// Insert or overwrite: one [`EngineOp::Put`].
+    fn put(&self, key: Key, value: Value) -> Result<()> {
+        one(self, "put", EngineOp::Put(key, value), done)
+    }
+
+    /// Delete (absent keys are not an error): one [`EngineOp::Delete`].
+    fn delete(&self, key: &Key) -> Result<()> {
+        one(self, "delete", EngineOp::Delete(key.clone()), done)
+    }
+
     /// Compare-and-set: writes `new` only when the current value equals
-    /// `expected` (`None` = key must be absent). Default implementation
-    /// is unsynchronized read-then-write; engines with concurrency
-    /// override it with an atomic version.
+    /// `expected` (`None` = key must be absent), else `CasMismatch`.
+    /// One [`EngineOp::Cas`].
     fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        let current = self.get(&key)?;
-        let matches = match (current.as_ref(), expected) {
-            (Some(c), Some(e)) => c == e,
-            (None, None) => true,
-            _ => false,
+        let expected = expected.cloned();
+        one(self, "cas", EngineOp::Cas { key, expected, new }, done)
+    }
+
+    /// Batched point lookups; `result[i]` answers `keys[i]`. One
+    /// [`EngineOp::MultiGet`].
+    fn multi_get(&self, keys: &[Key]) -> Result<Vec<Option<Value>>> {
+        let op = EngineOp::MultiGet(keys.to_vec());
+        one(self, "multi_get", op, |outcome| match outcome {
+            OpOutcome::Values(values) => Ok(values),
+            other => Err(other),
+        })
+    }
+
+    /// Batched writes: one [`EngineOp::MultiPut`].
+    fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
+        one(self, "multi_put", EngineOp::MultiPut(pairs), done)
+    }
+
+    /// Ordered range scan: one [`EngineOp::Scan`] (see its contract).
+    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
+        let op = EngineOp::Scan {
+            start: start.clone(),
+            end: end.cloned(),
+            limit,
         };
-        if matches {
-            self.put(key, new)
-        } else {
-            Err(crate::Error::CasMismatch)
-        }
+        one(self, "scan", op, |outcome| match outcome {
+            OpOutcome::Range(rows) => Ok(rows),
+            other => Err(other),
+        })
+    }
+}
+
+/// Submits `op` as a one-op batch and unwraps its completion with
+/// `extract`, which hands back an outcome of the wrong variant.
+fn one<E: KvEngine + ?Sized, T>(
+    engine: &E,
+    what: &str,
+    op: EngineOp,
+    extract: impl FnOnce(OpOutcome) -> std::result::Result<T, OpOutcome>,
+) -> Result<T> {
+    let outcomes = engine.apply_batch(vec![op]);
+    let n = outcomes.len();
+    let [outcome] = <[_; 1]>::try_from(outcomes)
+        .map_err(|_| crate::Error::Internal(format!("{what} batch resolved to {n} outcomes")))?;
+    extract(outcome?)
+        .map_err(|other| crate::Error::Internal(format!("{what} batch resolved to {other:?}")))
+}
+
+fn done(outcome: OpOutcome) -> std::result::Result<(), OpOutcome> {
+    match outcome {
+        OpOutcome::Done(_) => Ok(()),
+        other => Err(other),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::MapEngine;
     use parking_lot::Mutex;
-    use std::collections::BTreeMap;
 
-    struct MapEngine(Mutex<BTreeMap<Key, Value>>);
+    /// Records every `apply_batch` call; answers with `reply` in every
+    /// slot when set, else through a [`MapEngine`].
+    #[derive(Default)]
+    struct Recorder {
+        calls: Mutex<Vec<Vec<EngineOp>>>,
+        reply: Mutex<Option<Result<OpOutcome>>>,
+        map: MapEngine,
+    }
 
-    impl KvEngine for MapEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.0.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.lock().remove(key);
-            Ok(())
+    impl KvEngine for Recorder {
+        fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+            self.calls.lock().push(ops.clone());
+            match self.reply.lock().clone() {
+                Some(reply) => vec![reply; ops.len()],
+                None => self.map.apply_batch(ops),
+            }
         }
         fn resident_bytes(&self) -> u64 {
-            self.0
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.len() + v.len()) as u64)
-                .sum()
+            0
         }
         fn label(&self) -> String {
-            "map".into()
-        }
-        // Native ordered iteration; `apply_batch`'s default Scan arm
-        // lowers onto this (the override contract in `KvEngine::scan`).
-        fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-            Ok(self
-                .0
-                .lock()
-                .range::<Key, _>((
-                    std::ops::Bound::Included(start),
-                    end.map_or(std::ops::Bound::Unbounded, std::ops::Bound::Excluded),
-                ))
-                .take(limit)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect())
+            "recorder".into()
         }
     }
 
+    /// Calls each of the seven provided methods once, in a fixed order.
+    fn call_provided(e: &dyn KvEngine) -> Vec<Result<()>> {
+        let (k, v) = (Key::from("k"), Value::from("v"));
+        vec![
+            e.get(&k).map(drop),
+            e.put(k.clone(), v.clone()),
+            e.delete(&k),
+            e.cas(k.clone(), None, v.clone()),
+            e.multi_get(std::slice::from_ref(&k)).map(drop),
+            e.multi_put(vec![(k.clone(), v)]),
+            e.scan(&k, None, 1).map(drop),
+        ]
+    }
+
     #[test]
-    fn default_cas_success_and_mismatch() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+    fn provided_methods_are_one_op_batches() {
+        let e = Recorder::default();
+        let (k, v) = (Key::from("k"), Value::from("v"));
+        assert!(call_provided(&e).iter().all(Result::is_ok));
+        let expected = vec![
+            vec![EngineOp::Get(k.clone())],
+            vec![EngineOp::Put(k.clone(), v.clone())],
+            vec![EngineOp::Delete(k.clone())],
+            vec![EngineOp::Cas {
+                key: k.clone(),
+                expected: None,
+                new: v.clone(),
+            }],
+            vec![EngineOp::MultiGet(vec![k.clone()])],
+            vec![EngineOp::MultiPut(vec![(k.clone(), v)])],
+            vec![EngineOp::Scan {
+                start: k,
+                end: None,
+                limit: 1,
+            }],
+        ];
+        assert_eq!(*e.calls.lock(), expected, "one call, one op, per method");
+
+        // An `Err` slot comes back unchanged.
+        let err = crate::Error::Io("scripted".into());
+        *e.reply.lock() = Some(Err(err.clone()));
+        assert!(call_provided(&e).into_iter().all(|r| r == Err(err.clone())));
+
+        // An outcome of the wrong variant is `Internal`: `Range` is wrong
+        // for all but `scan`, `Value` for `scan`.
+        let internal = |r: &Result<()>| matches!(r, Err(crate::Error::Internal(_)));
+        *e.reply.lock() = Some(Ok(OpOutcome::Range(Vec::new())));
+        let results = call_provided(&e);
+        assert!(results[..6].iter().all(internal), "{results:?}");
+        assert_eq!(results[6], Ok(()));
+        *e.reply.lock() = Some(Ok(OpOutcome::Value(None)));
+        assert!(internal(&call_provided(&e)[6]));
+    }
+
+    #[test]
+    fn cas_success_and_mismatch() {
+        let e = MapEngine::default();
         let k = Key::from("k");
         // Absent key, expected None → ok.
         e.cas(k.clone(), None, Value::from("v1")).unwrap();
@@ -375,8 +377,8 @@ mod tests {
     }
 
     #[test]
-    fn default_apply_batch_applies_in_submission_order() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+    fn apply_batch_applies_in_submission_order() {
+        let e = MapEngine::default();
         let k = Key::from("seq");
         let outcomes = e.apply_batch(vec![
             EngineOp::Get(k.clone()),
@@ -417,23 +419,8 @@ mod tests {
     }
 
     #[test]
-    fn default_batch_methods_route_through_apply_batch() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
-        e.multi_put(vec![
-            (Key::from("a"), Value::from("1")),
-            (Key::from("b"), Value::from("2")),
-        ])
-        .unwrap();
-        assert_eq!(
-            e.multi_get(&[Key::from("b"), Key::from("miss"), Key::from("a")])
-                .unwrap(),
-            vec![Some(Value::from("2")), None, Some(Value::from("1"))]
-        );
-    }
-
-    #[test]
     fn scan_in_batch_sees_earlier_writes_and_respects_bounds() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::default();
         for i in 0..6 {
             e.put(Key::from(format!("s{i}")), Value::from(format!("v{i}")))
                 .unwrap();
@@ -488,20 +475,20 @@ mod tests {
         assert!(Lsn(3) < Lsn(4), "LSNs order by sequence");
         assert_eq!(format!("{}", Lsn(42)), "42");
         // Engines without a log report NONE and never advance.
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::default();
         e.put(Key::from("k"), Value::from("v")).unwrap();
         assert_eq!(e.applied_lsn(), Lsn::NONE);
     }
 
     #[test]
     fn batch_read_stats_default_to_zero() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::default();
         assert_eq!(e.batch_read_stats(), BatchReadStats::default());
     }
 
     #[test]
     fn resident_bytes_tracks_content() {
-        let e = MapEngine(Mutex::new(BTreeMap::new()));
+        let e = MapEngine::default();
         assert_eq!(e.resident_bytes(), 0);
         e.put(Key::from("ab"), Value::from("cdef")).unwrap();
         assert_eq!(e.resident_bytes(), 6);

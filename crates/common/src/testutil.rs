@@ -1,5 +1,6 @@
-//! Shared test helpers: temp directories ([`test_dir`]) and a heap
-//! allocation probe ([`AllocProbe`]).
+//! Shared test helpers: temp directories ([`test_dir`]), a heap
+//! allocation probe ([`AllocProbe`]) and an in-memory engine
+//! ([`MapEngine`]).
 //!
 //! Every crate in the workspace used to roll its own pid-keyed temp-dir
 //! scheme (`tb-foo-{pid}`), which collides when two tests in one binary
@@ -9,10 +10,15 @@
 //! [`TestDir`] guard removes the directory on drop — including the
 //! unwind of a failing assertion.
 
+use crate::{EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value};
+use parking_lot::Mutex;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// RAII temporary directory for tests and benches.
 ///
@@ -117,6 +123,80 @@ pub fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let out = f();
     PROBE_ARMED.with(|a| a.set(false));
     (out, PROBE_LARGEST.with(Cell::get))
+}
+
+/// An in-memory [`KvEngine`] for tests: a `BTreeMap` under one lock. A
+/// batch applies in order under the lock, so a `Cas` is atomic and a
+/// `Scan` is ordered; writes ack [`Lsn::NONE`]. Engines with extra
+/// behaviour (counters, hooks, scripted failures) wrap one.
+#[derive(Default)]
+pub struct MapEngine(Mutex<BTreeMap<Key, Value>>);
+
+impl MapEngine {
+    /// A fresh engine behind the handle cluster nodes and front-ends take.
+    pub fn shared() -> Arc<dyn KvEngine> {
+        Arc::new(Self::default())
+    }
+}
+
+impl KvEngine for MapEngine {
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        let mut map = self.0.lock();
+        let done = || Ok(OpOutcome::Done(Lsn::NONE));
+        ops.into_iter()
+            .map(|op| match op {
+                EngineOp::Get(key) => Ok(OpOutcome::Value(map.get(&key).cloned())),
+                EngineOp::MultiGet(keys) => Ok(OpOutcome::Values(
+                    keys.iter().map(|k| map.get(k).cloned()).collect(),
+                )),
+                EngineOp::Put(key, value) => {
+                    map.insert(key, value);
+                    done()
+                }
+                EngineOp::MultiPut(pairs) => {
+                    map.extend(pairs);
+                    done()
+                }
+                EngineOp::Delete(key) => {
+                    map.remove(&key);
+                    done()
+                }
+                EngineOp::Cas { key, expected, new } => {
+                    if map.get(&key) != expected.as_ref() {
+                        return Err(Error::CasMismatch);
+                    }
+                    map.insert(key, new);
+                    done()
+                }
+                EngineOp::Scan { start, end, limit } => {
+                    let rows = match end {
+                        Some(end) if end <= start => Vec::new(),
+                        end => map
+                            .range((
+                                Bound::Included(start),
+                                end.map_or(Bound::Unbounded, Bound::Excluded),
+                            ))
+                            .take(limit)
+                            .map(|(k, v)| (k.clone(), v.clone()))
+                            .collect(),
+                    };
+                    Ok(OpOutcome::Range(rows))
+                }
+            })
+            .collect()
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.0
+            .lock()
+            .iter()
+            .map(|(k, v)| (k.len() + v.len()) as u64)
+            .sum()
+    }
+
+    fn label(&self) -> String {
+        "map".into()
+    }
 }
 
 #[cfg(test)]

@@ -388,37 +388,13 @@ impl TierBase {
     fn dispatch<T: Send + 'static>(&self, f: impl FnOnce(&Inner) -> T + Send + 'static) -> T {
         self.gate.run(|| f(&self.inner))
     }
-
-    /// A write-like op as a batch of one.
-    fn one(&self, op: EngineOp) -> Result<()> {
-        let mut out = self.apply_batch(vec![op]);
-        out.pop().expect("one outcome per op").map(|_| ())
-    }
 }
 
 impl KvEngine for TierBase {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        let key = key.clone();
-        self.dispatch(move |inner| inner.get(key))
-    }
-
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.dispatch(move |inner| inner.put(key, value, None))
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.one(EngineOp::Delete(key.clone()))
-    }
-
-    fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        let expected = expected.cloned();
-        self.one(EngineOp::Cas { key, expected, new })
-    }
-
     /// The one data path (`store_batch.rs`): a single gate permit, one
     /// storage round trip for the batch's misses and write-through
-    /// writes. `multi_get`, `multi_put` and `scan` reach it through the
-    /// trait defaults.
+    /// writes. Every provided point and multi-key method is a one-op
+    /// batch through here.
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         self.dispatch(move |inner| inner.apply_batch(ops))
     }
@@ -1640,25 +1616,14 @@ mod tests {
         );
     }
 
-    /// Applies a batch the way the trait's default `apply_batch` does:
-    /// one point call per op.
+    /// Applies a batch one op at a time: a one-op batch per op.
     struct PerOp<'a>(&'a TierBase);
 
     impl KvEngine for PerOp<'_> {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            self.0.get(key)
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.put(key, value)
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.delete(key)
-        }
-        fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-            self.0.cas(key, expected, new)
-        }
-        fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-            self.0.scan(start, end, limit)
+        fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+            ops.into_iter()
+                .flat_map(|op| self.0.apply_batch(vec![op]))
+                .collect()
         }
         fn resident_bytes(&self) -> u64 {
             self.0.resident_bytes()

@@ -204,14 +204,13 @@ impl EvaluationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::collections::BTreeMap;
-    use tb_common::{Key, Value};
+    use tb_common::testutil::MapEngine;
+    use tb_common::{EngineOp, OpOutcome};
     use tb_workload::{Workload, WorkloadSpec};
 
     /// Deterministic toy engine: a map with a simulated space overhead.
     struct ToyEngine {
-        map: Mutex<BTreeMap<Key, Value>>,
+        map: MapEngine,
         overhead_num: u64,
         overhead_den: u64,
     }
@@ -219,7 +218,7 @@ mod tests {
     impl ToyEngine {
         fn with_expansion(num: u64, den: u64) -> Self {
             Self {
-                map: Mutex::new(BTreeMap::new()),
+                map: MapEngine::default(),
                 overhead_num: num,
                 overhead_den: den,
             }
@@ -227,25 +226,11 @@ mod tests {
     }
 
     impl KvEngine for ToyEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.map.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.map.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.map.lock().remove(key);
-            Ok(())
+        fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+            self.map.apply_batch(ops)
         }
         fn resident_bytes(&self) -> u64 {
-            let logical: u64 = self
-                .map
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.len() + v.len()) as u64)
-                .sum();
-            logical * self.overhead_num / self.overhead_den
+            self.map.resident_bytes() * self.overhead_num / self.overhead_den
         }
         fn label(&self) -> String {
             "toy".into()

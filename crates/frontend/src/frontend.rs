@@ -461,11 +461,6 @@ impl Frontend {
             .collect()
     }
 
-    /// A one-op burst.
-    fn one(&self, op: EngineOp) -> Result<OpOutcome> {
-        self.burst(vec![op]).pop().expect("one outcome per op")
-    }
-
     /// Submits the run collected in `run` — one sub-batch per shard, at
     /// most one of them inline — waits for it, and merges each part's
     /// outcome into its op's. Leaves `run` empty; returns whether a
@@ -725,30 +720,9 @@ fn process_batch(inner: &Inner, batch: Vec<Queued>, settled: &AtomicU64) {
 
 /// The front-end is itself a [`KvEngine`]: synchronous callers (the
 /// wire server, the replay harness, cluster nodes) drive the pipelined
-/// path through the plain engine interface. Every call is a burst —
-/// `multi_get`/`multi_put`/`scan` through the trait's defaults, which
-/// are one-op `apply_batch` calls.
+/// path through the plain engine interface. Every call is a burst: the
+/// trait's provided point and multi-key methods are one-op bursts.
 impl KvEngine for Frontend {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        match self.one(EngineOp::Get(key.clone()))? {
-            OpOutcome::Value(v) => Ok(v),
-            other => Err(Error::Internal(format!("get resolved to {other:?}"))),
-        }
-    }
-
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.one(EngineOp::Put(key, value)).map(|_| ())
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.one(EngineOp::Delete(key.clone())).map(|_| ())
-    }
-
-    fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        let expected = expected.cloned();
-        self.one(EngineOp::Cas { key, expected, new }).map(|_| ())
-    }
-
     /// Batch submission with the trait's submission-order semantics:
     /// one sub-batch per shard between scan barriers, one `sync()` for
     /// the burst.

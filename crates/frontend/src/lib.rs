@@ -25,22 +25,11 @@
 //! plus the burst submitters running inline.
 //!
 //! ```
-//! use std::sync::Arc;
+//! use tb_common::testutil::MapEngine;
 //! use tb_common::{EngineOp, Key, KvEngine, Value};
 //! use tb_frontend::{Frontend, FrontendConfig};
-//! # use tb_common::Result;
-//! # use parking_lot::Mutex;
-//! # use std::collections::BTreeMap;
-//! # struct MapEngine(Mutex<BTreeMap<Key, Value>>);
-//! # impl KvEngine for MapEngine {
-//! #     fn get(&self, key: &Key) -> Result<Option<Value>> { Ok(self.0.lock().get(key).cloned()) }
-//! #     fn put(&self, key: Key, value: Value) -> Result<()> { self.0.lock().insert(key, value); Ok(()) }
-//! #     fn delete(&self, key: &Key) -> Result<()> { self.0.lock().remove(key); Ok(()) }
-//! #     fn resident_bytes(&self) -> u64 { 0 }
-//! #     fn label(&self) -> String { "map".into() }
-//! # }
-//! # let engine: Arc<dyn KvEngine> = Arc::new(MapEngine(Mutex::new(BTreeMap::new())));
-//! let fe = Frontend::start(engine, FrontendConfig::default());
+//!
+//! let fe = Frontend::start(MapEngine::shared(), FrontendConfig::default());
 //! // Pipelined: submit many ops, await their tickets later.
 //! let tickets: Vec<_> = (0..100)
 //!     .map(|i| fe.submit(EngineOp::Put(Key::from(format!("k{i}")), Value::from("v"))))
@@ -71,21 +60,22 @@ pub use ticket::Ticket;
 mod tests {
     use super::*;
     use parking_lot::Mutex;
-    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
+    use tb_common::testutil::MapEngine;
     use tb_common::{EngineOp, Error, Key, KvEngine, OpOutcome, Result, Value};
 
     /// Map engine that counts engine-level calls, can inject
     /// per-operation latency (to saturate queues deterministically),
     /// can panic on a chosen key (to test panic containment), parks
-    /// `get("block:gate")` until released (to pin whoever executes it),
-    /// can fail `sync()`, and logs every write in apply order together
+    /// `Get("block:gate")` until released (to pin whoever executes it),
+    /// can fail `sync()`, and logs every put in apply order together
     /// with the thread each `apply_batch` ran on.
     #[derive(Default)]
     struct ProbeEngine {
-        map: Mutex<BTreeMap<Key, Value>>,
+        map: MapEngine,
+        /// Pairs written by `Put`/`MultiPut` ops, and those ops.
         puts: AtomicU64,
         multi_puts: AtomicU64,
         apply_batches: AtomicU64,
@@ -113,22 +103,36 @@ mod tests {
             })
         }
 
-        fn stall(&self) {
-            if let Some(d) = self.op_delay {
-                std::thread::sleep(d);
-            }
-        }
-
         fn release_gate(&self) {
             *self.gate_open.lock() = true;
             self.gate_cv.notify_all();
         }
 
-        fn done(&self) -> tb_common::OpOutcome {
-            OpOutcome::Done(match &self.lsn {
-                Some(next) => tb_common::Lsn(next.fetch_add(1, Ordering::Relaxed) + 1),
-                None => tb_common::Lsn::NONE,
-            })
+        /// The probes one op runs before the map applies it.
+        fn observe(&self, op: &EngineOp) {
+            if let Some(d) = self.op_delay {
+                std::thread::sleep(d);
+            }
+            let pairs = match op {
+                EngineOp::Get(key) if *key == gate_key() => {
+                    let mut open = self.gate_open.lock();
+                    while !*open {
+                        self.gate_cv.wait(&mut open);
+                    }
+                    return;
+                }
+                EngineOp::Put(k, v) => vec![(k.clone(), v.clone())],
+                EngineOp::MultiPut(pairs) => pairs.clone(),
+                _ => return,
+            };
+            if let Some(poison) = &self.panic_on {
+                if pairs.iter().any(|(k, _)| k == poison) {
+                    panic!("probe engine poisoned by {poison:?}");
+                }
+            }
+            self.multi_puts.fetch_add(1, Ordering::Relaxed);
+            self.puts.fetch_add(pairs.len() as u64, Ordering::Relaxed);
+            self.write_log.lock().extend(pairs);
         }
     }
 
@@ -137,79 +141,19 @@ mod tests {
     }
 
     impl KvEngine for ProbeEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            self.stall();
-            if *key == gate_key() {
-                let mut open = self.gate_open.lock();
-                while !*open {
-                    self.gate_cv.wait(&mut open);
-                }
-            }
-            Ok(self.map.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.multi_put(vec![(key, value)])
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.map.lock().remove(key);
-            Ok(())
-        }
-        // Native scan: the trait's default lowers onto `apply_batch`,
-        // whose default lowers back — an engine must break the cycle.
-        fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-            self.stall();
-            Ok(self
-                .map
-                .lock()
-                .range::<Key, _>((
-                    std::ops::Bound::Included(start),
-                    end.map_or(std::ops::Bound::Unbounded, std::ops::Bound::Excluded),
-                ))
-                .take(limit)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect())
-        }
-        fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-            self.stall();
-            if let Some(poison) = &self.panic_on {
-                if pairs.iter().any(|(k, _)| k == poison) {
-                    panic!("probe engine poisoned by {poison:?}");
-                }
-            }
-            self.multi_puts.fetch_add(1, Ordering::Relaxed);
-            let mut m = self.map.lock();
-            for (k, v) in pairs {
-                self.puts.fetch_add(1, Ordering::Relaxed);
-                self.write_log.lock().push((k.clone(), v.clone()));
-                m.insert(k, v);
-            }
-            Ok(())
-        }
-        fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<tb_common::OpOutcome>> {
+        fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
             self.apply_batches.fetch_add(1, Ordering::Relaxed);
             self.batch_threads.lock().push(std::thread::current().id());
-            // Same lowering as the trait default; counted so tests can
-            // assert one engine submission per drained batch.
             ops.into_iter()
-                .map(|op| match op {
-                    EngineOp::Get(key) => self.get(&key).map(OpOutcome::Value),
-                    EngineOp::Put(key, value) => self.put(key, value).map(|_| self.done()),
-                    EngineOp::Delete(key) => self.delete(&key).map(|_| self.done()),
-                    EngineOp::Cas { key, expected, new } => {
-                        self.cas(key, expected.as_ref(), new).map(|_| self.done())
-                    }
-                    // Inline get loop, not `self.multi_get`: the trait
-                    // default of the un-overridden `multi_get` routes
-                    // back through `apply_batch` and would recurse.
-                    EngineOp::MultiGet(keys) => keys
-                        .iter()
-                        .map(|k| self.get(k))
-                        .collect::<Result<Vec<_>>>()
-                        .map(OpOutcome::Values),
-                    EngineOp::MultiPut(pairs) => self.multi_put(pairs).map(|_| self.done()),
-                    EngineOp::Scan { start, end, limit } => {
-                        self.scan(&start, end.as_ref(), limit).map(OpOutcome::Range)
-                    }
+                .flat_map(|op| {
+                    self.observe(&op);
+                    self.map.apply_batch(vec![op])
+                })
+                .map(|outcome| match (outcome, &self.lsn) {
+                    (Ok(OpOutcome::Done(_)), Some(next)) => Ok(OpOutcome::Done(tb_common::Lsn(
+                        next.fetch_add(1, Ordering::Relaxed) + 1,
+                    ))),
+                    (outcome, _) => outcome,
                 })
                 .collect()
         }
@@ -221,11 +165,7 @@ mod tests {
             Ok(())
         }
         fn resident_bytes(&self) -> u64 {
-            self.map
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.len() + v.len()) as u64)
-                .sum()
+            self.map.resident_bytes()
         }
         fn label(&self) -> String {
             "probe".into()

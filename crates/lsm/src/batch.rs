@@ -130,7 +130,7 @@ impl Tree {
         }
     }
 
-    /// The body of [`LsmDb::apply_batch`](crate::LsmDb::apply_batch).
+    /// The body of `LsmDb`'s `KvEngine::apply_batch`.
     pub(crate) fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         let has_write = ops.iter().any(is_write);

@@ -97,7 +97,7 @@ pub struct LsmStats {
     pub compactions: AtomicU64,
     pub gets: AtomicU64,
     pub puts: AtomicU64,
-    /// [`LsmDb::apply_batch`] invocations.
+    /// `apply_batch` invocations (every trait data call is one).
     pub batches: AtomicU64,
     /// Unique SSTable blocks fetched by staged reads (point gets, CAS
     /// reads, batches and scans — every completion pass).
@@ -111,8 +111,8 @@ pub struct LsmStats {
     /// the batch fetch lists — lets scan traffic be told apart from
     /// point reads).
     pub batch_scan_blocks_read: AtomicU64,
-    /// Range scans submitted (via [`LsmDb::scan`] or a batched
-    /// `EngineOp::Scan`).
+    /// Range scans submitted (`EngineOp::Scan`s, one per
+    /// `KvEngine::scan`).
     pub scans: AtomicU64,
     /// Data blocks whose frame carries a compressed payload (flush and
     /// compaction combined; blocks that didn't shrink fall back to
@@ -382,84 +382,6 @@ impl LsmDb {
         })
     }
 
-    /// Inserts or overwrites a key.
-    pub fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-        self.tree.write(key, Entry::Put(value))
-    }
-
-    /// Deletes a key (tombstone).
-    pub fn delete(&self, key: Key) -> Result<()> {
-        self.tree.write(key, Entry::Tombstone)
-    }
-
-    /// Point lookup: staged under the read lock, its candidate blocks
-    /// fetched by the completion pass after the lock drops.
-    pub fn get(&self, key: &Key) -> Result<Option<Value>> {
-        let mut cands = Vec::new();
-        let lookup = self
-            .tree
-            .stage_lookup(&self.tree.inner.read(), key.clone(), &mut cands);
-        self.tree.complete_one(lookup, &cands)
-    }
-
-    /// Atomic compare-and-set: the read, the comparison, and the write
-    /// all happen under one acquisition of the tree's write lock, so
-    /// concurrent writers cannot slip between them (unlike the default
-    /// [`KvEngine::cas`], which is unsynchronized read-then-write).
-    pub fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        self.tree.bg.admit()?;
-        let mut inner = self.tree.inner.write();
-        self.tree
-            .cas_locked(&mut inner, key, expected, new)
-            .map(|_| ())
-    }
-
-    /// Submission/completion op batch — the engine-side half of the
-    /// front-end's pipelined batches (io_uring shape: submit N
-    /// heterogeneous ops, collect N completions after one storage
-    /// pass).
-    ///
-    /// Submission pass, under one acquisition of the tree lock (write
-    /// lock only when the batch contains writes): writes apply in
-    /// submission order; lookups resolve immediately from a memtable
-    /// or from a range/bloom rule-out, and otherwise *stage* their
-    /// candidate `(table, block)` pairs against the level state they
-    /// observed. Completion pass (`fetch`, shared with point gets and
-    /// CAS reads), after the lock drops: each staged block is read once
-    /// per batch and shared across every key that needs it, then
-    /// results fill in submission order. The staged tables are
-    /// `Arc`-pinned, so the pass reads a consistent snapshot even if a
-    /// concurrent flush or compaction rewrites the levels in between.
-    ///
-    /// A batch with writes passes write admission first: it may stall
-    /// on the frozen-memtable bound, and a parked worker error fails
-    /// the batch's writes (its reads still answer).
-    pub fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        self.tree.apply_batch(ops)
-    }
-
-    /// Ordered scan of live keys in `start <= key < end` (`end = None`
-    /// = unbounded), at most `limit` entries — one `EngineOp::Scan`
-    /// through the batched submission/completion path. (A prefix scan
-    /// is the range `[prefix, tb_common::prefix_successor(prefix))`.)
-    pub fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        match LsmDb::apply_batch(
-            self,
-            vec![EngineOp::Scan {
-                start: start.clone(),
-                end: end.cloned(),
-                limit,
-            }],
-        )
-        .pop()
-        {
-            Some(Ok(OpOutcome::Range(rows))) => Ok(rows),
-            Some(Err(e)) => Err(e),
-            other => Err(Error::Internal(format!("scan batch resolved to {other:?}"))),
-        }
-    }
-
     /// Freezes the active memtable (no-op when empty) and waits until
     /// the worker has flushed every frozen memtable and run the
     /// compactions that follow; returns the first job error.
@@ -514,12 +436,6 @@ impl Drop for LsmDb {
 }
 
 impl Tree {
-    fn write(&self, key: Key, entry: Entry) -> Result<()> {
-        self.bg.admit()?;
-        let mut inner = self.inner.write();
-        self.write_locked(&mut inner, key, entry).map(|_| ())
-    }
-
     /// Appends, applies, and sequences one write; returns its assigned
     /// LSN. A failed WAL append consumes no LSN (the write never
     /// applied); a post-apply failure (freezing the full memtable)
@@ -591,29 +507,28 @@ impl Tree {
 }
 
 impl KvEngine for LsmDb {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        LsmDb::get(self, key)
-    }
-
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        LsmDb::put(self, key, value)
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        LsmDb::delete(self, key.clone())
-    }
-
-    fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        LsmDb::cas(self, key, expected, new)
-    }
-
+    /// Submission/completion op batch — the engine-side half of the
+    /// front-end's pipelined batches (io_uring shape: submit N
+    /// heterogeneous ops, collect N completions after one storage
+    /// pass).
+    ///
+    /// Submission pass, under one acquisition of the tree lock (write
+    /// lock only when the batch contains writes): writes apply in
+    /// submission order; lookups resolve immediately from a memtable
+    /// or from a range/bloom rule-out, and otherwise *stage* their
+    /// candidate `(table, block)` pairs against the level state they
+    /// observed. Completion pass (`fetch`, which CAS reads share),
+    /// after the lock drops: each staged block is read once
+    /// per batch and shared across every key that needs it, then
+    /// results fill in submission order. The staged tables are
+    /// `Arc`-pinned, so the pass reads a consistent snapshot even if a
+    /// concurrent flush or compaction rewrites the levels in between.
+    ///
+    /// A batch with writes passes write admission first: it may stall
+    /// on the frozen-memtable bound, and a parked worker error fails
+    /// the batch's writes (its reads still answer).
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        LsmDb::apply_batch(self, ops)
-    }
-
-    /// Ordered range scan through the batched read path.
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        LsmDb::scan(self, start, end, limit)
+        self.tree.apply_batch(ops)
     }
 
     fn batch_read_stats(&self) -> BatchReadStats {
@@ -718,7 +633,7 @@ mod tests {
         let db = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
         db.put(k(1), v(1, "a")).unwrap();
         assert_eq!(db.get(&k(1)).unwrap(), Some(v(1, "a")));
-        db.delete(k(1)).unwrap();
+        db.delete(&k(1)).unwrap();
         assert_eq!(db.get(&k(1)).unwrap(), None);
         assert_eq!(db.get(&k(2)).unwrap(), None);
     }
@@ -736,7 +651,7 @@ mod tests {
             db.put(k(i), v(i, "gen2")).unwrap();
         }
         for i in (0..n).step_by(4) {
-            db.delete(k(i)).unwrap();
+            db.delete(&k(i)).unwrap();
         }
         db.flush().unwrap();
         assert!(db.stats.flushes.load(Ordering::Relaxed) > 0);
@@ -761,7 +676,7 @@ mod tests {
             let db = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
             db.put(k(1), v(1, "x")).unwrap();
             db.put(k(2), v(2, "x")).unwrap();
-            db.delete(k(1)).unwrap();
+            db.delete(&k(1)).unwrap();
             // Drop without flush: WAL is the only durable copy.
         }
         let db = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
@@ -813,7 +728,7 @@ mod tests {
             for i in 0..10 {
                 db.put(k(i), v(i, "l")).unwrap();
             }
-            db.delete(k(3)).unwrap();
+            db.delete(&k(3)).unwrap();
             assert_eq!(KvEngine::applied_lsn(&db), Lsn(11));
             // The flush deletes the WAL segment; the manifest carries the mark.
             db.flush().unwrap();
@@ -841,7 +756,7 @@ mod tests {
             db.put(k(i), v(i, "t")).unwrap();
         }
         for i in 0..1000 {
-            db.delete(k(i)).unwrap();
+            db.delete(&k(i)).unwrap();
         }
         db.flush().unwrap();
         // Force compaction all the way down by flushing repeatedly.
@@ -918,7 +833,7 @@ mod tests {
             db.put(Key::from(format!("user:{i:03}")), v(i, "new"))
                 .unwrap();
         }
-        db.delete(Key::from("user:020")).unwrap();
+        db.delete(&Key::from("user:020")).unwrap();
 
         let got = scan_prefix(&db, b"user:");
         assert_eq!(got.len(), 49, "50 users minus one tombstone");
@@ -942,7 +857,7 @@ mod tests {
             for i in 0..300 {
                 db.put(Key::from(format!("p:{i:04}")), v(i, "a")).unwrap();
             }
-            db.delete(Key::from("p:0100")).unwrap();
+            db.delete(&Key::from("p:0100")).unwrap();
             KvEngine::sync(&db).unwrap();
         }
         let db = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
@@ -1453,7 +1368,7 @@ mod tests {
         for i in 10..20 {
             db.put(k(i), v(i, "new")).unwrap();
         }
-        db.delete(k(15)).unwrap();
+        db.delete(&k(15)).unwrap();
 
         let got = db.scan(&k(10), Some(&k(30)), 1000).unwrap();
         assert_eq!(got.len(), 19, "keys 10..30 minus one tombstone");
@@ -1610,7 +1525,7 @@ mod tests {
                     db.put(k(i), v(i, "gen2")).unwrap();
                 }
                 for i in (0..800).step_by(5) {
-                    db.delete(k(i)).unwrap();
+                    db.delete(&k(i)).unwrap();
                 }
                 db.flush().unwrap();
                 assert!(

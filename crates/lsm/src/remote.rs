@@ -12,7 +12,7 @@ use crate::db::LsmDb;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tb_common::{BatchReadStats, EngineOp, Key, KvEngine, OpOutcome, Result, Value};
+use tb_common::{BatchReadStats, EngineOp, Key, KvEngine, OpOutcome, Result};
 
 /// Round-trip cost model for cache-tier → storage-tier calls.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,8 +40,10 @@ impl NetworkModel {
         }
     }
 
-    fn stall(&self, payload_bytes: usize) {
-        let us = self.rtt_us + self.per_kib_us * (payload_bytes as u64).div_ceil(1024);
+    /// Blocks for `round_trips` RTTs plus the transfer of `payload_bytes`.
+    fn stall(&self, round_trips: u64, payload_bytes: usize) {
+        let us =
+            self.rtt_us * round_trips + self.per_kib_us * (payload_bytes as u64).div_ceil(1024);
         if us == 0 {
             return;
         }
@@ -67,6 +69,9 @@ impl NetworkModel {
 pub struct RemoteStats {
     pub calls: AtomicU64,
     pub batched_ops: AtomicU64,
+    /// Payload bytes the network model charged: every request, plus the
+    /// rows every scan returned.
+    pub bytes: AtomicU64,
 }
 
 /// An [`LsmDb`] behind a simulated network: the storage tier.
@@ -98,12 +103,6 @@ impl DisaggregatedStore {
         }
     }
 
-    fn call<T>(&self, payload: usize, f: impl FnOnce() -> Result<T>) -> Result<T> {
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        self.network.stall(payload);
-        f()
-    }
-
     /// The wrapped engine (test access).
     pub fn db(&self) -> &Arc<LsmDb> {
         &self.db
@@ -111,30 +110,15 @@ impl DisaggregatedStore {
 }
 
 impl KvEngine for DisaggregatedStore {
-    /// Remote point read (one round-trip).
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        self.call(key.len(), || self.db.get(key))
-    }
-
-    /// Remote single put (one round-trip).
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        let payload = key.len() + value.len();
-        self.call(payload, || self.db.put(key, value))
-    }
-
-    /// Remote delete (one round-trip).
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.call(key.len(), || self.db.delete(key.clone()))
-    }
-
     /// Submits a heterogeneous op batch over one round-trip; the
     /// engine's native submission/completion pass runs server-side.
-    /// `multi_get` (§4.1.2's deferred cache-fetching) and `multi_put`
-    /// (the write-back flush) are one-op batches through here.
+    /// The request's bytes are charged before the call and every
+    /// `Scan`'s rows after it, so `scan` and a batched `Scan` of the
+    /// same range cost the same. `multi_get` (§4.1.2's deferred
+    /// cache-fetching) and `multi_put` (the write-back flush) are
+    /// one-op batches through here.
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        // Request bytes and keys per op. A scan is charged its request
-        // only; `scan` charges the (potentially large) response.
-        let (payload, keys) = ops.iter().fold((0, 0), |(bytes, keys), op| {
+        let (request, keys) = ops.iter().fold((0, 0), |(bytes, keys), op| {
             let (b, k) = match op {
                 EngineOp::Get(k) | EngineOp::Delete(k) => (k.len(), 1),
                 EngineOp::Put(k, v) => (k.len() + v.len(), 1),
@@ -154,22 +138,20 @@ impl KvEngine for DisaggregatedStore {
             .batched_ops
             .fetch_add(keys as u64, Ordering::Relaxed);
         self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        self.network.stall(payload);
-        self.db.apply_batch(ops)
-    }
-
-    /// Remote range scan: one round-trip running the engine's batched
-    /// scan server-side (payload cost charged on the result size). A
-    /// prefix scan is the range `[prefix, prefix_successor(prefix))`.
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        let rows = self.db.scan(start, end, limit)?;
-        let payload: usize = rows.iter().map(|(k, v)| k.len() + v.len()).sum();
-        self.network.stall(payload);
+        self.network.stall(1, request);
+        let outcomes = self.db.apply_batch(ops);
+        let response: usize = outcomes
+            .iter()
+            .map(|outcome| match outcome {
+                Ok(OpOutcome::Range(rows)) => rows.iter().map(|(k, v)| k.len() + v.len()).sum(),
+                _ => 0,
+            })
+            .sum();
+        self.network.stall(0, response);
         self.stats
-            .batched_ops
-            .fetch_add(rows.len() as u64, Ordering::Relaxed);
-        Ok(rows)
+            .bytes
+            .fetch_add((request + response) as u64, Ordering::Relaxed);
+        outcomes
     }
 
     fn batch_read_stats(&self) -> BatchReadStats {
@@ -193,6 +175,7 @@ impl KvEngine for DisaggregatedStore {
 mod tests {
     use super::*;
     use crate::db::LsmConfig;
+    use tb_common::Value;
 
     fn store(name: &str, network: NetworkModel) -> (tb_common::TestDir, DisaggregatedStore) {
         let dir = tb_common::test_dir(&format!("tb-remote-{name}"));
@@ -224,6 +207,31 @@ mod tests {
         let got = s.multi_get(&keys).unwrap();
         assert_eq!(s.stats.calls.load(Ordering::Relaxed), 2);
         assert!(got.iter().all(|v| v.is_some()));
+    }
+
+    #[test]
+    fn scan_and_batched_scan_charge_the_same_bytes() {
+        let (_dir, s) = store("scanbytes", NetworkModel::none());
+        let pairs = (0..20).map(|i| (Key::from(format!("k{i:02}")), Value::from("v".repeat(100))));
+        s.multi_put(pairs.collect()).unwrap();
+        let charged = || s.stats.bytes.load(Ordering::Relaxed);
+        let (start, end) = (Key::from("k05"), Key::from("k15"));
+
+        let before = charged();
+        let rows = s.scan(&start, Some(&end), usize::MAX).unwrap();
+        let by_scan = charged() - before;
+        let row_bytes: usize = rows.iter().map(|(k, v)| k.len() + v.len()).sum();
+        assert_eq!(rows.len(), 10);
+        assert_eq!(by_scan, (start.len() + end.len() + row_bytes) as u64);
+
+        let before = charged();
+        let batched = s.apply_batch(vec![EngineOp::Scan {
+            start,
+            end: Some(end),
+            limit: usize::MAX,
+        }]);
+        assert_eq!(batched, vec![Ok(OpOutcome::Range(rows))]);
+        assert_eq!(charged() - before, by_scan, "both routes charge the rows");
     }
 
     #[test]

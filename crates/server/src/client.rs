@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tb_common::{BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value};
+use tb_common::{BatchReadStats, EngineOp, Error, KvEngine, Lsn, OpOutcome, Result};
 
 /// Reconnectable server address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,51 +159,11 @@ impl ServerClient {
     fn note_lsn(&self, lsn: Lsn) {
         self.max_lsn.fetch_max(lsn.0, Ordering::Relaxed);
     }
-
-    fn one(&self, op: EngineOp) -> Result<OpOutcome> {
-        self.apply_batch(vec![op])
-            .pop()
-            .unwrap_or_else(|| Err(Error::Internal("empty batch completion".into())))
-    }
 }
 
 impl KvEngine for ServerClient {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        match self.one(EngineOp::Get(key.clone()))? {
-            OpOutcome::Value(v) => Ok(v),
-            other => Err(Error::Internal(format!("get resolved to {other:?}"))),
-        }
-    }
-
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        match self.one(EngineOp::Put(key, value))? {
-            OpOutcome::Done(_) => Ok(()),
-            other => Err(Error::Internal(format!("put resolved to {other:?}"))),
-        }
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        match self.one(EngineOp::Delete(key.clone()))? {
-            OpOutcome::Done(_) => Ok(()),
-            other => Err(Error::Internal(format!("delete resolved to {other:?}"))),
-        }
-    }
-
-    fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
-        let op = EngineOp::Cas {
-            key,
-            expected: expected.cloned(),
-            new,
-        };
-        match self.one(op)? {
-            OpOutcome::Done(_) => Ok(()),
-            other => Err(Error::Internal(format!("cas resolved to {other:?}"))),
-        }
-    }
-
-    // multi_get / multi_put / scan use the trait defaults: one
-    // apply_batch submission = one wire burst = one server-side batch.
-
+    /// One wire burst = one server-side batch; the provided point and
+    /// multi-key methods are one-op bursts.
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         if ops.is_empty() {
             return Vec::new();

@@ -12,7 +12,7 @@
 //! never cost space on keys it cannot share. Then every record must
 //! read back after a reopen, from the stored tables alone.
 
-use tierbase::common::{test_dir, Key, Value};
+use tierbase::common::{test_dir, Key, KvEngine, Value};
 use tierbase::compress::BlockCodec;
 use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::workload::{CitiesDataset, Dataset};

@@ -1,15 +1,16 @@
 //! Compare-and-set atomicity across the workspace's engines.
 //!
-//! The default `KvEngine::cas` is documented as *unsynchronized
-//! read-then-write*: between its internal `get` and `put`, a
-//! concurrent writer can slip in and be silently overwritten (a lost
-//! update) even though both CAS calls report success. The first test
-//! demonstrates that hazard on an engine that keeps the default; the
-//! rest verify the lock-holding engines' atomic overrides close it.
+//! `KvEngine::cas` is one `EngineOp::Cas` submitted through
+//! `apply_batch`, and every engine must run that op's read, compare and
+//! write as one step: a concurrent writer slipping in between would be
+//! silently overwritten (a lost update) while both CAS calls report
+//! success. Each test hammers a counter from several threads and
+//! counts the increments that survived.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tierbase::baselines::{DragonflyLike, MemcachedLike, RedisLike};
+use tierbase::cluster::{CoordinatorGroup, NodeId, NodeStore, Proxy};
+use tierbase::common::testutil::MapEngine;
 use tierbase::frontend::{Frontend, FrontendConfig};
 use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::prelude::*;
@@ -52,64 +53,6 @@ fn hammer_counter(engine: &dyn KvEngine, threads: usize, per_thread: usize) -> u
     parse_counter(&engine.get(&key).unwrap().unwrap())
 }
 
-/// A map engine that *keeps* the racy default `cas` and widens the
-/// read→write window, making the lost-update interleaving essentially
-/// certain under contention.
-struct SleepyMap {
-    map: std::sync::Mutex<std::collections::BTreeMap<Key, Value>>,
-    gets: AtomicU64,
-}
-
-impl SleepyMap {
-    fn new() -> Self {
-        Self {
-            map: std::sync::Mutex::new(Default::default()),
-            gets: AtomicU64::new(0),
-        }
-    }
-}
-
-impl KvEngine for SleepyMap {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        let v = self.map.lock().unwrap().get(key).cloned();
-        // Widen the default cas's get→put window.
-        std::thread::sleep(std::time::Duration::from_micros(300));
-        Ok(v)
-    }
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.map.lock().unwrap().insert(key, value);
-        Ok(())
-    }
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.map.lock().unwrap().remove(key);
-        Ok(())
-    }
-    fn resident_bytes(&self) -> u64 {
-        0
-    }
-    fn label(&self) -> String {
-        "sleepy-map".into()
-    }
-}
-
-#[test]
-fn default_cas_loses_updates_under_contention() {
-    let engine = SleepyMap::new();
-    let threads = 4;
-    let per_thread = 25;
-    let expected = (threads * per_thread) as u64;
-    let got = hammer_counter(&engine, threads, per_thread);
-    // Every thread reported `per_thread` successful increments, yet
-    // increments vanished: the unsynchronized default overwrote
-    // concurrent successes. This is the hazard the overrides fix.
-    assert!(
-        got < expected,
-        "expected lost updates from the racy default cas, got {got}/{expected} \
-         (astronomically unlikely with {threads} threads and a 300us window)"
-    );
-}
-
 #[test]
 fn redis_like_cas_is_atomic() {
     let engine = RedisLike::new();
@@ -145,4 +88,15 @@ fn frontend_pipelined_cas_is_atomic() {
     let fe = Frontend::start(db, FrontendConfig::with_shards(2));
     assert_eq!(hammer_counter(&fe, 4, 50), 200);
     fe.shutdown();
+}
+
+#[test]
+fn cluster_proxy_cas_is_atomic() {
+    // Each CAS runs on the key's owning node, under the node's write
+    // order, and ships to its replica only when it applied.
+    let nodes = (0..2)
+        .map(|i| NodeStore::new(NodeId(i), MapEngine::shared()).with_replica(MapEngine::shared()))
+        .collect();
+    let proxy = Proxy::new(Arc::new(CoordinatorGroup::bootstrap(1, nodes).unwrap()));
+    assert_eq!(hammer_counter(&proxy, 4, 50), 200);
 }

@@ -7,70 +7,36 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use tierbase::cluster::{ClusterClient, CoordinatorGroup, NodeId, NodeStore, RoutingTable};
 use tierbase::common::fault::{self, FaultMode};
+use tierbase::common::testutil::MapEngine;
 use tierbase::common::{Lsn, SLOT_COUNT};
 use tierbase::prelude::*;
-
-// A tiny engine for cluster property tests (fast, deterministic).
-struct MapEngine(std::sync::Mutex<BTreeMap<Key, Value>>);
-
-impl MapEngine {
-    fn shared() -> Arc<dyn KvEngine> {
-        Arc::new(Self(std::sync::Mutex::new(BTreeMap::new())))
-    }
-}
-
-impl KvEngine for MapEngine {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        Ok(self.0.lock().unwrap().get(key).cloned())
-    }
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.0.lock().unwrap().insert(key, value);
-        Ok(())
-    }
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.0.lock().unwrap().remove(key);
-        Ok(())
-    }
-    fn resident_bytes(&self) -> u64 {
-        0
-    }
-    fn label(&self) -> String {
-        "map".into()
-    }
-}
 
 type DeleteHook = Box<dyn Fn(&Key) + Send + Sync>;
 
 /// A map engine that fires a hook on every delete — the probe for
 /// observing rebalance eviction order from the victim's seat.
+#[derive(Default)]
 struct HookEngine {
-    map: std::sync::Mutex<BTreeMap<Key, Value>>,
+    map: MapEngine,
     on_delete: std::sync::Mutex<Option<DeleteHook>>,
 }
 
 impl HookEngine {
     fn shared() -> Arc<Self> {
-        Arc::new(Self {
-            map: std::sync::Mutex::new(BTreeMap::new()),
-            on_delete: std::sync::Mutex::new(None),
-        })
+        Arc::new(Self::default())
     }
 }
 
 impl KvEngine for HookEngine {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        Ok(self.map.lock().unwrap().get(key).cloned())
-    }
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.map.lock().unwrap().insert(key, value);
-        Ok(())
-    }
-    fn delete(&self, key: &Key) -> Result<()> {
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         if let Some(hook) = self.on_delete.lock().unwrap().as_ref() {
-            hook(key);
+            for op in &ops {
+                if let EngineOp::Delete(key) = op {
+                    hook(key);
+                }
+            }
         }
-        self.map.lock().unwrap().remove(key);
-        Ok(())
+        self.map.apply_batch(ops)
     }
     fn resident_bytes(&self) -> u64 {
         0

@@ -872,38 +872,10 @@ fn scan_batch_block_read_fault_fails_only_its_slots() {
 ///   factory — is replicated again, so a second crash is survivable.
 mod replication {
     use super::*;
-    use parking_lot::Mutex as PMutex;
     use std::sync::atomic::AtomicU64;
     use tierbase::cluster::{ClusterClient, CoordinatorGroup, NodeId, NodeStore, REPL_FAULT_SITES};
-    use tierbase::common::{Lsn, Result};
-
-    /// In-memory engine: replication torture needs no disk, only the
-    /// channel's own log.
-    struct MapEngine(PMutex<BTreeMap<Key, Value>>);
-
-    fn map_engine() -> Arc<dyn KvEngine> {
-        Arc::new(MapEngine(PMutex::new(BTreeMap::new())))
-    }
-
-    impl KvEngine for MapEngine {
-        fn get(&self, key: &Key) -> Result<Option<Value>> {
-            Ok(self.0.lock().get(key).cloned())
-        }
-        fn put(&self, key: Key, value: Value) -> Result<()> {
-            self.0.lock().insert(key, value);
-            Ok(())
-        }
-        fn delete(&self, key: &Key) -> Result<()> {
-            self.0.lock().remove(key);
-            Ok(())
-        }
-        fn resident_bytes(&self) -> u64 {
-            0
-        }
-        fn label(&self) -> String {
-            "map".into()
-        }
-    }
+    use tierbase::common::testutil::MapEngine;
+    use tierbase::common::Lsn;
 
     #[derive(Debug, Clone)]
     enum ROp {
@@ -1067,7 +1039,8 @@ mod replication {
     /// then a crash + failover, then byte-exact verification.
     fn run_repl_once(site: &'static str, hit: u64, mode: FaultMode) -> bool {
         let ctx = format!("repl:{site}#{hit}:{mode:?}");
-        let node = NodeStore::new(NodeId(0), map_engine()).with_replica_factory(map_engine);
+        let node =
+            NodeStore::new(NodeId(0), MapEngine::shared()).with_replica_factory(MapEngine::shared);
         let group = CoordinatorGroup::bootstrap(1, vec![node]).unwrap();
         let handle = group.node(NodeId(0)).unwrap();
         let mut model = ReplModel::default();
@@ -1124,7 +1097,8 @@ mod replication {
     #[test]
     fn repl_sites_all_reachable() {
         let _g = gate();
-        let node = NodeStore::new(NodeId(0), map_engine()).with_replica_factory(map_engine);
+        let node =
+            NodeStore::new(NodeId(0), MapEngine::shared()).with_replica_factory(MapEngine::shared);
         let group = CoordinatorGroup::bootstrap(1, vec![node]).unwrap();
         let handle = group.node(NodeId(0)).unwrap();
         fault::set_counting(true);
@@ -1187,7 +1161,8 @@ mod replication {
     fn client_acked_writes_survive_primary_crash_mid_ship() {
         let _g = gate();
         quiet_crash_panics();
-        let node = NodeStore::new(NodeId(0), map_engine()).with_replica_factory(map_engine);
+        let node =
+            NodeStore::new(NodeId(0), MapEngine::shared()).with_replica_factory(MapEngine::shared);
         let group = Arc::new(CoordinatorGroup::bootstrap(1, vec![node]).unwrap());
         let client = ClusterClient::connect(group.clone());
         let handle = group.node(NodeId(0)).unwrap();

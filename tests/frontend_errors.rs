@@ -13,25 +13,25 @@
 //! The injected-IO-error version of the same contract over the real
 //! LSM engine runs in `tests/fault_torture.rs` (`error_torture_*`).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+use tierbase::common::testutil::MapEngine;
 use tierbase::frontend::{Frontend, FrontendConfig};
 use tierbase::prelude::*;
 
 /// In-memory engine with scripted misbehavior:
 ///
-/// * writing a key that starts with `bad:` fails the whole call with
+/// * writing a key that starts with `bad:` fails its op with
 ///   [`Error::FaultInjected`] — after applying the pairs before it
 ///   (a genuine mid-batch failure);
 /// * writing a key that starts with `boom:` panics;
-/// * `get("block:gate")` parks until [`FlakyEngine::release`] — lets a
+/// * `Get("block:gate")` parks until [`FlakyEngine::release`] — lets a
 ///   test pin the shard worker while it queues a multi-request batch;
 /// * `sync()` fails while `fail_sync` is set (and is counted either way).
 #[derive(Default)]
 struct FlakyEngine {
-    map: Mutex<BTreeMap<Key, Value>>,
+    map: MapEngine,
     fail_sync: AtomicBool,
     syncs: AtomicU64,
     gate: Mutex<bool>,
@@ -44,52 +44,42 @@ impl FlakyEngine {
         self.gate_cv.notify_all();
     }
 
-    fn write_one(&self, key: Key, value: Value) -> Result<()> {
-        if key.as_slice().starts_with(b"boom:") {
-            panic!("scripted engine panic on {key:?}");
+    /// Applies `pairs` in order up to the first scripted failure.
+    fn write(&self, pairs: Vec<(Key, Value)>) -> Result<OpOutcome> {
+        for (key, value) in pairs {
+            if key.as_slice().starts_with(b"boom:") {
+                panic!("scripted engine panic on {key:?}");
+            }
+            if key.as_slice().starts_with(b"bad:") {
+                return Err(Error::FaultInjected(format!("scripted failure on {key:?}")));
+            }
+            self.map.put(key, value)?;
         }
-        if key.as_slice().starts_with(b"bad:") {
-            return Err(Error::FaultInjected(format!("scripted failure on {key:?}")));
-        }
-        self.map.lock().unwrap().insert(key, value);
-        Ok(())
+        Ok(OpOutcome::Done(Lsn::NONE))
     }
 }
 
 impl KvEngine for FlakyEngine {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        if key.as_slice() == b"block:gate" {
-            let mut open = self.gate.lock().unwrap();
-            while !*open {
-                open = self.gate_cv.wait(open).unwrap();
-            }
-        }
-        Ok(self.map.lock().unwrap().get(key).cloned())
-    }
-
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.write_one(key, value)
-    }
-
-    fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        for (k, v) in pairs {
-            self.write_one(k, v)?;
-        }
-        Ok(())
-    }
-
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.map.lock().unwrap().remove(key);
-        Ok(())
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        ops.into_iter()
+            .map(|op| match op {
+                EngineOp::Put(key, value) => self.write(vec![(key, value)]),
+                EngineOp::MultiPut(pairs) => self.write(pairs),
+                op => {
+                    if op == EngineOp::Get(Key::from("block:gate")) {
+                        let mut open = self.gate.lock().unwrap();
+                        while !*open {
+                            open = self.gate_cv.wait(open).unwrap();
+                        }
+                    }
+                    self.map.apply_batch(vec![op]).pop().expect("one outcome")
+                }
+            })
+            .collect()
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.map
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.len() + v.len()) as u64)
-            .sum()
+        self.map.resident_bytes()
     }
 
     fn label(&self) -> String {

@@ -62,7 +62,7 @@ proptest! {
                     model.insert(key(k), value(v));
                 }
                 ModelOp::Delete(k) => {
-                    db.delete(key(k)).unwrap();
+                    db.delete(&key(k)).unwrap();
                     model.remove(&key(k));
                 }
                 ModelOp::Get(k) => {

@@ -7,6 +7,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tierbase::common::test_dir;
+use tierbase::common::testutil::MapEngine;
 use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::prelude::*;
 use tierbase::server::{Server, ServerClient};
@@ -106,61 +107,14 @@ fn ycsb_over_socket_matches_oracle() {
 /// pin the burst→batch lowering 1:1.
 #[derive(Default)]
 struct BatchProbe {
-    map: Mutex<BTreeMap<Key, Value>>,
+    map: MapEngine,
     batch_sizes: Mutex<Vec<usize>>,
 }
 
 impl KvEngine for BatchProbe {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        Ok(self.map.lock().get(key).cloned())
-    }
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.map.lock().insert(key, value);
-        Ok(())
-    }
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.map.lock().remove(key);
-        Ok(())
-    }
-    fn scan(&self, start: &Key, end: Option<&Key>, limit: usize) -> Result<Vec<(Key, Value)>> {
-        let m = self.map.lock();
-        let iter: Box<dyn Iterator<Item = (&Key, &Value)>> = match end {
-            Some(end) => Box::new(m.range(start.clone()..end.clone())),
-            None => Box::new(m.range(start.clone()..)),
-        };
-        Ok(iter
-            .take(limit)
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect())
-    }
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         self.batch_sizes.lock().push(ops.len());
-        // Lower per-op like the trait default (which an override cannot
-        // call back into).
-        ops.into_iter()
-            .map(|op| match op {
-                EngineOp::Get(k) => self.get(&k).map(OpOutcome::Value),
-                EngineOp::Put(k, v) => self.put(k, v).map(|_| OpOutcome::Done(Lsn::NONE)),
-                EngineOp::Delete(k) => self.delete(&k).map(|_| OpOutcome::Done(Lsn::NONE)),
-                EngineOp::Cas { key, expected, new } => self
-                    .cas(key, expected.as_ref(), new)
-                    .map(|_| OpOutcome::Done(Lsn::NONE)),
-                EngineOp::MultiGet(keys) => keys
-                    .iter()
-                    .map(|k| self.get(k))
-                    .collect::<Result<Vec<_>>>()
-                    .map(OpOutcome::Values),
-                EngineOp::MultiPut(pairs) => {
-                    for (k, v) in pairs {
-                        self.put(k, v)?;
-                    }
-                    Ok(OpOutcome::Done(Lsn::NONE))
-                }
-                EngineOp::Scan { start, end, limit } => {
-                    self.scan(&start, end.as_ref(), limit).map(OpOutcome::Range)
-                }
-            })
-            .collect()
+        self.map.apply_batch(ops)
     }
     fn resident_bytes(&self) -> u64 {
         0
@@ -264,14 +218,10 @@ fn burst_through_frontend_submits_exactly_n() {
 struct SheddingEngine;
 
 impl KvEngine for SheddingEngine {
-    fn get(&self, _: &Key) -> Result<Option<Value>> {
-        Err(Error::backpressure_at_depth("synthetic shed", 42))
-    }
-    fn put(&self, _: Key, _: Value) -> Result<()> {
-        Err(Error::backpressure_at_depth("synthetic shed", 42))
-    }
-    fn delete(&self, _: &Key) -> Result<()> {
-        Err(Error::backpressure_at_depth("synthetic shed", 42))
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        ops.iter()
+            .map(|_| Err(Error::backpressure_at_depth("synthetic shed", 42)))
+            .collect()
     }
     fn resident_bytes(&self) -> u64 {
         0
@@ -306,59 +256,28 @@ fn backpressure_maps_to_retryable_wire_error_not_dropped_connection() {
     server.stop();
 }
 
-/// Engine that rejects any `multi_put` slice containing a `bad:` key,
+/// Engine that rejects any `MultiPut` slice containing a `bad:` key,
 /// recording every slice and whether it applied — the instrument for
 /// pinning cross-shard partial-commit semantics.
 #[derive(Default)]
 struct SliceRecorder {
-    map: Mutex<BTreeMap<Key, Value>>,
+    map: MapEngine,
     slices: Mutex<Vec<(Vec<Key>, bool)>>,
 }
 
 impl KvEngine for SliceRecorder {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        Ok(self.map.lock().get(key).cloned())
-    }
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.map.lock().insert(key, value);
-        Ok(())
-    }
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.map.lock().remove(key);
-        Ok(())
-    }
-    fn multi_put(&self, pairs: Vec<(Key, Value)>) -> Result<()> {
-        let keys: Vec<Key> = pairs.iter().map(|(k, _)| k.clone()).collect();
-        let poisoned = keys.iter().any(|k| k.as_slice().starts_with(b"bad:"));
-        self.slices.lock().push((keys, !poisoned));
-        if poisoned {
-            return Err(Error::FaultInjected("shard rejected its slice".into()));
-        }
-        let mut m = self.map.lock();
-        for (k, v) in pairs {
-            m.insert(k, v);
-        }
-        Ok(())
-    }
-    // The front-end worker lowers its drained batch through
-    // `apply_batch` (the trait default would re-lower MultiPut into
-    // point puts and bypass the slice gate above), so route MultiPut
-    // back through `self.multi_put` like a native engine.
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         ops.into_iter()
-            .map(|op| match op {
-                EngineOp::Get(k) => self.get(&k).map(OpOutcome::Value),
-                EngineOp::Put(k, v) => self.put(k, v).map(|_| OpOutcome::Done(Lsn::NONE)),
-                EngineOp::Delete(k) => self.delete(&k).map(|_| OpOutcome::Done(Lsn::NONE)),
-                EngineOp::MultiPut(pairs) => {
-                    self.multi_put(pairs).map(|_| OpOutcome::Done(Lsn::NONE))
+            .map(|op| {
+                if let EngineOp::MultiPut(pairs) = &op {
+                    let keys: Vec<Key> = pairs.iter().map(|(k, _)| k.clone()).collect();
+                    let poisoned = keys.iter().any(|k| k.as_slice().starts_with(b"bad:"));
+                    self.slices.lock().push((keys, !poisoned));
+                    if poisoned {
+                        return Err(Error::FaultInjected("shard rejected its slice".into()));
+                    }
                 }
-                EngineOp::MultiGet(keys) => keys
-                    .iter()
-                    .map(|k| self.get(k))
-                    .collect::<Result<Vec<_>>>()
-                    .map(OpOutcome::Values),
-                other => Err(Error::Internal(format!("unexpected op {other:?}"))),
+                self.map.apply_batch(vec![op]).pop().expect("one outcome")
             })
             .collect()
     }

@@ -7,6 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tierbase::cluster::{ClusterClient, CoordinatorGroup, NodeId, NodeStore};
+use tierbase::common::testutil::MapEngine;
 use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::obs;
 use tierbase::obs::json;
@@ -76,8 +77,8 @@ fn one_snapshot_spans_every_layer() {
 
     // --- cluster: replicated routed ops, a client-observed failover --
     let nodes = vec![
-        NodeStore::new(NodeId(0), map_engine()).with_replica_factory(map_engine),
-        NodeStore::new(NodeId(1), map_engine()).with_replica(map_engine()),
+        NodeStore::new(NodeId(0), MapEngine::shared()).with_replica_factory(MapEngine::shared),
+        NodeStore::new(NodeId(1), MapEngine::shared()).with_replica(MapEngine::shared()),
     ];
     let coordinators = Arc::new(CoordinatorGroup::bootstrap(1, nodes).unwrap());
     let client = ClusterClient::connect(coordinators.clone());
@@ -185,31 +186,4 @@ fn one_snapshot_spans_every_layer() {
         Some(snap.counter("frontend_submitted") as f64)
     );
     assert!(counters.get("cluster_failovers").is_some());
-}
-
-// A tiny engine so cluster nodes don't need disk.
-struct MapEngine(std::sync::Mutex<std::collections::BTreeMap<Key, Value>>);
-
-fn map_engine() -> Arc<dyn KvEngine> {
-    Arc::new(MapEngine(std::sync::Mutex::new(Default::default())))
-}
-
-impl KvEngine for MapEngine {
-    fn get(&self, key: &Key) -> Result<Option<Value>> {
-        Ok(self.0.lock().unwrap().get(key).cloned())
-    }
-    fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.0.lock().unwrap().insert(key, value);
-        Ok(())
-    }
-    fn delete(&self, key: &Key) -> Result<()> {
-        self.0.lock().unwrap().remove(key);
-        Ok(())
-    }
-    fn resident_bytes(&self) -> u64 {
-        0
-    }
-    fn label(&self) -> String {
-        "map".into()
-    }
 }
