@@ -1,80 +1,41 @@
-//! Frontend pipeline: group commit vs a WAL that fsyncs every write,
-//! over the LSM engine under open-loop concurrent replay.
+//! Frontend pipeline: a WAL that fsyncs every write vs group commit,
+//! over the LSM engine, both driven the way `tb-server` connections
+//! drive the front-end: 8 closed-loop client threads of 16-op bursts
+//! (`tb_bench::drive_bursts`; one sub-batch per shard, one `sync()` per
+//! burst).
 //!
 //! Shape to reproduce: with durability paid per operation
 //! (`SyncPolicy::EveryWrite`: every WAL append is an fsync) throughput
-//! is capped near the storage sync rate; the front-end's group commit
-//! amortizes one fsync across a drained batch (TierBase §4.1.2's
-//! batched remote-tier round-trips), multiplying write throughput and
-//! cutting p99. Both ticket rows run the same open-loop driver.
+//! is capped near the storage sync rate; group commit shares one fsync
+//! among many writes (TierBase §4.1.2's batched remote-tier round
+//! trips). A burst makes its writes durable with one `LsmDb::sync`, and
+//! concurrent bursts share an `fdatasync` there: a caller whose writes
+//! an in-flight sync covers waits for it.
 //!
-//! The `burst-16` row drives the same trace the way `tb-server` does:
-//! closed-loop clients hand the front-end 16-op bursts through
-//! `Frontend::apply_batch` (one sub-batch per shard, one `sync()` per
-//! burst).
+//! Each row reports WAL fsyncs per write: hits of the `wal.sync` fault
+//! site over the run (counting is on for both rows, which takes one
+//! registry lock per fault-site hit) against the trace's writes. Beside
+//! the burst `group-commit` row it prints the same figure for the
+//! open-loop ticket driver the bench used before bursts became the
+//! front-end's only protocol, and says which is higher.
 //!
-//! Every row must finish without a failed op, and the group-commit rows
-//! must issue fewer front-end syncs than the run has writes.
+//! Every row must finish without a failed op, and the group-commit row
+//! must issue fewer WAL fsyncs than the run has writes.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-use tb_bench::{bench_dir, budget, drive_pipelined, print_table, BenchReport, PipelineResult};
-use tb_common::{EngineOp, Histogram, KvEngine};
+use tb_bench::{bench_dir, budget, drive_bursts, print_table, BenchReport};
+use tb_common::{fault, KvEngine};
 use tb_frontend::{Frontend, FrontendConfig};
 use tb_lsm::wal::SyncPolicy;
 use tb_lsm::{LsmConfig, LsmDb};
 use tb_workload::{Op, Trace, Workload, WorkloadSpec};
 
-/// Ops per burst: the pipeline depth `tb-benchmark`'s client uses.
-const BURST: usize = 16;
-
-/// Replays `run` as closed-loop bursts of [`BURST`] ops from `clients`
-/// threads; an op's latency is its burst's.
-fn drive_bursts(frontend: &Frontend, run: &Trace, clients: usize) -> PipelineResult {
-    let hist = Histogram::new();
-    let errors = AtomicUsize::new(0);
-    let next = AtomicUsize::new(0);
-    let ops = run.ops();
-    let started = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..clients {
-            s.spawn(|| loop {
-                let from = next.fetch_add(BURST, Ordering::Relaxed);
-                if from >= ops.len() {
-                    return;
-                }
-                let burst: Vec<EngineOp> = ops[from..ops.len().min(from + BURST)]
-                    .iter()
-                    .map(|op| match op {
-                        Op::Read { key } => EngineOp::Get(key.clone()),
-                        Op::Insert { key, value }
-                        | Op::Update { key, value }
-                        | Op::ReadModifyWrite { key, value } => {
-                            EngineOp::Put(key.clone(), value.clone())
-                        }
-                        Op::Delete { key } => EngineOp::Delete(key.clone()),
-                        Op::Scan { start, end, limit } => EngineOp::Scan {
-                            start: start.clone(),
-                            end: Some(end.clone()),
-                            limit: *limit as usize,
-                        },
-                    })
-                    .collect();
-                let t0 = Instant::now();
-                let outcomes = frontend.apply_batch(burst);
-                let took = t0.elapsed().as_nanos() as u64;
-                for outcome in outcomes {
-                    hist.record(took);
-                    if outcome.is_err() {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    PipelineResult::measured(&hist, ops.len(), started, errors.load(Ordering::Relaxed))
-}
+/// WAL fsyncs per write of the ticket `group-commit` row: the same
+/// trace, engine and front-end driven open-loop by 8 ticket submit
+/// threads at commit d79c6d7, on the 2-core machine that regenerated
+/// this bench's committed report (162 fsyncs for 9 888 writes; 161 and
+/// 164 in two more runs).
+const TICKET_GROUP_COMMIT_FSYNCS_PER_WRITE: f64 = 0.0164;
 
 fn main() {
     let records = budget(5_000);
@@ -82,10 +43,11 @@ fn main() {
 
     let mut report = BenchReport::new("frontend_pipeline");
     let mut rows = Vec::new();
-    for (label, wal_sync, bursts) in [
-        ("wal-every-write", SyncPolicy::EveryWrite, false),
-        ("group-commit", SyncPolicy::OsBuffer, false),
-        ("burst-16", SyncPolicy::OsBuffer, true),
+    let mut group_commit = f64::NAN;
+    fault::set_counting(true);
+    for (label, wal_sync) in [
+        ("wal-every-write", SyncPolicy::EveryWrite),
+        ("group-commit", SyncPolicy::OsBuffer),
     ] {
         let dir = bench_dir(&format!("fe-pipe-{label}"));
         let config = LsmConfig {
@@ -110,16 +72,23 @@ fn main() {
             .iter()
             .filter(|op| !matches!(op, Op::Read { .. } | Op::Scan { .. }))
             .count() as u64;
-        // Load phase through the pipeline too, untimed.
-        let loaded = drive_pipelined(&fe, &load, 4);
+        // Load phase through the front-end too, untimed.
+        let loaded = drive_bursts(&fe, &load, 4);
         let before = fe.stats().snapshot();
+        let fsyncs_before = fault::hit_count("wal.sync");
 
-        let r = if bursts {
-            drive_bursts(&fe, &run, 8)
-        } else {
-            drive_pipelined(&fe, &run, 8)
-        };
+        let r = drive_bursts(&fe, &run, 8);
+        let fsyncs = fault::hit_count("wal.sync") - fsyncs_before;
+        let per_write = fsyncs as f64 / writes.max(1) as f64;
         report.add_pipeline(label, &r);
+        report.add_values(
+            format!("{label}-wal"),
+            &[
+                ("writes", writes as f64),
+                ("wal_fsyncs", fsyncs as f64),
+                ("wal_fsyncs_per_write", per_write),
+            ],
+        );
         let after = fe.stats().snapshot();
         let syncs = after.group_syncs - before.group_syncs;
         let batches = after.batches - before.batches;
@@ -131,9 +100,10 @@ fn main() {
         );
         if wal_sync == SyncPolicy::OsBuffer {
             assert!(
-                syncs < writes,
-                "{label}: group commit issued {syncs} syncs for {writes} writes"
+                fsyncs < writes,
+                "{label}: group commit issued {fsyncs} WAL fsyncs for {writes} writes"
             );
+            group_commit = per_write;
         }
         rows.push(vec![
             label.to_string(),
@@ -142,26 +112,44 @@ fn main() {
             format!("{:.1}", r.p99_us),
             format!("{writes}"),
             format!("{syncs}"),
+            format!("{fsyncs}"),
+            format!("{per_write:.3}"),
             format!("{:.1}", completed as f64 / batches.max(1) as f64),
             format!("{}", r.errors),
         ]);
         fe.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
+    fault::set_counting(false);
 
     print_table(
-        "Frontend pipeline: WAL fsync per write vs group commit vs 16-op bursts (LSM engine, YCSB-A)",
+        "Frontend pipeline: WAL fsync per write vs group commit, 8 clients x 16-op bursts (LSM engine, YCSB-A)",
         &[
             "mode",
             "kqps",
             "p50_us",
             "p99_us",
             "writes",
-            "fe_syncs",
+            "burst_syncs",
+            "wal_fsyncs",
+            "fsyncs/write",
             "ops/batch",
             "errors",
         ],
         &rows,
+    );
+    report.add_values(
+        "ticket-group-commit-wal",
+        &[("wal_fsyncs_per_write", TICKET_GROUP_COMMIT_FSYNCS_PER_WRITE)],
+    );
+    let higher = if group_commit > TICKET_GROUP_COMMIT_FSYNCS_PER_WRITE {
+        "the burst row"
+    } else {
+        "the ticket row"
+    };
+    println!(
+        "WAL fsyncs per write, group commit: bursts {group_commit:.3}, tickets (d79c6d7) \
+         {TICKET_GROUP_COMMIT_FSYNCS_PER_WRITE:.3} — {higher} is higher"
     );
     report.write().expect("write bench report");
 }

@@ -127,7 +127,7 @@ pub fn drive(
     }
 }
 
-/// Result of an open-loop pipelined replay through a front-end.
+/// Result of a burst replay through a front-end ([`drive_bursts`]).
 #[derive(Debug, Clone)]
 pub struct PipelineResult {
     pub qps: f64,
@@ -158,76 +158,59 @@ impl PipelineResult {
     }
 }
 
-/// How many requests one submit thread keeps in flight before it
-/// settles the older half — bounds ticket memory without closing the
-/// loop per-op.
-const OPEN_LOOP_WINDOW: usize = 1024;
+/// Ops per burst in [`drive_bursts`]: the pipeline depth
+/// `tb-benchmark`'s client uses.
+pub const BURST: usize = 16;
 
-/// Drives a run trace through a [`tb_frontend::Frontend`] *open-loop*:
-/// submit threads pipeline requests without waiting for each
-/// completion, so shard workers see deep batches and group commit can
-/// amortize. Latency is measured submit→completion (queueing
-/// included), which is what a remote client would observe.
-pub fn drive_pipelined(
+/// Replays `run` through a [`tb_frontend::Frontend`] the way `tb-server`
+/// connections drive it: `clients` closed-loop threads, each handing the
+/// front-end [`BURST`]-op bursts through `apply_batch` (one sub-batch
+/// per shard, one `sync()` per burst). An op's latency is its burst's.
+pub fn drive_bursts(
     frontend: &tb_frontend::Frontend,
     run: &Trace,
-    submit_threads: usize,
+    clients: usize,
 ) -> PipelineResult {
     use tb_common::EngineOp;
-    use tb_frontend::Ticket;
 
     let hist = Histogram::new();
     let errors = AtomicUsize::new(0);
     let next = AtomicUsize::new(0);
     let ops = run.ops();
     let started = Instant::now();
-
-    let settle = |window: &mut Vec<(Instant, Ticket)>, keep: usize| {
-        let drain = window.len().saturating_sub(keep);
-        for (t0, ticket) in window.drain(..drain) {
-            if ticket.wait().is_err() {
-                errors.fetch_add(1, Ordering::Relaxed);
-            }
-            let done = ticket.completed_at().unwrap_or_else(Instant::now);
-            hist.record(done.saturating_duration_since(t0).as_nanos() as u64);
-        }
-    };
-
     std::thread::scope(|s| {
-        for _ in 0..submit_threads.max(1) {
-            s.spawn(|| {
-                let mut window: Vec<(Instant, Ticket)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= ops.len() {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let ticket = match &ops[i] {
-                        Op::Read { key } => frontend.submit(EngineOp::Get(key.clone())),
-                        Op::Insert { key, value } | Op::Update { key, value } => {
-                            frontend.submit(EngineOp::Put(key.clone(), value.clone()))
+        for _ in 0..clients.max(1) {
+            s.spawn(|| loop {
+                let from = next.fetch_add(BURST, Ordering::Relaxed);
+                if from >= ops.len() {
+                    return;
+                }
+                let burst: Vec<EngineOp> = ops[from..ops.len().min(from + BURST)]
+                    .iter()
+                    .map(|op| match op {
+                        Op::Read { key } => EngineOp::Get(key.clone()),
+                        Op::Insert { key, value }
+                        | Op::Update { key, value }
+                        | Op::ReadModifyWrite { key, value } => {
+                            EngineOp::Put(key.clone(), value.clone())
                         }
-                        Op::Delete { key } => frontend.submit(EngineOp::Delete(key.clone())),
-                        Op::ReadModifyWrite { key, value } => {
-                            // Both halves pipelined and awaited: the
-                            // read's latency and errors count too, the
-                            // trace op itself counts once toward qps.
-                            window.push((t0, frontend.submit(EngineOp::Get(key.clone()))));
-                            frontend.submit(EngineOp::Put(key.clone(), value.clone()))
-                        }
-                        Op::Scan { start, end, limit } => frontend.submit(EngineOp::Scan {
+                        Op::Delete { key } => EngineOp::Delete(key.clone()),
+                        Op::Scan { start, end, limit } => EngineOp::Scan {
                             start: start.clone(),
                             end: Some(end.clone()),
                             limit: *limit as usize,
-                        }),
-                    };
-                    window.push((t0, ticket));
-                    if window.len() >= OPEN_LOOP_WINDOW {
-                        settle(&mut window, OPEN_LOOP_WINDOW / 2);
+                        },
+                    })
+                    .collect();
+                let t0 = Instant::now();
+                let outcomes = frontend.apply_batch(burst);
+                let took = t0.elapsed().as_nanos() as u64;
+                for outcome in outcomes {
+                    hist.record(took);
+                    if outcome.is_err() {
+                        errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                settle(&mut window, 0);
             });
         }
     });

@@ -5,11 +5,10 @@
 //! collects the ops per shard and remembers, per queued op, which burst
 //! op it serves ([`Part`]). Whoever executes a sub-batch — the shard's
 //! worker, or the submitting thread itself — fills the result slots of
-//! the [`Run`]; the submitter parks on **one** latch per run instead of
-//! one ticket per op. Like a dropped `Completer`, a sub-batch that is
-//! dropped unexecuted (engine panic, queue closed at shutdown) still
-//! opens the latch, and its empty slots read as failed ops: a caller
-//! can never hang on a burst the front-end lost.
+//! the [`Run`]; the submitter parks on **one** latch per run. A
+//! sub-batch that is dropped unexecuted (engine panic, queue closed at
+//! shutdown) still opens the latch, and its empty slots read as failed
+//! ops: a caller can never hang on a burst the front-end lost.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;

@@ -1,35 +1,27 @@
 //! The pipelined request front-end.
 //!
 //! One [`Frontend`] sits between many client threads and a single
-//! [`KvEngine`]. Ops hash to a shard (the cluster routing hash,
-//! [`slot_for_key`]) and enter that shard's bounded submission queue —
-//! one at a time behind a [`Ticket`] ([`Frontend::submit`]), or as a
-//! burst ([`KvEngine::apply_batch`] on the front-end, which every
-//! synchronous `KvEngine` call becomes: one sub-batch per shard, one
-//! completion latch per run, one `sync()` for the whole burst). Each
-//! queue is drained in batches by its shard's one worker (a burst's
-//! sub-batch may instead run on the submitting thread when its shard is
-//! idle), which:
+//! [`KvEngine`]. Every call on it is a **burst**
+//! ([`KvEngine::apply_batch`], which every synchronous `KvEngine` call
+//! becomes): its ops hash to a shard (the cluster routing hash,
+//! [`slot_for_key`]) and enter that shard's bounded submission queue as
+//! one sub-batch per shard, with one completion latch per run and one
+//! `sync()` for the whole burst. Each queue is drained in batches by its
+//! shard's one worker (a burst's sub-batch may instead run on the
+//! submitting thread when its shard is idle), which hands the whole
+//! drained batch to the engine as **one** [`KvEngine::apply_batch`]
+//! submission, coalescing consecutive writes into a single `MultiPut`
+//! op. So an engine with a native submission/completion path — `tb-lsm`
+//! — resolves the batch's reads in one overlapped storage pass instead
+//! of serializing them behind per-op block IO (TierBase §4.1.2 batches
+//! the remote tier the same way).
 //!
-//! * hands the whole drained batch to the engine as **one**
-//!   [`KvEngine::apply_batch`] submission (coalescing consecutive
-//!   writes into a single `MultiPut` op), so an engine with a native
-//!   submission/completion path — `tb-lsm` — resolves the batch's
-//!   reads in one overlapped storage pass instead of serializing them
-//!   behind per-op block IO (TierBase §4.1.2 batches the remote tier
-//!   the same way). And
-//! * group-commits: one `sync()` per dirty batch instead of one per
-//!   write, acknowledging ticket writes only after the batch is durable
-//!   (a burst's writes wait for the burst's own single `sync()`).
-//!
-//! Backpressure is the queue bound: blocking `submit` stalls producers
-//! when a shard saturates, `try_submit` sheds load with
-//! [`Error::Backpressure`].
+//! Backpressure is the queue bound: a sub-batch its shard queue cannot
+//! admit answers [`Error::Backpressure`] in every slot.
 
 use crate::burst::{Run, RunPlan, SubBatchDone};
 use crate::queue::{PushRefused, SubmitQueue};
 use crate::stats::{FrontendStats, FrontendStatsSnapshot};
-use crate::ticket::{ticket, Completer, Ticket};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,20 +34,6 @@ use tb_common::{
 /// How long an idle worker parks between queue polls.
 const DRAIN_WAIT: Duration = Duration::from_millis(5);
 
-/// Key that decides an op's shard. A scan routes by `start`: all shards
-/// front the same engine, so any queue serves the full key range —
-/// sharding partitions the *queues*, not the data. Multi-key ops route
-/// by their first key; a ticket's must be single-shard already.
-fn routing_key(op: &EngineOp) -> Option<&Key> {
-    match op {
-        EngineOp::Get(k) | EngineOp::Put(k, _) | EngineOp::Delete(k) => Some(k),
-        EngineOp::Cas { key, .. } => Some(key),
-        EngineOp::Scan { start, .. } => Some(start),
-        EngineOp::MultiGet(keys) => keys.first(),
-        EngineOp::MultiPut(pairs) => pairs.first().map(|(k, _)| k),
-    }
-}
-
 fn is_put_like(op: &EngineOp) -> bool {
     matches!(op, EngineOp::Put(..) | EngineOp::MultiPut(..))
 }
@@ -66,8 +44,8 @@ pub struct FrontendConfig {
     /// Submission queues / event loops.
     pub shards: usize,
     /// Bound of each shard queue in operations (the backpressure
-    /// watermark). A burst's sub-batch is admitted whole: one larger
-    /// than the bound waits for an empty queue.
+    /// watermark). A burst's sub-batch is admitted whole or shed whole;
+    /// one larger than the bound is admitted into an empty queue.
     pub queue_capacity: usize,
     /// Most operations a worker takes per drain (a burst's sub-batch is
     /// never split, so one larger than this is a drain of its own).
@@ -94,45 +72,24 @@ impl FrontendConfig {
     }
 }
 
-/// Where one op's outcome goes.
-enum Sink {
-    /// A `submit`/`try_submit` ticket. Its write ack waits for the
-    /// group sync of the batch that applied it.
-    Ticket(Completer),
-    /// Part `.1` of a burst's run. Its write ack reports *applied*:
-    /// the burst issues one `sync()` of its own after every sub-batch
-    /// has, before any write outcome is returned.
-    Part(Arc<Run>, usize),
-}
+/// Where a queued op's outcome goes: part `.1` of run `.0`, and the
+/// op's telemetry submit stamp (`None` when telemetry is disabled) —
+/// the stamp yields the queue-wait histogram at drain and the
+/// end-to-end latency histogram at completion.
+type Pending = (Arc<Run>, usize, Option<Instant>);
 
-impl Sink {
-    fn resolve(self, result: Result<OpOutcome>) {
-        match self {
-            Sink::Ticket(completer) => completer.complete(result),
-            Sink::Part(run, part) => run.fill(part, result),
-        }
-    }
-}
+/// One queued op and where its outcome goes.
+type Queued = (EngineOp, Pending);
 
-/// One submitted op: the op, where its outcome goes, and the telemetry
-/// submit stamp (`None` when telemetry is disabled) — the stamp yields
-/// the queue-wait histogram at drain and the end-to-end latency
-/// histogram at completion.
-type Queued = (EngineOp, Sink, Option<Instant>);
-
-/// What a shard queue holds.
-enum Item {
-    /// A single ticket op (weight 1).
-    One(Queued),
-    /// One shard's share of a burst's run (weight = its ops): enqueued
-    /// with one lock and one wake-up, never split by a drain.
-    SubBatch(Vec<Queued>, SubBatchDone),
-}
+/// One shard's share of a burst's run, enqueued with one lock and one
+/// wake-up and never split by a drain. Its guard opens the run's latch
+/// once the sub-batch has run, or was dropped unrun.
+type SubBatch = (Vec<Queued>, SubBatchDone);
 
 struct Inner {
     engine: Arc<dyn KvEngine>,
     /// One submission queue per shard, drained by that shard's worker.
-    shards: Vec<SubmitQueue<Item>>,
+    shards: Vec<SubmitQueue<SubBatch>>,
     config: FrontendConfig,
     shutdown: AtomicBool,
     stats: FrontendStats,
@@ -226,128 +183,19 @@ impl Frontend {
         self.inner.shards.iter().map(|q| q.len()).sum()
     }
 
-    /// Submits one op, blocking while its shard queue is full —
-    /// backpressure propagates to the producer. A `MultiGet` or
-    /// `MultiPut` whose keys span shards resolves to
-    /// [`Error::InvalidArgument`]: a ticket is one shard's. Submit it
-    /// through [`KvEngine::apply_batch`], which splits it by shard.
-    pub fn submit(&self, op: EngineOp) -> Ticket {
-        match self.route(&op) {
-            Ok(shard) => self.submit_to(shard, op),
-            Err(e) => {
-                let (t, c) = ticket();
-                c.complete(Err(e));
-                t
-            }
-        }
-    }
-
-    /// Non-blocking submit; a full shard queue sheds the op with
-    /// [`Error::Backpressure`]. Routes like [`Frontend::submit`].
-    pub fn try_submit(&self, op: EngineOp) -> Result<Ticket> {
-        if self.down.load(Ordering::SeqCst) {
-            return Err(Error::Unavailable("front-end shut down".into()));
-        }
-        let shard = self.route(&op)?;
-        let (t, c) = ticket();
-        let item = Item::One((op, Sink::Ticket(c), tb_obs::start()));
-        match self.inner.shards[shard].try_push(item, 1) {
-            Ok(()) => {
-                FrontendStats::bump(&self.inner.stats.submitted, 1);
-                Ok(t)
-            }
-            Err((PushRefused::Full, _)) => {
-                FrontendStats::bump(&self.inner.stats.backpressure_rejections, 1);
-                // The queue was at capacity when it refused us; report that
-                // depth as the retry-after hint so callers (and the wire
-                // protocol's RETRY reply) can scale their backoff.
-                let depth = self.inner.shards[shard].len() as u32;
-                // (The refused item dropped its completer: the orphan
-                // ticket is resolved, nothing can wait on it.)
-                Err(Error::backpressure_at_depth(
-                    format!(
-                        "shard {shard} queue full ({} operations)",
-                        self.inner.config.queue_capacity
-                    ),
-                    depth.max(self.inner.config.queue_capacity as u32),
-                ))
-            }
-            Err((PushRefused::Closed, _)) => Err(Error::Unavailable("front-end shut down".into())),
-        }
-    }
-
-    /// The one shard a ticket's op lands on.
-    fn route(&self, op: &EngineOp) -> Result<usize> {
-        match op {
-            EngineOp::MultiGet(keys) => self.single_shard_of(keys.iter()),
-            EngineOp::MultiPut(pairs) => self.single_shard_of(pairs.iter().map(|(k, _)| k)),
-            op => Ok(self.shard_of_op(op)),
-        }
-    }
-
+    /// Shard of a single-key op. A scan routes by `start`: all shards
+    /// front the same engine, so any queue serves the full key range —
+    /// sharding partitions the *queues*, not the data.
     fn shard_of_op(&self, op: &EngineOp) -> usize {
-        routing_key(op).map_or(0, |k| self.shard_of(k))
-    }
-
-    /// Common shard of a multi-key op, or `InvalidArgument` when the
-    /// keys span shards.
-    fn single_shard_of<'a>(&self, keys: impl Iterator<Item = &'a Key>) -> Result<usize> {
-        let mut shard = None;
-        for key in keys {
-            let s = self.shard_of(key);
-            match shard {
-                None => shard = Some(s),
-                Some(previous) if previous != s => {
-                    return Err(Error::InvalidArgument(
-                        "multi-key op spans shards; submit it through apply_batch".into(),
-                    ))
-                }
-                Some(_) => {}
+        let key = match op {
+            EngineOp::Get(k) | EngineOp::Put(k, _) | EngineOp::Delete(k) => k,
+            EngineOp::Cas { key, .. } => key,
+            EngineOp::Scan { start, .. } => start,
+            EngineOp::MultiGet(_) | EngineOp::MultiPut(_) => {
+                unreachable!("a burst splits multi-key ops by shard")
             }
-        }
-        Ok(shard.unwrap_or(0))
-    }
-
-    fn submit_to(&self, shard: usize, op: EngineOp) -> Ticket {
-        let (t, c) = ticket();
-        // Fail fast once shutdown started: producers must stop feeding
-        // the queues or the shutdown drain could spin forever.
-        if self.down.load(Ordering::SeqCst) {
-            c.complete(Err(Error::Unavailable("front-end shut down".into())));
-            return t;
-        }
-        let item = Item::One((op, Sink::Ticket(c), tb_obs::start()));
-        // A closed queue hands the item back; dropping it resolves the
-        // ticket `Unavailable`.
-        if self.inner.shards[shard].push(item, 1).is_ok() {
-            FrontendStats::bump(&self.inner.stats.submitted, 1);
-        }
-        t
-    }
-
-    /// Waits until every op queued *before* the call has been
-    /// processed (a barrier per shard). Bounded even under sustained
-    /// concurrent submission: it waits only on batches drained up to
-    /// its own marker, never on later traffic.
-    pub fn barrier(&self) {
-        let tickets: Vec<Ticket> = (0..self.inner.shards.len())
-            .map(|s| self.submit_to(s, EngineOp::MultiGet(Vec::new())))
-            .collect();
-        let mut targets = Vec::with_capacity(tickets.len());
-        for (s, t) in tickets.into_iter().enumerate() {
-            let _ = t.wait();
-            // The queue is FIFO, so everything enqueued before this
-            // marker was drained in a batch numbered no later than the
-            // count observed at marker resolution. A burst's sub-batch
-            // claimed inline before the marker may still be running
-            // beside the worker; wait for exactly those batches.
-            targets.push((s, self.inner.shards[s].drains_started()));
-        }
-        for (s, target) in targets {
-            while self.inner.shards[s].drains_finished() < target {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        }
+        };
+        self.shard_of(key)
     }
 
     /// Submits a burst with the [`KvEngine::apply_batch`] contract
@@ -367,6 +215,8 @@ impl Frontend {
     /// nothing queued and no drained batch in flight, decided under the
     /// queue lock, so an inline sub-batch never overtakes an op
     /// submitted before it. The submitter waits on one latch per run.
+    /// A sub-batch its shard queue does not admit is shed: each of its
+    /// ops answers [`Error::Backpressure`] with the queue's depth.
     ///
     /// Writes share **one durability point**: after every sub-batch has
     /// applied, one `engine.sync()` covers the whole burst, and only
@@ -378,12 +228,13 @@ impl Frontend {
             let down = || Err(Error::Unavailable("front-end shut down".into()));
             return ops.iter().map(|_| down()).collect();
         }
+        let shards = self.inner.shards.len();
         let mut outcomes: Vec<Option<Result<OpOutcome>>> = ops.iter().map(|_| None).collect();
         // Whether any write applied — even one slice of a spanning
         // `MultiPut` whose other slice failed: it is in the engine, so
         // the burst owes it the durability point.
         let mut dirty = false;
-        let mut run = RunPlan::new(self.inner.shards.len());
+        let mut run = RunPlan::new(shards);
         for (i, op) in ops.into_iter().enumerate() {
             match op {
                 EngineOp::Scan { .. } => {
@@ -391,32 +242,34 @@ impl Frontend {
                     run.add(self.shard_of_op(&op), op, i, None);
                     self.complete_run(&mut run, &mut outcomes);
                 }
-                EngineOp::MultiGet(keys) => match self.single_shard_of(keys.iter()) {
-                    Ok(shard) => run.add(shard, EngineOp::MultiGet(keys), i, None),
-                    Err(_) => {
-                        let len = keys.len();
-                        let mut per = vec![(Vec::new(), Vec::new()); self.inner.shards.len()];
-                        for (position, key) in keys.into_iter().enumerate() {
-                            let s = self.shard_of(&key);
-                            per[s].0.push(position);
-                            per[s].1.push(key);
-                        }
-                        for (shard, (positions, keys)) in per.into_iter().enumerate() {
-                            if !keys.is_empty() {
-                                let slice = Some((positions, len));
-                                run.add(shard, EngineOp::MultiGet(keys), i, slice);
-                            }
-                        }
-                    }
-                },
-                // An empty write resolves on the spot, covering nothing.
+                // An empty multi-key op resolves on the spot, touching
+                // nothing.
+                EngineOp::MultiGet(keys) if keys.is_empty() => {
+                    outcomes[i] = Some(Ok(OpOutcome::Values(Vec::new())));
+                }
                 EngineOp::MultiPut(pairs) if pairs.is_empty() => {
                     outcomes[i] = Some(Ok(OpOutcome::Done(Lsn::NONE)));
                 }
-                // Each shard's slice is a part; the op acks the max
-                // LSN across them.
+                // One part per shard the keys touch: a `MultiGet` slice
+                // fills its keys' positions, and a `MultiPut` acks the
+                // max LSN across its slices.
+                EngineOp::MultiGet(keys) => {
+                    let len = keys.len();
+                    let mut per = vec![(Vec::new(), Vec::new()); shards];
+                    for (position, key) in keys.into_iter().enumerate() {
+                        let s = self.shard_of(&key);
+                        per[s].0.push(position);
+                        per[s].1.push(key);
+                    }
+                    for (shard, (positions, keys)) in per.into_iter().enumerate() {
+                        if !keys.is_empty() {
+                            let slice = Some((positions, len));
+                            run.add(shard, EngineOp::MultiGet(keys), i, slice);
+                        }
+                    }
+                }
                 EngineOp::MultiPut(pairs) => {
-                    let mut per: Vec<Vec<(Key, Value)>> = vec![Vec::new(); self.inner.shards.len()];
+                    let mut per: Vec<Vec<(Key, Value)>> = vec![Vec::new(); shards];
                     for (key, value) in pairs {
                         per[self.shard_of(&key)].push((key, value));
                     }
@@ -473,28 +326,33 @@ impl Frontend {
         let latch = Run::new(parts.len());
         let stamp = tb_obs::start();
         let mut inline = None;
-        for (queue, ops) in self.inner.shards.iter().zip(&mut run.per_shard) {
+        let queues = self.inner.shards.iter().zip(&mut run.per_shard);
+        for (shard, (queue, ops)) in queues.enumerate() {
             if ops.is_empty() {
                 continue;
             }
             let len = ops.len();
             let batch: Vec<Queued> = ops
                 .drain(..)
-                .map(|(op, part)| (op, Sink::Part(latch.clone(), part), stamp))
+                .map(|(op, part)| (op, (latch.clone(), part, stamp)))
                 .collect();
             let done = latch.sub_batch();
-            let accepted = if inline.is_none() && queue.claim_idle() {
+            if inline.is_none() && queue.claim_idle() {
                 inline = Some((queue, batch, done));
-                true
             } else {
-                // Refused only when a concurrent shutdown closed the
-                // queue: the dropped item opens the latch and its parts
-                // read `Unavailable`.
-                queue.push(Item::SubBatch(batch, done), len).is_ok()
-            };
-            if accepted {
-                FrontendStats::bump(&self.inner.stats.submitted, len as u64);
+                match queue.try_push((batch, done), len) {
+                    Ok(()) => {}
+                    Err((PushRefused::Full, (batch, _done))) => {
+                        self.shed(shard, batch);
+                        continue;
+                    }
+                    // A concurrent shutdown closed the queue: the dropped
+                    // sub-batch opens the latch, its parts read
+                    // `Unavailable`.
+                    Err((PushRefused::Closed, _)) => continue,
+                }
             }
+            FrontendStats::bump(&self.inner.stats.submitted, len as u64);
         }
         if let Some((queue, batch, done)) = inline {
             run_batch(&self.inner, queue, batch);
@@ -509,6 +367,25 @@ impl Frontend {
             *outcome = Some(part.merge(outcome.take(), result));
         }
         dirty
+    }
+
+    /// Answers every op of a sub-batch its full shard queue refused. The
+    /// queue's depth, at least its capacity, is the retry-after hint the
+    /// wire's `RETRY` reply carries.
+    fn shed(&self, shard: usize, batch: Vec<Queued>) {
+        let capacity = self.inner.config.queue_capacity;
+        let depth = self.inner.shards[shard].len().max(capacity);
+        let shed = Error::backpressure_at_depth(
+            format!("shard {shard} queue full ({capacity} operations)"),
+            u32::try_from(depth).unwrap_or(u32::MAX),
+        );
+        FrontendStats::bump(
+            &self.inner.stats.backpressure_rejections,
+            batch.len() as u64,
+        );
+        for (_, (run, part, _)) in batch {
+            run.fill(part, Err(shed.clone()));
+        }
     }
 
     /// Drains the queues, stops the workers, joins them. Idempotent;
@@ -547,39 +424,29 @@ fn worker_loop(inner: Arc<Inner>, shard: usize) {
             }
             continue;
         }
-        // One batch from everything drained; a sub-batch's latch guard
-        // is held until the batch has run (or unwound).
-        let mut batch = Vec::with_capacity(drained.len());
-        let mut sub_batches = Vec::new();
-        for item in drained {
-            match item {
-                Item::One(queued) => batch.push(queued),
-                Item::SubBatch(ops, done) => {
-                    batch.extend(ops);
-                    sub_batches.push(done);
-                }
-            }
-        }
-        run_batch(&inner, queue, batch);
-        drop(sub_batches);
+        // One batch from every drained sub-batch; their latch guards are
+        // held until it has run (or unwound).
+        let (batches, done): (Vec<Vec<Queued>>, Vec<SubBatchDone>) = drained.into_iter().unzip();
+        run_batch(&inner, queue, batches.into_iter().flatten().collect());
+        drop(done);
     }
 }
 
 /// Runs one batch the caller took from `queue` — drained by its worker,
 /// or claimed idle by a burst's submitting thread — and reports it done.
-fn run_batch(inner: &Inner, queue: &SubmitQueue<Item>, batch: Vec<Queued>) {
+fn run_batch(inner: &Inner, queue: &SubmitQueue<SubBatch>, batch: Vec<Queued>) {
     // Queue wait: submit stamp → drain. The stamp stays with the op so
     // completion can record the full end-to-end latency.
     if tb_obs::enabled() {
         let waits = tb_obs::histo!("frontend_queue_wait_ns");
-        for (_, _, stamp) in &batch {
+        for (_, (_, _, stamp)) in &batch {
             waits.record_since(*stamp);
         }
     }
-    // Contain engine panics: the batch's unresolved sinks are dropped
-    // by the unwind (tickets resolve Unavailable, burst parts read as
-    // dropped — no caller hangs) and the thread lives on: a poisoned
-    // engine call must not wedge the shard, nor kill a submitter.
+    // Contain engine panics: the unwind drops the batch's unresolved
+    // ops (their run slots read as dropped — no caller hangs) and the
+    // thread lives on: a poisoned engine call must not wedge the
+    // shard, nor kill a submitter.
     let batch_len = batch.len() as u64;
     let settled = AtomicU64::new(0);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -587,41 +454,27 @@ fn run_batch(inner: &Inner, queue: &SubmitQueue<Item>, batch: Vec<Queued>) {
     }));
     queue.drain_done();
     if outcome.is_err() {
-        // The unwind resolved the rest of the batch by dropping its
-        // sinks; count them so `submitted == completed` holds once
-        // every op has resolved. Reconciled before the panic counter
-        // so observers that saw the panic also see consistent
-        // accounting.
+        // The unwind resolved the rest of the batch by dropping it;
+        // count those ops so `submitted == completed` holds once every
+        // op has resolved. Reconciled before the panic counter so
+        // observers that saw the panic also see consistent accounting.
         let abandoned = batch_len.saturating_sub(settled.load(Ordering::SeqCst));
         FrontendStats::bump(&inner.stats.completed, abandoned);
         FrontendStats::bump(&inner.stats.worker_panics, 1);
     }
 }
 
-/// A sink still awaiting its outcome, paired with the op's telemetry
-/// submit stamp (for the end-to-end latency histogram).
-type Pending = (Sink, Option<Instant>);
-
-/// Resolves one op: the completed-counter bump happens *before* the
-/// waiter wakes, so a caller that has awaited all of its ops observes
-/// `submitted == completed`. `settled` is the per-batch count
-/// `run_batch` uses to reconcile a panic-abandoned batch.
+/// Resolves one op into its run slot: the completed-counter bump
+/// happens *before* the burst's latch can open, so a caller that has
+/// awaited all of its ops observes `submitted == completed`. `settled`
+/// is the per-batch count `run_batch` uses to reconcile a
+/// panic-abandoned batch.
 fn finish(stats: &FrontendStats, settled: &AtomicU64, pending: Pending, result: Result<OpOutcome>) {
-    let (sink, stamp) = pending;
+    let (run, part, stamp) = pending;
     settled.fetch_add(1, Ordering::SeqCst);
     FrontendStats::bump(&stats.completed, 1);
     tb_obs::histo!("frontend_e2e_ns").record_since(stamp);
-    sink.resolve(result);
-}
-
-/// Who settles the completion of one op handed to the engine.
-enum OpAcks {
-    /// A write (one op, or a coalesced put-like run): every writer acks
-    /// together — tickets deferred to the group sync on success, burst
-    /// parts at once (their burst syncs for them).
-    Write(Vec<Pending>),
-    /// A read: its outcome is forwarded unchanged.
-    Read(Pending),
+    run.fill(part, result);
 }
 
 fn process_batch(inner: &Inner, batch: Vec<Queued>, settled: &AtomicU64) {
@@ -630,91 +483,51 @@ fn process_batch(inner: &Inner, batch: Vec<Queued>, settled: &AtomicU64) {
 
     // --- one engine submission for the drained batch -----------------
     // Adjacent put-likes coalesce into a single MultiPut op (one WAL/
-    // memtable pass, acked together at the group sync); every other op
-    // goes as it was queued. `acks[i]` settles `ops[i]`.
+    // memtable pass); every other op goes as it was queued. `acks[i]`
+    // lists the queued ops `ops[i]` settles.
     let mut ops: Vec<EngineOp> = Vec::with_capacity(batch.len());
-    let mut acks: Vec<OpAcks> = Vec::with_capacity(batch.len());
+    let mut acks: Vec<Vec<Pending>> = Vec::with_capacity(batch.len());
     let mut iter = batch.into_iter().peekable();
-    while let Some((op, sink, stamp)) = iter.next() {
-        let done = (sink, stamp);
+    while let Some((op, pending)) = iter.next() {
         if !is_put_like(&op) {
-            let read = matches!(
-                op,
-                EngineOp::Get(_) | EngineOp::MultiGet(_) | EngineOp::Scan { .. }
-            );
-            acks.push(if read {
-                OpAcks::Read(done)
-            } else {
-                OpAcks::Write(vec![done])
-            });
             ops.push(op);
+            acks.push(vec![pending]);
             continue;
         }
         let mut pairs: Vec<(Key, Value)> = Vec::new();
-        let mut writers: Vec<Pending> = vec![done];
+        let mut writers = vec![pending];
         let mut absorb = |op: EngineOp| match op {
             EngineOp::Put(k, v) => pairs.push((k, v)),
             EngineOp::MultiPut(ps) => pairs.extend(ps),
             _ => unreachable!("absorb only sees put-like ops"),
         };
         absorb(op);
-        while let Some((op, sink, stamp)) = iter.next_if(|(op, _, _)| is_put_like(op)) {
+        while let Some((op, pending)) = iter.next_if(|(op, _)| is_put_like(op)) {
             absorb(op);
-            writers.push((sink, stamp));
+            writers.push(pending);
         }
         if writers.len() > 1 {
             FrontendStats::bump(&stats.coalesced_puts, writers.len() as u64);
         }
         ops.push(EngineOp::MultiPut(pairs));
-        acks.push(OpAcks::Write(writers));
+        acks.push(writers);
     }
 
     // --- one storage pass for the whole batch -------------------------
     // An engine with a native submission/completion path (tb-lsm)
     // resolves every read here with its block IO deduped across the
-    // batch; the default trait implementation degrades to a per-op loop.
+    // batch.
     let outcomes = inner.engine.apply_batch(ops);
 
-    // --- completion: settle each op's sinks in submission order -------
-    let mut unsynced: Vec<(Pending, Lsn)> = Vec::new();
-    for (ack, outcome) in acks.into_iter().zip(outcomes) {
-        match (ack, outcome) {
-            (OpAcks::Read(done), outcome) => finish(stats, settled, done, outcome),
-            (OpAcks::Write(writers), Err(e)) => {
-                for w in writers {
-                    finish(stats, settled, w, Err(e.clone()));
-                }
-            }
-            // Ticket acks defer to the batch's single sync below; a
-            // burst's parts report *applied* and leave the sync to
-            // their burst. Each carries the LSN the engine assigned to
-            // its op (coalesced writers share the covering MultiPut
-            // LSN).
-            (OpAcks::Write(writers), Ok(outcome)) => {
-                let lsn = match outcome {
-                    OpOutcome::Done(lsn) => lsn,
-                    _ => Lsn::NONE,
-                };
-                for writer in writers {
-                    match writer.0 {
-                        Sink::Ticket(_) => unsynced.push((writer, lsn)),
-                        Sink::Part(..) => finish(stats, settled, writer, Ok(OpOutcome::Done(lsn))),
-                    }
-                }
-            }
+    // --- completion: the writers of a coalesced run share its outcome,
+    // which carries the covering LSN. A write reports *applied*; its
+    // burst syncs before returning it.
+    for (mut pending, outcome) in acks.into_iter().zip(outcomes) {
+        let last = pending.pop().expect("every engine op settles a queued op");
+        for writer in pending {
+            finish(stats, settled, writer, outcome.clone());
         }
-    }
-
-    if !unsynced.is_empty() {
-        // The group commit: one durability point for the whole batch.
-        let t0 = tb_obs::start();
-        let sync_result = inner.engine.sync();
-        tb_obs::histo!("frontend_group_sync_ns").record_since(t0);
-        FrontendStats::bump(&stats.group_syncs, 1);
-        for (ack, lsn) in unsynced {
-            let result = sync_result.clone().map(|_| OpOutcome::Done(lsn));
-            finish(stats, settled, ack, result);
-        }
+        finish(stats, settled, last, outcome);
     }
 }
 
@@ -767,10 +580,9 @@ impl KvEngine for Frontend {
         format!("frontend<{}>", self.inner.engine.label())
     }
 
+    /// A burst acks no write it has not synced, so there is nothing of
+    /// the front-end's own to wait for: this is the engine's sync.
     fn sync(&self) -> Result<()> {
-        // Everything already queued lands (and, per batch, group-
-        // commits) before the barrier returns; then flush the engine.
-        self.barrier();
         self.inner.engine.sync()
     }
 }

@@ -3,42 +3,46 @@
 //! Every engine in the workspace is a synchronous [`KvEngine`]; this
 //! crate turns one into a *servable system*: the paper's data-node
 //! serving model of one event loop per shard (§4.4) with batched
-//! storage round-trips (§4.1.2). There are two ways in, both speaking
-//! the engine's own [`EngineOp`]/[`OpOutcome`]:
-//!
-//! * **Tickets** — [`Frontend::submit`]/[`Frontend::try_submit`] queue
-//!   one single-shard op (routed by the cluster hash, `slot_for_key`)
-//!   and return a [`Ticket`]; a full shard queue is backpressure
-//!   (blocking `submit`, or `Error::Backpressure` from `try_submit`).
-//!   Each shard's one worker drains batches, coalesces adjacent writes
-//!   into one `MultiPut`, and group-commits one `sync()` per dirty
-//!   batch.
-//! * **Bursts** — every synchronous `KvEngine` call on the [`Frontend`]
-//!   is one: `apply_batch` (which is what a decoded `tb-server`
-//!   pipeline burst becomes), and `get`/`put`/… as one-op bursts. A
-//!   burst is split into one sub-batch per shard (one of them run by
-//!   the submitting thread when its shard is idle), awaited on one
-//!   completion latch, and made durable by one `sync()` for all of its
-//!   writes.
+//! storage round-trips (§4.1.2). Its one protocol is the **burst**,
+//! spoken in the engine's own [`EngineOp`]/[`OpOutcome`]: every
+//! synchronous `KvEngine` call on the [`Frontend`] is one —
+//! `apply_batch` (which is what a decoded `tb-server` pipeline burst
+//! becomes), and `get`/`put`/… as one-op bursts. A burst is split into
+//! one sub-batch per shard (routed by the cluster hash, `slot_for_key`;
+//! one of them runs on the submitting thread when its shard is idle),
+//! awaited on one completion latch, and made durable by one `sync()`
+//! for all of its writes. Each shard's one worker drains the queued
+//! sub-batches of any number of bursts, coalesces adjacent writes into
+//! one `MultiPut`, and hands them to the engine as one `apply_batch`. A
+//! sub-batch its full shard queue cannot admit answers
+//! `Error::Backpressure` in every slot.
 //!
 //! So engine code runs concurrently on at most one worker per shard
 //! plus the burst submitters running inline.
 //!
 //! ```
+//! use std::sync::Arc;
 //! use tb_common::testutil::MapEngine;
 //! use tb_common::{EngineOp, Key, KvEngine, Value};
 //! use tb_frontend::{Frontend, FrontendConfig};
 //!
-//! let fe = Frontend::start(MapEngine::shared(), FrontendConfig::default());
-//! // Pipelined: submit many ops, await their tickets later.
-//! let tickets: Vec<_> = (0..100)
-//!     .map(|i| fe.submit(EngineOp::Put(Key::from(format!("k{i}")), Value::from("v"))))
-//!     .collect();
-//! for t in tickets {
-//!     t.wait().unwrap();
-//! }
+//! let fe = Arc::new(Frontend::start(MapEngine::shared(), FrontendConfig::default()));
+//! // Concurrent clients, each handing the front-end 25-op bursts.
+//! std::thread::scope(|s| {
+//!     for t in 0..4 {
+//!         let fe = fe.clone();
+//!         s.spawn(move || {
+//!             let burst = (0..25)
+//!                 .map(|i| EngineOp::Put(Key::from(format!("k{t}-{i}")), Value::from("v")))
+//!                 .collect();
+//!             for outcome in fe.apply_batch(burst) {
+//!                 outcome.unwrap();
+//!             }
+//!         });
+//!     }
+//! });
 //! // Synchronous: a one-op burst.
-//! assert_eq!(fe.get(&Key::from("k7")).unwrap(), Some(Value::from("v")));
+//! assert_eq!(fe.get(&Key::from("k3-7")).unwrap(), Some(Value::from("v")));
 //! fe.shutdown();
 //! ```
 //!
@@ -50,11 +54,9 @@ mod burst;
 mod frontend;
 mod queue;
 mod stats;
-mod ticket;
 
 pub use frontend::{Frontend, FrontendConfig};
 pub use stats::{FrontendStats, FrontendStatsSnapshot};
-pub use ticket::Ticket;
 
 #[cfg(test)]
 mod tests {
@@ -62,16 +64,16 @@ mod tests {
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
+    use std::thread::JoinHandle;
     use std::time::Duration;
     use tb_common::testutil::MapEngine;
     use tb_common::{EngineOp, Error, Key, KvEngine, OpOutcome, Result, Value};
 
-    /// Map engine that counts engine-level calls, can inject
-    /// per-operation latency (to saturate queues deterministically),
-    /// can panic on a chosen key (to test panic containment), parks
-    /// `Get("block:gate")` until released (to pin whoever executes it),
-    /// can fail `sync()`, and logs every put in apply order together
-    /// with the thread each `apply_batch` ran on.
+    /// Map engine that counts engine-level calls, can panic on a chosen
+    /// key (to test panic containment), parks `Get("block:gate")` until
+    /// released (to pin whoever executes it), can fail `sync()`, and
+    /// logs every put in apply order together with the thread each
+    /// `apply_batch` ran on.
     #[derive(Default)]
     struct ProbeEngine {
         map: MapEngine,
@@ -80,9 +82,10 @@ mod tests {
         multi_puts: AtomicU64,
         apply_batches: AtomicU64,
         syncs: AtomicU64,
-        op_delay: Option<Duration>,
         panic_on: Option<Key>,
         fail_sync: AtomicBool,
+        /// Gate ops that reached the engine.
+        gated: AtomicU64,
         gate_open: Mutex<bool>,
         gate_cv: parking_lot::Condvar,
         /// `Some`: write ops ack increasing LSNs instead of `Lsn::NONE`.
@@ -96,13 +99,6 @@ mod tests {
             Arc::new(Self::default())
         }
 
-        fn slow(delay: Duration) -> Arc<Self> {
-            Arc::new(Self {
-                op_delay: Some(delay),
-                ..Self::default()
-            })
-        }
-
         fn release_gate(&self) {
             *self.gate_open.lock() = true;
             self.gate_cv.notify_all();
@@ -110,11 +106,9 @@ mod tests {
 
         /// The probes one op runs before the map applies it.
         fn observe(&self, op: &EngineOp) {
-            if let Some(d) = self.op_delay {
-                std::thread::sleep(d);
-            }
             let pairs = match op {
                 EngineOp::Get(key) if *key == gate_key() => {
+                    self.gated.fetch_add(1, Ordering::SeqCst);
                     let mut open = self.gate_open.lock();
                     while !*open {
                         self.gate_cv.wait(&mut open);
@@ -180,6 +174,38 @@ mod tests {
         Value::from(format!("val-{i}"))
     }
 
+    fn puts(from: usize, n: usize) -> Vec<EngineOp> {
+        (from..from + n)
+            .map(|i| EngineOp::Put(k(i), v(i)))
+            .collect()
+    }
+
+    /// Submits `ops` as one burst from a thread of its own.
+    fn spawn_burst(fe: &Arc<Frontend>, ops: Vec<EngineOp>) -> JoinHandle<Vec<Result<OpOutcome>>> {
+        let fe = fe.clone();
+        std::thread::spawn(move || KvEngine::apply_batch(&*fe, ops))
+    }
+
+    /// Parks a one-op gate burst in the engine from a thread of its own
+    /// and returns once it is there. On an idle shard the gate runs
+    /// inline on that thread: the shard counts as busy, so every later
+    /// burst queues and the worker runs it. A second gate queues behind
+    /// the first and pins the worker: later bursts then wait in the
+    /// queue and leave it in one drained batch. `release_gate` frees
+    /// both.
+    fn park_gate(fe: &Arc<Frontend>, engine: &ProbeEngine) -> JoinHandle<Vec<Result<OpOutcome>>> {
+        let parked = engine.gated.load(Ordering::SeqCst) + 1;
+        let gate = spawn_burst(fe, vec![EngineOp::Get(gate_key())]);
+        wait_until("the gate parks in the engine", || {
+            engine.gated.load(Ordering::SeqCst) == parked
+        });
+        gate
+    }
+
+    fn all_ok(outcomes: Vec<Result<OpOutcome>>) -> bool {
+        outcomes.iter().all(|o| o.is_ok())
+    }
+
     #[test]
     fn pipelined_roundtrip_all_request_kinds() {
         let engine = ProbeEngine::shared();
@@ -206,40 +232,31 @@ mod tests {
     fn scan_rides_the_pipelined_batch_path() {
         let engine = ProbeEngine::shared();
         let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(1));
-        // Pipelined: interleave writes and scans on one shard so the
-        // scan is one op inside a drained batch, ordered after the
+        // Writes and scans interleaved in one burst: each scan sees the
         // writes submitted before it.
-        let mut tickets = Vec::new();
-        for i in 0..50 {
-            tickets.push((None, fe.submit(EngineOp::Put(k(i), v(i)))));
-        }
-        tickets.push((
-            Some(50),
-            fe.submit(EngineOp::Scan {
-                start: k(0),
-                end: Some(k(50)),
-                limit: usize::MAX,
-            }),
-        ));
-        tickets.push((None, fe.submit(EngineOp::Delete(k(10)))));
-        tickets.push((
-            Some(49),
-            fe.submit(EngineOp::Scan {
-                start: k(0),
-                end: None,
-                limit: usize::MAX,
-            }),
-        ));
-        for (expect, t) in tickets {
-            match (expect, t.wait().unwrap()) {
-                (Some(n), OpOutcome::Range(rows)) => {
+        let mut ops = puts(0, 50);
+        ops.push(EngineOp::Scan {
+            start: k(0),
+            end: Some(k(50)),
+            limit: usize::MAX,
+        });
+        ops.push(EngineOp::Delete(k(10)));
+        ops.push(EngineOp::Scan {
+            start: k(0),
+            end: None,
+            limit: usize::MAX,
+        });
+        let outcomes = KvEngine::apply_batch(&fe, ops);
+        for (slot, n) in [(50, 50), (52, 49)] {
+            match &outcomes[slot] {
+                Ok(OpOutcome::Range(rows)) => {
                     assert_eq!(rows.len(), n, "scan saw the writes submitted before it");
                     assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "rows key-ordered");
                 }
-                (None, OpOutcome::Done(_)) => {}
-                (e, r) => panic!("unexpected outcome {e:?} {r:?}"),
+                other => panic!("scan resolved {other:?}"),
             }
         }
+        assert!(all_ok(outcomes));
         // Convenience wrapper + limit truncation.
         let got = fe.scan(&k(20), Some(&k(30)), 3).unwrap();
         assert_eq!(
@@ -247,8 +264,6 @@ mod tests {
             vec![(k(20), v(20)), (k(21), v(21)), (k(22), v(22))],
             "limit truncates in key order"
         );
-        // Scans lowered into batches, not per-op engine calls.
-        assert!(engine.apply_batches.load(Ordering::Relaxed) > 0);
         fe.shutdown();
     }
 
@@ -269,62 +284,7 @@ mod tests {
                 assert!(item.is_none(), "key {i} should miss");
             }
         }
-        fe.shutdown();
-    }
-
-    #[test]
-    fn group_commit_syncs_once_per_batch_not_per_write() {
-        let engine = ProbeEngine::shared();
-        let fe = Frontend::start(
-            engine.clone(),
-            FrontendConfig {
-                shards: 1,
-                ..FrontendConfig::default()
-            },
-        );
-        // Pipelined burst: tickets awaited only at the end, so the
-        // single shard worker sees deep batches.
-        let tickets: Vec<Ticket> = (0..1000)
-            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        let syncs = engine.syncs.load(Ordering::Relaxed);
-        let puts = engine.puts.load(Ordering::Relaxed);
-        assert_eq!(puts, 1000);
-        assert!(
-            syncs < 1000 / 2,
-            "group commit must amortize syncs: {syncs} syncs for {puts} puts"
-        );
-        assert!(syncs > 0, "dirty batches must sync");
-        assert_eq!(fe.stats().snapshot().group_syncs, syncs);
-        fe.shutdown();
-    }
-
-    #[test]
-    fn adjacent_writes_coalesce_into_multi_put() {
-        let engine = ProbeEngine::shared();
-        let fe = Frontend::start(
-            engine.clone(),
-            FrontendConfig {
-                shards: 1,
-                ..FrontendConfig::default()
-            },
-        );
-        let tickets: Vec<Ticket> = (0..500)
-            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        let calls = engine.multi_puts.load(Ordering::Relaxed);
-        assert_eq!(engine.puts.load(Ordering::Relaxed), 500);
-        assert!(
-            calls < 500 / 2,
-            "coalescing must batch engine round-trips: {calls} multi_puts for 500 puts"
-        );
-        assert!(fe.stats().snapshot().coalesced_puts > 0);
+        assert_eq!(fe.multi_get(&[]).unwrap(), Vec::<Option<Value>>::new());
         fe.shutdown();
     }
 
@@ -333,133 +293,69 @@ mod tests {
         let engine = ProbeEngine::shared();
         let fe = Frontend::start(engine, FrontendConfig::with_shards(1));
         let key = Key::from("rw-order");
-        let mut tickets = Vec::new();
-        for round in 0..50 {
-            tickets.push((
-                None,
-                fe.submit(EngineOp::Put(key.clone(), Value::from(format!("{round}")))),
-            ));
-            tickets.push((Some(round), fe.submit(EngineOp::Get(key.clone()))));
+        let ops = (0..50)
+            .flat_map(|round| {
+                [
+                    EngineOp::Put(key.clone(), Value::from(format!("{round}"))),
+                    EngineOp::Get(key.clone()),
+                ]
+            })
+            .collect();
+        let outcomes = KvEngine::apply_batch(&fe, ops);
+        for (round, pair) in outcomes.chunks(2).enumerate() {
+            assert!(matches!(pair[0], Ok(OpOutcome::Done(_))), "{:?}", pair[0]);
+            assert_eq!(
+                pair[1],
+                Ok(OpOutcome::Value(Some(Value::from(format!("{round}")))))
+            );
         }
-        for (expect, t) in tickets {
-            match (expect, t.wait().unwrap()) {
-                (Some(round), OpOutcome::Value(got)) => {
-                    assert_eq!(got, Some(Value::from(format!("{round}"))));
-                }
-                (None, OpOutcome::Done(_)) => {}
-                (e, r) => panic!("unexpected outcome {e:?} {r:?}"),
-            }
-        }
-        fe.shutdown();
-    }
-
-    #[test]
-    fn try_submit_sheds_load_when_shard_saturates() {
-        let engine = ProbeEngine::slow(Duration::from_millis(20));
-        let fe = Frontend::start(
-            engine,
-            FrontendConfig {
-                shards: 1,
-                queue_capacity: 8,
-                max_batch: 4,
-            },
-        );
-        // Fill the queue faster than the slow engine drains it.
-        let mut accepted = Vec::new();
-        let mut rejected = 0;
-        for i in 0..64 {
-            match fe.try_submit(EngineOp::Put(k(i), v(i))) {
-                Ok(t) => accepted.push(t),
-                Err(e @ Error::Backpressure { .. }) => {
-                    // The shed carries a retry-after hint: the refusing
-                    // queue's depth, at least the configured capacity.
-                    assert!(
-                        e.queue_depth() >= Some(8),
-                        "backpressure must carry the queue depth, got {e:?}"
-                    );
-                    rejected += 1;
-                }
-                Err(e) => panic!("unexpected error {e:?}"),
-            }
-        }
-        assert!(rejected > 0, "saturated shard must shed load");
-        assert_eq!(fe.stats().snapshot().backpressure_rejections, rejected);
-        for t in accepted {
-            t.wait().unwrap();
-        }
-        fe.shutdown();
-    }
-
-    #[test]
-    fn multi_shard_batches_rejected_on_raw_submit() {
-        let engine = ProbeEngine::shared();
-        let fe = Frontend::start(engine, FrontendConfig::with_shards(4));
-        // Find two keys on different shards.
-        let a = k(0);
-        let b = (1..)
-            .map(k)
-            .find(|key| fe.shard_of(key) != fe.shard_of(&a))
-            .expect("some key lands on another shard");
-        // A ticket is one shard's: a spanning write *or* read is refused
-        // by both submit paths.
-        for spanning in [
-            EngineOp::MultiPut(vec![(a.clone(), v(0)), (b.clone(), v(1))]),
-            EngineOp::MultiGet(vec![a.clone(), b.clone()]),
-        ] {
-            assert!(matches!(
-                fe.submit(spanning.clone()).wait(),
-                Err(Error::InvalidArgument(_))
-            ));
-            assert!(matches!(
-                fe.try_submit(spanning),
-                Err(Error::InvalidArgument(_))
-            ));
-        }
-        // Single-shard ones still work, and the burst path splits
-        // spanning ones by shard.
-        fe.submit(EngineOp::MultiPut(vec![(a.clone(), v(0))]))
-            .wait()
-            .unwrap();
-        assert_eq!(
-            fe.try_submit(EngineOp::MultiGet(vec![a.clone()]))
-                .unwrap()
-                .wait(),
-            Ok(OpOutcome::Values(vec![Some(v(0))]))
-        );
-        fe.multi_put(vec![(a.clone(), v(2)), (b.clone(), v(3))])
-            .unwrap();
-        assert_eq!(fe.multi_get(&[a, b]).unwrap(), vec![Some(v(2)), Some(v(3))]);
         fe.shutdown();
     }
 
     #[test]
     fn drained_batch_lowers_to_one_engine_submission() {
         let engine = ProbeEngine::shared();
-        let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(1));
-        // Pipelined burst of mixed reads and writes: tickets awaited at
-        // the end so the single shard worker drains deep batches.
-        let tickets: Vec<Ticket> = (0..600)
-            .map(|i| {
-                if i % 3 == 0 {
-                    fe.submit(EngineOp::Get(k(i)))
-                } else {
-                    fe.submit(EngineOp::Put(k(i), v(i)))
-                }
+        let fe = Arc::new(Frontend::start(
+            engine.clone(),
+            FrontendConfig::with_shards(1),
+        ));
+        let gates = [park_gate(&fe, &engine), park_gate(&fe, &engine)];
+        // Four bursts queue behind the pinned worker, in this order;
+        // writes that end up adjacent coalesce across bursts.
+        let bursts = [
+            puts(0, 2),
+            puts(2, 1),
+            vec![EngineOp::Get(k(0)), EngineOp::Put(k(3), v(3))],
+            puts(4, 1),
+        ];
+        let mut queued = 0;
+        let handles: Vec<_> = bursts
+            .into_iter()
+            .map(|burst| {
+                queued += burst.len();
+                let handle = spawn_burst(&fe, burst);
+                wait_until("the burst is queued", || fe.queue_depth(0) == queued);
+                handle
             })
             .collect();
-        for t in tickets {
-            t.wait().unwrap();
+        let calls = engine.apply_batches.load(Ordering::Relaxed);
+        engine.release_gate();
+        for gate in gates {
+            assert!(all_ok(gate.join().unwrap()));
         }
-        let submissions = engine.apply_batches.load(Ordering::Relaxed);
-        let batches = fe.stats().snapshot().batches;
+        let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(outcomes[2][0], Ok(OpOutcome::Value(Some(v(0)))));
+        assert!(outcomes.into_iter().all(all_ok));
         assert_eq!(
-            submissions, batches,
-            "each drained batch must make exactly one apply_batch call"
+            engine.apply_batches.load(Ordering::Relaxed),
+            calls + 1,
+            "the four bursts left the queue as one engine submission"
         );
-        assert!(
-            submissions < 600 / 2,
-            "pipelined burst should amortize engine submissions: {submissions}"
-        );
+        // [k0 k1 k2] and [k3 k4]: two MultiPuts of five coalesced puts.
+        assert_eq!(engine.multi_puts.load(Ordering::Relaxed), 2);
+        let snap = fe.stats().snapshot();
+        assert_eq!(snap.coalesced_puts, 5);
+        assert_eq!(snap.batches, engine.apply_batches.load(Ordering::Relaxed));
         fe.shutdown();
     }
 
@@ -732,45 +628,33 @@ mod tests {
             FrontendConfig::with_shards(1),
         ));
         let key = Key::from("contended");
-        // Pin the worker inside a drained batch; the queue is empty.
-        let gate = fe.submit(EngineOp::Get(gate_key()));
-        wait_until("worker picks the gate up", || fe.queue_depth(0) == 0);
-
-        // Queue empty but a batch in flight: a burst must not jump it.
-        let in_flight = {
-            let (fe, key) = (fe.clone(), key.clone());
-            std::thread::spawn(move || {
-                KvEngine::apply_batch(&*fe, vec![EngineOp::Put(key, Value::from("burst-1"))])
-            })
-        };
-        wait_until("burst-1 is enqueued", || fe.queue_depth(0) == 1);
-        assert_eq!(engine.puts.load(Ordering::Relaxed), 0, "burst-1 ran inline");
-
-        // A ticket queued before a burst is executed before it.
-        let ticket = fe.submit(EngineOp::Put(key.clone(), Value::from("ticket")));
-        let queued = {
-            let (fe, key) = (fe.clone(), key.clone());
-            std::thread::spawn(move || {
-                KvEngine::apply_batch(
-                    &*fe,
-                    vec![
-                        EngineOp::Put(key.clone(), Value::from("burst-2")),
-                        EngineOp::Get(key),
-                    ],
-                )
-            })
-        };
-        wait_until("burst-2 is enqueued", || fe.queue_depth(0) == 4);
-        assert_eq!(engine.puts.load(Ordering::Relaxed), 0, "burst-2 ran inline");
+        let put = |tag: &str| EngineOp::Put(key.clone(), Value::from(tag));
+        // The first gate runs inline on its own thread: the queue is
+        // empty but a batch is in flight, so burst-1 must not run
+        // inline. It queues, and the worker runs it beside the gate.
+        let mut gates = vec![park_gate(&fe, &engine)];
+        let burst_1 = spawn_burst(&fe, vec![put("burst-1")]);
+        let burst_1_thread = burst_1.thread().id();
+        assert!(all_ok(burst_1.join().unwrap()));
+        assert!(
+            !engine.batch_threads.lock().contains(&burst_1_thread),
+            "burst-1 ran inline beside an in-flight batch"
+        );
+        // A second gate pins the worker: queued bursts wait in order.
+        gates.push(park_gate(&fe, &engine));
+        let burst_2 = spawn_burst(&fe, vec![put("burst-2")]);
+        wait_until("burst-2 is enqueued", || fe.queue_depth(0) == 1);
+        let burst_3 = spawn_burst(&fe, vec![put("burst-3"), EngineOp::Get(key.clone())]);
+        wait_until("burst-3 is enqueued", || fe.queue_depth(0) == 3);
 
         engine.release_gate();
-        gate.wait().unwrap();
-        ticket.wait().unwrap();
-        assert!(in_flight.join().unwrap()[0].is_ok());
-        let outcomes = queued.join().unwrap();
+        for gate in gates {
+            assert!(all_ok(gate.join().unwrap()));
+        }
+        assert!(all_ok(burst_2.join().unwrap()));
         assert_eq!(
-            outcomes[1],
-            Ok(OpOutcome::Value(Some(Value::from("burst-2"))))
+            burst_3.join().unwrap()[1],
+            Ok(OpOutcome::Value(Some(Value::from("burst-3"))))
         );
         let order: Vec<Value> = engine
             .write_log
@@ -782,8 +666,8 @@ mod tests {
             order,
             vec![
                 Value::from("burst-1"),
-                Value::from("ticket"),
-                Value::from("burst-2")
+                Value::from("burst-2"),
+                Value::from("burst-3")
             ],
             "execution order is submission order"
         );
@@ -840,45 +724,41 @@ mod tests {
                 ..FrontendConfig::default()
             },
         ));
-        let gate = fe.submit(EngineOp::Get(gate_key()));
-        wait_until("worker picks the gate up", || fe.queue_depth(0) == 0);
-        let burst = |from: usize, n: usize| {
-            let fe = fe.clone();
-            std::thread::spawn(move || {
-                let ops = (from..from + n)
-                    .map(|i| EngineOp::Put(k(i), v(i)))
-                    .collect();
-                KvEngine::apply_batch(&*fe, ops)
-            })
-        };
+        let gates = [park_gate(&fe, &engine), park_gate(&fe, &engine)];
         // 10 ops > capacity 4, but the queue is empty: admitted whole.
-        let oversized = burst(0, 10);
+        let oversized = spawn_burst(&fe, puts(0, 10));
         wait_until("oversized sub-batch is admitted", || {
             fe.queue_depth(0) == 10
         });
-        // Depth counts operations: the queue is full for everyone else.
-        match fe.try_submit(EngineOp::Put(k(100), v(100))) {
-            Err(e @ Error::Backpressure { .. }) => assert!(e.queue_depth() >= Some(10), "{e:?}"),
-            other => panic!("expected backpressure, got {:?}", other.map(|_| ())),
+        // Depth counts operations: the queue is full for everyone else,
+        // so a small burst (10 + 3 > 4) is shed, not blocked, and each
+        // op carries the depth as its retry-after hint.
+        for outcome in KvEngine::apply_batch(&*fe, puts(20, 3)) {
+            match outcome {
+                Err(e @ Error::Backpressure { .. }) => {
+                    assert!(e.queue_depth() >= Some(10), "{e:?}")
+                }
+                other => panic!("expected backpressure, got {other:?}"),
+            }
         }
-        // A small burst blocks (10 + 3 > 4) instead of being shed...
-        let small = burst(20, 3);
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(fe.queue_depth(0), 10, "the small burst must wait");
+        assert_eq!(fe.queue_depth(0), 10, "the shed burst queued nothing");
         // ...and nothing deadlocks once the worker drains.
         engine.release_gate();
-        gate.wait().unwrap();
-        assert!(oversized.join().unwrap().iter().all(|o| o.is_ok()));
-        assert!(small.join().unwrap().iter().all(|o| o.is_ok()));
+        for gate in gates {
+            assert!(all_ok(gate.join().unwrap()));
+        }
+        assert!(all_ok(oversized.join().unwrap()));
+        // The same burst is admitted once the queue has room.
+        assert!(all_ok(KvEngine::apply_batch(&*fe, puts(20, 3))));
         assert_eq!(engine.puts.load(Ordering::Relaxed), 13);
         let snap = fe.stats().snapshot();
         assert_eq!(snap.submitted, snap.completed);
-        assert_eq!(snap.backpressure_rejections, 1);
+        assert_eq!(snap.backpressure_rejections, 3);
         fe.shutdown();
     }
 
     #[test]
-    fn bursts_and_tickets_from_many_threads_agree_on_the_last_writer() {
+    fn bursts_from_many_threads_agree_on_the_last_writer() {
         let engine = ProbeEngine::shared();
         let fe = Arc::new(Frontend::start(
             engine.clone(),
@@ -893,18 +773,17 @@ mod tests {
             for t in 0..THREADS {
                 let fe = fe.clone();
                 s.spawn(move || {
-                    let mut tickets = Vec::new();
                     for round in 0..ROUNDS {
-                        // Un-awaited tickets, then a burst over the same
-                        // keys: the burst must land after them.
-                        for i in 0..KEYS {
-                            tickets
-                                .push(fe.submit(EngineOp::Put(key(t, i), val(t, round, "ticket"))));
-                        }
+                        // A write-only burst, then one over the same keys
+                        // that must land after it and read its own writes.
+                        let first = (0..KEYS)
+                            .map(|i| EngineOp::Put(key(t, i), val(t, round, "first")))
+                            .collect();
+                        assert!(all_ok(KvEngine::apply_batch(&*fe, first)));
                         let ops = (0..KEYS)
                             .flat_map(|i| {
                                 [
-                                    EngineOp::Put(key(t, i), val(t, round, "burst")),
+                                    EngineOp::Put(key(t, i), val(t, round, "second")),
                                     EngineOp::Get(key(t, i)),
                                 ]
                             })
@@ -914,13 +793,10 @@ mod tests {
                             assert!(pair[0].is_ok(), "{:?}", pair[0]);
                             assert_eq!(
                                 pair[1],
-                                Ok(OpOutcome::Value(Some(val(t, round, "burst")))),
+                                Ok(OpOutcome::Value(Some(val(t, round, "second")))),
                                 "thread {t} round {round} key {i}"
                             );
                         }
-                    }
-                    for ticket in tickets {
-                        ticket.wait().unwrap();
                     }
                 });
             }
@@ -929,7 +805,7 @@ mod tests {
             for i in 0..KEYS {
                 assert_eq!(
                     fe.get(&key(t, i)).unwrap(),
-                    Some(val(t, ROUNDS - 1, "burst")),
+                    Some(val(t, ROUNDS - 1, "second")),
                     "last writer of thread {t} key {i}"
                 );
             }
@@ -947,113 +823,30 @@ mod tests {
             panic_on: Some(poison.clone()),
             ..ProbeEngine::default()
         });
-        let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(1));
-        // The poisoned batch fails (completers dropped by the unwind
-        // resolve the tickets), the worker survives.
-        let t = fe.submit(EngineOp::Put(poison, v(0)));
-        assert!(matches!(t.wait(), Err(Error::Unavailable(_))));
-        // Same shard keeps serving afterwards: no hang, no wedge. Tickets
-        // never run inline, so these prove its one worker survived.
-        for i in 0..100 {
-            fe.submit(EngineOp::Put(k(i), v(i))).wait().unwrap();
-        }
-        assert_eq!(
-            fe.submit(EngineOp::Get(k(42))).wait(),
-            Ok(OpOutcome::Value(Some(v(42))))
-        );
-        assert_eq!(fe.stats().snapshot().worker_panics, 1);
-        fe.shutdown();
-    }
-
-    #[test]
-    fn barrier_is_bounded_under_sustained_submission() {
-        let engine = ProbeEngine::shared();
-        let fe = Arc::new(Frontend::start(engine, FrontendConfig::with_shards(2)));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        std::thread::scope(|s| {
-            let producer_fe = fe.clone();
-            let producer_stop = stop.clone();
-            s.spawn(move || {
-                let mut i = 0usize;
-                while !producer_stop.load(Ordering::Relaxed) {
-                    let _ = producer_fe.submit(EngineOp::Put(k(i), v(i)));
-                    i += 1;
-                }
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            // The barrier waits on batches drained up to its marker,
-            // not on the producer's endless later traffic.
-            let t0 = std::time::Instant::now();
-            fe.barrier();
-            let elapsed = t0.elapsed();
-            stop.store(true, Ordering::Relaxed);
-            assert!(
-                elapsed < Duration::from_secs(2),
-                "barrier livelocked under sustained load ({elapsed:?})"
-            );
-        });
-        fe.shutdown();
-    }
-
-    #[test]
-    fn sync_barrier_waits_for_an_inline_burst_beside_queued_tickets() {
-        let engine = ProbeEngine::shared();
         let fe = Arc::new(Frontend::start(
             engine.clone(),
-            FrontendConfig {
-                shards: 1,
-                max_batch: 8,
-                ..FrontendConfig::default()
-            },
+            FrontendConfig::with_shards(1),
         ));
-        // The shard is idle, so the burst runs inline on its own thread
-        // and parks on the gate before its write applies.
-        let burst = {
-            let fe = fe.clone();
-            std::thread::spawn(move || {
-                KvEngine::apply_batch(
-                    &*fe,
-                    vec![
-                        EngineOp::Get(gate_key()),
-                        EngineOp::Put(Key::from("burst"), v(0)),
-                    ],
-                )
-            })
-        };
-        wait_until("the burst reaches the engine", || {
-            !engine.batch_threads.lock().is_empty()
-        });
-        assert_eq!(
-            engine.batch_threads.lock()[0],
-            burst.thread().id(),
-            "the burst ran inline"
-        );
-        // Tickets on the same shard drain on the worker beside it.
-        let tickets: Vec<Ticket> = (0..200)
-            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
+        // A gate in flight keeps every later burst off the inline path:
+        // they all run on the shard's one worker.
+        let gate = park_gate(&fe, &engine);
+        let poisoned = KvEngine::apply_batch(&*fe, vec![EngineOp::Put(poison, v(0))]);
+        assert!(matches!(poisoned[0], Err(Error::Unavailable(_))));
+        assert_eq!(fe.stats().snapshot().worker_panics, 1);
+        // The worker survived: the same shard keeps serving on it.
+        for i in 0..100 {
+            fe.put(k(i), v(i)).unwrap();
         }
-        assert_eq!(engine.puts.load(Ordering::Relaxed), 200);
-        // The burst's write was submitted before the sync: the sync must
-        // not return until it has applied.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let syncer = {
-            let fe = fe.clone();
-            std::thread::spawn(move || {
-                let _ = tx.send(KvEngine::sync(&*fe));
-            })
-        };
+        assert_eq!(fe.get(&k(42)).unwrap(), Some(v(42)));
+        let threads = engine.batch_threads.lock().clone();
+        let worker = threads[1];
+        assert_ne!(worker, std::thread::current().id());
         assert!(
-            rx.recv_timeout(Duration::from_millis(50)).is_err(),
-            "sync returned before the inline burst's write applied"
+            threads[1..].iter().all(|t| *t == worker),
+            "ran off the worker"
         );
         engine.release_gate();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(Ok(())));
-        assert_eq!(engine.puts.load(Ordering::Relaxed), 201);
-        syncer.join().unwrap();
-        assert!(matches!(burst.join().unwrap()[1], Ok(OpOutcome::Done(_))));
+        assert!(all_ok(gate.join().unwrap()));
         fe.shutdown();
     }
 
@@ -1101,25 +894,28 @@ mod tests {
     #[test]
     fn shutdown_completes_queued_work_and_is_idempotent() {
         let engine = ProbeEngine::shared();
-        let fe = Frontend::start(engine.clone(), FrontendConfig::with_shards(2));
-        let tickets: Vec<Ticket> = (0..300)
-            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
+        let fe = Arc::new(Frontend::start(
+            engine.clone(),
+            FrontendConfig::with_shards(1),
+        ));
+        let gates = [park_gate(&fe, &engine), park_gate(&fe, &engine)];
+        let bursts: Vec<_> = (0..3)
+            .map(|b| spawn_burst(&fe, puts(b * 100, 100)))
             .collect();
+        wait_until("the bursts are queued", || fe.queue_depth(0) == 300);
+        let shutdown = {
+            let fe = fe.clone();
+            std::thread::spawn(move || fe.shutdown())
+        };
+        engine.release_gate();
+        shutdown.join().unwrap();
         fe.shutdown();
-        fe.shutdown();
-        for t in tickets {
-            t.wait().unwrap();
+        for burst in bursts.into_iter().chain(gates) {
+            assert!(all_ok(burst.join().unwrap()));
         }
         assert_eq!(engine.puts.load(Ordering::Relaxed), 300);
-        // Post-shutdown submissions fail fast instead of hanging.
-        assert!(matches!(
-            fe.submit(EngineOp::Get(k(0))).wait(),
-            Err(Error::Unavailable(_))
-        ));
-        assert!(matches!(
-            fe.try_submit(EngineOp::Get(k(0))),
-            Err(Error::Unavailable(_))
-        ));
+        // Post-shutdown bursts fail fast instead of hanging.
+        assert!(matches!(fe.get(&k(0)), Err(Error::Unavailable(_))));
     }
 
     #[test]
@@ -1153,12 +949,18 @@ mod tests {
             tb_lsm::LsmDb::open(tb_lsm::LsmConfig::small_for_tests(dir.path())).expect("open lsm"),
         );
         let fe = Frontend::start(db, FrontendConfig::with_shards(2));
-        let tickets: Vec<Ticket> = (0..500)
-            .map(|i| fe.submit(EngineOp::Put(k(i), v(i))))
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
+        // Bursts from four threads, their syncs overlapping in the LSM.
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let fe = &fe;
+                s.spawn(move || {
+                    for burst in 0..5 {
+                        let from = t * 125 + burst * 25;
+                        assert!(all_ok(KvEngine::apply_batch(fe, puts(from, 25))));
+                    }
+                });
+            }
+        });
         fe.shutdown();
         // Acked writes must be durable: reopen and read everything back.
         let db =

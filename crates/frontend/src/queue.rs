@@ -2,15 +2,14 @@
 //!
 //! Unlike a plain channel, the consumer side takes *batches*: one lock
 //! acquisition hands a worker up to `max` queued operations, which is
-//! what makes write coalescing and group commit possible. The producer
-//! side offers both blocking `push` (callers stall when the shard
-//! saturates — natural backpressure) and non-blocking `try_push`
-//! (callers get an explicit full/closed signal to shed load).
+//! what makes write coalescing possible. The producer side never
+//! blocks: `try_push` admits an item, or refuses it as full (shed the
+//! load) or closed (the front-end is shutting down).
 //!
-//! An item carries a weight — the operations it holds: 1 for a single
-//! request, N for a burst's per-shard sub-batch. Capacity and drain
-//! size count operations, but an item is never split: a sub-batch is
-//! enqueued under one lock with one wake-up and leaves in one drain.
+//! An item carries a weight — the operations it holds: N for a burst's
+//! per-shard sub-batch. Capacity and drain size count operations, but an
+//! item is never split: it is enqueued under one lock with one wake-up
+//! and leaves in one drain.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -30,29 +29,22 @@ struct State<T> {
     /// Summed weight of `items`.
     ops: usize,
     closed: bool,
-    /// Batches handed out by `drain` (or claimed by `claim_idle`) so far.
-    drains_started: u64,
-    /// Batches whose processing was reported via `drain_done`.
-    drains_finished: u64,
+    /// Batches handed out by `drain` or claimed by `claim_idle` and not
+    /// yet reported done.
+    in_flight: usize,
 }
 
 impl<T> State<T> {
     /// An item fits while the bound holds — or when the queue is empty,
-    /// so an item heavier than the whole bound cannot wait forever.
+    /// so an item heavier than the whole bound is not refused forever.
     fn admits(&self, ops: usize, capacity: usize) -> bool {
         self.items.is_empty() || self.ops + ops <= capacity
-    }
-
-    fn enqueue(&mut self, item: T, ops: usize) {
-        self.items.push_back((item, ops));
-        self.ops += ops;
     }
 }
 
 pub(crate) struct SubmitQueue<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
-    not_full: Condvar,
     capacity: usize,
 }
 
@@ -63,34 +55,15 @@ impl<T> SubmitQueue<T> {
                 items: VecDeque::new(),
                 ops: 0,
                 closed: false,
-                drains_started: 0,
-                drains_finished: 0,
+                in_flight: 0,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             capacity: capacity.max(1),
         }
     }
 
-    /// Enqueues an item of `ops` operations, blocking while the queue
-    /// is full; returns the item back when the queue has been closed.
-    pub fn push(&self, item: T, ops: usize) -> Result<(), T> {
-        let mut s = self.state.lock();
-        loop {
-            if s.closed {
-                return Err(item);
-            }
-            if s.admits(ops, self.capacity) {
-                s.enqueue(item, ops);
-                drop(s);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            self.not_full.wait(&mut s);
-        }
-    }
-
-    /// Non-blocking push; refuses with the reason and the item.
+    /// Enqueues an item of `ops` operations if it is admitted; refuses
+    /// with the reason and the item otherwise.
     pub fn try_push(&self, item: T, ops: usize) -> Result<(), (PushRefused, T)> {
         let mut s = self.state.lock();
         if s.closed {
@@ -99,7 +72,8 @@ impl<T> SubmitQueue<T> {
         if !s.admits(ops, self.capacity) {
             return Err((PushRefused::Full, item));
         }
-        s.enqueue(item, ops);
+        s.items.push_back((item, ops));
+        s.ops += ops;
         drop(s);
         self.not_empty.notify_one();
         Ok(())
@@ -108,8 +82,8 @@ impl<T> SubmitQueue<T> {
     /// Takes whole items up to `max` operations (always at least one
     /// item), waiting at most `wait` for the first. Returns an empty
     /// batch on timeout or when the queue is closed and drained. A
-    /// non-empty batch counts as an active drain until the caller
-    /// reports [`SubmitQueue::drain_done`].
+    /// non-empty batch counts as in flight until the caller reports
+    /// [`SubmitQueue::drain_done`].
     pub fn drain(&self, max: usize, wait: Duration) -> Vec<T> {
         let deadline = Instant::now() + wait;
         let mut s = self.state.lock();
@@ -134,10 +108,7 @@ impl<T> SubmitQueue<T> {
             batch.push(item);
         }
         s.ops -= taken;
-        s.drains_started += 1;
-        drop(s);
-        // A whole batch left: several blocked producers may fit now.
-        self.not_full.notify_all();
+        s.in_flight += 1;
         batch
     }
 
@@ -145,12 +116,12 @@ impl<T> SubmitQueue<T> {
     /// when nothing is queued and no drained batch is still being
     /// processed — decided under the queue lock, so a claimed batch can
     /// never run ahead of anything submitted before it. A successful
-    /// claim counts as an active drain until [`SubmitQueue::drain_done`].
+    /// claim counts as in flight until [`SubmitQueue::drain_done`].
     pub fn claim_idle(&self) -> bool {
         let mut s = self.state.lock();
-        let idle = !s.closed && s.items.is_empty() && s.drains_started == s.drains_finished;
+        let idle = !s.closed && s.items.is_empty() && s.in_flight == 0;
         if idle {
-            s.drains_started += 1;
+            s.in_flight += 1;
         }
         idle
     }
@@ -158,25 +129,8 @@ impl<T> SubmitQueue<T> {
     /// Marks a previously drained (or claimed) batch as fully processed.
     pub fn drain_done(&self) {
         let mut s = self.state.lock();
-        debug_assert!(
-            s.drains_finished < s.drains_started,
-            "drain_done without a drain"
-        );
-        s.drains_finished += 1;
-    }
-
-    /// Batches handed out so far. The queue is FIFO, so once every
-    /// drain numbered up to a snapshot of this value has finished,
-    /// every request enqueued before the snapshot has been processed —
-    /// the bounded condition a barrier waits on (global quiescence
-    /// would livelock under sustained submission).
-    pub fn drains_started(&self) -> u64 {
-        self.state.lock().drains_started
-    }
-
-    /// Batches reported finished so far.
-    pub fn drains_finished(&self) -> u64 {
-        self.state.lock().drains_finished
+        debug_assert!(s.in_flight > 0, "drain_done without a drain");
+        s.in_flight -= 1;
     }
 
     /// Operations currently queued.
@@ -184,11 +138,10 @@ impl<T> SubmitQueue<T> {
         self.state.lock().ops
     }
 
-    /// Closes the queue: pushes fail from now on, waiters wake.
+    /// Closes the queue: pushes fail from now on, a waiting drain wakes.
     pub fn close(&self) {
         self.state.lock().closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
@@ -200,7 +153,7 @@ mod tests {
     fn push_drain_roundtrip_in_order() {
         let q = SubmitQueue::new(16);
         for i in 0..5 {
-            q.push(i, 1).unwrap();
+            q.try_push(i, 1).unwrap();
         }
         assert_eq!(q.len(), 5);
         let batch = q.drain(3, Duration::from_millis(1));
@@ -216,25 +169,9 @@ mod tests {
         assert_eq!(q.try_push(3, 1), Err((PushRefused::Full, 3)));
         q.close();
         assert_eq!(q.try_push(4, 1), Err((PushRefused::Closed, 4)));
-    }
-
-    #[test]
-    fn drain_epochs_track_in_flight_batches() {
-        let q = SubmitQueue::new(8);
-        assert_eq!((q.drains_started(), q.drains_finished()), (0, 0));
-        q.push(1, 1).unwrap();
-        let batch = q.drain(8, Duration::from_millis(1));
-        assert_eq!(batch, vec![1]);
-        assert_eq!(
-            (q.drains_started(), q.drains_finished()),
-            (1, 0),
-            "drained-but-unprocessed batch is in flight"
-        );
-        q.drain_done();
-        assert_eq!((q.drains_started(), q.drains_finished()), (1, 1));
-        // Empty drains don't consume an epoch.
-        assert!(q.drain(8, Duration::from_millis(1)).is_empty());
-        assert_eq!(q.drains_started(), 1);
+        // Close drains nothing: the queued items are still deliverable.
+        assert_eq!(q.drain(4, Duration::from_millis(1)), vec![1, 2]);
+        assert!(q.drain(4, Duration::from_secs(10)).is_empty());
     }
 
     #[test]
@@ -246,36 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn blocked_push_resumes_after_drain() {
-        let q = std::sync::Arc::new(SubmitQueue::new(1));
-        q.push(0u32, 1).unwrap();
-        let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.push(1, 1).is_ok());
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(q.drain(1, Duration::from_millis(1)), vec![0]);
-        assert!(h.join().unwrap());
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn close_wakes_blocked_producer() {
-        let q = std::sync::Arc::new(SubmitQueue::new(1));
-        q.push(0u32, 1).unwrap();
-        let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.push(1, 1));
-        std::thread::sleep(Duration::from_millis(5));
-        q.close();
-        assert_eq!(h.join().unwrap(), Err(1));
-        // Close drains nothing: the queued item is still deliverable.
-        assert_eq!(q.drain(4, Duration::from_millis(1)), vec![0]);
-    }
-
-    #[test]
     fn weighted_items_count_ops_and_never_split() {
         let q = SubmitQueue::new(8);
-        q.push("a", 1).unwrap();
-        q.push("sub", 5).unwrap();
-        q.push("b", 1).unwrap();
+        q.try_push("a", 1).unwrap();
+        q.try_push("sub", 5).unwrap();
+        q.try_push("b", 1).unwrap();
         assert_eq!(q.len(), 7, "depth counts operations");
         assert_eq!(q.try_push("c", 2), Err((PushRefused::Full, "c")));
         // A drain of 4 ops takes "a", then stops before the 5-op item
@@ -288,14 +200,12 @@ mod tests {
 
     #[test]
     fn oversized_item_is_admitted_once_the_queue_is_empty() {
-        let q = std::sync::Arc::new(SubmitQueue::new(4));
-        q.push("small", 1).unwrap();
+        let q = SubmitQueue::new(4);
+        q.try_push("small", 1).unwrap();
         assert_eq!(q.try_push("huge", 9), Err((PushRefused::Full, "huge")));
-        let q2 = q.clone();
-        let blocked = std::thread::spawn(move || q2.push("huge", 9));
-        assert_eq!(q.drain(4, Duration::from_millis(100)), vec!["small"]);
-        // Empty now: the blocked producer gets in despite 9 > 4.
-        blocked.join().unwrap().unwrap();
+        assert_eq!(q.drain(4, Duration::from_millis(1)), vec!["small"]);
+        // Empty now: admitted despite 9 > 4.
+        q.try_push("huge", 9).unwrap();
         assert_eq!(q.len(), 9);
         assert_eq!(q.try_push("more", 1), Err((PushRefused::Full, "more")));
         assert_eq!(q.drain(1, Duration::from_millis(1)), vec!["huge"]);
@@ -307,14 +217,13 @@ mod tests {
         assert!(q.claim_idle());
         assert!(!q.claim_idle(), "the first claim is still in flight");
         q.drain_done();
-        q.push(1, 1).unwrap();
+        q.try_push(1, 1).unwrap();
         assert!(!q.claim_idle(), "queued work goes first");
         assert_eq!(q.drain(8, Duration::from_millis(1)), vec![1]);
         assert!(!q.claim_idle(), "a drained batch is still being processed");
         q.drain_done();
         assert!(q.claim_idle());
         q.drain_done();
-        assert_eq!((q.drains_started(), q.drains_finished()), (3, 3));
         q.close();
         assert!(!q.claim_idle(), "a closed queue serves nothing");
     }

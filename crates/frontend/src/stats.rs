@@ -16,12 +16,11 @@ pub struct FrontendStats {
     /// Batches executed: drained by a shard worker, or run inline by a
     /// burst's submitting thread.
     pub batches: AtomicU64,
-    /// Group-commit `sync()` calls: one per batch holding ticket
-    /// writes, one per burst holding writes.
+    /// Group-commit `sync()` calls: one per burst holding writes.
     pub group_syncs: AtomicU64,
     /// Put operations that rode a coalesced `multi_put` with company.
     pub coalesced_puts: AtomicU64,
-    /// `try_submit` rejections due to a full shard queue.
+    /// Ops shed because their sub-batch did not fit its shard queue.
     pub backpressure_rejections: AtomicU64,
     /// Batches (or burst syncs) abandoned because an engine call
     /// panicked: their ops resolved `Unavailable`; the executing

@@ -29,14 +29,15 @@
 //! writer stalls — before it takes the lock — only while `MAX_FROZEN`
 //! (4) memtables wait for the worker. [`KvEngine::sync`] takes the
 //! lock to flush the segment's buffer and runs its `fdatasync` after
-//! dropping it.
+//! dropping it; concurrent callers share that `fdatasync` as a
+//! leader/follower group.
 
 use crate::flush::Background;
 use crate::memtable::{Entry, Memtable};
 use crate::sstable::{SstBuildStats, SstConfig, SstDecodeStats};
 use crate::version::Version;
 use crate::wal::{SyncPolicy, Wal};
-use parking_lot::RwLock;
+use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,6 +131,9 @@ pub struct LsmStats {
     pub frozen_memtables: AtomicU64,
     /// Tables in L0 (a gauge).
     pub l0_tables: AtomicU64,
+    /// Times a `sync` caller waited for another caller's `fdatasync`
+    /// instead of issuing its own.
+    pub sync_waits: AtomicU64,
 }
 
 impl LsmStats {
@@ -179,6 +183,7 @@ pub(crate) struct Tree {
     /// raised. While it is at `last_lsn`, [`KvEngine::sync`] has nothing
     /// to make durable and skips the `fdatasync`.
     pub(crate) synced_lsn: AtomicU64,
+    pub(crate) sync_group: SyncGroup,
     pub(crate) stats: Arc<LsmStats>,
     pub(crate) bg: Background,
 }
@@ -313,6 +318,7 @@ impl LsmDb {
                     c(&stats.batch_scan_blocks_read),
                 );
                 b.counter("lsm_scans", c(&stats.scans));
+                b.counter("lsm_sync_waits", c(&stats.sync_waits));
                 b.counter("lsm_blocks_compressed", c(&stats.blocks_compressed));
                 b.counter(
                     "lsm_compressed_bytes_written",
@@ -358,6 +364,7 @@ impl LsmDb {
             // Only the tables are known durable: replayed WAL frames may
             // have reached the OS but not the disk.
             synced_lsn: AtomicU64::new(flushed_lsn),
+            sync_group: SyncGroup::default(),
             config,
             stats: stats.clone(),
             bg: Background::new(queued),
@@ -481,15 +488,36 @@ impl Tree {
         self.write_locked(inner, key, Entry::Put(new))
     }
 
-    /// Makes every applied write durable. The write lock covers only
-    /// handing the active segment's buffer to the OS and cloning its
-    /// file handle; the `fdatasync` runs after the lock drops, so
-    /// writers and readers proceed meanwhile.
+    /// Makes every write applied before the call durable, as a
+    /// leader/follower group commit. The caller's target is `last_lsn`
+    /// at entry. While another caller's `fdatasync` is in flight, it
+    /// waits for that one and returns once `synced_lsn` covers its
+    /// target; if the leader failed or did not cover it, it leads the
+    /// next sync itself. A leader holds the write lock only to hand the
+    /// active segment's buffer to the OS and clone its file handle; the
+    /// `fdatasync` runs after the lock drops, so writers and readers
+    /// proceed meanwhile.
     fn sync(&self) -> Result<()> {
-        if self.synced_lsn.load(Ordering::Acquire) >= self.last_lsn.load(Ordering::Acquire) {
+        let target = self.last_lsn.load(Ordering::Acquire);
+        let target_synced = || self.synced_lsn.load(Ordering::Acquire) >= target;
+        if target_synced() {
             // Nothing appended since the last durability point.
             return Ok(());
         }
+        let mut syncing = self.sync_group.syncing.lock();
+        loop {
+            if target_synced() {
+                return Ok(());
+            }
+            if !*syncing {
+                break;
+            }
+            self.stats.sync_waits.fetch_add(1, Ordering::Relaxed);
+            self.sync_group.done.wait(&mut syncing);
+        }
+        *syncing = true;
+        drop(syncing);
+        let _leading = Leading(&self.sync_group);
         let (file, covered) = {
             let mut inner = self.inner.write();
             // Every write up to here is in this segment's file or in an
@@ -503,6 +531,25 @@ impl Tree {
         synced?;
         self.synced_lsn.fetch_max(covered, Ordering::AcqRel);
         Ok(())
+    }
+}
+
+/// The write group of [`Tree::sync`]: whether a leader's `fdatasync` is
+/// in flight, and where its followers wait for it.
+#[derive(Default)]
+pub(crate) struct SyncGroup {
+    syncing: Mutex<bool>,
+    done: Condvar,
+}
+
+/// A leader's turn. Dropping it — after the sync, on its error, or while
+/// a crash unwinds — ends the turn and wakes the followers.
+struct Leading<'a>(&'a SyncGroup);
+
+impl Drop for Leading<'_> {
+    fn drop(&mut self) {
+        *self.0.syncing.lock() = false;
+        self.0.done.notify_all();
     }
 }
 
@@ -863,6 +910,91 @@ mod tests {
         let db = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
         let got = scan_prefix(&db, b"p:");
         assert_eq!(got.len(), 299);
+    }
+
+    /// The LSN `apply_batch` assigned to one put.
+    fn put_lsn(db: &LsmDb, key: Key) -> u64 {
+        match db
+            .apply_batch(vec![EngineOp::Put(key, Value::from("v"))])
+            .pop()
+        {
+            Some(Ok(OpOutcome::Done(lsn))) => lsn.0,
+            other => panic!("put resolved {other:?}"),
+        }
+    }
+
+    #[test]
+    fn group_commit_covers_every_concurrent_caller() {
+        use tb_common::fault::{self, FaultMode};
+        let _g = crate::fault_test_gate();
+        let dir = tmpdir("group-sync");
+        let db = LsmDb::open(LsmConfig::new(dir.path())).unwrap();
+        // Never fires: counts the `wal.sync` hits made in this scope.
+        let fdatasyncs = fault::arm_scoped("wal.sync", u64::MAX, FaultMode::Error);
+        let scope = fault::scope();
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let db = &db;
+                s.spawn(move || {
+                    fault::adopt(scope);
+                    for round in 0..100 {
+                        let lsn = put_lsn(db, Key::from(format!("t{t}-{round}")));
+                        db.sync().unwrap();
+                        let synced = db.tree.synced_lsn.load(Ordering::Acquire);
+                        assert!(synced >= lsn, "sync returned at {synced} before {lsn}");
+                    }
+                });
+            }
+        });
+        let (hits, waits) = (
+            fdatasyncs.seen(),
+            db.stats.sync_waits.load(Ordering::Relaxed),
+        );
+        eprintln!("800 sync calls from 8 threads: {hits} wal.sync hits, {waits} waits");
+        assert!((1..=800).contains(&hits), "{hits} fdatasyncs");
+    }
+
+    #[test]
+    fn group_commit_failed_leader_acks_no_follower() {
+        use tb_common::fault::{self, FaultMode};
+        let _g = crate::fault_test_gate();
+        let dir = tmpdir("group-sync-fail");
+        let db = LsmDb::open(LsmConfig::new(dir.path())).unwrap();
+        let target = put_lsn(&db, Key::from("k"));
+        let scope = fault::scope();
+        let _fail = fault::arm_scoped("wal.sync", 1, FaultMode::Error);
+        std::thread::scope(|s| {
+            // Holding the tree lock parks the leader between claiming its
+            // turn and taking the segment's handle.
+            let tree = db.tree.inner.read();
+            let leader = s.spawn(|| {
+                fault::adopt(scope);
+                db.sync()
+            });
+            wait_until(|| *db.tree.sync_group.syncing.lock());
+            // Outside the injection's scope: its own fdatasync succeeds.
+            let follower = s.spawn(|| db.sync());
+            wait_until(|| db.stats.sync_waits.load(Ordering::Relaxed) == 1);
+            drop(tree);
+            assert!(matches!(
+                leader.join().unwrap(),
+                Err(Error::FaultInjected(_))
+            ));
+            assert_eq!(follower.join().unwrap(), Ok(()));
+        });
+        let synced = db.tree.synced_lsn.load(Ordering::Acquire);
+        assert!(
+            synced >= target,
+            "a follower acked LSN {target}, synced {synced}"
+        );
+    }
+
+    fn wait_until(cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out");
+            std::thread::yield_now();
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Pipelined service: the `tb-frontend` serving layer under mixed
-//! readers and writers, with visible backpressure.
+//! Pipelined service: the `tb-frontend` serving layer under concurrent
+//! bursts, with visible load shedding.
 //!
-//! The scenario: a durable LSM store behind the front-end serves an
-//! API fleet. Write-heavy ingest threads pipeline puts (acknowledged
-//! after each batch's group commit), read threads issue point and
-//! batched lookups, and one best-effort telemetry thread uses
-//! `try_submit`, shedding load whenever its shard queue saturates
-//! instead of stalling the caller.
+//! The scenario: a durable LSM store behind the front-end serves an API
+//! fleet. Ingest threads hand the front-end 250-op write bursts (each
+//! acknowledged after its burst's one `sync()`), read threads issue
+//! point and batched lookups, and a telemetry thread sends small bursts
+//! back to back. Small shard queues make a saturated shard shed a
+//! burst's sub-batch with `Error::Backpressure`; the sender backs off
+//! for the queue depth it names and resubmits what was shed.
 //!
 //! ```sh
 //! cargo run --release --example pipelined_service
@@ -14,92 +15,122 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::prelude::*;
+
+/// Submits `ops` as one burst and resubmits whatever a saturated shard
+/// shed, backing off about a microsecond per op queued ahead. Returns
+/// the outcomes and how many ops were shed on the way. A resubmitted op
+/// runs after the ops admitted before it; each key here has one writer
+/// per burst, so that order is harmless.
+fn apply_with_retry(fe: &Frontend, ops: Vec<EngineOp>) -> (Vec<Result<OpOutcome>>, u64) {
+    let mut outcomes: Vec<Option<Result<OpOutcome>>> = vec![None; ops.len()];
+    let mut pending: Vec<usize> = (0..ops.len()).collect();
+    let mut shed = 0;
+    while !pending.is_empty() {
+        let burst = pending.iter().map(|&i| ops[i].clone()).collect();
+        let mut depth = 0;
+        let mut retry = Vec::new();
+        for (i, outcome) in pending.into_iter().zip(fe.apply_batch(burst)) {
+            match outcome {
+                Err(e @ Error::Backpressure { .. }) => {
+                    depth = depth.max(e.queue_depth().unwrap_or(0));
+                    retry.push(i);
+                }
+                outcome => outcomes[i] = Some(outcome),
+            }
+        }
+        shed += retry.len() as u64;
+        if !retry.is_empty() {
+            std::thread::sleep(Duration::from_micros(u64::from(depth)));
+        }
+        pending = retry;
+    }
+    let outcomes = outcomes.into_iter().map(|o| o.expect("every op resolved"));
+    (outcomes.collect(), shed)
+}
 
 fn main() -> Result<()> {
     let dir = std::env::temp_dir().join(format!("tb-example-pipeline-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     // A durable engine: every acknowledged write has been fsync'd by
-    // the batch's group commit.
+    // its burst's sync, which concurrent bursts share inside the LSM.
     let db = Arc::new(LsmDb::open(LsmConfig::new(&dir))?);
     let fe = Arc::new(Frontend::start(
         db.clone(),
         FrontendConfig {
             shards: 4,
-            // Small queues so the telemetry thread actually sees
-            // backpressure in a few seconds of runtime.
-            queue_capacity: 256,
+            // Small queues so the senders actually see backpressure in a
+            // few seconds of runtime.
+            queue_capacity: 64,
             max_batch: 64,
         },
     ));
 
-    let writes = Arc::new(AtomicU64::new(0));
-    let reads = Arc::new(AtomicU64::new(0));
-    let shed = Arc::new(AtomicU64::new(0));
+    let writes = AtomicU64::new(0);
+    let reads = AtomicU64::new(0);
+    let shed = AtomicU64::new(0);
 
     std::thread::scope(|s| {
-        // Ingest: four writers pipeline a burst each, then await the
-        // tickets — deep batches for the group commit.
+        // Ingest: four writers, twenty 250-put bursts each.
         for w in 0..4 {
-            let fe = fe.clone();
-            let writes = writes.clone();
+            let (fe, writes, shed) = (&fe, &writes, &shed);
             s.spawn(move || {
                 for chunk in 0..20 {
-                    let tickets: Vec<_> = (0..250)
+                    let burst = (0..250)
                         .map(|i| {
                             let key = Key::from(format!("user:{w}:{}", chunk * 250 + i));
-                            fe.submit(EngineOp::Put(key, Value::from(format!("profile-{i}"))))
+                            EngineOp::Put(key, Value::from(format!("profile-{i}")))
                         })
                         .collect();
-                    for t in tickets {
-                        if t.wait().is_ok() {
-                            writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                    let (outcomes, sheds) = apply_with_retry(fe, burst);
+                    shed.fetch_add(sheds, Ordering::Relaxed);
+                    let acked = outcomes.iter().filter(|o| o.is_ok()).count();
+                    writes.fetch_add(acked as u64, Ordering::Relaxed);
                 }
             });
         }
 
         // Readers: point gets plus gateway-style batched lookups.
         for r in 0..2 {
-            let fe = fe.clone();
-            let reads = reads.clone();
+            let (fe, reads, shed) = (&fe, &reads, &shed);
             s.spawn(move || {
                 for round in 0..500 {
-                    let key = Key::from(format!("user:{}:{}", r, round % 1000));
-                    let _ = fe.get(&key);
-                    let batch: Vec<Key> = (0..16)
-                        .map(|i| Key::from(format!("user:{r}:{}", (round + i) % 1000)))
-                        .collect();
-                    let _ = fe.multi_get(&batch);
+                    let mut burst = vec![EngineOp::Get(Key::from(format!(
+                        "user:{r}:{}",
+                        round % 1000
+                    )))];
+                    burst.push(EngineOp::MultiGet(
+                        (0..16)
+                            .map(|i| Key::from(format!("user:{r}:{}", (round + i) % 1000)))
+                            .collect(),
+                    ));
+                    let (_, sheds) = apply_with_retry(fe, burst);
+                    shed.fetch_add(sheds, Ordering::Relaxed);
                     reads.fetch_add(17, Ordering::Relaxed);
                 }
             });
         }
 
-        // Telemetry: best-effort counters that must never block the
-        // hot path — try_submit sheds on a saturated shard.
+        // Telemetry: small counter bursts sent back to back.
         {
-            let fe = fe.clone();
-            let shed = shed.clone();
+            let (fe, shed) = (&fe, &shed);
             s.spawn(move || {
-                for i in 0..5000 {
-                    let key = Key::from(format!("telemetry:{}", i % 64));
-                    match fe.try_submit(EngineOp::Put(key, Value::from("tick"))) {
-                        Ok(_) => {}
-                        Err(Error::Backpressure { .. }) => {
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => panic!("unexpected error: {e}"),
-                    }
+                for i in 0..500 {
+                    let burst = (0..10)
+                        .map(|j| {
+                            let key = Key::from(format!("telemetry:{}", (i * 10 + j) % 64));
+                            EngineOp::Put(key, Value::from("tick"))
+                        })
+                        .collect();
+                    let (_, sheds) = apply_with_retry(fe, burst);
+                    shed.fetch_add(sheds, Ordering::Relaxed);
                 }
             });
         }
     });
-
-    fe.barrier();
 
     // A feed-style fetch through the batched submission/completion API:
     // one heterogeneous op batch, one overlapped storage pass. The
@@ -120,6 +151,7 @@ fn main() -> Result<()> {
         Ok(OpOutcome::Value(Some(Value::from("64")))),
         "the batched get must see the batched put before it"
     );
+    assert_eq!(writes.load(Ordering::Relaxed), 4 * 20 * 250);
 
     let snap = fe.stats_snapshot();
     let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
@@ -134,7 +166,7 @@ fn main() -> Result<()> {
     println!("  acknowledged writes : {}", writes.load(Ordering::Relaxed));
     println!("  reads served        : {}", reads.load(Ordering::Relaxed));
     println!(
-        "  telemetry shed      : {} (backpressure rejections: {})",
+        "  ops shed and retried: {} (backpressure rejections: {})",
         shed.load(Ordering::Relaxed),
         snap.backpressure_rejections
     );
@@ -144,8 +176,10 @@ fn main() -> Result<()> {
         snap.mean_batch()
     );
     println!(
-        "  group commits       : {} fsyncs for {} submitted ops",
-        snap.group_syncs, snap.submitted
+        "  burst syncs         : {} for {} submitted ops ({} waited on another's fdatasync)",
+        snap.group_syncs,
+        snap.submitted,
+        count(&db.stats.sync_waits)
     );
 
     // One unified telemetry snapshot covers the front-end and the LSM

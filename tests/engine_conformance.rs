@@ -428,9 +428,9 @@ fn frontend_over_redis_like_conforms() {
 #[test]
 fn frontend_shallow_queues_over_lsm_conforms() {
     // 14th configuration: the pipelined front-end over the LSM engine
-    // with 32-op queues and 4-op drains, so tickets drain in many small
-    // batches and a burst's sub-batch can fill its queue — the battery
-    // must hold through that queueing.
+    // with 32-op queues and 4-op drains, so a burst's sub-batch can
+    // exceed its queue's bound (admitted into the empty queue) — the
+    // battery must hold through that queueing.
     let dir = tmpdir("fe-lsm-shallow");
     let db = Arc::new(LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap());
     let fe = Frontend::start(

@@ -13,7 +13,8 @@
 //!
 //! The same enumeration runs over the raw [`LsmDb`] and over the
 //! pipelined `tb-frontend` path (group commit, worker threads), where a
-//! crash is contained by the worker and surfaces as failed tickets.
+//! crash is contained by the executing thread and surfaces as failed
+//! ops.
 //!
 //! Crash model: a [`FaultMode::Crash`]/[`Torn`] injection panics at the
 //! fault site and freezes every later fault point with errors, so the
@@ -721,7 +722,7 @@ fn error_torture_raw() {
     enumerate(FAULT_SITES, |_| FaultMode::Error, false, cap_or(u64::MAX));
 }
 
-/// Transient IO errors through the front-end: failing tickets resolve,
+/// Transient IO errors through the front-end: failing ops resolve,
 /// later batches proceed, recovery stays clean. (Per-batch containment
 /// is also unit-tested in `tests/frontend_errors.rs`.)
 #[test]

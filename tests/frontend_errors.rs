@@ -1,11 +1,11 @@
 //! Front-end error containment: what happens when the engine fails or
-//! panics *mid-batch* under the pipelined group-commit path.
+//! panics *mid-batch* on the pipelined burst path.
 //!
 //! Contract under test (found untested while reviewing the PR that
 //! introduced `tb-frontend`):
 //!
-//! * tickets belonging to a failing batch resolve with the engine's
-//!   error — nobody hangs, nobody gets a false ack;
+//! * ops belonging to a failing batch resolve with the engine's error —
+//!   nobody hangs, nobody gets a false ack;
 //! * batches submitted afterwards proceed normally — one bad batch
 //!   does not wedge the shard;
 //! * no worker dies permanently, even when the engine panics.
@@ -15,7 +15,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tierbase::common::testutil::MapEngine;
 use tierbase::frontend::{Frontend, FrontendConfig};
 use tierbase::prelude::*;
@@ -26,21 +26,23 @@ use tierbase::prelude::*;
 ///   [`Error::FaultInjected`] — after applying the pairs before it
 ///   (a genuine mid-batch failure);
 /// * writing a key that starts with `boom:` panics;
-/// * `Get("block:gate")` parks until [`FlakyEngine::release`] — lets a
-///   test pin the shard worker while it queues a multi-request batch;
+/// * `Get("block:gate")` parks until the gate opens — lets a test pin
+///   the shard worker while bursts queue behind it;
 /// * `sync()` fails while `fail_sync` is set (and is counted either way).
 #[derive(Default)]
 struct FlakyEngine {
     map: MapEngine,
     fail_sync: AtomicBool,
     syncs: AtomicU64,
+    /// Gate ops that reached the engine.
+    gated: AtomicU64,
     gate: Mutex<bool>,
     gate_cv: Condvar,
 }
 
 impl FlakyEngine {
-    fn release(&self) {
-        *self.gate.lock().unwrap() = true;
+    fn set_gate(&self, open: bool) {
+        *self.gate.lock().unwrap() = open;
         self.gate_cv.notify_all();
     }
 
@@ -66,7 +68,8 @@ impl KvEngine for FlakyEngine {
                 EngineOp::Put(key, value) => self.write(vec![(key, value)]),
                 EngineOp::MultiPut(pairs) => self.write(pairs),
                 op => {
-                    if op == EngineOp::Get(Key::from("block:gate")) {
+                    if op == gate() {
+                        self.gated.fetch_add(1, Ordering::SeqCst);
                         let mut open = self.gate.lock().unwrap();
                         while !*open {
                             open = self.gate_cv.wait(open).unwrap();
@@ -95,6 +98,22 @@ impl KvEngine for FlakyEngine {
     }
 }
 
+fn gate() -> EngineOp {
+    EngineOp::Get(Key::from("block:gate"))
+}
+
+fn put(key: &str, value: &str) -> Vec<EngineOp> {
+    vec![EngineOp::Put(Key::from(key), Value::from(value))]
+}
+
+fn wait_until(cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out");
+        std::thread::sleep(Duration::from_micros(50));
+    }
+}
+
 /// One shard, generous queue: batch composition is fully controlled by
 /// gating the worker.
 fn single_shard_frontend(engine: Arc<FlakyEngine>) -> Frontend {
@@ -108,43 +127,61 @@ fn single_shard_frontend(engine: Arc<FlakyEngine>) -> Frontend {
     )
 }
 
-/// Pins the shard worker on a gated `get`, runs `queue_while_pinned` to
-/// stack requests into one batch, releases, and returns after the gate
-/// ticket resolves.
-fn with_pinned_worker<R>(
+/// Pins the shard worker, queues `bursts` behind it one after another
+/// (each from a thread of its own), releases the worker and returns
+/// each burst's outcomes. Two gate bursts do the pinning: the first
+/// runs inline on its thread (the shard is idle), the second queues and
+/// parks the worker. The queued bursts then leave the queue in one
+/// drained batch.
+fn bursts_behind_pinned_worker(
     fe: &Frontend,
     engine: &FlakyEngine,
-    queue_while_pinned: impl FnOnce() -> R,
-) -> R {
-    let gate_ticket = fe.submit(EngineOp::Get(Key::from("block:gate")));
-    // Wait for the worker to pick the gate request up (queue drains).
-    while fe.queue_depth(0) > 0 {
-        std::thread::sleep(Duration::from_micros(50));
-    }
-    let out = queue_while_pinned();
-    engine.release();
-    gate_ticket.wait().unwrap();
-    out
+    bursts: Vec<Vec<EngineOp>>,
+) -> Vec<Vec<Result<OpOutcome>>> {
+    engine.set_gate(false);
+    let parked = engine.gated.load(Ordering::SeqCst);
+    std::thread::scope(|s| {
+        let gates: Vec<_> = (1..=2)
+            .map(|n| {
+                let gate = s.spawn(|| fe.apply_batch(vec![gate()]));
+                wait_until(|| engine.gated.load(Ordering::SeqCst) == parked + n);
+                gate
+            })
+            .collect();
+        let mut queued = 0;
+        let pending: Vec<_> = bursts
+            .into_iter()
+            .map(|burst| {
+                queued += burst.len();
+                let handle = s.spawn(move || fe.apply_batch(burst));
+                wait_until(|| fe.queue_depth(0) == queued);
+                handle
+            })
+            .collect();
+        engine.set_gate(true);
+        for gate in gates {
+            assert!(gate.join().unwrap()[0].is_ok());
+        }
+        pending.into_iter().map(|h| h.join().unwrap()).collect()
+    })
 }
 
 #[test]
-fn failing_batch_resolves_every_ticket_with_the_error() {
+fn failing_batch_resolves_every_op_with_the_error() {
     let engine = Arc::new(FlakyEngine::default());
     let fe = single_shard_frontend(engine.clone());
 
-    // Three puts queued behind the pinned worker coalesce into one
-    // multi_put; the middle key fails the engine call mid-batch.
-    let tickets = with_pinned_worker(&fe, &engine, || {
-        vec![
-            fe.submit(EngineOp::Put(Key::from("a"), Value::from("1"))),
-            fe.submit(EngineOp::Put(Key::from("bad:b"), Value::from("2"))),
-            fe.submit(EngineOp::Put(Key::from("c"), Value::from("3"))),
-        ]
-    });
-    for (i, t) in tickets.iter().enumerate() {
-        match t.wait() {
+    // Three one-put bursts queued behind the pinned worker coalesce into
+    // one multi_put; the middle key fails the engine call mid-batch.
+    let outcomes = bursts_behind_pinned_worker(
+        &fe,
+        &engine,
+        vec![put("a", "1"), put("bad:b", "2"), put("c", "3")],
+    );
+    for (i, outcome) in outcomes.iter().enumerate() {
+        match &outcome[0] {
             Err(Error::FaultInjected(_)) => {}
-            other => panic!("ticket {i} of the failing batch resolved {other:?}"),
+            other => panic!("burst {i} of the failing batch resolved {other:?}"),
         }
     }
 
@@ -156,7 +193,7 @@ fn failing_batch_resolves_every_ticket_with_the_error() {
     );
     assert_eq!(fe.stats().worker_panics.load(Ordering::Relaxed), 0);
     let s = fe.stats().snapshot();
-    assert_eq!(s.submitted, s.completed, "no ticket may be left pending");
+    assert_eq!(s.submitted, s.completed, "no op may be left pending");
     fe.shutdown();
 }
 
@@ -166,17 +203,16 @@ fn sync_failure_fails_the_whole_group_commit_then_recovers() {
     let fe = single_shard_frontend(engine.clone());
     engine.fail_sync.store(true, Ordering::SeqCst);
 
-    // Writes apply, but the group commit cannot make them durable: the
-    // acks must carry the sync error, not a false durability promise.
-    let tickets = with_pinned_worker(&fe, &engine, || {
-        (0..3)
-            .map(|i| fe.submit(EngineOp::Put(Key::from(format!("k{i}")), Value::from("v"))))
-            .collect::<Vec<_>>()
-    });
-    for (i, t) in tickets.iter().enumerate() {
-        match t.wait() {
-            Err(Error::Io(m)) => assert!(m.contains("sync"), "ticket {i}: {m}"),
-            other => panic!("ticket {i} of the unsynced batch resolved {other:?}"),
+    // Writes apply, but no burst can make them durable: the acks must
+    // carry the sync error, not a false durability promise.
+    let bursts = (0..3).map(|i| put(&format!("k{i}"), "v")).collect();
+    for (i, outcome) in bursts_behind_pinned_worker(&fe, &engine, bursts)
+        .iter()
+        .enumerate()
+    {
+        match &outcome[0] {
+            Err(Error::Io(m)) => assert!(m.contains("sync"), "burst {i}: {m}"),
+            other => panic!("burst {i} of the unsynced batch resolved {other:?}"),
         }
     }
 
@@ -191,44 +227,25 @@ fn engine_panic_is_contained_and_the_worker_survives() {
     let engine = Arc::new(FlakyEngine::default());
     let fe = single_shard_frontend(engine.clone());
 
-    // A panicking engine call abandons the batch: its tickets resolve
-    // Unavailable (dropped completers), never hang.
-    let tickets = with_pinned_worker(&fe, &engine, || {
-        vec![
-            fe.submit(EngineOp::Put(Key::from("x"), Value::from("1"))),
-            fe.submit(EngineOp::Put(Key::from("boom:y"), Value::from("2"))),
-        ]
-    });
-    for (i, t) in tickets.iter().enumerate() {
-        match t.wait() {
+    // A panicking engine call abandons the batch on the worker: its ops
+    // resolve Unavailable, never hang.
+    let outcomes =
+        bursts_behind_pinned_worker(&fe, &engine, vec![put("x", "1"), put("boom:y", "2")]);
+    for (i, outcome) in outcomes.iter().enumerate() {
+        match &outcome[0] {
             Err(Error::Unavailable(_)) => {}
-            other => panic!("ticket {i} of the panicked batch resolved {other:?}"),
+            other => panic!("burst {i} of the panicked batch resolved {other:?}"),
         }
-    }
-    // Tickets resolve while the worker is still unwinding; give its
-    // bookkeeping a beat before reading the panic counter.
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while fe.stats().worker_panics.load(Ordering::Relaxed) == 0
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(fe.stats().worker_panics.load(Ordering::Relaxed), 1);
 
-    // The shard keeps serving: tickets never run inline, so these puts
-    // prove its one worker survived.
-    for i in 0..5 {
-        fe.submit(EngineOp::Put(
-            Key::from(format!("later{i}")),
-            Value::from("v"),
-        ))
-        .wait()
-        .unwrap();
-    }
-    assert_eq!(
-        fe.submit(EngineOp::Get(Key::from("later4"))).wait(),
-        Ok(OpOutcome::Value(Some(Value::from("v"))))
-    );
+    // The shard keeps serving on its worker: the bursts behind the
+    // pinned worker run there, never inline.
+    let mut later: Vec<_> = (0..5).map(|i| put(&format!("later{i}"), "v")).collect();
+    later.push(vec![EngineOp::Get(Key::from("later4"))]);
+    let outcomes = bursts_behind_pinned_worker(&fe, &engine, later);
+    assert!(outcomes[..5].iter().all(|o| o[0].is_ok()), "{outcomes:?}");
+    assert_eq!(outcomes[5][0], Ok(OpOutcome::Value(Some(Value::from("v")))));
     let s = fe.stats().snapshot();
     assert_eq!(s.submitted, s.completed);
     fe.shutdown();
@@ -237,17 +254,13 @@ fn engine_panic_is_contained_and_the_worker_survives() {
 #[test]
 fn repeated_failures_never_wedge_the_shard() {
     let engine = Arc::new(FlakyEngine::default());
-    engine.release(); // no pinning in this test
     let fe = single_shard_frontend(engine.clone());
 
     // Alternate failing and healthy writes; every healthy write must
     // land and every failing one must resolve with its error.
     for round in 0..20 {
-        let bad = fe.submit(EngineOp::Put(
-            Key::from(format!("bad:{round}")),
-            Value::from("x"),
-        ));
-        assert!(matches!(bad.wait(), Err(Error::FaultInjected(_))));
+        let bad = fe.put(Key::from(format!("bad:{round}")), Value::from("x"));
+        assert!(matches!(bad, Err(Error::FaultInjected(_))));
         fe.put(Key::from(format!("good:{round}")), Value::from("y"))
             .unwrap();
     }
@@ -270,16 +283,14 @@ fn mixed_batch_reads_still_answer_when_writes_fail() {
     fe.put(Key::from("seed"), Value::from("s")).unwrap();
 
     // One batch holding a failing write *and* a read: the read must
-    // still answer correctly (reads resolve per-op, not via the group
-    // commit).
-    let (w, r) = with_pinned_worker(&fe, &engine, || {
-        (
-            fe.submit(EngineOp::Put(Key::from("bad:w"), Value::from("1"))),
-            fe.submit(EngineOp::Get(Key::from("seed"))),
-        )
-    });
-    assert!(matches!(w.wait(), Err(Error::FaultInjected(_))));
-    assert_eq!(r.wait().unwrap(), OpOutcome::Value(Some(Value::from("s"))));
+    // still answer correctly (outcomes are per op).
+    let outcomes = bursts_behind_pinned_worker(
+        &fe,
+        &engine,
+        vec![put("bad:w", "1"), vec![EngineOp::Get(Key::from("seed"))]],
+    );
+    assert!(matches!(outcomes[0][0], Err(Error::FaultInjected(_))));
+    assert_eq!(outcomes[1][0], Ok(OpOutcome::Value(Some(Value::from("s")))));
     fe.shutdown();
 }
 

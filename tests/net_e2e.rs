@@ -3,8 +3,9 @@
 //! protocol's core contract), backpressure over the wire, cross-shard
 //! MultiPut partial-commit semantics, and mid-run server death.
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tierbase::common::test_dir;
 use tierbase::common::testutil::MapEngine;
@@ -254,6 +255,126 @@ fn backpressure_maps_to_retryable_wire_error_not_dropped_connection() {
     client.ping().unwrap();
     assert_eq!(server.stats().conns_opened, 1);
     server.stop();
+}
+
+/// Map engine whose `Get("block:gate")` parks until released: pins
+/// whoever runs it, so a front-end shard queue can be filled.
+#[derive(Default)]
+struct GatedEngine {
+    map: MapEngine,
+    /// Gate ops that reached the engine.
+    gated: AtomicU64,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl GatedEngine {
+    fn release(&self) {
+        *self.open.lock() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl KvEngine for GatedEngine {
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        if ops.contains(&gate()) {
+            self.gated.fetch_add(1, Ordering::SeqCst);
+            let mut open = self.open.lock();
+            while !*open {
+                self.opened.wait(&mut open);
+            }
+        }
+        self.map.apply_batch(ops)
+    }
+    fn resident_bytes(&self) -> u64 {
+        0
+    }
+    fn label(&self) -> String {
+        "gated".into()
+    }
+}
+
+fn gate() -> EngineOp {
+    EngineOp::Get(Key::from("block:gate"))
+}
+
+fn wait_until(cond: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "timed out");
+        std::thread::sleep(std::time::Duration::from_micros(100));
+    }
+}
+
+/// Load shedding on the served path: a pipelined burst that reaches a
+/// full front-end shard queue gets per-op `RETRY` replies carrying the
+/// queue's depth, the connection survives, and the same burst succeeds
+/// once the queue drains.
+#[test]
+fn full_frontend_queue_answers_retry_over_the_wire() {
+    let dir = test_dir("tb-net-shed");
+    let sock = sock_path(dir.path());
+    let engine = Arc::new(GatedEngine::default());
+    let frontend = Arc::new(Frontend::start(
+        engine.clone(),
+        FrontendConfig {
+            shards: 1,
+            queue_capacity: 4,
+            ..FrontendConfig::default()
+        },
+    ));
+    let server = Server::bind_unix(&sock, frontend.clone()).unwrap();
+    let sock = &sock;
+    let puts = |prefix: &str, n: usize| -> Vec<EngineOp> {
+        (0..n)
+            .map(|i| EngineOp::Put(Key::from(format!("{prefix}{i}")), Value::from("v")))
+            .collect()
+    };
+    std::thread::scope(|s| {
+        // Fill the queue, each burst on a connection of its own: the
+        // first gate runs inline on its connection's thread, the second
+        // parks the shard worker, and a 4-op burst waits in the queue.
+        let mut waiting = Vec::new();
+        for parked in 1..=2 {
+            waiting.push(s.spawn(|| {
+                ServerClient::connect_unix(sock)
+                    .unwrap()
+                    .apply_batch(vec![gate()])
+            }));
+            wait_until(|| engine.gated.load(Ordering::SeqCst) == parked);
+        }
+        let filler = puts("fill", 4);
+        waiting.push(s.spawn(move || {
+            ServerClient::connect_unix(sock)
+                .unwrap()
+                .apply_batch(filler)
+        }));
+        wait_until(|| frontend.queue_depth(0) == 4);
+
+        let client = ServerClient::connect_unix(sock).unwrap();
+        for reply in client.apply_batch(puts("k", 3)) {
+            match reply {
+                Err(e @ Error::Backpressure { .. }) => {
+                    assert!(e.is_retryable());
+                    assert_eq!(e.queue_depth(), Some(4), "{e:?}");
+                }
+                other => panic!("expected RETRY, got {other:?}"),
+            }
+        }
+        assert_eq!(frontend.stats_snapshot().backpressure_rejections, 3);
+        engine.release();
+        for burst in waiting {
+            assert!(burst.join().unwrap().iter().all(|r| r.is_ok()));
+        }
+        // Same connection, same burst: admitted now.
+        assert!(client.apply_batch(puts("k", 3)).iter().all(|r| r.is_ok()));
+        assert_eq!(
+            client.get(&Key::from("k2")).unwrap(),
+            Some(Value::from("v"))
+        );
+    });
+    server.stop();
+    frontend.shutdown();
 }
 
 /// Engine that rejects any `MultiPut` slice containing a `bad:` key,

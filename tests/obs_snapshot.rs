@@ -40,16 +40,16 @@ fn one_snapshot_spans_every_layer() {
     lsm_config.sst.codec = tierbase::compress::BlockCodec::Lz;
     let db = Arc::new(LsmDb::open(lsm_config).unwrap());
     let fe = Frontend::start(db.clone(), FrontendConfig::with_shards(2));
-    let tickets: Vec<_> = (0..64)
+    let burst = (0..64)
         .map(|i| {
-            fe.submit(EngineOp::Put(
+            EngineOp::Put(
                 Key::from(format!("fk{i}")),
                 Value::from(format!("fv{i} {}", "templated value ".repeat(4))),
-            ))
+            )
         })
         .collect();
-    for t in tickets {
-        t.wait().unwrap();
+    for outcome in fe.apply_batch(burst) {
+        outcome.unwrap();
     }
     // Force the memtable into a compressed table, then read everything
     // back through the batched path so every block decompresses.
