@@ -3,7 +3,7 @@
 //!
 //! A table ([`HuffTable`]) is trained once, from the symbol counts of
 //! one coding context over an SSTable's own LZ output (the block codec
-//! keeps ten contexts), stored as 256 four-bit code lengths, and shared
+//! keeps sixteen contexts), stored as 256 four-bit code lengths, and shared
 //! by every block of the SSTable, so no block carries a model. Every
 //! byte value gets a code (absent symbols are counted once), so a table
 //! trained on one sample still encodes any input. Codes are at most
@@ -16,8 +16,6 @@
 //! so a stream whose context follows from the symbols already decoded
 //! costs one dependent load per symbol, as a single code would.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use tb_common::{Error, Result};
 
 /// Longest code, and the index width of the decode table.
@@ -29,7 +27,7 @@ pub(crate) const TABLE_BYTES: usize = 128;
 
 /// Symbols decoded per [`BitReader::refill`]: a refill leaves >= 56
 /// bits, enough for 5 codes of <= 11 bits.
-const CODES_PER_REFILL: usize = 5;
+pub(crate) const CODES_PER_REFILL: usize = 5;
 
 pub(crate) struct HuffTable {
     lens: [u8; 256],
@@ -38,21 +36,12 @@ pub(crate) struct HuffTable {
 }
 
 impl HuffTable {
-    /// Builds the table for a symbol histogram. Deterministic for fixed
+    /// Builds the table for a symbol histogram: the optimal code whose
+    /// lengths stay within [`MAX_CODE_LEN`]. Deterministic for fixed
     /// counts (ties break on symbol value).
     pub fn from_counts(counts: &[u32; 256]) -> Self {
-        let mut weights: [u64; 256] = std::array::from_fn(|s| counts[s] as u64 + 1);
-        loop {
-            let lens = huffman_lens(&weights);
-            if lens.iter().all(|&l| l as u32 <= MAX_CODE_LEN) {
-                return Self::from_lens(lens).expect("huffman lengths form a complete code");
-            }
-            // Too deep: flatten the histogram and rebuild. Converges —
-            // all-equal weights give the depth-8 balanced tree.
-            for w in &mut weights {
-                *w = w.div_ceil(2);
-            }
-        }
+        let weights = counts.map(|c| u64::from(c) + 1);
+        Self::from_lens(limited_lens(&weights)).expect("package-merge lengths form a complete code")
     }
 
     /// Rebuilds a table from its stored form, rejecting anything that
@@ -116,19 +105,26 @@ impl HuffTable {
     }
 }
 
-/// The decode tables of up to 16 codes, `2^MAX_CODE_LEN` entries each,
-/// in one array. Entry: `next_code << 12 | symbol << 4 | len`.
+/// The decode tables of up to [`MAX_CODES`] codes, `2^MAX_CODE_LEN`
+/// entries each, in one array. Entry: `next_code << 12 | symbol << 4 |
+/// len`.
 pub(crate) struct Decoder {
-    lut: Box<[u16]>,
+    lut: Box<[u16; MAX_CODES * LUT_SIZE]>,
 }
+
+/// Codes a [`Decoder`] chains: its next-code field is 4 bits.
+const MAX_CODES: usize = 16;
 
 impl Decoder {
     /// Decode tables for `codes`; `next(code, symbol)` is the code the
     /// symbol after `symbol` (decoded under `code`) is decoded under,
     /// and must be below `codes.len()`.
     pub fn new(codes: &[HuffTable], next: impl Fn(usize, u8) -> usize) -> Self {
-        assert!(codes.len() <= 16, "the next code is a 4-bit field");
-        let mut lut = vec![0u16; codes.len() * LUT_SIZE].into_boxed_slice();
+        assert!(codes.len() <= MAX_CODES, "the next code is a 4-bit field");
+        let mut lut: Box<[u16; MAX_CODES * LUT_SIZE]> = vec![0; MAX_CODES * LUT_SIZE]
+            .into_boxed_slice()
+            .try_into()
+            .expect("MAX_CODES tables");
         for (c, (code, block)) in codes.iter().zip(lut.chunks_exact_mut(LUT_SIZE)).enumerate() {
             for (sym, &e) in code.enc.iter().enumerate() {
                 let (reversed, len) = ((e >> 4) as usize, e & 0x0f);
@@ -144,11 +140,13 @@ impl Decoder {
     }
 
     /// Decodes the next symbol under `code`, returning it and the code
-    /// of the symbol after it. Only valid inside
-    /// [`BitReader::decode_each`], which keeps enough bits buffered.
+    /// of the symbol after it. Only valid with enough bits buffered:
+    /// inside [`BitReader::decode_each`], or within [`CODES_PER_REFILL`]
+    /// codes of a [`BitReader::refill`].
     #[inline(always)]
     pub fn get(&self, code: usize, r: &mut BitReader<'_>) -> (u8, usize) {
-        let e = self.lut[code << MAX_CODE_LEN | (r.acc & LUT_MASK) as usize];
+        // In range by construction: the modulus only spares the check.
+        let e = self.lut[(code << MAX_CODE_LEN | (r.acc & LUT_MASK) as usize) % self.lut.len()];
         let len = (e & 0x0f) as u32;
         r.acc >>= len;
         r.nbits -= len;
@@ -156,31 +154,47 @@ impl Decoder {
     }
 }
 
-/// Optimal (unbounded) prefix-code lengths for positive weights.
-fn huffman_lens(weights: &[u64; 256]) -> [u8; 256] {
-    // Nodes 0..256 are leaves, 256.. internal in creation order, so a
-    // parent's id is always greater than its children's.
-    let mut parent = [0u16; 511];
-    let mut heap: BinaryHeap<Reverse<(u64, u16)>> = weights
-        .iter()
-        .enumerate()
-        .map(|(s, &w)| Reverse((w, s as u16)))
-        .collect();
-    let mut next_id = 256u16;
-    while heap.len() > 1 {
-        let Reverse((wa, a)) = heap.pop().expect("len > 1");
-        let Reverse((wb, b)) = heap.pop().expect("len > 1");
-        parent[a as usize] = next_id;
-        parent[b as usize] = next_id;
-        heap.push(Reverse((wa + wb, next_id)));
-        next_id += 1;
+/// Optimal prefix-code lengths of at most [`MAX_CODE_LEN`] bits for
+/// positive weights, by package-merge: level by level from the
+/// deepest, the symbols (lightest first, ties to the lower symbol)
+/// merge with the pairwise packages of the level below. The `2n − 2`
+/// lightest items of the top level are the code; a symbol's length is
+/// the number of levels whose chosen items include it, and the chosen
+/// items of a level are its lightest, so they include the lightest
+/// symbols and choose twice its packages' count on the level below.
+fn limited_lens(weights: &[u64; 256]) -> [u8; 256] {
+    let mut order: [u8; 256] = std::array::from_fn(|s| s as u8);
+    order.sort_by_key(|&s| (weights[s as usize], s));
+    let leaves = order.map(|s| weights[s as usize]);
+    // Per level, deepest first: each item's weight, and whether it is
+    // a symbol (else a package of two items of the level below).
+    let mut levels: Vec<Vec<(u64, bool)>> = Vec::with_capacity(MAX_CODE_LEN as usize);
+    for _ in 0..MAX_CODE_LEN {
+        let below = levels.last().map_or(&[][..], Vec::as_slice);
+        let packages: Vec<u64> = below.chunks_exact(2).map(|p| p[0].0 + p[1].0).collect();
+        let mut level = Vec::with_capacity(leaves.len() + packages.len());
+        let (mut l, mut p) = (0, 0);
+        while l < leaves.len() || p < packages.len() {
+            if p == packages.len() || (l < leaves.len() && leaves[l] <= packages[p]) {
+                level.push((leaves[l], true));
+                l += 1;
+            } else {
+                level.push((packages[p], false));
+                p += 1;
+            }
+        }
+        levels.push(level);
     }
-    let root = 510usize;
-    let mut depth = [0u8; 511];
-    for id in (0..root).rev() {
-        depth[id] = depth[parent[id] as usize] + 1;
+    let mut lens = [0u8; 256];
+    let mut take = 2 * leaves.len() - 2;
+    for level in levels.iter().rev() {
+        let symbols = level[..take].iter().filter(|item| item.1).count();
+        for &s in &order[..symbols] {
+            lens[s as usize] += 1;
+        }
+        take = 2 * (take - symbols);
     }
-    std::array::from_fn(|s| depth[s])
+    lens
 }
 
 /// LSB-first bit sink over a byte vector.
@@ -248,9 +262,10 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Tops the accumulator up to at least 56 valid bits.
+    /// Tops the accumulator up to at least 56 valid bits, enough for
+    /// [`CODES_PER_REFILL`] codes.
     #[inline(always)]
-    fn refill(&mut self) {
+    pub fn refill(&mut self) {
         if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
             let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
             self.acc |= word << self.nbits;
@@ -376,7 +391,34 @@ mod tests {
         }
     }
 
+    /// Bits an optimal prefix code with no length limit spends on
+    /// `weights`: Huffman's repeated merge of the two lightest.
+    fn huffman_cost(weights: &[u64]) -> u64 {
+        use std::cmp::Reverse;
+        let mut heap: std::collections::BinaryHeap<Reverse<u64>> =
+            weights.iter().map(|&w| Reverse(w)).collect();
+        let mut cost = 0;
+        while let (Some(Reverse(a)), Some(Reverse(b))) = (heap.pop(), heap.pop()) {
+            cost += a + b;
+            heap.push(Reverse(a + b));
+        }
+        cost
+    }
+
     proptest! {
+        /// Where the limit does not bind (weights within a factor of 5
+        /// stay well under 11 levels), package-merge's code costs what
+        /// Huffman's does: it is optimal.
+        #[test]
+        fn prop_package_merge_is_optimal_when_the_limit_does_not_bind(
+            weights in proptest::collection::vec(20u64..=100, 256),
+        ) {
+            let weights: [u64; 256] = weights.try_into().unwrap();
+            let lens = limited_lens(&weights);
+            let cost: u64 = weights.iter().zip(lens).map(|(&w, l)| w * u64::from(l)).sum();
+            prop_assert_eq!(cost, huffman_cost(&weights));
+        }
+
         /// Symbols absent from the training sample still round-trip.
         #[test]
         fn prop_roundtrip_any_bytes_under_any_table(

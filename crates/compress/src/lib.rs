@@ -9,7 +9,7 @@
 //!   training flow (`train_dictionary` ≈ `zstd --train`). Its entropy
 //!   stage is simpler than zstd's — an adaptive order-0 range coder for
 //!   single records ([`rangecoder`]), table-trained static Huffman under
-//!   ten token-field and literal-class contexts for SSTable blocks
+//!   sixteen token-field and previous-byte contexts for SSTable blocks
 //!   ([`block`]) — so ratios are a little worse than real zstd, but the
 //!   *orderings* the paper measures (dict > no-dict on small records,
 //!   higher level → better ratio/slower SET) are preserved.

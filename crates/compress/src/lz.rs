@@ -21,7 +21,8 @@
 //! for the block only. The prefix's hash chains are built once, and a
 //! block position's chain walk runs on from the block's own earlier
 //! positions into them, under the level's one `chain_len` budget. The
-//! decoder is the same: distances count back through `prefix ++ output`.
+//! block decoder (in [`crate::block`]) counts distances back through
+//! `prefix ++ output` the same way.
 
 use crate::Compressor;
 use std::cell::RefCell;
@@ -29,7 +30,7 @@ use std::sync::{Arc, OnceLock};
 use tb_common::{Error, Result};
 
 /// Minimum match length worth encoding.
-const MIN_MATCH: usize = 4;
+pub(crate) const MIN_MATCH: usize = 4;
 /// Maximum match length (keeps varints short; matches may be split).
 const MAX_MATCH: usize = 1 << 16;
 /// Max candidate positions stored per 4-gram in the dictionary index.
@@ -292,10 +293,13 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 
 /// Where the parser writes its token stream: interleaved into one
 /// buffer (the record format), or split into control bytes and literal
-/// bytes (the block format, one entropy table per stream).
+/// runs (the block format, which codes each literal under the byte
+/// before it).
 pub(crate) trait TokenSink {
     fn varint(&mut self, v: u64);
-    fn literals(&mut self, bytes: &[u8]);
+    /// A literal run; `before` is the byte before it in `prefix ++
+    /// input` (`None` at the start of an input without a prefix).
+    fn literals(&mut self, bytes: &[u8], before: Option<u8>);
 }
 
 impl TokenSink for Vec<u8> {
@@ -303,19 +307,19 @@ impl TokenSink for Vec<u8> {
         write_varint(self, v);
     }
 
-    fn literals(&mut self, bytes: &[u8]) {
+    fn literals(&mut self, bytes: &[u8], _: Option<u8>) {
         self.extend_from_slice(bytes);
     }
 }
 
 /// The token stream split by kind: every varint in `ctrl`, every
-/// literal byte in `lit`, each in stream order; `run_start[i]` is
-/// whether `lit[i]` is the first literal of its run.
+/// literal byte in `lit`, each in stream order; `runs` holds each
+/// non-empty literal run's length and the byte before it.
 #[derive(Default)]
 pub(crate) struct SplitTokens {
     pub ctrl: Vec<u8>,
     pub lit: Vec<u8>,
-    pub run_start: Vec<bool>,
+    pub runs: Vec<(usize, Option<u8>)>,
 }
 
 impl TokenSink for SplitTokens {
@@ -323,12 +327,10 @@ impl TokenSink for SplitTokens {
         write_varint(&mut self.ctrl, v);
     }
 
-    fn literals(&mut self, bytes: &[u8]) {
-        let start = self.lit.len();
-        self.lit.extend_from_slice(bytes);
-        self.run_start.resize(self.lit.len(), false);
-        if let Some(first) = self.run_start.get_mut(start) {
-            *first = true;
+    fn literals(&mut self, bytes: &[u8], before: Option<u8>) {
+        if !bytes.is_empty() {
+            self.lit.extend_from_slice(bytes);
+            self.runs.push((bytes.len(), before));
         }
     }
 }
@@ -410,7 +412,7 @@ fn with_scratch<S: TokenSink>(
 ) {
     if input.len() > MAX_LZ_INPUT {
         sink.varint(input.len() as u64);
-        sink.literals(input);
+        sink.literals(input, None);
         sink.varint(0);
         return;
     }
@@ -556,7 +558,7 @@ fn parse(
         }
         // Flush pending literals, then the match.
         sink.varint((i - lit_start) as u64);
-        sink.literals(&input[lit_start..i]);
+        sink.literals(&input[lit_start..i], byte_before(input, lit_start));
         sink.varint((len - MIN_MATCH + 1) as u64);
         sink.varint(dist as u64);
         // Index the covered positions (sparsely for speed).
@@ -570,8 +572,13 @@ fn parse(
     }
     // Trailing literals + end marker.
     sink.varint((n - lit_start) as u64);
-    sink.literals(&input[lit_start..n]);
+    sink.literals(&input[lit_start..n], byte_before(input, lit_start));
     sink.varint(0);
+}
+
+/// The byte before `input[pos]`, if any.
+fn byte_before(input: &[u8], pos: usize) -> Option<u8> {
+    pos.checked_sub(1).map(|j| input[j])
 }
 
 /// Where the decoder reads its token stream from; the mirror of
@@ -612,8 +619,8 @@ impl<'a> TokenSource<'a> for InterleavedTokens<'a> {
     }
 }
 
-/// Control bytes and literal bytes in separate buffers (the block
-/// format).
+/// Control bytes and literal bytes in separate buffers.
+#[cfg(test)]
 pub(crate) struct SplitSource<'a> {
     ctrl: &'a [u8],
     ctrl_pos: usize,
@@ -621,6 +628,7 @@ pub(crate) struct SplitSource<'a> {
     lit_pos: usize,
 }
 
+#[cfg(test)]
 impl<'a> SplitSource<'a> {
     pub fn new(ctrl: &'a [u8], lit: &'a [u8]) -> Self {
         Self {
@@ -632,6 +640,7 @@ impl<'a> SplitSource<'a> {
     }
 }
 
+#[cfg(test)]
 impl<'a> TokenSource<'a> for SplitSource<'a> {
     fn varint(&mut self) -> Result<u64> {
         read_varint(self.ctrl, &mut self.ctrl_pos)

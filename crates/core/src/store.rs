@@ -10,7 +10,7 @@
 
 use crate::config::{CompressionChoice, PersistenceMode, SyncPolicy, TierBaseConfig};
 use crate::interval::AccessIntervalTracker;
-use crate::store_write::apply_log_record;
+use crate::store_write::{apply_log_record, COLD_LOG};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -161,6 +161,11 @@ impl TierBase {
                 )?));
             }
             PersistenceMode::WalPmem => {
+                // The records a full ring drained, older than the ring's.
+                for (lsn, rec) in tb_lsm::wal::Wal::replay(&config.dir.join(COLD_LOG))? {
+                    apply_log_record(&cache, &rec)?;
+                    wal_seq = wal_seq.max(lsn);
+                }
                 let path = config.dir.join("cache.pmem");
                 let device = if path.exists() {
                     Arc::new(PmemDevice::open(&path, LatencyModel::optane())?)

@@ -66,21 +66,29 @@ impl Inner {
         Ok(())
     }
 
+    /// Moves the ring's records to the cold log ([`COLD_LOG`]): they
+    /// are appended and `fdatasync`ed before the ring's head moves past
+    /// them, so each acknowledged record is always in one or the other.
     fn drain_ring_to_file(&self) -> Result<()> {
         let Some(ring) = &self.ring else {
             return Ok(());
         };
-        let drained = ring.drain_batch(usize::MAX)?;
-        let path = self.config.dir.join("cache.cold.wal");
-        let mut wal = tb_lsm::wal::Wal::open(&path, tb_lsm::wal::SyncPolicy::OsBuffer)?;
-        for rec in drained {
-            let lsn = self.wal_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            wal.append(lsn, &rec)?;
-        }
-        wal.sync()?;
+        ring.drain_batch(usize::MAX, |drained| {
+            let path = self.config.dir.join(COLD_LOG);
+            let mut wal = tb_lsm::wal::Wal::open(&path, tb_lsm::wal::SyncPolicy::OsBuffer)?;
+            for rec in drained {
+                let lsn = self.wal_seq.fetch_add(1, Ordering::Relaxed) + 1;
+                wal.append(lsn, rec)?;
+            }
+            wal.sync()
+        })?;
         Ok(())
     }
 }
+
+/// The file a full PMem ring drains to; `TierBase::open` replays it
+/// before the ring.
+pub(crate) const COLD_LOG: &str = "cache.cold.wal";
 
 fn encode_log_record(key: &Key, stored: Option<&Value>) -> Vec<u8> {
     let mut out = Vec::with_capacity(key.len() + 16);

@@ -70,7 +70,7 @@ pub(crate) fn sync_parent_dir(path: &Path, site: &'static str) -> Result<()> {
     Ok(())
 }
 
-const MAGIC: u32 = 0x7b5d_57b3;
+const MAGIC: u32 = 0x7b5d_57c4;
 const FOOTER_LEN: usize = 8 + 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4 + 4;
 
 /// Build-time options.
@@ -219,23 +219,23 @@ pub fn write_sstable_with_stats(
     // Pass 2: train the codec on the sampled values and on the blocks
     // themselves, then frame-encode every block. Index entries give
     // each frame's on-disk length; its offset is the sum before it.
-    let codec_state = BlockCodecState::train_on_blocks(config.codec, &samples, &blocks);
-    let mut stats = SstBuildStats::default();
     let mut data = Vec::new();
+    let (codec_state, frames) =
+        BlockCodecState::train_and_encode(config.codec, &samples, &blocks, &mut data);
+    let mut stats = SstBuildStats::default();
     let mut index = Vec::new();
     let mut prev_first: &[u8] = &[];
-    for (first, raw) in first_keys.iter().zip(&blocks) {
-        let frame_start = data.len();
+    for ((first, raw), (frame_len, compressed)) in first_keys.iter().zip(&blocks).zip(frames) {
         stats.blocks += 1;
         stats.uncompressed_bytes += raw.len() as u64;
-        if codec_state.encode_frame(raw, &mut data) {
+        if compressed {
             stats.blocks_compressed += 1;
         }
         let shared = shared_prefix_len(prev_first, first.as_slice());
         write_varint(&mut index, shared as u64);
         write_varint(&mut index, (first.len() - shared) as u64);
         index.extend_from_slice(&first.as_slice()[shared..]);
-        write_varint(&mut index, (data.len() - frame_start) as u64);
+        write_varint(&mut index, frame_len as u64);
         prev_first = first.as_slice();
     }
     // The dict payload rides in the data region, after the frames, so
@@ -1349,6 +1349,25 @@ mod tests {
         assert_open_refused(meta, "previous layout");
     }
 
+    #[test]
+    fn table_of_the_ten_table_lz_layout_is_corruption() {
+        // Tables written before the fused `lz` decode carry the same
+        // footer under magic `0x7b5d57b3`, and ten entropy tables in
+        // their dict payload that the current codec cannot read.
+        let dir = tmpdir();
+        let path = dir.create().join("ten_tables.sst");
+        let config = SstConfig {
+            codec: BlockCodec::Lz,
+            ..SstConfig::default()
+        };
+        let meta = write_sstable(1, &path, sample_entries(200).into_iter(), &config).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - 4;
+        bytes[at..].copy_from_slice(&0x7b5d_57b3u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert_open_refused(meta, "ten-table lz layout");
+    }
+
     /// Block bytes from `(shared, unshared, tag, rest)` entries: three
     /// varints, then `rest` (key suffix and value) verbatim.
     fn block_of(entries: &[(u64, u64, u64, &[u8])]) -> Vec<u8> {
@@ -1562,13 +1581,13 @@ mod tests {
         TABLE.get_or_init(|| {
             let dir = tmpdir();
             let path = dir.create().join("pristine.sst");
-            // Big enough (~46 KiB) that the codec's fixed 40 KiB of
+            // Big enough (~73 KiB) that the codec's fixed 64 KiB of
             // decode tables fit under the file-length bound, small
             // enough to stay fast.
             let meta = write_sstable(
                 1,
                 &path,
-                sample_entries(4000).into_iter(),
+                sample_entries(6400).into_iter(),
                 &cfg(512, BlockCodec::Lz),
             )
             .unwrap();

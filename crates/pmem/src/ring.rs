@@ -45,6 +45,8 @@ struct State {
 pub struct PersistentRingBuffer {
     device: Arc<PmemDevice>,
     state: Mutex<State>,
+    /// Held through a drain, persist included.
+    drain_turn: Mutex<()>,
     data_len: usize,
     config: RingConfig,
 }
@@ -59,6 +61,7 @@ impl PersistentRingBuffer {
             data_len: device.size() - HEADER_SIZE,
             device,
             state: Mutex::new(State { head: 0, tail: 0 }),
+            drain_turn: Mutex::new(()),
             config,
         };
         ring.persist_header(0, 0)?;
@@ -82,6 +85,7 @@ impl PersistentRingBuffer {
             data_len: device.size() - HEADER_SIZE,
             device,
             state: Mutex::new(State { head, tail }),
+            drain_turn: Mutex::new(()),
             config,
         };
         // Walk records; stop at the first invalid frame (torn tail).
@@ -152,8 +156,16 @@ impl PersistentRingBuffer {
     }
 
     /// Removes and returns up to `max_records` records from the front
-    /// (the batch-move-to-cloud-storage path).
-    pub fn drain_batch(&self, max_records: usize) -> Result<Vec<Vec<u8>>> {
+    /// (the batch-move-to-cloud-storage path). `persist` gets them
+    /// first, and the head moves past them only once it succeeds, so a
+    /// crash or an error in between leaves them queued. Drains take
+    /// turns: no record is handed out twice.
+    pub fn drain_batch(
+        &self,
+        max_records: usize,
+        persist: impl FnOnce(&[Vec<u8>]) -> Result<()>,
+    ) -> Result<Vec<Vec<u8>>> {
+        let _turn = self.drain_turn.lock();
         let mut out = Vec::new();
         let (mut head, tail) = {
             let s = self.state.lock();
@@ -164,10 +176,12 @@ impl PersistentRingBuffer {
             head += (FRAME_HEADER + payload.len()) as u64;
             out.push(payload);
         }
-        {
+        persist(&out)?;
+        let tail = {
             let mut s = self.state.lock();
             s.head = head;
-        }
+            s.tail
+        };
         self.persist_header(head, tail)?;
         Ok(out)
     }
@@ -262,11 +276,11 @@ mod tests {
         for i in 0..10 {
             ring.append(format!("record-{i}").as_bytes()).unwrap();
         }
-        let batch = ring.drain_batch(4).unwrap();
+        let batch = ring.drain_batch(4, |_| Ok(())).unwrap();
         assert_eq!(batch.len(), 4);
         assert_eq!(batch[0], b"record-0");
         assert_eq!(batch[3], b"record-3");
-        let rest = ring.drain_batch(100).unwrap();
+        let rest = ring.drain_batch(100, |_| Ok(())).unwrap();
         assert_eq!(rest.len(), 6);
         assert!(ring.is_empty());
     }
@@ -277,7 +291,7 @@ mod tests {
         for round in 0..50 {
             let rec = format!("wraparound-payload-{round:04}");
             ring.append(rec.as_bytes()).unwrap();
-            let got = ring.drain_batch(1).unwrap();
+            let got = ring.drain_batch(1, |_| Ok(())).unwrap();
             assert_eq!(got[0], rec.as_bytes());
         }
     }
@@ -291,8 +305,30 @@ mod tests {
         let err = ring.append(&rec).unwrap_err();
         assert!(matches!(err, Error::Backpressure { .. }), "{err}");
         // Draining frees space.
-        ring.drain_batch(1).unwrap();
+        ring.drain_batch(1, |_| Ok(())).unwrap();
         ring.append(&rec).unwrap();
+    }
+
+    #[test]
+    fn failed_persist_leaves_the_batch_queued() {
+        let (ring, path) = new_ring("persist", 4096);
+        for rec in [&b"one"[..], b"two", b"three"] {
+            ring.append(rec).unwrap();
+        }
+        let err = ring
+            .drain_batch(2, |batch| {
+                assert_eq!(batch, [b"one".to_vec(), b"two".to_vec()]);
+                Err(Error::Io("cold log down".into()))
+            })
+            .unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err}");
+        // Still queued, in memory and across a crash.
+        let device = Arc::new(PmemDevice::open(&path, LatencyModel::none()).unwrap());
+        let recovered = PersistentRingBuffer::recover(device, RingConfig::default()).unwrap();
+        assert_eq!(recovered.peek_all().unwrap().len(), 3);
+        let drained = ring.drain_batch(usize::MAX, |_| Ok(())).unwrap();
+        assert_eq!(drained.len(), 3);
+        assert!(ring.is_empty());
     }
 
     #[test]
@@ -369,6 +405,9 @@ mod tests {
     fn empty_payload_roundtrips() {
         let (ring, _) = new_ring("empty", 256);
         ring.append(b"").unwrap();
-        assert_eq!(ring.drain_batch(1).unwrap(), vec![Vec::<u8>::new()]);
+        assert_eq!(
+            ring.drain_batch(1, |_| Ok(())).unwrap(),
+            vec![Vec::<u8>::new()]
+        );
     }
 }

@@ -165,6 +165,41 @@ fn wal_pmem_mode_recovers_from_ring() {
 }
 
 #[test]
+fn wal_pmem_mode_recovers_every_write_once_the_ring_fills() {
+    // 3 000 values of ~220 B through a 64 KiB ring: the ring fills and
+    // drains to the cold log about ten times over.
+    let dir = tmpdir("pmem-full");
+    let open = || {
+        TierBase::open(
+            TierBaseConfig::builder(dir.path())
+                .cache_capacity(64 << 20)
+                .persistence(PersistenceMode::WalPmem)
+                .pmem_ring_bytes(64 << 10)
+                .build(),
+        )
+        .unwrap()
+    };
+    let value = |i: usize| Value::from(format!("{i:06}-{}", "p".repeat(214)));
+    {
+        let store = open();
+        for i in 0..3000 {
+            store.put(k(i), value(i)).unwrap();
+        }
+        store.sync().unwrap();
+    }
+    let store = open();
+    let missing: Vec<usize> = (0..3000)
+        .filter(|&i| store.get(&k(i)).unwrap() != Some(value(i)))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "{} of 3000 acknowledged values missing after reopen, first {:?}",
+        missing.len(),
+        &missing[..missing.len().min(5)]
+    );
+}
+
+#[test]
 fn write_through_survives_crash_without_any_cache_persistence() {
     let dir = tmpdir("wt");
     {
