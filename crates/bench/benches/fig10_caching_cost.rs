@@ -13,7 +13,7 @@ use tb_common::KvEngine;
 use tb_costmodel::WorkloadDemand;
 use tb_elastic::ThreadMode;
 use tb_workload::{DatasetKind, Workload, WorkloadSpec};
-use tierbase_core::{CompressionChoice, PmemTuning, TierBase, TierBaseConfig};
+use tierbase_core::{CompressorChoice, PmemTuning, TierBase, TierBaseConfig};
 
 fn tb(
     name: &str,
@@ -24,7 +24,9 @@ fn tb(
     // Pre-train compression offline, as §4.2 prescribes.
     let dataset = DatasetKind::Cities.build(0x5eed);
     let samples: Vec<Vec<u8>> = (0..512u64).map(|i| dataset.record(i)).collect();
-    store.train_compression(&samples);
+    store
+        .train_compression(&samples)
+        .expect("train compression");
     store
 }
 
@@ -56,11 +58,11 @@ fn main() {
             ),
             (
                 "TierBase-Zstd",
-                Box::new(tb("f10-z", |b| b.compression(CompressionChoice::TzstdDict))),
+                Box::new(tb("f10-z", |b| b.compression(CompressorChoice::TzstdDict))),
             ),
             (
                 "TierBase-PBC",
-                Box::new(tb("f10-p", |b| b.compression(CompressionChoice::Pbc))),
+                Box::new(tb("f10-p", |b| b.compression(CompressorChoice::Pbc))),
             ),
             (
                 "TierBase-PMem",

@@ -17,7 +17,7 @@ use tb_common::KvEngine;
 use tb_costmodel::WorkloadDemand;
 use tb_elastic::ThreadMode;
 use tb_workload::{DatasetKind, Workload, WorkloadSpec};
-use tierbase_core::{CompressionChoice, PmemTuning, SyncPolicy, TierBase, TierBaseConfig};
+use tierbase_core::{CompressorChoice, PmemTuning, SyncPolicy, TierBase, TierBaseConfig};
 
 fn tb(
     name: &str,
@@ -30,7 +30,9 @@ fn tb(
     let store = TierBase::open(f(builder).build()).expect("open");
     let d = dataset.build(7);
     let samples: Vec<Vec<u8>> = (0..512u64).map(|i| d.record(i)).collect();
-    store.train_compression(&samples);
+    store
+        .train_compression(&samples)
+        .expect("train compression");
     store
 }
 
@@ -87,7 +89,7 @@ fn run_case(
         (
             "TierBase-PBC",
             Box::new(tb("f12-pbc", dataset, |b| {
-                b.compression(CompressionChoice::Pbc)
+                b.compression(CompressorChoice::Pbc)
             })),
             2.0,
         ),

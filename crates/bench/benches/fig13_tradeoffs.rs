@@ -1,7 +1,9 @@
 //! Figure 13: space-performance trade-offs under the Case 1 workload.
 //!
 //! (a) Compression levels: tzstd at levels {-50, -10, 1, 15, 22} with
-//! and without a trained dictionary, plus PBC and Raw. Paper shape:
+//! and without a trained dictionary (`MAX_DICT_BYTES`, the most a
+//! stored model holds), plus PBC and Raw. Every model is trained on
+//! the same 512 records. Paper shape:
 //! higher levels buy diminishing space at growing performance cost;
 //! pre-trained variants dominate untrained; the curve bends so an
 //! intermediate level (≈1) is the practical pick.
@@ -13,9 +15,7 @@
 
 use std::time::Instant;
 use tb_bench::{bench_dir, measure_cost, print_cost_plane, scale, CostPoint};
-use tb_compress::{
-    measure_ratio, train_dictionary, Compressor, Pbc, PbcConfig, RawCompressor, Tzstd, TzstdLevel,
-};
+use tb_compress::{measure_ratio, Compressor, Pbc, PbcConfig, RawCompressor, Tzstd, TzstdLevel};
 use tb_costmodel::WorkloadDemand;
 use tb_workload::{DatasetKind, Workload, WorkloadSpec};
 use tierbase_core::{SyncPolicy, TierBase, TierBaseConfig};
@@ -65,19 +65,18 @@ fn main() {
     let dataset = DatasetKind::Kv1.build(11);
     let train: Vec<Vec<u8>> = (0..512u64).map(|i| dataset.record(i)).collect();
     let test: Vec<Vec<u8>> = (1000..1000 + n as u64).map(|i| dataset.record(i)).collect();
-    let dict = train_dictionary(&train, 8192);
 
     let mut points = Vec::new();
     points.push(compressor_point("Raw", &RawCompressor, &test, &demand));
     for level in [-50, -10, 1, 15, 22] {
-        let plain = Tzstd::new(TzstdLevel(level));
+        let plain = Tzstd::train(TzstdLevel(level), &train);
         points.push(compressor_point(
             &format!("Zstd(l={level})"),
             &plain,
             &test,
             &demand,
         ));
-        let with_dict = Tzstd::with_dict(TzstdLevel(level), dict.clone());
+        let with_dict = Tzstd::train_with_dict(TzstdLevel(level), &train);
         points.push(compressor_point(
             &format!("Zstd-dict(l={level})"),
             &with_dict,

@@ -9,7 +9,7 @@
 use tb_bench::{bench_dir, measure_cost, print_table, scale};
 use tb_costmodel::WorkloadDemand;
 use tb_workload::{DatasetKind, Workload, WorkloadSpec};
-use tierbase_core::{CompressionChoice, PmemTuning, SyncPolicy, TierBase, TierBaseConfig};
+use tierbase_core::{CompressorChoice, PmemTuning, SyncPolicy, TierBase, TierBaseConfig};
 
 fn main() {
     let records = 15_000u64 * scale() as u64;
@@ -48,11 +48,11 @@ fn main() {
                 let tb = TierBase::open(
                     TierBaseConfig::builder(bench_dir("f1-pbc"))
                         .cache_capacity(512 << 20)
-                        .compression(CompressionChoice::Pbc)
+                        .compression(CompressorChoice::Pbc)
                         .build(),
                 )
                 .unwrap();
-                tb.train_compression(&samples);
+                tb.train_compression(&samples).expect("train compression");
                 tb
             },
             2.0,

@@ -7,9 +7,7 @@ use std::path::Path;
 use tb_bench::bench_dir;
 use tb_cache::{CacheConfig, ShardedCache};
 use tb_common::{crc32, fx_hash, Histogram, Key, KvEngine, Value};
-use tb_compress::{
-    train_dictionary, BlockCodec, BlockCodecState, Compressor, Pbc, PbcConfig, Tzstd, TzstdLevel,
-};
+use tb_compress::{BlockCodec, BlockCodecState, Compressor, Pbc, PbcConfig, Tzstd, TzstdLevel};
 use tb_lsm::memtable::Entry;
 use tb_lsm::sstable::{decode_block, find_in_block, write_sstable, SstConfig, SstReader};
 use tb_lsm::{LsmConfig, LsmDb};
@@ -79,8 +77,8 @@ fn bench_compressors(c: &mut Criterion) {
     let dataset = DatasetKind::Kv1.build(5);
     let train: Vec<Vec<u8>> = (0..256u64).map(|i| dataset.record(i)).collect();
     let record = dataset.record(9999);
-    let tz = Tzstd::new(TzstdLevel(1));
-    let tzd = Tzstd::with_dict(TzstdLevel(1), train_dictionary(&train, 4096));
+    let tz = Tzstd::train(TzstdLevel(1), &train);
+    let tzd = Tzstd::train_with_dict(TzstdLevel(1), &train);
     let pbc = Pbc::train(&train, &PbcConfig::default());
 
     let mut group = c.benchmark_group("compress");

@@ -12,7 +12,7 @@ use tb_bench::{bench_dir, drive, print_table, scale};
 use tb_common::KvEngine;
 use tb_costmodel::{break_even_interval, BreakEvenTable, CostMetrics};
 use tb_workload::{DatasetKind, Workload, WorkloadSpec};
-use tierbase_core::{CompressionChoice, PmemTuning, TierBase, TierBaseConfig};
+use tierbase_core::{CompressorChoice, PmemTuning, TierBase, TierBaseConfig};
 
 fn measure(name: &str, engine: &TierBase, records: u64, ops: u64) -> (String, CostMetrics) {
     let (load, run) = Workload::new(WorkloadSpec::case1_user_info(records, ops)).generate();
@@ -52,11 +52,11 @@ fn main() {
     let pbc = TierBase::open(
         TierBaseConfig::builder(bench_dir("t3-pbc"))
             .cache_capacity(512 << 20)
-            .compression(CompressionChoice::Pbc)
+            .compression(CompressorChoice::Pbc)
             .build(),
     )
     .unwrap();
-    pbc.train_compression(&samples);
+    pbc.train_compression(&samples).expect("train compression");
 
     let configs = vec![
         measure("Raw", &raw, records, ops),

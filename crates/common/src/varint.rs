@@ -3,6 +3,7 @@
 use crate::{Error, Result};
 
 /// Appends `v` as a LEB128 varint.
+#[inline]
 pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7f) as u8;
@@ -16,6 +17,7 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads a LEB128 varint at `*pos`, advancing it.
+#[inline]
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;

@@ -70,15 +70,13 @@
 //! bytes under [`FRAME_TAG_STORED`] — still CRC-checked, so every block
 //! read is checksummed regardless of codec.
 
-use crate::dict::dictionary_bytes;
+use crate::dict::train_dictionary;
 use crate::huffman::{BitReader, BitWriter, Decoder, HuffTable, CODES_PER_REFILL, TABLE_BYTES};
-use crate::lz::{
-    lz_parse, lz_parse_after, read_varint, write_varint, Prefix, SplitTokens, TzstdLevel, MIN_MATCH,
-};
+use crate::lz::{lz_parse, Prefix, SplitTokens, TzstdLevel, MIN_MATCH};
 use crate::pbc::{Pbc, PbcConfig, PbcModel};
 use crate::Compressor;
 use std::sync::Arc;
-use tb_common::{crc32, Error, Result};
+use tb_common::{crc32, read_varint, write_varint, Error, Result};
 
 /// `codec_tag u8 | uncompressed_len u32 | crc32 u32`.
 pub const FRAME_HEADER_LEN: usize = 1 + 4 + 4;
@@ -148,24 +146,26 @@ fn cut_dictionary(blocks: &[Vec<u8>]) -> Vec<u8> {
 /// LZ effort of the block path.
 pub(crate) const BLOCK_LEVEL: TzstdLevel = TzstdLevel(1);
 
-/// Per-table block codec, chosen from `LsmConfig`.
+/// Per-table block codec, chosen from `LsmConfig`. The discriminant is
+/// the codec's tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockCodec {
     /// Stored frames only (still CRC-checked).
     #[default]
-    None,
+    None = 0,
     /// LZ77 + table-trained Huffman, with a dictionary cut from the
     /// table's own blocks as shared match history.
-    Lz,
+    Lz = 1,
     /// Pattern-based compression; the trained model is the table's
     /// dictionary payload.
-    Pbc,
+    Pbc = 2,
     /// LZ77 + table-trained Huffman, with a dictionary trained on the
     /// table's input values as shared match history.
-    Dict,
+    Dict = 3,
 }
 
 impl BlockCodec {
+    /// Every codec, in tag order.
     pub const ALL: [BlockCodec; 4] = [
         BlockCodec::None,
         BlockCodec::Lz,
@@ -178,41 +178,19 @@ impl BlockCodec {
     /// same value as `None`'s tag: a `None` table only emits stored
     /// frames.
     pub fn tag(self) -> u8 {
-        match self {
-            BlockCodec::None => 0,
-            BlockCodec::Lz => 1,
-            BlockCodec::Pbc => 2,
-            BlockCodec::Dict => 3,
-        }
+        self as u8
     }
 
     pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(BlockCodec::None),
-            1 => Some(BlockCodec::Lz),
-            2 => Some(BlockCodec::Pbc),
-            3 => Some(BlockCodec::Dict),
-            _ => None,
-        }
+        Self::ALL.get(usize::from(tag)).copied()
     }
 
     pub fn name(self) -> &'static str {
-        match self {
-            BlockCodec::None => "none",
-            BlockCodec::Lz => "lz",
-            BlockCodec::Pbc => "pbc",
-            BlockCodec::Dict => "dict",
-        }
+        ["none", "lz", "pbc", "dict"][usize::from(self.tag())]
     }
 
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "none" => Some(BlockCodec::None),
-            "lz" => Some(BlockCodec::Lz),
-            "pbc" => Some(BlockCodec::Pbc),
-            "dict" => Some(BlockCodec::Dict),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|c| c.name() == s)
     }
 
     /// Whether [`BlockCodecState::train_on_blocks`] reads its value
@@ -354,9 +332,10 @@ fn split_bytes(after: &[[u32; 256]]) -> [u8; SPLIT_BYTES] {
 
 /// The `lz`/`dict` payload coder: LZ77 parse of the block after the
 /// table's dictionary, its control and literal bytes coded under
-/// sixteen context-selected static Huffman tables.
-struct LzCoder {
-    dict: Option<Prefix>,
+/// sixteen context-selected static Huffman tables. [`crate::Tzstd`]
+/// codes records with it too.
+pub(crate) struct LzCoder {
+    pub(crate) dict: Option<Prefix>,
     /// The bytes with a literal table of their own, in table order.
     split: [u8; SPLIT_BYTES],
     /// `lit_table[b]`: the table of a literal after byte `b`.
@@ -366,20 +345,6 @@ struct LzCoder {
     /// The same tables, chained: a control byte's successor by
     /// [`NEXT_CTRL`], a literal's by `lit_table`.
     decoder: Decoder,
-}
-
-/// `block`'s LZ77 parse, after `dict` when there is one.
-fn parse_block(dict: Option<&Prefix>, block: &[u8]) -> SplitTokens {
-    let mut tokens = SplitTokens {
-        ctrl: Vec::with_capacity(block.len() / 2),
-        lit: Vec::with_capacity(block.len()),
-        runs: Vec::with_capacity(block.len() / 8),
-    };
-    match dict {
-        Some(dict) => lz_parse_after(dict, block, BLOCK_LEVEL, &mut tokens),
-        None => lz_parse(block, None, BLOCK_LEVEL, &mut tokens),
-    }
-    tokens
 }
 
 /// A training block's index and its parse.
@@ -413,16 +378,18 @@ impl LzCoder {
     }
 
     /// Trains every table, and picks the split-out bytes, on the LZ
-    /// output of `blocks` (each with its index); returns the parses too.
-    fn train<'a>(
+    /// output at `level` of `blocks` (each with its index); returns the
+    /// parses too.
+    pub(crate) fn train<'a>(
         dict: Option<Prefix>,
+        level: TzstdLevel,
         blocks: impl Iterator<Item = (usize, &'a [u8])>,
     ) -> (Self, Vec<Parsed>) {
         let mut ctrl_counts = [[0u32; 256]; CTRL_TABLES];
         let mut after = vec![[0u32; 256]; NO_BYTE + 1];
         let parsed: Vec<Parsed> = blocks
             .map(|(i, block)| {
-                let tokens = parse_block(dict.as_ref(), block);
+                let tokens = lz_parse(dict.as_ref(), block, level);
                 for_each_control(&tokens.ctrl, |t, b| ctrl_counts[t][b as usize] += 1);
                 for_each_run(&tokens, |before, run| {
                     let mut before = before.map_or(NO_BYTE, usize::from);
@@ -453,7 +420,7 @@ impl LzCoder {
         (Self::new(dict, split, tables), parsed)
     }
 
-    fn from_payload(payload: &[u8]) -> Result<Self> {
+    pub(crate) fn from_payload(payload: &[u8]) -> Result<Self> {
         let (model, dict) = payload
             .split_at_checked(MODEL_BYTES)
             .ok_or_else(|| Error::Corruption("block codec payload truncated".into()))?;
@@ -479,7 +446,7 @@ impl LzCoder {
         Ok(Self::new(dict, split, tables))
     }
 
-    fn payload(&self) -> Vec<u8> {
+    pub(crate) fn payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for table in &self.tables {
             table.write_bytes(&mut out);
@@ -493,7 +460,7 @@ impl LzCoder {
 
     /// Appends the compressed payload of a block to `out`, from its
     /// parse after the dictionary.
-    fn encode(&self, tokens: &SplitTokens, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, tokens: &SplitTokens, out: &mut Vec<u8>) {
         let start = out.len();
         let mut bits = BitWriter::new(out);
         for_each_control(&tokens.ctrl, |t, b| self.tables[t].put(b, &mut bits));
@@ -554,7 +521,7 @@ impl LzCoder {
     /// CRC, so the output is reserved at most
     /// [`LZ_RESERVE_PER_CODED_BYTE`] bytes per payload byte and grows
     /// past that only as it decodes, never past `ulen`.
-    fn decode(&self, payload: &[u8], ulen: usize) -> Result<Vec<u8>> {
+    pub(crate) fn decode(&self, payload: &[u8], ulen: usize) -> Result<Vec<u8>> {
         let mut pos = 0usize;
         let ctrl_bytes = read_varint(payload, &mut pos)?;
         let coded = &payload[pos..];
@@ -752,12 +719,12 @@ impl BlockCodecState {
                 return (state, Vec::new());
             }
             BlockCodec::Lz => cut_dictionary(blocks),
-            BlockCodec::Dict => dictionary_bytes(samples, MAX_DICT_BYTES),
+            BlockCodec::Dict => train_dictionary(samples, MAX_DICT_BYTES),
         };
         let dict = (!dict.is_empty()).then(|| Prefix::new(dict));
         let step = TRAIN_BLOCK_STRIDE.max(blocks.len().div_ceil(MAX_TRAIN_BLOCKS));
         let training = blocks.iter().map(Vec::as_slice).enumerate().step_by(step);
-        let (coder, parsed) = LzCoder::train(dict, training);
+        let (coder, parsed) = LzCoder::train(dict, BLOCK_LEVEL, training);
         let state = Self {
             codec,
             dict_payload: coder.payload(),
@@ -841,7 +808,7 @@ impl BlockCodecState {
                 Coder::Lz(c) => {
                     match tokens {
                         Some(tokens) => c.encode(tokens, out),
-                        None => c.encode(&parse_block(c.dict.as_ref(), block), out),
+                        None => c.encode(&lz_parse(c.dict.as_ref(), block, BLOCK_LEVEL), out),
                     }
                     true
                 }
@@ -1138,7 +1105,7 @@ mod tests {
             (None, CTRL_TABLES + OTHER as usize),
         ] {
             let coder = LzCoder::new(dict.map(Prefix::new), split, distinct_tables());
-            let tokens = parse_block(coder.dict.as_ref(), block);
+            let tokens = lz_parse(coder.dict.as_ref(), block, BLOCK_LEVEL);
             assert_eq!(tokens.ctrl, [4, 1, 4, 2, 0]);
             let mut seen = Vec::new();
             coder.for_each_literal(&tokens, |t, b| seen.push((t, b)));
@@ -1463,7 +1430,10 @@ mod tests {
         // match.
         for block in [random, vec![b'z'; 3000]] {
             let mut payload = Vec::new();
-            coder.encode(&parse_block(coder.dict.as_ref(), &block), &mut payload);
+            coder.encode(
+                &lz_parse(coder.dict.as_ref(), &block, BLOCK_LEVEL),
+                &mut payload,
+            );
             assert_eq!(coder.decode(&payload, block.len()).unwrap(), block);
             for ulen in [0, 1, 1000, block.len() - 1] {
                 let (outcome, largest) =
@@ -1727,7 +1697,7 @@ mod tests {
         ) {
             let prefix = Prefix::new(b"a7a7aaa777".repeat(20));
             for dict in [None, Some(&prefix)] {
-                let tokens = parse_block(dict, &block);
+                let tokens = lz_parse(dict, &block, BLOCK_LEVEL);
                 let history = [dict.map_or(&[][..], |d| d.as_bytes()), &block].concat();
                 let (mut at, mut pos) = (0, history.len() - block.len());
                 let (mut runs, mut lit) = (Vec::new(), Vec::new());

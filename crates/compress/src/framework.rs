@@ -1,21 +1,21 @@
 //! The pre-trained-compression production framework (§4.2, Figure 5).
 //!
-//! * [`PretrainedCompression`] — sampling + training + hot-swappable
-//!   compressor, the unit TierBase instances embed.
+//! * [`PretrainedCompression`] — a compressor trained once on sampled
+//!   values, with its monitor; its bytes rebuild it. TierBase keeps one
+//!   per model generation.
 //! * [`CompressionMonitor`] — tracks compression ratio and pattern-miss
 //!   rate; fires a retrain trigger when either degrades past its
 //!   threshold (the paper's monitoring service).
 //! * [`CompressorRecommender`] — the Insight-service component that
 //!   evaluates candidate compressors on a sample and recommends one.
 
-use crate::dict::train_dictionary;
 use crate::lz::{Tzstd, TzstdLevel};
-use crate::pbc::{Pbc, PbcConfig};
+use crate::pbc::{Pbc, PbcConfig, PbcModel};
 use crate::{measure_ratio, Compressor, RawCompressor};
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use tb_common::{Error, Result};
 
 /// Monitor thresholds.
 #[derive(Debug, Clone)]
@@ -61,8 +61,8 @@ impl CompressionStats {
 /// Tracks live compression efficiency and decides when to retrain.
 pub struct CompressionMonitor {
     config: MonitorConfig,
-    /// Ratio measured right after (re)training; the degradation baseline.
-    baseline_ratio: RwLock<f64>,
+    /// Ratio measured right after training; the degradation baseline.
+    baseline_ratio: f64,
     records: AtomicU64,
     original: AtomicU64,
     compressed: AtomicU64,
@@ -72,7 +72,7 @@ impl CompressionMonitor {
     pub fn new(config: MonitorConfig, baseline_ratio: f64) -> Self {
         Self {
             config,
-            baseline_ratio: RwLock::new(baseline_ratio),
+            baseline_ratio,
             records: AtomicU64::new(0),
             original: AtomicU64::new(0),
             compressed: AtomicU64::new(0),
@@ -105,25 +105,32 @@ impl CompressionMonitor {
         if unmatched_rate > self.config.max_unmatched_rate {
             return true;
         }
-        s.ratio() > *self.baseline_ratio.read() * self.config.ratio_degradation_factor
-    }
-
-    /// Resets counters and re-baselines after retraining.
-    pub fn rebaseline(&self, new_baseline: f64) {
-        *self.baseline_ratio.write() = new_baseline;
-        self.records.store(0, Ordering::Relaxed);
-        self.original.store(0, Ordering::Relaxed);
-        self.compressed.store(0, Ordering::Relaxed);
+        s.ratio() > self.baseline_ratio * self.config.ratio_degradation_factor
     }
 }
 
-/// Which compressor the recommender selected.
+/// A value compressor kind: what the recommender selects and what a
+/// TierBase store pre-trains (§4.2). `Raw` is no compression. The
+/// discriminant is a stored model's tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompressorChoice {
     Raw,
+    /// Dictionary-less LZ ("Zstd-b" analog).
     Tzstd,
+    /// Dictionary-trained LZ ("Zstd-d" analog).
     TzstdDict,
+    /// Pattern-based compression.
     Pbc,
+}
+
+impl CompressorChoice {
+    /// Every choice, in tag order.
+    const ALL: [CompressorChoice; 4] = [
+        CompressorChoice::Raw,
+        CompressorChoice::Tzstd,
+        CompressorChoice::TzstdDict,
+        CompressorChoice::Pbc,
+    ];
 }
 
 /// The Insight-service compressor recommender: benchmarks candidates on a
@@ -160,8 +167,8 @@ impl CompressorRecommender {
         let test = if test.is_empty() { train } else { test };
 
         let raw = RawCompressor;
-        let tz = Tzstd::new(TzstdLevel(1));
-        let tzd = Tzstd::with_dict(TzstdLevel(1), train_dictionary(train, 4096));
+        let tz = Tzstd::train(TzstdLevel(1), train);
+        let tzd = Tzstd::train_with_dict(TzstdLevel(1), train);
         let pbc = Pbc::train(train, &PbcConfig::default());
 
         let raw_speed = throughput(&raw, test);
@@ -201,30 +208,29 @@ fn throughput(c: &dyn Compressor, samples: &[Vec<u8>]) -> f64 {
     bytes as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// A trained, hot-swappable compression unit: choice + compressor +
-/// monitor, with a retrain path.
+/// A trained compression unit: choice + compressor + monitor. It is
+/// never retrained in place: values coded under it must keep decoding,
+/// so a retrain builds a new unit.
 pub struct PretrainedCompression {
     choice: CompressorChoice,
-    compressor: RwLock<Built>,
+    compressor: Built,
     monitor: CompressionMonitor,
-    pbc_config: PbcConfig,
-    dict_budget: usize,
-    level: TzstdLevel,
 }
 
-/// A built compressor, kept concretely for PBC so its live match
-/// statistics stay reachable.
-#[derive(Clone)]
+/// A built compressor, kept concretely so its model serializes and
+/// PBC's live match statistics stay reachable.
 enum Built {
-    Generic(Arc<dyn Compressor>),
-    Pbc(Arc<Pbc>),
+    Raw,
+    Tzstd(Box<Tzstd>),
+    Pbc(Pbc),
 }
 
 impl Built {
     fn as_compressor(&self) -> &dyn Compressor {
         match self {
-            Built::Generic(c) => c.as_ref(),
-            Built::Pbc(p) => p.as_ref(),
+            Built::Raw => &RawCompressor,
+            Built::Tzstd(c) => c.as_ref(),
+            Built::Pbc(p) => p,
         }
     }
 }
@@ -232,21 +238,64 @@ impl Built {
 impl PretrainedCompression {
     /// Trains the chosen compressor kind on `samples`.
     pub fn train(choice: CompressorChoice, samples: &[Vec<u8>], level: TzstdLevel) -> Self {
-        let pbc_config = PbcConfig {
-            fallback_level: level,
-            ..PbcConfig::default()
+        let compressor = match choice {
+            CompressorChoice::Raw => Built::Raw,
+            CompressorChoice::Tzstd => Built::Tzstd(Box::new(Tzstd::train(level, samples))),
+            CompressorChoice::TzstdDict => {
+                Built::Tzstd(Box::new(Tzstd::train_with_dict(level, samples)))
+            }
+            CompressorChoice::Pbc => {
+                let config = PbcConfig {
+                    fallback_level: level,
+                    ..PbcConfig::default()
+                };
+                Built::Pbc(Pbc::train(samples, &config))
+            }
         };
-        let dict_budget = 4096;
-        let compressor = build(choice, samples, level, &pbc_config, dict_budget);
         let baseline = measure_ratio(compressor.as_compressor(), samples);
         Self {
             choice,
-            compressor: RwLock::new(compressor),
+            compressor,
             monitor: CompressionMonitor::new(MonitorConfig::default(), baseline),
-            pbc_config,
-            dict_budget,
-            level,
         }
+    }
+
+    /// The unit, self-describing: `choice u8 | baseline ratio f64 LE |
+    /// model`, the model being the coder's payload ([`Tzstd::payload`]
+    /// or [`PbcModel::to_bytes`]; none for `Raw`).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = vec![self.choice as u8];
+        out.extend_from_slice(&self.monitor.baseline_ratio.to_le_bytes());
+        match &self.compressor {
+            Built::Raw => {}
+            Built::Tzstd(c) => out.extend_from_slice(&c.payload()),
+            Built::Pbc(p) => out.extend_from_slice(&p.model().to_bytes()),
+        }
+        out
+    }
+
+    /// Rebuilds a unit from [`Self::to_bytes`], its monitor fresh.
+    /// Arbitrary bytes are [`Error::Corruption`], never a panic.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        let corrupt = || Error::Corruption("compression model truncated or unknown".into());
+        let (&tag, rest) = bytes.split_first().ok_or_else(corrupt)?;
+        let choice = CompressorChoice::ALL.get(usize::from(tag));
+        let choice = *choice.ok_or_else(corrupt)?;
+        let (baseline, model) = rest.split_first_chunk().ok_or_else(corrupt)?;
+        let baseline = f64::from_le_bytes(*baseline);
+        let compressor = match choice {
+            CompressorChoice::Raw if model.is_empty() => Built::Raw,
+            CompressorChoice::Raw => return Err(corrupt()),
+            CompressorChoice::Tzstd | CompressorChoice::TzstdDict => {
+                Built::Tzstd(Box::new(Tzstd::from_payload(model)?))
+            }
+            CompressorChoice::Pbc => Built::Pbc(Pbc::new(Arc::new(PbcModel::from_bytes(model)?))),
+        };
+        Ok(Self {
+            choice,
+            compressor,
+            monitor: CompressionMonitor::new(MonitorConfig::default(), baseline),
+        })
     }
 
     pub fn choice(&self) -> CompressorChoice {
@@ -259,59 +308,26 @@ impl PretrainedCompression {
 
     /// Compresses and feeds the monitor.
     pub fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let out = self.compressor.read().as_compressor().compress(input);
+        let out = self.compressor.as_compressor().compress(input);
         self.monitor.observe(input.len(), out.len());
         out
     }
 
-    pub fn decompress(&self, input: &[u8]) -> tb_common::Result<Vec<u8>> {
-        self.compressor.read().as_compressor().decompress(input)
+    pub fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
+        self.compressor.as_compressor().decompress(input)
     }
 
     /// Current PBC pattern-miss rate (0 for non-PBC choices).
     pub fn unmatched_rate(&self) -> f64 {
-        match &*self.compressor.read() {
+        match &self.compressor {
             Built::Pbc(p) => p.unmatched_rate(),
-            Built::Generic(_) => 0.0,
+            _ => 0.0,
         }
     }
 
     /// True when the monitor's degradation triggers have fired.
     pub fn should_retrain(&self) -> bool {
         self.monitor.should_retrain(self.unmatched_rate())
-    }
-
-    /// Re-samples and retrains the same compressor kind, re-baselining
-    /// the monitor (the §4.2 re-train path).
-    pub fn retrain(&self, samples: &[Vec<u8>]) {
-        let compressor = build(
-            self.choice,
-            samples,
-            self.level,
-            &self.pbc_config,
-            self.dict_budget,
-        );
-        let baseline = measure_ratio(compressor.as_compressor(), samples);
-        *self.compressor.write() = compressor;
-        self.monitor.rebaseline(baseline);
-    }
-}
-
-fn build(
-    choice: CompressorChoice,
-    samples: &[Vec<u8>],
-    level: TzstdLevel,
-    pbc_config: &PbcConfig,
-    dict_budget: usize,
-) -> Built {
-    match choice {
-        CompressorChoice::Raw => Built::Generic(Arc::new(RawCompressor)),
-        CompressorChoice::Tzstd => Built::Generic(Arc::new(Tzstd::new(level))),
-        CompressorChoice::TzstdDict => Built::Generic(Arc::new(Tzstd::with_dict(
-            level,
-            train_dictionary(samples, dict_budget),
-        ))),
-        CompressorChoice::Pbc => Built::Pbc(Arc::new(Pbc::train(samples, pbc_config))),
     }
 }
 
@@ -365,22 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn monitor_rebaseline_resets() {
-        let cfg = MonitorConfig {
-            min_observations: 1,
-            ..MonitorConfig::default()
-        };
-        let m = CompressionMonitor::new(cfg, 0.5);
-        for _ in 0..5 {
-            m.observe(100, 95);
-        }
-        assert!(m.should_retrain(0.0));
-        m.rebaseline(0.95);
-        assert_eq!(m.stats().records, 0);
-        assert!(!m.should_retrain(0.0));
-    }
-
-    #[test]
     fn recommender_prefers_trained_compressors_on_templated_data() {
         let samples = templated(120, 0x9e3779b9);
         let (choice, reports) = CompressorRecommender::default().recommend(&samples);
@@ -411,24 +411,27 @@ mod tests {
     }
 
     #[test]
-    fn retrain_swaps_compressor_and_rebaselines() {
-        let old = templated(60, 0x1111);
-        let unit = PretrainedCompression::train(CompressorChoice::TzstdDict, &old, TzstdLevel(1));
-        for rec in &old {
-            unit.compress(rec);
+    fn unit_bytes_rebuild_a_unit_that_decodes_its_values() {
+        let samples = templated(80, 0x1111);
+        for choice in CompressorChoice::ALL {
+            let unit = PretrainedCompression::train(choice, &samples, TzstdLevel(1));
+            let bytes = unit.to_bytes();
+            let back = PretrainedCompression::from_bytes(&bytes).unwrap();
+            assert_eq!(back.choice(), choice);
+            assert_eq!(back.to_bytes(), bytes);
+            for rec in &samples[60..] {
+                assert_eq!(&back.decompress(&unit.compress(rec)).unwrap(), rec);
+            }
+            // No model, or a baseline cut short.
+            for cut in [0, 1, 8] {
+                assert!(matches!(
+                    PretrainedCompression::from_bytes(&bytes[..cut]),
+                    Err(Error::Corruption(_))
+                ));
+            }
         }
-        let before = unit.monitor().stats();
-        assert!(before.records > 0);
-
-        // Shifted data distribution; retrain on it.
-        let new: Vec<Vec<u8>> = (0..60)
-            .map(|i| format!("LOG|{i:08}|level=WARN|svc=pay|trace={i:024x}").into_bytes())
-            .collect();
-        unit.retrain(&new);
-        assert_eq!(unit.monitor().stats().records, 0);
-        let z = unit.compress(&new[10]);
-        assert_eq!(&unit.decompress(&z).unwrap(), &new[10]);
-        assert!(z.len() < new[10].len());
+        let unknown = [&[4u8][..], &[0; 8]].concat();
+        assert!(PretrainedCompression::from_bytes(&unknown).is_err());
     }
 
     #[test]

@@ -266,19 +266,20 @@ impl<'a> BitReader<'a> {
     /// [`CODES_PER_REFILL`] codes.
     #[inline(always)]
     pub fn refill(&mut self) {
-        if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
-            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
-            self.acc |= word << self.nbits;
-            self.pos += ((63 - self.nbits) >> 3) as usize;
-            self.nbits |= 56;
-        } else {
-            while self.nbits <= 56 {
-                let b = self.buf.get(self.pos).copied().unwrap_or(0);
-                self.acc |= (b as u64) << self.nbits;
-                self.pos += 1;
-                self.nbits += 8;
+        let word = match self.buf.get(self.pos..self.pos + 8) {
+            Some(word) => u64::from_le_bytes(word.try_into().expect("8-byte slice")),
+            // The stream's last bytes, then zeros: one load still
+            // tops up a short stream (a record's) or its tail.
+            None => {
+                let mut word = [0; 8];
+                let tail = self.buf.get(self.pos..).unwrap_or_default();
+                word[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(word)
             }
-        }
+        };
+        self.acc |= word << self.nbits;
+        self.pos += ((63 - self.nbits) >> 3) as usize;
+        self.nbits |= 56;
     }
 
     /// Succeeds iff exactly the buffer was consumed: no symbol was read

@@ -7,12 +7,14 @@
 //!   Zstandard: same role (general string compression, dictionary mode for
 //!   small records), same knobs (level trades ratio against speed), same
 //!   training flow (`train_dictionary` ≈ `zstd --train`). Its entropy
-//!   stage is simpler than zstd's — an adaptive order-0 range coder for
-//!   single records ([`rangecoder`]), table-trained static Huffman under
-//!   sixteen token-field and previous-byte contexts for SSTable blocks
-//!   ([`block`]) — so ratios are a little worse than real zstd, but the
-//!   *orderings* the paper measures (dict > no-dict on small records,
-//!   higher level → better ratio/slower SET) are preserved.
+//!   stage is simpler than zstd's — static Huffman under sixteen
+//!   token-field and previous-byte contexts, trained once per SSTable on
+//!   its blocks and once per record model on its samples ([`block`]) —
+//!   so ratios are a little worse than real zstd, but the *orderings*
+//!   the paper measures (dict > no-dict on small records, higher level →
+//!   better ratio/slower SET) are preserved. Records and blocks share
+//!   one parser, one token format, one decoder and one dictionary
+//!   mechanism (a [`lz::Prefix`] of match history).
 //! * **PBC** ([`pbc`]) — Pattern-Based Compression per the paper and ref
 //!   [59]: offline hierarchical clustering of sampled records extracts
 //!   *patterns* (templates of literal anchors with wildcard gaps); a record
@@ -29,7 +31,6 @@ pub mod framework;
 mod huffman;
 pub mod lz;
 pub mod pbc;
-pub mod rangecoder;
 
 pub use block::{BlockCodec, BlockCodecState, FRAME_HEADER_LEN, FRAME_TAG_STORED};
 pub use dict::train_dictionary;

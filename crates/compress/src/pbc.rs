@@ -16,16 +16,23 @@
 //!
 //! **Compression**: greedily locate each pattern literal in order; emit
 //! `pattern id + gap residuals`. Records matching no pattern fall back to
-//! `tzstd` (and the fallback rate feeds the retraining monitor).
+//! a `tzstd` coder trained on the same samples, with their dictionary
+//! (and the fallback rate feeds the retraining monitor).
 //! **Decompression** is a sequence of memcpys — literals from the pattern,
 //! gaps from the payload — which is why PBC GET throughput approaches raw
 //! (Table 2).
 
-use crate::lz::{read_varint, write_varint, TrainedDict, Tzstd, TzstdLevel};
+use crate::lz::{Tzstd, TzstdLevel};
 use crate::Compressor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tb_common::{Error, Result};
+use tb_common::{read_varint, write_varint, Error, Result};
+
+/// First byte of [`PbcModel::to_bytes`]: the layout whose fallback is
+/// a trained `tzstd` coder's payload. The previous layout began with
+/// the pattern count, and no count under 128 (`max_patterns` is 64)
+/// is written as this byte.
+const MODEL_FORMAT: u8 = 0xb1;
 
 /// Record tag: tzstd fallback (no pattern matched).
 const TAG_FALLBACK: u8 = 0;
@@ -92,16 +99,24 @@ impl Pattern {
         Some(gaps)
     }
 
-    /// Reassembles a record from gap residuals.
-    fn reconstruct(&self, gaps: &[Vec<u8>]) -> Vec<u8> {
-        let total: usize = self.literal_bytes() + gaps.iter().map(|g| g.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total);
-        for (i, lit) in self.literals.iter().enumerate() {
-            out.extend_from_slice(&gaps[i]);
+    /// Reassembles a record from its gap lengths and the gaps' bytes,
+    /// one after another in `blob`.
+    fn reconstruct(&self, lens: &[u64], mut blob: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::with_capacity(self.literal_bytes() + blob.len());
+        let literals = self.literals.iter().map(Vec::as_slice).chain([&[][..]]);
+        for (&len, lit) in lens.iter().zip(literals) {
+            let (gap, rest) = usize::try_from(len)
+                .ok()
+                .and_then(|n| blob.split_at_checked(n))
+                .ok_or_else(|| Error::Corruption("PBC gaps overrun their residuals".into()))?;
+            out.extend_from_slice(gap);
             out.extend_from_slice(lit);
+            blob = rest;
         }
-        out.extend_from_slice(gaps.last().expect("trailing gap"));
-        out
+        if !blob.is_empty() {
+            return Err(Error::Corruption("PBC residuals outlast their gaps".into()));
+        }
+        Ok(out)
     }
 }
 
@@ -238,13 +253,8 @@ impl PbcModel {
         patterns.sort_by_key(|p| std::cmp::Reverse(p.literal_bytes()));
 
         // Residuals and fallback records still benefit from a small
-        // dictionary trained on the same samples.
-        let dict = crate::dict::train_dictionary(samples, 4096);
-        let fallback = if dict.is_empty() {
-            Tzstd::new(config.fallback_level)
-        } else {
-            Tzstd::with_dict(config.fallback_level, dict)
-        };
+        // dictionary and tables trained on the same samples.
+        let fallback = Tzstd::train_with_dict(config.fallback_level, samples);
         Self { patterns, fallback }
     }
 
@@ -252,17 +262,12 @@ impl PbcModel {
         self.patterns.len()
     }
 
-    /// The trained fallback dictionary (exposed for diagnostics).
-    pub fn fallback_dict(&self) -> Option<&Arc<TrainedDict>> {
-        self.fallback.dictionary()
-    }
-
-    /// Serializes the trained model — pattern table in order (records
-    /// reference patterns by index), fallback level, fallback
-    /// dictionary — so it can be stored as a table-level dictionary
-    /// payload and rebuilt by [`PbcModel::from_bytes`].
+    /// Serializes the trained model — [`MODEL_FORMAT`], the pattern
+    /// table in order (records reference patterns by index), then the
+    /// fallback coder's payload — so it can be stored as a table-level
+    /// dictionary payload and rebuilt by [`PbcModel::from_bytes`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = vec![MODEL_FORMAT];
         write_varint(&mut out, self.patterns.len() as u64);
         for p in &self.patterns {
             write_varint(&mut out, p.literals.len() as u64);
@@ -271,60 +276,38 @@ impl PbcModel {
                 out.extend_from_slice(lit);
             }
         }
-        out.extend_from_slice(&self.fallback.level().0.to_le_bytes());
-        let dict = self
-            .fallback
-            .dictionary()
-            .map(|d| d.as_bytes())
-            .unwrap_or(&[]);
-        write_varint(&mut out, dict.len() as u64);
-        out.extend_from_slice(dict);
+        out.extend_from_slice(&self.fallback.payload());
         out
     }
 
     /// Rebuilds a model serialized by [`PbcModel::to_bytes`]. Every
     /// malformed input is an [`Error::Corruption`], never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut pos = 0usize;
-        let take = |bytes: &[u8], pos: &mut usize, len: usize| -> Result<Vec<u8>> {
-            let end = pos
-                .checked_add(len)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| Error::Corruption("PBC model truncated".into()))?;
-            let out = bytes[*pos..end].to_vec();
-            *pos = end;
-            Ok(out)
-        };
-        let pattern_count = read_varint(bytes, &mut pos)? as usize;
-        if pattern_count > bytes.len() {
-            return Err(Error::Corruption("implausible PBC pattern count".into()));
+        let truncated = || Error::Corruption("PBC model truncated".into());
+        if bytes.first() != Some(&MODEL_FORMAT) {
+            return Err(Error::Corruption("not a PBC model of this format".into()));
         }
-        let mut patterns = Vec::with_capacity(pattern_count);
-        for _ in 0..pattern_count {
-            let lit_count = read_varint(bytes, &mut pos)? as usize;
-            if lit_count > bytes.len() {
-                return Err(Error::Corruption("implausible PBC literal count".into()));
-            }
-            let mut literals = Vec::with_capacity(lit_count);
-            for _ in 0..lit_count {
-                let len = read_varint(bytes, &mut pos)? as usize;
-                literals.push(take(bytes, &mut pos, len)?);
+        let mut pos = 1;
+        // A count or length past the model's size is refused before it
+        // sizes anything.
+        let len = |pos: &mut usize| {
+            read_varint(bytes, pos)
+                .ok()
+                .and_then(|n| usize::try_from(n).ok())
+                .filter(|&n| n <= bytes.len())
+                .ok_or_else(truncated)
+        };
+        let mut patterns = Vec::new();
+        for _ in 0..len(&mut pos)? {
+            let mut literals = Vec::new();
+            for _ in 0..len(&mut pos)? {
+                let n = len(&mut pos)?;
+                literals.push(bytes.get(pos..pos + n).ok_or_else(truncated)?.to_vec());
+                pos += n;
             }
             patterns.push(Pattern { literals });
         }
-        let level = TzstdLevel(i32::from_le_bytes(
-            take(bytes, &mut pos, 4)?.try_into().expect("4 bytes"),
-        ));
-        let dict_len = read_varint(bytes, &mut pos)? as usize;
-        let dict_bytes = take(bytes, &mut pos, dict_len)?;
-        if pos != bytes.len() {
-            return Err(Error::Corruption("trailing garbage after PBC model".into()));
-        }
-        let fallback = if dict_bytes.is_empty() {
-            Tzstd::new(level)
-        } else {
-            Tzstd::with_dict(level, Arc::new(TrainedDict::new(dict_bytes)))
-        };
+        let fallback = Tzstd::from_payload(&bytes[pos..])?;
         Ok(Self { patterns, fallback })
     }
 }
@@ -469,12 +452,6 @@ impl Pbc {
             f as f64 / (m + f) as f64
         }
     }
-
-    /// Resets live statistics (after retraining).
-    pub fn reset_stats(&self) {
-        self.matched.store(0, Ordering::Relaxed);
-        self.fallback_count.store(0, Ordering::Relaxed);
-    }
 }
 
 impl Compressor for Pbc {
@@ -486,27 +463,19 @@ impl Compressor for Pbc {
                 continue; // cannot possibly help
             }
             if let Some(gaps) = p.match_record(input) {
-                let mut header = Vec::with_capacity(gaps.len() + 4);
-                write_varint(&mut header, id as u64);
+                let mut out = vec![TAG_PATTERN];
+                write_varint(&mut out, id as u64);
                 for g in &gaps {
-                    write_varint(&mut header, g.len() as u64);
-                }
-                let blob_len: usize = gaps.iter().map(|g| g.len()).sum();
-                let mut blob = Vec::with_capacity(blob_len);
-                for g in &gaps {
-                    blob.extend_from_slice(g);
+                    write_varint(&mut out, g.len() as u64);
                 }
                 // Residuals are compressed further when that actually
                 // saves bytes; otherwise kept plain (fast GET path).
+                let blob = gaps.concat();
                 let lz_blob = self.model.fallback.compress(&blob);
-                let mut out = Vec::with_capacity(header.len() + blob.len() + 1);
                 if lz_blob.len() + 4 < blob.len() {
-                    out.push(TAG_PATTERN_LZ);
-                    out.extend_from_slice(&header);
+                    out[0] = TAG_PATTERN_LZ;
                     out.extend_from_slice(&lz_blob);
                 } else {
-                    out.push(TAG_PATTERN);
-                    out.extend_from_slice(&header);
                     out.extend_from_slice(&blob);
                 }
                 if out.len() < input.len() {
@@ -516,10 +485,7 @@ impl Compressor for Pbc {
             }
         }
         self.fallback_count.fetch_add(1, Ordering::Relaxed);
-        let mut out = Vec::with_capacity(input.len() / 2 + 8);
-        out.push(TAG_FALLBACK);
-        out.extend_from_slice(&self.model.fallback.compress(input));
-        out
+        [&[TAG_FALLBACK][..], &self.model.fallback.compress(input)].concat()
     }
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
@@ -529,37 +495,21 @@ impl Compressor for Pbc {
         match tag {
             TAG_FALLBACK => self.model.fallback.decompress(rest),
             TAG_PATTERN | TAG_PATTERN_LZ => {
-                let mut pos = 0usize;
-                let id = read_varint(rest, &mut pos)? as usize;
-                let pattern = self
-                    .model
-                    .patterns
-                    .get(id)
+                let mut pos = 0;
+                let id = read_varint(rest, &mut pos)?;
+                let pattern = usize::try_from(id)
+                    .ok()
+                    .and_then(|id| self.model.patterns.get(id))
                     .ok_or_else(|| Error::Corruption(format!("unknown pattern id {id}")))?;
-                let gap_count = pattern.literals.len() + 1;
-                let mut lens = Vec::with_capacity(gap_count);
-                for _ in 0..gap_count {
-                    lens.push(read_varint(rest, &mut pos)? as usize);
+                let lens = (0..=pattern.literals.len())
+                    .map(|_| read_varint(rest, &mut pos))
+                    .collect::<Result<Vec<_>>>()?;
+                match tag {
+                    TAG_PATTERN_LZ => {
+                        pattern.reconstruct(&lens, &self.model.fallback.decompress(&rest[pos..])?)
+                    }
+                    _ => pattern.reconstruct(&lens, &rest[pos..]),
                 }
-                let blob: Vec<u8> = if tag == TAG_PATTERN_LZ {
-                    self.model.fallback.decompress(&rest[pos..])?
-                } else {
-                    rest[pos..].to_vec()
-                };
-                let expected: usize = lens.iter().sum();
-                if blob.len() != expected {
-                    return Err(Error::Corruption(format!(
-                        "residual blob is {} bytes, gaps need {expected}",
-                        blob.len()
-                    )));
-                }
-                let mut gaps = Vec::with_capacity(gap_count);
-                let mut bpos = 0usize;
-                for len in lens {
-                    gaps.push(blob[bpos..bpos + len].to_vec());
-                    bpos += len;
-                }
-                Ok(pattern.reconstruct(&gaps))
             }
             other => Err(Error::Corruption(format!("bad PBC tag {other}"))),
         }
@@ -649,7 +599,7 @@ mod tests {
         let samples = kv_samples(64);
         let test = kv_samples(200)[100..].to_vec();
         let pbc = Pbc::train(&samples, &PbcConfig::default());
-        let lz = Tzstd::new(TzstdLevel(1));
+        let lz = Tzstd::train(TzstdLevel(1), &samples);
         let r_pbc = measure_ratio(&pbc, &test);
         let r_lz = measure_ratio(&lz, &test);
         assert!(
@@ -702,8 +652,10 @@ mod tests {
         };
         let rec = b"xxAByyCDzz";
         let gaps = p.match_record(rec).unwrap();
-        let owned: Vec<Vec<u8>> = gaps.iter().map(|g| g.to_vec()).collect();
-        assert_eq!(p.reconstruct(&owned), rec);
+        let lens: Vec<u64> = gaps.iter().map(|g| g.len() as u64).collect();
+        assert_eq!(p.reconstruct(&lens, &gaps.concat()).unwrap(), rec);
+        assert!(p.reconstruct(&lens, b"xxyyz").is_err());
+        assert!(p.reconstruct(&lens, b"xxyyzzz").is_err());
     }
 
     #[test]
@@ -713,11 +665,7 @@ mod tests {
         let bytes = model.to_bytes();
         let back = PbcModel::from_bytes(&bytes).unwrap();
         assert_eq!(back.patterns, model.patterns, "pattern order must survive");
-        assert_eq!(back.fallback.level(), model.fallback.level());
-        assert_eq!(
-            back.fallback_dict().map(|d| d.as_bytes().to_vec()),
-            model.fallback_dict().map(|d| d.as_bytes().to_vec())
-        );
+        assert_eq!(back.to_bytes(), bytes);
         // Records compressed by the original decode under the revived
         // model (pattern ids reference positions).
         let pbc = Pbc::new(Arc::new(model));
@@ -737,18 +685,27 @@ mod tests {
         for cut in 0..bytes.len().min(64) {
             let _ = PbcModel::from_bytes(&bytes[..cut]); // must not panic
         }
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(PbcModel::from_bytes(&trailing).is_err());
+        // The fallback coder's dictionary runs to the end: grown past
+        // its bound, it is refused.
+        let grown = [&bytes[..], &[0; crate::block::MAX_DICT_BYTES + 1]].concat();
+        assert!(PbcModel::from_bytes(&grown).is_err());
     }
 
     #[test]
-    fn reset_stats_clears_counters() {
-        let pbc = Pbc::train(&kv_samples(16), &PbcConfig::default());
-        pbc.compress(b"no match here at all \x01\x02");
-        assert!(pbc.unmatched_rate() > 0.0);
-        pbc.reset_stats();
-        assert_eq!(pbc.unmatched_rate(), 0.0);
+    fn model_of_the_previous_layout_is_corruption() {
+        // One pattern of one literal, "abc"; fallback level 1 and an
+        // empty dictionary: what a pbc table written before the format
+        // byte carries.
+        let previous = [1, 1, 3, b'a', b'b', b'c', 1, 0, 0, 0, 0];
+        assert!(matches!(
+            PbcModel::from_bytes(&previous),
+            Err(Error::Corruption(_))
+        ));
+        let trained = PbcModel::train(&kv_samples(32), &PbcConfig::default()).to_bytes();
+        assert!(matches!(
+            PbcModel::from_bytes(&trained[1..]),
+            Err(Error::Corruption(_))
+        ));
     }
 
     proptest! {
@@ -771,6 +728,34 @@ mod tests {
                 ).into_bytes();
                 let z = pbc.compress(&rec);
                 prop_assert_eq!(pbc.decompress(&z).unwrap(), rec);
+            }
+        }
+
+        /// A stored model's bytes damaged — arbitrary, cut short, one
+        /// bit flipped (patterns or fallback coder), grown — are `Ok`
+        /// or `Corruption`, never a panic; a model that opens
+        /// round-trips matching and fallback records.
+        #[test]
+        fn prop_from_bytes_is_ok_or_corruption(
+            bytes in proptest::collection::vec(any::<u8>(), 0..700),
+            cut in any::<usize>(),
+            bit in any::<usize>(),
+        ) {
+            let good = PbcModel::train(&kv_samples(24), &PbcConfig::default()).to_bytes();
+            let mut flipped = good.clone();
+            flipped[bit / 8 % good.len()] ^= 1 << (bit % 8);
+            let grown = [&good[..], &bytes].concat();
+            let formatted = [&[MODEL_FORMAT][..], &bytes].concat();
+            for payload in [&bytes[..], &formatted, &good[..cut % good.len()], &flipped, &grown] {
+                match PbcModel::from_bytes(payload) {
+                    Ok(model) => {
+                        let pbc = Pbc::new(Arc::new(model));
+                        for rec in [&kv_samples(30)[29][..], b"<<no pattern here>>"] {
+                            prop_assert_eq!(pbc.decompress(&pbc.compress(rec)).unwrap(), rec);
+                        }
+                    }
+                    Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
+                }
             }
         }
     }

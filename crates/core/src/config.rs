@@ -8,6 +8,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use tb_common::{Clock, SystemClock};
+use tb_compress::CompressorChoice;
 use tb_elastic::ThreadMode;
 
 /// How the cache tier synchronizes with the storage tier (§4.1), or
@@ -34,18 +35,6 @@ pub enum PersistenceMode {
     /// WAL on a PMem persistent ring buffer, synced per transaction and
     /// batch-drained ("WAL-PMem").
     WalPmem,
-}
-
-/// Which value compressor to pre-train (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompressionChoice {
-    None,
-    /// Dictionary-less LZ ("Zstd-b" analog).
-    Tzstd,
-    /// Dictionary-trained LZ ("Zstd-d" analog).
-    TzstdDict,
-    /// Pattern-based compression.
-    Pbc,
 }
 
 /// Write-back pacing.
@@ -105,8 +94,8 @@ pub struct TierBaseConfig {
     pub policy: SyncPolicy,
     /// Cache-tier persistence (only meaningful without a storage tier).
     pub persistence: PersistenceMode,
-    /// Value compression.
-    pub compression: CompressionChoice,
+    /// Which value compressor to pre-train (§4.2); `Raw` is off.
+    pub compression: CompressorChoice,
     /// Enable the DRAM/PMem split for cache values.
     pub pmem: Option<PmemTuning>,
     /// Threading mode (single, multi, elastic).
@@ -152,7 +141,7 @@ impl TierBaseConfig {
                 replication_mode: tb_cache::ReplicationMode::Sync,
                 policy: SyncPolicy::InMemory,
                 persistence: PersistenceMode::None,
-                compression: CompressionChoice::None,
+                compression: CompressorChoice::Raw,
                 pmem: None,
                 threading: ThreadMode::Single,
                 write_back: WriteBackTuning::default(),
@@ -208,7 +197,7 @@ impl TierBaseConfigBuilder {
         self
     }
 
-    pub fn compression(mut self, c: CompressionChoice) -> Self {
+    pub fn compression(mut self, c: CompressorChoice) -> Self {
         self.config.compression = c;
         self
     }
@@ -258,7 +247,7 @@ mod tests {
         let c = TierBaseConfig::builder("/tmp/x").build();
         assert_eq!(c.policy, SyncPolicy::InMemory);
         assert_eq!(c.persistence, PersistenceMode::None);
-        assert_eq!(c.compression, CompressionChoice::None);
+        assert_eq!(c.compression, CompressorChoice::Raw);
         assert!(!c.needs_storage_tier());
         assert!(c.pmem.is_none());
     }
@@ -276,13 +265,13 @@ mod tests {
         let c = TierBaseConfig::builder("/tmp/x")
             .cache_capacity(1234)
             .replicas(2)
-            .compression(CompressionChoice::Pbc)
+            .compression(CompressorChoice::Pbc)
             .pmem(PmemTuning::default())
             .threading(ThreadMode::Elastic(4))
             .build();
         assert_eq!(c.cache_capacity, 1234);
         assert_eq!(c.replicas, 2);
-        assert_eq!(c.compression, CompressionChoice::Pbc);
+        assert_eq!(c.compression, CompressorChoice::Pbc);
         assert!(c.pmem.is_some());
         assert_eq!(c.threading, ThreadMode::Elastic(4));
     }

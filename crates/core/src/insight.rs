@@ -8,10 +8,11 @@
 //! tiering, compression (including the §4.2 retrain trigger), PMem,
 //! elastic threading, and cache sizing.
 
-use crate::config::{CompressionChoice, SyncPolicy};
+use crate::config::SyncPolicy;
 use crate::store::TierBase;
 use std::sync::atomic::Ordering;
 use tb_common::KvEngine;
+use tb_compress::CompressorChoice;
 
 /// A point-in-time view of a store's health.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +95,7 @@ impl<'s> Insight<'s> {
 
         // Space-heavy, untiered, uncompressed → Table 1 "Space-critical".
         if config.policy == SyncPolicy::InMemory
-            && config.compression == CompressionChoice::None
+            && config.compression == CompressorChoice::Raw
             && snap.read_write_ratio >= 1.0
         {
             out.push(Suggestion {

@@ -44,12 +44,12 @@ pub mod vector;
 pub mod wide;
 
 pub use config::{
-    CompressionChoice, PersistenceMode, PmemTuning, SyncPolicy, TierBaseConfig,
-    TierBaseConfigBuilder, WriteBackTuning,
+    PersistenceMode, PmemTuning, SyncPolicy, TierBaseConfig, TierBaseConfigBuilder, WriteBackTuning,
 };
 pub use insight::{Action, Insight, InsightSnapshot, Suggestion};
 pub use interval::AccessIntervalTracker;
 pub use store::{TierBase, TierBaseStats};
+pub use tb_compress::CompressorChoice;
 pub use types::{DataTypes, ListEnd};
 pub use vector::{HnswConfig, HnswIndex};
 pub use wide::WideColumn;

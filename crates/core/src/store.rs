@@ -8,17 +8,19 @@
 //! synchronization (`sync`, the write-back flush) in `store_sync.rs`;
 //! the counters in `store_stats.rs`.
 
-use crate::config::{CompressionChoice, PersistenceMode, SyncPolicy, TierBaseConfig};
+use crate::config::{PersistenceMode, SyncPolicy, TierBaseConfig};
 use crate::interval::AccessIntervalTracker;
 use crate::store_write::{apply_log_record, COLD_LOG};
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tb_cache::{CacheConfig, ReplicatedCache};
 use tb_common::{
-    deadline_after, read_varint, write_varint, EngineOp, Error, Key, KvEngine, OpOutcome, Result,
-    TtlState, Value,
+    crc32, deadline_after, read_varint, write_varint, EngineOp, Error, Key, KvEngine, OpOutcome,
+    Result, TtlState, Value,
 };
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
 use tb_elastic::ElasticGate;
@@ -31,29 +33,32 @@ use tb_pmem::placement::PlacementPolicy;
 
 pub use crate::store_stats::TierBaseStats;
 
-/// Envelope flag bit: payload compressed by the trained compressor.
-/// (A zero flags byte — the legacy `ENV_RAW` tag — still decodes.)
+/// Envelope flag bit: payload compressed by a trained model, whose
+/// varint generation follows the flags (as a zstd frame names its
+/// dictionary).
 const ENV_COMPRESSED: u8 = 0b01;
 /// Envelope flag bit: a varint expiry deadline (absolute clock
 /// nanoseconds) precedes the payload.
 const ENV_HAS_EXPIRY: u8 = 0b10;
 
-/// Parses an envelope header: `(compressed, expires_at, payload offset)`.
-pub(crate) fn parse_envelope(stored: &[u8]) -> Result<(bool, Option<u64>, usize)> {
-    let (&flags, rest) = stored
-        .split_first()
+/// Parses an envelope header: `(model generation if compressed,
+/// expires_at, payload offset)`.
+pub(crate) fn parse_envelope(stored: &[u8]) -> Result<(Option<u64>, Option<u64>, usize)> {
+    let &flags = stored
+        .first()
         .ok_or_else(|| Error::Corruption("empty stored value".into()))?;
     if flags & !(ENV_COMPRESSED | ENV_HAS_EXPIRY) != 0 {
         return Err(Error::Corruption(format!("bad value envelope {flags}")));
     }
-    let compressed = flags & ENV_COMPRESSED != 0;
-    if flags & ENV_HAS_EXPIRY != 0 {
-        let mut pos = 0usize;
-        let deadline = read_varint(rest, &mut pos)?;
-        Ok((compressed, Some(deadline), 1 + pos))
-    } else {
-        Ok((compressed, None, 1))
-    }
+    let mut pos = 1;
+    let mut field = |bit: u8| {
+        (flags & bit != 0)
+            .then(|| read_varint(stored, &mut pos))
+            .transpose()
+    };
+    let generation = field(ENV_COMPRESSED)?;
+    let expires_at = field(ENV_HAS_EXPIRY)?;
+    Ok((generation, expires_at, pos))
 }
 
 /// Reads just the expiry deadline from an envelope (cache re-population
@@ -67,9 +72,9 @@ pub(crate) fn envelope_expiry(stored: &Value) -> Option<u64> {
 /// Number of values sampled before compression auto-trains.
 const AUTO_TRAIN_SAMPLES: usize = 256;
 
-struct Compression {
-    unit: PretrainedCompression,
-}
+/// `<dir>/cache.model.<generation>`: a trained compression model, as
+/// [`PretrainedCompression::to_bytes`] then its `crc32` (u32 LE).
+const MODEL_FILE: &str = "cache.model.";
 
 pub(crate) struct Inner {
     pub(crate) config: TierBaseConfig,
@@ -80,7 +85,10 @@ pub(crate) struct Inner {
     /// so records carry a local counter to satisfy the LSN framing.
     pub(crate) wal_seq: AtomicU64,
     pub(crate) ring: Option<PersistentRingBuffer>,
-    compression: Mutex<Option<Compression>>,
+    /// Every trained compression model by generation; new values use
+    /// the newest. A model is on disk before any value uses it, and is
+    /// never replaced, so every stored envelope keeps decoding.
+    models: Mutex<BTreeMap<u64, Arc<PretrainedCompression>>>,
     train_samples: Mutex<Vec<Vec<u8>>>,
     pub(crate) ops_since_flush: AtomicU64,
     pub(crate) cas_lock: Mutex<()>,
@@ -105,6 +113,7 @@ impl TierBase {
     /// Opens a store, running recovery appropriate to its configuration.
     pub fn open(config: TierBaseConfig) -> Result<Self> {
         std::fs::create_dir_all(&config.dir)?;
+        let models = load_models(&config.dir)?;
 
         let placement: Arc<dyn PlacementPolicy> = match &config.pmem {
             Some(t) => Arc::new(SplitPlacement {
@@ -213,7 +222,7 @@ impl TierBase {
                 wal,
                 wal_seq: AtomicU64::new(wal_seq),
                 ring,
-                compression: Mutex::new(None),
+                models: Mutex::new(models),
                 train_samples: Mutex::new(Vec::new()),
                 ops_since_flush: AtomicU64::new(0),
                 cas_lock: Mutex::new(()),
@@ -237,27 +246,21 @@ impl TierBase {
     }
 
     /// Pre-trains the configured compressor on sample values (the §4.2
-    /// offline pre-training phase). No-op for `CompressionChoice::None`.
-    pub fn train_compression(&self, samples: &[Vec<u8>]) {
-        self.inner.train_compression(samples);
+    /// offline pre-training phase, and its monitor-triggered retrain) as
+    /// the next model generation, which new values then use; values
+    /// stored under earlier generations keep theirs. The model is
+    /// durable in `<dir>` when this returns. No-op for
+    /// `CompressorChoice::Raw`.
+    pub fn train_compression(&self, samples: &[Vec<u8>]) -> Result<()> {
+        self.inner.train_compression(samples)
     }
 
-    /// Retrains compression on fresh samples (monitor-triggered).
-    pub fn retrain_compression(&self, samples: &[Vec<u8>]) {
-        let guard = self.inner.compression.lock();
-        if let Some(c) = guard.as_ref() {
-            c.unit.retrain(samples);
-        }
-    }
-
-    /// True when the compression monitor advises retraining.
+    /// True when the newest model's monitor advises retraining.
     pub fn compression_should_retrain(&self) -> bool {
-        self.inner
-            .compression
-            .lock()
-            .as_ref()
-            .map(|c| c.unit.should_retrain())
-            .unwrap_or(false)
+        let models = self.inner.models.lock();
+        models
+            .last_key_value()
+            .is_some_and(|(_, unit)| unit.should_retrain())
     }
 
     /// Fails the next `n` storage-tier write calls (failure injection).
@@ -425,10 +428,10 @@ impl KvEngine for TierBase {
             PersistenceMode::None => {}
         }
         match i.config.compression {
-            CompressionChoice::Tzstd => parts.push("tzstd".into()),
-            CompressionChoice::TzstdDict => parts.push("tzstd-d".into()),
-            CompressionChoice::Pbc => parts.push("pbc".into()),
-            CompressionChoice::None => {}
+            CompressorChoice::Tzstd => parts.push("tzstd".into()),
+            CompressorChoice::TzstdDict => parts.push("tzstd-d".into()),
+            CompressorChoice::Pbc => parts.push("pbc".into()),
+            CompressorChoice::Raw => {}
         }
         if i.config.pmem.is_some() {
             parts.push("pmem".into());
@@ -445,86 +448,131 @@ impl KvEngine for TierBase {
 impl Inner {
     // ----- value envelope ------------------------------------------------
 
-    fn seal_envelope(payload: &[u8], compressed: bool, expires_at: Option<u64>) -> Value {
+    fn seal_envelope(payload: &[u8], generation: Option<u64>, expires_at: Option<u64>) -> Value {
         let mut out = Vec::with_capacity(payload.len() + 11);
         let mut flags = 0u8;
-        if compressed {
+        if generation.is_some() {
             flags |= ENV_COMPRESSED;
         }
         if expires_at.is_some() {
             flags |= ENV_HAS_EXPIRY;
         }
         out.push(flags);
-        if let Some(deadline) = expires_at {
-            write_varint(&mut out, deadline);
+        for field in [generation, expires_at].into_iter().flatten() {
+            write_varint(&mut out, field);
         }
         out.extend_from_slice(payload);
         Value::from(out)
     }
 
     pub(crate) fn encode_value(&self, value: &Value, expires_at: Option<u64>) -> Value {
-        if self.config.compression == CompressionChoice::None {
-            return Self::seal_envelope(value.as_slice(), false, expires_at);
-        }
-        // Auto-train once enough samples accumulate.
-        {
-            let guard = self.compression.lock();
-            if guard.is_none() {
-                drop(guard);
-                let mut samples = self.train_samples.lock();
-                samples.push(value.as_slice().to_vec());
-                if samples.len() >= AUTO_TRAIN_SAMPLES {
-                    let taken = std::mem::take(&mut *samples);
-                    drop(samples);
-                    self.train_compression(&taken);
-                } else {
-                    return Self::seal_envelope(value.as_slice(), false, expires_at);
-                }
+        if let Some((generation, unit)) = self.model_for(value) {
+            let compressed = unit.compress(value.as_slice());
+            if compressed.len() + 1 < value.len() {
+                return Self::seal_envelope(&compressed, Some(generation), expires_at);
             }
         }
-        let guard = self.compression.lock();
-        let unit = &guard.as_ref().expect("trained above").unit;
-        let compressed = unit.compress(value.as_slice());
-        if compressed.len() + 1 < value.len() {
-            Self::seal_envelope(&compressed, true, expires_at)
-        } else {
-            Self::seal_envelope(value.as_slice(), false, expires_at)
+        Self::seal_envelope(value.as_slice(), None, expires_at)
+    }
+
+    /// The newest model and its generation, if compression is on. Until
+    /// one is trained, `value` is kept as a sample, and the
+    /// [`AUTO_TRAIN_SAMPLES`]th trains the first; if publishing it
+    /// fails, values stay raw and sampling starts over.
+    fn model_for(&self, value: &Value) -> Option<(u64, Arc<PretrainedCompression>)> {
+        if self.config.compression == CompressorChoice::Raw {
+            return None;
         }
+        let newest = |models: &BTreeMap<u64, Arc<PretrainedCompression>>| {
+            models.last_key_value().map(|(&g, unit)| (g, unit.clone()))
+        };
+        if let Some(model) = newest(&self.models.lock()) {
+            return Some(model);
+        }
+        let mut samples = self.train_samples.lock();
+        samples.push(value.as_slice().to_vec());
+        if samples.len() < AUTO_TRAIN_SAMPLES {
+            return None;
+        }
+        let taken = std::mem::take(&mut *samples);
+        drop(samples);
+        self.train_compression(&taken).ok()?;
+        newest(&self.models.lock())
     }
 
     /// Decodes an envelope into `(value, expires_at)`.
     pub(crate) fn decode_envelope(&self, stored: &Value) -> Result<(Value, Option<u64>)> {
-        let (compressed, expires_at, off) = parse_envelope(stored.as_slice())?;
-        if compressed {
-            let guard = self.compression.lock();
-            let unit = &guard
-                .as_ref()
-                .ok_or_else(|| Error::Corruption("compressed value but no trained model".into()))?
-                .unit;
-            Ok((
-                Value::from(unit.decompress(&stored.as_slice()[off..])?),
-                expires_at,
-            ))
-        } else {
+        let (generation, expires_at, off) = parse_envelope(stored.as_slice())?;
+        let Some(generation) = generation else {
             // Zero-copy: the stored Bytes minus the envelope header.
-            Ok((Value::from_bytes(stored.0.slice(off..)), expires_at))
-        }
+            return Ok((Value::from_bytes(stored.0.slice(off..)), expires_at));
+        };
+        let unit = self.models.lock().get(&generation).cloned();
+        let unit = unit.ok_or_else(|| {
+            Error::Corruption(format!(
+                "value compressed under unknown model generation {generation}"
+            ))
+        })?;
+        let value = unit.decompress(&stored.as_slice()[off..])?;
+        Ok((Value::from(value), expires_at))
     }
 
     pub(crate) fn decode_value(&self, stored: &Value) -> Result<Value> {
         self.decode_envelope(stored).map(|(v, _)| v)
     }
 
-    fn train_compression(&self, samples: &[Vec<u8>]) {
-        let choice = match self.config.compression {
-            CompressionChoice::None => return,
-            CompressionChoice::Tzstd => CompressorChoice::Tzstd,
-            CompressionChoice::TzstdDict => CompressorChoice::TzstdDict,
-            CompressionChoice::Pbc => CompressorChoice::Pbc,
-        };
-        let unit = PretrainedCompression::train(choice, samples, TzstdLevel(1));
-        *self.compression.lock() = Some(Compression { unit });
+    /// Trains the next model generation and publishes it (see
+    /// [`publish_model`]) before any value can use it.
+    fn train_compression(&self, samples: &[Vec<u8>]) -> Result<()> {
+        if self.config.compression == CompressorChoice::Raw {
+            return Ok(());
+        }
+        let unit = PretrainedCompression::train(self.config.compression, samples, TzstdLevel(1));
+        let mut models = self.models.lock();
+        let generation = models.last_key_value().map_or(1, |(&g, _)| g + 1);
+        publish_model(&self.config.dir, generation, &unit.to_bytes())?;
+        models.insert(generation, Arc::new(unit));
+        Ok(())
     }
+}
+
+/// Writes `<dir>/cache.model.<generation>` durably: to a temporary
+/// file, fsynced, renamed into place, then the directory fsynced.
+fn publish_model(dir: &Path, generation: u64, model: &[u8]) -> Result<()> {
+    let path = dir.join(format!("{MODEL_FILE}{generation}"));
+    let tmp = dir.join(format!("{MODEL_FILE}{generation}.tmp"));
+    let mut bytes = model.to_vec();
+    bytes.extend_from_slice(&crc32(model).to_le_bytes());
+    std::fs::write(&tmp, &bytes)?;
+    std::fs::File::open(&tmp)?.sync_all()?;
+    std::fs::rename(&tmp, &path)?;
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
+/// Every model [`publish_model`] wrote to `dir`, by generation. A file
+/// whose checksum or model bytes do not check out is
+/// [`Error::Corruption`]: the values coded under it could not be read.
+fn load_models(dir: &Path) -> Result<BTreeMap<u64, Arc<PretrainedCompression>>> {
+    let mut models = BTreeMap::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let Some(Ok(generation)) = name.strip_prefix(MODEL_FILE).map(str::parse::<u64>) else {
+            continue;
+        };
+        let bytes = std::fs::read(&path)?;
+        let model = bytes
+            .split_last_chunk()
+            .filter(|(model, crc)| crc32(model) == u32::from_le_bytes(**crc))
+            .ok_or_else(|| Error::Corruption(format!("{name}: checksum mismatch")))?
+            .0;
+        models.insert(
+            generation,
+            Arc::new(PretrainedCompression::from_bytes(model)?),
+        );
+    }
+    Ok(models)
 }
 
 #[cfg(test)]
@@ -703,7 +751,7 @@ mod tests {
                 .cache
                 .insert_full(
                     k(i),
-                    Inner::seal_envelope(filler.as_slice(), false, None),
+                    Inner::seal_envelope(filler.as_slice(), None, None),
                     false,
                     None,
                 )
@@ -807,14 +855,14 @@ mod tests {
             })
             .collect();
 
-        let open = |name: &str, comp: CompressionChoice| {
+        let open = |name: &str, comp: CompressorChoice| {
             let tb = TierBase::open(
                 TierBaseConfig::builder(tmpdir(name))
                     .compression(comp)
                     .build(),
             )
             .unwrap();
-            tb.train_compression(&samples);
+            tb.train_compression(&samples).unwrap();
             for (i, s) in samples.iter().enumerate() {
                 tb.put(k(i), Value::from(s.clone())).unwrap();
             }
@@ -825,9 +873,9 @@ mod tests {
             tb.resident_bytes()
         };
 
-        let raw = open("comp-raw", CompressionChoice::None);
-        let pbc = open("comp-pbc", CompressionChoice::Pbc);
-        let tzd = open("comp-tzd", CompressionChoice::TzstdDict);
+        let raw = open("comp-raw", CompressorChoice::Raw);
+        let pbc = open("comp-pbc", CompressorChoice::Pbc);
+        let tzd = open("comp-tzd", CompressorChoice::TzstdDict);
         assert!(pbc < raw, "PBC {pbc} should be below raw {raw}");
         assert!(tzd < raw, "tzstd-d {tzd} should be below raw {raw}");
     }
@@ -836,7 +884,7 @@ mod tests {
     fn auto_training_kicks_in() {
         let tb = TierBase::open(
             TierBaseConfig::builder(tmpdir("autotrain"))
-                .compression(CompressionChoice::TzstdDict)
+                .compression(CompressorChoice::TzstdDict)
                 .build(),
         )
         .unwrap();
@@ -1088,7 +1136,7 @@ mod tests {
         let clock = tb_common::ManualClock::new();
         let tb = TierBase::open(
             TierBaseConfig::builder(tmpdir("ttl-comp"))
-                .compression(CompressionChoice::TzstdDict)
+                .compression(CompressorChoice::TzstdDict)
                 .clock(clock.clone())
                 .build(),
         )
@@ -1096,7 +1144,7 @@ mod tests {
         let samples: Vec<Vec<u8>> = (0..300)
             .map(|i| format!("REC|user={i:08}|plan=premium|region=eu").into_bytes())
             .collect();
-        tb.train_compression(&samples);
+        tb.train_compression(&samples).unwrap();
         for (i, s) in samples.iter().enumerate() {
             tb.put_with_ttl(
                 k(i),

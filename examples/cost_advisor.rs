@@ -119,8 +119,8 @@ fn main() -> Result<()> {
         TierBase::open(f(TierBaseConfig::builder(dir).cache_capacity(128 << 20)).build()).unwrap()
     };
     let raw = open("raw", &|b| b);
-    let compressed = open("pbc", &|b| b.compression(CompressionChoice::Pbc));
-    compressed.train_compression(&samples);
+    let compressed = open("pbc", &|b| b.compression(CompressorChoice::Pbc));
+    compressed.train_compression(&samples)?;
     let tiered = open("tiered", &|b| {
         b.cache_capacity(2 << 20)
             .policy(SyncPolicy::WriteBack)

@@ -54,8 +54,8 @@ fn main() -> Result<()> {
 
     let raw = open_variant("raw", |b| b);
     let pmem = open_variant("pmem", |b| b.pmem(PmemTuning::default()));
-    let pbc = open_variant("pbc", |b| b.compression(CompressionChoice::Pbc));
-    pbc.train_compression(&samples); // offline pre-training (§4.2)
+    let pbc = open_variant("pbc", |b| b.compression(CompressorChoice::Pbc));
+    pbc.train_compression(&samples)?; // offline pre-training (§4.2)
 
     let measured = vec![
         evaluator.measure("TierBase-Raw", &raw, &load, &run)?,

@@ -65,7 +65,7 @@ pub mod prelude {
     pub use tb_frontend::{Frontend, FrontendConfig};
     pub use tb_workload::{Op, Trace, Workload, WorkloadSpec};
     pub use tierbase_core::{
-        CompressionChoice, DataTypes, PersistenceMode, PmemTuning, SyncPolicy, TierBase,
+        CompressorChoice, DataTypes, PersistenceMode, PmemTuning, SyncPolicy, TierBase,
         TierBaseConfig, WideColumn,
     };
 }

@@ -37,10 +37,10 @@ fn space_critical_workload_selects_compression() {
     let evaluator = CostEvaluator::new(InstanceSpec::standard(), demand);
 
     let (_raw_dir, raw) = open("sc-raw", |b| b);
-    let (_pbc_dir, pbc) = open("sc-pbc", |b| b.compression(CompressionChoice::Pbc));
+    let (_pbc_dir, pbc) = open("sc-pbc", |b| b.compression(CompressorChoice::Pbc));
     let dataset = DatasetKind::Kv1.build(0xca5e1);
     let samples: Vec<Vec<u8>> = (0..512u64).map(|i| dataset.record(i)).collect();
-    pbc.train_compression(&samples);
+    pbc.train_compression(&samples).unwrap();
 
     let report = evaluator.report(vec![
         evaluator.measure("raw", &raw, &load, &run).unwrap(),
@@ -74,10 +74,10 @@ fn performance_critical_workload_selects_raw() {
     let evaluator = CostEvaluator::new(InstanceSpec::standard(), demand);
 
     let (_raw_dir, raw) = open("pc-raw", |b| b);
-    let (_pbc_dir, pbc) = open("pc-pbc", |b| b.compression(CompressionChoice::Pbc));
+    let (_pbc_dir, pbc) = open("pc-pbc", |b| b.compression(CompressorChoice::Pbc));
     let dataset = DatasetKind::Cities.build(0x5eed);
     let samples: Vec<Vec<u8>> = (0..512u64).map(|i| dataset.record(i)).collect();
-    pbc.train_compression(&samples);
+    pbc.train_compression(&samples).unwrap();
 
     let report = evaluator.report(vec![
         evaluator.measure("raw", &raw, &load, &run).unwrap(),

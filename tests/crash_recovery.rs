@@ -296,3 +296,107 @@ fn lsm_storage_tier_recovers_through_compactions() {
         );
     }
 }
+
+/// Templated values of two shapes, each compressible by a model
+/// trained on it.
+fn shaped(shape: usize, i: usize) -> Value {
+    Value::from(match shape {
+        0 => format!(
+            "{{\"uid\":\"{:016x}\",\"dev\":\"android\",\"geo\":\"CN-ZJ\",\"score\":{i}}}",
+            i * 7919
+        ),
+        _ => format!(
+            "LOG|{i:08}|level=WARN|svc=payments|trace={:024x}|END",
+            i * 104_729
+        ),
+    })
+}
+
+fn shape_samples(shape: usize) -> Vec<Vec<u8>> {
+    (0..300)
+        .map(|i| shaped(shape, i).as_slice().to_vec())
+        .collect()
+}
+
+/// The choices with a trained model: first the two whose dictionary
+/// or patterns a retrain replaces.
+const TRAINED_CHOICES: [CompressorChoice; 3] = [
+    CompressorChoice::TzstdDict,
+    CompressorChoice::Pbc,
+    CompressorChoice::Tzstd,
+];
+
+fn open_compressed(dir: &std::path::Path, choice: CompressorChoice) -> TierBase {
+    TierBase::open(
+        TierBaseConfig::builder(dir)
+            .policy(SyncPolicy::WriteThrough)
+            .compression(choice)
+            .build(),
+    )
+    .unwrap()
+}
+
+#[test]
+fn compressed_values_read_back_after_reopen() {
+    // The storage tier keeps the compressed envelopes; only the trained
+    // model, published in the store's directory, can decode them.
+    for choice in TRAINED_CHOICES {
+        let dir = tmpdir("model-reopen");
+        {
+            let store = open_compressed(dir.path(), choice);
+            store.train_compression(&shape_samples(0)).unwrap();
+            for i in 0..300 {
+                store.put(k(i), shaped(0, i)).unwrap();
+            }
+            store.sync().unwrap();
+        }
+        let store = open_compressed(dir.path(), choice);
+        for i in 0..300 {
+            let got = store.get(&k(i)).unwrap();
+            assert_eq!(got, Some(shaped(0, i)), "{choice:?} key {i}");
+        }
+        drop(store);
+        // Without its model a value is corrupt, not garbage.
+        std::fs::remove_file(dir.path().join("cache.model.1")).unwrap();
+        let store = open_compressed(dir.path(), choice);
+        assert!(
+            matches!(store.get(&k(7)), Err(Error::Corruption(_))),
+            "{choice:?}"
+        );
+    }
+}
+
+#[test]
+fn values_written_before_a_retrain_read_back_after_it() {
+    // Each training after the first (a retrain) is a new model
+    // generation; an envelope names the one that coded it, before and
+    // after a reopen.
+    for choice in TRAINED_CHOICES {
+        let dir = tmpdir("model-retrain");
+        {
+            let store = open_compressed(dir.path(), choice);
+            store.train_compression(&shape_samples(0)).unwrap();
+            for i in 0..300 {
+                store.put(k(i), shaped(0, i)).unwrap();
+            }
+            store.train_compression(&shape_samples(1)).unwrap();
+            for i in 300..600 {
+                store.put(k(i), shaped(1, i)).unwrap();
+            }
+            for i in 0..600 {
+                let got = store.get(&k(i)).unwrap();
+                assert_eq!(got, Some(shaped(i / 300, i)), "{choice:?} key {i}");
+            }
+            store.sync().unwrap();
+        }
+        let store = open_compressed(dir.path(), choice);
+        for i in 0..600 {
+            let got = store.get(&k(i)).unwrap();
+            assert_eq!(
+                got,
+                Some(shaped(i / 300, i)),
+                "{choice:?} key {i} after reopen"
+            );
+        }
+    }
+}

@@ -156,7 +156,7 @@ fn compressed_store_matches_model() {
     let store = TierBase::open(
         TierBaseConfig::builder(dir.path())
             .cache_capacity(64 << 20)
-            .compression(CompressionChoice::TzstdDict)
+            .compression(CompressorChoice::TzstdDict)
             .build(),
     )
     .unwrap();
@@ -165,7 +165,7 @@ fn compressed_store_matches_model() {
     let samples: Vec<Vec<u8>> = (0..300)
         .map(|i| format!("REC|{i:08}|status=OK|region=CN|padpadpad").into_bytes())
         .collect();
-    store.train_compression(&samples);
+    store.train_compression(&samples).unwrap();
     let mut model: BTreeMap<Key, Value> = BTreeMap::new();
     let mut rng = StdRng::seed_from_u64(23);
     for i in 0..2000 {
