@@ -25,13 +25,21 @@
 //!                    zero-padded to a byte
 //! control bytes   := every varint of the token stream, in order
 //!                    (literal-run length, match length, distance, end)
-//! dict payload    := 6 control tables | 10 literal tables (128 B each)
+//! dict payload    := 6 control tables | 10 literal tables (129 B each)
 //!                    | 6 split-out bytes | dictionary (0..=4096 bytes)
 //! ```
 //!
+//! A table ([`HuffTable`]) codes only the bytes its training saw, plus
+//! an escape: a byte it never saw is the escape's code, then the byte's
+//! 8 raw bits. A stored table is 256 four-bit code lengths (0: no code)
+//! and the escape's length, 129 bytes; a context training never reached
+//! is the escape alone, 0 bits long. A model is 2 070 bytes.
+//!
 //! Every block is parsed as if the table's dictionary came right
 //! before it, so a match may start in the dictionary, and its
-//! distances count back through `dictionary ++ block`. A `dict`
+//! distances count back through `dictionary ++ block`; a match of only
+//! 4 bytes is taken from under 128 bytes back, where its distance is
+//! one varint byte, and is coded as literals farther out. A `dict`
 //! table's dictionary is trained on its input values; an `lz` table's
 //! is 16 slices of 256 bytes cut from its own blocks, one a third of
 //! the way into each of 16 evenly spaced blocks. 4 KiB keeps every
@@ -676,8 +684,8 @@ impl BlockCodecState {
     /// Trains the codec from sampled input values alone: the
     /// dictionary / PBC model as in [`Self::train_on_blocks`], the
     /// entropy tables on the samples packed into block-sized buffers.
-    /// Tables give every byte value a code, so the state round-trips
-    /// any block, however unlike the samples.
+    /// A byte the samples lack is escaped, so the state round-trips any
+    /// block, however unlike the samples.
     pub fn train(codec: BlockCodec, samples: &[Vec<u8>]) -> Self {
         let blocks: Vec<Vec<u8>> = samples
             .concat()
@@ -694,8 +702,9 @@ impl BlockCodecState {
     /// dictionary cut from `blocks`, and the `lz`/`dict` entropy tables
     /// and split-out bytes from the LZ output, after the dictionary, of
     /// evenly spaced `blocks` of the table itself (every
-    /// [`TRAIN_BLOCK_STRIDE`]th, at most [`MAX_TRAIN_BLOCKS`]).
-    /// Deterministic for fixed input.
+    /// [`TRAIN_BLOCK_STRIDE`]th, at most [`MAX_TRAIN_BLOCKS`]), which
+    /// the `pbc` fallback's tables learn too. Deterministic for fixed
+    /// input.
     pub fn train_on_blocks(codec: BlockCodec, samples: &[Vec<u8>], blocks: &[Vec<u8>]) -> Self {
         Self::train_parsed(codec, samples, blocks).0
     }
@@ -707,10 +716,13 @@ impl BlockCodecState {
         samples: &[Vec<u8>],
         blocks: &[Vec<u8>],
     ) -> (Self, Vec<Parsed>) {
+        let step = TRAIN_BLOCK_STRIDE.max(blocks.len().div_ceil(MAX_TRAIN_BLOCKS));
+        let training = blocks.iter().map(Vec::as_slice).enumerate().step_by(step);
         let dict = match codec {
             BlockCodec::None => return (Self::default(), Vec::new()),
             BlockCodec::Pbc => {
-                let model = PbcModel::train(samples, &PbcConfig::default());
+                let whole: Vec<&[u8]> = training.map(|(_, block)| block).collect();
+                let model = PbcModel::train_for(samples, &whole, &PbcConfig::default());
                 let state = Self {
                     codec,
                     dict_payload: model.to_bytes(),
@@ -722,8 +734,6 @@ impl BlockCodecState {
             BlockCodec::Dict => train_dictionary(samples, MAX_DICT_BYTES),
         };
         let dict = (!dict.is_empty()).then(|| Prefix::new(dict));
-        let step = TRAIN_BLOCK_STRIDE.max(blocks.len().div_ceil(MAX_TRAIN_BLOCKS));
-        let training = blocks.iter().map(Vec::as_slice).enumerate().step_by(step);
         let (coder, parsed) = LzCoder::train(dict, BLOCK_LEVEL, training);
         let state = Self {
             codec,
@@ -966,9 +976,10 @@ mod tests {
     }
 
     #[test]
-    fn entropy_model_costs_2054_bytes_per_table() {
-        // Sixteen tables of 128 B and six split-out bytes.
-        assert_eq!(MODEL_BYTES, 2054);
+    fn entropy_model_costs_2070_bytes_per_table() {
+        // Sixteen tables of 129 B (256 code-length nibbles and the
+        // escape's length) and six split-out bytes.
+        assert_eq!(MODEL_BYTES, 2070);
         let samples = value_samples(512);
         let blocks: Vec<Vec<u8>> = (0..100).map(|i| templated_block(60, i)).collect();
         let small = &blocks[..MIN_DICT_BLOCKS - 1];
@@ -1038,10 +1049,10 @@ mod tests {
 
     #[test]
     fn ten_table_lz_payloads_and_frames_are_corruption() {
-        // Written by the two-pass codec: ten tables trained on nothing
-        // (every code 8 bits), alone or before a dictionary, and the
-        // frame of an 87-byte block under the first.
-        let ten = [0x88u8; 10 * TABLE_BYTES];
+        // Written by the two-pass codec: ten 128-byte tables trained on
+        // nothing (every code 8 bits), alone or before a dictionary, and
+        // the frame of an 87-byte block under the first.
+        let ten = [0x88u8; 10 * 128];
         let primed = primed_lz_state();
         let with_dict = [&ten[..], &primed.dict_payload()[MODEL_BYTES..]].concat();
         for codec in [BlockCodec::Lz, BlockCodec::Dict] {
@@ -1165,7 +1176,8 @@ mod tests {
     #[test]
     fn tables_trained_on_the_blocks_beat_tables_trained_on_values() {
         // Real blocks carry entry headers and keys the value samples
-        // never show; training on them must pay off on them.
+        // never show; training on them must pay off on them, for a
+        // `pbc` table's fallback coder too.
         let samples = value_samples(512);
         let blocks: Vec<Vec<u8>> = (0..40).map(|i| templated_block(60, i * 1000)).collect();
         let frames_len = |state: &BlockCodecState| {
@@ -1175,7 +1187,7 @@ mod tests {
             }
             out.len()
         };
-        for codec in [BlockCodec::Lz, BlockCodec::Dict] {
+        for codec in [BlockCodec::Lz, BlockCodec::Dict, BlockCodec::Pbc] {
             let on_blocks = BlockCodecState::train_on_blocks(codec, &samples, &blocks);
             let on_values = BlockCodecState::train(codec, &samples);
             assert!(
@@ -1194,8 +1206,9 @@ mod tests {
 
     #[test]
     fn compressible_block_shrinks_under_lz() {
-        // Trained on nothing at all: every code is 8 bits and the LZ
-        // stage alone has to win.
+        // Trained on nothing at all: every table is the escape alone, so
+        // every byte costs its 8 raw bits and the LZ stage alone has to
+        // win.
         let state = BlockCodecState::train(BlockCodec::Lz, &[]);
         let block = templated_block(40, 7);
         let mut out = Vec::new();
@@ -1483,15 +1496,28 @@ mod tests {
     }
 
     #[test]
-    fn two_table_payload_of_the_previous_layout_is_corruption() {
+    fn payloads_of_the_previous_table_layouts_are_corruption() {
         // One control and one literal table, 256 B: what tables written
-        // before the context split carry.
-        let previous = [0x88u8; 2 * TABLE_BYTES];
-        for codec in [BlockCodec::Lz, BlockCodec::Dict] {
-            assert!(matches!(
-                BlockCodecState::from_dict_payload(codec, &previous),
-                Err(Error::Corruption(_))
-            ));
+        // before the context split carry. Sixteen 128-byte tables and
+        // the split-out bytes, 2 054 B, alone or before a dictionary:
+        // what tables written before the escape code carry. Read as this
+        // layout, the first table's escape length is the first byte of
+        // the second old table: two nibbles >= 1, so >= 0x11 > 11.
+        let sixteen = [&[0x88u8; TABLES * 128][..], &[0, 1, 2, 3, 4, 5]].concat();
+        let primed = primed_lz_state();
+        let dict = &primed.dict_payload()[MODEL_BYTES..];
+        for previous in [
+            vec![0x88u8; 2 * 128],
+            sixteen.clone(),
+            [&sixteen[..], &dict[..16]].concat(),
+            [&sixteen[..], dict].concat(),
+        ] {
+            for codec in [BlockCodec::Lz, BlockCodec::Dict] {
+                assert!(matches!(
+                    BlockCodecState::from_dict_payload(codec, &previous),
+                    Err(Error::Corruption(_))
+                ));
+            }
         }
     }
 
@@ -1595,20 +1621,21 @@ mod tests {
         }
 
         /// Arbitrary bytes, noise behind a well-formed model (sixteen
-        /// tables of all 8-bit codes, six distinct split-out bytes) at
-        /// lengths around its 2 054 B and past it into a dictionary,
+        /// escape-only tables, six distinct split-out bytes) at lengths
+        /// around its 2 070 B and past it into a dictionary,
         /// and a trained `lz` payload with its dictionary cut short,
-        /// flipped or grown past the bound, or a bit of its split-out
-        /// byte list flipped: `Ok` or `Corruption`. A state that opens
-        /// encodes and decodes a block after whatever dictionary and
-        /// split-out bytes it holds.
+        /// flipped or grown past the bound, or a bit of its tables (a
+        /// code length or an escape's length) or of its split-out byte
+        /// list flipped: `Ok` or `Corruption`. A state that opens
+        /// encodes and decodes a block after whatever tables,
+        /// dictionary and split-out bytes it holds.
         #[test]
         fn prop_from_dict_payload_is_ok_or_corruption(
             bytes in proptest::collection::vec(any::<u8>(), 0..700),
             cut in 0usize..700,
             flip in any::<usize>(),
         ) {
-            let model = [&[0x88u8; TABLES * TABLE_BYTES][..], &[0, 1, 2, 3, 4, 5]].concat();
+            let model = [&[0u8; TABLES * TABLE_BYTES][..], &[0, 1, 2, 3, 4, 5]].concat();
             let near = [&model[..MODEL_BYTES - cut.min(300)], &bytes[..]].concat();
             let behind = [&model[..], &bytes[..]].concat();
             let primed = primed_lz_state().dict_payload().to_vec();
@@ -1618,10 +1645,13 @@ mod tests {
             flipped[at] ^= 1 << (flip % 8);
             let mut split_flipped = primed.clone();
             split_flipped[TABLES * TABLE_BYTES + flip % SPLIT_BYTES] ^= 1 << (flip % 8);
+            let mut table_flipped = primed.clone();
+            table_flipped[flip / 8 % (TABLES * TABLE_BYTES)] ^= 1 << (flip % 8);
             let long = [&primed[..], &bytes[..]].concat();
             let block = templated_block(50, cut as u64);
             for codec in BlockCodec::ALL {
-                for payload in [&bytes, &near, &behind, short, &flipped, &split_flipped, &long] {
+                let payloads = [&bytes, &near, &behind, short, &flipped, &split_flipped, &table_flipped, &long];
+                for payload in payloads {
                     match BlockCodecState::from_dict_payload(codec, payload) {
                         Ok(state) => roundtrip(&state, &block),
                         Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
@@ -1630,6 +1660,28 @@ mod tests {
             }
             let long_opens = BlockCodecState::from_dict_payload(BlockCodec::Lz, &long).is_ok();
             prop_assert_eq!(long_opens, bytes.is_empty());
+            prop_assert!(BlockCodecState::from_dict_payload(BlockCodec::Lz, &behind).is_ok());
+        }
+
+        /// Trained on an empty sample, every table is the escape alone,
+        /// so every literal and control byte is its 8 raw bits: any
+        /// bytes still round-trip, and so does a rebuilt reader.
+        #[test]
+        fn prop_escape_only_tables_roundtrip_any_bytes(
+            block in proptest::collection::vec(any::<u8>(), 0..3000),
+            run in 1usize..8,
+        ) {
+            let block: Vec<u8> = block.iter().flat_map(|&b| std::iter::repeat_n(b, run)).collect();
+            for codec in [BlockCodec::Lz, BlockCodec::Dict] {
+                let state = BlockCodecState::train(codec, &[]);
+                let model = &state.dict_payload()[..TABLES * TABLE_BYTES];
+                prop_assert!(model.iter().all(|&b| b == 0), "escape-only tables");
+                roundtrip(&state, &block);
+                let reader = BlockCodecState::from_dict_payload(codec, state.dict_payload()).unwrap();
+                let mut frame = Vec::new();
+                state.encode_frame(&block, &mut frame);
+                prop_assert_eq!(reader.decode_frame(&frame).unwrap(), block.clone());
+            }
         }
 
         /// A payload with its CRC re-stamped reaches the codec: one bit

@@ -334,6 +334,7 @@ impl PretrainedCompression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn templated(n: usize, salt: u64) -> Vec<Vec<u8>> {
         (0..n)
@@ -440,5 +441,38 @@ mod tests {
         let z = unit.compress(b"abc");
         assert_eq!(z, b"abc");
         assert_eq!(unit.choice(), CompressorChoice::Raw);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A stored unit's bytes damaged every way a model file's body
+        /// can be: arbitrary, cut short, one bit flipped, grown. `Ok`
+        /// or `Corruption`, never a panic; a unit that opens round-trips
+        /// a record.
+        #[test]
+        fn prop_from_bytes_is_ok_or_corruption(
+            bytes in proptest::collection::vec(any::<u8>(), 0..700),
+            choice in 0usize..4,
+            cut in any::<usize>(),
+            bit in any::<usize>(),
+        ) {
+            let samples = templated(48, 0x2222);
+            let choice = CompressorChoice::ALL[choice];
+            let good = PretrainedCompression::train(choice, &samples, TzstdLevel(1)).to_bytes();
+            let mut flipped = good.clone();
+            flipped[bit / 8 % good.len()] ^= 1 << (bit % 8);
+            let grown = [&good[..], &bytes].concat();
+            let tagged = [&[choice as u8][..], &bytes].concat();
+            for stored in [&bytes[..], &tagged, &good[..cut % good.len()], &flipped, &grown] {
+                match PretrainedCompression::from_bytes(stored) {
+                    Ok(unit) => {
+                        let rec = &samples[47];
+                        prop_assert_eq!(&unit.decompress(&unit.compress(rec)).unwrap(), rec);
+                    }
+                    Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
+                }
+            }
+        }
     }
 }

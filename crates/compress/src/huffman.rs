@@ -3,18 +3,28 @@
 //!
 //! A table ([`HuffTable`]) is trained once, from the symbol counts of
 //! one coding context over an SSTable's own LZ output (the block codec
-//! keeps sixteen contexts), stored as 256 four-bit code lengths, and shared
-//! by every block of the SSTable, so no block carries a model. Every
-//! byte value gets a code (absent symbols are counted once), so a table
-//! trained on one sample still encodes any input. Codes are at most
-//! [`MAX_CODE_LEN`] bits and written LSB-first.
+//! keeps sixteen contexts), and shared by every block of the SSTable,
+//! so no block carries a model. Only the bytes training saw get a code;
+//! one *escape* code (weighted as one occurrence) joins them, and a byte
+//! training never saw is coded as the escape followed by the byte's 8
+//! raw bits, so a table trained on one sample still encodes any input.
+//! A table trained on nothing is the escape alone, 0 bits long: every
+//! byte costs its 8 raw bits. Codes are at most [`MAX_CODE_LEN`] bits
+//! and written LSB-first.
+//!
+//! ```text
+//! table := 256 code lengths, 4 bits each, low nibble first (0: no code)
+//!          | escape code length u8                          (129 bytes)
+//! ```
 //!
 //! A [`Decoder`] holds the decode tables of a whole family of codes in
 //! one array: indexed by a code and the next `MAX_CODE_LEN` stream bits,
 //! one load returns the symbol, its length, and the code of the *next*
 //! symbol, which the caller fixed per (code, symbol) when building it —
 //! so a stream whose context follows from the symbols already decoded
-//! costs one dependent load per symbol, as a single code would.
+//! costs one dependent load per symbol, as a single code would. The
+//! escape's entries take one predictable branch to a cold path that
+//! reads the raw byte.
 
 use tb_common::{Error, Result};
 
@@ -22,53 +32,83 @@ use tb_common::{Error, Result};
 const MAX_CODE_LEN: u32 = 11;
 const LUT_SIZE: usize = 1 << MAX_CODE_LEN;
 const LUT_MASK: u64 = LUT_SIZE as u64 - 1;
-/// Serialized size of one table: 256 code lengths, 4 bits each.
-pub(crate) const TABLE_BYTES: usize = 128;
+/// Serialized size of one table: 256 code lengths, 4 bits each, and
+/// the escape's length.
+pub(crate) const TABLE_BYTES: usize = 129;
+
+/// The 256 byte values and the escape, its symbol index.
+const SYMBOLS: usize = 257;
+const ESCAPE: usize = 256;
 
 /// Symbols decoded per [`BitReader::refill`]: a refill leaves >= 56
-/// bits, enough for 5 codes of <= 11 bits.
+/// bits, enough for 5 codes of <= 11 bits. An escaped byte refills
+/// after its code and reads 8 raw bits, which leaves >= 48: enough for
+/// the <= 4 codes left in its group.
 pub(crate) const CODES_PER_REFILL: usize = 5;
+const _: () = assert!(CODES_PER_REFILL * MAX_CODE_LEN as usize <= 56);
+const _: () = assert!((CODES_PER_REFILL - 1) * MAX_CODE_LEN as usize <= 56 - 8);
 
 pub(crate) struct HuffTable {
-    lens: [u8; 256],
-    /// Per symbol: `bit_reversed_code << 4 | len`.
-    enc: [u16; 256],
+    /// Per symbol, the escape last; 0 for a byte without a code.
+    lens: [u8; SYMBOLS],
+    /// Per byte: `bit_reversed_code << 5 | len`; for a byte without a
+    /// code, the escape's code and then the byte, `len` <= 19 bits.
+    enc: [u32; 256],
+    /// The escape's bit-reversed code.
+    escape: u16,
 }
 
 impl HuffTable {
-    /// Builds the table for a symbol histogram: the optimal code whose
-    /// lengths stay within [`MAX_CODE_LEN`]. Deterministic for fixed
-    /// counts (ties break on symbol value).
+    /// Builds the table for a symbol histogram: the optimal code over
+    /// the bytes it counts and the escape, weighted 1, whose lengths
+    /// stay within [`MAX_CODE_LEN`]. Deterministic for fixed counts
+    /// (ties break on symbol value, the escape last).
     pub fn from_counts(counts: &[u32; 256]) -> Self {
-        let weights = counts.map(|c| u64::from(c) + 1);
+        let weights = std::array::from_fn(|s| match s {
+            ESCAPE => 1,
+            _ => u64::from(counts[s]),
+        });
         Self::from_lens(limited_lens(&weights)).expect("package-merge lengths form a complete code")
     }
 
     /// Rebuilds a table from its stored form, rejecting anything that
-    /// is not a complete prefix code over all 256 symbols (so every
-    /// [`Decoder`] slot is filled and decoding needs no validity check
-    /// per symbol).
+    /// is not a complete prefix code over the coded bytes and the
+    /// escape (so every [`Decoder`] slot is filled and decoding needs
+    /// no validity check per symbol).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         if bytes.len() != TABLE_BYTES {
             return Err(Error::Corruption("entropy table truncated".into()));
         }
-        let lens = std::array::from_fn(|s| (bytes[s / 2] >> (4 * (s % 2))) & 0x0f);
+        let lens = std::array::from_fn(|s| match s {
+            ESCAPE => bytes[TABLE_BYTES - 1],
+            _ => (bytes[s / 2] >> (4 * (s % 2))) & 0x0f,
+        });
         Self::from_lens(lens)
     }
 
     pub fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.extend(self.lens.chunks_exact(2).map(|p| p[0] | p[1] << 4));
+        out.extend(
+            self.lens[..ESCAPE]
+                .chunks_exact(2)
+                .map(|p| p[0] | p[1] << 4),
+        );
+        out.push(self.lens[ESCAPE]);
     }
 
-    fn from_lens(lens: [u8; 256]) -> Result<Self> {
+    /// The table for `lens`: a byte of length 0 has no code, and the
+    /// escape always has one — of length 0 only when it is the code's
+    /// one symbol.
+    fn from_lens(lens: [u8; SYMBOLS]) -> Result<Self> {
         let mut per_len = [0u32; MAX_CODE_LEN as usize + 1];
-        for &l in &lens {
-            if l == 0 || l as u32 > MAX_CODE_LEN {
+        for (sym, &l) in lens.iter().enumerate() {
+            if l as u32 > MAX_CODE_LEN {
                 return Err(Error::Corruption(format!("bad entropy code length {l}")));
             }
-            per_len[l as usize] += 1;
+            if l > 0 || sym == ESCAPE {
+                per_len[l as usize] += 1;
+            }
         }
-        let kraft: u32 = (1..=MAX_CODE_LEN)
+        let kraft: u32 = (0..=MAX_CODE_LEN)
             .map(|l| per_len[l as usize] << (MAX_CODE_LEN - l))
             .sum();
         if kraft != LUT_SIZE as u32 {
@@ -81,22 +121,29 @@ impl HuffTable {
         for l in 1..=MAX_CODE_LEN as usize {
             next[l + 1] = (next[l] + per_len[l]) << 1;
         }
-        let mut enc = [0u16; 256];
-        for (sym, &l) in lens.iter().enumerate() {
+        let mut reversed = [0u16; SYMBOLS];
+        for (sym, &l) in lens.iter().enumerate().filter(|&(_, &l)| l > 0) {
             let code = next[l as usize] as u16;
             next[l as usize] += 1;
-            let reversed = code.reverse_bits() >> (16 - l as u32);
-            enc[sym] = reversed << 4 | l as u16;
+            reversed[sym] = code.reverse_bits() >> (16 - l as u32);
         }
-        Ok(Self { lens, enc })
+        let escape = reversed[ESCAPE];
+        let enc = std::array::from_fn(|b| match lens[b] {
+            0 => {
+                (u32::from(escape) | (b as u32) << lens[ESCAPE]) << 5
+                    | (u32::from(lens[ESCAPE]) + 8)
+            }
+            l => u32::from(reversed[b]) << 5 | u32::from(l),
+        });
+        Ok(Self { lens, enc, escape })
     }
 
     /// Appends the code of `sym` to the bit stream.
     #[inline(always)]
     pub fn put(&self, sym: u8, w: &mut BitWriter<'_>) {
         let e = self.enc[sym as usize];
-        w.acc |= ((e >> 4) as u64) << w.nbits;
-        w.nbits += (e & 0x0f) as u32;
+        w.acc |= u64::from(e >> 5) << w.nbits;
+        w.nbits += e & 0x1f;
         if w.nbits >= 32 {
             w.out.extend_from_slice(&(w.acc as u32).to_le_bytes());
             w.acc >>= 32;
@@ -107,9 +154,12 @@ impl HuffTable {
 
 /// The decode tables of up to [`MAX_CODES`] codes, `2^MAX_CODE_LEN`
 /// entries each, in one array. Entry: `next_code << 12 | symbol << 4 |
-/// len`.
+/// len`; an escape's entry has `len` 0 and its code's length in the
+/// symbol field.
 pub(crate) struct Decoder {
     lut: Box<[u16; MAX_CODES * LUT_SIZE]>,
+    /// `next[code][byte]`: the code after an escaped `byte`.
+    next: Box<[[u8; 256]; MAX_CODES]>,
 }
 
 /// Codes a [`Decoder`] chains: its next-code field is 4 bits.
@@ -125,18 +175,28 @@ impl Decoder {
             .into_boxed_slice()
             .try_into()
             .expect("MAX_CODES tables");
+        let mut next_of = Box::new([[0u8; 256]; MAX_CODES]);
         for (c, (code, block)) in codes.iter().zip(lut.chunks_exact_mut(LUT_SIZE)).enumerate() {
-            for (sym, &e) in code.enc.iter().enumerate() {
-                let (reversed, len) = ((e >> 4) as usize, e & 0x0f);
-                let then = next(c, sym as u8);
-                debug_assert!(then < codes.len());
-                let entry = (then as u16) << 12 | (sym as u16) << 4 | len;
+            let mut fill = |reversed: usize, len: u8, entry: u16| {
                 for slot in (reversed..LUT_SIZE).step_by(1 << len) {
                     block[slot] = entry;
                 }
+            };
+            for sym in 0..=255u8 {
+                let then = next(c, sym);
+                debug_assert!(then < codes.len());
+                next_of[c][sym as usize] = then as u8;
+                let len = code.lens[sym as usize];
+                if len > 0 {
+                    let reversed = (code.enc[sym as usize] >> 5) as usize;
+                    let entry = (then as u16) << 12 | u16::from(sym) << 4 | u16::from(len);
+                    fill(reversed, len, entry);
+                }
             }
+            let len = code.lens[ESCAPE];
+            fill(code.escape.into(), len, u16::from(len) << 4);
         }
-        Self { lut }
+        Self { lut, next: next_of }
     }
 
     /// Decodes the next symbol under `code`, returning it and the code
@@ -148,24 +208,41 @@ impl Decoder {
         // In range by construction: the modulus only spares the check.
         let e = self.lut[(code << MAX_CODE_LEN | (r.acc & LUT_MASK) as usize) % self.lut.len()];
         let len = (e & 0x0f) as u32;
+        if len == 0 {
+            return self.escaped(code, u32::from(e >> 4), r);
+        }
         r.acc >>= len;
         r.nbits -= len;
         ((e >> 4) as u8, (e >> 12) as usize)
     }
+
+    /// The byte after an escape code of `len` bits: the code is
+    /// consumed, the buffer refilled, and the byte's 8 raw bits read.
+    #[cold]
+    fn escaped(&self, code: usize, len: u32, r: &mut BitReader<'_>) -> (u8, usize) {
+        r.acc >>= len;
+        r.nbits -= len;
+        r.refill();
+        let byte = r.acc as u8;
+        r.acc >>= 8;
+        r.nbits -= 8;
+        (byte, self.next[code % MAX_CODES][byte as usize] as usize)
+    }
 }
 
-/// Optimal prefix-code lengths of at most [`MAX_CODE_LEN`] bits for
-/// positive weights, by package-merge: level by level from the
+/// Optimal prefix-code lengths of at most [`MAX_CODE_LEN`] bits for the
+/// symbols of positive weight (a symbol of weight 0 gets length 0, as
+/// does a lone symbol), by package-merge: level by level from the
 /// deepest, the symbols (lightest first, ties to the lower symbol)
 /// merge with the pairwise packages of the level below. The `2n − 2`
 /// lightest items of the top level are the code; a symbol's length is
 /// the number of levels whose chosen items include it, and the chosen
 /// items of a level are its lightest, so they include the lightest
 /// symbols and choose twice its packages' count on the level below.
-fn limited_lens(weights: &[u64; 256]) -> [u8; 256] {
-    let mut order: [u8; 256] = std::array::from_fn(|s| s as u8);
-    order.sort_by_key(|&s| (weights[s as usize], s));
-    let leaves = order.map(|s| weights[s as usize]);
+fn limited_lens(weights: &[u64; SYMBOLS]) -> [u8; SYMBOLS] {
+    let mut order: Vec<usize> = (0..SYMBOLS).filter(|&s| weights[s] > 0).collect();
+    order.sort_by_key(|&s| (weights[s], s));
+    let leaves: Vec<u64> = order.iter().map(|&s| weights[s]).collect();
     // Per level, deepest first: each item's weight, and whether it is
     // a symbol (else a package of two items of the level below).
     let mut levels: Vec<Vec<(u64, bool)>> = Vec::with_capacity(MAX_CODE_LEN as usize);
@@ -185,12 +262,12 @@ fn limited_lens(weights: &[u64; 256]) -> [u8; 256] {
         }
         levels.push(level);
     }
-    let mut lens = [0u8; 256];
-    let mut take = 2 * leaves.len() - 2;
+    let mut lens = [0u8; SYMBOLS];
+    let mut take = (2 * leaves.len()).saturating_sub(2);
     for level in levels.iter().rev() {
         let symbols = level[..take].iter().filter(|item| item.1).count();
         for &s in &order[..symbols] {
-            lens[s as usize] += 1;
+            lens[s] += 1;
         }
         take = 2 * (take - symbols);
     }
@@ -335,18 +412,28 @@ mod tests {
         coded.len()
     }
 
-    #[test]
-    fn skewed_counts_stay_within_the_length_limit() {
-        // Fibonacci-like counts drive an unbounded Huffman tree far
-        // past 11 levels; the limit must hold and the code stay complete.
+    /// Counts whose optimal code runs into the length limit: a
+    /// Fibonacci-like run drives an unbounded Huffman tree far past 11
+    /// levels.
+    fn skewed_counts() -> [u32; 256] {
         let mut counts = [0u32; 256];
         let (mut a, mut b) = (1u32, 1u32);
         for c in counts.iter_mut().take(40) {
             *c = a;
             (a, b) = (b, a.saturating_add(b));
         }
-        let table = HuffTable::from_counts(&counts);
-        assert!(table.lens.iter().all(|&l| (1..=11).contains(&l)));
+        counts
+    }
+
+    #[test]
+    fn skewed_counts_stay_within_the_length_limit() {
+        // The limit must hold and the code stay complete; only the 40
+        // bytes counted get a code, and the other 216 escape.
+        let table = HuffTable::from_counts(&skewed_counts());
+        let (seen, unseen) = table.lens[..ESCAPE].split_at(40);
+        assert!(seen.iter().all(|&l| (1..=11).contains(&l)));
+        assert!(unseen.iter().all(|&l| l == 0));
+        assert!((1..=11).contains(&table.lens[ESCAPE]));
         let data: Vec<u8> = (0..=255u8).chain(std::iter::repeat_n(39, 500)).collect();
         roundtrip(&table, &data);
     }
@@ -360,6 +447,57 @@ mod tests {
     }
 
     #[test]
+    fn unseen_bytes_cost_the_escape_and_eight_raw_bits() {
+        // Two bytes seen, weighted far above the escape: one of them
+        // codes in 1 bit, the other and the escape in 2.
+        let mut counts = [0u32; 256];
+        counts[b'a' as usize] = 100;
+        counts[b'b' as usize] = 50;
+        let table = HuffTable::from_counts(&counts);
+        assert_eq!(
+            (table.lens[b'a' as usize], table.lens[b'b' as usize]),
+            (1, 2)
+        );
+        assert_eq!(table.lens[ESCAPE], 2);
+        assert_eq!(table.enc[b'z' as usize] & 0x1f, 10);
+        // 8 × 1 bit, then 8 × 10 bits: 11 bytes.
+        assert_eq!(roundtrip(&table, b"aaaaaaaazzzzzzzz"), 11);
+        // Trained on nothing: the escape alone, 0 bits, then the byte.
+        let empty = HuffTable::from_counts(&[0; 256]);
+        assert_eq!(empty.lens, [0; SYMBOLS]);
+        let all: Vec<u8> = (0..=255).collect();
+        assert_eq!(roundtrip(&empty, &all), 256);
+    }
+
+    #[test]
+    fn an_escape_leaves_the_bits_for_the_rest_of_its_group() {
+        // The escape and the seen bytes' longest codes are all 11 bits
+        // (an escaped byte 19): groups of `CODES_PER_REFILL` symbols
+        // with escapes anywhere in them, or everywhere, still find
+        // every code buffered before they read it.
+        let table = HuffTable::from_counts(&skewed_counts());
+        assert_eq!(table.lens[ESCAPE], 11);
+        let long = (0..40u8).find(|&b| table.lens[b as usize] == 11).unwrap();
+        let mut data = Vec::new();
+        for at in 0..CODES_PER_REFILL {
+            for k in 0..CODES_PER_REFILL {
+                data.push(if k == at { 200 + k as u8 } else { long });
+            }
+        }
+        data.extend((100..=255u8).take(4 * CODES_PER_REFILL));
+        let coded = encode(&table, &data);
+        let decoder = Decoder::new(std::slice::from_ref(&table), |_, _| 0);
+        let mut back = vec![0; data.len()];
+        let mut r = BitReader::new(&coded);
+        r.decode_each(&mut back, |r, d| {
+            assert!(r.nbits >= MAX_CODE_LEN, "{} bits buffered", r.nbits);
+            *d = decoder.get(0, r).0;
+        });
+        r.finish().unwrap();
+        assert_eq!(back, data);
+    }
+
+    #[test]
     fn stored_form_roundtrips_and_rejects_garbage() {
         let table = HuffTable::from_counts(&counts_of(b"hello huffman"));
         let mut bytes = Vec::new();
@@ -368,27 +506,43 @@ mod tests {
         let back = HuffTable::from_bytes(&bytes).unwrap();
         assert_eq!(back.lens, table.lens);
         assert_eq!(back.enc, table.enc);
-        // Wrong size, a zero length, an over-long length, an
-        // incomplete code: all Corruption.
+        // Every byte coded: 255 in 8 bits, the last byte and the escape
+        // in 9; the escape alone, in 0 bits.
+        let mut full = [0x88u8; TABLE_BYTES];
+        full[127] = 0x98;
+        full[TABLE_BYTES - 1] = 9;
+        assert!(HuffTable::from_bytes(&full).is_ok());
+        assert!(HuffTable::from_bytes(&[0u8; TABLE_BYTES]).is_ok());
+        // Wrong size, an over-long length, an over-full or incomplete
+        // code, an escape of 0 bits beside other codes: all Corruption.
         assert!(HuffTable::from_bytes(&bytes[..100]).is_err());
-        assert!(HuffTable::from_bytes(&[0u8; TABLE_BYTES]).is_err());
+        assert!(HuffTable::from_bytes(&[0u8; TABLE_BYTES - 1]).is_err());
         assert!(HuffTable::from_bytes(&[0xffu8; TABLE_BYTES]).is_err());
-        assert!(HuffTable::from_bytes(&[0x99u8; TABLE_BYTES]).is_err());
-        assert!(HuffTable::from_bytes(&[0x88u8; TABLE_BYTES]).is_ok());
+        for escape in [0, 8, 10, 12] {
+            full[TABLE_BYTES - 1] = escape;
+            assert!(HuffTable::from_bytes(&full).is_err(), "escape {escape}");
+        }
+        let mut escape_only = [0u8; TABLE_BYTES];
+        escape_only[TABLE_BYTES - 1] = 1;
+        assert!(HuffTable::from_bytes(&escape_only).is_err());
     }
 
     #[test]
     fn over_read_and_trailing_bytes_are_reported() {
-        let table = HuffTable::from_counts(&[0; 256]);
-        let data = [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        let coded = encode(&table, &data);
-        for bad in [
-            &coded[..coded.len() - 1],
-            &[&coded[..], &[0u8]].concat()[..],
+        for table in [
+            HuffTable::from_counts(&[0; 256]),
+            HuffTable::from_counts(&counts_of(b"1357")),
         ] {
-            let mut r = BitReader::new(bad);
-            decode(&table, &mut r, data.len());
-            assert!(r.finish().is_err());
+            let data = [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+            let coded = encode(&table, &data);
+            for bad in [
+                &coded[..coded.len() - 1],
+                &[&coded[..], &[0u8]].concat()[..],
+            ] {
+                let mut r = BitReader::new(bad);
+                decode(&table, &mut r, data.len());
+                assert!(r.finish().is_err());
+            }
         }
     }
 
@@ -407,17 +561,23 @@ mod tests {
     }
 
     proptest! {
-        /// Where the limit does not bind (weights within a factor of 5
-        /// stay well under 11 levels), package-merge's code costs what
-        /// Huffman's does: it is optimal.
+        /// Where the limit does not bind (the seen bytes' weights within
+        /// a factor of 5, the escape's 1, stay well under 11 levels),
+        /// package-merge's code over the seen bytes and the escape costs
+        /// what Huffman's does: it is optimal. Unseen bytes get no code.
         #[test]
         fn prop_package_merge_is_optimal_when_the_limit_does_not_bind(
-            weights in proptest::collection::vec(20u64..=100, 256),
+            weights in proptest::collection::vec(prop_oneof![Just(0u64), 20u64..=100], 256),
         ) {
-            let weights: [u64; 256] = weights.try_into().unwrap();
+            let weights: [u64; SYMBOLS] =
+                std::array::from_fn(|s| weights.get(s).copied().unwrap_or(1));
             let lens = limited_lens(&weights);
             let cost: u64 = weights.iter().zip(lens).map(|(&w, l)| w * u64::from(l)).sum();
-            prop_assert_eq!(cost, huffman_cost(&weights));
+            let seen: Vec<u64> = weights.iter().copied().filter(|&w| w > 0).collect();
+            prop_assert_eq!(cost, huffman_cost(&seen));
+            for (&w, l) in weights.iter().zip(lens) {
+                prop_assert_eq!(w == 0, l == 0);
+            }
         }
 
         /// Symbols absent from the training sample still round-trip.
@@ -429,9 +589,33 @@ mod tests {
             roundtrip(&HuffTable::from_counts(&counts_of(&train)), &data);
         }
 
+        /// Arbitrary bytes; a table's 128 nibble bytes with any escape
+        /// length; a trained table with one bit flipped. Each is a
+        /// table or `Corruption`, never a panic, and a table that opens
+        /// round-trips any bytes.
         #[test]
-        fn prop_from_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-            let _ = HuffTable::from_bytes(&bytes);
+        fn prop_from_bytes_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..200),
+            nibbles in proptest::collection::vec(prop_oneof![Just(0u8), Just(0x88), any::<u8>()], 128),
+            escape in 0u8..16,
+            train in proptest::collection::vec(any::<u8>(), 0..300),
+            bit in 0usize..TABLE_BYTES * 8,
+        ) {
+            let mut flipped = Vec::new();
+            HuffTable::from_counts(&counts_of(&train)).write_bytes(&mut flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let formed = [&nibbles[..], &[escape]].concat();
+            for stored in [&bytes, &formed, &flipped] {
+                match HuffTable::from_bytes(stored) {
+                    Ok(table) => {
+                        roundtrip(&table, &bytes);
+                        let mut again = Vec::new();
+                        table.write_bytes(&mut again);
+                        prop_assert_eq!(&again, stored);
+                    }
+                    Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
+                }
+            }
         }
     }
 }

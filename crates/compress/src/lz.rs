@@ -12,6 +12,11 @@
 //! end := varint(0)
 //! ```
 //!
+//! A match of exactly `MIN_MATCH` bytes is taken only from under
+//! [`NEAR_DIST`] bytes back, where its distance fits one varint byte
+//! (deflate encoders' `TOO_FAR` rule): farther, its three control bytes
+//! cost more than its four literals, which are coded instead.
+//!
 //! A dictionary is a [`Prefix`]: the input is parsed as if the prefix
 //! came right before it, tokens being emitted for the input only, so
 //! distances may reach back into it. The prefix's hash chains are built
@@ -32,6 +37,10 @@ use tb_common::{read_varint, write_varint, Error, Result};
 
 /// Minimum match length worth encoding.
 pub(crate) const MIN_MATCH: usize = 4;
+/// A match of only [`MIN_MATCH`] bytes must start closer than this: a
+/// distance that needs a second varint byte costs more than the
+/// match's literals (on Cities blocks ~19.4 bits against ~17.4).
+const NEAR_DIST: usize = 128;
 /// Maximum match length (keeps varints short; matches may be split).
 const MAX_MATCH: usize = 1 << 16;
 
@@ -322,7 +331,8 @@ fn parse(
     let mut i = start;
     let mut misses = 0u32;
 
-    // Best match for position `i < hash_end`, whose bucket is `h`.
+    // Best match for position `i < hash_end`, whose bucket is `h`, if
+    // it is worth taking.
     let find_best = |head: &[u32], prev: &[u32], i: usize, h: usize| -> Option<(usize, usize)> {
         let max = (n - i).min(MAX_MATCH);
         let mut best: Option<(usize, usize)> = None;
@@ -345,7 +355,7 @@ fn parse(
                 steps += 1;
             }
         }
-        best
+        best.filter(|&(len, dist)| len > MIN_MATCH || dist < NEAR_DIST)
     };
 
     let insert = |head: &mut [u32], prev: &mut [u32], pos: usize, h: usize| {
@@ -415,21 +425,39 @@ impl Tzstd {
     /// Dictionary-less compressor (the paper's "Zstd-b"): entropy
     /// tables trained on the parses of `samples`.
     pub fn train(level: TzstdLevel, samples: &[Vec<u8>]) -> Self {
-        Self::train_after(level, None, samples)
+        Self::train_after(level, None, samples.iter().map(Vec::as_slice))
     }
 
     /// Dictionary-trained compressor (the paper's "Zstd-d"): a
     /// dictionary of at most [`MAX_DICT_BYTES`] trained on `samples`,
     /// and entropy tables trained on their parses after it.
     pub fn train_with_dict(level: TzstdLevel, samples: &[Vec<u8>]) -> Self {
-        let dict = train_dictionary(samples, MAX_DICT_BYTES);
-        let dict = (!dict.is_empty()).then(|| Prefix::new(dict));
-        Self::train_after(level, dict, samples)
+        Self::train_with_dict_also_on(level, samples, &[])
     }
 
-    fn train_after(level: TzstdLevel, dict: Option<Prefix>, samples: &[Vec<u8>]) -> Self {
-        let records = samples.iter().map(Vec::as_slice).enumerate();
-        let (coder, _) = LzCoder::train(dict, level, records);
+    /// [`Self::train_with_dict`], its entropy tables also trained on
+    /// the parses of `more`: inputs the coder will meet that `samples`
+    /// do not show, such as [`crate::Pbc`]'s residuals.
+    pub(crate) fn train_with_dict_also_on(
+        level: TzstdLevel,
+        samples: &[Vec<u8>],
+        more: &[&[u8]],
+    ) -> Self {
+        let dict = train_dictionary(samples, MAX_DICT_BYTES);
+        let dict = (!dict.is_empty()).then(|| Prefix::new(dict));
+        let inputs = samples
+            .iter()
+            .map(Vec::as_slice)
+            .chain(more.iter().copied());
+        Self::train_after(level, dict, inputs)
+    }
+
+    fn train_after<'a>(
+        level: TzstdLevel,
+        dict: Option<Prefix>,
+        inputs: impl Iterator<Item = &'a [u8]>,
+    ) -> Self {
+        let (coder, _) = LzCoder::train(dict, level, inputs.enumerate());
         Self { level, coder }
     }
 
@@ -529,12 +557,13 @@ mod tests {
         assert_eq!(back, data, "roundtrip failed for {} bytes", data.len());
     }
 
-    /// A coder trained on nothing (every code 8 bits), after `dict`.
+    /// A coder trained on nothing (escape-only tables: every byte costs
+    /// its 8 raw bits), after `dict`.
     fn untrained(level: i32, dict: Option<&[u8]>) -> Tzstd {
         Tzstd::train_after(
             TzstdLevel(level),
             dict.map(|d| Prefix::new(d.to_vec())),
-            &[],
+            std::iter::empty(),
         )
     }
 
@@ -751,7 +780,7 @@ mod tests {
                 cand = prev[cand];
                 steps += 1;
             }
-            best
+            best.filter(|&(l, d)| l > MIN_MATCH || d < NEAR_DIST)
         };
         let insert = |head: &mut [usize], prev: &mut [usize], pos: usize| {
             if n - pos >= MIN_MATCH {
@@ -874,7 +903,7 @@ mod tests {
         let level = crate::block::BLOCK_LEVEL;
         let mut bytes = parse_pin_corpus()[0][..2000].to_vec();
         bytes.extend_from_slice(PIN_DICT);
-        let coder = Tzstd::train_after(level, Some(Prefix::new(bytes.clone())), &[]);
+        let coder = Tzstd::train_after(level, Some(Prefix::new(bytes.clone())), std::iter::empty());
         let mut crossed = 0;
         for input in parse_pin_corpus().iter().chain(&parse_pin_corpus()) {
             let (tokens, reference) = kernel_and_reference(input, Some(&bytes), level);
@@ -888,6 +917,35 @@ mod tests {
                 .count();
         }
         assert!(crossed > 0, "no match ran from the prefix into the input");
+    }
+
+    #[test]
+    fn four_byte_matches_are_taken_only_near() {
+        // `abcde`, filler (runs of 120 distinct bytes >= 0x80, each
+        // run xored with its number, so no 4-gram repeats), then `abcd`
+        // `dist` bytes after the first and `!`, which ends the match at
+        // 4 bytes; and the same with `abcde` repeated, a 5-byte match.
+        for (dist, repeat, taken) in [
+            (127, &b"abcd"[..], true),
+            (128, b"abcd", false),
+            (600, b"abcd", false),
+            (128, b"abcde", true),
+            (600, b"abcde", true),
+        ] {
+            let mut input = b"abcde".to_vec();
+            input.extend((0..dist - 5).map(|i| (0x80 + (i % 120) as u8) ^ (i / 120) as u8));
+            input.extend_from_slice(repeat);
+            input.push(b'!');
+            for prefix in [None, Some(Prefix::new(b"xyz".to_vec()))] {
+                let tokens = lz_parse(prefix.as_ref(), &input, crate::block::BLOCK_LEVEL);
+                let want = [(dist, repeat.len(), dist)];
+                let matches = matches_of(&tokens);
+                assert_eq!(matches == want, taken, "dist {dist}: {matches:?}");
+                if !taken {
+                    assert!(matches.is_empty(), "dist {dist}: {matches:?}");
+                }
+            }
+        }
     }
 
     /// The largest allocation a refused decode may make besides its

@@ -29,10 +29,11 @@ use std::sync::Arc;
 use tb_common::{read_varint, write_varint, Error, Result};
 
 /// First byte of [`PbcModel::to_bytes`]: the layout whose fallback is
-/// a trained `tzstd` coder's payload. The previous layout began with
-/// the pattern count, and no count under 128 (`max_patterns` is 64)
-/// is written as this byte.
-const MODEL_FORMAT: u8 = 0xb1;
+/// a trained `tzstd` coder's payload with escape-coded entropy tables.
+/// `0xb1` named the same layout with the earlier 128-byte tables; the
+/// layout before that began with the pattern count, and no count under
+/// 128 (`max_patterns` is 64) is written as this byte.
+const MODEL_FORMAT: u8 = 0xb2;
 
 /// Record tag: tzstd fallback (no pattern matched).
 const TAG_FALLBACK: u8 = 0;
@@ -229,6 +230,13 @@ pub struct PbcModel {
 impl PbcModel {
     /// Trains a model from sample records (offline pre-training phase).
     pub fn train(samples: &[Vec<u8>], config: &PbcConfig) -> Self {
+        Self::train_for(samples, &[], config)
+    }
+
+    /// [`Self::train`], the fallback's entropy tables also trained on
+    /// `whole`, inputs it will code whole though `samples` do not show
+    /// them (an SSTable's blocks).
+    pub(crate) fn train_for(samples: &[Vec<u8>], whole: &[&[u8]], config: &PbcConfig) -> Self {
         let sample_refs: Vec<&[u8]> = samples
             .iter()
             .take(config.max_cluster_samples)
@@ -253,8 +261,26 @@ impl PbcModel {
         patterns.sort_by_key(|p| std::cmp::Reverse(p.literal_bytes()));
 
         // Residuals and fallback records still benefit from a small
-        // dictionary and tables trained on the same samples.
-        let fallback = Tzstd::train_with_dict(config.fallback_level, samples);
+        // dictionary and entropy tables trained on the samples. The
+        // tables also learn each sample's residuals under the first
+        // pattern that matches it (as `compress` tries them): without
+        // them, residual bytes, which follow other bytes there than in
+        // a record, would escape.
+        let residuals: Vec<Vec<u8>> = samples
+            .iter()
+            .filter_map(|s| {
+                let mut fitting = patterns.iter().filter(|p| p.literal_bytes() < s.len());
+                fitting
+                    .find_map(|p| p.match_record(s))
+                    .map(|gaps| gaps.concat())
+            })
+            .collect();
+        let more: Vec<&[u8]> = residuals
+            .iter()
+            .map(Vec::as_slice)
+            .chain(whole.iter().copied())
+            .collect();
+        let fallback = Tzstd::train_with_dict_also_on(config.fallback_level, samples, &more);
         Self { patterns, fallback }
     }
 
@@ -706,6 +732,54 @@ mod tests {
             PbcModel::from_bytes(&trained[1..]),
             Err(Error::Corruption(_))
         ));
+    }
+
+    #[test]
+    fn fallback_tables_learn_the_residuals_they_code() {
+        // The same patterns, the fallback trained on the samples alone:
+        // residual bytes follow other bytes than in a whole record, so
+        // more of them escape and the matched records grow.
+        let samples = kv_samples(48);
+        let model = PbcModel::train(&samples, &PbcConfig::default());
+        assert!(model.pattern_count() > 0);
+        let samples_only = PbcModel {
+            patterns: model.patterns.clone(),
+            fallback: Tzstd::train_with_dict(TzstdLevel(1), &samples),
+        };
+        let total = |model: PbcModel| {
+            let pbc = Pbc::new(Arc::new(model));
+            let coded: usize = kv_samples(300)[100..]
+                .iter()
+                .map(|r| pbc.compress(r).len())
+                .sum();
+            assert_eq!(pbc.unmatched_rate(), 0.0);
+            coded
+        };
+        let (with, without) = (total(model), total(samples_only));
+        assert!(with < without, "{with} !< {without}");
+    }
+
+    #[test]
+    fn model_with_the_previous_fallback_tables_is_corruption() {
+        // Format byte 0xb1 and one pattern of one literal, "abc", then a
+        // level-1 tzstd payload of sixteen 128-byte tables (every code 8
+        // bits) and six split-out bytes: what a model written before the
+        // escape code carries. Under this format byte too, its tables
+        // are refused.
+        let fallback = [
+            &1i32.to_le_bytes()[..],
+            &[0x88; 16 * 128],
+            &[0, 1, 2, 3, 4, 5],
+        ]
+        .concat();
+        let previous = [&[0xb1, 1, 1, 3, b'a', b'b', b'c'][..], &fallback].concat();
+        let reformatted = [&[MODEL_FORMAT][..], &previous[1..]].concat();
+        for bytes in [previous, reformatted] {
+            assert!(matches!(
+                PbcModel::from_bytes(&bytes),
+                Err(Error::Corruption(_))
+            ));
+        }
     }
 
     proptest! {

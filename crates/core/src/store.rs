@@ -175,28 +175,27 @@ impl TierBase {
                     apply_log_record(&cache, &rec)?;
                     wal_seq = wal_seq.max(lsn);
                 }
+                // Only a device that was never formatted is formatted: a
+                // ring that fails recovery holds acknowledged writes, so
+                // it fails `open` and is left as it is.
                 let path = config.dir.join("cache.pmem");
                 let device = if path.exists() {
-                    Arc::new(PmemDevice::open(&path, LatencyModel::optane())?)
+                    Some(Arc::new(PmemDevice::open(&path, LatencyModel::optane())?))
                 } else {
-                    Arc::new(PmemDevice::create(
-                        &path,
-                        config.pmem_ring_bytes,
-                        LatencyModel::optane(),
-                    )?)
+                    None
                 };
-                let rb = if path.exists() {
-                    PersistentRingBuffer::recover(device, RingConfig::default()).or_else(|_| {
-                        // Fresh device: format it.
-                        let d = Arc::new(PmemDevice::create(
-                            &config.dir.join("cache.pmem"),
+                let rb = match device {
+                    Some(device) if PersistentRingBuffer::is_formatted(&device)? => {
+                        PersistentRingBuffer::recover(device, RingConfig::default())?
+                    }
+                    _ => {
+                        let device = Arc::new(PmemDevice::create(
+                            &path,
                             config.pmem_ring_bytes,
                             LatencyModel::optane(),
                         )?);
-                        PersistentRingBuffer::create(d, RingConfig::default())
-                    })?
-                } else {
-                    PersistentRingBuffer::create(device, RingConfig::default())?
+                        PersistentRingBuffer::create(device, RingConfig::default())?
+                    }
                 };
                 for rec in rb.peek_all()? {
                     apply_log_record(&cache, &rec)?;
@@ -1875,5 +1874,72 @@ mod tests {
         // alone, and the second get's fetch after it.
         assert_eq!(storage_calls(&tb) - before, 3);
         assert_eq!(tb.get(&k(1)).unwrap(), None);
+    }
+
+    #[test]
+    fn damaged_model_files_load_or_are_corruption() {
+        use proptest::prelude::*;
+        use proptest::test_runner::{Config, TestRunner};
+
+        // One trained unit per choice; its file's body damaged
+        // (arbitrary, cut short, a bit flipped, grown) under a fresh
+        // checksum, so it reaches the model parser; the file itself
+        // cut short or a bit flipped, which the checksum must catch.
+        let samples: Vec<Vec<u8>> = (0..48)
+            .map(|i| format!("EVT|user={i:08x}|act=click|page=/home|END").into_bytes())
+            .collect();
+        let units: Vec<Vec<u8>> = [
+            CompressorChoice::Raw,
+            CompressorChoice::Tzstd,
+            CompressorChoice::TzstdDict,
+            CompressorChoice::Pbc,
+        ]
+        .map(|c| PretrainedCompression::train(c, &samples, TzstdLevel(1)).to_bytes())
+        .to_vec();
+        let dir = tmpdir("model-fuzz");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file_of = |body: &[u8]| [body, &crc32(body).to_le_bytes()].concat();
+        let load = |file: &[u8]| {
+            std::fs::write(dir.join(format!("{MODEL_FILE}1")), file).unwrap();
+            load_models(&dir)
+        };
+        let mut runner = TestRunner::new(Config {
+            cases: 64,
+            ..Config::default()
+        });
+        let inputs = (
+            proptest::collection::vec(any::<u8>(), 0..600),
+            0usize..4,
+            any::<usize>(),
+            any::<usize>(),
+        );
+        runner
+            .run(&inputs, |(bytes, unit, cut, bit)| {
+                let good = &units[unit];
+                let mut flipped = good.clone();
+                flipped[bit / 8 % good.len()] ^= 1 << (bit % 8);
+                let grown = [&good[..], &bytes].concat();
+                for body in [&bytes[..], &good[..cut % good.len()], &flipped, &grown] {
+                    match load(&file_of(body)) {
+                        Ok(models) => {
+                            let unit = &models[&1];
+                            let rec = &samples[47];
+                            prop_assert_eq!(&unit.decompress(&unit.compress(rec)).unwrap(), rec);
+                        }
+                        Err(e) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
+                    }
+                }
+                let file = file_of(good);
+                let mut flipped = file.clone();
+                flipped[bit / 8 % file.len()] ^= 1 << (bit % 8);
+                let cut = &file[..cut % file.len()];
+                for damaged in [&flipped[..], cut] {
+                    let outcome = load(damaged).map(|models| models.len());
+                    prop_assert!(matches!(outcome, Err(Error::Corruption(_))), "{outcome:?}");
+                }
+                Ok(())
+            })
+            .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -70,7 +70,7 @@ pub(crate) fn sync_parent_dir(path: &Path, site: &'static str) -> Result<()> {
     Ok(())
 }
 
-const MAGIC: u32 = 0x7b5d_57c4;
+const MAGIC: u32 = 0x7b5d_57d5;
 const FOOTER_LEN: usize = 8 + 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4 + 4;
 
 /// Build-time options.
@@ -1366,6 +1366,29 @@ mod tests {
         bytes[at..].copy_from_slice(&0x7b5d_57b3u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert_open_refused(meta, "ten-table lz layout");
+    }
+
+    #[test]
+    fn table_of_the_128_byte_entropy_table_layout_is_corruption() {
+        // Tables written before escape-coded entropy tables carry the
+        // same footer under magic `0x7b5d57c4`, and sixteen 128-byte
+        // tables (every byte coded) in their dict payload. Read with
+        // 129-byte tables they would decode shifted, so the magic
+        // refuses them first, whatever the codec.
+        for codec in [BlockCodec::None, BlockCodec::Lz, BlockCodec::Dict] {
+            let dir = tmpdir();
+            let path = dir.create().join("sixteen_tables.sst");
+            let config = SstConfig {
+                codec,
+                ..SstConfig::default()
+            };
+            let meta = write_sstable(1, &path, sample_entries(200).into_iter(), &config).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let at = bytes.len() - 4;
+            bytes[at..].copy_from_slice(&0x7b5d_57c4u32.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert_open_refused(meta, "128-byte entropy table layout");
+        }
     }
 
     /// Block bytes from `(shared, unshared, tag, rest)` entries: three

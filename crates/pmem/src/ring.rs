@@ -70,9 +70,27 @@ impl PersistentRingBuffer {
         Ok(ring)
     }
 
+    /// Whether a ring was ever formatted on `device`: [`Self::create`]
+    /// persists a header whose checksum is not zero before it returns,
+    /// so a device whose header bytes (as many as it has) are all zero
+    /// was created but never formatted — a crash cut its creation short.
+    pub fn is_formatted(device: &PmemDevice) -> Result<bool> {
+        let mut hdr = vec![0u8; device.size().min(HEADER_SIZE)];
+        device.read_at(0, &mut hdr)?;
+        Ok(hdr.iter().any(|&b| b != 0))
+    }
+
     /// Reopens a ring from a persisted device, validating the header and
-    /// truncating at the first torn record (crash recovery).
+    /// truncating at the first torn record (crash recovery). A device
+    /// too small for a ring, or a header whose checksum fails, is
+    /// [`Error::Corruption`], and the device is left as it was.
     pub fn recover(device: Arc<PmemDevice>, config: RingConfig) -> Result<Self> {
+        if device.size() <= HEADER_SIZE + FRAME_HEADER {
+            return Err(Error::Corruption(format!(
+                "{}-byte device too small for a ring",
+                device.size()
+            )));
+        }
         let mut hdr = [0u8; HEADER_SIZE];
         device.read_at(0, &mut hdr)?;
         let head = u64::from_le_bytes(hdr[0..8].try_into().unwrap());
@@ -354,6 +372,45 @@ mod tests {
         let ring = PersistentRingBuffer::recover(d, RingConfig::default()).unwrap();
         let recs = ring.peek_all().unwrap();
         assert_eq!(recs, vec![b"committed-1".to_vec(), b"committed-2".to_vec()]);
+    }
+
+    #[test]
+    fn only_a_device_never_formatted_reads_as_unformatted() {
+        let p = tmp("formatted");
+        let d = PmemDevice::create(&p, 1024, LatencyModel::none()).unwrap();
+        assert!(!PersistentRingBuffer::is_formatted(&d).unwrap());
+        let d = Arc::new(d);
+        PersistentRingBuffer::create(d.clone(), RingConfig::default()).unwrap();
+        assert!(PersistentRingBuffer::is_formatted(&d).unwrap());
+        // An empty ring's header is (0, 0, crc): the checksum is what
+        // tells it from a zeroed device.
+        let mut hdr = [0u8; HEADER_SIZE];
+        d.read_at(0, &mut hdr).unwrap();
+        assert_eq!(hdr[..16], [0; 16]);
+        // A flipped header byte is Corruption, and recovery leaves the
+        // device as it found it.
+        hdr[3] ^= 0x40;
+        d.write_at(0, &hdr).unwrap();
+        d.persist().unwrap();
+        let before = std::fs::read(&p).unwrap();
+        let d = Arc::new(PmemDevice::open(&p, LatencyModel::none()).unwrap());
+        assert!(PersistentRingBuffer::is_formatted(&d).unwrap());
+        assert!(matches!(
+            PersistentRingBuffer::recover(d, RingConfig::default()),
+            Err(Error::Corruption(_))
+        ));
+        assert_eq!(std::fs::read(&p).unwrap(), before);
+        // Shorter than a header: zeros were never formatted, anything
+        // else cannot be recovered.
+        for (bytes, formatted) in [(vec![], false), (vec![0; 10], false), (vec![0, 9], true)] {
+            std::fs::write(&p, &bytes).unwrap();
+            let d = PmemDevice::open(&p, LatencyModel::none()).unwrap();
+            assert_eq!(PersistentRingBuffer::is_formatted(&d).unwrap(), formatted);
+            assert!(matches!(
+                PersistentRingBuffer::recover(Arc::new(d), RingConfig::default()),
+                Err(Error::Corruption(_))
+            ));
+        }
     }
 
     #[test]

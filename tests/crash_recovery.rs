@@ -200,6 +200,54 @@ fn wal_pmem_mode_recovers_every_write_once_the_ring_fills() {
 }
 
 #[test]
+fn wal_pmem_ring_with_a_damaged_header_fails_open_unchanged() {
+    // A clean close, then one header byte flipped: the ring's checksum
+    // fails. Reformatting it would drop every write it holds, so `open`
+    // must refuse with Corruption and leave the device byte-unchanged.
+    let dir = tmpdir("pmem-header");
+    let open = || {
+        TierBase::open(
+            TierBaseConfig::builder(dir.path())
+                .cache_capacity(64 << 20)
+                .persistence(PersistenceMode::WalPmem)
+                .pmem_ring_bytes(1 << 20)
+                .build(),
+        )
+    };
+    {
+        let store = open().unwrap();
+        for i in 0..100 {
+            store.put(k(i), v(i)).unwrap();
+        }
+        store.sync().unwrap();
+    }
+    let ring = dir.join("cache.pmem");
+    let mut bytes = std::fs::read(&ring).unwrap();
+    bytes[9] ^= 0x01;
+    std::fs::write(&ring, &bytes).unwrap();
+    for _ in 0..2 {
+        match open() {
+            Err(Error::Corruption(_)) => {}
+            Err(other) => panic!("expected Corruption, got {other:?}"),
+            Ok(_) => panic!("a ring whose header fails its checksum must fail open"),
+        }
+        assert!(std::fs::read(&ring).unwrap() == bytes, "cache.pmem changed");
+    }
+    // Restored, every write is there.
+    bytes[9] ^= 0x01;
+    std::fs::write(&ring, &bytes).unwrap();
+    let store = open().unwrap();
+    for i in 0..100 {
+        assert_eq!(store.get(&k(i)).unwrap(), Some(v(i)), "key {i}");
+    }
+    drop(store);
+    // A device that was never formatted (zeros: a crash cut its
+    // creation short) is formatted afresh.
+    std::fs::write(&ring, vec![0u8; 4096]).unwrap();
+    drop(open().unwrap());
+}
+
+#[test]
 fn write_through_survives_crash_without_any_cache_persistence() {
     let dir = tmpdir("wt");
     {
@@ -397,6 +445,49 @@ fn values_written_before_a_retrain_read_back_after_it() {
                 Some(shaped(i / 300, i)),
                 "{choice:?} key {i} after reopen"
             );
+        }
+    }
+}
+
+#[test]
+fn models_written_before_the_escape_code_fail_open() {
+    // `cache.model.1` files as the layout before escape-coded tables
+    // wrote them, checksum intact: a `tzstd` unit (tag 1, a baseline
+    // ratio, level 1, sixteen 128-byte tables of 8-bit codes, six
+    // split-out bytes) and a `pbc` unit (tag 3, the same baseline, model
+    // format 0xb1, no patterns, that coder as fallback). Reading either
+    // with this layout's tables would decode values wrongly, so `open`
+    // refuses them.
+    let tzstd = [
+        &1i32.to_le_bytes()[..],
+        &[0x88; 16 * 128],
+        &[0, 1, 2, 3, 4, 5],
+    ]
+    .concat();
+    let baseline = 2.5f64.to_le_bytes();
+    let units = [
+        (
+            CompressorChoice::Tzstd,
+            [&[1u8][..], &baseline, &tzstd].concat(),
+        ),
+        (
+            CompressorChoice::Pbc,
+            [&[3u8][..], &baseline, &[0xb1, 0], &tzstd].concat(),
+        ),
+    ];
+    for (choice, unit) in units {
+        let dir = tmpdir("model-previous");
+        std::fs::create_dir_all(dir.path()).unwrap();
+        let file = [&unit[..], &tierbase::common::crc32(&unit).to_le_bytes()].concat();
+        std::fs::write(dir.path().join("cache.model.1"), file).unwrap();
+        let config = TierBaseConfig::builder(dir.path())
+            .policy(SyncPolicy::WriteThrough)
+            .compression(choice)
+            .build();
+        match TierBase::open(config) {
+            Err(Error::Corruption(_)) => {}
+            Err(other) => panic!("{choice:?}: expected Corruption, got {other:?}"),
+            Ok(_) => panic!("{choice:?}: a model of the previous layout must fail open"),
         }
     }
 }
