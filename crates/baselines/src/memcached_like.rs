@@ -10,7 +10,6 @@ use crate::burn_cpu_us;
 use parking_lot::Mutex;
 use tb_cache::LruShard;
 use tb_common::{fx_hash, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value};
-use tb_pmem::Medium;
 
 /// Modeled per-entry header (item header + hash chain pointer).
 /// `LruShard` already charges 64 bytes/entry, close enough to
@@ -77,10 +76,7 @@ impl MemcachedLike {
         // its size class so `resident_bytes` reflects slab waste.
         let stored = encode_slab(&value);
         // Cache semantics: eviction is expected, never an error.
-        let _ = self
-            .shard(&key)
-            .lock()
-            .insert(key, stored, false, Medium::Dram);
+        let _ = self.shard(&key).lock().insert(key, stored, false);
     }
 }
 
@@ -123,7 +119,7 @@ impl KvEngine for MemcachedLike {
                     if current != expected {
                         return Err(Error::CasMismatch);
                     }
-                    let _ = shard.insert(key, encode_slab(&new), false, Medium::Dram);
+                    let _ = shard.insert(key, encode_slab(&new), false);
                     done()
                 }
                 // Memcached has no range primitive: a scan walks every

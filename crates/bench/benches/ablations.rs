@@ -5,13 +5,11 @@
 //! 3. DRAM/PMem split threshold — space cost vs latency.
 //! 4. SHARDS sampling rate — MRC build cost vs accuracy vs the CR* it
 //!    feeds into Theorem 5.1.
-//! 5. Replication protocol — sync / quorum / async write cost.
-//! 6. Deferred cache-fetching — per-key gets vs one batched fetch over
+//! 5. Deferred cache-fetching — per-key gets vs one batched fetch over
 //!    a simulated network (§4.1.2).
 
 use std::time::Instant;
 use tb_bench::{bench_dir, print_table, scale};
-use tb_cache::{CacheConfig, ReplicatedCache, ReplicationMode};
 use tb_common::{Key, KvEngine, Value};
 use tb_costmodel::{
     lru_miss_ratio_curve, shards_miss_ratio_curve, MissRatioCurve, ShardsConfig, TieredCostModel,
@@ -26,7 +24,6 @@ fn main() {
     ablation_bloom();
     ablation_pmem_split();
     ablation_shards_sampling();
-    ablation_replication_mode();
     ablation_deferred_fetch();
 }
 
@@ -226,49 +223,7 @@ fn ablation_shards_sampling() {
     );
 }
 
-/// 5. Replication protocol: write cost and failover exposure of sync /
-///    quorum / async replication with 2 replicas.
-fn ablation_replication_mode() {
-    let n = 20_000 * scale();
-    let mut rows = Vec::new();
-    for (label, mode) in [
-        ("sync", ReplicationMode::Sync),
-        ("quorum", ReplicationMode::Quorum),
-        ("async", ReplicationMode::Async),
-    ] {
-        let g = ReplicatedCache::with_mode(CacheConfig::with_capacity(256 << 20), 2, mode);
-        let t0 = Instant::now();
-        for i in 0..n {
-            g.insert(
-                Key::from(format!("k{i}")),
-                Value::from(vec![b'x'; 100]),
-                false,
-            )
-            .unwrap();
-        }
-        let write_dt = t0.elapsed();
-        let lag = g.replication_lag();
-        let t1 = Instant::now();
-        g.drain_replication(usize::MAX).unwrap();
-        let drain_ms = t1.elapsed().as_millis();
-        rows.push(vec![
-            label.into(),
-            format!(
-                "{:.0}",
-                n as f64 / write_dt.as_secs_f64().max(1e-9) / 1000.0
-            ),
-            lag.to_string(),
-            format!("{drain_ms}"),
-        ]);
-    }
-    print_table(
-        "Ablation 5: replication protocol (2 replicas)",
-        &["variant", "write kQPS", "lag at ack", "drain ms"],
-        &rows,
-    );
-}
-
-/// 6. Deferred cache-fetching (§4.1.2): reading 1000 cold keys with
+/// 5. Deferred cache-fetching (§4.1.2): reading 1000 cold keys with
 ///    per-key gets vs one batched multi_get over a 200us-RTT network.
 fn ablation_deferred_fetch() {
     let n_cold = 1_000 * scale();
@@ -313,7 +268,7 @@ fn ablation_deferred_fetch() {
     assert!(got.iter().all(|v| v.is_some()));
 
     print_table(
-        "Ablation 6: deferred cache-fetching (1000 cold keys, 200us RTT)",
+        "Ablation 5: deferred cache-fetching (1000 cold keys, 200us RTT)",
         &["variant", "wall ms", "kQPS"],
         &[
             vec![

@@ -7,7 +7,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tb_common::{deadline_after, fx_hash, Clock, Key, Result, SystemClock, TtlState, Value};
-use tb_pmem::{LatencyModel, Medium, PlacementPolicy, SplitPlacement};
+use tb_pmem::LatencyModel;
+
+/// The §4.3 DRAM/PMem split. Keys and index entries always stay in
+/// DRAM; a value of at least `value_threshold` bytes lives in PMem,
+/// where the latency premium is amortized over its size, and pays
+/// `latency` on every read and write.
+#[derive(Debug, Clone, Copy)]
+pub struct PmemPlacement {
+    pub value_threshold: usize,
+    pub latency: LatencyModel,
+}
 
 /// Cache construction options.
 #[derive(Clone)]
@@ -16,11 +26,8 @@ pub struct CacheConfig {
     pub capacity_bytes: usize,
     /// Shard count (power of two recommended).
     pub shards: usize,
-    /// Value placement policy (DRAM vs PMem).
-    pub placement: Arc<dyn PlacementPolicy>,
-    /// Access-latency premium for PMem-resident values (None = no
-    /// simulation; DRAM accesses never pay it).
-    pub pmem_latency: Option<LatencyModel>,
+    /// Where large values live; `None` keeps every value in DRAM.
+    pub pmem: Option<PmemPlacement>,
     /// Time source for TTL expiry (tests inject a `ManualClock`).
     pub clock: Arc<dyn Clock>,
 }
@@ -30,8 +37,7 @@ impl Default for CacheConfig {
         Self {
             capacity_bytes: 64 << 20,
             shards: 16,
-            placement: Arc::new(SplitPlacement::default()),
-            pmem_latency: None,
+            pmem: None,
             clock: Arc::new(SystemClock::new()),
         }
     }
@@ -84,8 +90,8 @@ pub enum Lookup {
 /// A concurrent, bounded, LRU key-value cache.
 pub struct ShardedCache {
     shards: Vec<Mutex<LruShard>>,
-    placement: Arc<dyn PlacementPolicy>,
-    pmem_latency: Option<LatencyModel>,
+    shard_budget: usize,
+    pmem: Option<PmemPlacement>,
     clock: Arc<dyn Clock>,
     pub stats: Arc<CacheStats>,
     _obs: tb_obs::SourceGuard,
@@ -111,8 +117,8 @@ impl ShardedCache {
         };
         Self {
             shards,
-            placement: config.placement,
-            pmem_latency: config.pmem_latency,
+            shard_budget: per_shard,
+            pmem: config.pmem,
             clock: config.clock,
             stats,
             _obs: obs,
@@ -122,6 +128,13 @@ impl ShardedCache {
     fn shard(&self, key: &Key) -> &Mutex<LruShard> {
         let idx = (fx_hash(key.as_slice()) as usize) % self.shards.len();
         &self.shards[idx]
+    }
+
+    /// The latency a value of `len` bytes pays per access: `Some`
+    /// exactly when the placement rule puts it in PMem.
+    fn pmem_latency(&self, len: usize) -> Option<&LatencyModel> {
+        let pmem = self.pmem.as_ref()?;
+        (len >= pmem.value_threshold).then_some(&pmem.latency)
     }
 
     /// The cache's time source (shared with TTL bookkeeping).
@@ -145,13 +158,13 @@ impl ShardedCache {
     /// is stale by definition).
     pub fn lookup(&self, key: &Key) -> Lookup {
         let now = self.clock.now_nanos();
-        let (value, medium, len) = {
+        let value = {
             let mut shard = self.shard(key).lock();
             let had_key = shard.peek(key).is_some();
             match shard.get(key, now) {
                 Some(e) => {
                     self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    (e.value.clone(), e.medium, e.value.len())
+                    e.value.clone()
                 }
                 None => {
                     self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -164,10 +177,8 @@ impl ShardedCache {
                 }
             }
         };
-        if medium == Medium::Pmem {
-            if let Some(model) = &self.pmem_latency {
-                model.stall_read(len);
-            }
+        if let Some(model) = self.pmem_latency(value.len()) {
+            model.stall_read(value.len());
         }
         Lookup::Live(value)
     }
@@ -175,6 +186,14 @@ impl ShardedCache {
     /// Looks up the full entry (value + dirty flag) without stats.
     pub fn peek_entry(&self, key: &Key) -> Option<CacheEntry> {
         self.shard(key).lock().peek(key).cloned()
+    }
+
+    /// Refuses an entry larger than a shard's budget with
+    /// [`Error::InvalidArgument`](tb_common::Error::InvalidArgument), as
+    /// an insert of it would. Callers check before a step they cannot
+    /// take back, such as a log append.
+    pub fn admit(&self, key: &Key, value: &Value) -> Result<()> {
+        LruShard::admit(self.shard_budget, key, value).map(|_| ())
     }
 
     /// Inserts a value; returns what was evicted.
@@ -194,8 +213,8 @@ impl ShardedCache {
         self.insert_full(key, value, dirty, Some(deadline))
     }
 
-    /// Inserts with an explicit absolute expiry deadline (replication
-    /// replay, storage re-population).
+    /// Inserts with an explicit absolute expiry deadline (log replay,
+    /// storage re-population).
     pub fn insert_full(
         &self,
         key: Key,
@@ -203,29 +222,14 @@ impl ShardedCache {
         dirty: bool,
         expires_at: Option<u64>,
     ) -> Result<Evicted> {
-        let medium = self.placement.place_value(value.len());
-        self.insert_placed(key, value, dirty, medium, expires_at)
-    }
-
-    /// Inserts with an explicit medium (tests, replication replay).
-    pub fn insert_placed(
-        &self,
-        key: Key,
-        value: Value,
-        dirty: bool,
-        medium: Medium,
-        expires_at: Option<u64>,
-    ) -> Result<Evicted> {
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        if medium == Medium::Pmem {
-            if let Some(model) = &self.pmem_latency {
-                model.stall_write(value.len());
-            }
+        if let Some(model) = self.pmem_latency(value.len()) {
+            model.stall_write(value.len());
         }
         let evicted = self
             .shard(&key)
             .lock()
-            .insert_full(key, value, dirty, medium, expires_at)?;
+            .insert_full(key, value, dirty, expires_at)?;
         self.stats
             .evictions
             .fetch_add(evicted.len() as u64, Ordering::Relaxed);
@@ -237,23 +241,20 @@ impl ShardedCache {
     /// written after the fetch was issued and is newer than it, so the
     /// fill must not replace it. Returns whether the copy went in.
     pub fn fill(&self, key: Key, value: Value, expires_at: Option<u64>) -> Result<bool> {
-        let medium = self.placement.place_value(value.len());
         let len = value.len();
         let evicted = {
             let mut shard = self.shard(&key).lock();
             if shard.peek(&key).is_some() {
                 return Ok(false);
             }
-            shard.insert_full(key, value, false, medium, expires_at)?
+            shard.insert_full(key, value, false, expires_at)?
         };
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         self.stats
             .evictions
             .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-        if medium == Medium::Pmem {
-            if let Some(model) = &self.pmem_latency {
-                model.stall_write(len);
-            }
+        if let Some(model) = self.pmem_latency(len) {
+            model.stall_write(len);
         }
         Ok(true)
     }
@@ -367,9 +368,9 @@ impl ShardedCache {
             for key in s.keys_mru_first() {
                 let e = s.peek(&key).expect("key just listed");
                 let cost = LruShard::entry_cost(&key, &e.value) as u64;
-                match e.medium {
-                    Medium::Dram => dram += cost,
-                    Medium::Pmem => pmem += cost,
+                match self.pmem_latency(e.value.len()) {
+                    None => dram += cost,
+                    Some(_) => pmem += cost,
                 }
             }
         }
@@ -389,10 +390,10 @@ mod tests {
         ShardedCache::new(CacheConfig {
             capacity_bytes: capacity,
             shards: 4,
-            placement: Arc::new(SplitPlacement {
+            pmem: Some(PmemPlacement {
                 value_threshold: 100,
+                latency: LatencyModel::none(),
             }),
-            pmem_latency: None,
             clock,
         })
     }
@@ -423,15 +424,29 @@ mod tests {
         assert!(c.len() < 1000);
     }
 
+    /// A value is in PMem exactly when the config sets `pmem` and the
+    /// value is at least its threshold.
     #[test]
     fn placement_routes_values() {
-        let c = cache(1 << 20);
-        c.insert(k(1), Value::from(vec![0u8; 10]), false).unwrap(); // DRAM
-        c.insert(k(2), Value::from(vec![0u8; 500]), false).unwrap(); // PMem
-        let (dram, pmem) = c.bytes_by_medium();
-        assert!(dram > 0 && pmem > 0);
-        assert!(pmem > dram, "large value should dominate PMem bytes");
-        assert_eq!(c.peek_entry(&k(2)).unwrap().medium, Medium::Pmem);
+        let cost = |i: usize, len: usize| LruShard::entry_cost(&k(i), &Value::from(vec![0; len]));
+        let c = cache(1 << 20); // threshold 100
+        c.insert(k(1), Value::from(vec![0u8; 99]), false).unwrap();
+        assert_eq!(c.bytes_by_medium(), (cost(1, 99) as u64, 0));
+        c.insert(k(2), Value::from(vec![0u8; 100]), false).unwrap();
+        assert_eq!(
+            c.bytes_by_medium(),
+            (cost(1, 99) as u64, cost(2, 100) as u64)
+        );
+        // A fill follows the same rule.
+        assert!(c.fill(k(3), Value::from(vec![0u8; 10]), None).unwrap());
+        let (dram, _) = c.bytes_by_medium();
+        assert_eq!(dram, (cost(1, 99) + cost(3, 10)) as u64);
+
+        let dram_only = ShardedCache::new(CacheConfig::with_capacity(1 << 20));
+        dram_only
+            .insert(k(1), Value::from(vec![0u8; 1024]), false)
+            .unwrap();
+        assert_eq!(dram_only.bytes_by_medium(), (cost(1, 1024) as u64, 0));
     }
 
     #[test]

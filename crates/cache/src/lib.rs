@@ -4,14 +4,19 @@
 //! split across shards for concurrency. The pieces the synchronization
 //! policies need live here too:
 //!
-//! * [`lru`] / [`cache`] — the sharded LRU store with DRAM/PMem value
-//!   placement and dirty-entry pinning (a dirty entry must never be
-//!   evicted before it reaches the storage tier).
+//! * [`lru`] / [`cache`] — the sharded LRU store with dirty-entry
+//!   pinning (a dirty entry must never be evicted before it reaches the
+//!   storage tier) and §4.3's DRAM/PMem split as one config rule,
+//!   [`PmemPlacement`]: values at or above a size threshold live in
+//!   PMem.
 //! * [`ShardedCache::fill`] — the insert-if-absent a storage-tier fetch
 //!   fills the cache with, so an older fetched copy never replaces a
 //!   write that landed during the fetch.
-//! * [`replica`] — master→replica replication of cache contents and
-//!   dirty data (write-back reliability, §4.1.2).
+//! * [`snapshot`] — point-in-time snapshots for warm restarts.
+//!
+//! Write-back dirty data survives the loss of its node through a
+//! replica node (`tb_cluster::NodeStore::with_replica`), which holds
+//! its copy on another node; this crate keeps one copy.
 //!
 //! §4.1.1's write-through queue and temporary update buffer are not
 //! here: they are the writes a `TierBase` batch pass stages for its one
@@ -20,10 +25,8 @@
 
 pub mod cache;
 pub mod lru;
-pub mod replica;
 pub mod snapshot;
 
-pub use cache::{CacheConfig, CacheStats, Lookup, ShardedCache};
+pub use cache::{CacheConfig, CacheStats, Lookup, PmemPlacement, ShardedCache};
 pub use lru::{CacheEntry, LruShard};
-pub use replica::{ReplicatedCache, ReplicationMode};
 pub use snapshot::{load_snapshot, write_snapshot};

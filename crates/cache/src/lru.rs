@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 use tb_common::hash::FxBuildHasher;
 use tb_common::{Error, Key, Result, Value};
-use tb_pmem::Medium;
 
 /// A slab index as the links store it: half a word, so threading a
 /// node on two lists costs what one list of `usize` links did (node
@@ -26,8 +25,6 @@ const NIL: Idx = Idx::MAX;
 pub struct CacheEntry {
     pub value: Value,
     pub dirty: bool,
-    /// Where the value bytes notionally live (DRAM or PMem).
-    pub medium: Medium,
     /// Absolute clock-nanosecond deadline after which the entry is
     /// logically gone (`None` = never expires).
     pub expires_at: Option<u64>,
@@ -98,6 +95,18 @@ impl LruShard {
         key.len() + value.len() + 64
     }
 
+    /// The entry's cost, or [`Error::InvalidArgument`] when it exceeds
+    /// `budget`: no eviction could make room for it.
+    pub(crate) fn admit(budget: usize, key: &Key, value: &Value) -> Result<usize> {
+        let cost = Self::entry_cost(key, value);
+        if cost > budget {
+            return Err(Error::InvalidArgument(format!(
+                "entry of {cost} bytes exceeds shard budget {budget}"
+            )));
+        }
+        Ok(cost)
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -145,14 +154,8 @@ impl LruShard {
     ///
     /// Errors with [`Error::Backpressure`] when the needed space cannot
     /// be reclaimed because remaining entries are dirty.
-    pub fn insert(
-        &mut self,
-        key: Key,
-        value: Value,
-        dirty: bool,
-        medium: Medium,
-    ) -> Result<Evicted> {
-        self.insert_full(key, value, dirty, medium, None)
+    pub fn insert(&mut self, key: Key, value: Value, dirty: bool) -> Result<Evicted> {
+        self.insert_full(key, value, dirty, None)
     }
 
     /// [`insert`](Self::insert) with an expiry deadline. Overwriting a
@@ -162,49 +165,33 @@ impl LruShard {
         key: Key,
         value: Value,
         dirty: bool,
-        medium: Medium,
         expires_at: Option<u64>,
     ) -> Result<Evicted> {
-        let cost = Self::entry_cost(&key, &value);
-        if cost > self.budget_bytes {
-            return Err(Error::InvalidArgument(format!(
-                "entry of {cost} bytes exceeds shard budget {}",
-                self.budget_bytes
-            )));
-        }
+        let cost = Self::admit(self.budget_bytes, &key, &value)?;
 
         // Replace = remove + insert-fresh; when the bigger replacement
         // cannot fit, the old entry is restored so a failed insert never
         // leaves the shard over budget or missing the key.
         if self.map.contains_key(&key) {
             let old = self.remove(&key).expect("key present");
-            return match self.insert_fresh(key.clone(), value, dirty, medium, expires_at, cost) {
+            return match self.insert_fresh(key.clone(), value, dirty, expires_at, cost) {
                 Ok(evicted) => Ok(evicted),
                 Err(e) => {
                     let old_cost = Self::entry_cost(&key, &old.value);
-                    self.insert_fresh(
-                        key,
-                        old.value,
-                        old.dirty,
-                        old.medium,
-                        old.expires_at,
-                        old_cost,
-                    )
-                    .expect("restoring the previous entry always fits");
+                    self.insert_fresh(key, old.value, old.dirty, old.expires_at, old_cost)
+                        .expect("restoring the previous entry always fits");
                     Err(e)
                 }
             };
         }
-        self.insert_fresh(key, value, dirty, medium, expires_at, cost)
+        self.insert_fresh(key, value, dirty, expires_at, cost)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn insert_fresh(
         &mut self,
         key: Key,
         value: Value,
         dirty: bool,
-        medium: Medium,
         expires_at: Option<u64>,
         cost: usize,
     ) -> Result<Evicted> {
@@ -227,7 +214,6 @@ impl LruShard {
             entry: CacheEntry {
                 value,
                 dirty,
-                medium,
                 expires_at,
             },
             links: [UNLINKED; 2],
@@ -493,7 +479,7 @@ mod tests {
     #[test]
     fn insert_get_remove() {
         let mut s = LruShard::new(10_000);
-        s.insert(k(1), v(10), false, Medium::Dram).unwrap();
+        s.insert(k(1), v(10), false).unwrap();
         assert_eq!(s.get(&k(1), 0).unwrap().value, v(10));
         assert!(s.remove(&k(1)).is_some());
         assert!(s.get(&k(1), 0).is_none());
@@ -504,12 +490,12 @@ mod tests {
     fn lru_eviction_order() {
         // Budget fits ~3 entries of cost (2 + 10 + 64).
         let mut s = LruShard::new(230);
-        s.insert(k(1), v(10), false, Medium::Dram).unwrap();
-        s.insert(k(2), v(10), false, Medium::Dram).unwrap();
-        s.insert(k(3), v(10), false, Medium::Dram).unwrap();
+        s.insert(k(1), v(10), false).unwrap();
+        s.insert(k(2), v(10), false).unwrap();
+        s.insert(k(3), v(10), false).unwrap();
         // Touch k1 so k2 becomes LRU.
         s.get(&k(1), 0);
-        let evicted = s.insert(k(4), v(10), false, Medium::Dram).unwrap();
+        let evicted = s.insert(k(4), v(10), false).unwrap();
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].0, k(2), "k2 was least recently used");
         assert!(s.get(&k(1), 0).is_some());
@@ -519,10 +505,10 @@ mod tests {
     #[test]
     fn dirty_entries_are_pinned() {
         let mut s = LruShard::new(230);
-        s.insert(k(1), v(10), true, Medium::Dram).unwrap(); // dirty, LRU
-        s.insert(k(2), v(10), false, Medium::Dram).unwrap();
-        s.insert(k(3), v(10), false, Medium::Dram).unwrap();
-        let evicted = s.insert(k(4), v(10), false, Medium::Dram).unwrap();
+        s.insert(k(1), v(10), true).unwrap(); // dirty, LRU
+        s.insert(k(2), v(10), false).unwrap();
+        s.insert(k(3), v(10), false).unwrap();
+        let evicted = s.insert(k(4), v(10), false).unwrap();
         // k1 is oldest but dirty → k2 goes instead.
         assert_eq!(evicted[0].0, k(2));
         assert!(s.peek(&k(1)).is_some());
@@ -531,24 +517,24 @@ mod tests {
     #[test]
     fn all_dirty_causes_backpressure() {
         let mut s = LruShard::new(230);
-        s.insert(k(1), v(10), true, Medium::Dram).unwrap();
-        s.insert(k(2), v(10), true, Medium::Dram).unwrap();
-        s.insert(k(3), v(10), true, Medium::Dram).unwrap();
-        let err = s.insert(k(4), v(10), false, Medium::Dram).unwrap_err();
+        s.insert(k(1), v(10), true).unwrap();
+        s.insert(k(2), v(10), true).unwrap();
+        s.insert(k(3), v(10), true).unwrap();
+        let err = s.insert(k(4), v(10), false).unwrap_err();
         assert!(matches!(err, Error::Backpressure { .. }));
         // Cleaning one unblocks the insert.
         s.mark_clean(&k(1));
-        s.insert(k(4), v(10), false, Medium::Dram).unwrap();
+        s.insert(k(4), v(10), false).unwrap();
         assert!(s.peek(&k(1)).is_none(), "cleaned entry became evictable");
     }
 
     #[test]
     fn overwrite_adjusts_sizes_and_dirty() {
         let mut s = LruShard::new(10_000);
-        s.insert(k(1), v(100), true, Medium::Dram).unwrap();
+        s.insert(k(1), v(100), true).unwrap();
         let d1 = s.dirty_bytes();
         assert!(d1 > 0);
-        s.insert(k(1), v(10), false, Medium::Dram).unwrap();
+        s.insert(k(1), v(10), false).unwrap();
         assert_eq!(s.dirty_bytes(), 0);
         assert_eq!(s.len(), 1);
         s.mark_clean(&k(1)); // no-op on clean entry
@@ -559,7 +545,7 @@ mod tests {
     fn oversized_entry_rejected() {
         let mut s = LruShard::new(100);
         assert!(matches!(
-            s.insert(k(1), v(200), false, Medium::Dram),
+            s.insert(k(1), v(200), false),
             Err(Error::InvalidArgument(_))
         ));
     }
@@ -567,9 +553,9 @@ mod tests {
     #[test]
     fn dirty_entries_snapshot() {
         let mut s = LruShard::new(10_000);
-        s.insert(k(1), v(5), true, Medium::Dram).unwrap();
-        s.insert(k(2), v(5), false, Medium::Dram).unwrap();
-        s.insert(k(3), v(5), true, Medium::Pmem).unwrap();
+        s.insert(k(1), v(5), true).unwrap();
+        s.insert(k(2), v(5), false).unwrap();
+        s.insert(k(3), v(5), true).unwrap();
         let dirty = s.dirty_entries();
         let keys: Vec<&Key> = dirty.iter().map(|(k, _)| k).collect();
         assert_eq!(keys.len(), 2);
@@ -580,7 +566,7 @@ mod tests {
     fn mru_ordering_reflects_access() {
         let mut s = LruShard::new(10_000);
         for i in 0..4 {
-            s.insert(k(i), v(1), false, Medium::Dram).unwrap();
+            s.insert(k(i), v(1), false).unwrap();
         }
         s.get(&k(0), 0);
         let order = s.keys_mru_first();
@@ -591,8 +577,7 @@ mod tests {
     #[test]
     fn expired_clean_entry_removed_on_get() {
         let mut s = LruShard::new(10_000);
-        s.insert_full(k(1), v(5), false, Medium::Dram, Some(100))
-            .unwrap();
+        s.insert_full(k(1), v(5), false, Some(100)).unwrap();
         assert!(s.get(&k(1), 99).is_some());
         assert!(s.get(&k(1), 100).is_none(), "deadline == now expires");
         assert_eq!(s.len(), 0, "clean expired entry removed eagerly");
@@ -602,8 +587,7 @@ mod tests {
     #[test]
     fn expired_dirty_entry_pinned_but_invisible() {
         let mut s = LruShard::new(10_000);
-        s.insert_full(k(1), v(5), true, Medium::Dram, Some(100))
-            .unwrap();
+        s.insert_full(k(1), v(5), true, Some(100)).unwrap();
         assert!(s.get(&k(1), 200).is_none());
         assert_eq!(s.len(), 1, "dirty entry survives until flushed");
         assert_eq!(s.sweep_expired(200).len(), 0, "sweep skips dirty");
@@ -621,15 +605,14 @@ mod tests {
         let mut s = LruShard::new(330);
         for i in 1..=4 {
             let ttl = (i == 3).then_some(100);
-            s.insert_full(k(i), v(20 + i), false, Medium::Dram, ttl)
-                .unwrap();
+            s.insert_full(k(i), v(20 + i), false, ttl).unwrap();
         }
         s.remove(&k(2));
         assert!(s.get(&k(3), 100).is_none(), "expired on read");
-        s.insert(k(5), v(30), true, Medium::Dram).unwrap();
-        s.insert(k(6), v(30), false, Medium::Dram).unwrap();
-        assert_eq!(s.insert(k(7), v(30), false, Medium::Dram).unwrap().len(), 1);
-        s.insert(k(6), v(5), false, Medium::Dram).unwrap();
+        s.insert(k(5), v(30), true).unwrap();
+        s.insert(k(6), v(30), false).unwrap();
+        assert_eq!(s.insert(k(7), v(30), false).unwrap().len(), 1);
+        s.insert(k(6), v(5), false).unwrap();
         s.set_expiry(&k(7), Some(200));
         assert_eq!(s.sweep_expired(200).len(), 1);
 
@@ -654,7 +637,7 @@ mod tests {
     #[test]
     fn set_expiry_roundtrip() {
         let mut s = LruShard::new(10_000);
-        s.insert(k(1), v(5), false, Medium::Dram).unwrap();
+        s.insert(k(1), v(5), false).unwrap();
         assert_eq!(s.expiry_of(&k(1)), Some(None));
         assert!(s.set_expiry(&k(1), Some(42)));
         assert_eq!(s.expiry_of(&k(1)), Some(Some(42)));
@@ -682,7 +665,7 @@ mod tests {
             let mut ai = 0;
             for (i, (ki, ttl, dirty)) in ops.into_iter().enumerate() {
                 let deadline = ttl.map(|t| now + t);
-                s.insert_full(k(ki), v(8), dirty, Medium::Dram, deadline).unwrap();
+                s.insert_full(k(ki), v(8), dirty, deadline).unwrap();
                 if i % 3 == 0 {
                     now += advances[ai % advances.len()];
                     ai += 1;
@@ -725,7 +708,7 @@ mod tests {
                     // Insert or overwrite (dirty or clean, with or
                     // without a deadline); may evict or hit backpressure.
                     0..=2 => {
-                        let _ = s.insert_full(k(ki), v(vlen), dirty, Medium::Dram, ttl.map(|t| now + t));
+                        let _ = s.insert_full(k(ki), v(vlen), dirty, ttl.map(|t| now + t));
                     }
                     3 => {
                         s.remove(&k(ki));
@@ -773,7 +756,7 @@ mod tests {
             let mut s = LruShard::new(2000);
             for (ki, vlen, dirty) in ops {
                 // Dirty inserts may hit backpressure; that's fine.
-                let _ = s.insert(k(ki), v(vlen.min(1800)), dirty, Medium::Dram);
+                let _ = s.insert(k(ki), v(vlen.min(1800)), dirty);
                 prop_assert!(s.used_bytes() <= 2000);
                 prop_assert_eq!(s.keys_mru_first().len(), s.len());
             }

@@ -1,9 +1,11 @@
 //! TierBase configuration: the `s` in the cost model's `C(w, i, s)`.
 //!
 //! Every knob here is a point in the configuration space the cost
-//! optimization framework (§5.3) searches: cache capacity and replica
-//! count move `SC`; the sync policy and persistence mode move `PC` and
-//! durability; compression and PMem trade one for the other.
+//! optimization framework (§5.3) searches: cache capacity moves `SC`;
+//! the sync policy and persistence mode move `PC` and durability;
+//! compression and PMem trade one for the other. Replication is not a
+//! store knob: a replicated TierBase is a `tb_cluster::NodeStore` with
+//! a replica node.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -19,8 +21,9 @@ pub enum SyncPolicy {
     InMemory,
     /// Synchronous storage update before acknowledging (§4.1.1).
     WriteThrough,
-    /// Asynchronous batched storage update; dirty data replicated
-    /// (§4.1.2).
+    /// Asynchronous batched storage update (§4.1.2). Until a flush,
+    /// dirty data's only copy is this cache; to survive losing it, run
+    /// the store as a `tb_cluster::NodeStore::with_replica` node.
     WriteBack,
 }
 
@@ -85,11 +88,6 @@ pub struct TierBaseConfig {
     pub cache_capacity: usize,
     /// Cache shard count.
     pub cache_shards: usize,
-    /// Cache replicas (dirty-data safety for write-back; availability
-    /// for in-memory). Each replica doubles cache space cost.
-    pub replicas: usize,
-    /// How writes propagate to replicas (sync / quorum / async).
-    pub replication_mode: tb_cache::ReplicationMode,
     /// Cache/storage synchronization policy.
     pub policy: SyncPolicy,
     /// Cache-tier persistence (only meaningful without a storage tier).
@@ -116,8 +114,6 @@ impl std::fmt::Debug for TierBaseConfig {
             .field("dir", &self.dir)
             .field("cache_capacity", &self.cache_capacity)
             .field("cache_shards", &self.cache_shards)
-            .field("replicas", &self.replicas)
-            .field("replication_mode", &self.replication_mode)
             .field("policy", &self.policy)
             .field("persistence", &self.persistence)
             .field("compression", &self.compression)
@@ -137,8 +133,6 @@ impl TierBaseConfig {
                 dir: dir.into(),
                 cache_capacity: 64 << 20,
                 cache_shards: 16,
-                replicas: 0,
-                replication_mode: tb_cache::ReplicationMode::Sync,
                 policy: SyncPolicy::InMemory,
                 persistence: PersistenceMode::None,
                 compression: CompressorChoice::Raw,
@@ -174,16 +168,6 @@ impl TierBaseConfigBuilder {
 
     pub fn cache_shards(mut self, shards: usize) -> Self {
         self.config.cache_shards = shards;
-        self
-    }
-
-    pub fn replicas(mut self, n: usize) -> Self {
-        self.config.replicas = n;
-        self
-    }
-
-    pub fn replication_mode(mut self, mode: tb_cache::ReplicationMode) -> Self {
-        self.config.replication_mode = mode;
         self
     }
 
@@ -264,13 +248,11 @@ mod tests {
     fn builder_sets_fields() {
         let c = TierBaseConfig::builder("/tmp/x")
             .cache_capacity(1234)
-            .replicas(2)
             .compression(CompressorChoice::Pbc)
             .pmem(PmemTuning::default())
             .threading(ThreadMode::Elastic(4))
             .build();
         assert_eq!(c.cache_capacity, 1234);
-        assert_eq!(c.replicas, 2);
         assert_eq!(c.compression, CompressorChoice::Pbc);
         assert!(c.pmem.is_some());
         assert_eq!(c.threading, ThreadMode::Elastic(4));

@@ -46,7 +46,6 @@ pub enum Action {
     EnableElasticThreading,
     IncreaseCacheCapacity,
     SwitchToWriteBack,
-    SwitchToWriteThrough,
     InvestigateStorageFailures,
 }
 
@@ -147,16 +146,6 @@ impl<'s> Insight<'s> {
                     reason: format!(
                         "{:.0}% writes: write-back batching would cut per-write \
                          storage round-trips (§4.1.3)",
-                        write_share * 100.0
-                    ),
-                });
-            }
-            if config.policy == SyncPolicy::WriteBack && write_share < 0.1 && config.replicas > 0 {
-                out.push(Suggestion {
-                    action: Action::SwitchToWriteThrough,
-                    reason: format!(
-                        "{:.0}% writes: write-through would drop the replicated \
-                         dirty-data space cost (§4.1.3)",
                         write_share * 100.0
                     ),
                 });

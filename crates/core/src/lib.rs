@@ -4,7 +4,8 @@
 //! Key-Value Store"* (Shen et al., ICDE 2025). The store combines:
 //!
 //! * a **cache tier** of sharded in-memory hash tables (DRAM and/or
-//!   simulated PMem) with LRU eviction and optional replication,
+//!   simulated PMem) with LRU eviction (a replicated store is a
+//!   `tb-cluster` node with a replica),
 //! * a **storage tier** (a disaggregated LSM engine) synchronized by
 //!   **write-through** or **write-back** policies (§4.1),
 //! * **persistence modes** for cache-resident deployments: WAL on disk

@@ -11,13 +11,13 @@
 use crate::config::{PersistenceMode, SyncPolicy, TierBaseConfig};
 use crate::interval::AccessIntervalTracker;
 use crate::store_write::{apply_log_record, COLD_LOG};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tb_cache::{CacheConfig, ReplicatedCache};
+use tb_cache::{CacheConfig, PmemPlacement, ShardedCache};
 use tb_common::{
     crc32, deadline_after, read_varint, write_varint, EngineOp, Error, Key, KvEngine, OpOutcome,
     Result, TtlState, Value,
@@ -25,11 +25,7 @@ use tb_common::{
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
 use tb_elastic::ElasticGate;
 use tb_lsm::{DisaggregatedStore, LsmConfig, LsmDb, NetworkModel};
-use tb_pmem::{
-    DramOnly, LatencyModel, PersistentRingBuffer, PmemDevice, RingConfig, SplitPlacement,
-};
-
-use tb_pmem::placement::PlacementPolicy;
+use tb_pmem::{LatencyModel, PersistentRingBuffer, PmemDevice, RingConfig};
 
 pub use crate::store_stats::TierBaseStats;
 
@@ -78,7 +74,7 @@ const MODEL_FILE: &str = "cache.model.";
 
 pub(crate) struct Inner {
     pub(crate) config: TierBaseConfig,
-    pub(crate) cache: ReplicatedCache,
+    pub(crate) cache: ShardedCache,
     pub(crate) storage: Option<DisaggregatedStore>,
     pub(crate) wal: Option<Mutex<tb_lsm::wal::Wal>>,
     /// Frame sequence for the cache WAL: the cache log is positional,
@@ -91,7 +87,6 @@ pub(crate) struct Inner {
     models: Mutex<BTreeMap<u64, Arc<PretrainedCompression>>>,
     train_samples: Mutex<Vec<Vec<u8>>>,
     pub(crate) ops_since_flush: AtomicU64,
-    pub(crate) cas_lock: Mutex<()>,
     /// Fail the next N storage write calls (failure-injection hook).
     pub(crate) inject_storage_failures: AtomicU64,
     /// §6.5.3 statistic: sampled mean key re-access interval, compared
@@ -107,6 +102,10 @@ pub struct TierBase {
     /// The container's CPU allocation: 1 permit in single-thread mode,
     /// N in multi-thread, 1..N under elastic control (§4.4).
     gate: Arc<ElasticGate>,
+    /// Held shared by every dispatched call and exclusive by the
+    /// read-modify-writes (CAS, EXPIRE, PERSIST): one runs alone, so no
+    /// write of its key lands between its read and its write.
+    rmw: RwLock<()>,
 }
 
 impl TierBase {
@@ -115,24 +114,16 @@ impl TierBase {
         std::fs::create_dir_all(&config.dir)?;
         let models = load_models(&config.dir)?;
 
-        let placement: Arc<dyn PlacementPolicy> = match &config.pmem {
-            Some(t) => Arc::new(SplitPlacement {
+        let cache = ShardedCache::new(CacheConfig {
+            capacity_bytes: config.cache_capacity,
+            shards: config.cache_shards,
+            // PMem-resident values pay Optane-like access latency.
+            pmem: config.pmem.map(|t| PmemPlacement {
                 value_threshold: t.value_threshold,
+                latency: LatencyModel::optane(),
             }),
-            None => Arc::new(DramOnly),
-        };
-        let cache = ReplicatedCache::with_mode(
-            CacheConfig {
-                capacity_bytes: config.cache_capacity,
-                shards: config.cache_shards,
-                placement,
-                // PMem-resident values pay Optane-like access latency.
-                pmem_latency: config.pmem.map(|_| LatencyModel::optane()),
-                clock: config.clock.clone(),
-            },
-            config.replicas,
-            config.replication_mode,
-        );
+            clock: config.clock.clone(),
+        });
 
         let storage = if config.needs_storage_tier() {
             let db = Arc::new(LsmDb::open(LsmConfig::new(config.dir.join("storage")))?);
@@ -149,7 +140,7 @@ impl TierBase {
         // before any WAL replay (the WAL holds the newer writes).
         let snapshot_path = config.dir.join("cache.rdb");
         if snapshot_path.exists() {
-            tb_cache::load_snapshot(cache.primary(), &snapshot_path)?;
+            tb_cache::load_snapshot(&cache, &snapshot_path)?;
         }
 
         let mut wal = None;
@@ -224,13 +215,13 @@ impl TierBase {
                 models: Mutex::new(models),
                 train_samples: Mutex::new(Vec::new()),
                 ops_since_flush: AtomicU64::new(0),
-                cas_lock: Mutex::new(()),
                 inject_storage_failures: AtomicU64::new(0),
                 intervals,
                 stats,
                 _obs: obs,
             }),
             gate,
+            rmw: RwLock::new(()),
         })
     }
 
@@ -277,24 +268,12 @@ impl TierBase {
         self.inner.flush_dirty()
     }
 
-    /// Writes queued but not yet replicated cache writes (only nonzero
-    /// under [`tb_cache::ReplicationMode::Async`]).
-    pub fn replication_lag(&self) -> usize {
-        self.inner.cache.replication_lag()
-    }
-
-    /// Applies queued async replication to the replicas (the background
-    /// replication thread's work, driven explicitly for determinism).
-    pub fn drain_replication(&self) -> Result<usize> {
-        self.inner.cache.drain_replication(usize::MAX)
-    }
-
     /// Writes a point-in-time snapshot of the cache tier (Redis RDB
     /// analog) to `<dir>/cache.rdb`. [`open`](Self::open) restores it
     /// automatically for a warm restart. Returns the entry count.
     pub fn save_cache_snapshot(&self) -> Result<usize> {
         let path = self.inner.config.dir.join("cache.rdb");
-        tb_cache::write_snapshot(self.inner.cache.primary(), &path)
+        tb_cache::write_snapshot(&self.inner.cache, &path)
     }
 
     /// Inserts a value that expires `ttl` from now (Redis `SETEX`). The
@@ -311,14 +290,14 @@ impl TierBase {
     /// when the key does not exist.
     pub fn expire(&self, key: &Key, ttl: Duration) -> Result<bool> {
         let key = key.clone();
-        self.dispatch(move |inner| inner.do_set_ttl(&key, Some(ttl)))
+        self.dispatch_as(true, move |inner| inner.do_set_ttl(&key, Some(ttl)))
     }
 
     /// Removes a key's TTL (Redis `PERSIST`). Returns `false` when the
     /// key does not exist.
     pub fn persist(&self, key: &Key) -> Result<bool> {
         let key = key.clone();
-        self.dispatch(move |inner| inner.do_set_ttl(&key, None))
+        self.dispatch_as(true, move |inner| inner.do_set_ttl(&key, None))
     }
 
     /// The key's TTL (Redis `TTL`): missing, no expiry, or remaining
@@ -371,7 +350,7 @@ impl TierBase {
 
     /// Bytes of not-yet-synchronized dirty data.
     pub fn dirty_bytes(&self) -> u64 {
-        self.inner.cache.primary().dirty_bytes()
+        self.inner.cache.dirty_bytes()
     }
 
     /// The concurrency gate (permit count, boost/shrink statistics).
@@ -393,7 +372,23 @@ impl TierBase {
     }
 
     fn dispatch<T: Send + 'static>(&self, f: impl FnOnce(&Inner) -> T + Send + 'static) -> T {
-        self.gate.run(|| f(&self.inner))
+        self.dispatch_as(false, f)
+    }
+
+    /// Runs `f` under a gate permit and the `rmw` lock, exclusive
+    /// when `f` is a read-modify-write. A write holds the lock until it
+    /// takes effect (a write-through put at its storage ack), and `f`
+    /// calls `Inner` directly, so it never takes the lock twice.
+    fn dispatch_as<T: Send + 'static>(
+        &self,
+        rmw: bool,
+        f: impl FnOnce(&Inner) -> T + Send + 'static,
+    ) -> T {
+        self.gate.run(|| {
+            let _shared = (!rmw).then(|| self.rmw.read());
+            let _exclusive = rmw.then(|| self.rmw.write());
+            f(&self.inner)
+        })
     }
 }
 
@@ -403,7 +398,8 @@ impl KvEngine for TierBase {
     /// writes. Every provided point and multi-key method is a one-op
     /// batch through here.
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        self.dispatch(move |inner| inner.apply_batch(ops))
+        let rmw = ops.iter().any(|op| matches!(op, EngineOp::Cas { .. }));
+        self.dispatch_as(rmw, move |inner| inner.apply_batch(ops))
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -733,7 +729,7 @@ mod tests {
         )
         .unwrap();
         tb.put(k(1), Value::from("old")).unwrap();
-        let snapshot = tb.inner.cache.primary().dirty_entries();
+        let snapshot = tb.inner.cache.dirty_entries();
         tb.put(k(1), Value::from("new")).unwrap();
         assert_eq!(tb.inner.write_back(snapshot).unwrap(), 1);
         // Storage holds "old"; the entry holding "new" was never
@@ -930,25 +926,6 @@ mod tests {
             (with_pmem as f64) < dram_only as f64 * 0.7,
             "PMem should discount SC: {with_pmem} vs {dram_only}"
         );
-    }
-
-    #[test]
-    fn replicas_multiply_resident_bytes() {
-        let build = |name: &str, replicas: usize| {
-            let tb = TierBase::open(
-                TierBaseConfig::builder(tmpdir(name))
-                    .replicas(replicas)
-                    .build(),
-            )
-            .unwrap();
-            for i in 0..50 {
-                tb.put(k(i), v(i)).unwrap();
-            }
-            tb.resident_bytes()
-        };
-        let single = build("rep0", 0);
-        let dual = build("rep1", 1);
-        assert_eq!(dual, single * 2);
     }
 
     #[test]
@@ -1223,38 +1200,6 @@ mod tests {
             "driven at 20s intervals, measured {mean}"
         );
         assert!(tb.access_intervals().tracked_keys() > 0);
-    }
-
-    #[test]
-    fn async_replication_through_store() {
-        let tb = TierBase::open(
-            TierBaseConfig::builder(tmpdir("async-rep"))
-                .replicas(1)
-                .replication_mode(tb_cache::ReplicationMode::Async)
-                .build(),
-        )
-        .unwrap();
-        for i in 0..20 {
-            tb.put(k(i), v(i)).unwrap();
-        }
-        assert_eq!(tb.replication_lag(), 20);
-        assert_eq!(tb.drain_replication().unwrap(), 20);
-        assert_eq!(tb.replication_lag(), 0);
-        // resident_bytes now counts both copies.
-        assert!(tb.resident_bytes() > 0);
-    }
-
-    #[test]
-    fn quorum_replication_through_store() {
-        let tb = TierBase::open(
-            TierBaseConfig::builder(tmpdir("quorum-rep"))
-                .replicas(2)
-                .replication_mode(tb_cache::ReplicationMode::Quorum)
-                .build(),
-        )
-        .unwrap();
-        tb.put(k(1), v(1)).unwrap();
-        assert_eq!(tb.get(&k(1)).unwrap(), Some(v(1)));
     }
 
     #[test]
@@ -1748,15 +1693,7 @@ mod tests {
         );
         // The staged writes reached the cache clean once storage had them.
         for key in [k(6), k(20), k(21), k(22)] {
-            assert!(
-                !batched
-                    .inner
-                    .cache
-                    .primary()
-                    .peek_entry(&key)
-                    .unwrap()
-                    .dirty
-            );
+            assert!(!batched.inner.cache.peek_entry(&key).unwrap().dirty);
         }
     }
 
@@ -1770,7 +1707,7 @@ mod tests {
         assert_eq!(got[0], Ok(OpOutcome::Value(Some(v(1)))));
         assert!(matches!(got[1], Ok(OpOutcome::Done(_))));
         // The miss completed after the put: its fill must not replace it.
-        let entry = tb.inner.cache.primary().peek_entry(&k(1)).unwrap();
+        let entry = tb.inner.cache.peek_entry(&k(1)).unwrap();
         assert!(entry.dirty);
         assert_eq!(tb.get(&k(1)).unwrap(), Some(v(2)));
         assert_eq!(tb.flush_dirty().unwrap(), 1);
@@ -1807,7 +1744,7 @@ mod tests {
             "the storage copy expired"
         );
         assert!(matches!(got[1], Ok(OpOutcome::Done(_))));
-        let entry = tb.inner.cache.primary().peek_entry(&k(1)).unwrap();
+        let entry = tb.inner.cache.peek_entry(&k(1)).unwrap();
         assert!(entry.dirty, "the put is still owed to storage");
         assert_eq!(tb.get(&k(1)).unwrap(), Some(v(2)));
         assert_eq!(tb.flush_dirty().unwrap(), 1);
@@ -1850,7 +1787,7 @@ mod tests {
         );
         assert_eq!(got[1], Ok(OpOutcome::Value(Some(v(1)))), "the old value");
         // No trace of v2: the cache holds storage's v1, clean.
-        let entry = tb.inner.cache.primary().peek_entry(&k(1)).unwrap();
+        let entry = tb.inner.cache.peek_entry(&k(1)).unwrap();
         assert!(!entry.dirty);
         assert_eq!(tb.inner.decode_value(&entry.value).unwrap(), v(1));
         assert_eq!(tb.get(&k(1)).unwrap(), Some(v(1)));

@@ -141,7 +141,7 @@ impl<'a> Pass<'a> {
         inner.intervals.record(&key);
         // Behind a staged write of its key, a get skips the cache: storage
         // answers it after the write.
-        let lookup = (!self.written.contains(&key)).then(|| inner.cache.primary().lookup(&key));
+        let lookup = (!self.written.contains(&key)).then(|| inner.cache.lookup(&key));
         let counter = match &lookup {
             Some(Lookup::Live(_)) => &inner.stats.cache_hits,
             _ => &inner.stats.cache_misses,
@@ -173,6 +173,11 @@ impl<'a> Pass<'a> {
         inner.stats.puts.fetch_add(1, Ordering::Relaxed);
         inner.intervals.record(&key);
         let stored = inner.encode_value(&value, expires_at);
+        // A value the cache cannot hold is refused before it is logged
+        // or staged.
+        if let Err(e) = inner.cache.admit(&key, &stored) {
+            return self.fail(op, e);
+        }
         let applied = match inner.config.policy {
             SyncPolicy::WriteThrough => {
                 self.written.insert(key.clone());
@@ -181,7 +186,8 @@ impl<'a> Pass<'a> {
             }
             SyncPolicy::InMemory => inner
                 .log_persistence(&key, Some(&stored))
-                .and_then(|()| inner.cache.insert_full(key, stored, false, expires_at)),
+                .and_then(|()| inner.cache.insert_full(key, stored, false, expires_at))
+                .map(drop),
             SyncPolicy::WriteBack => self.put_dirty(key, stored, expires_at),
         };
         if let Err(e) = applied {
@@ -202,11 +208,11 @@ impl<'a> Pass<'a> {
                 inner.flush_dirty()?;
                 cache.insert_full(key, stored, true, expires_at)?;
             }
-            other => other?,
+            other => drop(other?),
         }
         let ops = inner.ops_since_flush.fetch_add(1, Ordering::Relaxed) + 1;
         let wb = &inner.config.write_back;
-        if ops >= wb.flush_every_ops || cache.primary().dirty_bytes() > wb.max_dirty_bytes {
+        if ops >= wb.flush_every_ops || cache.dirty_bytes() > wb.max_dirty_bytes {
             self.submit();
             inner.flush_dirty()?;
         }
@@ -288,7 +294,7 @@ impl<'a> Pass<'a> {
             // (write-through), or one the cache took meanwhile, as
             // `fill` below assumes (write-back, other threads).
             let rewritten = |op: &EngineOp| matches!(op, EngineOp::Put(k, _) if k == key);
-            let cached = || inner.cache.primary().peek_entry(key).is_some();
+            let cached = || inner.cache.peek_entry(key).is_some();
             if !later.iter().any(rewritten) && !cached() {
                 inner.reclaim_expired(key)?;
             }

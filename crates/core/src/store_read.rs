@@ -21,7 +21,7 @@ impl Inner {
 
     pub(crate) fn do_ttl(&self, key: &Key) -> Result<TtlState> {
         let now = self.config.clock.now_nanos();
-        match self.cache.primary().lookup(key) {
+        match self.cache.lookup(key) {
             Lookup::Live(stored) => {
                 let (_, _, _) = parse_envelope(stored.as_slice())?;
                 Ok(TtlState::from_deadline(envelope_expiry(&stored), now))
@@ -79,7 +79,6 @@ impl Inner {
         // fresher under write-back), so they win the merge.
         for (key, entry) in self
             .cache
-            .primary()
             .scan_range(start.as_slice(), end.map(Key::as_slice))
         {
             let (value, expires_at) = self.decode_envelope(&entry.value)?;

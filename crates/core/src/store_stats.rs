@@ -59,11 +59,9 @@ impl TierBaseStats {
 impl Inner {
     pub(crate) fn resident_bytes(&self) -> u64 {
         // The cache tier is the expensive resource. PMem bytes count at
-        // their discounted factor; replication multiplies the footprint.
-        let primary = self.cache.primary();
-        let (dram, pmem) = primary.bytes_by_medium();
+        // their discounted factor.
+        let (dram, pmem) = self.cache.bytes_by_medium();
         let factor = self.config.pmem.map(|t| t.cost_factor).unwrap_or(1.0);
-        let per_copy = dram + (pmem as f64 * factor) as u64;
-        per_copy * (1 + self.cache.live_replicas() as u64)
+        dram + (pmem as f64 * factor) as u64
     }
 }

@@ -36,7 +36,7 @@ impl Inner {
     }
 
     pub(crate) fn flush_dirty(&self) -> Result<usize> {
-        self.write_back(self.cache.primary().dirty_entries())
+        self.write_back(self.cache.dirty_entries())
     }
 
     /// Writes a snapshot of dirty entries down to the storage tier and

@@ -5,12 +5,13 @@
 use crate::store::{envelope_expiry, Inner};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
-use tb_cache::ReplicatedCache;
+use tb_cache::ShardedCache;
 use tb_common::{deadline_after, read_varint, write_varint, Error, Key, KvEngine, Result, Value};
 
 impl Inner {
     /// Rewrites a live key with a new expiry deadline (`EXPIRE` /
-    /// `PERSIST`). Returns `false` when the key does not exist.
+    /// `PERSIST`): a get and a put, which `TierBase` runs alone. Returns
+    /// `false` when the key does not exist.
     pub(crate) fn do_set_ttl(&self, key: &Key, ttl: Option<Duration>) -> Result<bool> {
         let Some(value) = self.get(key.clone())? else {
             return Ok(false);
@@ -20,9 +21,9 @@ impl Inner {
         Ok(true)
     }
 
-    /// Compare-and-set: a get and a put, atomic against other CAS calls.
+    /// Compare-and-set: a get and a put. `TierBase` runs a batch that
+    /// holds one alone, which makes it atomic against every write.
     pub(crate) fn do_cas(&self, key: Key, expected: Option<Value>, new: Value) -> Result<()> {
-        let _guard = self.cas_lock.lock();
         if self.get(key.clone())? == expected {
             self.put(key, new, None)
         } else {
@@ -108,8 +109,10 @@ fn encode_log_record(key: &Key, stored: Option<&Value>) -> Vec<u8> {
     out
 }
 
-/// Replays one persistence-log record into the cache (recovery).
-pub(crate) fn apply_log_record(cache: &ReplicatedCache, rec: &[u8]) -> Result<()> {
+/// Replays one persistence-log record into the cache (recovery). A
+/// record the cache cannot hold was refused when it was written, so it
+/// is skipped: older logs hold such records, logged before the refusal.
+pub(crate) fn apply_log_record(cache: &ShardedCache, rec: &[u8]) -> Result<()> {
     let (&flag, rest) = rec
         .split_first()
         .ok_or_else(|| Error::Corruption("empty cache log record".into()))?;
@@ -122,8 +125,10 @@ pub(crate) fn apply_log_record(cache: &ReplicatedCache, rec: &[u8]) -> Result<()
     match flag {
         0 => {
             let value = Value::copy_from(&rest[pos + klen..]);
-            let expires_at = envelope_expiry(&value);
-            cache.insert_full(key, value, false, expires_at)?;
+            if cache.admit(&key, &value).is_ok() {
+                let expires_at = envelope_expiry(&value);
+                cache.insert_full(key, value, false, expires_at)?;
+            }
             Ok(())
         }
         1 => {

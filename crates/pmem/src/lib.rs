@@ -11,14 +11,13 @@
 //!   append to a persistent ring at memory-like speed and are
 //!   batch-drained to slower bulk storage, decoupling commit latency
 //!   from disk IOPS.
-//! * [`placement`] — the DRAM/PMem split: keys and indexes stay in
-//!   DRAM, large values go to PMem, and writes are batched (assembled in
-//!   DRAM, bulk-copied) to hide PMem write latency.
+//!
+//! Which cache values live in PMem is a rule of the cache tier's
+//! configuration (`tb_cache::PmemPlacement`): values at or above a
+//! size threshold, which pay [`LatencyModel`]'s premium on access.
 
 pub mod device;
-pub mod placement;
 pub mod ring;
 
 pub use device::{LatencyModel, PmemDevice};
-pub use placement::{DramOnly, HybridCapacity, Medium, PlacementPolicy, SplitPlacement};
 pub use ring::{PersistentRingBuffer, RingConfig};

@@ -10,9 +10,9 @@
 //! |---|---|---|
 //! | [`store`] | `tierbase-core` | the TierBase store: tiered cache+storage, write-through/write-back, persistence modes, compression, elastic threading, data types, vector search |
 //! | [`costmodel`] | `tb-costmodel` | the Space-Performance Cost Model, Optimal Cost Theorem, tiered cost, Five-Minute-Rule break-even, evaluation framework |
-//! | [`cache`] | `tb-cache` | the cache tier: sharded LRU tables, dirty tracking, insert-if-absent miss fills, replication |
+//! | [`cache`] | `tb-cache` | the cache tier: sharded LRU tables, dirty tracking, insert-if-absent miss fills, DRAM/PMem value placement |
 //! | [`lsm`] | `tb-lsm` | the storage tier: WAL, SSTables, bloom filters, leveled compaction, disaggregated façade |
-//! | [`pmem`] | `tb-pmem` | simulated persistent memory: latency-modeled device, persistent ring buffer, DRAM/PMem placement |
+//! | [`pmem`] | `tb-pmem` | simulated persistent memory: latency-modeled device, persistent ring buffer |
 //! | [`compress`] | `tb-compress` | pre-trained compression: tzstd (dictionary LZ) and PBC (pattern-based) |
 //! | [`elastic`] | `tb-elastic` | elastic threading: the permit gate behind single/multi/elastic modes |
 //! | [`workload`] | `tb-workload` | YCSB-style generators, datasets, trace record/replay |
@@ -57,7 +57,6 @@ pub use tierbase_core as store;
 
 /// The items most applications need.
 pub mod prelude {
-    pub use tb_cache::ReplicationMode;
     pub use tb_common::{
         BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, TtlState, Value,
     };

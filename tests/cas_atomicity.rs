@@ -5,12 +5,15 @@
 //! write as one step: a concurrent writer slipping in between would be
 //! silently overwritten (a lost update) while both CAS calls report
 //! success. Each test hammers a counter from several threads and
-//! counts the increments that survived.
+//! counts the increments that survived; TierBase's read-modify-writes
+//! are also raced against plain puts of their key.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 use tierbase::baselines::{DragonflyLike, MemcachedLike, RedisLike};
 use tierbase::cluster::{CoordinatorGroup, NodeId, NodeStore, Proxy};
 use tierbase::common::testutil::MapEngine;
+use tierbase::elastic::ThreadMode;
 use tierbase::frontend::{Frontend, FrontendConfig};
 use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::prelude::*;
@@ -99,4 +102,83 @@ fn cluster_proxy_cas_is_atomic() {
         .collect();
     let proxy = Proxy::new(Arc::new(CoordinatorGroup::bootstrap(1, nodes).unwrap()));
     assert_eq!(hammer_counter(&proxy, 4, 50), 200);
+}
+
+/// TierBase's CAS, EXPIRE and PERSIST read their key, then write it. A
+/// put of the key from another thread must land before the read or
+/// after the write, never between. Each trial sets the key to `a`, then
+/// races `cas(a -> c)`, `expire` or `persist` against `put(b)`: every
+/// linearization of the two ends at `b`, so any other final value is an
+/// acknowledged put that was lost.
+#[test]
+fn tierbase_read_modify_writes_never_lose_a_concurrent_put() {
+    const TRIALS: usize = 10_000;
+    let mut lost_per_policy = Vec::new();
+    for policy in [
+        SyncPolicy::InMemory,
+        SyncPolicy::WriteBack,
+        SyncPolicy::WriteThrough,
+    ] {
+        let dir = tmpdir(&format!("rmw-{policy:?}"));
+        let store = TierBase::open(
+            TierBaseConfig::builder(dir.path())
+                .policy(policy)
+                .threading(ThreadMode::Multi(2))
+                .build(),
+        )
+        .unwrap();
+        // A large CAS value widens the window between its read and its
+        // write. Write-through sends every put to the storage tier, which
+        // is window enough, so it races a small one.
+        let c_len = if policy == SyncPolicy::WriteThrough {
+            8
+        } else {
+            64 << 10
+        };
+        let (a, b, c) = (
+            Value::from("a"),
+            Value::from("b"),
+            Value::from(vec![b'c'; c_len]),
+        );
+        let key = Key::from("raced");
+        let barrier = Barrier::new(2);
+        let lost = std::thread::scope(|s| {
+            s.spawn(|| {
+                for trial in 0..TRIALS {
+                    barrier.wait();
+                    // Sweep the put's start across the other call's span.
+                    let start = Instant::now();
+                    let delay = Duration::from_nanos(trial as u64 % 64 * 500);
+                    while start.elapsed() < delay {
+                        std::hint::spin_loop();
+                    }
+                    store.put(key.clone(), b.clone()).unwrap();
+                    barrier.wait();
+                }
+            });
+            let mut lost = 0;
+            for trial in 0..TRIALS {
+                store.put(key.clone(), a.clone()).unwrap();
+                barrier.wait();
+                match trial % 3 {
+                    0 => match store.cas(key.clone(), Some(&a), c.clone()) {
+                        Ok(()) | Err(Error::CasMismatch) => {}
+                        Err(e) => panic!("unexpected cas error: {e}"),
+                    },
+                    1 => assert!(store.expire(&key, Duration::from_secs(3600)).unwrap()),
+                    _ => assert!(store.persist(&key).unwrap()),
+                }
+                barrier.wait();
+                if store.get(&key).unwrap() != Some(b.clone()) {
+                    lost += 1;
+                }
+            }
+            lost
+        });
+        lost_per_policy.push((policy, lost));
+    }
+    assert!(
+        lost_per_policy.iter().all(|&(_, lost)| lost == 0),
+        "acked puts lost of {TRIALS} per policy: {lost_per_policy:?}"
+    );
 }

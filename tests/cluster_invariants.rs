@@ -320,3 +320,57 @@ proptest! {
         }
     }
 }
+
+/// Write-back dirty data survives the loss of its primary through the
+/// replica node: before a flush, the dirty copy in the primary's cache
+/// is its only copy there, and the replica's engine holds the other.
+/// The promoted replica serves every acked value, and they are durable
+/// in its own directory once it syncs.
+#[test]
+fn write_back_dirty_data_survives_primary_loss_through_a_replica_node() {
+    let (primary_dir, replica_dir) = (
+        tierbase::common::test_dir("tb-cluster-wb-primary"),
+        tierbase::common::test_dir("tb-cluster-wb-replica"),
+    );
+    let open = |dir: &std::path::Path| {
+        Arc::new(
+            TierBase::open(
+                TierBaseConfig::builder(dir)
+                    .policy(SyncPolicy::WriteBack)
+                    .build(),
+            )
+            .unwrap(),
+        )
+    };
+    let (primary, replica) = (open(primary_dir.path()), open(replica_dir.path()));
+    let mut node = NodeStore::new(NodeId(0), primary.clone()).with_replica(replica.clone());
+    let mut model: BTreeMap<Key, Value> = BTreeMap::new();
+    for i in 0..2000 {
+        let key = Key::from(format!("wb-{}", (i * 7919) % 300));
+        let value = Value::from(format!("v{i}"));
+        node.put(key.clone(), value.clone()).unwrap();
+        model.insert(key, value);
+    }
+    assert!(
+        primary.dirty_bytes() > 0,
+        "the primary holds unflushed writes"
+    );
+
+    node.crash();
+    drop(primary);
+    node.promote_replica().unwrap();
+    for (key, value) in &model {
+        assert_eq!(node.get(key).unwrap().as_ref(), Some(value), "{key:?}");
+    }
+
+    replica.sync().unwrap();
+    drop((node, replica));
+    let reopened = open(replica_dir.path());
+    for (key, value) in &model {
+        assert_eq!(
+            reopened.get(key).unwrap().as_ref(),
+            Some(value),
+            "{key:?} after reopen"
+        );
+    }
+}

@@ -491,3 +491,38 @@ fn models_written_before_the_escape_code_fail_open() {
         }
     }
 }
+
+/// A put larger than a cache shard's budget is refused. It was never
+/// acknowledged, so it must not reach the persistence log, where every
+/// later `open` would meet the same refusal and fail.
+#[test]
+fn a_put_the_cache_refuses_does_not_block_reopen() {
+    for (name, mode) in [
+        ("refused-wal", PersistenceMode::Wal),
+        ("refused-pmem", PersistenceMode::WalPmem),
+    ] {
+        let dir = tmpdir(name);
+        // 64 KiB over 16 shards: each shard holds 4 KiB.
+        let open = || {
+            TierBase::open(
+                TierBaseConfig::builder(dir.path())
+                    .cache_capacity(64 << 10)
+                    .persistence(mode)
+                    .pmem_ring_bytes(1 << 20)
+                    .build(),
+            )
+        };
+        {
+            let store = open().unwrap();
+            store.put(k(1), v(1)).unwrap();
+            let err = store
+                .put(k(2), Value::from(vec![b'x'; 20 << 10]))
+                .unwrap_err();
+            assert!(matches!(err, Error::InvalidArgument(_)), "{mode:?}: {err}");
+            store.sync().unwrap();
+        }
+        let store = open().unwrap_or_else(|e| panic!("{mode:?}: reopen failed: {e}"));
+        assert_eq!(store.get(&k(2)).unwrap(), None, "{mode:?}");
+        assert_eq!(store.get(&k(1)).unwrap(), Some(v(1)), "{mode:?}");
+    }
+}

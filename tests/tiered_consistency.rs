@@ -127,30 +127,6 @@ fn write_back_matches_model() {
 }
 
 #[test]
-fn write_back_with_replicas_matches_model() {
-    let dir = tmpdir("wbrep");
-    let store = TierBase::open(
-        TierBaseConfig::builder(dir.path())
-            .cache_capacity(1 << 20)
-            .policy(SyncPolicy::WriteBack)
-            .replicas(1)
-            .build(),
-    )
-    .unwrap();
-    let mut model: BTreeMap<Key, Value> = BTreeMap::new();
-    for (kind, key, value) in random_ops(17, 2000, 150) {
-        if kind <= 6 {
-            store.put(key.clone(), value.clone()).unwrap();
-            model.insert(key, value);
-        } else {
-            assert_eq!(store.get(&key).unwrap().as_ref(), model.get(&key));
-        }
-    }
-    // Replication doubles the cache-tier footprint.
-    assert!(store.resident_bytes() > 0);
-}
-
-#[test]
 fn compressed_store_matches_model() {
     let dir = tmpdir("comp");
     let store = TierBase::open(
