@@ -7,7 +7,9 @@ use std::path::Path;
 use tb_bench::bench_dir;
 use tb_cache::{CacheConfig, ShardedCache};
 use tb_common::{crc32, fx_hash, Histogram, Key, KvEngine, Value};
-use tb_compress::{BlockCodec, BlockCodecState, Compressor, Pbc, PbcConfig, Tzstd, TzstdLevel};
+use tb_compress::{
+    BlockCodec, BlockCodecState, BlockEffort, Compressor, Pbc, PbcConfig, Tzstd, TzstdLevel,
+};
 use tb_lsm::memtable::Entry;
 use tb_lsm::sstable::{decode_block, find_in_block, write_sstable, SstConfig, SstReader};
 use tb_lsm::{LsmConfig, LsmDb};
@@ -128,7 +130,9 @@ fn table(path: &Path, entries: &[(Key, Entry)], codec: BlockCodec) -> SstReader 
 /// `none` table of Cities records (exactly the writer's blocks) and
 /// trained the way the writer trains (first 512 values, the table's
 /// own blocks): throughput is uncompressed bytes per second through
-/// `encode_frame` / `decode_frame`, CRC included. `crc32` is the
+/// `encode_frame` / `decode_frame`, CRC included. Every codec runs at
+/// a flush table's effort; `lz-compaction` is `lz` as a compaction
+/// writes it (lazy parse, 8 KiB dictionary). `crc32` is the
 /// checksum alone over one block.
 fn bench_block_codec(c: &mut Criterion) {
     let entries = cities_entries(8000);
@@ -148,10 +152,12 @@ fn bench_block_codec(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("block_codec");
     group.throughput(Throughput::Bytes(bytes as u64));
-    for codec in BlockCodec::ALL {
-        let state = BlockCodecState::train_on_blocks(codec, &samples, &blocks);
+    let flush = BlockCodec::ALL.map(|codec| (codec, BlockEffort::Flush, codec.name()));
+    let compaction = (BlockCodec::Lz, BlockEffort::Compaction, "lz-compaction");
+    for (codec, effort, name) in flush.into_iter().chain([compaction]) {
+        let state = BlockCodecState::train_on_blocks(codec, effort, &samples, &blocks);
         let mut frame = Vec::new();
-        group.bench_function(format!("{}/encode", codec.name()), |b| {
+        group.bench_function(format!("{name}/encode"), |b| {
             b.iter(|| {
                 for block in &blocks {
                     frame.clear();
@@ -169,12 +175,11 @@ fn bench_block_codec(c: &mut Criterion) {
             .collect();
         let on_disk: usize = frames.iter().map(Vec::len).sum();
         println!(
-            "block_codec/{}: ratio {:.3} ({bytes} -> {on_disk} B + {} B table payload)",
-            codec.name(),
+            "block_codec/{name}: ratio {:.3} ({bytes} -> {on_disk} B + {} B table payload)",
             bytes as f64 / on_disk as f64,
             state.dict_payload().len()
         );
-        group.bench_function(format!("{}/decode", codec.name()), |b| {
+        group.bench_function(format!("{name}/decode"), |b| {
             b.iter(|| {
                 for frame in &frames {
                     std::hint::black_box(state.decode_frame(frame).unwrap());

@@ -16,6 +16,7 @@
 //! ```
 
 use crate::cache::ShardedCache;
+use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 use tb_common::{crc32, read_varint, write_varint, Error, Key, Result, Value};
@@ -53,14 +54,23 @@ pub fn write_snapshot(cache: &ShardedCache, path: &Path) -> Result<usize> {
     }
 
     let tmp = path.with_extension("rdb-tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
+    let written = (|| -> Result<()> {
+        let mut f = File::create(&tmp)?;
         f.write_all(&SNAPSHOT_MAGIC.to_le_bytes())?;
         f.write_all(&body)?;
         f.write_all(&crc32(&body).to_le_bytes())?;
         f.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        // The rename is durable only once the directory is.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        Ok(())
+    })();
+    if let Err(e) = written {
+        // No half-written tmp file outlives a failed save.
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
-    std::fs::rename(&tmp, path)?;
     Ok(entries.len())
 }
 
@@ -239,6 +249,30 @@ mod tests {
         let dst = cache_with_clock(clock);
         assert!(load_snapshot(&dst, &path).is_err());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_failed_save_leaves_no_tmp_file_and_the_previous_snapshot() {
+        let clock = ManualClock::new();
+        let src = cache_with_clock(clock.clone());
+        src.insert(k(1), Value::from("kept"), false).unwrap();
+        let dir = tb_common::test_dir("tb-rdb-failed-save");
+        let path = dir.create().join("cache.rdb");
+        write_snapshot(&src, &path).unwrap();
+        // Every write to the tmp file fails: it is a link to a device
+        // that is always full.
+        let tmp = path.with_extension("rdb-tmp");
+        std::os::unix::fs::symlink("/dev/full", &tmp).unwrap();
+        src.insert(k(2), Value::from("lost"), false).unwrap();
+        assert!(write_snapshot(&src, &path).is_err());
+        assert!(
+            std::fs::symlink_metadata(&tmp).is_err(),
+            "tmp file left behind"
+        );
+        let dst = cache_with_clock(clock);
+        assert_eq!(load_snapshot(&dst, &path).unwrap(), 1);
+        assert_eq!(dst.get(&k(1)), Some(Value::from("kept")));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! control bytes   := every varint of the token stream, in order
 //!                    (literal-run length, match length, distance, end)
 //! dict payload    := 6 control tables | 10 literal tables (129 B each)
-//!                    | 6 split-out bytes | dictionary (0..=4096 bytes)
+//!                    | 6 split-out bytes | dictionary (0..=8192 bytes)
 //! ```
 //!
 //! A table ([`HuffTable`]) codes only the bytes its training saw, plus
@@ -41,11 +41,19 @@
 //! 4 bytes is taken from under 128 bytes back, where its distance is
 //! one varint byte, and is coded as literals farther out. A `dict`
 //! table's dictionary is trained on its input values; an `lz` table's
-//! is 16 slices of 256 bytes cut from its own blocks, one a third of
-//! the way into each of 16 evenly spaced blocks. 4 KiB keeps every
-//! distance from a 4 KiB block under 16 KiB, two varint bytes; the
-//! dictionary is stored raw in every table, so an `lz` table of fewer
-//! than 32 blocks stores none (and parses each block alone).
+//! is 16 slices cut from its own blocks, one a third of the way into
+//! each of 16 evenly spaced blocks. How hard the writer works is its
+//! [`BlockEffort`], which the LSM picks by the level a table is written
+//! to: a flush table (L0), rewritten by the next compaction, takes
+//! level 1's greedy parse and 256-byte slices (4 KiB); a compaction
+//! table, which keeps most of a store's bytes, takes level 13's lazy
+//! parse (it tries the next position before it takes a match) over 64
+//! candidates and 512-byte slices (8 KiB). Either keeps every
+//! distance from a 4 KiB block under 16 KiB, two varint bytes. The
+//! dictionary is stored raw in every table, so an `lz` table cuts at
+//! most 128 bytes of it per block: one of fewer than 32 blocks stores
+//! none (and parses each block alone), and a compaction table reaches
+//! 8 KiB at 64 blocks. Readers decode either alike.
 //!
 //! Each symbol's table is chosen by its context, which the decoder
 //! knows before it decodes the symbol:
@@ -98,8 +106,13 @@ pub const FRAME_TAG_STORED: u8 = 0;
 /// flush/compaction input stream (first N put values, deterministic).
 pub const MAX_TRAIN_SAMPLES: usize = 512;
 
-/// Byte budget for the dictionary an `lz`/`dict` table stores.
-pub const MAX_DICT_BYTES: usize = 4096;
+/// Longest dictionary a reader accepts in a table's or a record
+/// model's payload: a compaction table's `lz` dictionary.
+pub const MAX_DICT_BYTES: usize = 8 << 10;
+
+/// Target size of a dictionary [`train_dictionary`] makes for a `dict`
+/// table or a `tzstd-d` model.
+pub const TRAINED_DICT_BYTES: usize = 4 << 10;
 
 /// Longest block a compressed frame may hold; longer blocks are stored.
 /// A compressed frame's `uncompressed_len` bounds the decode, so the
@@ -123,36 +136,74 @@ const TRAIN_BLOCK_STRIDE: usize = 8;
 const SAMPLE_BLOCK_LEN: usize = 4096;
 
 /// An `lz` table's dictionary is [`DICT_SLICES`] slices of
-/// [`DICT_SLICE_LEN`] bytes, `MAX_DICT_BYTES` in all.
+/// [`BlockEffort::dict_slice_len`] bytes.
 const DICT_SLICES: usize = 16;
-const DICT_SLICE_LEN: usize = MAX_DICT_BYTES / DICT_SLICES;
 
-/// Fewest blocks an `lz` table needs to store a dictionary, which is
-/// stored raw, once per table. On Cities records (`user{i:012}` or
-/// hashed keys) a 24-block table breaks even with it and a 32-block
-/// one is ~3 % smaller; large tables save ~7 %.
-const MIN_DICT_BLOCKS: usize = 32;
+/// An `lz` table stores its dictionary raw, once, so it cuts no more
+/// than this many bytes of it per block it has. On Cities records
+/// (`user{i:012}` or hashed keys) a 24-block table breaks even with a
+/// 4 KiB dictionary and a 32-block one is ~3 % smaller; large tables
+/// save ~7 %.
+const DICT_BYTES_PER_BLOCK: usize = 128;
 
 /// The dictionary of an `lz` table: one slice from the middle block
 /// of each of [`DICT_SLICES`] equal runs of blocks, taken a third of
 /// the way into the block, past its first entry, whose key shares no
-/// prefix. Empty when the table has fewer than [`MIN_DICT_BLOCKS`]
-/// blocks.
-fn cut_dictionary(blocks: &[Vec<u8>]) -> Vec<u8> {
-    if blocks.len() < MIN_DICT_BLOCKS {
+/// prefix. Slices are `effort`'s length, shortened to what the table
+/// pays for ([`DICT_BYTES_PER_BLOCK`]); none when that is shorter than
+/// a flush table's, so a table of fewer than 32 blocks has none.
+fn cut_dictionary(blocks: &[Vec<u8>], effort: BlockEffort) -> Vec<u8> {
+    let slice_len = effort
+        .dict_slice_len()
+        .min(blocks.len() * DICT_BYTES_PER_BLOCK / DICT_SLICES);
+    if slice_len < BlockEffort::Flush.dict_slice_len() {
         return Vec::new();
     }
-    let mut dict = Vec::with_capacity(MAX_DICT_BYTES);
+    let mut dict = Vec::with_capacity(DICT_SLICES * slice_len);
     for slice in 0..DICT_SLICES {
         let block = &blocks[(2 * slice + 1) * blocks.len() / (2 * DICT_SLICES)];
         let start = block.len() / 3;
-        dict.extend_from_slice(&block[start..block.len().min(start + DICT_SLICE_LEN)]);
+        dict.extend_from_slice(&block[start..block.len().min(start + slice_len)]);
     }
     dict
 }
 
-/// LZ effort of the block path.
-pub(crate) const BLOCK_LEVEL: TzstdLevel = TzstdLevel(1);
+/// How hard a table's writer works on its `lz` blocks: the parse, and
+/// the length of the dictionary cut from them (a `dict` table is
+/// written at the flush effort at every level). The LSM picks it by
+/// the level a table is written to; a reader decodes either alike, and
+/// the table format does not record it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BlockEffort {
+    /// A flush output (L0), which the next compaction rewrites: level
+    /// 1's greedy parse over 8 candidates, after a 4 KiB dictionary.
+    #[default]
+    Flush,
+    /// A compaction output, where most of a store's bytes stay: a
+    /// lookahead (lazy) parse over 64 candidates, which tries the next
+    /// position before it takes a match, after an 8 KiB dictionary.
+    Compaction,
+}
+
+impl BlockEffort {
+    /// The LZ effort: level 1, greedy over 8 candidates, or level
+    /// 13, lazy over 64.
+    pub(crate) fn level(self) -> TzstdLevel {
+        match self {
+            BlockEffort::Flush => TzstdLevel(1),
+            BlockEffort::Compaction => TzstdLevel(13),
+        }
+    }
+
+    /// Length of each of an `lz` dictionary's [`DICT_SLICES`] slices:
+    /// 4 KiB or 8 KiB in all.
+    fn dict_slice_len(self) -> usize {
+        match self {
+            BlockEffort::Flush => 256,
+            BlockEffort::Compaction => 512,
+        }
+    }
+}
 
 /// Per-table block codec, chosen from `LsmConfig`. The discriminant is
 /// the codec's tag.
@@ -666,6 +717,8 @@ enum Coder {
 /// dictionary payload ([`BlockCodecState::from_dict_payload`]).
 pub struct BlockCodecState {
     codec: BlockCodec,
+    /// How a writer parses the blocks it frames.
+    effort: BlockEffort,
     coder: Coder,
     dict_payload: Vec<u8>,
 }
@@ -674,6 +727,7 @@ impl Default for BlockCodecState {
     fn default() -> Self {
         Self {
             codec: BlockCodec::None,
+            effort: BlockEffort::Flush,
             coder: Coder::None,
             dict_payload: Vec::new(),
         }
@@ -692,7 +746,7 @@ impl BlockCodecState {
             .chunks(SAMPLE_BLOCK_LEN)
             .map(<[u8]>::to_vec)
             .collect();
-        Self::train_on_blocks(codec, samples, &blocks)
+        Self::train_on_blocks(codec, BlockEffort::Flush, samples, &blocks)
     }
 
     /// Trains the codec for one table: the tzstd dictionary (`dict`) or
@@ -703,16 +757,24 @@ impl BlockCodecState {
     /// and split-out bytes from the LZ output, after the dictionary, of
     /// evenly spaced `blocks` of the table itself (every
     /// [`TRAIN_BLOCK_STRIDE`]th, at most [`MAX_TRAIN_BLOCKS`]), which
-    /// the `pbc` fallback's tables learn too. Deterministic for fixed
-    /// input.
-    pub fn train_on_blocks(codec: BlockCodec, samples: &[Vec<u8>], blocks: &[Vec<u8>]) -> Self {
-        Self::train_parsed(codec, samples, blocks).0
+    /// the `pbc` fallback's tables learn too. An `lz` table is parsed,
+    /// and its dictionary cut, at `effort`; a `dict` table, the
+    /// trained-dictionary baseline, is written at the flush effort
+    /// whatever `effort` says. Deterministic for fixed input.
+    pub fn train_on_blocks(
+        codec: BlockCodec,
+        effort: BlockEffort,
+        samples: &[Vec<u8>],
+        blocks: &[Vec<u8>],
+    ) -> Self {
+        Self::train_parsed(codec, effort, samples, blocks).0
     }
 
     /// [`Self::train_on_blocks`], also returning the parse of every
     /// block the entropy tables were trained on.
     fn train_parsed(
         codec: BlockCodec,
+        effort: BlockEffort,
         samples: &[Vec<u8>],
         blocks: &[Vec<u8>],
     ) -> (Self, Vec<Parsed>) {
@@ -725,18 +787,24 @@ impl BlockCodecState {
                 let model = PbcModel::train_for(samples, &whole, &PbcConfig::default());
                 let state = Self {
                     codec,
+                    effort: BlockEffort::Flush,
                     dict_payload: model.to_bytes(),
                     coder: Coder::Pbc(Pbc::new(Arc::new(model))),
                 };
                 return (state, Vec::new());
             }
-            BlockCodec::Lz => cut_dictionary(blocks),
-            BlockCodec::Dict => train_dictionary(samples, MAX_DICT_BYTES),
+            BlockCodec::Lz => cut_dictionary(blocks, effort),
+            BlockCodec::Dict => train_dictionary(samples, TRAINED_DICT_BYTES),
+        };
+        let effort = match codec {
+            BlockCodec::Lz => effort,
+            _ => BlockEffort::Flush,
         };
         let dict = (!dict.is_empty()).then(|| Prefix::new(dict));
-        let (coder, parsed) = LzCoder::train(dict, BLOCK_LEVEL, training);
+        let (coder, parsed) = LzCoder::train(dict, effort.level(), training);
         let state = Self {
             codec,
+            effort,
             dict_payload: coder.payload(),
             coder: Coder::Lz(Box::new(coder)),
         };
@@ -751,11 +819,12 @@ impl BlockCodecState {
     /// parse of it, so no block is LZ-parsed twice.
     pub fn train_and_encode(
         codec: BlockCodec,
+        effort: BlockEffort,
         samples: &[Vec<u8>],
         blocks: &[Vec<u8>],
         out: &mut Vec<u8>,
     ) -> (Self, Vec<(usize, bool)>) {
-        let (state, parsed) = Self::train_parsed(codec, samples, blocks);
+        let (state, parsed) = Self::train_parsed(codec, effort, samples, blocks);
         let mut parsed = parsed.into_iter().peekable();
         let frames = blocks
             .iter()
@@ -782,6 +851,7 @@ impl BlockCodecState {
         };
         Ok(Self {
             codec,
+            effort: BlockEffort::Flush,
             coder,
             dict_payload: payload.to_vec(),
         })
@@ -818,7 +888,10 @@ impl BlockCodecState {
                 Coder::Lz(c) => {
                     match tokens {
                         Some(tokens) => c.encode(tokens, out),
-                        None => c.encode(&lz_parse(c.dict.as_ref(), block, BLOCK_LEVEL), out),
+                        None => {
+                            let tokens = lz_parse(c.dict.as_ref(), block, self.effort.level());
+                            c.encode(&tokens, out)
+                        }
                     }
                     true
                 }
@@ -934,24 +1007,38 @@ mod tests {
         block
     }
 
-    /// An `lz` state trained on a table large enough to cut a
-    /// dictionary from its blocks.
-    fn primed_lz_state() -> BlockCodecState {
-        let blocks: Vec<Vec<u8>> = (0..MIN_DICT_BLOCKS as u64)
+    /// The length of `effort`'s full `lz` dictionary.
+    fn dict_len(effort: BlockEffort) -> usize {
+        DICT_SLICES * effort.dict_slice_len()
+    }
+
+    /// An `lz` state at `effort`, trained on the fewest blocks that cut
+    /// its full dictionary.
+    fn primed_lz_state_at(effort: BlockEffort) -> BlockCodecState {
+        let blocks: Vec<Vec<u8>> = (0..(dict_len(effort) / DICT_BYTES_PER_BLOCK) as u64)
             .map(|i| templated_block(60, i * 100))
             .collect();
-        let state = BlockCodecState::train_on_blocks(BlockCodec::Lz, &[], &blocks);
-        assert_eq!(state.dict_payload().len(), MODEL_BYTES + MAX_DICT_BYTES);
+        let state = BlockCodecState::train_on_blocks(BlockCodec::Lz, effort, &[], &blocks);
+        assert_eq!(state.dict_payload().len(), MODEL_BYTES + dict_len(effort));
         state
     }
 
-    /// Every codec trained on value samples, plus [`primed_lz_state`].
+    /// A flush table's `lz` state, with its 4 KiB dictionary.
+    fn primed_lz_state() -> BlockCodecState {
+        primed_lz_state_at(BlockEffort::Flush)
+    }
+
+    /// Every codec trained on value samples, plus an `lz` state primed
+    /// at either effort.
     fn all_states() -> Vec<BlockCodecState> {
         let samples = value_samples(64);
         BlockCodec::ALL
             .iter()
             .map(|&c| BlockCodecState::train(c, &samples))
-            .chain([primed_lz_state()])
+            .chain([
+                primed_lz_state(),
+                primed_lz_state_at(BlockEffort::Compaction),
+            ])
             .collect()
     }
 
@@ -982,18 +1069,36 @@ mod tests {
         assert_eq!(MODEL_BYTES, 2070);
         let samples = value_samples(512);
         let blocks: Vec<Vec<u8>> = (0..100).map(|i| templated_block(60, i)).collect();
-        let small = &blocks[..MIN_DICT_BLOCKS - 1];
-        let lz = BlockCodecState::train_on_blocks(BlockCodec::Lz, &samples, small);
-        assert_eq!(
-            lz.dict_payload().len(),
-            MODEL_BYTES,
-            "too small for a dictionary"
-        );
-        let lz = BlockCodecState::train_on_blocks(BlockCodec::Lz, &samples, &blocks);
-        assert_eq!(lz.dict_payload().len(), MODEL_BYTES + MAX_DICT_BYTES);
-        let dict = BlockCodecState::train_on_blocks(BlockCodec::Dict, &samples, &blocks);
-        assert!(dict.dict_payload().len() > MODEL_BYTES);
-        assert!(dict.dict_payload().len() <= MODEL_BYTES + MAX_DICT_BYTES);
+        let lz_dict = |effort, n| {
+            let lz =
+                BlockCodecState::train_on_blocks(BlockCodec::Lz, effort, &samples, &blocks[..n]);
+            lz.dict_payload().len() - MODEL_BYTES
+        };
+        // Under 32 blocks, too small for a dictionary at either effort;
+        // 4 KiB from 32 blocks on at the flush effort; a compaction
+        // table's slices grow from 256 to 512 bytes as it pays for them,
+        // reaching 8 KiB at 64 blocks.
+        for (n, flush, compaction) in [
+            (31, 0, 0),
+            (32, 4096, 4096),
+            (40, 4096, 5120),
+            (64, 4096, 8192),
+            (100, 4096, 8192),
+        ] {
+            assert_eq!(lz_dict(BlockEffort::Flush, n), flush, "{n} blocks");
+            assert_eq!(
+                lz_dict(BlockEffort::Compaction, n),
+                compaction,
+                "{n} blocks"
+            );
+        }
+        // A `dict` table's trained dictionary is 4 KiB at either effort.
+        for effort in [BlockEffort::Flush, BlockEffort::Compaction] {
+            let dict =
+                BlockCodecState::train_on_blocks(BlockCodec::Dict, effort, &samples, &blocks);
+            assert!(dict.dict_payload().len() > MODEL_BYTES);
+            assert!(dict.dict_payload().len() <= MODEL_BYTES + TRAINED_DICT_BYTES);
+        }
     }
 
     #[test]
@@ -1001,13 +1106,21 @@ mod tests {
         // Training blocks are coded from training's parse, the others
         // parsed afresh: the frames must not tell them apart.
         let samples = value_samples(256);
-        for n in [0, 1, 9, 40, 300] {
+        for (n, effort) in [0, 1, 9, 40, 300]
+            .into_iter()
+            .flat_map(|n| [(n, BlockEffort::Flush), (n, BlockEffort::Compaction)])
+        {
             let blocks: Vec<Vec<u8>> = (0..n).map(|i| templated_block(30, i * 7)).collect();
             for codec in BlockCodec::ALL {
                 let mut frames = Vec::new();
-                let (state, lens) =
-                    BlockCodecState::train_and_encode(codec, &samples, &blocks, &mut frames);
-                let alone = BlockCodecState::train_on_blocks(codec, &samples, &blocks);
+                let (state, lens) = BlockCodecState::train_and_encode(
+                    codec,
+                    effort,
+                    &samples,
+                    &blocks,
+                    &mut frames,
+                );
+                let alone = BlockCodecState::train_on_blocks(codec, effort, &samples, &blocks);
                 assert_eq!(state.dict_payload(), alone.dict_payload());
                 let mut want = Vec::new();
                 let mut want_lens = Vec::new();
@@ -1016,7 +1129,7 @@ mod tests {
                     let compressed = alone.encode_frame(block, &mut want);
                     want_lens.push((want.len() - start, compressed));
                 }
-                assert_eq!(frames, want, "{} over {n} blocks", codec.name());
+                assert_eq!(frames, want, "{} over {n} blocks, {effort:?}", codec.name());
                 assert_eq!(lens, want_lens);
             }
         }
@@ -1026,25 +1139,55 @@ mod tests {
     fn lz_dictionary_is_cut_from_evenly_spaced_blocks() {
         // Blocks of distinct lengths, so each slice names its block.
         let blocks: Vec<Vec<u8>> = (0..80).map(|i| templated_block(10 + i, i as u64)).collect();
-        let state = BlockCodecState::train_on_blocks(BlockCodec::Lz, &[], &blocks);
-        let dict = &state.dict_payload()[MODEL_BYTES..];
-        let mut want = Vec::new();
-        for block in [2, 7, 12, 17, 22, 27, 32, 37, 42, 47, 52, 57, 62, 67, 72, 77] {
-            let b = &blocks[block];
-            want.extend_from_slice(&b[b.len() / 3..b.len().min(b.len() / 3 + DICT_SLICE_LEN)]);
+        for (effort, slice_len) in [(BlockEffort::Flush, 256), (BlockEffort::Compaction, 512)] {
+            let state = BlockCodecState::train_on_blocks(BlockCodec::Lz, effort, &[], &blocks);
+            let dict = &state.dict_payload()[MODEL_BYTES..];
+            let mut want = Vec::new();
+            for block in [2, 7, 12, 17, 22, 27, 32, 37, 42, 47, 52, 57, 62, 67, 72, 77] {
+                let b = &blocks[block];
+                want.extend_from_slice(&b[b.len() / 3..b.len().min(b.len() / 3 + slice_len)]);
+            }
+            assert_eq!(dict, want, "{effort:?}");
+            let again = BlockCodecState::train_on_blocks(BlockCodec::Lz, effort, &[], &blocks);
+            assert_eq!(again.dict_payload(), state.dict_payload());
+            // Every block parses after it and round-trips through a
+            // reader rebuilt from the payload.
+            let reader =
+                BlockCodecState::from_dict_payload(BlockCodec::Lz, state.dict_payload()).unwrap();
+            for block in &blocks {
+                let mut frame = Vec::new();
+                assert!(state.encode_frame(block, &mut frame));
+                assert_eq!(reader.decode_frame(&frame).unwrap(), *block);
+            }
         }
-        assert_eq!(dict, want);
-        let again = BlockCodecState::train_on_blocks(BlockCodec::Lz, &[], &blocks);
-        assert_eq!(again.dict_payload(), state.dict_payload());
-        // Every block parses after it and round-trips through a reader
-        // rebuilt from the payload.
-        let reader =
-            BlockCodecState::from_dict_payload(BlockCodec::Lz, state.dict_payload()).unwrap();
-        for block in &blocks {
-            let mut frame = Vec::new();
-            assert!(state.encode_frame(block, &mut frame));
-            assert_eq!(reader.decode_frame(&frame).unwrap(), *block);
-        }
+    }
+
+    #[test]
+    fn a_compaction_table_is_smaller_and_a_dict_table_is_unchanged() {
+        // On a large table of templated blocks, the lazy parse and the
+        // longer dictionary pay for themselves. A `dict` table is the
+        // same at either effort.
+        let samples = value_samples(512);
+        let blocks: Vec<Vec<u8>> = (0..200).map(|i| templated_block(60, i * 61)).collect();
+        let table = |codec, effort| {
+            let mut out = Vec::new();
+            let (state, _) =
+                BlockCodecState::train_and_encode(codec, effort, &samples, &blocks, &mut out);
+            out.extend_from_slice(state.dict_payload());
+            out
+        };
+        let flush = table(BlockCodec::Lz, BlockEffort::Flush);
+        let compaction = table(BlockCodec::Lz, BlockEffort::Compaction);
+        assert!(
+            compaction.len() < flush.len(),
+            "{} !< {}",
+            compaction.len(),
+            flush.len()
+        );
+        assert_eq!(
+            table(BlockCodec::Dict, BlockEffort::Compaction),
+            table(BlockCodec::Dict, BlockEffort::Flush)
+        );
     }
 
     #[test]
@@ -1116,7 +1259,7 @@ mod tests {
             (None, CTRL_TABLES + OTHER as usize),
         ] {
             let coder = LzCoder::new(dict.map(Prefix::new), split, distinct_tables());
-            let tokens = lz_parse(coder.dict.as_ref(), block, BLOCK_LEVEL);
+            let tokens = lz_parse(coder.dict.as_ref(), block, BlockEffort::Flush.level());
             assert_eq!(tokens.ctrl, [4, 1, 4, 2, 0]);
             let mut seen = Vec::new();
             coder.for_each_literal(&tokens, |t, b| seen.push((t, b)));
@@ -1161,8 +1304,8 @@ mod tests {
         assert_eq!(split_bytes(&after.clone()), split);
         // A trained table stores its pick, the same every time.
         let blocks: Vec<Vec<u8>> = (0..40).map(|i| templated_block(60, i * 13)).collect();
-        let a = BlockCodecState::train_on_blocks(BlockCodec::Lz, &[], &blocks);
-        let b = BlockCodecState::train_on_blocks(BlockCodec::Lz, &[], &blocks);
+        let a = BlockCodecState::train_on_blocks(BlockCodec::Lz, BlockEffort::Flush, &[], &blocks);
+        let b = BlockCodecState::train_on_blocks(BlockCodec::Lz, BlockEffort::Flush, &[], &blocks);
         assert_eq!(a.dict_payload(), b.dict_payload());
         let Coder::Lz(coder) = &a.coder else {
             unreachable!("an lz state")
@@ -1188,7 +1331,8 @@ mod tests {
             out.len()
         };
         for codec in [BlockCodec::Lz, BlockCodec::Dict, BlockCodec::Pbc] {
-            let on_blocks = BlockCodecState::train_on_blocks(codec, &samples, &blocks);
+            let on_blocks =
+                BlockCodecState::train_on_blocks(codec, BlockEffort::Flush, &samples, &blocks);
             let on_values = BlockCodecState::train(codec, &samples);
             assert!(
                 frames_len(&on_blocks) < frames_len(&on_values),
@@ -1444,7 +1588,7 @@ mod tests {
         for block in [random, vec![b'z'; 3000]] {
             let mut payload = Vec::new();
             coder.encode(
-                &lz_parse(coder.dict.as_ref(), &block, BLOCK_LEVEL),
+                &lz_parse(coder.dict.as_ref(), &block, BlockEffort::Flush.level()),
                 &mut payload,
             );
             assert_eq!(coder.decode(&payload, block.len()).unwrap(), block);
@@ -1470,12 +1614,13 @@ mod tests {
         };
         assert!(corrupt(BlockCodec::Lz, &[]));
         assert!(corrupt(BlockCodec::Lz, &good[..good.len() - 1]));
-        // Either codec's dictionary is bounded.
+        // Either codec's dictionary is bounded, at a compaction
+        // table's 8 KiB.
         for codec in [BlockCodec::Lz, BlockCodec::Dict] {
             assert!(!corrupt(codec, &[&good[..], b"extra"].concat()));
-            let full = [&good[..], &vec![b'x'; MAX_DICT_BYTES]].concat();
+            let full = [&good[..], &vec![b'x'; 8192]].concat();
             assert!(!corrupt(codec, &full));
-            let oversized = [&good[..], &vec![b'x'; MAX_DICT_BYTES + 1]].concat();
+            let oversized = [&good[..], &vec![b'x'; 8193]].concat();
             assert!(corrupt(codec, &oversized));
         }
         // Not a prefix code.
@@ -1638,7 +1783,8 @@ mod tests {
             let model = [&[0u8; TABLES * TABLE_BYTES][..], &[0, 1, 2, 3, 4, 5]].concat();
             let near = [&model[..MODEL_BYTES - cut.min(300)], &bytes[..]].concat();
             let behind = [&model[..], &bytes[..]].concat();
-            let primed = primed_lz_state().dict_payload().to_vec();
+            // A full 8 KiB dictionary, so `long` is past the bound.
+            let primed = primed_lz_state_at(BlockEffort::Compaction).dict_payload().to_vec();
             let short = &primed[..primed.len() - cut];
             let mut flipped = primed.clone();
             let at = MODEL_BYTES + flip % MAX_DICT_BYTES;
@@ -1749,7 +1895,7 @@ mod tests {
         ) {
             let prefix = Prefix::new(b"a7a7aaa777".repeat(20));
             for dict in [None, Some(&prefix)] {
-                let tokens = lz_parse(dict, &block, BLOCK_LEVEL);
+                let tokens = lz_parse(dict, &block, BlockEffort::Flush.level());
                 let history = [dict.map_or(&[][..], |d| d.as_bytes()), &block].concat();
                 let (mut at, mut pos) = (0, history.len() - block.len());
                 let (mut runs, mut lit) = (Vec::new(), Vec::new());

@@ -32,7 +32,7 @@ mod huffman;
 pub mod lz;
 pub mod pbc;
 
-pub use block::{BlockCodec, BlockCodecState, FRAME_HEADER_LEN, FRAME_TAG_STORED};
+pub use block::{BlockCodec, BlockCodecState, BlockEffort, FRAME_HEADER_LEN, FRAME_TAG_STORED};
 pub use dict::train_dictionary;
 pub use framework::{
     CompressionMonitor, CompressionStats, CompressorChoice, CompressorRecommender, MonitorConfig,

@@ -28,7 +28,7 @@
 //! [`Tzstd`] codes records: `0 | record` (stored) or `1 | varint(ulen)
 //! | block payload`, so a frame never exceeds its record + 1 byte.
 
-use crate::block::{LzCoder, MAX_COMPRESSED_BLOCK_LEN, MAX_DICT_BYTES};
+use crate::block::{LzCoder, MAX_COMPRESSED_BLOCK_LEN, TRAINED_DICT_BYTES};
 use crate::dict::train_dictionary;
 use crate::Compressor;
 use std::cell::RefCell;
@@ -87,10 +87,12 @@ impl TzstdLevel {
 
 /// Bucket bits of a parse after a [`Prefix`]. Fixed, because the
 /// prefix's chains are built once for every input; the most a plain
-/// parse uses. A 4 KiB prefix and a 4 KiB block are ~8 K positions,
-/// and with fewer buckets more of a chain's steps go to positions of
-/// other 4-grams: on Cities blocks 2^14 buckets encoded ~10 % slower,
-/// and 2^12 over 30 % slower and ~1 % larger.
+/// parse uses. A 4 KiB prefix (a flush table's dictionary) and a 4 KiB
+/// block are ~8 K positions, and with fewer buckets more of a chain's
+/// steps go to positions of other 4-grams: on Cities blocks 2^14
+/// buckets encoded ~10 % slower, and 2^12 over 30 % slower and ~1 %
+/// larger. A compaction table's 8 KiB prefix makes ~12 K positions,
+/// still under one in five buckets.
 const PREFIX_TABLE_BITS: u32 = 16;
 
 /// Match history that precedes every input of [`lz_parse`] (a table's
@@ -102,11 +104,19 @@ pub(crate) struct Prefix {
 }
 
 /// Hash chains over a prefix's own 4-grams (none that would reach
-/// into the input), in [`PREFIX_TABLE_BITS`] buckets. Entries hold
-/// `1 + position`, 0 ends a chain.
+/// into the input), in [`PREFIX_TABLE_BITS`] buckets, each stored
+/// whole: bucket `h`'s positions, newest first, are
+/// `positions[start[h]..start[h + 1]]`. A walk reads them in a row
+/// instead of chasing one link per candidate.
 struct PrefixChains {
-    head: Vec<u32>,
-    prev: Vec<u32>,
+    start: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl PrefixChains {
+    fn chain(&self, h: usize) -> &[u32] {
+        &self.positions[self.start[h] as usize..self.start[h + 1] as usize]
+    }
 }
 
 impl Prefix {
@@ -123,15 +133,27 @@ impl Prefix {
 
     fn chains(&self) -> &PrefixChains {
         self.chains.get_or_init(|| {
-            let mut head = vec![0u32; 1 << PREFIX_TABLE_BITS];
-            let mut prev = vec![0u32; self.bytes.len()];
-            let grams = self.bytes.windows(MIN_MATCH);
-            for (pos, (link, gram)) in prev.iter_mut().zip(grams).enumerate() {
-                let h = (gram_hash(gram) >> (32 - PREFIX_TABLE_BITS)) as usize;
-                *link = head[h];
-                head[h] = pos as u32 + 1;
+            let buckets: Vec<usize> = self
+                .bytes
+                .windows(MIN_MATCH)
+                .map(|gram| (gram_hash(gram) >> (32 - PREFIX_TABLE_BITS)) as usize)
+                .collect();
+            // Counting sort by bucket: `start[h + 1]` first counts
+            // bucket `h`, then the running sum makes it the end of `h`.
+            let mut start = vec![0u32; (1 << PREFIX_TABLE_BITS) + 1];
+            for &h in &buckets {
+                start[h + 1] += 1;
             }
-            PrefixChains { head, prev }
+            for h in 1..start.len() {
+                start[h] += start[h - 1];
+            }
+            let mut next = start.clone();
+            let mut positions = vec![0u32; buckets.len()];
+            for (pos, &h) in buckets.iter().enumerate().rev() {
+                positions[next[h] as usize] = pos as u32;
+                next[h] += 1;
+            }
+            PrefixChains { start, positions }
         })
     }
 }
@@ -143,21 +165,27 @@ fn gram_hash(b: &[u8]) -> u32 {
     w.wrapping_mul(0x9e37_79b1)
 }
 
-/// Length of the common prefix of two equal-length slices, compared a
+/// The `N` bytes of `b` from `at`.
+#[inline(always)]
+fn bytes_at<const N: usize>(b: &[u8], at: usize) -> [u8; N] {
+    b[at..at + N].try_into().expect("N bytes")
+}
+
+/// Length of the common prefix of `input[j..]` and `input[i..]`, at
+/// most `max` bytes (`j < i`, `i + max <= input.len()`), compared a
 /// word at a time.
-#[inline]
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    debug_assert_eq!(a.len(), b.len());
+#[inline(always)]
+fn match_len(input: &[u8], j: usize, i: usize, max: usize) -> usize {
     let mut l = 0usize;
-    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
-        let diff = u64::from_le_bytes(x.try_into().expect("8-byte chunk"))
-            ^ u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+    while l + 8 <= max {
+        let diff =
+            u64::from_le_bytes(bytes_at(input, j + l)) ^ u64::from_le_bytes(bytes_at(input, i + l));
         if diff != 0 {
             return l + (diff.trailing_zeros() / 8) as usize;
         }
         l += 8;
     }
-    while l < a.len() && a[l] == b[l] {
+    while l < max && input[j + l] == input[i + l] {
         l += 1;
     }
     l
@@ -264,21 +292,21 @@ pub(crate) fn lz_parse(prefix: Option<&Prefix>, input: &[u8], level: TzstdLevel)
     tokens
 }
 
-/// Makes candidate `j < i` the `best` match for position `i` (at most
-/// `max` bytes) if it is longer. Only a candidate that matches through
-/// one byte past the best so far can replace it, so the four bytes
-/// ending there are tested first (the first four when there is no best
-/// yet, which any match needs) and the rest is compared only if they
-/// agree.
+/// Makes candidate `j < i` the `best` `(length, distance)` for
+/// position `i` (at most `max` bytes) if it is longer. Only a candidate
+/// that matches through one byte past the best so far can replace it,
+/// so the four bytes ending there are tested first, as one word, and
+/// the rest is compared only if they agree.
 #[inline(always)]
-fn consider(input: &[u8], i: usize, j: usize, max: usize, best: &mut Option<(usize, usize)>) {
+fn consider(input: &[u8], i: usize, j: usize, max: usize, best: &mut (usize, usize)) {
     debug_assert!(j < i);
-    let bl = best.map_or(MIN_MATCH - 1, |(bl, _)| bl);
-    if bl < max && input[j + bl - 3..j + bl + 1] == input[i + bl - 3..i + bl + 1] {
-        let l = common_prefix(&input[j..j + max], &input[i..i + max]);
-        if l > bl {
-            *best = Some((l, i - j));
-        }
+    let bl = best.0;
+    if bl >= max || bytes_at::<4>(input, j + bl - 3) != bytes_at::<4>(input, i + bl - 3) {
+        return;
+    }
+    let l = match_len(input, j, i, max);
+    if l > bl {
+        *best = (l, i - j);
     }
 }
 
@@ -332,10 +360,14 @@ fn parse(
     let mut misses = 0u32;
 
     // Best match for position `i < hash_end`, whose bucket is `h`, if
-    // it is worth taking.
-    let find_best = |head: &[u32], prev: &[u32], i: usize, h: usize| -> Option<(usize, usize)> {
+    // it is longer than `floor` (at least `MIN_MATCH - 1`) and worth
+    // taking. The first of the longest candidates wins, so a floor
+    // below the longest leaves the answer as it is; the lazy peek,
+    // which needs a match longer than the one in hand by more than
+    // one, passes the shorter candidates after one word compare each.
+    let find_best = |head: &[u32], prev: &[u32], i: usize, h: usize, floor: usize| {
         let max = (n - i).min(MAX_MATCH);
-        let mut best: Option<(usize, usize)> = None;
+        let mut best = (floor, 0);
         let mut steps = 0usize;
         let mut cand = head[h];
         while cand >= base && steps < p.chain_len {
@@ -347,15 +379,12 @@ fn parse(
         // The chain runs on into the prefix's, older than any position
         // of the input.
         if let Some(primed) = primed {
-            let mut cand = primed.head[h];
-            while cand != 0 && steps < p.chain_len {
-                let j = cand as usize - 1;
-                consider(input, i, j, max, &mut best);
-                cand = primed.prev[j];
-                steps += 1;
+            for &j in primed.chain(h).iter().take(p.chain_len - steps) {
+                consider(input, i, j as usize, max, &mut best);
             }
         }
-        best.filter(|&(len, dist)| len > MIN_MATCH || dist < NEAR_DIST)
+        let (len, dist) = best;
+        (len > floor && (len > MIN_MATCH || dist < NEAR_DIST)).then_some(best)
     };
 
     let insert = |head: &mut [u32], prev: &mut [u32], pos: usize, h: usize| {
@@ -365,7 +394,7 @@ fn parse(
 
     while i < hash_end {
         let h = bucket(i);
-        let found = find_best(head, prev, i, h);
+        let found = find_best(head, prev, i, h, MIN_MATCH - 1);
         insert(head, prev, i, h);
         let Some((mut len, mut dist)) = found else {
             misses += 1;
@@ -374,15 +403,13 @@ fn parse(
             continue;
         };
         if p.lazy && i + 1 < hash_end {
-            // Peek one position ahead; prefer a strictly longer match
-            // (one literal byte is the price).
+            // Peek one position ahead; prefer a match longer by more
+            // than one (one literal byte is the price).
             let h1 = bucket(i + 1);
-            if let Some((l1, d1)) = find_best(head, prev, i + 1, h1) {
-                if l1 > len + 1 {
-                    i += 1;
-                    insert(head, prev, i, h1);
-                    (len, dist) = (l1, d1);
-                }
+            if let Some((l1, d1)) = find_best(head, prev, i + 1, h1, len + 1) {
+                i += 1;
+                insert(head, prev, i, h1);
+                (len, dist) = (l1, d1);
             }
         }
         // Flush pending literals, then the match.
@@ -429,7 +456,7 @@ impl Tzstd {
     }
 
     /// Dictionary-trained compressor (the paper's "Zstd-d"): a
-    /// dictionary of at most [`MAX_DICT_BYTES`] trained on `samples`,
+    /// dictionary of at most [`TRAINED_DICT_BYTES`] trained on `samples`,
     /// and entropy tables trained on their parses after it.
     pub fn train_with_dict(level: TzstdLevel, samples: &[Vec<u8>]) -> Self {
         Self::train_with_dict_also_on(level, samples, &[])
@@ -443,7 +470,7 @@ impl Tzstd {
         samples: &[Vec<u8>],
         more: &[&[u8]],
     ) -> Self {
-        let dict = train_dictionary(samples, MAX_DICT_BYTES);
+        let dict = train_dictionary(samples, TRAINED_DICT_BYTES);
         let dict = (!dict.is_empty()).then(|| Prefix::new(dict));
         let inputs = samples
             .iter()
@@ -534,6 +561,7 @@ impl Compressor for Tzstd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockEffort;
     use proptest::prelude::*;
 
     /// Templated records, as a cache tier stores them.
@@ -854,10 +882,19 @@ mod tests {
     /// the measured compression ratio, so the scratch-reusing,
     /// word-comparing, candidate-skipping kernels must leave it
     /// identical to [`reference_parse`], plain and after a dictionary,
-    /// and the one decoder must read it back.
+    /// at a compaction table's effort too, and the one decoder must
+    /// read it back.
     #[test]
     fn kernels_leave_the_parse_unchanged() {
-        for (level, with_dict) in [(1, false), (1, true), (-10, false), (15, true)] {
+        let compaction = BlockEffort::Compaction.level().0;
+        for (level, with_dict) in [
+            (1, false),
+            (1, true),
+            (-10, false),
+            (15, true),
+            (compaction, false),
+            (compaction, true),
+        ] {
             let dict = with_dict.then_some(PIN_DICT);
             let coder = untrained(level, dict);
             // Twice over, so every input also meets a used scratch.
@@ -894,20 +931,24 @@ mod tests {
     }
 
     /// [`kernels_leave_the_parse_unchanged`] for the block path: a
-    /// parse after a [`Prefix`] at `BLOCK_LEVEL` makes exactly the
-    /// decisions of [`reference_parse_from`] over `prefix ++ input`
+    /// parse after a [`Prefix`] at either [`BlockEffort`] makes exactly
+    /// the decisions of [`reference_parse_from`] over `prefix ++ input`
     /// emitting from the prefix's end, including matches that start
     /// in the prefix and run on into the input.
     #[test]
     fn primed_parse_matches_the_reference_over_prefix_then_input() {
-        let level = crate::block::BLOCK_LEVEL;
         let mut bytes = parse_pin_corpus()[0][..2000].to_vec();
         bytes.extend_from_slice(PIN_DICT);
-        let coder = Tzstd::train_after(level, Some(Prefix::new(bytes.clone())), std::iter::empty());
+        let coder = untrained(1, Some(&bytes));
         let mut crossed = 0;
-        for input in parse_pin_corpus().iter().chain(&parse_pin_corpus()) {
-            let (tokens, reference) = kernel_and_reference(input, Some(&bytes), level);
-            assert_eq!(tokens, reference, "{} bytes", input.len());
+        let efforts = [BlockEffort::Flush, BlockEffort::Compaction];
+        for (input, effort) in parse_pin_corpus()
+            .iter()
+            .chain(&parse_pin_corpus())
+            .flat_map(|input| efforts.map(|effort| (input, effort)))
+        {
+            let (tokens, reference) = kernel_and_reference(input, Some(&bytes), effort.level());
+            assert_eq!(tokens, reference, "{effort:?}, {} bytes", input.len());
             let mut payload = Vec::new();
             coder.coder.encode(&tokens, &mut payload);
             assert_eq!(&coder.coder.decode(&payload, input.len()).unwrap(), input);
@@ -937,7 +978,7 @@ mod tests {
             input.extend_from_slice(repeat);
             input.push(b'!');
             for prefix in [None, Some(Prefix::new(b"xyz".to_vec()))] {
-                let tokens = lz_parse(prefix.as_ref(), &input, crate::block::BLOCK_LEVEL);
+                let tokens = lz_parse(prefix.as_ref(), &input, BlockEffort::Flush.level());
                 let want = [(dist, repeat.len(), dist)];
                 let matches = matches_of(&tokens);
                 assert_eq!(matches == want, taken, "dist {dist}: {matches:?}");
@@ -979,7 +1020,13 @@ mod tests {
         fn prop_kernels_match_reference_parse(
             data in proptest::collection::vec(0u8..4, 0..600),
             dict in proptest::collection::vec(0u8..4, 0..200),
-            level in prop_oneof![Just(-50), Just(-10), Just(1), Just(15)],
+            level in prop_oneof![
+                Just(-50),
+                Just(-10),
+                Just(1),
+                Just(15),
+                Just(BlockEffort::Compaction.level().0),
+            ],
         ) {
             for dict in [None, Some(&dict[..])] {
                 let (tokens, reference) = kernel_and_reference(&data, dict, TzstdLevel(level));

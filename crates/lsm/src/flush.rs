@@ -250,8 +250,8 @@ impl Tree {
         // Keys and values are refcounted buffers: this clones handles,
         // not bytes. The frozen memtable keeps serving reads until the
         // table that replaces it is installed.
-        let table =
-            self.build_table(frozen.memtable.iter().map(|(k, e)| (k.clone(), e.clone())))?;
+        let entries = frozen.memtable.iter().map(|(k, e)| (k.clone(), e.clone()));
+        let table = self.build_table(0, entries)?;
         version.levels[0].insert(0, table);
         version.flushed_lsn = frozen.last_lsn;
         version.write_manifest(&self.config.dir)?;
@@ -281,11 +281,16 @@ impl Tree {
         inner
     }
 
-    /// Writes `entries` (sorted, unique) as a new table and opens it.
-    fn build_table(&self, entries: impl Iterator<Item = (Key, Entry)>) -> Result<Arc<SstReader>> {
+    /// Writes `entries` (sorted, unique) as a new table of `level` and
+    /// opens it.
+    fn build_table(
+        &self,
+        level: usize,
+        entries: impl Iterator<Item = (Key, Entry)>,
+    ) -> Result<Arc<SstReader>> {
         let id = self.next_file_id.fetch_add(1, Ordering::SeqCst);
         let path = self.config.dir.join(format!("{id:010}.sst"));
-        let (meta, build) = write_sstable_with_stats(id, &path, entries, &self.config.sst)?;
+        let (meta, build) = write_sstable_with_stats(id, &path, entries, &self.config.sst, level)?;
         match SstReader::open_shared(meta, self.stats.decode.clone()) {
             Ok(r) => {
                 self.stats.add_build(&build);
@@ -343,11 +348,11 @@ impl Tree {
         let nothing_below = version.levels[dst + 1..].iter().all(|l| l.is_empty());
         let merged = merge_runs(runs, nothing_below);
         // Compaction re-samples the merged input and re-encodes: the
-        // output table trains its own dictionary.
+        // output table trains its own dictionary, at `dst`'s effort.
         let new_table = if merged.is_empty() {
             None
         } else {
-            Some(self.build_table(merged.into_iter())?)
+            Some(self.build_table(dst, merged.into_iter())?)
         };
         version.levels[src].clear();
         version.levels[dst] = new_table.into_iter().collect();

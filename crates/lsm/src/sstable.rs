@@ -33,11 +33,17 @@
 //! state is stored once as the table-level dict payload, so a table is
 //! self-describing and no block carries a model: the `dict` dictionary
 //! and the PBC model are trained on sampled input values, an `lz`
-//! table's 4 KiB dictionary is cut from its own blocks, and the
-//! `lz`/`dict` entropy tables are trained on the LZ output of the
-//! table's own blocks, each parsed after the dictionary (every flush
-//! and compaction holds them all in memory before the first frame is
-//! written, and a compaction re-trains on its merged output). Blocks,
+//! table's dictionary is cut from its own blocks, and the `lz`/`dict`
+//! entropy tables are trained on the LZ output of the table's own
+//! blocks, each parsed after the dictionary (every flush and
+//! compaction holds them all in memory before the first frame is
+//! written, and a compaction re-trains on its merged output). The
+//! level a table is written to sets how hard an `lz` table is
+//! compressed ([`BlockEffort`]): a flush table (L0), which the next
+//! compaction rewrites, takes the greedy parse after a 4 KiB
+//! dictionary; a compaction table, where most bytes stay, a lazy parse
+//! over a deeper chain after an 8 KiB one. The format does not record
+//! it. Blocks,
 //! the index and `locate` do not depend on the codec.
 //! Every block read verifies the frame CRC before any key search; a bad
 //! block is a per-slot [`Error::Corruption`], never a torn batch.
@@ -58,7 +64,7 @@ use std::sync::Arc;
 use tb_common::{crc32, fault, read_varint, write_varint, Error, Key, Result, Value};
 use tb_compress::block::MAX_TRAIN_SAMPLES;
 pub use tb_compress::block::{BlockCodec, FRAME_HEADER_LEN, FRAME_TAG_STORED};
-use tb_compress::BlockCodecState;
+use tb_compress::{BlockCodecState, BlockEffort};
 
 /// Fsyncs `path`'s parent directory so a just-renamed file survives a
 /// crash of the directory metadata. `site` names the fault point.
@@ -137,22 +143,35 @@ pub struct SstDecodeStats {
     pub block_decode_errors: AtomicU64,
 }
 
-/// Writes a sorted entry stream into an SSTable file.
+/// Writes a sorted entry stream into an SSTable file, as a flush does
+/// (level 0).
 pub fn write_sstable(
     id: u64,
     path: &Path,
     entries: impl Iterator<Item = (Key, Entry)>,
     config: &SstConfig,
 ) -> Result<SstMeta> {
-    write_sstable_with_stats(id, path, entries, config).map(|(meta, _)| meta)
+    write_sstable_with_stats(id, path, entries, config, 0).map(|(meta, _)| meta)
 }
 
-/// [`write_sstable`], also returning the build's compression counters.
+/// How hard the writer of a table for `level` compresses: a flush
+/// output (level 0) is rewritten by the next compaction, so it keeps
+/// the cheap parse; a compaction output is where the bytes stay.
+fn effort_for_level(level: usize) -> BlockEffort {
+    match level {
+        0 => BlockEffort::Flush,
+        _ => BlockEffort::Compaction,
+    }
+}
+
+/// [`write_sstable`] for a table of `level`, also returning the build's
+/// compression counters.
 pub fn write_sstable_with_stats(
     id: u64,
     path: &Path,
     entries: impl Iterator<Item = (Key, Entry)>,
     config: &SstConfig,
+    level: usize,
 ) -> Result<(SstMeta, SstBuildStats)> {
     // Pass 1 (streaming): encode entries into uncompressed blocks cut
     // at `block_size`, collecting the codec's training samples (first
@@ -220,8 +239,13 @@ pub fn write_sstable_with_stats(
     // themselves, then frame-encode every block. Index entries give
     // each frame's on-disk length; its offset is the sum before it.
     let mut data = Vec::new();
-    let (codec_state, frames) =
-        BlockCodecState::train_and_encode(config.codec, &samples, &blocks, &mut data);
+    let (codec_state, frames) = BlockCodecState::train_and_encode(
+        config.codec,
+        effort_for_level(level),
+        &samples,
+        &blocks,
+        &mut data,
+    );
     let mut stats = SstBuildStats::default();
     let mut index = Vec::new();
     let mut prev_first: &[u8] = &[];
@@ -1036,12 +1060,13 @@ mod tests {
 
     #[test]
     fn every_codec_roundtrips_the_full_table() {
-        for codec in BlockCodec::ALL {
+        for (codec, level) in BlockCodec::ALL.into_iter().flat_map(|c| [(c, 0), (c, 1)]) {
             let dir = tmpdir();
             let path = dir.create().join("codec.sst");
             let entries = sample_entries(400);
+            let config = cfg(512, codec);
             let (meta, stats) =
-                write_sstable_with_stats(1, &path, entries.clone().into_iter(), &cfg(512, codec))
+                write_sstable_with_stats(1, &path, entries.clone().into_iter(), &config, level)
                     .unwrap();
             assert_eq!(stats.blocks as usize, {
                 let r = SstReader::open(meta.clone()).unwrap();
@@ -1067,6 +1092,51 @@ mod tests {
                 assert!(stats.compressed_bytes < stats.uncompressed_bytes);
             }
         }
+    }
+
+    #[test]
+    fn compaction_table_with_an_8_kib_dictionary_reads_back_after_reopen() {
+        // Cities-shaped rows in 4 KiB blocks: past the 64 blocks a
+        // compaction table needs to cut its full dictionary.
+        let entries: Vec<(Key, Entry)> = (0..5000)
+            .map(|i| {
+                let value = format!(
+                    "city\t{i}\tMetropolis-{}\tpop={}\tcountry=XX\tzone=UTC+{}",
+                    i % 40,
+                    i * 7919 % 100_000,
+                    i % 12
+                );
+                (
+                    Key::from(format!("user{i:012}")),
+                    Entry::Put(Value::from(value)),
+                )
+            })
+            .collect();
+        let dir = tmpdir();
+        let config = cfg(4096, BlockCodec::Lz);
+        let mut sizes = Vec::new();
+        for level in [0, 1] {
+            let path = dir.create().join(format!("level{level}.sst"));
+            let (meta, stats) =
+                write_sstable_with_stats(1, &path, entries.clone().into_iter(), &config, level)
+                    .unwrap();
+            assert!(stats.blocks >= 64, "{} blocks", stats.blocks);
+            // Opened from the file alone.
+            let r = SstReader::open(meta.clone()).unwrap();
+            assert_eq!(r.scan().unwrap(), entries, "level {level}");
+            for (k, e) in &entries {
+                assert_eq!(get(&r, k).unwrap().as_ref(), Some(e), "level {level}");
+            }
+            sizes.push((r.codec_state.dict_payload().len(), stats.compressed_bytes));
+        }
+        let [(flush_dict, flush_bytes), (compaction_dict, compaction_bytes)] = sizes[..] else {
+            unreachable!("two tables")
+        };
+        assert_eq!(compaction_dict, flush_dict + 4096, "8 KiB against 4 KiB");
+        assert!(
+            compaction_bytes < flush_bytes,
+            "compaction table {compaction_bytes} B !< flush table {flush_bytes} B"
+        );
     }
 
     #[test]
@@ -1149,9 +1219,14 @@ mod tests {
                     )
                 })
                 .collect();
-            let (meta, stats) =
-                write_sstable_with_stats(1, &path, entries.clone().into_iter(), &cfg(512, codec))
-                    .unwrap();
+            let (meta, stats) = write_sstable_with_stats(
+                1,
+                &path,
+                entries.clone().into_iter(),
+                &cfg(512, codec),
+                0,
+            )
+            .unwrap();
             assert!(
                 stats.blocks_compressed > 0,
                 "{} should compress templated rows",
