@@ -58,6 +58,7 @@ impl KvEngine for JvmLsmEngine {
                 | EngineOp::Put(..)
                 | EngineOp::Delete(_)
                 | EngineOp::Cas { .. }
+                | EngineOp::CasDelete { .. }
                 | EngineOp::Scan { .. } => 1,
             };
             burn_cpu_us(self.op_cost_us * keys as u64);

@@ -20,9 +20,9 @@ enum Request {
     Get(Key, Sender<Option<Value>>),
     Put(Key, Value, Sender<Option<Value>>),
     Delete(Key, Sender<Option<Value>>),
-    /// Compare-and-set; atomic because the shard owner serializes it
-    /// with every other operation on its keys.
-    Cas(Key, Option<Value>, Value, Sender<Result<()>>),
+    /// Compare-and-set (`None` deletes); atomic because the shard owner
+    /// serializes it with every other operation on its keys.
+    Cas(Key, Option<Value>, Option<Value>, Sender<Result<()>>),
     /// Range scan of one shard's keys (`start <= key < end`); the
     /// hash-sharded client fans the request out to every shard and
     /// merge-sorts the replies.
@@ -40,6 +40,32 @@ thread_local! {
 
 /// Per-entry overhead: compact dash-table entry (~40 bytes).
 const ENTRY_OVERHEAD: u64 = 40;
+
+/// Inserts into a shard's map, keeping the shared byte count.
+fn insert(map: &mut HashMap<Key, Value, FxBuildHasher>, bytes: &AtomicU64, key: Key, value: Value) {
+    let klen = key.len() as u64;
+    let vlen = value.len() as u64;
+    match map.insert(key, value) {
+        // Replacement: only the value delta moves.
+        Some(old) => {
+            bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
+            bytes.fetch_add(vlen, Ordering::Relaxed);
+        }
+        None => {
+            bytes.fetch_add(klen + vlen + ENTRY_OVERHEAD, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Removes from a shard's map, keeping the shared byte count.
+fn remove(map: &mut HashMap<Key, Value, FxBuildHasher>, bytes: &AtomicU64, key: &Key) {
+    if let Some(old) = map.remove(key) {
+        bytes.fetch_sub(
+            key.len() as u64 + old.len() as u64 + ENTRY_OVERHEAD,
+            Ordering::Relaxed,
+        );
+    }
+}
 
 /// Shared-nothing multi-threaded store.
 pub struct DragonflyLike {
@@ -65,54 +91,22 @@ impl DragonflyLike {
                             let _ = reply.send(map.get(&key).cloned());
                         }
                         Request::Put(key, value, reply) => {
-                            let klen = key.len() as u64;
-                            let vlen = value.len() as u64;
-                            match map.insert(key, value) {
-                                // Replacement: only the value delta moves.
-                                Some(old) => {
-                                    bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-                                    bytes.fetch_add(vlen, Ordering::Relaxed);
-                                }
-                                None => {
-                                    bytes
-                                        .fetch_add(klen + vlen + ENTRY_OVERHEAD, Ordering::Relaxed);
-                                }
-                            }
+                            insert(&mut map, &bytes, key, value);
                             let _ = reply.send(None);
                         }
                         Request::Delete(key, reply) => {
-                            if let Some(old) = map.remove(&key) {
-                                bytes.fetch_sub(
-                                    key.len() as u64 + old.len() as u64 + ENTRY_OVERHEAD,
-                                    Ordering::Relaxed,
-                                );
-                            }
+                            remove(&mut map, &bytes, &key);
                             let _ = reply.send(None);
                         }
                         Request::Cas(key, expected, new, reply) => {
-                            let matches = match (map.get(&key), expected.as_ref()) {
-                                (Some(c), Some(e)) => c == e,
-                                (None, None) => true,
-                                _ => false,
-                            };
-                            let result = if matches {
-                                let klen = key.len() as u64;
-                                let vlen = new.len() as u64;
-                                match map.insert(key, new) {
-                                    Some(old) => {
-                                        bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-                                        bytes.fetch_add(vlen, Ordering::Relaxed);
-                                    }
-                                    None => {
-                                        bytes.fetch_add(
-                                            klen + vlen + ENTRY_OVERHEAD,
-                                            Ordering::Relaxed,
-                                        );
-                                    }
+                            let result = if map.get(&key) != expected.as_ref() {
+                                Err(Error::CasMismatch)
+                            } else {
+                                match new {
+                                    Some(value) => insert(&mut map, &bytes, key, value),
+                                    None => remove(&mut map, &bytes, &key),
                                 }
                                 Ok(())
-                            } else {
-                                Err(Error::CasMismatch)
                             };
                             let _ = reply.send(result);
                         }
@@ -179,6 +173,16 @@ impl DragonflyLike {
             .map(drop)
     }
 
+    /// CAS is rare enough that a fresh reply channel (instead of the
+    /// thread-local value slot) is fine.
+    fn cas(&self, key: Key, expected: Option<Value>, new: Option<Value>) -> Result<()> {
+        let (tx, rx) = bounded::<Result<()>>(1);
+        self.shard(&key)
+            .send(Request::Cas(key, expected, new, tx))
+            .map_err(|_| gone())?;
+        rx.recv().map_err(|_| gone())?
+    }
+
     fn apply(&self, op: EngineOp) -> Result<OpOutcome> {
         let done = Ok(OpOutcome::Done(Lsn::NONE));
         match op {
@@ -198,15 +202,8 @@ impl DragonflyLike {
             EngineOp::Delete(key) => self
                 .roundtrip(self.shard(&key), |tx| Request::Delete(key.clone(), tx))
                 .and(done),
-            // CAS is rare enough that a fresh reply channel (instead of
-            // the thread-local value slot) is fine.
-            EngineOp::Cas { key, expected, new } => {
-                let (tx, rx) = bounded::<Result<()>>(1);
-                self.shard(&key)
-                    .send(Request::Cas(key, expected, new, tx))
-                    .map_err(|_| gone())?;
-                rx.recv().map_err(|_| gone())?.and(done)
-            }
+            EngineOp::Cas { key, expected, new } => self.cas(key, expected, Some(new)).and(done),
+            EngineOp::CasDelete { key, expected } => self.cas(key, expected, None).and(done),
             // Hash sharding scatters every key range across all shards:
             // fan the scan out to each owner thread, then merge the
             // sorted replies and re-apply the limit. Fresh reply

@@ -78,6 +78,26 @@ impl MemcachedLike {
         // Cache semantics: eviction is expected, never an error.
         let _ = self.shard(&key).lock().insert(key, stored, false);
     }
+
+    /// Compare-and-set (`new: None` deletes), atomic within the key's
+    /// shard: read-compare-write under one striped-lock acquisition
+    /// (memcached's `cas` command).
+    fn cas(&self, key: Key, expected: Option<Value>, new: Option<Value>) -> Result<()> {
+        burn_cpu_us(OP_COST_US);
+        let mut shard = self.shard(&key).lock();
+        if shard.get(&key, 0).map(|e| decode_slab(&e.value)) != expected {
+            return Err(Error::CasMismatch);
+        }
+        match new {
+            Some(value) => {
+                let _ = shard.insert(key, encode_slab(&value), false);
+            }
+            None => {
+                shard.remove(&key);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Per-command CPU: memcached pays more per command in single-thread
@@ -110,18 +130,10 @@ impl KvEngine for MemcachedLike {
                     self.shard(&key).lock().remove(&key);
                     done()
                 }
-                // Atomic within the key's shard: read-compare-write under
-                // one striped-lock acquisition (memcached's `cas` command).
                 EngineOp::Cas { key, expected, new } => {
-                    burn_cpu_us(OP_COST_US);
-                    let mut shard = self.shard(&key).lock();
-                    let current = shard.get(&key, 0).map(|e| decode_slab(&e.value));
-                    if current != expected {
-                        return Err(Error::CasMismatch);
-                    }
-                    let _ = shard.insert(key, encode_slab(&new), false);
-                    done()
+                    self.cas(key, expected, Some(new)).and(done())
                 }
+                EngineOp::CasDelete { key, expected } => self.cas(key, expected, None).and(done()),
                 // Memcached has no range primitive: a scan walks every
                 // shard's hash table (striped locks taken one at a time),
                 // merges, and sorts client-side.

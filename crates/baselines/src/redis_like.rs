@@ -92,13 +92,18 @@ impl State {
                 done
             }
             // Atomic by construction: the whole read-compare-write runs
-            // under the event-loop lock, like a real Redis command.
-            EngineOp::Cas { key, expected, new } => {
+            // under the event-loop lock, like a real Redis command. A
+            // match applies as the plain write.
+            EngineOp::Cas { key, expected, .. } | EngineOp::CasDelete { key, expected }
+                if self.map.get(&key) != expected.as_ref() =>
+            {
                 burn();
-                if self.map.get(&key) != expected.as_ref() {
-                    return Err(Error::CasMismatch);
-                }
-                self.put(key, new).and(done)
+                Err(Error::CasMismatch)
+            }
+            EngineOp::Cas { key, new, .. } => self.apply(EngineOp::Put(key, new)),
+            EngineOp::CasDelete { key, .. } => {
+                burn();
+                self.apply(EngineOp::Delete(key))
             }
             // Redis's keyspace is an unordered dict: a range scan is a
             // full enumeration plus a sort, like SCAN + MATCH +

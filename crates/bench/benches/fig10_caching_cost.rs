@@ -11,8 +11,8 @@ use tb_baselines::{DragonflyLike, MemcachedLike, RedisLike};
 use tb_bench::{bench_dir, measure_cost, print_cost_plane, scale, CostPoint};
 use tb_common::KvEngine;
 use tb_costmodel::WorkloadDemand;
-use tb_elastic::ThreadMode;
 use tb_workload::{DatasetKind, Workload, WorkloadSpec};
+use tierbase_core::elastic::ThreadMode;
 use tierbase_core::{CompressorChoice, PmemTuning, TierBase, TierBaseConfig};
 
 fn tb(

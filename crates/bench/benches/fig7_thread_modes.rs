@@ -11,8 +11,8 @@ use std::sync::Arc;
 use tb_baselines::{DragonflyLike, MemcachedLike, RedisLike};
 use tb_bench::{bench_dir, budget, drive, print_table, BenchReport};
 use tb_common::KvEngine;
-use tb_elastic::ThreadMode;
 use tb_workload::{Workload, WorkloadSpec};
+use tierbase_core::elastic::ThreadMode;
 use tierbase_core::{TierBase, TierBaseConfig};
 
 fn tierbase(name: &str, mode: ThreadMode) -> TierBase {

@@ -16,9 +16,9 @@ use tb_bench::{bench_dir, print_table, BenchReport};
 use tb_cluster::{NodeId, NodeStore};
 use tb_common::testutil::MapEngine;
 use tb_common::{EngineOp, Key, KvEngine, OpOutcome, Result, Value};
-use tb_elastic::ThreadMode;
 use tb_frontend::{Frontend, FrontendConfig};
 use tb_lsm::{LsmConfig, LsmDb};
+use tierbase_core::elastic::ThreadMode;
 use tierbase_core::{TierBase, TierBaseConfig};
 
 /// Phase durations, resolved once up front (the client hot loop must
@@ -70,8 +70,11 @@ impl KvEngine for ReplicatedNode {
                 EngineOp::Put(key, value) => node.put(key, value).map(OpOutcome::Done),
                 EngineOp::MultiPut(pairs) => node.multi_put(pairs).map(OpOutcome::Done),
                 EngineOp::Delete(key) => node.delete(&key).map(OpOutcome::Done),
-                EngineOp::Cas { key, expected, new } => {
-                    node.cas(key, expected.as_ref(), new).map(OpOutcome::Done)
+                EngineOp::Cas { key, expected, new } => node
+                    .cas(key, expected.as_ref(), Some(new))
+                    .map(OpOutcome::Done),
+                EngineOp::CasDelete { key, expected } => {
+                    node.cas(key, expected.as_ref(), None).map(OpOutcome::Done)
                 }
             })
             .collect()

@@ -151,11 +151,12 @@ impl ClusterClient {
         Ok(())
     }
 
-    /// Compare-and-set on the key's owner ([`NodeStore::cas`]): atomic,
-    /// and shipped to the replica like any other acked write.
+    /// Compare-and-set on the key's owner ([`NodeStore::cas`]; `new:
+    /// None` deletes): atomic, and shipped to the replica like any
+    /// other acked write.
     ///
     /// [`NodeStore::cas`]: crate::node::NodeStore::cas
-    pub fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<()> {
+    pub fn cas(&self, key: Key, expected: Option<&Value>, new: Option<Value>) -> Result<()> {
         let (node, lsn) = self.with_owner(&key, |n| {
             n.cas(key.clone(), expected, new.clone())
                 .map(|lsn| (n.id, lsn))
@@ -330,7 +331,10 @@ impl KvEngine for Proxy {
                 }
                 EngineOp::Put(key, value) => done(c.put(key, value)),
                 EngineOp::Delete(key) => done(c.delete(&key)),
-                EngineOp::Cas { key, expected, new } => done(c.cas(key, expected.as_ref(), new)),
+                EngineOp::Cas { key, expected, new } => {
+                    done(c.cas(key, expected.as_ref(), Some(new)))
+                }
+                EngineOp::CasDelete { key, expected } => done(c.cas(key, expected.as_ref(), None)),
                 // Per-key puts: each pair reaches its owning node.
                 EngineOp::MultiPut(pairs) => {
                     done(pairs.into_iter().try_for_each(|(k, v)| c.put(k, v)))

@@ -22,7 +22,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use tb_common::{slot_for_key, Error, Key, KvEngine, Lsn, Result, Value};
+use tb_common::{apply_write, slot_for_key, EngineOp, Error, Key, KvEngine, Lsn, Result, Value};
 
 /// Cluster-unique node identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -293,14 +293,19 @@ impl NodeStore {
         self.write(ReplRecord::Delete(key.clone()), |e| e.delete(key))
     }
 
-    /// Compare-and-set on the primary, atomic against every other write
-    /// to this node: the engine's one `Cas` op runs under `write_order`,
-    /// and a success ships as a `Put` in that order. A mismatch writes
-    /// and ships nothing.
-    pub fn cas(&self, key: Key, expected: Option<&Value>, new: Value) -> Result<Lsn> {
+    /// Compare-and-set on the primary (`new: None` deletes), atomic
+    /// against every other write to this node: the engine's one `Cas`
+    /// or `CasDelete` op runs under `write_order`, and a success ships
+    /// as a `Put` or a `Delete` in that order. A mismatch writes and
+    /// ships nothing.
+    pub fn cas(&self, key: Key, expected: Option<&Value>, new: Option<Value>) -> Result<Lsn> {
         self.check_alive()?;
-        self.write(ReplRecord::Put(key.clone(), new.clone()), |e| {
-            e.cas(key, expected, new)
+        let record = match &new {
+            Some(value) => ReplRecord::Put(key.clone(), value.clone()),
+            None => ReplRecord::Delete(key.clone()),
+        };
+        self.write(record, |e| {
+            apply_write(e, EngineOp::cas(key, expected.cloned(), new))
         })
     }
 
@@ -430,7 +435,11 @@ mod tests {
             NodeStore::new(NodeId(1), MapEngine::shared()).with_replica(MapEngine::shared());
         let put = n.put(Key::from("a"), Value::from("1")).unwrap();
         assert_eq!(
-            n.cas(Key::from("a"), Some(&Value::from("9")), Value::from("x")),
+            n.cas(
+                Key::from("a"),
+                Some(&Value::from("9")),
+                Some(Value::from("x"))
+            ),
             Err(Error::CasMismatch)
         );
         assert_eq!(
@@ -439,13 +448,27 @@ mod tests {
             "a mismatch ships nothing"
         );
         let lsn = n
-            .cas(Key::from("a"), Some(&Value::from("1")), Value::from("2"))
+            .cas(
+                Key::from("a"),
+                Some(&Value::from("1")),
+                Some(Value::from("2")),
+            )
             .unwrap();
         assert!(lsn > put);
         assert_eq!(n.replication_watermark(), Some(lsn));
+        n.put(Key::from("b"), Value::from("1")).unwrap();
+        let del = n
+            .cas(Key::from("b"), Some(&Value::from("1")), None)
+            .unwrap();
+        assert_eq!(n.replication_watermark(), Some(del));
         n.crash();
         n.promote_replica().unwrap();
         assert_eq!(n.get(&Key::from("a")).unwrap(), Some(Value::from("2")));
+        assert_eq!(
+            n.get(&Key::from("b")).unwrap(),
+            None,
+            "a compare-and-delete ships as a delete"
+        );
     }
 
     #[test]

@@ -77,6 +77,10 @@ pub enum EngineOp {
         expected: Option<Value>,
         new: Value,
     },
+    /// Compare-and-delete: removes the key only when its value equals
+    /// `expected` (`None` = key must be absent, which deletes nothing)
+    /// → [`OpOutcome::Done`] or `Err(CasMismatch)`.
+    CasDelete { key: Key, expected: Option<Value> },
     /// Batched lookups → [`OpOutcome::Values`] aligned with key order.
     MultiGet(Vec<Key>),
     /// Batched writes → [`OpOutcome::Done`].
@@ -93,6 +97,17 @@ pub enum EngineOp {
     },
 }
 
+impl EngineOp {
+    /// A compare-and-set that writes `new`, or deletes the key when
+    /// `new` is `None`: a [`EngineOp::Cas`] or an [`EngineOp::CasDelete`].
+    pub fn cas(key: Key, expected: Option<Value>, new: Option<Value>) -> EngineOp {
+        match new {
+            Some(new) => EngineOp::Cas { key, expected, new },
+            None => EngineOp::CasDelete { key, expected },
+        }
+    }
+}
+
 /// Completion of one [`EngineOp`]; `results[i]` answers `ops[i]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpOutcome {
@@ -103,10 +118,10 @@ pub enum OpOutcome {
     /// A `Scan` resolved: live `(key, value)` pairs in ascending key
     /// order, truncated to the scan's `limit`.
     Range(Vec<(Key, Value)>),
-    /// A write (`Put`/`Delete`/`Cas`/`MultiPut`) applied, carrying the
-    /// [`Lsn`] the engine assigned it ([`Lsn::NONE`] for engines
-    /// without a durability log; for a `MultiPut`, the LSN of its last
-    /// pair — the one that covers the whole op).
+    /// A write (`Put`/`Delete`/`Cas`/`CasDelete`/`MultiPut`) applied,
+    /// carrying the [`Lsn`] the engine assigned it ([`Lsn::NONE`] for
+    /// engines without a durability log; for a `MultiPut`, the LSN of
+    /// its last pair — the one that covers the whole op).
     Done(Lsn),
 }
 
@@ -249,6 +264,12 @@ pub trait KvEngine: Send + Sync {
             other => Err(other),
         })
     }
+}
+
+/// Submits one write op (`Put`, `Delete`, `Cas`, `CasDelete` or
+/// `MultiPut`) as a one-op batch: `Ok` once it applied.
+pub fn apply_write<E: KvEngine + ?Sized>(engine: &E, op: EngineOp) -> Result<()> {
+    one(engine, "write", op, done)
 }
 
 /// Submits `op` as a one-op batch and unwraps its completion with

@@ -19,7 +19,7 @@ pub mod varint;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use crc::{crc32, Crc32};
-pub use engine::{BatchReadStats, EngineOp, KvEngine, Lsn, OpOutcome};
+pub use engine::{apply_write, BatchReadStats, EngineOp, KvEngine, Lsn, OpOutcome};
 pub use error::{Error, Result};
 pub use hash::{fx_hash, slot_for_key, FxBuildHasher, SLOT_COUNT};
 pub use histogram::Histogram;

@@ -161,11 +161,17 @@ impl KvEngine for MapEngine {
                     map.remove(&key);
                     done()
                 }
-                EngineOp::Cas { key, expected, new } => {
-                    if map.get(&key) != expected.as_ref() {
-                        return Err(Error::CasMismatch);
-                    }
+                EngineOp::Cas { key, expected, .. } | EngineOp::CasDelete { key, expected }
+                    if map.get(&key) != expected.as_ref() =>
+                {
+                    Err(Error::CasMismatch)
+                }
+                EngineOp::Cas { key, new, .. } => {
                     map.insert(key, new);
+                    done()
+                }
+                EngineOp::CasDelete { key, .. } => {
+                    map.remove(&key);
                     done()
                 }
                 EngineOp::Scan { start, end, limit } => {

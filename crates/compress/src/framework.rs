@@ -6,8 +6,8 @@
 //! * [`CompressionMonitor`] — tracks compression ratio and pattern-miss
 //!   rate; fires a retrain trigger when either degrades past its
 //!   threshold (the paper's monitoring service).
-//! * [`CompressorRecommender`] — the Insight-service component that
-//!   evaluates candidate compressors on a sample and recommends one.
+//! * [`CompressorRecommender`] — evaluates candidate compressors on a
+//!   sample and recommends one.
 
 use crate::lz::{Tzstd, TzstdLevel};
 use crate::pbc::{Pbc, PbcConfig, PbcModel};
@@ -133,8 +133,8 @@ impl CompressorChoice {
     ];
 }
 
-/// The Insight-service compressor recommender: benchmarks candidates on a
-/// sample and picks by ratio subject to a SET-throughput floor.
+/// The compressor recommender: benchmarks candidates on a sample and
+/// picks by ratio subject to a SET-throughput floor.
 pub struct CompressorRecommender {
     /// Reject candidates whose compression throughput falls below this
     /// fraction of raw memcpy throughput (performance-requirement knob).

@@ -22,8 +22,8 @@
 //!   sequence of memcpys, which is why PBC GET throughput approaches raw.
 //!
 //! [`framework`] supplies the production wrapper: sampling, training,
-//! a compression-efficiency monitor with retrain triggers, and the
-//! compressor recommender surfaced by TierBase's Insight service.
+//! a compression-efficiency monitor with retrain triggers, and a
+//! compressor recommender.
 
 pub mod block;
 pub mod dict;

@@ -7,11 +7,11 @@
 //! store knob: a replicated TierBase is a `tb_cluster::NodeStore` with
 //! a replica node.
 
+use crate::elastic::ThreadMode;
 use std::path::PathBuf;
 use std::sync::Arc;
 use tb_common::{Clock, SystemClock};
 use tb_compress::CompressorChoice;
-use tb_elastic::ThreadMode;
 
 /// How the cache tier synchronizes with the storage tier (§4.1), or
 /// persists itself when it *is* the store.

@@ -14,8 +14,7 @@
 //!   of values (§4.2),
 //! * **elastic threading** between single- and multi-thread modes
 //!   (§4.4),
-//! * Redis-style data types, CAS, wide-column access and vector search
-//!   on top of the byte-string core (§3).
+//! * Redis-style data types over the byte-string core's CAS (§3).
 //!
 //! ```no_run
 //! use tierbase_core::{TierBase, TierBaseConfig, SyncPolicy};
@@ -32,7 +31,7 @@
 //! ```
 
 pub mod config;
-pub mod insight;
+pub mod elastic;
 pub mod interval;
 pub mod store;
 mod store_batch;
@@ -41,16 +40,11 @@ mod store_stats;
 mod store_sync;
 mod store_write;
 pub mod types;
-pub mod vector;
-pub mod wide;
 
 pub use config::{
     PersistenceMode, PmemTuning, SyncPolicy, TierBaseConfig, TierBaseConfigBuilder, WriteBackTuning,
 };
-pub use insight::{Action, Insight, InsightSnapshot, Suggestion};
 pub use interval::AccessIntervalTracker;
 pub use store::{TierBase, TierBaseStats};
 pub use tb_compress::CompressorChoice;
 pub use types::{DataTypes, ListEnd};
-pub use vector::{HnswConfig, HnswIndex};
-pub use wide::WideColumn;

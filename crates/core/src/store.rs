@@ -9,6 +9,7 @@
 //! the counters in `store_stats.rs`.
 
 use crate::config::{PersistenceMode, SyncPolicy, TierBaseConfig};
+use crate::elastic::ElasticGate;
 use crate::interval::AccessIntervalTracker;
 use crate::store_write::{apply_log_record, COLD_LOG};
 use parking_lot::{Mutex, RwLock};
@@ -23,7 +24,6 @@ use tb_common::{
     Result, TtlState, Value,
 };
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
-use tb_elastic::ElasticGate;
 use tb_lsm::{DisaggregatedStore, LsmConfig, LsmDb, NetworkModel};
 use tb_pmem::{LatencyModel, PersistentRingBuffer, PmemDevice, RingConfig};
 
@@ -398,7 +398,9 @@ impl KvEngine for TierBase {
     /// writes. Every provided point and multi-key method is a one-op
     /// batch through here.
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
-        let rmw = ops.iter().any(|op| matches!(op, EngineOp::Cas { .. }));
+        let rmw = ops
+            .iter()
+            .any(|op| matches!(op, EngineOp::Cas { .. } | EngineOp::CasDelete { .. }));
         self.dispatch_as(rmw, move |inner| inner.apply_batch(ops))
     }
 
@@ -719,7 +721,7 @@ mod tests {
                 .policy(SyncPolicy::WriteBack)
                 .cache_capacity(64 << 10)
                 .cache_shards(1)
-                .threading(tb_elastic::ThreadMode::Multi(2))
+                .threading(crate::elastic::ThreadMode::Multi(2))
                 .write_back(WriteBackTuning {
                     max_dirty_bytes: u64::MAX,
                     flush_every_ops: u64::MAX,
@@ -1548,7 +1550,7 @@ mod tests {
         let tb = Arc::new(
             TierBase::open(
                 TierBaseConfig::builder(tmpdir("mt"))
-                    .threading(tb_elastic::ThreadMode::Multi(4))
+                    .threading(crate::elastic::ThreadMode::Multi(4))
                     .build(),
             )
             .unwrap(),
@@ -1583,7 +1585,7 @@ mod tests {
             TierBase::open(
                 TierBaseConfig::builder(tmpdir("missfill"))
                     .policy(SyncPolicy::WriteBack)
-                    .threading(tb_elastic::ThreadMode::Multi(2))
+                    .threading(crate::elastic::ThreadMode::Multi(2))
                     .storage_rtt_us(50_000)
                     .build(),
             )

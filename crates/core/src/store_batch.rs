@@ -70,7 +70,12 @@ impl Inner {
                 }
                 EngineOp::Cas { key, expected, new } => {
                     pass.submit();
-                    pass.out.push(self.do_cas(key, expected, new).and(DONE));
+                    pass.out
+                        .push(self.do_cas(key, expected, Some(new)).and(DONE));
+                }
+                EngineOp::CasDelete { key, expected } => {
+                    pass.submit();
+                    pass.out.push(self.do_cas(key, expected, None).and(DONE));
                 }
                 EngineOp::Scan { start, end, limit } => {
                     pass.submit();

@@ -21,13 +21,21 @@ impl Inner {
         Ok(true)
     }
 
-    /// Compare-and-set: a get and a put. `TierBase` runs a batch that
-    /// holds one alone, which makes it atomic against every write.
-    pub(crate) fn do_cas(&self, key: Key, expected: Option<Value>, new: Value) -> Result<()> {
-        if self.get(key.clone())? == expected {
-            self.put(key, new, None)
-        } else {
-            Err(Error::CasMismatch)
+    /// Compare-and-set (`new: None` deletes): a get and a write.
+    /// `TierBase` runs a batch that holds one alone, which makes it
+    /// atomic against every write.
+    pub(crate) fn do_cas(
+        &self,
+        key: Key,
+        expected: Option<Value>,
+        new: Option<Value>,
+    ) -> Result<()> {
+        if self.get(key.clone())? != expected {
+            return Err(Error::CasMismatch);
+        }
+        match new {
+            Some(value) => self.put(key, value, None),
+            None => self.do_delete(&key),
         }
     }
 

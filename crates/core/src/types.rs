@@ -3,8 +3,11 @@
 //! Lists, sets, hashes and sorted sets are serialized into single
 //! values and updated with CAS retry loops, so concurrent structure
 //! mutations never lose updates (the engine's CAS supplies atomicity).
+//! A structure emptied by an update is removed by one compare-and-delete.
 
-use tb_common::{read_varint, write_varint, Error, Key, KvEngine, Result, Value};
+use tb_common::{
+    apply_write, read_varint, write_varint, EngineOp, Error, Key, KvEngine, Result, Value,
+};
 
 /// Where a list push lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +26,8 @@ impl<'e, E: KvEngine + ?Sized> DataTypes<'e, E> {
         Self { engine }
     }
 
-    /// CAS retry loop: read, transform, write-if-unchanged.
+    /// CAS retry loop: read, transform, then write-if-unchanged (`next:
+    /// None` deletes) as one `Cas` or `CasDelete` op.
     fn update<T>(
         &self,
         key: &Key,
@@ -32,26 +36,10 @@ impl<'e, E: KvEngine + ?Sized> DataTypes<'e, E> {
         loop {
             let current = self.engine.get(key)?;
             let (next, out) = f(current.as_ref())?;
-            let result = match next {
-                Some(v) => self.engine.cas(key.clone(), current.as_ref(), v),
-                None => {
-                    if current.is_none() {
-                        return Ok(out); // deleting an absent structure
-                    }
-                    // Represent deletion as CAS to empty, then delete.
-                    match self
-                        .engine
-                        .cas(key.clone(), current.as_ref(), Value::default())
-                    {
-                        Ok(()) => {
-                            self.engine.delete(key)?;
-                            Ok(())
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-            };
-            match result {
+            if current.is_none() && next.is_none() {
+                return Ok(out); // deleting an absent structure
+            }
+            match apply_write(self.engine, EngineOp::cas(key.clone(), current, next)) {
                 Ok(()) => return Ok(out),
                 Err(Error::CasMismatch) => continue, // lost the race; retry
                 Err(e) => return Err(e),
@@ -203,8 +191,12 @@ impl<'e, E: KvEngine + ?Sized> DataTypes<'e, E> {
 
     // ----- sorted sets -----------------------------------------------------
 
-    /// Adds or updates a member with a score; true when newly added.
+    /// Adds or updates a member with a score; true when newly added. A
+    /// NaN score is an `InvalidArgument`: it has no rank.
     pub fn zset_add(&self, key: &Key, member: &[u8], score: f64) -> Result<bool> {
+        if score.is_nan() {
+            return Err(Error::InvalidArgument("zset score is NaN".into()));
+        }
         self.update(key, |cur| {
             let mut entries = decode_scored(cur)?;
             let existed = entries.iter().position(|(_, m)| m == member);
@@ -213,11 +205,7 @@ impl<'e, E: KvEngine + ?Sized> DataTypes<'e, E> {
             }
             let item = (score, member.to_vec());
             let pos = entries
-                .binary_search_by(|(s, m)| {
-                    s.partial_cmp(&item.0)
-                        .expect("finite score")
-                        .then_with(|| m.cmp(&item.1))
-                })
+                .binary_search_by(|(s, m)| s.total_cmp(&item.0).then_with(|| m.cmp(&item.1)))
                 .unwrap_or_else(|p| p);
             entries.insert(pos, item);
             Ok((Some(encode_scored(&entries)), existed.is_none()))
@@ -450,6 +438,22 @@ mod tests {
         assert_eq!(t.zset_score(&k("z"), b"mid").unwrap(), Some(5.0));
         assert!(t.zset_remove(&k("z"), b"mid").unwrap());
         assert_eq!(t.zset_score(&k("z"), b"mid").unwrap(), None);
+    }
+
+    #[test]
+    fn nan_score_is_refused_and_never_panics() {
+        let tb = store("nan");
+        let t = DataTypes::new(&tb);
+        t.zset_add(&k("z"), b"a", 1.0).unwrap();
+        assert!(matches!(
+            t.zset_add(&k("z"), b"b", f64::NAN),
+            Err(Error::InvalidArgument(_))
+        ));
+        // A NaN already stored (a damaged value) still orders.
+        tb.put(k("z"), encode_scored(&[(f64::NAN, b"n".to_vec())]))
+            .unwrap();
+        assert!(t.zset_add(&k("z"), b"c", 2.0).unwrap());
+        assert_eq!(t.zset_range(&k("z"), 0, 10).unwrap().len(), 2);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! characteristics to optimization strategies" and Table 1 spells the
 //! mapping out. This module is that table as code: classify a workload
 //! profile into the paper's feature rows, then emit the option column
-//! for every matched row. It is the *planning-time* complement to the
-//! live-counter `Insight` service in `tierbase-core` — this advisor
-//! needs only a workload description, no running store.
+//! for every matched row. It needs only a workload description, no
+//! running store.
 
 use crate::model::CostMetrics;
 

@@ -189,7 +189,7 @@ impl Frontend {
     fn shard_of_op(&self, op: &EngineOp) -> usize {
         let key = match op {
             EngineOp::Get(k) | EngineOp::Put(k, _) | EngineOp::Delete(k) => k,
-            EngineOp::Cas { key, .. } => key,
+            EngineOp::Cas { key, .. } | EngineOp::CasDelete { key, .. } => key,
             EngineOp::Scan { start, .. } => start,
             EngineOp::MultiGet(_) | EngineOp::MultiPut(_) => {
                 unreachable!("a burst splits multi-key ops by shard")

@@ -271,7 +271,11 @@ impl Tree {
             // ops in the batch observe its effect — the rare op pays;
             // pure lookups stay staged.
             EngineOp::Cas { key, expected, new } => Slot::Done(
-                self.cas_locked(inner, key, expected.as_ref(), new)
+                self.cas_locked(inner, key, expected.as_ref(), Entry::Put(new))
+                    .map(|l| OpOutcome::Done(Lsn(l))),
+            ),
+            EngineOp::CasDelete { key, expected } => Slot::Done(
+                self.cas_locked(inner, key, expected.as_ref(), Entry::Tombstone)
                     .map(|l| OpOutcome::Done(Lsn(l))),
             ),
             EngineOp::MultiPut(pairs) => {
@@ -397,6 +401,10 @@ impl Tree {
 fn is_write(op: &EngineOp) -> bool {
     matches!(
         op,
-        EngineOp::Put(..) | EngineOp::Delete(_) | EngineOp::Cas { .. } | EngineOp::MultiPut(_)
+        EngineOp::Put(..)
+            | EngineOp::Delete(_)
+            | EngineOp::Cas { .. }
+            | EngineOp::CasDelete { .. }
+            | EngineOp::MultiPut(_)
     )
 }

@@ -465,13 +465,14 @@ impl Tree {
 
     /// The CAS read stages and completes like any lookup, but under the
     /// caller's write lock, so later ops observe its effect — the one
-    /// read that holds the tree lock across block IO.
+    /// read that holds the tree lock across block IO. A match writes
+    /// `entry`: a put, or a tombstone for a compare-and-delete.
     pub(crate) fn cas_locked(
         &self,
         inner: &mut Inner,
         key: Key,
         expected: Option<&Value>,
-        new: Value,
+        entry: Entry,
     ) -> Result<u64> {
         let mut cands = Vec::new();
         let lookup = self.stage_lookup(inner, key.clone(), &mut cands);
@@ -484,8 +485,10 @@ impl Tree {
         if !matches {
             return Err(Error::CasMismatch);
         }
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-        self.write_locked(inner, key, Entry::Put(new))
+        if let Entry::Put(_) = entry {
+            self.stats.puts.fetch_add(1, Ordering::Relaxed);
+        }
+        self.write_locked(inner, key, entry)
     }
 
     /// Makes every write applied before the call durable, as a

@@ -120,7 +120,9 @@ impl KvEngine for DisaggregatedStore {
     fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
         let (request, keys) = ops.iter().fold((0, 0), |(bytes, keys), op| {
             let (b, k) = match op {
-                EngineOp::Get(k) | EngineOp::Delete(k) => (k.len(), 1),
+                EngineOp::Get(k) | EngineOp::Delete(k) | EngineOp::CasDelete { key: k, .. } => {
+                    (k.len(), 1)
+                }
                 EngineOp::Put(k, v) => (k.len() + v.len(), 1),
                 EngineOp::Cas { key, new, .. } => (key.len() + new.len(), 1),
                 EngineOp::MultiGet(ks) => (ks.iter().map(Key::len).sum(), ks.len()),

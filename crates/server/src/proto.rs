@@ -166,18 +166,8 @@ fn encode_op(op: &EngineOp, out: &mut Vec<u8>) {
             out.push(OP_DELETE);
             write_bytes(out, k.as_slice());
         }
-        EngineOp::Cas { key, expected, new } => {
-            out.push(OP_CAS);
-            write_bytes(out, key.as_slice());
-            match expected {
-                Some(e) => {
-                    out.push(1);
-                    write_bytes(out, e.as_slice());
-                }
-                None => out.push(0),
-            }
-            write_bytes(out, new.as_slice());
-        }
+        EngineOp::Cas { key, expected, new } => encode_cas(out, key, expected.as_ref(), Some(new)),
+        EngineOp::CasDelete { key, expected } => encode_cas(out, key, expected.as_ref(), None),
         EngineOp::MultiGet(keys) => {
             out.push(OP_MULTIGET);
             write_varint(out, keys.len() as u64);
@@ -208,6 +198,15 @@ fn encode_op(op: &EngineOp, out: &mut Vec<u8>) {
     }
 }
 
+/// A `CAS` payload: the key, then `expected` and `new` each behind a
+/// presence flag. An absent `new` is a compare-and-delete.
+fn encode_cas(out: &mut Vec<u8>, key: &Key, expected: Option<&Value>, new: Option<&Value>) {
+    out.push(OP_CAS);
+    write_bytes(out, key.as_slice());
+    write_opt_value(out, expected);
+    write_opt_value(out, new);
+}
+
 /// Decodes one request frame body (opcode + payload, no length prefix).
 /// Keys and values are zero-copy windows into `body`.
 pub fn decode_request(body: &Bytes) -> Result<Request> {
@@ -224,12 +223,9 @@ pub fn decode_request(body: &Bytes) -> Result<Request> {
         OP_DELETE => Request::Op(EngineOp::Delete(read_key(body, &mut pos)?)),
         OP_CAS => {
             let key = read_key(body, &mut pos)?;
-            let expected = match read_flag(body, &mut pos)? {
-                true => Some(read_value(body, &mut pos)?),
-                false => None,
-            };
-            let new = read_value(body, &mut pos)?;
-            Request::Op(EngineOp::Cas { key, expected, new })
+            let expected = read_opt_value(body, &mut pos)?;
+            let new = read_opt_value(body, &mut pos)?;
+            Request::Op(EngineOp::cas(key, expected, new))
         }
         OP_MULTIGET => {
             let n = read_count(body, &mut pos)?;
@@ -518,6 +514,10 @@ mod tests {
             key: Key::from("k"),
             expected: None,
             new: Value::from("v"),
+        }));
+        round_trip_request(Request::Op(EngineOp::CasDelete {
+            key: Key::from("k"),
+            expected: Some(Value::from("v")),
         }));
         round_trip_request(Request::Op(EngineOp::Scan {
             start: Key::from("a"),

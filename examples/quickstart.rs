@@ -1,5 +1,5 @@
-//! Quickstart: open a tiered TierBase store, use strings, data types,
-//! CAS, wide columns, and watch the cost-relevant statistics.
+//! Quickstart: open a tiered TierBase store, use strings, CAS and data
+//! types, and watch the cost-relevant statistics.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -58,17 +58,18 @@ fn main() -> Result<()> {
         types.zset_range(&Key::from("leaderboard"), 1, 2)?,
     );
 
-    // --- wide columns ----------------------------------------------------
-    let orders = WideColumn::new(&store, "orders");
-    orders.put_row(
-        b"order-1001",
-        &[
-            (b"amount".as_slice(), b"128.50".as_slice()),
-            (b"currency", b"CNY"),
-            (b"status", b"PAID"),
-        ],
-    )?;
-    println!("order-1001 = {:?}", orders.get_row(b"order-1001")?);
+    // --- rows of named columns ---------------------------------------------
+    // One hash per row; the `{...}` hash tag keeps a row on one cluster
+    // slot.
+    let order = Key::from("orders:{order-1001}");
+    for (column, value) in [
+        (b"amount".as_slice(), b"128.50".as_slice()),
+        (b"currency", b"CNY"),
+        (b"status", b"PAID"),
+    ] {
+        types.hash_set(&order, column, value)?;
+    }
+    println!("order-1001 = {:?}", types.hash_get_all(&order)?);
 
     // --- durability ------------------------------------------------------
     store.sync()?;

@@ -8,13 +8,13 @@
 //!
 //! | module | crate | what it is |
 //! |---|---|---|
-//! | [`store`] | `tierbase-core` | the TierBase store: tiered cache+storage, write-through/write-back, persistence modes, compression, elastic threading, data types, vector search |
+//! | [`store`] | `tierbase-core` | the TierBase store: tiered cache+storage, write-through/write-back, persistence modes, compression, elastic threading, data types |
 //! | [`costmodel`] | `tb-costmodel` | the Space-Performance Cost Model, Optimal Cost Theorem, tiered cost, Five-Minute-Rule break-even, evaluation framework |
 //! | [`cache`] | `tb-cache` | the cache tier: sharded LRU tables, dirty tracking, insert-if-absent miss fills, DRAM/PMem value placement |
 //! | [`lsm`] | `tb-lsm` | the storage tier: WAL, SSTables, bloom filters, leveled compaction, disaggregated façade |
 //! | [`pmem`] | `tb-pmem` | simulated persistent memory: latency-modeled device, persistent ring buffer |
 //! | [`compress`] | `tb-compress` | pre-trained compression: tzstd (dictionary LZ) and PBC (pattern-based) |
-//! | [`elastic`] | `tb-elastic` | elastic threading: the permit gate behind single/multi/elastic modes |
+//! | [`elastic`] | `tierbase-core` | elastic threading: the permit gate behind single/multi/elastic modes |
 //! | [`workload`] | `tb-workload` | YCSB-style generators, datasets, trace record/replay |
 //! | [`frontend`] | `tb-frontend` | pipelined request front-end: sharded submission queues, group-commit workers, backpressure |
 //! | [`cluster`] | `tb-cluster` | hash-slot sharding, coordinators, failover, smart client, proxy |
@@ -46,7 +46,6 @@ pub use tb_cluster as cluster;
 pub use tb_common as common;
 pub use tb_compress as compress;
 pub use tb_costmodel as costmodel;
-pub use tb_elastic as elastic;
 pub use tb_frontend as frontend;
 pub use tb_lsm as lsm;
 pub use tb_obs as obs;
@@ -54,6 +53,7 @@ pub use tb_pmem as pmem;
 pub use tb_server as server;
 pub use tb_workload as workload;
 pub use tierbase_core as store;
+pub use tierbase_core::elastic;
 
 /// The items most applications need.
 pub mod prelude {
@@ -65,7 +65,7 @@ pub mod prelude {
     pub use tb_workload::{Op, Trace, Workload, WorkloadSpec};
     pub use tierbase_core::{
         CompressorChoice, DataTypes, PersistenceMode, PmemTuning, SyncPolicy, TierBase,
-        TierBaseConfig, WideColumn,
+        TierBaseConfig,
     };
 }
 

@@ -95,7 +95,6 @@ fn insight_surfaces_the_interval() {
     for i in 0..500u32 {
         store.get(&Key::from(format!("k{i:05}"))).unwrap();
     }
-    let snap = tierbase::store::Insight::new(&store).snapshot();
-    let mean = snap.mean_access_interval_secs.expect("observed");
+    let mean = store.mean_access_interval_secs().expect("observed");
     assert!((mean - 60.0).abs() < 1.0, "mean {mean}");
 }

@@ -6,7 +6,8 @@
 //! silently overwritten (a lost update) while both CAS calls report
 //! success. Each test hammers a counter from several threads and
 //! counts the increments that survived; TierBase's read-modify-writes
-//! are also raced against plain puts of their key.
+//! are also raced against plain puts of their key, and its data types'
+//! compare-and-delete against concurrent readers.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -17,6 +18,7 @@ use tierbase::elastic::ThreadMode;
 use tierbase::frontend::{Frontend, FrontendConfig};
 use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::prelude::*;
+use tierbase::store::ListEnd;
 
 fn tmpdir(name: &str) -> tierbase::common::TestDir {
     tierbase::common::test_dir(&format!("tb-cas-{name}"))
@@ -181,4 +183,48 @@ fn tierbase_read_modify_writes_never_lose_a_concurrent_put() {
         lost_per_policy.iter().all(|&(_, lost)| lost == 0),
         "acked puts lost of {TRIALS} per policy: {lost_per_policy:?}"
     );
+}
+
+/// A `DataTypes` pop that empties a list removes the key with one
+/// compare-and-delete, so no reader ever finds the structure half
+/// deleted. Two threads each push and then pop one shared list; every
+/// call must succeed, and the list ends empty, so its key is absent.
+#[test]
+fn tierbase_structure_deletes_never_race_readers_into_errors() {
+    const PAIRS: usize = 50_000;
+    let dir = tmpdir("types");
+    let store = TierBase::open(
+        TierBaseConfig::builder(dir.path())
+            .threading(ThreadMode::Multi(2))
+            .build(),
+    )
+    .unwrap();
+    let key = Key::from("list");
+    let errors: Vec<Error> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let types = DataTypes::new(&store);
+                    let mut errors = Vec::new();
+                    for _ in 0..PAIRS {
+                        errors.extend(types.list_push(&key, b"x", ListEnd::Tail).err());
+                        errors.extend(types.list_pop(&key, ListEnd::Head).err());
+                    }
+                    errors
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+    assert!(
+        errors.is_empty(),
+        "{} of {} calls failed, first: {:?}",
+        errors.len(),
+        4 * PAIRS,
+        errors.first()
+    );
+    assert_eq!(store.get(&key).unwrap(), None, "the emptied list is absent");
 }

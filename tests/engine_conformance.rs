@@ -109,6 +109,43 @@ fn conformance(engine: &dyn KvEngine) {
     engine.cas(k("cas", 0), Some(&v(0)), v(2)).unwrap();
     assert_eq!(engine.get(&k("cas", 0)).unwrap(), Some(v(2)), "[{label}]");
 
+    // --- compare-and-delete -----------------------------------------
+    let cas_delete = |expected| {
+        let op = EngineOp::CasDelete {
+            key: k("cas", 0),
+            expected,
+        };
+        engine.apply_batch(vec![op]).pop().expect("one completion")
+    };
+    // Wrong expectation: mismatch, value untouched.
+    assert_eq!(
+        cas_delete(Some(v(0))),
+        Err(Error::CasMismatch),
+        "[{label}] cas delete mismatch error"
+    );
+    assert_eq!(
+        engine.get(&k("cas", 0)).unwrap(),
+        Some(v(2)),
+        "[{label}] failed cas delete must not delete"
+    );
+    // Right expectation: the key is gone.
+    let deleted = cas_delete(Some(v(2)));
+    assert!(
+        matches!(deleted, Ok(OpOutcome::Done(_))),
+        "[{label}] cas delete: {deleted:?}"
+    );
+    assert_eq!(
+        engine.get(&k("cas", 0)).unwrap(),
+        None,
+        "[{label}] matching cas delete removes the key"
+    );
+    // Expected None on an absent key: a match with nothing to delete.
+    let absent = cas_delete(None);
+    assert!(
+        matches!(absent, Ok(OpOutcome::Done(_))),
+        "[{label}] cas delete expected-absent on absent key: {absent:?}"
+    );
+
     // --- apply_batch: submission/completion contract ----------------
     // One heterogeneous submission; completions align positionally and
     // reflect submission order (a get sees the put before it, a CAS

@@ -19,11 +19,17 @@ fn op_strategy() -> impl Strategy<Value = EngineOp> {
         raw(32).prop_map(|k| EngineOp::Get(Key::from(k))),
         (raw(32), raw(64)).prop_map(|(k, v)| EngineOp::Put(Key::from(k), Value::from(v))),
         raw(32).prop_map(|k| EngineOp::Delete(Key::from(k))),
-        (raw(32), proptest::option::of(raw(32)), raw(32)).prop_map(|(k, e, n)| EngineOp::Cas {
-            key: Key::from(k),
-            expected: e.map(Value::from),
-            new: Value::from(n),
-        }),
+        // A `Cas`, or a `CasDelete` when `new` is absent.
+        (
+            raw(32),
+            proptest::option::of(raw(32)),
+            proptest::option::of(raw(32))
+        )
+            .prop_map(|(k, e, n)| EngineOp::cas(
+                Key::from(k),
+                e.map(Value::from),
+                n.map(Value::from)
+            )),
         proptest::collection::vec(raw(24), 0..8)
             .prop_map(|ks| EngineOp::MultiGet(ks.into_iter().map(Key::from).collect())),
         proptest::collection::vec((raw(24), raw(24)), 0..8).prop_map(|ps| EngineOp::MultiPut(

@@ -166,10 +166,11 @@ fn compressed_store_matches_model() {
 
 /// The schedules of [`random_ops`] as `apply_batch` submissions of 1–32
 /// ops. Kinds 0..=3 put, 4..=5 a `MultiPut` of this entry and the next
-/// three, 6..=7 delete, 8 get. Kind 9 is a `MultiGet` of this key and
-/// the next three when the value length is even; otherwise a `Cas`
-/// expecting the key's last scheduled value (length 1 mod 4) or the new
-/// value itself, which the key never holds before (3 mod 4).
+/// three, 6..=7 delete, 8 get. Kind 9 turns on the value length mod 4:
+/// 0 is a `MultiGet` of this key and the next three; 1 a `Cas`
+/// expecting the key's last scheduled value; 2 a `CasDelete` expecting
+/// it; 3 a `Cas` expecting the new value itself, which the key never
+/// holds before.
 fn random_batches(seed: u64) -> Vec<Vec<EngineOp>> {
     let schedule = random_ops(seed, 3000, 200);
     let mut rng = StdRng::seed_from_u64(!seed);
@@ -195,6 +196,10 @@ fn random_batches(seed: u64) -> Vec<Vec<EngineOp>> {
                     expected: last.get(&key).cloned(),
                     key,
                     new: value,
+                },
+                2 => EngineOp::CasDelete {
+                    expected: last.get(&key).cloned(),
+                    key,
                 },
                 3 => EngineOp::Cas {
                     key,
@@ -262,6 +267,14 @@ fn apply_to_model(
             } else if !failed {
                 assert!(done, "cas {key:?}: {got:?}");
                 model.insert(key, new);
+            }
+        }
+        EngineOp::CasDelete { key, expected } => {
+            if model.get(&key) != expected.as_ref() {
+                assert_eq!(got, Err(Error::CasMismatch), "cas delete {key:?}");
+            } else {
+                assert!(done, "cas delete {key:?}: {got:?}");
+                model.remove(&key);
             }
         }
         _ if failed => {}
