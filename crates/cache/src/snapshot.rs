@@ -4,25 +4,25 @@
 //! cache's current contents in one sequential file, which makes warm
 //! restarts cheap: load the snapshot, start serving, and let the
 //! storage tier backfill anything written after the snapshot. The file
-//! is CRC-framed and written atomically (tmp + rename), so a crash
+//! is sealed and published through `tb_common::durable`, so a crash
 //! mid-snapshot leaves the previous snapshot intact.
 //!
-//! Format:
+//! Format (the body of a `durable::seal` frame under `SNAPSHOT_MAGIC`):
 //! ```text
-//! magic:u32 | version:u8 | count:varint
+//! count:varint
 //! per record: flags:u8 | [expires_at:varint] | klen:varint | key
 //!             | vlen:varint | value
-//! trailer: crc32 of everything after the magic
 //! ```
 
 use crate::cache::ShardedCache;
-use std::fs::File;
-use std::io::Write;
 use std::path::Path;
-use tb_common::{crc32, read_varint, write_varint, Error, Key, Result, Value};
+use tb_common::{
+    durable, read_bytes, read_varint, write_bytes, write_varint, Error, Key, Result, Value,
+};
 
-const SNAPSHOT_MAGIC: u32 = 0x5442_5244; // "TBRD"
-const SNAPSHOT_VERSION: u8 = 1;
+/// Names the layout above; a file in any earlier one is
+/// [`Error::Corruption`].
+const SNAPSHOT_MAGIC: u32 = 0x7b52_4442;
 
 const FLAG_DIRTY: u8 = 0b01;
 const FLAG_HAS_EXPIRY: u8 = 0b10;
@@ -33,7 +33,6 @@ const FLAG_HAS_EXPIRY: u8 = 0b10;
 pub fn write_snapshot(cache: &ShardedCache, path: &Path) -> Result<usize> {
     let entries = cache.scan_range(b"", None);
     let mut body = Vec::with_capacity(entries.len() * 64 + 16);
-    body.push(SNAPSHOT_VERSION);
     write_varint(&mut body, entries.len() as u64);
     for (key, entry) in &entries {
         let mut flags = 0u8;
@@ -47,30 +46,19 @@ pub fn write_snapshot(cache: &ShardedCache, path: &Path) -> Result<usize> {
         if let Some(deadline) = entry.expires_at {
             write_varint(&mut body, deadline);
         }
-        write_varint(&mut body, key.len() as u64);
-        body.extend_from_slice(key.as_slice());
-        write_varint(&mut body, entry.value.len() as u64);
-        body.extend_from_slice(entry.value.as_slice());
+        write_bytes(&mut body, key.as_slice());
+        write_bytes(&mut body, entry.value.as_slice());
     }
 
-    let tmp = path.with_extension("rdb-tmp");
-    let written = (|| -> Result<()> {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&SNAPSHOT_MAGIC.to_le_bytes())?;
-        f.write_all(&body)?;
-        f.write_all(&crc32(&body).to_le_bytes())?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        // The rename is durable only once the directory is.
-        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
-        Ok(())
-    })();
-    if let Err(e) = written {
-        // No half-written tmp file outlives a failed save.
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
+    durable::publish(
+        path,
+        &durable::Sites {
+            sync: "cache.rdb.sync",
+            rename: "cache.rdb.rename",
+            dir_sync: "cache.rdb.dir_sync",
+        },
+        &[("cache.rdb.write", &durable::seal(SNAPSHOT_MAGIC, &body))],
+    )?;
     Ok(entries.len())
 }
 
@@ -79,65 +67,35 @@ pub fn write_snapshot(cache: &ShardedCache, path: &Path) -> Result<usize> {
 /// already passed at load time are skipped.
 pub fn load_snapshot(cache: &ShardedCache, path: &Path) -> Result<usize> {
     let raw = std::fs::read(path)?;
-    if raw.len() < 9 {
-        return Err(Error::Corruption("snapshot too short".into()));
-    }
-    let magic = u32::from_le_bytes(raw[0..4].try_into().expect("sized"));
-    if magic != SNAPSHOT_MAGIC {
-        return Err(Error::Corruption(format!("bad snapshot magic {magic:#x}")));
-    }
-    let body = &raw[4..raw.len() - 4];
-    let stored_crc = u32::from_le_bytes(raw[raw.len() - 4..].try_into().expect("sized"));
-    if crc32(body) != stored_crc {
-        return Err(Error::Corruption("snapshot checksum mismatch".into()));
-    }
-    let (&version, rest) = body
-        .split_first()
-        .ok_or_else(|| Error::Corruption("empty snapshot body".into()))?;
-    if version != SNAPSHOT_VERSION {
-        return Err(Error::Corruption(format!(
-            "unknown snapshot version {version}"
-        )));
-    }
-
+    let body = durable::unseal(SNAPSHOT_MAGIC, &raw, "snapshot")?;
     let now = cache.clock().now_nanos();
     let mut pos = 0usize;
-    let count = read_varint(rest, &mut pos)? as usize;
-    let mut restored = 0usize;
+    let count = read_varint(body, &mut pos)? as usize;
+    let mut bodyored = 0usize;
     for _ in 0..count {
-        if pos >= rest.len() {
+        if pos >= body.len() {
             return Err(Error::Corruption("snapshot truncated".into()));
         }
-        let flags = rest[pos];
+        let flags = body[pos];
         pos += 1;
         if flags & !(FLAG_DIRTY | FLAG_HAS_EXPIRY) != 0 {
             return Err(Error::Corruption(format!("bad snapshot flags {flags}")));
         }
         let expires_at = if flags & FLAG_HAS_EXPIRY != 0 {
-            Some(read_varint(rest, &mut pos)?)
+            Some(read_varint(body, &mut pos)?)
         } else {
             None
         };
-        let klen = read_varint(rest, &mut pos)? as usize;
-        if pos + klen > rest.len() {
-            return Err(Error::Corruption("snapshot key overflow".into()));
-        }
-        let key = Key::copy_from(&rest[pos..pos + klen]);
-        pos += klen;
-        let vlen = read_varint(rest, &mut pos)? as usize;
-        if pos + vlen > rest.len() {
-            return Err(Error::Corruption("snapshot value overflow".into()));
-        }
-        let value = Value::copy_from(&rest[pos..pos + vlen]);
-        pos += vlen;
+        let key = Key::copy_from(read_bytes(body, &mut pos)?);
+        let value = Value::copy_from(read_bytes(body, &mut pos)?);
 
         if tb_common::is_expired(expires_at, now) {
             continue;
         }
         cache.insert_full(key, value, flags & FLAG_DIRTY != 0, expires_at)?;
-        restored += 1;
+        bodyored += 1;
     }
-    Ok(restored)
+    Ok(bodyored)
 }
 
 #[cfg(test)]
@@ -262,7 +220,7 @@ mod tests {
         write_snapshot(&src, &path).unwrap();
         // Every write to the tmp file fails: it is a link to a device
         // that is always full.
-        let tmp = path.with_extension("rdb-tmp");
+        let tmp = durable::tmp_path(&path);
         std::os::unix::fs::symlink("/dev/full", &tmp).unwrap();
         src.insert(k(2), Value::from("lost"), false).unwrap();
         assert!(write_snapshot(&src, &path).is_err());
@@ -273,6 +231,29 @@ mod tests {
         let dst = cache_with_clock(clock);
         assert_eq!(load_snapshot(&dst, &path).unwrap(), 1);
         assert_eq!(dst.get(&k(1)), Some(Value::from("kept")));
+    }
+
+    #[test]
+    fn a_snapshot_in_the_old_layout_is_corruption() {
+        // `"TBRD" | version 1 | count | records | crc32(all after magic)`,
+        // here holding one clean entry `k0001 = x`.
+        let mut after_magic = vec![1, 1, 0, 5];
+        after_magic.extend_from_slice(b"k0001");
+        after_magic.extend_from_slice(&[1, b'x']);
+        let crc = tb_common::crc32(&after_magic);
+        let old = [
+            &0x5442_5244u32.to_le_bytes()[..],
+            &after_magic,
+            &crc.to_le_bytes(),
+        ]
+        .concat();
+        let path = tmpfile("old-layout");
+        std::fs::write(&path, old).unwrap();
+        let dst = cache_with_clock(ManualClock::new());
+        let got = load_snapshot(&dst, &path);
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(got, Err(Error::Corruption(_))), "{got:?}");
+        assert!(dst.is_empty());
     }
 
     #[test]

@@ -28,9 +28,7 @@
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tb_common::{
-    fault, read_varint, write_varint, Crc32, Error, Key, KvEngine, Lsn, Result, Value,
-};
+use tb_common::{fault, read_bytes, write_bytes, Crc32, Error, Key, KvEngine, Lsn, Result, Value};
 
 /// The replication fault sites, in ship order. `tests/fault_torture.rs`
 /// enumerates `(site, hit)` across these.
@@ -50,15 +48,12 @@ impl ReplRecord {
         match self {
             ReplRecord::Put(k, v) => {
                 out.push(1);
-                write_varint(&mut out, k.len() as u64);
-                out.extend_from_slice(k.as_slice());
-                write_varint(&mut out, v.len() as u64);
-                out.extend_from_slice(v.as_slice());
+                write_bytes(&mut out, k.as_slice());
+                write_bytes(&mut out, v.as_slice());
             }
             ReplRecord::Delete(k) => {
                 out.push(2);
-                write_varint(&mut out, k.len() as u64);
-                out.extend_from_slice(k.as_slice());
+                write_bytes(&mut out, k.as_slice());
             }
         }
         out
@@ -69,25 +64,15 @@ impl ReplRecord {
             .first()
             .ok_or_else(|| Error::Corruption("empty repl record".into()))?;
         let mut pos = 1usize;
-        let take = |buf: &[u8], pos: &mut usize| -> Result<Vec<u8>> {
-            let len = read_varint(buf, pos)? as usize;
-            let end = pos
-                .checked_add(len)
-                .filter(|&e| e <= buf.len())
-                .ok_or_else(|| Error::Corruption("repl record truncated".into()))?;
-            let out = buf[*pos..end].to_vec();
-            *pos = end;
-            Ok(out)
-        };
         match tag {
             1 => {
-                let k = take(buf, &mut pos)?;
-                let v = take(buf, &mut pos)?;
-                Ok(ReplRecord::Put(Key::from(k), Value::from(v)))
+                let k = Key::copy_from(read_bytes(buf, &mut pos)?);
+                let v = Value::copy_from(read_bytes(buf, &mut pos)?);
+                Ok(ReplRecord::Put(k, v))
             }
             2 => {
-                let k = take(buf, &mut pos)?;
-                Ok(ReplRecord::Delete(Key::from(k)))
+                let k = Key::copy_from(read_bytes(buf, &mut pos)?);
+                Ok(ReplRecord::Delete(k))
             }
             t => Err(Error::Corruption(format!("unknown repl record tag {t}"))),
         }

@@ -2,11 +2,13 @@
 //!
 //! This crate holds the small, dependency-light pieces every other crate
 //! needs: byte-string key/value types, the common error enum, real and
-//! virtual clocks, latency histograms, and the hashing utilities used for
-//! sharding and hash-slot routing.
+//! virtual clocks, latency histograms, the hashing utilities used for
+//! sharding and hash-slot routing, and the one protocol every durable
+//! file is published by.
 
 pub mod clock;
 pub mod crc;
+pub mod durable;
 pub mod engine;
 pub mod error;
 pub mod fault;
@@ -26,4 +28,4 @@ pub use histogram::Histogram;
 pub use testutil::{test_dir, TestDir};
 pub use ttl::{deadline_after, is_expired, TtlState};
 pub use types::{prefix_successor, Key, Value};
-pub use varint::{read_varint, write_varint};
+pub use varint::{read_bytes, read_varint, write_bytes, write_varint};

@@ -37,6 +37,26 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
+/// Appends `bytes` after their length as a varint.
+pub fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    write_varint(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// Reads bytes [`write_bytes`] wrote at `*pos`, advancing it. A length
+/// past the end of `buf` is [`Error::Corruption`].
+pub fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
+    let len = read_varint(buf, pos)?;
+    let bytes = usize::try_from(len)
+        .ok()
+        .and_then(|len| buf.get(*pos..pos.checked_add(len)?))
+        .ok_or_else(|| {
+            Error::Corruption(format!("{len} bytes overflow a {}-byte buffer", buf.len()))
+        })?;
+    *pos += bytes.len();
+    Ok(bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,6 +79,25 @@ mod tests {
         buf.pop();
         let mut pos = 0;
         assert!(read_varint(&buf, &mut pos).is_err());
+    }
+
+    #[test]
+    fn bytes_roundtrip_and_overflow_is_corruption() {
+        let mut buf = vec![];
+        write_bytes(&mut buf, b"abc");
+        write_bytes(&mut buf, b"");
+        let mut pos = 0;
+        assert_eq!(read_bytes(&buf, &mut pos).unwrap(), b"abc");
+        assert_eq!(read_bytes(&buf, &mut pos).unwrap(), b"");
+        assert_eq!(pos, buf.len());
+        // A length one past the end, and one whose end overflows usize.
+        for len in [4, u64::MAX] {
+            let mut buf = vec![];
+            write_varint(&mut buf, len);
+            buf.extend_from_slice(b"abc");
+            let got = read_bytes(&buf, &mut 0);
+            assert!(matches!(got, Err(Error::Corruption(_))), "{len}: {got:?}");
+        }
     }
 
     #[test]

@@ -48,3 +48,24 @@ pub use interval::AccessIntervalTracker;
 pub use store::{TierBase, TierBaseStats};
 pub use tb_compress::CompressorChoice;
 pub use types::{DataTypes, ListEnd};
+
+/// Every named fault point on the cache tier's published files:
+/// `cache.rdb` (`tb_cache::write_snapshot`) and `cache.model.<g>` (a
+/// trained compression model), one per `tb_common::durable::publish`
+/// step. The cache log's hits are `tb_lsm`'s `wal.*`. The
+/// `cache_sites_all_reachable` test in `tests/fault_torture.rs` keeps
+/// this list honest against the code.
+pub const CACHE_FAULT_SITES: &[&str] = &[
+    "cache.rdb.write",
+    "cache.rdb.sync",
+    "cache.rdb.rename",
+    "cache.rdb.dir_sync",
+    "cache.model.write",
+    "cache.model.sync",
+    "cache.model.rename",
+    "cache.model.dir_sync",
+];
+
+/// The subset of [`CACHE_FAULT_SITES`] that are buffer writes, where a
+/// torn injection is meaningful.
+pub const CACHE_FAULT_WRITE_SITES: &[&str] = &["cache.rdb.write", "cache.model.write"];

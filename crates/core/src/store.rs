@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tb_cache::{CacheConfig, PmemPlacement, ShardedCache};
 use tb_common::{
-    crc32, deadline_after, read_varint, write_varint, EngineOp, Error, Key, KvEngine, OpOutcome,
+    deadline_after, durable, read_varint, write_varint, EngineOp, Error, Key, KvEngine, OpOutcome,
     Result, TtlState, Value,
 };
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
@@ -68,9 +68,10 @@ pub(crate) fn envelope_expiry(stored: &Value) -> Option<u64> {
 /// Number of values sampled before compression auto-trains.
 const AUTO_TRAIN_SAMPLES: usize = 256;
 
-/// `<dir>/cache.model.<generation>`: a trained compression model, as
-/// [`PretrainedCompression::to_bytes`] then its `crc32` (u32 LE).
+/// `<dir>/cache.model.<generation>`: a trained compression model,
+/// [`PretrainedCompression::to_bytes`] sealed under [`MODEL_MAGIC`].
 const MODEL_FILE: &str = "cache.model.";
+const MODEL_MAGIC: u32 = 0x7b4d_444c;
 
 pub(crate) struct Inner {
     pub(crate) config: TierBaseConfig,
@@ -112,6 +113,8 @@ impl TierBase {
     /// Opens a store, running recovery appropriate to its configuration.
     pub fn open(config: TierBaseConfig) -> Result<Self> {
         std::fs::create_dir_all(&config.dir)?;
+        // What a crash or failed save left half-published.
+        durable::sweep_tmp(&config.dir)?;
         let models = load_models(&config.dir)?;
 
         let cache = ShardedCache::new(CacheConfig {
@@ -533,23 +536,24 @@ impl Inner {
     }
 }
 
-/// Writes `<dir>/cache.model.<generation>` durably: to a temporary
-/// file, fsynced, renamed into place, then the directory fsynced.
+/// Writes `<dir>/cache.model.<generation>` durably
+/// ([`durable::publish`]).
 fn publish_model(dir: &Path, generation: u64, model: &[u8]) -> Result<()> {
-    let path = dir.join(format!("{MODEL_FILE}{generation}"));
-    let tmp = dir.join(format!("{MODEL_FILE}{generation}.tmp"));
-    let mut bytes = model.to_vec();
-    bytes.extend_from_slice(&crc32(model).to_le_bytes());
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::File::open(&tmp)?.sync_all()?;
-    std::fs::rename(&tmp, &path)?;
-    std::fs::File::open(dir)?.sync_all()?;
-    Ok(())
+    durable::publish(
+        &dir.join(format!("{MODEL_FILE}{generation}")),
+        &durable::Sites {
+            sync: "cache.model.sync",
+            rename: "cache.model.rename",
+            dir_sync: "cache.model.dir_sync",
+        },
+        &[("cache.model.write", &durable::seal(MODEL_MAGIC, model))],
+    )
 }
 
 /// Every model [`publish_model`] wrote to `dir`, by generation. A file
-/// whose checksum or model bytes do not check out is
-/// [`Error::Corruption`]: the values coded under it could not be read.
+/// that fails [`durable::unseal`] or whose model bytes do not check out
+/// is [`Error::Corruption`]: the values coded under it could not be
+/// read.
 fn load_models(dir: &Path) -> Result<BTreeMap<u64, Arc<PretrainedCompression>>> {
     let mut models = BTreeMap::new();
     for entry in std::fs::read_dir(dir)? {
@@ -558,16 +562,9 @@ fn load_models(dir: &Path) -> Result<BTreeMap<u64, Arc<PretrainedCompression>>> 
         let Some(Ok(generation)) = name.strip_prefix(MODEL_FILE).map(str::parse::<u64>) else {
             continue;
         };
-        let bytes = std::fs::read(&path)?;
-        let model = bytes
-            .split_last_chunk()
-            .filter(|(model, crc)| crc32(model) == u32::from_le_bytes(**crc))
-            .ok_or_else(|| Error::Corruption(format!("{name}: checksum mismatch")))?
-            .0;
-        models.insert(
-            generation,
-            Arc::new(PretrainedCompression::from_bytes(model)?),
-        );
+        let file = std::fs::read(&path)?;
+        let model = PretrainedCompression::from_bytes(durable::unseal(MODEL_MAGIC, &file, name)?)?;
+        models.insert(generation, Arc::new(model));
     }
     Ok(models)
 }
@@ -1837,7 +1834,7 @@ mod tests {
         .to_vec();
         let dir = tmpdir("model-fuzz");
         std::fs::create_dir_all(&dir).unwrap();
-        let file_of = |body: &[u8]| [body, &crc32(body).to_le_bytes()].concat();
+        let file_of = |body: &[u8]| durable::seal(MODEL_MAGIC, body);
         let load = |file: &[u8]| {
             std::fs::write(dir.join(format!("{MODEL_FILE}1")), file).unwrap();
             load_models(&dir)

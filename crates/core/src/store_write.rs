@@ -6,7 +6,7 @@ use crate::store::{envelope_expiry, Inner};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 use tb_cache::ShardedCache;
-use tb_common::{deadline_after, read_varint, write_varint, Error, Key, KvEngine, Result, Value};
+use tb_common::{deadline_after, read_bytes, write_bytes, Error, Key, KvEngine, Result, Value};
 
 impl Inner {
     /// Rewrites a live key with a new expiry deadline (`EXPIRE` /
@@ -101,18 +101,10 @@ pub(crate) const COLD_LOG: &str = "cache.cold.wal";
 
 fn encode_log_record(key: &Key, stored: Option<&Value>) -> Vec<u8> {
     let mut out = Vec::with_capacity(key.len() + 16);
-    match stored {
-        Some(v) => {
-            out.push(0);
-            write_varint(&mut out, key.len() as u64);
-            out.extend_from_slice(key.as_slice());
-            out.extend_from_slice(v.as_slice());
-        }
-        None => {
-            out.push(1);
-            write_varint(&mut out, key.len() as u64);
-            out.extend_from_slice(key.as_slice());
-        }
+    out.push(u8::from(stored.is_none()));
+    write_bytes(&mut out, key.as_slice());
+    if let Some(v) = stored {
+        out.extend_from_slice(v.as_slice());
     }
     out
 }
@@ -125,14 +117,10 @@ pub(crate) fn apply_log_record(cache: &ShardedCache, rec: &[u8]) -> Result<()> {
         .split_first()
         .ok_or_else(|| Error::Corruption("empty cache log record".into()))?;
     let mut pos = 0usize;
-    let klen = read_varint(rest, &mut pos)? as usize;
-    if pos + klen > rest.len() {
-        return Err(Error::Corruption("cache log key overflow".into()));
-    }
-    let key = Key::copy_from(&rest[pos..pos + klen]);
+    let key = Key::copy_from(read_bytes(rest, &mut pos)?);
     match flag {
         0 => {
-            let value = Value::copy_from(&rest[pos + klen..]);
+            let value = Value::copy_from(&rest[pos..]);
             if cache.admit(&key, &value).is_ok() {
                 let expires_at = envelope_expiry(&value);
                 cache.insert_full(key, value, false, expires_at)?;

@@ -6,7 +6,8 @@
 //! A structure emptied by an update is removed by one compare-and-delete.
 
 use tb_common::{
-    apply_write, read_varint, write_varint, EngineOp, Error, Key, KvEngine, Result, Value,
+    apply_write, read_bytes, read_varint, write_bytes, write_varint, EngineOp, Error, Key,
+    KvEngine, Result, Value,
 };
 
 /// Where a list push lands.
@@ -252,8 +253,7 @@ fn encode_items(items: &[Vec<u8>]) -> Value {
     let mut out = Vec::new();
     write_varint(&mut out, items.len() as u64);
     for item in items {
-        write_varint(&mut out, item.len() as u64);
-        out.extend_from_slice(item);
+        write_bytes(&mut out, item);
     }
     Value::from(out)
 }
@@ -267,12 +267,7 @@ fn decode_items(value: Option<&Value>) -> Result<Vec<Vec<u8>>> {
     let count = read_varint(buf, &mut pos)? as usize;
     let mut items = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        let len = read_varint(buf, &mut pos)? as usize;
-        if pos + len > buf.len() {
-            return Err(Error::Corruption("list item overflows buffer".into()));
-        }
-        items.push(buf[pos..pos + len].to_vec());
-        pos += len;
+        items.push(read_bytes(buf, &mut pos)?.to_vec());
     }
     Ok(items)
 }
@@ -281,10 +276,8 @@ fn encode_pairs(pairs: &[(Vec<u8>, Vec<u8>)]) -> Value {
     let mut out = Vec::new();
     write_varint(&mut out, pairs.len() as u64);
     for (f, v) in pairs {
-        write_varint(&mut out, f.len() as u64);
-        out.extend_from_slice(f);
-        write_varint(&mut out, v.len() as u64);
-        out.extend_from_slice(v);
+        write_bytes(&mut out, f);
+        write_bytes(&mut out, v);
     }
     Value::from(out)
 }
@@ -298,19 +291,8 @@ fn decode_pairs(value: Option<&Value>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
     let count = read_varint(buf, &mut pos)? as usize;
     let mut pairs = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        let flen = read_varint(buf, &mut pos)? as usize;
-        if pos + flen > buf.len() {
-            return Err(Error::Corruption("hash field overflows buffer".into()));
-        }
-        let field = buf[pos..pos + flen].to_vec();
-        pos += flen;
-        let vlen = read_varint(buf, &mut pos)? as usize;
-        if pos + vlen > buf.len() {
-            return Err(Error::Corruption("hash value overflows buffer".into()));
-        }
-        let val = buf[pos..pos + vlen].to_vec();
-        pos += vlen;
-        pairs.push((field, val));
+        let field = read_bytes(buf, &mut pos)?.to_vec();
+        pairs.push((field, read_bytes(buf, &mut pos)?.to_vec()));
     }
     Ok(pairs)
 }
@@ -320,8 +302,7 @@ fn encode_scored(entries: &[(f64, Vec<u8>)]) -> Value {
     write_varint(&mut out, entries.len() as u64);
     for (score, member) in entries {
         out.extend_from_slice(&score.to_bits().to_le_bytes());
-        write_varint(&mut out, member.len() as u64);
-        out.extend_from_slice(member);
+        write_bytes(&mut out, member);
     }
     Value::from(out)
 }
@@ -340,12 +321,7 @@ fn decode_scored(value: Option<&Value>) -> Result<Vec<(f64, Vec<u8>)>> {
         }
         let score = f64::from_bits(u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap()));
         pos += 8;
-        let mlen = read_varint(buf, &mut pos)? as usize;
-        if pos + mlen > buf.len() {
-            return Err(Error::Corruption("zset member overflows buffer".into()));
-        }
-        entries.push((score, buf[pos..pos + mlen].to_vec()));
-        pos += mlen;
+        entries.push((score, read_bytes(buf, &mut pos)?.to_vec()));
     }
     Ok(entries)
 }
@@ -488,5 +464,16 @@ mod tests {
         assert!(t.list_len(&k("bad")).is_err() || t.list_len(&k("bad")).is_ok());
         // Must not panic either way (count may decode but items overflow).
         let _ = t.set_members(&k("bad"));
+        // One entry whose length is u64::MAX: its end overflows usize.
+        let huge = [0xff; 9].into_iter().chain([1]);
+        let list: Vec<u8> = [1].into_iter().chain(huge.clone()).collect();
+        let zset: Vec<u8> = [1].into_iter().chain([0; 8]).chain(huge).collect();
+        tb.put(k("list"), Value::from(list.clone())).unwrap();
+        tb.put(k("hash"), Value::from(list)).unwrap();
+        tb.put(k("zset"), Value::from(zset)).unwrap();
+        let corrupt = |got: Result<usize>| assert!(matches!(got, Err(Error::Corruption(_))));
+        corrupt(t.list_len(&k("list")));
+        corrupt(t.hash_get_all(&k("hash")).map(|h| h.len()));
+        corrupt(t.zset_range(&k("zset"), 0, 1).map(|z| z.len()));
     }
 }

@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tb_common::{
-    fault, read_varint, write_varint, BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn,
+    durable, fault, read_bytes, write_bytes, BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn,
     OpOutcome, Result, Value,
 };
 
@@ -279,6 +279,7 @@ impl LsmDb {
         // Sweep crash leftovers: .tmp files from interrupted writes and
         // .sst files no manifest references (a flush or compaction that
         // died between writing the table and installing it).
+        durable::sweep_tmp(&config.dir)?;
         let referenced: std::collections::HashSet<PathBuf> = version
             .levels
             .iter()
@@ -287,13 +288,8 @@ impl LsmDb {
             .collect();
         for entry in std::fs::read_dir(&config.dir)? {
             let path = entry?.path();
-            let ext = path.extension().and_then(|e| e.to_str());
-            let orphan = match ext {
-                Some("tmp") => true,
-                Some("sst") => !referenced.contains(&path),
-                _ => false,
-            };
-            if orphan {
+            let sst = path.extension().is_some_and(|e| e == "sst");
+            if sst && !referenced.contains(&path) {
                 let _ = std::fs::remove_file(&path);
             }
         }
@@ -627,18 +623,10 @@ impl KvEngine for LsmDb {
 
 fn encode_wal_record(key: &Key, entry: &Entry) -> Vec<u8> {
     let mut out = Vec::with_capacity(key.len() + 16);
-    match entry {
-        Entry::Put(v) => {
-            out.push(0);
-            write_varint(&mut out, key.len() as u64);
-            out.extend_from_slice(key.as_slice());
-            out.extend_from_slice(v.as_slice());
-        }
-        Entry::Tombstone => {
-            out.push(1);
-            write_varint(&mut out, key.len() as u64);
-            out.extend_from_slice(key.as_slice());
-        }
+    out.push(u8::from(matches!(entry, Entry::Tombstone)));
+    write_bytes(&mut out, key.as_slice());
+    if let Entry::Put(v) = entry {
+        out.extend_from_slice(v.as_slice());
     }
     out
 }
@@ -648,12 +636,8 @@ fn decode_wal_record(rec: &[u8]) -> Result<(Key, Entry)> {
         .split_first()
         .ok_or_else(|| Error::Corruption("empty WAL record".into()))?;
     let mut pos = 0usize;
-    let klen = read_varint(rest, &mut pos)? as usize;
-    if pos + klen > rest.len() {
-        return Err(Error::Corruption("WAL key overflows record".into()));
-    }
-    let key = Key::copy_from(&rest[pos..pos + klen]);
-    let value_bytes = &rest[pos + klen..];
+    let key = Key::copy_from(read_bytes(rest, &mut pos)?);
+    let value_bytes = &rest[pos..];
     match flag {
         0 => Ok((key, Entry::Put(Value::copy_from(value_bytes)))),
         1 => Ok((key, Entry::Tombstone)),

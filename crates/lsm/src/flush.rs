@@ -193,9 +193,6 @@ impl Tree {
         let seq = inner.wal_seq + 1;
         let path = segment_path(&self.config.dir, seq);
         let wal = Wal::open(&path, self.config.wal_sync)?;
-        // The new segment's directory entry must survive a crash as
-        // surely as the frames a later sync makes durable in it.
-        std::fs::File::open(&self.config.dir)?.sync_all()?;
         let last_lsn = self.last_lsn.load(Ordering::Relaxed);
         inner.frozen.push_back(Arc::new(Frozen {
             memtable: std::mem::take(&mut inner.memtable),

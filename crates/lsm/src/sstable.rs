@@ -61,20 +61,10 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tb_common::{crc32, fault, read_varint, write_varint, Error, Key, Result, Value};
+use tb_common::{crc32, durable, read_varint, write_varint, Error, Key, Result, Value};
 use tb_compress::block::MAX_TRAIN_SAMPLES;
 pub use tb_compress::block::{BlockCodec, FRAME_HEADER_LEN, FRAME_TAG_STORED};
 use tb_compress::{BlockCodecState, BlockEffort};
-
-/// Fsyncs `path`'s parent directory so a just-renamed file survives a
-/// crash of the directory metadata. `site` names the fault point.
-pub(crate) fn sync_parent_dir(path: &Path, site: &'static str) -> Result<()> {
-    fault::hit(site)?;
-    if let Some(dir) = path.parent() {
-        File::open(dir)?.sync_all()?;
-    }
-    Ok(())
-}
 
 const MAGIC: u32 = 0x7b5d_57d5;
 const FOOTER_LEN: usize = 8 + 4 + 1 + 8 + 4 + 8 + 4 + 4 + 4 + 4;
@@ -291,24 +281,20 @@ pub fn write_sstable_with_stats(
     footer.extend_from_slice(&crc.to_le_bytes());
     footer.extend_from_slice(&MAGIC.to_le_bytes());
 
-    let tmp = path.with_extension("tmp");
-    let written = (|| -> Result<()> {
-        let mut f = File::create(&tmp)?;
-        fault::write_all("sst.write.data", &mut f, &data)?;
-        fault::write_all("sst.write.filter", &mut f, &filter)?;
-        fault::write_all("sst.write.index", &mut f, &index)?;
-        fault::write_all("sst.write.footer", &mut f, &footer)?;
-        fault::hit("sst.sync")?;
-        f.sync_all()?;
-        fault::hit("sst.rename")?;
-        std::fs::rename(&tmp, path)?;
-        sync_parent_dir(path, "sst.dir_sync")
-    })();
-    if let Err(e) = written {
-        // Don't leave a half-written .tmp behind a transient error.
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
+    durable::publish(
+        path,
+        &durable::Sites {
+            sync: "sst.sync",
+            rename: "sst.rename",
+            dir_sync: "sst.dir_sync",
+        },
+        &[
+            ("sst.write.data", &data),
+            ("sst.write.filter", &filter),
+            ("sst.write.index", &index),
+            ("sst.write.footer", &footer),
+        ],
+    )?;
 
     let file_size = (data.len() + filter.len() + index.len() + FOOTER_LEN) as u64;
     let meta = SstMeta {

@@ -6,10 +6,10 @@
 //! makes it durable with [`Version::write_manifest`], and only then
 //! swaps it into the tree.
 
-use crate::sstable::{sync_parent_dir, SstDecodeStats, SstMeta, SstReader};
+use crate::sstable::{SstDecodeStats, SstMeta, SstReader};
 use std::path::Path;
 use std::sync::Arc;
-use tb_common::{crc32, fault, read_varint, write_varint, Error, Key, Result};
+use tb_common::{durable, read_bytes, read_varint, write_bytes, write_varint, Error, Key, Result};
 
 const MANIFEST_MAGIC: u32 = 0x7b4d_414e;
 
@@ -56,10 +56,9 @@ impl Version {
         self.levels.iter().flatten().map(|t| t.meta.file_size).sum()
     }
 
-    /// Durably replaces `dir`'s manifest with this version: tmp file,
-    /// fsync, atomic rename, directory fsync.
+    /// Durably replaces `dir`'s manifest with this version
+    /// ([`durable::publish`]).
     pub(crate) fn write_manifest(&self, dir: &Path) -> Result<()> {
-        let manifest_path = dir.join("MANIFEST");
         let mut body = Vec::new();
         // The flushed LSN first: recovery resumes numbering after it
         // even once every WAL segment is gone (and replication
@@ -77,30 +76,18 @@ impl Version {
             write_varint(&mut body, meta.id);
             write_varint(&mut body, meta.entry_count as u64);
             write_varint(&mut body, meta.file_size);
-            write_varint(&mut body, meta.min_key.len() as u64);
-            body.extend_from_slice(meta.min_key.as_slice());
-            write_varint(&mut body, meta.max_key.len() as u64);
-            body.extend_from_slice(meta.max_key.as_slice());
+            write_bytes(&mut body, meta.min_key.as_slice());
+            write_bytes(&mut body, meta.max_key.as_slice());
         }
-        let mut out = Vec::with_capacity(body.len() + 8);
-        out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        let tmp = manifest_path.with_extension("tmp");
-        let written = (|| -> Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            fault::write_all("manifest.write", &mut f, &out)?;
-            fault::hit("manifest.sync")?;
-            f.sync_all()?;
-            Ok(())
-        })();
-        if let Err(e) = written {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        fault::hit("manifest.rename")?;
-        std::fs::rename(&tmp, &manifest_path)?;
-        sync_parent_dir(&manifest_path, "manifest.dir_sync")
+        durable::publish(
+            &dir.join("MANIFEST"),
+            &durable::Sites {
+                sync: "manifest.sync",
+                rename: "manifest.rename",
+                dir_sync: "manifest.dir_sync",
+            },
+            &[("manifest.write", &durable::seal(MANIFEST_MAGIC, &body))],
+        )
     }
 }
 
@@ -112,18 +99,7 @@ fn read_manifest(path: &Path) -> Result<(Vec<(usize, SstMeta)>, u64)> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((vec![], 0)),
         Err(e) => return Err(e.into()),
     };
-    if bytes.len() < 8 {
-        return Err(Error::Corruption("manifest truncated".into()));
-    }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    if magic != MANIFEST_MAGIC {
-        return Err(Error::Corruption("bad manifest magic".into()));
-    }
-    let stored_crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    let body = &bytes[8..];
-    if crc32(body) != stored_crc {
-        return Err(Error::Corruption("manifest crc mismatch".into()));
-    }
+    let body = durable::unseal(MANIFEST_MAGIC, &bytes, "manifest")?;
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let mut pos = 0usize;
     let max_lsn = read_varint(body, &mut pos)?;
@@ -134,18 +110,8 @@ fn read_manifest(path: &Path) -> Result<(Vec<(usize, SstMeta)>, u64)> {
         let id = read_varint(body, &mut pos)?;
         let entry_count = read_varint(body, &mut pos)? as u32;
         let file_size = read_varint(body, &mut pos)?;
-        let min_len = read_varint(body, &mut pos)? as usize;
-        if pos + min_len > body.len() {
-            return Err(Error::Corruption("manifest key truncated".into()));
-        }
-        let min_key = Key::copy_from(&body[pos..pos + min_len]);
-        pos += min_len;
-        let max_len = read_varint(body, &mut pos)? as usize;
-        if pos + max_len > body.len() {
-            return Err(Error::Corruption("manifest key truncated".into()));
-        }
-        let max_key = Key::copy_from(&body[pos..pos + max_len]);
-        pos += max_len;
+        let min_key = Key::copy_from(read_bytes(body, &mut pos)?);
+        let max_key = Key::copy_from(read_bytes(body, &mut pos)?);
         out.push((
             level,
             SstMeta {

@@ -22,7 +22,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use tb_common::{fault, Crc32, Error, Result};
+use tb_common::{durable, fault, Crc32, Error, Result};
 
 /// Bytes before the payload: `len u32 | crc u32 | lsn u64`.
 const FRAME_HEADER: usize = 16;
@@ -57,13 +57,20 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens (appending) or creates the WAL at `path`.
+    /// Opens (appending) or creates the WAL at `path`. A log it creates
+    /// is durable by name before this returns: its directory is
+    /// fsynced, so the frames a later sync makes durable in it are
+    /// found again after a power loss.
     pub fn open(path: &Path, policy: SyncPolicy) -> Result<Self> {
+        let created = !path.exists();
         let file = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
             .open(path)?;
+        if created {
+            durable::sync_parent(path)?;
+        }
         let len = file.metadata()?.len();
         Ok(Self {
             writer: BufWriter::new(file),

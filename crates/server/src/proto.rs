@@ -49,7 +49,9 @@
 //! to the exact enum value so `==` comparisons work across the socket.
 
 use bytes::Bytes;
-use tb_common::{read_varint, write_varint, EngineOp, Error, Key, Lsn, OpOutcome, Result, Value};
+use tb_common::{
+    read_varint, write_bytes, write_varint, EngineOp, Error, Key, Lsn, OpOutcome, Result, Value,
+};
 
 /// Hard cap on one frame's body (opcode + payload). A length prefix
 /// beyond this is treated as corruption, not an allocation request.
@@ -101,21 +103,10 @@ pub enum Reply {
     Pong,
 }
 
-fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    write_varint(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
 fn read_bytes(body: &Bytes, pos: &mut usize) -> Result<Bytes> {
-    let len = read_varint(body, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= body.len())
-        .ok_or_else(|| Error::Corruption("byte string runs past frame end".into()))?;
     // Zero-copy: the returned Bytes is a window into the burst buffer.
-    let out = body.slice(*pos..end);
-    *pos = end;
-    Ok(out)
+    let len = tb_common::read_bytes(body, pos)?.len();
+    Ok(body.slice(*pos - len..*pos))
 }
 
 fn read_key(body: &Bytes, pos: &mut usize) -> Result<Key> {

@@ -2,16 +2,17 @@
 //! candidate configuration (§5.3 step 1: "record a representative
 //! period of workload from production instances").
 //!
-//! Format: `MAGIC u32 | crc u32 | varint(op_count) | op*` where
+//! Format: the body of a `tb_common::durable::seal` frame,
+//! `varint(op_count) | op*` where
 //! `op := kind u8 | varint(klen) | key [| varint(vlen) | value]`.
-//! The CRC covers everything after the header, so a truncated or
-//! corrupted recording is rejected instead of silently replaying a
-//! prefix.
+//! The frame's CRC covers the whole body, so a truncated or corrupted
+//! recording is rejected instead of silently replaying a prefix.
 
 use crate::trace::{Op, Trace};
-use std::io::Write;
 use std::path::Path;
-use tb_common::{crc32, read_varint, write_varint, Error, Key, Result, Value};
+use tb_common::{
+    durable, read_bytes, read_varint, write_bytes, write_varint, Error, Key, Result, Value,
+};
 
 const MAGIC: u32 = 0x7b72_4563; // "{rEc"
 
@@ -30,56 +31,41 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
         match op {
             Op::Read { key } => {
                 body.push(KIND_READ);
-                put_bytes(&mut body, key.as_slice());
+                write_bytes(&mut body, key.as_slice());
             }
             Op::Update { key, value } => {
                 body.push(KIND_UPDATE);
-                put_bytes(&mut body, key.as_slice());
-                put_bytes(&mut body, value.as_slice());
+                write_bytes(&mut body, key.as_slice());
+                write_bytes(&mut body, value.as_slice());
             }
             Op::Insert { key, value } => {
                 body.push(KIND_INSERT);
-                put_bytes(&mut body, key.as_slice());
-                put_bytes(&mut body, value.as_slice());
+                write_bytes(&mut body, key.as_slice());
+                write_bytes(&mut body, value.as_slice());
             }
             Op::Delete { key } => {
                 body.push(KIND_DELETE);
-                put_bytes(&mut body, key.as_slice());
+                write_bytes(&mut body, key.as_slice());
             }
             Op::ReadModifyWrite { key, value } => {
                 body.push(KIND_RMW);
-                put_bytes(&mut body, key.as_slice());
-                put_bytes(&mut body, value.as_slice());
+                write_bytes(&mut body, key.as_slice());
+                write_bytes(&mut body, value.as_slice());
             }
             Op::Scan { start, end, limit } => {
                 body.push(KIND_SCAN);
-                put_bytes(&mut body, start.as_slice());
-                put_bytes(&mut body, end.as_slice());
+                write_bytes(&mut body, start.as_slice());
+                write_bytes(&mut body, end.as_slice());
                 write_varint(&mut body, *limit);
             }
         }
     }
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    durable::seal(MAGIC, &body)
 }
 
 /// Deserializes a trace from bytes.
 pub fn decode_trace(bytes: &[u8]) -> Result<Trace> {
-    if bytes.len() < 8 {
-        return Err(Error::Corruption("trace file truncated".into()));
-    }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    if magic != MAGIC {
-        return Err(Error::Corruption("bad trace magic".into()));
-    }
-    let stored_crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    let body = &bytes[8..];
-    if crc32(body) != stored_crc {
-        return Err(Error::Corruption("trace crc mismatch".into()));
-    }
+    let body = durable::unseal(MAGIC, bytes, "trace")?;
     let mut pos = 0usize;
     let count = read_varint(body, &mut pos)? as usize;
     let mut ops = Vec::with_capacity(count.min(1 << 24));
@@ -88,25 +74,25 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Trace> {
             .get(pos)
             .ok_or_else(|| Error::Corruption("trace op truncated".into()))?;
         pos += 1;
-        let key = Key::from(get_bytes(body, &mut pos)?);
+        let key = Key::from(read_bytes(body, &mut pos)?);
         let op = match kind {
             KIND_READ => Op::Read { key },
             KIND_UPDATE => Op::Update {
                 key,
-                value: Value::from(get_bytes(body, &mut pos)?),
+                value: Value::from(read_bytes(body, &mut pos)?),
             },
             KIND_INSERT => Op::Insert {
                 key,
-                value: Value::from(get_bytes(body, &mut pos)?),
+                value: Value::from(read_bytes(body, &mut pos)?),
             },
             KIND_DELETE => Op::Delete { key },
             KIND_RMW => Op::ReadModifyWrite {
                 key,
-                value: Value::from(get_bytes(body, &mut pos)?),
+                value: Value::from(read_bytes(body, &mut pos)?),
             },
             KIND_SCAN => Op::Scan {
                 start: key,
-                end: Key::from(get_bytes(body, &mut pos)?),
+                end: Key::from(read_bytes(body, &mut pos)?),
                 limit: read_varint(body, &mut pos)?,
             },
             other => return Err(Error::Corruption(format!("bad op kind {other}"))),
@@ -119,37 +105,22 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Trace> {
     Ok(Trace::new(ops))
 }
 
-/// Writes a trace to a file (atomically, via temp + rename).
+/// Writes a trace to a file ([`durable::publish`]).
 pub fn save_trace(trace: &Trace, path: &Path) -> Result<()> {
-    let bytes = encode_trace(trace);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    durable::publish(
+        path,
+        &durable::Sites {
+            sync: "trace.sync",
+            rename: "trace.rename",
+            dir_sync: "trace.dir_sync",
+        },
+        &[("trace.write", &encode_trace(trace))],
+    )
 }
 
 /// Loads a trace from a file.
 pub fn load_trace(path: &Path) -> Result<Trace> {
     decode_trace(&std::fs::read(path)?)
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    write_varint(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-fn get_bytes(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>> {
-    let len = read_varint(buf, pos)? as usize;
-    if *pos + len > buf.len() {
-        return Err(Error::Corruption("trace bytes overflow".into()));
-    }
-    let out = buf[*pos..*pos + len].to_vec();
-    *pos += len;
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -452,7 +452,8 @@ fn values_written_before_a_retrain_read_back_after_it() {
 #[test]
 fn models_written_before_the_escape_code_fail_open() {
     // `cache.model.1` files as the layout before escape-coded tables
-    // wrote them, checksum intact: a `tzstd` unit (tag 1, a baseline
+    // wrote them, in today's frame (sealed under the model magic): a
+    // `tzstd` unit (tag 1, a baseline
     // ratio, level 1, sixteen 128-byte tables of 8-bit codes, six
     // split-out bytes) and a `pbc` unit (tag 3, the same baseline, model
     // format 0xb1, no patterns, that coder as fallback). Reading either
@@ -478,7 +479,7 @@ fn models_written_before_the_escape_code_fail_open() {
     for (choice, unit) in units {
         let dir = tmpdir("model-previous");
         std::fs::create_dir_all(dir.path()).unwrap();
-        let file = [&unit[..], &tierbase::common::crc32(&unit).to_le_bytes()].concat();
+        let file = tierbase::common::durable::seal(MODEL_MAGIC, &unit);
         std::fs::write(dir.path().join("cache.model.1"), file).unwrap();
         let config = TierBaseConfig::builder(dir.path())
             .policy(SyncPolicy::WriteThrough)
@@ -490,6 +491,68 @@ fn models_written_before_the_escape_code_fail_open() {
             Ok(_) => panic!("{choice:?}: a model of the previous layout must fail open"),
         }
     }
+}
+
+/// The magic a `cache.model.<generation>` file is sealed under.
+const MODEL_MAGIC: u32 = 0x7b4d_444c;
+
+#[test]
+fn a_model_in_the_frame_before_seal_fails_open() {
+    // Before models were sealed, a file was the unit's bytes then their
+    // crc32. A current unit in that frame is refused, not misread.
+    let dir = tmpdir("model-old-frame");
+    open_compressed(dir.path(), CompressorChoice::Tzstd)
+        .train_compression(&shape_samples(0))
+        .unwrap();
+    let path = dir.path().join("cache.model.1");
+    let sealed = std::fs::read(&path).unwrap();
+    let unit = &sealed[8..];
+    let old = [unit, &tierbase::common::crc32(unit).to_le_bytes()].concat();
+    std::fs::write(&path, old).unwrap();
+    let config = TierBaseConfig::builder(dir.path())
+        .policy(SyncPolicy::WriteThrough)
+        .compression(CompressorChoice::Tzstd)
+        .build();
+    assert!(matches!(TierBase::open(config), Err(Error::Corruption(_))));
+}
+
+#[test]
+fn open_sweeps_files_a_crash_left_half_published() {
+    // A crash between writing a tmp file and renaming it leaves
+    // `<name>.tmp`. These two are a complete snapshot and a complete
+    // model: only their names say they were never published, so
+    // `open` must neither load nor keep them.
+    let dir = tmpdir("sweep-tmp");
+    let open = || {
+        TierBase::open(
+            TierBaseConfig::builder(dir.path())
+                .compression(CompressorChoice::Tzstd)
+                .build(),
+        )
+        .unwrap()
+    };
+    {
+        let store = open();
+        store.train_compression(&shape_samples(0)).unwrap();
+        store.put(k(1), shaped(0, 1)).unwrap();
+        assert_eq!(store.save_cache_snapshot().unwrap(), 1);
+    }
+    let rdb_tmp = dir.path().join("cache.rdb.tmp");
+    let model_tmp = dir.path().join("cache.model.7.tmp");
+    std::fs::rename(dir.path().join("cache.rdb"), &rdb_tmp).unwrap();
+    std::fs::rename(dir.path().join("cache.model.1"), &model_tmp).unwrap();
+
+    let store = open();
+    assert!(!rdb_tmp.exists(), "cache.rdb.tmp survived open");
+    assert!(!model_tmp.exists(), "cache.model.7.tmp survived open");
+    assert_eq!(store.get(&k(1)).unwrap(), None, "a tmp snapshot loaded");
+    // No model loaded either: the next training is generation 1.
+    store.train_compression(&shape_samples(0)).unwrap();
+    assert!(dir.path().join("cache.model.1").exists());
+    assert!(
+        !dir.path().join("cache.model.8").exists(),
+        "a tmp model loaded"
+    );
 }
 
 /// A put larger than a cache shard's budget is refused. It was never

@@ -1216,6 +1216,240 @@ mod replication {
     }
 }
 
+// --- cache-tier torture ------------------------------------------------
+
+/// The same enumeration over the cache tier's own files: a `TierBase`
+/// with no storage tier (`InMemory`), its cache logged to `cache.wal`
+/// (`PersistenceMode::Wal`) and its values compressed under trained
+/// models. Every `(site, hit)` in
+/// [`tierbase::store::CACHE_FAULT_SITES`] (the `cache.rdb` and
+/// `cache.model.<g>` publishers) and the cache log's `wal.append.*` and
+/// `wal.sync` × {crash, error, torn at write sites} kills a script of
+/// puts, deletes, snapshots and trainings, then reopens and checks:
+///
+/// * `open` succeeds, and no `*.tmp` file is left in the directory;
+/// * every acknowledged write reads back byte-exact, and an
+///   unacknowledged one resolves to a legal state;
+/// * no value is coded under a model generation whose file was never
+///   published: a retrain after the reopen takes the next free
+///   generation, and every value still reads back the same after it.
+mod cache_tier {
+    use super::*;
+    use tierbase::store::{
+        CompressorChoice, PersistenceMode, TierBase, TierBaseConfig, CACHE_FAULT_SITES,
+        CACHE_FAULT_WRITE_SITES,
+    };
+
+    /// The cache log's sites: it reuses `tb_lsm`'s `Wal`, and with no
+    /// storage tier every hit of these is the cache log's.
+    const CACHE_WAL_SITES: [&str; 3] = ["wal.append.header", "wal.append.payload", "wal.sync"];
+
+    enum Step {
+        Kv(Vec<Op>),
+        Snapshot,
+        /// Trains the next model generation on samples of one shape.
+        Train(u32),
+    }
+
+    /// Two model generations and two snapshots, with puts and deletes
+    /// coded under each generation before and after each snapshot.
+    fn cache_script() -> Vec<Step> {
+        let puts = |keys: std::ops::Range<u32>, base: u32| keys.map(move |i| Op::Put(i, base + i));
+        vec![
+            Step::Train(0),
+            Step::Kv(puts(0..12, 100).collect()),
+            Step::Snapshot,
+            Step::Kv(
+                (0..12)
+                    .step_by(3)
+                    .map(Op::Delete)
+                    .chain([Op::Sync])
+                    .collect(),
+            ),
+            Step::Train(1),
+            Step::Kv(puts(4..16, 300).chain([Op::Delete(5), Op::Sync]).collect()),
+            Step::Snapshot,
+            Step::Kv(puts(0..8, 600).collect()),
+        ]
+    }
+
+    fn samples(shape: u32) -> Vec<Vec<u8>> {
+        (0..64)
+            .map(|i| val(shape * 1000 + i).as_slice().to_vec())
+            .collect()
+    }
+
+    fn open(dir: &std::path::Path) -> tierbase::common::Result<TierBase> {
+        TierBase::open(
+            TierBaseConfig::builder(dir)
+                .persistence(PersistenceMode::Wal)
+                .compression(CompressorChoice::Tzstd)
+                .build(),
+        )
+    }
+
+    /// Runs the script against the store, tracking the model. Returns
+    /// `true` when a simulated crash ended the run. A failed snapshot
+    /// or training changes no key's state.
+    fn run_cache_workload(store: &TierBase, steps: &[Step], model: &mut Model) -> bool {
+        for step in steps {
+            if fault::crash_fired().is_some() {
+                return true;
+            }
+            let result = match step {
+                Step::Kv(ops) => {
+                    if run_workload(store, ops, model) {
+                        return true;
+                    }
+                    continue;
+                }
+                Step::Snapshot => {
+                    catch_unwind(AssertUnwindSafe(|| store.save_cache_snapshot().map(drop)))
+                }
+                Step::Train(shape) => catch_unwind(AssertUnwindSafe(|| {
+                    store.train_compression(&samples(*shape))
+                })),
+            };
+            if let Err(payload) = result {
+                if payload.downcast_ref::<CrashPoint>().is_none() {
+                    std::panic::resume_unwind(payload);
+                }
+                return true;
+            }
+        }
+        fault::crash_fired().is_some()
+    }
+
+    fn tmp_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "tmp"))
+            .collect()
+    }
+
+    fn run_cache_once(site: &'static str, hit: u64, mode: FaultMode) -> bool {
+        let ctx = format!("cache:{site}#{hit}:{mode:?}");
+        let dir = fresh_dir("cache");
+        let mut model = Model::default();
+        let plan;
+        {
+            let store = open(dir.path()).unwrap();
+            plan = fault::arm(site, hit, mode);
+            let crashed = run_cache_workload(&store, &cache_script(), &mut model);
+            if !crashed && plan.fired() {
+                model.verify(&store, &format!("{ctx}:live"));
+            }
+        }
+        let fired = plan.fired();
+        drop(plan);
+
+        let store =
+            open(dir.path()).unwrap_or_else(|e| panic!("[{ctx}] reopen after kill failed: {e}"));
+        let left = tmp_files(dir.path());
+        assert!(left.is_empty(), "[{ctx}] tmp files survived open: {left:?}");
+        model.verify(&store, &ctx);
+        store
+            .train_compression(&samples(2))
+            .unwrap_or_else(|e| panic!("[{ctx}] retrain after reopen failed: {e}"));
+        model.verify(&store, &format!("{ctx}:retrained"));
+        store.put(key(800), val(800)).unwrap();
+        assert_eq!(store.get(&key(800)).unwrap(), Some(val(800)), "[{ctx}]");
+        fired
+    }
+
+    fn enumerate_cache(sites: &[&'static str], mode_of: fn(u64) -> FaultMode, cap: u64) {
+        quiet_crash_panics();
+        for &site in sites {
+            let mut fired_once = false;
+            let mut hit = 1u64;
+            loop {
+                let fired = run_cache_once(site, hit, mode_of(hit));
+                fired_once |= fired;
+                if !fired || hit >= cap {
+                    break;
+                }
+                hit += 1;
+            }
+            assert!(
+                fired_once,
+                "cache-tier fault site {site} was never reached by the workload"
+            );
+        }
+    }
+
+    fn all_sites() -> Vec<&'static str> {
+        CACHE_FAULT_SITES
+            .iter()
+            .chain(&CACHE_WAL_SITES)
+            .copied()
+            .collect()
+    }
+
+    /// Coverage probe: one clean scripted run must hit every registered
+    /// cache-tier fault site and the cache log's.
+    #[test]
+    fn cache_sites_all_reachable() {
+        let _g = gate();
+        let dir = fresh_dir("cache-probe");
+        let store = open(dir.path()).unwrap();
+        fault::set_counting(true);
+        let mut model = Model::default();
+        let crashed = run_cache_workload(&store, &cache_script(), &mut model);
+        assert!(!crashed, "no injection armed, nothing may crash");
+        for site in all_sites() {
+            assert!(
+                fault::hit_count(site) > 0,
+                "registered cache-tier fault site {site} is dead code \
+                 (hit counts: {:?})",
+                fault::hit_counts()
+            );
+        }
+        for &site in CACHE_FAULT_WRITE_SITES {
+            assert!(
+                CACHE_FAULT_SITES.contains(&site),
+                "{site} missing from CACHE_FAULT_SITES"
+            );
+        }
+        fault::set_counting(false);
+        model.verify(&store, "cache-probe");
+    }
+
+    /// Simulated `kill -9` at every cache-tier `(site, hit)`.
+    #[test]
+    fn cache_crash_torture() {
+        let _g = gate();
+        enumerate_cache(&all_sites(), |_| FaultMode::Crash, cap_or(u64::MAX));
+    }
+
+    /// A transient error at every cache-tier `(site, hit)`: the store
+    /// keeps serving every acknowledged write, and recovery stays clean.
+    #[test]
+    fn cache_error_torture() {
+        let _g = gate();
+        enumerate_cache(&all_sites(), |_| FaultMode::Error, cap_or(u64::MAX));
+    }
+
+    /// Torn writes at the snapshot's, the models' and the log's buffer
+    /// writes.
+    #[test]
+    fn cache_torn_write_torture() {
+        let _g = gate();
+        let sites: Vec<_> = CACHE_FAULT_WRITE_SITES
+            .iter()
+            .copied()
+            .chain(["wal.append.payload"])
+            .collect();
+        enumerate_cache(
+            &sites,
+            |hit| FaultMode::Torn {
+                keep: (hit as usize * 13) % 97,
+            },
+            cap_or(u64::MAX),
+        );
+    }
+}
+
 // --- exhaustive-schedule proptest --------------------------------------
 
 mod schedules {
