@@ -1,15 +1,20 @@
 //! Ablations of the design choices DESIGN.md calls out.
 //!
 //! 1. Write-back flush batch size — RPC amortization.
-//! 2. Bloom filters — LSM point-read cost for absent keys.
+//! 2. Bloom filters — LSM point-read cost for absent keys, and what the
+//!    bottom level pays for carrying none.
 //! 3. DRAM/PMem split threshold — space cost vs latency.
 //! 4. SHARDS sampling rate — MRC build cost vs accuracy vs the CR* it
 //!    feeds into Theorem 5.1.
 //! 5. Deferred cache-fetching — per-key gets vs one batched fetch over
 //!    a simulated network (§4.1.2).
+//!
+//! Record and op counts scale with `TB_BENCH_SCALE` and shrink under
+//! `TB_BENCH_SMOKE` (`tb_bench::budget`).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use tb_bench::{bench_dir, print_table, scale};
+use tb_bench::{bench_dir, budget, print_table};
 use tb_common::{Key, KvEngine, Value};
 use tb_costmodel::{
     lru_miss_ratio_curve, shards_miss_ratio_curve, MissRatioCurve, ShardsConfig, TieredCostModel,
@@ -44,7 +49,7 @@ fn ablation_writeback_batch() {
                 .build(),
         )
         .unwrap();
-        let n = 2_000 * scale();
+        let n = budget(2_000);
         for i in 0..n {
             tb.put(Key::from(format!("k{i}")), Value::from(vec![b'x'; 120]))
                 .unwrap();
@@ -66,20 +71,31 @@ fn ablation_writeback_batch() {
     );
 }
 
-/// 2. Bloom filters: random absent-key reads against a multi-table LSM.
+/// 2. Bloom filters: random absent-key reads, inside the stored key
+///    range, against many un-merged L0 tables with and without filters,
+///    and against one bottom-level table, which carries the pass-through
+///    filter (the one price of dropping it: a block read per absent key).
+///    `lsm_bottom_misses` counts misses in filterless tables, so with
+///    filters off it counts every L0 miss too.
 fn ablation_bloom() {
     let mut rows = Vec::new();
-    for (label, bits) in [("bloom(10b/key)", 10usize), ("no-bloom", 0)] {
-        let mut config = LsmConfig::new(bench_dir(&format!("abl-bloom-{bits}")));
+    for (label, bits, l0_trigger) in [
+        ("L0 bloom(10b/key)", 10usize, 64usize),
+        ("L0 no-bloom", 0, 64),
+        ("bottom (pass-through)", 10, 0),
+    ] {
+        let mut config = LsmConfig::new(bench_dir(&format!("abl-bloom-{bits}-{l0_trigger}")));
         config.memtable_bytes = 32 << 10; // many small tables
-        config.l0_compaction_trigger = 64; // keep tables un-merged
+                                          // 64 keeps the flush tables un-merged; 0 compacts every flush
+                                          // into L1, the bottom level.
+        config.l0_compaction_trigger = l0_trigger;
         config.sst = SstConfig {
             block_size: 4096,
             bloom_bits_per_key: bits,
             ..SstConfig::default()
         };
         let db = LsmDb::open(config).unwrap();
-        let n = 4_000 * scale();
+        let n = budget(4_000);
         for i in 0..n {
             db.put(
                 Key::from(format!("present{i:08}")),
@@ -90,8 +106,13 @@ fn ablation_bloom() {
         db.flush().unwrap();
         let tables: usize = db.level_table_counts().iter().sum();
 
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let (blocks0, misses0) = (
+            count(&db.stats.batch_blocks_read),
+            count(&db.stats.bottom_misses),
+        );
         let t0 = Instant::now();
-        let lookups = 20_000 * scale();
+        let lookups = budget(20_000);
         for i in 0..lookups {
             // Absent keys *inside* the table key range, so the min/max
             // range check cannot reject them — only the bloom filter
@@ -99,6 +120,7 @@ fn ablation_bloom() {
             let _ = db.get(&Key::from(format!("present{:08}x", i % n))).unwrap();
         }
         let dt = t0.elapsed();
+        let per_get = |delta: u64| format!("{:.3}", delta as f64 / lookups as f64);
         rows.push(vec![
             label.into(),
             tables.to_string(),
@@ -106,11 +128,19 @@ fn ablation_bloom() {
                 "{:.0}",
                 lookups as f64 / dt.as_secs_f64().max(1e-9) / 1000.0
             ),
+            per_get(count(&db.stats.batch_blocks_read) - blocks0),
+            per_get(count(&db.stats.bottom_misses) - misses0),
         ]);
     }
     print_table(
         "Ablation 2: bloom filters on absent-key reads",
-        &["variant", "sstables", "kQPS (absent gets)"],
+        &[
+            "variant",
+            "sstables",
+            "kQPS (absent gets)",
+            "blocks/get",
+            "lsm_bottom_misses/get",
+        ],
         &rows,
     );
 }
@@ -132,7 +162,7 @@ fn ablation_pmem_split() {
             });
         }
         let tb = TierBase::open(builder.build()).unwrap();
-        let n = 3_000 * scale();
+        let n = budget(3_000);
         let t0 = Instant::now();
         for i in 0..n {
             // Mixed sizes: small counters + large records.
@@ -159,7 +189,7 @@ fn ablation_pmem_split() {
 fn ablation_shards_sampling() {
     // A zipfian read trace large enough that sampling matters.
     let n_keys = 20_000u64;
-    let n_refs = 100_000 * scale();
+    let n_refs = budget(100_000) as usize;
     let mut chooser = ScrambledZipfian::with_theta(n_keys, 0.9);
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
@@ -223,10 +253,11 @@ fn ablation_shards_sampling() {
     );
 }
 
-/// 5. Deferred cache-fetching (§4.1.2): reading 1000 cold keys with
-///    per-key gets vs one batched multi_get over a 200us-RTT network.
+/// 5. Deferred cache-fetching (§4.1.2): reading cold keys (1000 at
+///    scale 1) with per-key gets vs one batched multi_get over a
+///    200us-RTT network.
 fn ablation_deferred_fetch() {
-    let n_cold = 1_000 * scale();
+    let n_cold = budget(1_000);
     let setup = |name: &str| {
         let dir = bench_dir(name);
         let tb = TierBase::open(
@@ -268,7 +299,7 @@ fn ablation_deferred_fetch() {
     assert!(got.iter().all(|v| v.is_some()));
 
     print_table(
-        "Ablation 5: deferred cache-fetching (1000 cold keys, 200us RTT)",
+        &format!("Ablation 5: deferred cache-fetching ({n_cold} cold keys, 200us RTT)"),
         &["variant", "wall ms", "kQPS"],
         &[
             vec![

@@ -33,8 +33,8 @@ impl BloomFilter {
     /// Sizes the filter for `expected_items` at `bits_per_key` (10 bits
     /// ≈ 1% false positives), rounded up to a whole `u64` word: probes
     /// reduce `% n_bits`, so any size works. `bits_per_key == 0` builds
-    /// a pass-through filter (bloom disabled — the `ablation_bloom`
-    /// baseline).
+    /// the 20-byte pass-through filter: what a bottom-level table
+    /// carries, and every table of the `ablation_bloom` baseline.
     pub fn new(expected_items: usize, bits_per_key: usize) -> Self {
         if bits_per_key == 0 {
             // One word, k=0 probes: `may_contain` is vacuously true.
@@ -64,7 +64,11 @@ impl BloomFilter {
     }
 
     /// True when the key *may* be present; false means definitely absent.
+    /// A pass-through filter admits every key without hashing it.
     pub fn may_contain(&self, key: &[u8]) -> bool {
+        if self.k == 0 {
+            return true;
+        }
         let (h1, h2) = hash_pair(key);
         for i in 0..self.k {
             let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.n_bits;
@@ -73,6 +77,11 @@ impl BloomFilter {
             }
         }
         true
+    }
+
+    /// Probes per key: 0 for the pass-through filter.
+    pub fn probes(&self) -> u32 {
+        self.k
     }
 
     /// Serializes to bytes (for the SSTable filter block).

@@ -106,6 +106,14 @@ pub struct LsmStats {
     /// Staged block references satisfied by a block another key in the
     /// same pass already fetched.
     pub batch_block_dedup_hits: AtomicU64,
+    /// Staged block references never read: a newer table's block had
+    /// already answered the lookup. With the two counters above, every
+    /// staged reference of a completion pass is counted exactly once.
+    pub batch_blocks_skipped: AtomicU64,
+    /// Block reads of a table without a filter (the bottom level's)
+    /// that did not hold the key: the reads a bottom-level filter would
+    /// have saved, paid only by lookups of keys that are nowhere above.
+    pub bottom_misses: AtomicU64,
     /// Lookups resolved from the memtable without staging IO.
     pub batch_memtable_hits: AtomicU64,
     /// Block references staged by scans, pre-dedup (the scan share of
@@ -190,7 +198,7 @@ pub(crate) struct Tree {
 
 /// The LSM storage engine.
 pub struct LsmDb {
-    tree: Arc<Tree>,
+    pub(crate) tree: Arc<Tree>,
     pub stats: Arc<LsmStats>,
     /// The flush/compaction worker; joined on drop.
     worker: Option<std::thread::JoinHandle<()>>,
@@ -308,6 +316,8 @@ impl LsmDb {
                     "lsm_batch_block_dedup_hits",
                     c(&stats.batch_block_dedup_hits),
                 );
+                b.counter("lsm_batch_blocks_skipped", c(&stats.batch_blocks_skipped));
+                b.counter("lsm_bottom_misses", c(&stats.bottom_misses));
                 b.counter("lsm_batch_memtable_hits", c(&stats.batch_memtable_hits));
                 b.counter(
                     "lsm_batch_scan_blocks_read",
@@ -562,11 +572,13 @@ impl KvEngine for LsmDb {
     /// lock only when the batch contains writes): writes apply in
     /// submission order; lookups resolve immediately from a memtable
     /// or from a range/bloom rule-out, and otherwise *stage* their
-    /// candidate `(table, block)` pairs against the level state they
-    /// observed. Completion pass (`fetch`, which CAS reads share),
-    /// after the lock drops: each staged block is read once
-    /// per batch and shared across every key that needs it, then
-    /// results fill in submission order. The staged tables are
+    /// candidate `(table, block)` pairs, newest table first, against
+    /// the level state they observed. Completion pass (`complete`,
+    /// which CAS reads share), after the lock drops: the staged blocks
+    /// are read in rounds, a lookup's older candidates only while no
+    /// newer block has answered it; each block is read at most once per
+    /// batch and shared across every key that needs it, then results
+    /// fill in submission order. The staged tables are
     /// `Arc`-pinned, so the pass reads a consistent snapshot even if a
     /// concurrent flush or compaction rewrites the levels in between.
     ///

@@ -21,7 +21,7 @@
 use crate::compaction::{level_bytes, level_limit, merge_runs};
 use crate::db::{segment_path, Frozen, Inner, Tree};
 use crate::memtable::Entry;
-use crate::sstable::{write_sstable_with_stats, SstReader};
+use crate::sstable::{write_sstable_with_stats, SstConfig, SstReader};
 use crate::version::Version;
 use crate::wal::Wal;
 use parking_lot::{Condvar, Mutex, RwLockWriteGuard};
@@ -248,7 +248,7 @@ impl Tree {
         // not bytes. The frozen memtable keeps serving reads until the
         // table that replaces it is installed.
         let entries = frozen.memtable.iter().map(|(k, e)| (k.clone(), e.clone()));
-        let table = self.build_table(0, entries)?;
+        let table = self.build_table(0, &self.config.sst, entries)?;
         version.levels[0].insert(0, table);
         version.flushed_lsn = frozen.last_lsn;
         version.write_manifest(&self.config.dir)?;
@@ -283,11 +283,12 @@ impl Tree {
     fn build_table(
         &self,
         level: usize,
+        config: &SstConfig,
         entries: impl Iterator<Item = (Key, Entry)>,
     ) -> Result<Arc<SstReader>> {
         let id = self.next_file_id.fetch_add(1, Ordering::SeqCst);
         let path = self.config.dir.join(format!("{id:010}.sst"));
-        let (meta, build) = write_sstable_with_stats(id, &path, entries, &self.config.sst, level)?;
+        let (meta, build) = write_sstable_with_stats(id, &path, entries, config, level)?;
         match SstReader::open_shared(meta, self.stats.decode.clone()) {
             Ok(r) => {
                 self.stats.add_build(&build);
@@ -345,11 +346,22 @@ impl Tree {
         let nothing_below = version.levels[dst + 1..].iter().all(|l| l.is_empty());
         let merged = merge_runs(runs, nothing_below);
         // Compaction re-samples the merged input and re-encodes: the
-        // output table trains its own dictionary, at `dst`'s effort.
+        // output table trains its own dictionary, at `dst`'s effort. A
+        // bottom-level output carries the pass-through filter: a lookup
+        // reaching it has missed every newer table, so the filter could
+        // only spare a read for a key stored nowhere.
+        let config = SstConfig {
+            bloom_bits_per_key: if nothing_below {
+                0
+            } else {
+                self.config.sst.bloom_bits_per_key
+            },
+            ..self.config.sst
+        };
         let new_table = if merged.is_empty() {
             None
         } else {
-            Some(self.build_table(dst, merged.into_iter())?)
+            Some(self.build_table(dst, &config, merged.into_iter())?)
         };
         version.levels[src].clear();
         version.levels[dst] = new_table.into_iter().collect();
@@ -370,7 +382,53 @@ impl Tree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::{LsmConfig, LsmDb};
     use std::time::Duration;
+    use tb_common::KvEngine;
+
+    #[test]
+    fn only_the_bottom_level_drops_its_filter() {
+        let dir = tb_common::test_dir("tb-lsm-bottom-filter");
+        let db = LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap();
+        let (mut deepest_seen, mut filtered_l1_above_l2) = (0, false);
+        for round in 0..40 {
+            for i in round * 100..(round + 1) * 100 {
+                let key = Key::from(format!("key-{i:06}"));
+                db.put(key, format!("value-{i}-{}", "p".repeat(i % 37)).into())
+                    .unwrap();
+            }
+            db.flush().unwrap();
+            // The deepest non-empty level below L0 holds pass-through
+            // filters; flush tables, and every table with a level
+            // beneath it, hold 10 bits per key.
+            let inner = db.tree.inner.read();
+            let levels = &inner.version.levels;
+            let deepest = levels.iter().rposition(|l| !l.is_empty()).unwrap();
+            deepest_seen = deepest_seen.max(deepest);
+            for (n, level) in levels.iter().enumerate() {
+                for table in level {
+                    let filter = table.filter();
+                    let (k, bytes) = (filter.probes(), filter.to_bytes().len());
+                    if n == deepest && n > 0 {
+                        assert_eq!((k, bytes), (0, 20), "round {round}: bottom L{n}");
+                    } else {
+                        // 12 header bytes, then the bits rounded up to
+                        // whole 64-bit words.
+                        let entries = table.meta.entry_count as usize;
+                        let bits = (bytes - 12) * 8;
+                        assert!(
+                            k > 0 && (10 * entries..10 * entries + 64).contains(&bits),
+                            "round {round}: L{n} table of {entries} keys has a \
+                             {bits}-bit, k = {k} filter"
+                        );
+                        filtered_l1_above_l2 |= n == 1 && deepest >= 2;
+                    }
+                }
+            }
+        }
+        assert!(deepest_seen >= 2, "never pushed down to L2");
+        assert!(filtered_l1_above_l2, "no L1 table was written above L2");
+    }
 
     #[test]
     fn admission_stalls_at_the_bound_and_takes_parked_errors() {

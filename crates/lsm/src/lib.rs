@@ -17,8 +17,9 @@
 //! first) → L1+ (one table per level can contain the key). Every
 //! op — point get, CAS read, batched get, range scan — is one
 //! `KvEngine::apply_batch` pass: lookups are staged under the tree lock
-//! and completed by one fetch that reads each staged block once and
-//! fills results in submission order.
+//! and completed by one pass that reads in rounds, newest table first,
+//! each staged block at most once, and fills results in submission
+//! order. The bottom level's table carries a pass-through bloom filter.
 
 mod batch;
 pub mod bloom;

@@ -48,6 +48,14 @@
 //! Every block read verifies the frame CRC before any key search; a bad
 //! block is a per-slot [`Error::Corruption`], never a torn batch.
 //!
+//! A table written to the bottom level (a compaction output with
+//! nothing beneath it) carries the 20-byte pass-through filter
+//! (`k = 0`, [`BloomFilter::new`] at 0 bits per key) instead of a real
+//! one: a lookup reaching it has already missed every newer table, so
+//! its filter could only spare the read of a key stored nowhere, and it
+//! would be the largest filter of the tree. The format and readers are
+//! the same for both.
+//!
 //! Readers keep the sparse index and bloom filter in memory. Lookups
 //! split into an in-memory half ([`SstReader::locate`],
 //! [`SstReader::locate_range`]) and one frame read per block
@@ -76,7 +84,10 @@ pub struct SstConfig {
     /// uncompressed size (`1 + varint(klen) + varint(vlen) + klen +
     /// vlen`); a block ends with the entry that reaches it.
     pub block_size: usize,
-    /// Bloom filter bits per key.
+    /// Bloom filter bits per key of every table with a level beneath
+    /// it: flush (L0) tables, and compaction outputs above the deepest
+    /// non-empty level. A bottom-level compaction output gets the
+    /// pass-through filter whatever this says. 0 disables filters.
     pub bloom_bits_per_key: usize,
     /// Per-table block codec; trained state is sampled from the input
     /// values at flush/compaction and stored in the table.
@@ -506,6 +517,16 @@ impl SstReader {
     /// The table's block codec.
     pub fn codec(&self) -> BlockCodec {
         self.codec_state.codec()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn filter(&self) -> &BloomFilter {
+        &self.bloom
+    }
+
+    /// False for the pass-through filter a bottom-level table carries.
+    pub fn has_filter(&self) -> bool {
+        self.bloom.probes() > 0
     }
 
     /// Index of the one data block that could hold `key`, or `None`

@@ -39,8 +39,12 @@ fn frame_crc(lsn: u64, payload: &[u8]) -> u32 {
 pub enum SyncPolicy {
     /// Flush + fsync on every append (safest, slowest).
     EveryWrite,
-    /// Flush to the OS on every append, fsync only on [`Wal::sync`]
-    /// (the paper's WAL mode: asynchronous disk flush every second).
+    /// Frames reach the OS on every append and the disk only when
+    /// something fsyncs the log: [`Wal::sync`] (the engine's `sync`,
+    /// once per front-end burst) and segment rotation, which fsyncs
+    /// the full segment before the next one opens. Nothing flushes on
+    /// a timer, so a process crash loses no appended frame and an OS
+    /// crash loses what was appended since the last fsync.
     OsBuffer,
 }
 

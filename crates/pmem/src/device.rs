@@ -190,9 +190,13 @@ impl PmemDevice {
         Ok(())
     }
 
-    /// Flush + fence: makes all prior writes durable. Only the dirty
-    /// range is written back (a real PMem flush drains store buffers,
-    /// not the whole DIMM).
+    /// Flush + fence: makes all prior writes survive a *process*
+    /// crash. Only the dirty range is written back (a real PMem flush
+    /// drains store buffers, not the whole DIMM). The ranges reach the
+    /// backing file's OS page cache and no further: the closing
+    /// `File::flush` does nothing for a `File`, and nothing fsyncs
+    /// it, so an OS crash or power cut may lose persisted writes until
+    /// the device models a persistence domain.
     pub fn persist(&self) -> Result<()> {
         self.latency.stall(self.latency.persist_ns, 0);
         let ranges = std::mem::take(&mut *self.dirty.lock());

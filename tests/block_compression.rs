@@ -43,8 +43,9 @@ impl Keys {
 /// above the readings. Through a 1 MiB memtable (flush tables only),
 /// sequential keys read `none` 0.9155, `lz` 0.3506, `dict` 0.3692, and
 /// hashed keys `lz` 0.4351; through a 256 KiB one (a compaction output
-/// and the flush tables after it), sequential keys read `lz` 0.3392.
-/// Before compaction outputs took the lazy parse and an 8 KiB
+/// and the flush tables after it), sequential keys read `lz` 0.3290.
+/// Before the bottom-level table dropped its bloom filter for the
+/// pass-through one, that case read 0.3392. Before compaction outputs took the lazy parse and an 8 KiB
 /// dictionary, that case read 0.3497. Before entropy tables coded only
 /// the bytes they were trained on (the rest escaped) and 4-byte matches
 /// were kept to distances under 128, `lz` read 0.3725 and 0.4573 and
@@ -58,7 +59,7 @@ const CEILINGS: [(BlockCodec, Keys, usize, f64); 5] = [
     (BlockCodec::Lz, Keys::Sequential, 1 << 20, 0.356),
     (BlockCodec::Dict, Keys::Sequential, 1 << 20, 0.375),
     (BlockCodec::Lz, Keys::Hashed, 1 << 20, 0.442),
-    (BlockCodec::Lz, Keys::Sequential, 256 << 10, 0.344),
+    (BlockCodec::Lz, Keys::Sequential, 256 << 10, 0.334),
 ];
 
 #[test]
