@@ -96,7 +96,12 @@ fn ablation_bloom() {
         };
         let db = LsmDb::open(config).unwrap();
         let n = budget(4_000);
-        for i in 0..n {
+        // A stride permutation (7919 and 7927 are prime, so one of them
+        // is coprime to `n`): every flush spans the whole key range, so
+        // the L0 tables overlap as a random load's would.
+        let stride = if n.is_multiple_of(7919) { 7927 } else { 7919 };
+        for j in 0..n {
+            let i = j * stride % n;
             db.put(
                 Key::from(format!("present{i:08}")),
                 Value::from(vec![b'v'; 64]),

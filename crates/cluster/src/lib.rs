@@ -16,5 +16,5 @@ pub mod routing;
 pub use client::{ClusterClient, Proxy};
 pub use coordinator::{Coordinator, CoordinatorGroup};
 pub use node::{NodeId, NodeStore, ServingMode};
-pub use replication::{ReplChannel, ReplRecord, REPL_FAULT_SITES};
+pub use replication::{ReplChannel, REPL_FAULT_SITES};
 pub use routing::RoutingTable;

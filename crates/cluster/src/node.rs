@@ -17,11 +17,12 @@
 //! engine actually holds (the pre-PR-8 dual-write skipped the inventory
 //! update on replica failure, stranding the key).
 
-use crate::replication::{ReplChannel, ReplRecord};
+use crate::replication::ReplChannel;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use tb_common::log::WriteRecord;
 use tb_common::{apply_write, slot_for_key, EngineOp, Error, Key, KvEngine, Lsn, Result, Value};
 
 /// Cluster-unique node identifier.
@@ -261,19 +262,22 @@ impl NodeStore {
     }
 
     /// Applies one write to the primary under `write_order`, records it
-    /// in the inventory, then ships `record` at the next LSN. See the
-    /// module doc for the ack semantics the return value carries.
+    /// in the inventory, then ships it (`value: None` deletes) at the
+    /// next LSN. See the module doc for the ack semantics the return
+    /// value carries.
     fn write(
         &self,
-        record: ReplRecord,
+        key: Key,
+        value: Option<Value>,
         apply: impl FnOnce(&dyn KvEngine) -> Result<()>,
     ) -> Result<Lsn> {
         let _order = self.write_order.lock();
         apply(self.primary.as_ref())?;
-        match &record {
-            ReplRecord::Put(key, _) => self.keys.write().insert(key.clone()),
-            ReplRecord::Delete(key) => self.keys.write().remove(key),
+        match value {
+            Some(_) => self.keys.write().insert(key.clone()),
+            None => self.keys.write().remove(&key),
         };
+        let record = WriteRecord { key, value };
         let lsn = self.next_lsn(1);
         if let Some(channel) = &self.replication {
             channel.ship(lsn, &record)?;
@@ -283,14 +287,12 @@ impl NodeStore {
 
     pub fn put(&self, key: Key, value: Value) -> Result<Lsn> {
         self.check_alive()?;
-        self.write(ReplRecord::Put(key.clone(), value.clone()), |e| {
-            e.put(key, value)
-        })
+        self.write(key.clone(), Some(value.clone()), |e| e.put(key, value))
     }
 
     pub fn delete(&self, key: &Key) -> Result<Lsn> {
         self.check_alive()?;
-        self.write(ReplRecord::Delete(key.clone()), |e| e.delete(key))
+        self.write(key.clone(), None, |e| e.delete(key))
     }
 
     /// Compare-and-set on the primary (`new: None` deletes), atomic
@@ -300,11 +302,7 @@ impl NodeStore {
     /// ships nothing.
     pub fn cas(&self, key: Key, expected: Option<&Value>, new: Option<Value>) -> Result<Lsn> {
         self.check_alive()?;
-        let record = match &new {
-            Some(value) => ReplRecord::Put(key.clone(), value.clone()),
-            None => ReplRecord::Delete(key.clone()),
-        };
-        self.write(record, |e| {
+        self.write(key.clone(), new.clone(), |e| {
             apply_write(e, EngineOp::cas(key, expected.cloned(), new))
         })
     }
@@ -331,7 +329,11 @@ impl NodeStore {
         if let Some(channel) = &self.replication {
             let base = covering.0 - n;
             for (i, (key, value)) in pairs.into_iter().enumerate() {
-                channel.ship(Lsn(base + 1 + i as u64), &ReplRecord::Put(key, value))?;
+                let record = WriteRecord {
+                    key,
+                    value: Some(value),
+                };
+                channel.ship(Lsn(base + 1 + i as u64), &record)?;
             }
         }
         Ok(covering)
@@ -352,8 +354,7 @@ impl NodeStore {
     /// like any delete, so a later promotion does not resurrect a
     /// migrated key on this node.
     pub fn evict_migrated(&self, key: &Key) -> Result<()> {
-        self.write(ReplRecord::Delete(key.clone()), |e| e.delete(key))
-            .map(drop)
+        self.write(key.clone(), None, |e| e.delete(key)).map(drop)
     }
 
     /// Number of keys resident.

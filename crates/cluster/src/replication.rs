@@ -28,93 +28,12 @@
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tb_common::{fault, read_bytes, write_bytes, Crc32, Error, Key, KvEngine, Lsn, Result, Value};
+use tb_common::log::{self, WriteRecord, FRAME_HEADER};
+use tb_common::{fault, KvEngine, Lsn, Result};
 
 /// The replication fault sites, in ship order. `tests/fault_torture.rs`
 /// enumerates `(site, hit)` across these.
 pub const REPL_FAULT_SITES: &[&str] = &["repl.ship", "repl.ack", "repl.apply", "repl.promote"];
-
-/// One replicated write, as shipped over the channel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplRecord {
-    Put(Key, Value),
-    Delete(Key),
-}
-
-impl ReplRecord {
-    /// Tag byte + varint-framed key (and value, for puts).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            ReplRecord::Put(k, v) => {
-                out.push(1);
-                write_bytes(&mut out, k.as_slice());
-                write_bytes(&mut out, v.as_slice());
-            }
-            ReplRecord::Delete(k) => {
-                out.push(2);
-                write_bytes(&mut out, k.as_slice());
-            }
-        }
-        out
-    }
-
-    pub fn decode(buf: &[u8]) -> Result<ReplRecord> {
-        let tag = *buf
-            .first()
-            .ok_or_else(|| Error::Corruption("empty repl record".into()))?;
-        let mut pos = 1usize;
-        match tag {
-            1 => {
-                let k = Key::copy_from(read_bytes(buf, &mut pos)?);
-                let v = Value::copy_from(read_bytes(buf, &mut pos)?);
-                Ok(ReplRecord::Put(k, v))
-            }
-            2 => {
-                let k = Key::copy_from(read_bytes(buf, &mut pos)?);
-                Ok(ReplRecord::Delete(k))
-            }
-            t => Err(Error::Corruption(format!("unknown repl record tag {t}"))),
-        }
-    }
-}
-
-/// Frame header: `len u32 | crc u32 | lsn u64`, all little-endian; crc
-/// covers `lsn_le || payload` (the `tb-lsm` WAL frame layout).
-const FRAME_HEADER: usize = 16;
-
-fn frame_crc(lsn: u64, payload: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(&lsn.to_le_bytes()).update(payload);
-    c.finalize()
-}
-
-fn encode_frame(lsn: Lsn, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_crc(lsn.0, payload).to_le_bytes());
-    out.extend_from_slice(&lsn.0.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Parses the frame at the head of `buf`: `Some((lsn, payload, total
-/// frame bytes))`, or `None` for an incomplete/corrupt head (the torn
-/// tail a crashed ship leaves behind).
-fn parse_frame(buf: &[u8]) -> Option<(u64, &[u8], usize)> {
-    if buf.len() < FRAME_HEADER {
-        return None;
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(buf[4..8].try_into().ok()?);
-    let lsn = u64::from_le_bytes(buf[8..16].try_into().ok()?);
-    let end = FRAME_HEADER.checked_add(len)?;
-    if buf.len() < end {
-        return None;
-    }
-    let payload = &buf[FRAME_HEADER..end];
-    (frame_crc(lsn, payload) == crc).then_some((lsn, payload, end))
-}
 
 struct Inner {
     /// Shipped frames — the replica's receive log. An in-memory
@@ -206,9 +125,9 @@ impl ReplChannel {
     /// report it covered — but never corrupts the log: a partially
     /// written frame from an errored ship is truncated away, and a torn
     /// frame from a crash is discarded by promotion replay.
-    pub fn ship(&self, lsn: Lsn, record: &ReplRecord) -> Result<()> {
+    pub fn ship(&self, lsn: Lsn, record: &WriteRecord) -> Result<()> {
         let mut inner = self.inner.lock();
-        let frame = encode_frame(lsn, &record.encode());
+        let frame = log::encode_frame(lsn.0, &record.encode());
         let base = inner.log.len();
         if let Err(e) = fault::write_all("repl.ship", &mut inner.log, &frame) {
             // Keep the log parseable so later frames don't land behind
@@ -246,21 +165,21 @@ impl ReplChannel {
     /// continues the replay where it stopped.
     pub fn promote(&self) -> Result<Arc<dyn KvEngine>> {
         fault::hit("repl.promote")?;
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let acked = self.stats.acked.load(Ordering::Acquire);
-        let mut pos = inner.applied_off;
-        while let Some((lsn, payload, consumed)) = parse_frame(&inner.log[pos..]) {
+        let from = inner.applied_off;
+        for (lsn, payload) in log::parse(&inner.log[from..])?.frames {
             if lsn > acked {
                 break;
             }
             if lsn > self.stats.applied.load(Ordering::Acquire) {
-                let record = ReplRecord::decode(payload)?;
+                let record = WriteRecord::decode(payload)?;
                 fault::hit("repl.apply")?;
                 apply_record(self.replica.as_ref(), &record)?;
                 self.stats.applied.store(lsn, Ordering::Release);
             }
-            pos += consumed;
-            inner.applied_off = pos;
+            inner.applied_off += FRAME_HEADER + payload.len();
         }
         Ok(self.replica.clone())
     }
@@ -271,10 +190,10 @@ impl ReplChannel {
     }
 }
 
-fn apply_record(replica: &dyn KvEngine, record: &ReplRecord) -> Result<()> {
-    match record {
-        ReplRecord::Put(k, v) => replica.put(k.clone(), v.clone()),
-        ReplRecord::Delete(k) => replica.delete(k),
+fn apply_record(replica: &dyn KvEngine, record: &WriteRecord) -> Result<()> {
+    match &record.value {
+        Some(v) => replica.put(record.key.clone(), v.clone()),
+        None => replica.delete(&record.key),
     }
 }
 
@@ -283,6 +202,7 @@ mod tests {
     use super::*;
     use tb_common::fault::FaultMode;
     use tb_common::testutil::MapEngine;
+    use tb_common::{Key, Value};
 
     fn k(i: u64) -> Key {
         Key::from(format!("k{i}"))
@@ -292,20 +212,18 @@ mod tests {
         Value::from(format!("v{i}"))
     }
 
-    #[test]
-    fn record_codec_roundtrips() {
-        for rec in [
-            ReplRecord::Put(Key::from("a"), Value::from("1")),
-            ReplRecord::Put(Key::from(""), Value::from(vec![0u8, 255])),
-            ReplRecord::Delete(Key::from("gone")),
-        ] {
-            assert_eq!(ReplRecord::decode(&rec.encode()).unwrap(), rec);
+    fn put(i: u64) -> WriteRecord {
+        WriteRecord {
+            key: k(i),
+            value: Some(v(i)),
         }
-        assert!(ReplRecord::decode(&[]).is_err());
-        assert!(ReplRecord::decode(&[9, 0]).is_err());
-        let mut truncated = ReplRecord::Put(Key::from("abc"), Value::from("def")).encode();
-        truncated.pop();
-        assert!(ReplRecord::decode(&truncated).is_err());
+    }
+
+    fn del(i: u64) -> WriteRecord {
+        WriteRecord {
+            key: k(i),
+            value: None,
+        }
     }
 
     #[test]
@@ -313,9 +231,9 @@ mod tests {
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
         for i in 1..=5u64 {
-            ch.ship(Lsn(i), &ReplRecord::Put(k(i), v(i))).unwrap();
+            ch.ship(Lsn(i), &put(i)).unwrap();
         }
-        ch.ship(Lsn(6), &ReplRecord::Delete(k(1))).unwrap();
+        ch.ship(Lsn(6), &del(1)).unwrap();
         assert_eq!(ch.watermark(), Lsn(6));
         assert_eq!(ch.applied_lsn(), Lsn(6));
         assert_eq!(ch.shipped(), 6);
@@ -327,11 +245,11 @@ mod tests {
     fn promote_replays_acked_but_unapplied_frames() {
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
-        ch.ship(Lsn(1), &ReplRecord::Put(k(1), v(1))).unwrap();
+        ch.ship(Lsn(1), &put(1)).unwrap();
         // Eager apply fails for LSN 2: acked but not applied — the
         // exact window promotion replay exists for.
         let guard = fault::arm_scoped("repl.apply", 1, FaultMode::Error);
-        ch.ship(Lsn(2), &ReplRecord::Put(k(2), v(2))).unwrap();
+        ch.ship(Lsn(2), &put(2)).unwrap();
         drop(guard);
         assert_eq!(ch.watermark(), Lsn(2));
         assert_eq!(ch.applied_lsn(), Lsn(1));
@@ -349,11 +267,11 @@ mod tests {
         // replay (the bug this test pins).
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
-        ch.ship(Lsn(1), &ReplRecord::Delete(k(8))).unwrap();
+        ch.ship(Lsn(1), &del(8)).unwrap();
         let guard = fault::arm_scoped("repl.apply", 1, FaultMode::Error);
-        ch.ship(Lsn(2), &ReplRecord::Put(k(8), v(8))).unwrap();
+        ch.ship(Lsn(2), &put(8)).unwrap();
         drop(guard);
-        ch.ship(Lsn(3), &ReplRecord::Put(k(9), v(9))).unwrap();
+        ch.ship(Lsn(3), &put(9)).unwrap();
         assert_eq!(ch.watermark(), Lsn(3));
         assert_eq!(ch.applied_lsn(), Lsn(1), "cursor stalls at the gap");
         let promoted = ch.promote().unwrap();
@@ -366,13 +284,13 @@ mod tests {
     fn errored_ship_leaves_log_parseable() {
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
-        ch.ship(Lsn(1), &ReplRecord::Put(k(1), v(1))).unwrap();
+        ch.ship(Lsn(1), &put(1)).unwrap();
         let guard = fault::arm_scoped("repl.ship", 1, FaultMode::Error);
-        assert!(ch.ship(Lsn(2), &ReplRecord::Put(k(2), v(2))).is_err());
+        assert!(ch.ship(Lsn(2), &put(2)).is_err());
         drop(guard);
         // The failed frame left no garbage: the next ship lands cleanly
         // and promotion replays a consistent log.
-        ch.ship(Lsn(2), &ReplRecord::Put(k(2), v(2))).unwrap();
+        ch.ship(Lsn(2), &put(2)).unwrap();
         assert_eq!(ch.watermark(), Lsn(2));
         let promoted = ch.promote().unwrap();
         assert_eq!(promoted.get(&k(2)).unwrap(), Some(v(2)));
@@ -382,13 +300,12 @@ mod tests {
     fn promote_discards_unacked_torn_tail() {
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
-        ch.ship(Lsn(1), &ReplRecord::Put(k(1), v(1))).unwrap();
+        ch.ship(Lsn(1), &put(1)).unwrap();
         // Tear the second frame mid-ship: header lands, payload does
         // not, the "primary" crashes.
         let guard = fault::arm_scoped("repl.ship", 1, FaultMode::Torn { keep: 10 });
-        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ch.ship(Lsn(2), &ReplRecord::Put(k(2), v(2)))
-        }));
+        let crashed =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ch.ship(Lsn(2), &put(2))));
         assert!(crashed.is_err(), "torn ship must crash");
         drop(guard);
         assert_eq!(ch.watermark(), Lsn(1), "torn frame never acked");
@@ -402,7 +319,7 @@ mod tests {
         let replica = MapEngine::shared();
         let ch = ReplChannel::new(replica.clone());
         let guard = fault::arm_scoped("repl.apply", 1, FaultMode::Error);
-        ch.ship(Lsn(1), &ReplRecord::Put(k(1), v(1))).unwrap();
+        ch.ship(Lsn(1), &put(1)).unwrap();
         drop(guard);
         let guard = fault::arm_scoped("repl.promote", 1, FaultMode::Error);
         assert!(ch.promote().is_err(), "armed promotion must fail");
@@ -419,7 +336,7 @@ mod tests {
         replica.put(k(1), v(1)).unwrap(); // snapshot state
         let ch = ReplChannel::seeded(replica.clone(), Lsn(7));
         assert_eq!(ch.watermark(), Lsn(7));
-        ch.ship(Lsn(8), &ReplRecord::Put(k(8), v(8))).unwrap();
+        ch.ship(Lsn(8), &put(8)).unwrap();
         let promoted = ch.promote().unwrap();
         assert_eq!(promoted.get(&k(1)).unwrap(), Some(v(1)));
         assert_eq!(promoted.get(&k(8)).unwrap(), Some(v(8)));

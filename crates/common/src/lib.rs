@@ -3,8 +3,9 @@
 //! This crate holds the small, dependency-light pieces every other crate
 //! needs: byte-string key/value types, the common error enum, real and
 //! virtual clocks, latency histograms, the hashing utilities used for
-//! sharding and hash-slot routing, and the one protocol every durable
-//! file is published by.
+//! sharding and hash-slot routing, the one protocol every durable
+//! file is published by, and the one frame and record format every log
+//! is written in.
 
 pub mod clock;
 pub mod crc;
@@ -14,6 +15,7 @@ pub mod error;
 pub mod fault;
 pub mod hash;
 pub mod histogram;
+pub mod log;
 pub mod testutil;
 pub mod ttl;
 pub mod types;

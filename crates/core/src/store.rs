@@ -11,7 +11,7 @@
 use crate::config::{PersistenceMode, SyncPolicy, TierBaseConfig};
 use crate::elastic::ElasticGate;
 use crate::interval::AccessIntervalTracker;
-use crate::store_write::{apply_log_record, COLD_LOG};
+use crate::store_write::{apply_log_record, open_cache_log, COLD_LOG};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -78,10 +78,10 @@ pub(crate) struct Inner {
     pub(crate) cache: ShardedCache,
     pub(crate) storage: Option<DisaggregatedStore>,
     pub(crate) wal: Option<Mutex<tb_lsm::wal::Wal>>,
-    /// Frame sequence for the cache WAL: the cache log is positional,
-    /// so records carry a local counter to satisfy the LSN framing.
+    /// The cache tier's log sequence: every record in `cache.wal`, the
+    /// PMem ring and the cold log carries the LSN it took at append.
     pub(crate) wal_seq: AtomicU64,
-    pub(crate) ring: Option<PersistentRingBuffer>,
+    pub(crate) ring: Option<Mutex<PersistentRingBuffer>>,
     /// Every trained compression model by generation; new values use
     /// the newest. A model is on disk before any value uses it, and is
     /// never replaced, so every stored envelope keeps decoding.
@@ -149,26 +149,24 @@ impl TierBase {
         let mut wal = None;
         let mut wal_seq = 0u64;
         let mut ring = None;
+        let mut replay = |path: &Path| -> Result<()> {
+            for (lsn, rec) in tb_lsm::wal::Wal::replay(path)? {
+                apply_log_record(&cache, &rec)?;
+                wal_seq = wal_seq.max(lsn);
+            }
+            Ok(())
+        };
         match config.persistence {
             PersistenceMode::None => {}
             PersistenceMode::Wal => {
                 let path = config.dir.join("cache.wal");
                 // Replay persisted cache contents.
-                for (lsn, rec) in tb_lsm::wal::Wal::replay(&path)? {
-                    apply_log_record(&cache, &rec)?;
-                    wal_seq = wal_seq.max(lsn);
-                }
-                wal = Some(Mutex::new(tb_lsm::wal::Wal::open(
-                    &path,
-                    tb_lsm::wal::SyncPolicy::OsBuffer,
-                )?));
+                replay(&path)?;
+                wal = Some(Mutex::new(open_cache_log(&path)?));
             }
             PersistenceMode::WalPmem => {
                 // The records a full ring drained, older than the ring's.
-                for (lsn, rec) in tb_lsm::wal::Wal::replay(&config.dir.join(COLD_LOG))? {
-                    apply_log_record(&cache, &rec)?;
-                    wal_seq = wal_seq.max(lsn);
-                }
+                replay(&config.dir.join(COLD_LOG))?;
                 // Only a device that was never formatted is formatted: a
                 // ring that fails recovery holds acknowledged writes, so
                 // it fails `open` and is left as it is.
@@ -191,10 +189,17 @@ impl TierBase {
                         PersistentRingBuffer::create(device, RingConfig::default())?
                     }
                 };
-                for rec in rb.peek_all()? {
-                    apply_log_record(&cache, &rec)?;
+                // A crash between a drain's cold-log sync and the ring's
+                // head moving leaves records in both; the cold log's
+                // copies already replayed.
+                let drained = wal_seq;
+                for (lsn, rec) in rb.peek_all()? {
+                    if lsn > drained {
+                        apply_log_record(&cache, &rec)?;
+                        wal_seq = wal_seq.max(lsn);
+                    }
                 }
-                ring = Some(rb);
+                ring = Some(Mutex::new(rb));
             }
         }
 

@@ -3,10 +3,14 @@
 //! ring, §4.3).
 
 use crate::store::{envelope_expiry, Inner};
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 use tb_cache::ShardedCache;
-use tb_common::{deadline_after, read_bytes, write_bytes, Error, Key, KvEngine, Result, Value};
+use tb_common::log::WriteRecord;
+use tb_common::{deadline_after, Error, Key, KvEngine, Result, Value};
+use tb_lsm::wal::{SyncPolicy, Wal, WalSites};
+use tb_pmem::PersistentRingBuffer;
 
 impl Inner {
     /// Rewrites a live key with a new expiry deadline (`EXPIRE` /
@@ -55,19 +59,28 @@ impl Inner {
         if self.wal.is_none() && self.ring.is_none() {
             return Ok(());
         }
-        let rec = encode_log_record(key, stored);
+        let rec = WriteRecord {
+            key: key.clone(),
+            value: stored.cloned(),
+        }
+        .encode();
+        // The LSN is taken under the log's lock, so each log holds its
+        // records in LSN order.
+        let next_lsn = || self.wal_seq.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(wal) = &self.wal {
-            let lsn = self.wal_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            wal.lock().append(lsn, &rec)?;
+            let mut wal = wal.lock();
+            wal.append(next_lsn(), &rec)?;
         }
         if let Some(ring) = &self.ring {
-            match ring.append(&rec) {
+            let ring = ring.lock();
+            let lsn = next_lsn();
+            match ring.append(lsn, &rec) {
                 Ok(()) => {}
                 Err(Error::Backpressure { .. }) => {
                     // Ring full: batch-drain to the "cloud" WAL file and retry
                     // (the PMem ring is a staging buffer, §4.3).
-                    self.drain_ring_to_file()?;
-                    ring.append(&rec)?;
+                    self.drain_ring_to_file(&ring)?;
+                    ring.append(lsn, &rec)?;
                 }
                 Err(e) => return Err(e),
             }
@@ -75,19 +88,15 @@ impl Inner {
         Ok(())
     }
 
-    /// Moves the ring's records to the cold log ([`COLD_LOG`]): they
-    /// are appended and `fdatasync`ed before the ring's head moves past
-    /// them, so each acknowledged record is always in one or the other.
-    fn drain_ring_to_file(&self) -> Result<()> {
-        let Some(ring) = &self.ring else {
-            return Ok(());
-        };
+    /// Moves the ring's records to the cold log ([`COLD_LOG`]) at the
+    /// LSNs they were appended at: they are appended and `fdatasync`ed
+    /// before the ring's head moves past them, so each acknowledged
+    /// record is always in one or the other.
+    fn drain_ring_to_file(&self, ring: &PersistentRingBuffer) -> Result<()> {
         ring.drain_batch(usize::MAX, |drained| {
-            let path = self.config.dir.join(COLD_LOG);
-            let mut wal = tb_lsm::wal::Wal::open(&path, tb_lsm::wal::SyncPolicy::OsBuffer)?;
-            for rec in drained {
-                let lsn = self.wal_seq.fetch_add(1, Ordering::Relaxed) + 1;
-                wal.append(lsn, rec)?;
+            let mut wal = open_cache_log(&self.config.dir.join(COLD_LOG))?;
+            for (lsn, rec) in drained {
+                wal.append(*lsn, rec)?;
             }
             wal.sync()
         })?;
@@ -99,38 +108,25 @@ impl Inner {
 /// before the ring.
 pub(crate) const COLD_LOG: &str = "cache.cold.wal";
 
-fn encode_log_record(key: &Key, stored: Option<&Value>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.len() + 16);
-    out.push(u8::from(stored.is_none()));
-    write_bytes(&mut out, key.as_slice());
-    if let Some(v) = stored {
-        out.extend_from_slice(v.as_slice());
-    }
-    out
+/// Opens one of the cache tier's logs, `cache.wal` or [`COLD_LOG`].
+pub(crate) fn open_cache_log(path: &Path) -> Result<Wal> {
+    Wal::open_with_sites(path, SyncPolicy::OsBuffer, WalSites::CACHE)
 }
 
 /// Replays one persistence-log record into the cache (recovery). A
 /// record the cache cannot hold was refused when it was written, so it
 /// is skipped: older logs hold such records, logged before the refusal.
 pub(crate) fn apply_log_record(cache: &ShardedCache, rec: &[u8]) -> Result<()> {
-    let (&flag, rest) = rec
-        .split_first()
-        .ok_or_else(|| Error::Corruption("empty cache log record".into()))?;
-    let mut pos = 0usize;
-    let key = Key::copy_from(read_bytes(rest, &mut pos)?);
-    match flag {
-        0 => {
-            let value = Value::copy_from(&rest[pos..]);
-            if cache.admit(&key, &value).is_ok() {
-                let expires_at = envelope_expiry(&value);
-                cache.insert_full(key, value, false, expires_at)?;
-            }
-            Ok(())
+    let WriteRecord { key, value } = WriteRecord::decode(rec)?;
+    match value {
+        Some(value) if cache.admit(&key, &value).is_ok() => {
+            let expires_at = envelope_expiry(&value);
+            cache.insert_full(key, value, false, expires_at)?;
         }
-        1 => {
+        Some(_) => {}
+        None => {
             cache.remove(&key);
-            Ok(())
         }
-        other => Err(Error::Corruption(format!("bad cache log flag {other}"))),
     }
+    Ok(())
 }

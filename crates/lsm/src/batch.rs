@@ -344,23 +344,23 @@ impl Tree {
             EngineOp::Put(key, value) => {
                 self.stats.puts.fetch_add(1, Ordering::Relaxed);
                 Slot::Done(
-                    self.write_locked(inner, key, Entry::Put(value))
+                    self.write_locked(inner, key, Some(value))
                         .map(|l| OpOutcome::Done(Lsn(l))),
                 )
             }
             EngineOp::Delete(key) => Slot::Done(
-                self.write_locked(inner, key, Entry::Tombstone)
+                self.write_locked(inner, key, None)
                     .map(|l| OpOutcome::Done(Lsn(l))),
             ),
             // CAS completes its read now (possibly block IO) so later
             // ops in the batch observe its effect — the rare op pays;
             // pure lookups stay staged.
             EngineOp::Cas { key, expected, new } => Slot::Done(
-                self.cas_locked(inner, key, expected.as_ref(), Entry::Put(new))
+                self.cas_locked(inner, key, expected.as_ref(), Some(new))
                     .map(|l| OpOutcome::Done(Lsn(l))),
             ),
             EngineOp::CasDelete { key, expected } => Slot::Done(
-                self.cas_locked(inner, key, expected.as_ref(), Entry::Tombstone)
+                self.cas_locked(inner, key, expected.as_ref(), None)
                     .map(|l| OpOutcome::Done(Lsn(l))),
             ),
             EngineOp::MultiPut(pairs) => {
@@ -369,7 +369,7 @@ impl Tree {
                 let mut result = Ok(0u64);
                 for (k, v) in pairs {
                     self.stats.puts.fetch_add(1, Ordering::Relaxed);
-                    result = self.write_locked(inner, k, Entry::Put(v));
+                    result = self.write_locked(inner, k, Some(v));
                     if result.is_err() {
                         break;
                     }

@@ -33,7 +33,7 @@
 //! leader/follower group.
 
 use crate::flush::Background;
-use crate::memtable::{Entry, Memtable};
+use crate::memtable::Memtable;
 use crate::sstable::{SstBuildStats, SstConfig, SstDecodeStats};
 use crate::version::Version;
 use crate::wal::{SyncPolicy, Wal};
@@ -42,9 +42,9 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use tb_common::log::WriteRecord;
 use tb_common::{
-    durable, fault, read_bytes, write_bytes, BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn,
-    OpOutcome, Result, Value,
+    durable, fault, BatchReadStats, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value,
 };
 
 /// Tuning knobs.
@@ -257,15 +257,15 @@ impl LsmDb {
             let mut replayed = Memtable::new();
             let mut last_lsn = 0;
             for (lsn, rec) in Wal::replay(&path)? {
-                let (key, entry) = decode_wal_record(&rec)?;
+                let WriteRecord { key, value } = WriteRecord::decode(&rec)?;
                 wal_lsn = wal_lsn.max(lsn);
                 if lsn <= version.flushed_lsn {
                     continue;
                 }
                 last_lsn = lsn;
-                match entry {
-                    Entry::Put(v) => replayed.put(key, v),
-                    Entry::Tombstone => replayed.delete(key),
+                match value {
+                    Some(v) => replayed.put(key, v),
+                    None => replayed.delete(key),
                 };
             }
             if seq == active_seq {
@@ -455,13 +455,19 @@ impl Tree {
     /// surfaces as an error with the LSN already advanced — the write is
     /// durable in the WAL and indeterminate to the caller, exactly the
     /// ack contract.
-    pub(crate) fn write_locked(&self, inner: &mut Inner, key: Key, entry: Entry) -> Result<u64> {
+    pub(crate) fn write_locked(
+        &self,
+        inner: &mut Inner,
+        key: Key,
+        value: Option<Value>,
+    ) -> Result<u64> {
         let lsn = self.last_lsn.load(Ordering::Relaxed) + 1;
-        inner.wal.append(lsn, &encode_wal_record(&key, &entry))?;
+        let record = WriteRecord { key, value };
+        inner.wal.append(lsn, &record.encode())?;
         self.last_lsn.store(lsn, Ordering::Release);
-        let size = match entry {
-            Entry::Put(v) => inner.memtable.put(key, v),
-            Entry::Tombstone => inner.memtable.delete(key),
+        let size = match record.value {
+            Some(v) => inner.memtable.put(record.key, v),
+            None => inner.memtable.delete(record.key),
         };
         if size >= self.config.memtable_bytes {
             self.freeze(inner)?;
@@ -472,13 +478,13 @@ impl Tree {
     /// The CAS read stages and completes like any lookup, but under the
     /// caller's write lock, so later ops observe its effect — the one
     /// read that holds the tree lock across block IO. A match writes
-    /// `entry`: a put, or a tombstone for a compare-and-delete.
+    /// `value`: a put, or a tombstone (`None`) for a compare-and-delete.
     pub(crate) fn cas_locked(
         &self,
         inner: &mut Inner,
         key: Key,
         expected: Option<&Value>,
-        entry: Entry,
+        value: Option<Value>,
     ) -> Result<u64> {
         let mut cands = Vec::new();
         let lookup = self.stage_lookup(inner, key.clone(), &mut cands);
@@ -491,10 +497,10 @@ impl Tree {
         if !matches {
             return Err(Error::CasMismatch);
         }
-        if let Entry::Put(_) = entry {
+        if value.is_some() {
             self.stats.puts.fetch_add(1, Ordering::Relaxed);
         }
-        self.write_locked(inner, key, entry)
+        self.write_locked(inner, key, value)
     }
 
     /// Makes every write applied before the call durable, as a
@@ -630,30 +636,6 @@ impl KvEngine for LsmDb {
 
     fn sync(&self) -> Result<()> {
         self.tree.sync()
-    }
-}
-
-fn encode_wal_record(key: &Key, entry: &Entry) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.len() + 16);
-    out.push(u8::from(matches!(entry, Entry::Tombstone)));
-    write_bytes(&mut out, key.as_slice());
-    if let Entry::Put(v) = entry {
-        out.extend_from_slice(v.as_slice());
-    }
-    out
-}
-
-fn decode_wal_record(rec: &[u8]) -> Result<(Key, Entry)> {
-    let (&flag, rest) = rec
-        .split_first()
-        .ok_or_else(|| Error::Corruption("empty WAL record".into()))?;
-    let mut pos = 0usize;
-    let key = Key::copy_from(read_bytes(rest, &mut pos)?);
-    let value_bytes = &rest[pos..];
-    match flag {
-        0 => Ok((key, Entry::Put(Value::copy_from(value_bytes)))),
-        1 => Ok((key, Entry::Tombstone)),
-        other => Err(Error::Corruption(format!("bad WAL flag {other}"))),
     }
 }
 

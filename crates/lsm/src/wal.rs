@@ -1,19 +1,12 @@
-//! Write-ahead log with CRC-framed, LSN-sequenced records and torn-tail
+//! Write-ahead log: [`tb_common::log`] frames in a file, with torn-tail
 //! recovery.
 //!
-//! Record frame: `len u32 | crc u32 | lsn u64 | payload`, where `crc`
-//! covers `lsn || payload` and `lsn` is the monotone log sequence
-//! number the engine assigned the write (the currency of replication
-//! shipping and session guarantees — see `tb_common::engine`). Replay
-//! distinguishes the two ways a frame can be invalid:
-//!
-//! * **Torn tail** — the partial frame a crash leaves at the end of the
-//!   log, with nothing valid after it. Replay truncates the file there
-//!   so later appends never interleave with garbage.
-//! * **Mid-log corruption** — an invalid frame with intact records
-//!   *after* it. Truncating would silently drop acknowledged writes, so
-//!   replay surfaces [`Error::Corruption`] instead and leaves the file
-//!   untouched for inspection.
+//! Each frame's `lsn` is the monotone log sequence number the engine
+//! assigned the write (the currency of replication shipping and session
+//! guarantees — see `tb_common::engine`). Replay truncates a torn tail
+//! in place, so later appends never interleave with garbage, and
+//! surfaces mid-log corruption as [`Error::Corruption`], leaving the
+//! file untouched for inspection.
 //!
 //! A failed append repairs the log in place (truncate back to the last
 //! durable frame) so one transient IO error cannot turn into mid-log
@@ -22,16 +15,30 @@
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use tb_common::{durable, fault, Crc32, Error, Result};
+use tb_common::log::{self, FRAME_HEADER};
+use tb_common::{durable, fault, Error, Result};
 
-/// Bytes before the payload: `len u32 | crc u32 | lsn u64`.
-const FRAME_HEADER: usize = 16;
+/// The fault sites a log's appends and syncs pass.
+#[derive(Debug, Clone, Copy)]
+pub struct WalSites {
+    pub header: &'static str,
+    pub payload: &'static str,
+    pub sync: &'static str,
+}
 
-/// CRC over `lsn || payload` — the whole checksummed span of a frame.
-fn frame_crc(lsn: u64, payload: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(&lsn.to_le_bytes()).update(payload);
-    c.finalize()
+impl WalSites {
+    /// The LSM's WAL segments (and every log [`Wal::open`] opens).
+    pub const LSM: WalSites = WalSites {
+        header: "wal.append.header",
+        payload: "wal.append.payload",
+        sync: "wal.sync",
+    };
+    /// The cache tier's logs, `cache.wal` and `cache.cold.wal`.
+    pub const CACHE: WalSites = WalSites {
+        header: "cache.wal.append.header",
+        payload: "cache.wal.append.payload",
+        sync: "cache.wal.sync",
+    };
 }
 
 /// When the WAL forces data to the OS.
@@ -53,6 +60,7 @@ pub struct Wal {
     writer: BufWriter<File>,
     path: PathBuf,
     policy: SyncPolicy,
+    sites: WalSites,
     len: u64,
     /// Set when a failed append could not be repaired; all writes fail
     /// until the log is reset or reopened (recovery stays possible —
@@ -66,6 +74,11 @@ impl Wal {
     /// fsynced, so the frames a later sync makes durable in it are
     /// found again after a power loss.
     pub fn open(path: &Path, policy: SyncPolicy) -> Result<Self> {
+        Self::open_with_sites(path, policy, WalSites::LSM)
+    }
+
+    /// [`Self::open`], passing `sites` instead of the LSM's.
+    pub fn open_with_sites(path: &Path, policy: SyncPolicy, sites: WalSites) -> Result<Self> {
         let created = !path.exists();
         let file = OpenOptions::new()
             .read(true)
@@ -80,6 +93,7 @@ impl Wal {
             writer: BufWriter::new(file),
             path: path.to_path_buf(),
             policy,
+            sites,
             len,
             poisoned: false,
         })
@@ -107,17 +121,13 @@ impl Wal {
     }
 
     fn try_append(&mut self, lsn: u64, payload: &[u8]) -> Result<()> {
-        fault::hit("wal.append.header")?;
-        let mut header = [0u8; FRAME_HEADER];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..8].copy_from_slice(&frame_crc(lsn, payload).to_le_bytes());
-        header[8..].copy_from_slice(&lsn.to_le_bytes());
-        self.writer.write_all(&header)?;
-        fault::write_all("wal.append.payload", &mut self.writer, payload)?;
+        fault::hit(self.sites.header)?;
+        self.writer.write_all(&log::frame_header(lsn, payload))?;
+        fault::write_all(self.sites.payload, &mut self.writer, payload)?;
         match self.policy {
             SyncPolicy::EveryWrite => {
                 self.writer.flush()?;
-                fault::hit("wal.sync")?;
+                fault::hit(self.sites.sync)?;
                 self.writer.get_ref().sync_data()?;
             }
             SyncPolicy::OsBuffer => self.writer.flush()?,
@@ -153,7 +163,7 @@ impl Wal {
     /// Forces everything to durable storage.
     pub fn sync(&mut self) -> Result<()> {
         let file = self.sync_handle()?;
-        fault::hit("wal.sync")?;
+        fault::hit(self.sites.sync)?;
         file.sync_data()?;
         Ok(())
     }
@@ -191,67 +201,24 @@ impl Wal {
         };
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        let valid_end = loop {
-            match parse_frame(&buf, pos) {
-                Some((lsn, payload, next)) => {
-                    records.push((lsn, payload.to_vec()));
-                    pos = next;
-                }
-                None => break pos,
-            }
-            if pos == buf.len() {
-                break pos;
-            }
-        };
-        if valid_end < buf.len() {
-            if has_frame_after(&buf, valid_end) {
-                return Err(Error::Corruption(format!(
-                    "WAL record at byte {valid_end} is corrupt but valid records follow \
-                     (log is {} bytes); refusing to drop acknowledged writes",
-                    buf.len()
-                )));
-            }
+        let parsed = log::parse(&buf)?;
+        if parsed.end < buf.len() {
             // A torn tail: drop it so the next append starts clean.
             let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(valid_end as u64)?;
+            f.set_len(parsed.end as u64)?;
             f.sync_data()?;
         }
-        Ok(records)
+        Ok(parsed
+            .frames
+            .into_iter()
+            .map(|(lsn, payload)| (lsn, payload.to_vec()))
+            .collect())
     }
 
     /// Path of the underlying file.
     pub fn path(&self) -> &Path {
         &self.path
     }
-}
-
-/// Parses one complete, checksum-valid frame at `pos`.
-fn parse_frame(buf: &[u8], pos: usize) -> Option<(u64, &[u8], usize)> {
-    if pos + FRAME_HEADER > buf.len() {
-        return None;
-    }
-    let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-    let lsn = u64::from_le_bytes(buf[pos + 8..pos + 16].try_into().unwrap());
-    let start = pos + FRAME_HEADER;
-    if start.checked_add(len)? > buf.len() {
-        return None;
-    }
-    let payload = &buf[start..start + len];
-    (frame_crc(lsn, payload) == crc).then_some((lsn, payload, start + len))
-}
-
-/// True when any complete valid frame starts after `from` — the signal
-/// that an invalid frame is mid-log corruption rather than a torn tail.
-/// (A byte-by-byte scan; it only runs on an already-broken log, and a
-/// 1-in-2^32 checksum collision is the worst a false positive costs.)
-/// The inclusive bound matters: an empty-payload frame is exactly
-/// [`FRAME_HEADER`] bytes, so the last possible frame start is
-/// `len - FRAME_HEADER` itself.
-fn has_frame_after(buf: &[u8], from: usize) -> bool {
-    (from + 1..=buf.len().saturating_sub(FRAME_HEADER)).any(|pos| parse_frame(buf, pos).is_some())
 }
 
 #[cfg(test)]

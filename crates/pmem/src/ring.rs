@@ -6,18 +6,27 @@
 //! ring to bulk storage; producers see backpressure when the consumer
 //! falls a full ring behind.
 //!
-//! Layout: a 24-byte header (head, tail, header CRC) followed by the
-//! data area. Records are framed `len u32 | crc u32 | payload` and may
-//! wrap around the data area end. Recovery replays `head..tail` and
-//! truncates at the first torn record.
+//! Layout: a 24-byte header (`head u64 | tail u64 | crc u32 | format
+//! u8 | 3 zero bytes`, the crc over head and tail) followed by the data
+//! area. Records are [`tb_common::log`] frames, each carrying the LSN
+//! the caller sequenced it at, and may wrap around the data area end.
+//! Recovery parses `head..tail` with the one log parser: a torn last
+//! frame only moves the in-memory tail, and an invalid frame with a
+//! valid one after it is [`Error::Corruption`]. Recovery writes nothing.
 
 use crate::device::PmemDevice;
 use parking_lot::Mutex;
 use std::sync::Arc;
+use tb_common::log::{self, FRAME_HEADER};
 use tb_common::{crc32, Error, Result};
 
 const HEADER_SIZE: usize = 24;
-const FRAME_HEADER: usize = 8;
+/// The header byte that names this layout. Rings written before frames
+/// carried an LSN have a zero there.
+const RING_FORMAT: u8 = 1;
+
+/// One queued record: the LSN it was appended at, and its payload.
+pub type RingRecord = (u64, Vec<u8>);
 
 /// Ring construction options.
 #[derive(Debug, Clone, Copy)]
@@ -99,23 +108,27 @@ impl PersistentRingBuffer {
         if crc32(&hdr[0..16]) != stored_crc {
             return Err(Error::Corruption("ring header crc mismatch".into()));
         }
+        if hdr[20] != RING_FORMAT {
+            return Err(Error::Corruption(format!(
+                "ring layout {} is not {RING_FORMAT}",
+                hdr[20]
+            )));
+        }
+        let data_len = device.size() - HEADER_SIZE;
+        if tail < head || tail - head > data_len as u64 {
+            return Err(Error::Corruption(format!("ring span {head}..{tail}")));
+        }
         let ring = Self {
-            data_len: device.size() - HEADER_SIZE,
+            data_len,
             device,
             state: Mutex::new(State { head, tail }),
             drain_turn: Mutex::new(()),
             config,
         };
-        // Walk records; stop at the first invalid frame (torn tail).
-        let mut pos = head;
-        while pos < tail {
-            match ring.read_frame(pos) {
-                Ok(payload) => pos += (FRAME_HEADER + payload.len()) as u64,
-                Err(_) => break,
-            }
-        }
-        ring.state.lock().tail = pos;
-        ring.persist_header(head, pos)?;
+        // A torn last frame is dropped from memory only: the next
+        // append overwrites it and persists the header that says so.
+        let (_, end) = ring.records(head, tail)?;
+        ring.state.lock().tail = head + end as u64;
         Ok(ring)
     }
 
@@ -135,9 +148,9 @@ impl PersistentRingBuffer {
         self.used() == 0
     }
 
-    /// Appends one record. Errors with [`Error::Backpressure`] when the
-    /// consumer is a full ring behind.
-    pub fn append(&self, payload: &[u8]) -> Result<()> {
+    /// Appends one record sequenced at `lsn`. Errors with
+    /// [`Error::Backpressure`] when the consumer is a full ring behind.
+    pub fn append(&self, lsn: u64, payload: &[u8]) -> Result<()> {
         let frame_len = FRAME_HEADER + payload.len();
         if frame_len > self.data_len {
             return Err(Error::InvalidArgument(format!(
@@ -157,11 +170,7 @@ impl PersistentRingBuffer {
                 self.data_len
             )));
         }
-        let mut frame = Vec::with_capacity(frame_len);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.write_wrapped(tail, &frame)?;
+        self.write_wrapped(tail, &log::encode_frame(lsn, payload))?;
         {
             let mut s = self.state.lock();
             s.tail = tail + frame_len as u64;
@@ -181,19 +190,16 @@ impl PersistentRingBuffer {
     pub fn drain_batch(
         &self,
         max_records: usize,
-        persist: impl FnOnce(&[Vec<u8>]) -> Result<()>,
-    ) -> Result<Vec<Vec<u8>>> {
+        persist: impl FnOnce(&[RingRecord]) -> Result<()>,
+    ) -> Result<Vec<RingRecord>> {
         let _turn = self.drain_turn.lock();
-        let mut out = Vec::new();
-        let (mut head, tail) = {
+        let (head, tail) = {
             let s = self.state.lock();
             (s.head, s.tail)
         };
-        while out.len() < max_records && head < tail {
-            let payload = self.read_frame(head)?;
-            head += (FRAME_HEADER + payload.len()) as u64;
-            out.push(payload);
-        }
+        let mut out = self.records(head, tail)?.0;
+        out.truncate(max_records);
+        let head = head + out.iter().map(|r| FRAME_HEADER + r.1.len()).sum::<usize>() as u64;
         persist(&out)?;
         let tail = {
             let mut s = self.state.lock();
@@ -205,34 +211,22 @@ impl PersistentRingBuffer {
     }
 
     /// Reads every queued record without consuming (recovery replay).
-    pub fn peek_all(&self) -> Result<Vec<Vec<u8>>> {
-        let (mut pos, tail) = {
+    pub fn peek_all(&self) -> Result<Vec<RingRecord>> {
+        let (head, tail) = {
             let s = self.state.lock();
             (s.head, s.tail)
         };
-        let mut out = Vec::new();
-        while pos < tail {
-            let payload = self.read_frame(pos)?;
-            pos += (FRAME_HEADER + payload.len()) as u64;
-            out.push(payload);
-        }
-        Ok(out)
+        Ok(self.records(head, tail)?.0)
     }
 
-    fn read_frame(&self, logical: u64) -> Result<Vec<u8>> {
-        let mut hdr = [0u8; FRAME_HEADER];
-        self.read_wrapped(logical, &mut hdr)?;
-        let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as usize;
-        let stored_crc = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
-        if FRAME_HEADER + len > self.data_len {
-            return Err(Error::Corruption("frame length exceeds ring".into()));
-        }
-        let mut payload = vec![0u8; len];
-        self.read_wrapped(logical + FRAME_HEADER as u64, &mut payload)?;
-        if crc32(&payload) != stored_crc {
-            return Err(Error::Corruption("ring frame crc mismatch".into()));
-        }
-        Ok(payload)
+    /// The records in `head..tail`, and the bytes they cover (short of
+    /// the span when its last frame is torn).
+    fn records(&self, head: u64, tail: u64) -> Result<(Vec<RingRecord>, usize)> {
+        let mut span = vec![0u8; (tail - head) as usize];
+        self.read_wrapped(head, &mut span)?;
+        let parsed = log::parse(&span)?;
+        let records = parsed.frames.iter().map(|&(lsn, p)| (lsn, p.to_vec()));
+        Ok((records.collect(), parsed.end))
     }
 
     fn write_wrapped(&self, logical: u64, data: &[u8]) -> Result<()> {
@@ -264,6 +258,7 @@ impl PersistentRingBuffer {
         hdr[8..16].copy_from_slice(&tail.to_le_bytes());
         let crc = crc32(&hdr[0..16]);
         hdr[16..20].copy_from_slice(&crc.to_le_bytes());
+        hdr[20] = RING_FORMAT;
         self.device.write_at(0, &hdr)
     }
 }
@@ -288,16 +283,26 @@ mod tests {
         )
     }
 
+    fn reopen(p: &std::path::Path) -> Result<PersistentRingBuffer> {
+        let d = Arc::new(PmemDevice::open(p, LatencyModel::none()).unwrap());
+        PersistentRingBuffer::recover(d, RingConfig::default())
+    }
+
+    fn payloads(records: Vec<RingRecord>) -> Vec<Vec<u8>> {
+        records.into_iter().map(|(_, p)| p).collect()
+    }
+
     #[test]
     fn fifo_order() {
         let (ring, _) = new_ring("fifo", 4096);
         for i in 0..10 {
-            ring.append(format!("record-{i}").as_bytes()).unwrap();
+            ring.append(i + 1, format!("record-{i}").as_bytes())
+                .unwrap();
         }
         let batch = ring.drain_batch(4, |_| Ok(())).unwrap();
         assert_eq!(batch.len(), 4);
-        assert_eq!(batch[0], b"record-0");
-        assert_eq!(batch[3], b"record-3");
+        assert_eq!(batch[0], (1, b"record-0".to_vec()));
+        assert_eq!(batch[3], (4, b"record-3".to_vec()));
         let rest = ring.drain_batch(100, |_| Ok(())).unwrap();
         assert_eq!(rest.len(), 6);
         assert!(ring.is_empty());
@@ -308,42 +313,41 @@ mod tests {
         let (ring, _) = new_ring("wrap", 256); // tiny: forces wrapping
         for round in 0..50 {
             let rec = format!("wraparound-payload-{round:04}");
-            ring.append(rec.as_bytes()).unwrap();
+            ring.append(round, rec.as_bytes()).unwrap();
             let got = ring.drain_batch(1, |_| Ok(())).unwrap();
-            assert_eq!(got[0], rec.as_bytes());
+            assert_eq!(got, [(round, rec.into_bytes())]);
         }
     }
 
     #[test]
     fn backpressure_when_full() {
+        // 104 data bytes hold two 46-byte frames, not three.
         let (ring, _) = new_ring("full", 128);
-        let rec = vec![7u8; 40];
-        ring.append(&rec).unwrap();
-        ring.append(&rec).unwrap();
-        let err = ring.append(&rec).unwrap_err();
+        let rec = vec![7u8; 30];
+        ring.append(1, &rec).unwrap();
+        ring.append(2, &rec).unwrap();
+        let err = ring.append(3, &rec).unwrap_err();
         assert!(matches!(err, Error::Backpressure { .. }), "{err}");
         // Draining frees space.
         ring.drain_batch(1, |_| Ok(())).unwrap();
-        ring.append(&rec).unwrap();
+        ring.append(3, &rec).unwrap();
     }
 
     #[test]
     fn failed_persist_leaves_the_batch_queued() {
         let (ring, path) = new_ring("persist", 4096);
-        for rec in [&b"one"[..], b"two", b"three"] {
-            ring.append(rec).unwrap();
+        for (lsn, rec) in [&b"one"[..], b"two", b"three"].into_iter().enumerate() {
+            ring.append(lsn as u64 + 1, rec).unwrap();
         }
         let err = ring
             .drain_batch(2, |batch| {
-                assert_eq!(batch, [b"one".to_vec(), b"two".to_vec()]);
+                assert_eq!(batch, [(1, b"one".to_vec()), (2, b"two".to_vec())]);
                 Err(Error::Io("cold log down".into()))
             })
             .unwrap_err();
         assert!(matches!(err, Error::Io(_)), "{err}");
         // Still queued, in memory and across a crash.
-        let device = Arc::new(PmemDevice::open(&path, LatencyModel::none()).unwrap());
-        let recovered = PersistentRingBuffer::recover(device, RingConfig::default()).unwrap();
-        assert_eq!(recovered.peek_all().unwrap().len(), 3);
+        assert_eq!(reopen(&path).unwrap().peek_all().unwrap().len(), 3);
         let drained = ring.drain_batch(usize::MAX, |_| Ok(())).unwrap();
         assert_eq!(drained.len(), 3);
         assert!(ring.is_empty());
@@ -353,25 +357,22 @@ mod tests {
     fn oversized_record_rejected() {
         let (ring, _) = new_ring("big", 128);
         assert!(matches!(
-            ring.append(&vec![0u8; 1024]),
+            ring.append(1, &vec![0u8; 1024]),
             Err(Error::InvalidArgument(_))
         ));
     }
 
     #[test]
     fn recovery_replays_pending_records() {
-        let p = tmp("recover");
-        {
-            let d = Arc::new(PmemDevice::create(&p, 1024, LatencyModel::none()).unwrap());
-            let ring = PersistentRingBuffer::create(d, RingConfig::default()).unwrap();
-            ring.append(b"committed-1").unwrap();
-            ring.append(b"committed-2").unwrap();
-            // Process "crashes" here — drop without drain.
-        }
-        let d = Arc::new(PmemDevice::open(&p, LatencyModel::none()).unwrap());
-        let ring = PersistentRingBuffer::recover(d, RingConfig::default()).unwrap();
-        let recs = ring.peek_all().unwrap();
-        assert_eq!(recs, vec![b"committed-1".to_vec(), b"committed-2".to_vec()]);
+        let (ring, p) = new_ring("recover", 1024);
+        ring.append(7, b"committed-1").unwrap();
+        ring.append(9, b"committed-2").unwrap();
+        // Process "crashes" here — drop without drain.
+        drop(ring);
+        assert_eq!(
+            reopen(&p).unwrap().peek_all().unwrap(),
+            vec![(7, b"committed-1".to_vec()), (9, b"committed-2".to_vec())]
+        );
     }
 
     #[test]
@@ -414,26 +415,73 @@ mod tests {
     }
 
     #[test]
+    fn a_ring_in_the_old_layout_is_corruption() {
+        // The layout before frames carried an LSN: a valid header with
+        // no format byte, then one `len u32 | crc u32 | payload` frame.
+        let p = tmp("old-layout");
+        let mut image = vec![0u8; 1024];
+        let payload = b"written-by-the-old-layout";
+        let frame_len = (8 + payload.len()) as u64;
+        image[8..16].copy_from_slice(&frame_len.to_le_bytes());
+        let crc = crc32(&image[..16]);
+        image[16..20].copy_from_slice(&crc.to_le_bytes());
+        image[24..28].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        image[28..32].copy_from_slice(&crc32(payload).to_le_bytes());
+        image[32..32 + payload.len()].copy_from_slice(payload);
+        std::fs::write(&p, &image).unwrap();
+        assert!(matches!(reopen(&p), Err(Error::Corruption(_))));
+        assert_eq!(std::fs::read(&p).unwrap(), image, "recovery wrote");
+    }
+
+    #[test]
+    fn a_bad_frame_before_a_valid_one_fails_recovery() {
+        let (ring, p) = new_ring("mid-corrupt", 1024);
+        ring.append(1, b"first-record").unwrap();
+        ring.append(2, b"second-record").unwrap();
+        drop(ring);
+        // One flipped payload byte in the first frame: the second one,
+        // acknowledged, follows it.
+        let mut image = std::fs::read(&p).unwrap();
+        image[HEADER_SIZE + FRAME_HEADER + 3] ^= 0x01;
+        std::fs::write(&p, &image).unwrap();
+        assert!(matches!(reopen(&p), Err(Error::Corruption(_))));
+        assert_eq!(std::fs::read(&p).unwrap(), image, "recovery wrote");
+    }
+
+    #[test]
     fn recovery_truncates_torn_tail() {
         let p = tmp("torn");
         {
             let d = Arc::new(PmemDevice::create(&p, 1024, LatencyModel::none()).unwrap());
             let ring = PersistentRingBuffer::create(d.clone(), RingConfig::default()).unwrap();
-            ring.append(b"good-record").unwrap();
-            ring.append(b"torn-record").unwrap();
+            ring.append(1, b"good-record").unwrap();
+            ring.append(2, b"torn-record").unwrap();
             // Corrupt the second record's payload bytes on the device,
             // then persist — simulating a torn write.
             let second_frame_off = HEADER_SIZE + FRAME_HEADER + 11 + FRAME_HEADER;
             d.write_at(second_frame_off + 2, b"XX").unwrap();
             d.persist().unwrap();
         }
-        let d = Arc::new(PmemDevice::open(&p, LatencyModel::none()).unwrap());
-        let ring = PersistentRingBuffer::recover(d, RingConfig::default()).unwrap();
-        let recs = ring.peek_all().unwrap();
+        let image = std::fs::read(&p).unwrap();
+        // Recovered twice, the same records, and the device unchanged:
+        // the torn frame leaves memory only.
+        for _ in 0..2 {
+            let ring = reopen(&p).unwrap();
+            assert_eq!(
+                ring.peek_all().unwrap(),
+                vec![(1, b"good-record".to_vec())],
+                "torn tail must be dropped"
+            );
+            drop(ring);
+            assert_eq!(std::fs::read(&p).unwrap(), image, "recovery wrote");
+        }
+        // The next append overwrites the torn frame.
+        let ring = reopen(&p).unwrap();
+        ring.append(3, b"after-recovery").unwrap();
+        drop(ring);
         assert_eq!(
-            recs,
-            vec![b"good-record".to_vec()],
-            "torn tail must be dropped"
+            payloads(reopen(&p).unwrap().peek_all().unwrap()),
+            [b"good-record".to_vec(), b"after-recovery".to_vec()]
         );
     }
 
@@ -449,22 +497,17 @@ mod tests {
                 },
             )
             .unwrap();
-            ring.append(b"maybe-lost").unwrap();
+            ring.append(1, b"maybe-lost").unwrap();
             // No persist before "crash".
         }
-        let d = Arc::new(PmemDevice::open(&p, LatencyModel::none()).unwrap());
-        let ring = PersistentRingBuffer::recover(d, RingConfig::default()).unwrap();
         // Header said empty at last persist (create), so nothing replays.
-        assert!(ring.peek_all().unwrap().is_empty());
+        assert!(reopen(&p).unwrap().peek_all().unwrap().is_empty());
     }
 
     #[test]
     fn empty_payload_roundtrips() {
         let (ring, _) = new_ring("empty", 256);
-        ring.append(b"").unwrap();
-        assert_eq!(
-            ring.drain_batch(1, |_| Ok(())).unwrap(),
-            vec![Vec::<u8>::new()]
-        );
+        ring.append(4, b"").unwrap();
+        assert_eq!(ring.drain_batch(1, |_| Ok(())).unwrap(), [(4, vec![])]);
     }
 }

@@ -248,6 +248,39 @@ fn wal_pmem_ring_with_a_damaged_header_fails_open_unchanged() {
 }
 
 #[test]
+fn wal_pmem_ring_with_a_bad_frame_before_a_good_one_fails_open_unchanged() {
+    // Two records in the ring, the first one's payload flipped: the
+    // second, acknowledged, follows it, so this is Corruption — not a
+    // torn tail to drop.
+    let dir = tmpdir("pmem-mid");
+    let open = || {
+        TierBase::open(
+            TierBaseConfig::builder(dir.path())
+                .cache_capacity(64 << 20)
+                .persistence(PersistenceMode::WalPmem)
+                .pmem_ring_bytes(1 << 20)
+                .build(),
+        )
+    };
+    {
+        let store = open().unwrap();
+        store.put(k(1), v(1)).unwrap();
+        store.put(k(2), v(2)).unwrap();
+    }
+    let ring = dir.join("cache.pmem");
+    let mut bytes = std::fs::read(&ring).unwrap();
+    // The 24-byte ring header, then the first frame's 16-byte header.
+    bytes[24 + 16 + 2] ^= 0x01;
+    std::fs::write(&ring, &bytes).unwrap();
+    match open() {
+        Err(Error::Corruption(_)) => {}
+        Err(other) => panic!("expected Corruption, got {other:?}"),
+        Ok(_) => panic!("a bad ring frame before a good one must fail open"),
+    }
+    assert!(std::fs::read(&ring).unwrap() == bytes, "cache.pmem changed");
+}
+
+#[test]
 fn write_through_survives_crash_without_any_cache_persistence() {
     let dir = tmpdir("wt");
     {

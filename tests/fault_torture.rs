@@ -1223,9 +1223,10 @@ mod replication {
 /// (`PersistenceMode::Wal`) and its values compressed under trained
 /// models. Every `(site, hit)` in
 /// [`tierbase::store::CACHE_FAULT_SITES`] (the `cache.rdb` and
-/// `cache.model.<g>` publishers) and the cache log's `wal.append.*` and
-/// `wal.sync` × {crash, error, torn at write sites} kills a script of
-/// puts, deletes, snapshots and trainings, then reopens and checks:
+/// `cache.model.<g>` publishers) and the cache log's
+/// `cache.wal.append.*` and `cache.wal.sync` × {crash, error, torn at
+/// write sites} kills a script of puts, deletes, snapshots and
+/// trainings, then reopens and checks:
 ///
 /// * `open` succeeds, and no `*.tmp` file is left in the directory;
 /// * every acknowledged write reads back byte-exact, and an
@@ -1240,9 +1241,13 @@ mod cache_tier {
         CACHE_FAULT_WRITE_SITES,
     };
 
-    /// The cache log's sites: it reuses `tb_lsm`'s `Wal`, and with no
-    /// storage tier every hit of these is the cache log's.
-    const CACHE_WAL_SITES: [&str; 3] = ["wal.append.header", "wal.append.payload", "wal.sync"];
+    /// The cache log's sites: `tb_lsm`'s `Wal` opened with
+    /// `WalSites::CACHE`.
+    const CACHE_WAL_SITES: [&str; 3] = [
+        "cache.wal.append.header",
+        "cache.wal.append.payload",
+        "cache.wal.sync",
+    ];
 
     enum Step {
         Kv(Vec<Op>),
@@ -1438,7 +1443,7 @@ mod cache_tier {
         let sites: Vec<_> = CACHE_FAULT_WRITE_SITES
             .iter()
             .copied()
-            .chain(["wal.append.payload"])
+            .chain(["cache.wal.append.payload"])
             .collect();
         enumerate_cache(
             &sites,
