@@ -11,9 +11,11 @@ use parking_lot::Mutex;
 use tb_cache::LruShard;
 use tb_common::{fx_hash, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value};
 
-/// Modeled per-entry header (item header + hash chain pointer).
-/// `LruShard` already charges 64 bytes/entry, close enough to
-/// memcached's ~48-56; slab rounding is applied to the value size.
+/// Per-entry header (item header + hash chain pointer): `LruShard`
+/// bills each entry's own heap bytes, [`tb_cache::entry_cost`] — a
+/// 32-byte node and a 10-byte index share beside the key and value —
+/// close to memcached's ~48-56; slab rounding is applied to the value
+/// size.
 fn slab_rounded(len: usize) -> usize {
     // Size classes: 64, 128, 256, ... (growth factor 2 for simplicity;
     // memcached's default is 1.25).
@@ -67,7 +69,7 @@ impl MemcachedLike {
         self.shard(key)
             .lock()
             .get(key, 0)
-            .map(|e| decode_slab(&e.value))
+            .map(|stored| decode_slab(&stored))
     }
 
     fn store(&self, key: Key, value: Value) {
@@ -85,7 +87,7 @@ impl MemcachedLike {
     fn cas(&self, key: Key, expected: Option<Value>, new: Option<Value>) -> Result<()> {
         burn_cpu_us(OP_COST_US);
         let mut shard = self.shard(&key).lock();
-        if shard.get(&key, 0).map(|e| decode_slab(&e.value)) != expected {
+        if shard.get(&key, 0).map(|stored| decode_slab(&stored)) != expected {
             return Err(Error::CasMismatch);
         }
         match new {
@@ -195,8 +197,8 @@ mod tests {
     fn resident_includes_slab_waste() {
         let m = MemcachedLike::new(1 << 20, 1);
         m.put(Key::from("k"), Value::from(vec![b'x'; 65])).unwrap();
-        // 65+4 → 128-byte class (+ key + 64B header).
-        assert!(m.resident_bytes() >= 128 + 1 + 64);
+        // 65+4 → 128-byte class, billed with the key and the header.
+        assert_eq!(m.resident_bytes(), tb_cache::entry_cost(1, 128) as u64);
     }
 
     #[test]

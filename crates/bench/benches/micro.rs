@@ -1,10 +1,14 @@
 //! Criterion micro-benchmarks for the hot data-path primitives:
 //! cache shard ops, LSM point ops, compressors, the SSTable block
 //! codecs and block format, hashing, histograms.
+//!
+//! Data sizes scale with `TB_BENCH_SCALE` and shrink under
+//! `TB_BENCH_SMOKE` (`tb_bench::budget`); `TB_BENCH_MS` sets each
+//! measurement window.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::path::Path;
-use tb_bench::bench_dir;
+use tb_bench::{bench_dir, budget};
 use tb_cache::{CacheConfig, ShardedCache};
 use tb_common::{crc32, fx_hash, Histogram, Key, KvEngine, Value};
 use tb_compress::{
@@ -17,7 +21,7 @@ use tb_workload::DatasetKind;
 
 fn bench_cache(c: &mut Criterion) {
     let cache = ShardedCache::new(CacheConfig::with_capacity(256 << 20));
-    let keys: Vec<Key> = (0..10_000)
+    let keys: Vec<Key> = (0..budget(10_000))
         .map(|i| Key::from(format!("key-{i:08}")))
         .collect();
     for k in &keys {
@@ -42,6 +46,27 @@ fn bench_cache(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    // 4 KiB values: a hit hands out a copy of the value and an insert
+    // copies it in, both under the shard lock. The inserted value is
+    // built once, so the rows time the cache's own work.
+    let big = ShardedCache::new(CacheConfig::with_capacity(256 << 20));
+    let value = Value::from(vec![b'v'; 4096]);
+    let keys = &keys[..(budget(2_000) as usize).min(keys.len())];
+    for k in keys {
+        big.insert(k.clone(), value.clone(), false).unwrap();
+    }
+    group.bench_function("get_hit_4k", |b| {
+        b.iter(|| {
+            i = (i + 1) % keys.len();
+            std::hint::black_box(big.get(&keys[i]))
+        })
+    });
+    group.bench_function("insert_4k", |b| {
+        b.iter(|| {
+            i = (i + 1) % keys.len();
+            big.insert(keys[i].clone(), value.clone(), false).unwrap()
+        })
+    });
     group.finish();
 }
 
@@ -49,7 +74,7 @@ fn bench_lsm(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("tb-micro-lsm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = LsmDb::open(LsmConfig::new(dir)).unwrap();
-    let keys: Vec<Key> = (0..10_000)
+    let keys: Vec<Key> = (0..budget(10_000))
         .map(|i| Key::from(format!("key-{i:08}")))
         .collect();
     for k in &keys {
@@ -126,8 +151,9 @@ fn table(path: &Path, entries: &[(Key, Entry)], codec: BlockCodec) -> SstReader 
     SstReader::open(write_sstable(1, path, entries.iter().cloned(), &config).unwrap()).unwrap()
 }
 
-/// The SSTable block path per codec, on the first 64 data blocks of a
-/// `none` table of Cities records (exactly the writer's blocks) and
+/// The SSTable block path per codec, on the first 64 data blocks (or
+/// all, when a smoke run writes fewer) of a `none` table of Cities
+/// records (exactly the writer's blocks) and
 /// trained the way the writer trains (first 512 values, the table's
 /// own blocks): throughput is uncompressed bytes per second through
 /// `encode_frame` / `decode_frame`, CRC included. Every codec runs at
@@ -135,10 +161,13 @@ fn table(path: &Path, entries: &[(Key, Entry)], codec: BlockCodec) -> SstReader 
 /// writes it (lazy parse, 8 KiB dictionary). `crc32` is the
 /// checksum alone over one block.
 fn bench_block_codec(c: &mut Criterion) {
-    let entries = cities_entries(8000);
+    let entries = cities_entries(budget(8000));
     let dir = bench_dir("block-codec");
     let raw = table(&dir.join("none.sst"), &entries, BlockCodec::None);
-    let blocks: Vec<Vec<u8>> = (0..64).map(|i| raw.read_block(i).unwrap()).collect();
+    let (_, in_table) = raw.locate_range(&Key::from(""), None).unwrap();
+    let blocks: Vec<Vec<u8>> = (0..in_table.min(64))
+        .map(|i| raw.read_block(i).unwrap())
+        .collect();
     let samples: Vec<Vec<u8>> = entries
         .iter()
         .take(512)
@@ -195,13 +224,13 @@ fn bench_block_codec(c: &mut Criterion) {
 }
 
 /// The SSTable block format on the benchmark's data shape, 8 000
-/// Cities records in one `lz` table: `find_in_block` per lookup on its
+/// (`budget`) Cities records in one `lz` table: `find_in_block` per lookup on its
 /// decoded middle block — that block's first, middle and last entry,
 /// and a miss just after the middle one — `decode_block` over the same
 /// block, and `write_sstable` for the whole table (bytes = keys +
 /// values; encode, fsync and rename included).
 fn bench_sst_block(c: &mut Criterion) {
-    let entries = cities_entries(8000);
+    let entries = cities_entries(budget(8000));
     let user_bytes: usize = entries
         .iter()
         .map(|(k, e)| match e {

@@ -1,7 +1,7 @@
 //! The sharded cache: N [`LruShard`]s behind per-shard locks, with
 //! hit/miss statistics and DRAM/PMem placement.
 
-use crate::lru::{CacheEntry, Evicted, LruShard};
+use crate::lru::{CacheEntry, Lookup, LruShard};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,17 +76,6 @@ impl CacheStats {
     }
 }
 
-/// Outcome of [`ShardedCache::lookup`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Lookup {
-    /// The key is cached and live.
-    Live(Value),
-    /// The key was cached but its TTL has passed.
-    Expired,
-    /// The key is not cached.
-    Absent,
-}
-
 /// A concurrent, bounded, LRU key-value cache.
 pub struct ShardedCache {
     shards: Vec<Mutex<LruShard>>,
@@ -101,8 +90,9 @@ impl ShardedCache {
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.shards > 0);
         let per_shard = (config.capacity_bytes / config.shards).max(1024);
+        let pmem_from = config.pmem.map(|p| p.value_threshold);
         let shards = (0..config.shards)
-            .map(|_| Mutex::new(LruShard::new(per_shard)))
+            .map(|_| Mutex::new(LruShard::placed(per_shard, pmem_from)))
             .collect();
         let stats = Arc::new(CacheStats::default());
         let obs = {
@@ -155,49 +145,51 @@ impl ShardedCache {
     /// [`get`](Self::get) that distinguishes a key that was present but
     /// expired from one that was never cached — tiered stores must not
     /// fall back to the storage tier for expired keys (the storage copy
-    /// is stale by definition).
+    /// is stale by definition). One probe of the key's shard.
     pub fn lookup(&self, key: &Key) -> Lookup {
         let now = self.clock.now_nanos();
-        let value = {
-            let mut shard = self.shard(key).lock();
-            let had_key = shard.peek(key).is_some();
-            match shard.get(key, now) {
-                Some(e) => {
-                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    e.value.clone()
-                }
-                None => {
-                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    return if had_key {
-                        self.stats.expired.fetch_add(1, Ordering::Relaxed);
-                        Lookup::Expired
-                    } else {
-                        Lookup::Absent
-                    };
+        let found = self.shard(key).lock().lookup(key, now);
+        let stats = &self.stats;
+        match &found {
+            Lookup::Live(value) => {
+                stats.hits.fetch_add(1, Ordering::Relaxed);
+                if let Some(model) = self.pmem_latency(value.len()) {
+                    model.stall_read(value.len());
                 }
             }
-        };
-        if let Some(model) = self.pmem_latency(value.len()) {
-            model.stall_read(value.len());
+            Lookup::Expired => {
+                stats.misses.fetch_add(1, Ordering::Relaxed);
+                stats.expired.fetch_add(1, Ordering::Relaxed);
+            }
+            Lookup::Absent => {
+                stats.misses.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        Lookup::Live(value)
+        found
     }
 
-    /// Looks up the full entry (value + dirty flag) without stats.
+    /// A copy of the full entry (value, dirty flag, deadline), without
+    /// stats or recency updates.
     pub fn peek_entry(&self, key: &Key) -> Option<CacheEntry> {
-        self.shard(key).lock().peek(key).cloned()
+        self.shard(key).lock().peek(key)
     }
 
-    /// Refuses an entry larger than a shard's budget with
+    /// Whether the key is cached, expired or not, without stats.
+    pub fn contains(&self, key: &Key) -> bool {
+        self.shard(key).lock().contains(key)
+    }
+
+    /// Refuses an entry that, dirty and expiring, would be larger than a
+    /// shard's budget with
     /// [`Error::InvalidArgument`](tb_common::Error::InvalidArgument), as
     /// an insert of it would. Callers check before a step they cannot
     /// take back, such as a log append.
     pub fn admit(&self, key: &Key, value: &Value) -> Result<()> {
-        LruShard::admit(self.shard_budget, key, value).map(|_| ())
+        LruShard::admit(self.shard_budget, key.len(), value.len())
     }
 
-    /// Inserts a value; returns what was evicted.
-    pub fn insert(&self, key: Key, value: Value, dirty: bool) -> Result<Evicted> {
+    /// Inserts a copy of the value; returns how many entries it evicted.
+    pub fn insert(&self, key: Key, value: Value, dirty: bool) -> Result<usize> {
         self.insert_full(key, value, dirty, None)
     }
 
@@ -208,7 +200,7 @@ impl ShardedCache {
         value: Value,
         dirty: bool,
         ttl: Duration,
-    ) -> Result<Evicted> {
+    ) -> Result<usize> {
         let deadline = deadline_after(self.clock.now_nanos(), ttl);
         self.insert_full(key, value, dirty, Some(deadline))
     }
@@ -221,7 +213,7 @@ impl ShardedCache {
         value: Value,
         dirty: bool,
         expires_at: Option<u64>,
-    ) -> Result<Evicted> {
+    ) -> Result<usize> {
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         if let Some(model) = self.pmem_latency(value.len()) {
             model.stall_write(value.len());
@@ -232,7 +224,7 @@ impl ShardedCache {
             .insert_full(key, value, dirty, expires_at)?;
         self.stats
             .evictions
-            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+            .fetch_add(evicted as u64, Ordering::Relaxed);
         Ok(evicted)
     }
 
@@ -244,7 +236,7 @@ impl ShardedCache {
         let len = value.len();
         let evicted = {
             let mut shard = self.shard(&key).lock();
-            if shard.peek(&key).is_some() {
+            if shard.contains(&key) {
                 return Ok(false);
             }
             shard.insert_full(key, value, false, expires_at)?
@@ -252,7 +244,7 @@ impl ShardedCache {
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         self.stats
             .evictions
-            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+            .fetch_add(evicted as u64, Ordering::Relaxed);
         if let Some(model) = self.pmem_latency(len) {
             model.stall_write(len);
         }
@@ -260,16 +252,27 @@ impl ShardedCache {
     }
 
     /// Sets a key's TTL. Returns `false` when the key is absent
-    /// (Redis `EXPIRE`).
-    pub fn expire(&self, key: &Key, ttl: Duration) -> bool {
+    /// (Redis `EXPIRE`). A clean entry's first deadline takes room (see
+    /// [`LruShard::set_expiry`]), so this can evict clean entries or,
+    /// like an insert, fail with backpressure.
+    pub fn expire(&self, key: &Key, ttl: Duration) -> Result<bool> {
         let deadline = deadline_after(self.clock.now_nanos(), ttl);
-        self.shard(key).lock().set_expiry(key, Some(deadline))
+        let mut shard = self.shard(key).lock();
+        let before = shard.len();
+        let set = shard.set_expiry(key, Some(deadline))?;
+        self.stats
+            .evictions
+            .fetch_add((before - shard.len()) as u64, Ordering::Relaxed);
+        Ok(set)
     }
 
     /// Clears a key's TTL so it never expires. Returns `false` when the
     /// key is absent (Redis `PERSIST`).
     pub fn persist(&self, key: &Key) -> bool {
-        self.shard(key).lock().set_expiry(key, None)
+        self.shard(key)
+            .lock()
+            .set_expiry(key, None)
+            .expect("clearing a deadline takes no room")
     }
 
     /// The key's TTL state (Redis `TTL`). Expired-but-unswept entries
@@ -295,6 +298,17 @@ impl ShardedCache {
         out
     }
 
+    /// Calls `f(key, value, dirty, expires_at)` for every live entry,
+    /// one shard at a time under its lock. Read-only, like
+    /// [`scan_range`](Self::scan_range), but in no order and without
+    /// copying an entry.
+    pub fn for_each_live(&self, mut f: impl FnMut(&[u8], &[u8], bool, Option<u64>)) {
+        let now = self.clock.now_nanos();
+        for shard in &self.shards {
+            shard.lock().for_each_live(now, &mut f);
+        }
+    }
+
     /// Active expiration pass over every shard: removes expired clean
     /// entries, returning their keys so the caller can propagate
     /// deletes to the storage tier.
@@ -302,9 +316,7 @@ impl ShardedCache {
         let now = self.clock.now_nanos();
         let mut out = Vec::new();
         for shard in &self.shards {
-            for (key, _) in shard.lock().sweep_expired(now) {
-                out.push(key);
-            }
+            out.extend(shard.lock().sweep_expired(now));
         }
         self.stats
             .expired
@@ -312,9 +324,10 @@ impl ShardedCache {
         out
     }
 
-    /// Removes a key (cache invalidation).
-    pub fn remove(&self, key: &Key) -> Option<Value> {
-        self.shard(key).lock().remove(key).map(|e| e.value)
+    /// Removes a key (cache invalidation). Returns whether it was
+    /// cached.
+    pub fn remove(&self, key: &Key) -> bool {
+        self.shard(key).lock().remove(key)
     }
 
     /// Marks an entry clean after a storage write of `flushed`
@@ -322,7 +335,9 @@ impl ShardedCache {
     /// so an overwrite racing the flush stays dirty (and pinned) for the
     /// next one. Returns whether the entry is clean now.
     pub fn mark_clean(&self, key: &Key, flushed: &Value) -> bool {
-        self.shard(key).lock().mark_clean_if(key, flushed)
+        self.shard(key)
+            .lock()
+            .mark_clean_if(key, flushed.as_slice())
     }
 
     /// Collects all dirty entries across shards (write-back flush).
@@ -334,7 +349,7 @@ impl ShardedCache {
         out
     }
 
-    /// Total bytes resident across shards.
+    /// Heap bytes the entries hold across shards (see [`crate::lru`]).
     pub fn used_bytes(&self) -> u64 {
         self.shards
             .iter()
@@ -360,19 +375,15 @@ impl ShardedCache {
     }
 
     /// Bytes resident per medium `(dram, pmem)` — feeds the blended
-    /// space-cost accounting of the PMem configuration.
+    /// space-cost accounting of the PMem configuration. An entry is
+    /// billed whole to its value's medium. O(shards): each shard keeps
+    /// both counts.
     pub fn bytes_by_medium(&self) -> (u64, u64) {
         let (mut dram, mut pmem) = (0u64, 0u64);
         for shard in &self.shards {
             let s = shard.lock();
-            for key in s.keys_mru_first() {
-                let e = s.peek(&key).expect("key just listed");
-                let cost = LruShard::entry_cost(&key, &e.value) as u64;
-                match self.pmem_latency(e.value.len()) {
-                    None => dram += cost,
-                    Some(_) => pmem += cost,
-                }
-            }
+            dram += (s.used_bytes() - s.pmem_bytes()) as u64;
+            pmem += s.pmem_bytes() as u64;
         }
         (dram, pmem)
     }
@@ -428,7 +439,7 @@ mod tests {
     /// value is at least its threshold.
     #[test]
     fn placement_routes_values() {
-        let cost = |i: usize, len: usize| LruShard::entry_cost(&k(i), &Value::from(vec![0; len]));
+        let cost = |i: usize, len: usize| crate::entry_cost(k(i).len(), len);
         let c = cache(1 << 20); // threshold 100
         c.insert(k(1), Value::from(vec![0u8; 99]), false).unwrap();
         assert_eq!(c.bytes_by_medium(), (cost(1, 99) as u64, 0));
@@ -468,9 +479,9 @@ mod tests {
     fn remove_invalidates() {
         let c = cache(1 << 20);
         c.insert(k(1), Value::from("v"), false).unwrap();
-        assert_eq!(c.remove(&k(1)), Some(Value::from("v")));
+        assert!(c.remove(&k(1)));
         assert!(c.get(&k(1)).is_none());
-        assert_eq!(c.remove(&k(1)), None);
+        assert!(!c.remove(&k(1)));
     }
 
     #[test]
@@ -497,8 +508,11 @@ mod tests {
         let clock = tb_common::ManualClock::new();
         let c = cache_with_clock(1 << 20, clock.clone());
         c.insert(k(1), Value::from("v"), false).unwrap();
-        assert!(c.expire(&k(1), Duration::from_secs(5)));
-        assert!(!c.expire(&k(9), Duration::from_secs(5)), "absent key");
+        assert!(c.expire(&k(1), Duration::from_secs(5)).unwrap());
+        assert!(
+            !c.expire(&k(9), Duration::from_secs(5)).unwrap(),
+            "absent key"
+        );
         assert!(c.persist(&k(1)));
         clock.advance(Duration::from_secs(6));
         assert_eq!(c.get(&k(1)), Some(Value::from("v")), "persist cleared TTL");

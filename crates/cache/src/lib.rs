@@ -14,6 +14,22 @@
 //!   write that landed during the fetch.
 //! * [`snapshot`] — point-in-time snapshots for warm restarts.
 //!
+//! The byte budget is the heap the entries hold. An entry is one
+//! allocation, `varint(key length) | key | value`, plus a 32-byte slab
+//! node and a 10-byte share of an index slot ([`entry_cost`]); a dirty
+//! or expiring entry holds a 32-byte side record more ([`EXTRA_BYTES`]).
+//! Three rules:
+//! * the budget, `used_bytes` and `bytes_by_medium` count requested
+//!   heap bytes;
+//! * the system allocator's own per-allocation header and size-class
+//!   rounding are not counted;
+//! * inserts copy the key and value, so no entry keeps a caller's
+//!   buffer — a request burst the key was a window into — alive.
+//!
+//! A 20-byte key with a 96-byte stored value costs 159 bytes, 1.37×
+//! its key and value; measured against the heap in
+//! `tests/cache_footprint.rs`.
+//!
 //! Write-back dirty data survives the loss of its node through a
 //! replica node (`tb_cluster::NodeStore::with_replica`), which holds
 //! its copy on another node; this crate keeps one copy.
@@ -27,6 +43,6 @@ pub mod cache;
 pub mod lru;
 pub mod snapshot;
 
-pub use cache::{CacheConfig, CacheStats, Lookup, PmemPlacement, ShardedCache};
-pub use lru::{CacheEntry, LruShard};
+pub use cache::{CacheConfig, CacheStats, PmemPlacement, ShardedCache};
+pub use lru::{entry_cost, CacheEntry, Lookup, LruShard, EXTRA_BYTES};
 pub use snapshot::{load_snapshot, write_snapshot};

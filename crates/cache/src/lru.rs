@@ -1,27 +1,40 @@
-//! A single cache shard: hash map + intrusive LRU list + byte budget.
+//! A single cache shard: one allocation per entry, a slab of small
+//! nodes, an open-addressed index and a byte budget.
 //!
-//! The LRU list is a slab of nodes linked by indices (no unsafe, no
-//! per-access allocation). Dirty entries — written back to storage
-//! asynchronously — are pinned: eviction walks past them, and when only
-//! dirty entries remain the shard reports backpressure instead of
-//! dropping unsynchronized data. The dirty entries are additionally
-//! threaded on a second intrusive list (same slab, same recency order),
-//! so the write-back flush finds them in O(dirty) instead of walking
-//! the whole shard.
+//! An entry holds, and [`entry_cost`] counts, these heap bytes:
+//! * its *record*, one allocation: `varint(key length) | key | value`.
+//!   Inserts copy key and value in, so a key or value that is a window
+//!   into a larger buffer (a request burst) never keeps that buffer
+//!   alive;
+//! * a 32-byte slab `Node`: the record, the exact LRU links (`u32`
+//!   slab indices), the key's hash and where its `Extra` is;
+//! * its share of an `Index` slot: 8-byte slots (hash + slab index),
+//!   billed at the index's maximum load of 4/5, so 10 bytes.
+//!
+//! An entry that is dirty or has an expiry deadline also holds a
+//! 32-byte `Extra` ([`EXTRA_BYTES`]): its place on the dirty list and
+//! its deadline. The budget is these requested bytes. Not counted are
+//! the system allocator's own header and size-class rounding on each
+//! allocation, and the spare capacity of the slab and the index, which
+//! grow a fraction at a time to keep it small.
+//!
+//! Dirty entries — written back to storage asynchronously — are pinned:
+//! eviction walks past them, and when only dirty entries remain the
+//! shard reports backpressure instead of dropping unsynchronized data.
+//! The dirty entries are additionally threaded on a second list (same
+//! recency order), so the write-back flush finds them in O(dirty)
+//! instead of walking the whole shard.
 
-use std::collections::HashMap;
-use tb_common::hash::FxBuildHasher;
-use tb_common::{Error, Key, Result, Value};
+use std::mem::size_of;
+use tb_common::{fx_hash, is_expired, read_bytes, write_bytes, Error, Key, Result, Value};
 
-/// A slab index as the links store it: half a word, so threading a
-/// node on two lists costs what one list of `usize` links did (node
-/// size, and with it the cache's hot-path footprint, is unchanged).
+/// A slab index as the links and the index store it.
 type Idx = u32;
 
 const NIL: Idx = Idx::MAX;
 
-/// One cache entry.
-#[derive(Debug, Clone)]
+/// One cache entry as reads hand it out: owned copies.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
     pub value: Value,
     pub dirty: bool,
@@ -30,7 +43,18 @@ pub struct CacheEntry {
     pub expires_at: Option<u64>,
 }
 
-/// The two intrusive lists a node can be on.
+/// Outcome of a lookup.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Lookup {
+    /// The key is cached and live.
+    Live(Value),
+    /// The key was cached but its TTL has passed.
+    Expired,
+    /// The key is not cached.
+    Absent,
+}
+
+/// The two lists a node can be on.
 const LRU: usize = 0;
 const DIRTY: usize = 1;
 
@@ -53,70 +77,273 @@ struct Ends {
 }
 
 struct Node {
-    key: Key,
-    entry: CacheEntry,
-    /// `links[LRU]`: every node, most recently used first.
-    /// `links[DIRTY]`: the dirty nodes, in the same relative order.
-    links: [Link; 2],
+    /// `varint(key length) | key | value`.
+    record: Box<[u8]>,
+    /// Every node, most recently used first.
+    lru: Link,
+    /// The key's [`hash`], as its index slot holds it.
+    hash: u32,
+    /// This node's [`Extra`] in `extras`, or `NIL`.
+    extra: Idx,
 }
 
-/// A bounded LRU map of `Key → CacheEntry`.
+/// What only dirty or expiring entries carry.
+struct Extra {
+    expires_at: Option<u64>,
+    /// `Some` exactly while the entry is dirty: its links on the dirty
+    /// list, the dirty nodes in the LRU list's relative order.
+    dirty: Option<Link>,
+    /// The node this belongs to.
+    node: Idx,
+}
+
+const _: () = assert!(size_of::<Node>() <= 32);
+
+/// Heap bytes of one slab node.
+const NODE_BYTES: usize = size_of::<Node>();
+
+/// Heap bytes of the side record (dirty-list links, deadline) a dirty
+/// or expiring entry holds beyond its [`entry_cost`].
+pub const EXTRA_BYTES: usize = size_of::<Extra>();
+
+/// One entry's share of the index: a slot at the maximum load.
+const SLOT_SHARE: usize = size_of::<Slot>() * MAX_LOAD.1 / MAX_LOAD.0;
+
+/// The heap bytes a clean entry without a deadline holds: its record,
+/// its slab node and its share of an index slot (see the module docs;
+/// a dirty or expiring entry holds [`EXTRA_BYTES`] more).
+pub fn entry_cost(key_len: usize, value_len: usize) -> usize {
+    billed(record_len(key_len, value_len), false)
+}
+
+/// The bytes an entry with this record holds.
+fn billed(record_len: usize, has_extra: bool) -> usize {
+    record_len + NODE_BYTES + SLOT_SHARE + if has_extra { EXTRA_BYTES } else { 0 }
+}
+
+fn record_len(key_len: usize, value_len: usize) -> usize {
+    let varint = (usize::BITS - (key_len | 1).leading_zeros()).div_ceil(7) as usize;
+    varint + key_len + value_len
+}
+
+fn record(key: &[u8], value: &[u8]) -> Box<[u8]> {
+    let mut record = Vec::with_capacity(record_len(key.len(), value.len()));
+    write_bytes(&mut record, key);
+    record.extend_from_slice(value);
+    record.into_boxed_slice()
+}
+
+/// A record's key and value.
+fn split(record: &[u8]) -> (&[u8], &[u8]) {
+    let mut pos = 0;
+    let key = read_bytes(record, &mut pos).expect("a record starts with its key");
+    (key, &record[pos..])
+}
+
+/// The index's hash of a key: the high half of `fx_hash`, whose low
+/// bits pick the shard.
+fn hash(key: &[u8]) -> u32 {
+    (fx_hash(key) >> 32) as u32
+}
+
+/// Pushes without `Vec`'s doubling: the slab grows by an eighth, so at
+/// most an eighth of its bytes are spare.
+fn push_exact<T>(v: &mut Vec<T>, item: T) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(v.len() / 8 + 4);
+    }
+    v.push(item);
+}
+
+/// Gives back spare capacity once three quarters of it is unused.
+fn trim<T>(v: &mut Vec<T>) {
+    if v.len() * 4 < v.capacity() {
+        v.shrink_to(v.len() + v.len() / 8);
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Slot {
+    hash: u32,
+    idx: Idx,
+}
+
+const EMPTY: Slot = Slot { hash: 0, idx: NIL };
+
+/// Most full the index gets, as `(numerator, denominator)`.
+const MAX_LOAD: (usize, usize) = (4, 5);
+
+const MIN_SLOTS: usize = 8;
+
+/// An open-addressed, linearly probed table of slab indices. A hash's
+/// home slot is found by multiply-shift, so the table can have any
+/// length: it grows by a quarter at a time, keeping its load between
+/// 0.64 and 0.8 while it grows.
+#[derive(Default)]
+struct Index {
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl Index {
+    fn home(&self, hash: u32) -> usize {
+        ((hash as u64 * self.slots.len() as u64) >> 32) as usize
+    }
+
+    fn next(&self, i: usize) -> usize {
+        if i + 1 == self.slots.len() {
+            0
+        } else {
+            i + 1
+        }
+    }
+
+    /// Position of the first slot of `hash` whose index `is` accepts.
+    fn position(&self, hash: u32, mut is: impl FnMut(Idx) -> bool) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut i = self.home(hash);
+        loop {
+            let slot = self.slots[i];
+            if slot.idx == NIL {
+                return None;
+            }
+            if slot.hash == hash && is(slot.idx) {
+                return Some(i);
+            }
+            i = self.next(i);
+        }
+    }
+
+    fn insert(&mut self, hash: u32, idx: Idx) {
+        let mut slots = self.slots.len().max(MIN_SLOTS);
+        while (self.len + 1) * MAX_LOAD.1 > slots * MAX_LOAD.0 {
+            slots += slots / 4;
+        }
+        if slots != self.slots.len() {
+            self.resize(slots);
+        }
+        self.place(Slot { hash, idx });
+        self.len += 1;
+    }
+
+    fn place(&mut self, slot: Slot) {
+        let mut i = self.home(slot.hash);
+        while self.slots[i].idx != NIL {
+            i = self.next(i);
+        }
+        self.slots[i] = slot;
+    }
+
+    fn resize(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; slots]);
+        for slot in old.into_iter().filter(|s| s.idx != NIL) {
+            self.place(slot);
+        }
+    }
+
+    /// Removes node `idx`'s slot: the later slots of its run shift back
+    /// so that no probe meets a hole before its key.
+    fn remove(&mut self, hash: u32, idx: Idx) {
+        let mut hole = self.position(hash, |i| i == idx).expect("live node");
+        let mut j = hole;
+        loop {
+            j = self.next(j);
+            let slot = self.slots[j];
+            if slot.idx == NIL {
+                break;
+            }
+            // The slot stays unless the hole lies between its home and it.
+            let home = self.home(slot.hash);
+            let stays = if hole <= j {
+                hole < home && home <= j
+            } else {
+                hole < home || home <= j
+            };
+            if !stays {
+                self.slots[hole] = slot;
+                hole = j;
+            }
+        }
+        self.slots[hole] = EMPTY;
+        self.len -= 1;
+        if self.len * MAX_LOAD.1 < self.slots.len() && self.slots.len() > MIN_SLOTS {
+            self.resize((self.len + self.len / 2).max(MIN_SLOTS));
+        }
+    }
+
+    /// Points the slot of node `from` at slot `to`, where it now sits.
+    fn repoint(&mut self, hash: u32, from: Idx, to: Idx) {
+        let i = self.position(hash, |i| i == from).expect("live node");
+        self.slots[i].idx = to;
+    }
+}
+
+/// A bounded LRU map of keys to values.
 pub struct LruShard {
-    map: HashMap<Key, usize, FxBuildHasher>,
+    index: Index,
     /// Exactly the live nodes: removal moves a node out and the last
     /// one fills its slot, so no slot keeps a removed entry's bytes.
     slab: Vec<Node>,
+    /// Exactly the live nodes' extras, kept dense the same way.
+    extras: Vec<Extra>,
     ends: [Ends; 2],
     used_bytes: usize,
-    budget_bytes: usize,
     dirty_bytes: usize,
+    /// Bytes of the entries billed to PMem, see [`Self::placed`].
+    pmem_bytes: usize,
+    pmem_from: usize,
+    budget_bytes: usize,
 }
-
-/// What [`LruShard::insert`] evicted to make room.
-pub type Evicted = Vec<(Key, CacheEntry)>;
 
 impl LruShard {
     pub fn new(budget_bytes: usize) -> Self {
+        Self::placed(budget_bytes, None)
+    }
+
+    /// A shard that bills every entry whose value is at least
+    /// `pmem_from` bytes long to PMem ([`Self::pmem_bytes`]).
+    pub(crate) fn placed(budget_bytes: usize, pmem_from: Option<usize>) -> Self {
         Self {
-            map: HashMap::default(),
+            index: Index::default(),
             slab: Vec::new(),
+            extras: Vec::new(),
             ends: [Ends {
                 head: NIL,
                 tail: NIL,
             }; 2],
             used_bytes: 0,
-            budget_bytes,
             dirty_bytes: 0,
+            pmem_bytes: 0,
+            pmem_from: pmem_from.unwrap_or(usize::MAX),
+            budget_bytes,
         }
     }
 
-    pub(crate) fn entry_cost(key: &Key, value: &Value) -> usize {
-        // Key + value + fixed index overhead per entry.
-        key.len() + value.len() + 64
-    }
-
-    /// The entry's cost, or [`Error::InvalidArgument`] when it exceeds
-    /// `budget`: no eviction could make room for it.
-    pub(crate) fn admit(budget: usize, key: &Key, value: &Value) -> Result<usize> {
-        let cost = Self::entry_cost(key, value);
+    /// Refuses, with [`Error::InvalidArgument`], an entry that would
+    /// not fit `budget` even after every eviction: one whose cost, with
+    /// an [`Extra`], exceeds it.
+    pub(crate) fn admit(budget: usize, key_len: usize, value_len: usize) -> Result<()> {
+        let cost = billed(record_len(key_len, value_len), true);
         if cost > budget {
             return Err(Error::InvalidArgument(format!(
                 "entry of {cost} bytes exceeds shard budget {budget}"
             )));
         }
-        Ok(cost)
+        Ok(())
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slab.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slab.is_empty()
     }
 
-    /// Bytes used (entries + overhead).
+    /// Heap bytes the entries hold.
     pub fn used_bytes(&self) -> usize {
         self.used_bytes
     }
@@ -126,35 +353,77 @@ impl LruShard {
         self.dirty_bytes
     }
 
-    /// Looks up and promotes the entry to most-recently-used.
+    /// Bytes held by entries billed to PMem.
+    pub(crate) fn pmem_bytes(&self) -> usize {
+        self.pmem_bytes
+    }
+
+    fn find(&self, key: &[u8]) -> Option<Idx> {
+        let slab = &self.slab;
+        let pos = self
+            .index
+            .position(hash(key), |idx| split(&slab[idx as usize].record).0 == key)?;
+        Some(self.index.slots[pos].idx)
+    }
+
+    /// Whether the key is cached, expired or not. Does not touch
+    /// recency.
+    pub fn contains(&self, key: impl AsRef<[u8]>) -> bool {
+        self.find(key.as_ref()).is_some()
+    }
+
+    /// Looks up the key and promotes a live entry to most recently
+    /// used, in one probe.
     ///
-    /// Lazy expiration: an entry past its deadline reads as absent. If
-    /// it is clean it is removed on the spot; a dirty expired entry is
-    /// retained (invisible) until the write-back flush cleans it, so no
-    /// unsynchronized data is dropped.
-    pub fn get(&mut self, key: &Key, now_nanos: u64) -> Option<&CacheEntry> {
-        let idx = *self.map.get(key)?;
-        if tb_common::is_expired(self.slab[idx].entry.expires_at, now_nanos) {
-            if !self.slab[idx].entry.dirty {
-                self.map.remove(key);
+    /// Lazy expiration: an entry past its deadline reads as
+    /// [`Lookup::Expired`]. If it is clean it is removed on the spot; a
+    /// dirty expired entry is retained (invisible) until the write-back
+    /// flush cleans it, so no unsynchronized data is dropped.
+    pub fn lookup(&mut self, key: impl AsRef<[u8]>, now_nanos: u64) -> Lookup {
+        let Some(idx) = self.find(key.as_ref()) else {
+            return Lookup::Absent;
+        };
+        let (dirty, expires_at) = self.marks(idx);
+        if is_expired(expires_at, now_nanos) {
+            if !dirty {
                 self.take(idx);
             }
-            return None;
+            return Lookup::Expired;
         }
         self.touch(idx);
-        Some(&self.slab[idx].entry)
+        Lookup::Live(Value::copy_from(split(&self.slab[idx as usize].record).1))
+    }
+
+    /// [`lookup`](Self::lookup) that reads an expired entry as absent.
+    pub fn get(&mut self, key: impl AsRef<[u8]>, now_nanos: u64) -> Option<Value> {
+        match self.lookup(key, now_nanos) {
+            Lookup::Live(value) => Some(value),
+            Lookup::Expired | Lookup::Absent => None,
+        }
     }
 
     /// Looks up without touching recency (monitoring paths).
-    pub fn peek(&self, key: &Key) -> Option<&CacheEntry> {
-        self.map.get(key).map(|&i| &self.slab[i].entry)
+    pub fn peek(&self, key: impl AsRef<[u8]>) -> Option<CacheEntry> {
+        let idx = self.find(key.as_ref())?;
+        let (dirty, expires_at) = self.marks(idx);
+        Some(CacheEntry {
+            value: Value::copy_from(split(&self.slab[idx as usize].record).1),
+            dirty,
+            expires_at,
+        })
     }
 
     /// Inserts/overwrites; evicts clean LRU entries to fit the budget.
+    /// Returns how many it evicted.
     ///
     /// Errors with [`Error::Backpressure`] when the needed space cannot
     /// be reclaimed because remaining entries are dirty.
-    pub fn insert(&mut self, key: Key, value: Value, dirty: bool) -> Result<Evicted> {
+    pub fn insert(
+        &mut self,
+        key: impl AsRef<[u8]>,
+        value: impl AsRef<[u8]>,
+        dirty: bool,
+    ) -> Result<usize> {
         self.insert_full(key, value, dirty, None)
     }
 
@@ -162,141 +431,258 @@ impl LruShard {
     /// key replaces its expiry (Redis `SET` semantics).
     pub fn insert_full(
         &mut self,
-        key: Key,
-        value: Value,
+        key: impl AsRef<[u8]>,
+        value: impl AsRef<[u8]>,
         dirty: bool,
         expires_at: Option<u64>,
-    ) -> Result<Evicted> {
-        let cost = Self::admit(self.budget_bytes, &key, &value)?;
-
+    ) -> Result<usize> {
+        let (key, value) = (key.as_ref(), value.as_ref());
+        Self::admit(self.budget_bytes, key.len(), value.len())?;
+        let record = record(key, value);
+        let hash = hash(key);
+        let Some(idx) = self.find(key) else {
+            return self.insert_fresh(hash, record, dirty, expires_at);
+        };
         // Replace = remove + insert-fresh; when the bigger replacement
         // cannot fit, the old entry is restored so a failed insert never
         // leaves the shard over budget or missing the key.
-        if self.map.contains_key(&key) {
-            let old = self.remove(&key).expect("key present");
-            return match self.insert_fresh(key.clone(), value, dirty, expires_at, cost) {
-                Ok(evicted) => Ok(evicted),
-                Err(e) => {
-                    let old_cost = Self::entry_cost(&key, &old.value);
-                    self.insert_fresh(key, old.value, old.dirty, old.expires_at, old_cost)
-                        .expect("restoring the previous entry always fits");
-                    Err(e)
-                }
-            };
+        let (old, old_dirty, old_expiry) = self.take(idx);
+        match self.insert_fresh(hash, record, dirty, expires_at) {
+            Ok(evicted) => Ok(evicted),
+            Err(e) => {
+                self.insert_fresh(hash, old, old_dirty, old_expiry)
+                    .expect("restoring the previous entry always fits");
+                Err(e)
+            }
         }
-        self.insert_fresh(key, value, dirty, expires_at, cost)
     }
 
     fn insert_fresh(
         &mut self,
-        key: Key,
-        value: Value,
+        hash: u32,
+        record: Box<[u8]>,
         dirty: bool,
         expires_at: Option<u64>,
-        cost: usize,
-    ) -> Result<Evicted> {
+    ) -> Result<usize> {
+        let has_extra = dirty || expires_at.is_some();
+        let cost = billed(record.len(), has_extra);
         // Evict before inserting so the budget holds afterwards.
-        let mut evicted = Vec::new();
+        let mut evicted = 0;
         while self.used_bytes + cost > self.budget_bytes {
-            match self.evict_one() {
-                Some(pair) => evicted.push(pair),
-                None => {
-                    // Undo speculative evictions? They were clean LRU
-                    // entries — dropping them early is harmless, the
-                    // caller treats them as evicted either way.
-                    return Err(Error::backpressure("cache full of dirty entries"));
-                }
+            if !self.evict_one(NIL) {
+                // The clean entries evicted so far stay evicted: the
+                // caller would treat them as evicted either way.
+                return Err(Error::backpressure("cache full of dirty entries"));
             }
+            evicted += 1;
         }
 
-        let node = Node {
-            key: key.clone(),
-            entry: CacheEntry {
-                value,
-                dirty,
-                expires_at,
-            },
-            links: [UNLINKED; 2],
-        };
         assert!(
             self.slab.len() < NIL as usize,
             "shard outgrew its {}-bit slab indices",
             Idx::BITS
         );
-        let idx = self.slab.len();
-        self.slab.push(node);
-        self.map.insert(key, idx);
-        self.push_front::<LRU>(idx);
-        self.used_bytes += cost;
-        if dirty {
-            self.push_front::<DIRTY>(idx);
-            self.dirty_bytes += cost;
+        let idx = self.slab.len() as Idx;
+        push_exact(
+            &mut self.slab,
+            Node {
+                record,
+                lru: UNLINKED,
+                hash,
+                extra: NIL,
+            },
+        );
+        if has_extra {
+            self.add_extra(idx, expires_at, dirty);
         }
+        self.index.insert(hash, idx);
+        self.push_front(LRU, idx);
+        if dirty {
+            self.push_front(DIRTY, idx);
+        }
+        self.charge(idx, true);
         Ok(evicted)
     }
 
-    /// Evicts the least-recently-used *clean* entry.
-    fn evict_one(&mut self) -> Option<(Key, CacheEntry)> {
+    /// Evicts the least-recently-used *clean* entry other than node
+    /// `spare`, if there is one.
+    fn evict_one(&mut self, spare: Idx) -> bool {
         let mut idx = self.ends[LRU].tail;
         while idx != NIL {
-            let node = &self.slab[idx as usize];
-            if !node.entry.dirty {
-                self.map.remove(&node.key);
-                let node = self.take(idx as usize);
-                return Some((node.key, node.entry));
+            if idx != spare && !self.marks(idx).0 {
+                self.take(idx);
+                return true;
             }
-            idx = node.links[LRU].prev;
+            idx = self.slab[idx as usize].lru.prev;
         }
-        None
+        false
     }
 
-    /// Removes an entry outright.
-    pub fn remove(&mut self, key: &Key) -> Option<CacheEntry> {
-        let idx = self.map.remove(key)?;
-        Some(self.take(idx).entry)
-    }
-
-    /// Moves the node at `idx` (already out of the map) out of the
-    /// shard: unlinks it, releases its cost, and fills its slot with
-    /// the last node.
-    fn take(&mut self, idx: usize) -> Node {
-        self.unlink::<LRU>(idx);
-        let cost = Self::entry_cost(&self.slab[idx].key, &self.slab[idx].entry.value);
-        self.used_bytes -= cost;
-        if self.slab[idx].entry.dirty {
-            self.unlink::<DIRTY>(idx);
-            self.dirty_bytes -= cost;
-        }
-        let node = self.slab.swap_remove(idx);
-        if idx < self.slab.len() {
-            self.moved(self.slab.len(), idx);
-        }
-        node
-    }
-
-    /// Repoints the node's map entry, its list neighbours and the list
-    /// ends from slot `from` to slot `to`, where it now sits.
-    fn moved(&mut self, from: usize, to: usize) {
-        *self.map.get_mut(&self.slab[to].key).expect("live node") = to;
-        let (from, to) = (from as Idx, to as Idx);
-        for list in [LRU, DIRTY] {
-            let Link { prev, next } = self.slab[to as usize].links[list];
-            if prev != NIL {
-                self.slab[prev as usize].links[list].next = to;
-            } else if self.ends[list].head == from {
-                self.ends[list].head = to;
+    /// Sets or clears the entry's expiry deadline without touching
+    /// recency (Redis `EXPIRE`/`PERSIST`). Returns `Ok(false)` when the
+    /// key is absent.
+    ///
+    /// A clean entry's first deadline gives it an `Extra`
+    /// ([`EXTRA_BYTES`]): other clean entries are evicted, least
+    /// recently used first, to make room, and when only dirty ones are
+    /// left this fails with [`Error::Backpressure`], the entry
+    /// unchanged. A clean entry whose deadline is cleared gives its
+    /// `Extra` back.
+    pub fn set_expiry(&mut self, key: impl AsRef<[u8]>, expires_at: Option<u64>) -> Result<bool> {
+        let key = key.as_ref();
+        let Some(mut idx) = self.find(key) else {
+            return Ok(false);
+        };
+        match (self.slab[idx as usize].extra, expires_at) {
+            (NIL, None) => {}
+            (NIL, Some(_)) => {
+                while self.used_bytes + EXTRA_BYTES > self.budget_bytes {
+                    if !self.evict_one(idx) {
+                        return Err(Error::backpressure("cache full of dirty entries"));
+                    }
+                    // An eviction can move the spared node to another slot.
+                    idx = self.find(key).expect("the spared entry stays");
+                }
+                self.charge(idx, false);
+                self.add_extra(idx, expires_at, false);
+                self.charge(idx, true);
             }
-            if next != NIL {
-                self.slab[next as usize].links[list].prev = to;
-            } else if self.ends[list].tail == from {
-                self.ends[list].tail = to;
+            (e, None) if self.extras[e as usize].dirty.is_none() => {
+                self.charge(idx, false);
+                self.drop_extra(idx);
+                self.charge(idx, true);
+            }
+            (e, _) => self.extras[e as usize].expires_at = expires_at,
+        }
+        Ok(true)
+    }
+
+    /// The entry's expiry deadline: `None` = key absent, `Some(None)` =
+    /// present without expiry, `Some(Some(at))` = expires at `at`. Does
+    /// not touch recency.
+    pub fn expiry_of(&self, key: impl AsRef<[u8]>) -> Option<Option<u64>> {
+        self.find(key.as_ref()).map(|idx| self.marks(idx).1)
+    }
+
+    /// Removes an entry outright. Returns whether it was there.
+    pub fn remove(&mut self, key: impl AsRef<[u8]>) -> bool {
+        match self.find(key.as_ref()) {
+            Some(idx) => {
+                self.take(idx);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The node's dirty flag and deadline.
+    fn marks(&self, idx: Idx) -> (bool, Option<u64>) {
+        match self.slab[idx as usize].extra {
+            NIL => (false, None),
+            e => {
+                let extra = &self.extras[e as usize];
+                (extra.dirty.is_some(), extra.expires_at)
+            }
+        }
+    }
+
+    /// Adds the node's bytes to the counters, or takes them off.
+    fn charge(&mut self, idx: Idx, add: bool) {
+        let node = &self.slab[idx as usize];
+        let cost = billed(node.record.len(), node.extra != NIL);
+        let pmem = split(&node.record).1.len() >= self.pmem_from;
+        let dirty = self.marks(idx).0;
+        let apply = |n: &mut usize| {
+            if add {
+                *n += cost
+            } else {
+                *n -= cost
+            }
+        };
+        apply(&mut self.used_bytes);
+        if pmem {
+            apply(&mut self.pmem_bytes);
+        }
+        if dirty {
+            apply(&mut self.dirty_bytes);
+        }
+    }
+
+    /// Moves the node at `idx` out of the shard: takes its bytes off
+    /// the counters, unlinks it, and fills its slot with the last node.
+    /// Returns its record, dirty flag and deadline.
+    fn take(&mut self, idx: Idx) -> (Box<[u8]>, bool, Option<u64>) {
+        self.charge(idx, false);
+        let (dirty, expires_at) = self.marks(idx);
+        self.unlink(LRU, idx);
+        if dirty {
+            self.unlink(DIRTY, idx);
+        }
+        self.drop_extra(idx);
+        self.index.remove(self.slab[idx as usize].hash, idx);
+        let node = self.slab.swap_remove(idx as usize);
+        let last = self.slab.len() as Idx;
+        if idx < last {
+            self.moved(last, idx);
+        }
+        trim(&mut self.slab);
+        (node.record, dirty, expires_at)
+    }
+
+    /// Gives the node, which has none, an [`Extra`]; a dirty one still
+    /// has to be linked on the dirty list.
+    fn add_extra(&mut self, idx: Idx, expires_at: Option<u64>, dirty: bool) {
+        self.slab[idx as usize].extra = self.extras.len() as Idx;
+        push_exact(
+            &mut self.extras,
+            Extra {
+                expires_at,
+                dirty: dirty.then_some(UNLINKED),
+                node: idx,
+            },
+        );
+    }
+
+    /// Frees the node's [`Extra`], which is off the dirty list, and
+    /// fills its slot with the last one.
+    fn drop_extra(&mut self, idx: Idx) {
+        let e = std::mem::replace(&mut self.slab[idx as usize].extra, NIL);
+        if e == NIL {
+            return;
+        }
+        self.extras.swap_remove(e as usize);
+        if let Some(moved) = self.extras.get(e as usize) {
+            self.slab[moved.node as usize].extra = e;
+        }
+        trim(&mut self.extras);
+    }
+
+    /// Repoints the node's index slot, its extra, its list neighbours
+    /// and the list ends from slot `from` to slot `to`, where it now
+    /// sits.
+    fn moved(&mut self, from: Idx, to: Idx) {
+        let Node { hash, extra, .. } = self.slab[to as usize];
+        self.index.repoint(hash, from, to);
+        if extra != NIL {
+            self.extras[extra as usize].node = to;
+        }
+        let lists = if self.marks(to).0 { 2 } else { 1 };
+        for list in [LRU, DIRTY].into_iter().take(lists) {
+            let Link { prev, next } = *self.link(list, to);
+            match prev {
+                NIL => self.ends[list].head = to,
+                p => self.link(list, p).next = to,
+            }
+            match next {
+                NIL => self.ends[list].tail = to,
+                n => self.link(list, n).prev = to,
             }
         }
     }
 
     /// Clears the dirty flag unconditionally.
-    pub fn mark_clean(&mut self, key: &Key) {
-        if let Some(&idx) = self.map.get(key) {
+    pub fn mark_clean(&mut self, key: impl AsRef<[u8]>) {
+        if let Some(idx) = self.find(key.as_ref()) {
             self.clean_at(idx);
         }
     }
@@ -307,9 +693,9 @@ impl LruShard {
     /// dirty (and pinned) until a later flush writes *it*; cleaning by
     /// key alone would let it be evicted with storage still holding the
     /// older value. Returns whether the entry is clean now.
-    pub fn mark_clean_if(&mut self, key: &Key, flushed: &Value) -> bool {
-        match self.map.get(key) {
-            Some(&idx) if self.slab[idx].entry.value == *flushed => {
+    pub fn mark_clean_if(&mut self, key: impl AsRef<[u8]>, flushed: &[u8]) -> bool {
+        match self.find(key.as_ref()) {
+            Some(idx) if split(&self.slab[idx as usize].record).1 == flushed => {
                 self.clean_at(idx);
                 true
             }
@@ -317,60 +703,37 @@ impl LruShard {
         }
     }
 
-    fn clean_at(&mut self, idx: usize) {
-        if self.slab[idx].entry.dirty {
-            let cost = Self::entry_cost(&self.slab[idx].key, &self.slab[idx].entry.value);
-            self.dirty_bytes -= cost;
-            self.slab[idx].entry.dirty = false;
-            self.unlink::<DIRTY>(idx);
+    fn clean_at(&mut self, idx: Idx) {
+        let (dirty, expires_at) = self.marks(idx);
+        if !dirty {
+            return;
         }
-    }
-
-    /// Sets or clears an entry's expiry deadline. Returns `false` when
-    /// the key is absent.
-    pub fn set_expiry(&mut self, key: &Key, expires_at: Option<u64>) -> bool {
-        match self.map.get(key) {
-            Some(&idx) => {
-                self.slab[idx].entry.expires_at = expires_at;
-                true
-            }
-            None => false,
+        self.charge(idx, false);
+        self.unlink(DIRTY, idx);
+        match expires_at {
+            None => self.drop_extra(idx),
+            Some(_) => self.extras[self.slab[idx as usize].extra as usize].dirty = None,
         }
-    }
-
-    /// The entry's expiry deadline: `None` = key absent,
-    /// `Some(None)` = present without expiry, `Some(Some(at))` = expires
-    /// at `at`. Does not touch recency.
-    pub fn expiry_of(&self, key: &Key) -> Option<Option<u64>> {
-        self.map
-            .get(key)
-            .map(|&idx| self.slab[idx].entry.expires_at)
+        self.charge(idx, true);
     }
 
     /// Active expiration pass: removes every *clean* entry whose
-    /// deadline has passed and returns them (callers propagate deletes
-    /// to the storage tier). Dirty expired entries stay pinned until
-    /// the write-back flush cleans them.
-    pub fn sweep_expired(&mut self, now_nanos: u64) -> Vec<(Key, CacheEntry)> {
-        let expired: Vec<Key> = {
-            let mut keys = Vec::new();
-            let mut idx = self.ends[LRU].head;
-            while idx != NIL {
-                let n = &self.slab[idx as usize];
-                if !n.entry.dirty && tb_common::is_expired(n.entry.expires_at, now_nanos) {
-                    keys.push(n.key.clone());
-                }
-                idx = n.links[LRU].next;
-            }
-            keys
-        };
+    /// deadline has passed and returns their keys (callers propagate
+    /// deletes to the storage tier). Dirty expired entries stay pinned
+    /// until the write-back flush cleans them. Only entries with an
+    /// `Extra` can expire, so this walks those.
+    pub fn sweep_expired(&mut self, now_nanos: u64) -> Vec<Key> {
+        let expired: Vec<Key> = self
+            .extras
+            .iter()
+            .filter(|e| e.dirty.is_none() && is_expired(e.expires_at, now_nanos))
+            .map(|e| Key::copy_from(split(&self.slab[e.node as usize].record).0))
+            .collect();
+        for key in &expired {
+            let idx = self.find(key.as_slice()).expect("key just listed");
+            self.take(idx);
+        }
         expired
-            .into_iter()
-            .map(|key| {
-                let e = self.remove(&key).expect("key just listed");
-                (key, e)
-            })
-            .collect()
     }
 
     /// Snapshot of all dirty entries, most recently used first
@@ -379,87 +742,122 @@ impl LruShard {
         let mut out = Vec::new();
         let mut idx = self.ends[DIRTY].head;
         while idx != NIL {
-            let n = &self.slab[idx as usize];
-            out.push((n.key.clone(), n.entry.value.clone()));
-            idx = n.links[DIRTY].next;
+            let node = &self.slab[idx as usize];
+            let (key, value) = split(&node.record);
+            out.push((Key::copy_from(key), Value::copy_from(value)));
+            idx = self.extras[node.extra as usize]
+                .dirty
+                .expect("on the dirty list")
+                .next;
         }
         out
     }
 
+    /// Calls `f(key, value, dirty, expires_at)` for every entry live at
+    /// `now_nanos`, in slab order: expired entries are skipped, not
+    /// reclaimed, and recency is untouched. Nothing is copied.
+    pub fn for_each_live(
+        &self,
+        now_nanos: u64,
+        mut f: impl FnMut(&[u8], &[u8], bool, Option<u64>),
+    ) {
+        for (idx, node) in self.slab.iter().enumerate() {
+            let (dirty, expires_at) = self.marks(idx as Idx);
+            if !is_expired(expires_at, now_nanos) {
+                let (key, value) = split(&node.record);
+                f(key, value, dirty, expires_at);
+            }
+        }
+    }
+
     /// Entries with `start <= key < end` (`end = None` = unbounded
-    /// above) that are live at `now_nanos`: expired entries are skipped,
-    /// not reclaimed — scans stay read-only — and recency is untouched.
+    /// above) that are live at `now_nanos`, as
+    /// [`for_each_live`](Self::for_each_live) visits them.
     pub fn scan_range(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         now_nanos: u64,
     ) -> Vec<(Key, CacheEntry)> {
-        self.map
-            .iter()
-            .filter(|(k, _)| k.as_slice() >= start && end.is_none_or(|e| k.as_slice() < e))
-            .filter_map(|(k, &idx)| {
-                let e = &self.slab[idx].entry;
-                if tb_common::is_expired(e.expires_at, now_nanos) {
-                    None
-                } else {
-                    Some((k.clone(), e.clone()))
-                }
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_live(now_nanos, |key, value, dirty, expires_at| {
+            if key >= start && end.is_none_or(|e| key < e) {
+                let entry = CacheEntry {
+                    value: Value::copy_from(value),
+                    dirty,
+                    expires_at,
+                };
+                out.push((Key::copy_from(key), entry));
+            }
+        });
+        out
     }
 
-    /// Keys in LRU order, most recent first (diagnostics).
+    /// Keys in LRU order, most recent first.
+    #[cfg(test)]
     pub fn keys_mru_first(&self) -> Vec<Key> {
-        let mut out = Vec::with_capacity(self.map.len());
+        let mut out = Vec::with_capacity(self.slab.len());
         let mut idx = self.ends[LRU].head;
         while idx != NIL {
-            out.push(self.slab[idx as usize].key.clone());
-            idx = self.slab[idx as usize].links[LRU].next;
+            let node = &self.slab[idx as usize];
+            out.push(Key::copy_from(split(&node.record).0));
+            idx = node.lru.next;
         }
         out
     }
 
     /// Moves a node to the front of the LRU list — and of the dirty
     /// list when it is on it, which keeps both in one recency order.
-    fn touch(&mut self, idx: usize) {
-        self.unlink::<LRU>(idx);
-        self.push_front::<LRU>(idx);
-        if self.slab[idx].entry.dirty {
-            self.unlink::<DIRTY>(idx);
-            self.push_front::<DIRTY>(idx);
+    fn touch(&mut self, idx: Idx) {
+        if self.ends[LRU].head == idx {
+            // Already first, and so first among the dirty too.
+            return;
+        }
+        self.unlink(LRU, idx);
+        self.push_front(LRU, idx);
+        if self.marks(idx).0 {
+            self.unlink(DIRTY, idx);
+            self.push_front(DIRTY, idx);
         }
     }
 
-    fn push_front<const L: usize>(&mut self, idx: usize) {
-        let head = self.ends[L].head;
-        self.slab[idx].links[L] = Link {
+    /// The node's links on `list`.
+    fn link(&mut self, list: usize, idx: Idx) -> &mut Link {
+        let node = &mut self.slab[idx as usize];
+        if list == LRU {
+            return &mut node.lru;
+        }
+        let extra = node.extra as usize;
+        self.extras[extra]
+            .dirty
+            .as_mut()
+            .expect("only dirty nodes are on the dirty list")
+    }
+
+    fn push_front(&mut self, list: usize, idx: Idx) {
+        let head = self.ends[list].head;
+        *self.link(list, idx) = Link {
             prev: NIL,
             next: head,
         };
-        let idx = idx as Idx;
-        if head != NIL {
-            self.slab[head as usize].links[L].prev = idx;
+        match head {
+            NIL => self.ends[list].tail = idx,
+            h => self.link(list, h).prev = idx,
         }
-        self.ends[L].head = idx;
-        if self.ends[L].tail == NIL {
-            self.ends[L].tail = idx;
-        }
+        self.ends[list].head = idx;
     }
 
-    fn unlink<const L: usize>(&mut self, idx: usize) {
-        let Link { prev, next } = self.slab[idx].links[L];
-        if prev != NIL {
-            self.slab[prev as usize].links[L].next = next;
-        } else if self.ends[L].head == idx as Idx {
-            self.ends[L].head = next;
+    fn unlink(&mut self, list: usize, idx: Idx) {
+        let Link { prev, next } = *self.link(list, idx);
+        match prev {
+            NIL => self.ends[list].head = next,
+            p => self.link(list, p).next = next,
         }
-        if next != NIL {
-            self.slab[next as usize].links[L].prev = prev;
-        } else if self.ends[L].tail == idx as Idx {
-            self.ends[L].tail = prev;
+        match next {
+            NIL => self.ends[list].tail = prev,
+            n => self.link(list, n).prev = prev,
         }
-        self.slab[idx].links[L] = UNLINKED;
+        *self.link(list, idx) = UNLINKED;
     }
 }
 
@@ -476,69 +874,130 @@ mod tests {
         Value::from(vec![b'v'; len])
     }
 
+    /// The cost of a clean entry `k(i) = v(len)` without a deadline.
+    fn cost(i: usize, len: usize) -> usize {
+        entry_cost(k(i).len(), len)
+    }
+
+    /// The shard's bytes `(used, pmem, dirty)` summed entry by entry
+    /// from what `peek` reports, values of at least `pmem_from` bytes
+    /// billed to PMem.
+    fn walk(s: &LruShard, pmem_from: usize) -> (usize, usize, usize) {
+        let (mut used, mut pmem, mut dirty) = (0, 0, 0);
+        for key in s.keys_mru_first() {
+            let e = s.peek(&key).unwrap();
+            let extra = e.dirty || e.expires_at.is_some();
+            let c = entry_cost(key.len(), e.value.len()) + if extra { EXTRA_BYTES } else { 0 };
+            used += c;
+            if e.value.len() >= pmem_from {
+                pmem += c;
+            }
+            if e.dirty {
+                dirty += c;
+            }
+        }
+        (used, pmem, dirty)
+    }
+
+    #[test]
+    fn node_and_extra_are_32_bytes_and_a_record_is_one_allocation() {
+        assert_eq!(NODE_BYTES, 32);
+        assert_eq!(EXTRA_BYTES, 32);
+        assert_eq!(SLOT_SHARE, 10);
+        assert_eq!(record(b"key", b"value").len(), 1 + 3 + 5);
+        assert_eq!(record_len(127, 0), 128);
+        assert_eq!(record_len(128, 0), 130);
+        assert_eq!(record(&[7; 200], b"").len(), record_len(200, 0));
+        assert_eq!(
+            split(&record(b"key", b"value")),
+            (&b"key"[..], &b"value"[..])
+        );
+        assert_eq!(entry_cost(20, 95), 1 + 20 + 95 + 32 + 10);
+    }
+
     #[test]
     fn insert_get_remove() {
         let mut s = LruShard::new(10_000);
         s.insert(k(1), v(10), false).unwrap();
-        assert_eq!(s.get(&k(1), 0).unwrap().value, v(10));
-        assert!(s.remove(&k(1)).is_some());
-        assert!(s.get(&k(1), 0).is_none());
+        assert_eq!(s.used_bytes(), cost(1, 10));
+        assert_eq!(s.get(k(1), 0).unwrap(), v(10));
+        assert!(s.remove(k(1)));
+        assert!(!s.remove(k(1)));
+        assert!(s.get(k(1), 0).is_none());
         assert_eq!(s.used_bytes(), 0);
     }
 
     #[test]
     fn lru_eviction_order() {
-        // Budget fits ~3 entries of cost (2 + 10 + 64).
-        let mut s = LruShard::new(230);
+        // Budget fits 3 clean entries of `entry_cost(2, 10)`, not 4.
+        let mut s = LruShard::new(4 * cost(1, 10) - 1);
         s.insert(k(1), v(10), false).unwrap();
         s.insert(k(2), v(10), false).unwrap();
         s.insert(k(3), v(10), false).unwrap();
         // Touch k1 so k2 becomes LRU.
-        s.get(&k(1), 0);
+        s.get(k(1), 0);
         let evicted = s.insert(k(4), v(10), false).unwrap();
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].0, k(2), "k2 was least recently used");
-        assert!(s.get(&k(1), 0).is_some());
-        assert!(s.get(&k(2), 0).is_none());
+        assert_eq!(evicted, 1);
+        assert_eq!(
+            s.keys_mru_first(),
+            [k(4), k(1), k(3)],
+            "k2 was least recently used"
+        );
+        assert!(s.get(k(1), 0).is_some());
+        assert!(s.get(k(2), 0).is_none());
     }
 
     #[test]
     fn dirty_entries_are_pinned() {
-        let mut s = LruShard::new(230);
+        // Room for one dirty entry (with its extra) and two clean ones.
+        let mut s = LruShard::new(3 * cost(1, 10) + EXTRA_BYTES);
         s.insert(k(1), v(10), true).unwrap(); // dirty, LRU
         s.insert(k(2), v(10), false).unwrap();
         s.insert(k(3), v(10), false).unwrap();
-        let evicted = s.insert(k(4), v(10), false).unwrap();
+        assert_eq!(s.insert(k(4), v(10), false).unwrap(), 1);
         // k1 is oldest but dirty → k2 goes instead.
-        assert_eq!(evicted[0].0, k(2));
-        assert!(s.peek(&k(1)).is_some());
+        assert!(!s.contains(k(2)));
+        assert!(s.peek(k(1)).is_some());
     }
 
     #[test]
     fn all_dirty_causes_backpressure() {
-        let mut s = LruShard::new(230);
+        let mut s = LruShard::new(3 * (cost(1, 10) + EXTRA_BYTES));
         s.insert(k(1), v(10), true).unwrap();
         s.insert(k(2), v(10), true).unwrap();
         s.insert(k(3), v(10), true).unwrap();
         let err = s.insert(k(4), v(10), false).unwrap_err();
         assert!(matches!(err, Error::Backpressure { .. }));
         // Cleaning one unblocks the insert.
-        s.mark_clean(&k(1));
+        s.mark_clean(k(1));
         s.insert(k(4), v(10), false).unwrap();
-        assert!(s.peek(&k(1)).is_none(), "cleaned entry became evictable");
+        assert!(s.peek(k(1)).is_none(), "cleaned entry became evictable");
     }
 
     #[test]
     fn overwrite_adjusts_sizes_and_dirty() {
         let mut s = LruShard::new(10_000);
         s.insert(k(1), v(100), true).unwrap();
-        let d1 = s.dirty_bytes();
-        assert!(d1 > 0);
+        assert_eq!(s.dirty_bytes(), cost(1, 100) + EXTRA_BYTES);
         s.insert(k(1), v(10), false).unwrap();
         assert_eq!(s.dirty_bytes(), 0);
+        assert_eq!(s.used_bytes(), cost(1, 10));
         assert_eq!(s.len(), 1);
-        s.mark_clean(&k(1)); // no-op on clean entry
+        s.mark_clean(k(1)); // no-op on clean entry
         assert_eq!(s.dirty_bytes(), 0);
+    }
+
+    /// A bigger overwrite that cannot fit leaves the old entry in place.
+    #[test]
+    fn failed_overwrite_restores_the_old_entry() {
+        let mut s = LruShard::new(2 * (cost(1, 10) + EXTRA_BYTES));
+        s.insert(k(1), v(10), true).unwrap();
+        s.insert(k(2), v(10), true).unwrap();
+        let before = (s.used_bytes(), s.dirty_bytes());
+        assert!(s.insert(k(1), v(30), true).is_err());
+        assert_eq!(s.peek(k(1)).unwrap().value, v(10));
+        assert_eq!((s.used_bytes(), s.dirty_bytes()), before);
+        assert_eq!(s.dirty_entries().len(), 2);
     }
 
     #[test]
@@ -558,8 +1017,8 @@ mod tests {
         s.insert(k(3), v(5), true).unwrap();
         let dirty = s.dirty_entries();
         let keys: Vec<&Key> = dirty.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys.len(), 2);
-        assert!(keys.contains(&&k(1)) && keys.contains(&&k(3)));
+        assert_eq!(keys, [&k(3), &k(1)], "most recently used first");
+        assert_eq!(dirty[0].1, v(5));
     }
 
     #[test]
@@ -568,7 +1027,7 @@ mod tests {
         for i in 0..4 {
             s.insert(k(i), v(1), false).unwrap();
         }
-        s.get(&k(0), 0);
+        s.get(k(0), 0);
         let order = s.keys_mru_first();
         assert_eq!(order[0], k(0));
         assert_eq!(order.last().unwrap(), &k(1));
@@ -578,54 +1037,59 @@ mod tests {
     fn expired_clean_entry_removed_on_get() {
         let mut s = LruShard::new(10_000);
         s.insert_full(k(1), v(5), false, Some(100)).unwrap();
-        assert!(s.get(&k(1), 99).is_some());
-        assert!(s.get(&k(1), 100).is_none(), "deadline == now expires");
+        assert_eq!(s.used_bytes(), cost(1, 5) + EXTRA_BYTES);
+        assert!(s.get(k(1), 99).is_some());
+        assert_eq!(
+            s.lookup(k(1), 100),
+            Lookup::Expired,
+            "deadline == now expires"
+        );
         assert_eq!(s.len(), 0, "clean expired entry removed eagerly");
         assert_eq!(s.used_bytes(), 0);
+        assert_eq!(s.lookup(k(1), 100), Lookup::Absent);
     }
 
     #[test]
     fn expired_dirty_entry_pinned_but_invisible() {
         let mut s = LruShard::new(10_000);
         s.insert_full(k(1), v(5), true, Some(100)).unwrap();
-        assert!(s.get(&k(1), 200).is_none());
+        assert!(s.get(k(1), 200).is_none());
         assert_eq!(s.len(), 1, "dirty entry survives until flushed");
         assert_eq!(s.sweep_expired(200).len(), 0, "sweep skips dirty");
-        s.mark_clean(&k(1));
+        s.mark_clean(k(1));
+        assert_eq!(s.peek(k(1)).unwrap().expires_at, Some(100));
         let swept = s.sweep_expired(200);
-        assert_eq!(swept.len(), 1);
-        assert_eq!(swept[0].0, k(1));
+        assert_eq!(swept, [k(1)]);
+        assert_eq!(s.used_bytes(), 0);
     }
 
     /// Every way an entry leaves the shard — delete, eviction, lazy
-    /// and swept expiry, overwrite — moves its key and value out: no
-    /// slab slot keeps a removed entry's bytes allocated.
+    /// and swept expiry, overwrite — moves its record out: no slab
+    /// slot keeps a removed entry's bytes allocated.
     #[test]
     fn removed_entries_leave_no_bytes_in_the_slab() {
-        let mut s = LruShard::new(330);
+        let mut s = LruShard::new(4 * cost(1, 30) + 2 * EXTRA_BYTES);
         for i in 1..=4 {
             let ttl = (i == 3).then_some(100);
             s.insert_full(k(i), v(20 + i), false, ttl).unwrap();
         }
-        s.remove(&k(2));
-        assert!(s.get(&k(3), 100).is_none(), "expired on read");
+        assert!(s.remove(k(2)));
+        assert!(s.get(k(3), 100).is_none(), "expired on read");
         s.insert(k(5), v(30), true).unwrap();
         s.insert(k(6), v(30), false).unwrap();
-        assert_eq!(s.insert(k(7), v(30), false).unwrap().len(), 1);
+        assert_eq!(s.insert(k(7), v(30), false).unwrap(), 1);
         s.insert(k(6), v(5), false).unwrap();
-        s.set_expiry(&k(7), Some(200));
+        assert!(s.set_expiry(k(7), Some(200)).unwrap());
         assert_eq!(s.sweep_expired(200).len(), 1);
 
         let live: Vec<Key> = s.keys_mru_first();
         assert_eq!(s.slab.len(), live.len(), "a slot outlived its entry");
-        let held: usize = s
-            .slab
-            .iter()
-            .map(|n| n.key.len() + n.entry.value.len())
-            .sum();
+        assert_eq!(s.index.len, live.len(), "an index slot outlived its entry");
+        assert_eq!(s.extras.len(), 1, "only the dirty k5 has an extra");
+        let held: usize = s.slab.iter().map(|n| n.record.len()).sum();
         let owed: usize = live
             .iter()
-            .map(|key| key.len() + s.peek(key).unwrap().value.len())
+            .map(|key| record_len(key.len(), s.peek(key).unwrap().value.len()))
             .sum();
         assert_eq!(held, owed);
         assert_eq!(s.dirty_entries().len(), 1);
@@ -638,19 +1102,81 @@ mod tests {
     fn set_expiry_roundtrip() {
         let mut s = LruShard::new(10_000);
         s.insert(k(1), v(5), false).unwrap();
-        assert_eq!(s.expiry_of(&k(1)), Some(None));
-        assert!(s.set_expiry(&k(1), Some(42)));
-        assert_eq!(s.expiry_of(&k(1)), Some(Some(42)));
-        assert!(s.set_expiry(&k(1), None));
-        assert_eq!(s.expiry_of(&k(1)), Some(None));
-        assert!(!s.set_expiry(&k(2), Some(1)), "absent key");
-        assert_eq!(s.expiry_of(&k(2)), None);
+        assert_eq!(s.expiry_of(k(1)), Some(None));
+        assert!(s.set_expiry(k(1), Some(42)).unwrap());
+        assert_eq!(s.expiry_of(k(1)), Some(Some(42)));
+        assert!(s.set_expiry(k(1), None).unwrap());
+        assert_eq!(s.expiry_of(k(1)), Some(None));
+        assert!(!s.set_expiry(k(2), Some(1)).unwrap(), "absent key");
+        assert_eq!(s.expiry_of(k(2)), None);
+    }
+
+    /// A clean entry's first deadline costs an `Extra`: another clean
+    /// entry is evicted for it, never the entry itself, and when only
+    /// dirty entries are left the deadline is refused. Clearing it
+    /// gives the bytes back; a dirty entry's deadline costs nothing.
+    #[test]
+    fn a_first_deadline_makes_room_or_is_refused() {
+        let c = cost(1, 10);
+        let mut s = LruShard::new(3 * c);
+        for i in 1..=3 {
+            s.insert(k(i), v(10), false).unwrap();
+        }
+        s.get(k(1), 0);
+        s.get(k(2), 0);
+        // k3 is least recently used and last in the slab; evicting k1
+        // moves it into k1's slot.
+        assert!(s.set_expiry(k(3), Some(50)).unwrap(), "k3 is spared");
+        assert_eq!(s.keys_mru_first(), [k(2), k(3)], "k1 was evicted");
+        assert_eq!(s.expiry_of(k(3)), Some(Some(50)));
+        assert_eq!(s.used_bytes(), 2 * c + EXTRA_BYTES);
+        assert!(s.set_expiry(k(3), None).unwrap());
+        assert_eq!(s.used_bytes(), 2 * c);
+        assert!(s.extras.is_empty());
+
+        let mut s = LruShard::new(2 * (c + EXTRA_BYTES) - 1);
+        s.insert(k(1), v(10), true).unwrap();
+        s.insert(k(2), v(10), false).unwrap();
+        assert!(s.set_expiry(k(1), Some(50)).unwrap());
+        assert_eq!(s.used_bytes(), 2 * c + EXTRA_BYTES, "k1 had its extra");
+        let err = s.set_expiry(k(2), Some(50)).unwrap_err();
+        assert!(matches!(err, Error::Backpressure { .. }));
+        assert_eq!(s.expiry_of(k(2)), Some(None));
+        assert_eq!(s.used_bytes(), 2 * c + EXTRA_BYTES);
+        s.mark_clean(k(1));
+        assert_eq!(
+            s.expiry_of(k(1)),
+            Some(Some(50)),
+            "cleaning keeps the deadline"
+        );
+        s.set_expiry(k(1), None).unwrap();
+        assert!(s.set_expiry(k(2), Some(50)).unwrap());
+        assert_eq!(s.len(), 2);
+    }
+
+    /// The slab and the index give back their spare room once most
+    /// entries are gone.
+    #[test]
+    fn emptied_shards_shrink() {
+        let mut s = LruShard::new(1 << 30);
+        for i in 0..10_000 {
+            s.insert(k(i), v(4), false).unwrap();
+        }
+        assert!(s.slab.capacity() <= 10_000 + 10_000 / 8 + 4);
+        assert!(s.index.slots.len() <= 10_000 * 25 / 16, "load under 0.64");
+        for i in 0..9_900 {
+            assert!(s.remove(k(i)));
+        }
+        assert!(s.slab.capacity() < 400, "{}", s.slab.capacity());
+        assert!(s.index.slots.len() < 500, "{}", s.index.slots.len());
+        for i in 9_900..10_000 {
+            assert_eq!(s.get(k(i), 0), Some(v(4)));
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Budget is never exceeded and the map/list stay consistent
         /// Expiry invariants under arbitrary interleavings of inserts
         /// (with and without deadlines), clock advances, and sweeps: a
         /// live read never returns an expired entry, and sweeping never
@@ -671,17 +1197,23 @@ mod tests {
                     ai += 1;
                 }
                 // A successful read is never of an expired entry.
-                if let Some(e) = s.get(&k(ki), now) {
+                if s.get(k(ki), now).is_some() {
+                    let e = s.peek(k(ki)).unwrap();
                     prop_assert!(e.expires_at.is_none_or(|at| at > now));
                 }
             }
-            let before = s.len();
+            let before: Vec<(Key, CacheEntry)> = s
+                .keys_mru_first()
+                .into_iter()
+                .map(|key| { let e = s.peek(&key).unwrap(); (key, e) })
+                .collect();
             let swept = s.sweep_expired(now);
-            for (_, e) in &swept {
+            for key in &swept {
+                let (_, e) = before.iter().find(|(k, _)| k == key).unwrap();
                 prop_assert!(!e.dirty);
                 prop_assert!(e.expires_at.is_some_and(|at| at <= now));
             }
-            prop_assert_eq!(s.len(), before - swept.len());
+            prop_assert_eq!(s.len(), before.len() - swept.len());
             // Everything left is live or dirty.
             for key in s.keys_mru_first() {
                 let e = s.peek(&key).unwrap();
@@ -689,10 +1221,10 @@ mod tests {
             }
         }
 
-        /// The intrusive dirty list is exactly the dirty sub-sequence
-        /// of the LRU list, and `dirty_bytes` its summed cost, under
-        /// arbitrary interleavings of every operation that links,
-        /// unlinks, promotes, cleans, evicts or reclaims a node.
+        /// The dirty list is exactly the dirty sub-sequence of the LRU
+        /// list, and `dirty_bytes` its summed cost, under arbitrary
+        /// interleavings of every operation that links, unlinks,
+        /// promotes, cleans, evicts or reclaims a node.
         #[test]
         fn prop_dirty_list_matches_lru_walk(
             ops in proptest::collection::vec(
@@ -711,22 +1243,22 @@ mod tests {
                         let _ = s.insert_full(k(ki), v(vlen), dirty, ttl.map(|t| now + t));
                     }
                     3 => {
-                        s.remove(&k(ki));
+                        s.remove(k(ki));
                     }
-                    4 => s.mark_clean(&k(ki)),
+                    4 => s.mark_clean(k(ki)),
                     // Conditional clean: against the held bytes
                     // (cleans) or against other bytes (must not).
                     5 => {
-                        let held = s.peek(&k(ki)).map(|e| e.value.clone());
+                        let held = s.peek(k(ki)).map(|e| e.value);
                         let flushed = if dirty { held.clone() } else { Some(v(vlen + 1)) };
                         if let Some(flushed) = flushed {
-                            let cleaned = s.mark_clean_if(&k(ki), &flushed);
+                            let cleaned = s.mark_clean_if(k(ki), flushed.as_slice());
                             prop_assert_eq!(cleaned, held.as_ref() == Some(&flushed));
                         }
                     }
                     // Promote (or lazily reclaim), advance time, sweep.
                     _ => {
-                        s.get(&k(ki), now);
+                        s.get(k(ki), now);
                         now += ttl.unwrap_or(0);
                         if dirty {
                             s.sweep_expired(now);
@@ -742,15 +1274,17 @@ mod tests {
                 prop_assert_eq!(&listed, &walk);
                 prop_assert_eq!(s.keys_mru_first().len(), s.len());
                 prop_assert_eq!(s.slab.len(), s.len());
+                prop_assert_eq!(s.index.len, s.len());
                 let cost: usize = walk
                     .iter()
-                    .map(|key| LruShard::entry_cost(key, &s.peek(key).unwrap().value))
+                    .map(|key| entry_cost(key.len(), s.peek(key).unwrap().value.len()) + EXTRA_BYTES)
                     .sum();
                 prop_assert_eq!(s.dirty_bytes(), cost);
             }
         }
 
-        /// under arbitrary operation sequences.
+        /// The budget is never exceeded, and `used_bytes` is the summed
+        /// cost of the entries, under arbitrary operation sequences.
         #[test]
         fn prop_budget_invariant(ops in proptest::collection::vec((0usize..50, 0usize..200, any::<bool>()), 1..300)) {
             let mut s = LruShard::new(2000);
@@ -760,12 +1294,64 @@ mod tests {
                 prop_assert!(s.used_bytes() <= 2000);
                 prop_assert_eq!(s.keys_mru_first().len(), s.len());
             }
-            // Sum of entry costs equals used_bytes.
-            let keys = s.keys_mru_first();
-            let sum: usize = keys.iter().map(|key| {
-                LruShard::entry_cost(key, &s.peek(key).unwrap().value)
-            }).sum();
-            prop_assert_eq!(sum, s.used_bytes());
+            prop_assert_eq!(walk(&s, usize::MAX).0, s.used_bytes());
+        }
+
+        /// The byte counters — all, PMem-billed and dirty — equal a
+        /// walk over the entries, and stay within the budget, after
+        /// every insert, overwrite, remove, eviction, deadline change,
+        /// expiry and clean.
+        #[test]
+        fn prop_byte_counters_match_a_walk(
+            ops in proptest::collection::vec(
+                (0u8..7, 0usize..24, 0usize..120, any::<bool>(), proptest::option::of(1u64..40)),
+                1..300,
+            )
+        ) {
+            const PMEM_FROM: usize = 60;
+            let mut s = LruShard::placed(2500, Some(PMEM_FROM));
+            let mut now = 0u64;
+            for (op, ki, vlen, dirty, ttl) in ops {
+                match op {
+                    0..=2 => {
+                        let _ = s.insert_full(k(ki), v(vlen), dirty, ttl.map(|t| now + t));
+                    }
+                    3 => {
+                        s.remove(k(ki));
+                    }
+                    4 => {
+                        let held = s.peek(k(ki)).map(|e| e.value);
+                        if let Some(held) = held {
+                            s.mark_clean_if(k(ki), held.as_slice());
+                        }
+                    }
+                    // Backpressure leaves the entry as it was.
+                    5 => {
+                        let before = s.expiry_of(k(ki));
+                        let deadline = ttl.map(|t| now + t);
+                        let expected = match s.set_expiry(k(ki), deadline) {
+                            Ok(set) => {
+                                prop_assert_eq!(set, before.is_some());
+                                before.map(|_| deadline)
+                            }
+                            Err(_) => before,
+                        };
+                        prop_assert_eq!(s.expiry_of(k(ki)), expected);
+                    }
+                    _ => {
+                        s.lookup(k(ki), now);
+                        now += ttl.unwrap_or(0);
+                        if dirty {
+                            s.sweep_expired(now);
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    walk(&s, PMEM_FROM),
+                    (s.used_bytes(), s.pmem_bytes(), s.dirty_bytes())
+                );
+                prop_assert!(s.used_bytes() <= 2500);
+            }
         }
     }
 }

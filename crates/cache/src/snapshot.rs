@@ -31,24 +31,31 @@ const FLAG_HAS_EXPIRY: u8 = 0b10;
 /// entries written. Expired entries are omitted; dirty flags and expiry
 /// deadlines are preserved.
 pub fn write_snapshot(cache: &ShardedCache, path: &Path) -> Result<usize> {
-    let entries = cache.scan_range(b"", None);
-    let mut body = Vec::with_capacity(entries.len() * 64 + 16);
-    write_varint(&mut body, entries.len() as u64);
-    for (key, entry) in &entries {
+    // The records are encoded once, straight from the cache, behind
+    // room for the count, which is known only after the walk.
+    const COUNT_ROOM: usize = 10;
+    let mut body = vec![0u8; COUNT_ROOM];
+    let mut count = 0usize;
+    cache.for_each_live(|key, value, dirty, expires_at| {
+        count += 1;
         let mut flags = 0u8;
-        if entry.dirty {
+        if dirty {
             flags |= FLAG_DIRTY;
         }
-        if entry.expires_at.is_some() {
+        if expires_at.is_some() {
             flags |= FLAG_HAS_EXPIRY;
         }
         body.push(flags);
-        if let Some(deadline) = entry.expires_at {
+        if let Some(deadline) = expires_at {
             write_varint(&mut body, deadline);
         }
-        write_bytes(&mut body, key.as_slice());
-        write_bytes(&mut body, entry.value.as_slice());
-    }
+        write_bytes(&mut body, key);
+        write_bytes(&mut body, value);
+    });
+    let mut head = Vec::with_capacity(COUNT_ROOM);
+    write_varint(&mut head, count as u64);
+    let start = COUNT_ROOM - head.len();
+    body[start..COUNT_ROOM].copy_from_slice(&head);
 
     durable::publish(
         path,
@@ -57,9 +64,12 @@ pub fn write_snapshot(cache: &ShardedCache, path: &Path) -> Result<usize> {
             rename: "cache.rdb.rename",
             dir_sync: "cache.rdb.dir_sync",
         },
-        &[("cache.rdb.write", &durable::seal(SNAPSHOT_MAGIC, &body))],
+        &[(
+            "cache.rdb.write",
+            &durable::seal(SNAPSHOT_MAGIC, &body[start..]),
+        )],
     )?;
-    Ok(entries.len())
+    Ok(count)
 }
 
 /// Loads a snapshot written by [`write_snapshot`] into `cache`.

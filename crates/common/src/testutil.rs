@@ -76,22 +76,31 @@ pub fn test_dir(tag: &str) -> TestDir {
     TestDir { path }
 }
 
-/// A global allocator that forwards to [`System`] and records, while
-/// [`largest_allocation`] runs a closure, the largest single allocation
-/// the calling thread makes — how decoder tests show that no length
-/// read from disk sizes a buffer beyond what the bytes justify. A test
-/// binary installs it with
+/// A global allocator that forwards to [`System`] and, while a closure
+/// runs under [`largest_allocation`] or [`net_allocation`], records on
+/// the calling thread:
+/// * the largest single allocation — how decoder tests show that no
+///   length read from disk sizes a buffer beyond what the bytes
+///   justify;
+/// * the net requested bytes, allocated minus freed — how the cache
+///   tier shows that its byte count is the heap it holds.
+///
+/// Sizes are the requested ones: the system allocator's own headers and
+/// size-class rounding are not seen. A test binary installs it with
 /// `#[global_allocator] static PROBE: AllocProbe = AllocProbe;`.
 pub struct AllocProbe;
 
 thread_local! {
     static PROBE_ARMED: Cell<bool> = const { Cell::new(false) };
     static PROBE_LARGEST: Cell<usize> = const { Cell::new(0) };
+    static PROBE_NET: Cell<isize> = const { Cell::new(0) };
 }
 
-fn note_allocation(size: usize) {
+/// Notes `freed` bytes given back and `allocated` bytes handed out.
+fn note(freed: usize, allocated: usize) {
     if PROBE_ARMED.try_with(Cell::get).unwrap_or(false) {
-        let _ = PROBE_LARGEST.try_with(|l| l.set(l.get().max(size)));
+        let _ = PROBE_LARGEST.try_with(|l| l.set(l.get().max(allocated)));
+        let _ = PROBE_NET.try_with(|n| n.set(n.get() + allocated as isize - freed as isize));
     }
 }
 
@@ -99,30 +108,47 @@ fn note_allocation(size: usize) {
 // the probe only records sizes.
 unsafe impl GlobalAlloc for AllocProbe {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation(layout.size());
+        note(0, layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_allocation(layout.size());
+        note(0, layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation(new_size);
+        note(layout.size(), new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(layout.size(), 0);
         System.dealloc(ptr, layout)
     }
+}
+
+/// Runs `f` with the probe armed on this thread, from zeroed counts.
+fn probed<T>(f: impl FnOnce() -> T) -> T {
+    PROBE_LARGEST.with(|l| l.set(0));
+    PROBE_NET.with(|n| n.set(0));
+    PROBE_ARMED.with(|a| a.set(true));
+    let out = f();
+    PROBE_ARMED.with(|a| a.set(false));
+    out
 }
 
 /// Runs `f`, returning its result and the largest allocation it made on
 /// this thread. Reads 0 unless [`AllocProbe`] is the global allocator.
 pub fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    PROBE_LARGEST.with(|l| l.set(0));
-    PROBE_ARMED.with(|a| a.set(true));
-    let out = f();
-    PROBE_ARMED.with(|a| a.set(false));
+    let out = probed(f);
     (out, PROBE_LARGEST.with(Cell::get))
+}
+
+/// Runs `f`, returning its result and the heap bytes this thread
+/// requested during it minus those it freed: what `f` left allocated,
+/// its result included. Memory another thread allocates or frees is
+/// not counted. Reads 0 unless [`AllocProbe`] is the global allocator.
+pub fn net_allocation<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let out = probed(f);
+    (out, PROBE_NET.with(Cell::get))
 }
 
 /// An in-memory [`KvEngine`] for tests: a `BTreeMap` under one lock. A
@@ -208,6 +234,33 @@ impl KvEngine for MapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[global_allocator]
+    static PROBE: AllocProbe = AllocProbe;
+
+    /// The net count is what a closure leaves allocated: a result it
+    /// returns counts, a buffer it frees does not, a grown buffer
+    /// counts at its new size, and another thread's heap not at all.
+    #[test]
+    fn net_allocation_counts_the_bytes_left_held() {
+        let (kept, net) = net_allocation(|| vec![0u8; 1000]);
+        assert_eq!(net, 1000);
+        let ((), net) = net_allocation(|| drop(vec![0u8; 4096]));
+        assert_eq!(net, 0);
+        let (grown, net) = net_allocation(|| {
+            let mut v: Vec<u8> = Vec::with_capacity(10);
+            v.reserve_exact(100);
+            v
+        });
+        assert_eq!(net, grown.capacity() as isize);
+        let (_, net) = net_allocation(move || drop((kept, grown)));
+        assert_eq!(net, -1000 - 100);
+        let (held, net) = net_allocation(|| std::thread::spawn(|| vec![1u8; 1 << 20]).join());
+        assert!(net < 1 << 16, "{net} bytes counted from another thread");
+        drop(held);
+        let ((), largest) = largest_allocation(|| drop(vec![0u8; 512]));
+        assert_eq!(largest, 512);
+    }
 
     #[test]
     fn unique_per_call_and_cleaned_on_drop() {

@@ -82,7 +82,9 @@ impl AccessIntervalTracker {
             }
             None => {
                 if map.len() < self.max_tracked {
-                    map.insert(key.clone(), now);
+                    // A copy: the key may be a window into a request
+                    // burst, which a clone would keep alive.
+                    map.insert(Key::copy_from(key.as_slice()), now);
                 }
             }
         }

@@ -299,7 +299,7 @@ impl<'a> Pass<'a> {
             // (write-through), or one the cache took meanwhile, as
             // `fill` below assumes (write-back, other threads).
             let rewritten = |op: &EngineOp| matches!(op, EngineOp::Put(k, _) if k == key);
-            let cached = || inner.cache.peek_entry(key).is_some();
+            let cached = || inner.cache.contains(key);
             if !later.iter().any(rewritten) && !cached() {
                 inner.reclaim_expired(key)?;
             }

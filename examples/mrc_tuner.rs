@@ -81,7 +81,9 @@ fn main() -> Result<()> {
     // Size the cache tier to CR* of the dataset footprint and replay.
     let dir = std::env::temp_dir().join(format!("tb-example-mrc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let per_entry = record_bytes + 11 + 64; // value + envelope + index overhead
+    // The heap a cached entry holds: its `k{i:08}` key and its value
+    // behind the one-byte envelope the store stores it in.
+    let per_entry = tierbase::cache::entry_cost("k00000000".len(), 1 + record_bytes);
     let footprint = n_keys as usize * per_entry;
     let cache_bytes = (footprint as f64 * opt.cache_ratio) as usize;
     let store = TierBase::open(

@@ -66,7 +66,9 @@ fn sampled_mrc_drives_correct_cache_sizing() {
     // Configure a real store at the sampled CR* and verify the measured
     // steady-state miss ratio is in the predicted neighborhood.
     let record_bytes = 100usize;
-    let per_entry = record_bytes + 11 + 64; // value + envelope + LRU overhead
+    // The heap a cached entry holds: its `k{i:08}` key and its value
+    // behind the one-byte envelope the store stores it in.
+    let per_entry = tierbase::cache::entry_cost("k00000000".len(), 1 + record_bytes);
     let cache_bytes = ((n_keys as usize * per_entry) as f64 * cr_sampled.cache_ratio) as usize;
     let dir = tmpdir("sizing");
     let store = TierBase::open(
