@@ -15,6 +15,8 @@
 //! All implement [`KvEngine`], so the same replay/cost harness drives
 //! every system in Figures 7 and 10–12.
 
+#![deny(unsafe_code)]
+
 pub mod cassandra_like;
 pub mod dragonfly_like;
 pub mod memcached_like;

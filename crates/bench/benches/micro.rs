@@ -38,6 +38,21 @@ fn bench_cache(c: &mut Criterion) {
             std::hint::black_box(cache.get(&keys[i]))
         })
     });
+    // The same hits on dirty entries: a hit also moves the entry to the
+    // front of the dirty list, whose links are in the entry's extra.
+    let dirty = ShardedCache::new(CacheConfig::with_capacity(256 << 20));
+    for k in &keys {
+        dirty
+            .insert(k.clone(), Value::from(vec![b'v'; 128]), true)
+            .unwrap();
+    }
+    group.bench_function("get_hit_dirty", |b| {
+        b.iter(|| {
+            i = (i + 1) % keys.len();
+            std::hint::black_box(dirty.get(&keys[i]))
+        })
+    });
+    drop(dirty);
     group.bench_function("insert", |b| {
         b.iter(|| {
             i = (i + 1) % keys.len();

@@ -11,6 +11,8 @@
 //! so *relative* positions (who wins, crossover order) are preserved.
 //! Set `TB_BENCH_SCALE` (default 1) to multiply record/op counts.
 
+#![deny(unsafe_code)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;

@@ -5,8 +5,7 @@ use crate::lru::{CacheEntry, Lookup, LruShard};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-use tb_common::{deadline_after, fx_hash, Clock, Key, Result, SystemClock, TtlState, Value};
+use tb_common::{fx_hash, Clock, Key, Result, SystemClock, Value};
 use tb_pmem::LatencyModel;
 
 /// The §4.3 DRAM/PMem split. Keys and index entries always stay in
@@ -193,18 +192,6 @@ impl ShardedCache {
         self.insert_full(key, value, dirty, None)
     }
 
-    /// Inserts a value that expires `ttl` from now.
-    pub fn insert_with_ttl(
-        &self,
-        key: Key,
-        value: Value,
-        dirty: bool,
-        ttl: Duration,
-    ) -> Result<usize> {
-        let deadline = deadline_after(self.clock.now_nanos(), ttl);
-        self.insert_full(key, value, dirty, Some(deadline))
-    }
-
     /// Inserts with an explicit absolute expiry deadline (log replay,
     /// storage re-population).
     pub fn insert_full(
@@ -249,40 +236,6 @@ impl ShardedCache {
             model.stall_write(len);
         }
         Ok(true)
-    }
-
-    /// Sets a key's TTL. Returns `false` when the key is absent
-    /// (Redis `EXPIRE`). A clean entry's first deadline takes room (see
-    /// [`LruShard::set_expiry`]), so this can evict clean entries or,
-    /// like an insert, fail with backpressure.
-    pub fn expire(&self, key: &Key, ttl: Duration) -> Result<bool> {
-        let deadline = deadline_after(self.clock.now_nanos(), ttl);
-        let mut shard = self.shard(key).lock();
-        let before = shard.len();
-        let set = shard.set_expiry(key, Some(deadline))?;
-        self.stats
-            .evictions
-            .fetch_add((before - shard.len()) as u64, Ordering::Relaxed);
-        Ok(set)
-    }
-
-    /// Clears a key's TTL so it never expires. Returns `false` when the
-    /// key is absent (Redis `PERSIST`).
-    pub fn persist(&self, key: &Key) -> bool {
-        self.shard(key)
-            .lock()
-            .set_expiry(key, None)
-            .expect("clearing a deadline takes no room")
-    }
-
-    /// The key's TTL state (Redis `TTL`). Expired-but-unswept entries
-    /// report [`TtlState::Missing`].
-    pub fn ttl_state(&self, key: &Key) -> TtlState {
-        let now = self.clock.now_nanos();
-        match self.shard(key).lock().expiry_of(key) {
-            None => TtlState::Missing,
-            Some(deadline) => TtlState::from_deadline(deadline, now),
-        }
     }
 
     /// Live entries with `start <= key < end` (`end = None` =
@@ -392,6 +345,8 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+    use tb_common::deadline_after;
 
     fn cache(capacity: usize) -> ShardedCache {
         cache_with_clock(capacity, Arc::new(SystemClock::new()))
@@ -411,6 +366,13 @@ mod tests {
 
     fn k(i: usize) -> Key {
         Key::from(format!("key-{i}"))
+    }
+
+    /// Inserts a value that expires `ttl` after the cache clock's now.
+    fn insert_expiring(c: &ShardedCache, key: Key, value: &str, dirty: bool, ttl: Duration) {
+        let deadline = deadline_after(c.clock().now_nanos(), ttl);
+        c.insert_full(key, Value::from(value), dirty, Some(deadline))
+            .unwrap();
     }
 
     #[test]
@@ -488,42 +450,30 @@ mod tests {
     fn ttl_expires_entries() {
         let clock = tb_common::ManualClock::new();
         let c = cache_with_clock(1 << 20, clock.clone());
-        c.insert_with_ttl(k(1), Value::from("v"), false, Duration::from_secs(10))
-            .unwrap();
+        insert_expiring(&c, k(1), "v", false, Duration::from_secs(10));
         c.insert(k(2), Value::from("forever"), false).unwrap();
         assert_eq!(c.get(&k(1)), Some(Value::from("v")));
-        assert!(matches!(c.ttl_state(&k(1)), TtlState::Remaining(_)));
-        assert_eq!(c.ttl_state(&k(2)), TtlState::NoExpiry);
-        assert_eq!(c.ttl_state(&k(3)), TtlState::Missing);
+        let deadline = deadline_after(clock.now_nanos(), Duration::from_secs(10));
+        assert_eq!(c.peek_entry(&k(1)).unwrap().expires_at, Some(deadline));
+        assert_eq!(c.peek_entry(&k(2)).unwrap().expires_at, None);
+        assert_eq!(c.peek_entry(&k(3)), None);
 
         clock.advance(Duration::from_secs(10));
         assert_eq!(c.get(&k(1)), None, "entry expired");
-        assert_eq!(c.ttl_state(&k(1)), TtlState::Missing);
+        assert_eq!(
+            c.peek_entry(&k(1)),
+            None,
+            "a clean expired entry is reclaimed"
+        );
         assert_eq!(c.get(&k(2)), Some(Value::from("forever")));
         assert_eq!(c.stats.expired.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn expire_and_persist() {
-        let clock = tb_common::ManualClock::new();
-        let c = cache_with_clock(1 << 20, clock.clone());
-        c.insert(k(1), Value::from("v"), false).unwrap();
-        assert!(c.expire(&k(1), Duration::from_secs(5)).unwrap());
-        assert!(
-            !c.expire(&k(9), Duration::from_secs(5)).unwrap(),
-            "absent key"
-        );
-        assert!(c.persist(&k(1)));
-        clock.advance(Duration::from_secs(6));
-        assert_eq!(c.get(&k(1)), Some(Value::from("v")), "persist cleared TTL");
     }
 
     #[test]
     fn overwrite_resets_ttl() {
         let clock = tb_common::ManualClock::new();
         let c = cache_with_clock(1 << 20, clock.clone());
-        c.insert_with_ttl(k(1), Value::from("a"), false, Duration::from_secs(1))
-            .unwrap();
+        insert_expiring(&c, k(1), "a", false, Duration::from_secs(1));
         // Plain SET replaces the expiry (Redis semantics).
         c.insert(k(1), Value::from("b"), false).unwrap();
         clock.advance(Duration::from_secs(2));
@@ -535,15 +485,13 @@ mod tests {
         let clock = tb_common::ManualClock::new();
         let c = cache_with_clock(1 << 20, clock.clone());
         for i in 0..10 {
-            c.insert_with_ttl(k(i), Value::from("x"), false, Duration::from_secs(1))
-                .unwrap();
+            insert_expiring(&c, k(i), "x", false, Duration::from_secs(1));
         }
         for i in 10..15 {
             c.insert(k(i), Value::from("x"), false).unwrap();
         }
         // Dirty entry with TTL: invisible after expiry but not swept.
-        c.insert_with_ttl(k(99), Value::from("dirty"), true, Duration::from_secs(1))
-            .unwrap();
+        insert_expiring(&c, k(99), "dirty", true, Duration::from_secs(1));
         clock.advance(Duration::from_secs(2));
         let swept = c.sweep_expired();
         assert_eq!(swept.len(), 10);
@@ -556,8 +504,7 @@ mod tests {
     fn lookup_distinguishes_expired_from_absent() {
         let clock = tb_common::ManualClock::new();
         let c = cache_with_clock(1 << 20, clock.clone());
-        c.insert_with_ttl(k(1), Value::from("v"), true, Duration::from_secs(1))
-            .unwrap();
+        insert_expiring(&c, k(1), "v", true, Duration::from_secs(1));
         clock.advance(Duration::from_secs(2));
         assert_eq!(c.lookup(&k(1)), Lookup::Expired);
         assert_eq!(c.lookup(&k(2)), Lookup::Absent);
@@ -576,8 +523,7 @@ mod tests {
         assert_eq!(c.get(&k(2)), Some(Value::from("new")));
         assert!(c.peek_entry(&k(2)).unwrap().dirty);
         // So does an expired one: it is still the key's latest write.
-        c.insert_with_ttl(k(3), Value::from("new"), true, Duration::from_secs(1))
-            .unwrap();
+        insert_expiring(&c, k(3), "new", true, Duration::from_secs(1));
         clock.advance(Duration::from_secs(2));
         assert!(!c.fill(k(3), Value::from("old"), None).unwrap());
         assert_eq!(c.get(&k(3)), None);

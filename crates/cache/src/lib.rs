@@ -15,9 +15,10 @@
 //! * [`snapshot`] — point-in-time snapshots for warm restarts.
 //!
 //! The byte budget is the heap the entries hold. An entry is one
-//! allocation, `varint(key length) | key | value`, plus a 32-byte slab
-//! node and a 10-byte share of an index slot ([`entry_cost`]); a dirty
-//! or expiring entry holds a 32-byte side record more ([`EXTRA_BYTES`]).
+//! allocation, `varint(key length) | key | value`, plus a 24-byte slab
+//! node (the record and its LRU links) and a 10-byte share of an index
+//! slot ([`entry_cost`]); a dirty or expiring entry holds a 32-byte
+//! side record more ([`EXTRA_BYTES`]).
 //! Three rules:
 //! * the budget, `used_bytes` and `bytes_by_medium` count requested
 //!   heap bytes;
@@ -26,7 +27,7 @@
 //! * inserts copy the key and value, so no entry keeps a caller's
 //!   buffer — a request burst the key was a window into — alive.
 //!
-//! A 20-byte key with a 96-byte stored value costs 159 bytes, 1.37×
+//! A 20-byte key with a 96-byte stored value costs 151 bytes, 1.30×
 //! its key and value; measured against the heap in
 //! `tests/cache_footprint.rs`.
 //!
@@ -38,6 +39,8 @@
 //! here: they are the writes a `TierBase` batch pass stages for its one
 //! storage round trip, which reach this cache only once storage has
 //! acknowledged them.
+
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod lru;

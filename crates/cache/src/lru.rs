@@ -6,17 +6,24 @@
 //!   Inserts copy key and value in, so a key or value that is a window
 //!   into a larger buffer (a request burst) never keeps that buffer
 //!   alive;
-//! * a 32-byte slab `Node`: the record, the exact LRU links (`u32`
-//!   slab indices), the key's hash and where its `Extra` is;
+//! * a 24-byte slab `Node`: the record and the exact LRU links (`u32`
+//!   slab indices), nothing else;
 //! * its share of an `Index` slot: 8-byte slots (hash + slab index),
 //!   billed at the index's maximum load of 4/5, so 10 bytes.
 //!
 //! An entry that is dirty or has an expiry deadline also holds a
 //! 32-byte `Extra` ([`EXTRA_BYTES`]): its place on the dirty list and
-//! its deadline. The budget is these requested bytes. Not counted are
-//! the system allocator's own header and size-class rounding on each
-//! allocation, and the spare capacity of the slab and the index, which
-//! grow a fraction at a time to keep it small.
+//! its deadline. The nodes that have one are the first ones of the
+//! slab, and node `i`'s is `extras[i]`: where a node sits says whether
+//! it has an `Extra` and which, so a node needs no field for it, and a
+//! clean entry's lookup reads nothing but its index slot and its node.
+//! The key's hash, which the index slot holds, is recomputed from the
+//! record when a node is moved or removed.
+//!
+//! The budget is these requested bytes. Not counted are the system
+//! allocator's own header and size-class rounding on each allocation,
+//! and the spare capacity of the slab and the index, which grow a
+//! fraction at a time to keep it small.
 //!
 //! Dirty entries — written back to storage asynchronously — are pinned:
 //! eviction walks past them, and when only dirty entries remain the
@@ -81,23 +88,18 @@ struct Node {
     record: Box<[u8]>,
     /// Every node, most recently used first.
     lru: Link,
-    /// The key's [`hash`], as its index slot holds it.
-    hash: u32,
-    /// This node's [`Extra`] in `extras`, or `NIL`.
-    extra: Idx,
 }
 
-/// What only dirty or expiring entries carry.
+/// What only dirty or expiring entries carry: node `i`'s is
+/// `extras[i]`, so exactly the first `extras.len()` nodes have one.
 struct Extra {
     expires_at: Option<u64>,
     /// `Some` exactly while the entry is dirty: its links on the dirty
     /// list, the dirty nodes in the LRU list's relative order.
     dirty: Option<Link>,
-    /// The node this belongs to.
-    node: Idx,
 }
 
-const _: () = assert!(size_of::<Node>() <= 32);
+const _: () = assert!(size_of::<Node>() == 24);
 
 /// Heap bytes of one slab node.
 const NODE_BYTES: usize = size_of::<Node>();
@@ -243,10 +245,15 @@ impl Index {
         }
     }
 
+    /// Position of live node `idx`'s slot.
+    fn slot(&self, hash: u32, idx: Idx) -> usize {
+        self.position(hash, |i| i == idx).expect("live node")
+    }
+
     /// Removes node `idx`'s slot: the later slots of its run shift back
     /// so that no probe meets a hole before its key.
     fn remove(&mut self, hash: u32, idx: Idx) {
-        let mut hole = self.position(hash, |i| i == idx).expect("live node");
+        let mut hole = self.slot(hash, idx);
         let mut j = hole;
         loop {
             j = self.next(j);
@@ -275,7 +282,7 @@ impl Index {
 
     /// Points the slot of node `from` at slot `to`, where it now sits.
     fn repoint(&mut self, hash: u32, from: Idx, to: Idx) {
-        let i = self.position(hash, |i| i == from).expect("live node");
+        let i = self.slot(hash, from);
         self.slots[i].idx = to;
     }
 }
@@ -283,10 +290,11 @@ impl Index {
 /// A bounded LRU map of keys to values.
 pub struct LruShard {
     index: Index,
-    /// Exactly the live nodes: removal moves a node out and the last
-    /// one fills its slot, so no slot keeps a removed entry's bytes.
+    /// Exactly the live nodes, those with an [`Extra`] first: removal
+    /// moves a node out and others fill its slot, so no slot keeps a
+    /// removed entry's bytes.
     slab: Vec<Node>,
-    /// Exactly the live nodes' extras, kept dense the same way.
+    /// The extras of the first `extras.len()` nodes, in slab order.
     extras: Vec<Extra>,
     ends: [Ends; 2],
     used_bytes: usize,
@@ -469,7 +477,7 @@ impl LruShard {
         // Evict before inserting so the budget holds afterwards.
         let mut evicted = 0;
         while self.used_bytes + cost > self.budget_bytes {
-            if !self.evict_one(NIL) {
+            if !self.evict_one() {
                 // The clean entries evicted so far stay evicted: the
                 // caller would treat them as evicted either way.
                 return Err(Error::backpressure("cache full of dirty entries"));
@@ -482,18 +490,30 @@ impl LruShard {
             "shard outgrew its {}-bit slab indices",
             Idx::BITS
         );
-        let idx = self.slab.len() as Idx;
+        let mut idx = self.slab.len() as Idx;
         push_exact(
             &mut self.slab,
             Node {
                 record,
                 lru: UNLINKED,
-                hash,
-                extra: NIL,
             },
         );
         if has_extra {
-            self.add_extra(idx, expires_at, dirty);
+            // The new node takes the place of the first node without an
+            // extra, which moves to the end.
+            let first = self.extras.len() as Idx;
+            if first < idx {
+                self.slab.swap(first as usize, idx as usize);
+                self.moved(first, idx);
+                idx = first;
+            }
+            push_exact(
+                &mut self.extras,
+                Extra {
+                    expires_at,
+                    dirty: dirty.then_some(UNLINKED),
+                },
+            );
         }
         self.index.insert(hash, idx);
         self.push_front(LRU, idx);
@@ -504,64 +524,17 @@ impl LruShard {
         Ok(evicted)
     }
 
-    /// Evicts the least-recently-used *clean* entry other than node
-    /// `spare`, if there is one.
-    fn evict_one(&mut self, spare: Idx) -> bool {
+    /// Evicts the least-recently-used *clean* entry, if there is one.
+    fn evict_one(&mut self) -> bool {
         let mut idx = self.ends[LRU].tail;
         while idx != NIL {
-            if idx != spare && !self.marks(idx).0 {
+            if !self.marks(idx).0 {
                 self.take(idx);
                 return true;
             }
             idx = self.slab[idx as usize].lru.prev;
         }
         false
-    }
-
-    /// Sets or clears the entry's expiry deadline without touching
-    /// recency (Redis `EXPIRE`/`PERSIST`). Returns `Ok(false)` when the
-    /// key is absent.
-    ///
-    /// A clean entry's first deadline gives it an `Extra`
-    /// ([`EXTRA_BYTES`]): other clean entries are evicted, least
-    /// recently used first, to make room, and when only dirty ones are
-    /// left this fails with [`Error::Backpressure`], the entry
-    /// unchanged. A clean entry whose deadline is cleared gives its
-    /// `Extra` back.
-    pub fn set_expiry(&mut self, key: impl AsRef<[u8]>, expires_at: Option<u64>) -> Result<bool> {
-        let key = key.as_ref();
-        let Some(mut idx) = self.find(key) else {
-            return Ok(false);
-        };
-        match (self.slab[idx as usize].extra, expires_at) {
-            (NIL, None) => {}
-            (NIL, Some(_)) => {
-                while self.used_bytes + EXTRA_BYTES > self.budget_bytes {
-                    if !self.evict_one(idx) {
-                        return Err(Error::backpressure("cache full of dirty entries"));
-                    }
-                    // An eviction can move the spared node to another slot.
-                    idx = self.find(key).expect("the spared entry stays");
-                }
-                self.charge(idx, false);
-                self.add_extra(idx, expires_at, false);
-                self.charge(idx, true);
-            }
-            (e, None) if self.extras[e as usize].dirty.is_none() => {
-                self.charge(idx, false);
-                self.drop_extra(idx);
-                self.charge(idx, true);
-            }
-            (e, _) => self.extras[e as usize].expires_at = expires_at,
-        }
-        Ok(true)
-    }
-
-    /// The entry's expiry deadline: `None` = key absent, `Some(None)` =
-    /// present without expiry, `Some(Some(at))` = expires at `at`. Does
-    /// not touch recency.
-    pub fn expiry_of(&self, key: impl AsRef<[u8]>) -> Option<Option<u64>> {
-        self.find(key.as_ref()).map(|idx| self.marks(idx).1)
     }
 
     /// Removes an entry outright. Returns whether it was there.
@@ -577,19 +550,21 @@ impl LruShard {
 
     /// The node's dirty flag and deadline.
     fn marks(&self, idx: Idx) -> (bool, Option<u64>) {
-        match self.slab[idx as usize].extra {
-            NIL => (false, None),
-            e => {
-                let extra = &self.extras[e as usize];
-                (extra.dirty.is_some(), extra.expires_at)
-            }
+        match self.extras.get(idx as usize) {
+            None => (false, None),
+            Some(extra) => (extra.dirty.is_some(), extra.expires_at),
         }
+    }
+
+    /// The hash of node `idx`'s key, as its index slot holds it.
+    fn hash_of(&self, idx: Idx) -> u32 {
+        hash(split(&self.slab[idx as usize].record).0)
     }
 
     /// Adds the node's bytes to the counters, or takes them off.
     fn charge(&mut self, idx: Idx, add: bool) {
         let node = &self.slab[idx as usize];
-        let cost = billed(node.record.len(), node.extra != NIL);
+        let cost = billed(node.record.len(), (idx as usize) < self.extras.len());
         let pmem = split(&node.record).1.len() >= self.pmem_from;
         let dirty = self.marks(idx).0;
         let apply = |n: &mut usize| {
@@ -609,8 +584,10 @@ impl LruShard {
     }
 
     /// Moves the node at `idx` out of the shard: takes its bytes off
-    /// the counters, unlinks it, and fills its slot with the last node.
-    /// Returns its record, dirty flag and deadline.
+    /// the counters, unlinks it and drops its index slot. If it had an
+    /// extra, the last node with one fills its place; then the last
+    /// node fills the place left. Returns its record, dirty flag and
+    /// deadline.
     fn take(&mut self, idx: Idx) -> (Box<[u8]>, bool, Option<u64>) {
         self.charge(idx, false);
         let (dirty, expires_at) = self.marks(idx);
@@ -618,8 +595,18 @@ impl LruShard {
         if dirty {
             self.unlink(DIRTY, idx);
         }
-        self.drop_extra(idx);
-        self.index.remove(self.slab[idx as usize].hash, idx);
+        self.index.remove(self.hash_of(idx), idx);
+        let mut idx = idx;
+        if (idx as usize) < self.extras.len() {
+            let last = self.extras.len() as Idx - 1;
+            self.extras.swap_remove(idx as usize);
+            self.slab.swap(idx as usize, last as usize);
+            if idx < last {
+                self.moved(last, idx);
+            }
+            idx = last;
+            trim(&mut self.extras);
+        }
         let node = self.slab.swap_remove(idx as usize);
         let last = self.slab.len() as Idx;
         if idx < last {
@@ -629,43 +616,11 @@ impl LruShard {
         (node.record, dirty, expires_at)
     }
 
-    /// Gives the node, which has none, an [`Extra`]; a dirty one still
-    /// has to be linked on the dirty list.
-    fn add_extra(&mut self, idx: Idx, expires_at: Option<u64>, dirty: bool) {
-        self.slab[idx as usize].extra = self.extras.len() as Idx;
-        push_exact(
-            &mut self.extras,
-            Extra {
-                expires_at,
-                dirty: dirty.then_some(UNLINKED),
-                node: idx,
-            },
-        );
-    }
-
-    /// Frees the node's [`Extra`], which is off the dirty list, and
-    /// fills its slot with the last one.
-    fn drop_extra(&mut self, idx: Idx) {
-        let e = std::mem::replace(&mut self.slab[idx as usize].extra, NIL);
-        if e == NIL {
-            return;
-        }
-        self.extras.swap_remove(e as usize);
-        if let Some(moved) = self.extras.get(e as usize) {
-            self.slab[moved.node as usize].extra = e;
-        }
-        trim(&mut self.extras);
-    }
-
-    /// Repoints the node's index slot, its extra, its list neighbours
-    /// and the list ends from slot `from` to slot `to`, where it now
-    /// sits.
+    /// Repoints the node's index slot, its list neighbours and the list
+    /// ends from slot `from` to slot `to`, where it now sits with its
+    /// extra, if it has one.
     fn moved(&mut self, from: Idx, to: Idx) {
-        let Node { hash, extra, .. } = self.slab[to as usize];
-        self.index.repoint(hash, from, to);
-        if extra != NIL {
-            self.extras[extra as usize].node = to;
-        }
+        self.index.repoint(self.hash_of(to), from, to);
         let lists = if self.marks(to).0 { 2 } else { 1 };
         for list in [LRU, DIRTY].into_iter().take(lists) {
             let Link { prev, next } = *self.link(list, to);
@@ -678,6 +633,49 @@ impl LruShard {
                 n => self.link(list, n).prev = to,
             }
         }
+    }
+
+    /// Swaps live nodes `a` and `b`, which both have an extra, with
+    /// their extras, and repoints their index slots, list neighbours
+    /// and the list ends.
+    fn swap(&mut self, a: Idx, b: Idx) {
+        let (slot_a, slot_b) = (
+            self.index.slot(self.hash_of(a), a),
+            self.index.slot(self.hash_of(b), b),
+        );
+        self.index.slots[slot_a].idx = b;
+        self.index.slots[slot_b].idx = a;
+        let other = |i: Idx| match i {
+            i if i == a => b,
+            i if i == b => a,
+            i => i,
+        };
+        for list in [LRU, DIRTY] {
+            for x in [a, b] {
+                if list == DIRTY && !self.marks(x).0 {
+                    continue;
+                }
+                // Neighbours outside the pair point at x's new place;
+                // a link within the pair is remapped on x itself.
+                let Link { prev, next } = *self.link(list, x);
+                match prev {
+                    NIL => self.ends[list].head = other(x),
+                    p if other(p) == p => self.link(list, p).next = other(x),
+                    _ => {}
+                }
+                match next {
+                    NIL => self.ends[list].tail = other(x),
+                    n if other(n) == n => self.link(list, n).prev = other(x),
+                    _ => {}
+                }
+                *self.link(list, x) = Link {
+                    prev: other(prev),
+                    next: other(next),
+                };
+            }
+        }
+        self.slab.swap(a as usize, b as usize);
+        self.extras.swap(a as usize, b as usize);
     }
 
     /// Clears the dirty flag unconditionally.
@@ -703,16 +701,25 @@ impl LruShard {
         }
     }
 
-    fn clean_at(&mut self, idx: Idx) {
+    /// Takes the dirty flag off node `idx`. Without a deadline it then
+    /// gives up its extra: it trades places with the last node that has
+    /// one, and drops the last extra, which is now its own.
+    fn clean_at(&mut self, mut idx: Idx) {
         let (dirty, expires_at) = self.marks(idx);
         if !dirty {
             return;
         }
         self.charge(idx, false);
         self.unlink(DIRTY, idx);
-        match expires_at {
-            None => self.drop_extra(idx),
-            Some(_) => self.extras[self.slab[idx as usize].extra as usize].dirty = None,
+        self.extras[idx as usize].dirty = None;
+        if expires_at.is_none() {
+            let last = self.extras.len() as Idx - 1;
+            if idx < last {
+                self.swap(idx, last);
+                idx = last;
+            }
+            self.extras.pop();
+            trim(&mut self.extras);
         }
         self.charge(idx, true);
     }
@@ -726,8 +733,9 @@ impl LruShard {
         let expired: Vec<Key> = self
             .extras
             .iter()
-            .filter(|e| e.dirty.is_none() && is_expired(e.expires_at, now_nanos))
-            .map(|e| Key::copy_from(split(&self.slab[e.node as usize].record).0))
+            .zip(&self.slab)
+            .filter(|(e, _)| e.dirty.is_none() && is_expired(e.expires_at, now_nanos))
+            .map(|(_, node)| Key::copy_from(split(&node.record).0))
             .collect();
         for key in &expired {
             let idx = self.find(key.as_slice()).expect("key just listed");
@@ -742,10 +750,9 @@ impl LruShard {
         let mut out = Vec::new();
         let mut idx = self.ends[DIRTY].head;
         while idx != NIL {
-            let node = &self.slab[idx as usize];
-            let (key, value) = split(&node.record);
+            let (key, value) = split(&self.slab[idx as usize].record);
             out.push((Key::copy_from(key), Value::copy_from(value)));
-            idx = self.extras[node.extra as usize]
+            idx = self.extras[idx as usize]
                 .dirty
                 .expect("on the dirty list")
                 .next;
@@ -823,12 +830,10 @@ impl LruShard {
 
     /// The node's links on `list`.
     fn link(&mut self, list: usize, idx: Idx) -> &mut Link {
-        let node = &mut self.slab[idx as usize];
         if list == LRU {
-            return &mut node.lru;
+            return &mut self.slab[idx as usize].lru;
         }
-        let extra = node.extra as usize;
-        self.extras[extra]
+        self.extras[idx as usize]
             .dirty
             .as_mut()
             .expect("only dirty nodes are on the dirty list")
@@ -900,8 +905,8 @@ mod tests {
     }
 
     #[test]
-    fn node_and_extra_are_32_bytes_and_a_record_is_one_allocation() {
-        assert_eq!(NODE_BYTES, 32);
+    fn a_node_is_24_bytes_an_extra_32_and_a_record_one_allocation() {
+        assert_eq!(NODE_BYTES, 24);
         assert_eq!(EXTRA_BYTES, 32);
         assert_eq!(SLOT_SHARE, 10);
         assert_eq!(record(b"key", b"value").len(), 1 + 3 + 5);
@@ -912,7 +917,10 @@ mod tests {
             split(&record(b"key", b"value")),
             (&b"key"[..], &b"value"[..])
         );
-        assert_eq!(entry_cost(20, 95), 1 + 20 + 95 + 32 + 10);
+        assert_eq!(entry_cost(20, 95), 1 + 20 + 95 + 24 + 10);
+        // A dirty or expiring entry is billed less than the 32-byte
+        // node with a 32-byte extra cost.
+        assert!(entry_cost(20, 95) + EXTRA_BYTES <= 1 + 20 + 95 + 32 + 10 + 32);
     }
 
     #[test]
@@ -1079,7 +1087,7 @@ mod tests {
         s.insert(k(6), v(30), false).unwrap();
         assert_eq!(s.insert(k(7), v(30), false).unwrap(), 1);
         s.insert(k(6), v(5), false).unwrap();
-        assert!(s.set_expiry(k(7), Some(200)).unwrap());
+        s.insert_full(k(7), v(30), false, Some(200)).unwrap();
         assert_eq!(s.sweep_expired(200).len(), 1);
 
         let live: Vec<Key> = s.keys_mru_first();
@@ -1096,62 +1104,6 @@ mod tests {
         for key in &live {
             assert!(s.get(key, 0).is_some());
         }
-    }
-
-    #[test]
-    fn set_expiry_roundtrip() {
-        let mut s = LruShard::new(10_000);
-        s.insert(k(1), v(5), false).unwrap();
-        assert_eq!(s.expiry_of(k(1)), Some(None));
-        assert!(s.set_expiry(k(1), Some(42)).unwrap());
-        assert_eq!(s.expiry_of(k(1)), Some(Some(42)));
-        assert!(s.set_expiry(k(1), None).unwrap());
-        assert_eq!(s.expiry_of(k(1)), Some(None));
-        assert!(!s.set_expiry(k(2), Some(1)).unwrap(), "absent key");
-        assert_eq!(s.expiry_of(k(2)), None);
-    }
-
-    /// A clean entry's first deadline costs an `Extra`: another clean
-    /// entry is evicted for it, never the entry itself, and when only
-    /// dirty entries are left the deadline is refused. Clearing it
-    /// gives the bytes back; a dirty entry's deadline costs nothing.
-    #[test]
-    fn a_first_deadline_makes_room_or_is_refused() {
-        let c = cost(1, 10);
-        let mut s = LruShard::new(3 * c);
-        for i in 1..=3 {
-            s.insert(k(i), v(10), false).unwrap();
-        }
-        s.get(k(1), 0);
-        s.get(k(2), 0);
-        // k3 is least recently used and last in the slab; evicting k1
-        // moves it into k1's slot.
-        assert!(s.set_expiry(k(3), Some(50)).unwrap(), "k3 is spared");
-        assert_eq!(s.keys_mru_first(), [k(2), k(3)], "k1 was evicted");
-        assert_eq!(s.expiry_of(k(3)), Some(Some(50)));
-        assert_eq!(s.used_bytes(), 2 * c + EXTRA_BYTES);
-        assert!(s.set_expiry(k(3), None).unwrap());
-        assert_eq!(s.used_bytes(), 2 * c);
-        assert!(s.extras.is_empty());
-
-        let mut s = LruShard::new(2 * (c + EXTRA_BYTES) - 1);
-        s.insert(k(1), v(10), true).unwrap();
-        s.insert(k(2), v(10), false).unwrap();
-        assert!(s.set_expiry(k(1), Some(50)).unwrap());
-        assert_eq!(s.used_bytes(), 2 * c + EXTRA_BYTES, "k1 had its extra");
-        let err = s.set_expiry(k(2), Some(50)).unwrap_err();
-        assert!(matches!(err, Error::Backpressure { .. }));
-        assert_eq!(s.expiry_of(k(2)), Some(None));
-        assert_eq!(s.used_bytes(), 2 * c + EXTRA_BYTES);
-        s.mark_clean(k(1));
-        assert_eq!(
-            s.expiry_of(k(1)),
-            Some(Some(50)),
-            "cleaning keeps the deadline"
-        );
-        s.set_expiry(k(1), None).unwrap();
-        assert!(s.set_expiry(k(2), Some(50)).unwrap());
-        assert_eq!(s.len(), 2);
     }
 
     /// The slab and the index give back their spare room once most
@@ -1280,6 +1232,14 @@ mod tests {
                     .map(|key| entry_cost(key.len(), s.peek(key).unwrap().value.len()) + EXTRA_BYTES)
                     .sum();
                 prop_assert_eq!(s.dirty_bytes(), cost);
+                // The nodes with an extra are exactly the dirty or
+                // expiring ones.
+                let marked = s
+                    .keys_mru_first()
+                    .iter()
+                    .filter(|key| s.peek(key).is_some_and(|e| e.dirty || e.expires_at.is_some()))
+                    .count();
+                prop_assert_eq!(s.extras.len(), marked);
             }
         }
 
@@ -1325,18 +1285,18 @@ mod tests {
                             s.mark_clean_if(k(ki), held.as_slice());
                         }
                     }
-                    // Backpressure leaves the entry as it was.
+                    // A new deadline on the held value and flag gains,
+                    // drops or keeps an extra; backpressure leaves the
+                    // entry as it was.
                     5 => {
-                        let before = s.expiry_of(k(ki));
-                        let deadline = ttl.map(|t| now + t);
-                        let expected = match s.set_expiry(k(ki), deadline) {
-                            Ok(set) => {
-                                prop_assert_eq!(set, before.is_some());
-                                before.map(|_| deadline)
-                            }
-                            Err(_) => before,
-                        };
-                        prop_assert_eq!(s.expiry_of(k(ki)), expected);
+                        if let Some(before) = s.peek(k(ki)) {
+                            let deadline = ttl.map(|t| now + t);
+                            let expected = match s.insert_full(k(ki), &before.value, before.dirty, deadline) {
+                                Ok(_) => CacheEntry { expires_at: deadline, ..before },
+                                Err(_) => before,
+                            };
+                            prop_assert_eq!(s.peek(k(ki)), Some(expected));
+                        }
                     }
                     _ => {
                         s.lookup(k(ki), now);

@@ -81,7 +81,7 @@ pub fn load_snapshot(cache: &ShardedCache, path: &Path) -> Result<usize> {
     let now = cache.clock().now_nanos();
     let mut pos = 0usize;
     let count = read_varint(body, &mut pos)? as usize;
-    let mut bodyored = 0usize;
+    let mut restored = 0usize;
     for _ in 0..count {
         if pos >= body.len() {
             return Err(Error::Corruption("snapshot truncated".into()));
@@ -103,9 +103,9 @@ pub fn load_snapshot(cache: &ShardedCache, path: &Path) -> Result<usize> {
             continue;
         }
         cache.insert_full(key, value, flags & FLAG_DIRTY != 0, expires_at)?;
-        bodyored += 1;
+        restored += 1;
     }
-    Ok(bodyored)
+    Ok(restored)
 }
 
 #[cfg(test)]
@@ -114,7 +114,7 @@ mod tests {
     use crate::cache::CacheConfig;
     use std::sync::Arc;
     use std::time::Duration;
-    use tb_common::ManualClock;
+    use tb_common::{deadline_after, Clock, ManualClock};
 
     fn tmpfile(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("tb-rdb-{name}-{}.rdb", std::process::id()))
@@ -139,7 +139,8 @@ mod tests {
             src.insert(k(i), Value::from(format!("v{i}")), i % 3 == 0)
                 .unwrap();
         }
-        src.insert_with_ttl(k(500), Value::from("ttl"), false, Duration::from_secs(60))
+        let deadline = deadline_after(clock.now_nanos(), Duration::from_secs(60));
+        src.insert_full(k(500), Value::from("ttl"), false, Some(deadline))
             .unwrap();
 
         let path = tmpfile("roundtrip");
@@ -165,7 +166,8 @@ mod tests {
     fn expired_entries_skipped_at_load() {
         let clock = ManualClock::new();
         let src = cache_with_clock(clock.clone());
-        src.insert_with_ttl(k(1), Value::from("dies"), false, Duration::from_secs(5))
+        let deadline = deadline_after(clock.now_nanos(), Duration::from_secs(5));
+        src.insert_full(k(1), Value::from("dies"), false, Some(deadline))
             .unwrap();
         src.insert(k(2), Value::from("lives"), false).unwrap();
         let path = tmpfile("expired");

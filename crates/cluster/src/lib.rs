@@ -7,6 +7,8 @@
 //! routing epochs, stale-routing errors, replica promotion, and slot
 //! migration behave as they would across machines.
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod coordinator;
 pub mod node;

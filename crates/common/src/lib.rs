@@ -7,6 +7,8 @@
 //! file is published by, and the one frame and record format every log
 //! is written in.
 
+#![deny(unsafe_code)]
+
 pub mod clock;
 pub mod crc;
 pub mod durable;

@@ -77,13 +77,15 @@ pub fn test_dir(tag: &str) -> TestDir {
 }
 
 /// A global allocator that forwards to [`System`] and, while a closure
-/// runs under [`largest_allocation`] or [`net_allocation`], records on
-/// the calling thread:
+/// runs under [`largest_allocation`], [`net_allocation`] or
+/// [`allocation_count`], records on the calling thread:
 /// * the largest single allocation — how decoder tests show that no
 ///   length read from disk sizes a buffer beyond what the bytes
 ///   justify;
 /// * the net requested bytes, allocated minus freed — how the cache
-///   tier shows that its byte count is the heap it holds.
+///   tier shows that its byte count is the heap it holds;
+/// * the number of allocations — how the cache tier shows how many
+///   an insert makes.
 ///
 /// Sizes are the requested ones: the system allocator's own headers and
 /// size-class rounding are not seen. A test binary installs it with
@@ -94,18 +96,23 @@ thread_local! {
     static PROBE_ARMED: Cell<bool> = const { Cell::new(false) };
     static PROBE_LARGEST: Cell<usize> = const { Cell::new(0) };
     static PROBE_NET: Cell<isize> = const { Cell::new(0) };
+    static PROBE_COUNT: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Notes `freed` bytes given back and `allocated` bytes handed out.
+/// Notes `freed` bytes given back and `allocated` bytes handed out; a
+/// call that hands out memory (`alloc`, `alloc_zeroed`, `realloc`,
+/// never of size 0) counts as one allocation.
 fn note(freed: usize, allocated: usize) {
     if PROBE_ARMED.try_with(Cell::get).unwrap_or(false) {
         let _ = PROBE_LARGEST.try_with(|l| l.set(l.get().max(allocated)));
         let _ = PROBE_NET.try_with(|n| n.set(n.get() + allocated as isize - freed as isize));
+        let _ = PROBE_COUNT.try_with(|c| c.set(c.get() + (allocated > 0) as usize));
     }
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator;
 // the probe only records sizes.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for AllocProbe {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(0, layout.size());
@@ -129,6 +136,7 @@ unsafe impl GlobalAlloc for AllocProbe {
 fn probed<T>(f: impl FnOnce() -> T) -> T {
     PROBE_LARGEST.with(|l| l.set(0));
     PROBE_NET.with(|n| n.set(0));
+    PROBE_COUNT.with(|c| c.set(0));
     PROBE_ARMED.with(|a| a.set(true));
     let out = f();
     PROBE_ARMED.with(|a| a.set(false));
@@ -149,6 +157,14 @@ pub fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
 pub fn net_allocation<T>(f: impl FnOnce() -> T) -> (T, isize) {
     let out = probed(f);
     (out, PROBE_NET.with(Cell::get))
+}
+
+/// Runs `f`, returning its result and how many allocations (including
+/// reallocations) it made on this thread. Reads 0 unless
+/// [`AllocProbe`] is the global allocator.
+pub fn allocation_count<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let out = probed(f);
+    (out, PROBE_COUNT.with(Cell::get))
 }
 
 /// An in-memory [`KvEngine`] for tests: a `BTreeMap` under one lock. A
@@ -260,6 +276,30 @@ mod tests {
         drop(held);
         let ((), largest) = largest_allocation(|| drop(vec![0u8; 512]));
         assert_eq!(largest, 512);
+    }
+
+    /// Every allocation and reallocation counts once; frees, another
+    /// thread's allocations and a `Vec` that never allocates do not.
+    #[test]
+    fn allocation_count_counts_calls_that_hand_out_memory() {
+        let (boxes, n) = allocation_count(|| (0..5).map(Box::new).collect::<Vec<_>>());
+        assert_eq!(n, 1 + 5, "the vector and its five boxes");
+        let ((), n) = allocation_count(move || drop(boxes));
+        assert_eq!(n, 0);
+        let (v, n) = allocation_count(|| {
+            let mut v: Vec<u8> = Vec::new();
+            v.reserve_exact(10);
+            v.reserve_exact(100);
+            v
+        });
+        assert_eq!(
+            (n, v.capacity()),
+            (2, 100),
+            "an allocation, then a reallocation"
+        );
+        let (held, n) = allocation_count(|| std::thread::spawn(|| vec![vec![1u8]; 100]).join());
+        assert!(n < 50, "{n} allocations counted from another thread");
+        drop(held);
     }
 
     #[test]

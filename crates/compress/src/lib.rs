@@ -25,6 +25,8 @@
 //! a compression-efficiency monitor with retrain triggers, and a
 //! compressor recommender.
 
+#![deny(unsafe_code)]
+
 pub mod block;
 pub mod dict;
 pub mod framework;

@@ -30,6 +30,8 @@
 //! assert_eq!(tb.get(&Key::from("user:1")).unwrap(), Some(Value::from("alice")));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod elastic;
 pub mod interval;

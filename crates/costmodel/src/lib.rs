@@ -18,6 +18,8 @@
 //! * [`framework`] — §5.3: the sample → load → replay → calculate →
 //!   iterate evaluation loop over live engines.
 
+#![deny(unsafe_code)]
+
 pub mod advisor;
 pub mod five_minute;
 pub mod framework;

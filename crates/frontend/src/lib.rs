@@ -50,6 +50,8 @@
 //! [`EngineOp`]: tb_common::EngineOp
 //! [`OpOutcome`]: tb_common::OpOutcome
 
+#![deny(unsafe_code)]
+
 mod burst;
 mod frontend;
 mod queue;

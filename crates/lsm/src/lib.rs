@@ -21,6 +21,8 @@
 //! each staged block at most once, and fills results in submission
 //! order. The bottom level's table carries a pass-through bloom filter.
 
+#![deny(unsafe_code)]
+
 mod batch;
 pub mod bloom;
 pub mod compaction;

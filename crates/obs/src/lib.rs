@@ -32,6 +32,8 @@
 //! is paid once per site per process, after which a record is a couple
 //! of relaxed atomic ops on the shared instrument.
 
+#![deny(unsafe_code)]
+
 pub mod json;
 pub mod metrics;
 pub mod trace;

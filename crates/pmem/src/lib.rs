@@ -16,6 +16,8 @@
 //! configuration (`tb_cache::PmemPlacement`): values at or above a
 //! size threshold, which pay [`LatencyModel`]'s premium on access.
 
+#![deny(unsafe_code)]
+
 pub mod device;
 pub mod ring;
 

@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 mod client;
 mod conn;
 pub mod proto;

@@ -7,6 +7,8 @@
 //! record-and-replay trace machinery used by the cost-optimization
 //! framework (§5.3) and the production case studies (§6.5).
 
+#![deny(unsafe_code)]
+
 pub mod dataset;
 pub mod dist;
 pub mod persist;

@@ -40,6 +40,8 @@
 //! # Ok::<(), tierbase::common::Error>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use tb_baselines as baselines;
 pub use tb_cache as cache;
 pub use tb_cluster as cluster;

@@ -1,16 +1,19 @@
-//! The cache tier's byte count is the heap it holds.
+//! The cache tier's byte count is the heap it holds, and an insert
+//! allocates once.
 //!
 //! Records arrive as a server hands them over: keys and values are
 //! windows into one shared buffer per 256-op burst, and the burst is
 //! dropped once applied. After 10 k, 50 k and 200 k such records (20 B
 //! keys, 95 B values), the bytes the cache reports — Σ `entry_cost`
-//! for a 16-shard `ShardedCache`, `resident_bytes` for an in-memory
-//! `TierBase` — must be within ±5 % of the heap this thread's inserts
-//! left allocated, as `AllocProbe` measures it (requested bytes; the
-//! system allocator's own headers are not counted on either side).
+//! (plus `EXTRA_BYTES` for a dirty or expiring entry) for a 16-shard
+//! `ShardedCache`, `resident_bytes` for an in-memory `TierBase` — must
+//! be within ±5 % of the heap this thread's inserts left allocated, as
+//! `AllocProbe` measures it (requested bytes; the system allocator's
+//! own headers are not counted on either side). The same probe counts
+//! the allocations a new key's insert makes.
 
 use tierbase::cache::{CacheConfig, ShardedCache};
-use tierbase::common::testutil::{net_allocation, AllocProbe};
+use tierbase::common::testutil::{allocation_count, net_allocation, AllocProbe};
 use tierbase::prelude::*;
 
 #[global_allocator]
@@ -68,25 +71,72 @@ fn assert_honest(label: &str, records: usize, held: f64, counted: f64) {
     );
 }
 
-#[test]
-fn a_sharded_cache_counts_the_heap_its_entries_hold() {
+/// A 16-shard cache with room for every record.
+fn sharded() -> ShardedCache {
+    ShardedCache::new(CacheConfig {
+        shards: 16,
+        ..CacheConfig::with_capacity(1 << 30)
+    })
+}
+
+/// Inserts every size's records into a fresh [`sharded`] cache as
+/// `dirty`, expiring at `expires_at`, and holds its count to the heap.
+fn assert_sharded_cache_honest(label: &str, dirty: bool, expires_at: Option<u64>) {
     for records in SIZES {
-        let cache = ShardedCache::new(CacheConfig {
-            shards: 16,
-            ..CacheConfig::with_capacity(1 << 30)
-        });
+        let cache = sharded();
         let (held, counted) = held_and_counted(
             records,
             |burst| {
                 for (key, value) in burst {
-                    cache.insert(key, value, false).unwrap();
+                    cache.insert_full(key, value, dirty, expires_at).unwrap();
                 }
             },
             || cache.used_bytes(),
         );
         assert_eq!(cache.len(), records);
-        assert_honest("ShardedCache", records, held, counted);
+        assert_honest(label, records, held, counted);
     }
+}
+
+#[test]
+fn a_sharded_cache_counts_the_heap_its_entries_hold() {
+    assert_sharded_cache_honest("ShardedCache", false, None);
+}
+
+#[test]
+fn a_sharded_cache_counts_the_heap_its_dirty_entries_hold() {
+    assert_sharded_cache_honest("ShardedCache dirty", true, None);
+}
+
+#[test]
+fn a_sharded_cache_counts_the_heap_its_expiring_entries_hold() {
+    // A deadline the clock never reaches: every entry stays live.
+    assert_sharded_cache_honest("ShardedCache expiring", false, Some(u64::MAX));
+}
+
+/// The bursts of `records` records, built before a probe runs.
+fn bursts(records: usize) -> Vec<Vec<(Key, Value)>> {
+    (0..records)
+        .step_by(BURST)
+        .map(|first| burst(first, BURST.min(records - first)))
+        .collect()
+}
+
+/// A new key's insert allocates its record; the slab and the index
+/// grow a fraction at a time, so their reallocations add little.
+#[test]
+fn a_sharded_cache_insert_allocates_its_record_and_little_more() {
+    const RECORDS: usize = 50_000;
+    let cache = sharded();
+    let bursts = bursts(RECORDS);
+    let ((), allocations) = allocation_count(|| {
+        for (key, value) in bursts.into_iter().flatten() {
+            cache.insert(key, value, false).unwrap();
+        }
+    });
+    let per_insert = allocations as f64 / RECORDS as f64;
+    println!("ShardedCache: {per_insert:.3} allocations per insert of a new key");
+    assert!(per_insert <= 1.15, "{per_insert:.3} allocations per insert");
 }
 
 #[test]
@@ -115,4 +165,42 @@ fn an_in_memory_store_counts_the_heap_its_cache_holds() {
         );
         assert_honest("TierBase InMemory", records, held, counted);
     }
+}
+
+/// Allocations per put of a new key through an in-memory `TierBase`,
+/// held to what the put path makes today (3.06: the value envelope's
+/// `Vec`, the `Value` that copies it, the cache record, and a share of
+/// each batch's own), so a change that adds one per put fails and one
+/// that saves one can lower the bound.
+#[test]
+fn an_in_memory_store_put_allocates_at_most_three_times() {
+    const RECORDS: usize = 50_000;
+    const MAX_PER_PUT: f64 = 3.1;
+    let dir = tierbase::common::test_dir("tb-it-cache-allocations");
+    let store = TierBase::open(
+        TierBaseConfig::builder(dir.path())
+            .cache_capacity(1 << 30)
+            .policy(SyncPolicy::InMemory)
+            .build(),
+    )
+    .unwrap();
+    let batches: Vec<Vec<EngineOp>> = bursts(RECORDS)
+        .into_iter()
+        .map(|burst| {
+            burst
+                .into_iter()
+                .map(|(k, v)| EngineOp::Put(k, v))
+                .collect()
+        })
+        .collect();
+    let ((), allocations) = allocation_count(|| {
+        for ops in batches {
+            for done in store.apply_batch(ops) {
+                done.unwrap();
+            }
+        }
+    });
+    let per_put = allocations as f64 / RECORDS as f64;
+    println!("TierBase InMemory: {per_put:.3} allocations per put of a new key");
+    assert!(per_put <= MAX_PER_PUT, "{per_put:.3} allocations per put");
 }
