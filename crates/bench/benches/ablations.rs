@@ -7,14 +7,17 @@
 //! 4. SHARDS sampling rate — MRC build cost vs accuracy vs the CR* it
 //!    feeds into Theorem 5.1.
 //! 5. Deferred cache-fetching — per-key gets vs one batched fetch over
-//!    a simulated network (§4.1.2).
+//!    a modelled network hop (§4.1.2).
+//!
+//! Ablations 1 and 5 reach their storage tier over a modelled 200 µs
+//! hop (`tb_bench::Delayed`); no real hop is measured.
 //!
 //! Record and op counts scale with `TB_BENCH_SCALE` and shrink under
 //! `TB_BENCH_SMOKE` (`tb_bench::budget`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use tb_bench::{bench_dir, budget, print_table};
+use tb_bench::{bench_dir, budget, delayed_storage, print_table};
 use tb_common::{Key, KvEngine, Value};
 use tb_costmodel::{
     lru_miss_ratio_curve, shards_miss_ratio_curve, MissRatioCurve, ShardsConfig, TieredCostModel,
@@ -36,11 +39,12 @@ fn main() {
 fn ablation_writeback_batch() {
     let mut rows = Vec::new();
     for batch in [1usize, 16, 256] {
+        let dir = bench_dir(&format!("abl-wb-{batch}"));
         let tb = TierBase::open(
-            TierBaseConfig::builder(bench_dir(&format!("abl-wb-{batch}")))
+            TierBaseConfig::builder(&dir)
                 .cache_capacity(256 << 20)
                 .policy(SyncPolicy::WriteBack)
-                .storage_rtt_us(200)
+                .storage(delayed_storage(&dir, 200).unwrap())
                 .write_back(WriteBackTuning {
                     max_dirty_bytes: u64::MAX,
                     flush_every_ops: u64::MAX,
@@ -265,28 +269,24 @@ fn ablation_deferred_fetch() {
     let n_cold = budget(1_000);
     let setup = |name: &str| {
         let dir = bench_dir(name);
-        let tb = TierBase::open(
-            TierBaseConfig::builder(&dir)
-                .cache_capacity(256 << 20)
-                .policy(SyncPolicy::WriteThrough)
-                .storage_rtt_us(200)
-                .build(),
-        )
-        .unwrap();
+        let open = || {
+            TierBase::open(
+                TierBaseConfig::builder(&dir)
+                    .cache_capacity(256 << 20)
+                    .policy(SyncPolicy::WriteThrough)
+                    .storage(delayed_storage(&dir, 200).unwrap())
+                    .build(),
+            )
+            .unwrap()
+        };
+        let tb = open();
         for i in 0..n_cold {
             tb.put(Key::from(format!("k{i:06}")), Value::from(vec![b'v'; 100]))
                 .unwrap();
         }
         drop(tb);
         // Reopen cold.
-        TierBase::open(
-            TierBaseConfig::builder(&dir)
-                .cache_capacity(256 << 20)
-                .policy(SyncPolicy::WriteThrough)
-                .storage_rtt_us(200)
-                .build(),
-        )
-        .unwrap()
+        open()
     };
     let keys: Vec<Key> = (0..n_cold).map(|i| Key::from(format!("k{i:06}"))).collect();
 

@@ -7,20 +7,25 @@
 //! TierBase (wt-10X / wb-10X) balances both, with write-back winning
 //! the write-heavy mix and the advantage fading on the read-heavy one;
 //! WAL-PMem trades a little space for near-memory performance.
+//!
+//! The tiered configurations reach their storage tier over a modelled
+//! 200 µs hop (`tb_bench::Delayed`); no real hop is measured. Record and
+//! op counts go through `tb_bench::budget`.
 
 use tb_baselines::{CassandraLike, HBaseLike, RedisLike};
-use tb_bench::{bench_dir, measure_cost, print_cost_plane, scale, CostPoint};
+use tb_bench::{bench_dir, budget, delayed_storage, measure_cost, print_cost_plane, CostPoint};
 use tb_costmodel::WorkloadDemand;
 use tb_workload::{Workload, WorkloadSpec};
 use tierbase_core::{PersistenceMode, SyncPolicy, TierBase, TierBaseConfig};
 
 /// "10X" cache ratio: cache capacity = logical data / 10.
 fn tiered(name: &str, policy: SyncPolicy, logical_bytes: usize) -> TierBase {
+    let dir = bench_dir(name);
     TierBase::open(
-        TierBaseConfig::builder(bench_dir(name))
+        TierBaseConfig::builder(&dir)
             .cache_capacity((logical_bytes / 10).max(64 << 10))
             .policy(policy)
-            .storage_rtt_us(200)
+            .storage(delayed_storage(&dir, 200).expect("open storage tier"))
             .build(),
     )
     .expect("open")
@@ -38,8 +43,8 @@ fn cache_resident(name: &str, persistence: PersistenceMode) -> TierBase {
 }
 
 fn main() {
-    let records = 10_000u64 * scale() as u64;
-    let ops = 20_000u64 * scale() as u64;
+    let records = budget(10_000);
+    let ops = budget(20_000);
     let demand = WorkloadDemand::new(40_000.0, 10.0);
     // Rough logical size for the cache-ratio sizing: ~170 B/record.
     let logical_estimate = records as usize * 170;

@@ -10,9 +10,13 @@
 //! configurations dominate; write-back leads on this write-heavy mix;
 //! overall TierBase cuts cost ≥37% vs Cassandra/HBase and ~70% vs its
 //! own default (untiered) configuration.
+//!
+//! The tiered configurations reach their storage tier over a modelled
+//! 200 µs hop (`tb_bench::Delayed`); no real hop is measured. Record and
+//! op counts go through `tb_bench::budget`.
 
 use tb_baselines::{CassandraLike, DragonflyLike, HBaseLike, MemcachedLike, RedisLike};
-use tb_bench::{bench_dir, measure_cost, print_cost_plane, scale, CostPoint};
+use tb_bench::{bench_dir, budget, delayed_storage, measure_cost, print_cost_plane, CostPoint};
 use tb_common::KvEngine;
 use tb_costmodel::WorkloadDemand;
 use tb_workload::{DatasetKind, Workload, WorkloadSpec};
@@ -24,10 +28,12 @@ fn tb(
     dataset: DatasetKind,
     f: impl FnOnce(tierbase_core::TierBaseConfigBuilder) -> tierbase_core::TierBaseConfigBuilder,
 ) -> TierBase {
-    let builder = TierBaseConfig::builder(bench_dir(name))
-        .cache_capacity(512 << 20)
-        .storage_rtt_us(200);
-    let store = TierBase::open(f(builder).build()).expect("open");
+    let dir = bench_dir(name);
+    let mut config = f(TierBaseConfig::builder(&dir).cache_capacity(512 << 20)).build();
+    if config.needs_storage_tier() {
+        config.storage = Some(delayed_storage(&dir, 200).expect("open storage tier"));
+    }
+    let store = TierBase::open(config).expect("open");
     let d = dataset.build(7);
     let samples: Vec<Vec<u8>> = (0..512u64).map(|i| d.record(i)).collect();
     store
@@ -111,8 +117,8 @@ fn run_case(
 }
 
 fn main() {
-    let records = 15_000u64 * scale() as u64;
-    let ops = 30_000u64 * scale() as u64;
+    let records = budget(15_000);
+    let ops = budget(30_000);
 
     // Case 1: User Info Service — read-heavy, skewed, KV1 records.
     run_case(

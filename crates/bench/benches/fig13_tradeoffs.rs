@@ -11,10 +11,12 @@
 //! (b) Write-back cache ratios: In-mem, wb-2X … wb-5X. Paper shape:
 //! higher cache ratio (smaller cache) lowers space cost and raises
 //! performance cost, with ≈5X balancing the two (the Theorem 5.1
-//! crossing point).
+//! crossing point). The write-back stores reach their storage tier
+//! over a modelled 100 µs hop (`tb_bench::Delayed`); no real hop is
+//! measured. Record and op counts go through `tb_bench::budget`.
 
 use std::time::Instant;
-use tb_bench::{bench_dir, measure_cost, print_cost_plane, scale, CostPoint};
+use tb_bench::{bench_dir, budget, delayed_storage, measure_cost, print_cost_plane, CostPoint};
 use tb_compress::{measure_ratio, Compressor, Pbc, PbcConfig, RawCompressor, Tzstd, TzstdLevel};
 use tb_costmodel::WorkloadDemand;
 use tb_workload::{DatasetKind, Workload, WorkloadSpec};
@@ -59,12 +61,12 @@ fn compressor_point(
 
 fn main() {
     let demand = WorkloadDemand::new(80_000.0, 10.0);
-    let n = 3000 * scale();
+    let n = budget(3000);
 
     // ---- (a) compression level sweep ---------------------------------
     let dataset = DatasetKind::Kv1.build(11);
     let train: Vec<Vec<u8>> = (0..512u64).map(|i| dataset.record(i)).collect();
-    let test: Vec<Vec<u8>> = (1000..1000 + n as u64).map(|i| dataset.record(i)).collect();
+    let test: Vec<Vec<u8>> = (1000..1000 + n).map(|i| dataset.record(i)).collect();
 
     let mut points = Vec::new();
     points.push(compressor_point("Raw", &RawCompressor, &test, &demand));
@@ -92,8 +94,8 @@ fn main() {
     );
 
     // ---- (b) cache-ratio sweep ---------------------------------------
-    let records = 15_000u64 * scale() as u64;
-    let ops = 30_000u64 * scale() as u64;
+    let records = budget(15_000);
+    let ops = budget(30_000);
     let logical_estimate = records as usize * 140;
 
     let mut points = Vec::new();
@@ -111,11 +113,12 @@ fn main() {
         ));
     }
     for ratio in [2usize, 3, 4, 5] {
+        let dir = bench_dir(&format!("f13-wb{ratio}"));
         let e = TierBase::open(
-            TierBaseConfig::builder(bench_dir(&format!("f13-wb{ratio}")))
+            TierBaseConfig::builder(&dir)
                 .cache_capacity((logical_estimate / ratio).max(64 << 10))
                 .policy(SyncPolicy::WriteBack)
-                .storage_rtt_us(100)
+                .storage(delayed_storage(&dir, 100).unwrap())
                 .build(),
         )
         .unwrap();

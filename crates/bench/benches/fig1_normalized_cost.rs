@@ -5,19 +5,32 @@
 //! Paper shape to reproduce: Raw has the highest (space-dominated)
 //! cost; PMem and the tiered configurations cut SC at some PC increase;
 //! PBC cuts total cost the most (the paper reports 62% vs Raw).
+//!
+//! The tiered configurations reach their storage tier over a modelled
+//! 200 µs hop (`tb_bench::Delayed`); no real hop is measured. Record and
+//! op counts go through `tb_bench::budget`.
 
-use tb_bench::{bench_dir, measure_cost, print_table, scale};
+use tb_bench::{bench_dir, budget, delayed_storage, measure_cost, print_table};
 use tb_costmodel::WorkloadDemand;
 use tb_workload::{DatasetKind, Workload, WorkloadSpec};
 use tierbase_core::{CompressorChoice, PmemTuning, SyncPolicy, TierBase, TierBaseConfig};
 
 fn main() {
-    let records = 15_000u64 * scale() as u64;
-    let ops = 30_000u64 * scale() as u64;
+    let records = budget(15_000);
+    let ops = budget(30_000);
     let demand = WorkloadDemand::new(80_000.0, 10.0);
     let logical_estimate = records as usize * 140;
     let dataset = DatasetKind::Kv1.build(7);
     let samples: Vec<Vec<u8>> = (0..512u64).map(|i| dataset.record(i)).collect();
+    let tiered = |name: &str, policy| {
+        let dir = bench_dir(name);
+        let config = TierBaseConfig::builder(&dir)
+            .cache_capacity((logical_estimate / 5).max(64 << 10))
+            .policy(policy)
+            .storage(delayed_storage(&dir, 200).unwrap())
+            .build();
+        TierBase::open(config).unwrap()
+    };
 
     let mut points = Vec::new();
     let configs: Vec<(&str, TierBase, f64)> = vec![
@@ -59,26 +72,12 @@ fn main() {
         ),
         (
             "TierBase-wb-5X",
-            TierBase::open(
-                TierBaseConfig::builder(bench_dir("f1-wb"))
-                    .cache_capacity((logical_estimate / 5).max(64 << 10))
-                    .policy(SyncPolicy::WriteBack)
-                    .storage_rtt_us(200)
-                    .build(),
-            )
-            .unwrap(),
+            tiered("f1-wb", SyncPolicy::WriteBack),
             2.0,
         ),
         (
             "TierBase-wt-5X",
-            TierBase::open(
-                TierBaseConfig::builder(bench_dir("f1-wt"))
-                    .cache_capacity((logical_estimate / 5).max(64 << 10))
-                    .policy(SyncPolicy::WriteThrough)
-                    .storage_rtt_us(200)
-                    .build(),
-            )
-            .unwrap(),
+            tiered("f1-wt", SyncPolicy::WriteThrough),
             1.0,
         ),
     ];

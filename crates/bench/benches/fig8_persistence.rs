@@ -7,27 +7,33 @@
 //! WAL-PMem between them (per-transaction PMem persist beats the remote
 //! RPC, loses to pure deferral); WAL above WAL-PMem (OS-buffered disk
 //! appends, fsync deferred); write-through tail latency ~3× write-back.
+//!
+//! The tiered mechanisms reach their storage tier over a modelled
+//! 200 µs hop (`tb_bench::Delayed`); no real hop is measured. Record and
+//! op counts go through `tb_bench::budget`.
 
-use tb_bench::{bench_dir, drive, print_table, scale};
+use tb_bench::{bench_dir, budget, delayed_storage, drive, print_table};
 use tb_workload::{Trace, Workload, WorkloadSpec};
 use tierbase_core::{PersistenceMode, SyncPolicy, TierBase, TierBaseConfig};
 
 fn open(name: &str, policy: SyncPolicy, persistence: PersistenceMode) -> TierBase {
-    TierBase::open(
-        TierBaseConfig::builder(bench_dir(name))
-            .cache_capacity(256 << 20)
-            .policy(policy)
-            .persistence(persistence)
-            .pmem_ring_bytes(32 << 20)
-            .storage_rtt_us(200) // same-DC RPC to the storage tier
-            .build(),
-    )
-    .expect("open tierbase")
+    let dir = bench_dir(name);
+    let mut config = TierBaseConfig::builder(&dir)
+        .cache_capacity(256 << 20)
+        .policy(policy)
+        .persistence(persistence)
+        .pmem_ring_bytes(32 << 20)
+        .build();
+    if config.needs_storage_tier() {
+        // Same-DC RPC to the storage tier.
+        config.storage = Some(delayed_storage(&dir, 200).expect("open storage tier"));
+    }
+    TierBase::open(config).expect("open tierbase")
 }
 
 fn main() {
-    let records = 10_000u64 * scale() as u64;
-    let ops = 20_000u64 * scale() as u64;
+    let records = budget(10_000);
+    let ops = budget(20_000);
     let mut rows = Vec::new();
 
     let configs: Vec<(&str, SyncPolicy, PersistenceMode)> = vec![

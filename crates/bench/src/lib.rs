@@ -20,7 +20,9 @@ use tb_common::{Histogram, KvEngine};
 use tb_costmodel::{CostMetrics, WorkloadDemand};
 use tb_workload::{Op, Trace};
 
+mod delayed;
 pub mod report;
+pub use delayed::{delayed_storage, Delayed};
 pub use report::BenchReport;
 
 /// Benchmark scale factor from `TB_BENCH_SCALE`.

@@ -1,6 +1,7 @@
 //! Shared test helpers: temp directories ([`test_dir`]), a heap
-//! allocation probe ([`AllocProbe`]) and an in-memory engine
-//! ([`MapEngine`]).
+//! allocation probe ([`AllocProbe`]), an in-memory engine
+//! ([`MapEngine`]) and an engine wrapper that refuses writes on demand
+//! ([`Flaky`]).
 //!
 //! Every crate in the workspace used to roll its own pid-keyed temp-dir
 //! scheme (`tb-foo-{pid}`), which collides when two tests in one binary
@@ -247,6 +248,84 @@ impl KvEngine for MapEngine {
     }
 }
 
+/// A [`KvEngine`] wrapper for failure tests. It counts the
+/// `apply_batch` calls made to it, and [`Flaky::refuse_writes`] makes
+/// it refuse the writes of the next calls that carry one.
+pub struct Flaky<E> {
+    inner: E,
+    calls: AtomicU64,
+    refusals: AtomicU64,
+}
+
+impl<E> Flaky<E> {
+    pub fn new(inner: E) -> Self {
+        Self {
+            inner,
+            calls: AtomicU64::new(0),
+            refusals: AtomicU64::new(0),
+        }
+    }
+
+    /// `apply_batch` calls made so far (every provided method is one).
+    pub fn calls(&self) -> u64 {
+        self.calls.load(Ordering::SeqCst)
+    }
+
+    /// Arms the next `n` calls that carry a `Put` or `MultiPut`: each
+    /// such op answers [`Error::FaultInjected`] unapplied, and the
+    /// call's other ops go down to the inner engine in one call, in
+    /// order.
+    pub fn refuse_writes(&self, n: u64) {
+        self.refusals.store(n, Ordering::SeqCst);
+    }
+}
+
+impl<E: KvEngine> KvEngine for Flaky<E> {
+    fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        let is_write = |op: &EngineOp| matches!(op, EngineOp::Put(..) | EngineOp::MultiPut(_));
+        let armed = |n: u64| n.checked_sub(1);
+        if !ops.iter().any(is_write)
+            || self
+                .refusals
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, armed)
+                .is_err()
+        {
+            return self.inner.apply_batch(ops);
+        }
+        let refused: Vec<bool> = ops.iter().map(is_write).collect();
+        let sent: Vec<EngineOp> = ops.into_iter().filter(|op| !is_write(op)).collect();
+        let mut done = if sent.is_empty() {
+            Vec::new().into_iter()
+        } else {
+            self.inner.apply_batch(sent).into_iter()
+        };
+        let short = || Err(Error::Internal("inner engine answered fewer ops".into()));
+        refused
+            .into_iter()
+            .map(|refused| {
+                if refused {
+                    Err(Error::FaultInjected("write refused".into()))
+                } else {
+                    done.next().unwrap_or_else(short)
+                }
+            })
+            .collect()
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.inner.resident_bytes()
+    }
+
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+
+    fn sync(&self) -> Result<()> {
+        self.inner.sync()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,6 +379,40 @@ mod tests {
         let (held, n) = allocation_count(|| std::thread::spawn(|| vec![vec![1u8]; 100]).join());
         assert!(n < 50, "{n} allocations counted from another thread");
         drop(held);
+    }
+
+    /// An armed call refuses its writes and forwards the rest in one
+    /// inner call; a call without writes neither fails nor disarms it.
+    #[test]
+    fn flaky_refuses_the_writes_of_armed_calls() {
+        // The inner Flaky counts the calls that reach the engine.
+        let flaky = Flaky::new(Flaky::new(MapEngine::default()));
+        let (a, b) = (Key::from("a"), Key::from("b"));
+        flaky.put(a.clone(), Value::from("1")).unwrap();
+        flaky.refuse_writes(1);
+        assert_eq!(flaky.get(&a).unwrap(), Some(Value::from("1")));
+        let got = flaky.apply_batch(vec![
+            EngineOp::Get(a.clone()),
+            EngineOp::Put(a.clone(), Value::from("2")),
+            EngineOp::MultiPut(vec![(b.clone(), Value::from("3"))]),
+            EngineOp::Delete(b.clone()),
+            EngineOp::Get(a.clone()),
+        ]);
+        let refused = || Err(Error::FaultInjected("write refused".into()));
+        let done = Ok(OpOutcome::Done(Lsn::NONE));
+        let one = Ok(OpOutcome::Value(Some(Value::from("1"))));
+        assert_eq!(
+            got,
+            vec![one.clone(), refused(), refused(), done.clone(), one]
+        );
+        assert_eq!((flaky.calls(), flaky.inner.calls()), (3, 3));
+        assert_eq!(flaky.multi_put(vec![(b.clone(), Value::from("4"))]), Ok(()));
+        assert_eq!(flaky.get(&b).unwrap(), Some(Value::from("4")));
+        flaky.refuse_writes(1);
+        let refused_put = flaky.multi_put(vec![(b.clone(), Value::from("5"))]);
+        assert_eq!(refused_put, refused().map(drop));
+        assert_eq!(flaky.get(&b).unwrap(), Some(Value::from("4")));
+        assert_eq!((flaky.calls(), flaky.inner.calls()), (7, 6));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::elastic::ThreadMode;
 use std::path::PathBuf;
 use std::sync::Arc;
-use tb_common::{Clock, SystemClock};
+use tb_common::{Clock, KvEngine, SystemClock};
 use tb_compress::CompressorChoice;
 
 /// How the cache tier synchronizes with the storage tier (§4.1), or
@@ -100,8 +100,9 @@ pub struct TierBaseConfig {
     pub threading: ThreadMode,
     /// Write-back pacing.
     pub write_back: WriteBackTuning,
-    /// Simulated storage-tier network round-trip, in microseconds.
-    pub storage_rtt_us: u64,
+    /// The storage tier of a tiered policy. `None` opens an `LsmDb` at
+    /// `<dir>/storage`; an `InMemory` store takes none.
+    pub storage: Option<Arc<dyn KvEngine>>,
     /// PMem ring capacity for WAL-PMem.
     pub pmem_ring_bytes: usize,
     /// Time source for TTL expiry (tests inject a `ManualClock`).
@@ -120,7 +121,7 @@ impl std::fmt::Debug for TierBaseConfig {
             .field("pmem", &self.pmem)
             .field("threading", &self.threading)
             .field("write_back", &self.write_back)
-            .field("storage_rtt_us", &self.storage_rtt_us)
+            .field("storage", &self.storage.as_ref().map(|s| s.label()))
             .field("pmem_ring_bytes", &self.pmem_ring_bytes)
             .finish_non_exhaustive()
     }
@@ -139,7 +140,7 @@ impl TierBaseConfig {
                 pmem: None,
                 threading: ThreadMode::Single,
                 write_back: WriteBackTuning::default(),
-                storage_rtt_us: 0,
+                storage: None,
                 pmem_ring_bytes: 8 << 20,
                 clock: Arc::new(SystemClock::new()),
             },
@@ -201,8 +202,9 @@ impl TierBaseConfigBuilder {
         self
     }
 
-    pub fn storage_rtt_us(mut self, us: u64) -> Self {
-        self.config.storage_rtt_us = us;
+    /// Sets the storage tier (a tiered policy's `KvEngine`).
+    pub fn storage(mut self, engine: Arc<dyn KvEngine>) -> Self {
+        self.config.storage = Some(engine);
         self
     }
 

@@ -103,12 +103,14 @@ impl AccessIntervalTracker {
     }
 
     /// Number of distinct keys currently tracked.
-    pub fn tracked_keys(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tracked_keys(&self) -> usize {
         self.last_access.lock().len()
     }
 
     /// Number of re-access intervals observed.
-    pub fn interval_count(&self) -> u64 {
+    #[cfg(test)]
+    fn interval_count(&self) -> u64 {
         self.interval_count.load(Ordering::Relaxed)
     }
 }

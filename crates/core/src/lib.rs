@@ -6,8 +6,9 @@
 //! * a **cache tier** of sharded in-memory hash tables (DRAM and/or
 //!   simulated PMem) with LRU eviction (a replicated store is a
 //!   `tb-cluster` node with a replica),
-//! * a **storage tier** (a disaggregated LSM engine) synchronized by
-//!   **write-through** or **write-back** policies (§4.1),
+//! * a **storage tier**, any `KvEngine` (by default an `LsmDb` at
+//!   `<dir>/storage`), synchronized by **write-through** or
+//!   **write-back** policies (§4.1),
 //! * **persistence modes** for cache-resident deployments: WAL on disk
 //!   or WAL on a persistent-memory ring buffer (§4.3),
 //! * **pre-trained compression** (dictionary LZ or pattern-based PBC)

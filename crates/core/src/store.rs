@@ -15,7 +15,7 @@ use crate::store_write::{apply_log_record, open_cache_log, COLD_LOG};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 use tb_cache::{CacheConfig, PmemPlacement, ShardedCache};
@@ -24,7 +24,7 @@ use tb_common::{
     Result, TtlState, Value,
 };
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
-use tb_lsm::{DisaggregatedStore, LsmConfig, LsmDb, NetworkModel};
+use tb_lsm::{LsmConfig, LsmDb};
 use tb_pmem::{LatencyModel, PersistentRingBuffer, PmemDevice, RingConfig};
 
 pub use crate::store_stats::TierBaseStats;
@@ -76,7 +76,7 @@ const MODEL_MAGIC: u32 = 0x7b4d_444c;
 pub(crate) struct Inner {
     pub(crate) config: TierBaseConfig,
     pub(crate) cache: ShardedCache,
-    pub(crate) storage: Option<DisaggregatedStore>,
+    pub(crate) storage: Option<Arc<dyn KvEngine>>,
     pub(crate) wal: Option<Mutex<tb_lsm::wal::Wal>>,
     /// The cache tier's log sequence: every record in `cache.wal`, the
     /// PMem ring and the cold log carries the LSN it took at append.
@@ -88,8 +88,6 @@ pub(crate) struct Inner {
     models: Mutex<BTreeMap<u64, Arc<PretrainedCompression>>>,
     train_samples: Mutex<Vec<Vec<u8>>>,
     pub(crate) ops_since_flush: AtomicU64,
-    /// Fail the next N storage write calls (failure-injection hook).
-    pub(crate) inject_storage_failures: AtomicU64,
     /// §6.5.3 statistic: sampled mean key re-access interval, compared
     /// against Table 3 break-even intervals to pick a configuration.
     pub(crate) intervals: AccessIntervalTracker,
@@ -111,7 +109,15 @@ pub struct TierBase {
 
 impl TierBase {
     /// Opens a store, running recovery appropriate to its configuration.
+    /// A tiered policy uses [`TierBaseConfig::storage`], or opens an
+    /// `LsmDb` at `<dir>/storage` when it is `None`; an `InMemory` store
+    /// given one is [`Error::InvalidArgument`].
     pub fn open(config: TierBaseConfig) -> Result<Self> {
+        if config.storage.is_some() && !config.needs_storage_tier() {
+            return Err(Error::InvalidArgument(
+                "an InMemory store has no storage tier".into(),
+            ));
+        }
         std::fs::create_dir_all(&config.dir)?;
         // What a crash or failed save left half-published.
         durable::sweep_tmp(&config.dir)?;
@@ -128,15 +134,12 @@ impl TierBase {
             clock: config.clock.clone(),
         });
 
-        let storage = if config.needs_storage_tier() {
-            let db = Arc::new(LsmDb::open(LsmConfig::new(config.dir.join("storage")))?);
-            let net = NetworkModel {
-                rtt_us: config.storage_rtt_us,
-                per_kib_us: if config.storage_rtt_us > 0 { 2 } else { 0 },
-            };
-            Some(DisaggregatedStore::new(db, net))
-        } else {
-            None
+        let storage: Option<Arc<dyn KvEngine>> = match &config.storage {
+            _ if !config.needs_storage_tier() => None,
+            Some(engine) => Some(engine.clone()),
+            None => Some(Arc::new(LsmDb::open(LsmConfig::new(
+                config.dir.join("storage"),
+            ))?)),
         };
 
         // Warm restart: restore the cache tier from the last snapshot
@@ -223,7 +226,6 @@ impl TierBase {
                 models: Mutex::new(models),
                 train_samples: Mutex::new(Vec::new()),
                 ops_since_flush: AtomicU64::new(0),
-                inject_storage_failures: AtomicU64::new(0),
                 intervals,
                 stats,
                 _obs: obs,
@@ -251,24 +253,6 @@ impl TierBase {
     /// `CompressorChoice::Raw`.
     pub fn train_compression(&self, samples: &[Vec<u8>]) -> Result<()> {
         self.inner.train_compression(samples)
-    }
-
-    /// True when the newest model's monitor advises retraining.
-    pub fn compression_should_retrain(&self) -> bool {
-        let models = self.inner.models.lock();
-        models
-            .last_key_value()
-            .is_some_and(|(_, unit)| unit.should_retrain())
-    }
-
-    /// Fails the next `n` storage-tier write calls (failure injection).
-    /// Under write-through one armed failure refuses every write of the
-    /// next storage round trip that carries writes: all the puts a batch
-    /// pass staged together. A write-back flush consumes one per chunk.
-    pub fn inject_storage_write_failures(&self, n: u64) {
-        self.inner
-            .inject_storage_failures
-            .store(n, Ordering::SeqCst);
     }
 
     /// Flushes write-back dirty data to the storage tier now.
@@ -372,11 +356,6 @@ impl TierBase {
     /// choose between Raw / PMem / compression configurations.
     pub fn mean_access_interval_secs(&self) -> Option<f64> {
         self.inner.intervals.mean_interval_secs()
-    }
-
-    /// The underlying access-interval tracker (diagnostics).
-    pub fn access_intervals(&self) -> &AccessIntervalTracker {
-        &self.inner.intervals
     }
 
     fn dispatch<T: Send + 'static>(&self, f: impl FnOnce(&Inner) -> T + Send + 'static) -> T {
@@ -578,6 +557,9 @@ fn load_models(dir: &Path) -> Result<BTreeMap<u64, Arc<PretrainedCompression>>> 
 mod tests {
     use super::*;
     use crate::config::{PmemTuning, WriteBackTuning};
+    use std::sync::atomic::Ordering;
+    use std::sync::mpsc;
+    use tb_common::testutil::{Flaky, MapEngine};
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("tb-core-{name}-{}", std::process::id()));
@@ -589,10 +571,17 @@ mod tests {
         Key::from(format!("key-{i:05}"))
     }
 
-    /// Round trips the store has made to its storage tier.
-    fn storage_calls(tb: &TierBase) -> u64 {
-        let storage = tb.inner.storage.as_ref().expect("a tiered store");
-        storage.stats.calls.load(Ordering::Relaxed)
+    /// Opens a tiered store over the storage tier `open` would make
+    /// (an `LsmDb` at `<dir>/storage`) in a [`Flaky`], which counts the
+    /// store's storage round trips and refuses writes on demand.
+    fn open_flaky(config: TierBaseConfig) -> (TierBase, Arc<Flaky<LsmDb>>) {
+        let db = LsmDb::open(LsmConfig::new(config.dir.join("storage"))).unwrap();
+        let storage = Arc::new(Flaky::new(db));
+        let config = TierBaseConfig {
+            storage: Some(storage.clone()),
+            ..config
+        };
+        (TierBase::open(config).unwrap(), storage)
     }
 
     fn v(i: usize) -> Value {
@@ -607,6 +596,26 @@ mod tests {
         tb.delete(&k(1)).unwrap();
         assert_eq!(tb.get(&k(1)).unwrap(), None);
         assert_eq!(tb.label(), "tierbase-mem");
+    }
+
+    #[test]
+    fn an_in_memory_store_takes_no_storage_tier() {
+        let config = TierBaseConfig::builder(tmpdir("mem-storage"))
+            .storage(MapEngine::shared())
+            .build();
+        let refused = TierBase::open(config.clone()).map(drop);
+        assert!(
+            matches!(refused, Err(Error::InvalidArgument(_))),
+            "{refused:?}"
+        );
+        let tiered = TierBaseConfig {
+            policy: SyncPolicy::WriteThrough,
+            ..config
+        };
+        let tb = TierBase::open(tiered).unwrap();
+        tb.put(k(1), v(1)).unwrap();
+        tb.inner.cache.remove(&k(1));
+        assert_eq!(tb.get(&k(1)).unwrap(), Some(v(1)), "read from the map");
     }
 
     #[test]
@@ -645,14 +654,13 @@ mod tests {
     #[test]
     fn write_through_failure_invalidates_cache() {
         let dir = tmpdir("wtfail");
-        let tb = TierBase::open(
+        let (tb, storage) = open_flaky(
             TierBaseConfig::builder(&dir)
                 .policy(SyncPolicy::WriteThrough)
                 .build(),
-        )
-        .unwrap();
+        );
         tb.put(k(1), v(1)).unwrap();
-        tb.inject_storage_write_failures(1);
+        storage.refuse_writes(1);
         let err = tb.put(k(1), Value::from("rejected")).unwrap_err();
         assert!(matches!(err, Error::StorageWriteFailed(_)));
         // The cache entry was invalidated; the next read refetches the
@@ -665,7 +673,7 @@ mod tests {
     #[test]
     fn write_back_defers_and_batches() {
         let dir = tmpdir("wb");
-        let tb = TierBase::open(
+        let (tb, storage) = open_flaky(
             TierBaseConfig::builder(&dir)
                 .policy(SyncPolicy::WriteBack)
                 .write_back(WriteBackTuning {
@@ -674,8 +682,7 @@ mod tests {
                     batch_size: 64,
                 })
                 .build(),
-        )
-        .unwrap();
+        );
         for i in 0..100 {
             tb.put(k(i), v(i)).unwrap();
         }
@@ -684,7 +691,7 @@ mod tests {
         assert_eq!(flushed, 100);
         assert_eq!(tb.dirty_bytes(), 0);
         // Storage saw batched calls, far fewer than 100.
-        let calls = storage_calls(&tb);
+        let calls = storage.calls();
         assert!(calls <= 3, "expected batched flush, got {calls} calls");
     }
 
@@ -1203,7 +1210,7 @@ mod tests {
             (mean - 20.0).abs() < 1.0,
             "driven at 20s intervals, measured {mean}"
         );
-        assert!(tb.access_intervals().tracked_keys() > 0);
+        assert!(tb.inner.intervals.tracked_keys() > 0);
     }
 
     #[test]
@@ -1253,19 +1260,18 @@ mod tests {
         }
         drop(tb);
         // Cold cache: every key must come from storage.
-        let tb = TierBase::open(
+        let (tb, storage) = open_flaky(
             TierBaseConfig::builder(&dir)
                 .policy(SyncPolicy::WriteThrough)
                 .build(),
-        )
-        .unwrap();
-        let calls_before = storage_calls(&tb);
+        );
+        let calls_before = storage.calls();
         let keys: Vec<Key> = (0..100).map(k).collect();
         let got = tb.multi_get(&keys).unwrap();
         for (i, val) in got.iter().enumerate() {
             assert_eq!(val.as_ref(), Some(&v(i)), "key {i}");
         }
-        let calls_after = storage_calls(&tb);
+        let calls_after = storage.calls();
         assert_eq!(
             calls_after - calls_before,
             1,
@@ -1274,7 +1280,7 @@ mod tests {
         // Second multi_get is all cache hits: zero further calls.
         let got = tb.multi_get(&keys).unwrap();
         assert!(got.iter().all(|v| v.is_some()));
-        assert_eq!(storage_calls(&tb), calls_after);
+        assert_eq!(storage.calls(), calls_after);
     }
 
     #[test]
@@ -1301,23 +1307,22 @@ mod tests {
     #[test]
     fn multi_put_write_through_batches_and_fails_atomically() {
         let dir = tmpdir("mput");
-        let tb = TierBase::open(
+        let (tb, storage) = open_flaky(
             TierBaseConfig::builder(&dir)
                 .policy(SyncPolicy::WriteThrough)
                 .build(),
-        )
-        .unwrap();
+        );
         let pairs: Vec<(Key, Value)> = (0..100).map(|i| (k(i), v(i))).collect();
-        let calls_before = storage_calls(&tb);
+        let calls_before = storage.calls();
         tb.multi_put(pairs).unwrap();
-        let calls_after = storage_calls(&tb);
+        let calls_after = storage.calls();
         assert_eq!(calls_after - calls_before, 1, "one batched storage write");
         for i in 0..100 {
             assert_eq!(tb.get(&k(i)).unwrap(), Some(v(i)));
         }
-        // Injected failure: the batch reports an error and the cache is
+        // Refused write: the batch reports an error and the cache is
         // invalidated for all its keys (reads refetch from storage).
-        tb.inject_storage_write_failures(1);
+        storage.refuse_writes(1);
         let pairs: Vec<(Key, Value)> = (0..10).map(|i| (k(i), Value::from("new"))).collect();
         assert!(matches!(
             tb.multi_put(pairs),
@@ -1574,21 +1579,62 @@ mod tests {
         }
     }
 
+    /// A storage tier that holds the answer of the first batch holding a
+    /// `Get` after [`ParkedGet::park_next_get`] until the test lets it
+    /// go: a fetch parked mid-round-trip.
+    struct ParkedGet {
+        db: LsmDb,
+        park: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    }
+
+    impl ParkedGet {
+        /// Returns (parked, go): the next fetch signals `parked` once
+        /// storage has answered it, then waits for `go`.
+        fn park_next_get(&self) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+            let (parked_tx, parked) = mpsc::channel();
+            let (go, go_rx) = mpsc::channel();
+            *self.park.lock() = Some((parked_tx, go_rx));
+            (parked, go)
+        }
+    }
+
+    impl KvEngine for ParkedGet {
+        fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+            let fetch = ops.iter().any(|op| matches!(op, EngineOp::Get(_)));
+            let done = self.db.apply_batch(ops);
+            if let Some((parked, go)) = fetch.then(|| self.park.lock().take()).flatten() {
+                parked.send(()).unwrap();
+                go.recv().unwrap();
+            }
+            done
+        }
+        fn resident_bytes(&self) -> u64 {
+            self.db.resident_bytes()
+        }
+        fn label(&self) -> String {
+            "parked-get".into()
+        }
+    }
+
     #[test]
     fn miss_fill_never_replaces_a_newer_write() {
-        // A reader misses on a cold key and fetches it over a 50 ms
-        // storage round trip; a writer overwrites the key during that
-        // trip. The fetched copy is older than the write, so filling the
+        // A reader misses on a cold key and fetches it; a writer
+        // overwrites the key while the fetch's answer is on its way
+        // back. The fetched copy is older than the write, so filling the
         // cache with it would lose an acknowledged write for good. The
-        // round trip has no hook to park on, so a sleep places the put
-        // inside it; a put that lands outside it makes the test pass
-        // without exercising the race, never fail.
+        // storage tier parks the fetch until the put has returned, so
+        // the race runs every time.
+        let dir = tmpdir("missfill");
+        let storage = Arc::new(ParkedGet {
+            db: LsmDb::open(LsmConfig::new(dir.join("storage"))).unwrap(),
+            park: Mutex::new(None),
+        });
         let tb = Arc::new(
             TierBase::open(
-                TierBaseConfig::builder(tmpdir("missfill"))
+                TierBaseConfig::builder(&dir)
                     .policy(SyncPolicy::WriteBack)
                     .threading(crate::elastic::ThreadMode::Multi(2))
-                    .storage_rtt_us(50_000)
+                    .storage(storage.clone())
                     .build(),
             )
             .unwrap(),
@@ -1596,17 +1642,16 @@ mod tests {
         tb.put(k(1), Value::from("old")).unwrap();
         tb.flush_dirty().unwrap();
         tb.inner.cache.remove(&k(1));
+        let (parked, go) = storage.park_next_get();
         let reader = {
             let tb = tb.clone();
             std::thread::spawn(move || tb.get(&k(1)).unwrap())
         };
-        std::thread::sleep(Duration::from_millis(10));
+        parked.recv().unwrap();
         tb.put(k(1), Value::from("new")).unwrap();
+        go.send(()).unwrap();
         let read = reader.join().unwrap();
-        assert!(
-            read == Some(Value::from("old")) || read == Some(Value::from("new")),
-            "{read:?}"
-        );
+        assert_eq!(read, Some(Value::from("old")), "storage answered first");
         assert_eq!(tb.get(&k(1)).unwrap(), Some(Value::from("new")));
         tb.flush_dirty().unwrap();
         tb.inner.cache.remove(&k(1));
@@ -1634,8 +1679,8 @@ mod tests {
         }
     }
 
-    fn open_policy(name: &str, policy: SyncPolicy) -> TierBase {
-        TierBase::open(
+    fn open_policy(name: &str, policy: SyncPolicy) -> (TierBase, Arc<Flaky<LsmDb>>) {
+        open_flaky(
             TierBaseConfig::builder(tmpdir(name))
                 .policy(policy)
                 .write_back(WriteBackTuning {
@@ -1645,20 +1690,19 @@ mod tests {
                 })
                 .build(),
         )
-        .unwrap()
     }
 
     #[test]
     fn write_through_batch_is_one_storage_call_and_matches_per_op() {
         // Keys 0..8 are written; 0..4 then leave the cache (cold).
         let setup = |name: &str| {
-            let tb = open_policy(name, SyncPolicy::WriteThrough);
+            let (tb, storage) = open_policy(name, SyncPolicy::WriteThrough);
             tb.multi_put((0..8).map(|i| (k(i), v(i))).collect())
                 .unwrap();
             for i in 0..4 {
                 tb.inner.cache.remove(&k(i));
             }
-            tb
+            (tb, storage)
         };
         let ops = vec![
             EngineOp::Get(k(0)),
@@ -1680,15 +1724,15 @@ mod tests {
         ];
         assert_eq!(ops.len(), 16);
 
-        let batched = setup("wtbatch");
-        let before = storage_calls(&batched);
+        let (batched, storage) = setup("wtbatch");
+        let before = storage.calls();
         let got = batched.apply_batch(ops.clone());
         assert_eq!(
-            storage_calls(&batched) - before,
+            storage.calls() - before,
             1,
             "4 cold misses, 4 puts and the gets behind them share one round trip"
         );
-        let per_op = setup("wtbatch-perop");
+        let (per_op, _) = setup("wtbatch-perop");
         assert_eq!(got, PerOp(&per_op).apply_batch(ops));
         assert_eq!(
             got[6],
@@ -1703,7 +1747,7 @@ mod tests {
 
     #[test]
     fn write_back_miss_then_put_in_one_batch_keeps_the_put() {
-        let tb = open_policy("wbmissput", SyncPolicy::WriteBack);
+        let (tb, _) = open_policy("wbmissput", SyncPolicy::WriteBack);
         tb.put(k(1), v(1)).unwrap();
         tb.flush_dirty().unwrap();
         tb.inner.cache.remove(&k(1));
@@ -1780,9 +1824,9 @@ mod tests {
 
     #[test]
     fn failed_write_through_put_is_never_read_back() {
-        let tb = open_policy("wtrefused", SyncPolicy::WriteThrough);
+        let (tb, storage) = open_policy("wtrefused", SyncPolicy::WriteThrough);
         tb.put(k(1), v(1)).unwrap();
-        tb.inject_storage_write_failures(1);
+        storage.refuse_writes(1);
         let got = tb.apply_batch(vec![EngineOp::Put(k(1), v(2)), EngineOp::Get(k(1))]);
         assert!(
             matches!(got[0], Err(Error::StorageWriteFailed(_))),
@@ -1799,10 +1843,10 @@ mod tests {
 
     #[test]
     fn delete_is_a_barrier_between_gets() {
-        let tb = open_policy("delbarrier", SyncPolicy::WriteThrough);
+        let (tb, storage) = open_policy("delbarrier", SyncPolicy::WriteThrough);
         tb.put(k(1), v(1)).unwrap();
         tb.inner.cache.remove(&k(1));
-        let before = storage_calls(&tb);
+        let before = storage.calls();
         let got = tb.apply_batch(vec![
             EngineOp::Get(k(1)),
             EngineOp::Delete(k(1)),
@@ -1813,7 +1857,7 @@ mod tests {
         assert_eq!(got[2], Ok(OpOutcome::Value(None)));
         // The first get's fetch went down before the delete, the delete
         // alone, and the second get's fetch after it.
-        assert_eq!(storage_calls(&tb) - before, 3);
+        assert_eq!(storage.calls() - before, 3);
         assert_eq!(tb.get(&k(1)).unwrap(), None);
     }
 

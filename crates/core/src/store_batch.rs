@@ -22,7 +22,7 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use tb_cache::Lookup;
 use tb_common::hash::FxBuildHasher;
-use tb_common::{is_expired, EngineOp, Error, Key, KvEngine, Lsn, OpOutcome, Result, Value};
+use tb_common::{is_expired, EngineOp, Error, Key, Lsn, OpOutcome, Result, Value};
 
 const DONE: Result<OpOutcome> = Ok(OpOutcome::Done(Lsn::NONE));
 
@@ -225,8 +225,7 @@ impl<'a> Pass<'a> {
     }
 
     /// Sends what is staged down in one `storage.apply_batch` and
-    /// completes it in op order. One injected failure refuses every
-    /// write of the round trip; its fetches still go down.
+    /// completes it in op order.
     fn submit(&mut self) {
         if self.staged.is_empty() {
             return;
@@ -235,19 +234,11 @@ impl<'a> Pass<'a> {
         let staged = std::mem::take(&mut self.staged);
         let slots = std::mem::take(&mut self.slots);
         self.written.clear();
-        let is_put = |op: &EngineOp| matches!(op, EngineOp::Put(..));
-        let refused = staged.iter().any(is_put) && inner.take_injected_failure();
-        let sent = staged.iter().filter(|op| !(refused && is_put(op)));
         let storage = inner.storage.as_ref().expect("only a tiered store stages");
-        let mut done = storage.apply_batch(sent.cloned().collect()).into_iter();
+        let mut done = storage.apply_batch(staged.clone()).into_iter();
         for (i, (access, (op, at, expires_at))) in staged.iter().zip(slots).enumerate() {
-            let result = if refused && is_put(access) {
-                Err(Error::FaultInjected("storage write refused".into()))
-            } else {
-                let short = || Err(Error::Internal("storage answered fewer ops".into()));
-                done.next().unwrap_or_else(short)
-            };
-            match (access, result) {
+            let short = || Err(Error::Internal("storage answered fewer ops".into()));
+            match (access, done.next().unwrap_or_else(short)) {
                 (EngineOp::Get(key), Ok(OpOutcome::Value(stored))) => {
                     let value = self.fetched(key, stored, &staged[i + 1..]);
                     self.answer(op, at, value);

@@ -4,7 +4,7 @@
 use crate::store::{envelope_expiry, parse_envelope, Inner};
 use std::sync::atomic::Ordering;
 use tb_cache::Lookup;
-use tb_common::{is_expired, prefix_successor, Key, KvEngine, Result, TtlState, Value};
+use tb_common::{is_expired, prefix_successor, Key, Result, TtlState, Value};
 
 impl Inner {
     /// Lazy TTL reclamation: drops the key from both tiers and the

@@ -1,9 +1,9 @@
-//! Synchronization with the storage tier: `sync()`, the write-back
-//! dirty flush, and the storage-write failure hook.
+//! Synchronization with the storage tier: `sync()` and the write-back
+//! dirty flush.
 
 use crate::store::Inner;
 use std::sync::atomic::Ordering;
-use tb_common::{Error, Key, KvEngine, Result, Value};
+use tb_common::{Key, Result, Value};
 
 impl Inner {
     pub(crate) fn do_sync(&self) -> Result<()> {
@@ -14,25 +14,9 @@ impl Inner {
             wal.lock().sync()?;
         }
         if let Some(storage) = &self.storage {
-            KvEngine::sync(storage)?;
+            storage.sync()?;
         }
         Ok(())
-    }
-
-    pub(crate) fn take_injected_failure(&self) -> bool {
-        loop {
-            let n = self.inject_storage_failures.load(Ordering::SeqCst);
-            if n == 0 {
-                return false;
-            }
-            if self
-                .inject_storage_failures
-                .compare_exchange(n, n - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return true;
-            }
-        }
     }
 
     pub(crate) fn flush_dirty(&self) -> Result<usize> {
@@ -54,11 +38,6 @@ impl Inner {
         }
         let total = dirty.len();
         for chunk in dirty.chunks(self.config.write_back.batch_size) {
-            if self.take_injected_failure() {
-                return Err(Error::StorageWriteFailed(
-                    "injected failure during dirty flush".into(),
-                ));
-            }
             storage.multi_put(chunk.to_vec())?;
             for (k, flushed) in chunk {
                 self.cache.mark_clean(k, flushed);

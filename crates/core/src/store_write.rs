@@ -8,7 +8,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 use tb_cache::ShardedCache;
 use tb_common::log::WriteRecord;
-use tb_common::{deadline_after, Error, Key, KvEngine, Result, Value};
+use tb_common::{deadline_after, Error, Key, Result, Value};
 use tb_lsm::wal::{SyncPolicy, Wal, WalSites};
 use tb_pmem::PersistentRingBuffer;
 

@@ -4,9 +4,8 @@
 //! storage engine TierBase uses as its storage tier (§3): an LSM tree
 //! with a write-ahead log, block-based SSTables with bloom filters and
 //! sparse indexes, leveled compaction, and manifest-based recovery.
-//! [`remote::DisaggregatedStore`] wraps the engine in the
-//! remote-storage façade the cache tier talks to (simulated network
-//! round-trips, batch read/write APIs).
+//! `TierBase` uses an [`LsmDb`] as its storage tier by default, through
+//! the `KvEngine` batch API alone.
 //!
 //! Write path: WAL append → memtable insert → (on threshold) freeze: the
 //! WAL segment is fsynced, the next one opened, and the memtable queued,
@@ -37,13 +36,11 @@ pub(crate) fn fault_test_gate() -> parking_lot::MutexGuard<'static, ()> {
 pub mod db;
 mod flush;
 pub mod memtable;
-pub mod remote;
 pub mod sstable;
 mod version;
 pub mod wal;
 
 pub use db::{LsmConfig, LsmDb};
-pub use remote::{DisaggregatedStore, NetworkModel};
 
 /// Every named fault point threaded through this crate's IO surface
 /// (`tb_common::fault`). Torture harnesses enumerate this list; the

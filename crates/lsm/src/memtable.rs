@@ -101,11 +101,6 @@ impl Memtable {
             .range(start.clone()..)
             .take_while(move |(k, _)| end.is_none_or(|e| *k < e))
     }
-
-    /// Consumes the memtable into its sorted entries.
-    pub fn into_entries(self) -> Vec<(Key, Entry)> {
-        self.map.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -180,16 +175,5 @@ mod tests {
         );
         let unbounded: Vec<&Key> = m.scan_range(&k("c"), None).map(|(k, _)| k).collect();
         assert_eq!(unbounded, vec![&k("c"), &k("d")]);
-    }
-
-    #[test]
-    fn into_entries_preserves_tombstones() {
-        let mut m = Memtable::new();
-        m.put(k("live"), v("1"));
-        m.delete(k("dead"));
-        let entries = m.into_entries();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].0, k("dead"));
-        assert_eq!(entries[0].1, Entry::Tombstone);
     }
 }

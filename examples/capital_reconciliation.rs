@@ -5,7 +5,8 @@
 //! written, old ones almost never. This example shows why the tiered
 //! write-back configuration wins: the small cache absorbs the hot
 //! recent window while the LSM storage tier holds the long tail, and
-//! batched dirty flushes amortize the storage round-trips.
+//! batched dirty flushes amortize the storage round-trips (a modelled
+//! 200 µs hop, `tb_bench::Delayed`).
 //!
 //! ```sh
 //! cargo run --release --example capital_reconciliation
@@ -21,7 +22,12 @@ fn open_variant(
 ) -> TierBase {
     let dir = std::env::temp_dir().join(format!("tb-example-recon-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
-    TierBase::open(f(TierBaseConfig::builder(dir)).build()).expect("open store")
+    let mut config = f(TierBaseConfig::builder(&dir)).build();
+    if config.needs_storage_tier() {
+        // A modelled 200 µs hop to the storage tier.
+        config.storage = Some(tb_bench::delayed_storage(&dir, 200).expect("open storage tier"));
+    }
+    TierBase::open(config).expect("open store")
 }
 
 fn main() -> Result<()> {
@@ -44,12 +50,10 @@ fn main() -> Result<()> {
     let wt = open_variant("wt", |b| {
         b.cache_capacity(logical_estimate / 4)
             .policy(SyncPolicy::WriteThrough)
-            .storage_rtt_us(200)
     });
     let wb = open_variant("wb", |b| {
         b.cache_capacity(logical_estimate / 4)
             .policy(SyncPolicy::WriteBack)
-            .storage_rtt_us(200)
     });
 
     let demand = WorkloadDemand::new(40_000.0, 10.0);

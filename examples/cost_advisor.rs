@@ -116,15 +116,18 @@ fn main() -> Result<()> {
     ) -> tierbase::store::TierBaseConfigBuilder| {
         let dir = std::env::temp_dir().join(format!("tb-example-advisor-{name}"));
         let _ = std::fs::remove_dir_all(&dir);
-        TierBase::open(f(TierBaseConfig::builder(dir).cache_capacity(128 << 20)).build()).unwrap()
+        let mut config = f(TierBaseConfig::builder(&dir).cache_capacity(128 << 20)).build();
+        if config.needs_storage_tier() {
+            // A modelled 200 µs hop to the storage tier.
+            config.storage = Some(tb_bench::delayed_storage(&dir, 200).expect("open storage tier"));
+        }
+        TierBase::open(config).unwrap()
     };
     let raw = open("raw", &|b| b);
     let compressed = open("pbc", &|b| b.compression(CompressorChoice::Pbc));
     compressed.train_compression(&samples)?;
     let tiered = open("tiered", &|b| {
-        b.cache_capacity(2 << 20)
-            .policy(SyncPolicy::WriteBack)
-            .storage_rtt_us(200)
+        b.cache_capacity(2 << 20).policy(SyncPolicy::WriteBack)
     });
 
     let evaluator = CostEvaluator::new(InstanceSpec::standard(), demand);

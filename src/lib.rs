@@ -11,7 +11,7 @@
 //! | [`store`] | `tierbase-core` | the TierBase store: tiered cache+storage, write-through/write-back, persistence modes, compression, elastic threading, data types |
 //! | [`costmodel`] | `tb-costmodel` | the Space-Performance Cost Model, Optimal Cost Theorem, tiered cost, Five-Minute-Rule break-even, evaluation framework |
 //! | [`cache`] | `tb-cache` | the cache tier: sharded LRU tables, dirty tracking, insert-if-absent miss fills, DRAM/PMem value placement |
-//! | [`lsm`] | `tb-lsm` | the storage tier: WAL, SSTables, bloom filters, leveled compaction, disaggregated façade |
+//! | [`lsm`] | `tb-lsm` | the default storage tier: WAL, SSTables, bloom filters, leveled compaction |
 //! | [`pmem`] | `tb-pmem` | simulated persistent memory: latency-modeled device, persistent ring buffer |
 //! | [`compress`] | `tb-compress` | pre-trained compression: tzstd (dictionary LZ) and PBC (pattern-based) |
 //! | [`elastic`] | `tierbase-core` | elastic threading: the permit gate behind single/multi/elastic modes |

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use tierbase::baselines::{CassandraLike, DragonflyLike, HBaseLike, MemcachedLike, RedisLike};
 use tierbase::cluster::{ClusterClient, CoordinatorGroup, NodeId, NodeStore, Proxy, ServingMode};
 use tierbase::frontend::{Frontend, FrontendConfig};
-use tierbase::lsm::{DisaggregatedStore, LsmConfig, LsmDb, NetworkModel};
+use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::prelude::*;
 
 fn tmpdir(name: &str) -> tierbase::common::TestDir {
@@ -398,13 +398,6 @@ fn lsm_db_conforms() {
 }
 
 #[test]
-fn disaggregated_store_conforms() {
-    let dir = tmpdir("disagg");
-    let db = Arc::new(LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap());
-    conformance(&DisaggregatedStore::new(db, NetworkModel::none()));
-}
-
-#[test]
 fn tierbase_conforms() {
     let dir = tmpdir("tierbase");
     let tb = TierBase::open(TierBaseConfig::builder(dir.path()).build()).unwrap();
@@ -574,4 +567,39 @@ fn socket_client_conforms() {
     conformance(&client);
     server.stop();
     fe.shutdown();
+}
+
+#[test]
+fn tierbase_over_a_socket_storage_tier_conforms() {
+    // A tiered TierBase whose storage tier is a real hop: wire client →
+    // tb-server → Frontend → LsmDb over a Unix socket. The cache tier
+    // reaches it through `KvEngine` calls alone, so both sync policies
+    // must pass the battery as they do over a local LsmDb.
+    use tierbase::server::{Server, ServerClient};
+    for policy in [SyncPolicy::WriteThrough, SyncPolicy::WriteBack] {
+        let dir = tmpdir(&format!("tierbase-socket-{policy:?}"));
+        std::fs::create_dir_all(dir.path()).unwrap();
+        let sock = dir.path().join("tb.sock");
+        let db = Arc::new(LsmDb::open(LsmConfig::small_for_tests(dir.path().join("db"))).unwrap());
+        let fe = Arc::new(Frontend::start(db, FrontendConfig::with_shards(4)));
+        let server = Server::bind_unix(&sock, fe.clone()).unwrap();
+        let client = ServerClient::connect_unix(&sock).unwrap();
+        let tb = TierBase::open(
+            TierBaseConfig::builder(dir.path().join("tierbase"))
+                .policy(policy)
+                .storage(Arc::new(client))
+                .build(),
+        )
+        .unwrap();
+        conformance(&tb);
+        // Once synced, a write is in the server's engine under either
+        // policy (as an envelope, so only its presence is compared).
+        tb.put(k("hop", 0), v(0)).unwrap();
+        tb.sync().unwrap();
+        let direct = ServerClient::connect_unix(&sock).unwrap();
+        assert!(direct.get(&k("hop", 0)).unwrap().is_some(), "{policy:?}");
+        drop((tb, direct));
+        server.stop();
+        fe.shutdown();
+    }
 }

@@ -1,11 +1,27 @@
 //! Failure-injection integration tests: storage-write failures under
 //! write-through (§4.1.1's invalidation contract) and dirty-data
-//! backpressure under write-back (§4.1.2).
+//! backpressure under write-back (§4.1.2). Storage refuses writes
+//! through a `Flaky` wrapper around the storage tier.
 
+use std::sync::Arc;
+use tierbase::common::testutil::Flaky;
+use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::prelude::*;
 
 fn tmpdir(name: &str) -> tierbase::common::TestDir {
     tierbase::common::test_dir(&format!("tb-it-fault-{name}"))
+}
+
+/// Opens a tiered store over the storage tier `TierBase::open` would
+/// make (an `LsmDb` at `<dir>/storage`), wrapped in a [`Flaky`].
+fn open_flaky(config: TierBaseConfig) -> (TierBase, Arc<Flaky<LsmDb>>) {
+    let db = LsmDb::open(LsmConfig::new(config.dir.join("storage"))).unwrap();
+    let storage = Arc::new(Flaky::new(db));
+    let config = TierBaseConfig {
+        storage: Some(storage.clone()),
+        ..config
+    };
+    (TierBase::open(config).unwrap(), storage)
 }
 
 fn k(i: usize) -> Key {
@@ -19,13 +35,12 @@ fn v(tag: &str, i: usize) -> Value {
 #[test]
 fn write_through_never_serves_unacknowledged_values() {
     let dir = tmpdir("wt-stale");
-    let store = TierBase::open(
+    let (store, storage) = open_flaky(
         TierBaseConfig::builder(dir.path())
             .cache_capacity(16 << 20)
             .policy(SyncPolicy::WriteThrough)
             .build(),
-    )
-    .unwrap();
+    );
     // Establish authoritative values.
     for i in 0..100 {
         store.put(k(i), v("good", i)).unwrap();
@@ -33,7 +48,7 @@ fn write_through_never_serves_unacknowledged_values() {
     // Fail the next 50 storage writes; each failed put must error AND
     // subsequent reads must return the old (storage-authoritative)
     // value, never the rejected one.
-    store.inject_storage_write_failures(50);
+    storage.refuse_writes(50);
     for i in 0..50 {
         let err = store.put(k(i), v("rejected", i)).unwrap_err();
         assert!(matches!(err, Error::StorageWriteFailed(_)), "{err:?}");
@@ -60,14 +75,13 @@ fn write_through_never_serves_unacknowledged_values() {
 #[test]
 fn write_through_failure_on_fresh_key_leaves_no_ghost() {
     let dir = tmpdir("wt-ghost");
-    let store = TierBase::open(
+    let (store, storage) = open_flaky(
         TierBaseConfig::builder(dir.path())
             .cache_capacity(16 << 20)
             .policy(SyncPolicy::WriteThrough)
             .build(),
-    )
-    .unwrap();
-    store.inject_storage_write_failures(1);
+    );
+    storage.refuse_writes(1);
     assert!(store.put(k(1), v("ghost", 1)).is_err());
     assert_eq!(store.get(&k(1)).unwrap(), None, "ghost value visible");
 }
@@ -75,7 +89,7 @@ fn write_through_failure_on_fresh_key_leaves_no_ghost() {
 #[test]
 fn write_back_flush_failure_keeps_data_dirty_and_recoverable() {
     let dir = tmpdir("wb-flushfail");
-    let store = TierBase::open(
+    let (store, storage) = open_flaky(
         TierBaseConfig::builder(dir.path())
             .cache_capacity(16 << 20)
             .policy(SyncPolicy::WriteBack)
@@ -85,14 +99,13 @@ fn write_back_flush_failure_keeps_data_dirty_and_recoverable() {
                 batch_size: 64,
             })
             .build(),
-    )
-    .unwrap();
+    );
     for i in 0..100 {
         store.put(k(i), v("wb", i)).unwrap();
     }
     assert!(store.dirty_bytes() > 0);
     // First flush attempt fails mid-way.
-    store.inject_storage_write_failures(1);
+    storage.refuse_writes(1);
     assert!(store.flush_dirty().is_err());
     // Data is still served and still dirty.
     for i in 0..100 {

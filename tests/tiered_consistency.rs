@@ -7,6 +7,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+use tierbase::common::testutil::Flaky;
+use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::prelude::*;
 
 fn tmpdir(name: &str) -> tierbase::common::TestDir {
@@ -293,26 +296,31 @@ fn apply_to_model(
 
 /// [`check_against_model`] with the schedule cut into batches. Under
 /// write-through, about one batch in eight first arms one storage-write
-/// failure, which refuses the writes of the next storage call.
+/// failure, which refuses the writes of the next storage call: the
+/// storage tier is the `LsmDb` `TierBase::open` would make, in a
+/// [`Flaky`].
 fn check_batches_against_model(policy: SyncPolicy, cache_bytes: usize, seed: u64) {
     let dir = tmpdir(&format!("batched-{policy:?}-{cache_bytes}-{seed:x}"));
     let open = || {
-        TierBase::open(
-            TierBaseConfig::builder(dir.path())
-                .cache_capacity(cache_bytes)
-                .cache_shards(4)
-                .policy(policy)
-                .build(),
-        )
-        .unwrap()
+        let mut config = TierBaseConfig::builder(dir.path())
+            .cache_capacity(cache_bytes)
+            .cache_shards(4)
+            .policy(policy)
+            .build();
+        let storage = (policy == SyncPolicy::WriteThrough).then(|| {
+            let db = LsmDb::open(LsmConfig::new(dir.path().join("storage"))).unwrap();
+            Arc::new(Flaky::new(db))
+        });
+        config.storage = storage.clone().map(|s| s as Arc<dyn KvEngine>);
+        (TierBase::open(config).unwrap(), storage)
     };
-    let store = open();
+    let (store, storage) = open();
     let mut rng = StdRng::seed_from_u64(seed.rotate_left(17));
     let mut model: BTreeMap<Key, Value> = BTreeMap::new();
     let (mut injected, mut failed_batches) = (0, 0);
     for ops in random_batches(seed) {
-        if policy == SyncPolicy::WriteThrough && rng.gen_range(0..8) == 0 {
-            store.inject_storage_write_failures(1);
+        if let Some(storage) = storage.as_ref().filter(|_| rng.gen_range(0..8) == 0) {
+            storage.refuse_writes(1);
             injected += 1;
         }
         let got = store.apply_batch(ops.clone());
@@ -338,8 +346,8 @@ fn check_batches_against_model(policy: SyncPolicy, cache_bytes: usize, seed: u64
     );
     store.sync().unwrap();
     if policy != SyncPolicy::InMemory {
-        drop(store);
-        let reopened = open();
+        drop((store, storage));
+        let (reopened, _) = open();
         assert_eq!(
             reopened.multi_get(&keys).unwrap(),
             want,
