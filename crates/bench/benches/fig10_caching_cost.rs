@@ -6,11 +6,19 @@
 //! low performance cost while Dragonfly's per-op messaging costs more;
 //! TierBase-e halves performance cost by using idle cores;
 //! TierBase-PMem cuts storage cost ~60%; compression cuts it further.
+//!
+//! Every row is a TierBase configuration; the repo runs no comparator
+//! (README, "Comparison figures"). Redis's signature is `TierBase-s`;
+//! Memcached's, a multi-threaded cache, is `TierBase-m`; Dragonfly's,
+//! shards reached by message passing, is `TierBase-m+fe4`, a 4-shard
+//! `Frontend` over `TierBase-m`. Record and op counts go through
+//! `tb_bench::budget`.
 
-use tb_baselines::{DragonflyLike, MemcachedLike, RedisLike};
-use tb_bench::{bench_dir, measure_cost, print_cost_plane, scale, CostPoint};
+use std::sync::Arc;
+use tb_bench::{bench_dir, budget, measure_cost, print_cost_plane, BenchReport, CostPoint};
 use tb_common::KvEngine;
 use tb_costmodel::WorkloadDemand;
+use tb_frontend::{Frontend, FrontendConfig};
 use tb_workload::{DatasetKind, Workload, WorkloadSpec};
 use tierbase_core::elastic::ThreadMode;
 use tierbase_core::{CompressorChoice, PmemTuning, TierBase, TierBaseConfig};
@@ -31,26 +39,40 @@ fn tb(
 }
 
 fn main() {
-    let records = 20_000u64 * scale() as u64;
-    let ops = 40_000u64 * scale() as u64;
+    let records = budget(20_000);
+    let ops = budget(40_000);
     // The paper's synthetic demand for caching systems.
     let demand = WorkloadDemand::new(80_000.0, 10.0);
+    let mut report = BenchReport::new("fig10_caching_cost");
 
-    for (title, spec_fn) in [
+    for (title, mix, spec_fn) in [
         (
             "Figure 10(a): 50% write / 50% read",
+            "A(50/50)",
             WorkloadSpec::ycsb_a as fn(u64, u64) -> WorkloadSpec,
         ),
-        ("Figure 10(b): 95% read / 5% write", WorkloadSpec::ycsb_b),
+        (
+            "Figure 10(b): 95% read / 5% write",
+            "B(95/5)",
+            WorkloadSpec::ycsb_b,
+        ),
     ] {
         let mut points: Vec<CostPoint> = Vec::new();
         let systems: Vec<(&str, Box<dyn KvEngine>)> = vec![
-            ("Memcached-m", Box::new(MemcachedLike::new(512 << 20, 8))),
-            ("Redis-s", Box::new(RedisLike::new())),
-            ("Dragonfly-m", Box::new(DragonflyLike::new(4))),
             (
                 "TierBase-s",
                 Box::new(tb("f10-s", |b| b.threading(ThreadMode::Single))),
+            ),
+            (
+                "TierBase-m",
+                Box::new(tb("f10-m", |b| b.threading(ThreadMode::Multi(4)))),
+            ),
+            (
+                "TierBase-m+fe4",
+                Box::new(Frontend::start(
+                    Arc::new(tb("f10-fe", |b| b.threading(ThreadMode::Multi(4)))),
+                    FrontendConfig::with_shards(4),
+                )),
             ),
             (
                 "TierBase-e",
@@ -75,5 +97,18 @@ fn main() {
             points.push(p);
         }
         print_cost_plane(title, &points);
+        for p in &points {
+            report.add_values(
+                format!("{}/{mix}", p.name),
+                &[
+                    ("kqps", p.kqps),
+                    ("cpqps", p.cpqps),
+                    ("cpgb", p.cpgb),
+                    ("performance_cost", p.performance_cost),
+                    ("space_cost", p.space_cost),
+                ],
+            );
+        }
     }
+    report.write().expect("write bench report");
 }

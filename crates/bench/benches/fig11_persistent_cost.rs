@@ -8,13 +8,23 @@
 //! the write-heavy mix and the advantage fading on the read-heavy one;
 //! WAL-PMem trades a little space for near-memory performance.
 //!
+//! Every row is a configuration of code in this repo; none runs a
+//! comparator (README, "Comparison figures"). Cassandra's and HBase's
+//! signature, an LSM on disk, is `LSM-lz`: a bare `LsmDb` writing
+//! `lz` blocks, billed at [`tb_bench::DISK_PRICE`]. Redis-AOF's, an
+//! in-memory store with an append-only log, is `TierBase-WAL`.
+//!
 //! The tiered configurations reach their storage tier over a modelled
 //! 200 µs hop (`tb_bench::Delayed`); no real hop is measured. Record and
 //! op counts go through `tb_bench::budget`.
 
-use tb_baselines::{CassandraLike, HBaseLike, RedisLike};
-use tb_bench::{bench_dir, budget, delayed_storage, measure_cost, print_cost_plane, CostPoint};
+use tb_bench::{
+    bench_dir, budget, delayed_storage, measure_cost, print_cost_plane, BenchReport, CostPoint,
+    DISK_PRICE,
+};
+use tb_compress::BlockCodec;
 use tb_costmodel::WorkloadDemand;
+use tb_lsm::{LsmConfig, LsmDb};
 use tb_workload::{Workload, WorkloadSpec};
 use tierbase_core::{PersistenceMode, SyncPolicy, TierBase, TierBaseConfig};
 
@@ -48,54 +58,41 @@ fn main() {
     let demand = WorkloadDemand::new(40_000.0, 10.0);
     // Rough logical size for the cache-ratio sizing: ~170 B/record.
     let logical_estimate = records as usize * 170;
+    let mut report = BenchReport::new("fig11_persistent_cost");
 
-    for (title, spec_fn) in [
+    for (title, mix, spec_fn) in [
         (
             "Figure 11(a): 50% read / 50% write",
+            "A(50/50)",
             WorkloadSpec::ycsb_a as fn(u64, u64) -> WorkloadSpec,
         ),
-        ("Figure 11(b): 95% read / 5% write", WorkloadSpec::ycsb_b),
+        (
+            "Figure 11(b): 95% read / 5% write",
+            "B(95/5)",
+            WorkloadSpec::ycsb_b,
+        ),
     ] {
         let mut points: Vec<CostPoint> = Vec::new();
 
-        // Disk-based comparators (single copy; replication inside the
-        // storage service, as the paper assumes).
+        // On disk, single copy (replication inside the storage service,
+        // as the paper assumes).
         {
-            let e = CassandraLike::open(&bench_dir("f11-cas")).unwrap();
+            let mut config = LsmConfig::new(bench_dir("f11-lsm"));
+            config.sst.codec = BlockCodec::Lz;
+            let e = LsmDb::open(config).expect("open lsm");
             let (load, run) = Workload::new(spec_fn(records, ops)).generate();
             points.push(measure_cost(
-                "Cassandra",
+                "LSM-lz",
                 &e,
                 &load,
                 &run,
                 16,
                 &demand,
-                4.0,
+                4.0 / DISK_PRICE,
                 1.0,
             ));
         }
-        {
-            let e = HBaseLike::open(&bench_dir("f11-hb")).unwrap();
-            let (load, run) = Workload::new(spec_fn(records, ops)).generate();
-            points.push(measure_cost(
-                "HBase", &e, &load, &run, 16, &demand, 4.0, 1.0,
-            ));
-        }
         // Memory-resident persistent stores: dual-replica → space ×2.
-        {
-            let e = RedisLike::with_aof(&bench_dir("f11-raof")).unwrap();
-            let (load, run) = Workload::new(spec_fn(records, ops)).generate();
-            points.push(measure_cost(
-                "Redis-AOF",
-                &e,
-                &load,
-                &run,
-                16,
-                &demand,
-                4.0,
-                2.0,
-            ));
-        }
         {
             let e = cache_resident("f11-wal", PersistenceMode::Wal);
             let (load, run) = Workload::new(spec_fn(records, ops)).generate();
@@ -156,5 +153,18 @@ fn main() {
         }
 
         print_cost_plane(title, &points);
+        for p in &points {
+            report.add_values(
+                format!("{}/{mix}", p.name),
+                &[
+                    ("kqps", p.kqps),
+                    ("cpqps", p.cpqps),
+                    ("cpgb", p.cpgb),
+                    ("performance_cost", p.performance_cost),
+                    ("space_cost", p.space_cost),
+                ],
+            );
+        }
     }
+    report.write().expect("write bench report");
 }

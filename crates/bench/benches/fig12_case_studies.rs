@@ -11,14 +11,29 @@
 //! overall TierBase cuts cost ≥37% vs Cassandra/HBase and ~70% vs its
 //! own default (untiered) configuration.
 //!
+//! Every row is a configuration of code in this repo; none runs a
+//! comparator (README, "Comparison figures"). Cassandra's and HBase's
+//! signature, an LSM on disk, is `LSM-lz`: a bare `LsmDb` writing `lz`
+//! blocks, billed at [`tb_bench::DISK_PRICE`]. Redis's is
+//! `TierBase-Raw`, the default configuration; Memcached's, a
+//! multi-threaded cache, is `TierBase-m`; Dragonfly's, shards reached
+//! by message passing, is `TierBase-m+fe4`, a 4-shard `Frontend` over
+//! `TierBase-m`.
+//!
 //! The tiered configurations reach their storage tier over a modelled
 //! 200 µs hop (`tb_bench::Delayed`); no real hop is measured. Record and
 //! op counts go through `tb_bench::budget`.
 
-use tb_baselines::{CassandraLike, DragonflyLike, HBaseLike, MemcachedLike, RedisLike};
-use tb_bench::{bench_dir, budget, delayed_storage, measure_cost, print_cost_plane, CostPoint};
+use std::sync::Arc;
+use tb_bench::{
+    bench_dir, budget, delayed_storage, measure_cost, print_cost_plane, BenchReport, CostPoint,
+    DISK_PRICE,
+};
 use tb_common::KvEngine;
+use tb_compress::BlockCodec;
 use tb_costmodel::WorkloadDemand;
+use tb_frontend::{Frontend, FrontendConfig};
+use tb_lsm::{LsmConfig, LsmDb};
 use tb_workload::{DatasetKind, Workload, WorkloadSpec};
 use tierbase_core::elastic::ThreadMode;
 use tierbase_core::{CompressorChoice, PmemTuning, SyncPolicy, TierBase, TierBaseConfig};
@@ -43,7 +58,9 @@ fn tb(
 }
 
 fn run_case(
+    report: &mut BenchReport,
     title: &str,
+    case: &str,
     spec: WorkloadSpec,
     demand: WorkloadDemand,
     dataset: DatasetKind,
@@ -51,31 +68,49 @@ fn run_case(
 ) {
     let mut points: Vec<CostPoint> = Vec::new();
     let cache_4x = (logical_estimate / 4).max(64 << 10);
-    let systems: Vec<(&str, Box<dyn KvEngine>, f64)> = vec![
+    let mut lsm = LsmConfig::new(bench_dir("f12-lsm"));
+    lsm.sst.codec = BlockCodec::Lz;
+    // (name, engine, GB of data an instance holds, replica factor)
+    let systems: Vec<(&str, Box<dyn KvEngine>, f64, f64)> = vec![
         (
-            "Cassandra",
-            Box::new(CassandraLike::open(&bench_dir("f12-cas")).unwrap()),
+            "LSM-lz",
+            Box::new(LsmDb::open(lsm).expect("open lsm")),
+            4.0 / DISK_PRICE,
             1.0,
         ),
         (
-            "HBase",
-            Box::new(HBaseLike::open(&bench_dir("f12-hb")).unwrap()),
-            1.0,
+            "TierBase-Raw",
+            Box::new(tb("f12-raw", dataset, |b| b)),
+            4.0,
+            2.0,
         ),
-        ("Redis", Box::new(RedisLike::new()), 2.0),
-        ("Memcached", Box::new(MemcachedLike::new(512 << 20, 8)), 2.0),
-        ("Dragonfly", Box::new(DragonflyLike::new(4)), 2.0),
-        ("TierBase-Raw", Box::new(tb("f12-raw", dataset, |b| b)), 2.0),
+        (
+            "TierBase-m",
+            Box::new(tb("f12-m", dataset, |b| b.threading(ThreadMode::Multi(4)))),
+            4.0,
+            2.0,
+        ),
+        (
+            "TierBase-m+fe4",
+            Box::new(Frontend::start(
+                Arc::new(tb("f12-fe", dataset, |b| b.threading(ThreadMode::Multi(4)))),
+                FrontendConfig::with_shards(4),
+            )),
+            4.0,
+            2.0,
+        ),
         (
             "TierBase-e",
             Box::new(tb("f12-e", dataset, |b| {
                 b.threading(ThreadMode::Elastic(4))
             })),
+            4.0,
             2.0,
         ),
         (
             "TierBase-PMem",
             Box::new(tb("f12-pm", dataset, |b| b.pmem(PmemTuning::default()))),
+            4.0,
             2.0,
         ),
         (
@@ -83,6 +118,7 @@ fn run_case(
             Box::new(tb("f12-wt", dataset, |b| {
                 b.policy(SyncPolicy::WriteThrough).cache_capacity(cache_4x)
             })),
+            4.0,
             1.0,
         ),
         (
@@ -90,6 +126,7 @@ fn run_case(
             Box::new(tb("f12-wb", dataset, |b| {
                 b.policy(SyncPolicy::WriteBack).cache_capacity(cache_4x)
             })),
+            4.0,
             2.0,
         ),
         (
@@ -97,10 +134,11 @@ fn run_case(
             Box::new(tb("f12-pbc", dataset, |b| {
                 b.compression(CompressorChoice::Pbc)
             })),
+            4.0,
             2.0,
         ),
     ];
-    for (name, engine, replica_factor) in systems {
+    for (name, engine, instance_capacity_gb, replica_factor) in systems {
         let (load, run) = Workload::new(spec.clone()).generate();
         points.push(measure_cost(
             name,
@@ -109,20 +147,35 @@ fn run_case(
             &run,
             16,
             &demand,
-            4.0,
+            instance_capacity_gb,
             replica_factor,
         ));
     }
     print_cost_plane(title, &points);
+    for p in &points {
+        report.add_values(
+            format!("{}/{case}", p.name),
+            &[
+                ("kqps", p.kqps),
+                ("cpqps", p.cpqps),
+                ("cpgb", p.cpgb),
+                ("performance_cost", p.performance_cost),
+                ("space_cost", p.space_cost),
+            ],
+        );
+    }
 }
 
 fn main() {
     let records = budget(15_000);
     let ops = budget(30_000);
+    let mut report = BenchReport::new("fig12_case_studies");
 
     // Case 1: User Info Service — read-heavy, skewed, KV1 records.
     run_case(
+        &mut report,
         "Figure 12(a): User Info Service (97% read, zipfian)",
+        "case1",
         WorkloadSpec::case1_user_info(records, ops),
         WorkloadDemand::new(80_000.0, 10.0),
         DatasetKind::Kv1,
@@ -131,10 +184,13 @@ fn main() {
 
     // Case 2: Capital Reconciliation — 1:1 mix, temporal skew, KV2.
     run_case(
+        &mut report,
         "Figure 12(b): Capital Reconciliation (1:1 read/write, latest)",
+        "case2",
         WorkloadSpec::case2_reconciliation(records, ops),
         WorkloadDemand::new(40_000.0, 10.0),
         DatasetKind::Kv2,
         records as usize * 120,
     );
+    report.write().expect("write bench report");
 }

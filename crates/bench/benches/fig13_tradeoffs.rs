@@ -52,6 +52,7 @@ fn compressor_point(
     let metrics = tb_costmodel::CostMetrics::new(mixed_ops, max_space_gb, 1.0);
     CostPoint {
         name: name.into(),
+        kqps: mixed_ops / 1000.0,
         cpqps: metrics.cpqps(),
         cpgb: metrics.cpgb(),
         performance_cost: metrics.performance_cost(demand),

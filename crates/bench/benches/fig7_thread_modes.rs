@@ -6,9 +6,16 @@
 //! multi-thread — Memcached/Dragonfly pull ahead of a single TierBase
 //! instance, while N single-thread TierBase instances beat one
 //! multi-thread competitor on equal cores.
+//!
+//! Every row is a TierBase configuration; the repo runs no comparator
+//! (README, "Comparison figures"). Redis's signature, one thread and
+//! in memory, is `TierBase-s` itself; Memcached's, a multi-threaded
+//! sharded cache, is `TierBase-m`; Dragonfly's, shared-nothing shards
+//! on the same cores, is `4xTierBase-s`. So the single-thread table has
+//! one row, and the multi-thread table compares one instance with four
+//! permits against four single-thread instances.
 
 use std::sync::Arc;
-use tb_baselines::{DragonflyLike, MemcachedLike, RedisLike};
 use tb_bench::{bench_dir, budget, drive, print_table, BenchReport};
 use tb_common::KvEngine;
 use tb_workload::{Workload, WorkloadSpec};
@@ -75,19 +82,6 @@ fn main() {
         let tb = tierbase("fig7-tb-s", ThreadMode::Single);
         run_suite(&mut rows, &mut report, "TierBase-s", &tb, records, ops, 16);
     }
-    {
-        let redis = RedisLike::new();
-        run_suite(&mut rows, &mut report, "Redis-s", &redis, records, ops, 16);
-    }
-    {
-        // Single-thread variants of the multithread-native systems.
-        let mc = MemcachedLike::new(256 << 20, 1);
-        run_suite(&mut rows, &mut report, "Memcached-s", &mc, records, ops, 16);
-    }
-    {
-        let df = DragonflyLike::new(1);
-        run_suite(&mut rows, &mut report, "Dragonfly-s", &df, records, ops, 16);
-    }
     print_table(
         "Figure 7(a,b): single-thread mode (kQPS, p99 us)",
         &["system", "workload", "kqps", "p99_us"],
@@ -99,26 +93,6 @@ fn main() {
     {
         let tb = tierbase("fig7-tb-m", ThreadMode::Multi(4));
         run_suite(&mut rows, &mut report, "TierBase-m", &tb, records, ops, 48);
-    }
-    {
-        let redis = RedisLike::new(); // Redis stays single-threaded
-        run_suite(
-            &mut rows,
-            &mut report,
-            "Redis-m(io)",
-            &redis,
-            records,
-            ops,
-            48,
-        );
-    }
-    {
-        let mc = MemcachedLike::new(256 << 20, 8);
-        run_suite(&mut rows, &mut report, "Memcached-m", &mc, records, ops, 48);
-    }
-    {
-        let df = DragonflyLike::new(4);
-        run_suite(&mut rows, &mut report, "Dragonfly-m", &df, records, ops, 48);
     }
     // The paper's scaling argument: 4 single-thread TierBase instances
     // on the same 4 cores.

@@ -1,17 +1,17 @@
 //! Figure 9: throughput timeline under a workload burst for
-//! TierBase-s / TierBase-e / TierBase-m and Redis-s / Redis-m.
+//! TierBase-s / TierBase-e / TierBase-m.
 //!
 //! Time-compressed replay of the paper's scenario: a calm period at a
 //! throttled request rate, a burst of unthrottled load, then calm
 //! again. Paper shape to reproduce: all systems serve the calm phases;
 //! during the burst the single-thread systems cap near their one-core
 //! limit while TierBase-e boosts to multi-thread throughput and drops
-//! back afterwards.
+//! back afterwards. The paper's Redis-s is a one-permit, in-memory
+//! store, which is `TierBase-s` here, so it has no row of its own.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tb_baselines::RedisLike;
 use tb_bench::{bench_dir, print_table, BenchReport};
 use tb_cluster::{NodeId, NodeStore};
 use tb_common::testutil::MapEngine;
@@ -195,7 +195,6 @@ fn main() {
                 .unwrap(),
             ),
         ),
-        ("Redis-s", Arc::new(RedisLike::new())),
         (
             // TierBase-e behind a replicated data node: every put is
             // shipped (LSN-framed) to an in-memory replica before ack.

@@ -221,10 +221,18 @@ pub fn drive_bursts(
     PipelineResult::measured(&hist, ops.len(), started, errors.load(Ordering::Relaxed))
 }
 
+/// Price of a GB of disk relative to a GB of DRAM (cloud SSD vs
+/// memory, order 1:20). A configuration whose data lives on disk is
+/// billed at this price by passing [`measure_cost`] an
+/// `instance_capacity_gb` of the DRAM capacity divided by it.
+pub const DISK_PRICE: f64 = 0.05;
+
 /// A measured configuration's position on the cost plane.
 #[derive(Debug, Clone)]
 pub struct CostPoint {
     pub name: String,
+    /// Measured throughput, thousands of ops per second.
+    pub kqps: f64,
     pub cpqps: f64,
     pub cpgb: f64,
     pub performance_cost: f64,
@@ -262,6 +270,7 @@ pub fn cost_point(
     let metrics = CostMetrics::new(result.qps.max(1.0), max_space_gb, 1.0);
     CostPoint {
         name: name.into(),
+        kqps: result.qps / 1000.0,
         cpqps: metrics.cpqps(),
         cpgb: metrics.cpgb(),
         performance_cost: metrics.performance_cost(demand),

@@ -1,4 +1,4 @@
-//! The sharded cache: N [`LruShard`]s behind per-shard locks, with
+//! The sharded cache: N `LruShard`s behind per-shard locks, with
 //! hit/miss statistics and DRAM/PMem placement.
 
 use crate::lru::{CacheEntry, Lookup, LruShard};

@@ -47,5 +47,5 @@ pub mod lru;
 pub mod snapshot;
 
 pub use cache::{CacheConfig, CacheStats, PmemPlacement, ShardedCache};
-pub use lru::{entry_cost, CacheEntry, Lookup, LruShard, EXTRA_BYTES};
+pub use lru::{entry_cost, CacheEntry, Lookup, EXTRA_BYTES};
 pub use snapshot::{load_snapshot, write_snapshot};

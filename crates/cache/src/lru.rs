@@ -288,7 +288,7 @@ impl Index {
 }
 
 /// A bounded LRU map of keys to values.
-pub struct LruShard {
+pub(crate) struct LruShard {
     index: Index,
     /// Exactly the live nodes, those with an [`Extra`] first: removal
     /// moves a node out and others fill its slot, so no slot keeps a
@@ -306,10 +306,6 @@ pub struct LruShard {
 }
 
 impl LruShard {
-    pub fn new(budget_bytes: usize) -> Self {
-        Self::placed(budget_bytes, None)
-    }
-
     /// A shard that bills every entry whose value is at least
     /// `pmem_from` bytes long to PMem ([`Self::pmem_bytes`]).
     pub(crate) fn placed(budget_bytes: usize, pmem_from: Option<usize>) -> Self {
@@ -345,10 +341,6 @@ impl LruShard {
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.slab.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.slab.is_empty()
     }
 
     /// Heap bytes the entries hold.
@@ -402,14 +394,6 @@ impl LruShard {
         Lookup::Live(Value::copy_from(split(&self.slab[idx as usize].record).1))
     }
 
-    /// [`lookup`](Self::lookup) that reads an expired entry as absent.
-    pub fn get(&mut self, key: impl AsRef<[u8]>, now_nanos: u64) -> Option<Value> {
-        match self.lookup(key, now_nanos) {
-            Lookup::Live(value) => Some(value),
-            Lookup::Expired | Lookup::Absent => None,
-        }
-    }
-
     /// Looks up without touching recency (monitoring paths).
     pub fn peek(&self, key: impl AsRef<[u8]>) -> Option<CacheEntry> {
         let idx = self.find(key.as_ref())?;
@@ -421,22 +405,12 @@ impl LruShard {
         })
     }
 
-    /// Inserts/overwrites; evicts clean LRU entries to fit the budget.
-    /// Returns how many it evicted.
+    /// Inserts/overwrites with an optional expiry deadline; evicts
+    /// clean LRU entries to fit the budget. Returns how many it evicted.
+    /// Overwriting a key replaces its expiry (Redis `SET` semantics).
     ///
     /// Errors with [`Error::Backpressure`] when the needed space cannot
     /// be reclaimed because remaining entries are dirty.
-    pub fn insert(
-        &mut self,
-        key: impl AsRef<[u8]>,
-        value: impl AsRef<[u8]>,
-        dirty: bool,
-    ) -> Result<usize> {
-        self.insert_full(key, value, dirty, None)
-    }
-
-    /// [`insert`](Self::insert) with an expiry deadline. Overwriting a
-    /// key replaces its expiry (Redis `SET` semantics).
     pub fn insert_full(
         &mut self,
         key: impl AsRef<[u8]>,
@@ -678,13 +652,6 @@ impl LruShard {
         self.extras.swap(a as usize, b as usize);
     }
 
-    /// Clears the dirty flag unconditionally.
-    pub fn mark_clean(&mut self, key: impl AsRef<[u8]>) {
-        if let Some(idx) = self.find(key.as_ref()) {
-            self.clean_at(idx);
-        }
-    }
-
     /// Clears the dirty flag after a successful storage write of
     /// `flushed` — only if the entry still holds exactly those bytes.
     /// An overwrite that landed after the flush took its snapshot stays
@@ -870,6 +837,38 @@ impl LruShard {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Shorthands the tests drive a shard through.
+    impl LruShard {
+        fn new(budget_bytes: usize) -> Self {
+            Self::placed(budget_bytes, None)
+        }
+
+        /// [`lookup`](Self::lookup) that reads an expired entry as absent.
+        fn get(&mut self, key: impl AsRef<[u8]>, now_nanos: u64) -> Option<Value> {
+            match self.lookup(key, now_nanos) {
+                Lookup::Live(value) => Some(value),
+                Lookup::Expired | Lookup::Absent => None,
+            }
+        }
+
+        /// [`insert_full`](Self::insert_full) without a deadline.
+        fn insert(
+            &mut self,
+            key: impl AsRef<[u8]>,
+            value: impl AsRef<[u8]>,
+            dirty: bool,
+        ) -> Result<usize> {
+            self.insert_full(key, value, dirty, None)
+        }
+
+        /// Clears the dirty flag unconditionally.
+        fn mark_clean(&mut self, key: impl AsRef<[u8]>) {
+            if let Some(idx) = self.find(key.as_ref()) {
+                self.clean_at(idx);
+            }
+        }
+    }
 
     fn k(i: usize) -> Key {
         Key::from(format!("k{i}"))

@@ -1,7 +1,8 @@
 //! The engine abstraction every storage system in the workspace
-//! implements — TierBase itself, the baseline comparators, and the bare
-//! cache/LSM tiers. One trait lets a single replay/measurement harness
-//! drive every system in the paper's evaluation.
+//! implements — TierBase itself, the bare LSM tier, the front-end, the
+//! cluster and socket clients. One trait lets a single
+//! replay/measurement harness drive every configuration in the paper's
+//! evaluation.
 //!
 //! # The LSN / ack contract
 //!

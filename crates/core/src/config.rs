@@ -17,7 +17,8 @@ use tb_compress::CompressorChoice;
 /// persists itself when it *is* the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Cache only; no durability (Redis/Memcached-style cache).
+    /// Cache only: the store is the cache tier, made durable (or not) by
+    /// its [`PersistenceMode`].
     InMemory,
     /// Synchronous storage update before acknowledging (§4.1.1).
     WriteThrough,
@@ -28,7 +29,7 @@ pub enum SyncPolicy {
 }
 
 /// Durability of the cache tier itself (used with [`SyncPolicy::InMemory`]
-/// when no storage tier exists — the Redis-AOF comparison point).
+/// when no storage tier exists).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistenceMode {
     /// No persistence.

@@ -20,7 +20,6 @@
 //! | [`cluster`] | `tb-cluster` | hash-slot sharding, coordinators, failover, smart client, proxy |
 //! | [`server`] | `tb-server` | network serving: pipelined wire protocol, TCP/Unix-socket server, `KvEngine` socket client |
 //! | [`obs`] | `tb-obs` | unified telemetry: global metrics registry (counters/gauges/latency histograms), span tracer, Prometheus/JSON snapshots |
-//! | [`baselines`] | `tb-baselines` | redis-/memcached-/dragonfly-/cassandra-/hbase-like comparators |
 //! | [`common`] | `tb-common` | shared types, errors, clocks, histograms, hashing, `KvEngine` |
 //!
 //! ## Quickstart
@@ -42,7 +41,6 @@
 
 #![deny(unsafe_code)]
 
-pub use tb_baselines as baselines;
 pub use tb_cache as cache;
 pub use tb_cluster as cluster;
 pub use tb_common as common;

@@ -11,7 +11,6 @@
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-use tierbase::baselines::{DragonflyLike, MemcachedLike, RedisLike};
 use tierbase::cluster::{CoordinatorGroup, NodeId, NodeStore, Proxy};
 use tierbase::common::testutil::MapEngine;
 use tierbase::elastic::ThreadMode;
@@ -56,25 +55,6 @@ fn hammer_counter(engine: &dyn KvEngine, threads: usize, per_thread: usize) -> u
         }
     });
     parse_counter(&engine.get(&key).unwrap().unwrap())
-}
-
-#[test]
-fn redis_like_cas_is_atomic() {
-    let engine = RedisLike::new();
-    assert_eq!(hammer_counter(&engine, 4, 50), 200);
-}
-
-#[test]
-fn memcached_like_cas_is_atomic() {
-    // Capacity far above the working set: the counter never evicts.
-    let engine = MemcachedLike::new(64 << 20, 4);
-    assert_eq!(hammer_counter(&engine, 4, 50), 200);
-}
-
-#[test]
-fn dragonfly_like_cas_is_atomic() {
-    let engine = DragonflyLike::new(2);
-    assert_eq!(hammer_counter(&engine, 4, 50), 200);
 }
 
 #[test]

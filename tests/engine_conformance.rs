@@ -2,13 +2,15 @@
 //!
 //! One function exercises the whole trait contract — point ops, batch
 //! op ordering, CAS semantics, and `resident_bytes` monotonicity — and
-//! every engine (TierBase, the baselines, the bare tiers, the cluster
-//! proxy, the pipelined front-end) must pass it unchanged. Any new
-//! engine gets a conformance test by adding one line here.
+//! every engine (TierBase in each configuration a figure names, the
+//! bare tiers, the cluster proxy, the pipelined front-end) must pass it
+//! unchanged. Any new engine gets a conformance test by adding one line
+//! here.
 
 use std::sync::Arc;
-use tierbase::baselines::{CassandraLike, DragonflyLike, HBaseLike, MemcachedLike, RedisLike};
 use tierbase::cluster::{ClusterClient, CoordinatorGroup, NodeId, NodeStore, Proxy, ServingMode};
+use tierbase::common::testutil::MapEngine;
+use tierbase::elastic::ThreadMode;
 use tierbase::frontend::{Frontend, FrontendConfig};
 use tierbase::lsm::{LsmConfig, LsmDb};
 use tierbase::prelude::*;
@@ -358,40 +360,6 @@ fn conformance(engine: &dyn KvEngine) {
 }
 
 #[test]
-fn redis_like_conforms() {
-    conformance(&RedisLike::new());
-}
-
-#[test]
-fn redis_aof_conforms() {
-    let dir = tmpdir("redis-aof");
-    conformance(&RedisLike::with_aof(dir.path()).unwrap());
-}
-
-#[test]
-fn memcached_like_conforms() {
-    // Capacity far above the battery's working set: no eviction.
-    conformance(&MemcachedLike::new(64 << 20, 4));
-}
-
-#[test]
-fn dragonfly_like_conforms() {
-    conformance(&DragonflyLike::new(2));
-}
-
-#[test]
-fn cassandra_like_conforms() {
-    let dir = tmpdir("cassandra");
-    conformance(&CassandraLike::open(dir.path()).unwrap());
-}
-
-#[test]
-fn hbase_like_conforms() {
-    let dir = tmpdir("hbase");
-    conformance(&HBaseLike::open(dir.path()).unwrap());
-}
-
-#[test]
 fn lsm_db_conforms() {
     let dir = tmpdir("lsm");
     conformance(&LsmDb::open(LsmConfig::small_for_tests(dir.path())).unwrap());
@@ -401,6 +369,30 @@ fn lsm_db_conforms() {
 fn tierbase_conforms() {
     let dir = tmpdir("tierbase");
     let tb = TierBase::open(TierBaseConfig::builder(dir.path()).build()).unwrap();
+    conformance(&tb);
+}
+
+#[test]
+fn tierbase_wal_conforms() {
+    let dir = tmpdir("tierbase-wal");
+    let tb = TierBase::open(
+        TierBaseConfig::builder(dir.path())
+            .persistence(PersistenceMode::Wal)
+            .build(),
+    )
+    .unwrap();
+    conformance(&tb);
+}
+
+#[test]
+fn tierbase_multi_conforms() {
+    let dir = tmpdir("tierbase-multi");
+    let tb = TierBase::open(
+        TierBaseConfig::builder(dir.path())
+            .threading(ThreadMode::Multi(4))
+            .build(),
+    )
+    .unwrap();
     conformance(&tb);
 }
 
@@ -433,7 +425,7 @@ fn tierbase_write_back_conforms() {
 #[test]
 fn cluster_proxy_conforms() {
     let nodes = (0..3)
-        .map(|i| NodeStore::new(NodeId(i), Arc::new(RedisLike::new())))
+        .map(|i| NodeStore::new(NodeId(i), MapEngine::shared()))
         .collect();
     let coordinators = Arc::new(CoordinatorGroup::bootstrap(3, nodes).unwrap());
     conformance(&Proxy::new(coordinators));
@@ -449,8 +441,10 @@ fn frontend_over_lsm_conforms() {
 }
 
 #[test]
-fn frontend_over_redis_like_conforms() {
-    let fe = Frontend::start(Arc::new(RedisLike::new()), FrontendConfig::with_shards(2));
+fn frontend_over_tierbase_conforms() {
+    let dir = tmpdir("fe-tierbase");
+    let tb = TierBase::open(TierBaseConfig::builder(dir.path()).build()).unwrap();
+    let fe = Frontend::start(Arc::new(tb), FrontendConfig::with_shards(2));
     conformance(&fe);
     fe.shutdown();
 }
@@ -481,7 +475,7 @@ fn pipelined_cluster_node_conforms() {
     // same contract a thin client sees through a pipelined node.
     let node = NodeStore::with_serving_mode(
         NodeId(0),
-        Arc::new(RedisLike::new()),
+        MapEngine::shared(),
         ServingMode::Pipelined(FrontendConfig::with_shards(2)),
     );
     let nodes = vec![node];
