@@ -103,6 +103,12 @@ fn put_rate(engine: &dyn KvEngine, ops: u64) -> f64 {
     ops as f64 / started.elapsed().as_secs_f64() / 1000.0
 }
 
+/// The median of `runs`, which it sorts.
+fn median(runs: &mut [f64]) -> f64 {
+    runs.sort_by(f64::total_cmp);
+    runs[runs.len() / 2]
+}
+
 fn timeline(engine: Arc<dyn KvEngine>, clients: usize, phases: Phases) -> Vec<f64> {
     // Preload a small hot set.
     for i in 0..1000 {
@@ -269,14 +275,14 @@ fn main() {
     // Same pipelined front-end (group commit over an LSM engine) bare
     // vs. behind a replicated node, one writer each: the delta is the
     // per-write cost of framing + shipping + replica ack. Budget from
-    // the PR-8 failover work: < 10%.
-    let ops = if tb_bench::smoke() { 20_000 } else { 100_000 };
+    // the PR-8 failover work: < 10%. Both paths are fsync-bound, so a
+    // single pair of runs swings with the disk: the sides take turns
+    // for `ROUNDS` rounds and the table reports each side's median.
+    const ROUNDS: u64 = 5;
+    let ops = if tb_bench::smoke() { 20_000 } else { 100_000 } / ROUNDS;
     let base_db: Arc<dyn KvEngine> =
         Arc::new(LsmDb::open(LsmConfig::new(bench_dir("fig9-gc-base"))).unwrap());
     let base_fe = Frontend::start(base_db, FrontendConfig::with_shards(2));
-    put_rate(&base_fe, ops / 10); // warm-up
-    let base_kops = put_rate(&base_fe, ops);
-
     let repl_db: Arc<dyn KvEngine> =
         Arc::new(LsmDb::open(LsmConfig::new(bench_dir("fig9-gc-repl"))).unwrap());
     let repl_fe: Arc<dyn KvEngine> =
@@ -284,8 +290,21 @@ fn main() {
     let repl_node = ReplicatedNode(
         NodeStore::new(NodeId(0), repl_fe.clone()).with_replica(MapEngine::shared()),
     );
-    put_rate(&repl_node, ops / 10); // warm-up
-    let repl_kops = put_rate(&repl_node, ops);
+    put_rate(&base_fe, ops / 2); // warm-up
+    put_rate(&repl_node, ops / 2);
+    let (mut base_runs, mut repl_runs) = (Vec::new(), Vec::new());
+    for round in 0..ROUNDS {
+        // Alternate which side goes first, so neither always follows
+        // the other's writes to the disk.
+        if round % 2 == 0 {
+            base_runs.push(put_rate(&base_fe, ops));
+            repl_runs.push(put_rate(&repl_node, ops));
+        } else {
+            repl_runs.push(put_rate(&repl_node, ops));
+            base_runs.push(put_rate(&base_fe, ops));
+        }
+    }
+    let (base_kops, repl_kops) = (median(&mut base_runs), median(&mut repl_runs));
 
     let overhead_pct = (1.0 - repl_kops / base_kops) * 100.0;
     report.add_values(
@@ -296,13 +315,19 @@ fn main() {
             ("ship_overhead_pct", overhead_pct),
         ],
     );
+    let runs = |r: &[f64]| {
+        r.iter()
+            .map(|q| format!("{q:.1}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
     print_table(
-        "Replication ship overhead (single-writer puts over the group-commit path)",
-        &["path", "kops/s"],
+        &format!("Replication ship overhead (single-writer puts over the group-commit path; median of {ROUNDS} alternating rounds)"),
+        &["path", "kops/s", "rounds (sorted)"],
         &[
-            vec!["group-commit".into(), format!("{base_kops:.1}")],
-            vec!["group-commit + ship".into(), format!("{repl_kops:.1}")],
-            vec!["overhead %".into(), format!("{overhead_pct:.1}")],
+            vec!["group-commit".into(), format!("{base_kops:.1}"), runs(&base_runs)],
+            vec!["group-commit + ship".into(), format!("{repl_kops:.1}"), runs(&repl_runs)],
+            vec!["overhead %".into(), format!("{overhead_pct:.1}"), String::new()],
         ],
     );
 

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::path::Path;
 use tb_bench::{bench_dir, budget};
-use tb_cache::{CacheConfig, ShardedCache};
+use tb_cache::{entry_cost, CacheConfig, ShardedCache};
 use tb_common::{crc32, fx_hash, Histogram, Key, KvEngine, Value};
 use tb_compress::{
     BlockCodec, BlockCodecState, BlockEffort, Compressor, Pbc, PbcConfig, Tzstd, TzstdLevel,
@@ -38,8 +38,8 @@ fn bench_cache(c: &mut Criterion) {
             std::hint::black_box(cache.get(&keys[i]))
         })
     });
-    // The same hits on dirty entries: a hit also moves the entry to the
-    // front of the dirty list, whose links are in the entry's extra.
+    // The same hits on dirty entries: a hit sets the entry's reference
+    // bit, as on a clean one, and leaves the dirty list as it is.
     let dirty = ShardedCache::new(CacheConfig::with_capacity(256 << 20));
     for k in &keys {
         dirty
@@ -61,6 +61,25 @@ fn bench_cache(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    // New keys into a cache whose budget holds half of `keys`' worth of
+    // them, filled first: every insert evicts an entry. The key is the
+    // next number's 8 bytes, so no key repeats.
+    let value = Value::from(vec![b'v'; 128]);
+    let full = ShardedCache::new(CacheConfig::with_capacity(
+        keys.len() / 2 * entry_cost(8, value.len()),
+    ));
+    let mut next = 0u64;
+    let mut new_key = || {
+        next += 1;
+        Key::copy_from(&next.to_be_bytes())
+    };
+    for _ in 0..keys.len() {
+        full.insert(new_key(), value.clone(), false).unwrap();
+    }
+    group.bench_function("insert_evict", |b| {
+        b.iter(|| full.insert(new_key(), value.clone(), false).unwrap())
+    });
+    drop(full);
     // 4 KiB values: a hit hands out a copy of the value and an insert
     // copies it in, both under the shard lock. The inserted value is
     // built once, so the rows time the cache's own work.

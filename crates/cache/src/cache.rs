@@ -75,7 +75,9 @@ impl CacheStats {
     }
 }
 
-/// A concurrent, bounded, LRU key-value cache.
+/// A concurrent, bounded key-value cache that evicts by CLOCK: one
+/// reference bit per entry, which a hit sets, where exact LRU would
+/// keep two links per entry and rewrite them on every hit.
 pub struct ShardedCache {
     shards: Vec<Mutex<LruShard>>,
     shard_budget: usize,

@@ -1,10 +1,13 @@
 //! TierBase cache tier (§3, §4.1).
 //!
-//! In-memory hash tables with LRU eviction, sized to a byte budget and
-//! split across shards for concurrency. The pieces the synchronization
+//! In-memory hash tables with CLOCK eviction, sized to a byte budget
+//! and split across shards for concurrency. CLOCK keeps one reference
+//! bit per entry, in its index slot, where exact LRU kept two links in
+//! every node and rewrote them on every hit; it loses little hit ratio
+//! for that. The pieces the synchronization
 //! policies need live here too:
 //!
-//! * [`lru`] / [`cache`] — the sharded LRU store with dirty-entry
+//! * [`lru`] / [`cache`] — the sharded CLOCK store with dirty-entry
 //!   pinning (a dirty entry must never be evicted before it reaches the
 //!   storage tier) and §4.3's DRAM/PMem split as one config rule,
 //!   [`PmemPlacement`]: values at or above a size threshold live in
@@ -15,10 +18,10 @@
 //! * [`snapshot`] — point-in-time snapshots for warm restarts.
 //!
 //! The byte budget is the heap the entries hold. An entry is one
-//! allocation, `varint(key length) | key | value`, plus a 24-byte slab
-//! node (the record and its LRU links) and a 10-byte share of an index
-//! slot ([`entry_cost`]); a dirty or expiring entry holds a 32-byte
-//! side record more ([`EXTRA_BYTES`]).
+//! allocation, `varint(key length) | key | value`, plus a 16-byte slab
+//! node (the record, nothing else) and a 10-byte share of an index slot
+//! (hash, reference bit and slab index; [`entry_cost`]); a dirty or
+//! expiring entry holds a 32-byte side record more ([`EXTRA_BYTES`]).
 //! Three rules:
 //! * the budget, `used_bytes` and `bytes_by_medium` count requested
 //!   heap bytes;
@@ -27,7 +30,7 @@
 //! * inserts copy the key and value, so no entry keeps a caller's
 //!   buffer — a request burst the key was a window into — alive.
 //!
-//! A 20-byte key with a 96-byte stored value costs 151 bytes, 1.30×
+//! A 20-byte key with a 96-byte stored value costs 143 bytes, 1.23×
 //! its key and value; measured against the heap in
 //! `tests/cache_footprint.rs`.
 //!

@@ -1,13 +1,12 @@
 //! A single cache shard: one allocation per entry, a slab of small
-//! nodes, an open-addressed index and a byte budget.
+//! nodes, an open-addressed index, CLOCK eviction and a byte budget.
 //!
 //! An entry holds, and [`entry_cost`] counts, these heap bytes:
 //! * its *record*, one allocation: `varint(key length) | key | value`.
 //!   Inserts copy key and value in, so a key or value that is a window
 //!   into a larger buffer (a request burst) never keeps that buffer
 //!   alive;
-//! * a 24-byte slab `Node`: the record and the exact LRU links (`u32`
-//!   slab indices), nothing else;
+//! * a 16-byte slab `Node`: the record, nothing else;
 //! * its share of an `Index` slot: 8-byte slots (hash + slab index),
 //!   billed at the index's maximum load of 4/5, so 10 bytes.
 //!
@@ -25,11 +24,19 @@
 //! and the spare capacity of the slab and the index, which grow a
 //! fraction at a time to keep it small.
 //!
+//! Eviction is CLOCK (second chance). Each entry has one reference bit,
+//! the top bit of its index slot's hash: an insert leaves it clear, a
+//! hit or an overwrite sets it. To evict, a hand moves over the slab,
+//! clears each set bit it passes and takes the first clean entry whose
+//! bit is clear. CLOCK keeps nearly all of exact LRU's hit ratio
+//! for one bit per entry instead of two links, and a hit writes only
+//! the slot its probe has just read, never another node.
+//!
 //! Dirty entries — written back to storage asynchronously — are pinned:
-//! eviction walks past them, and when only dirty entries remain the
+//! the hand walks past them, and when only dirty entries remain the
 //! shard reports backpressure instead of dropping unsynchronized data.
-//! The dirty entries are additionally threaded on a second list (same
-//! recency order), so the write-back flush finds them in O(dirty)
+//! The dirty entries are additionally threaded on a list, the entry
+//! dirtied last first, so the write-back flush finds them in O(dirty)
 //! instead of walking the whole shard.
 
 use std::mem::size_of;
@@ -61,33 +68,16 @@ pub enum Lookup {
     Absent,
 }
 
-/// The two lists a node can be on.
-const LRU: usize = 0;
-const DIRTY: usize = 1;
-
+/// A node's links on the dirty list.
 #[derive(Clone, Copy)]
 struct Link {
     prev: Idx,
     next: Idx,
 }
 
-const UNLINKED: Link = Link {
-    prev: NIL,
-    next: NIL,
-};
-
-/// Both ends of one list: `head` is the most recently used node.
-#[derive(Clone, Copy)]
-struct Ends {
-    head: Idx,
-    tail: Idx,
-}
-
 struct Node {
     /// `varint(key length) | key | value`.
     record: Box<[u8]>,
-    /// Every node, most recently used first.
-    lru: Link,
 }
 
 /// What only dirty or expiring entries carry: node `i`'s is
@@ -95,11 +85,11 @@ struct Node {
 struct Extra {
     expires_at: Option<u64>,
     /// `Some` exactly while the entry is dirty: its links on the dirty
-    /// list, the dirty nodes in the LRU list's relative order.
+    /// list.
     dirty: Option<Link>,
 }
 
-const _: () = assert!(size_of::<Node>() == 24);
+const _: () = assert!(size_of::<Node>() == 16);
 
 /// Heap bytes of one slab node.
 const NODE_BYTES: usize = size_of::<Node>();
@@ -142,10 +132,10 @@ fn split(record: &[u8]) -> (&[u8], &[u8]) {
     (key, &record[pos..])
 }
 
-/// The index's hash of a key: the high half of `fx_hash`, whose low
-/// bits pick the shard.
+/// The index's 31-bit hash of a key: the top bits of `fx_hash`, whose
+/// low bits pick the shard.
 fn hash(key: &[u8]) -> u32 {
-    (fx_hash(key) >> 32) as u32
+    (fx_hash(key) >> 33) as u32
 }
 
 /// Pushes without `Vec`'s doubling: the slab grows by an eighth, so at
@@ -164,13 +154,24 @@ fn trim<T>(v: &mut Vec<T>) {
     }
 }
 
+/// An index slot: the key's [`hash`] with the entry's reference bit on
+/// top, and its slab index.
 #[derive(Clone, Copy)]
 struct Slot {
-    hash: u32,
+    tag: u32,
     idx: Idx,
 }
 
-const EMPTY: Slot = Slot { hash: 0, idx: NIL };
+/// The reference bit of a slot's `tag`.
+const REFERENCED: u32 = 1 << 31;
+
+impl Slot {
+    fn hash(self) -> u32 {
+        self.tag & !REFERENCED
+    }
+}
+
+const EMPTY: Slot = Slot { tag: 0, idx: NIL };
 
 /// Most full the index gets, as `(numerator, denominator)`.
 const MAX_LOAD: (usize, usize) = (4, 5);
@@ -189,7 +190,7 @@ struct Index {
 
 impl Index {
     fn home(&self, hash: u32) -> usize {
-        ((hash as u64 * self.slots.len() as u64) >> 32) as usize
+        ((hash as u64 * self.slots.len() as u64) >> 31) as usize
     }
 
     fn next(&self, i: usize) -> usize {
@@ -211,14 +212,14 @@ impl Index {
             if slot.idx == NIL {
                 return None;
             }
-            if slot.hash == hash && is(slot.idx) {
+            if slot.hash() == hash && is(slot.idx) {
                 return Some(i);
             }
             i = self.next(i);
         }
     }
 
-    fn insert(&mut self, hash: u32, idx: Idx) {
+    fn insert(&mut self, tag: u32, idx: Idx) {
         let mut slots = self.slots.len().max(MIN_SLOTS);
         while (self.len + 1) * MAX_LOAD.1 > slots * MAX_LOAD.0 {
             slots += slots / 4;
@@ -226,12 +227,12 @@ impl Index {
         if slots != self.slots.len() {
             self.resize(slots);
         }
-        self.place(Slot { hash, idx });
+        self.place(Slot { tag, idx });
         self.len += 1;
     }
 
     fn place(&mut self, slot: Slot) {
-        let mut i = self.home(slot.hash);
+        let mut i = self.home(slot.hash());
         while self.slots[i].idx != NIL {
             i = self.next(i);
         }
@@ -250,10 +251,9 @@ impl Index {
         self.position(hash, |i| i == idx).expect("live node")
     }
 
-    /// Removes node `idx`'s slot: the later slots of its run shift back
+    /// Removes the slot at `hole`: the later slots of its run shift back
     /// so that no probe meets a hole before its key.
-    fn remove(&mut self, hash: u32, idx: Idx) {
-        let mut hole = self.slot(hash, idx);
+    fn remove(&mut self, mut hole: usize) {
         let mut j = hole;
         loop {
             j = self.next(j);
@@ -262,7 +262,7 @@ impl Index {
                 break;
             }
             // The slot stays unless the hole lies between its home and it.
-            let home = self.home(slot.hash);
+            let home = self.home(slot.hash());
             let stays = if hole <= j {
                 hole < home && home <= j
             } else {
@@ -287,7 +287,7 @@ impl Index {
     }
 }
 
-/// A bounded LRU map of keys to values.
+/// A bounded map of keys to values that evicts by CLOCK.
 pub(crate) struct LruShard {
     index: Index,
     /// Exactly the live nodes, those with an [`Extra`] first: removal
@@ -296,7 +296,10 @@ pub(crate) struct LruShard {
     slab: Vec<Node>,
     /// The extras of the first `extras.len()` nodes, in slab order.
     extras: Vec<Extra>,
-    ends: [Ends; 2],
+    /// The slab node the CLOCK hand looks at next.
+    hand: usize,
+    /// First node on the dirty list, the entry dirtied last.
+    dirty_head: Idx,
     used_bytes: usize,
     dirty_bytes: usize,
     /// Bytes of the entries billed to PMem, see [`Self::placed`].
@@ -313,10 +316,8 @@ impl LruShard {
             index: Index::default(),
             slab: Vec::new(),
             extras: Vec::new(),
-            ends: [Ends {
-                head: NIL,
-                tail: NIL,
-            }; 2],
+            hand: 0,
+            dirty_head: NIL,
             used_bytes: 0,
             dirty_bytes: 0,
             pmem_bytes: 0,
@@ -358,43 +359,47 @@ impl LruShard {
         self.pmem_bytes
     }
 
-    fn find(&self, key: &[u8]) -> Option<Idx> {
+    /// Position of the key's index slot.
+    fn position(&self, key: &[u8]) -> Option<usize> {
         let slab = &self.slab;
-        let pos = self
-            .index
-            .position(hash(key), |idx| split(&slab[idx as usize].record).0 == key)?;
-        Some(self.index.slots[pos].idx)
+        self.index
+            .position(hash(key), |idx| split(&slab[idx as usize].record).0 == key)
     }
 
-    /// Whether the key is cached, expired or not. Does not touch
-    /// recency.
+    fn find(&self, key: &[u8]) -> Option<Idx> {
+        Some(self.index.slots[self.position(key)?].idx)
+    }
+
+    /// Whether the key is cached, expired or not. Does not set its
+    /// reference bit.
     pub fn contains(&self, key: impl AsRef<[u8]>) -> bool {
         self.find(key.as_ref()).is_some()
     }
 
-    /// Looks up the key and promotes a live entry to most recently
-    /// used, in one probe.
+    /// Looks up the key and sets a live entry's reference bit, in one
+    /// probe.
     ///
     /// Lazy expiration: an entry past its deadline reads as
     /// [`Lookup::Expired`]. If it is clean it is removed on the spot; a
     /// dirty expired entry is retained (invisible) until the write-back
     /// flush cleans it, so no unsynchronized data is dropped.
     pub fn lookup(&mut self, key: impl AsRef<[u8]>, now_nanos: u64) -> Lookup {
-        let Some(idx) = self.find(key.as_ref()) else {
+        let Some(pos) = self.position(key.as_ref()) else {
             return Lookup::Absent;
         };
+        let idx = self.index.slots[pos].idx;
         let (dirty, expires_at) = self.marks(idx);
         if is_expired(expires_at, now_nanos) {
             if !dirty {
-                self.take(idx);
+                self.take(pos);
             }
             return Lookup::Expired;
         }
-        self.touch(idx);
+        self.index.slots[pos].tag |= REFERENCED;
         Lookup::Live(Value::copy_from(split(&self.slab[idx as usize].record).1))
     }
 
-    /// Looks up without touching recency (monitoring paths).
+    /// Looks up without setting the reference bit (monitoring paths).
     pub fn peek(&self, key: impl AsRef<[u8]>) -> Option<CacheEntry> {
         let idx = self.find(key.as_ref())?;
         let (dirty, expires_at) = self.marks(idx);
@@ -406,8 +411,9 @@ impl LruShard {
     }
 
     /// Inserts/overwrites with an optional expiry deadline; evicts
-    /// clean LRU entries to fit the budget. Returns how many it evicted.
-    /// Overwriting a key replaces its expiry (Redis `SET` semantics).
+    /// clean entries to fit the budget. Returns how many it evicted.
+    /// Overwriting a key replaces its expiry (Redis `SET` semantics)
+    /// and sets its reference bit; a new key's starts clear.
     ///
     /// Errors with [`Error::Backpressure`] when the needed space cannot
     /// be reclaimed because remaining entries are dirty.
@@ -422,26 +428,28 @@ impl LruShard {
         Self::admit(self.budget_bytes, key.len(), value.len())?;
         let record = record(key, value);
         let hash = hash(key);
-        let Some(idx) = self.find(key) else {
+        let Some(pos) = self.position(key) else {
             return self.insert_fresh(hash, record, dirty, expires_at);
         };
         // Replace = remove + insert-fresh; when the bigger replacement
         // cannot fit, the old entry is restored so a failed insert never
         // leaves the shard over budget or missing the key.
-        let (old, old_dirty, old_expiry) = self.take(idx);
-        match self.insert_fresh(hash, record, dirty, expires_at) {
+        let (old, old_dirty, old_expiry) = self.take(pos);
+        let tag = hash | REFERENCED;
+        match self.insert_fresh(tag, record, dirty, expires_at) {
             Ok(evicted) => Ok(evicted),
             Err(e) => {
-                self.insert_fresh(hash, old, old_dirty, old_expiry)
+                self.insert_fresh(tag, old, old_dirty, old_expiry)
                     .expect("restoring the previous entry always fits");
                 Err(e)
             }
         }
     }
 
+    /// Adds an entry whose index slot is `tag` (see [`Slot`]).
     fn insert_fresh(
         &mut self,
-        hash: u32,
+        tag: u32,
         record: Box<[u8]>,
         dirty: bool,
         expires_at: Option<u64>,
@@ -465,13 +473,7 @@ impl LruShard {
             Idx::BITS
         );
         let mut idx = self.slab.len() as Idx;
-        push_exact(
-            &mut self.slab,
-            Node {
-                record,
-                lru: UNLINKED,
-            },
-        );
+        push_exact(&mut self.slab, Node { record });
         if has_extra {
             // The new node takes the place of the first node without an
             // extra, which moves to the end.
@@ -485,37 +487,63 @@ impl LruShard {
                 &mut self.extras,
                 Extra {
                     expires_at,
-                    dirty: dirty.then_some(UNLINKED),
+                    // First on the dirty list.
+                    dirty: dirty.then_some(Link {
+                        prev: NIL,
+                        next: self.dirty_head,
+                    }),
                 },
             );
         }
-        self.index.insert(hash, idx);
-        self.push_front(LRU, idx);
+        self.index.insert(tag, idx);
         if dirty {
-            self.push_front(DIRTY, idx);
+            if self.dirty_head != NIL {
+                self.link(self.dirty_head).prev = idx;
+            }
+            self.dirty_head = idx;
         }
         self.charge(idx, true);
         Ok(evicted)
     }
 
-    /// Evicts the least-recently-used *clean* entry, if there is one.
+    /// Evicts one clean entry by CLOCK, if there is one: the hand moves
+    /// over the slab, skips dirty entries, clears each set reference bit
+    /// it passes and takes the first clean entry whose bit is clear; two
+    /// passes find one. The hand walks the slab, not the index: evicting
+    /// in slot order would fill the slots just ahead of the hand, and
+    /// linear probing there would run long.
     fn evict_one(&mut self) -> bool {
-        let mut idx = self.ends[LRU].tail;
-        while idx != NIL {
-            if !self.marks(idx).0 {
-                self.take(idx);
+        // Every entry is dirty exactly when they hold all the bytes.
+        if self.dirty_bytes == self.used_bytes {
+            return false;
+        }
+        for _ in 0..2 * self.slab.len() {
+            if self.hand >= self.slab.len() {
+                self.hand = 0;
+            }
+            let idx = self.hand as Idx;
+            self.hand += 1;
+            if self.marks(idx).0 {
+                continue;
+            }
+            let pos = self.index.slot(self.hash_of(idx), idx);
+            let slot = &mut self.index.slots[pos];
+            if slot.tag & REFERENCED == 0 {
+                // The last node, most often the newest entry, moves into
+                // its place behind the hand and so waits a whole turn.
+                self.take(pos);
                 return true;
             }
-            idx = self.slab[idx as usize].lru.prev;
+            slot.tag &= !REFERENCED;
         }
-        false
+        unreachable!("two passes of the hand meet a clean entry with its bit clear")
     }
 
     /// Removes an entry outright. Returns whether it was there.
     pub fn remove(&mut self, key: impl AsRef<[u8]>) -> bool {
-        match self.find(key.as_ref()) {
-            Some(idx) => {
-                self.take(idx);
+        match self.position(key.as_ref()) {
+            Some(pos) => {
+                self.take(pos);
                 true
             }
             None => false,
@@ -557,20 +585,19 @@ impl LruShard {
         }
     }
 
-    /// Moves the node at `idx` out of the shard: takes its bytes off
-    /// the counters, unlinks it and drops its index slot. If it had an
-    /// extra, the last node with one fills its place; then the last
-    /// node fills the place left. Returns its record, dirty flag and
-    /// deadline.
-    fn take(&mut self, idx: Idx) -> (Box<[u8]>, bool, Option<u64>) {
+    /// Moves the node whose index slot is at `pos` out of the shard:
+    /// takes its bytes off the counters, unlinks it and drops the slot.
+    /// If it had an extra, the last node with one fills its place; then
+    /// the last node fills the place left. Returns its record, dirty
+    /// flag and deadline.
+    fn take(&mut self, pos: usize) -> (Box<[u8]>, bool, Option<u64>) {
+        let mut idx = self.index.slots[pos].idx;
         self.charge(idx, false);
         let (dirty, expires_at) = self.marks(idx);
-        self.unlink(LRU, idx);
         if dirty {
-            self.unlink(DIRTY, idx);
+            self.unlink_dirty(idx);
         }
-        self.index.remove(self.hash_of(idx), idx);
-        let mut idx = idx;
+        self.index.remove(pos);
         if (idx as usize) < self.extras.len() {
             let last = self.extras.len() as Idx - 1;
             self.extras.swap_remove(idx as usize);
@@ -590,28 +617,26 @@ impl LruShard {
         (node.record, dirty, expires_at)
     }
 
-    /// Repoints the node's index slot, its list neighbours and the list
-    /// ends from slot `from` to slot `to`, where it now sits with its
-    /// extra, if it has one.
+    /// Repoints the node's index slot, and its dirty-list neighbours or
+    /// the list's head, from slot `from` to slot `to`, where it now
+    /// sits with its extra, if it has one.
     fn moved(&mut self, from: Idx, to: Idx) {
         self.index.repoint(self.hash_of(to), from, to);
-        let lists = if self.marks(to).0 { 2 } else { 1 };
-        for list in [LRU, DIRTY].into_iter().take(lists) {
-            let Link { prev, next } = *self.link(list, to);
+        if self.marks(to).0 {
+            let Link { prev, next } = *self.link(to);
             match prev {
-                NIL => self.ends[list].head = to,
-                p => self.link(list, p).next = to,
+                NIL => self.dirty_head = to,
+                p => self.link(p).next = to,
             }
-            match next {
-                NIL => self.ends[list].tail = to,
-                n => self.link(list, n).prev = to,
+            if next != NIL {
+                self.link(next).prev = to;
             }
         }
     }
 
     /// Swaps live nodes `a` and `b`, which both have an extra, with
-    /// their extras, and repoints their index slots, list neighbours
-    /// and the list ends.
+    /// their extras, and repoints their index slots, dirty-list
+    /// neighbours and the list's head.
     fn swap(&mut self, a: Idx, b: Idx) {
         let (slot_a, slot_b) = (
             self.index.slot(self.hash_of(a), a),
@@ -624,29 +649,25 @@ impl LruShard {
             i if i == b => a,
             i => i,
         };
-        for list in [LRU, DIRTY] {
-            for x in [a, b] {
-                if list == DIRTY && !self.marks(x).0 {
-                    continue;
-                }
-                // Neighbours outside the pair point at x's new place;
-                // a link within the pair is remapped on x itself.
-                let Link { prev, next } = *self.link(list, x);
-                match prev {
-                    NIL => self.ends[list].head = other(x),
-                    p if other(p) == p => self.link(list, p).next = other(x),
-                    _ => {}
-                }
-                match next {
-                    NIL => self.ends[list].tail = other(x),
-                    n if other(n) == n => self.link(list, n).prev = other(x),
-                    _ => {}
-                }
-                *self.link(list, x) = Link {
-                    prev: other(prev),
-                    next: other(next),
-                };
+        for x in [a, b] {
+            if !self.marks(x).0 {
+                continue;
             }
+            // Neighbours outside the pair point at x's new place; a
+            // link within the pair is remapped on x itself.
+            let Link { prev, next } = *self.link(x);
+            match prev {
+                NIL => self.dirty_head = other(x),
+                p if other(p) == p => self.link(p).next = other(x),
+                _ => {}
+            }
+            if next != NIL && other(next) == next {
+                self.link(next).prev = other(x);
+            }
+            *self.link(x) = Link {
+                prev: other(prev),
+                next: other(next),
+            };
         }
         self.slab.swap(a as usize, b as usize);
         self.extras.swap(a as usize, b as usize);
@@ -677,8 +698,7 @@ impl LruShard {
             return;
         }
         self.charge(idx, false);
-        self.unlink(DIRTY, idx);
-        self.extras[idx as usize].dirty = None;
+        self.unlink_dirty(idx);
         if expires_at.is_none() {
             let last = self.extras.len() as Idx - 1;
             if idx < last {
@@ -705,17 +725,17 @@ impl LruShard {
             .map(|(_, node)| Key::copy_from(split(&node.record).0))
             .collect();
         for key in &expired {
-            let idx = self.find(key.as_slice()).expect("key just listed");
-            self.take(idx);
+            let pos = self.position(key.as_slice()).expect("key just listed");
+            self.take(pos);
         }
         expired
     }
 
-    /// Snapshot of all dirty entries, most recently used first
+    /// Snapshot of all dirty entries, the entry dirtied last first
     /// (batch-flush input). Walks the dirty list: O(dirty).
     pub fn dirty_entries(&self) -> Vec<(Key, Value)> {
         let mut out = Vec::new();
-        let mut idx = self.ends[DIRTY].head;
+        let mut idx = self.dirty_head;
         while idx != NIL {
             let (key, value) = split(&self.slab[idx as usize].record);
             out.push((Key::copy_from(key), Value::copy_from(value)));
@@ -729,7 +749,7 @@ impl LruShard {
 
     /// Calls `f(key, value, dirty, expires_at)` for every entry live at
     /// `now_nanos`, in slab order: expired entries are skipped, not
-    /// reclaimed, and recency is untouched. Nothing is copied.
+    /// reclaimed, and reference bits are untouched. Nothing is copied.
     pub fn for_each_live(
         &self,
         now_nanos: u64,
@@ -767,69 +787,25 @@ impl LruShard {
         out
     }
 
-    /// Keys in LRU order, most recent first.
-    #[cfg(test)]
-    pub fn keys_mru_first(&self) -> Vec<Key> {
-        let mut out = Vec::with_capacity(self.slab.len());
-        let mut idx = self.ends[LRU].head;
-        while idx != NIL {
-            let node = &self.slab[idx as usize];
-            out.push(Key::copy_from(split(&node.record).0));
-            idx = node.lru.next;
-        }
-        out
-    }
-
-    /// Moves a node to the front of the LRU list — and of the dirty
-    /// list when it is on it, which keeps both in one recency order.
-    fn touch(&mut self, idx: Idx) {
-        if self.ends[LRU].head == idx {
-            // Already first, and so first among the dirty too.
-            return;
-        }
-        self.unlink(LRU, idx);
-        self.push_front(LRU, idx);
-        if self.marks(idx).0 {
-            self.unlink(DIRTY, idx);
-            self.push_front(DIRTY, idx);
-        }
-    }
-
-    /// The node's links on `list`.
-    fn link(&mut self, list: usize, idx: Idx) -> &mut Link {
-        if list == LRU {
-            return &mut self.slab[idx as usize].lru;
-        }
+    /// Node `idx`'s links on the dirty list.
+    fn link(&mut self, idx: Idx) -> &mut Link {
         self.extras[idx as usize]
             .dirty
             .as_mut()
             .expect("only dirty nodes are on the dirty list")
     }
 
-    fn push_front(&mut self, list: usize, idx: Idx) {
-        let head = self.ends[list].head;
-        *self.link(list, idx) = Link {
-            prev: NIL,
-            next: head,
-        };
-        match head {
-            NIL => self.ends[list].tail = idx,
-            h => self.link(list, h).prev = idx,
-        }
-        self.ends[list].head = idx;
-    }
-
-    fn unlink(&mut self, list: usize, idx: Idx) {
-        let Link { prev, next } = *self.link(list, idx);
+    /// Takes node `idx` off the dirty list and its dirty flag off.
+    fn unlink_dirty(&mut self, idx: Idx) {
+        let Link { prev, next } = *self.link(idx);
         match prev {
-            NIL => self.ends[list].head = next,
-            p => self.link(list, p).next = next,
+            NIL => self.dirty_head = next,
+            p => self.link(p).next = next,
         }
-        match next {
-            NIL => self.ends[list].tail = prev,
-            n => self.link(list, n).prev = prev,
+        if next != NIL {
+            self.link(next).prev = prev;
         }
-        *self.link(list, idx) = UNLINKED;
+        self.extras[idx as usize].dirty = None;
     }
 }
 
@@ -868,6 +844,18 @@ mod tests {
                 self.clean_at(idx);
             }
         }
+
+        /// Every key, expired or not, in slab order.
+        fn keys(&self) -> Vec<Key> {
+            let key = |node: &Node| Key::copy_from(split(&node.record).0);
+            self.slab.iter().map(key).collect()
+        }
+
+        /// The cached key's reference bit.
+        fn referenced(&self, key: impl AsRef<[u8]>) -> bool {
+            let pos = self.position(key.as_ref()).expect("cached key");
+            self.index.slots[pos].tag & REFERENCED != 0
+        }
     }
 
     fn k(i: usize) -> Key {
@@ -888,7 +876,7 @@ mod tests {
     /// billed to PMem.
     fn walk(s: &LruShard, pmem_from: usize) -> (usize, usize, usize) {
         let (mut used, mut pmem, mut dirty) = (0, 0, 0);
-        for key in s.keys_mru_first() {
+        for key in s.keys() {
             let e = s.peek(&key).unwrap();
             let extra = e.dirty || e.expires_at.is_some();
             let c = entry_cost(key.len(), e.value.len()) + if extra { EXTRA_BYTES } else { 0 };
@@ -904,8 +892,8 @@ mod tests {
     }
 
     #[test]
-    fn a_node_is_24_bytes_an_extra_32_and_a_record_one_allocation() {
-        assert_eq!(NODE_BYTES, 24);
+    fn a_node_is_16_bytes_an_extra_32_and_a_record_one_allocation() {
+        assert_eq!(NODE_BYTES, 16);
         assert_eq!(EXTRA_BYTES, 32);
         assert_eq!(SLOT_SHARE, 10);
         assert_eq!(record(b"key", b"value").len(), 1 + 3 + 5);
@@ -916,7 +904,7 @@ mod tests {
             split(&record(b"key", b"value")),
             (&b"key"[..], &b"value"[..])
         );
-        assert_eq!(entry_cost(20, 95), 1 + 20 + 95 + 24 + 10);
+        assert_eq!(entry_cost(20, 95), 1 + 20 + 95 + 16 + 10);
         // A dirty or expiring entry is billed less than the 32-byte
         // node with a 32-byte extra cost.
         assert!(entry_cost(20, 95) + EXTRA_BYTES <= 1 + 20 + 95 + 32 + 10 + 32);
@@ -934,37 +922,68 @@ mod tests {
         assert_eq!(s.used_bytes(), 0);
     }
 
+    /// Of the clean entries, one whose reference bit is clear goes
+    /// before those whose bit is set: whichever of four entries was not
+    /// hit is the one evicted, wherever its slot lies.
     #[test]
-    fn lru_eviction_order() {
-        // Budget fits 3 clean entries of `entry_cost(2, 10)`, not 4.
-        let mut s = LruShard::new(4 * cost(1, 10) - 1);
-        s.insert(k(1), v(10), false).unwrap();
-        s.insert(k(2), v(10), false).unwrap();
-        s.insert(k(3), v(10), false).unwrap();
-        // Touch k1 so k2 becomes LRU.
-        s.get(k(1), 0);
-        let evicted = s.insert(k(4), v(10), false).unwrap();
-        assert_eq!(evicted, 1);
-        assert_eq!(
-            s.keys_mru_first(),
-            [k(4), k(1), k(3)],
-            "k2 was least recently used"
-        );
-        assert!(s.get(k(1), 0).is_some());
-        assert!(s.get(k(2), 0).is_none());
+    fn a_clear_bit_goes_before_a_set_one() {
+        for cold in 0..4 {
+            // Budget fits 4 clean entries of `cost(1, 10)`, not 5.
+            let mut s = LruShard::new(5 * cost(1, 10) - 1);
+            for i in 0..4 {
+                s.insert(k(i), v(10), false).unwrap();
+            }
+            for i in (0..4).filter(|&i| i != cold) {
+                assert!(s.get(k(i), 0).is_some());
+                assert!(s.referenced(k(i)), "a hit sets the bit");
+            }
+            assert!(!s.referenced(k(cold)), "an insert leaves the bit clear");
+            assert_eq!(s.insert(k(4), v(10), false).unwrap(), 1);
+            assert!(!s.contains(k(cold)), "k{cold} was the one not hit");
+            assert_eq!(s.len(), 4);
+        }
     }
 
+    /// An entry hit since the hand last passed it survives that pass:
+    /// once an eviction has cleared every bit, a hit entry outlives the
+    /// next three evictions, each of which has an entry with a clear bit
+    /// to take before the hand comes round to it again.
+    #[test]
+    fn a_hit_since_the_hand_passed_survives_that_pass() {
+        for hit in 0..4 {
+            let mut s = LruShard::new(5 * cost(1, 10) - 1);
+            for i in 0..4 {
+                s.insert(k(i), v(10), false).unwrap();
+                s.get(k(i), 0);
+            }
+            // Every bit set: the hand clears all four, then takes one.
+            assert_eq!(s.insert(k(4), v(10), false).unwrap(), 1);
+            let survivors: Vec<Key> = (0..5).map(k).filter(|key| s.contains(key)).collect();
+            assert_eq!(survivors.len(), 4);
+            assert!(survivors.iter().all(|key| !s.referenced(key)));
+            let hit = &survivors[hit];
+            s.get(hit, 0);
+            for i in 5..8 {
+                assert_eq!(s.insert(k(i), v(10), false).unwrap(), 1);
+                assert!(s.contains(hit), "{hit:?} evicted by the insert of k{i}");
+            }
+        }
+    }
+
+    /// A dirty entry is never evicted: every insert into a full shard
+    /// takes a clean entry instead.
     #[test]
     fn dirty_entries_are_pinned() {
         // Room for one dirty entry (with its extra) and two clean ones.
         let mut s = LruShard::new(3 * cost(1, 10) + EXTRA_BYTES);
-        s.insert(k(1), v(10), true).unwrap(); // dirty, LRU
+        s.insert(k(1), v(10), true).unwrap();
         s.insert(k(2), v(10), false).unwrap();
         s.insert(k(3), v(10), false).unwrap();
-        assert_eq!(s.insert(k(4), v(10), false).unwrap(), 1);
-        // k1 is oldest but dirty → k2 goes instead.
-        assert!(!s.contains(k(2)));
-        assert!(s.peek(k(1)).is_some());
+        for i in 4..10 {
+            assert_eq!(s.insert(k(i), v(10), false).unwrap(), 1);
+            assert!(s.peek(k(1)).unwrap().dirty);
+            assert_eq!(s.len(), 3);
+        }
     }
 
     #[test]
@@ -1024,20 +1043,12 @@ mod tests {
         s.insert(k(3), v(5), true).unwrap();
         let dirty = s.dirty_entries();
         let keys: Vec<&Key> = dirty.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, [&k(3), &k(1)], "most recently used first");
+        assert_eq!(keys, [&k(3), &k(1)], "the entry dirtied last first");
         assert_eq!(dirty[0].1, v(5));
-    }
-
-    #[test]
-    fn mru_ordering_reflects_access() {
-        let mut s = LruShard::new(10_000);
-        for i in 0..4 {
-            s.insert(k(i), v(1), false).unwrap();
-        }
-        s.get(k(0), 0);
-        let order = s.keys_mru_first();
-        assert_eq!(order[0], k(0));
-        assert_eq!(order.last().unwrap(), &k(1));
+        // A hit leaves the dirty list as it is.
+        s.get(k(1), 0);
+        let after: Vec<Key> = s.dirty_entries().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(after, [k(3), k(1)]);
     }
 
     #[test]
@@ -1089,7 +1100,7 @@ mod tests {
         s.insert_full(k(7), v(30), false, Some(200)).unwrap();
         assert_eq!(s.sweep_expired(200).len(), 1);
 
-        let live: Vec<Key> = s.keys_mru_first();
+        let live: Vec<Key> = s.keys();
         assert_eq!(s.slab.len(), live.len(), "a slot outlived its entry");
         assert_eq!(s.index.len, live.len(), "an index slot outlived its entry");
         assert_eq!(s.extras.len(), 1, "only the dirty k5 has an extra");
@@ -1154,7 +1165,7 @@ mod tests {
                 }
             }
             let before: Vec<(Key, CacheEntry)> = s
-                .keys_mru_first()
+                .keys()
                 .into_iter()
                 .map(|key| { let e = s.peek(&key).unwrap(); (key, e) })
                 .collect();
@@ -1166,18 +1177,19 @@ mod tests {
             }
             prop_assert_eq!(s.len(), before.len() - swept.len());
             // Everything left is live or dirty.
-            for key in s.keys_mru_first() {
+            for key in s.keys() {
                 let e = s.peek(&key).unwrap();
                 prop_assert!(e.dirty || e.expires_at.is_none_or(|at| at > now));
             }
         }
 
-        /// The dirty list is exactly the dirty sub-sequence of the LRU
-        /// list, and `dirty_bytes` its summed cost, under arbitrary
-        /// interleavings of every operation that links, unlinks,
-        /// promotes, cleans, evicts or reclaims a node.
+        /// The dirty list holds exactly the dirty entries, once each,
+        /// with the entry dirtied last first, and `dirty_bytes` is their
+        /// summed cost, under arbitrary interleavings of every operation
+        /// that links, unlinks, cleans, evicts or reclaims a node. A hit
+        /// leaves the list as it was.
         #[test]
-        fn prop_dirty_list_matches_lru_walk(
+        fn prop_dirty_list_is_the_dirty_entries(
             ops in proptest::collection::vec(
                 (0u8..7, 0usize..24, 0usize..120, any::<bool>(), proptest::option::of(1u64..40)),
                 1..300,
@@ -1186,12 +1198,19 @@ mod tests {
             // Small budget: inserts evict, and all-dirty shards refuse.
             let mut s = LruShard::new(1500);
             let mut now = 0u64;
+            let listed = |s: &LruShard| -> Vec<Key> {
+                s.dirty_entries().into_iter().map(|(key, _)| key).collect()
+            };
             for (op, ki, vlen, dirty, ttl) in ops {
+                let before = listed(&s);
                 match op {
                     // Insert or overwrite (dirty or clean, with or
                     // without a deadline); may evict or hit backpressure.
                     0..=2 => {
-                        let _ = s.insert_full(k(ki), v(vlen), dirty, ttl.map(|t| now + t));
+                        let done = s.insert_full(k(ki), v(vlen), dirty, ttl.map(|t| now + t));
+                        if done.is_ok() && dirty {
+                            prop_assert_eq!(listed(&s).first().cloned(), Some(k(ki)));
+                        }
                     }
                     3 => {
                         s.remove(k(ki));
@@ -1207,38 +1226,143 @@ mod tests {
                             prop_assert_eq!(cleaned, held.as_ref() == Some(&flushed));
                         }
                     }
-                    // Promote (or lazily reclaim), advance time, sweep.
+                    // Hit (or lazily reclaim), advance time, sweep.
                     _ => {
-                        s.get(k(ki), now);
+                        if s.get(k(ki), now).is_some() {
+                            prop_assert_eq!(&listed(&s), &before);
+                        }
                         now += ttl.unwrap_or(0);
                         if dirty {
                             s.sweep_expired(now);
                         }
                     }
                 }
-                let walk: Vec<Key> = s
-                    .keys_mru_first()
+                let mut walk: Vec<Key> = s
+                    .keys()
                     .into_iter()
                     .filter(|key| s.peek(key).unwrap().dirty)
                     .collect();
-                let listed: Vec<Key> = s.dirty_entries().into_iter().map(|(key, _)| key).collect();
-                prop_assert_eq!(&listed, &walk);
-                prop_assert_eq!(s.keys_mru_first().len(), s.len());
-                prop_assert_eq!(s.slab.len(), s.len());
-                prop_assert_eq!(s.index.len, s.len());
+                let mut listed = listed(&s);
                 let cost: usize = walk
                     .iter()
                     .map(|key| entry_cost(key.len(), s.peek(key).unwrap().value.len()) + EXTRA_BYTES)
                     .sum();
                 prop_assert_eq!(s.dirty_bytes(), cost);
+                walk.sort();
+                listed.sort();
+                prop_assert_eq!(&listed, &walk);
+                prop_assert_eq!(s.slab.len(), s.len());
+                prop_assert_eq!(s.index.len, s.len());
                 // The nodes with an extra are exactly the dirty or
                 // expiring ones.
                 let marked = s
-                    .keys_mru_first()
+                    .keys()
                     .iter()
                     .filter(|key| s.peek(key).is_some_and(|e| e.dirty || e.expires_at.is_some()))
                     .count();
                 prop_assert_eq!(s.extras.len(), marked);
+            }
+        }
+
+        /// What CLOCK promises, under arbitrary inserts (clean or dirty,
+        /// with or without a deadline), overwrites, hits, cleans,
+        /// removes and single evictions:
+        /// * a hit sets the entry's bit; a new key's insert leaves it
+        ///   clear and an overwrite sets it;
+        /// * an eviction takes a clean entry, one whose bit was clear
+        ///   if there was one; if every clean entry's bit was set, it
+        ///   leaves every clean entry's bit clear;
+        /// * eviction fails exactly when every entry is dirty, and an
+        ///   insert fails with backpressure exactly when the free
+        ///   budget, the clean entries and the key's own old entry
+        ///   together cannot make room for it; no insert evicts a dirty
+        ///   entry.
+        #[test]
+        fn prop_clock_evicts_clean_entries_with_clear_bits_first(
+            ops in proptest::collection::vec(
+                (0u8..7, 0usize..24, 0usize..120, any::<bool>(), proptest::option::of(1u64..40)),
+                1..300,
+            )
+        ) {
+            const BUDGET: usize = 1500;
+            let mut s = LruShard::new(BUDGET);
+            for (op, ki, vlen, dirty, deadline) in ops {
+                let key = k(ki);
+                // Every entry with its dirty flag and reference bit.
+                let before: Vec<(Key, CacheEntry, bool)> = s
+                    .keys()
+                    .into_iter()
+                    .map(|other| {
+                        let (e, r) = (s.peek(&other).unwrap(), s.referenced(&other));
+                        (other, e, r)
+                    })
+                    .collect();
+                let gone = |s: &LruShard| -> Vec<(Key, CacheEntry, bool)> {
+                    before
+                        .iter()
+                        .filter(|(other, ..)| *other != key && !s.contains(other))
+                        .cloned()
+                        .collect()
+                };
+                match op {
+                    0..=2 => {
+                        let cost = |key: &Key, vlen: usize, extra: bool| {
+                            entry_cost(key.len(), vlen) + if extra { EXTRA_BYTES } else { 0 }
+                        };
+                        let room = BUDGET - s.used_bytes()
+                            + before
+                                .iter()
+                                .filter(|(other, e, _)| *other == key || !e.dirty)
+                                .map(|(other, e, _)| {
+                                    cost(other, e.value.len(), e.dirty || e.expires_at.is_some())
+                                })
+                                .sum::<usize>();
+                        let needed = cost(&key, vlen, dirty || deadline.is_some());
+                        let existed = s.contains(&key);
+                        let done = s.insert_full(&key, v(vlen), dirty, deadline);
+                        prop_assert_eq!(done.is_ok(), needed <= room);
+                        let victims = gone(&s);
+                        match done {
+                            Ok(evicted) => {
+                                prop_assert_eq!(evicted, victims.len());
+                                prop_assert_eq!(s.referenced(&key), existed);
+                            }
+                            Err(e) => prop_assert!(matches!(e, Error::Backpressure { .. }), "{:?}", e),
+                        }
+                        prop_assert!(victims.iter().all(|(_, e, _)| !e.dirty), "evicted a dirty entry");
+                    }
+                    3 => {
+                        s.remove(&key);
+                    }
+                    4 => {
+                        if let Some(e) = s.peek(&key) {
+                            s.mark_clean_if(&key, e.value.as_slice());
+                        }
+                    }
+                    5 => {
+                        let any_clean = before.iter().any(|(_, e, _)| !e.dirty);
+                        prop_assert_eq!(s.evict_one(), any_clean);
+                        let victims: Vec<_> = before.iter().filter(|(other, ..)| !s.contains(other)).collect();
+                        prop_assert_eq!(victims.len(), usize::from(any_clean));
+                        if let Some((_, e, r)) = victims.first() {
+                            prop_assert!(!e.dirty, "evicted a dirty entry");
+                            let clear = before.iter().any(|(_, e, r)| !e.dirty && !r);
+                            prop_assert!(!r || !clear, "took a set bit before a clear one");
+                            if *r {
+                                for (other, ..) in before.iter().filter(|(_, e, _)| !e.dirty) {
+                                    prop_assert!(!s.contains(other) || !s.referenced(other));
+                                }
+                            }
+                        }
+                    }
+                    // Deadlines are at least 1 and the clock stays at 0,
+                    // so every cached key is live.
+                    _ => {
+                        if s.get(&key, 0).is_some() {
+                            prop_assert!(s.referenced(&key));
+                        }
+                    }
+                }
             }
         }
 
@@ -1251,7 +1375,7 @@ mod tests {
                 // Dirty inserts may hit backpressure; that's fine.
                 let _ = s.insert(k(ki), v(vlen.min(1800)), dirty);
                 prop_assert!(s.used_bytes() <= 2000);
-                prop_assert_eq!(s.keys_mru_first().len(), s.len());
+                prop_assert_eq!(s.keys().len(), s.len());
             }
             prop_assert_eq!(walk(&s, usize::MAX).0, s.used_bytes());
         }

@@ -32,4 +32,4 @@ pub use histogram::Histogram;
 pub use testutil::{test_dir, TestDir};
 pub use ttl::{deadline_after, is_expired, TtlState};
 pub use types::{prefix_successor, Key, Value};
-pub use varint::{read_bytes, read_varint, write_bytes, write_varint};
+pub use varint::{read_bytes, read_varint, varint_bytes, write_bytes, write_varint};

@@ -16,6 +16,25 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// [`write_varint`]'s bytes on the stack, for a caller that must not
+/// allocate: the varint is the first `len` bytes of the returned
+/// buffer.
+#[inline]
+pub fn varint_bytes(mut v: u64) -> ([u8; 10], usize) {
+    let mut bytes = [0u8; 10];
+    let mut len = 0;
+    loop {
+        let b = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            bytes[len] = b;
+            return (bytes, len + 1);
+        }
+        bytes[len] = b | 0x80;
+        len += 1;
+    }
+}
+
 /// Reads a LEB128 varint at `*pos`, advancing it.
 #[inline]
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
@@ -69,6 +88,8 @@ mod tests {
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
+            let (stacked, len) = varint_bytes(v);
+            assert_eq!(&stacked[..len], &buf[..]);
         }
     }
 

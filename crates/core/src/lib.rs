@@ -4,8 +4,8 @@
 //! Key-Value Store"* (Shen et al., ICDE 2025). The store combines:
 //!
 //! * a **cache tier** of sharded in-memory hash tables (DRAM and/or
-//!   simulated PMem) with LRU eviction (a replicated store is a
-//!   `tb-cluster` node with a replica),
+//!   simulated PMem) with CLOCK eviction, one reference bit per entry
+//!   (a replicated store is a `tb-cluster` node with a replica),
 //! * a **storage tier**, any `KvEngine` (by default an `LsmDb` at
 //!   `<dir>/storage`), synchronized by **write-through** or
 //!   **write-back** policies (§4.1),

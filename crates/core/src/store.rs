@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tb_cache::{CacheConfig, PmemPlacement, ShardedCache};
 use tb_common::{
-    deadline_after, durable, read_varint, write_varint, EngineOp, Error, Key, KvEngine, OpOutcome,
+    deadline_after, durable, read_varint, varint_bytes, EngineOp, Error, Key, KvEngine, OpOutcome,
     Result, TtlState, Value,
 };
 use tb_compress::{CompressorChoice, PretrainedCompression, TzstdLevel};
@@ -433,20 +433,22 @@ impl Inner {
     // ----- value envelope ------------------------------------------------
 
     fn seal_envelope(payload: &[u8], generation: Option<u64>, expires_at: Option<u64>) -> Value {
-        let mut out = Vec::with_capacity(payload.len() + 11);
-        let mut flags = 0u8;
+        // The header (flags and up to two varints) is built on the
+        // stack, so the value is one allocation of exactly its length.
+        let mut header = [0u8; 1 + 2 * 10];
         if generation.is_some() {
-            flags |= ENV_COMPRESSED;
+            header[0] |= ENV_COMPRESSED;
         }
         if expires_at.is_some() {
-            flags |= ENV_HAS_EXPIRY;
+            header[0] |= ENV_HAS_EXPIRY;
         }
-        out.push(flags);
+        let mut len = 1;
         for field in [generation, expires_at].into_iter().flatten() {
-            write_varint(&mut out, field);
+            let (varint, n) = varint_bytes(field);
+            header[len..len + n].copy_from_slice(&varint[..n]);
+            len += n;
         }
-        out.extend_from_slice(payload);
-        Value::from(out)
+        Value::from_bytes(header[..len].iter().chain(payload).copied().collect())
     }
 
     pub(crate) fn encode_value(&self, value: &Value, expires_at: Option<u64>) -> Value {

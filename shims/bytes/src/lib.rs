@@ -177,8 +177,17 @@ impl fmt::Debug for Bytes {
 }
 
 impl FromIterator<u8> for Bytes {
+    /// Collects through `Arc<[u8]>`, which allocates once for an
+    /// iterator of known length (a chain of slices, say) and goes
+    /// through a `Vec` otherwise.
     fn from_iter<T: IntoIterator<Item = u8>>(iter: T) -> Self {
-        Self::from(iter.into_iter().collect::<Vec<u8>>())
+        let data: Arc<[u8]> = iter.into_iter().collect();
+        let end = data.len();
+        Self {
+            data,
+            start: 0,
+            end,
+        }
     }
 }
 

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`store`] | `tierbase-core` | the TierBase store: tiered cache+storage, write-through/write-back, persistence modes, compression, elastic threading, data types |
 //! | [`costmodel`] | `tb-costmodel` | the Space-Performance Cost Model, Optimal Cost Theorem, tiered cost, Five-Minute-Rule break-even, evaluation framework |
-//! | [`cache`] | `tb-cache` | the cache tier: sharded LRU tables, dirty tracking, insert-if-absent miss fills, DRAM/PMem value placement |
+//! | [`cache`] | `tb-cache` | the cache tier: sharded tables with CLOCK eviction, dirty tracking, insert-if-absent miss fills, DRAM/PMem value placement |
 //! | [`lsm`] | `tb-lsm` | the default storage tier: WAL, SSTables, bloom filters, leveled compaction |
 //! | [`pmem`] | `tb-pmem` | simulated persistent memory: latency-modeled device, persistent ring buffer |
 //! | [`compress`] | `tb-compress` | pre-trained compression: tzstd (dictionary LZ) and PBC (pattern-based) |

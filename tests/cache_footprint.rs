@@ -168,14 +168,14 @@ fn an_in_memory_store_counts_the_heap_its_cache_holds() {
 }
 
 /// Allocations per put of a new key through an in-memory `TierBase`,
-/// held to what the put path makes today (3.06: the value envelope's
-/// `Vec`, the `Value` that copies it, the cache record, and a share of
-/// each batch's own), so a change that adds one per put fails and one
-/// that saves one can lower the bound.
+/// held to what the put path makes today (2.06: the value envelope,
+/// collected in one allocation, the cache record, and a share of each
+/// batch's own), so a change that adds one per put fails and one that
+/// saves one can lower the bound.
 #[test]
-fn an_in_memory_store_put_allocates_at_most_three_times() {
+fn an_in_memory_store_put_allocates_at_most_twice() {
     const RECORDS: usize = 50_000;
-    const MAX_PER_PUT: f64 = 3.1;
+    const MAX_PER_PUT: f64 = 2.1;
     let dir = tierbase::common::test_dir("tb-it-cache-allocations");
     let store = TierBase::open(
         TierBaseConfig::builder(dir.path())
