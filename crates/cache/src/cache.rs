@@ -133,9 +133,9 @@ impl ShardedCache {
         &self.clock
     }
 
-    /// Looks up a value, updating recency and hit/miss stats. Expired
-    /// entries read as misses. PMem-resident values pay the configured
-    /// read-latency premium.
+    /// Looks up a value, setting its reference bit and counting a hit or
+    /// a miss. Expired entries read as misses. PMem-resident values pay
+    /// the configured read-latency premium.
     pub fn get(&self, key: &Key) -> Option<Value> {
         match self.lookup(key) {
             Lookup::Live(v) => Some(v),
@@ -170,7 +170,7 @@ impl ShardedCache {
     }
 
     /// A copy of the full entry (value, dirty flag, deadline), without
-    /// stats or recency updates.
+    /// stats or reference bits.
     pub fn peek_entry(&self, key: &Key) -> Option<CacheEntry> {
         self.shard(key).lock().peek(key)
     }
@@ -241,7 +241,7 @@ impl ShardedCache {
     }
 
     /// Live entries with `start <= key < end` (`end = None` =
-    /// unbounded above), sorted by key. Read-only: no recency updates,
+    /// unbounded above), sorted by key. Read-only: no reference bits set,
     /// no stats, no reclamation.
     pub fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Vec<(Key, CacheEntry)> {
         let now = self.clock.now_nanos();

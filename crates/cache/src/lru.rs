@@ -433,13 +433,14 @@ impl LruShard {
         };
         // Replace = remove + insert-fresh; when the bigger replacement
         // cannot fit, the old entry is restored so a failed insert never
-        // leaves the shard over budget or missing the key.
+        // leaves the shard over budget or missing the key, and with its
+        // reference bit as it was.
+        let old_bit = self.index.slots[pos].tag & REFERENCED;
         let (old, old_dirty, old_expiry) = self.take(pos);
-        let tag = hash | REFERENCED;
-        match self.insert_fresh(tag, record, dirty, expires_at) {
+        match self.insert_fresh(hash | REFERENCED, record, dirty, expires_at) {
             Ok(evicted) => Ok(evicted),
             Err(e) => {
-                self.insert_fresh(tag, old, old_dirty, old_expiry)
+                self.insert_fresh(hash | old_bit, old, old_dirty, old_expiry)
                     .expect("restoring the previous entry always fits");
                 Err(e)
             }
@@ -1327,7 +1328,13 @@ mod tests {
                                 prop_assert_eq!(evicted, victims.len());
                                 prop_assert_eq!(s.referenced(&key), existed);
                             }
-                            Err(e) => prop_assert!(matches!(e, Error::Backpressure { .. }), "{:?}", e),
+                            Err(e) => {
+                                prop_assert!(matches!(e, Error::Backpressure { .. }), "{:?}", e);
+                                // A refused write leaves the key as it was,
+                                // reference bit included.
+                                let old_bit = before.iter().find(|(other, ..)| *other == key).map(|b| b.2);
+                                prop_assert_eq!(s.contains(&key).then(|| s.referenced(&key)), old_bit);
+                            }
                         }
                         prop_assert!(victims.iter().all(|(_, e, _)| !e.dirty), "evicted a dirty entry");
                     }

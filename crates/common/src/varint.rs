@@ -2,37 +2,37 @@
 
 use crate::{Error, Result};
 
-/// Appends `v` as a LEB128 varint.
-#[inline]
-pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+/// Hands `v`'s LEB128 bytes to `emit` in order: the one encoder behind
+/// [`write_varint`] and [`varint_bytes`].
+#[inline(always)]
+fn encode(mut v: u64, mut emit: impl FnMut(u8)) {
     loop {
         let b = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            out.push(b);
-            return;
+            return emit(b);
         }
-        out.push(b | 0x80);
+        emit(b | 0x80);
     }
 }
 
-/// [`write_varint`]'s bytes on the stack, for a caller that must not
+/// Appends `v` as a LEB128 varint.
+#[inline]
+pub fn write_varint(out: &mut Vec<u8>, v: u64) {
+    encode(v, |b| out.push(b));
+}
+
+/// `v` as a LEB128 varint on the stack, for a caller that must not
 /// allocate: the varint is the first `len` bytes of the returned
 /// buffer.
 #[inline]
-pub fn varint_bytes(mut v: u64) -> ([u8; 10], usize) {
-    let mut bytes = [0u8; 10];
-    let mut len = 0;
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            bytes[len] = b;
-            return (bytes, len + 1);
-        }
-        bytes[len] = b | 0x80;
+pub fn varint_bytes(v: u64) -> ([u8; 10], usize) {
+    let (mut bytes, mut len) = ([0u8; 10], 0);
+    encode(v, |b| {
+        bytes[len] = b;
         len += 1;
-    }
+    });
+    (bytes, len)
 }
 
 /// Reads a LEB128 varint at `*pos`, advancing it.

@@ -67,7 +67,9 @@ impl MeasuredMrc {
 
 /// Computes the LRU miss-ratio curve of `trace` (§5.2's `f(CR)`).
 ///
-/// Item-granular (uniform record sizes assumed); cold misses count.
+/// Item-granular (uniform record sizes assumed); cold misses count. The
+/// cache tier evicts by CLOCK, not exact LRU; this curve stands in for
+/// it, since CLOCK's miss ratio tracks LRU's closely.
 pub fn lru_miss_ratio_curve(trace: &Trace) -> MeasuredMrc {
     use std::collections::HashMap;
     // Mattson: maintain an LRU stack; a hit at stack depth d (1-based) is
