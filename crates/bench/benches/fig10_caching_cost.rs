@@ -27,7 +27,11 @@ fn tb(
     name: &str,
     f: impl FnOnce(tierbase_core::TierBaseConfigBuilder) -> tierbase_core::TierBaseConfigBuilder,
 ) -> TierBase {
-    let builder = TierBaseConfig::builder(bench_dir(name)).cache_capacity(512 << 20);
+    // Uncompressed unless a row names its codec: the rows that stand
+    // for Redis, Memcached and Dragonfly hold raw values.
+    let builder = TierBaseConfig::builder(bench_dir(name))
+        .cache_capacity(512 << 20)
+        .compression(CompressorChoice::Raw);
     let store = TierBase::open(f(builder).build()).expect("open");
     // Pre-train compression offline, as §4.2 prescribes.
     let dataset = DatasetKind::Cities.build(0x5eed);

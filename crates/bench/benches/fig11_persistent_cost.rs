@@ -11,30 +11,35 @@
 //! Every row is a configuration of code in this repo; none runs a
 //! comparator (README, "Comparison figures"). Cassandra's and HBase's
 //! signature, an LSM on disk, is `LSM-lz`: a bare `LsmDb` writing
-//! `lz` blocks, billed at [`tb_bench::DISK_PRICE`]. Redis-AOF's, an
-//! in-memory store with an append-only log, is `TierBase-WAL`.
+//! `lz` blocks, its memtable a quarter of the data so it flushes,
+//! billed at [`tb_bench::DISK_PRICE`]. Redis-AOF's, an in-memory store
+//! with an append-only log, is `TierBase-WAL`. Every TierBase row holds
+//! raw values.
 //!
 //! The tiered configurations reach their storage tier over a modelled
 //! 200 µs hop (`tb_bench::Delayed`); no real hop is measured. Record and
 //! op counts go through `tb_bench::budget`.
 
 use tb_bench::{
-    bench_dir, budget, delayed_storage, measure_cost, print_cost_plane, BenchReport, CostPoint,
-    DISK_PRICE,
+    bench_dir, budget, delayed_storage, lsm_flushes, measure_cost, print_cost_plane, BenchReport,
+    CostPoint, DISK_PRICE,
 };
 use tb_compress::BlockCodec;
 use tb_costmodel::WorkloadDemand;
 use tb_lsm::{LsmConfig, LsmDb};
 use tb_workload::{Workload, WorkloadSpec};
-use tierbase_core::{PersistenceMode, SyncPolicy, TierBase, TierBaseConfig};
+use tierbase_core::{CompressorChoice, PersistenceMode, SyncPolicy, TierBase, TierBaseConfig};
 
 /// "10X" cache ratio: cache capacity = logical data / 10.
+/// Every TierBase row holds raw values, as the row that stands for
+/// Redis-AOF must, so the rows differ only in where the bytes live.
 fn tiered(name: &str, policy: SyncPolicy, logical_bytes: usize) -> TierBase {
     let dir = bench_dir(name);
     TierBase::open(
         TierBaseConfig::builder(&dir)
             .cache_capacity((logical_bytes / 10).max(64 << 10))
             .policy(policy)
+            .compression(CompressorChoice::Raw)
             .storage(delayed_storage(&dir, 200).expect("open storage tier"))
             .build(),
     )
@@ -46,6 +51,7 @@ fn cache_resident(name: &str, persistence: PersistenceMode) -> TierBase {
         TierBaseConfig::builder(bench_dir(name))
             .cache_capacity(512 << 20)
             .persistence(persistence)
+            .compression(CompressorChoice::Raw)
             .pmem_ring_bytes(64 << 20)
             .build(),
     )
@@ -79,8 +85,12 @@ fn main() {
         {
             let mut config = LsmConfig::new(bench_dir("f11-lsm"));
             config.sst.codec = BlockCodec::Lz;
+            // A quarter of the data, so the row writes and reads `lz`
+            // tables rather than serving from its memtable.
+            config.memtable_bytes = (logical_estimate / 4).max(64 << 10);
             let e = LsmDb::open(config).expect("open lsm");
             let (load, run) = Workload::new(spec_fn(records, ops)).generate();
+            let flushes = lsm_flushes();
             points.push(measure_cost(
                 "LSM-lz",
                 &e,
@@ -91,6 +101,9 @@ fn main() {
                 4.0 / DISK_PRICE,
                 1.0,
             ));
+            // `measure_cost` read `resident_bytes`, which waits for the
+            // background flushes.
+            assert!(lsm_flushes() > flushes, "LSM-lz never flushed its memtable");
         }
         // Memory-resident persistent stores: dual-replica → space ×2.
         {

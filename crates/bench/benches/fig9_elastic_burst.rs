@@ -19,7 +19,7 @@ use tb_common::{EngineOp, Key, KvEngine, OpOutcome, Result, Value};
 use tb_frontend::{Frontend, FrontendConfig};
 use tb_lsm::{LsmConfig, LsmDb};
 use tierbase_core::elastic::ThreadMode;
-use tierbase_core::{TierBase, TierBaseConfig};
+use tierbase_core::{CompressorChoice, TierBase, TierBaseConfig};
 
 /// Phase durations, resolved once up front (the client hot loop must
 /// not re-read the environment); `TB_BENCH_SMOKE` compresses the
@@ -166,40 +166,29 @@ fn timeline(engine: Arc<dyn KvEngine>, clients: usize, phases: Phases) -> Vec<f6
     series
 }
 
+/// A store of the figure: its threading mode and raw values, as the
+/// systems its rows stand for keep them.
+fn tierbase(name: &str, mode: ThreadMode) -> TierBase {
+    let config = TierBaseConfig::builder(bench_dir(name))
+        .threading(mode)
+        .compression(CompressorChoice::Raw)
+        .build();
+    TierBase::open(config).unwrap()
+}
+
 fn main() {
     let systems: Vec<(&str, Arc<dyn KvEngine>)> = vec![
         (
             "TierBase-s",
-            Arc::new(
-                TierBase::open(
-                    TierBaseConfig::builder(bench_dir("fig9-tb-s"))
-                        .threading(ThreadMode::Multi(1))
-                        .build(),
-                )
-                .unwrap(),
-            ),
+            Arc::new(tierbase("fig9-tb-s", ThreadMode::Multi(1))),
         ),
         (
             "TierBase-e",
-            Arc::new(
-                TierBase::open(
-                    TierBaseConfig::builder(bench_dir("fig9-tb-e"))
-                        .threading(ThreadMode::Elastic(4))
-                        .build(),
-                )
-                .unwrap(),
-            ),
+            Arc::new(tierbase("fig9-tb-e", ThreadMode::Elastic(4))),
         ),
         (
             "TierBase-m",
-            Arc::new(
-                TierBase::open(
-                    TierBaseConfig::builder(bench_dir("fig9-tb-m"))
-                        .threading(ThreadMode::Multi(4))
-                        .build(),
-                )
-                .unwrap(),
-            ),
+            Arc::new(tierbase("fig9-tb-m", ThreadMode::Multi(4))),
         ),
         (
             // TierBase-e behind a replicated data node: every put is
@@ -208,14 +197,7 @@ fn main() {
             Arc::new(ReplicatedNode(
                 NodeStore::new(
                     NodeId(0),
-                    Arc::new(
-                        TierBase::open(
-                            TierBaseConfig::builder(bench_dir("fig9-tb-e-repl"))
-                                .threading(ThreadMode::Elastic(4))
-                                .build(),
-                        )
-                        .unwrap(),
-                    ),
+                    Arc::new(tierbase("fig9-tb-e-repl", ThreadMode::Elastic(4))),
                 )
                 .with_replica(MapEngine::shared()),
             )),

@@ -161,6 +161,35 @@ fn bench_compressors(c: &mut Criterion) {
             )
         });
     }
+
+    // The rows above code one record, whose bytes and model stay hot
+    // in L1. A cache tier codes a different record each time: these
+    // cycle through 50 000 distinct Cities records (and their frames)
+    // under a `tzstd-d` model trained on the first 256, as the store
+    // auto-trains one, through the reused-buffer calls it makes.
+    let cities = DatasetKind::Cities.build(5);
+    let records: Vec<Vec<u8>> = (0..budget(50_000)).map(|i| cities.record(i)).collect();
+    let model = Tzstd::train_with_dict(TzstdLevel(1), &records[..256]);
+    let frames: Vec<Vec<u8>> = records.iter().map(|r| model.compress(r)).collect();
+    let mean = records.iter().map(Vec::len).sum::<usize>() / records.len();
+    group.throughput(Throughput::Bytes(mean as u64));
+    let mut out = Vec::new();
+    let mut i = 0usize;
+    group.bench_function("record_encode_cold", |b| {
+        b.iter(|| {
+            i = (i + 1) % records.len();
+            out.clear();
+            model.compress_into(&records[i], &mut out);
+            std::hint::black_box(out.len())
+        })
+    });
+    group.bench_function("record_decode_cold", |b| {
+        b.iter(|| {
+            i = (i + 1) % frames.len();
+            model.decompress_into(&frames[i], &mut out).unwrap();
+            std::hint::black_box(out.len())
+        })
+    });
     group.finish();
 }
 

@@ -36,12 +36,15 @@ fn main() {
     let raw = TierBase::open(
         TierBaseConfig::builder(bench_dir("t3-raw"))
             .cache_capacity(512 << 20)
+            .compression(CompressorChoice::Raw)
             .build(),
     )
     .unwrap();
+    // PMem alone: raw values, so the row trades DRAM for PMem only.
     let pmem = TierBase::open(
         TierBaseConfig::builder(bench_dir("t3-pmem"))
             .cache_capacity(512 << 20)
+            .compression(CompressorChoice::Raw)
             .pmem(PmemTuning {
                 value_threshold: 64,
                 cost_factor: 0.5,

@@ -382,6 +382,16 @@ pub fn measure_cost(
     )
 }
 
+/// Memtable flushes so far in this process (the `lsm_flush_ns`
+/// histogram's count): a row that means an LSM on disk asserts that it
+/// wrote tables.
+pub fn lsm_flushes() -> u64 {
+    tb_obs::global()
+        .snapshot()
+        .histogram("lsm_flush_ns")
+        .map_or(0, |h| h.count)
+}
+
 /// Temp directory helper for bench engines.
 pub fn bench_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tb-bench-{name}-{}", std::process::id()));

@@ -3,7 +3,7 @@
 
 use crate::lru::{CacheEntry, Lookup, LruShard};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tb_common::{fx_hash, Clock, Key, Result, SystemClock, Value};
 use tb_pmem::LatencyModel;
@@ -80,7 +80,10 @@ impl CacheStats {
 /// keep two links per entry and rewrite them on every hit.
 pub struct ShardedCache {
     shards: Vec<Mutex<LruShard>>,
-    shard_budget: usize,
+    capacity_bytes: usize,
+    /// Each shard's budget: its share of the capacity less what
+    /// [`Self::reserve`] holds back.
+    shard_budget: AtomicUsize,
     pmem: Option<PmemPlacement>,
     clock: Arc<dyn Clock>,
     pub stats: Arc<CacheStats>,
@@ -108,7 +111,8 @@ impl ShardedCache {
         };
         Self {
             shards,
-            shard_budget: per_shard,
+            capacity_bytes: config.capacity_bytes,
+            shard_budget: AtomicUsize::new(per_shard),
             pmem: config.pmem,
             clock: config.clock,
             stats,
@@ -185,8 +189,31 @@ impl ShardedCache {
     /// [`Error::InvalidArgument`](tb_common::Error::InvalidArgument), as
     /// an insert of it would. Callers check before a step they cannot
     /// take back, such as a log append.
-    pub fn admit(&self, key: &Key, value: &Value) -> Result<()> {
-        LruShard::admit(self.shard_budget, key.len(), value.len())
+    pub fn admit(&self, key: &Key, value: &[u8]) -> Result<()> {
+        LruShard::admit(
+            self.shard_budget.load(Ordering::Relaxed),
+            key.len(),
+            value.len(),
+        )
+    }
+
+    /// Holds `bytes` of the capacity back for what the cache's owner
+    /// keeps beside its entries (a store's compression models), so
+    /// entries and reserve together stay within it: every shard's
+    /// budget becomes its share of the rest, and clean entries are
+    /// evicted by CLOCK down to it. Dirty entries are not, and keep a
+    /// shard over its budget until they are flushed. A later call
+    /// replaces the reserve.
+    pub fn reserve(&self, bytes: usize) {
+        let shards = self.shards.len();
+        let per_shard = (self.capacity_bytes.saturating_sub(bytes) / shards).max(1024);
+        self.shard_budget.store(per_shard, Ordering::Relaxed);
+        for shard in &self.shards {
+            let evicted = shard.lock().set_budget(per_shard);
+            self.stats
+                .evictions
+                .fetch_add(evicted as u64, Ordering::Relaxed);
+        }
     }
 
     /// Inserts a copy of the value; returns how many entries it evicted.
@@ -199,10 +226,11 @@ impl ShardedCache {
     pub fn insert_full(
         &self,
         key: Key,
-        value: Value,
+        value: impl AsRef<[u8]>,
         dirty: bool,
         expires_at: Option<u64>,
     ) -> Result<usize> {
+        let value = value.as_ref();
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         if let Some(model) = self.pmem_latency(value.len()) {
             model.stall_write(value.len());
@@ -397,6 +425,50 @@ mod tests {
         assert!(c.used_bytes() <= 8 << 10);
         assert!(c.stats.evictions.load(Ordering::Relaxed) > 0);
         assert!(c.len() < 1000);
+    }
+
+    /// A reserve comes out of the capacity: clean entries are evicted
+    /// down to what is left, dirty ones stay (over the budget until
+    /// cleaned), and an overwrite that cannot fit leaves the old entry
+    /// as it was.
+    #[test]
+    fn reserve_holds_capacity_back() {
+        let c = cache(64 << 10);
+        for i in 0..400 {
+            c.insert(k(i), Value::from(vec![b'x'; 64]), i % 4 == 0)
+                .unwrap();
+        }
+        let full = c.used_bytes();
+        c.reserve(32 << 10);
+        assert!(c.stats.evictions.load(Ordering::Relaxed) > 0);
+        assert!(c.used_bytes() < full);
+        let dirty = c.dirty_bytes();
+        assert!(c.used_bytes() <= (32 << 10) + dirty);
+        // Every dirty entry is kept; only clean ones went.
+        assert_eq!(c.dirty_entries().len(), 100);
+        // Dirty entries over a shrunk budget: an overwrite finds no room
+        // and is refused, the old entry back in its place.
+        let all_dirty = cache(64 << 10);
+        for i in 0..400 {
+            all_dirty
+                .insert(k(i), Value::from(vec![b'd'; 64]), true)
+                .unwrap();
+        }
+        all_dirty.reserve(64 << 10);
+        assert_eq!(all_dirty.len(), 400);
+        let bigger = Value::from(vec![b'D'; 100]);
+        assert!(matches!(
+            all_dirty.insert(k(0), bigger, true),
+            Err(tb_common::Error::Backpressure { .. })
+        ));
+        assert_eq!(all_dirty.get(&k(0)), Some(Value::from(vec![b'd'; 64])));
+        assert_eq!(all_dirty.len(), 400);
+        // A smaller reserve gives the room back.
+        c.reserve(0);
+        for i in 1000..1400 {
+            c.insert(k(i), Value::from(vec![b'x'; 64]), false).unwrap();
+        }
+        assert!(c.used_bytes() > full * 9 / 10);
     }
 
     /// A value is in PMem exactly when the config sets `pmem` and the

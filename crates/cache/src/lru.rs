@@ -326,6 +326,18 @@ impl LruShard {
         }
     }
 
+    /// Sets the byte budget and evicts clean entries by CLOCK until the
+    /// shard fits it, or only dirty entries are left. Returns how many
+    /// it evicted.
+    pub(crate) fn set_budget(&mut self, budget_bytes: usize) -> usize {
+        self.budget_bytes = budget_bytes;
+        let mut evicted = 0;
+        while self.used_bytes > budget_bytes && self.evict_one() {
+            evicted += 1;
+        }
+        evicted
+    }
+
     /// Refuses, with [`Error::InvalidArgument`], an entry that would
     /// not fit `budget` even after every eviction: one whose cost, with
     /// an [`Extra`], exceeds it.
@@ -440,14 +452,17 @@ impl LruShard {
         match self.insert_fresh(hash | REFERENCED, record, dirty, expires_at) {
             Ok(evicted) => Ok(evicted),
             Err(e) => {
-                self.insert_fresh(hash | old_bit, old, old_dirty, old_expiry)
-                    .expect("restoring the previous entry always fits");
+                // Back where it was, without room made for it: a shard
+                // whose budget shrank under its dirty bytes
+                // ([`Self::set_budget`]) has none to make.
+                self.place(hash | old_bit, old, old_dirty, old_expiry);
                 Err(e)
             }
         }
     }
 
-    /// Adds an entry whose index slot is `tag` (see [`Slot`]).
+    /// Adds an entry whose index slot is `tag` (see [`Slot`]), evicting
+    /// clean entries first so the budget holds afterwards.
     fn insert_fresh(
         &mut self,
         tag: u32,
@@ -455,9 +470,7 @@ impl LruShard {
         dirty: bool,
         expires_at: Option<u64>,
     ) -> Result<usize> {
-        let has_extra = dirty || expires_at.is_some();
-        let cost = billed(record.len(), has_extra);
-        // Evict before inserting so the budget holds afterwards.
+        let cost = billed(record.len(), dirty || expires_at.is_some());
         let mut evicted = 0;
         while self.used_bytes + cost > self.budget_bytes {
             if !self.evict_one() {
@@ -467,7 +480,13 @@ impl LruShard {
             }
             evicted += 1;
         }
+        self.place(tag, record, dirty, expires_at);
+        Ok(evicted)
+    }
 
+    /// Adds an entry whose index slot is `tag`, room or not.
+    fn place(&mut self, tag: u32, record: Box<[u8]>, dirty: bool, expires_at: Option<u64>) {
+        let has_extra = dirty || expires_at.is_some();
         assert!(
             self.slab.len() < NIL as usize,
             "shard outgrew its {}-bit slab indices",
@@ -504,7 +523,6 @@ impl LruShard {
             self.dirty_head = idx;
         }
         self.charge(idx, true);
-        Ok(evicted)
     }
 
     /// Evicts one clean entry by CLOCK, if there is one: the hand moves

@@ -87,8 +87,10 @@
 //! read is checksummed regardless of codec.
 
 use crate::dict::train_dictionary;
-use crate::huffman::{BitReader, BitWriter, Decoder, HuffTable, CODES_PER_REFILL, TABLE_BYTES};
-use crate::lz::{lz_parse, Prefix, SplitTokens, TzstdLevel, MIN_MATCH};
+use crate::huffman::{
+    BitReader, BitWriter, Decoder, HuffTable, ShortDecoder, CODES_PER_REFILL, TABLE_BYTES,
+};
+use crate::lz::{lz_parse, Prefix, PrefixUse, SplitTokens, TzstdLevel, MIN_MATCH};
 use crate::pbc::{Pbc, PbcConfig, PbcModel};
 use crate::Compressor;
 use std::sync::Arc;
@@ -436,19 +438,19 @@ impl LzCoder {
         })
     }
 
-    /// Trains every table, and picks the split-out bytes, on the LZ
-    /// output at `level` of `blocks` (each with its index); returns the
+    /// Trains every table, and picks the split-out bytes, on `parse`'s
+    /// output for `blocks` (each with its index); returns the
     /// parses too.
     pub(crate) fn train<'a>(
         dict: Option<Prefix>,
-        level: TzstdLevel,
         blocks: impl Iterator<Item = (usize, &'a [u8])>,
+        parse: impl Fn(Option<&Prefix>, &[u8]) -> SplitTokens,
     ) -> (Self, Vec<Parsed>) {
         let mut ctrl_counts = [[0u32; 256]; CTRL_TABLES];
         let mut after = vec![[0u32; 256]; NO_BYTE + 1];
         let parsed: Vec<Parsed> = blocks
             .map(|(i, block)| {
-                let tokens = lz_parse(dict.as_ref(), block, level);
+                let tokens = parse(dict.as_ref(), block);
                 for_each_control(&tokens.ctrl, |t, b| ctrl_counts[t][b as usize] += 1);
                 for_each_run(&tokens, |before, run| {
                     let mut before = before.map_or(NO_BYTE, usize::from);
@@ -479,7 +481,9 @@ impl LzCoder {
         (Self::new(dict, split, tables), parsed)
     }
 
-    pub(crate) fn from_payload(payload: &[u8]) -> Result<Self> {
+    /// Rebuilds a coder from [`Self::payload`], its dictionary a
+    /// prefix of `usage`.
+    pub(crate) fn from_payload(payload: &[u8], usage: PrefixUse) -> Result<Self> {
         let (model, dict) = payload
             .split_at_checked(MODEL_BYTES)
             .ok_or_else(|| Error::Corruption("block codec payload truncated".into()))?;
@@ -501,8 +505,20 @@ impl LzCoder {
             .chunks_exact(TABLE_BYTES)
             .map(HuffTable::from_bytes)
             .collect::<Result<_>>()?;
-        let dict = (!dict.is_empty()).then(|| Prefix::new(dict.to_vec()));
+        let dict = (!dict.is_empty()).then(|| Prefix::with_use(dict.to_vec(), usage));
         Ok(Self::new(dict, split, tables))
+    }
+
+    /// Heap bytes held: the tables, their decoder and the dictionary.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.tables.capacity() * std::mem::size_of::<HuffTable>()
+            + self.decoder.heap_bytes()
+            + self.dict.as_ref().map_or(0, Prefix::heap_bytes)
+    }
+
+    /// The decoder's short-code tables, for [`Self::decode_short`].
+    pub(crate) fn short_decoder(&self) -> ShortDecoder {
+        ShortDecoder::new(&self.decoder)
     }
 
     pub(crate) fn payload(&self) -> Vec<u8> {
@@ -547,19 +563,23 @@ impl LzCoder {
     }
 
     /// Decodes the varint of one token field from the control stream,
-    /// its first byte under `table`. The first byte's bits must be
-    /// buffered; each further byte refills first. No `u64` takes more
-    /// than 10 bytes.
+    /// its first byte under `table`, each byte by `get`. The first
+    /// byte's bits must be buffered; each further byte refills first.
+    /// No `u64` takes more than 10 bytes.
     #[inline(always)]
-    fn ctrl_varint(&self, bits: &mut BitReader<'_>, table: usize) -> Result<u64> {
-        let (b, mut table) = self.decoder.get(table, bits);
+    fn ctrl_varint(
+        bits: &mut BitReader<'_>,
+        table: usize,
+        get: &impl Fn(usize, &mut BitReader<'_>) -> (u8, usize),
+    ) -> Result<u64> {
+        let (b, mut table) = get(table, bits);
         let mut v = u64::from(b & 0x7f);
         if b & 0x80 == 0 {
             return Ok(v);
         }
         for shift in (7..64).step_by(7) {
             bits.refill();
-            let (b, next) = self.decoder.get(table, bits);
+            let (b, next) = get(table, bits);
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
                 return Ok(v);
@@ -581,6 +601,39 @@ impl LzCoder {
     /// [`LZ_RESERVE_PER_CODED_BYTE`] bytes per payload byte and grows
     /// past that only as it decodes, never past `ulen`.
     pub(crate) fn decode(&self, payload: &[u8], ulen: usize) -> Result<Vec<u8>> {
+        let mut out = vec![0; ulen.min(payload.len() * LZ_RESERVE_PER_CODED_BYTE)];
+        self.decode_into(payload, ulen, |t, bits| self.decoder.get(t, bits), &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::decode`] into `out` (cleared first), each code through
+    /// `short`'s first-level tables: a short record's decode, whose
+    /// symbols would otherwise each load from the 64 KiB tables.
+    /// Decodes exactly what [`Self::decode`] does.
+    pub(crate) fn decode_short(
+        &self,
+        short: &ShortDecoder,
+        payload: &[u8],
+        ulen: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        out.clear();
+        out.resize(ulen.min(payload.len() * LZ_RESERVE_PER_CODED_BYTE), 0);
+        let get = |t, bits: &mut BitReader<'_>| short.get(&self.decoder, t, bits);
+        self.decode_into(payload, ulen, get, out)
+    }
+
+    /// The one decode, every symbol decoded by `get`, into `out`: its
+    /// bytes are room to decode into, up to [`LZ_RESERVE_PER_CODED_BYTE`]
+    /// per payload byte.
+    #[inline(always)]
+    fn decode_into(
+        &self,
+        payload: &[u8],
+        ulen: usize,
+        get: impl Fn(usize, &mut BitReader<'_>) -> (u8, usize),
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         let mut pos = 0usize;
         let ctrl_bytes = read_varint(payload, &mut pos)?;
         let coded = &payload[pos..];
@@ -600,14 +653,13 @@ impl LzCoder {
             Error::Corruption(format!("{what} of {n} overruns the {ulen}-byte block"))
         };
         // `out[..len]` is decoded; the rest is room to decode into.
-        let mut out = vec![0; ulen.min(payload.len() * LZ_RESERVE_PER_CODED_BYTE)];
         let mut len = 0;
         loop {
             // Three first varint bytes follow: each further byte
             // refills, so no code runs past the buffered bits.
             const { assert!(CODES_PER_REFILL >= 3) };
             ctrl.refill();
-            let run = self.ctrl_varint(&mut ctrl, 0)?;
+            let run = Self::ctrl_varint(&mut ctrl, 0, &get)?;
             let run = usize::try_from(run)
                 .ok()
                 .filter(|&n| n <= ulen - len)
@@ -618,12 +670,12 @@ impl LzCoder {
                 _ => Some(out[len - 1]),
             };
             let mut table = self.table_after(before);
-            grow_within(&mut out, len + run, ulen);
+            grow_within(out, len + run, ulen);
             lits.decode_each(&mut out[len..len + run], |bits, d| {
-                (*d, table) = self.decoder.get(table, bits);
+                (*d, table) = get(table, bits);
             });
             len += run;
-            let code = self.ctrl_varint(&mut ctrl, 2)?;
+            let code = Self::ctrl_varint(&mut ctrl, 2, &get)?;
             if code == 0 {
                 break;
             }
@@ -632,15 +684,15 @@ impl LzCoder {
                 .and_then(|c| c.checked_add(MIN_MATCH - 1))
                 .filter(|&n| n <= ulen - len)
                 .ok_or_else(|| overrun("match length code", code))?;
-            let dist = self.ctrl_varint(&mut ctrl, 4)?;
-            grow_within(&mut out, len + n, ulen);
-            copy_match(&mut out, len, dict, dist, n)?;
+            let dist = Self::ctrl_varint(&mut ctrl, 4, &get)?;
+            grow_within(out, len + n, ulen);
+            copy_match(out, len, dict, dist, n)?;
             len += n;
         }
         ctrl.finish()?;
         lits.finish()?;
         out.truncate(len);
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -801,7 +853,9 @@ impl BlockCodecState {
             _ => BlockEffort::Flush,
         };
         let dict = (!dict.is_empty()).then(|| Prefix::new(dict));
-        let (coder, parsed) = LzCoder::train(dict, effort.level(), training);
+        let level = effort.level();
+        let parse = |dict: Option<&Prefix>, block: &[u8]| lz_parse(dict, block, level);
+        let (coder, parsed) = LzCoder::train(dict, training, parse);
         let state = Self {
             codec,
             effort,
@@ -845,7 +899,7 @@ impl BlockCodecState {
         let coder = match codec {
             BlockCodec::None => return Ok(Self::default()),
             BlockCodec::Lz | BlockCodec::Dict => {
-                Coder::Lz(Box::new(LzCoder::from_payload(payload)?))
+                Coder::Lz(Box::new(LzCoder::from_payload(payload, PrefixUse::Blocks)?))
             }
             BlockCodec::Pbc => Coder::Pbc(Pbc::new(Arc::new(PbcModel::from_bytes(payload)?))),
         };

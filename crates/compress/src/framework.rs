@@ -12,7 +12,7 @@
 use crate::lz::{Tzstd, TzstdLevel};
 use crate::pbc::{Pbc, PbcConfig, PbcModel};
 use crate::{measure_ratio, Compressor, RawCompressor};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use tb_common::{Error, Result};
@@ -63,9 +63,28 @@ pub struct CompressionMonitor {
     config: MonitorConfig,
     /// Ratio measured right after training; the degradation baseline.
     baseline_ratio: f64,
-    records: AtomicU64,
-    original: AtomicU64,
-    compressed: AtomicU64,
+    /// The counts, striped by thread: threads that compress at once
+    /// each add to a cache line of their own, where one shared line
+    /// would move between their cores on every record.
+    stripes: [Stripe; STRIPES],
+}
+
+/// Number of [`CompressionMonitor`] stripes.
+const STRIPES: usize = 8;
+
+/// One stripe's records, original and compressed bytes, alone on its
+/// cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct Stripe([AtomicU64; 3]);
+
+/// This thread's stripe.
+fn stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    STRIPE.with(|s| *s)
 }
 
 impl CompressionMonitor {
@@ -73,25 +92,29 @@ impl CompressionMonitor {
         Self {
             config,
             baseline_ratio,
-            records: AtomicU64::new(0),
-            original: AtomicU64::new(0),
-            compressed: AtomicU64::new(0),
+            stripes: Default::default(),
         }
     }
 
     /// Records one compressed record's sizes.
     pub fn observe(&self, original: usize, compressed: usize) {
-        self.records.fetch_add(1, Ordering::Relaxed);
-        self.original.fetch_add(original as u64, Ordering::Relaxed);
-        self.compressed
-            .fetch_add(compressed as u64, Ordering::Relaxed);
+        let [records, orig, comp] = &self.stripes[stripe()].0;
+        records.fetch_add(1, Ordering::Relaxed);
+        orig.fetch_add(original as u64, Ordering::Relaxed);
+        comp.fetch_add(compressed as u64, Ordering::Relaxed);
     }
 
     pub fn stats(&self) -> CompressionStats {
+        let sum = |k: usize| {
+            self.stripes
+                .iter()
+                .map(|s| s.0[k].load(Ordering::Relaxed))
+                .sum()
+        };
         CompressionStats {
-            records: self.records.load(Ordering::Relaxed),
-            original_bytes: self.original.load(Ordering::Relaxed),
-            compressed_bytes: self.compressed.load(Ordering::Relaxed),
+            records: sum(0),
+            original_bytes: sum(1),
+            compressed_bytes: sum(2),
         }
     }
 
@@ -308,13 +331,49 @@ impl PretrainedCompression {
 
     /// Compresses and feeds the monitor.
     pub fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let out = self.compressor.as_compressor().compress(input);
-        self.monitor.observe(input.len(), out.len());
+        let mut out = Vec::new();
+        self.compress_into(input, &mut out);
         out
+    }
+
+    /// [`Self::compress`], appending the compressed bytes to `out`: a
+    /// tzstd model allocates nothing else.
+    pub fn compress_into(&self, input: &[u8], out: &mut Vec<u8>) {
+        let start = out.len();
+        match &self.compressor {
+            Built::Tzstd(c) => c.compress_into(input, out),
+            other => out.extend_from_slice(&other.as_compressor().compress(input)),
+        }
+        self.monitor.observe(input.len(), out.len() - start);
     }
 
     pub fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
         self.compressor.as_compressor().decompress(input)
+    }
+
+    /// [`Self::decompress`] into `out`, which it clears first: a tzstd
+    /// model allocates nothing but `out`'s growth.
+    pub fn decompress_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        match &self.compressor {
+            Built::Tzstd(c) => c.decompress_into(input, out),
+            other => {
+                let value = other.as_compressor().decompress(input)?;
+                out.clear();
+                out.extend_from_slice(&value);
+                Ok(())
+            }
+        }
+    }
+
+    /// Heap bytes the unit holds: its model's tables, decoders and
+    /// dictionary, or its patterns (none for `Raw`), and the unit.
+    pub fn heap_bytes(&self) -> usize {
+        let model = match &self.compressor {
+            Built::Raw => 0,
+            Built::Tzstd(c) => std::mem::size_of::<Tzstd>() + c.heap_bytes(),
+            Built::Pbc(p) => std::mem::size_of::<PbcModel>() + p.model().heap_bytes(),
+        };
+        std::mem::size_of::<Self>() + model
     }
 
     /// Current PBC pattern-miss rate (0 for non-PBC choices).

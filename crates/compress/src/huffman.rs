@@ -199,6 +199,10 @@ impl Decoder {
         Self { lut, next: next_of }
     }
 
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.lut) + std::mem::size_of_val(&*self.next)
+    }
+
     /// Decodes the next symbol under `code`, returning it and the code
     /// of the symbol after it. Only valid with enough bits buffered:
     /// inside [`BitReader::decode_each`], or within [`CODES_PER_REFILL`]
@@ -227,6 +231,61 @@ impl Decoder {
         r.acc >>= 8;
         r.nbits -= 8;
         (byte, self.next[code % MAX_CODES][byte as usize] as usize)
+    }
+}
+
+/// Bits a [`ShortDecoder`] resolves in its one lookup.
+const SHORT_BITS: u32 = 8;
+const SHORT_MASK: u64 = (1 << SHORT_BITS) - 1;
+
+/// The codes of at most [`SHORT_BITS`] bits of a [`Decoder`]'s tables,
+/// indexed by that many stream bits: 512 bytes a code, 8 KiB for
+/// sixteen where the whole tables take 64 KiB, so the tables a short
+/// record decodes under stay in a core's first-level cache between
+/// records. An entry is the [`Decoder`]'s own; 0 (no code of length 0
+/// has a slot) hands the symbol to the [`Decoder`]: a longer code, or
+/// an escape.
+pub(crate) struct ShortDecoder {
+    lut: Box<[u16; MAX_CODES << SHORT_BITS]>,
+}
+
+impl ShortDecoder {
+    pub fn new(full: &Decoder) -> Self {
+        let mut lut: Box<[u16; MAX_CODES << SHORT_BITS]> = vec![0; MAX_CODES << SHORT_BITS]
+            .into_boxed_slice()
+            .try_into()
+            .expect("MAX_CODES tables");
+        for (code, short) in lut.chunks_exact_mut(1 << SHORT_BITS).enumerate() {
+            // A slot whose bits above the first `SHORT_BITS` are zero: a
+            // code that fits is the same entry whatever they are.
+            let full = &full.lut[code * LUT_SIZE..][..1 << SHORT_BITS];
+            for (slot, &e) in short.iter_mut().zip(full) {
+                let len = u32::from(e & 0x0f);
+                if (1..=SHORT_BITS).contains(&len) {
+                    *slot = e;
+                }
+            }
+        }
+        Self { lut }
+    }
+
+    /// [`Decoder::get`], in one lookup of the short table when the
+    /// code fits it. The same buffering rules hold.
+    #[inline(always)]
+    pub fn get(&self, full: &Decoder, code: usize, r: &mut BitReader<'_>) -> (u8, usize) {
+        // In range by construction: the modulus only spares the check.
+        let e = self.lut[(code << SHORT_BITS | (r.acc & SHORT_MASK) as usize) % self.lut.len()];
+        if e == 0 {
+            return full.get(code, r);
+        }
+        let len = (e & 0x0f) as u32;
+        r.acc >>= len;
+        r.nbits -= len;
+        ((e >> 4) as u8, (e >> 12) as usize)
+    }
+
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.lut)
     }
 }
 

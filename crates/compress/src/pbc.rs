@@ -228,6 +228,21 @@ pub struct PbcModel {
 }
 
 impl PbcModel {
+    /// Heap bytes held: the patterns' literals and the fallback coder.
+    pub fn heap_bytes(&self) -> usize {
+        let literals: usize = self
+            .patterns
+            .iter()
+            .map(|p| {
+                p.literals.capacity() * std::mem::size_of::<Vec<u8>>()
+                    + p.literals.iter().map(Vec::capacity).sum::<usize>()
+            })
+            .sum();
+        self.patterns.capacity() * std::mem::size_of::<Pattern>()
+            + literals
+            + self.fallback.heap_bytes()
+    }
+
     /// Trains a model from sample records (offline pre-training phase).
     pub fn train(samples: &[Vec<u8>], config: &PbcConfig) -> Self {
         Self::train_for(samples, &[], config)

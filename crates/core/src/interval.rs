@@ -15,6 +15,7 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tb_common::hash::FxBuildHasher;
@@ -31,7 +32,8 @@ pub struct AccessIntervalTracker {
     clock: Arc<dyn Clock>,
     sampling_rate: f64,
     max_tracked: usize,
-    last_access: Mutex<HashMap<Key, u64, FxBuildHasher>>,
+    /// Last access per tracked key, by a 64-bit hash of the key.
+    last_access: Mutex<HashMap<u64, u64, FxBuildHasher>>,
     interval_sum_nanos: AtomicU64,
     interval_count: AtomicU64,
 }
@@ -70,9 +72,16 @@ impl AccessIntervalTracker {
         if !self.sampled(key) {
             return;
         }
+        // A tracked key is kept as a 64-bit SipHash, not a copy: fx_hash
+        // collides on keys that differ in a few bytes.
+        let hash = {
+            let mut h = DefaultHasher::new();
+            h.write(key.as_slice());
+            h.finish()
+        };
         let now = self.clock.now_nanos();
         let mut map = self.last_access.lock();
-        match map.get_mut(key) {
+        match map.get_mut(&hash) {
             Some(prev) => {
                 let delta = now.saturating_sub(*prev);
                 *prev = now;
@@ -82,9 +91,7 @@ impl AccessIntervalTracker {
             }
             None => {
                 if map.len() < self.max_tracked {
-                    // A copy: the key may be a window into a request
-                    // burst, which a clone would keep alive.
-                    map.insert(Key::copy_from(key.as_slice()), now);
+                    map.insert(hash, now);
                 }
             }
         }

@@ -13,9 +13,10 @@ use crate::elastic::ElasticGate;
 use crate::interval::AccessIntervalTracker;
 use crate::store_write::{apply_log_record, open_cache_log, COLD_LOG};
 use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tb_cache::{CacheConfig, PmemPlacement, ShardedCache};
@@ -68,6 +69,12 @@ pub(crate) fn envelope_expiry(stored: &Value) -> Option<u64> {
 /// Number of values sampled before compression auto-trains.
 const AUTO_TRAIN_SAMPLES: usize = 256;
 
+/// An auto-trained model is used only by a cache this many times its
+/// heap or more: the cache holds the model's bytes back from its
+/// entries, and a smaller one would give up more than compression wins
+/// back (a ~130 KiB model asks for a cache of 1 MiB).
+const MIN_CACHE_PER_MODEL_BYTE: usize = 8;
+
 /// `<dir>/cache.model.<generation>`: a trained compression model,
 /// [`PretrainedCompression::to_bytes`] sealed under [`MODEL_MAGIC`].
 const MODEL_FILE: &str = "cache.model.";
@@ -84,14 +91,29 @@ pub(crate) struct Inner {
     pub(crate) ring: Option<Mutex<PersistentRingBuffer>>,
     /// Every trained compression model by generation; new values use
     /// the newest. A model is on disk before any value uses it, and is
-    /// never replaced, so every stored envelope keeps decoding.
-    models: Mutex<BTreeMap<u64, Arc<PretrainedCompression>>>,
+    /// never replaced, so every stored envelope keeps decoding. Their
+    /// heap is held back from the cache's capacity and billed with it.
+    models: RwLock<Models>,
+    /// Bumped after every publish, so a thread's copy of `models`
+    /// ([`Inner::with_models`]) knows when it is stale.
+    models_epoch: AtomicU64,
+    /// Process-unique, naming the store a thread's copy of `models`
+    /// belongs to.
+    id: u64,
     train_samples: Mutex<Vec<Vec<u8>>>,
+    /// Set when an auto-trained model would have taken more than its
+    /// share of the cache ([`MIN_CACHE_PER_MODEL_BYTE`]): the store
+    /// stays raw and samples no more.
+    declined: AtomicBool,
     pub(crate) ops_since_flush: AtomicU64,
     /// §6.5.3 statistic: sampled mean key re-access interval, compared
     /// against Table 3 break-even intervals to pick a configuration.
     pub(crate) intervals: AccessIntervalTracker,
     pub(crate) stats: Arc<TierBaseStats>,
+    /// `core_envelope_encode_ns` (every put's envelope) and
+    /// `core_envelope_decode_ns` (every compressed envelope read back).
+    encode_ns: Arc<tb_obs::Histo>,
+    decode_ns: Arc<tb_obs::Histo>,
     _obs: tb_obs::SourceGuard,
 }
 
@@ -133,6 +155,7 @@ impl TierBase {
             }),
             clock: config.clock.clone(),
         });
+        cache.reserve(heap_bytes(&models));
 
         let storage: Option<Arc<dyn KvEngine>> = match &config.storage {
             _ if !config.needs_storage_tier() => None,
@@ -223,11 +246,16 @@ impl TierBase {
                 wal,
                 wal_seq: AtomicU64::new(wal_seq),
                 ring,
-                models: Mutex::new(models),
+                models: RwLock::new(Arc::new(models)),
+                models_epoch: AtomicU64::new(0),
+                id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
                 train_samples: Mutex::new(Vec::new()),
+                declined: AtomicBool::new(false),
                 ops_since_flush: AtomicU64::new(0),
                 intervals,
                 stats,
+                encode_ns: tb_obs::global().histogram("core_envelope_encode_ns"),
+                decode_ns: tb_obs::global().histogram("core_envelope_decode_ns"),
                 _obs: obs,
             }),
             gate,
@@ -429,12 +457,62 @@ impl KvEngine for TierBase {
     }
 }
 
+thread_local! {
+    /// A put's envelope as it is built, and a compressed value as a get
+    /// decodes it: reused, so neither allocates.
+    static ENCODED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    static DECODED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A thread keeps at most this many bytes of either buffer between
+/// values.
+const MAX_KEPT_BUFFER: usize = 64 << 10;
+
+/// Runs `f` on this thread's `buffer`, emptied. A store whose storage
+/// tier is another store on the same thread finds it in use, and takes
+/// a fresh one.
+fn with_buffer<T>(
+    buffer: &'static std::thread::LocalKey<RefCell<Vec<u8>>>,
+    f: impl FnOnce(&mut Vec<u8>) -> T,
+) -> T {
+    buffer.with(|buf| match buf.try_borrow_mut() {
+        Ok(mut buf) => {
+            buf.clear();
+            let out = f(&mut buf);
+            if buf.capacity() > MAX_KEPT_BUFFER {
+                *buf = Vec::new();
+            }
+            out
+        }
+        Err(_) => f(&mut Vec::new()),
+    })
+}
+
+/// Every model of a store by generation. Never changed in place: a
+/// publish replaces the whole map, so a thread may keep a copy.
+type Models = Arc<BTreeMap<u64, Arc<PretrainedCompression>>>;
+
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// `(store id, epoch, models)`: the models of the store this thread
+    /// last coded a value for, as of that epoch. Reading them takes no
+    /// lock and no reference count, which both threads of a two-shard
+    /// front-end would otherwise write on every put and get.
+    static MODELS: RefCell<Option<(u64, u64, Models)>> = const { RefCell::new(None) };
+}
+
+/// The heap the models hold.
+fn heap_bytes(models: &BTreeMap<u64, Arc<PretrainedCompression>>) -> usize {
+    models.values().map(|unit| unit.heap_bytes()).sum()
+}
+
 impl Inner {
     // ----- value envelope ------------------------------------------------
 
-    fn seal_envelope(payload: &[u8], generation: Option<u64>, expires_at: Option<u64>) -> Value {
-        // The header (flags and up to two varints) is built on the
-        // stack, so the value is one allocation of exactly its length.
+    /// The envelope header: the flags, then the generation and the
+    /// expiry as varints when present. Returns it and its length.
+    fn envelope_header(generation: Option<u64>, expires_at: Option<u64>) -> ([u8; 21], usize) {
         let mut header = [0u8; 1 + 2 * 10];
         if generation.is_some() {
             header[0] |= ENV_COMPRESSED;
@@ -448,76 +526,169 @@ impl Inner {
             header[len..len + n].copy_from_slice(&varint[..n]);
             len += n;
         }
-        Value::from_bytes(header[..len].iter().chain(payload).copied().collect())
+        (header, len)
     }
 
-    pub(crate) fn encode_value(&self, value: &Value, expires_at: Option<u64>) -> Value {
-        if let Some((generation, unit)) = self.model_for(value) {
-            let compressed = unit.compress(value.as_slice());
-            if compressed.len() + 1 < value.len() {
-                return Self::seal_envelope(&compressed, Some(generation), expires_at);
+    /// A raw envelope holding `payload`.
+    #[cfg(test)]
+    fn seal_envelope(payload: &[u8], expires_at: Option<u64>) -> Value {
+        let (header, len) = Self::envelope_header(None, expires_at);
+        Value::copy_from(&[&header[..len], payload].concat())
+    }
+
+    /// Runs `f` on this thread's copy of the models, refreshed first if
+    /// a publish since made it stale. `f` must not code values itself.
+    fn with_models<T>(&self, f: impl FnOnce(&BTreeMap<u64, Arc<PretrainedCompression>>) -> T) -> T {
+        let epoch = self.models_epoch.load(Ordering::Acquire);
+        MODELS.with(|copy| {
+            let mut copy = copy.borrow_mut();
+            let fresh = matches!(&*copy, Some((id, at, _)) if *id == self.id && *at == epoch);
+            if !fresh {
+                *copy = Some((self.id, epoch, self.models.read().clone()));
+            }
+            f(&copy.as_ref().expect("just set").2)
+        })
+    }
+
+    /// Builds a value's envelope in this thread's buffer and runs
+    /// `apply` on it: compressed under the newest model when that saves
+    /// more than the generation's byte, else raw. Nothing is allocated:
+    /// what keeps the envelope (the cache's record, a staged storage
+    /// write) copies it once. Until a model exists, the value is a
+    /// training sample ([`Self::sample`]).
+    pub(crate) fn with_encoded<T>(
+        &self,
+        value: &Value,
+        expires_at: Option<u64>,
+        apply: impl FnOnce(&[u8]) -> T,
+    ) -> T {
+        let started = tb_obs::start();
+        with_buffer(&ENCODED, |buf| {
+            self.encode_into(value.as_slice(), expires_at, buf);
+            self.encode_ns.record_since(started);
+            apply(buf)
+        })
+    }
+
+    fn encode_into(&self, value: &[u8], expires_at: Option<u64>, buf: &mut Vec<u8>) {
+        if self.config.compression != CompressorChoice::Raw {
+            let compressed = self.with_models(|models| {
+                let (&generation, unit) = models.last_key_value()?;
+                let (header, len) = Self::envelope_header(Some(generation), expires_at);
+                buf.extend_from_slice(&header[..len]);
+                unit.compress_into(value, buf);
+                let saved = buf.len() - len + 1 < value.len();
+                if !saved {
+                    buf.clear();
+                }
+                Some(saved)
+            });
+            match compressed {
+                Some(true) => return,
+                Some(false) => {}
+                None => self.sample(value),
             }
         }
-        Self::seal_envelope(value.as_slice(), None, expires_at)
+        let (header, len) = Self::envelope_header(None, expires_at);
+        buf.extend_from_slice(&header[..len]);
+        buf.extend_from_slice(value);
     }
 
-    /// The newest model and its generation, if compression is on. Until
-    /// one is trained, `value` is kept as a sample, and the
-    /// [`AUTO_TRAIN_SAMPLES`]th trains the first; if publishing it
-    /// fails, values stay raw and sampling starts over.
-    fn model_for(&self, value: &Value) -> Option<(u64, Arc<PretrainedCompression>)> {
-        if self.config.compression == CompressorChoice::Raw {
-            return None;
-        }
-        let newest = |models: &BTreeMap<u64, Arc<PretrainedCompression>>| {
-            models.last_key_value().map(|(&g, unit)| (g, unit.clone()))
-        };
-        if let Some(model) = newest(&self.models.lock()) {
-            return Some(model);
+    /// Keeps `value` as a training sample while no model exists; the
+    /// [`AUTO_TRAIN_SAMPLES`]th trains the first. A model too large for
+    /// the cache ([`MIN_CACHE_PER_MODEL_BYTE`]) is dropped and sampling
+    /// stops; if publishing one fails, sampling starts over.
+    fn sample(&self, value: &[u8]) {
+        if self.declined.load(Ordering::Relaxed) {
+            return;
         }
         let mut samples = self.train_samples.lock();
-        samples.push(value.as_slice().to_vec());
+        if !self.models.read().is_empty() {
+            // Another thread published one meanwhile.
+            return;
+        }
+        samples.push(value.to_vec());
         if samples.len() < AUTO_TRAIN_SAMPLES {
-            return None;
+            return;
         }
         let taken = std::mem::take(&mut *samples);
-        drop(samples);
-        self.train_compression(&taken).ok()?;
-        newest(&self.models.lock())
+        let unit = self.train_unit(&taken);
+        if unit.heap_bytes() * MIN_CACHE_PER_MODEL_BYTE > self.config.cache_capacity {
+            self.declined.store(true, Ordering::Relaxed);
+            return;
+        }
+        // Sampling starts over if this fails.
+        let _ = self.publish(unit);
     }
 
-    /// Decodes an envelope into `(value, expires_at)`.
+    /// Decodes an envelope into `(value, expires_at)`. A raw payload is
+    /// the stored bytes' own tail; a compressed one decodes in this
+    /// thread's buffer and is copied out, one allocation.
     pub(crate) fn decode_envelope(&self, stored: &Value) -> Result<(Value, Option<u64>)> {
         let (generation, expires_at, off) = parse_envelope(stored.as_slice())?;
         let Some(generation) = generation else {
             // Zero-copy: the stored Bytes minus the envelope header.
             return Ok((Value::from_bytes(stored.0.slice(off..)), expires_at));
         };
-        let unit = self.models.lock().get(&generation).cloned();
-        let unit = unit.ok_or_else(|| {
-            Error::Corruption(format!(
-                "value compressed under unknown model generation {generation}"
-            ))
-        })?;
-        let value = unit.decompress(&stored.as_slice()[off..])?;
-        Ok((Value::from(value), expires_at))
+        let started = tb_obs::start();
+        let payload = &stored.as_slice()[off..];
+        let decode = |unit: &PretrainedCompression| {
+            with_buffer(&DECODED, |buf| {
+                unit.decompress_into(payload, buf)?;
+                Ok::<_, Error>(Value::copy_from(buf))
+            })
+        };
+        let value = match self.with_models(|models| models.get(&generation).map(|u| decode(u))) {
+            Some(value) => value?,
+            // A model published after this thread's copy was taken.
+            None => {
+                let unit = self.models.read().get(&generation).cloned();
+                let unit = unit.ok_or_else(|| {
+                    Error::Corruption(format!(
+                        "value compressed under unknown model generation {generation}"
+                    ))
+                })?;
+                decode(&unit)?
+            }
+        };
+        self.decode_ns.record_since(started);
+        Ok((value, expires_at))
     }
 
     pub(crate) fn decode_value(&self, stored: &Value) -> Result<Value> {
         self.decode_envelope(stored).map(|(v, _)| v)
     }
 
+    /// Heap bytes of every model, which [`Self::resident_bytes`] bills
+    /// and the cache's capacity holds back.
+    pub(crate) fn model_bytes(&self) -> u64 {
+        heap_bytes(&self.models.read()) as u64
+    }
+
     /// Trains the next model generation and publishes it (see
-    /// [`publish_model`]) before any value can use it.
+    /// [`publish_model`]) before any value can use it. The cache gives
+    /// up the model's heap from its capacity first.
     fn train_compression(&self, samples: &[Vec<u8>]) -> Result<()> {
         if self.config.compression == CompressorChoice::Raw {
             return Ok(());
         }
-        let unit = PretrainedCompression::train(self.config.compression, samples, TzstdLevel(1));
-        let mut models = self.models.lock();
+        self.publish(self.train_unit(samples))
+    }
+
+    fn train_unit(&self, samples: &[Vec<u8>]) -> PretrainedCompression {
+        PretrainedCompression::train(self.config.compression, samples, TzstdLevel(1))
+    }
+
+    /// Makes `unit` the next generation: durable first, then in use.
+    fn publish(&self, unit: PretrainedCompression) -> Result<()> {
+        let mut models = self.models.write();
         let generation = models.last_key_value().map_or(1, |(&g, _)| g + 1);
         publish_model(&self.config.dir, generation, &unit.to_bytes())?;
-        models.insert(generation, Arc::new(unit));
+        let mut next = BTreeMap::clone(&models);
+        next.insert(generation, Arc::new(unit));
+        self.cache.reserve(heap_bytes(&next));
+        *models = Arc::new(next);
+        self.models_epoch.fetch_add(1, Ordering::Release);
         Ok(())
     }
 }
@@ -564,9 +735,14 @@ mod tests {
     use tb_common::testutil::{Flaky, MapEngine};
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("tb-core-{name}-{}", std::process::id()));
+        let dir = tmpdir_keep(name);
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// [`tmpdir`] as an earlier call left it.
+    fn tmpdir_keep(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("tb-core-{name}-{}", std::process::id()))
     }
 
     fn k(i: usize) -> Key {
@@ -597,7 +773,7 @@ mod tests {
         assert_eq!(tb.get(&k(1)).unwrap(), Some(v(1)));
         tb.delete(&k(1)).unwrap();
         assert_eq!(tb.get(&k(1)).unwrap(), None);
-        assert_eq!(tb.label(), "tierbase-mem");
+        assert_eq!(tb.label(), "tierbase-mem-tzstd-d");
     }
 
     #[test]
@@ -759,7 +935,7 @@ mod tests {
                 .cache
                 .insert_full(
                     k(i),
-                    Inner::seal_envelope(filler.as_slice(), None, None),
+                    Inner::seal_envelope(filler.as_slice(), None),
                     false,
                     None,
                 )
@@ -822,7 +998,7 @@ mod tests {
         .unwrap();
         assert_eq!(tb.get(&k(1)).unwrap(), None);
         assert_eq!(tb.get(&k(2)).unwrap(), Some(v(2)));
-        assert_eq!(tb.label(), "tierbase-mem-wal");
+        assert_eq!(tb.label(), "tierbase-mem-wal-tzstd-d");
     }
 
     #[test]
@@ -854,7 +1030,9 @@ mod tests {
 
     #[test]
     fn compression_reduces_resident_bytes() {
-        let samples: Vec<Vec<u8>> = (0..300)
+        // Enough values that the models, billed with the cache, pay for
+        // themselves; trained on the first 300.
+        let values: Vec<Vec<u8>> = (0..20_000)
             .map(|i| {
                 format!(
                     "{{\"uid\":\"{i:016x}\",\"dev\":\"android\",\"geo\":\"CN-ZJ\",\"score\":{i}}}"
@@ -870,14 +1048,18 @@ mod tests {
                     .build(),
             )
             .unwrap();
-            tb.train_compression(&samples).unwrap();
-            for (i, s) in samples.iter().enumerate() {
+            tb.train_compression(&values[..300]).unwrap();
+            for (i, s) in values.iter().enumerate() {
                 tb.put(k(i), Value::from(s.clone())).unwrap();
             }
             // Round-trip integrity.
-            for (i, s) in samples.iter().enumerate() {
+            for (i, s) in values.iter().enumerate() {
                 assert_eq!(tb.get(&k(i)).unwrap(), Some(Value::from(s.clone())));
             }
+            let (dram, _) = tb.inner.cache.bytes_by_medium();
+            let models = tb.inner.model_bytes();
+            assert_eq!(tb.resident_bytes(), dram + models);
+            assert_eq!(models > 0, comp != CompressorChoice::Raw, "{comp:?}");
             tb.resident_bytes()
         };
 
@@ -886,6 +1068,43 @@ mod tests {
         let tzd = open("comp-tzd", CompressorChoice::TzstdDict);
         assert!(pbc < raw, "PBC {pbc} should be below raw {raw}");
         assert!(tzd < raw, "tzstd-d {tzd} should be below raw {raw}");
+    }
+
+    /// A full cache gives its models' heap up from its capacity: what
+    /// it bills, entries and models, stays within `cache_capacity`.
+    #[test]
+    fn models_come_out_of_a_full_caches_capacity() {
+        const CAPACITY: usize = 2 << 20;
+        let tb = TierBase::open(
+            TierBaseConfig::builder(tmpdir("model-reserve"))
+                .cache_capacity(CAPACITY)
+                .build(),
+        )
+        .unwrap();
+        for i in 0..40_000 {
+            tb.put(k(i), v(i)).unwrap();
+        }
+        let models = tb.inner.model_bytes();
+        assert!(models > 0, "the default trains a model");
+        let resident = tb.resident_bytes();
+        assert!(resident <= CAPACITY as u64, "{resident} B over {CAPACITY}");
+        assert!(
+            resident > CAPACITY as u64 * 9 / 10,
+            "{resident} B: not full"
+        );
+        // Reopened, the model is read back and held back again.
+        drop(tb);
+        let tb = TierBase::open(
+            TierBaseConfig::builder(tmpdir_keep("model-reserve"))
+                .cache_capacity(CAPACITY)
+                .build(),
+        )
+        .unwrap();
+        assert_eq!(tb.inner.model_bytes(), models);
+        for i in 0..40_000 {
+            tb.put(k(i), v(i)).unwrap();
+        }
+        assert!(tb.resident_bytes() <= CAPACITY as u64);
     }
 
     #[test]

@@ -177,24 +177,24 @@ impl<'a> Pass<'a> {
         let inner = self.inner;
         inner.stats.puts.fetch_add(1, Ordering::Relaxed);
         inner.intervals.record(&key);
-        let stored = inner.encode_value(&value, expires_at);
-        // A value the cache cannot hold is refused before it is logged
-        // or staged.
-        if let Err(e) = inner.cache.admit(&key, &stored) {
-            return self.fail(op, e);
-        }
-        let applied = match inner.config.policy {
-            SyncPolicy::WriteThrough => {
-                self.written.insert(key.clone());
-                self.stage(EngineOp::Put(key, stored), (op, 0, expires_at));
-                Ok(())
+        let applied = inner.with_encoded(&value, expires_at, |stored| {
+            // A value the cache cannot hold is refused before it is
+            // logged or staged.
+            inner.cache.admit(&key, stored)?;
+            match inner.config.policy {
+                SyncPolicy::WriteThrough => {
+                    self.written.insert(key.clone());
+                    let put = EngineOp::Put(key, Value::copy_from(stored));
+                    self.stage(put, (op, 0, expires_at));
+                    Ok(())
+                }
+                SyncPolicy::InMemory => inner
+                    .log_persistence(&key, Some(stored))
+                    .and_then(|()| inner.cache.insert_full(key, stored, false, expires_at))
+                    .map(drop),
+                SyncPolicy::WriteBack => self.put_dirty(key, stored, expires_at),
             }
-            SyncPolicy::InMemory => inner
-                .log_persistence(&key, Some(&stored))
-                .and_then(|()| inner.cache.insert_full(key, stored, false, expires_at))
-                .map(drop),
-            SyncPolicy::WriteBack => self.put_dirty(key, stored, expires_at),
-        };
+        });
         if let Err(e) = applied {
             self.fail(op, e);
         }
@@ -203,10 +203,10 @@ impl<'a> Pass<'a> {
     /// A write-back put: the cache takes it dirty at once. A flush writes
     /// storage, so the staged fetches go down before it: a fetch must not
     /// read a write submitted after its get.
-    fn put_dirty(&mut self, key: Key, stored: Value, expires_at: Option<u64>) -> Result<()> {
+    fn put_dirty(&mut self, key: Key, stored: &[u8], expires_at: Option<u64>) -> Result<()> {
         let inner = self.inner;
         let cache = &inner.cache;
-        match cache.insert_full(key.clone(), stored.clone(), true, expires_at) {
+        match cache.insert_full(key.clone(), stored, true, expires_at) {
             Err(Error::Backpressure { .. }) => {
                 // Reclaim by flushing dirty data, then retry once.
                 self.submit();

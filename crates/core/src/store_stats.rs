@@ -59,9 +59,9 @@ impl TierBaseStats {
 impl Inner {
     pub(crate) fn resident_bytes(&self) -> u64 {
         // The cache tier is the expensive resource. PMem bytes count at
-        // their discounted factor.
+        // their discounted factor; the compression models are DRAM.
         let (dram, pmem) = self.cache.bytes_by_medium();
         let factor = self.config.pmem.map(|t| t.cost_factor).unwrap_or(1.0);
-        dram + (pmem as f64 * factor) as u64
+        dram + self.model_bytes() + (pmem as f64 * factor) as u64
     }
 }

@@ -55,13 +55,13 @@ impl Inner {
         Ok(())
     }
 
-    pub(crate) fn log_persistence(&self, key: &Key, stored: Option<&Value>) -> Result<()> {
+    pub(crate) fn log_persistence(&self, key: &Key, stored: Option<&[u8]>) -> Result<()> {
         if self.wal.is_none() && self.ring.is_none() {
             return Ok(());
         }
         let rec = WriteRecord {
             key: key.clone(),
-            value: stored.cloned(),
+            value: stored.map(Value::copy_from),
         }
         .encode();
         // The LSN is taken under the log's lock, so each log holds its
@@ -119,7 +119,7 @@ pub(crate) fn open_cache_log(path: &Path) -> Result<Wal> {
 pub(crate) fn apply_log_record(cache: &ShardedCache, rec: &[u8]) -> Result<()> {
     let WriteRecord { key, value } = WriteRecord::decode(rec)?;
     match value {
-        Some(value) if cache.admit(&key, &value).is_ok() => {
+        Some(value) if cache.admit(&key, value.as_slice()).is_ok() => {
             let expires_at = envelope_expiry(&value);
             cache.insert_full(key, value, false, expires_at)?;
         }

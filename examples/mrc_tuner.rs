@@ -82,7 +82,8 @@ fn main() -> Result<()> {
     let dir = std::env::temp_dir().join(format!("tb-example-mrc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     // The heap a cached entry holds: its `k{i:08}` key and its value
-    // behind the one-byte envelope the store stores it in.
+    // behind the one-byte envelope the store stores it in, raw: the
+    // store is sized by raw `entry_cost`, so it stores values raw.
     let per_entry = tierbase::cache::entry_cost("k00000000".len(), 1 + record_bytes);
     let footprint = n_keys as usize * per_entry;
     let cache_bytes = (footprint as f64 * opt.cache_ratio) as usize;
@@ -90,6 +91,7 @@ fn main() -> Result<()> {
         TierBaseConfig::builder(&dir)
             .cache_capacity(cache_bytes)
             .policy(SyncPolicy::WriteThrough)
+            .compression(CompressorChoice::Raw)
             .build(),
     )?;
     for i in 0..n_keys {

@@ -26,9 +26,15 @@ impl Bytes {
         Self::from(Vec::new())
     }
 
-    /// Copies `data` into a freshly allocated buffer.
+    /// Copies `data` into a freshly allocated buffer: one allocation.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self::from(data.to_vec())
+        let data: Arc<[u8]> = Arc::from(data);
+        let end = data.len();
+        Self {
+            data,
+            start: 0,
+            end,
+        }
     }
 
     /// Length of this view in bytes.

@@ -67,7 +67,8 @@ fn sampled_mrc_drives_correct_cache_sizing() {
     // steady-state miss ratio is in the predicted neighborhood.
     let record_bytes = 100usize;
     // The heap a cached entry holds: its `k{i:08}` key and its value
-    // behind the one-byte envelope the store stores it in.
+    // behind the one-byte envelope the store stores it in, raw: the
+    // cache is sized by raw `entry_cost`, so its store stores values raw.
     let per_entry = tierbase::cache::entry_cost("k00000000".len(), 1 + record_bytes);
     let cache_bytes = ((n_keys as usize * per_entry) as f64 * cr_sampled.cache_ratio) as usize;
     let dir = tmpdir("sizing");
@@ -75,6 +76,7 @@ fn sampled_mrc_drives_correct_cache_sizing() {
         TierBaseConfig::builder(dir.path())
             .cache_capacity(cache_bytes)
             .policy(SyncPolicy::WriteThrough)
+            .compression(CompressorChoice::Raw)
             .build(),
     )
     .unwrap();
@@ -124,6 +126,7 @@ fn sampled_mrc_drives_correct_cache_sizing() {
         TierBaseConfig::builder(small_dir.path())
             .cache_capacity((cache_bytes / 4).max(64 << 10))
             .policy(SyncPolicy::WriteThrough)
+            .compression(CompressorChoice::Raw)
             .build(),
     )
     .unwrap();
