@@ -87,7 +87,7 @@ fn main() {
             config.sst.codec = BlockCodec::Lz;
             // A quarter of the data, so the row writes and reads `lz`
             // tables rather than serving from its memtable.
-            config.memtable_bytes = (logical_estimate / 4).max(64 << 10);
+            config.memtable_bytes = (logical_estimate / 4).max(4 << 10);
             let e = LsmDb::open(config).expect("open lsm");
             let (load, run) = Workload::new(spec_fn(records, ops)).generate();
             let flushes = lsm_flushes();

@@ -78,7 +78,7 @@ fn run_case(
     lsm.sst.codec = BlockCodec::Lz;
     // A quarter of the data, so the row writes and reads `lz` tables
     // rather than serving from its memtable.
-    lsm.memtable_bytes = (logical_estimate / 4).max(64 << 10);
+    lsm.memtable_bytes = (logical_estimate / 4).max(4 << 10);
     // (name, engine, GB of data an instance holds, replica factor)
     let systems: Vec<(&str, Box<dyn KvEngine>, f64, f64)> = vec![
         (

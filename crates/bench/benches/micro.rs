@@ -165,11 +165,11 @@ fn bench_compressors(c: &mut Criterion) {
     // The rows above code one record, whose bytes and model stay hot
     // in L1. A cache tier codes a different record each time: these
     // cycle through 50 000 distinct Cities records (and their frames)
-    // under a `tzstd-d` model trained on the first 256, as the store
-    // auto-trains one, through the reused-buffer calls it makes.
+    // under the store's default model, `tzstd` trained on the first
+    // 256, through the reused-buffer calls the store makes.
     let cities = DatasetKind::Cities.build(5);
     let records: Vec<Vec<u8>> = (0..budget(50_000)).map(|i| cities.record(i)).collect();
-    let model = Tzstd::train_with_dict(TzstdLevel(1), &records[..256]);
+    let model = Tzstd::train(TzstdLevel(1), &records[..256]);
     let frames: Vec<Vec<u8>> = records.iter().map(|r| model.compress(r)).collect();
     let mean = records.iter().map(Vec::len).sum::<usize>() / records.len();
     group.throughput(Throughput::Bytes(mean as u64));

@@ -12,7 +12,7 @@
 use crate::lz::{Tzstd, TzstdLevel};
 use crate::pbc::{Pbc, PbcConfig, PbcModel};
 use crate::{measure_ratio, Compressor, RawCompressor};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use tb_common::{Error, Result};
@@ -63,28 +63,9 @@ pub struct CompressionMonitor {
     config: MonitorConfig,
     /// Ratio measured right after training; the degradation baseline.
     baseline_ratio: f64,
-    /// The counts, striped by thread: threads that compress at once
-    /// each add to a cache line of their own, where one shared line
-    /// would move between their cores on every record.
-    stripes: [Stripe; STRIPES],
-}
-
-/// Number of [`CompressionMonitor`] stripes.
-const STRIPES: usize = 8;
-
-/// One stripe's records, original and compressed bytes, alone on its
-/// cache line.
-#[derive(Default)]
-#[repr(align(64))]
-struct Stripe([AtomicU64; 3]);
-
-/// This thread's stripe.
-fn stripe() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
-    }
-    STRIPE.with(|s| *s)
+    records: AtomicU64,
+    original: AtomicU64,
+    compressed: AtomicU64,
 }
 
 impl CompressionMonitor {
@@ -92,29 +73,25 @@ impl CompressionMonitor {
         Self {
             config,
             baseline_ratio,
-            stripes: Default::default(),
+            records: AtomicU64::new(0),
+            original: AtomicU64::new(0),
+            compressed: AtomicU64::new(0),
         }
     }
 
     /// Records one compressed record's sizes.
     pub fn observe(&self, original: usize, compressed: usize) {
-        let [records, orig, comp] = &self.stripes[stripe()].0;
-        records.fetch_add(1, Ordering::Relaxed);
-        orig.fetch_add(original as u64, Ordering::Relaxed);
-        comp.fetch_add(compressed as u64, Ordering::Relaxed);
+        self.records.fetch_add(1, Ordering::Relaxed);
+        self.original.fetch_add(original as u64, Ordering::Relaxed);
+        self.compressed
+            .fetch_add(compressed as u64, Ordering::Relaxed);
     }
 
     pub fn stats(&self) -> CompressionStats {
-        let sum = |k: usize| {
-            self.stripes
-                .iter()
-                .map(|s| s.0[k].load(Ordering::Relaxed))
-                .sum()
-        };
         CompressionStats {
-            records: sum(0),
-            original_bytes: sum(1),
-            compressed_bytes: sum(2),
+            records: self.records.load(Ordering::Relaxed),
+            original_bytes: self.original.load(Ordering::Relaxed),
+            compressed_bytes: self.compressed.load(Ordering::Relaxed),
         }
     }
 

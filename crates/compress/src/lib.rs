@@ -13,8 +13,10 @@
 //!   so ratios are a little worse than real zstd, but the *orderings*
 //!   the paper measures (dict > no-dict on small records, higher level →
 //!   better ratio/slower SET) are preserved. Records and blocks share
-//!   one parser, one token format, one decoder and one dictionary
-//!   mechanism (a [`lz::Prefix`] of match history).
+//!   one token format, one decoder and one dictionary mechanism (a
+//!   [`lz::Prefix`] of match history); a record at the default level
+//!   takes a two-probe parse of its own and decodes through short-code
+//!   tables, which a short record's cost turns on.
 //! * **PBC** ([`pbc`]) — Pattern-Based Compression per the paper and ref
 //!   [59]: offline hierarchical clustering of sampled records extracts
 //!   *patterns* (templates of literal anchors with wildcard gaps); a record

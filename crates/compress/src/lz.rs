@@ -26,7 +26,10 @@
 //! after their [`Tzstd`] model's.
 //!
 //! [`Tzstd`] codes records: `0 | record` (stored) or `1 | varint(ulen)
-//! | block payload`, so a frame never exceeds its record + 1 byte.
+//! | block payload`, so a frame never exceeds its record + 1 byte. A
+//! record at level 3 or below is parsed by [`record_parse_into`], which
+//! probes two candidates per position instead of walking chains, after
+//! a dictionary indexed once per model ([`PrefixUse::Records`]).
 
 use crate::block::{LzCoder, MAX_COMPRESSED_BLOCK_LEN, TRAINED_DICT_BYTES};
 use crate::dict::train_dictionary;
@@ -238,6 +241,8 @@ const GRAM_MULTIPLIER: u32 = 0x9e37_79b1;
 /// probes. On Cities records the parse took ~25 % less time, for frames
 /// ~1.5 % larger.
 const SKIP_LOG: u32 = 3;
+
+const PROBE_STEP: usize = 2;
 
 /// The `N` bytes of `b` from `at`.
 #[inline(always)]
@@ -517,36 +522,48 @@ fn probe_parse(
         let hit2 = (at != 0) & (word_at(j2) == word);
         if !(hit1 | hit2) {
             misses += 1;
-            i += 1 + (misses >> SKIP_LOG) as usize;
+            i += PROBE_STEP + (misses >> SKIP_LOG) as usize;
             continue;
         }
+        // A match found one step late starts where it extends back to,
+        // within the pending literals.
         let max = (n - i).min(MAX_MATCH);
-        let len_at =
-            |j: usize| MIN_MATCH + match_len(input, j + MIN_MATCH, i + MIN_MATCH, max - MIN_MATCH);
-        let mut best = (0, 0);
+        let len_back = |j: usize| {
+            let forward =
+                MIN_MATCH + match_len(input, j + MIN_MATCH, i + MIN_MATCH, max - MIN_MATCH);
+            let room = (i - lit_start).min(j).min(MAX_MATCH - forward);
+            let mut back = 0;
+            while back < room && input[i - back - 1] == input[j - back - 1] {
+                back += 1;
+            }
+            (forward + back, back)
+        };
+        let mut best = (0, 0, 0);
         if hit1 {
-            best = (len_at(j1), i - j1);
+            let (len, back) = len_back(j1);
+            best = (len, i - j1, back);
         }
         if hit2 {
-            let len = len_at(j2);
+            let (len, back) = len_back(j2);
             if len > best.0 {
-                best = (len, i - j2);
+                best = (len, i - j2, back);
             }
         }
-        let (len, dist) = best;
+        let (len, dist, back) = best;
         if len < MIN_MATCH || (len == MIN_MATCH && dist >= NEAR_DIST) {
             misses += 1;
-            i += 1 + (misses >> SKIP_LOG) as usize;
+            i += PROBE_STEP + (misses >> SKIP_LOG) as usize;
             continue;
         }
-        sink.varint((i - lit_start) as u64);
-        sink.literals(&input[lit_start..i], byte_before(input, lit_start));
+        let at = i - back;
+        sink.varint((at - lit_start) as u64);
+        sink.literals(&input[lit_start..at], byte_before(input, lit_start));
         sink.varint((len - MIN_MATCH + 1) as u64);
         sink.varint(dist as u64);
-        for pos in i + 1..(i + len).min(hash_end) {
+        for pos in i + 1..(at + len).min(hash_end) {
             head[local(gram_hash(&input[pos..]))] = base + (pos - start) as u32;
         }
-        i += len;
+        i = at + len;
         lit_start = i;
         misses = 0;
     }
@@ -1269,7 +1286,8 @@ mod tests {
         let mut out = SplitTokens::default();
         let (mut i, mut lit_start, mut misses) = (start, start, 0u32);
         while i + MIN_MATCH <= n {
-            let mut best = (0, 0);
+            // (length, distance, bytes of it before `i`)
+            let mut best = (0, 0, 0);
             let local = head[bucket(i)];
             let nearest = (0..start.saturating_sub(MIN_MATCH - 1))
                 .rev()
@@ -1278,28 +1296,40 @@ mod tests {
                 .into_iter()
                 .flatten()
             {
-                let l = len_at(j, i);
-                if l >= MIN_MATCH && l > best.0 {
-                    best = (l, i - j);
+                let forward = len_at(j, i);
+                if forward < MIN_MATCH {
+                    continue;
+                }
+                let mut back = 0;
+                while back < i - lit_start
+                    && back < j
+                    && forward + back < MAX_MATCH
+                    && history[i - back - 1] == history[j - back - 1]
+                {
+                    back += 1;
+                }
+                if forward + back > best.0 {
+                    best = (forward + back, i - j, back);
                 }
             }
             head[bucket(i)] = i;
-            let (len, dist) = best;
+            let (len, dist, back) = best;
             if len < MIN_MATCH || (len == MIN_MATCH && dist >= NEAR_DIST) {
                 misses += 1;
-                i += 1 + (misses >> SKIP_LOG) as usize;
+                i += PROBE_STEP + (misses >> SKIP_LOG) as usize;
                 continue;
             }
-            out.varint((i - lit_start) as u64);
-            out.literals(&history[lit_start..i], byte_before(&history, lit_start));
+            let at = i - back;
+            out.varint((at - lit_start) as u64);
+            out.literals(&history[lit_start..at], byte_before(&history, lit_start));
             out.varint((len - MIN_MATCH + 1) as u64);
             out.varint(dist as u64);
-            for pos in i + 1..i + len {
+            for pos in i + 1..at + len {
                 if pos + MIN_MATCH <= n {
                     head[bucket(pos)] = pos;
                 }
             }
-            i += len;
+            i = at + len;
             lit_start = i;
             misses = 0;
         }

@@ -94,14 +94,14 @@ pub struct TierBaseConfig {
     /// Cache-tier persistence (only meaningful without a storage tier).
     pub persistence: PersistenceMode,
     /// Which value compressor the cache tier pre-trains (§4.2). The
-    /// default is `TzstdDict`: the first 256 values put train a
-    /// dictionary and entropy tables (the model), later values are
-    /// stored compressed under it. On ~100-byte Cities records the
-    /// store then holds ~0.8 bytes per user byte, model billed, where
-    /// raw values take ~1.24, for about a microsecond of CPU per put
-    /// and under one per get. The model's heap comes out of
-    /// `cache_capacity` and is billed in `resident_bytes`.
-    /// `CompressorChoice::Raw` turns compression off.
+    /// default is `Tzstd`: the first 256 values put train its entropy
+    /// tables (the model, ~96 KiB), and later values are stored
+    /// compressed under it. On ~100-byte Cities records the store then
+    /// holds ~0.87 bytes per user byte, model billed, where raw values
+    /// take 1.24, for ~1 µs of CPU per put and per get. `TzstdDict`
+    /// adds a trained dictionary: ~0.81, at ~1.5× the CPU. The model's
+    /// heap comes out of `cache_capacity` and is billed in
+    /// `resident_bytes`. `CompressorChoice::Raw` turns compression off.
     pub compression: CompressorChoice,
     /// Enable the DRAM/PMem split for cache values.
     pub pmem: Option<PmemTuning>,
@@ -145,7 +145,7 @@ impl TierBaseConfig {
                 cache_shards: 16,
                 policy: SyncPolicy::InMemory,
                 persistence: PersistenceMode::None,
-                compression: CompressorChoice::TzstdDict,
+                compression: CompressorChoice::Tzstd,
                 pmem: None,
                 threading: ThreadMode::Single,
                 write_back: WriteBackTuning::default(),
@@ -242,7 +242,7 @@ mod tests {
         let c = TierBaseConfig::builder("/tmp/x").build();
         assert_eq!(c.policy, SyncPolicy::InMemory);
         assert_eq!(c.persistence, PersistenceMode::None);
-        assert_eq!(c.compression, CompressorChoice::TzstdDict);
+        assert_eq!(c.compression, CompressorChoice::Tzstd);
         assert!(!c.needs_storage_tier());
         assert!(c.pmem.is_none());
     }

@@ -38,6 +38,11 @@ const ENV_COMPRESSED: u8 = 0b01;
 /// nanoseconds) precedes the payload.
 const ENV_HAS_EXPIRY: u8 = 0b10;
 
+/// The longest envelope header: the flags and two 10-byte varints. A
+/// compressed payload is at most its value plus one byte (a stored
+/// frame's mode), which a raw one is not.
+const ENVELOPE_HEADER_BYTES: usize = 1 + 2 * 10;
+
 /// Parses an envelope header: `(model generation if compressed,
 /// expires_at, payload offset)`.
 pub(crate) fn parse_envelope(stored: &[u8]) -> Result<(Option<u64>, Option<u64>, usize)> {
@@ -72,7 +77,7 @@ const AUTO_TRAIN_SAMPLES: usize = 256;
 /// An auto-trained model is used only by a cache this many times its
 /// heap or more: the cache holds the model's bytes back from its
 /// entries, and a smaller one would give up more than compression wins
-/// back (a ~130 KiB model asks for a cache of 1 MiB).
+/// back (a ~100 KiB model asks for a cache of 800 KiB).
 const MIN_CACHE_PER_MODEL_BYTE: usize = 8;
 
 /// `<dir>/cache.model.<generation>`: a trained compression model,
@@ -93,13 +98,7 @@ pub(crate) struct Inner {
     /// the newest. A model is on disk before any value uses it, and is
     /// never replaced, so every stored envelope keeps decoding. Their
     /// heap is held back from the cache's capacity and billed with it.
-    models: RwLock<Models>,
-    /// Bumped after every publish, so a thread's copy of `models`
-    /// ([`Inner::with_models`]) knows when it is stale.
-    models_epoch: AtomicU64,
-    /// Process-unique, naming the store a thread's copy of `models`
-    /// belongs to.
-    id: u64,
+    models: RwLock<BTreeMap<u64, Arc<PretrainedCompression>>>,
     train_samples: Mutex<Vec<Vec<u8>>>,
     /// Set when an auto-trained model would have taken more than its
     /// share of the cache ([`MIN_CACHE_PER_MODEL_BYTE`]): the store
@@ -110,8 +109,9 @@ pub(crate) struct Inner {
     /// against Table 3 break-even intervals to pick a configuration.
     pub(crate) intervals: AccessIntervalTracker,
     pub(crate) stats: Arc<TierBaseStats>,
-    /// `core_envelope_encode_ns` (every put's envelope) and
-    /// `core_envelope_decode_ns` (every compressed envelope read back).
+    /// `core_envelope_encode_ns` (puts' envelopes) and
+    /// `core_envelope_decode_ns` (compressed envelopes read back), one
+    /// envelope in [`TIMED_ENVELOPE_EVERY`] each.
     encode_ns: Arc<tb_obs::Histo>,
     decode_ns: Arc<tb_obs::Histo>,
     _obs: tb_obs::SourceGuard,
@@ -246,9 +246,7 @@ impl TierBase {
                 wal,
                 wal_seq: AtomicU64::new(wal_seq),
                 ring,
-                models: RwLock::new(Arc::new(models)),
-                models_epoch: AtomicU64::new(0),
-                id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
+                models: RwLock::new(models),
                 train_samples: Mutex::new(Vec::new()),
                 declined: AtomicBool::new(false),
                 ops_since_flush: AtomicU64::new(0),
@@ -457,49 +455,91 @@ impl KvEngine for TierBase {
     }
 }
 
+/// A batch's envelopes, built back to back: envelope `k` is
+/// `bytes[ends[k - 1]..ends[k]]` (from 0 for the first).
+#[derive(Default)]
+pub(crate) struct Envelopes {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Envelopes {
+    /// Makes room, in one allocation each, for `values` more envelopes
+    /// of at most `bytes` payload bytes in all.
+    pub(crate) fn reserve(&mut self, values: usize, bytes: usize) {
+        self.bytes.reserve(bytes + values * ENVELOPE_HEADER_BYTES);
+        self.ends.reserve(values);
+    }
+
+    pub(crate) fn get(&self, k: usize) -> &[u8] {
+        let from = k.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.bytes[from..self.ends[k]]
+    }
+}
+
 thread_local! {
-    /// A put's envelope as it is built, and a compressed value as a get
-    /// decodes it: reused, so neither allocates.
-    static ENCODED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// A batch's envelopes as its puts build them, and a compressed
+    /// value as a get decodes it: reused, so neither allocates.
+    static ENCODED: RefCell<Envelopes> = RefCell::new(Envelopes::default());
     static DECODED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A thread keeps at most this many bytes of either buffer between
-/// values.
+/// A thread keeps its decode buffer between values up to this many
+/// bytes, and its envelope buffer between batches up to
+/// [`MAX_KEPT_ENVELOPES`]: a served burst's envelopes fit, a bulk
+/// load's (hundreds of values) are allocated per batch, once, and
+/// freed, so no thread holds unbilled heap of that size.
 const MAX_KEPT_BUFFER: usize = 64 << 10;
+const MAX_KEPT_ENVELOPES: usize = 4 << 10;
 
-/// Runs `f` on this thread's `buffer`, emptied. A store whose storage
-/// tier is another store on the same thread finds it in use, and takes
-/// a fresh one.
-fn with_buffer<T>(
-    buffer: &'static std::thread::LocalKey<RefCell<Vec<u8>>>,
-    f: impl FnOnce(&mut Vec<u8>) -> T,
+/// Runs `f` on this thread's `buffer`, emptied by `clear`, which
+/// returns the bytes it holds; more than `max_kept` are freed after. A
+/// store whose storage tier is another store on the same thread finds
+/// it in use, and takes a fresh one.
+fn with_buffer<B: Default, T>(
+    buffer: &'static std::thread::LocalKey<RefCell<B>>,
+    max_kept: usize,
+    clear: impl Fn(&mut B) -> usize,
+    f: impl FnOnce(&mut B) -> T,
 ) -> T {
     buffer.with(|buf| match buf.try_borrow_mut() {
         Ok(mut buf) => {
-            buf.clear();
+            clear(&mut buf);
             let out = f(&mut buf);
-            if buf.capacity() > MAX_KEPT_BUFFER {
-                *buf = Vec::new();
+            if clear(&mut buf) > max_kept {
+                *buf = B::default();
             }
             out
         }
-        Err(_) => f(&mut Vec::new()),
+        Err(_) => f(&mut B::default()),
     })
 }
 
-/// Every model of a store by generation. Never changed in place: a
-/// publish replaces the whole map, so a thread may keep a copy.
-type Models = Arc<BTreeMap<u64, Arc<PretrainedCompression>>>;
+/// A thread times one envelope in [`TIMED_ENVELOPE_EVERY`] it codes:
+/// a timed one costs two clock reads and four shared counters of its
+/// histogram, more than a raw envelope's whole encode.
+const TIMED_ENVELOPE_EVERY: u32 = 16;
 
-static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
+/// [`tb_obs::start`] for one envelope in [`TIMED_ENVELOPE_EVERY`].
+fn sampled_start() -> Option<std::time::Instant> {
+    thread_local! {
+        static CODED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+    let coded = CODED.with(|n| {
+        n.set(n.get().wrapping_add(1));
+        n.get()
+    });
+    if coded.is_multiple_of(TIMED_ENVELOPE_EVERY) {
+        tb_obs::start()
+    } else {
+        None
+    }
+}
 
-thread_local! {
-    /// `(store id, epoch, models)`: the models of the store this thread
-    /// last coded a value for, as of that epoch. Reading them takes no
-    /// lock and no reference count, which both threads of a two-shard
-    /// front-end would otherwise write on every put and get.
-    static MODELS: RefCell<Option<(u64, u64, Models)>> = const { RefCell::new(None) };
+/// Empties a decode buffer; returns the bytes it keeps.
+fn clear_bytes(buf: &mut Vec<u8>) -> usize {
+    buf.clear();
+    buf.capacity()
 }
 
 /// The heap the models hold.
@@ -512,8 +552,11 @@ impl Inner {
 
     /// The envelope header: the flags, then the generation and the
     /// expiry as varints when present. Returns it and its length.
-    fn envelope_header(generation: Option<u64>, expires_at: Option<u64>) -> ([u8; 21], usize) {
-        let mut header = [0u8; 1 + 2 * 10];
+    fn envelope_header(
+        generation: Option<u64>,
+        expires_at: Option<u64>,
+    ) -> ([u8; ENVELOPE_HEADER_BYTES], usize) {
+        let mut header = [0u8; ENVELOPE_HEADER_BYTES];
         if generation.is_some() {
             header[0] |= ENV_COMPRESSED;
         }
@@ -536,57 +579,53 @@ impl Inner {
         Value::copy_from(&[&header[..len], payload].concat())
     }
 
-    /// Runs `f` on this thread's copy of the models, refreshed first if
-    /// a publish since made it stale. `f` must not code values itself.
-    fn with_models<T>(&self, f: impl FnOnce(&BTreeMap<u64, Arc<PretrainedCompression>>) -> T) -> T {
-        let epoch = self.models_epoch.load(Ordering::Acquire);
-        MODELS.with(|copy| {
-            let mut copy = copy.borrow_mut();
-            let fresh = matches!(&*copy, Some((id, at, _)) if *id == self.id && *at == epoch);
-            if !fresh {
-                *copy = Some((self.id, epoch, self.models.read().clone()));
-            }
-            f(&copy.as_ref().expect("just set").2)
-        })
+    /// Runs `f` on this thread's envelope buffer, emptied: a batch's
+    /// puts build their envelopes there ([`Self::encode`]) and the
+    /// batch reads them back, so nothing is allocated; what keeps an
+    /// envelope (the cache's record, a staged storage write) copies it
+    /// once.
+    pub(crate) fn with_envelopes<T>(f: impl FnOnce(&mut Envelopes) -> T) -> T {
+        let clear = |env: &mut Envelopes| {
+            env.bytes.clear();
+            env.ends.clear();
+            env.bytes.capacity() + env.ends.capacity() * std::mem::size_of::<usize>()
+        };
+        with_buffer(&ENCODED, MAX_KEPT_ENVELOPES, clear, f)
     }
 
-    /// Builds a value's envelope in this thread's buffer and runs
-    /// `apply` on it: compressed under the newest model when that saves
-    /// more than the generation's byte, else raw. Nothing is allocated:
-    /// what keeps the envelope (the cache's record, a staged storage
-    /// write) copies it once. Until a model exists, the value is a
-    /// training sample ([`Self::sample`]).
-    pub(crate) fn with_encoded<T>(
-        &self,
-        value: &Value,
-        expires_at: Option<u64>,
-        apply: impl FnOnce(&[u8]) -> T,
-    ) -> T {
-        let started = tb_obs::start();
-        with_buffer(&ENCODED, |buf| {
-            self.encode_into(value.as_slice(), expires_at, buf);
-            self.encode_ns.record_since(started);
-            apply(buf)
-        })
+    /// Appends `value`'s envelope to `envelopes`: compressed under the
+    /// newest model when that saves more than the generation's byte,
+    /// else raw. A batch encodes all its values in one run before it
+    /// applies them, so the model's tables stay in cache from one to
+    /// the next instead of meeting each value cold after a cache
+    /// insert. Until a model exists, a value is a training sample
+    /// ([`Self::sample`]).
+    pub(crate) fn encode(&self, envelopes: &mut Envelopes, value: &Value, expires_at: Option<u64>) {
+        let started = sampled_start();
+        self.encode_into(value.as_slice(), expires_at, &mut envelopes.bytes);
+        self.encode_ns.record_since(started);
+        envelopes.ends.push(envelopes.bytes.len());
     }
 
+    /// Appends `value`'s envelope to `buf`.
     fn encode_into(&self, value: &[u8], expires_at: Option<u64>, buf: &mut Vec<u8>) {
+        let start = buf.len();
         if self.config.compression != CompressorChoice::Raw {
-            let compressed = self.with_models(|models| {
-                let (&generation, unit) = models.last_key_value()?;
-                let (header, len) = Self::envelope_header(Some(generation), expires_at);
-                buf.extend_from_slice(&header[..len]);
-                unit.compress_into(value, buf);
-                let saved = buf.len() - len + 1 < value.len();
-                if !saved {
-                    buf.clear();
+            let untrained = {
+                let models = self.models.read();
+                if let Some((&generation, unit)) = models.last_key_value() {
+                    let (header, len) = Self::envelope_header(Some(generation), expires_at);
+                    buf.extend_from_slice(&header[..len]);
+                    unit.compress_into(value, buf);
+                    if buf.len() - start - len + 1 < value.len() {
+                        return;
+                    }
+                    buf.truncate(start);
                 }
-                Some(saved)
-            });
-            match compressed {
-                Some(true) => return,
-                Some(false) => {}
-                None => self.sample(value),
+                models.is_empty()
+            };
+            if untrained {
+                self.sample(value);
             }
         }
         let (header, len) = Self::envelope_header(None, expires_at);
@@ -630,27 +669,17 @@ impl Inner {
             // Zero-copy: the stored Bytes minus the envelope header.
             return Ok((Value::from_bytes(stored.0.slice(off..)), expires_at));
         };
-        let started = tb_obs::start();
-        let payload = &stored.as_slice()[off..];
-        let decode = |unit: &PretrainedCompression| {
-            with_buffer(&DECODED, |buf| {
-                unit.decompress_into(payload, buf)?;
-                Ok::<_, Error>(Value::copy_from(buf))
-            })
-        };
-        let value = match self.with_models(|models| models.get(&generation).map(|u| decode(u))) {
-            Some(value) => value?,
-            // A model published after this thread's copy was taken.
-            None => {
-                let unit = self.models.read().get(&generation).cloned();
-                let unit = unit.ok_or_else(|| {
-                    Error::Corruption(format!(
-                        "value compressed under unknown model generation {generation}"
-                    ))
-                })?;
-                decode(&unit)?
-            }
-        };
+        let started = sampled_start();
+        let unit = self.models.read().get(&generation).cloned();
+        let unit = unit.ok_or_else(|| {
+            Error::Corruption(format!(
+                "value compressed under unknown model generation {generation}"
+            ))
+        })?;
+        let value = with_buffer(&DECODED, MAX_KEPT_BUFFER, clear_bytes, |buf| {
+            unit.decompress_into(&stored.as_slice()[off..], buf)?;
+            Ok::<_, Error>(Value::copy_from(buf))
+        })?;
         self.decode_ns.record_since(started);
         Ok((value, expires_at))
     }
@@ -684,11 +713,8 @@ impl Inner {
         let mut models = self.models.write();
         let generation = models.last_key_value().map_or(1, |(&g, _)| g + 1);
         publish_model(&self.config.dir, generation, &unit.to_bytes())?;
-        let mut next = BTreeMap::clone(&models);
-        next.insert(generation, Arc::new(unit));
-        self.cache.reserve(heap_bytes(&next));
-        *models = Arc::new(next);
-        self.models_epoch.fetch_add(1, Ordering::Release);
+        models.insert(generation, Arc::new(unit));
+        self.cache.reserve(heap_bytes(&models));
         Ok(())
     }
 }
@@ -773,7 +799,7 @@ mod tests {
         assert_eq!(tb.get(&k(1)).unwrap(), Some(v(1)));
         tb.delete(&k(1)).unwrap();
         assert_eq!(tb.get(&k(1)).unwrap(), None);
-        assert_eq!(tb.label(), "tierbase-mem-tzstd-d");
+        assert_eq!(tb.label(), "tierbase-mem-tzstd");
     }
 
     #[test]
@@ -998,7 +1024,7 @@ mod tests {
         .unwrap();
         assert_eq!(tb.get(&k(1)).unwrap(), None);
         assert_eq!(tb.get(&k(2)).unwrap(), Some(v(2)));
-        assert_eq!(tb.label(), "tierbase-mem-wal-tzstd-d");
+        assert_eq!(tb.label(), "tierbase-mem-wal-tzstd");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The tiered store's one data path. Point ops, batch ops and
 //! `apply_batch` submissions are all passes of [`Inner::apply_batch`],
-//! run under one gate permit. A pass walks its ops in order:
+//! run under one gate permit. A pass first builds the envelopes of all
+//! its put values, in one run, then walks its ops in order:
 //! * a cache hit is answered at once; a miss is staged as a storage
 //!   fetch (§4.1.2's deferred cache-fetching);
 //! * an `InMemory` or `WriteBack` put applies to the cache at once;
@@ -17,7 +18,7 @@
 //! a failed write invalidates its key and answers `StorageWriteFailed`.
 
 use crate::config::SyncPolicy;
-use crate::store::Inner;
+use crate::store::{Envelopes, Inner};
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use tb_cache::Lookup;
@@ -38,10 +39,37 @@ struct Pass<'a> {
     written: HashSet<Key, FxBuildHasher>,
 }
 
+/// The values `ops` put, in op order.
+fn put_values(ops: &[EngineOp]) -> impl Iterator<Item = &Value> {
+    ops.iter().flat_map(|op| {
+        let (one, many) = match op {
+            EngineOp::Put(_, value) => (Some(value), &[][..]),
+            EngineOp::MultiPut(pairs) => (None, &pairs[..]),
+            _ => (None, &[][..]),
+        };
+        one.into_iter().chain(many.iter().map(|(_, value)| value))
+    })
+}
+
 impl Inner {
     /// Applies `ops` in submission order; `results[i]` answers `ops[i]`.
     pub(crate) fn apply_batch(&self, ops: Vec<EngineOp>) -> Vec<Result<OpOutcome>> {
+        Inner::with_envelopes(|envelopes| {
+            let (values, bytes) = put_values(&ops).fold((0, 0), |(n, b), v| (n + 1, b + v.len()));
+            // A compressed frame may be its value and one byte.
+            envelopes.reserve(values, bytes + values);
+            for value in put_values(&ops) {
+                self.encode(envelopes, value, None);
+            }
+            self.apply_encoded(ops, envelopes)
+        })
+    }
+
+    /// [`Self::apply_batch`], the envelopes of its put values built.
+    fn apply_encoded(&self, ops: Vec<EngineOp>, envelopes: &Envelopes) -> Vec<Result<OpOutcome>> {
         let mut pass = Pass::new(self, Vec::with_capacity(ops.len()));
+        let mut envelopes = (0..).map(|k| envelopes.get(k));
+        let mut next = || envelopes.next().expect("one envelope per put");
         for (op, entry) in ops.into_iter().enumerate() {
             match entry {
                 EngineOp::Get(key) => {
@@ -54,14 +82,14 @@ impl Inner {
                         pass.get(op, at, key);
                     }
                 }
-                EngineOp::Put(key, value) => {
+                EngineOp::Put(key, _) => {
                     pass.out.push(DONE);
-                    pass.put(op, key, value, None);
+                    pass.put(op, key, next(), None);
                 }
                 EngineOp::MultiPut(pairs) => {
                     pass.out.push(DONE);
-                    for (key, value) in pairs {
-                        pass.put(op, key, value, None);
+                    for (key, _) in pairs {
+                        pass.put(op, key, next(), None);
                     }
                 }
                 EngineOp::Delete(key) => {
@@ -100,10 +128,13 @@ impl Inner {
     /// A put with an expiry deadline (`None` = never expires), as a
     /// batch of one.
     pub(crate) fn put(&self, key: Key, value: Value, expires_at: Option<u64>) -> Result<()> {
-        let mut pass = Pass::new(self, vec![DONE]);
-        pass.put(0, key, value, expires_at);
-        pass.submit();
-        pass.out.pop().expect("one slot").map(|_| ())
+        Inner::with_envelopes(|envelopes| {
+            self.encode(envelopes, &value, expires_at);
+            let mut pass = Pass::new(self, vec![DONE]);
+            pass.put(0, key, envelopes.get(0), expires_at);
+            pass.submit();
+            pass.out.pop().expect("one slot").map(|_| ())
+        })
     }
 }
 
@@ -169,19 +200,21 @@ impl<'a> Pass<'a> {
         }
     }
 
-    /// One put of op `op`. A `MultiPut` stops at its first failed pair.
-    fn put(&mut self, op: usize, key: Key, value: Value, expires_at: Option<u64>) {
+    /// One put of op `op`, its envelope `stored`. A `MultiPut` stops at
+    /// its first failed pair.
+    fn put(&mut self, op: usize, key: Key, stored: &[u8], expires_at: Option<u64>) {
         if self.out[op].is_err() {
             return;
         }
         let inner = self.inner;
         inner.stats.puts.fetch_add(1, Ordering::Relaxed);
         inner.intervals.record(&key);
-        let applied = inner.with_encoded(&value, expires_at, |stored| {
-            // A value the cache cannot hold is refused before it is
-            // logged or staged.
-            inner.cache.admit(&key, stored)?;
-            match inner.config.policy {
+        // A value the cache cannot hold is refused before it is logged
+        // or staged.
+        let applied = inner
+            .cache
+            .admit(&key, stored)
+            .and_then(|()| match inner.config.policy {
                 SyncPolicy::WriteThrough => {
                     self.written.insert(key.clone());
                     let put = EngineOp::Put(key, Value::copy_from(stored));
@@ -193,8 +226,7 @@ impl<'a> Pass<'a> {
                     .and_then(|()| inner.cache.insert_full(key, stored, false, expires_at))
                     .map(drop),
                 SyncPolicy::WriteBack => self.put_dirty(key, stored, expires_at),
-            }
-        });
+            });
         if let Err(e) = applied {
             self.fail(op, e);
         }
