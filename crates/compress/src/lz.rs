@@ -1146,82 +1146,67 @@ mod tests {
     /// full. Slow and obviously right; the kernels in this module must
     /// make exactly its decisions.
     fn reference_parse(input: &[u8], level: TzstdLevel) -> SplitTokens {
-        let bits = length_table_bits(input.len());
-        reference_parse_from(input, 0, level, bits, bits)
+        reference_parse_from(input, 0, level, length_table_bits(input.len()))
     }
 
     /// [`reference_parse`] of `input[start..]`, every 4-gram of
-    /// `input[..start]` indexed first, hashed into `prefix_bits`; the
-    /// positions of `input[start..]` hash into `table_bits`, and a
-    /// position's walk takes its own bucket's chain, then the prefix's.
+    /// `input[..start]` indexed first, hashed into `table_bits`.
     fn reference_parse_from(
         input: &[u8],
         start: usize,
         level: TzstdLevel,
         table_bits: u32,
-        prefix_bits: u32,
     ) -> SplitTokens {
         let p = level.params();
         let n = input.len();
-        let bucket = |pos: usize, bits: u32| (gram_hash(&input[pos..]) >> (32 - bits)) as usize;
+        let bucket = |pos: usize| (gram_hash(&input[pos..]) >> (32 - table_bits)) as usize;
         let mut head = vec![usize::MAX; 1 << table_bits];
-        let mut prefix_head = vec![usize::MAX; 1 << prefix_bits];
         let mut prev = vec![usize::MAX; n];
 
-        let find_best = |head: &[usize],
-                         prefix_head: &[usize],
-                         prev: &[usize],
-                         i: usize|
-         -> Option<(usize, usize)> {
+        let find_best = |head: &[usize], prev: &[usize], i: usize| -> Option<(usize, usize)> {
             if n - i < MIN_MATCH {
                 return None;
             }
             let mut best: Option<(usize, usize)> = None;
-            let mut steps = 0;
-            for first in [
-                head[bucket(i, table_bits)],
-                prefix_head[bucket(i, prefix_bits)],
-            ] {
-                let mut cand = first;
-                while cand != usize::MAX && steps < p.chain_len {
-                    let mut l = 0;
-                    while i + l < n && l < MAX_MATCH && input[cand + l] == input[i + l] {
-                        l += 1;
-                    }
-                    if l >= MIN_MATCH && best.is_none_or(|(bl, _)| l > bl) {
-                        best = Some((l, i - cand));
-                    }
-                    cand = prev[cand];
-                    steps += 1;
+            let (mut cand, mut steps) = (head[bucket(i)], 0);
+            while cand != usize::MAX && steps < p.chain_len {
+                let mut l = 0;
+                while i + l < n && l < MAX_MATCH && input[cand + l] == input[i + l] {
+                    l += 1;
                 }
+                if l >= MIN_MATCH && best.is_none_or(|(bl, _)| l > bl) {
+                    best = Some((l, i - cand));
+                }
+                cand = prev[cand];
+                steps += 1;
             }
             best.filter(|&(l, d)| l > MIN_MATCH || d < NEAR_DIST)
         };
-        let insert = |head: &mut [usize], prev: &mut [usize], pos: usize, bits: u32| {
+        let insert = |head: &mut [usize], prev: &mut [usize], pos: usize| {
             if n - pos >= MIN_MATCH {
-                prev[pos] = head[bucket(pos, bits)];
-                head[bucket(pos, bits)] = pos;
+                prev[pos] = head[bucket(pos)];
+                head[bucket(pos)] = pos;
             }
         };
 
         for pos in 0..start.saturating_sub(MIN_MATCH - 1) {
-            insert(&mut prefix_head, &mut prev, pos, prefix_bits);
+            insert(&mut head, &mut prev, pos);
         }
         let mut out = SplitTokens::default();
         let (mut i, mut lit_start, mut misses) = (start, start, 0u32);
         while i < n {
-            let Some((mut len, mut dist)) = find_best(&head, &prefix_head, &prev, i) else {
-                insert(&mut head, &mut prev, i, table_bits);
+            let Some((mut len, mut dist)) = find_best(&head, &prev, i) else {
+                insert(&mut head, &mut prev, i);
                 misses += 1;
                 i += 1 + (misses.saturating_sub(p.skip_trigger) / 4) as usize;
                 continue;
             };
-            insert(&mut head, &mut prev, i, table_bits);
+            insert(&mut head, &mut prev, i);
             if p.lazy && i + 1 < n {
-                if let Some((l1, d1)) = find_best(&head, &prefix_head, &prev, i + 1) {
+                if let Some((l1, d1)) = find_best(&head, &prev, i + 1) {
                     if l1 > len + 1 {
                         i += 1;
-                        insert(&mut head, &mut prev, i, table_bits);
+                        insert(&mut head, &mut prev, i);
                         (len, dist) = (l1, d1);
                     }
                 }
@@ -1233,7 +1218,7 @@ mod tests {
             let stride = if len > 64 { 8 } else { 1 };
             for pos in i + 1..i + len {
                 if (pos - i) % stride == 0 {
-                    insert(&mut head, &mut prev, pos, table_bits);
+                    insert(&mut head, &mut prev, pos);
                 }
             }
             i += len;
@@ -1258,8 +1243,8 @@ mod tests {
             Some(dict) => {
                 let tokens = lz_parse(Some(&Prefix::new(dict.to_vec())), input, level);
                 let history = [dict, input].concat();
-                let bits = PREFIX_TABLE_BITS;
-                let reference = reference_parse_from(&history, dict.len(), level, bits, bits);
+                let reference =
+                    reference_parse_from(&history, dict.len(), level, PREFIX_TABLE_BITS);
                 (tokens, reference)
             }
         }
