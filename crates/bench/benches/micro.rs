@@ -144,11 +144,12 @@ fn bench_compressors(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("compress");
     group.throughput(Throughput::Bytes(record.len() as u64));
-    for (name, comp) in [
-        ("tzstd", &tz as &dyn Compressor),
-        ("tzstd_dict", &tzd),
-        ("pbc", &pbc),
+    for (name, comp, heap) in [
+        ("tzstd", &tz as &dyn Compressor, tz.heap_bytes()),
+        ("tzstd_dict", &tzd, tzd.heap_bytes()),
+        ("pbc", &pbc, pbc.model().heap_bytes()),
     ] {
+        println!("compress/{name}: model holds {heap} B of heap");
         group.bench_function(format!("{name}/compress"), |b| {
             b.iter(|| std::hint::black_box(comp.compress(&record)))
         });
@@ -171,6 +172,10 @@ fn bench_compressors(c: &mut Criterion) {
     let records: Vec<Vec<u8>> = (0..budget(50_000)).map(|i| cities.record(i)).collect();
     let model = Tzstd::train(TzstdLevel(1), &records[..256]);
     let frames: Vec<Vec<u8>> = records.iter().map(|r| model.compress(r)).collect();
+    println!(
+        "compress/record_*_cold: tzstd model holds {} B of heap",
+        model.heap_bytes()
+    );
     let mean = records.iter().map(Vec::len).sum::<usize>() / records.len();
     group.throughput(Throughput::Bytes(mean as u64));
     let mut out = Vec::new();

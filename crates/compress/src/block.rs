@@ -76,7 +76,9 @@
 //! state machine, spell each token; its literal run decodes from the
 //! literal bits straight into the output and its match copies from
 //! `dictionary ++ output`. Sixteen tables fill the [`Decoder`]'s 4-bit
-//! next-table field, so a symbol still costs one dependent load.
+//! next-table field, so a symbol still costs one dependent load, from
+//! an 8 KiB root table (a code longer than 8 bits, or an escape, one
+//! more on a cold path). Blocks and records decode through it alike.
 //!
 //! `pbc` frames carry [`Pbc`]'s own record format and the serialized
 //! [`PbcModel`] as dictionary payload.
@@ -87,9 +89,7 @@
 //! read is checksummed regardless of codec.
 
 use crate::dict::train_dictionary;
-use crate::huffman::{
-    BitReader, BitWriter, Decoder, HuffTable, ShortDecoder, CODES_PER_REFILL, TABLE_BYTES,
-};
+use crate::huffman::{BitReader, BitWriter, Decoder, HuffTable, CODES_PER_REFILL, TABLE_BYTES};
 use crate::lz::{lz_parse, Prefix, PrefixUse, SplitTokens, TzstdLevel, MIN_MATCH};
 use crate::pbc::{Pbc, PbcConfig, PbcModel};
 use crate::Compressor;
@@ -516,11 +516,6 @@ impl LzCoder {
             + self.dict.as_ref().map_or(0, Prefix::heap_bytes)
     }
 
-    /// The decoder's short-code tables, for [`Self::decode_short`].
-    pub(crate) fn short_decoder(&self) -> ShortDecoder {
-        ShortDecoder::new(&self.decoder)
-    }
-
     pub(crate) fn payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for table in &self.tables {
@@ -563,23 +558,19 @@ impl LzCoder {
     }
 
     /// Decodes the varint of one token field from the control stream,
-    /// its first byte under `table`, each byte by `get`. The first
-    /// byte's bits must be buffered; each further byte refills first.
-    /// No `u64` takes more than 10 bytes.
+    /// its first byte under `table`. The first byte's bits must be
+    /// buffered; each further byte refills first. No `u64` takes more
+    /// than 10 bytes.
     #[inline(always)]
-    fn ctrl_varint(
-        bits: &mut BitReader<'_>,
-        table: usize,
-        get: &impl Fn(usize, &mut BitReader<'_>) -> (u8, usize),
-    ) -> Result<u64> {
-        let (b, mut table) = get(table, bits);
+    fn ctrl_varint(&self, bits: &mut BitReader<'_>, table: usize) -> Result<u64> {
+        let (b, mut table) = self.decoder.get(table, bits);
         let mut v = u64::from(b & 0x7f);
         if b & 0x80 == 0 {
             return Ok(v);
         }
         for shift in (7..64).step_by(7) {
             bits.refill();
-            let (b, next) = get(table, bits);
+            let (b, next) = self.decoder.get(table, bits);
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
                 return Ok(v);
@@ -591,49 +582,25 @@ impl LzCoder {
         ))
     }
 
-    /// Decodes a payload that must yield exactly `ulen` bytes, in one
-    /// pass: each token's control codes, then its literal run straight
-    /// from the literal stream into the output, then its match. Every
-    /// run and match is checked against the room left under `ulen`
-    /// before it is written, and the literal stream's offset against
-    /// the payload; `ulen` itself sits in the frame header, outside the
-    /// CRC, so the output is reserved at most
-    /// [`LZ_RESERVE_PER_CODED_BYTE`] bytes per payload byte and grows
-    /// past that only as it decodes, never past `ulen`.
+    /// [`Self::decode_into`] a new buffer.
     pub(crate) fn decode(&self, payload: &[u8], ulen: usize) -> Result<Vec<u8>> {
-        let mut out = vec![0; ulen.min(payload.len() * LZ_RESERVE_PER_CODED_BYTE)];
-        self.decode_into(payload, ulen, |t, bits| self.decoder.get(t, bits), &mut out)?;
+        let mut out = Vec::new();
+        self.decode_into(payload, ulen, &mut out)?;
         Ok(out)
     }
 
-    /// [`Self::decode`] into `out` (cleared first), each code through
-    /// `short`'s first-level tables: a short record's decode, whose
-    /// symbols would otherwise each load from the 64 KiB tables.
-    /// Decodes exactly what [`Self::decode`] does.
-    pub(crate) fn decode_short(
-        &self,
-        short: &ShortDecoder,
-        payload: &[u8],
-        ulen: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
+    /// Decodes a payload that must yield exactly `ulen` bytes into
+    /// `out`, which it clears first, in one pass: each token's control
+    /// codes, then its literal run straight from the literal stream
+    /// into the output, then its match. Every run and match is checked
+    /// against the room left under `ulen` before it is written, and the
+    /// literal stream's offset against the payload; `ulen` itself sits
+    /// in the frame header, outside the CRC, so the output is reserved
+    /// at most [`LZ_RESERVE_PER_CODED_BYTE`] bytes per payload byte and
+    /// grows past that only as it decodes, never past `ulen`.
+    pub(crate) fn decode_into(&self, payload: &[u8], ulen: usize, out: &mut Vec<u8>) -> Result<()> {
         out.clear();
         out.resize(ulen.min(payload.len() * LZ_RESERVE_PER_CODED_BYTE), 0);
-        let get = |t, bits: &mut BitReader<'_>| short.get(&self.decoder, t, bits);
-        self.decode_into(payload, ulen, get, out)
-    }
-
-    /// The one decode, every symbol decoded by `get`, into `out`: its
-    /// bytes are room to decode into, up to [`LZ_RESERVE_PER_CODED_BYTE`]
-    /// per payload byte.
-    #[inline(always)]
-    fn decode_into(
-        &self,
-        payload: &[u8],
-        ulen: usize,
-        get: impl Fn(usize, &mut BitReader<'_>) -> (u8, usize),
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
         let mut pos = 0usize;
         let ctrl_bytes = read_varint(payload, &mut pos)?;
         let coded = &payload[pos..];
@@ -659,7 +626,7 @@ impl LzCoder {
             // refills, so no code runs past the buffered bits.
             const { assert!(CODES_PER_REFILL >= 3) };
             ctrl.refill();
-            let run = Self::ctrl_varint(&mut ctrl, 0, &get)?;
+            let run = self.ctrl_varint(&mut ctrl, 0)?;
             let run = usize::try_from(run)
                 .ok()
                 .filter(|&n| n <= ulen - len)
@@ -672,10 +639,10 @@ impl LzCoder {
             let mut table = self.table_after(before);
             grow_within(out, len + run, ulen);
             lits.decode_each(&mut out[len..len + run], |bits, d| {
-                (*d, table) = get(table, bits);
+                (*d, table) = self.decoder.get(table, bits);
             });
             len += run;
-            let code = Self::ctrl_varint(&mut ctrl, 2, &get)?;
+            let code = self.ctrl_varint(&mut ctrl, 2)?;
             if code == 0 {
                 break;
             }
@@ -684,7 +651,7 @@ impl LzCoder {
                 .and_then(|c| c.checked_add(MIN_MATCH - 1))
                 .filter(|&n| n <= ulen - len)
                 .ok_or_else(|| overrun("match length code", code))?;
-            let dist = Self::ctrl_varint(&mut ctrl, 4, &get)?;
+            let dist = self.ctrl_varint(&mut ctrl, 4)?;
             grow_within(out, len + n, ulen);
             copy_match(out, len, dict, dist, n)?;
             len += n;

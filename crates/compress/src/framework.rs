@@ -1,113 +1,17 @@
 //! The pre-trained-compression production framework (§4.2, Figure 5).
 //!
 //! * [`PretrainedCompression`] — a compressor trained once on sampled
-//!   values, with its monitor; its bytes rebuild it. TierBase keeps one
-//!   per model generation.
-//! * [`CompressionMonitor`] — tracks compression ratio and pattern-miss
-//!   rate; fires a retrain trigger when either degrades past its
-//!   threshold (the paper's monitoring service).
+//!   values; its bytes rebuild it. TierBase keeps one per model
+//!   generation, and a caller retrains by training the next.
 //! * [`CompressorRecommender`] — evaluates candidate compressors on a
 //!   sample and recommends one.
 
 use crate::lz::{Tzstd, TzstdLevel};
 use crate::pbc::{Pbc, PbcConfig, PbcModel};
 use crate::{measure_ratio, Compressor, RawCompressor};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use tb_common::{Error, Result};
-
-/// Monitor thresholds.
-#[derive(Debug, Clone)]
-pub struct MonitorConfig {
-    /// Retrain when the observed ratio exceeds baseline × this factor
-    /// (ratio is compressed/original — growth means degradation).
-    pub ratio_degradation_factor: f64,
-    /// Retrain when PBC's unmatched-record rate exceeds this.
-    pub max_unmatched_rate: f64,
-    /// Minimum records observed before triggers are considered.
-    pub min_observations: u64,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            ratio_degradation_factor: 1.2,
-            max_unmatched_rate: 0.15,
-            min_observations: 256,
-        }
-    }
-}
-
-/// Running compression-efficiency statistics.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CompressionStats {
-    pub records: u64,
-    pub original_bytes: u64,
-    pub compressed_bytes: u64,
-}
-
-impl CompressionStats {
-    /// Observed ratio (compressed/original); 1.0 when nothing recorded.
-    pub fn ratio(&self) -> f64 {
-        if self.original_bytes == 0 {
-            1.0
-        } else {
-            self.compressed_bytes as f64 / self.original_bytes as f64
-        }
-    }
-}
-
-/// Tracks live compression efficiency and decides when to retrain.
-pub struct CompressionMonitor {
-    config: MonitorConfig,
-    /// Ratio measured right after training; the degradation baseline.
-    baseline_ratio: f64,
-    records: AtomicU64,
-    original: AtomicU64,
-    compressed: AtomicU64,
-}
-
-impl CompressionMonitor {
-    pub fn new(config: MonitorConfig, baseline_ratio: f64) -> Self {
-        Self {
-            config,
-            baseline_ratio,
-            records: AtomicU64::new(0),
-            original: AtomicU64::new(0),
-            compressed: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one compressed record's sizes.
-    pub fn observe(&self, original: usize, compressed: usize) {
-        self.records.fetch_add(1, Ordering::Relaxed);
-        self.original.fetch_add(original as u64, Ordering::Relaxed);
-        self.compressed
-            .fetch_add(compressed as u64, Ordering::Relaxed);
-    }
-
-    pub fn stats(&self) -> CompressionStats {
-        CompressionStats {
-            records: self.records.load(Ordering::Relaxed),
-            original_bytes: self.original.load(Ordering::Relaxed),
-            compressed_bytes: self.compressed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// True when ratio degradation or pattern misses warrant retraining.
-    /// `unmatched_rate` comes from [`Pbc::unmatched_rate`] (0 for non-PBC).
-    pub fn should_retrain(&self, unmatched_rate: f64) -> bool {
-        let s = self.stats();
-        if s.records < self.config.min_observations {
-            return false;
-        }
-        if unmatched_rate > self.config.max_unmatched_rate {
-            return true;
-        }
-        s.ratio() > self.baseline_ratio * self.config.ratio_degradation_factor
-    }
-}
 
 /// A value compressor kind: what the recommender selects and what a
 /// TierBase store pre-trains (§4.2). `Raw` is no compression. The
@@ -208,17 +112,15 @@ fn throughput(c: &dyn Compressor, samples: &[Vec<u8>]) -> f64 {
     bytes as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// A trained compression unit: choice + compressor + monitor. It is
-/// never retrained in place: values coded under it must keep decoding,
-/// so a retrain builds a new unit.
+/// A trained compression unit: choice + compressor. It is never
+/// retrained in place: values coded under it must keep decoding, so a
+/// retrain builds a new unit.
 pub struct PretrainedCompression {
     choice: CompressorChoice,
     compressor: Built,
-    monitor: CompressionMonitor,
 }
 
-/// A built compressor, kept concretely so its model serializes and
-/// PBC's live match statistics stay reachable.
+/// A built compressor, kept concretely so its model serializes.
 enum Built {
     Raw,
     Tzstd(Box<Tzstd>),
@@ -252,20 +154,16 @@ impl PretrainedCompression {
                 Built::Pbc(Pbc::train(samples, &config))
             }
         };
-        let baseline = measure_ratio(compressor.as_compressor(), samples);
-        Self {
-            choice,
-            compressor,
-            monitor: CompressionMonitor::new(MonitorConfig::default(), baseline),
-        }
+        Self { choice, compressor }
     }
 
-    /// The unit, self-describing: `choice u8 | baseline ratio f64 LE |
-    /// model`, the model being the coder's payload ([`Tzstd::payload`]
-    /// or [`PbcModel::to_bytes`]; none for `Raw`).
+    /// The unit, self-describing: `choice u8 | f64 LE | model`, the
+    /// model being the coder's payload ([`Tzstd::payload`] or
+    /// [`PbcModel::to_bytes`]; none for `Raw`). The `f64` is written 0
+    /// and read past: an earlier build kept a baseline ratio there.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = vec![self.choice as u8];
-        out.extend_from_slice(&self.monitor.baseline_ratio.to_le_bytes());
+        out.extend_from_slice(&0f64.to_le_bytes());
         match &self.compressor {
             Built::Raw => {}
             Built::Tzstd(c) => out.extend_from_slice(&c.payload()),
@@ -274,15 +172,14 @@ impl PretrainedCompression {
         out
     }
 
-    /// Rebuilds a unit from [`Self::to_bytes`], its monitor fresh.
-    /// Arbitrary bytes are [`Error::Corruption`], never a panic.
+    /// Rebuilds a unit from [`Self::to_bytes`]. Arbitrary bytes are
+    /// [`Error::Corruption`], never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let corrupt = || Error::Corruption("compression model truncated or unknown".into());
         let (&tag, rest) = bytes.split_first().ok_or_else(corrupt)?;
         let choice = CompressorChoice::ALL.get(usize::from(tag));
         let choice = *choice.ok_or_else(corrupt)?;
-        let (baseline, model) = rest.split_first_chunk().ok_or_else(corrupt)?;
-        let baseline = f64::from_le_bytes(*baseline);
+        let (_, model) = rest.split_first_chunk::<8>().ok_or_else(corrupt)?;
         let compressor = match choice {
             CompressorChoice::Raw if model.is_empty() => Built::Raw,
             CompressorChoice::Raw => return Err(corrupt()),
@@ -291,22 +188,13 @@ impl PretrainedCompression {
             }
             CompressorChoice::Pbc => Built::Pbc(Pbc::new(Arc::new(PbcModel::from_bytes(model)?))),
         };
-        Ok(Self {
-            choice,
-            compressor,
-            monitor: CompressionMonitor::new(MonitorConfig::default(), baseline),
-        })
+        Ok(Self { choice, compressor })
     }
 
     pub fn choice(&self) -> CompressorChoice {
         self.choice
     }
 
-    pub fn monitor(&self) -> &CompressionMonitor {
-        &self.monitor
-    }
-
-    /// Compresses and feeds the monitor.
     pub fn compress(&self, input: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         self.compress_into(input, &mut out);
@@ -316,12 +204,10 @@ impl PretrainedCompression {
     /// [`Self::compress`], appending the compressed bytes to `out`: a
     /// tzstd model allocates nothing else.
     pub fn compress_into(&self, input: &[u8], out: &mut Vec<u8>) {
-        let start = out.len();
         match &self.compressor {
             Built::Tzstd(c) => c.compress_into(input, out),
             other => out.extend_from_slice(&other.as_compressor().compress(input)),
         }
-        self.monitor.observe(input.len(), out.len() - start);
     }
 
     pub fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
@@ -352,19 +238,6 @@ impl PretrainedCompression {
         };
         std::mem::size_of::<Self>() + model
     }
-
-    /// Current PBC pattern-miss rate (0 for non-PBC choices).
-    pub fn unmatched_rate(&self) -> f64 {
-        match &self.compressor {
-            Built::Pbc(p) => p.unmatched_rate(),
-            _ => 0.0,
-        }
-    }
-
-    /// True when the monitor's degradation triggers have fired.
-    pub fn should_retrain(&self) -> bool {
-        self.monitor.should_retrain(self.unmatched_rate())
-    }
 }
 
 #[cfg(test)]
@@ -386,38 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn monitor_requires_min_observations() {
-        let m = CompressionMonitor::new(MonitorConfig::default(), 0.5);
-        m.observe(100, 99);
-        assert!(!m.should_retrain(1.0), "too few observations to trigger");
-    }
-
-    #[test]
-    fn monitor_triggers_on_ratio_degradation() {
-        let cfg = MonitorConfig {
-            min_observations: 10,
-            ..MonitorConfig::default()
-        };
-        let m = CompressionMonitor::new(cfg, 0.5);
-        for _ in 0..20 {
-            m.observe(100, 90); // ratio 0.9 > 0.5 * 1.2
-        }
-        assert!(m.should_retrain(0.0));
-    }
-
-    #[test]
-    fn monitor_triggers_on_unmatched_rate() {
-        let cfg = MonitorConfig {
-            min_observations: 1,
-            ..MonitorConfig::default()
-        };
-        let m = CompressionMonitor::new(cfg, 0.5);
-        m.observe(100, 40); // healthy ratio
-        assert!(!m.should_retrain(0.05));
-        assert!(m.should_retrain(0.5));
-    }
-
-    #[test]
     fn recommender_prefers_trained_compressors_on_templated_data() {
         let samples = templated(120, 0x9e3779b9);
         let (choice, reports) = CompressorRecommender::default().recommend(&samples);
@@ -434,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn pretrained_unit_roundtrips_and_monitors() {
+    fn pretrained_unit_roundtrips() {
         let samples = templated(80, 0x1234_5678);
         let unit =
             PretrainedCompression::train(CompressorChoice::TzstdDict, &samples, TzstdLevel(1));
@@ -442,9 +283,6 @@ mod tests {
         let z = unit.compress(rec);
         assert_eq!(&unit.decompress(&z).unwrap(), rec);
         assert!(z.len() < rec.len());
-        let s = unit.monitor().stats();
-        assert_eq!(s.records, 1);
-        assert!(s.ratio() < 1.0);
     }
 
     #[test]
@@ -459,7 +297,13 @@ mod tests {
             for rec in &samples[60..] {
                 assert_eq!(&back.decompress(&unit.compress(rec)).unwrap(), rec);
             }
-            // No model, or a baseline cut short.
+            // An earlier build's file, a baseline ratio in the `f64`:
+            // read past, and written back as 0.
+            let mut earlier = bytes.clone();
+            earlier[1..9].copy_from_slice(&0.42f64.to_le_bytes());
+            let back = PretrainedCompression::from_bytes(&earlier).unwrap();
+            assert_eq!(back.to_bytes(), bytes);
+            // No model, or the `f64` cut short.
             for cut in [0, 1, 8] {
                 assert!(matches!(
                     PretrainedCompression::from_bytes(&bytes[..cut]),

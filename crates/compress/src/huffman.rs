@@ -18,20 +18,22 @@
 //! ```
 //!
 //! A [`Decoder`] holds the decode tables of a whole family of codes in
-//! one array: indexed by a code and the next `MAX_CODE_LEN` stream bits,
-//! one load returns the symbol, its length, and the code of the *next*
-//! symbol, which the caller fixed per (code, symbol) when building it —
-//! so a stream whose context follows from the symbols already decoded
-//! costs one dependent load per symbol, as a single code would. The
-//! escape's entries take one predictable branch to a cold path that
-//! reads the raw byte.
+//! one root array, zlib's `inflate` split (`inftrees.c`): indexed by a
+//! code and the next 8 stream bits, one load returns the symbol, its
+//! length, and the code of the *next* symbol, which the caller fixed
+//! per (code, symbol) when building it — so a stream whose context
+//! follows from the symbols already decoded costs one dependent load
+//! per symbol, as a single code would. The root of sixteen codes is
+//! 8 KiB, small enough to stay in a core's first-level cache between
+//! short records. The rare longer code and the escape (0.4–2.2 % of
+//! the symbols of Cities blocks and records) share one predictable
+//! branch to a cold path: a longer code's root entry links to a
+//! sub-table of its last 3 bits, and an escape reads its raw byte.
 
 use tb_common::{Error, Result};
 
-/// Longest code, and the index width of the decode table.
+/// Longest code.
 const MAX_CODE_LEN: u32 = 11;
-const LUT_SIZE: usize = 1 << MAX_CODE_LEN;
-const LUT_MASK: u64 = LUT_SIZE as u64 - 1;
 /// Serialized size of one table: 256 code lengths, 4 bits each, and
 /// the escape's length.
 pub(crate) const TABLE_BYTES: usize = 129;
@@ -111,7 +113,7 @@ impl HuffTable {
         let kraft: u32 = (0..=MAX_CODE_LEN)
             .map(|l| per_len[l as usize] << (MAX_CODE_LEN - l))
             .sum();
-        if kraft != LUT_SIZE as u32 {
+        if kraft != 1 << MAX_CODE_LEN {
             return Err(Error::Corruption(
                 "entropy table is not a complete prefix code".into(),
             ));
@@ -138,6 +140,16 @@ impl HuffTable {
         Ok(Self { lens, enc, escape })
     }
 
+    /// Every symbol with a code, the escape last: `(symbol, bit-reversed
+    /// code, length)`.
+    fn codes(&self) -> impl Iterator<Item = (usize, usize, u32)> + '_ {
+        let bytes = (0..ESCAPE).filter(|&s| self.lens[s] > 0);
+        let code = |s: usize| (self.enc[s] >> 5) as usize;
+        bytes
+            .map(move |s| (s, code(s), u32::from(self.lens[s])))
+            .chain([(ESCAPE, self.escape.into(), self.lens[ESCAPE].into())])
+    }
+
     /// Appends the code of `sym` to the bit stream.
     #[inline(always)]
     pub fn put(&self, sym: u8, w: &mut BitWriter<'_>) {
@@ -152,18 +164,41 @@ impl HuffTable {
     }
 }
 
-/// The decode tables of up to [`MAX_CODES`] codes, `2^MAX_CODE_LEN`
-/// entries each, in one array. Entry: `next_code << 12 | symbol << 4 |
-/// len`; an escape's entry has `len` 0 and its code's length in the
-/// symbol field.
-pub(crate) struct Decoder {
-    lut: Box<[u16; MAX_CODES * LUT_SIZE]>,
-    /// `next[code][byte]`: the code after an escaped `byte`.
-    next: Box<[[u8; 256]; MAX_CODES]>,
-}
+/// Bits a [`Decoder`]'s root table resolves; a longer code's root slot
+/// links to a sub-table indexed by its last [`SUB_BITS`].
+const ROOT_BITS: u32 = 8;
+const ROOT_MASK: u64 = (1 << ROOT_BITS) - 1;
+const SUB_BITS: u32 = MAX_CODE_LEN - ROOT_BITS;
+const SUB_MASK: u64 = (1 << SUB_BITS) - 1;
 
 /// Codes a [`Decoder`] chains: its next-code field is 4 bits.
 const MAX_CODES: usize = 16;
+
+/// A root slot that begins a longer code covers at least two of the
+/// [`SYMBOLS`] (the code is complete), so a code links at most 128
+/// sub-tables and a [`Decoder`] 2 048 (32 KiB): a link's index fits the
+/// 11 bits under [`LINK`].
+const MAX_SUB_TABLES: usize = MAX_CODES * (SYMBOLS / 2);
+const _: () = assert!(MAX_SUB_TABLES <= 1 << 11);
+
+/// The flag of a root entry that links to a sub-table: `LINK | index <<
+/// 4`, its `len` 0 as an escape's, whose entries leave the flag clear.
+const LINK: u16 = 1 << 15;
+
+/// The decode tables of up to [`MAX_CODES`] codes. Entry: `next_code <<
+/// 12 | symbol << 4 | len`; an escape's entry has `len` 0 and its
+/// code's length in the symbol field. A code's [`ROOT_BITS`]-bit root
+/// table (512 B, 8 KiB for sixteen) holds every code that fits it; a
+/// slot that begins a longer code holds a [`LINK`] to the sub-table of
+/// the code's remaining bits, whose entries carry the code's full
+/// length.
+pub(crate) struct Decoder {
+    root: Box<[u16; MAX_CODES << ROOT_BITS]>,
+    /// `2^SUB_BITS` entries per sub-table: exactly the ones linked.
+    sub: Box<[u16]>,
+    /// `next[code][byte]`: the code after an escaped `byte`.
+    next: Box<[[u8; 256]; MAX_CODES]>,
+}
 
 impl Decoder {
     /// Decode tables for `codes`; `next(code, symbol)` is the code the
@@ -171,36 +206,64 @@ impl Decoder {
     /// and must be below `codes.len()`.
     pub fn new(codes: &[HuffTable], next: impl Fn(usize, u8) -> usize) -> Self {
         assert!(codes.len() <= MAX_CODES, "the next code is a 4-bit field");
-        let mut lut: Box<[u16; MAX_CODES * LUT_SIZE]> = vec![0; MAX_CODES * LUT_SIZE]
+        let mut root: Box<[u16; MAX_CODES << ROOT_BITS]> = vec![0; MAX_CODES << ROOT_BITS]
             .into_boxed_slice()
             .try_into()
             .expect("MAX_CODES tables");
-        let mut next_of = Box::new([[0u8; 256]; MAX_CODES]);
-        for (c, (code, block)) in codes.iter().zip(lut.chunks_exact_mut(LUT_SIZE)).enumerate() {
-            let mut fill = |reversed: usize, len: u8, entry: u16| {
-                for slot in (reversed..LUT_SIZE).step_by(1 << len) {
-                    block[slot] = entry;
-                }
-            };
-            for sym in 0..=255u8 {
-                let then = next(c, sym);
-                debug_assert!(then < codes.len());
-                next_of[c][sym as usize] = then as u8;
-                let len = code.lens[sym as usize];
-                if len > 0 {
-                    let reversed = (code.enc[sym as usize] >> 5) as usize;
-                    let entry = (then as u16) << 12 | u16::from(sym) << 4 | u16::from(len);
-                    fill(reversed, len, entry);
+        // Link each root slot that begins a longer code first, so the
+        // sub-tables are allocated once, to size.
+        let mut linked = 0;
+        for (c, code) in codes.iter().enumerate() {
+            for (_, reversed, _) in code.codes().filter(|&(_, _, len)| len > ROOT_BITS) {
+                let slot = &mut root[c << ROOT_BITS | reversed & ROOT_MASK as usize];
+                if *slot & LINK == 0 {
+                    *slot = LINK | (linked << 4) as u16;
+                    linked += 1;
                 }
             }
-            let len = code.lens[ESCAPE];
-            fill(code.escape.into(), len, u16::from(len) << 4);
         }
-        Self { lut, next: next_of }
+        debug_assert!(linked <= MAX_SUB_TABLES);
+        let mut sub = vec![0; linked << SUB_BITS].into_boxed_slice();
+        let mut next_of = Box::new([[0u8; 256]; MAX_CODES]);
+        for (c, code) in codes.iter().enumerate() {
+            next_of[c] = std::array::from_fn(|b| {
+                let then = next(c, b as u8);
+                debug_assert!(then < codes.len());
+                then as u8
+            });
+            let root = &mut root[c << ROOT_BITS..][..1 << ROOT_BITS];
+            for (sym, reversed, len) in code.codes() {
+                let entry = match sym {
+                    ESCAPE => (len as u16) << 4,
+                    _ => u16::from(next_of[c][sym]) << 12 | (sym as u16) << 4 | len as u16,
+                };
+                let (table, first, step) = if len <= ROOT_BITS {
+                    (&mut root[..], reversed, 1 << len)
+                } else {
+                    let at = link_index(root[reversed & ROOT_MASK as usize]) << SUB_BITS;
+                    let rest = reversed >> ROOT_BITS;
+                    (
+                        &mut sub[at..at + (1 << SUB_BITS)],
+                        rest,
+                        1 << (len - ROOT_BITS),
+                    )
+                };
+                for slot in (first..table.len()).step_by(step) {
+                    table[slot] = entry;
+                }
+            }
+        }
+        Self {
+            root,
+            sub,
+            next: next_of,
+        }
     }
 
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.lut) + std::mem::size_of_val(&*self.next)
+        std::mem::size_of_val(&*self.root)
+            + std::mem::size_of_val(&*self.sub)
+            + std::mem::size_of_val(&*self.next)
     }
 
     /// Decodes the next symbol under `code`, returning it and the code
@@ -210,14 +273,24 @@ impl Decoder {
     #[inline(always)]
     pub fn get(&self, code: usize, r: &mut BitReader<'_>) -> (u8, usize) {
         // In range by construction: the modulus only spares the check.
-        let e = self.lut[(code << MAX_CODE_LEN | (r.acc & LUT_MASK) as usize) % self.lut.len()];
-        let len = (e & 0x0f) as u32;
-        if len == 0 {
-            return self.escaped(code, u32::from(e >> 4), r);
+        let mut e = self.root[(code << ROOT_BITS | (r.acc & ROOT_MASK) as usize) % self.root.len()];
+        if e & 0x0f == 0 {
+            // A longer code's link, or an escape. Only the escape hands
+            // the reader to a call: a call that took it for a link too
+            // kept the reader's bits out of registers on the hot path
+            // (cold `tzstd` records decoded ~4 % slower, 2-core x86-64
+            // VM).
+            if e & LINK != 0 {
+                e = self.sub[link_index(e) << SUB_BITS | (r.acc >> ROOT_BITS & SUB_MASK) as usize];
+            }
+            if e & 0x0f == 0 {
+                return self.escaped(code, u32::from(e >> 4), r);
+            }
         }
+        let len = u32::from(e & 0x0f);
         r.acc >>= len;
         r.nbits -= len;
-        ((e >> 4) as u8, (e >> 12) as usize)
+        ((e >> 4) as u8, usize::from(e >> 12))
     }
 
     /// The byte after an escape code of `len` bits: the code is
@@ -234,59 +307,9 @@ impl Decoder {
     }
 }
 
-/// Bits a [`ShortDecoder`] resolves in its one lookup.
-const SHORT_BITS: u32 = 8;
-const SHORT_MASK: u64 = (1 << SHORT_BITS) - 1;
-
-/// The codes of at most [`SHORT_BITS`] bits of a [`Decoder`]'s tables,
-/// indexed by that many stream bits: 512 bytes a code, 8 KiB for
-/// sixteen where the whole tables take 64 KiB, so the tables a short
-/// record decodes under stay in a core's first-level cache between
-/// records. An entry is the [`Decoder`]'s own; 0 (no code of length 0
-/// has a slot) hands the symbol to the [`Decoder`]: a longer code, or
-/// an escape.
-pub(crate) struct ShortDecoder {
-    lut: Box<[u16; MAX_CODES << SHORT_BITS]>,
-}
-
-impl ShortDecoder {
-    pub fn new(full: &Decoder) -> Self {
-        let mut lut: Box<[u16; MAX_CODES << SHORT_BITS]> = vec![0; MAX_CODES << SHORT_BITS]
-            .into_boxed_slice()
-            .try_into()
-            .expect("MAX_CODES tables");
-        for (code, short) in lut.chunks_exact_mut(1 << SHORT_BITS).enumerate() {
-            // A slot whose bits above the first `SHORT_BITS` are zero: a
-            // code that fits is the same entry whatever they are.
-            let full = &full.lut[code * LUT_SIZE..][..1 << SHORT_BITS];
-            for (slot, &e) in short.iter_mut().zip(full) {
-                let len = u32::from(e & 0x0f);
-                if (1..=SHORT_BITS).contains(&len) {
-                    *slot = e;
-                }
-            }
-        }
-        Self { lut }
-    }
-
-    /// [`Decoder::get`], in one lookup of the short table when the
-    /// code fits it. The same buffering rules hold.
-    #[inline(always)]
-    pub fn get(&self, full: &Decoder, code: usize, r: &mut BitReader<'_>) -> (u8, usize) {
-        // In range by construction: the modulus only spares the check.
-        let e = self.lut[(code << SHORT_BITS | (r.acc & SHORT_MASK) as usize) % self.lut.len()];
-        if e == 0 {
-            return full.get(code, r);
-        }
-        let len = (e & 0x0f) as u32;
-        r.acc >>= len;
-        r.nbits -= len;
-        ((e >> 4) as u8, (e >> 12) as usize)
-    }
-
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.lut)
-    }
+/// The sub-table a [`LINK`] entry names.
+fn link_index(e: u16) -> usize {
+    usize::from((e & !LINK) >> 4)
 }
 
 /// Optimal prefix-code lengths of at most [`MAX_CODE_LEN`] bits for the
@@ -552,6 +575,42 @@ mod tests {
             assert!(r.nbits >= MAX_CODE_LEN, "{} bits buffered", r.nbits);
             *d = decoder.get(0, r).0;
         });
+        r.finish().unwrap();
+        assert_eq!(back, data);
+    }
+
+    /// The most sub-tables a code links: one symbol of 1 bit and 256 of
+    /// 9 bits, two under each of the 128 root slots the 1-bit code
+    /// leaves (byte `c`'s in code `c`, the escape's in the last). Sixteen
+    /// such codes, chained, round-trip, and their sub-tables take the
+    /// 32 KiB bound.
+    #[test]
+    fn sixteen_codes_of_128_linked_root_slots_stay_within_the_bound() {
+        let tables: Vec<HuffTable> = (0..MAX_CODES)
+            .map(|c| {
+                let short = if c + 1 == MAX_CODES { ESCAPE } else { c };
+                let lens = std::array::from_fn(|s| if s == short { 1 } else { 9 });
+                HuffTable::from_lens(lens).unwrap()
+            })
+            .collect();
+        let next = |c: usize, sym: u8| (c + usize::from(sym)) % MAX_CODES;
+        let decoder = Decoder::new(&tables, next);
+        assert_eq!(decoder.sub.len(), MAX_SUB_TABLES << SUB_BITS);
+        assert!(std::mem::size_of_val(&*decoder.sub) <= 32 << 10);
+        let data: Vec<u8> = (0..4096u32)
+            .map(|i| (i * 97 % 251 + i / 251) as u8)
+            .collect();
+        let mut coded = Vec::new();
+        let mut w = BitWriter::new(&mut coded);
+        let mut code = 0;
+        for &b in &data {
+            tables[code].put(b, &mut w);
+            code = next(code, b);
+        }
+        w.finish();
+        let (mut back, mut code) = (vec![0; data.len()], 0);
+        let mut r = BitReader::new(&coded);
+        r.decode_each(&mut back, |r, d| (*d, code) = decoder.get(code, r));
         r.finish().unwrap();
         assert_eq!(back, data);
     }

@@ -15,17 +15,17 @@
 //!   better ratio/slower SET) are preserved. Records and blocks share
 //!   one token format, one decoder and one dictionary mechanism (a
 //!   [`lz::Prefix`] of match history); a record at the default level
-//!   takes a two-probe parse of its own and decodes through short-code
-//!   tables, which a short record's cost turns on.
+//!   takes a two-probe parse of its own, and both decode through one
+//!   8-bit root table a code, with sub-tables for the rare longer code.
 //! * **PBC** ([`pbc`]) — Pattern-Based Compression per the paper and ref
 //!   [59]: offline hierarchical clustering of sampled records extracts
 //!   *patterns* (templates of literal anchors with wildcard gaps); a record
 //!   compresses to a pattern id plus its gap residuals. Decompression is a
 //!   sequence of memcpys, which is why PBC GET throughput approaches raw.
 //!
-//! [`framework`] supplies the production wrapper: sampling, training,
-//! a compression-efficiency monitor with retrain triggers, and a
-//! compressor recommender.
+//! [`framework`] supplies the production wrapper: a trained unit whose
+//! bytes rebuild it, and a compressor recommender. A retrain is a new
+//! unit, which TierBase keeps beside the older ones as a generation.
 
 #![deny(unsafe_code)]
 
@@ -38,10 +38,7 @@ pub mod pbc;
 
 pub use block::{BlockCodec, BlockCodecState, BlockEffort, FRAME_HEADER_LEN, FRAME_TAG_STORED};
 pub use dict::train_dictionary;
-pub use framework::{
-    CompressionMonitor, CompressionStats, CompressorChoice, CompressorRecommender, MonitorConfig,
-    PretrainedCompression,
-};
+pub use framework::{CompressorChoice, CompressorRecommender, PretrainedCompression};
 pub use lz::{Tzstd, TzstdLevel};
 pub use pbc::{Pbc, PbcConfig, PbcModel};
 

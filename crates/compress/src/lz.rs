@@ -33,7 +33,6 @@
 
 use crate::block::{LzCoder, MAX_COMPRESSED_BLOCK_LEN, TRAINED_DICT_BYTES};
 use crate::dict::train_dictionary;
-use crate::huffman::ShortDecoder;
 use crate::Compressor;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,8 +48,12 @@ const NEAR_DIST: usize = 128;
 /// Maximum match length (keeps varints short; matches may be split).
 const MAX_MATCH: usize = 1 << 16;
 
-/// Compression level, mirroring zstd's level semantics: negative levels
-/// trade ratio for speed, higher positive levels search harder.
+/// Compression level, after zstd's: higher levels search harder. Every
+/// level up to 3 (zstd's negative ones too) is one parse: a record's is
+/// [`record_parse_into`], two probes a position, and [`lz_parse`]'s a
+/// greedy walk over 8 candidates, a flush table's. Above it, a lazy
+/// walk over 32 (levels 4–12), 64 (13–18) or 256 candidates (19 and
+/// up).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TzstdLevel(pub i32);
 
@@ -67,26 +70,17 @@ struct LevelParams {
     /// Greedy-vs-lazy parsing: lazy re-checks the next position before
     /// committing to a match.
     lazy: bool,
-    /// Acceleration: after this many consecutive literal misses, start
-    /// skipping positions (fast negative levels).
-    skip_trigger: u32,
 }
 
 impl TzstdLevel {
     fn params(self) -> LevelParams {
-        let (chain_len, lazy, skip_trigger) = match self.0 {
-            i32::MIN..=-21 => (1, false, 4),
-            -20..=-1 => (2, false, 6),
-            0..=3 => (8, false, u32::MAX),
-            4..=12 => (32, true, u32::MAX),
-            13..=18 => (64, true, u32::MAX),
-            _ => (256, true, u32::MAX),
+        let (chain_len, lazy) = match self.0 {
+            i32::MIN..=3 => (8, false),
+            4..=12 => (32, true),
+            13..=18 => (64, true),
+            _ => (256, true),
         };
-        LevelParams {
-            chain_len,
-            lazy,
-            skip_trigger,
-        }
+        LevelParams { chain_len, lazy }
     }
 }
 
@@ -639,7 +633,6 @@ fn parse(
 
     let mut lit_start = start;
     let mut i = start;
-    let mut misses = 0u32;
 
     // Best match for position `i < hash_end`, whose 4-gram hashes to
     // `g`, if it is longer than `floor` (at least `MIN_MATCH - 1`) and
@@ -682,9 +675,7 @@ fn parse(
         let found = find_best(head, prev, i, g, MIN_MATCH - 1);
         insert(head, prev, i, g);
         let Some((mut len, mut dist)) = found else {
-            misses += 1;
-            // Acceleration for fast levels: skip ahead on repeated misses.
-            i += 1 + (misses.saturating_sub(p.skip_trigger) / 4) as usize;
+            i += 1;
             continue;
         };
         if p.lazy && i + 1 < hash_end {
@@ -709,7 +700,6 @@ fn parse(
         }
         i += len;
         lit_start = i;
-        misses = 0;
     }
     // Trailing literals + end marker.
     sink.varint((n - lit_start) as u64);
@@ -727,8 +717,6 @@ fn byte_before(input: &[u8], pos: usize) -> Option<u8> {
 pub struct Tzstd {
     level: TzstdLevel,
     coder: LzCoder,
-    /// The coder's short codes, which decode a record's symbols.
-    short: ShortDecoder,
 }
 
 /// The highest level whose records take [`record_parse_into`]: the
@@ -792,7 +780,7 @@ impl Tzstd {
             tokens
         };
         let (coder, _) = LzCoder::train(dict, inputs.enumerate(), parse);
-        Self::new(level, coder)
+        Self { level, coder }
     }
 
     /// A record's parse at `level`: up to [`RECORD_PROBE_LEVEL`], the
@@ -811,15 +799,6 @@ impl Tzstd {
         }
     }
 
-    fn new(level: TzstdLevel, coder: LzCoder) -> Self {
-        let short = coder.short_decoder();
-        Self {
-            level,
-            coder,
-            short,
-        }
-    }
-
     /// The trained model, self-describing: `level i32 LE`, then the
     /// block coder's payload (tables, split-out bytes, dictionary).
     pub fn payload(&self) -> Vec<u8> {
@@ -832,16 +811,16 @@ impl Tzstd {
         let (level, coder) = payload
             .split_first_chunk()
             .ok_or_else(|| Error::Corruption("tzstd model truncated".into()))?;
-        Ok(Self::new(
-            TzstdLevel(i32::from_le_bytes(*level)),
-            LzCoder::from_payload(coder, PrefixUse::Records)?,
-        ))
+        Ok(Self {
+            level: TzstdLevel(i32::from_le_bytes(*level)),
+            coder: LzCoder::from_payload(coder, PrefixUse::Records)?,
+        })
     }
 
-    /// Heap bytes the model holds: its tables, decoders and
-    /// dictionary, with the dictionary's hash chains.
+    /// Heap bytes the model holds: its tables, their decoder and the
+    /// dictionary, with the dictionary's index.
     pub fn heap_bytes(&self) -> usize {
-        self.coder.heap_bytes() + self.short.heap_bytes()
+        self.coder.heap_bytes()
     }
 
     /// Appends the frame of `input` to `out`: its parse coded under
@@ -870,8 +849,8 @@ impl Tzstd {
         out.extend_from_slice(input);
     }
 
-    /// Decodes a frame into `out`, which it clears first. A record
-    /// decodes through the short-code tables; the bytes are what
+    /// Decodes a frame into `out`, which it clears first, through the
+    /// decoder an SSTable block takes: the bytes are what
     /// [`Compressor::decompress`] returns, and a refused frame
     /// allocates no more.
     pub fn decompress_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<()> {
@@ -891,8 +870,7 @@ impl Tzstd {
                     .ok()
                     .filter(|&n| n <= MAX_COMPRESSED_BLOCK_LEN)
                     .ok_or_else(|| Error::Corruption(format!("tzstd frame claims {ulen} bytes")))?;
-                self.coder
-                    .decode_short(&self.short, &rest[pos..], ulen, out)?;
+                self.coder.decode_into(&rest[pos..], ulen, out)?;
                 if out.len() != ulen {
                     return Err(Error::Corruption(format!(
                         "tzstd frame decoded to {} bytes, header says {ulen}",
@@ -1193,12 +1171,11 @@ mod tests {
             insert(&mut head, &mut prev, pos);
         }
         let mut out = SplitTokens::default();
-        let (mut i, mut lit_start, mut misses) = (start, start, 0u32);
+        let (mut i, mut lit_start) = (start, start);
         while i < n {
             let Some((mut len, mut dist)) = find_best(&head, &prev, i) else {
                 insert(&mut head, &mut prev, i);
-                misses += 1;
-                i += 1 + (misses.saturating_sub(p.skip_trigger) / 4) as usize;
+                i += 1;
                 continue;
             };
             insert(&mut head, &mut prev, i);
@@ -1223,7 +1200,6 @@ mod tests {
             }
             i += len;
             lit_start = i;
-            misses = 0;
         }
         out.varint((n - lit_start) as u64);
         out.literals(&input[lit_start..], byte_before(input, lit_start));
@@ -1346,7 +1322,6 @@ mod tests {
         for (level, with_dict) in [
             (1, false),
             (1, true),
-            (-10, false),
             (15, true),
             (compaction, false),
             (compaction, true),
@@ -1448,7 +1423,7 @@ mod tests {
     /// The record parse makes exactly [`reference_record_parse`]'s
     /// decisions, after a trained dictionary and without one, twice
     /// over so every input also meets a used scratch; and a frame
-    /// written from it decodes through the short-code tables.
+    /// written from it decodes.
     #[test]
     fn record_parse_matches_the_reference() {
         let train = records(256, 0x9e37_79b9);
@@ -1496,6 +1471,148 @@ mod tests {
         }
     }
 
+    /// Samples of geometric bytes, byte `k` at odds 2^-(k+1): tables
+    /// trained on them code the rarer bytes and the escape in more than
+    /// 8 bits, as tables trained on the templated records never do.
+    fn geometric_samples() -> Vec<Vec<u8>> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut byte = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x.trailing_zeros() as u8
+        };
+        (0..16)
+            .map(|_| (0..512).map(|_| byte()).collect())
+            .collect()
+    }
+
+    /// LSB-first bits of a stream, zeros past its end, counting the bits
+    /// read.
+    struct Bits<'a> {
+        buf: &'a [u8],
+        read: usize,
+    }
+
+    impl Bits<'_> {
+        fn bit(&mut self) -> u32 {
+            let byte = self.buf.get(self.read / 8).copied().unwrap_or(0);
+            self.read += 1;
+            u32::from(byte >> ((self.read - 1) % 8) & 1)
+        }
+
+        /// Whether the stream was read to its last byte and no further.
+        fn exact(&self) -> bool {
+            self.read.div_ceil(8) == self.buf.len()
+        }
+    }
+
+    /// One byte decoded under a canonical code of `lens` (256 bytes, the
+    /// escape last: codes ascend by length, then symbol), a bit at a
+    /// time, the code's first bit first; an escape is followed by the
+    /// byte's 8 raw bits. An escape of length 0 is the code's only
+    /// symbol.
+    fn reference_symbol(lens: &[u8; 257], bits: &mut Bits<'_>) -> u8 {
+        let raw = |bits: &mut Bits<'_>| (0..8).fold(0u8, |b, i| b | (bits.bit() as u8) << i);
+        if lens[256] == 0 {
+            return raw(bits);
+        }
+        let (mut code, mut first) = (0u32, 0u32);
+        for len in 1..=11 {
+            code = code << 1 | bits.bit();
+            let of_len: Vec<usize> = (0..257).filter(|&s| lens[s] == len).collect();
+            if let Some(&sym) = of_len.get((code - first) as usize) {
+                return match sym {
+                    256 => raw(bits),
+                    _ => sym as u8,
+                };
+            }
+            first = (first + of_len.len() as u32) << 1;
+        }
+        unreachable!("a stored code is complete")
+    }
+
+    /// A block payload decoded under a coder's stored model (sixteen
+    /// 129-byte tables of 4-bit code lengths and the escape's — what
+    /// `HuffTable::lens` holds — then six split-out bytes and the
+    /// dictionary), each symbol by [`reference_symbol`], each byte
+    /// written on its own: independent of `huffman`'s tables and of
+    /// `LzCoder`'s decode. `None` where the payload is not the coding of
+    /// at most `ulen` bytes, or leaves bits over.
+    fn reference_decode(model: &[u8], payload: &[u8], ulen: usize) -> Option<Vec<u8>> {
+        let (tables, rest) = model.split_at(16 * 129);
+        let (split, dict) = rest.split_at(6);
+        let lens: Vec<[u8; 257]> = tables
+            .chunks(129)
+            .map(|t| {
+                std::array::from_fn(|s| {
+                    if s == 256 {
+                        t[128]
+                    } else {
+                        t[s / 2] >> (4 * (s % 2)) & 15
+                    }
+                })
+            })
+            .collect();
+        // Literals after a split-out byte, a digit, a lowercase or an
+        // uppercase letter, or anything else (nothing, too).
+        let literal_table = |before: Option<&u8>| match before {
+            Some(b) if split.contains(b) => 10 + split.iter().position(|s| s == b).unwrap(),
+            Some(b'0'..=b'9') => 6,
+            Some(b'a'..=b'z') => 7,
+            Some(b'A'..=b'Z') => 8,
+            _ => 9,
+        };
+        let mut pos = 0;
+        let ctrl_bytes = usize::try_from(read_varint(payload, &mut pos).ok()?).ok()?;
+        let (ctrl, lits) = payload[pos..].split_at_checked(ctrl_bytes)?;
+        let mut ctrl = Bits { buf: ctrl, read: 0 };
+        let mut lits = Bits { buf: lits, read: 0 };
+        // A token field's varint: its first byte under table `2 ×
+        // field`, the rest under `2 × field + 1`.
+        let mut varint = |field: usize| -> Option<u64> {
+            let mut v = 0u64;
+            for (i, shift) in (0..64).step_by(7).enumerate() {
+                let b = reference_symbol(&lens[2 * field + usize::from(i > 0)], &mut ctrl);
+                v |= u64::from(b & 0x7f) << shift;
+                if b & 0x80 == 0 {
+                    return Some(v);
+                }
+            }
+            None
+        };
+        let mut out = Vec::new();
+        loop {
+            let run = varint(0)?;
+            if run > (ulen - out.len()) as u64 {
+                return None;
+            }
+            for _ in 0..run {
+                let table = literal_table(out.last().or(dict.last()));
+                out.push(reference_symbol(&lens[table], &mut lits));
+            }
+            let code = varint(1)?;
+            if code == 0 {
+                break;
+            }
+            let n = code.checked_add(MIN_MATCH as u64 - 1)?;
+            let dist = varint(2)?;
+            if n > (ulen - out.len()) as u64 || dist == 0 || dist > (dict.len() + out.len()) as u64
+            {
+                return None;
+            }
+            for _ in 0..n {
+                let from = dict.len() + out.len() - dist as usize;
+                out.push(if from < dict.len() {
+                    dict[from]
+                } else {
+                    out[from - dict.len()]
+                });
+            }
+        }
+        (ctrl.exact() && lits.exact()).then_some(out)
+    }
+
     /// The largest allocation a refused decode may make besides its
     /// output: the error message.
     const MESSAGE_BYTES: usize = 256;
@@ -1528,8 +1645,6 @@ mod tests {
             data in proptest::collection::vec(0u8..4, 0..600),
             dict in proptest::collection::vec(0u8..4, 0..200),
             level in prop_oneof![
-                Just(-50),
-                Just(-10),
                 Just(1),
                 Just(15),
                 Just(BlockEffort::Compaction.level().0),
@@ -1598,14 +1713,15 @@ mod tests {
             }
         }
 
-        /// The short-code decode against the one every table reads
-        /// through ([`LzCoder::decode`]): on a record's payload under
-        /// any `ulen`, on the payload damaged (one bit flipped, cut
-        /// short) or on arbitrary bytes, both refuse or both give the
-        /// same bytes. A refusal is `Corruption`, into a buffer reused
-        /// from an earlier record too.
+        /// The one decoder, as blocks ([`LzCoder::decode`]) and records
+        /// ([`LzCoder::decode_into`], into a buffer an earlier record
+        /// used) call it, against [`reference_decode`]: on the payload of
+        /// a record, or of arbitrary bytes (rare and unseen bytes: long
+        /// codes and escapes), under any `ulen`, on the payload damaged
+        /// (one bit flipped, cut short) or on arbitrary bytes, all refuse
+        /// or all give the same bytes. A refusal is `Corruption`.
         #[test]
-        fn prop_short_decode_agrees_with_the_reference_decoder(
+        fn prop_decode_agrees_with_a_bit_at_a_time_reference(
             bytes in proptest::collection::vec(any::<u8>(), 0..400),
             seed in 0usize..1000,
             ulen_delta in -8isize..8,
@@ -1618,24 +1734,37 @@ mod tests {
                 Tzstd::train(TzstdLevel(1), &train),
                 Tzstd::train_with_dict(TzstdLevel(1), &train),
                 untrained(1, None),
+                Tzstd::train(TzstdLevel(1), &geometric_samples()),
             ];
-            for c in &coders {
+            for (c, input) in coders.iter().flat_map(|c| [(c, record), (c, &bytes)]) {
+                let model = c.coder.payload();
                 let mut tokens = SplitTokens::default();
-                Tzstd::parse_into(c.level, c.coder.dict.as_ref(), record, &mut tokens);
+                Tzstd::parse_into(c.level, c.coder.dict.as_ref(), input, &mut tokens);
                 let mut payload = Vec::new();
                 c.coder.encode(&tokens, &mut payload);
+                prop_assert_eq!(reference_decode(&model, &payload, input.len()), Some(input.clone()));
                 let mut flipped = payload.clone();
                 flipped[bit / 8 % payload.len()] ^= 1 << (bit % 8);
-                let ulen = record.len().saturating_add_signed(ulen_delta);
+                let ulen = input.len().saturating_add_signed(ulen_delta);
                 let mut out = records(3, 1).concat();
                 for damaged in [&payload[..], &flipped, &payload[..cut % payload.len()], &bytes] {
-                    for ulen in [record.len(), ulen] {
-                        let reference = c.coder.decode(damaged, ulen);
-                        let short = c.coder.decode_short(&c.short, damaged, ulen, &mut out);
-                        match (reference, short) {
-                            (Ok(want), Ok(())) => prop_assert_eq!(&out, &want),
-                            (Err(_), Err(e)) => prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}"),
-                            (want, got) => prop_assert!(false, "reference {want:?}, short {got:?}"),
+                    for ulen in [input.len(), ulen] {
+                        let reference = reference_decode(&model, damaged, ulen);
+                        let block = c.coder.decode(damaged, ulen);
+                        let into = c.coder.decode_into(damaged, ulen, &mut out);
+                        match (reference, block, into) {
+                            (Some(want), Ok(got), Ok(())) => {
+                                prop_assert_eq!(&got, &want);
+                                prop_assert_eq!(&out, &want);
+                            }
+                            (None, Err(e), Err(f)) => {
+                                prop_assert!(matches!(e, Error::Corruption(_)), "{e:?}");
+                                prop_assert!(matches!(f, Error::Corruption(_)), "{f:?}");
+                            }
+                            (want, got, into) => prop_assert!(
+                                false,
+                                "reference {want:?}, block {got:?}, into {into:?}"
+                            ),
                         }
                     }
                 }

@@ -17,7 +17,7 @@
 //! **Compression**: greedily locate each pattern literal in order; emit
 //! `pattern id + gap residuals`. Records matching no pattern fall back to
 //! a `tzstd` coder trained on the same samples, with their dictionary
-//! (and the fallback rate feeds the retraining monitor).
+//! ([`Pbc::unmatched_rate`] counts how many).
 //! **Decompression** is a sequence of memcpys — literals from the pattern,
 //! gaps from the payload — which is why PBC GET throughput approaches raw
 //! (Table 2).
@@ -482,8 +482,8 @@ impl Pbc {
         &self.model
     }
 
-    /// Fraction of compressed records that matched no pattern (feeds the
-    /// §4.2 monitoring service's retrain trigger).
+    /// Fraction of compressed records that matched no pattern: the
+    /// signal §4.2's monitoring service retrains on.
     pub fn unmatched_rate(&self) -> f64 {
         let m = self.matched.load(Ordering::Relaxed);
         let f = self.fallback_count.load(Ordering::Relaxed);

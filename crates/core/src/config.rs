@@ -95,9 +95,9 @@ pub struct TierBaseConfig {
     pub persistence: PersistenceMode,
     /// Which value compressor the cache tier pre-trains (§4.2). The
     /// default is `Tzstd`: the first 256 values put train its entropy
-    /// tables (the model, ~96 KiB), and later values are stored
+    /// tables (the model, ~33 KiB), and later values are stored
     /// compressed under it. On ~100-byte Cities records the store then
-    /// holds ~0.87 bytes per user byte, model billed, where raw values
+    /// holds ~0.86 bytes per user byte, model billed, where raw values
     /// take 1.24, for ~1 µs of CPU per put and per get. `TzstdDict`
     /// adds a trained dictionary: ~0.81, at ~1.5× the CPU. The model's
     /// heap comes out of `cache_capacity` and is billed in

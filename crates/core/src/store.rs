@@ -77,7 +77,7 @@ const AUTO_TRAIN_SAMPLES: usize = 256;
 /// An auto-trained model is used only by a cache this many times its
 /// heap or more: the cache holds the model's bytes back from its
 /// entries, and a smaller one would give up more than compression wins
-/// back (a ~100 KiB model asks for a cache of 800 KiB).
+/// back (a ~33 KiB `tzstd` model asks for a cache of ~260 KiB).
 const MIN_CACHE_PER_MODEL_BYTE: usize = 8;
 
 /// `<dir>/cache.model.<generation>`: a trained compression model,
@@ -272,8 +272,8 @@ impl TierBase {
     }
 
     /// Pre-trains the configured compressor on sample values (the §4.2
-    /// offline pre-training phase, and its monitor-triggered retrain) as
-    /// the next model generation, which new values then use; values
+    /// offline pre-training phase, or a retrain the caller decides on)
+    /// as the next model generation, which new values then use; values
     /// stored under earlier generations keep theirs. The model is
     /// durable in `<dir>` when this returns. No-op for
     /// `CompressorChoice::Raw`.

@@ -1686,9 +1686,9 @@ mod tests {
         TABLE.get_or_init(|| {
             let dir = tmpdir();
             let path = dir.create().join("pristine.sst");
-            // Big enough (~73 KiB) that the codec's fixed 64 KiB of
-            // decode tables fit under the file-length bound, small
-            // enough to stay fast.
+            // Big enough (~73 KiB) that the codec's largest allocation
+            // (its decode sub-tables, at most 32 KiB) fits under the
+            // file-length bound, small enough to stay fast.
             let meta = write_sstable(
                 1,
                 &path,
