@@ -11,8 +11,10 @@ use std::path::Path;
 use tb_bench::{bench_dir, budget};
 use tb_cache::{entry_cost, CacheConfig, ShardedCache};
 use tb_common::{crc32, fx_hash, Histogram, Key, KvEngine, Value};
+use tb_compress::block::TRAINED_DICT_BYTES;
 use tb_compress::{
-    BlockCodec, BlockCodecState, BlockEffort, Compressor, Pbc, PbcConfig, Tzstd, TzstdLevel,
+    train_dictionary, BlockCodec, BlockCodecState, BlockEffort, Compressor, Pbc, PbcConfig, Tzstd,
+    TzstdLevel,
 };
 use tb_lsm::memtable::Entry;
 use tb_lsm::sstable::{decode_block, find_in_block, write_sstable, SstConfig, SstReader};
@@ -166,35 +168,55 @@ fn bench_compressors(c: &mut Criterion) {
     // The rows above code one record, whose bytes and model stay hot
     // in L1. A cache tier codes a different record each time: these
     // cycle through 50 000 distinct Cities records (and their frames)
-    // under the store's default model, `tzstd` trained on the first
-    // 256, through the reused-buffer calls the store makes.
+    // under a model trained on the first 256, through the reused-buffer
+    // calls the store makes: the store's default model, `tzstd-d`, and
+    // `tzstd` beside it.
     let cities = DatasetKind::Cities.build(5);
     let records: Vec<Vec<u8>> = (0..budget(50_000)).map(|i| cities.record(i)).collect();
-    let model = Tzstd::train(TzstdLevel(1), &records[..256]);
-    let frames: Vec<Vec<u8>> = records.iter().map(|r| model.compress(r)).collect();
+    let train = &records[..256];
+
+    // The 256th put trains the store's model inline, dictionary first.
+    let dict = train_dictionary(train, TRAINED_DICT_BYTES);
     println!(
-        "compress/record_*_cold: tzstd model holds {} B of heap",
-        model.heap_bytes()
+        "compress/train_dictionary: {} B of dictionary from 256 Cities records",
+        dict.len()
     );
+    let train_bytes = train.iter().map(Vec::len).sum::<usize>();
+    group.throughput(Throughput::Bytes(train_bytes as u64));
+    group.bench_function("train_dictionary", |b| {
+        b.iter(|| std::hint::black_box(train_dictionary(train, TRAINED_DICT_BYTES).len()))
+    });
+
     let mean = records.iter().map(Vec::len).sum::<usize>() / records.len();
     group.throughput(Throughput::Bytes(mean as u64));
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    group.bench_function("record_encode_cold", |b| {
-        b.iter(|| {
-            i = (i + 1) % records.len();
-            out.clear();
-            model.compress_into(&records[i], &mut out);
-            std::hint::black_box(out.len())
-        })
-    });
-    group.bench_function("record_decode_cold", |b| {
-        b.iter(|| {
-            i = (i + 1) % frames.len();
-            model.decompress_into(&frames[i], &mut out).unwrap();
-            std::hint::black_box(out.len())
-        })
-    });
+    for (prefix, model) in [
+        ("", Tzstd::train_with_dict(TzstdLevel(1), train)),
+        ("tzstd/", Tzstd::train(TzstdLevel(1), train)),
+    ] {
+        let frames: Vec<Vec<u8>> = records.iter().map(|r| model.compress(r)).collect();
+        println!(
+            "compress/{prefix}record_*_cold: {} model holds {} B of heap",
+            model.name(),
+            model.heap_bytes()
+        );
+        let mut out = Vec::new();
+        let mut i = 0usize;
+        group.bench_function(format!("{prefix}record_encode_cold"), |b| {
+            b.iter(|| {
+                i = (i + 1) % records.len();
+                out.clear();
+                model.compress_into(&records[i], &mut out);
+                std::hint::black_box(out.len())
+            })
+        });
+        group.bench_function(format!("{prefix}record_decode_cold"), |b| {
+            b.iter(|| {
+                i = (i + 1) % frames.len();
+                model.decompress_into(&frames[i], &mut out).unwrap();
+                std::hint::black_box(out.len())
+            })
+        });
+    }
     group.finish();
 }
 

@@ -6,7 +6,10 @@
 //!   compression levels and offline-trained dictionaries. It stands in for
 //!   Zstandard: same role (general string compression, dictionary mode for
 //!   small records), same knobs (level trades ratio against speed), same
-//!   training flow (`train_dictionary` ≈ `zstd --train`). Its entropy
+//!   training flow: [`train_dictionary`] is `zstd --train`'s COVER
+//!   (Liao, Petri, Moffat and Wirth, "Effective Construction of Relative
+//!   Lempel-Ziv Dictionaries", WWW 2016), which picks the segments of the
+//!   samples that cover the most sample-shared strings. Its entropy
 //!   stage is simpler than zstd's — static Huffman under sixteen
 //!   token-field and previous-byte contexts, trained once per SSTable on
 //!   its blocks and once per record model on its samples ([`block`]) —

@@ -77,7 +77,7 @@ const AUTO_TRAIN_SAMPLES: usize = 256;
 /// An auto-trained model is used only by a cache this many times its
 /// heap or more: the cache holds the model's bytes back from its
 /// entries, and a smaller one would give up more than compression wins
-/// back (a ~33 KiB `tzstd` model asks for a cache of ~260 KiB).
+/// back (a ~44 KiB `tzstd-d` model asks for a cache of ~350 KiB).
 const MIN_CACHE_PER_MODEL_BYTE: usize = 8;
 
 /// `<dir>/cache.model.<generation>`: a trained compression model,
@@ -799,7 +799,7 @@ mod tests {
         assert_eq!(tb.get(&k(1)).unwrap(), Some(v(1)));
         tb.delete(&k(1)).unwrap();
         assert_eq!(tb.get(&k(1)).unwrap(), None);
-        assert_eq!(tb.label(), "tierbase-mem-tzstd");
+        assert_eq!(tb.label(), "tierbase-mem-tzstd-d");
     }
 
     #[test]
@@ -1024,7 +1024,7 @@ mod tests {
         .unwrap();
         assert_eq!(tb.get(&k(1)).unwrap(), None);
         assert_eq!(tb.get(&k(2)).unwrap(), Some(v(2)));
-        assert_eq!(tb.label(), "tierbase-mem-wal-tzstd");
+        assert_eq!(tb.label(), "tierbase-mem-wal-tzstd-d");
     }
 
     #[test]

@@ -168,11 +168,13 @@ fn an_in_memory_store_counts_the_heap_its_cache_holds() {
 }
 
 /// Allocations per put of a new key through an in-memory `TierBase`,
-/// compressed under its auto-trained model, held to what the put path
-/// makes today (1.08: the cache record, copied from the envelope the
-/// put builds in a reused buffer, and a share of each batch's own and
-/// of the model's training), so a change that adds one per put fails.
-/// It was 2.06 while the envelope was a `Value` of its own.
+/// compressed under its auto-trained model (the default `tzstd-d`),
+/// held to what the put path makes today (1.06: the cache record,
+/// copied from the envelope the put builds in a reused buffer, and a
+/// share of each batch's own and of the model's training, dictionary
+/// included), so a change that adds one per put fails. It was 2.06
+/// while the envelope was a `Value` of its own, and 1.08 under the
+/// earlier `tzstd` default.
 #[test]
 fn an_in_memory_store_put_allocates_at_most_twice() {
     const RECORDS: usize = 50_000;
