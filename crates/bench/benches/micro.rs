@@ -4,12 +4,16 @@
 //!
 //! Data sizes scale with `TB_BENCH_SCALE` and shrink under
 //! `TB_BENCH_SMOKE` (`tb_bench::budget`); `TB_BENCH_MS` sets each
-//! measurement window.
+//! measurement window. Each `cache` row also prints the allocations
+//! its op makes.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion, Throughput,
+};
 use std::path::Path;
 use tb_bench::{bench_dir, budget};
 use tb_cache::{entry_cost, CacheConfig, ShardedCache};
+use tb_common::testutil::{allocation_count, AllocProbe};
 use tb_common::{crc32, fx_hash, Histogram, Key, KvEngine, Value};
 use tb_compress::block::TRAINED_DICT_BYTES;
 use tb_compress::{
@@ -21,52 +25,63 @@ use tb_lsm::sstable::{decode_block, find_in_block, write_sstable, SstConfig, Sst
 use tb_lsm::{LsmConfig, LsmDb};
 use tb_workload::DatasetKind;
 
+/// Counts allocations for the cache rows; every row pays its check.
+#[global_allocator]
+static PROBE: AllocProbe = AllocProbe;
+
+/// Prints, under the row `id` just timed, the allocations per call of
+/// `op` over `calls` more calls.
+fn print_allocations(id: &str, calls: u64, mut op: impl FnMut()) {
+    let ((), allocations) = allocation_count(|| (0..calls).for_each(|_| op()));
+    println!(
+        "{:<40} {:>12.3} allocations/op",
+        id,
+        allocations as f64 / calls as f64
+    );
+}
+
+/// Times each op as a row, then prints the allocations it makes.
+fn row(group: &mut BenchmarkGroup<'_>, id: &str, mut op: impl FnMut()) {
+    group.bench_function(id, |b| b.iter(&mut op));
+    print_allocations(id, budget(10_000), op);
+}
+
 fn bench_cache(c: &mut Criterion) {
     let cache = ShardedCache::new(CacheConfig::with_capacity(256 << 20));
     let keys: Vec<Key> = (0..budget(10_000))
         .map(|i| Key::from(format!("key-{i:08}")))
         .collect();
+    let value = Value::from(vec![b'v'; 128]);
     for k in &keys {
-        cache
-            .insert(k.clone(), Value::from(vec![b'v'; 128]), false)
-            .unwrap();
+        cache.insert(k.clone(), value.clone(), false).unwrap();
     }
     let mut group = c.benchmark_group("cache");
     group.throughput(Throughput::Elements(1));
     let mut i = 0usize;
-    group.bench_function("get_hit", |b| {
-        b.iter(|| {
-            i = (i + 1) % keys.len();
-            std::hint::black_box(cache.get(&keys[i]))
-        })
+    row(&mut group, "get_hit", || {
+        i = (i + 1) % keys.len();
+        std::hint::black_box(cache.get(&keys[i]));
     });
     // The same hits on dirty entries: a hit sets the entry's reference
     // bit, as on a clean one, and leaves the dirty list as it is.
     let dirty = ShardedCache::new(CacheConfig::with_capacity(256 << 20));
     for k in &keys {
-        dirty
-            .insert(k.clone(), Value::from(vec![b'v'; 128]), true)
-            .unwrap();
+        dirty.insert(k.clone(), value.clone(), true).unwrap();
     }
-    group.bench_function("get_hit_dirty", |b| {
-        b.iter(|| {
-            i = (i + 1) % keys.len();
-            std::hint::black_box(dirty.get(&keys[i]))
-        })
+    row(&mut group, "get_hit_dirty", || {
+        i = (i + 1) % keys.len();
+        std::hint::black_box(dirty.get(&keys[i]));
     });
     drop(dirty);
-    group.bench_function("insert", |b| {
-        b.iter(|| {
-            i = (i + 1) % keys.len();
-            cache
-                .insert(keys[i].clone(), Value::from(vec![b'v'; 128]), false)
-                .unwrap()
-        })
+    // The inserted value is built once, so the insert rows time the
+    // cache's own work.
+    row(&mut group, "insert", || {
+        i = (i + 1) % keys.len();
+        cache.insert(keys[i].clone(), value.clone(), false).unwrap();
     });
     // New keys into a cache whose budget holds half of `keys`' worth of
     // them, filled first: every insert evicts an entry. The key is the
     // next number's 8 bytes, so no key repeats.
-    let value = Value::from(vec![b'v'; 128]);
     let full = ShardedCache::new(CacheConfig::with_capacity(
         keys.len() / 2 * entry_cost(8, value.len()),
     ));
@@ -78,30 +93,77 @@ fn bench_cache(c: &mut Criterion) {
     for _ in 0..keys.len() {
         full.insert(new_key(), value.clone(), false).unwrap();
     }
-    group.bench_function("insert_evict", |b| {
-        b.iter(|| full.insert(new_key(), value.clone(), false).unwrap())
+    row(&mut group, "insert_evict", || {
+        full.insert(new_key(), value.clone(), false).unwrap();
     });
     drop(full);
-    // 4 KiB values: a hit hands out a copy of the value and an insert
-    // copies it in, both under the shard lock. The inserted value is
-    // built once, so the rows time the cache's own work.
+
+    // `serve-hot`'s shape: Cities records under `user{i:012}` keys, each
+    // coded under `tzstd-d` trained on the first 256, behind a 2-byte
+    // header, as a store's envelope holds it (~46 B, most in the 64 B
+    // stride). Loading them inserts new keys; the rows then overwrite
+    // and hit them.
+    let cities = DatasetKind::Cities.build(5);
+    let records: Vec<Vec<u8>> = (0..budget(50_000)).map(|i| cities.record(i)).collect();
+    let model = Tzstd::train_with_dict(TzstdLevel(1), &records[..256]);
+    let envelopes: Vec<Value> = records
+        .iter()
+        .map(|r| Value::from([&[0, 0][..], &model.compress(r)].concat()))
+        .collect();
+    let keys: Vec<Key> = (0..envelopes.len())
+        .map(|i| Key::from(format!("user{i:012}")))
+        .collect();
+    let served = ShardedCache::new(CacheConfig::with_capacity(256 << 20));
+    let mut load = keys.iter().zip(&envelopes);
+    print_allocations("insert_cities (new keys)", keys.len() as u64, || {
+        let (key, envelope) = load.next().unwrap();
+        served.insert(key.clone(), envelope.clone(), false).unwrap();
+    });
+    row(&mut group, "insert_cities", || {
+        i = (i + 1) % keys.len();
+        served
+            .insert(keys[i].clone(), envelopes[i].clone(), false)
+            .unwrap();
+    });
+    row(&mut group, "get_hit_cities", || {
+        i = (i + 1) % keys.len();
+        std::hint::black_box(served.get(&keys[i]));
+    });
+    // Each overwrite lengthens or shortens its envelope by one stride
+    // (8 bytes), so the key's record moves to another size class.
+    let longer: Vec<Value> = envelopes
+        .iter()
+        .map(|e| Value::from([e.as_slice(), &[0; 8]].concat()))
+        .collect();
+    // Whole passes over the keys, from the first: every key moves on
+    // each pass.
+    let (mut i, mut long) = (0, true);
+    row(&mut group, "overwrite_across_classes", || {
+        let value = if long { &longer[i] } else { &envelopes[i] };
+        served
+            .insert(keys[i].clone(), value.clone(), false)
+            .unwrap();
+        i = (i + 1) % keys.len();
+        long ^= i == 0;
+    });
+    drop(served);
+
+    // 4 KiB values, past the inline cap, so each is an allocation of its
+    // own: a hit hands out a copy of the value and an insert copies it
+    // in, both under the shard lock.
     let big = ShardedCache::new(CacheConfig::with_capacity(256 << 20));
     let value = Value::from(vec![b'v'; 4096]);
     let keys = &keys[..(budget(2_000) as usize).min(keys.len())];
     for k in keys {
         big.insert(k.clone(), value.clone(), false).unwrap();
     }
-    group.bench_function("get_hit_4k", |b| {
-        b.iter(|| {
-            i = (i + 1) % keys.len();
-            std::hint::black_box(big.get(&keys[i]))
-        })
+    row(&mut group, "get_hit_4k", || {
+        i = (i + 1) % keys.len();
+        std::hint::black_box(big.get(&keys[i]));
     });
-    group.bench_function("insert_4k", |b| {
-        b.iter(|| {
-            i = (i + 1) % keys.len();
-            big.insert(keys[i].clone(), value.clone(), false).unwrap()
-        })
+    row(&mut group, "insert_4k", || {
+        i = (i + 1) % keys.len();
+        big.insert(keys[i].clone(), value.clone(), false).unwrap();
     });
     group.finish();
 }

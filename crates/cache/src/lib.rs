@@ -17,20 +17,22 @@
 //!   write that landed during the fetch.
 //! * [`snapshot`] — point-in-time snapshots for warm restarts.
 //!
-//! The byte budget is the heap the entries hold. An entry is one
-//! allocation, `varint(key length) | key | value`, plus a 16-byte slab
-//! node (the record, nothing else) and a 10-byte share of an index slot
-//! (hash, reference bit and slab index; [`entry_cost`]); a dirty or
-//! expiring entry holds a 32-byte side record more ([`EXTRA_BYTES`]).
-//! Three rules:
+//! The byte budget is the heap the entries hold. A shard keeps its
+//! records inline in size classes, one per 8-byte stride: an entry's
+//! cell is `pad | varint(key length) | key | value`, padded to its
+//! stride, in its class's one byte array; a record too long for the
+//! largest stride, 256 bytes, is an allocation of its own behind a
+//! 16-byte box. Add a 10-byte share of an index slot (hash, reference
+//! bit, class and cell; [`entry_cost`]); a dirty or expiring entry
+//! holds a 32-byte side record more ([`EXTRA_BYTES`]). Three rules:
 //! * the budget, `used_bytes` and `bytes_by_medium` count requested
-//!   heap bytes;
+//!   heap bytes, stride padding included;
 //! * the system allocator's own per-allocation header and size-class
-//!   rounding are not counted;
+//!   rounding are not counted; they apply only to boxed records;
 //! * inserts copy the key and value, so no entry keeps a caller's
 //!   buffer — a request burst the key was a window into — alive.
 //!
-//! A 20-byte key with a 96-byte stored value costs 143 bytes, 1.23×
+//! A 20-byte key with a 95-byte stored value costs 130 bytes, 1.13×
 //! its key and value; measured against the heap in
 //! `tests/cache_footprint.rs`.
 //!

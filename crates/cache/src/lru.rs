@@ -1,36 +1,43 @@
-//! A single cache shard: one allocation per entry, a slab of small
-//! nodes, an open-addressed index, CLOCK eviction and a byte budget.
+//! A single cache shard: records kept inline in size classes, an
+//! open-addressed index, CLOCK eviction and a byte budget.
 //!
 //! An entry holds, and [`entry_cost`] counts, these heap bytes:
-//! * its *record*, one allocation: `varint(key length) | key | value`.
-//!   Inserts copy key and value in, so a key or value that is a window
-//!   into a larger buffer (a request burst) never keeps that buffer
-//!   alive;
-//! * a 16-byte slab `Node`: the record, nothing else;
-//! * its share of an `Index` slot: 8-byte slots (hash + slab index),
-//!   billed at the index's maximum load of 4/5, so 10 bytes.
+//! * its *cell* in one of the shard's size classes. An inline class is
+//!   one byte array of fixed-stride cells, one class per 8-byte stride
+//!   up to `INLINE_CAP` (256 bytes); a cell is `pad | varint(key
+//!   length) | key | value`, then `pad` zero bytes up to the stride, so
+//!   the stride and the pad byte give the record's length. A longer
+//!   record is one allocation of its own, and its cell in the boxed
+//!   class is the 16-byte `Box` that holds it. Inserts copy key and
+//!   value in, so a key or value that is a window into a larger buffer
+//!   (a request burst) never keeps that buffer alive;
+//! * its share of an `Index` slot: 8-byte slots (hash + class and
+//!   cell), billed at the index's maximum load of 4/5, so 10 bytes.
 //!
 //! An entry that is dirty or has an expiry deadline also holds a
 //! 32-byte `Extra` ([`EXTRA_BYTES`]): its place on the dirty list and
-//! its deadline. The nodes that have one are the first ones of the
-//! slab, and node `i`'s is `extras[i]`: where a node sits says whether
-//! it has an `Extra` and which, so a node needs no field for it, and a
-//! clean entry's lookup reads nothing but its index slot and its node.
-//! The key's hash, which the index slot holds, is recomputed from the
-//! record when a node is moved or removed.
+//! its deadline. In each class the cells that have one come first, and
+//! cell `i`'s is the class's `extras[i]`: where a cell sits says
+//! whether it has an `Extra` and which, so a cell needs no field for
+//! it, and a clean entry's lookup reads nothing but its index slot and
+//! its cell. The key's hash, which the index slot holds, is recomputed
+//! from the record when a cell is moved or removed. A removed cell's
+//! place is taken by its class's last cell, so a class has no holes,
+//! no free list and nothing to compact.
 //!
-//! The budget is these requested bytes. Not counted are the system
-//! allocator's own header and size-class rounding on each allocation,
-//! and the spare capacity of the slab and the index, which grow a
-//! fraction at a time to keep it small.
+//! The budget is these requested bytes, stride padding included. Not
+//! counted are the system allocator's own header and size-class
+//! rounding on each boxed record, and the spare capacity of the
+//! classes and the index, which grow a fraction at a time to keep it
+//! small.
 //!
 //! Eviction is CLOCK (second chance). Each entry has one reference bit,
 //! the top bit of its index slot's hash: an insert leaves it clear, a
-//! hit or an overwrite sets it. To evict, a hand moves over the slab,
-//! clears each set bit it passes and takes the first clean entry whose
-//! bit is clear. CLOCK keeps nearly all of exact LRU's hit ratio
-//! for one bit per entry instead of two links, and a hit writes only
-//! the slot its probe has just read, never another node.
+//! hit or an overwrite sets it. To evict, a hand moves over the cells,
+//! class by class, clears each set bit it passes and takes the first
+//! clean entry whose bit is clear. CLOCK keeps nearly all of exact
+//! LRU's hit ratio for one bit per entry instead of two links, and a
+//! hit writes only the slot its probe has just read, never a cell.
 //!
 //! Dirty entries — written back to storage asynchronously — are pinned:
 //! the hand walks past them, and when only dirty entries remain the
@@ -42,10 +49,38 @@
 use std::mem::size_of;
 use tb_common::{fx_hash, is_expired, read_bytes, write_bytes, Error, Key, Result, Value};
 
-/// A slab index as the links and the index store it.
+/// A cell's place as the links and the index store it: its class in
+/// the top bits, its cell in the class below them.
 type Idx = u32;
 
 const NIL: Idx = Idx::MAX;
+
+/// Bits of an [`Idx`] that number a cell within its class.
+const CELL_BITS: u32 = 26;
+
+/// Inline cells are a multiple of this many bytes long.
+const STRIDE: usize = 8;
+
+/// The longest inline cell; a longer record is boxed.
+const INLINE_CAP: usize = 256;
+
+/// Index of the boxed class; the inline classes come before it.
+const BOXED: usize = INLINE_CAP / STRIDE;
+
+const CLASSES: usize = BOXED + 1;
+
+const _: () = assert!(CLASSES < (NIL >> CELL_BITS) as usize);
+
+fn pack(class: usize, cell: usize) -> Idx {
+    ((class as Idx) << CELL_BITS) | cell as Idx
+}
+
+fn unpack(idx: Idx) -> (usize, usize) {
+    (
+        (idx >> CELL_BITS) as usize,
+        (idx & ((1 << CELL_BITS) - 1)) as usize,
+    )
+}
 
 /// One cache entry as reads hand it out: owned copies.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,20 +103,16 @@ pub enum Lookup {
     Absent,
 }
 
-/// A node's links on the dirty list.
+/// A cell's links on the dirty list.
 #[derive(Clone, Copy)]
 struct Link {
     prev: Idx,
     next: Idx,
 }
 
-struct Node {
-    /// `varint(key length) | key | value`.
-    record: Box<[u8]>,
-}
-
-/// What only dirty or expiring entries carry: node `i`'s is
-/// `extras[i]`, so exactly the first `extras.len()` nodes have one.
+/// What only dirty or expiring entries carry: cell `i`'s is its
+/// class's `extras[i]`, so exactly the class's first `extras.len()`
+/// cells have one.
 struct Extra {
     expires_at: Option<u64>,
     /// `Some` exactly while the entry is dirty: its links on the dirty
@@ -89,10 +120,8 @@ struct Extra {
     dirty: Option<Link>,
 }
 
-const _: () = assert!(size_of::<Node>() == 16);
-
-/// Heap bytes of one slab node.
-const NODE_BYTES: usize = size_of::<Node>();
+/// Heap bytes of a boxed record's cell, beside the record itself.
+const BOX_BYTES: usize = size_of::<Box<[u8]>>();
 
 /// Heap bytes of the side record (dirty-list links, deadline) a dirty
 /// or expiring entry holds beyond its [`entry_cost`].
@@ -101,16 +130,27 @@ pub const EXTRA_BYTES: usize = size_of::<Extra>();
 /// One entry's share of the index: a slot at the maximum load.
 const SLOT_SHARE: usize = size_of::<Slot>() * MAX_LOAD.1 / MAX_LOAD.0;
 
-/// The heap bytes a clean entry without a deadline holds: its record,
-/// its slab node and its share of an index slot (see the module docs;
-/// a dirty or expiring entry holds [`EXTRA_BYTES`] more).
+/// The heap bytes a clean entry without a deadline holds: its cell —
+/// the record and a pad byte rounded up to the 8-byte stride, or, for
+/// a record whose cell would be longer than 256 bytes, the record
+/// plus the 16-byte box that holds it — and its share of an index slot
+/// (see the module docs; a dirty or expiring entry holds
+/// [`EXTRA_BYTES`] more).
 pub fn entry_cost(key_len: usize, value_len: usize) -> usize {
     billed(record_len(key_len, value_len), false)
 }
 
 /// The bytes an entry with this record holds.
 fn billed(record_len: usize, has_extra: bool) -> usize {
-    record_len + NODE_BYTES + SLOT_SHARE + if has_extra { EXTRA_BYTES } else { 0 }
+    cell_bytes(record_len) + SLOT_SHARE + if has_extra { EXTRA_BYTES } else { 0 }
+}
+
+/// The heap bytes a record's cell holds.
+fn cell_bytes(record_len: usize) -> usize {
+    match class_of(record_len) {
+        BOXED => record_len + BOX_BYTES,
+        class => stride(class),
+    }
 }
 
 fn record_len(key_len: usize, value_len: usize) -> usize {
@@ -118,11 +158,18 @@ fn record_len(key_len: usize, value_len: usize) -> usize {
     varint + key_len + value_len
 }
 
-fn record(key: &[u8], value: &[u8]) -> Box<[u8]> {
-    let mut record = Vec::with_capacity(record_len(key.len(), value.len()));
-    write_bytes(&mut record, key);
-    record.extend_from_slice(value);
-    record.into_boxed_slice()
+/// The class whose cells hold a record this long: the one whose stride
+/// fits it and its pad byte, or the boxed class.
+fn class_of(record_len: usize) -> usize {
+    match (record_len + 1).div_ceil(STRIDE) {
+        strides if strides * STRIDE <= INLINE_CAP => strides - 1,
+        _ => BOXED,
+    }
+}
+
+/// An inline class's cell length.
+fn stride(class: usize) -> usize {
+    (class + 1) * STRIDE
 }
 
 /// A record's key and value.
@@ -138,24 +185,137 @@ fn hash(key: &[u8]) -> u32 {
     (fx_hash(key) >> 33) as u32
 }
 
-/// Pushes without `Vec`'s doubling: the slab grows by an eighth, so at
-/// most an eighth of its bytes are spare.
-fn push_exact<T>(v: &mut Vec<T>, item: T) {
-    if v.len() == v.capacity() {
-        v.reserve_exact(v.len() / 8 + 4);
-    }
-    v.push(item);
+/// A vector's growth step: a 32nd of its `len` items, in whole cells
+/// of `unit` items, so a vector of fewer than 32 cells grows and
+/// shrinks a cell at a time and holds no spare room.
+fn step(len: usize, unit: usize) -> usize {
+    len / 32 / unit * unit
 }
 
-/// Gives back spare capacity once three quarters of it is unused.
-fn trim<T>(v: &mut Vec<T>) {
-    if v.len() * 4 < v.capacity() {
-        v.shrink_to(v.len() + v.len() / 8);
+/// Makes room for a cell of `unit` more items without `Vec`'s
+/// doubling: a full vector grows by its [`step`] and the cell.
+fn reserve<T>(v: &mut Vec<T>, unit: usize) {
+    if v.capacity() - v.len() < unit {
+        v.reserve_exact(step(v.len(), unit) + unit);
+    }
+}
+
+/// Gives back spare room once it is more than twice the [`step`],
+/// keeping one step. A shard has a vector per size class, most of them
+/// short, and entries that move between classes would otherwise leave
+/// each one as long as it ever was.
+fn trim<T>(v: &mut Vec<T>, unit: usize) {
+    let step = step(v.len(), unit);
+    if v.capacity() - v.len() > 2 * step {
+        v.shrink_to(v.len() + step);
+    }
+}
+
+/// A size class's cells, back to back.
+enum Cells {
+    /// `stride`-byte cells: `pad | record`, then `pad` zero bytes.
+    Inline { stride: usize, bytes: Vec<u8> },
+    /// Records too long to keep inline, one allocation each.
+    Boxed(Vec<Box<[u8]>>),
+}
+
+impl Cells {
+    fn len(&self) -> usize {
+        match self {
+            Cells::Inline { stride, bytes } => bytes.len() / stride,
+            Cells::Boxed(records) => records.len(),
+        }
+    }
+
+    /// Cell `i`'s record: `varint(key length) | key | value`.
+    fn record(&self, i: usize) -> &[u8] {
+        match self {
+            Cells::Inline { stride, bytes } => {
+                let cell = &bytes[i * stride..(i + 1) * stride];
+                &cell[1..stride - cell[0] as usize]
+            }
+            Cells::Boxed(records) => &records[i],
+        }
+    }
+
+    /// Appends a cell holding the record of `key` and `value`, which
+    /// must belong to this class.
+    fn push(&mut self, key: &[u8], value: &[u8]) {
+        let len = record_len(key.len(), value.len());
+        match self {
+            Cells::Inline { stride, bytes } => {
+                let pad = *stride - 1 - len;
+                reserve(bytes, *stride);
+                bytes.push(pad as u8);
+                write_bytes(bytes, key);
+                bytes.extend_from_slice(value);
+                bytes.resize(bytes.len() + pad, 0);
+            }
+            Cells::Boxed(records) => {
+                let mut record = Vec::with_capacity(len);
+                write_bytes(&mut record, key);
+                record.extend_from_slice(value);
+                reserve(records, 1);
+                records.push(record.into_boxed_slice());
+            }
+        }
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        match self {
+            Cells::Inline { stride, bytes } => {
+                let (lo, hi) = (a.min(b) * *stride, a.max(b) * *stride);
+                if lo != hi {
+                    let (head, tail) = bytes.split_at_mut(hi);
+                    head[lo..lo + *stride].swap_with_slice(&mut tail[..*stride]);
+                }
+            }
+            Cells::Boxed(records) => records.swap(a, b),
+        }
+    }
+
+    /// Drops cell `i`; the last cell takes its place.
+    fn swap_remove(&mut self, i: usize) {
+        match self {
+            Cells::Inline { stride, bytes } => {
+                let last = bytes.len() - *stride;
+                bytes.copy_within(last.., i * *stride);
+                bytes.truncate(last);
+                trim(bytes, *stride);
+            }
+            Cells::Boxed(records) => {
+                records.swap_remove(i);
+                trim(records, 1);
+            }
+        }
+    }
+}
+
+/// One size class: its cells, and the extras of the first
+/// `extras.len()` of them, in cell order.
+struct Class {
+    cells: Cells,
+    extras: Vec<Extra>,
+}
+
+impl Class {
+    fn new(class: usize) -> Self {
+        let cells = match class {
+            BOXED => Cells::Boxed(Vec::new()),
+            class => Cells::Inline {
+                stride: stride(class),
+                bytes: Vec::new(),
+            },
+        };
+        Self {
+            cells,
+            extras: Vec::new(),
+        }
     }
 }
 
 /// An index slot: the key's [`hash`] with the entry's reference bit on
-/// top, and its slab index.
+/// top, and its cell.
 #[derive(Clone, Copy)]
 struct Slot {
     tag: u32,
@@ -178,10 +338,10 @@ const MAX_LOAD: (usize, usize) = (4, 5);
 
 const MIN_SLOTS: usize = 8;
 
-/// An open-addressed, linearly probed table of slab indices. A hash's
-/// home slot is found by multiply-shift, so the table can have any
-/// length: it grows by a quarter at a time, keeping its load between
-/// 0.64 and 0.8 while it grows.
+/// An open-addressed, linearly probed table of cells. A hash's home
+/// slot is found by multiply-shift, so the table can have any length:
+/// it grows by a quarter at a time, keeping its load between 0.64 and
+/// 0.8 while it grows.
 #[derive(Default)]
 struct Index {
     slots: Vec<Slot>,
@@ -201,7 +361,7 @@ impl Index {
         }
     }
 
-    /// Position of the first slot of `hash` whose index `is` accepts.
+    /// Position of the first slot of `hash` whose cell `is` accepts.
     fn position(&self, hash: u32, mut is: impl FnMut(Idx) -> bool) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
@@ -246,9 +406,9 @@ impl Index {
         }
     }
 
-    /// Position of live node `idx`'s slot.
+    /// Position of live cell `idx`'s slot.
     fn slot(&self, hash: u32, idx: Idx) -> usize {
-        self.position(hash, |i| i == idx).expect("live node")
+        self.position(hash, |i| i == idx).expect("live cell")
     }
 
     /// Removes the slot at `hole`: the later slots of its run shift back
@@ -280,7 +440,7 @@ impl Index {
         }
     }
 
-    /// Points the slot of node `from` at slot `to`, where it now sits.
+    /// Points the slot of cell `from` at cell `to`, where it now sits.
     fn repoint(&mut self, hash: u32, from: Idx, to: Idx) {
         let i = self.slot(hash, from);
         self.slots[i].idx = to;
@@ -290,15 +450,16 @@ impl Index {
 /// A bounded map of keys to values that evicts by CLOCK.
 pub(crate) struct LruShard {
     index: Index,
-    /// Exactly the live nodes, those with an [`Extra`] first: removal
-    /// moves a node out and others fill its slot, so no slot keeps a
-    /// removed entry's bytes.
-    slab: Vec<Node>,
-    /// The extras of the first `extras.len()` nodes, in slab order.
-    extras: Vec<Extra>,
-    /// The slab node the CLOCK hand looks at next.
-    hand: usize,
-    /// First node on the dirty list, the entry dirtied last.
+    /// The size classes, the boxed one last. Each holds exactly its
+    /// live cells, those with an [`Extra`] first: removal moves a cell
+    /// out and the class's last cell fills its place, so no cell keeps
+    /// a removed entry's bytes.
+    classes: Vec<Class>,
+    /// Number of entries.
+    len: usize,
+    /// The class and cell the CLOCK hand looks at next.
+    hand: (usize, usize),
+    /// First cell on the dirty list, the entry dirtied last.
     dirty_head: Idx,
     used_bytes: usize,
     dirty_bytes: usize,
@@ -314,9 +475,9 @@ impl LruShard {
     pub(crate) fn placed(budget_bytes: usize, pmem_from: Option<usize>) -> Self {
         Self {
             index: Index::default(),
-            slab: Vec::new(),
-            extras: Vec::new(),
-            hand: 0,
+            classes: (0..CLASSES).map(Class::new).collect(),
+            len: 0,
+            hand: (0, 0),
             dirty_head: NIL,
             used_bytes: 0,
             dirty_bytes: 0,
@@ -353,7 +514,7 @@ impl LruShard {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.slab.len()
+        self.len
     }
 
     /// Heap bytes the entries hold.
@@ -371,11 +532,16 @@ impl LruShard {
         self.pmem_bytes
     }
 
+    /// Cell `idx`'s record.
+    fn record(&self, idx: Idx) -> &[u8] {
+        let (class, cell) = unpack(idx);
+        self.classes[class].cells.record(cell)
+    }
+
     /// Position of the key's index slot.
     fn position(&self, key: &[u8]) -> Option<usize> {
-        let slab = &self.slab;
         self.index
-            .position(hash(key), |idx| split(&slab[idx as usize].record).0 == key)
+            .position(hash(key), |idx| split(self.record(idx)).0 == key)
     }
 
     fn find(&self, key: &[u8]) -> Option<Idx> {
@@ -408,7 +574,7 @@ impl LruShard {
             return Lookup::Expired;
         }
         self.index.slots[pos].tag |= REFERENCED;
-        Lookup::Live(Value::copy_from(split(&self.slab[idx as usize].record).1))
+        Lookup::Live(Value::copy_from(split(self.record(idx)).1))
     }
 
     /// Looks up without setting the reference bit (monitoring paths).
@@ -416,7 +582,7 @@ impl LruShard {
         let idx = self.find(key.as_ref())?;
         let (dirty, expires_at) = self.marks(idx);
         Some(CacheEntry {
-            value: Value::copy_from(split(&self.slab[idx as usize].record).1),
+            value: Value::copy_from(split(self.record(idx)).1),
             dirty,
             expires_at,
         })
@@ -428,7 +594,9 @@ impl LruShard {
     /// and sets its reference bit; a new key's starts clear.
     ///
     /// Errors with [`Error::Backpressure`] when the needed space cannot
-    /// be reclaimed because remaining entries are dirty.
+    /// be reclaimed because remaining entries are dirty; the shard is
+    /// then left as it was, nothing evicted and the key's old entry in
+    /// place.
     pub fn insert_full(
         &mut self,
         key: impl AsRef<[u8]>,
@@ -438,83 +606,69 @@ impl LruShard {
     ) -> Result<usize> {
         let (key, value) = (key.as_ref(), value.as_ref());
         Self::admit(self.budget_bytes, key.len(), value.len())?;
-        let record = record(key, value);
-        let hash = hash(key);
-        let Some(pos) = self.position(key) else {
-            return self.insert_fresh(hash, record, dirty, expires_at);
+        let cost = billed(
+            record_len(key.len(), value.len()),
+            dirty || expires_at.is_some(),
+        );
+        let old = self.position(key);
+        // Eviction can free every clean entry's bytes, and the key's own
+        // old entry's go whether it is clean or dirty: what stays is the
+        // other dirty entries.
+        let old_dirty = match old.map(|pos| self.index.slots[pos].idx) {
+            Some(idx) if self.marks(idx).0 => self.cost_of(idx),
+            _ => 0,
         };
-        // Replace = remove + insert-fresh; when the bigger replacement
-        // cannot fit, the old entry is restored so a failed insert never
-        // leaves the shard over budget or missing the key, and with its
-        // reference bit as it was.
-        let old_bit = self.index.slots[pos].tag & REFERENCED;
-        let (old, old_dirty, old_expiry) = self.take(pos);
-        match self.insert_fresh(hash | REFERENCED, record, dirty, expires_at) {
-            Ok(evicted) => Ok(evicted),
-            Err(e) => {
-                // Back where it was, without room made for it: a shard
-                // whose budget shrank under its dirty bytes
-                // ([`Self::set_budget`]) has none to make.
-                self.place(hash | old_bit, old, old_dirty, old_expiry);
-                Err(e)
-            }
+        if self.dirty_bytes - old_dirty + cost > self.budget_bytes {
+            return Err(Error::backpressure("cache full of dirty entries"));
         }
-    }
-
-    /// Adds an entry whose index slot is `tag` (see [`Slot`]), evicting
-    /// clean entries first so the budget holds afterwards.
-    fn insert_fresh(
-        &mut self,
-        tag: u32,
-        record: Box<[u8]>,
-        dirty: bool,
-        expires_at: Option<u64>,
-    ) -> Result<usize> {
-        let cost = billed(record.len(), dirty || expires_at.is_some());
+        let tag = match old {
+            Some(pos) => {
+                self.take(pos);
+                hash(key) | REFERENCED
+            }
+            None => hash(key),
+        };
         let mut evicted = 0;
         while self.used_bytes + cost > self.budget_bytes {
-            if !self.evict_one() {
-                // The clean entries evicted so far stay evicted: the
-                // caller would treat them as evicted either way.
-                return Err(Error::backpressure("cache full of dirty entries"));
-            }
+            assert!(self.evict_one(), "clean entries hold the room needed");
             evicted += 1;
         }
-        self.place(tag, record, dirty, expires_at);
+        self.place(tag, key, value, dirty, expires_at);
         Ok(evicted)
     }
 
-    /// Adds an entry whose index slot is `tag`, room or not.
-    fn place(&mut self, tag: u32, record: Box<[u8]>, dirty: bool, expires_at: Option<u64>) {
-        let has_extra = dirty || expires_at.is_some();
+    /// Adds an entry whose index slot is `tag` (see [`Slot`]), room or
+    /// not.
+    fn place(&mut self, tag: u32, key: &[u8], value: &[u8], dirty: bool, expires_at: Option<u64>) {
+        let c = class_of(record_len(key.len(), value.len()));
+        let class = &mut self.classes[c];
+        let mut cell = class.cells.len();
         assert!(
-            self.slab.len() < NIL as usize,
-            "shard outgrew its {}-bit slab indices",
-            Idx::BITS
+            cell < 1 << CELL_BITS,
+            "shard outgrew its {CELL_BITS}-bit cell indices"
         );
-        let mut idx = self.slab.len() as Idx;
-        push_exact(&mut self.slab, Node { record });
-        if has_extra {
-            // The new node takes the place of the first node without an
-            // extra, which moves to the end.
-            let first = self.extras.len() as Idx;
-            if first < idx {
-                self.slab.swap(first as usize, idx as usize);
-                self.moved(first, idx);
-                idx = first;
+        class.cells.push(key, value);
+        if dirty || expires_at.is_some() {
+            // The new cell takes the place of the class's first cell
+            // without an extra, which moves to the end.
+            let first = class.extras.len();
+            if first < cell {
+                class.cells.swap(first, cell);
+                self.moved(pack(c, first), pack(c, cell));
+                cell = first;
             }
-            push_exact(
-                &mut self.extras,
-                Extra {
-                    expires_at,
-                    // First on the dirty list.
-                    dirty: dirty.then_some(Link {
-                        prev: NIL,
-                        next: self.dirty_head,
-                    }),
-                },
-            );
+            let extras = &mut self.classes[c].extras;
+            reserve(extras, 1);
+            extras.push(Extra {
+                expires_at,
+                // First on the dirty list.
+                dirty: dirty.then_some(Link {
+                    prev: NIL,
+                    next: self.dirty_head,
+                }),
+            });
         }
+        let idx = pack(c, cell);
         self.index.insert(tag, idx);
         if dirty {
             if self.dirty_head != NIL {
@@ -522,34 +676,46 @@ impl LruShard {
             }
             self.dirty_head = idx;
         }
+        self.len += 1;
         self.charge(idx, true);
     }
 
+    /// The cell under the CLOCK hand, which then moves on to the next:
+    /// cell by cell through a class, class by class through the shard,
+    /// a fixed cyclic order over every entry. The shard must not be
+    /// empty.
+    fn advance_hand(&mut self) -> Idx {
+        let (mut class, mut cell) = self.hand;
+        while cell >= self.classes[class].cells.len() {
+            class = (class + 1) % CLASSES;
+            cell = 0;
+        }
+        self.hand = (class, cell + 1);
+        pack(class, cell)
+    }
+
     /// Evicts one clean entry by CLOCK, if there is one: the hand moves
-    /// over the slab, skips dirty entries, clears each set reference bit
-    /// it passes and takes the first clean entry whose bit is clear; two
-    /// passes find one. The hand walks the slab, not the index: evicting
-    /// in slot order would fill the slots just ahead of the hand, and
-    /// linear probing there would run long.
+    /// over the cells, skips dirty entries, clears each set reference
+    /// bit it passes and takes the first clean entry whose bit is clear;
+    /// two passes find one. The hand walks the cells, not the index:
+    /// evicting in slot order would fill the slots just ahead of the
+    /// hand, and linear probing there would run long.
     fn evict_one(&mut self) -> bool {
         // Every entry is dirty exactly when they hold all the bytes.
         if self.dirty_bytes == self.used_bytes {
             return false;
         }
-        for _ in 0..2 * self.slab.len() {
-            if self.hand >= self.slab.len() {
-                self.hand = 0;
-            }
-            let idx = self.hand as Idx;
-            self.hand += 1;
+        for _ in 0..2 * self.len {
+            let idx = self.advance_hand();
             if self.marks(idx).0 {
                 continue;
             }
             let pos = self.index.slot(self.hash_of(idx), idx);
             let slot = &mut self.index.slots[pos];
             if slot.tag & REFERENCED == 0 {
-                // The last node, most often the newest entry, moves into
-                // its place behind the hand and so waits a whole turn.
+                // The class's last cell, most often its newest entry,
+                // moves into its place behind the hand and so waits a
+                // whole turn.
                 self.take(pos);
                 return true;
             }
@@ -569,24 +735,31 @@ impl LruShard {
         }
     }
 
-    /// The node's dirty flag and deadline.
+    /// The cell's dirty flag and deadline.
     fn marks(&self, idx: Idx) -> (bool, Option<u64>) {
-        match self.extras.get(idx as usize) {
+        let (class, cell) = unpack(idx);
+        match self.classes[class].extras.get(cell) {
             None => (false, None),
             Some(extra) => (extra.dirty.is_some(), extra.expires_at),
         }
     }
 
-    /// The hash of node `idx`'s key, as its index slot holds it.
+    /// The hash of cell `idx`'s key, as its index slot holds it.
     fn hash_of(&self, idx: Idx) -> u32 {
-        hash(split(&self.slab[idx as usize].record).0)
+        hash(split(self.record(idx)).0)
     }
 
-    /// Adds the node's bytes to the counters, or takes them off.
+    /// The bytes cell `idx`'s entry is billed.
+    fn cost_of(&self, idx: Idx) -> usize {
+        let (class, cell) = unpack(idx);
+        let has_extra = cell < self.classes[class].extras.len();
+        billed(self.record(idx).len(), has_extra)
+    }
+
+    /// Adds the cell's bytes to the counters, or takes them off.
     fn charge(&mut self, idx: Idx, add: bool) {
-        let node = &self.slab[idx as usize];
-        let cost = billed(node.record.len(), (idx as usize) < self.extras.len());
-        let pmem = split(&node.record).1.len() >= self.pmem_from;
+        let cost = self.cost_of(idx);
+        let pmem = split(self.record(idx)).1.len() >= self.pmem_from;
         let dirty = self.marks(idx).0;
         let apply = |n: &mut usize| {
             if add {
@@ -604,40 +777,40 @@ impl LruShard {
         }
     }
 
-    /// Moves the node whose index slot is at `pos` out of the shard:
+    /// Moves the cell whose index slot is at `pos` out of the shard:
     /// takes its bytes off the counters, unlinks it and drops the slot.
-    /// If it had an extra, the last node with one fills its place; then
-    /// the last node fills the place left. Returns its record, dirty
-    /// flag and deadline.
-    fn take(&mut self, pos: usize) -> (Box<[u8]>, bool, Option<u64>) {
-        let mut idx = self.index.slots[pos].idx;
+    /// If it had an extra, the class's last cell with one fills its
+    /// place; then the class's last cell fills the place left.
+    fn take(&mut self, pos: usize) {
+        let idx = self.index.slots[pos].idx;
         self.charge(idx, false);
-        let (dirty, expires_at) = self.marks(idx);
-        if dirty {
+        if self.marks(idx).0 {
             self.unlink_dirty(idx);
         }
         self.index.remove(pos);
-        if (idx as usize) < self.extras.len() {
-            let last = self.extras.len() as Idx - 1;
-            self.extras.swap_remove(idx as usize);
-            self.slab.swap(idx as usize, last as usize);
-            if idx < last {
-                self.moved(last, idx);
+        let (c, mut cell) = unpack(idx);
+        let class = &mut self.classes[c];
+        if cell < class.extras.len() {
+            let last = class.extras.len() - 1;
+            class.extras.swap_remove(cell);
+            trim(&mut class.extras, 1);
+            class.cells.swap(cell, last);
+            if cell < last {
+                self.moved(pack(c, last), pack(c, cell));
             }
-            idx = last;
-            trim(&mut self.extras);
+            cell = last;
         }
-        let node = self.slab.swap_remove(idx as usize);
-        let last = self.slab.len() as Idx;
-        if idx < last {
-            self.moved(last, idx);
+        let cells = &mut self.classes[c].cells;
+        cells.swap_remove(cell);
+        let last = cells.len();
+        if cell < last {
+            self.moved(pack(c, last), pack(c, cell));
         }
-        trim(&mut self.slab);
-        (node.record, dirty, expires_at)
+        self.len -= 1;
     }
 
-    /// Repoints the node's index slot, and its dirty-list neighbours or
-    /// the list's head, from slot `from` to slot `to`, where it now
+    /// Repoints the cell's index slot, and its dirty-list neighbours or
+    /// the list's head, from cell `from` to cell `to`, where it now
     /// sits with its extra, if it has one.
     fn moved(&mut self, from: Idx, to: Idx) {
         self.index.repoint(self.hash_of(to), from, to);
@@ -653,9 +826,9 @@ impl LruShard {
         }
     }
 
-    /// Swaps live nodes `a` and `b`, which both have an extra, with
-    /// their extras, and repoints their index slots, dirty-list
-    /// neighbours and the list's head.
+    /// Swaps live cells `a` and `b` of one class, which both have an
+    /// extra, with their extras, and repoints their index slots,
+    /// dirty-list neighbours and the list's head.
     fn swap(&mut self, a: Idx, b: Idx) {
         let (slot_a, slot_b) = (
             self.index.slot(self.hash_of(a), a),
@@ -688,8 +861,10 @@ impl LruShard {
                 next: other(next),
             };
         }
-        self.slab.swap(a as usize, b as usize);
-        self.extras.swap(a as usize, b as usize);
+        let ((c, a), (_, b)) = (unpack(a), unpack(b));
+        let class = &mut self.classes[c];
+        class.cells.swap(a, b);
+        class.extras.swap(a, b);
     }
 
     /// Clears the dirty flag after a successful storage write of
@@ -700,7 +875,7 @@ impl LruShard {
     /// older value. Returns whether the entry is clean now.
     pub fn mark_clean_if(&mut self, key: impl AsRef<[u8]>, flushed: &[u8]) -> bool {
         match self.find(key.as_ref()) {
-            Some(idx) if split(&self.slab[idx as usize].record).1 == flushed => {
+            Some(idx) if split(self.record(idx)).1 == flushed => {
                 self.clean_at(idx);
                 true
             }
@@ -708,9 +883,10 @@ impl LruShard {
         }
     }
 
-    /// Takes the dirty flag off node `idx`. Without a deadline it then
-    /// gives up its extra: it trades places with the last node that has
-    /// one, and drops the last extra, which is now its own.
+    /// Takes the dirty flag off cell `idx`. Without a deadline it then
+    /// gives up its extra: it trades places with its class's last cell
+    /// that has one, and drops the class's last extra, which is now its
+    /// own.
     fn clean_at(&mut self, mut idx: Idx) {
         let (dirty, expires_at) = self.marks(idx);
         if !dirty {
@@ -719,13 +895,15 @@ impl LruShard {
         self.charge(idx, false);
         self.unlink_dirty(idx);
         if expires_at.is_none() {
-            let last = self.extras.len() as Idx - 1;
-            if idx < last {
-                self.swap(idx, last);
-                idx = last;
+            let (c, cell) = unpack(idx);
+            let last = self.classes[c].extras.len() - 1;
+            if cell < last {
+                self.swap(idx, pack(c, last));
+                idx = pack(c, last);
             }
-            self.extras.pop();
-            trim(&mut self.extras);
+            let extras = &mut self.classes[c].extras;
+            extras.pop();
+            trim(extras, 1);
         }
         self.charge(idx, true);
     }
@@ -736,13 +914,14 @@ impl LruShard {
     /// until the write-back flush cleans them. Only entries with an
     /// `Extra` can expire, so this walks those.
     pub fn sweep_expired(&mut self, now_nanos: u64) -> Vec<Key> {
-        let expired: Vec<Key> = self
-            .extras
-            .iter()
-            .zip(&self.slab)
-            .filter(|(e, _)| e.dirty.is_none() && is_expired(e.expires_at, now_nanos))
-            .map(|(_, node)| Key::copy_from(split(&node.record).0))
-            .collect();
+        let mut expired = Vec::new();
+        for class in &self.classes {
+            for (cell, e) in class.extras.iter().enumerate() {
+                if e.dirty.is_none() && is_expired(e.expires_at, now_nanos) {
+                    expired.push(Key::copy_from(split(class.cells.record(cell)).0));
+                }
+            }
+        }
         for key in &expired {
             let pos = self.position(key.as_slice()).expect("key just listed");
             self.take(pos);
@@ -756,9 +935,10 @@ impl LruShard {
         let mut out = Vec::new();
         let mut idx = self.dirty_head;
         while idx != NIL {
-            let (key, value) = split(&self.slab[idx as usize].record);
+            let (key, value) = split(self.record(idx));
             out.push((Key::copy_from(key), Value::copy_from(value)));
-            idx = self.extras[idx as usize]
+            let (class, cell) = unpack(idx);
+            idx = self.classes[class].extras[cell]
                 .dirty
                 .expect("on the dirty list")
                 .next;
@@ -767,18 +947,20 @@ impl LruShard {
     }
 
     /// Calls `f(key, value, dirty, expires_at)` for every entry live at
-    /// `now_nanos`, in slab order: expired entries are skipped, not
+    /// `now_nanos`, class by class: expired entries are skipped, not
     /// reclaimed, and reference bits are untouched. Nothing is copied.
     pub fn for_each_live(
         &self,
         now_nanos: u64,
         mut f: impl FnMut(&[u8], &[u8], bool, Option<u64>),
     ) {
-        for (idx, node) in self.slab.iter().enumerate() {
-            let (dirty, expires_at) = self.marks(idx as Idx);
-            if !is_expired(expires_at, now_nanos) {
-                let (key, value) = split(&node.record);
-                f(key, value, dirty, expires_at);
+        for (c, class) in self.classes.iter().enumerate() {
+            for cell in 0..class.cells.len() {
+                let (dirty, expires_at) = self.marks(pack(c, cell));
+                if !is_expired(expires_at, now_nanos) {
+                    let (key, value) = split(class.cells.record(cell));
+                    f(key, value, dirty, expires_at);
+                }
             }
         }
     }
@@ -806,15 +988,16 @@ impl LruShard {
         out
     }
 
-    /// Node `idx`'s links on the dirty list.
+    /// Cell `idx`'s links on the dirty list.
     fn link(&mut self, idx: Idx) -> &mut Link {
-        self.extras[idx as usize]
+        let (class, cell) = unpack(idx);
+        self.classes[class].extras[cell]
             .dirty
             .as_mut()
-            .expect("only dirty nodes are on the dirty list")
+            .expect("only dirty cells are on the dirty list")
     }
 
-    /// Takes node `idx` off the dirty list and its dirty flag off.
+    /// Takes cell `idx` off the dirty list and its dirty flag off.
     fn unlink_dirty(&mut self, idx: Idx) {
         let Link { prev, next } = *self.link(idx);
         match prev {
@@ -824,7 +1007,8 @@ impl LruShard {
         if next != NIL {
             self.link(next).prev = prev;
         }
-        self.extras[idx as usize].dirty = None;
+        let (class, cell) = unpack(idx);
+        self.classes[class].extras[cell].dirty = None;
     }
 }
 
@@ -864,10 +1048,29 @@ mod tests {
             }
         }
 
-        /// Every key, expired or not, in slab order.
+        /// Every key, expired or not, class by class.
         fn keys(&self) -> Vec<Key> {
-            let key = |node: &Node| Key::copy_from(split(&node.record).0);
-            self.slab.iter().map(key).collect()
+            let mut keys = Vec::new();
+            for class in &self.classes {
+                for cell in 0..class.cells.len() {
+                    keys.push(Key::copy_from(split(class.cells.record(cell)).0));
+                }
+            }
+            keys
+        }
+
+        /// The bytes the classes' cells hold, boxed records included.
+        fn held(&self) -> usize {
+            let held = |cells: &Cells| match cells {
+                Cells::Inline { bytes, .. } => bytes.len(),
+                Cells::Boxed(records) => records.iter().map(|r| r.len() + BOX_BYTES).sum(),
+            };
+            self.classes.iter().map(|c| held(&c.cells)).sum()
+        }
+
+        /// The extras the classes hold.
+        fn extras(&self) -> usize {
+            self.classes.iter().map(|c| c.extras.len()).sum()
         }
 
         /// The cached key's reference bit.
@@ -883,6 +1086,14 @@ mod tests {
 
     fn v(len: usize) -> Value {
         Value::from(vec![b'v'; len])
+    }
+
+    /// Value lengths whose records fall in most strides and on both
+    /// sides of the inline cap (for `k(i)`'s 2- and 3-byte keys it lies
+    /// at 251–252 bytes of value), so overwrites move keys across
+    /// classes and in and out of the boxed one.
+    fn value_len() -> impl Strategy<Value = usize> {
+        prop_oneof![3 => 0usize..120, 1 => 236usize..268]
     }
 
     /// The cost of a clean entry `k(i) = v(len)` without a deadline.
@@ -911,22 +1122,37 @@ mod tests {
     }
 
     #[test]
-    fn a_node_is_16_bytes_an_extra_32_and_a_record_one_allocation() {
-        assert_eq!(NODE_BYTES, 16);
+    fn a_cell_is_its_record_and_pad_byte_rounded_to_the_stride() {
+        assert_eq!(BOX_BYTES, 16);
         assert_eq!(EXTRA_BYTES, 32);
         assert_eq!(SLOT_SHARE, 10);
-        assert_eq!(record(b"key", b"value").len(), 1 + 3 + 5);
+        assert_eq!(record_len(3, 5), 1 + 3 + 5);
         assert_eq!(record_len(127, 0), 128);
         assert_eq!(record_len(128, 0), 130);
-        assert_eq!(record(&[7; 200], b"").len(), record_len(200, 0));
-        assert_eq!(
-            split(&record(b"key", b"value")),
-            (&b"key"[..], &b"value"[..])
-        );
-        assert_eq!(entry_cost(20, 95), 1 + 20 + 95 + 16 + 10);
-        // A dirty or expiring entry is billed less than the 32-byte
-        // node with a 32-byte extra cost.
-        assert!(entry_cost(20, 95) + EXTRA_BYTES <= 1 + 20 + 95 + 32 + 10 + 32);
+        // A record and its pad byte, rounded up to 8 bytes.
+        assert_eq!(entry_cost(20, 95), 120 + 10);
+        assert_eq!(entry_cost(16, 46), 64 + 10);
+        assert_eq!(entry_cost(16, 47), 72 + 10);
+        assert_eq!(entry_cost(0, 0), 8 + 10);
+        // The last inline stride, then boxed: the record and its box.
+        assert_eq!(class_of(INLINE_CAP - 1), BOXED - 1);
+        assert_eq!(entry_cost(16, INLINE_CAP - 18), INLINE_CAP + 10);
+        assert_eq!(class_of(INLINE_CAP), BOXED);
+        assert_eq!(entry_cost(16, INLINE_CAP - 17), INLINE_CAP + 16 + 10);
+        assert_eq!(entry_cost(8, 4096), 1 + 8 + 4096 + 16 + 10);
+        // Every class hands back the key and value it was given.
+        let mut s = LruShard::new(1 << 20);
+        for len in 0..INLINE_CAP + 20 {
+            s.insert(k(len), v(len), false).unwrap();
+        }
+        for len in 0..INLINE_CAP + 20 {
+            assert_eq!(s.peek(k(len)).unwrap().value, v(len));
+        }
+        assert!(s.classes.iter().all(|c| c.cells.len() > 0));
+        let owed: usize = (0..INLINE_CAP + 20)
+            .map(|len| cost(len, len) - SLOT_SHARE)
+            .sum();
+        assert_eq!(s.held(), owed);
     }
 
     #[test]
@@ -1007,15 +1233,15 @@ mod tests {
 
     #[test]
     fn all_dirty_causes_backpressure() {
-        let mut s = LruShard::new(3 * (cost(1, 10) + EXTRA_BYTES));
-        s.insert(k(1), v(10), true).unwrap();
-        s.insert(k(2), v(10), true).unwrap();
-        s.insert(k(3), v(10), true).unwrap();
-        let err = s.insert(k(4), v(10), false).unwrap_err();
+        let mut s = LruShard::new(3 * (cost(1, 40) + EXTRA_BYTES));
+        s.insert(k(1), v(40), true).unwrap();
+        s.insert(k(2), v(40), true).unwrap();
+        s.insert(k(3), v(40), true).unwrap();
+        let err = s.insert(k(4), v(40), false).unwrap_err();
         assert!(matches!(err, Error::Backpressure { .. }));
         // Cleaning one unblocks the insert.
         s.mark_clean(k(1));
-        s.insert(k(4), v(10), false).unwrap();
+        s.insert(k(4), v(40), false).unwrap();
         assert!(s.peek(k(1)).is_none(), "cleaned entry became evictable");
     }
 
@@ -1032,15 +1258,22 @@ mod tests {
         assert_eq!(s.dirty_bytes(), 0);
     }
 
-    /// A bigger overwrite that cannot fit leaves the old entry in place.
+    /// A bigger overwrite that cannot fit, even with every clean entry
+    /// evicted, is refused: the old entry stays in place, and so do the
+    /// clean entries, whose eviction would not have made room.
     #[test]
-    fn failed_overwrite_restores_the_old_entry() {
-        let mut s = LruShard::new(2 * (cost(1, 10) + EXTRA_BYTES));
+    fn refused_overwrite_leaves_the_shard_as_it_was() {
+        let mut s = LruShard::new(2 * (cost(1, 10) + EXTRA_BYTES) + cost(3, 10));
         s.insert(k(1), v(10), true).unwrap();
         s.insert(k(2), v(10), true).unwrap();
+        s.insert(k(3), v(10), false).unwrap();
         let before = (s.used_bytes(), s.dirty_bytes());
-        assert!(s.insert(k(1), v(30), true).is_err());
+        assert!(matches!(
+            s.insert(k(1), v(60), true),
+            Err(Error::Backpressure { .. })
+        ));
         assert_eq!(s.peek(k(1)).unwrap().value, v(10));
+        assert!(s.contains(k(3)), "a refused insert evicts nothing");
         assert_eq!((s.used_bytes(), s.dirty_bytes()), before);
         assert_eq!(s.dirty_entries().len(), 2);
     }
@@ -1101,11 +1334,11 @@ mod tests {
     }
 
     /// Every way an entry leaves the shard — delete, eviction, lazy
-    /// and swept expiry, overwrite — moves its record out: no slab
-    /// slot keeps a removed entry's bytes allocated.
+    /// and swept expiry, overwrite into another class or the boxed one
+    /// — moves its cell out: no class keeps a removed entry's bytes.
     #[test]
-    fn removed_entries_leave_no_bytes_in_the_slab() {
-        let mut s = LruShard::new(4 * cost(1, 30) + 2 * EXTRA_BYTES);
+    fn removed_entries_leave_no_bytes_in_their_class() {
+        let mut s = LruShard::new(4 * cost(1, 30) + 2 * EXTRA_BYTES + cost(1, 300));
         for i in 1..=4 {
             let ttl = (i == 3).then_some(100);
             s.insert_full(k(i), v(20 + i), false, ttl).unwrap();
@@ -1113,45 +1346,67 @@ mod tests {
         assert!(s.remove(k(2)));
         assert!(s.get(k(3), 100).is_none(), "expired on read");
         s.insert(k(5), v(30), true).unwrap();
-        s.insert(k(6), v(30), false).unwrap();
-        assert_eq!(s.insert(k(7), v(30), false).unwrap(), 1);
+        s.insert(k(6), v(300), false).unwrap();
+        s.insert(k(7), v(30), false).unwrap();
+        assert_eq!(s.insert(k(8), v(30), false).unwrap(), 1);
+        // Boxed to inline, inline to boxed, and back to another stride.
         s.insert(k(6), v(5), false).unwrap();
+        s.insert(k(4), v(300), false).unwrap();
+        s.insert(k(4), v(50), false).unwrap();
         s.insert_full(k(7), v(30), false, Some(200)).unwrap();
         assert_eq!(s.sweep_expired(200).len(), 1);
 
         let live: Vec<Key> = s.keys();
-        assert_eq!(s.slab.len(), live.len(), "a slot outlived its entry");
+        assert_eq!(s.len(), live.len(), "a cell outlived its entry");
         assert_eq!(s.index.len, live.len(), "an index slot outlived its entry");
-        assert_eq!(s.extras.len(), 1, "only the dirty k5 has an extra");
-        let held: usize = s.slab.iter().map(|n| n.record.len()).sum();
+        assert_eq!(s.extras(), 1, "only the dirty k5 has an extra");
         let owed: usize = live
             .iter()
-            .map(|key| record_len(key.len(), s.peek(key).unwrap().value.len()))
+            .map(|key| entry_cost(key.len(), s.peek(key).unwrap().value.len()) - SLOT_SHARE)
             .sum();
-        assert_eq!(held, owed);
+        assert_eq!(s.held(), owed);
         assert_eq!(s.dirty_entries().len(), 1);
         for key in &live {
             assert!(s.get(key, 0).is_some());
         }
     }
 
-    /// The slab and the index give back their spare room once most
-    /// entries are gone.
+    /// A class grows by a 32nd at a time, and the classes and the index
+    /// give back their spare room once most entries are gone.
     #[test]
     fn emptied_shards_shrink() {
         let mut s = LruShard::new(1 << 30);
         for i in 0..10_000 {
             s.insert(k(i), v(4), false).unwrap();
+            s.insert(k(i + 10_000), v(300), false).unwrap();
         }
-        assert!(s.slab.capacity() <= 10_000 + 10_000 / 8 + 4);
-        assert!(s.index.slots.len() <= 10_000 * 25 / 16, "load under 0.64");
+        let spare = |s: &LruShard| -> Vec<usize> {
+            let spare = |cells: &Cells| match cells {
+                Cells::Inline { bytes, .. } => bytes.capacity(),
+                Cells::Boxed(records) => records.capacity() * BOX_BYTES,
+            };
+            s.classes.iter().map(|c| spare(&c.cells)).collect()
+        };
+        let inline = class_of(record_len(k(9_999).len(), 4));
+        let (one, boxed) = (cost(9_999, 4) - SLOT_SHARE, 10_000 * BOX_BYTES);
+        let grown = spare(&s);
+        assert!(
+            grown[inline] <= 10_000 * one + 10_000 * one / 32,
+            "{grown:?}"
+        );
+        assert!(grown[BOXED] <= boxed + boxed / 32, "{grown:?}");
+        assert!(s.index.slots.len() <= 20_000 * 25 / 16, "load under 0.64");
         for i in 0..9_900 {
             assert!(s.remove(k(i)));
+            assert!(s.remove(k(i + 10_000)));
         }
-        assert!(s.slab.capacity() < 400, "{}", s.slab.capacity());
-        assert!(s.index.slots.len() < 500, "{}", s.index.slots.len());
+        let shrunk = spare(&s);
+        assert!(shrunk[inline] < 400 * one, "{shrunk:?}");
+        assert!(shrunk[BOXED] < 400 * BOX_BYTES, "{shrunk:?}");
+        assert!(s.index.slots.len() < 1_000, "{}", s.index.slots.len());
         for i in 9_900..10_000 {
             assert_eq!(s.get(k(i), 0), Some(v(4)));
+            assert_eq!(s.get(k(i + 10_000), 0), Some(v(300)));
         }
     }
 
@@ -1205,12 +1460,12 @@ mod tests {
         /// The dirty list holds exactly the dirty entries, once each,
         /// with the entry dirtied last first, and `dirty_bytes` is their
         /// summed cost, under arbitrary interleavings of every operation
-        /// that links, unlinks, cleans, evicts or reclaims a node. A hit
+        /// that links, unlinks, cleans, evicts or reclaims a cell. A hit
         /// leaves the list as it was.
         #[test]
         fn prop_dirty_list_is_the_dirty_entries(
             ops in proptest::collection::vec(
-                (0u8..7, 0usize..24, 0usize..120, any::<bool>(), proptest::option::of(1u64..40)),
+                (0u8..7, 0usize..24, value_len(), any::<bool>(), proptest::option::of(1u64..40)),
                 1..300,
             )
         ) {
@@ -1270,16 +1525,16 @@ mod tests {
                 walk.sort();
                 listed.sort();
                 prop_assert_eq!(&listed, &walk);
-                prop_assert_eq!(s.slab.len(), s.len());
+                prop_assert_eq!(s.keys().len(), s.len());
                 prop_assert_eq!(s.index.len, s.len());
-                // The nodes with an extra are exactly the dirty or
+                // The cells with an extra are exactly the dirty or
                 // expiring ones.
                 let marked = s
                     .keys()
                     .iter()
                     .filter(|key| s.peek(key).is_some_and(|e| e.dirty || e.expires_at.is_some()))
                     .count();
-                prop_assert_eq!(s.extras.len(), marked);
+                prop_assert_eq!(s.extras(), marked);
             }
         }
 
@@ -1299,7 +1554,7 @@ mod tests {
         #[test]
         fn prop_clock_evicts_clean_entries_with_clear_bits_first(
             ops in proptest::collection::vec(
-                (0u8..7, 0usize..24, 0usize..120, any::<bool>(), proptest::option::of(1u64..40)),
+                (0u8..7, 0usize..24, value_len(), any::<bool>(), proptest::option::of(1u64..40)),
                 1..300,
             )
         ) {
@@ -1391,10 +1646,72 @@ mod tests {
             }
         }
 
+        /// The classes hold exactly the live entries, under inserts and
+        /// overwrites that move keys across classes, removes,
+        /// evictions, cleans and expiry: each entry's cell is in the
+        /// class its record's length picks, padded with zeros, and its
+        /// index slot points at it; each reads back the value last
+        /// written to its key; and the cells, slot shares and extras
+        /// add up to `used_bytes`.
+        #[test]
+        fn prop_cells_hold_exactly_the_live_records(
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..24, value_len(), any::<bool>(), proptest::option::of(1u64..40)),
+                1..300,
+            )
+        ) {
+            let mut s = LruShard::new(3000);
+            let mut written = std::collections::HashMap::new();
+            let mut now = 0u64;
+            for (op, ki, vlen, dirty, ttl) in ops {
+                match op {
+                    0..=2 => {
+                        if s.insert_full(k(ki), v(vlen), dirty, ttl.map(|t| now + t)).is_ok() {
+                            written.insert(k(ki), v(vlen));
+                        }
+                    }
+                    3 => {
+                        s.remove(k(ki));
+                    }
+                    4 => {
+                        if let Some(e) = s.peek(k(ki)) {
+                            s.mark_clean_if(k(ki), e.value.as_slice());
+                        }
+                    }
+                    _ => {
+                        s.lookup(k(ki), now);
+                        now += ttl.unwrap_or(0);
+                        if dirty {
+                            s.sweep_expired(now);
+                        }
+                    }
+                }
+                for (c, class) in s.classes.iter().enumerate() {
+                    for cell in 0..class.cells.len() {
+                        let record = class.cells.record(cell);
+                        prop_assert_eq!(class_of(record.len()), c);
+                        if let Cells::Inline { stride, bytes } = &class.cells {
+                            let whole = &bytes[cell * stride..(cell + 1) * stride];
+                            prop_assert_eq!(1 + record.len() + whole[0] as usize, *stride);
+                            prop_assert!(whole[1 + record.len()..].iter().all(|&b| b == 0));
+                        }
+                        let (key, value) = split(record);
+                        prop_assert_eq!(s.find(key), Some(pack(c, cell)));
+                        prop_assert_eq!(Some(value), written.get(&Key::copy_from(key)).map(|v: &Value| v.as_slice()));
+                    }
+                }
+                prop_assert_eq!(s.index.len, s.len());
+                prop_assert_eq!(
+                    s.held() + s.len() * SLOT_SHARE + s.extras() * EXTRA_BYTES,
+                    s.used_bytes()
+                );
+            }
+        }
+
         /// The budget is never exceeded, and `used_bytes` is the summed
         /// cost of the entries, under arbitrary operation sequences.
         #[test]
-        fn prop_budget_invariant(ops in proptest::collection::vec((0usize..50, 0usize..200, any::<bool>()), 1..300)) {
+        fn prop_budget_invariant(ops in proptest::collection::vec((0usize..50, 0usize..300, any::<bool>()), 1..300)) {
             let mut s = LruShard::new(2000);
             for (ki, vlen, dirty) in ops {
                 // Dirty inserts may hit backpressure; that's fine.
@@ -1412,7 +1729,7 @@ mod tests {
         #[test]
         fn prop_byte_counters_match_a_walk(
             ops in proptest::collection::vec(
-                (0u8..7, 0usize..24, 0usize..120, any::<bool>(), proptest::option::of(1u64..40)),
+                (0u8..7, 0usize..24, value_len(), any::<bool>(), proptest::option::of(1u64..40)),
                 1..300,
             )
         ) {

@@ -1107,7 +1107,7 @@ mod tests {
                 .build(),
         )
         .unwrap();
-        for i in 0..40_000 {
+        for i in 0..60_000 {
             tb.put(k(i), v(i)).unwrap();
         }
         let models = tb.inner.model_bytes();
@@ -1127,7 +1127,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(tb.inner.model_bytes(), models);
-        for i in 0..40_000 {
+        for i in 0..60_000 {
             tb.put(k(i), v(i)).unwrap();
         }
         assert!(tb.resident_bytes() <= CAPACITY as u64);
