@@ -24,7 +24,8 @@
 //! largest stride, 256 bytes, is an allocation of its own behind a
 //! 16-byte box. Add a 10-byte share of an index slot (hash, reference
 //! bit, class and cell; [`entry_cost`]); a dirty or expiring entry
-//! holds a 32-byte side record more ([`EXTRA_BYTES`]). Three rules:
+//! holds a 16-byte side record more, its dirty flag and deadline
+//! ([`EXTRA_BYTES`]). Three rules:
 //! * the budget, `used_bytes` and `bytes_by_medium` count requested
 //!   heap bytes, stride padding included;
 //! * the system allocator's own per-allocation header and size-class

@@ -15,15 +15,15 @@
 //!   cell), billed at the index's maximum load of 4/5, so 10 bytes.
 //!
 //! An entry that is dirty or has an expiry deadline also holds a
-//! 32-byte `Extra` ([`EXTRA_BYTES`]): its place on the dirty list and
-//! its deadline. In each class the cells that have one come first, and
-//! cell `i`'s is the class's `extras[i]`: where a cell sits says
-//! whether it has an `Extra` and which, so a cell needs no field for
-//! it, and a clean entry's lookup reads nothing but its index slot and
-//! its cell. The key's hash, which the index slot holds, is recomputed
-//! from the record when a cell is moved or removed. A removed cell's
-//! place is taken by its class's last cell, so a class has no holes,
-//! no free list and nothing to compact.
+//! 16-byte `Extra` ([`EXTRA_BYTES`]): its dirty flag and its deadline.
+//! In each class the cells that have one come first, and cell `i`'s is
+//! the class's `extras[i]`: where a cell sits says whether it has an
+//! `Extra` and which, so a cell needs no field for it, and a clean
+//! entry's lookup reads nothing but its index slot and its cell. The
+//! key's hash, which the index slot holds, is recomputed from the
+//! record when a cell is moved or removed. A removed cell's place is
+//! taken by its class's last cell, so a class has no holes, no free
+//! list and nothing to compact.
 //!
 //! The budget is these requested bytes, stride padding included. Not
 //! counted are the system allocator's own header and size-class
@@ -42,15 +42,15 @@
 //! Dirty entries — written back to storage asynchronously — are pinned:
 //! the hand walks past them, and when only dirty entries remain the
 //! shard reports backpressure instead of dropping unsynchronized data.
-//! The dirty entries are additionally threaded on a list, the entry
-//! dirtied last first, so the write-back flush finds them in O(dirty)
-//! instead of walking the whole shard.
+//! Only a cell with an `Extra` can be dirty, so the write-back flush
+//! finds the dirty entries by walking the extras, O(dirty + expiring),
+//! not the whole shard.
 
 use std::mem::size_of;
 use tb_common::{fx_hash, is_expired, read_bytes, write_bytes, Error, Key, Result, Value};
 
-/// A cell's place as the links and the index store it: its class in
-/// the top bits, its cell in the class below them.
+/// A cell's place as the index stores it: its class in the top bits,
+/// its cell in the class below them.
 type Idx = u32;
 
 const NIL: Idx = Idx::MAX;
@@ -103,28 +103,35 @@ pub enum Lookup {
     Absent,
 }
 
-/// A cell's links on the dirty list.
-#[derive(Clone, Copy)]
-struct Link {
-    prev: Idx,
-    next: Idx,
-}
-
 /// What only dirty or expiring entries carry: cell `i`'s is its
 /// class's `extras[i]`, so exactly the class's first `extras.len()`
 /// cells have one.
 struct Extra {
-    expires_at: Option<u64>,
-    /// `Some` exactly while the entry is dirty: its links on the dirty
-    /// list.
-    dirty: Option<Link>,
+    /// The deadline, if `expires`: a real one can be any `u64`.
+    deadline: u64,
+    expires: bool,
+    dirty: bool,
+}
+
+impl Extra {
+    fn new(dirty: bool, expires_at: Option<u64>) -> Self {
+        Self {
+            deadline: expires_at.unwrap_or(0),
+            expires: expires_at.is_some(),
+            dirty,
+        }
+    }
+
+    fn expires_at(&self) -> Option<u64> {
+        self.expires.then_some(self.deadline)
+    }
 }
 
 /// Heap bytes of a boxed record's cell, beside the record itself.
 const BOX_BYTES: usize = size_of::<Box<[u8]>>();
 
-/// Heap bytes of the side record (dirty-list links, deadline) a dirty
-/// or expiring entry holds beyond its [`entry_cost`].
+/// Heap bytes of the side record (dirty flag, deadline) a dirty or
+/// expiring entry holds beyond its [`entry_cost`].
 pub const EXTRA_BYTES: usize = size_of::<Extra>();
 
 /// One entry's share of the index: a slot at the maximum load.
@@ -459,8 +466,6 @@ pub(crate) struct LruShard {
     len: usize,
     /// The class and cell the CLOCK hand looks at next.
     hand: (usize, usize),
-    /// First cell on the dirty list, the entry dirtied last.
-    dirty_head: Idx,
     used_bytes: usize,
     dirty_bytes: usize,
     /// Bytes of the entries billed to PMem, see [`Self::placed`].
@@ -478,7 +483,6 @@ impl LruShard {
             classes: (0..CLASSES).map(Class::new).collect(),
             len: 0,
             hand: (0, 0),
-            dirty_head: NIL,
             used_bytes: 0,
             dirty_bytes: 0,
             pmem_bytes: 0,
@@ -659,23 +663,10 @@ impl LruShard {
             }
             let extras = &mut self.classes[c].extras;
             reserve(extras, 1);
-            extras.push(Extra {
-                expires_at,
-                // First on the dirty list.
-                dirty: dirty.then_some(Link {
-                    prev: NIL,
-                    next: self.dirty_head,
-                }),
-            });
+            extras.push(Extra::new(dirty, expires_at));
         }
         let idx = pack(c, cell);
         self.index.insert(tag, idx);
-        if dirty {
-            if self.dirty_head != NIL {
-                self.link(self.dirty_head).prev = idx;
-            }
-            self.dirty_head = idx;
-        }
         self.len += 1;
         self.charge(idx, true);
     }
@@ -740,7 +731,7 @@ impl LruShard {
         let (class, cell) = unpack(idx);
         match self.classes[class].extras.get(cell) {
             None => (false, None),
-            Some(extra) => (extra.dirty.is_some(), extra.expires_at),
+            Some(extra) => (extra.dirty, extra.expires_at()),
         }
     }
 
@@ -778,15 +769,12 @@ impl LruShard {
     }
 
     /// Moves the cell whose index slot is at `pos` out of the shard:
-    /// takes its bytes off the counters, unlinks it and drops the slot.
-    /// If it had an extra, the class's last cell with one fills its
-    /// place; then the class's last cell fills the place left.
+    /// takes its bytes off the counters and drops the slot. If it had an
+    /// extra, the class's last cell with one fills its place; then the
+    /// class's last cell fills the place left.
     fn take(&mut self, pos: usize) {
         let idx = self.index.slots[pos].idx;
         self.charge(idx, false);
-        if self.marks(idx).0 {
-            self.unlink_dirty(idx);
-        }
         self.index.remove(pos);
         let (c, mut cell) = unpack(idx);
         let class = &mut self.classes[c];
@@ -809,26 +797,14 @@ impl LruShard {
         self.len -= 1;
     }
 
-    /// Repoints the cell's index slot, and its dirty-list neighbours or
-    /// the list's head, from cell `from` to cell `to`, where it now
-    /// sits with its extra, if it has one.
+    /// Repoints the index slot of the cell that moved from `from` to
+    /// `to`.
     fn moved(&mut self, from: Idx, to: Idx) {
         self.index.repoint(self.hash_of(to), from, to);
-        if self.marks(to).0 {
-            let Link { prev, next } = *self.link(to);
-            match prev {
-                NIL => self.dirty_head = to,
-                p => self.link(p).next = to,
-            }
-            if next != NIL {
-                self.link(next).prev = to;
-            }
-        }
     }
 
     /// Swaps live cells `a` and `b` of one class, which both have an
-    /// extra, with their extras, and repoints their index slots,
-    /// dirty-list neighbours and the list's head.
+    /// extra, with their extras, and repoints their index slots.
     fn swap(&mut self, a: Idx, b: Idx) {
         let (slot_a, slot_b) = (
             self.index.slot(self.hash_of(a), a),
@@ -836,31 +812,6 @@ impl LruShard {
         );
         self.index.slots[slot_a].idx = b;
         self.index.slots[slot_b].idx = a;
-        let other = |i: Idx| match i {
-            i if i == a => b,
-            i if i == b => a,
-            i => i,
-        };
-        for x in [a, b] {
-            if !self.marks(x).0 {
-                continue;
-            }
-            // Neighbours outside the pair point at x's new place; a
-            // link within the pair is remapped on x itself.
-            let Link { prev, next } = *self.link(x);
-            match prev {
-                NIL => self.dirty_head = other(x),
-                p if other(p) == p => self.link(p).next = other(x),
-                _ => {}
-            }
-            if next != NIL && other(next) == next {
-                self.link(next).prev = other(x);
-            }
-            *self.link(x) = Link {
-                prev: other(prev),
-                next: other(next),
-            };
-        }
         let ((c, a), (_, b)) = (unpack(a), unpack(b));
         let class = &mut self.classes[c];
         class.cells.swap(a, b);
@@ -893,9 +844,9 @@ impl LruShard {
             return;
         }
         self.charge(idx, false);
-        self.unlink_dirty(idx);
+        let (c, cell) = unpack(idx);
+        self.classes[c].extras[cell].dirty = false;
         if expires_at.is_none() {
-            let (c, cell) = unpack(idx);
             let last = self.classes[c].extras.len() - 1;
             if cell < last {
                 self.swap(idx, pack(c, last));
@@ -917,7 +868,7 @@ impl LruShard {
         let mut expired = Vec::new();
         for class in &self.classes {
             for (cell, e) in class.extras.iter().enumerate() {
-                if e.dirty.is_none() && is_expired(e.expires_at, now_nanos) {
+                if !e.dirty && is_expired(e.expires_at(), now_nanos) {
                     expired.push(Key::copy_from(split(class.cells.record(cell)).0));
                 }
             }
@@ -929,19 +880,25 @@ impl LruShard {
         expired
     }
 
-    /// Snapshot of all dirty entries, the entry dirtied last first
-    /// (batch-flush input). Walks the dirty list: O(dirty).
+    /// Snapshot of all dirty entries, class by class (batch-flush
+    /// input). Only cells with an extra can be dirty, so this walks
+    /// those, O(dirty + expiring), and stops once the entries it has
+    /// found hold all of `dirty_bytes`: at once in a shard with none.
     pub fn dirty_entries(&self) -> Vec<(Key, Value)> {
         let mut out = Vec::new();
-        let mut idx = self.dirty_head;
-        while idx != NIL {
-            let (key, value) = split(self.record(idx));
-            out.push((Key::copy_from(key), Value::copy_from(value)));
-            let (class, cell) = unpack(idx);
-            idx = self.classes[class].extras[cell]
-                .dirty
-                .expect("on the dirty list")
-                .next;
+        let mut left = self.dirty_bytes;
+        for class in &self.classes {
+            if left == 0 {
+                break;
+            }
+            for (cell, e) in class.extras.iter().enumerate() {
+                if e.dirty {
+                    let record = class.cells.record(cell);
+                    left -= billed(record.len(), true);
+                    let (key, value) = split(record);
+                    out.push((Key::copy_from(key), Value::copy_from(value)));
+                }
+            }
         }
         out
     }
@@ -986,29 +943,6 @@ impl LruShard {
             }
         });
         out
-    }
-
-    /// Cell `idx`'s links on the dirty list.
-    fn link(&mut self, idx: Idx) -> &mut Link {
-        let (class, cell) = unpack(idx);
-        self.classes[class].extras[cell]
-            .dirty
-            .as_mut()
-            .expect("only dirty cells are on the dirty list")
-    }
-
-    /// Takes cell `idx` off the dirty list and its dirty flag off.
-    fn unlink_dirty(&mut self, idx: Idx) {
-        let Link { prev, next } = *self.link(idx);
-        match prev {
-            NIL => self.dirty_head = next,
-            p => self.link(p).next = next,
-        }
-        if next != NIL {
-            self.link(next).prev = prev;
-        }
-        let (class, cell) = unpack(idx);
-        self.classes[class].extras[cell].dirty = None;
     }
 }
 
@@ -1124,7 +1058,7 @@ mod tests {
     #[test]
     fn a_cell_is_its_record_and_pad_byte_rounded_to_the_stride() {
         assert_eq!(BOX_BYTES, 16);
-        assert_eq!(EXTRA_BYTES, 32);
+        assert_eq!(EXTRA_BYTES, 16);
         assert_eq!(SLOT_SHARE, 10);
         assert_eq!(record_len(3, 5), 1 + 3 + 5);
         assert_eq!(record_len(127, 0), 128);
@@ -1287,20 +1221,28 @@ mod tests {
         ));
     }
 
+    /// The dirty entries, key and value, whatever their order; a clean
+    /// entry with a deadline, which holds an extra too, is not one.
     #[test]
     fn dirty_entries_snapshot() {
         let mut s = LruShard::new(10_000);
         s.insert(k(1), v(5), true).unwrap();
         s.insert(k(2), v(5), false).unwrap();
-        s.insert(k(3), v(5), true).unwrap();
-        let dirty = s.dirty_entries();
-        let keys: Vec<&Key> = dirty.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, [&k(3), &k(1)], "the entry dirtied last first");
-        assert_eq!(dirty[0].1, v(5));
-        // A hit leaves the dirty list as it is.
+        s.insert(k(3), v(6), true).unwrap();
+        s.insert_full(k(4), v(5), false, Some(100)).unwrap();
+        let dirty = |s: &LruShard| {
+            let mut entries = s.dirty_entries();
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            entries
+        };
+        let expected = [(k(1), v(5)), (k(3), v(6))];
+        assert_eq!(dirty(&s), expected, "each once");
+        // A hit leaves the dirty entries as they are.
         s.get(k(1), 0);
-        let after: Vec<Key> = s.dirty_entries().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(after, [k(3), k(1)]);
+        assert_eq!(dirty(&s), expected);
+        s.mark_clean(k(1));
+        s.mark_clean(k(3));
+        assert!(s.dirty_entries().is_empty());
     }
 
     #[test]
@@ -1457,13 +1399,12 @@ mod tests {
             }
         }
 
-        /// The dirty list holds exactly the dirty entries, once each,
-        /// with the entry dirtied last first, and `dirty_bytes` is their
-        /// summed cost, under arbitrary interleavings of every operation
-        /// that links, unlinks, cleans, evicts or reclaims a cell. A hit
-        /// leaves the list as it was.
+        /// `dirty_entries` holds exactly the dirty cells, once each, and
+        /// `dirty_bytes` is their summed cost, under arbitrary
+        /// interleavings of every operation that dirties, cleans, moves,
+        /// evicts or reclaims a cell. A hit leaves the set as it was.
         #[test]
-        fn prop_dirty_list_is_the_dirty_entries(
+        fn prop_dirty_entries_are_the_dirty_cells(
             ops in proptest::collection::vec(
                 (0u8..7, 0usize..24, value_len(), any::<bool>(), proptest::option::of(1u64..40)),
                 1..300,
@@ -1473,7 +1414,9 @@ mod tests {
             let mut s = LruShard::new(1500);
             let mut now = 0u64;
             let listed = |s: &LruShard| -> Vec<Key> {
-                s.dirty_entries().into_iter().map(|(key, _)| key).collect()
+                let mut keys: Vec<Key> = s.dirty_entries().into_iter().map(|(key, _)| key).collect();
+                keys.sort();
+                keys
             };
             for (op, ki, vlen, dirty, ttl) in ops {
                 let before = listed(&s);
@@ -1483,7 +1426,7 @@ mod tests {
                     0..=2 => {
                         let done = s.insert_full(k(ki), v(vlen), dirty, ttl.map(|t| now + t));
                         if done.is_ok() && dirty {
-                            prop_assert_eq!(listed(&s).first().cloned(), Some(k(ki)));
+                            prop_assert!(listed(&s).contains(&k(ki)));
                         }
                     }
                     3 => {
@@ -1516,15 +1459,13 @@ mod tests {
                     .into_iter()
                     .filter(|key| s.peek(key).unwrap().dirty)
                     .collect();
-                let mut listed = listed(&s);
                 let cost: usize = walk
                     .iter()
                     .map(|key| entry_cost(key.len(), s.peek(key).unwrap().value.len()) + EXTRA_BYTES)
                     .sum();
                 prop_assert_eq!(s.dirty_bytes(), cost);
                 walk.sort();
-                listed.sort();
-                prop_assert_eq!(&listed, &walk);
+                prop_assert_eq!(&listed(&s), &walk);
                 prop_assert_eq!(s.keys().len(), s.len());
                 prop_assert_eq!(s.index.len, s.len());
                 // The cells with an extra are exactly the dirty or

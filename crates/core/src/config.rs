@@ -98,10 +98,10 @@ pub struct TierBaseConfig {
     /// dictionary of the strings they share (COVER, ≤ 4 KiB) and entropy
     /// tables for their parses after it (the model, ~44 KiB), and later
     /// values are stored compressed under it. On ~100-byte Cities
-    /// records the store then holds ~0.76 bytes per user byte, model
-    /// billed, where raw values take 1.24. `Tzstd` leaves the dictionary
-    /// out: ~0.86, for about half the encode CPU (~0.6 µs less a put)
-    /// and ~0.1 µs less a get. The model's heap comes out of
+    /// records the store then holds ~0.66 bytes per user byte, model
+    /// billed, where raw values take 1.14 (`tests/cache_space_amp.rs`'s
+    /// load). `Tzstd` leaves the dictionary out: ~0.76, for about half
+    /// the encode CPU (~0.6 µs less a put) and ~0.1 µs less a get. The model's heap comes out of
     /// `cache_capacity` and is billed in `resident_bytes`.
     /// `CompressorChoice::Raw` turns compression off.
     pub compression: CompressorChoice,

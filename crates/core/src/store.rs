@@ -922,6 +922,58 @@ mod tests {
         assert_eq!(tb.get(&k(7)).unwrap(), Some(v(49)));
     }
 
+    /// A flush writes the dirty entries and nothing else. Keys put with
+    /// a deadline and flushed are clean but keep their deadline's side
+    /// record in the cache; the next flush neither counts nor writes
+    /// them again.
+    #[test]
+    fn write_back_flush_leaves_out_clean_entries_with_a_deadline() {
+        let clock = tb_common::ManualClock::new();
+        let storage = Arc::new(Flaky::new(MapEngine::default()));
+        let tb = TierBase::open(TierBaseConfig {
+            storage: Some(storage.clone()),
+            ..TierBaseConfig::builder(tmpdir("wbttl"))
+                .policy(SyncPolicy::WriteBack)
+                .clock(clock.clone())
+                .write_back(WriteBackTuning {
+                    max_dirty_bytes: u64::MAX,
+                    flush_every_ops: u64::MAX,
+                    batch_size: 64,
+                })
+                .build()
+        })
+        .unwrap();
+        for i in 0..20 {
+            tb.put_with_ttl(k(i), v(i), std::time::Duration::from_secs(60))
+                .unwrap();
+        }
+        assert_eq!(tb.flush_dirty().unwrap(), 20);
+        // Storage forgets them, so a second write of one would show.
+        for i in 0..20 {
+            let cached = tb.inner.cache.peek_entry(&k(i)).unwrap();
+            assert!(!cached.dirty && cached.expires_at.is_some());
+            storage.delete(&k(i)).unwrap();
+        }
+        for i in 20..25 {
+            tb.put(k(i), v(i)).unwrap();
+        }
+        let calls = storage.calls();
+        let flushed = tb.stats().flushed_entries.load(Ordering::Relaxed);
+        assert_eq!(tb.flush_dirty().unwrap(), 5, "the new puts alone");
+        assert_eq!(storage.calls(), calls + 1, "one batch");
+        assert_eq!(
+            tb.stats().flushed_entries.load(Ordering::Relaxed),
+            flushed + 5
+        );
+        for i in 0..20 {
+            assert_eq!(storage.get(&k(i)).unwrap(), None, "key {i} rewritten");
+            assert_eq!(tb.get(&k(i)).unwrap(), Some(v(i)));
+        }
+        for i in 20..25 {
+            assert!(storage.get(&k(i)).unwrap().is_some());
+        }
+    }
+
     #[test]
     fn put_racing_a_flush_stays_dirty_until_it_is_flushed_itself() {
         // The interleaving `ThreadMode::Multi`/`Elastic` allows, made
